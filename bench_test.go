@@ -219,6 +219,7 @@ func BenchmarkAblationVicinitySize(b *testing.B) {
 		ps := metrics.SamplePairs(rand.New(rand.NewSource(benchSeed+1)), n, 200)
 		for _, k := range []int{k0 / 4, k0 / 2, k0, 2 * k0} {
 			nd := core.NewNDDisco(env, core.WithK(k))
+			useSnapshot(b, nd)
 			f, l, c := 0.0, 0.0, 0
 			for _, pr := range ps {
 				s, t := graph.NodeID(pr.Src), graph.NodeID(pr.Dst)
@@ -261,6 +262,7 @@ func BenchmarkAblationGroupMemberSelection(b *testing.B) {
 			{"closest-member", []core.DiscoOption{core.WithSeed(benchSeed), core.WithClosestMember()}},
 		} {
 			d := core.NewDisco(env, mode.opts...)
+			useSnapshot(b, d.ND)
 			sum, cnt := 0.0, 0
 			for _, pr := range ps {
 				s, t := graph.NodeID(pr.Src), graph.NodeID(pr.Dst)
@@ -377,6 +379,17 @@ func benchGraph(b *testing.B, n int) *graph.Graph {
 	return topology.GnmAvgDeg(rand.New(rand.NewSource(benchSeed)), n, 8)
 }
 
+// useSnapshot builds the snapshot for nd's vicinity size and installs it:
+// routing before UseSnapshot panics.
+func useSnapshot(b *testing.B, nd *core.NDDisco) {
+	b.Helper()
+	snap, err := snapshot.Build(nd.Env.G, nd.K, nd.Env.Landmarks)
+	if err != nil {
+		b.Fatalf("snapshot build: %v", err)
+	}
+	nd.UseSnapshot(snap)
+}
+
 func BenchmarkDijkstraFull4096(b *testing.B) {
 	g := benchGraph(b, 4096)
 	s := graph.NewSSSP(g)
@@ -400,6 +413,7 @@ func BenchmarkRouteFirst(b *testing.B) {
 	g := benchGraph(b, 2048)
 	env := static.NewEnv(g, benchSeed)
 	d := core.NewDisco(env)
+	useSnapshot(b, d.ND)
 	rng := rand.New(rand.NewSource(benchSeed))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -416,6 +430,7 @@ func BenchmarkRouteLater(b *testing.B) {
 	g := benchGraph(b, 2048)
 	env := static.NewEnv(g, benchSeed)
 	d := core.NewDisco(env)
+	useSnapshot(b, d.ND)
 	rng := rand.New(rand.NewSource(benchSeed))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -33,6 +33,7 @@ import (
 	"disco/internal/graph"
 	"disco/internal/metrics"
 	"disco/internal/names"
+	"disco/internal/snapshot"
 	"disco/internal/static"
 )
 
@@ -162,6 +163,11 @@ func newNetwork(g *graph.Graph, nodeNames []names.Name, cfg Config) (*Network, e
 		dOpts = append(dOpts, core.WithNDOptions(core.WithK(cfg.VicinitySize)))
 	}
 	d := core.NewDisco(env, dOpts...)
+	snap, err := snapshot.Build(g, d.ND.K, env.Landmarks)
+	if err != nil {
+		return nil, fmt.Errorf("disco: building route state: %w", err)
+	}
+	d.ND.UseSnapshot(snap)
 	nw := &Network{cfg: cfg, env: env, d: d, byName: make(map[names.Name]graph.NodeID, g.N())}
 	for i, nm := range nodeNames {
 		nw.byName[nm] = graph.NodeID(i)

@@ -3,10 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"disco/internal/dynamics"
 	"disco/internal/graph"
 	"disco/internal/metrics"
+	"disco/internal/snapshot"
 	"disco/internal/static"
 	"disco/internal/topology"
 	"disco/internal/vicinity"
@@ -21,13 +24,24 @@ func testEnv(t *testing.T, seed int64, n, m int) (*static.Env, *Disco) {
 	t.Helper()
 	g := topology.Gnm(rand.New(rand.NewSource(seed)), n, m)
 	env := static.NewEnv(g, seed)
-	d := NewDisco(env, WithSeed(seed))
+	d := withSnapshot(t, NewDisco(env, WithSeed(seed)))
 	for v := 0; v < n; v++ {
 		if !d.ND.Vicinity(graph.NodeID(v)).Contains(env.LMOf[v]) {
 			t.Fatalf("precondition failed: node %d has no landmark in vicinity (topology too adversarial for the w.h.p. argument)", v)
 		}
 	}
 	return env, d
+}
+
+// withSnapshot installs a freshly built exact snapshot into d.
+func withSnapshot(t *testing.T, d *Disco) *Disco {
+	t.Helper()
+	snap, err := snapshot.Build(d.Env().G, d.ND.K, d.Env().Landmarks)
+	if err != nil {
+		t.Fatalf("snapshot build: %v", err)
+	}
+	d.ND.UseSnapshot(snap)
+	return d
 }
 
 func routeOK(t *testing.T, g *graph.Graph, route []graph.NodeID, s, dst graph.NodeID) float64 {
@@ -83,7 +97,7 @@ func TestDiscoStretchBoundsWeightedGraph(t *testing.T) {
 	// not capped by hop-count ratios (§5.2).
 	g := topology.Geometric(rand.New(rand.NewSource(5)), 600, 8)
 	env := static.NewEnv(g, 5)
-	d := NewDisco(env)
+	d := withSnapshot(t, NewDisco(env))
 	pairs := metrics.SamplePairs(rand.New(rand.NewSource(6)), env.N(), 300)
 	for _, p := range pairs {
 		s, dst := graph.NodeID(p.Src), graph.NodeID(p.Dst)
@@ -225,7 +239,7 @@ func TestWalkToDestinationOptimal(t *testing.T) {
 }
 
 func TestJoinPaths(t *testing.T) {
-	p := joinPaths([]graph.NodeID{1, 2, 3}, []graph.NodeID{3, 4})
+	p := dynamics.JoinPaths([]graph.NodeID{1, 2, 3}, []graph.NodeID{3, 4})
 	want := []graph.NodeID{1, 2, 3, 4}
 	if len(p) != len(want) {
 		t.Fatalf("join %v", p)
@@ -236,7 +250,7 @@ func TestJoinPaths(t *testing.T) {
 		}
 	}
 	// Backtrack collapse: 1,2,3 + 3,2,5 -> 1,2,5
-	p = joinPaths([]graph.NodeID{1, 2, 3}, []graph.NodeID{3, 2, 5})
+	p = dynamics.JoinPaths([]graph.NodeID{1, 2, 3}, []graph.NodeID{3, 2, 5})
 	want = []graph.NodeID{1, 2, 5}
 	if len(p) != len(want) {
 		t.Fatalf("backtrack join %v", p)
@@ -254,7 +268,7 @@ func TestJoinPathsPanicsOnGap(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	joinPaths([]graph.NodeID{1, 2}, []graph.NodeID{3, 4})
+	dynamics.JoinPaths([]graph.NodeID{1, 2}, []graph.NodeID{3, 4})
 }
 
 func TestDiscoFindGroupMember(t *testing.T) {
@@ -299,7 +313,7 @@ func TestDiscoFallbackUnderError(t *testing.T) {
 		est[i] = 400 * (1 + (rng.Float64()*2-1)*0.6)
 	}
 	env := static.NewEnv(g, 17, static.WithNEst(est))
-	d := NewDisco(env)
+	d := withSnapshot(t, NewDisco(env))
 	pairs := metrics.SamplePairs(rand.New(rand.NewSource(19)), 400, 200)
 	for _, p := range pairs {
 		s, dst := graph.NodeID(p.Src), graph.NodeID(p.Dst)
@@ -352,7 +366,7 @@ func TestStateBreakdownConsistency(t *testing.T) {
 
 func TestVicinitySizeOverride(t *testing.T) {
 	env, _ := testEnv(t, 25, 200, 800)
-	nd := NewNDDisco(env, WithK(17))
+	nd := withSnapshot(t, NewDisco(env, WithNDOptions(WithK(17)))).ND
 	if nd.Vicinity(3).Size() != 17 {
 		t.Fatalf("K override ignored: %d", nd.Vicinity(3).Size())
 	}
@@ -371,8 +385,8 @@ func TestClosestMemberSelection(t *testing.T) {
 	// farther w than necessary among full-prefix members.
 	g := topology.Gnm(rand.New(rand.NewSource(61)), 500, 2000)
 	env := static.NewEnv(g, 61)
-	dLongest := NewDisco(env, WithSeed(61))
-	dClosest := NewDisco(env, WithSeed(61), WithClosestMember())
+	dLongest := withSnapshot(t, NewDisco(env, WithSeed(61)))
+	dClosest := withSnapshot(t, NewDisco(env, WithSeed(61), WithClosestMember()))
 	pairs := metrics.SamplePairs(rand.New(rand.NewSource(62)), 500, 200)
 	sumL, sumC := 0.0, 0.0
 	for _, p := range pairs {
@@ -428,5 +442,77 @@ func TestMeanStretchReasonable(t *testing.T) {
 	}
 	if mean < 1 {
 		t.Errorf("mean stretch < 1?!")
+	}
+}
+
+// TestDiscoFirstRouteLetsHolderShortcut is the property the first-packet
+// composition must keep: the node w that holds t's address forwards as an
+// NDDisco source — its own direct cases and shortcut walk — before s's
+// joint collapse and walk run over the joined route, so the flat-name
+// first packet is never longer than s ⇝ w followed by w's own
+// forward-leg route. (A composition that joins w's unshortcut landmark
+// leg first can collapse w out of the route and then miss w's shortcut:
+// gnm n=2048 seed 7, 1564 → 158 via w=286 took 7 hops instead of 6.)
+func TestDiscoFirstRouteLetsHolderShortcut(t *testing.T) {
+	const n, seed = 2048, 7
+	g := topology.GnmAvgDeg(rand.New(rand.NewSource(seed)), n, 8)
+	env := static.NewEnv(g, seed)
+	d := withSnapshot(t, NewDisco(env, WithSeed(seed)))
+	pairs := metrics.SamplePairs(rand.New(rand.NewSource(seed+1)), n, 3000)
+	pairs = append(pairs, metrics.Pair{Src: 1564, Dst: 158})
+	viaHolder := 0
+	for _, p := range pairs {
+		s, dst := graph.NodeID(p.Src), graph.NodeID(p.Dst)
+		if env.IsLM[dst] || d.ND.VicinityContains(s, dst) || d.HasAddress(s, dst) {
+			continue // s addresses t itself: pure NDDisco
+		}
+		w, ok := d.FindGroupMember(s, dst)
+		if !ok {
+			continue // resolution fallback
+		}
+		viaHolder++
+		toW := d.ND.Vicinity(s).Dist(w)
+		for _, sc := range AllShortcuts {
+			got := routeOK(t, g, d.FirstRoute(s, dst, sc), s, dst)
+			bound := toW + g.PathLength(d.ND.FirstRoute(w, dst, sc.withoutReverse()))
+			if got > bound+eps {
+				t.Fatalf("%v: Disco first route %d->%d via w=%d has length %v > d(s,w)+|w's route| = %v",
+					sc, s, dst, w, got, bound)
+			}
+		}
+	}
+	if viaHolder < len(pairs)/2 {
+		t.Fatalf("only %d of %d pairs took the group-member branch", viaHolder, len(pairs))
+	}
+}
+
+// TestRouteBeforeUseSnapshotPanics pins the harness invariant: routing
+// without an installed snapshot panics naming the missing call, while
+// state-only accounting needs none.
+func TestRouteBeforeUseSnapshotPanics(t *testing.T) {
+	g := topology.Gnm(rand.New(rand.NewSource(31)), 64, 256)
+	d := NewDisco(static.NewEnv(g, 31))
+	d.StateVectors()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "UseSnapshot") {
+			t.Fatalf("want a panic naming UseSnapshot, got %q", msg)
+		}
+	}()
+	d.Fork().FirstRoute(1, 2, ShortcutNone)
+}
+
+// TestForkRepairedIsScratchFree: the serve plane forks once per pooled
+// slot per epoch, so a fork must not pay for a Dijkstra scratch it never
+// uses — routing allocates none, the first ShortestDist does.
+func TestForkRepairedIsScratchFree(t *testing.T) {
+	_, d := testEnv(t, 33, 200, 800)
+	f := d.ND.ForkRepaired(d.ND.Snapshot())
+	f.RepairedFirstRoute(3, 150)
+	f.RepairedLaterRoute(3, 150)
+	if f.dest != nil {
+		t.Fatal("routing on a repaired fork allocated a destination scratch")
+	}
+	if f.ShortestDist(3, 150) != d.ND.ShortestDist(3, 150) {
+		t.Fatal("fork and original disagree on d(3,150)")
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 
+	"disco/internal/dynamics"
 	"disco/internal/graph"
 	"disco/internal/names"
 	"disco/internal/overlay"
 	"disco/internal/pathtree"
 	"disco/internal/resolve"
 	"disco/internal/sloppy"
+	"disco/internal/snapshot"
 	"disco/internal/static"
 )
 
@@ -78,27 +80,25 @@ func NewDisco(env *static.Env, opts ...DiscoOption) *Disco {
 // Env returns the shared environment.
 func (d *Disco) Env() *static.Env { return d.ND.Env }
 
-// Fork returns a concurrency view of d for one worker of a parallel
-// sweep: the converged resolution DB, grouping view, overlay and (when
-// installed) the immutable snapshot are shared read-only, the NDDisco
-// layer is forked (scratch only under a snapshot, private caches without
-// one), and the fallback/miss counters start at zero so each worker
-// tallies its own routes. Sum fork counters (order-independent) to recover
-// the serial totals.
-func (d *Disco) Fork() *Disco { return d.ForkWith(nil) }
+// fork wraps an NDDisco fork: the converged resolution DB, grouping view
+// and overlay are name-space state — independent of topology — and stay
+// shared read-only; the fallback/miss counters start at zero so each
+// worker tallies its own routes. Sum fork counters (order-independent) to
+// recover the serial totals.
+func (d *Disco) fork(nd *NDDisco) *Disco {
+	return &Disco{ND: nd, DB: d.DB, View: d.View, Net: d.Net, K: d.K, closestW: d.closestW}
+}
+
+// Fork returns a concurrency view of d for one worker of a parallel sweep.
+func (d *Disco) Fork() *Disco { return d.fork(d.ND.Fork()) }
 
 // ForkWith is Fork with a caller-supplied destination-tree scratch shared
 // between the protocol forks of one worker (see NDDisco.ForkWith).
-func (d *Disco) ForkWith(dest *pathtree.Lazy) *Disco {
-	return &Disco{
-		ND:       d.ND.ForkWith(dest),
-		DB:       d.DB,
-		View:     d.View,
-		Net:      d.Net,
-		K:        d.K,
-		closestW: d.closestW,
-	}
-}
+func (d *Disco) ForkWith(dest *pathtree.Lazy) *Disco { return d.fork(d.ND.ForkWith(dest)) }
+
+// ForkRepaired returns a Disco routing view over the repaired snapshot
+// (see NDDisco.ForkRepaired).
+func (d *Disco) ForkRepaired(rep *snapshot.Snapshot) *Disco { return d.fork(d.ND.ForkRepaired(rep)) }
 
 // HasAddress reports whether node holder stores target's current address:
 // the dissemination overlay delivers t's announcements to (at least) the
@@ -163,38 +163,66 @@ func (d *Disco) FindGroupMember(s, t graph.NodeID) (w graph.NodeID, ok bool) {
 // vicinity node in t's sloppy group; worst-case stretch 7 (§4.5 Theorem 1).
 // If no vicinity node holds the address (vanishing probability with exact
 // estimates; measurable under injected error) the packet falls back to the
-// landmark resolution database: s ⇝ owner(h(t)) ⇝ l_t ⇝ t.
+// landmark resolution database: s ⇝ owner(h(t)) ⇝ l_t ⇝ t. Must-deliver
+// (the topology must be connected); on failed topologies use
+// RepairedFirstRoute.
 func (d *Disco) FirstRoute(s, t graph.NodeID, sc Shortcut) []graph.NodeID {
-	if direct := d.ND.directRoute(s, t); direct != nil {
-		return direct
+	return dynamics.MustDeliver(d.firstRoute(s, t, sc))
+}
+
+// RepairedFirstRoute is FirstRoute under To-Destination shortcutting with
+// ok=false when neither the group member path nor the resolution owner
+// can reach t on the (repaired) snapshot.
+func (d *Disco) RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
+	return d.firstRoute(s, t, ShortcutToDestination)
+}
+
+// firstRoute is the name-independent first packet (§4.4), composed on
+// NDDisco's route: when s cannot address t itself, the packet travels to
+// the node that can — the group member w in s's vicinity, else the
+// resolution owner — which forwards it as an NDDisco source (its own
+// direct cases and shortcut walk), and then s's walk runs over the joined
+// route. The holder forwards along t's address only, so the reverse-route
+// heuristic (which needs s's address at t) does not apply on its leg.
+func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool) {
+	nd := d.ND
+	snap := nd.snapshot()
+	if d.Env().IsLM[t] || snap.VicinityContains(s, t) || d.HasAddress(s, t) {
+		return nd.route(s, t, sc, false)
 	}
-	if d.HasAddress(s, t) {
-		// s is in t's group and already stores the address: pure NDDisco.
-		return d.ND.FirstRoute(s, t, sc)
-	}
-	w, ok := d.FindGroupMember(s, t)
+	holder, ok := d.FindGroupMember(s, t)
+	var head []graph.NodeID
 	if ok {
-		// s ⇝ w (vicinity path), then w forwards using t's address.
-		head := d.ND.Vicinity(s).PathTo(w)
-		rest := d.ND.baseForward(w, t)
-		return d.ND.walk(joinPaths(head, rest), t, sc)
-	}
-	// Fallback: resolution query forwarded through the owning landmark.
-	d.fallbacks++
-	if !ok {
+		head = snap.Vicinity(s).PathTo(holder)
+	} else {
+		// Resolution fallback: the owning landmark answers the query and
+		// forwards — both legs must survive any failures.
+		d.fallbacks++
 		d.misses++
+		holder = d.DB.OwnerOf(d.Env().HashOf(t))
+		if !snap.Reaches(holder, s) {
+			return nil, false
+		}
+		head = snap.PathFrom(holder, s)
 	}
-	owner := d.DB.OwnerOf(d.Env().HashOf(t))
-	head := d.ND.tree().PathFrom(owner, s) // s ⇝ owner (a landmark)
-	rest := d.ND.baseForward(owner, t)
-	return d.ND.walk(joinPaths(head, rest), t, sc)
+	rest, ok := nd.route(holder, t, sc.withoutReverse(), false)
+	if !ok {
+		return nil, false
+	}
+	return nd.walk(dynamics.JoinPaths(head, rest), t, sc), true
 }
 
 // LaterRoute returns the route after the first packet: s has learned t's
-// address (and the handshake applies), so routing is NDDisco with stretch
-// <= 3 (§4.5 Theorem 1).
+// address (and the handshake applies), so the name-resolution machinery
+// drops out and routing is NDDisco with stretch <= 3 (§4.5 Theorem 1).
 func (d *Disco) LaterRoute(s, t graph.NodeID, sc Shortcut) []graph.NodeID {
 	return d.ND.LaterRoute(s, t, sc)
+}
+
+// RepairedLaterRoute is the ok-returning LaterRoute — which is what
+// completes dynamics.Router for the Disco view.
+func (d *Disco) RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
+	return d.ND.RepairedLaterRoute(s, t)
 }
 
 // Fallbacks returns how many FirstRoute calls used the landmark-database

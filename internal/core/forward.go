@@ -83,7 +83,7 @@ func (r *NDDisco) ForwardFirst(s, t graph.NodeID) []graph.NodeID {
 // parent of cur in lm's shortest-path tree (the reverse of the tree path),
 // exactly what path vector installs.
 func (r *NDDisco) landmarkFirstHop(cur, lm graph.NodeID) graph.NodeID {
-	p := r.tree().Parent(lm, cur)
+	p := r.snapshot().Parent(lm, cur)
 	if p == graph.None {
 		panic(fmt.Sprintf("core: node %d has no route toward landmark %d", cur, lm))
 	}

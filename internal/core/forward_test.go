@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"disco/internal/graph"
@@ -110,34 +111,28 @@ func TestForwardDeterministic(t *testing.T) {
 	_ = env
 }
 
-// TestForwardSnapshotRegime pins the hop-by-hop forwarding plane under
-// the shared-snapshot regime: a snapshot-backed fork (whose legacy tree
-// cache is nil) must forward every packet along exactly the path the
-// legacy instance does, for both protocols and both packet generations —
-// in both the exact and the compact snapshot encoding (the test topology
+// TestForwardSnapshotRegime pins the hop-by-hop forwarding plane across
+// the two snapshot encodings: a fork over the compact snapshot must
+// forward every packet along exactly the path a fork over the exact one
+// does, for both protocols and both packet generations (the test topology
 // has unit weights, so float32 distance quantization is lossless and the
-// compact regime must match bit for bit too).
+// compact encoding must match bit for bit). The exact leg pins fork ≡
+// original on the same snapshot.
 func TestForwardSnapshotRegime(t *testing.T) {
-	env, legacy := testEnv(t, 47, 300, 1200)
+	env, exact := testEnv(t, 47, 300, 1200)
+	compact, err := snapshot.BuildCompact(env.G, exact.ND.K, env.Landmarks)
+	if err != nil {
+		t.Fatalf("compact snapshot build: %v", err)
+	}
 	for _, regime := range []struct {
-		name  string
-		build func() (*snapshot.Snapshot, error)
+		name string
+		snap *snapshot.Snapshot
 	}{
-		{"exact", func() (*snapshot.Snapshot, error) {
-			return snapshot.Build(env.G, legacy.ND.K, env.Landmarks)
-		}},
-		{"compact", func() (*snapshot.Snapshot, error) {
-			return snapshot.BuildCompact(env.G, legacy.ND.K, env.Landmarks)
-		}},
+		{"exact", exact.ND.Snapshot()},
+		{"compact", compact},
 	} {
 		t.Run(regime.name, func(t *testing.T) {
-			snap, err := regime.build()
-			if err != nil {
-				t.Fatalf("snapshot build: %v", err)
-			}
-			snapped := NewDisco(env, WithSeed(47))
-			snapped.ND.UseSnapshot(snap)
-			fork := snapped.Fork() // snapshot fork: no private caches at all
+			fork := exact.ForkRepaired(regime.snap)
 			pairs := metrics.SamplePairs(rand.New(rand.NewSource(48)), env.N(), 200)
 			for _, p := range pairs {
 				s, dst := graph.NodeID(p.Src), graph.NodeID(p.Dst)
@@ -145,18 +140,13 @@ func TestForwardSnapshotRegime(t *testing.T) {
 					name      string
 					want, got []graph.NodeID
 				}{
-					{"ND.ForwardFirst", legacy.ND.ForwardFirst(s, dst), fork.ND.ForwardFirst(s, dst)},
-					{"ND.ForwardLater", legacy.ND.ForwardLater(s, dst), fork.ND.ForwardLater(s, dst)},
-					{"Disco.ForwardFirst", legacy.ForwardFirst(s, dst), fork.ForwardFirst(s, dst)},
+					{"ND.ForwardFirst", exact.ND.ForwardFirst(s, dst), fork.ND.ForwardFirst(s, dst)},
+					{"ND.ForwardLater", exact.ND.ForwardLater(s, dst), fork.ND.ForwardLater(s, dst)},
+					{"Disco.ForwardFirst", exact.ForwardFirst(s, dst), fork.ForwardFirst(s, dst)},
 				}
 				for _, c := range checks {
-					if len(c.want) != len(c.got) {
-						t.Fatalf("%s(%d,%d): snapshot fork path %v != legacy %v", c.name, s, dst, c.got, c.want)
-					}
-					for i := range c.want {
-						if c.want[i] != c.got[i] {
-							t.Fatalf("%s(%d,%d): snapshot fork path %v != legacy %v", c.name, s, dst, c.got, c.want)
-						}
+					if !slices.Equal(c.want, c.got) {
+						t.Fatalf("%s(%d,%d): %s fork path %v != exact %v", c.name, s, dst, regime.name, c.got, c.want)
 					}
 				}
 			}

@@ -27,29 +27,22 @@ import (
 // routes plus fixed-size vicinities. The source must know the destination's
 // address for routing (Disco removes that assumption).
 //
-// Two cache regimes exist. Without a snapshot (the legacy regime),
-// vicinities and trees are computed lazily into instance-private caches and
-// Fork() rebuilds them per worker. With UseSnapshot, the shared immutable
-// snapshot serves every vicinity and landmark-tree read — allocation-free
-// in its exact storage regime, one decoded window per Vicinity call in the
-// compact regime (membership probes stay materialization-free via
-// VicinityContains) — forks share it by pointer, and the only per-fork
-// state is a reusable Dijkstra scratch for destination-rooted queries.
-// Route values are identical in all regimes (see eval's
-// snapshot-equivalence test).
+// All route state is read from one shared immutable snapshot (UseSnapshot):
+// allocation-free in its exact storage regime, one decoded window per
+// Vicinity call in the compact regime (membership probes stay
+// materialization-free via VicinityContains). Forks share the snapshot by
+// pointer; the only per-fork state is a reusable Dijkstra scratch for
+// destination-rooted queries, allocated on first use. Every read that needs
+// the snapshot panics before UseSnapshot — a harness invariant: whoever
+// constructs an NDDisco (eval, bench/, the root library, the root
+// benchmarks) must build and install one; state-only accounting
+// (StateVectors) needs none.
 type NDDisco struct {
 	Env *static.Env
 	K   int // vicinity size |V(v)|, Θ(sqrt(n log n))
 
-	// Shared immutable state (snapshot regime).
 	snap *snapshot.Snapshot
 	dest *pathtree.Lazy // per-fork scratch for destination-rooted queries
-
-	// Private lazy caches (legacy regime; nil/unused under a snapshot).
-	vic    map[graph.NodeID]*vicinity.Set
-	vicCap int
-	sssp   *graph.SSSP
-	trees  *pathtree.Cache
 }
 
 // NDOption customizes NewNDDisco.
@@ -58,36 +51,20 @@ type NDOption func(*NDDisco)
 // WithK overrides the vicinity size (used by the vicinity-size ablation).
 func WithK(k int) NDOption { return func(r *NDDisco) { r.K = k } }
 
-// WithTreeCacheCap bounds the number of cached shortest-path trees.
-func WithTreeCacheCap(c int) NDOption {
-	return func(r *NDDisco) { r.trees = pathtree.NewCache(r.Env.G, c) }
-}
-
-// WithVicinityCacheCap bounds the number of cached vicinities (0 = unbounded).
-func WithVicinityCacheCap(c int) NDOption { return func(r *NDDisco) { r.vicCap = c } }
-
-// NewNDDisco builds the converged NDDisco data plane over env. Vicinities
-// and shortest-path trees are computed lazily and cached, so instances are
-// cheap to create even on very large graphs; install a shared snapshot
-// with UseSnapshot before heavy parallel sweeps.
+// NewNDDisco builds the converged NDDisco data plane over env. The instance
+// holds no route state of its own; install a snapshot with UseSnapshot
+// before routing.
 func NewNDDisco(env *static.Env, opts ...NDOption) *NDDisco {
-	r := &NDDisco{
-		Env:  env,
-		K:    vicinity.DefaultK(env.N()),
-		vic:  make(map[graph.NodeID]*vicinity.Set),
-		sssp: graph.NewSSSP(env.G),
-	}
-	r.trees = pathtree.NewCache(env.G, 128)
+	r := &NDDisco{Env: env, K: vicinity.DefaultK(env.N())}
 	for _, o := range opts {
 		o(r)
 	}
 	return r
 }
 
-// UseSnapshot switches r (and every future fork) to the shared immutable
-// snapshot: vicinity and landmark-tree reads come from s, destination-
-// rooted queries run on a private reusable Dijkstra scratch. The snapshot
-// must have been built over the same graph with r's vicinity size.
+// UseSnapshot installs the shared immutable snapshot r (and every future
+// fork) reads vicinities and landmark trees from. The snapshot must have
+// been built over the same graph with r's vicinity size.
 func (r *NDDisco) UseSnapshot(s *snapshot.Snapshot) {
 	want := r.K
 	if n := r.Env.N(); want > n {
@@ -97,206 +74,184 @@ func (r *NDDisco) UseSnapshot(s *snapshot.Snapshot) {
 		panic(fmt.Sprintf("core: snapshot K=%d does not match NDDisco K=%d", s.K(), want))
 	}
 	r.snap = s
-	r.dest = pathtree.NewLazy(r.Env.G)
+	r.dest = nil
 }
 
 // Snapshot returns the installed shared snapshot, or nil.
 func (r *NDDisco) Snapshot() *snapshot.Snapshot { return r.snap }
 
+// snapshot returns the installed snapshot, panicking when there is none:
+// routing before UseSnapshot is a harness bug, not an input error.
+func (r *NDDisco) snapshot() *snapshot.Snapshot {
+	if r.snap == nil {
+		panic("core: NDDisco has no route state: call UseSnapshot before routing")
+	}
+	return r.snap
+}
+
+// fork is the one fork constructor: a view of r over snap that shares all
+// converged read-only state and owns at most a destination-tree scratch.
+// Routes are pure functions of (Env, snapshot), so a fork returns exactly
+// the routes the original would on the same snapshot.
+func (r *NDDisco) fork(snap *snapshot.Snapshot, dest *pathtree.Lazy) *NDDisco {
+	return &NDDisco{Env: r.Env, K: r.K, snap: snap, dest: dest}
+}
+
 // Fork returns a concurrency view of r for one worker of a parallel sweep.
-// Under a snapshot the fork shares all converged read-only state and owns
-// only a destination-tree scratch; in the legacy regime it owns private
-// lazy caches. Routes are pure functions of the Env, so a fork returns
-// exactly the routes the original would.
-func (r *NDDisco) Fork() *NDDisco { return r.ForkWith(nil) }
+func (r *NDDisco) Fork() *NDDisco { return r.fork(r.snap, nil) }
 
 // ForkWith is Fork with a caller-supplied destination-tree scratch, letting
 // the protocol forks of one worker (e.g. Disco and S4 routing the same
-// sampled pairs) share each other's destination Dijkstra runs. A nil dest
-// gives the fork its own scratch. Ignored in the legacy regime.
-func (r *NDDisco) ForkWith(dest *pathtree.Lazy) *NDDisco {
-	if r.snap != nil {
-		if dest == nil {
-			dest = pathtree.NewLazy(r.Env.G)
-		}
-		return &NDDisco{Env: r.Env, K: r.K, snap: r.snap, dest: dest}
-	}
-	return &NDDisco{
-		Env:    r.Env,
-		K:      r.K,
-		vic:    make(map[graph.NodeID]*vicinity.Set),
-		vicCap: r.vicCap,
-		sssp:   graph.NewSSSP(r.Env.G),
-		trees:  pathtree.NewCache(r.Env.G, r.trees.Cap()),
-	}
-}
+// sampled pairs) share each other's destination Dijkstra runs.
+func (r *NDDisco) ForkWith(dest *pathtree.Lazy) *NDDisco { return r.fork(r.snap, dest) }
 
-// Vicinity returns V(v): from the shared snapshot when installed
-// (allocation-free), else computed and cached on first use.
-func (r *NDDisco) Vicinity(v graph.NodeID) *vicinity.Set {
-	if r.snap != nil {
-		return r.snap.Vicinity(v)
-	}
-	if s, ok := r.vic[v]; ok {
-		return s
-	}
-	if r.vicCap > 0 && len(r.vic) >= r.vicCap {
-		//disco:orderinvariant eviction victim choice only affects future recompute cost, never any returned set
-		for k := range r.vic { // evict an arbitrary entry
-			delete(r.vic, k)
-			break
-		}
-	}
-	r.sssp.RunK(v, r.K)
-	set := setFromSSSP(r.sssp, v)
-	r.vic[v] = set
-	return set
-}
+// ForkRepaired returns a routing view of r over the repaired snapshot rep:
+// the environment's immutable parts (names, landmark identities) are
+// shared and rep supplies vicinities and landmark trees. The fork is
+// scratch-free until its first ShortestDist (the serve plane forks once
+// per pooled slot per epoch and never asks for one).
+func (r *NDDisco) ForkRepaired(rep *snapshot.Snapshot) *NDDisco { return r.fork(rep, nil) }
+
+// Vicinity returns V(v) from the shared snapshot.
+func (r *NDDisco) Vicinity(v graph.NodeID) *vicinity.Set { return r.snapshot().Vicinity(v) }
 
 // VicinityContains reports w ∈ V(v) without materializing the set in the
 // compact snapshot regime — the guard the forwarding loops probe once per
-// hop, where the common answer is "no". Falls back to the full set
-// elsewhere (exact sets are shared views; legacy sets are cached anyway).
+// hop, where the common answer is "no".
 func (r *NDDisco) VicinityContains(v, w graph.NodeID) bool {
-	if r.snap != nil {
-		return r.snap.VicinityContains(v, w)
+	return r.snapshot().VicinityContains(v, w)
+}
+
+// destTree returns the fork's Dijkstra scratch bound to root, allocating
+// it over the snapshot's (possibly failed) topology on first use.
+func (r *NDDisco) destTree(root graph.NodeID) *pathtree.Lazy {
+	if r.dest == nil {
+		r.dest = pathtree.NewLazy(r.snapshot().Graph())
 	}
-	return r.Vicinity(v).Contains(w)
+	r.dest.Bind(root)
+	return r.dest
 }
 
-func setFromSSSP(s *graph.SSSP, src graph.NodeID) *vicinity.Set {
-	order := s.Order()
-	entries := make([]vicinity.Entry, len(order))
-	for i, w := range order {
-		entries[i] = vicinity.Entry{Node: w, Parent: s.Parent(w), Dist: s.Dist(w)}
-	}
-	return vicinity.FromEntries(src, entries)
-}
-
-// tree returns the fork's tree view (the shared regime-dispatch rule in
-// internal/snapshot).
-func (r *NDDisco) tree() snapshot.TreeView {
-	return snapshot.TreeView{Snap: r.snap, Dest: r.dest, Cache: r.trees}
-}
-
-// ShortestDist returns the true shortest-path distance d(s,t), used as the
-// stretch denominator.
-func (r *NDDisco) ShortestDist(s, t graph.NodeID) float64 {
-	return r.tree().Dist(t, s)
-}
-
-// ShortestPath returns a true shortest path s ⇝ t (the path-vector
-// baseline's route).
-func (r *NDDisco) ShortestPath(s, t graph.NodeID) []graph.NodeID {
-	return r.tree().PathFrom(t, s)
-}
+// ShortestDist returns the true shortest-path distance d(s,t) on the
+// snapshot's topology, used as the stretch denominator.
+func (r *NDDisco) ShortestDist(s, t graph.NodeID) float64 { return r.destTree(t).Dist(s) }
 
 // RouteLen returns the weighted length of a node path.
 func (r *NDDisco) RouteLen(p []graph.NodeID) float64 { return r.Env.G.PathLength(p) }
 
 // FirstRoute returns the route of a flow's first packet from s to t under
 // the given shortcut heuristic, assuming s knows t's address (the
-// name-dependent model). Worst-case stretch 5 (§4.2, [44]).
+// name-dependent model). Worst-case stretch 5 (§4.2, [44]). The topology
+// must be connected (must-deliver); on failed topologies use
+// RepairedFirstRoute.
 func (r *NDDisco) FirstRoute(s, t graph.NodeID, sc Shortcut) []graph.NodeID {
-	if direct := r.directRoute(s, t); direct != nil {
-		return direct
-	}
-	fwd := r.walk(r.baseForward(s, t), t, sc)
-	if !sc.usesReverse() {
-		return fwd
-	}
-	rev := r.walk(r.baseReverse(s, t), t, sc)
-	if r.RouteLen(rev) < r.RouteLen(fwd) {
-		return rev
-	}
-	return fwd
+	return dynamics.MustDeliver(r.route(s, t, sc, false))
 }
 
 // LaterRoute returns the route of packets after the first: if s ∈ V(t) the
 // destination has informed s of the exact shortest path (the handshake of
 // [44] §4); otherwise the packet keeps using the landmark route. Worst-case
-// stretch 3 (§4.5).
+// stretch 3 (§4.5). Must-deliver, like FirstRoute.
 func (r *NDDisco) LaterRoute(s, t graph.NodeID, sc Shortcut) []graph.NodeID {
-	if direct := r.directRoute(s, t); direct != nil {
-		return direct
-	}
-	if r.VicinityContains(t, s) {
-		// t knows the shortest path t ⇝ s even though s didn't; reversed it
-		// is the exact route s ⇝ t.
-		return dynamics.ReversePath(r.Vicinity(t).PathTo(s))
-	}
-	return r.FirstRoute(s, t, sc)
+	return dynamics.MustDeliver(r.route(s, t, sc, true))
 }
 
-// directRoute handles the cases where s already knows a shortest path to t:
-// s == t, t a landmark, or t ∈ V(s). Returns nil otherwise.
-func (r *NDDisco) directRoute(s, t graph.NodeID) []graph.NodeID {
+// RepairedFirstRoute is FirstRoute under To-Destination shortcutting that
+// reports an undeliverable destination (partitioned away, or in a
+// component that lost all its landmarks) as ok=false instead of panicking:
+// delivery ratio, not a crash, is the observable on failed topologies.
+func (r *NDDisco) RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
+	return r.route(s, t, ShortcutToDestination, false)
+}
+
+// RepairedLaterRoute is RepairedFirstRoute after the handshake.
+func (r *NDDisco) RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
+	return r.route(s, t, ShortcutToDestination, true)
+}
+
+var (
+	_ dynamics.Router = (*NDDisco)(nil)
+	_ dynamics.Router = (*Disco)(nil)
+)
+
+// route is NDDisco's forwarding rule (§4.2), defined once over the
+// installed snapshot — built from scratch or repaired after link events;
+// the repaired snapshot IS the post-re-convergence data plane, so the same
+// walk serves both. Direct if s knows a shortest path outright (s == t, t
+// a landmark, t ∈ V(s), or — later packets — s ∈ V(t), where t has
+// installed the exact reverse path); else the landmark leg s ⇝ l_t ⇝ t
+// with the shortcut heuristics of sc applied en route. Only snapshot state
+// is consulted — never the explicit-route addresses in static.Env, which a
+// link event invalidates — and ok=false reports that no route exists.
+func (r *NDDisco) route(s, t graph.NodeID, sc Shortcut, later bool) ([]graph.NodeID, bool) {
+	snap := r.snapshot()
 	if s == t {
-		return []graph.NodeID{s}
+		return []graph.NodeID{s}, true
 	}
 	if r.Env.IsLM[t] {
-		return r.tree().PathFrom(t, s)
-	}
-	if r.VicinityContains(s, t) {
-		return r.Vicinity(s).PathTo(t)
-	}
-	return nil
-}
-
-// baseForward is the unshortcut route s ⇝ l_t ⇝ t: the learned shortest
-// path to t's landmark followed by t's explicit route.
-func (r *NDDisco) baseForward(s, t graph.NodeID) []graph.NodeID {
-	a := r.Env.AddrOf(t)
-	toLM := r.tree().PathFrom(a.Landmark, s) // s ⇝ l_t
-	return joinPaths(toLM, a.Path)
-}
-
-// baseReverse is the reversed t → s route as traveled s → t:
-// s ⇝ l_s (reversed explicit route) followed by l_s ⇝ t (shortest path,
-// reversed from t's learned route to the landmark). Valid because the
-// graph is undirected (§6 reversibility assumption).
-func (r *NDDisco) baseReverse(s, t graph.NodeID) []graph.NodeID {
-	a := r.Env.AddrOf(s)
-	down := a.Reverse()                   // s ⇝ l_s
-	toT := r.tree().PathTo(a.Landmark, t) // l_s ⇝ t
-	return joinPaths(down, toT)
-}
-
-// joinPaths concatenates a⇝b and b⇝c, deduplicating the joint node and
-// trimming any immediate backtrack across the joint (…x,b,x… → …x…),
-// which arises when the second segment starts back along the first.
-func joinPaths(p1, p2 []graph.NodeID) []graph.NodeID {
-	if len(p1) == 0 {
-		return append([]graph.NodeID(nil), p2...)
-	}
-	if len(p2) == 0 {
-		return append([]graph.NodeID(nil), p1...)
-	}
-	if p1[len(p1)-1] != p2[0] {
-		panic(fmt.Sprintf("core: joinPaths segments do not meet: %d vs %d", p1[len(p1)-1], p2[0]))
-	}
-	out := append([]graph.NodeID(nil), p1...)
-	for _, v := range p2[1:] {
-		if len(out) >= 2 && out[len(out)-2] == v {
-			out = out[:len(out)-1] // backtrack x,b,x collapses to x
-			continue
+		if !snap.Reaches(t, s) {
+			return nil, false
 		}
-		out = append(out, v)
+		return snap.PathFrom(t, s), true
 	}
-	return out
+	if snap.VicinityContains(s, t) {
+		return snap.Vicinity(s).PathTo(t), true
+	}
+	if later && snap.VicinityContains(t, s) {
+		return dynamics.ReversePath(snap.Vicinity(t).PathTo(s)), true
+	}
+	fwd := r.leg(r.rehomeLandmark(t), s, t, sc)
+	if fwd == nil || !sc.usesReverse() {
+		return fwd, fwd != nil
+	}
+	// The reversed t → s route as traveled s → t goes through s's landmark
+	// instead; valid because the graph is undirected (§6 reversibility
+	// assumption).
+	if rev := r.leg(r.rehomeLandmark(s), s, t, sc); rev != nil && r.RouteLen(rev) < r.RouteLen(fwd) {
+		return rev, true
+	}
+	return fwd, true
+}
+
+// leg assembles the landmark leg s ⇝ lm ⇝ t over lm's shortest-path tree
+// and walks it under sc, or returns nil when lm (None for a component that
+// lost every landmark) does not reach both ends.
+func (r *NDDisco) leg(lm, s, t graph.NodeID, sc Shortcut) []graph.NodeID {
+	snap := r.snap
+	if lm == graph.None || !snap.Reaches(lm, s) || !snap.Reaches(lm, t) {
+		return nil
+	}
+	return r.walk(dynamics.JoinPaths(snap.PathFrom(lm, s), snap.PathTo(lm, t)), t, sc)
+}
+
+// rehomeLandmark returns the landmark the control plane homes t to: t's
+// original landmark while its tree reaches t, else the lowest-ID landmark
+// whose repaired tree does (the deterministic re-registration rule), or
+// graph.None when t's component lost every landmark — the undeliverable
+// case.
+func (r *NDDisco) rehomeLandmark(t graph.NodeID) graph.NodeID {
+	if lm := r.Env.LMOf[t]; r.snap.Reaches(lm, t) {
+		return lm
+	}
+	best := graph.None
+	for _, lm := range r.Env.Landmarks {
+		if (best == graph.None || lm < best) && r.snap.Reaches(lm, t) {
+			best = lm
+		}
+	}
+	return best
 }
 
 // walk simulates the packet traveling along route toward t, applying the
 // configured shortcut heuristics at every node it passes (§4.2).
-func (r *NDDisco) walk(route []graph.NodeID, t graph.NodeID, sc Shortcut) []graph.NodeID {
+func (r *NDDisco) walk(cur []graph.NodeID, t graph.NodeID, sc Shortcut) []graph.NodeID {
 	if !sc.usesToDest() && !sc.usesUpDown() {
-		return route
+		return cur
 	}
-	cur := append([]graph.NodeID(nil), route...)
 	for i := 0; i < len(cur)-1; i++ {
 		u := cur[i]
 		if sc.usesUpDown() {
-			cur = r.spliceUpDown(cur, i, r.Vicinity(u))
+			cur = r.spliceUpDown(cur, i, r.snap.Vicinity(u))
 			continue
 		}
 		// To-Destination: follow the direct path as soon as any node knows
@@ -304,9 +259,8 @@ func (r *NDDisco) walk(route []graph.NodeID, t graph.NodeID, sc Shortcut) []grap
 		// vicinities with consistent sub-paths, so no further improvement
 		// is possible after the splice. Membership is probed without
 		// materializing the window (the per-node common case is a miss).
-		if r.VicinityContains(u, t) {
-			direct := r.Vicinity(u).PathTo(t)
-			return append(cur[:i:i], direct...)
+		if r.snap.VicinityContains(u, t) {
+			return append(cur[:i:i], r.snap.Vicinity(u).PathTo(t)...)
 		}
 	}
 	return cur
@@ -346,14 +300,3 @@ func (r *NDDisco) Landmarks() int { return len(r.Env.Landmarks) }
 
 // VicinityRadius returns the distance to the farthest member of V(v).
 func (r *NDDisco) VicinityRadius(v graph.NodeID) float64 { return r.Vicinity(v).Radius() }
-
-// ResetCaches drops cached vicinities and trees (between experiments on the
-// same Env). A shared snapshot is immutable and stays installed.
-func (r *NDDisco) ResetCaches() {
-	if r.snap != nil {
-		r.dest = pathtree.NewLazy(r.Env.G)
-		return
-	}
-	r.vic = make(map[graph.NodeID]*vicinity.Set)
-	r.trees = pathtree.NewCache(r.Env.G, r.trees.Cap())
-}

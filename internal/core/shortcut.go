@@ -76,3 +76,17 @@ func (s Shortcut) usesUpDown() bool {
 func (s Shortcut) usesReverse() bool {
 	return s == ShortcutShorterPath || s == ShortcutNoPathKnowledge || s == ShortcutPathKnowledge
 }
+
+// withoutReverse strips the reverse-route component from the mode, for a
+// forwarder that holds only the destination's address.
+func (s Shortcut) withoutReverse() Shortcut {
+	switch s {
+	case ShortcutShorterPath:
+		return ShortcutNone
+	case ShortcutNoPathKnowledge:
+		return ShortcutToDestination
+	case ShortcutPathKnowledge:
+		return ShortcutUpDownStream
+	}
+	return s
+}

@@ -68,35 +68,3 @@ func TestStateVectorsUnderEstimateError(t *testing.T) {
 		}
 	}
 }
-
-func TestVicinityCacheCap(t *testing.T) {
-	g := topology.Gnm(rand.New(rand.NewSource(75)), 200, 800)
-	env := static.NewEnv(g, 75)
-	nd := NewNDDisco(env, WithVicinityCacheCap(4))
-	for v := 0; v < 20; v++ {
-		nd.Vicinity(graph.NodeID(v))
-	}
-	if len(nd.vic) > 4 {
-		t.Fatalf("vicinity cache grew to %d beyond cap 4", len(nd.vic))
-	}
-	// Evicted vicinities recompute identically.
-	a := nd.Vicinity(0)
-	if a.Size() != nd.K {
-		t.Fatal("recomputed vicinity wrong size")
-	}
-}
-
-func TestResetCaches(t *testing.T) {
-	g := topology.Gnm(rand.New(rand.NewSource(77)), 150, 600)
-	env := static.NewEnv(g, 77)
-	nd := NewNDDisco(env)
-	before := nd.Vicinity(3)
-	nd.ResetCaches()
-	after := nd.Vicinity(3)
-	if before == after {
-		t.Fatal("ResetCaches must drop cached vicinities")
-	}
-	if before.Size() != after.Size() {
-		t.Fatal("recomputed vicinity differs")
-	}
-}

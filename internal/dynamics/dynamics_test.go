@@ -147,31 +147,6 @@ func TestTimelineRejectsUnknownLink(t *testing.T) {
 	}
 }
 
-func TestWalkToDest(t *testing.T) {
-	route := []graph.NodeID{1, 2, 3, 4, 5}
-	direct := func(u graph.NodeID) []graph.NodeID { return []graph.NodeID{u, 9, 5} }
-	got := WalkToDest(route, 5, func(u graph.NodeID) bool { return u == 3 }, direct)
-	want := []graph.NodeID{1, 2, 3, 9, 5}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-	// No node knows t: the route is returned unmodified.
-	got = WalkToDest(route, 5, func(graph.NodeID) bool { return false }, direct)
-	if len(got) != 5 || got[4] != 5 {
-		t.Fatalf("unmodified walk: %v", got)
-	}
-	// t reached directly: truncate there.
-	got = WalkToDest(route, 3, func(graph.NodeID) bool { return false }, direct)
-	if len(got) != 3 || got[2] != 3 {
-		t.Fatalf("truncated walk: %v", got)
-	}
-}
-
 func TestReversePath(t *testing.T) {
 	p := []graph.NodeID{4, 7, 2}
 	r := ReversePath(p)

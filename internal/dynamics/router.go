@@ -6,20 +6,24 @@
 // prices re-convergence at sizes the event-driven simulator cannot reach.
 //
 // The package deliberately knows nothing about individual protocols:
-// core.NDDisco, core.Disco and s4.S4 satisfy Router structurally with
-// their ForkRepaired views, and the experiment harness (internal/eval)
+// core.NDDisco, core.Disco and s4.S4 satisfy Router structurally (any
+// fork over any snapshot), and the experiment harness (internal/eval)
 // assembles the legs. That is what lets the timeline engine, the failures
 // experiment and the churn experiments share one routing path instead of
 // special-casing three protocols each.
 package dynamics
 
-import "disco/internal/graph"
+import (
+	"fmt"
+
+	"disco/internal/graph"
+)
 
 // Router is the protocol-agnostic repaired-routing interface: a routing
 // view over a (possibly repaired) snapshot that forwards on post-event
 // state only and reports undeliverable destinations as ok=false instead of
-// panicking. core.NDDisco, core.Disco and s4.S4 ForkRepaired views all
-// implement it.
+// panicking. core.NDDisco, core.Disco and s4.S4 all implement it; their
+// must-deliver FirstRoute/LaterRoute wrap the same routes with MustDeliver.
 type Router interface {
 	// RepairedFirstRoute routes a flow's first packet s ⇝ t (resolution
 	// detours included) on the repaired data plane.
@@ -55,25 +59,6 @@ func (l Leg) Route(s, t graph.NodeID) ([]graph.NodeID, bool) {
 	return l.R.RepairedFirstRoute(s, t)
 }
 
-// WalkToDest walks a packet along route toward t, diverting to the direct
-// path at the first node that knows one: the To-Destination peel-off every
-// protocol's repaired forwarding shares (vicinity membership for
-// Disco/NDDisco, cluster membership for S4). The splice is final — on a
-// shortest sub-path toward t every later node knows t too — so the walk
-// returns immediately at the first hit, or the unmodified route when no
-// node (before t itself) knows a direct path.
-func WalkToDest(route []graph.NodeID, t graph.NodeID, knows func(u graph.NodeID) bool, direct func(u graph.NodeID) []graph.NodeID) []graph.NodeID {
-	for i, u := range route {
-		if u == t {
-			return route[:i+1]
-		}
-		if knows(u) {
-			return append(route[:i:i], direct(u)...)
-		}
-	}
-	return route
-}
-
 // ReversePath returns p reversed into a fresh slice — the route s ⇝ t
 // recovered from the destination's stored path t ⇝ s (the handshake of
 // later packets; valid because links are undirected).
@@ -83,4 +68,33 @@ func ReversePath(p []graph.NodeID) []graph.NodeID {
 		rev[len(p)-1-i] = p[i]
 	}
 	return rev
+}
+
+// JoinPaths concatenates a⇝b and b⇝c into a fresh slice, deduplicating
+// the joint node and trimming any immediate backtrack across the joint
+// (…x,b,x… → …x…), which arises when the second segment starts back along
+// the first. Segments that do not meet are a caller bug and panic.
+func JoinPaths(p1, p2 []graph.NodeID) []graph.NodeID {
+	if p1[len(p1)-1] != p2[0] {
+		panic(fmt.Sprintf("dynamics: JoinPaths segments do not meet: %d vs %d", p1[len(p1)-1], p2[0]))
+	}
+	out := append(make([]graph.NodeID, 0, len(p1)+len(p2)-1), p1...)
+	for _, v := range p2[1:] {
+		if len(out) >= 2 && out[len(out)-2] == v {
+			out = out[:len(out)-1] // backtrack x,b,x collapses to x
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// MustDeliver unwraps a route computed on a topology known to be
+// connected, where ok=false can only be a harness bug (a must-deliver
+// entry point called on a partitioned snapshot) and therefore panics.
+func MustDeliver(p []graph.NodeID, ok bool) []graph.NodeID {
+	if !ok {
+		panic("dynamics: no route on a must-deliver call: use RepairedFirstRoute/RepairedLaterRoute on failed topologies")
+	}
+	return p
 }

@@ -57,22 +57,6 @@ func BuildTopo(kind TopoKind, n int, seed int64) *graph.Graph {
 	panic(fmt.Sprintf("eval: unknown topology %q", kind))
 }
 
-// snapshotBacked selects whether routing experiments precompute the shared
-// immutable snapshot (the default) or run on the legacy per-fork caches.
-// The snapshot-equivalence test flips it to assert both paths produce
-// byte-identical output; there is no other reason to turn it off.
-var snapshotBacked atomic.Bool
-
-func init() { snapshotBacked.Store(true) }
-
-// SetSnapshotBacked toggles snapshot-backed routing for subsequently built
-// experiments (tests only).
-func SetSnapshotBacked(on bool) { snapshotBacked.Store(on) }
-
-// SnapshotBacked reports whether routing experiments use the shared
-// snapshot layer.
-func SnapshotBacked() bool { return snapshotBacked.Load() }
-
 // snapshotCompact selects the compact (bit-packed, float32-distance)
 // snapshot encoding for subsequently built experiments — the regime that
 // fits paper-scale -full runs in memory. Exact storage stays the default:
@@ -130,13 +114,9 @@ type Protocols struct {
 // EnsureSnapshot builds (once) the shared immutable snapshot — the flat
 // vicinity table plus the landmark shortest-path forest, computed in
 // parallel — and installs it into the Disco and S4 data planes, so every
-// subsequent Fork() shares it instead of rebuilding private caches. A
-// no-op when snapshot backing is toggled off. Call before routing sweeps;
-// state-only experiments don't need it.
+// subsequent Fork() shares it. Call before routing sweeps; state-only
+// experiments don't need it.
 func (p *Protocols) EnsureSnapshot() {
-	if !SnapshotBacked() {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.snap != nil {
@@ -149,11 +129,8 @@ func (p *Protocols) EnsureSnapshot() {
 
 // installSnapshot builds and installs a snapshot for a standalone Disco
 // instance outside a Protocols bundle (per-strategy environments and the
-// estimate-error experiment). A no-op when snapshot backing is off.
+// estimate-error experiment).
 func installSnapshot(d *core.Disco) {
-	if !SnapshotBacked() {
-		return
-	}
 	env := d.Env()
 	d.ND.UseSnapshot(buildSnapshot(env.G, d.ND.K, env.Landmarks))
 }

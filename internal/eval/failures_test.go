@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"disco/internal/dynamics"
 	"disco/internal/graph"
 	"disco/internal/metrics"
 	"disco/internal/parallel"
@@ -105,5 +106,42 @@ func TestFailureScenariosFormat(t *testing.T) {
 	}
 	if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
 		t.Errorf("format printed NaN/Inf:\n%s", out)
+	}
+}
+
+// TestRepairedRoutesReportPartition pins the ok-returning wrappers of the
+// one routing core: on a snapshot that isolates a node, every protocol's
+// RepairedFirstRoute/RepairedLaterRoute reports ok=false in both
+// directions — never the must-deliver panic of FirstRoute/LaterRoute.
+func TestRepairedRoutesReportPartition(t *testing.T) {
+	p := BuildProtocols(TopoGnm, 128, 5)
+	g := p.Env.G
+	victim := graph.NodeID(0)
+	for p.Env.IsLM[victim] {
+		victim++
+	}
+	var fails []graph.EdgeKey
+	for _, e := range g.Neighbors(victim) {
+		fails = append(fails, (graph.EdgeKey{U: victim, V: e.To}).Norm())
+	}
+	rep, err := buildSnapshot(g, p.Disco.ND.K, p.Env.Landmarks).ApplyFailures(fails)
+	if err != nil {
+		t.Fatalf("ApplyFailures: %v", err)
+	}
+	d, s4f := p.Disco.ForkRepaired(rep), p.S4.ForkRepaired(rep, nil)
+	other := (victim + 1) % graph.NodeID(g.N())
+	for _, leg := range []dynamics.Leg{
+		{Name: "NDDisco-first", R: d.ND},
+		{Name: "NDDisco-later", R: d.ND, Later: true},
+		{Name: "Disco-first", R: d},
+		{Name: "Disco-later", R: d, Later: true},
+		{Name: "S4-first", R: s4f},
+		{Name: "S4-later", R: s4f, Later: true},
+	} {
+		for _, pr := range [][2]graph.NodeID{{other, victim}, {victim, other}} {
+			if route, ok := leg.Route(pr[0], pr[1]); ok {
+				t.Errorf("%s: delivered %d->%d across the partition: %v", leg.Name, pr[0], pr[1], route)
+			}
+		}
 	}
 }

@@ -49,7 +49,6 @@ func TestGoldenCompact(t *testing.T) {
 		t.Skip("goldens are written by the exact regime")
 	}
 	defer SetSnapshotCompact(false)
-	SetSnapshotBacked(true) // compact only takes effect on the snapshot path
 	SetSnapshotCompact(true)
 	checkGolden(t, "fig2_state_gnm256", Fig2State(TopoGnm, 256, 1).Format())
 	checkGolden(t, "fig4_gnm256", Fig45(TopoGnm, 256, 4, 80).Format())

@@ -58,6 +58,7 @@ func StaticAccuracy(n int, seed int64, pairs int) *AccuracyResult {
 	}
 
 	nd := core.NewNDDisco(env, core.WithK(k))
+	nd.UseSnapshot(buildSnapshot(g, k, env.Landmarks))
 	vicAgree, lmAgree := 0, 0
 	for v := 0; v < n; v++ {
 		want := nd.Vicinity(graph.NodeID(v))

@@ -2,17 +2,17 @@ package eval
 
 import "testing"
 
-// TestSnapshotEquivalence is the refactor's safety net: every figure
-// experiment must produce byte-identical output whether routing runs on
-// the shared immutable snapshot (the default) or on the legacy per-fork
-// lazy caches. Cases with compactExact additionally run on the compact
-// (bit-packed, float32-distance) encoding and must still match byte for
-// byte — these are the exactness-claimed figures: distance-independent
-// state accounting, plus every routing figure on an integer-weight
-// topology, where float32 quantization is lossless. Geometric-topology
-// routing figures are deliberately NOT claimed (Euclidean distances
-// quantize), which is why exact mode stays the default. Sizes are scaled
-// down; the paths exercised are the same ones the full sizes use.
+// TestSnapshotEquivalence pins the two snapshot encodings against each
+// other (the goldens are the oracle for the exact encoding itself). Cases
+// with compactExact must produce byte-identical output on the compact
+// (bit-packed, float32-distance) encoding — these are the
+// exactness-claimed figures: distance-independent state accounting, plus
+// every routing figure on an integer-weight topology, where float32
+// quantization is lossless. Geometric-topology routing figures are
+// deliberately NOT claimed (Euclidean distances quantize, which is why
+// exact mode stays the default): there only the compact leg runs, and it
+// must complete (no must-deliver panic on quantized distances). Sizes are
+// scaled down; the paths exercised are the same ones the full sizes use.
 func TestSnapshotEquivalence(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -36,30 +36,20 @@ func TestSnapshotEquivalence(t *testing.T) {
 		{"LandmarkStrategies", false, true, func() string { return LandmarkStrategies(TopoASLike, 192, 15, 40).Format() }},
 		{"EstimateError", true, true, func() string { return EstimateError(192, 11, 0.4, 40).Format() }},
 	}
-	defer SetSnapshotBacked(true)
 	defer SetSnapshotCompact(false)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if testing.Short() && !tc.short {
 				t.Skip("short mode: covered by the full run")
 			}
-			SetSnapshotCompact(false)
-			SetSnapshotBacked(true)
-			snap := tc.run()
-			SetSnapshotBacked(false)
-			legacy := tc.run()
-			SetSnapshotBacked(true)
-			if snap != legacy {
-				t.Errorf("output differs between snapshot-backed and legacy cache paths:\n--- snapshot ---\n%s--- legacy ---\n%s", snap, legacy)
-			}
-			if !tc.compactExact {
-				return
-			}
 			SetSnapshotCompact(true)
 			compact := tc.run()
 			SetSnapshotCompact(false)
-			if compact != snap {
-				t.Errorf("output differs between compact and exact snapshot encodings (exactness is claimed for this figure):\n--- compact ---\n%s--- exact ---\n%s", compact, snap)
+			if !tc.compactExact {
+				return
+			}
+			if exact := tc.run(); compact != exact {
+				t.Errorf("output differs between compact and exact snapshot encodings (exactness is claimed for this figure):\n--- compact ---\n%s--- exact ---\n%s", compact, exact)
 			}
 		})
 	}

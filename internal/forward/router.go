@@ -7,10 +7,11 @@ import (
 
 // Router is one goroutine's forwarding view over a Tables: the compiled
 // state is shared, the scratch buffers are private. It answers exactly
-// what core.NDDisco's repaired routing answers — same direct cases, same
-// deterministic landmark rehoming, same joinPaths backtrack collapse,
-// same To-Destination splice — byte for byte, because every decision
-// reads the same shard contents through the compiled tables. The
+// what core.NDDisco.route answers under To-Destination shortcutting —
+// same direct cases, same deterministic landmark rehoming, same
+// dynamics.JoinPaths backtrack collapse, same To-Destination splice —
+// byte for byte, because every decision reads the same shard contents
+// through the compiled tables. The
 // allocation-free entry point is AppendRoute; the dynamics.Router methods
 // wrap it with one fresh-slice copy so existing callers (legs, the serve
 // plane's generic path) keep their owned-route contract.
@@ -38,8 +39,8 @@ func (t *Tables) NewRouter() *Router { return &Router{t: t} }
 // unextended.
 func (r *Router) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) ([]graph.NodeID, bool) {
 	tb := r.t
-	// Direct cases, in core.NDDisco.repairedDirect's order: self, live
-	// landmark destination, destination inside s's vicinity.
+	// Direct cases, in core.NDDisco.route's order: self, live landmark
+	// destination, destination inside s's vicinity.
 	if s == t {
 		return append(dst, s), true
 	}
@@ -114,9 +115,9 @@ func (r *Router) reaches(lm, v graph.NodeID) bool {
 
 // appendLandmarkRoute is the landmark leg s ⇝ l_t ⇝ t with the
 // To-Destination splice at the first en-route node whose vicinity knows
-// t — core.NDDisco.repairedLandmarkRoute + repairedWalkToDest over the
-// compiled tables. The route is assembled in the private scratch (the
-// splice truncates and regrows it) and copied to dst once final.
+// t — core.NDDisco.leg under ShortcutToDestination over the compiled
+// tables. The route is assembled in the private scratch (the splice
+// truncates and regrows it) and copied to dst once final.
 func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]graph.NodeID, bool) {
 	tb := r.t
 	lm := r.rehome(t)
@@ -127,9 +128,10 @@ func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]g
 	if s != lm && row[s] == graph.None {
 		return dst, false
 	}
-	// joinPaths(PathFrom(lm, s), PathTo(lm, t)): the up-chain from s,
-	// then the reversed down-chain from t with the joint node deduplicated
-	// and immediate backtracks across it collapsed (…x,lm,x… → …x…).
+	// dynamics.JoinPaths(PathFrom(lm, s), PathTo(lm, t)): the up-chain
+	// from s, then the reversed down-chain from t with the joint node
+	// deduplicated and immediate backtracks across it collapsed
+	// (…x,lm,x… → …x…).
 	route := r.route[:0]
 	for u := s; u != graph.None; u = row[u] {
 		route = append(route, u)
@@ -149,7 +151,7 @@ func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]g
 	}
 	// To-Destination: divert to the direct vicinity path at the first
 	// node that knows one; on a shortest sub-path toward t every later
-	// node knows t too, so the first splice is final (dynamics.WalkToDest).
+	// node knows t too, so the first splice is final (core.NDDisco.walk).
 	for i := 0; i < len(route); i++ {
 		u := route[i]
 		if u == t {

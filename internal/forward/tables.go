@@ -3,7 +3,7 @@
 // sorted ID-interval arrays so answering a route query is a short walk of
 // zero-allocation binary searches instead of the fork-and-walk the
 // experiments use (fork a protocol view, run the vicinity/landmark checks
-// through the Set and TreeView abstractions).
+// through vicinity.Set and the snapshot's tree reads).
 //
 // The compiled state per node is its vicinity window as an interval
 // table: the window's member IDs — sorted, and on real topologies heavily
@@ -27,11 +27,11 @@
 // included, and a compiled table is a pure function of its shard's
 // content.
 //
-// Routes are byte-identical to core.NDDisco's repaired routing
-// (RepairedFirstRoute/RepairedLaterRoute) by construction: Router mirrors
-// that control flow exactly — direct cases, rehoming, joinPaths backtrack
-// collapse, To-Destination splice — reading the same data from the
-// compiled tables. The equivalence suite pins this on base and repaired
+// Routes are byte-identical to core.NDDisco.route under To-Destination
+// shortcutting (RepairedFirstRoute/RepairedLaterRoute) by construction:
+// Router mirrors that control flow exactly — direct cases, rehoming,
+// JoinPaths backtrack collapse, To-Destination splice — reading the same
+// data from the compiled tables. The equivalence suite pins this on base and repaired
 // snapshots in both storage regimes.
 package forward
 

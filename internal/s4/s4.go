@@ -10,6 +10,9 @@
 package s4
 
 import (
+	"math"
+
+	"disco/internal/dynamics"
 	"disco/internal/graph"
 	"disco/internal/parallel"
 	"disco/internal/pathtree"
@@ -20,159 +23,191 @@ import (
 
 // S4 is the converged S4 data plane over a shared environment (same
 // landmark set and names as Disco, making comparisons direct). Like
-// core.NDDisco it has two cache regimes: private lazy tree caches
-// (legacy), or a shared immutable snapshot (UseSnapshot) whose landmark
-// trees — the same trees Disco shares — serve every landmark-rooted read,
-// with a per-fork Dijkstra scratch for destination-rooted queries.
+// core.NDDisco it reads landmark trees — the same trees Disco shares —
+// from one shared immutable snapshot (UseSnapshot), built from scratch or
+// repaired after link events, with a per-fork Dijkstra scratch for
+// destination-rooted queries. Routing before UseSnapshot panics (a harness
+// invariant: whoever constructs an S4 must install one); the state
+// accounting (ClusterSizesAll, StateEntries) needs none.
 type S4 struct {
 	Env *static.Env
 	DB  *resolve.DB
 
 	snap *snapshot.Snapshot
-	dest *pathtree.Lazy
-
-	trees *pathtree.Cache // legacy regime only
+	dest *pathtree.Lazy // allocated on first use
 }
+
+var _ dynamics.Router = (*S4)(nil)
 
 // New builds the S4 instance. vnodes is the number of hash functions in the
 // resolution database (1 matches [34]).
 func New(env *static.Env, vnodes int) *S4 {
-	return &S4{
-		Env:   env,
-		DB:    resolve.New(env.Landmarks, env.NameOf, vnodes),
-		trees: pathtree.NewCache(env.G, 128),
-	}
+	return &S4{Env: env, DB: resolve.New(env.Landmarks, env.NameOf, vnodes)}
 }
 
-// UseSnapshot switches s (and every future fork) to the shared immutable
-// snapshot for landmark-rooted tree reads.
-func (s *S4) UseSnapshot(sn *snapshot.Snapshot) {
-	s.snap = sn
-	s.dest = pathtree.NewLazy(s.Env.G)
+// UseSnapshot installs the shared immutable snapshot s (and every future
+// fork) reads landmark trees from.
+func (s *S4) UseSnapshot(sn *snapshot.Snapshot) { s.snap, s.dest = sn, nil }
+
+// snapshot returns the installed snapshot, panicking when there is none:
+// routing before UseSnapshot is a harness bug, not an input error.
+func (s *S4) snapshot() *snapshot.Snapshot {
+	if s.snap == nil {
+		panic("s4: S4 has no route state: call UseSnapshot before routing")
+	}
+	return s.snap
 }
 
 // Fork returns a concurrency view of s for one worker of a parallel
-// sweep: the environment, resolution DB and (when installed) the snapshot
-// are shared read-only; only the destination-tree scratch (snapshot
-// regime) or the lazy tree cache (legacy) is private. Forked instances
-// route concurrently and return exactly the routes the original would.
-func (s *S4) Fork() *S4 { return s.ForkWith(nil) }
+// sweep: the environment, resolution DB and snapshot are shared read-only;
+// only the destination-tree scratch is private. Forked instances route
+// concurrently and return exactly the routes the original would.
+func (s *S4) Fork() *S4 { return s.ForkRepaired(s.snap, nil) }
 
 // ForkWith is Fork with a caller-supplied destination-tree scratch shared
 // between the protocol forks of one worker (see core.NDDisco.ForkWith).
-func (s *S4) ForkWith(dest *pathtree.Lazy) *S4 {
-	if s.snap != nil {
-		if dest == nil {
-			dest = pathtree.NewLazy(s.Env.G)
-		}
-		return &S4{Env: s.Env, DB: s.DB, snap: s.snap, dest: dest}
+func (s *S4) ForkWith(dest *pathtree.Lazy) *S4 { return s.ForkRepaired(s.snap, dest) }
+
+// ForkRepaired returns an S4 routing view over the repaired snapshot rep.
+// A non-nil dest (shared with the other protocol forks of the same
+// worker) must have been created over rep.Graph(), the failed topology.
+func (s *S4) ForkRepaired(rep *snapshot.Snapshot, dest *pathtree.Lazy) *S4 {
+	return &S4{Env: s.Env, DB: s.DB, snap: rep, dest: dest}
+}
+
+// destTree returns the fork's Dijkstra scratch bound to root, allocating
+// it over the snapshot's (possibly failed) topology on first use.
+func (s *S4) destTree(root graph.NodeID) *pathtree.Lazy {
+	if s.dest == nil {
+		s.dest = pathtree.NewLazy(s.snapshot().Graph())
 	}
-	return &S4{Env: s.Env, DB: s.DB, trees: pathtree.NewCache(s.Env.G, s.trees.Cap())}
+	s.dest.Bind(root)
+	return s.dest
 }
 
-// tree returns the fork's tree view (the shared regime-dispatch rule in
-// internal/snapshot).
-func (s *S4) tree() snapshot.TreeView {
-	return snapshot.TreeView{Snap: s.snap, Dest: s.dest, Cache: s.trees}
-}
-
-// InCluster reports whether t is in v's cluster: d(v,t) < d(t, l_t).
-// Landmarks know shortest paths to everything through the landmark flood,
-// so for a landmark v this is treated as true by the routing logic
-// separately; the cluster itself uses the strict Thorup–Zwick definition.
+// InCluster reports whether t is in v's cluster, d(v,t) < d(t, l_t): the
+// strict Thorup–Zwick definition on the snapshot's topology, the same test
+// route diverts on.
 func (s *S4) InCluster(v, t graph.NodeID) bool {
-	if v == t {
-		return true
-	}
-	return s.tree().Dist(t, v) < s.Env.LMDist[t]
+	_, _, in := s.cluster(t)
+	return in(v)
 }
 
-// ShortestDist returns d(s,t) for stretch computation.
-func (s *S4) ShortestDist(a, b graph.NodeID) float64 { return s.tree().Dist(b, a) }
+// ShortestDist returns d(a,b) for stretch computation.
+func (s *S4) ShortestDist(a, b graph.NodeID) float64 { return s.destTree(b).Dist(a) }
 
 // RouteLen returns the weighted length of a node path.
 func (s *S4) RouteLen(p []graph.NodeID) float64 { return s.Env.G.PathLength(p) }
 
 // LaterRoute returns the packet route once the source knows t's label
-// (l_t plus the first hop out of l_t): direct if t ∈ C(s) or t is a
-// landmark, else toward l_t with To-Destination shortcutting — the packet
-// peels off to a direct path at the first node whose cluster contains t,
-// which provably happens at latest one hop past l_t. Worst-case stretch 3.
+// (l_t plus the first hop out of l_t): direct if t ∈ C(s) or either end is
+// a landmark, else toward l_t with To-Destination shortcutting. Worst-case
+// stretch 3. Must-deliver (the topology must be connected); on failed
+// topologies use RepairedLaterRoute.
 func (s *S4) LaterRoute(src, t graph.NodeID) []graph.NodeID {
-	if direct := s.directRoute(src, t); direct != nil {
-		return direct
-	}
-	return s.walkToDest(s.tree().PathFrom(s.Env.AddrOf(t).Landmark, src), t)
+	return dynamics.MustDeliver(s.route(src, t, false))
 }
 
 // FirstRoute returns the first packet's route: S4 must first resolve t's
 // name through the consistent-hashing database on the landmarks, so the
-// packet travels s ⇝ owner(h(t)) ⇝ (l_t ⇝) t. The resolution detour is why
-// S4's first-packet stretch is unbounded (Fig. 3).
+// packet travels s ⇝ owner(h(t)) ⇝ t. The resolution detour is why S4's
+// first-packet stretch is unbounded (Fig. 3). Must-deliver, like
+// LaterRoute.
 func (s *S4) FirstRoute(src, t graph.NodeID) []graph.NodeID {
-	if direct := s.directRoute(src, t); direct != nil {
-		return direct
-	}
-	owner := s.DB.OwnerOf(s.Env.HashOf(t))
-	toOwner := s.tree().PathFrom(owner, src)
-	rest := s.LaterRoute(owner, t)
-	return joinTrim(toOwner, rest)
+	return dynamics.MustDeliver(s.route(src, t, true))
 }
 
-func (s *S4) directRoute(src, t graph.NodeID) []graph.NodeID {
+// RepairedLaterRoute is LaterRoute with ok=false when src and t are
+// separated on the (repaired) snapshot's topology.
+func (s *S4) RepairedLaterRoute(src, t graph.NodeID) ([]graph.NodeID, bool) {
+	return s.route(src, t, false)
+}
+
+// RepairedFirstRoute is FirstRoute with ok=false when either leg is cut:
+// a resolution owner stranded in another component means the name cannot
+// be resolved and the packet is undeliverable — the partition cost Fig.
+// 3's unbounded-first-stretch discussion prices in.
+func (s *S4) RepairedFirstRoute(src, t graph.NodeID) ([]graph.NodeID, bool) {
+	return s.route(src, t, true)
+}
+
+// route is S4's forwarding rule, defined once over the installed
+// snapshot. The tables are the Thorup–Zwick definitions evaluated on the
+// snapshot's topology — landmark trees from the snapshot, clusters
+// C(v) = {w : d(w,v) < d(w, l_w)} under its distances and the re-homed
+// landmark assignment; the per-pair destination Dijkstra that already
+// funds the stretch denominator supplies those distances, so cluster
+// checks stay exact without any global recomputation. Direct if either
+// end is a landmark (landmarks reach everyone via the landmark flood's
+// reverse tree) or t ∈ C(src); else the packet heads for a landmark — the
+// resolution owner on a first packet, which must reach it to learn t's
+// label; l_t afterwards, peeling off to the exact path at the first node
+// whose cluster contains t (To-Destination, S4's built-in shortcut; a
+// landmark always diverts, so the walk ends at l_t at the latest).
+func (s *S4) route(src, t graph.NodeID, first bool) ([]graph.NodeID, bool) {
 	if src == t {
-		return []graph.NodeID{src}
+		return []graph.NodeID{src}, true
 	}
-	if s.Env.IsLM[src] || s.Env.IsLM[t] || s.InCluster(src, t) {
-		// Landmarks reach everyone via the landmark flood's reverse tree;
-		// every node reaches landmarks and its cluster directly.
-		return s.tree().PathFrom(t, src)
+	snap := s.snapshot()
+	d, lm, in := s.cluster(t)
+	if math.IsInf(d.Dist(src), 1) {
+		return nil, false
 	}
-	return nil
+	knows := func(u graph.NodeID) bool { return s.Env.IsLM[u] || in(u) }
+	if s.Env.IsLM[t] || knows(src) {
+		return d.PathFrom(src), true
+	}
+	// src is outside t's cluster radius, so the radius is finite and lm is
+	// a real landmark.
+	if first {
+		lm = s.DB.OwnerOf(s.Env.HashOf(t))
+	}
+	if !snap.Reaches(lm, src) {
+		return nil, false
+	}
+	toLM := snap.PathFrom(lm, src)
+	if first {
+		// The figures count a query that bounces straight back off the
+		// owner (…x,owner,x…) as turning at x; a later packet's bounce
+		// off an en-route landmark is walked in full.
+		return dynamics.JoinPaths(toLM, d.PathFrom(lm)), true
+	}
+	i := 0
+	for !knows(toLM[i]) {
+		i++
+	}
+	return append(toLM[:i], d.PathFrom(toLM[i])...), true
 }
 
-// walkToDest walks the packet along route, diverting to the shortest path
-// at the first node whose cluster contains t (To-Destination, S4's
-// built-in shortcut).
-func (s *S4) walkToDest(route []graph.NodeID, t graph.NodeID) []graph.NodeID {
-	for i, u := range route {
-		if u == t {
-			return append([]graph.NodeID(nil), route[:i+1]...)
-		}
-		if s.InCluster(u, t) || s.Env.IsLM[u] {
-			direct := s.tree().PathFrom(t, u) // u ⇝ t
-			return append(append([]graph.NodeID(nil), route[:i]...), direct...)
+// cluster binds the destination Dijkstra d to t and returns it with t's
+// landmark on the snapshot's topology — the nearest one, ties to the lowest
+// ID (the deterministic re-registration rule); graph.None when t's
+// component lost every landmark — and the membership test u ↦ t ∈ C(u),
+// d(u,t) < d(t, l_t) under d's distances.
+func (s *S4) cluster(t graph.NodeID) (d *pathtree.Lazy, lm graph.NodeID, in func(graph.NodeID) bool) {
+	d = s.destTree(t)
+	lm, radius := graph.None, math.Inf(1)
+	for _, l := range s.Env.Landmarks {
+		if dl := d.Dist(l); dl < radius || (dl == radius && lm != graph.None && l < lm) {
+			lm, radius = l, dl
 		}
 	}
-	// Reached l_t without diverting: follow the label's first hop; the
-	// next node's cluster must contain t (d(u1,t) < d(t,l_t)).
-	last := route[len(route)-1]
-	direct := s.tree().PathFrom(t, last)
-	return append(append([]graph.NodeID(nil), route[:len(route)-1]...), direct...)
-}
-
-func joinTrim(p1, p2 []graph.NodeID) []graph.NodeID {
-	out := append([]graph.NodeID(nil), p1...)
-	for _, v := range p2[1:] {
-		if len(out) >= 2 && out[len(out)-2] == v {
-			out = out[:len(out)-1]
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
+	return d, lm, func(u graph.NodeID) bool { return u == t || d.Dist(u) < radius }
 }
 
 // ClusterSize returns |C(v)| exactly (one full Dijkstra from v): the count
-// of nodes strictly closer to v than to their own landmark. Used for
-// sampled state on large topologies.
+// of nodes strictly closer to v than to their own landmark, under the
+// environment's landmark distances like ClusterSizesAll (state accounting
+// describes the converged pristine topology). Used for sampled state on
+// large topologies.
 func (s *S4) ClusterSize(v graph.NodeID) int {
 	count := 0
+	d := s.destTree(v)
 	for w := 0; w < s.Env.N(); w++ {
 		if graph.NodeID(w) == v {
 			continue
 		}
-		if s.tree().Dist(v, graph.NodeID(w)) < s.Env.LMDist[w] {
+		if d.Dist(graph.NodeID(w)) < s.Env.LMDist[w] {
 			count++
 		}
 	}

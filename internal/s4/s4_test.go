@@ -3,16 +3,31 @@ package s4
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"disco/internal/graph"
 	"disco/internal/metrics"
+	"disco/internal/snapshot"
 	"disco/internal/static"
 	"disco/internal/topology"
 	"disco/internal/vicinity"
 )
 
 const eps = 1e-9
+
+// newS4 builds the S4 instance over env with a fresh snapshot installed
+// (S4 reads only the landmark trees, so the vicinity size is immaterial).
+func newS4(t *testing.T, env *static.Env) *S4 {
+	t.Helper()
+	snap, err := snapshot.Build(env.G, vicinity.DefaultK(env.N()), env.Landmarks)
+	if err != nil {
+		t.Fatalf("snapshot build: %v", err)
+	}
+	s := New(env, 1)
+	s.UseSnapshot(snap)
+	return s
+}
 
 func routeOK(t *testing.T, g *graph.Graph, route []graph.NodeID, s, dst graph.NodeID) float64 {
 	t.Helper()
@@ -25,7 +40,7 @@ func routeOK(t *testing.T, g *graph.Graph, route []graph.NodeID, s, dst graph.No
 func TestS4LaterStretch3(t *testing.T) {
 	g := topology.Gnm(rand.New(rand.NewSource(1)), 400, 1600)
 	env := static.NewEnv(g, 1)
-	s := New(env, 1)
+	s := newS4(t, env)
 	pairs := metrics.SamplePairs(rand.New(rand.NewSource(2)), 400, 300)
 	for _, p := range pairs {
 		src, dst := graph.NodeID(p.Src), graph.NodeID(p.Dst)
@@ -40,7 +55,7 @@ func TestS4LaterStretch3(t *testing.T) {
 func TestS4LaterStretch3Weighted(t *testing.T) {
 	g := topology.Geometric(rand.New(rand.NewSource(3)), 500, 8)
 	env := static.NewEnv(g, 3)
-	s := New(env, 1)
+	s := newS4(t, env)
 	pairs := metrics.SamplePairs(rand.New(rand.NewSource(4)), 500, 300)
 	for _, p := range pairs {
 		src, dst := graph.NodeID(p.Src), graph.NodeID(p.Dst)
@@ -58,7 +73,7 @@ func TestS4FirstUnboundedVsLater(t *testing.T) {
 	// individual first packets can blow well past stretch 3 (Fig. 3).
 	g := topology.Geometric(rand.New(rand.NewSource(5)), 800, 8)
 	env := static.NewEnv(g, 5)
-	s := New(env, 1)
+	s := newS4(t, env)
 	pairs := metrics.SamplePairs(rand.New(rand.NewSource(6)), 800, 400)
 	sumF, sumL, maxF := 0.0, 0.0, 0.0
 	n := 0
@@ -89,7 +104,7 @@ func TestS4FirstUnboundedVsLater(t *testing.T) {
 func TestClusterSizeConsistency(t *testing.T) {
 	g := topology.Gnm(rand.New(rand.NewSource(7)), 300, 1200)
 	env := static.NewEnv(g, 7)
-	s := New(env, 1)
+	s := newS4(t, env)
 	all := s.ClusterSizesAll()
 	for v := 0; v < 300; v += 17 {
 		if got := s.ClusterSize(graph.NodeID(v)); got != all[v] {
@@ -99,20 +114,25 @@ func TestClusterSizeConsistency(t *testing.T) {
 }
 
 func TestClusterDefinition(t *testing.T) {
-	// Distances are compared destination-rooted (d computed by Dijkstra
-	// from w), matching the protocol's own accounting — float sums depend
-	// on association order, so the reference must use the same direction.
+	// Both sides of d(v,w) < d(w, l_w) are read off one Dijkstra rooted at
+	// w, matching the protocol's own accounting — float sums depend on
+	// association order, so the landmark-rooted env.LMDist[w] may differ
+	// from the radius in the last ulp (checked separately below).
 	g := topology.Geometric(rand.New(rand.NewSource(8)), 200, 8)
 	env := static.NewEnv(g, 8)
-	s := New(env, 1)
+	s := newS4(t, env)
 	ss := graph.NewSSSP(g)
 	for w := 0; w < 200; w += 13 {
 		ss.Run(graph.NodeID(w))
+		radius := ss.Dist(env.LMOf[w])
+		if math.Abs(radius-env.LMDist[w]) > eps {
+			t.Fatalf("d(%d, l_w)=%v but env.LMDist says %v", w, radius, env.LMDist[w])
+		}
 		for v := 0; v < 200; v++ {
 			if v == w {
 				continue
 			}
-			want := ss.Dist(graph.NodeID(v)) < env.LMDist[w]
+			want := ss.Dist(graph.NodeID(v)) < radius
 			if got := s.InCluster(graph.NodeID(v), graph.NodeID(w)); got != want {
 				t.Fatalf("InCluster(%d,%d)=%v want %v", v, w, got, want)
 			}
@@ -195,4 +215,19 @@ func TestS4MeanStateBelowDiscoOnRandomGraph(t *testing.T) {
 	if math.IsNaN(mean) {
 		t.Fatal("NaN")
 	}
+}
+
+// TestRouteBeforeUseSnapshotPanics pins the harness invariant: routing
+// without an installed snapshot panics naming the missing call, while
+// state-only accounting needs none.
+func TestRouteBeforeUseSnapshotPanics(t *testing.T) {
+	g := topology.Gnm(rand.New(rand.NewSource(12)), 64, 256)
+	s := New(static.NewEnv(g, 12), 1)
+	s.StateEntries(s.ClusterSizesAll())
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "UseSnapshot") {
+			t.Fatalf("want a panic naming UseSnapshot, got %q", msg)
+		}
+	}()
+	s.Fork().LaterRoute(1, 2)
 }

@@ -39,7 +39,6 @@ import (
 	"fmt"
 
 	"disco/internal/graph"
-	"disco/internal/pathtree"
 	"disco/internal/vicinity"
 )
 
@@ -369,61 +368,4 @@ func (s *Snapshot) PathTo(root, v graph.NodeID) []graph.NodeID {
 		out[i], out[j] = out[j], out[i]
 	}
 	return out
-}
-
-// TreeView dispatches one protocol fork's shortest-path-tree reads
-// between the two cache regimes, so core.NDDisco and s4.S4 share a single
-// copy of the regime-selection rule. In the snapshot regime (Snap != nil)
-// landmark-rooted paths come from the shared parent rows and everything
-// else runs on the fork's reusable Dijkstra scratch; in the legacy regime
-// all reads go through the fork's materializing tree cache.
-type TreeView struct {
-	Snap  *Snapshot       // shared immutable state; nil in the legacy regime
-	Dest  *pathtree.Lazy  // per-fork destination scratch (snapshot regime)
-	Cache *pathtree.Cache // per-fork materializing cache (legacy regime)
-}
-
-// Dist returns d(root, v) from root's shortest-path tree.
-func (t TreeView) Dist(root, v graph.NodeID) float64 {
-	if t.Snap != nil {
-		t.Dest.Bind(root)
-		return t.Dest.Dist(v)
-	}
-	return t.Cache.Tree(root).Dist(v)
-}
-
-// PathFrom returns v ⇝ root on root's shortest-path tree.
-func (t TreeView) PathFrom(root, v graph.NodeID) []graph.NodeID {
-	if t.Snap != nil {
-		if t.Snap.HasTree(root) {
-			return t.Snap.PathFrom(root, v)
-		}
-		t.Dest.Bind(root)
-		return t.Dest.PathFrom(v)
-	}
-	return t.Cache.Tree(root).PathFrom(v)
-}
-
-// Parent returns v's predecessor on root's shortest-path tree.
-func (t TreeView) Parent(root, v graph.NodeID) graph.NodeID {
-	if t.Snap != nil {
-		if t.Snap.HasTree(root) {
-			return t.Snap.Parent(root, v)
-		}
-		t.Dest.Bind(root)
-		return t.Dest.Parent(v)
-	}
-	return t.Cache.Tree(root).Parent(v)
-}
-
-// PathTo returns root ⇝ v on root's shortest-path tree.
-func (t TreeView) PathTo(root, v graph.NodeID) []graph.NodeID {
-	if t.Snap != nil {
-		if t.Snap.HasTree(root) {
-			return t.Snap.PathTo(root, v)
-		}
-		t.Dest.Bind(root)
-		return t.Dest.PathTo(v)
-	}
-	return t.Cache.Tree(root).PathTo(v)
 }
