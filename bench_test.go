@@ -65,19 +65,19 @@ func show(b *testing.B, out string) {
 
 func BenchmarkFig2StateGeometric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig2State(eval.TopoGeometric, 2048, benchSeed).Format())
+		show(b, eval.Config{}.Fig2State(eval.TopoGeometric, 2048, benchSeed).Format())
 	}
 }
 
 func BenchmarkFig2StateASLike(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig2State(eval.TopoASLike, 2048, benchSeed).Format())
+		show(b, eval.Config{}.Fig2State(eval.TopoASLike, 2048, benchSeed).Format())
 	}
 }
 
 func BenchmarkFig2StateRouterLike(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig2State(eval.TopoRouterLike, 4096, benchSeed).Format())
+		show(b, eval.Config{}.Fig2State(eval.TopoRouterLike, 4096, benchSeed).Format())
 	}
 }
 
@@ -85,19 +85,19 @@ func BenchmarkFig2StateRouterLike(b *testing.B) {
 
 func BenchmarkFig3StretchGeometric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig3Stretch(eval.TopoGeometric, 2048, benchSeed, 300).Format())
+		show(b, eval.Config{}.Fig3Stretch(eval.TopoGeometric, 2048, benchSeed, 300).Format())
 	}
 }
 
 func BenchmarkFig3StretchASLike(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig3Stretch(eval.TopoASLike, 2048, benchSeed, 300).Format())
+		show(b, eval.Config{}.Fig3Stretch(eval.TopoASLike, 2048, benchSeed, 300).Format())
 	}
 }
 
 func BenchmarkFig3StretchRouterLike(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig3Stretch(eval.TopoRouterLike, 4096, benchSeed, 300).Format())
+		show(b, eval.Config{}.Fig3Stretch(eval.TopoRouterLike, 4096, benchSeed, 300).Format())
 	}
 }
 
@@ -105,13 +105,13 @@ func BenchmarkFig3StretchRouterLike(b *testing.B) {
 
 func BenchmarkFig4Gnm1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig45(eval.TopoGnm, 1024, benchSeed, 300).Format())
+		show(b, eval.Config{}.Fig45(eval.TopoGnm, 1024, benchSeed, 300).Format())
 	}
 }
 
 func BenchmarkFig5Geometric1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig45(eval.TopoGeometric, 1024, benchSeed, 300).Format())
+		show(b, eval.Config{}.Fig45(eval.TopoGeometric, 1024, benchSeed, 300).Format())
 	}
 }
 
@@ -125,7 +125,7 @@ func BenchmarkFig6Shortcuts(b *testing.B) {
 		{Label: "GNM", Kind: eval.TopoGnm, N: 2048},
 	}
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig6Shortcuts(specs, benchSeed, 200).Format())
+		show(b, eval.Config{}.Fig6Shortcuts(specs, benchSeed, 200).Format())
 	}
 }
 
@@ -133,7 +133,7 @@ func BenchmarkFig6Shortcuts(b *testing.B) {
 
 func BenchmarkFig7StateBytes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig7StateBytes(4096, benchSeed).Format())
+		show(b, eval.Config{}.Fig7StateBytes(4096, benchSeed).Format())
 	}
 }
 
@@ -149,7 +149,7 @@ func BenchmarkFig8Convergence(b *testing.B) {
 
 func BenchmarkFig9Scaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig9Scaling([]int{1024, 2048, 4096}, benchSeed, 200).Format())
+		show(b, eval.Config{}.Fig9Scaling([]int{1024, 2048, 4096}, benchSeed, 200).Format())
 	}
 }
 
@@ -157,7 +157,7 @@ func BenchmarkFig9Scaling(b *testing.B) {
 
 func BenchmarkFig10ASCongestion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig10ASCongestion(2048, benchSeed).Format())
+		show(b, eval.Config{}.Fig10ASCongestion(2048, benchSeed).Format())
 	}
 }
 
@@ -173,7 +173,7 @@ func BenchmarkAddrSizes(b *testing.B) {
 
 func BenchmarkStaticAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.StaticAccuracy(512, benchSeed, 300).Format())
+		show(b, eval.Config{}.StaticAccuracy(512, benchSeed, 300).Format())
 	}
 }
 
@@ -181,8 +181,8 @@ func BenchmarkStaticAccuracy(b *testing.B) {
 
 func BenchmarkEstimateError(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := eval.EstimateError(1024, benchSeed, 0.4, 300).Format() +
-			eval.EstimateError(1024, benchSeed, 0.6, 300).Format()
+		out := eval.Config{}.EstimateError(1024, benchSeed, 0.4, 300).Format() +
+			eval.Config{}.EstimateError(1024, benchSeed, 0.6, 300).Format()
 		show(b, out)
 	}
 }
@@ -241,7 +241,7 @@ func BenchmarkAblationVicinitySize(b *testing.B) {
 // vs high-degree vs adversarial low-degree) on the AS-like topology.
 func BenchmarkAblationLandmarkStrategy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.LandmarkStrategies(eval.TopoASLike, 2048, benchSeed, 200).Format())
+		show(b, eval.Config{}.LandmarkStrategies(eval.TopoASLike, 2048, benchSeed, 200).Format())
 	}
 }
 
@@ -368,7 +368,7 @@ func BenchmarkAblationChurnCost(b *testing.B) {
 // proportional to the failures, not to n.
 func BenchmarkFailureScenarios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		show(b, eval.FailureScenarios(eval.TopoGnm, 512, benchSeed, 100).Format())
+		show(b, eval.Config{}.FailureScenarios(eval.TopoGnm, 512, benchSeed, 100).Format())
 	}
 }
 

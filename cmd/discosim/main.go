@@ -12,7 +12,7 @@
 //	                                   # report peak RSS and write a heap profile
 //	                                   # (the -full feasibility workflow)
 //	discosim -exp fig3 -full -compact  # paper scale on the compact snapshot
-//	                                   # encoding (~2.5x less route-state memory;
+//	                                   # encoding (~3.2x less route-state memory;
 //	                                   # exact on unit-weight topologies)
 //	discosim -serve -n 1024 -queriers 8
 //	                                   # serving mode: answer route queries
@@ -59,6 +59,7 @@ type experiment struct {
 }
 
 type opts struct {
+	eval     eval.Config
 	n        int // 0 = per-experiment default
 	seed     int64
 	pairs    int
@@ -80,30 +81,30 @@ func pick(n, scaled, paper int, full bool) int {
 
 var experiments = []experiment{
 	{"fig2", "state CDFs: Disco/NDDisco/S4 on geometric, AS-level, router-level", func(o opts) error {
-		fmt.Print(eval.Fig2State(eval.TopoGeometric, pick(o.n, 4096, 16384, o.full), o.seed).Format())
-		fmt.Print(eval.Fig2State(eval.TopoASLike, pick(o.n, 4096, 30610, o.full), o.seed).Format())
-		fmt.Print(eval.Fig2State(eval.TopoRouterLike, pick(o.n, 8192, 192244, o.full), o.seed).Format())
+		fmt.Print(o.eval.Fig2State(eval.TopoGeometric, pick(o.n, 4096, 16384, o.full), o.seed).Format())
+		fmt.Print(o.eval.Fig2State(eval.TopoASLike, pick(o.n, 4096, 30610, o.full), o.seed).Format())
+		fmt.Print(o.eval.Fig2State(eval.TopoRouterLike, pick(o.n, 8192, 192244, o.full), o.seed).Format())
 		return nil
 	}},
 	{"fig3", "stretch CDFs (first/later): Disco vs S4 on the three topologies", func(o opts) error {
-		fmt.Print(eval.Fig3Stretch(eval.TopoGeometric, pick(o.n, 4096, 16384, o.full), o.seed, o.pairs).Format())
-		fmt.Print(eval.Fig3Stretch(eval.TopoASLike, pick(o.n, 4096, 30610, o.full), o.seed, o.pairs).Format())
-		fmt.Print(eval.Fig3Stretch(eval.TopoRouterLike, pick(o.n, 8192, 192244, o.full), o.seed, o.pairs).Format())
+		fmt.Print(o.eval.Fig3Stretch(eval.TopoGeometric, pick(o.n, 4096, 16384, o.full), o.seed, o.pairs).Format())
+		fmt.Print(o.eval.Fig3Stretch(eval.TopoASLike, pick(o.n, 4096, 30610, o.full), o.seed, o.pairs).Format())
+		fmt.Print(o.eval.Fig3Stretch(eval.TopoRouterLike, pick(o.n, 8192, 192244, o.full), o.seed, o.pairs).Format())
 		return nil
 	}},
 	{"fig4", "state/stretch/congestion incl. VRR on 1,024-node G(n,m)", func(o opts) error {
-		fmt.Print(eval.Fig45(eval.TopoGnm, pick(o.n, 1024, 1024, o.full), o.seed, o.pairs).Format())
+		fmt.Print(o.eval.Fig45(eval.TopoGnm, pick(o.n, 1024, 1024, o.full), o.seed, o.pairs).Format())
 		return nil
 	}},
 	{"fig5", "state/stretch/congestion incl. VRR on 1,024-node geometric", func(o opts) error {
-		fmt.Print(eval.Fig45(eval.TopoGeometric, pick(o.n, 1024, 1024, o.full), o.seed, o.pairs).Format())
+		fmt.Print(o.eval.Fig45(eval.TopoGeometric, pick(o.n, 1024, 1024, o.full), o.seed, o.pairs).Format())
 		return nil
 	}},
 	{"fig6", "mean stretch for the six shortcutting heuristics x four topologies", func(o opts) error {
 		n1 := pick(o.n, 2048, 30610, o.full)
 		n2 := pick(o.n, 2048, 192244, o.full)
 		n3 := pick(o.n, 2048, 16384, o.full)
-		fmt.Print(eval.Fig6Shortcuts([]eval.Fig6Spec{
+		fmt.Print(o.eval.Fig6Shortcuts([]eval.Fig6Spec{
 			{Label: "AS-Level", Kind: eval.TopoASLike, N: n1},
 			{Label: "Router-level", Kind: eval.TopoRouterLike, N: n2},
 			{Label: "Geometric", Kind: eval.TopoGeometric, N: n3},
@@ -112,7 +113,7 @@ var experiments = []experiment{
 		return nil
 	}},
 	{"fig7", "state in entries and KB (IPv4/IPv6 names) on router-level", func(o opts) error {
-		fmt.Print(eval.Fig7StateBytes(pick(o.n, 8192, 192244, o.full), o.seed).Format())
+		fmt.Print(o.eval.Fig7StateBytes(pick(o.n, 8192, 192244, o.full), o.seed).Format())
 		return nil
 	}},
 	{"fig8", "messages/node until convergence vs n (event-driven simulation)", func(o opts) error {
@@ -129,11 +130,11 @@ var experiments = []experiment{
 		if o.full {
 			sizes = []int{2048, 4096, 8192, 16384}
 		}
-		fmt.Print(eval.Fig9Scaling(sizes, o.seed, o.pairs).Format())
+		fmt.Print(o.eval.Fig9Scaling(sizes, o.seed, o.pairs).Format())
 		return nil
 	}},
 	{"fig10", "congestion tail on the AS-level topology", func(o opts) error {
-		fmt.Print(eval.Fig10ASCongestion(pick(o.n, 4096, 30610, o.full), o.seed).Format())
+		fmt.Print(o.eval.Fig10ASCongestion(pick(o.n, 4096, 30610, o.full), o.seed).Format())
 		return nil
 	}},
 	{"addrsize", "explicit-route address sizes on the router-level map (§4.2)", func(o opts) error {
@@ -141,13 +142,13 @@ var experiments = []experiment{
 		return nil
 	}},
 	{"accuracy", "static vs event-driven simulator agreement (§5)", func(o opts) error {
-		fmt.Print(eval.StaticAccuracy(pick(o.n, 512, 1024, o.full), o.seed, o.pairs).Format())
+		fmt.Print(o.eval.StaticAccuracy(pick(o.n, 512, 1024, o.full), o.seed, o.pairs).Format())
 		return nil
 	}},
 	{"nerror", "robustness to error in the estimate of n (§5)", func(o opts) error {
 		n := pick(o.n, 1024, 1024, o.full)
-		fmt.Print(eval.EstimateError(n, o.seed, 0.4, o.pairs).Format())
-		fmt.Print(eval.EstimateError(n, o.seed, 0.6, o.pairs).Format())
+		fmt.Print(o.eval.EstimateError(n, o.seed, 0.4, o.pairs).Format())
+		fmt.Print(o.eval.EstimateError(n, o.seed, 0.6, o.pairs).Format())
 		return nil
 	}},
 	{"fingers", "1 vs 3 overlay fingers: dissemination distance and messages (§5)", func(o opts) error {
@@ -159,7 +160,7 @@ var experiments = []experiment{
 		return nil
 	}},
 	{"landmarks", "operator-chosen landmarks: random vs high/low degree (§6)", func(o opts) error {
-		fmt.Print(eval.LandmarkStrategies(eval.TopoASLike, pick(o.n, 2048, 30610, o.full), o.seed, o.pairs).Format())
+		fmt.Print(o.eval.LandmarkStrategies(eval.TopoASLike, pick(o.n, 2048, 30610, o.full), o.seed, o.pairs).Format())
 		return nil
 	}},
 	{"tradeoff", "TZ k-level state/stretch tradeoff sweep (§6 future work)", func(o opts) error {
@@ -180,7 +181,7 @@ var experiments = []experiment{
 		if o.full && o.n == 0 {
 			kind = eval.TopoRouterLike // paper-scale: the router-level map
 		}
-		fmt.Print(eval.FailureScenarios(kind, n, o.seed, o.pairs).Format())
+		fmt.Print(o.eval.FailureScenarios(kind, n, o.seed, o.pairs).Format())
 		return nil
 	}},
 	{"churn-timeline", "continuous churn: snapshot timeline with recovery + modeled message cost", func(o opts) error {
@@ -189,7 +190,7 @@ var experiments = []experiment{
 		if o.full && o.n == 0 {
 			kind = eval.TopoRouterLike // paper-scale: the router-level map
 		}
-		r, err := eval.ChurnTimeline(kind, n, o.seed, o.pairs, 0)
+		r, err := o.eval.ChurnTimeline(kind, n, o.seed, o.pairs, 0)
 		if err != nil {
 			return err
 		}
@@ -202,7 +203,7 @@ var experiments = []experiment{
 		if o.full && o.n == 0 {
 			kind = eval.TopoRouterLike // paper-scale: the router-level map
 		}
-		r, err := eval.ServeStorm(kind, n, o.seed, o.pairs, o.events, o.queriers, o.forward)
+		r, err := o.eval.ServeStorm(kind, n, o.seed, o.pairs, o.events, o.queriers, o.forward)
 		if err != nil {
 			return err
 		}
@@ -269,10 +270,7 @@ func reportMemory(profilePath string) {
 // inside an experiment with an unhelpful message: sizes and pair counts
 // feed directly into topology generation and sampling loops. Returns the
 // first problem found; main reports it and exits 2 (usage error).
-func validateFlags(n int, seed int64, pairs, events, queriers, workers int, spill string, compact bool) error {
-	if spill != "" && !compact {
-		return fmt.Errorf("-spill requires -compact (only the compact shard store has a file encoding)")
-	}
+func validateFlags(n int, seed int64, pairs, events, queriers, workers int) error {
 	if n < 0 {
 		return fmt.Errorf("-n must be >= 0 (0 = experiment default), got %d", n)
 	}
@@ -300,29 +298,20 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	pairs := flag.Int("pairs", 500, "sampled source-destination pairs")
 	full := flag.Bool("full", false, "use paper-scale sizes (up to 192,244 nodes; slow)")
-	compact := flag.Bool("compact", false, "build route-state snapshots in the compact encoding (delta-coded members, float32 distances; ~2.5x less memory — the -full enabler). Exact on unit-weight topologies; geometric distances quantize to float32")
+	compact := flag.Bool("compact", false, "build route-state snapshots in the compact encoding (delta-coded members, float32 distances; ~3.2x less memory — the -full enabler). Exact on unit-weight topologies; geometric distances quantize to float32")
 	workers := flag.Int("workers", 0, "worker pool size for parallel sweeps (0 = GOMAXPROCS); results are identical at any value")
 	memprofile := flag.String("memprofile", "", "write a heap profile here after the run and report peak RSS (the -full feasibility workflow)")
-	spill := flag.String("spill", "", "spill compact snapshot base storage to files under this directory, served through read-only mappings (cold shards leave the heap; requires -compact)")
 	serveMode := flag.Bool("serve", false, "serving mode: answer route queries from a concurrent closed-loop load while a fail/recover storm repairs and republishes the snapshot chain (shorthand for -exp serve-storm; combine with -n, -events, -queriers)")
 	events := flag.Int("events", 0, "serving mode: storm length in fail/recover events (0 = 16)")
 	queriers := flag.Int("queriers", 0, "serving mode: concurrent query goroutines (0 = GOMAXPROCS)")
 	forward := flag.Bool("forward", false, "serving mode: answer queries on compiled next-hop interval tables (the forwarding fast path, repair-aware invalidation) instead of protocol fork-and-walk")
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
-	if err := validateFlags(*n, *seed, *pairs, *events, *queriers, *workers, *spill, *compact); err != nil {
+	if err := validateFlags(*n, *seed, *pairs, *events, *queriers, *workers); err != nil {
 		fmt.Fprintf(os.Stderr, "discosim: %v\n", err)
 		os.Exit(2)
 	}
 	parallel.SetWorkers(*workers)
-	eval.SetSnapshotCompact(*compact)
-	if *spill != "" {
-		if err := os.MkdirAll(*spill, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "discosim: -spill: %v\n", err)
-			os.Exit(2)
-		}
-		eval.SetSnapshotSpill(*spill)
-	}
 	if *serveMode {
 		if *exp != "" && *exp != "serve-storm" {
 			fmt.Fprintf(os.Stderr, "discosim: -serve and -exp %s conflict (use one)\n", *exp)
@@ -350,7 +339,7 @@ func main() {
 		return e.run(o)
 	}
 
-	o := opts{n: *n, seed: *seed, pairs: *pairs, full: *full, events: *events, queriers: *queriers, forward: *forward}
+	o := opts{eval: eval.Config{Compact: *compact}, n: *n, seed: *seed, pairs: *pairs, full: *full, events: *events, queriers: *queriers, forward: *forward}
 	ran := false
 	var failed []string
 	for _, e := range experiments {

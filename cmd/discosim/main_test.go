@@ -45,24 +45,20 @@ func TestValidateFlags(t *testing.T) {
 		n                                int
 		seed                             int64
 		pairs, events, queriers, workers int
-		spill                            string
-		compact                          bool
 		ok                               bool
 	}{
-		{"defaults", 0, 1, 500, 0, 0, 0, "", false, true},
-		{"explicit", 16384, 7, 100, 32, 8, 8, "", false, true},
-		{"negative n", -1, 1, 500, 0, 0, 0, "", false, false},
-		{"zero pairs", 0, 1, 0, 0, 0, 0, "", false, false},
-		{"negative pairs", 0, 1, -5, 0, 0, 0, "", false, false},
-		{"negative seed", 0, -1, 500, 0, 0, 0, "", false, false},
-		{"negative events", 0, 1, 500, -1, 0, 0, "", false, false},
-		{"negative queriers", 0, 1, 500, 0, -2, 0, "", false, false},
-		{"negative workers", 0, 1, 500, 0, 0, -4, "", false, false},
-		{"spill with compact", 0, 1, 500, 0, 0, 0, "/tmp/spill", true, true},
-		{"spill without compact", 0, 1, 500, 0, 0, 0, "/tmp/spill", false, false},
+		{"defaults", 0, 1, 500, 0, 0, 0, true},
+		{"explicit", 16384, 7, 100, 32, 8, 8, true},
+		{"negative n", -1, 1, 500, 0, 0, 0, false},
+		{"zero pairs", 0, 1, 0, 0, 0, 0, false},
+		{"negative pairs", 0, 1, -5, 0, 0, 0, false},
+		{"negative seed", 0, -1, 500, 0, 0, 0, false},
+		{"negative events", 0, 1, 500, -1, 0, 0, false},
+		{"negative queriers", 0, 1, 500, 0, -2, 0, false},
+		{"negative workers", 0, 1, 500, 0, 0, -4, false},
 	}
 	for _, tc := range cases {
-		err := validateFlags(tc.n, tc.seed, tc.pairs, tc.events, tc.queriers, tc.workers, tc.spill, tc.compact)
+		err := validateFlags(tc.n, tc.seed, tc.pairs, tc.events, tc.queriers, tc.workers)
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error: %v", tc.name, err)
 		}

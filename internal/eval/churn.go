@@ -8,6 +8,7 @@ import (
 	"disco/internal/parallel"
 	"disco/internal/pathvector"
 	"disco/internal/sim"
+	"disco/internal/static"
 	"disco/internal/vicinity"
 )
 
@@ -86,7 +87,7 @@ func ChurnCostOn(g *graph.Graph, seed int64, trials int) (*ChurnResult, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("eval: churn needs a connected graph; messages/node over a partitioned one would be silently skewed")
 	}
-	env := staticEnv(g, seed)
+	env := static.NewEnv(g, seed)
 	k := vicinity.DefaultK(n)
 	cfg := pathvector.Config{Mode: pathvector.ModeVicinity, K: k, IsLandmark: env.IsLM}
 

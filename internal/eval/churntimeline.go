@@ -10,6 +10,7 @@ import (
 	"disco/internal/metrics"
 	"disco/internal/parallel"
 	"disco/internal/snapshot"
+	"disco/internal/static"
 	"disco/internal/vicinity"
 )
 
@@ -106,7 +107,7 @@ func (r *ChurnTimelineResult) Format() string {
 // convergence cost (messages/node) for context.
 func CalibrateMessageModel(calN int, seed int64, trials int) (dynamics.MessageModel, float64, error) {
 	g := BuildTopo(TopoGnm, calN, seed)
-	env := staticEnv(g, seed)
+	env := static.NewEnv(g, seed)
 	k := vicinity.DefaultK(calN)
 
 	// Measured triggered cost of real single-link failures, from the same
@@ -180,7 +181,7 @@ const churnTimelineEvents = 16
 // routing fans out over the worker pool with in-order merges, so output is
 // bit-identical at any -workers value. Partitions are allowed (links are
 // drawn uniformly, bridges included): delivery ratio is the observable.
-func ChurnTimeline(kind TopoKind, n int, seed int64, pairs, events int) (*ChurnTimelineResult, error) {
+func (c Config) ChurnTimeline(kind TopoKind, n int, seed int64, pairs, events int) (*ChurnTimelineResult, error) {
 	// The calibration topology is G(n,m) at average degree 8, which needs
 	// m = 4n <= n(n-1)/2, i.e. n >= 9 — below that topology.Gnm panics
 	// rather than returning the error this API promises.
@@ -203,10 +204,10 @@ func ChurnTimeline(kind TopoKind, n int, seed int64, pairs, events int) (*ChurnT
 		return nil, err
 	}
 
-	p := BuildProtocols(kind, n, seed)
+	p := c.BuildProtocols(kind, n, seed)
 	g := p.Env.G
 	k := p.Disco.ND.K
-	snap := buildSnapshot(g, k, p.Env.Landmarks)
+	snap := c.buildSnapshot(g, k, p.Env.Landmarks)
 	tl := dynamics.NewTimeline(snap)
 
 	// Base edge list indexed by EID for uniform draws; the timeline itself

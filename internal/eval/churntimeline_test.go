@@ -6,6 +6,7 @@ import (
 
 	"disco/internal/graph"
 	"disco/internal/snapshot"
+	"disco/internal/static"
 	"disco/internal/vicinity"
 )
 
@@ -14,7 +15,7 @@ import (
 // NaN/Inf leaks into the table. (Determinism and values are pinned by
 // TestWorkerCountInvariance and the golden.)
 func TestChurnTimelineFormat(t *testing.T) {
-	r, err := ChurnTimeline(TopoGnm, 128, 3, 40, 0)
+	r, err := Config{}.ChurnTimeline(TopoGnm, 128, 3, 40, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func TestChurnTimelineFormat(t *testing.T) {
 // calibration topology's G(n,m) floor must error, not panic downstream.
 func TestChurnTimelineInputErrors(t *testing.T) {
 	for _, n := range []int{1, 8} {
-		if _, err := ChurnTimeline(TopoGnm, n, 1, 10, 4); err == nil {
+		if _, err := (Config{}).ChurnTimeline(TopoGnm, n, 1, 10, 4); err == nil {
 			t.Errorf("n=%d should error", n)
 		}
 	}
-	if _, err := ChurnTimeline(TopoGnm, 128, 1, 0, 4); err == nil {
+	if _, err := (Config{}).ChurnTimeline(TopoGnm, 128, 1, 0, 4); err == nil {
 		t.Error("pairs=0 should error")
 	}
 }
@@ -86,7 +87,7 @@ func TestCalibrateMessageModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := staticEnv(g, 7)
+	env := static.NewEnv(g, 7)
 	base, err := snapshot.Build(g, vicinity.DefaultK(calN), env.Landmarks)
 	if err != nil {
 		t.Fatal(err)

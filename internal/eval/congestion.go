@@ -119,8 +119,8 @@ func Congestion(p *Protocols, kind TopoKind, seed int64, withVRR bool) *Congesti
 // Fig10ASCongestion reproduces Fig. 10: congestion on the AS-level
 // topology, where a small fraction of edges near landmarks sees more load
 // than under shortest-path routing.
-func Fig10ASCongestion(n int, seed int64) *CongestionResult {
-	p := BuildProtocols(TopoASLike, n, seed)
+func (c Config) Fig10ASCongestion(n int, seed int64) *CongestionResult {
+	p := c.BuildProtocols(TopoASLike, n, seed)
 	return Congestion(p, TopoASLike, seed, false)
 }
 
@@ -144,8 +144,8 @@ func (r *Fig45Result) Format() string {
 // internally, the shared snapshot is built once up front for the two
 // routing panels, and the O(n^2)-ish VRR baseline is built once (memoized
 // on p) and forked by every panel that routes through it.
-func Fig45(kind TopoKind, n int, seed int64, pairs int) *Fig45Result {
-	p := BuildProtocols(kind, n, seed)
+func (c Config) Fig45(kind TopoKind, n int, seed int64, pairs int) *Fig45Result {
+	p := c.BuildProtocols(kind, n, seed)
 	p.EnsureSnapshot()
 	return &Fig45Result{
 		Kind:       kind,

@@ -33,21 +33,21 @@ func TestWorkerCountInvariance(t *testing.T) {
 		short bool // keep in -short runs (the race job's quick sweep)
 		run   func() string
 	}{
-		{"Fig2State", true, func() string { return Fig2State(TopoGnm, 192, 1).Format() }},
-		{"Fig3Stretch", true, func() string { return Fig3Stretch(TopoGeometric, 192, 3, 60).Format() }},
-		{"Fig45", true, func() string { return Fig45(TopoGnm, 128, 4, 40).Format() }},
+		{"Fig2State", true, func() string { return Config{}.Fig2State(TopoGnm, 192, 1).Format() }},
+		{"Fig3Stretch", true, func() string { return Config{}.Fig3Stretch(TopoGeometric, 192, 3, 60).Format() }},
+		{"Fig45", true, func() string { return Config{}.Fig45(TopoGnm, 128, 4, 40).Format() }},
 		{"Fig6Shortcuts", false, func() string {
-			return Fig6Shortcuts([]Fig6Spec{
+			return Config{}.Fig6Shortcuts([]Fig6Spec{
 				{Label: "gnm-128", Kind: TopoGnm, N: 128},
 				{Label: "geo-128", Kind: TopoGeometric, N: 128},
 			}, 5, 40).Format()
 		}},
-		{"Fig7StateBytes", false, func() string { return Fig7StateBytes(256, 6).Format() }},
+		{"Fig7StateBytes", false, func() string { return Config{}.Fig7StateBytes(256, 6).Format() }},
 		{"Fig8Convergence", false, func() string { return Fig8Convergence([]int{64, 96, 128, 192}, 96, 13).Format() }},
-		{"Fig9Scaling", false, func() string { return Fig9Scaling([]int{128, 192}, 8, 40).Format() }},
-		{"Fig10ASCongestion", false, func() string { return Fig10ASCongestion(192, 9).Format() }},
-		{"LandmarkStrategies", false, func() string { return LandmarkStrategies(TopoASLike, 192, 15, 40).Format() }},
-		{"EstimateError", false, func() string { return EstimateError(192, 11, 0.4, 40).Format() }},
+		{"Fig9Scaling", false, func() string { return Config{}.Fig9Scaling([]int{128, 192}, 8, 40).Format() }},
+		{"Fig10ASCongestion", false, func() string { return Config{}.Fig10ASCongestion(192, 9).Format() }},
+		{"LandmarkStrategies", false, func() string { return Config{}.LandmarkStrategies(TopoASLike, 192, 15, 40).Format() }},
+		{"EstimateError", false, func() string { return Config{}.EstimateError(192, 11, 0.4, 40).Format() }},
 		{"TradeoffSweep", false, func() string { return TradeoffSweep(TopoGnm, 192, []int{1, 2, 3}, 19, 40).Format() }},
 		{"ChurnCost", true, func() string {
 			r, err := ChurnCost(96, 17, 2)
@@ -56,9 +56,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 			}
 			return r.Format()
 		}},
-		{"FailureScenarios", true, func() string { return FailureScenarios(TopoGnm, 192, 21, 40).Format() }},
+		{"FailureScenarios", true, func() string { return Config{}.FailureScenarios(TopoGnm, 192, 21, 40).Format() }},
 		{"ChurnTimeline", true, func() string {
-			r, err := ChurnTimeline(TopoGnm, 128, 23, 40, 0)
+			r, err := Config{}.ChurnTimeline(TopoGnm, 128, 23, 40, 0)
 			if err != nil {
 				return "churn-timeline error: " + err.Error()
 			}
@@ -69,7 +69,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			// wall-clock by design. Queriers run concurrently with the
 			// pooled probe routing, so under -race this case doubles as a
 			// query-plane-vs-repair-loop race sweep.
-			r, err := ServeStorm(TopoGnm, 128, 23, 40, 8, 4, false)
+			r, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 4, false)
 			if err != nil {
 				return "serve-storm error: " + err.Error()
 			}

@@ -5,15 +5,14 @@
 //
 // Default sizes are scaled down from the paper's (which reach 192,244
 // nodes) so the whole suite runs on a laptop; every function takes explicit
-// sizes so cmd/discosim -full can run paper scale. EXPERIMENTS.md records
-// paper-reported vs measured values.
+// sizes so cmd/discosim -full can run paper scale. Where the paper states
+// a number, the result's Format prints it beside the measured one.
 package eval
 
 import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"disco/internal/core"
 	"disco/internal/graph"
@@ -57,38 +56,28 @@ func BuildTopo(kind TopoKind, n int, seed int64) *graph.Graph {
 	panic(fmt.Sprintf("eval: unknown topology %q", kind))
 }
 
-// snapshotCompact selects the compact (bit-packed, float32-distance)
-// snapshot encoding for subsequently built experiments — the regime that
-// fits paper-scale -full runs in memory. Exact storage stays the default:
-// compact output is byte-identical on the integer-weight topologies and
-// may shift at float32 precision on metric (geometric) ones, so figures
-// that claim exactness keep the exact escape hatch unless -compact is
-// asked for.
-var snapshotCompact atomic.Bool
-
-// SetSnapshotCompact toggles the compact snapshot encoding for
-// subsequently built experiments (cmd/discosim -compact and tests).
-func SetSnapshotCompact(on bool) { snapshotCompact.Store(on) }
-
-// SnapshotCompact reports whether snapshots are built in the compact
-// encoding regime.
-func SnapshotCompact() bool { return snapshotCompact.Load() }
-
-// SetSnapshotSpill directs subsequently built compact snapshots (and
-// chain folds) to write their base shard storage to files under dir,
-// served through read-only mappings (cmd/discosim -spill). Empty string
-// disables. A pass-through to snapshot.SetSpillDir so the harness
-// configures every storage knob in one place.
-func SetSnapshotSpill(dir string) { snapshot.SetSpillDir(dir) }
+// Config is what the caller chooses about how an experiment runs, passed
+// as a value: experiments that build a Protocols bundle or a snapshot are
+// methods on it, so two regimes can run side by side in one process. The
+// zero Config is the default.
+type Config struct {
+	// Compact builds route-state snapshots in the compact (bit-packed,
+	// float32-distance) encoding — the regime that fits paper-scale -full
+	// runs in memory. Exact storage stays the default: compact output is
+	// byte-identical on the integer-weight topologies and may shift at
+	// float32 precision on metric (geometric) ones, so figures that claim
+	// exactness keep the exact regime unless -compact is asked for.
+	Compact bool
+}
 
 // buildSnapshot dispatches to the selected encoding regime. The
 // experiment topologies are connected by construction, so a build error
 // here is a harness bug; panicking with the diagnosable error (outside
 // any worker pool) is the right failure mode for the harness, while
 // library callers of snapshot.Build handle the error themselves.
-func buildSnapshot(g *graph.Graph, k int, landmarks []graph.NodeID) *snapshot.Snapshot {
+func (c Config) buildSnapshot(g *graph.Graph, k int, landmarks []graph.NodeID) *snapshot.Snapshot {
 	build := snapshot.Build
-	if SnapshotCompact() {
+	if c.Compact {
 		build = snapshot.BuildCompact
 	}
 	s, err := build(g, k, landmarks)
@@ -101,6 +90,7 @@ func buildSnapshot(g *graph.Graph, k int, landmarks []graph.NodeID) *snapshot.Sn
 // Protocols bundles the protocol instances built over one environment so
 // experiments share landmarks, names and caches.
 type Protocols struct {
+	cfg   Config
 	Env   *static.Env
 	Disco *core.Disco
 	S4    *s4.S4
@@ -122,7 +112,7 @@ func (p *Protocols) EnsureSnapshot() {
 	if p.snap != nil {
 		return
 	}
-	p.snap = buildSnapshot(p.Env.G, p.Disco.ND.K, p.Env.Landmarks)
+	p.snap = p.cfg.buildSnapshot(p.Env.G, p.Disco.ND.K, p.Env.Landmarks)
 	p.Disco.ND.UseSnapshot(p.snap)
 	p.S4.UseSnapshot(p.snap)
 }
@@ -130,16 +120,19 @@ func (p *Protocols) EnsureSnapshot() {
 // installSnapshot builds and installs a snapshot for a standalone Disco
 // instance outside a Protocols bundle (per-strategy environments and the
 // estimate-error experiment).
-func installSnapshot(d *core.Disco) {
+func (c Config) installSnapshot(d *core.Disco) {
 	env := d.Env()
-	d.ND.UseSnapshot(buildSnapshot(env.G, d.ND.K, env.Landmarks))
+	d.ND.UseSnapshot(c.buildSnapshot(env.G, d.ND.K, env.Landmarks))
 }
 
-// BuildProtocols constructs the common environment and protocol stack.
-func BuildProtocols(kind TopoKind, n int, seed int64) *Protocols {
+// BuildProtocols constructs the common environment and protocol stack;
+// the bundle's snapshot, if an experiment asks for one, is built in c's
+// regime.
+func (c Config) BuildProtocols(kind TopoKind, n int, seed int64) *Protocols {
 	g := BuildTopo(kind, n, seed)
 	env := static.NewEnv(g, seed)
 	return &Protocols{
+		cfg:   c,
 		Env:   env,
 		Disco: core.NewDisco(env, core.WithSeed(seed)),
 		S4:    s4.New(env, 1),
@@ -169,10 +162,6 @@ func (p *Protocols) VRR(seed int64) *vrr.VRR {
 	p.vrrs[seed] = v
 	return v
 }
-
-// staticEnv builds the shared environment (indirection so experiment files
-// read uniformly).
-func staticEnv(g *graph.Graph, seed int64) *static.Env { return static.NewEnv(g, seed) }
 
 // intsToCDF converts entry counts to a CDF.
 func intsToCDF(xs []int) *metrics.CDF {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestFig2StateSmall(t *testing.T) {
-	r := Fig2State(TopoGnm, 256, 1)
+	r := Config{}.Fig2State(TopoGnm, 256, 1)
 	if len(r.CDFs) != 3 {
 		t.Fatal("want 3 series")
 	}
@@ -29,7 +29,7 @@ func TestFig2S4TailOnHeavyTopo(t *testing.T) {
 	// The imbalance ratio (max/median) grows with n for S4 — at paper
 	// scale it reaches ~13x — while Disco's stays near 1 on any topology.
 	// At this test size assert the ordering, not the asymptotic magnitude.
-	r := Fig2State(TopoASLike, 2048, 2)
+	r := Config{}.Fig2State(TopoASLike, 2048, 2)
 	s4 := r.Get("S4")
 	disco := r.Get("Disco")
 	s4Ratio := s4.Max() / s4.Quantile(0.5)
@@ -43,7 +43,7 @@ func TestFig2S4TailOnHeavyTopo(t *testing.T) {
 }
 
 func TestFig3StretchSmall(t *testing.T) {
-	r := Fig3Stretch(TopoGeometric, 512, 3, 150)
+	r := Config{}.Fig3Stretch(TopoGeometric, 512, 3, 150)
 	for _, label := range []string{"Disco-First", "Disco-Later", "S4-First", "S4-Later"} {
 		c := r.Get(label)
 		if c == nil || c.N() == 0 {
@@ -63,7 +63,7 @@ func TestFig3StretchSmall(t *testing.T) {
 }
 
 func TestFig45Small(t *testing.T) {
-	r := Fig45(TopoGnm, 256, 4, 100)
+	r := Config{}.Fig45(TopoGnm, 256, 4, 100)
 	if r.State.Get("VRR") == nil || r.State.Get("Path-vector") == nil {
 		t.Fatal("VRR/PV series missing")
 	}
@@ -85,7 +85,7 @@ func TestFig45Small(t *testing.T) {
 }
 
 func TestFig6Small(t *testing.T) {
-	r := Fig6Shortcuts([]Fig6Spec{
+	r := Config{}.Fig6Shortcuts([]Fig6Spec{
 		{Label: "gnm-256", Kind: TopoGnm, N: 256},
 		{Label: "geo-256", Kind: TopoGeometric, N: 256},
 	}, 5, 100)
@@ -112,7 +112,7 @@ func TestFig6Small(t *testing.T) {
 }
 
 func TestFig7Small(t *testing.T) {
-	r := Fig7StateBytes(1024, 6)
+	r := Config{}.Fig7StateBytes(1024, 6)
 	if len(r.Rows) != 3 {
 		t.Fatal("want 3 rows")
 	}
@@ -156,7 +156,7 @@ func TestFig8Small(t *testing.T) {
 }
 
 func TestFig9Small(t *testing.T) {
-	r := Fig9Scaling([]int{256, 512}, 8, 80)
+	r := Config{}.Fig9Scaling([]int{256, 512}, 8, 80)
 	if len(r.Points) != 2 {
 		t.Fatal("want 2 points")
 	}
@@ -178,7 +178,7 @@ func TestFig9Small(t *testing.T) {
 }
 
 func TestFig10Small(t *testing.T) {
-	r := Fig10ASCongestion(1024, 9)
+	r := Config{}.Fig10ASCongestion(1024, 9)
 	if r.Get("Disco") == nil || r.Get("Path-vector") == nil || r.Get("S4") == nil {
 		t.Fatal("series missing")
 	}
@@ -199,7 +199,7 @@ func TestAddrSizesSmall(t *testing.T) {
 }
 
 func TestStaticAccuracySmall(t *testing.T) {
-	r := StaticAccuracy(192, 11, 100)
+	r := Config{}.StaticAccuracy(192, 11, 100)
 	if r.VicinityAgreement < 0.999 {
 		t.Errorf("vicinity agreement %v, static and event simulators must coincide", r.VicinityAgreement)
 	}
@@ -215,7 +215,7 @@ func TestStaticAccuracySmall(t *testing.T) {
 }
 
 func TestEstimateErrorSmall(t *testing.T) {
-	r := EstimateError(512, 12, 0.4, 120)
+	r := Config{}.EstimateError(512, 12, 0.4, 120)
 	if r.NodePairs == 0 {
 		t.Fatal("no (node,group) pairs checked")
 	}
@@ -246,7 +246,7 @@ func TestResolveImbalanceSmall(t *testing.T) {
 }
 
 func TestLandmarkStrategiesSmall(t *testing.T) {
-	r := LandmarkStrategies(TopoASLike, 512, 15, 100)
+	r := Config{}.LandmarkStrategies(TopoASLike, 512, 15, 100)
 	if len(r.Rows) != 3 {
 		t.Fatal("want 3 strategies")
 	}

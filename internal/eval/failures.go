@@ -211,11 +211,11 @@ func failureSpecs(n int, g *graph.Graph) []failureSpec {
 // the repaired state. Trials derive their randomness via the TaskSeed
 // rule and pair routing fans out over the worker pool with results merged
 // in pair order, so output is bit-identical at any -workers value.
-func FailureScenarios(kind TopoKind, n int, seed int64, pairs int) *FailureResult {
+func (c Config) FailureScenarios(kind TopoKind, n int, seed int64, pairs int) *FailureResult {
 	const trials = 3
-	p := BuildProtocols(kind, n, seed)
+	p := c.BuildProtocols(kind, n, seed)
 	g := p.Env.G
-	snap := buildSnapshot(g, p.Disco.ND.K, p.Env.Landmarks)
+	snap := c.buildSnapshot(g, p.Disco.ND.K, p.Env.Landmarks)
 
 	// Edge list indexed by EID for uniform link draws.
 	edges := g.EdgeList()

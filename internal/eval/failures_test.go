@@ -21,9 +21,9 @@ import (
 // (cluster flooding fills landmark-less components).
 func TestRepairedRoutingValidity(t *testing.T) {
 	n := 192
-	p := BuildProtocols(TopoGnm, n, 7)
+	p := Config{}.BuildProtocols(TopoGnm, n, 7)
 	g := p.Env.G
-	snap := buildSnapshot(g, p.Disco.ND.K, p.Env.Landmarks)
+	snap := Config{}.buildSnapshot(g, p.Disco.ND.K, p.Env.Landmarks)
 
 	// A mixed failure: one whole node plus a handful of links — enough to
 	// partition a few stragglers at this size.
@@ -98,7 +98,7 @@ func TestRepairedRoutingValidity(t *testing.T) {
 // determinism and values are covered by TestWorkerCountInvariance and the
 // golden).
 func TestFailureScenariosFormat(t *testing.T) {
-	out := FailureScenarios(TopoGnm, 128, 3, 40).Format()
+	out := Config{}.FailureScenarios(TopoGnm, 128, 3, 40).Format()
 	for _, want := range []string{"link-random", "node-random", "region", "flap", "shards%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("format missing %q:\n%s", want, out)
@@ -114,7 +114,7 @@ func TestFailureScenariosFormat(t *testing.T) {
 // RepairedFirstRoute/RepairedLaterRoute reports ok=false in both
 // directions — never the must-deliver panic of FirstRoute/LaterRoute.
 func TestRepairedRoutesReportPartition(t *testing.T) {
-	p := BuildProtocols(TopoGnm, 128, 5)
+	p := Config{}.BuildProtocols(TopoGnm, 128, 5)
 	g := p.Env.G
 	victim := graph.NodeID(0)
 	for p.Env.IsLM[victim] {
@@ -124,7 +124,7 @@ func TestRepairedRoutesReportPartition(t *testing.T) {
 	for _, e := range g.Neighbors(victim) {
 		fails = append(fails, (graph.EdgeKey{U: victim, V: e.To}).Norm())
 	}
-	rep, err := buildSnapshot(g, p.Disco.ND.K, p.Env.Landmarks).ApplyFailures(fails)
+	rep, err := Config{}.buildSnapshot(g, p.Disco.ND.K, p.Env.Landmarks).ApplyFailures(fails)
 	if err != nil {
 		t.Fatalf("ApplyFailures: %v", err)
 	}

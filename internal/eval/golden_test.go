@@ -35,7 +35,7 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 func TestGoldenFig2State(t *testing.T) {
-	checkGolden(t, "fig2_state_gnm256", Fig2State(TopoGnm, 256, 1).Format())
+	checkGolden(t, "fig2_state_gnm256", Config{}.Fig2State(TopoGnm, 256, 1).Format())
 }
 
 // TestGoldenCompact pins the compact snapshot encoding to the same golden
@@ -48,40 +48,39 @@ func TestGoldenCompact(t *testing.T) {
 	if *updateGoldens {
 		t.Skip("goldens are written by the exact regime")
 	}
-	defer SetSnapshotCompact(false)
-	SetSnapshotCompact(true)
-	checkGolden(t, "fig2_state_gnm256", Fig2State(TopoGnm, 256, 1).Format())
-	checkGolden(t, "fig4_gnm256", Fig45(TopoGnm, 256, 4, 80).Format())
+	compact := Config{Compact: true}
+	checkGolden(t, "fig2_state_gnm256", compact.Fig2State(TopoGnm, 256, 1).Format())
+	checkGolden(t, "fig4_gnm256", compact.Fig45(TopoGnm, 256, 4, 80).Format())
 }
 
 func TestGoldenFig3Stretch(t *testing.T) {
-	checkGolden(t, "fig3_stretch_geo512", Fig3Stretch(TopoGeometric, 512, 3, 150).Format())
+	checkGolden(t, "fig3_stretch_geo512", Config{}.Fig3Stretch(TopoGeometric, 512, 3, 150).Format())
 }
 
 func TestGoldenFig4Gnm(t *testing.T) {
-	checkGolden(t, "fig4_gnm256", Fig45(TopoGnm, 256, 4, 80).Format())
+	checkGolden(t, "fig4_gnm256", Config{}.Fig45(TopoGnm, 256, 4, 80).Format())
 }
 
 func TestGoldenFig5Geometric(t *testing.T) {
-	checkGolden(t, "fig5_geo256", Fig45(TopoGeometric, 256, 4, 80).Format())
+	checkGolden(t, "fig5_geo256", Config{}.Fig45(TopoGeometric, 256, 4, 80).Format())
 }
 
 func TestGoldenFig6Shortcuts(t *testing.T) {
-	checkGolden(t, "fig6_shortcuts_256", Fig6Shortcuts([]Fig6Spec{
+	checkGolden(t, "fig6_shortcuts_256", Config{}.Fig6Shortcuts([]Fig6Spec{
 		{Label: "Geometric", Kind: TopoGeometric, N: 256},
 		{Label: "GNM", Kind: TopoGnm, N: 256},
 	}, 5, 80).Format())
 }
 
 func TestGoldenFig9Scaling(t *testing.T) {
-	checkGolden(t, "fig9_scaling_256_512", Fig9Scaling([]int{256, 512}, 8, 80).Format())
+	checkGolden(t, "fig9_scaling_256_512", Config{}.Fig9Scaling([]int{256, 512}, 8, 80).Format())
 }
 
 // TestGoldenFailures pins the failure-scenario family. The parameters
 // match the CI smoke step (`discosim -exp failures -n 256 -seed 1`), which
 // diffs the harness's stdout against this same golden file.
 func TestGoldenFailures(t *testing.T) {
-	checkGolden(t, "failures_gnm256", FailureScenarios(TopoGnm, 256, 1, 500).Format())
+	checkGolden(t, "failures_gnm256", Config{}.FailureScenarios(TopoGnm, 256, 1, 500).Format())
 }
 
 // TestGoldenServeStorm pins the serving mode's deterministic per-epoch
@@ -90,7 +89,7 @@ func TestGoldenFailures(t *testing.T) {
 // "measured:" line and diffs the rest against this same golden file —
 // only FormatEvents output lands here, never wall-clock quantities.
 func TestGoldenServeStorm(t *testing.T) {
-	r, err := ServeStorm(TopoGnm, 256, 1, 500, 0, 2, false)
+	r, err := Config{}.ServeStorm(TopoGnm, 256, 1, 500, 0, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestGoldenServeStorm(t *testing.T) {
 // the CI smoke step (`discosim -exp churn-timeline -n 256 -seed 1`), which
 // diffs the harness's stdout against this same golden file.
 func TestGoldenChurnTimeline(t *testing.T) {
-	r, err := ChurnTimeline(TopoGnm, 256, 1, 500, 0)
+	r, err := Config{}.ChurnTimeline(TopoGnm, 256, 1, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

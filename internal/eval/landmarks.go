@@ -56,7 +56,7 @@ func (r *LandmarkStrategyResult) Format() string {
 // self-selection (the protocol default) vs the same number of
 // highest-degree nodes vs the same number of lowest-degree nodes (an
 // adversarially bad operator).
-func LandmarkStrategies(kind TopoKind, n int, seed int64, pairs int) *LandmarkStrategyResult {
+func (c Config) LandmarkStrategies(kind TopoKind, n int, seed int64, pairs int) *LandmarkStrategyResult {
 	g := BuildTopo(kind, n, seed)
 	base := static.NewEnv(g, seed)
 	count := len(base.Landmarks)
@@ -90,7 +90,7 @@ func LandmarkStrategies(kind TopoKind, n int, seed int64, pairs int) *LandmarkSt
 		d := core.NewDisco(env, core.WithSeed(seed))
 		// Each strategy has its own landmark set, hence its own snapshot;
 		// the build is parallel and every fork below shares it.
-		installSnapshot(d)
+		c.installSnapshot(d)
 		row := LandmarkStrategyRow{Name: name}
 		// Per-pair stretch on the worker pool (forked data planes), with
 		// the float sums reduced in pair order so results are identical

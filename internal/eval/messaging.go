@@ -11,6 +11,7 @@ import (
 	"disco/internal/pathvector"
 	"disco/internal/sim"
 	"disco/internal/sloppy"
+	"disco/internal/static"
 	"disco/internal/vicinity"
 )
 
@@ -71,7 +72,7 @@ func Fig8Convergence(sizes []int, pvCap int, seed int64) *Fig8Result {
 	points := parallel.Map(len(sizes), func(i int) Fig8Point {
 		n := sizes[i]
 		g := BuildTopo(TopoGnm, n, seed)
-		env := staticEnv(g, seed)
+		env := static.NewEnv(g, seed)
 		k := vicinity.DefaultK(n)
 		pt := Fig8Point{N: n}
 
@@ -160,7 +161,7 @@ func (r *FingerResult) Format() string {
 // on a G(n,m) graph.
 func FingerExperiment(n int, seed int64) *FingerResult {
 	g := BuildTopo(TopoGnm, n, seed)
-	env := staticEnv(g, seed)
+	env := static.NewEnv(g, seed)
 	view := sloppy.BuildView(env.Hashes, env.NEst)
 	n1 := overlay.Build(env.Hashes, view, 1, rand.New(rand.NewSource(seed+21)))
 	n3 := overlay.Build(env.Hashes, view, 3, rand.New(rand.NewSource(seed+23)))

@@ -43,9 +43,9 @@ func (r *AccuracyResult) Format() string {
 // convergence on a G(n,m) graph and compares its converged tables with the
 // static simulator's, then compares the later-packet stretch both induce
 // over sampled pairs.
-func StaticAccuracy(n int, seed int64, pairs int) *AccuracyResult {
+func (c Config) StaticAccuracy(n int, seed int64, pairs int) *AccuracyResult {
 	g := BuildTopo(TopoGnm, n, seed)
-	env := staticEnv(g, seed)
+	env := static.NewEnv(g, seed)
 	k := vicinity.DefaultK(n)
 
 	var eng sim.Engine
@@ -58,7 +58,7 @@ func StaticAccuracy(n int, seed int64, pairs int) *AccuracyResult {
 	}
 
 	nd := core.NewNDDisco(env, core.WithK(k))
-	nd.UseSnapshot(buildSnapshot(g, k, env.Landmarks))
+	nd.UseSnapshot(c.buildSnapshot(g, k, env.Landmarks))
 	vicAgree, lmAgree := 0, 0
 	for v := 0; v < n; v++ {
 		want := nd.Vicinity(graph.NodeID(v))
@@ -193,7 +193,7 @@ func (r *ErrorResult) Format() string {
 // the parallel.TaskSeed rule; the pair sweeps and the miss scan then fan
 // out over the worker pool on snapshot-backed forks, with sums reduced in
 // task order, so the result is identical at any worker count.
-func EstimateError(n int, seed int64, errFrac float64, pairs int) *ErrorResult {
+func (c Config) EstimateError(n int, seed int64, errFrac float64, pairs int) *ErrorResult {
 	g := BuildTopo(TopoGnm, n, seed)
 
 	// Serial up-front draws.
@@ -202,12 +202,12 @@ func EstimateError(n int, seed int64, errFrac float64, pairs int) *ErrorResult {
 
 	baseEnv := static.NewEnv(g, seed)
 	base := core.NewDisco(baseEnv, core.WithSeed(seed))
-	installSnapshot(base)
+	c.installSnapshot(base)
 	baseMean, _ := meanFirstStretch(base, basePairs)
 
 	env := static.NewEnv(g, seed, static.WithNEst(est))
 	d := core.NewDisco(env, core.WithSeed(seed))
-	installSnapshot(d)
+	c.installSnapshot(d)
 
 	// Miss scan: for every node s and every group id under s's own k, is
 	// there a vicinity member w whose (mutual) group matches? Integer
@@ -308,7 +308,7 @@ func (r *ResolveImbalanceResult) Format() string {
 // imbalance).
 func ResolveImbalance(n int, seed int64) *ResolveImbalanceResult {
 	g := BuildTopo(TopoGnm, n, seed)
-	env := staticEnv(g, seed)
+	env := static.NewEnv(g, seed)
 	keys := make([]names.Hash, n)
 	copy(keys, env.Hashes)
 	d1 := core.NewDisco(env, core.WithResolveVNodes(1))

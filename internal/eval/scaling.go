@@ -47,10 +47,10 @@ func (r *Fig9Result) Format() string {
 // Fig9Scaling reproduces Fig. 9: mean first/later stretch for Disco and S4
 // plus mean per-node state for Disco, NDDisco and S4, on geometric random
 // graphs of increasing size (the paper sweeps 2k-16k).
-func Fig9Scaling(sizes []int, seed int64, pairs int) *Fig9Result {
+func (c Config) Fig9Scaling(sizes []int, seed int64, pairs int) *Fig9Result {
 	res := &Fig9Result{}
 	for _, n := range sizes {
-		p := BuildProtocols(TopoGeometric, n, seed)
+		p := c.BuildProtocols(TopoGeometric, n, seed)
 		p.EnsureSnapshot()
 		pt := Fig9Point{N: n}
 

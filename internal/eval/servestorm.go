@@ -191,7 +191,7 @@ func (h *latHist) quantile(q float64) float64 {
 // (address-carrying packets); the fork-and-walk plane serves Disco's
 // resolution-inclusive first packets, so the two modes' measured
 // delivered fractions can differ while the event log stays identical.
-func ServeStorm(kind TopoKind, n int, seed int64, pairs, events, queriers int, tables bool) (*ServeStormResult, error) {
+func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, queriers int, tables bool) (*ServeStormResult, error) {
 	if n < 9 {
 		return nil, fmt.Errorf("eval: serve storm needs n >= 9 (G(n,m) at average degree 8), got %d", n)
 	}
@@ -205,9 +205,9 @@ func ServeStorm(kind TopoKind, n int, seed int64, pairs, events, queriers int, t
 		queriers = runtime.GOMAXPROCS(0)
 	}
 
-	p := BuildProtocols(kind, n, seed)
+	p := c.BuildProtocols(kind, n, seed)
 	g := p.Env.G
-	snap := buildSnapshot(g, p.Disco.ND.K, p.Env.Landmarks)
+	snap := c.buildSnapshot(g, p.Disco.ND.K, p.Env.Landmarks)
 	tl := dynamics.NewTimeline(snap)
 	edges := g.EdgeList()
 

@@ -10,11 +10,11 @@ import (
 // invariance half of the epoch/staleness contract (concurrency picks
 // which epoch answers a live query, never what an epoch contains).
 func TestServeStormDeterministicEvents(t *testing.T) {
-	a, err := ServeStorm(TopoGnm, 128, 23, 40, 8, 1, false)
+	a, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ServeStorm(TopoGnm, 128, 23, 40, 8, 4, false)
+	b, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func TestServeStormDeterministicEvents(t *testing.T) {
 // event sequence (kind, links, down, blast radius) must be identical to
 // -exp churn-timeline's — serve-storm replays it, by contract.
 func TestServeStormReplaysChurnTimeline(t *testing.T) {
-	ct, err := ChurnTimeline(TopoGnm, 128, 23, 40, 8)
+	ct, err := Config{}.ChurnTimeline(TopoGnm, 128, 23, 40, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := ServeStorm(TopoGnm, 128, 23, 40, 8, 2, false)
+	ss, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestServeStormReplaysChurnTimeline(t *testing.T) {
 // every started query completes (zero failed reads), the reclamation
 // ledger closes, and the latency percentiles are ordered.
 func TestServeStormLoadSanity(t *testing.T) {
-	r, err := ServeStorm(TopoGnm, 128, 23, 40, 8, 4, false)
+	r, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestServeStormLoadSanity(t *testing.T) {
 // line. This is the end-to-end half of the table/fork equivalence story
 // (internal/forward pins per-route byte identity).
 func TestServeStormTablesEventLog(t *testing.T) {
-	fw, err := ServeStorm(TopoGnm, 128, 23, 40, 8, 2, false)
+	fw, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := ServeStorm(TopoGnm, 128, 23, 40, 8, 2, true)
+	tb, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +128,10 @@ func TestServeStormFormatZeroQueries(t *testing.T) {
 }
 
 func TestServeStormValidatesInputs(t *testing.T) {
-	if _, err := ServeStorm(TopoGnm, 4, 1, 40, 4, 1, false); err == nil {
+	if _, err := (Config{}).ServeStorm(TopoGnm, 4, 1, 40, 4, 1, false); err == nil {
 		t.Error("n below the G(n,m) floor must error")
 	}
-	if _, err := ServeStorm(TopoGnm, 128, 1, 0, 4, 1, false); err == nil {
+	if _, err := (Config{}).ServeStorm(TopoGnm, 128, 1, 0, 4, 1, false); err == nil {
 		t.Error("pairs < 1 must error")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"disco/internal/graph"
 	"disco/internal/metrics"
 	"disco/internal/parallel"
+	"disco/internal/static"
 )
 
 // StateResult holds per-protocol state CDFs (Fig. 2 and the state panels
@@ -40,8 +41,8 @@ func (r *StateResult) Get(label string) *metrics.CDF {
 // Disco, NDDisco and S4 on one topology. The paper runs it on the
 // 16,384-node geometric graph and the AS-level and router-level Internet
 // maps.
-func Fig2State(kind TopoKind, n int, seed int64) *StateResult {
-	p := BuildProtocols(kind, n, seed)
+func (c Config) Fig2State(kind TopoKind, n int, seed int64) *StateResult {
+	p := c.BuildProtocols(kind, n, seed)
 	ndE, dE, _, _ := p.Disco.StateVectors()
 	s4E := p.S4.StateEntries(p.S4.ClusterSizesAll())
 	return &StateResult{
@@ -102,8 +103,8 @@ func (r *Fig7Result) Format() string {
 
 // Fig7StateBytes reproduces Fig. 7 on the router-like topology: mean/max
 // state in entries and in kilobytes under IPv4- and IPv6-sized names.
-func Fig7StateBytes(n int, seed int64) *Fig7Result {
-	p := BuildProtocols(TopoRouterLike, n, seed)
+func (c Config) Fig7StateBytes(n int, seed int64) *Fig7Result {
+	p := c.BuildProtocols(TopoRouterLike, n, seed)
 	ndE, dE, ndB, dB := p.Disco.StateVectors()
 	clusters := p.S4.ClusterSizesAll()
 	s4E := p.S4.StateEntries(clusters)
@@ -186,7 +187,7 @@ func (r *AddrSizeResult) Format() string {
 // router-like topology.
 func AddrSizes(n int, seed int64) *AddrSizeResult {
 	g := BuildTopo(TopoRouterLike, n, seed)
-	env := staticEnv(g, seed)
+	env := static.NewEnv(g, seed)
 	mean, p95, max := env.AddrSizeStats()
 	return &AddrSizeResult{N: n, MeanB: mean, P95B: p95, MaxB: max}
 }

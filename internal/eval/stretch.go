@@ -56,8 +56,8 @@ func stretchOf(g interface {
 // Fig3Stretch reproduces Fig. 3: CDFs over sampled source-destination
 // pairs of first- and later-packet stretch for Disco and S4, using the
 // paper's default "No Path Knowledge" shortcutting for Disco.
-func Fig3Stretch(kind TopoKind, n int, seed int64, pairs int) *StretchResult {
-	p := BuildProtocols(kind, n, seed)
+func (c Config) Fig3Stretch(kind TopoKind, n int, seed int64, pairs int) *StretchResult {
+	p := c.BuildProtocols(kind, n, seed)
 	return stretchOver(p, kind, seed, pairs, false)
 }
 
@@ -213,7 +213,7 @@ type Fig6Spec struct {
 // packets under each of the six shortcutting heuristics, across the given
 // topologies (the paper uses AS-level, router-level, geometric-16384 and
 // GNM-16384).
-func Fig6Shortcuts(specs []Fig6Spec, seed int64, pairs int) *Fig6Result {
+func (c Config) Fig6Shortcuts(specs []Fig6Spec, seed int64, pairs int) *Fig6Result {
 	res := &Fig6Result{NPairs: pairs}
 	type sampled struct {
 		nd    *core.NDDisco
@@ -222,7 +222,7 @@ func Fig6Shortcuts(specs []Fig6Spec, seed int64, pairs int) *Fig6Result {
 	var cols []sampled
 	for _, sp := range specs {
 		res.Topos = append(res.Topos, sp.Label)
-		p := BuildProtocols(sp.Kind, sp.N, seed)
+		p := c.BuildProtocols(sp.Kind, sp.N, seed)
 		p.EnsureSnapshot()
 		cols = append(cols, sampled{
 			nd:    p.Disco.ND,

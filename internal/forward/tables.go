@@ -219,11 +219,7 @@ func (t *Tables) row(i int32) []graph.NodeID {
 	if pr := t.rows[i].Load(); pr != nil {
 		return *pr
 	}
-	root := t.landmarks[i]
-	prow := t.snap.ForestParents(root)
-	if prow == nil {
-		prow = t.snap.DecodeForestRow(root)
-	}
+	prow := t.snap.ForestParents(t.landmarks[i])
 	if !t.rows[i].CompareAndSwap(nil, &prow) {
 		return *t.rows[i].Load()
 	}

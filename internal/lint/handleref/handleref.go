@@ -2,8 +2,8 @@
 // snapshot.Handle (PR 6): a successful TryRetain pins an epoch, and
 // the pin must be dropped by exactly one Release on every path out of
 // the retained region — a leaked reference keeps a folded-away chain
-// base (and its spill mapping) alive forever, and the dynamic tests
-// only catch that if a storm happens to retire the right epoch.
+// base alive forever, and the dynamic tests only catch that if a storm
+// happens to retire the right epoch.
 //
 // The analysis is intra-function and syntactic over the guarded
 // region:

@@ -46,8 +46,8 @@ var Analyzer = &analysis.Analyzer{
 
 // sealedAccessors maps (package path suffix, receiver type name) to the
 // methods whose results alias shared sealed storage. Methods that
-// return fresh per-call allocations (PathFrom, Members, DecodeForestRow)
-// are deliberately absent.
+// return fresh per-call allocations (PathFrom, Members) are deliberately
+// absent.
 var sealedAccessors = map[[2]string][]string{
 	{"snapshot", "Snapshot"}: {"Vicinity", "Landmarks", "ForestParents", "Graph"},
 	{"vicinity", "Table"}:    {"Of"},

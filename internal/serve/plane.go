@@ -12,10 +12,7 @@
 //     swaps it into the plane's atomic current-epoch pointer; the
 //     superseded epoch's publisher reference is released, so the old
 //     chain state is reclaimed the moment its last in-flight reader
-//     leaves — never under one. Reclamation includes spilled storage: the
-//     handle holds its own reference on the snapshot's mapped shard file
-//     (if any) and drops it at refs-zero, so retiring an epoch unmaps a
-//     folded-away base's pages on the same schedule it frees its heap.
+//     leaves — never under one.
 //   - Query goroutines never lock: they load the current epoch, pin it
 //     with Handle.TryRetain (re-loading on the rare retire race), route on
 //     a pooled per-epoch protocol fork, release, and report the epoch they

@@ -47,9 +47,7 @@ const vicinityShard = 8192
 
 // compactStore is the compact regime's shard store. pg is the graph whose
 // sorted adjacency lists the forest ports index — the graph the rows were
-// encoded over, which on a folded chain is that fold's graph. sp is
-// non-nil when vicBlob and forest live in a spill mapping instead of the
-// heap.
+// encoded over, which on a folded chain is that fold's graph.
 type compactStore struct {
 	n, k     int
 	pg       *graph.Graph
@@ -62,7 +60,6 @@ type compactStore struct {
 	forest   []byte
 	degOff   []int64
 	rowBytes int
-	sp       *spillFile
 }
 
 func (cs *compactStore) windowLen(v graph.NodeID) int {
@@ -78,8 +75,6 @@ func (cs *compactStore) windowSet(v graph.NodeID) *vicinity.Set {
 	set := vicinity.MakeSet(v, cs.decodeWindow(v))
 	return &set
 }
-
-func (cs *compactStore) spillFile() *spillFile { return cs.sp }
 
 // encScratch is one worker's private state for the compact encode sweeps.
 type encScratch struct {
@@ -328,9 +323,6 @@ func (cs *compactStore) rowParent(row int, v graph.NodeID) graph.NodeID {
 	return cs.pg.NeighborAt(v, int(port)).To
 }
 
-// rowFlat: compact rows are never stored flat.
-func (cs *compactStore) rowFlat(row int) []graph.NodeID { return nil }
-
 // decodeRow materializes forest row `row` as a flat parent array in one
 // sequential pass over the bit stream — what table compiles and folds
 // read, instead of n random At probes.
@@ -363,11 +355,9 @@ func (cs *compactStore) storeBytes() int64 {
 // encoded size — analytically for overlaid windows, and by carrying the
 // old byte range for untouched ones, which re-encode byte-identically
 // because the widths never change across folds — pass 2 writes each
-// window into its disjoint blob slice, raw-copying the untouched ranges
-// (valid even when the old blob is a read-only mmap). Forest rows always
-// re-encode: their port indices rebuild against the current graph. When a
-// spill directory is configured the fresh store is written out and served
-// via mmap, and the heap copy dropped.
+// window into its disjoint blob slice, raw-copying the untouched ranges.
+// Forest rows always re-encode: their port indices rebuild against the
+// current graph.
 func (s *Snapshot) foldCompactInto(f *Snapshot) {
 	old := s.store.(*compactStore)
 	n := s.g.N()
@@ -444,12 +434,5 @@ func (s *Snapshot) foldCompactInto(f *Snapshot) {
 			copy(cs.forest[row*cs.rowBytes:(row+1)*cs.rowBytes], sc.w.Bytes())
 		})
 
-	if dir := SpillDir(); dir != "" {
-		// A failed fold-time spill (disk full, bad dir) falls back to the
-		// heap: the fold's correctness never depends on the file.
-		if err := cs.spillTo(dir); err == nil && cs.sp != nil {
-			f.sref = newStoreRef(cs.sp)
-		}
-	}
 	f.store = cs
 }

@@ -29,23 +29,14 @@ type Handle struct {
 	refs   atomic.Int64
 	snap   atomic.Pointer[Snapshot]
 	onZero func()
-	unmap  func()
 }
 
 // NewHandle wraps s as epoch `epoch` with an initial reference count of 1
 // (the publisher's reference). onZero, if non-nil, runs exactly once, when
 // the count first reaches zero — the reclamation hook the serving plane
-// counts retired epochs with. If the snapshot's base storage is a spilled
-// mapping, the handle acquires its own reference on the mapping and drops
-// it when the count reaches zero, so the epoch lifecycle — not the GC —
-// decides when a retired base's pages are unmapped.
+// counts retired epochs with.
 func NewHandle(s *Snapshot, epoch uint64, onZero func()) *Handle {
 	h := &Handle{epoch: epoch, onZero: onZero}
-	if s.sref != nil {
-		f := s.sref.f
-		f.retain()
-		h.unmap = f.release
-	}
 	h.snap.Store(s)
 	h.refs.Store(1)
 	return h
@@ -100,9 +91,6 @@ func (h *Handle) Release() {
 	}
 	if r == 0 {
 		h.snap.Store(nil)
-		if h.unmap != nil {
-			h.unmap()
-		}
 		if h.onZero != nil {
 			h.onZero()
 		}

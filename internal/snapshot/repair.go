@@ -398,9 +398,6 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []r
 		repaired:  true, stats: stats,
 		short: s.short,
 	}
-	if s.sref != nil {
-		c.sref = newStoreRef(s.sref.f)
-	}
 	vic := make(map[graph.NodeID]*vicinity.Set, len(affVic))
 	for i, v := range affVic {
 		vic[v] = wins[i].set
@@ -436,11 +433,7 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []r
 	if s.repaired {
 		total := ng.N() + len(s.landmarks)
 		if float64(c.ov.shards) > foldOverlayFraction*float64(total) {
-			f := c.fold()
-			// c never escapes: drop its spill reference now instead of
-			// waiting for the GC safety net.
-			c.ReleaseStorage()
-			return f
+			return c.fold()
 		}
 	}
 	return c
@@ -796,7 +789,7 @@ func (s *Snapshot) foldExactInto(f *Snapshot) {
 		prow := parents[row*n : (row+1)*n]
 		src, ok := s.ov.findRow(row)
 		if !ok {
-			src = s.store.rowFlat(row)
+			src = s.store.decodeRow(row)
 		}
 		copy(prow, src)
 	})
@@ -808,10 +801,10 @@ func (s *Snapshot) foldExactInto(f *Snapshot) {
 // vicinity window entry and every forest parent, as node IDs and float64
 // distance bits — in a storage-independent canonical form. Two snapshots
 // agree here iff they hold identical route state, regardless of how it is
-// laid out (exact flat arrays, compact bit-packing, spilled or in-heap, a
-// repair overlay chain, or a folded one); this is the byte-identity the
-// repair- and chain-equivalence tests assert against a from-scratch build
-// of the current topology.
+// laid out (exact flat arrays, compact bit-packing, a repair overlay
+// chain, or a folded one); this is the byte-identity the repair- and
+// chain-equivalence tests assert against a from-scratch build of the
+// current topology.
 func (s *Snapshot) CanonicalBytes() []byte {
 	n := s.g.N()
 	var buf []byte

@@ -134,8 +134,7 @@ func BenchmarkChainFold(b *testing.B) {
 		b.ReportMetric(float64(cur.OverlayShards()), "overlay-shards")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f := cur.fold()
-			f.ReleaseStorage()
+			cur.fold()
 		}
 	})
 }

@@ -29,10 +29,8 @@ const (
 // held, duplicates across links included — this is the retained-heap
 // measure the chain-bound test caps, and the geometric overlay merge is
 // what keeps it within a constant factor of the distinct-shard union.
-// Spilled base storage still counts: the mapping consumes address space
-// and, once touched, page cache; what -spill buys is reclaimability under
-// memory pressure, not a smaller Bytes. Used by the memory-regression
-// benchmark, the chain-bound test and the -memprofile report.
+// Used by the memory-regression benchmark, the chain-bound test and the
+// -memprofile report.
 func (s *Snapshot) Bytes() int64 {
 	total := int64(len(s.landmarks))*nodeBytes + int64(len(s.lmRow))*int32Bytes +
 		int64(len(s.short))*nodeBytes

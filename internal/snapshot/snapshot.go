@@ -25,10 +25,7 @@
 //     through float32, so figure output is byte-identical on integer-weight
 //     topologies and shifts at most at float32 precision elsewhere; the
 //     exact regime remains the escape hatch (and the default) for any
-//     figure whose output would move. With a spill directory configured
-//     (SetSpillDir), the store's blobs live in an unlinked mmapped file
-//     instead of the heap (spill.go), so resident memory tracks the hot
-//     shards, not the generation.
+//     figure whose output would move.
 //
 // Immutability contract: everything reachable from a Snapshot is read-only
 // after Build returns. Callers must not modify returned sets, entries or
@@ -53,10 +50,6 @@ type Snapshot struct {
 	compact bool // which store regime the snapshot was built in
 
 	store shardStore
-	// sref is this snapshot's counted reference to the store's spill
-	// mapping; nil for heap-backed stores. Every snapshot sharing a
-	// spilled store holds its own (see spill.go).
-	sref *storeRef
 
 	// ov is the repair overlay chain: nil on snapshots built from scratch
 	// and on freshly folded chains, newest link first otherwise. All base
@@ -101,10 +94,7 @@ func Build(g *graph.Graph, k int, landmarks []graph.NodeID) (*Snapshot, error) {
 // state bit-packed to a fraction of the exact footprint (the regime that
 // makes paper-scale -full runs fit in memory). Vicinity windows are built
 // and encoded shard by shard, so peak transient memory tracks the encoded
-// size instead of the 16-byte-per-entry exact table. When a spill
-// directory is configured the encoded store is written to an unlinked
-// file and mmapped; a failing spill is an error (the caller asked for it
-// explicitly).
+// size instead of the 16-byte-per-entry exact table.
 func BuildCompact(g *graph.Graph, k int, landmarks []graph.NodeID) (*Snapshot, error) {
 	return build(g, k, landmarks, true)
 }
@@ -137,14 +127,6 @@ func build(g *graph.Graph, k int, landmarks []graph.NodeID, compact bool) (*Snap
 		}
 		if err := s.buildCompactForest(cs); err != nil {
 			return nil, err
-		}
-		if dir := SpillDir(); dir != "" {
-			if err := cs.spillTo(dir); err != nil {
-				return nil, err
-			}
-			if cs.sp != nil {
-				s.sref = newStoreRef(cs.sp)
-			}
 		}
 		s.store = cs
 	} else {
@@ -302,26 +284,13 @@ func (s *Snapshot) parentAt(row int, v graph.NodeID) graph.NodeID {
 }
 
 // ForestParents returns the parent array of root's shortest-path tree as
-// one flat n-length row indexed by node — when the snapshot already stores
-// it that way: exact-regime base rows and every repaired-overlay row. In
-// the compact regime (no overlay row) it returns nil and callers either
-// decode per node via Parent or materialize the row once via
-// DecodeForestRow. root must be a landmark. Shared immutable storage;
-// do not modify.
+// one flat n-length row indexed by node: shared by reference where the
+// snapshot stores it flat (exact-regime base rows and every
+// repaired-overlay row), decoded in one sequential pass over the bit
+// stream otherwise (compact base rows — callers reading many fields hold
+// on to the row; single-field reads go through Parent). root must be a
+// landmark. Treat the result as shared immutable storage; do not modify.
 func (s *Snapshot) ForestParents(root graph.NodeID) []graph.NodeID {
-	row := s.row(root)
-	if prow, ok := s.ov.findRow(row); ok {
-		return prow
-	}
-	return s.store.rowFlat(row)
-}
-
-// DecodeForestRow returns the full parent row of root's shortest-path
-// tree as a flat n-length array unconditionally — shared by reference
-// where the snapshot already stores it flat (see ForestParents), decoded
-// in one sequential pass over the bit stream otherwise (compact regime).
-// root must be a landmark. Treat the result as read-only.
-func (s *Snapshot) DecodeForestRow(root graph.NodeID) []graph.NodeID {
 	row := s.row(root)
 	if prow, ok := s.ov.findRow(row); ok {
 		return prow

@@ -5,7 +5,7 @@
 // a shardStore is the thing that holds one full generation of shards in
 // some physical layout. Two implementations exist: exactStore (flat
 // slices, see snapshot.go) and compactStore (bit-packed blobs, see
-// compact.go, optionally mmapped from a spill file, see spill.go).
+// compact.go).
 //
 // A Snapshot is then always the same sandwich regardless of regime:
 //
@@ -51,20 +51,12 @@ type shardStore interface {
 	windowContains(v, w graph.NodeID) bool
 	// rowParent reads one parent field of forest row `row`.
 	rowParent(row int, v graph.NodeID) graph.NodeID
-	// rowFlat returns row `row` as a flat n-length parent array when the
-	// layout already stores it that way, nil otherwise.
-	rowFlat(row int) []graph.NodeID
-	// decodeRow returns row `row` as a flat n-length parent array
-	// unconditionally — shared where possible, decoded in one sequential
-	// pass otherwise.
+	// decodeRow returns row `row` as a flat n-length parent array — shared
+	// where the layout stores it that way (exact), decoded in one
+	// sequential pass otherwise (compact).
 	decodeRow(row int) []graph.NodeID
-	// storeBytes is the store's backing footprint for Snapshot.Bytes
-	// (mmapped bytes included: a spilled blob is still address space the
-	// snapshot owns, just not heap).
+	// storeBytes is the store's backing footprint for Snapshot.Bytes.
 	storeBytes() int64
-	// spillFile returns the mmapped spill backing this store, nil when the
-	// storage lives on the heap.
-	spillFile() *spillFile
 }
 
 // exactStore is the exact regime's shard store: all vicinity entries in
@@ -87,11 +79,9 @@ func (st *exactStore) rowParent(row int, v graph.NodeID) graph.NodeID {
 	return st.parents[row*st.n+int(v)]
 }
 
-func (st *exactStore) rowFlat(row int) []graph.NodeID {
+func (st *exactStore) decodeRow(row int) []graph.NodeID {
 	return st.parents[row*st.n : (row+1)*st.n : (row+1)*st.n]
 }
-
-func (st *exactStore) decodeRow(row int) []graph.NodeID { return st.rowFlat(row) }
 
 func (st *exactStore) storeBytes() int64 {
 	return int64(len(st.entries))*entryBytes +
@@ -99,8 +89,6 @@ func (st *exactStore) storeBytes() int64 {
 		int64(len(st.sets))*setBytes +
 		int64(len(st.parents))*nodeBytes
 }
-
-func (st *exactStore) spillFile() *spillFile { return nil }
 
 // overlay is one link of a snapshot's repaired-shard chain: the vicinity
 // windows and forest rows some event (or a merge of adjacent events)
