@@ -8,10 +8,19 @@
 // iteration orders are deterministic: adjacency lists are sorted by neighbor
 // ID and ties in Dijkstra are broken by node ID, so every simulation result
 // in this repository is exactly reproducible.
+//
+// Three of the paper's four topologies are unweighted, so SSSP has two
+// kernels behind one API: a binary-heap Dijkstra, and a level-synchronous
+// search for graphs Finalize found to be unit-weight. Which one runs is a
+// property of the graph and never of a setting; both produce the same
+// settle order, distances, parents and sources (see SSSP.run).
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -31,10 +40,19 @@ type Edge struct {
 
 // Graph is a weighted undirected graph. The zero value is an empty graph;
 // use New to create one with a fixed node count.
+//
+// A graph has two layouts. While it is being built, adj holds one separately
+// grown row per node. Finalize replaces those with the flat layout every
+// reader runs on: all rows sorted by (To, EID) and laid back to back in
+// edges, row v being edges[off[v]:off[v+1]]. adj is nil from then on;
+// AddEdge on a finalized graph goes back to rows (thaw).
 type Graph struct {
-	adj    [][]Edge
-	m      int
+	n, m   int
+	adj    [][]Edge // construction layout; nil once finalized
+	edges  []Edge   // flat layout; nil until finalized
+	off    []int32  // n+1 row offsets into edges
 	sorted bool
+	unit   bool // finalized, and every weight is exactly 1 (see SSSP.run)
 }
 
 // New returns a graph with n nodes and no edges.
@@ -42,11 +60,11 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	return &Graph{adj: make([][]Edge, n)}
+	return &Graph{n: n, adj: make([][]Edge, n)}
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return g.n }
 
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
@@ -56,41 +74,95 @@ func (g *Graph) M() int { return g.m }
 // negative weights. Duplicate edges are the caller's responsibility (the
 // topology generators deduplicate); adding one creates a parallel edge.
 func (g *Graph) AddEdge(u, v NodeID, w float64) int32 {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at node %d", u))
-	}
-	if int(u) < 0 || int(u) >= len(g.adj) || int(v) < 0 || int(v) >= len(g.adj) {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range n=%d", u, v, len(g.adj)))
-	}
-	if w < 0 {
-		panic(fmt.Sprintf("graph: negative weight %v on edge (%d,%d)", w, u, v))
+	g.checkEdge(u, v, w)
+	if g.sorted {
+		g.thaw()
 	}
 	id := int32(g.m)
 	g.adj[u] = append(g.adj[u], Edge{To: v, EID: id, Weight: w})
 	g.adj[v] = append(g.adj[v], Edge{To: u, EID: id, Weight: w})
 	g.m++
-	g.sorted = false
 	return id
+}
+
+// checkEdge panics on the links AddEdge and WithEdges refuse.
+func (g *Graph) checkEdge(u, v NodeID, w float64) {
+	if u == v {
+		panic(fmt.Sprintf("graph: self-loop at node %d", u))
+	}
+	if int(u) < 0 || int(u) >= g.n || int(v) < 0 || int(v) >= g.n {
+		panic(fmt.Sprintf("graph: edge (%d,%d) out of range n=%d", u, v, g.n))
+	}
+	if w < 0 {
+		panic(fmt.Sprintf("graph: negative weight %v on edge (%d,%d)", w, u, v))
+	}
+}
+
+// thaw takes a finalized graph back to the construction layout, dropping
+// the flat rows, sorted and the unit flag together: whatever AddEdge adds
+// next may be out of order or weigh something other than 1, and no reader
+// may see the old answer. The rows alias the old flat array with their
+// capacity capped, so the first append to a row copies it out.
+func (g *Graph) thaw() {
+	g.adj = make([][]Edge, g.n)
+	for v := range g.adj {
+		lo, hi := g.off[v], g.off[v+1]
+		g.adj[v] = g.edges[lo:hi:hi]
+	}
+	g.edges, g.off, g.sorted, g.unit = nil, nil, false, false
 }
 
 // Neighbors returns the adjacency list of v. The returned slice is owned by
 // the graph and must not be modified.
-func (g *Graph) Neighbors(v NodeID) []Edge { return g.adj[v] }
+func (g *Graph) Neighbors(v NodeID) []Edge {
+	if !g.sorted {
+		return g.adj[v]
+	}
+	return g.edges[g.off[v]:g.off[v+1]]
+}
 
 // Degree returns the number of incident edges of v.
-func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v NodeID) int { return len(g.Neighbors(v)) }
 
-// Finalize sorts every adjacency list by neighbor ID. It must be called
-// after construction and before PortOf/NeighborAt or any shortest-path
-// computation; the topology generators call it for you.
+// byNeighbor is the row order: neighbor ID, parallel edges by edge ID.
+func byNeighbor(a, b Edge) int {
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.EID, b.EID)
+}
+
+// allUnit reports whether every weight is exactly 1.
+func allUnit(edges []Edge) bool {
+	for _, e := range edges {
+		if e.Weight != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// Finalize sorts every adjacency list by neighbor ID (parallel edges by
+// edge ID), lays the rows out flat, and records whether the graph is
+// unit-weight. It must be called after construction and before
+// PortOf/NeighborAt or any shortest-path computation; the topology
+// generators call it for you.
 func (g *Graph) Finalize() {
 	if g.sorted {
 		return
 	}
-	for _, es := range g.adj {
-		sort.Slice(es, func(i, j int) bool { return es[i].To < es[j].To })
+	if 2*g.m > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d edges overflow the int32 row offsets", g.m))
 	}
-	g.sorted = true
+	edges := make([]Edge, 0, 2*g.m)
+	off := make([]int32, g.n+1)
+	for v, es := range g.adj {
+		edges = append(edges, es...)
+		slices.SortFunc(edges[off[v]:], byNeighbor)
+		off[v+1] = int32(len(edges))
+	}
+	g.adj, g.edges, g.off = nil, edges, off
+	g.sorted, g.unit = true, allUnit(edges)
 }
 
 // Finalized reports whether Finalize has been called since the last edge
@@ -105,7 +177,7 @@ func (g *Graph) PortOf(u, to NodeID) int {
 	if !g.sorted {
 		panic("graph: PortOf before Finalize")
 	}
-	es := g.adj[u]
+	es := g.Neighbors(u)
 	i := sort.Search(len(es), func(i int) bool { return es[i].To >= to })
 	if i < len(es) && es[i].To == to {
 		return i
@@ -115,7 +187,7 @@ func (g *Graph) PortOf(u, to NodeID) int {
 
 // NeighborAt returns the edge behind port p of node u.
 func (g *Graph) NeighborAt(u NodeID, p int) Edge {
-	return g.adj[u][p]
+	return g.Neighbors(u)[p]
 }
 
 // EdgeWeight returns the weight of the edge between u and v, or -1 if the
@@ -125,7 +197,7 @@ func (g *Graph) EdgeWeight(u, v NodeID) float64 {
 	if p < 0 {
 		return -1
 	}
-	return g.adj[u][p].Weight
+	return g.Neighbors(u)[p].Weight
 }
 
 // EdgeID returns the undirected edge index between u and v, or -1 if the
@@ -135,7 +207,7 @@ func (g *Graph) EdgeID(u, v NodeID) int32 {
 	if p < 0 {
 		return -1
 	}
-	return g.adj[u][p].EID
+	return g.Neighbors(u)[p].EID
 }
 
 // PathLength returns the total weight of the node path (consecutive nodes
@@ -172,7 +244,7 @@ func (g *Graph) Components() (label []int32, count int) {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, e := range g.adj[u] {
+			for _, e := range g.Neighbors(u) {
 				if label[e.To] < 0 {
 					label[e.To] = c
 					queue = append(queue, e.To)
@@ -237,8 +309,8 @@ func (g *Graph) Bridges() []bool {
 		stack = append(stack[:0], frame{v: NodeID(root), inEdge: -1})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next < len(g.adj[f.v]) {
-				e := g.adj[f.v][f.next]
+			if row := g.Neighbors(f.v); f.next < len(row) {
+				e := row[f.next]
 				f.next++
 				if e.EID == f.inEdge {
 					continue // don't walk the entry edge back up
@@ -274,37 +346,17 @@ func (g *Graph) Bridges() []bool {
 	return bridge
 }
 
-// half is one undirected edge as seen from its lower endpoint — the
-// canonical representative the EID-ordered copy loops iterate.
-type half struct {
-	u NodeID
-	e Edge
-}
-
-// halvesByEID returns every undirected edge once, indexed by EID, each as
-// its lower-endpoint half. Both graph-copy operations (WithoutEdges,
-// WithEdges) rebuild from this so surviving edges keep their relative
-// numbering — the determinism contract their doc comments promise.
-func (g *Graph) halvesByEID() []half {
-	byID := make([]half, g.m)
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if e.To > NodeID(u) {
-				byID[e.EID] = half{u: NodeID(u), e: e}
-			}
-		}
-	}
-	return byID
-}
-
 // EdgeList returns every undirected link once, indexed by EID, in
 // canonical (U < V) spelling — the uniform-draw table the dynamics
 // experiments sample failures from.
 func (g *Graph) EdgeList() []EdgeKey {
-	byID := g.halvesByEID()
-	out := make([]EdgeKey, len(byID))
-	for id, h := range byID {
-		out[id] = EdgeKey{U: h.u, V: h.e.To}
+	out := make([]EdgeKey, g.m)
+	for u := NodeID(0); int(u) < g.n; u++ {
+		for _, e := range g.Neighbors(u) {
+			if e.To > u {
+				out[e.EID] = EdgeKey{U: u, V: e.To}
+			}
+		}
 	}
 	return out
 }
@@ -314,18 +366,35 @@ func (g *Graph) EdgeList() []EdgeKey {
 // renumbered densely in the same deterministic order AddEdge assigned them.
 // The copy is returned Finalized. This is the topology a failure scenario
 // routes on: removed links simply no longer exist.
+//
+// The copy is filtered straight out of g's flat rows (finalizing g first if
+// need be): survivors keep their order within a row, and the renumbering is
+// monotone, so the rows stay sorted and nothing is rebuilt edge by edge.
 func (g *Graph) WithoutEdges(dead []bool) *Graph {
 	if len(dead) != g.m {
 		panic(fmt.Sprintf("graph: WithoutEdges mask has %d entries for %d edges", len(dead), g.m))
 	}
-	g2 := New(g.N())
-	for id, h := range g.halvesByEID() {
-		if dead[id] {
-			continue
+	g.Finalize()
+	newID := make([]int32, g.m)
+	alive := int32(0)
+	for id, d := range dead {
+		newID[id] = alive
+		if !d {
+			alive++
 		}
-		g2.AddEdge(h.u, h.e.To, h.e.Weight)
 	}
-	g2.Finalize()
+	g2 := &Graph{n: g.n, m: int(alive), sorted: true,
+		edges: make([]Edge, 0, 2*alive), off: make([]int32, g.n+1)}
+	for v := 0; v < g.n; v++ {
+		for _, e := range g.edges[g.off[v]:g.off[v+1]] {
+			if !dead[e.EID] {
+				e.EID = newID[e.EID]
+				g2.edges = append(g2.edges, e)
+			}
+		}
+		g2.off[v+1] = int32(len(g2.edges))
+	}
+	g2.unit = g.unit || allUnit(g2.edges)
 	return g2
 }
 
@@ -342,24 +411,64 @@ type WeightedLink struct {
 // does); added links get the next IDs in the order given, so identical
 // inputs always produce identical graphs. The copy is returned Finalized.
 // This is the topology after a recovery event: restored links exist again.
+//
+// The copy is g's flat rows (finalizing g first if need be) with the new
+// halves spliced in at their sorted positions, so its cost is one pass over
+// the edge array however few links are added. It panics on the links
+// AddEdge refuses.
 func (g *Graph) WithEdges(adds []WeightedLink) *Graph {
-	g2 := New(g.N())
-	for _, h := range g.halvesByEID() {
-		g2.AddEdge(h.u, h.e.To, h.e.Weight)
+	g.Finalize()
+	type half struct {
+		from NodeID
+		e    Edge
 	}
-	for _, a := range adds {
-		g2.AddEdge(a.U, a.V, a.W)
+	halves := make([]half, 0, 2*len(adds))
+	unit := g.unit
+	for i, a := range adds {
+		g.checkEdge(a.U, a.V, a.W)
+		id := int32(g.m + i)
+		halves = append(halves,
+			half{a.U, Edge{To: a.V, EID: id, Weight: a.W}},
+			half{a.V, Edge{To: a.U, EID: id, Weight: a.W}})
+		unit = unit && a.W == 1
 	}
-	g2.Finalize()
+	slices.SortFunc(halves, func(a, b half) int {
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
+		}
+		return byNeighbor(a.e, b.e)
+	})
+	g2 := &Graph{n: g.n, m: g.m + len(adds), sorted: true, unit: unit,
+		edges: make([]Edge, 0, len(g.edges)+len(halves)), off: make([]int32, g.n+1)}
+	// A new half goes behind every existing edge of its row to the same or a
+	// lower neighbor (its EID is higher than theirs); halves are in row order,
+	// so the splice points only move forward through g.edges.
+	copied := 0
+	for _, h := range halves {
+		row := g.edges[g.off[h.from]:g.off[h.from+1]]
+		at := int(g.off[h.from]) + sort.Search(len(row), func(i int) bool { return row[i].To > h.e.To })
+		g2.edges = append(g2.edges, g.edges[copied:at]...)
+		g2.edges = append(g2.edges, h.e)
+		copied = at
+	}
+	g2.edges = append(g2.edges, g.edges[copied:]...)
+	// Row v starts behind every half spliced into a lower row.
+	before := 0
+	for v := 0; v <= g.n; v++ {
+		for before < len(halves) && int(halves[before].from) < v {
+			before++
+		}
+		g2.off[v] = g.off[v] + int32(before)
+	}
 	return g2
 }
 
 // TotalWeight returns the sum of all edge weights.
 func (g *Graph) TotalWeight() float64 {
 	t := 0.0
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if e.To > NodeID(u) {
+	for u := NodeID(0); int(u) < g.n; u++ {
+		for _, e := range g.Neighbors(u) {
+			if e.To > u {
 				t += e.Weight
 			}
 		}
@@ -377,11 +486,9 @@ func (g *Graph) AvgDegree() float64 {
 
 // MaxDegree returns the maximum node degree.
 func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, es := range g.adj {
-		if len(es) > max {
-			max = len(es)
-		}
+	deg := 0
+	for u := NodeID(0); int(u) < g.n; u++ {
+		deg = max(deg, g.Degree(u))
 	}
-	return max
+	return deg
 }

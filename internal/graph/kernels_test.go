@@ -1,0 +1,520 @@
+package graph
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// The generators below mirror internal/topology's, which imports this
+// package and so cannot be imported from an in-package test; the tests
+// have to live here to call the two kernels directly.
+
+func genGnm(rng *rand.Rand, n, m int) *Graph {
+	g := New(n)
+	seen := map[EdgeKey]bool{}
+	perm := rng.Perm(n)
+	for i := 1; i < n; i++ {
+		u, v := NodeID(perm[i]), NodeID(perm[rng.Intn(i)])
+		seen[EdgeKey{u, v}.Norm()] = true
+		g.AddEdge(u, v, 1)
+	}
+	for g.M() < m {
+		u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		if k := (EdgeKey{u, v}).Norm(); u != v && !seen[k] {
+			seen[k] = true
+			g.AddEdge(u, v, 1)
+		}
+	}
+	g.Finalize()
+	return g
+}
+
+// genRouterLike is preferential attachment (3 links per new node) plus a
+// 10% fringe of degree-1 stubs: hubs, a shallow core, and leaves.
+func genRouterLike(rng *rand.Rand, n int) *Graph {
+	const per = 3
+	core := n - n/10
+	g := New(n)
+	seen := map[EdgeKey]bool{}
+	var ends []NodeID
+	link := func(u, v NodeID) {
+		seen[EdgeKey{u, v}.Norm()] = true
+		ends = append(ends, u, v)
+		g.AddEdge(u, v, 1)
+	}
+	for u := NodeID(0); u <= per; u++ {
+		for v := u + 1; v <= per; v++ {
+			link(u, v)
+		}
+	}
+	for u := NodeID(per + 1); int(u) < core; u++ {
+		for added := 0; added < per; {
+			v := ends[rng.Intn(len(ends))]
+			if v == u || seen[EdgeKey{u, v}.Norm()] {
+				if v = NodeID(rng.Intn(int(u))); seen[EdgeKey{u, v}.Norm()] {
+					continue
+				}
+			}
+			link(u, v)
+			added++
+		}
+	}
+	for s := core; s < n; s++ {
+		g.AddEdge(NodeID(s), NodeID(rng.Intn(core)), 1)
+	}
+	g.Finalize()
+	return g
+}
+
+func genRing(n int) *Graph {
+	g := New(n)
+	for i := 0; i < n; i++ {
+		g.AddEdge(NodeID(i), NodeID((i+1)%n), 1)
+	}
+	g.Finalize()
+	return g
+}
+
+func genGrid(rows, cols int) *Graph {
+	g := New(rows * cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if v := NodeID(r*cols + c); c+1 < cols {
+				g.AddEdge(v, v+1, 1)
+			}
+			if v := NodeID(r*cols + c); r+1 < rows {
+				g.AddEdge(v, v+NodeID(cols), 1)
+			}
+		}
+	}
+	g.Finalize()
+	return g
+}
+
+// genGeometric links points of the unit square closer than the radius that
+// gives the wanted average degree, weighted by their distance. It is not
+// stitched into one component; the kernels do not need it to be.
+func genGeometric(rng *rand.Rand, n int, avgDeg float64) *Graph {
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i], ys[i] = rng.Float64(), rng.Float64()
+	}
+	r := math.Sqrt(avgDeg / (math.Pi * float64(n)))
+	g := New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if d := math.Hypot(xs[u]-xs[v], ys[u]-ys[v]); d < r && d > 0 {
+				g.AddEdge(NodeID(u), NodeID(v), d)
+			}
+		}
+	}
+	g.Finalize()
+	return g
+}
+
+// kernelPair runs one query on both kernels over the same unit graph and
+// requires everything a caller can read off an SSSP to be identical.
+type kernelPair struct {
+	t           testing.TB
+	heap, level *SSSP
+}
+
+func newKernelPair(t testing.TB, g *Graph) *kernelPair {
+	t.Helper()
+	g.Finalize()
+	if !g.unit {
+		t.Fatalf("kernelPair needs a unit-weight graph")
+	}
+	return &kernelPair{t: t, heap: NewSSSP(g), level: NewSSSP(g)}
+}
+
+func (p *kernelPair) check(what string, sources []NodeID, limit int, radius float64) {
+	p.t.Helper()
+	p.heap.begin()
+	p.heap.runHeap(sources, limit, radius)
+	p.level.begin()
+	p.level.runLevels(sources, limit, radius)
+	h, l := p.heap, p.level
+	if !slices.Equal(h.Order(), l.Order()) {
+		p.t.Fatalf("%s: Order differs\n heap  %v\n level %v", what, h.Order(), l.Order())
+	}
+	for v := NodeID(0); int(v) < h.g.N(); v++ {
+		if h.Settled(v) != l.Settled(v) || h.Dist(v) != l.Dist(v) ||
+			h.Parent(v) != l.Parent(v) || h.Source(v) != l.Source(v) {
+			p.t.Fatalf("%s: node %d: heap (settled %v dist %v parent %d source %d) level (settled %v dist %v parent %d source %d)",
+				what, v, h.Settled(v), h.Dist(v), h.Parent(v), h.Source(v),
+				l.Settled(v), l.Dist(v), l.Parent(v), l.Source(v))
+		}
+	}
+	for _, w := range l.bits {
+		if w != 0 {
+			p.t.Fatalf("%s: level bitset left dirty", what)
+		}
+	}
+}
+
+// sweep drives every Run variant from a few sources, with limits and radii
+// on both sides of every boundary.
+func (p *kernelPair) sweep(rng *rand.Rand, name string) {
+	p.t.Helper()
+	n := p.heap.g.N()
+	for q := 0; q < 6; q++ {
+		src := NodeID(rng.Intn(n))
+		p.check(fmt.Sprintf("%s Run(%d)", name, src), []NodeID{src}, -1, -1)
+		for _, k := range []int{0, 1, 2, 3, rng.Intn(n + 1), n / 2, n - 1, n, n + 7} {
+			p.check(fmt.Sprintf("%s RunK(%d,%d)", name, src, k), []NodeID{src}, k, -1)
+		}
+		for _, r := range []float64{0, 0.5, 1, 1.5, 2, 3, float64(rng.Intn(12)), 1e9} {
+			p.check(fmt.Sprintf("%s RunRadius(%d,%v)", name, src, r), []NodeID{src}, -1, r)
+		}
+		sources := make([]NodeID, 2+rng.Intn(6))
+		for i := range sources {
+			sources[i] = NodeID(rng.Intn(n))
+		}
+		sources = append(sources, sources[0], sources[len(sources)/2]) // duplicates
+		p.check(fmt.Sprintf("%s RunMulti(%v)", name, sources), sources, -1, -1)
+		p.check(fmt.Sprintf("%s multi limit", name), sources, rng.Intn(n+1), -1)
+		p.check(fmt.Sprintf("%s multi radius", name), sources, -1, float64(1+rng.Intn(4)))
+	}
+}
+
+func TestSSSPKernelsAgree(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 40 + rng.Intn(200)
+		doubled := genGnm(rng, n, 2*n)
+		for i := 0; i < n/4; i++ { // parallel edges
+			u := NodeID(rng.Intn(n))
+			doubled.AddEdge(u, doubled.Neighbors(u)[0].To, 1)
+		}
+		// The ring and the grid are big enough that their few-node levels
+		// span many bitset words, which is what sends sortLevel down its
+		// sorting branch; the dense graphs stay on the bitset branch.
+		graphs := []struct {
+			name string
+			g    *Graph
+		}{
+			{"gnm", genGnm(rng, n, 4*n)},
+			{"gnm-sparse", genGnm(rng, n, n+n/8)},
+			{"routerlike", genRouterLike(rng, n)},
+			{"ring", genRing(1500 + rng.Intn(1000))},
+			{"grid", genGrid(20+rng.Intn(20), 30+rng.Intn(30))},
+			{"parallel", doubled},
+		}
+		for _, tc := range graphs {
+			name := fmt.Sprintf("seed %d %s", seed, tc.name)
+			newKernelPair(t, tc.g).sweep(rng, name)
+			// The same graph with a third of its links failed: several
+			// components, isolated nodes, and a WithoutEdges-built layout.
+			dead := make([]bool, tc.g.M())
+			for i := range dead {
+				dead[i] = rng.Intn(3) == 0
+			}
+			newKernelPair(t, tc.g.WithoutEdges(dead)).sweep(rng, name+" failed")
+		}
+	}
+}
+
+// TestSortLevel checks the level ordering on its own, against slices.Sort:
+// distinct IDs at every density from one per word to one per 40 words, every
+// prefix length, and a clean bitset afterwards.
+func TestSortLevel(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 5000
+	s := &SSSP{bits: make([]uint64, (n+63)/64)}
+	for trial := 0; trial < 400; trial++ {
+		span := 1 + rng.Intn(n)
+		base := rng.Intn(n - span + 1)
+		ids := rng.Perm(span)[:1+rng.Intn(min(span, 1+trial))]
+		s.next = s.next[:0]
+		for _, id := range ids {
+			s.next = append(s.next, NodeID(base+id))
+		}
+		want := slices.Clone(s.next)
+		slices.Sort(want)
+		take := rng.Intn(len(want) + 1)
+		if got := s.sortLevel(take); !slices.Equal(got, want[:take]) {
+			t.Fatalf("trial %d: %d IDs over %d, take %d:\n got  %v\n want %v", trial, len(want), span, take, got, want[:take])
+		}
+		for i, w := range s.bits {
+			if w != 0 {
+				t.Fatalf("trial %d: bitset word %d left dirty", trial, i)
+			}
+		}
+	}
+}
+
+// FuzzSSSPKernelsAgree builds a unit graph from the byte string (a link per
+// four bytes, two 16-bit endpoints; parallel links kept), optionally fails
+// every third link through WithoutEdges, and requires the level kernel to
+// agree with the heap kernel on one query. Up to 1024 nodes, so that levels
+// can be sparse enough for either branch of sortLevel. Run with `go test
+// -fuzz FuzzSSSPKernelsAgree`; the checked-in corpus under testdata/fuzz/
+// runs on every plain `go test`.
+func FuzzSSSPKernelsAgree(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 0, 2, 0, 2, 0, 3, 0, 3, 0, 0}, uint16(4), uint8(0), uint16(0), uint8(0))
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 2, 0, 5, 0, 6}, uint16(7), uint8(1), uint16(0), uint8(3))
+	f.Add([]byte{0, 0, 3, 9, 3, 9, 1, 4, 1, 4, 2, 2, 2, 2, 0, 7, 0, 7, 0, 0}, uint16(1000), uint8(2), uint16(4), uint8(5))
+	f.Add([]byte{0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 1, 0, 3, 0, 2, 0, 4, 0, 3}, uint16(5), uint8(7), uint16(0), uint8(3))
+	f.Fuzz(func(t *testing.T, links []byte, nodes uint16, mode uint8, src uint16, arg uint8) {
+		n := 1 + int(nodes)%1024
+		g := New(n)
+		for i := 0; i+3 < len(links); i += 4 {
+			u := NodeID((int(links[i])<<8 | int(links[i+1])) % n)
+			v := NodeID((int(links[i+2])<<8 | int(links[i+3])) % n)
+			if u != v {
+				g.AddEdge(u, v, 1)
+			}
+		}
+		if mode&4 != 0 {
+			dead := make([]bool, g.M())
+			for i := range dead {
+				dead[i] = i%3 == 0
+			}
+			g = g.WithoutEdges(dead)
+		}
+		p := newKernelPair(t, g)
+		s := NodeID(int(src) % n)
+		switch mode & 3 {
+		case 0:
+			p.check("Run", []NodeID{s}, -1, -1)
+		case 1:
+			p.check("RunK", []NodeID{s}, int(arg)%(n+3), -1)
+		case 2:
+			p.check("RunRadius", []NodeID{s}, -1, float64(arg%16)/2)
+		case 3:
+			p.check("RunMulti", []NodeID{s, NodeID(int(arg) % n), NodeID(int(arg) * 37 % n), s}, -1, -1)
+		}
+	})
+}
+
+// TestAddEdgeAfterFinalizeInvalidates: a link of weight 2 added to a
+// finalized unit-weight graph must take the unit flag and the flat rows
+// down with sorted, or the level kernel would route it as one hop.
+func TestAddEdgeAfterFinalizeInvalidates(t *testing.T) {
+	g := genRing(6)
+	if !g.unit || g.edges == nil {
+		t.Fatalf("finalized ring: unit=%v edges=%v", g.unit, g.edges)
+	}
+	g.AddEdge(0, 3, 2)
+	if g.Finalized() || g.unit || g.edges != nil || g.off != nil {
+		t.Fatalf("after AddEdge: sorted=%v unit=%v edges=%v off=%v", g.Finalized(), g.unit, g.edges, g.off)
+	}
+	if got := g.Degree(0); got != 3 {
+		t.Fatalf("Degree(0) = %d before re-Finalize, want 3", got)
+	}
+	s := NewSSSP(g) // re-finalizes
+	if !g.Finalized() || g.unit {
+		t.Fatalf("after NewSSSP: sorted=%v unit=%v", g.Finalized(), g.unit)
+	}
+	s.Run(0)
+	if got := s.Dist(3); got != 2 {
+		t.Fatalf("Dist(3) = %v, want 2 (the weight-2 chord, not one hop)", got)
+	}
+	if got := g.PortOf(0, 3); got != 1 {
+		t.Fatalf("PortOf(0,3) = %d, want 1", got)
+	}
+}
+
+// TestLevelKernelEpochWrap walks the epoch counter over its uint32 wrap
+// with truncated runs (which leave touched-but-unsettled nodes behind)
+// between full ones.
+func TestLevelKernelEpochWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := genGnm(rng, 300, 900)
+	ref := NewSSSP(g)
+	s := NewSSSP(g)
+	s.epoch = math.MaxUint32 - 2 // the second RunK below wraps it
+	for i := 0; i < 8; i++ {
+		src := NodeID(rng.Intn(g.N()))
+		s.RunK(src, 1+rng.Intn(40))
+		if i == 1 && s.epoch != 1 {
+			t.Fatalf("epoch = %d after the wrap, want 1", s.epoch)
+		}
+		src = NodeID(rng.Intn(g.N()))
+		s.Run(src)
+		for _, w := range s.bits {
+			if w != 0 {
+				t.Fatalf("run %d: bitset left dirty", i)
+			}
+		}
+		ref.begin()
+		ref.runHeap([]NodeID{src}, -1, -1)
+		for v := NodeID(0); int(v) < g.N(); v++ {
+			if s.Dist(v) != ref.Dist(v) || s.Parent(v) != ref.Parent(v) {
+				t.Fatalf("run %d (epoch %d): node %d dist %v parent %d, want %v %d",
+					i, s.epoch, v, s.Dist(v), s.Parent(v), ref.Dist(v), ref.Parent(v))
+			}
+		}
+	}
+}
+
+// rebuilt is the reference for the flat graph copies: the same links added
+// one by one in EID order (skipping dead ones, then the additions) and
+// finalized.
+func rebuilt(g *Graph, dead []bool, adds []WeightedLink) *Graph {
+	type link struct {
+		u, v NodeID
+		w    float64
+	}
+	byID := make([]link, g.M())
+	for u := NodeID(0); int(u) < g.N(); u++ {
+		for _, e := range g.Neighbors(u) {
+			if e.To > u {
+				byID[e.EID] = link{u, e.To, e.Weight}
+			}
+		}
+	}
+	g2 := New(g.N())
+	for id, l := range byID {
+		if dead == nil || !dead[id] {
+			g2.AddEdge(l.u, l.v, l.w)
+		}
+	}
+	for _, a := range adds {
+		g2.AddEdge(a.U, a.V, a.W)
+	}
+	g2.Finalize()
+	return g2
+}
+
+func sameGraph(t *testing.T, what string, got, want *Graph) {
+	t.Helper()
+	if got.N() != want.N() || got.M() != want.M() || !got.Finalized() || got.unit != want.unit {
+		t.Fatalf("%s: n=%d m=%d finalized=%v unit=%v, want n=%d m=%d finalized unit=%v",
+			what, got.N(), got.M(), got.Finalized(), got.unit, want.N(), want.M(), want.unit)
+	}
+	if !slices.Equal(got.off, want.off) || !slices.Equal(got.edges, want.edges) {
+		t.Fatalf("%s: flat rows differ from the AddEdge+Finalize rebuild", what)
+	}
+}
+
+// TestGraphCopiesMatchRebuild pins WithoutEdges/WithEdges — which filter and
+// splice the flat rows directly — to the graph AddEdge+Finalize builds from
+// the same links in the same order: same rows, same EIDs, same unit flag.
+func TestGraphCopiesMatchRebuild(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 30 + rng.Intn(100)
+		g := genGnm(rng, n, 3*n)
+		if seed%2 == 0 {
+			g = genGeometric(rng, n, 8)
+		}
+		for i := 0; i < 5; i++ { // parallel links
+			u := NodeID(rng.Intn(n))
+			if row := g.Neighbors(u); len(row) > 0 {
+				g.AddEdge(u, row[rng.Intn(len(row))].To, 1)
+			}
+		}
+		g.Finalize()
+		dead := make([]bool, g.M())
+		var adds []WeightedLink
+		for id, k := range g.EdgeList() {
+			if rng.Intn(8) == 0 {
+				dead[id] = true
+				adds = append(adds, WeightedLink{U: k.V, V: k.U, W: g.EdgeWeight(k.U, k.V)})
+			}
+		}
+		failed := g.WithoutEdges(dead)
+		sameGraph(t, "WithoutEdges", failed, rebuilt(g, dead, nil))
+		rng.Shuffle(len(adds), func(i, j int) { adds[i], adds[j] = adds[j], adds[i] })
+		sameGraph(t, "WithEdges", failed.WithEdges(adds), rebuilt(failed, nil, adds))
+		sameGraph(t, "WithEdges(nil)", failed.WithEdges(nil), failed)
+		// A non-unit link into a unit graph, and its removal again.
+		heavy := []WeightedLink{{U: 0, V: NodeID(n - 1), W: 2.5}}
+		plus := g.WithEdges(heavy)
+		sameGraph(t, "WithEdges heavy", plus, rebuilt(g, nil, heavy))
+		mask := make([]bool, plus.M())
+		mask[plus.M()-1] = true
+		sameGraph(t, "WithoutEdges heavy", plus.WithoutEdges(mask), rebuilt(plus, mask, nil))
+	}
+}
+
+func TestWithEdgesRejectsBadLinks(t *testing.T) {
+	g := genRing(5)
+	for _, bad := range []WeightedLink{{U: 1, V: 1, W: 1}, {U: 0, V: 5, W: 1}, {U: 0, V: 2, W: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("WithEdges(%+v) did not panic", bad)
+				}
+			}()
+			g.WithEdges([]WeightedLink{bad})
+		}()
+	}
+}
+
+// BenchmarkSSSP prices both kernels on the same scratch and sources:
+// level vs heap on the unit-weight graphs, and the heap alone on the
+// weighted one (geometric), which no BENCHMARK.json workload runs. RunK
+// uses the vicinity size ceil(sqrt(n log2 n)).
+func BenchmarkSSSP(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	graphs := []struct {
+		name string
+		g    *Graph
+	}{
+		{"routerlike-8192", genRouterLike(rng, 8192)},
+		{"gnm-4096", genGnm(rng, 4096, 4*4096)},
+		{"geometric-4096", genGeometric(rng, 4096, 8)},
+		{"ring-65536", genRing(65536)},
+	}
+	kernels := []struct {
+		name string
+		run  func(s *SSSP, src NodeID, limit int)
+	}{
+		{"level", func(s *SSSP, src NodeID, limit int) { s.begin(); s.runLevels([]NodeID{src}, limit, -1) }},
+		{"heap", func(s *SSSP, src NodeID, limit int) { s.begin(); s.runHeap([]NodeID{src}, limit, -1) }},
+	}
+	for _, tc := range graphs {
+		n := tc.g.N()
+		k := int(math.Ceil(math.Sqrt(float64(n) * math.Log2(float64(n)))))
+		for _, kern := range kernels {
+			if kern.name == "level" && !tc.g.unit {
+				continue // the level kernel is only correct on unit weights
+			}
+			for _, op := range []struct {
+				name  string
+				limit int
+			}{{"Run", -1}, {"RunK", k}} {
+				b.Run(fmt.Sprintf("%s/%s/%s", kern.name, op.name, tc.name), func(b *testing.B) {
+					s := NewSSSP(tc.g)
+					kern.run(s, 0, op.limit) // grow the scratch buffers
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						kern.run(s, NodeID(i*7919%n), op.limit)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkGraphCopy prices what a repair event pays for its new topology:
+// one link out of a G(n,m) graph, and the same link back in.
+func BenchmarkGraphCopy(b *testing.B) {
+	for _, n := range []int{2048, 4096} {
+		g := genGnm(rand.New(rand.NewSource(1)), n, 4*n)
+		dead := make([]bool, g.M())
+		dead[g.M()/2] = true
+		k := g.EdgeList()[g.M()/2]
+		failed := g.WithoutEdges(dead)
+		back := []WeightedLink{{U: k.U, V: k.V, W: 1}}
+		b.Run(fmt.Sprintf("WithoutEdges/gnm-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.WithoutEdges(dead)
+			}
+		})
+		b.Run(fmt.Sprintf("WithEdges/gnm-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				failed.WithEdges(back)
+			}
+		})
+	}
+}

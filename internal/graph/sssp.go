@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"disco/internal/parallel"
 )
@@ -78,6 +80,11 @@ type SSSP struct {
 	epoch   uint32
 	heap    minHeap
 	order   []NodeID // settle order of the last run
+	// Level kernel only: the nodes first touched from the level being
+	// settled, and the bitset sortLevel orders them through (all zero
+	// between calls).
+	next []NodeID
+	bits []uint64
 }
 
 // NewSSSP returns a shortest-path scratch bound to g. The graph must be
@@ -94,6 +101,7 @@ func NewSSSP(g *Graph) *SSSP {
 		nearest: make([]NodeID, n),
 		stamp:   make([]uint32, n),
 		settled: make([]uint32, n),
+		bits:    make([]uint64, (n+63)/64),
 	}
 }
 
@@ -111,6 +119,7 @@ func (s *SSSP) begin() {
 	}
 	s.heap = s.heap[:0]
 	s.order = s.order[:0]
+	s.next = s.next[:0]
 }
 
 func (s *SSSP) relax(v NodeID, d float64, via NodeID, src NodeID) {
@@ -135,8 +144,32 @@ func (s *SSSP) relax(v NodeID, d float64, via NodeID, src NodeID) {
 // have been settled (limit < 0 means no limit) or when the next settle
 // distance would be >= radius (radius < 0 means no radius bound; strict:
 // nodes at exactly radius are NOT settled).
+//
+// Two kernels implement it, chosen by what Finalize saw in the graph and by
+// nothing else: the binary heap below for weighted graphs, runLevels for
+// graphs whose every weight is exactly 1. Both meet one contract, with the
+// heap kernel as the reference the tests compare against:
+//
+//   - nodes settle in ascending (distance, node ID) order, and Order lists
+//     exactly the settled ones;
+//   - limit is checked before every settle, then radius;
+//   - a settled node's source is the lowest source ID among its
+//     shortest-path predecessors' sources (with one source: that source),
+//     and its parent is the earliest-settled predecessor that carries that
+//     source, both final once the node settles;
+//   - whatever a run left on unsettled nodes is not observable: every
+//     accessor answers Inf/None for them.
 func (s *SSSP) run(sources []NodeID, limit int, radius float64) {
 	s.begin()
+	if s.g.unit {
+		s.runLevels(sources, limit, radius)
+		return
+	}
+	s.runHeap(sources, limit, radius)
+}
+
+func (s *SSSP) runHeap(sources []NodeID, limit int, radius float64) {
+	edges, off := s.g.edges, s.g.off
 	for _, src := range sources {
 		s.relax(src, 0, None, src)
 	}
@@ -154,10 +187,105 @@ func (s *SSSP) run(sources []NodeID, limit int, radius float64) {
 		}
 		s.settled[v] = s.epoch
 		s.order = append(s.order, v)
-		for _, e := range s.g.adj[v] {
+		for _, e := range edges[off[v]:off[v+1]] {
 			s.relax(e.To, it.dist+e.Weight, v, s.nearest[v])
 		}
 	}
+}
+
+// runLevels is run for unit-weight graphs: breadth-first, one distance level
+// at a time. With every weight 1 the heap would hold a whole level of
+// equal-distance entries and order them by node ID one sift at a time;
+// here the level is collected as it is first touched and ordered once
+// (sortLevel), which gives the same (distance, ID) settle order. A node's
+// distance is fixed at first touch (level+1); later touches from the same
+// level can only lower its source, exactly the equal-distance case of relax.
+//
+// A level that reaches limit, or whose successors would sit at or beyond
+// radius, is settled without scanning its rows: nothing those scans could
+// write would ever be settled, so none of it is observable.
+func (s *SSSP) runLevels(sources []NodeID, limit int, radius float64) {
+	epoch := s.epoch
+	edges, off := s.g.edges, s.g.off
+	stamp, dist, parent, nearest := s.stamp, s.dist, s.parent, s.nearest
+	for _, src := range sources {
+		if stamp[src] != epoch {
+			stamp[src], dist[src], parent[src], nearest[src] = epoch, 0, None, src
+			s.next = append(s.next, src)
+		}
+	}
+	multi := len(s.next) > 1
+	for d := 0.0; len(s.next) > 0; d++ {
+		if radius >= 0 && d >= radius {
+			return
+		}
+		take := len(s.next)
+		if limit >= 0 {
+			take = min(take, limit-len(s.order))
+		}
+		start := len(s.order)
+		s.order = append(s.order, s.sortLevel(take)...)
+		level := s.order[start:]
+		s.next = s.next[:0]
+		last := limit >= 0 && len(s.order) >= limit || radius >= 0 && d+1 >= radius
+		for _, u := range level {
+			s.settled[u] = epoch
+			if last {
+				continue
+			}
+			src := nearest[u]
+			for _, e := range edges[off[u]:off[u+1]] {
+				v := e.To
+				if stamp[v] != epoch {
+					stamp[v], dist[v], parent[v], nearest[v] = epoch, d+1, u, src
+					s.next = append(s.next, v)
+				} else if multi && src < nearest[v] && dist[v] == d+1 {
+					// v is in the next level: lowest source wins.
+					nearest[v], parent[v] = src, u
+				}
+			}
+		}
+	}
+}
+
+// sortLevel returns the take lowest IDs of s.next in ascending order (in
+// s.next's own storage). The IDs are distinct, so a dense level is ordered
+// by setting one bit per node and reading the words back, stopping after
+// take; a sparse one (ring, line, grid: a few nodes per level, far apart in
+// ID space) by sorting the short list instead of scanning the empty words
+// between them. Either way a level costs O(min(L log L, L + span/64)).
+func (s *SSSP) sortLevel(take int) []NodeID {
+	next := s.next
+	if len(next) <= 2 { // a path's or a ring's whole level
+		if len(next) == 2 && next[0] > next[1] {
+			next[0], next[1] = next[1], next[0]
+		}
+		return next[:take]
+	}
+	lo, hi := next[0], next[0]
+	for _, v := range next[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	base := lo &^ 63 // ID of bit 0 of words[0]
+	words := s.bits[lo>>6 : hi>>6+1]
+	if len(next)*bits.Len(uint(len(next))) < len(words) {
+		slices.Sort(next)
+		return next[:take]
+	}
+	for _, v := range next {
+		words[(v-base)>>6] |= 1 << (v & 63)
+	}
+	out := next[:0]
+	for i, w := range words {
+		if len(out) == take {
+			break
+		}
+		for ; w != 0 && len(out) < take; w &= w - 1 {
+			out = append(out, base+NodeID(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	clear(words)
+	return out
 }
 
 // Run computes shortest paths from src to every reachable node.
