@@ -13,8 +13,9 @@ package disco
 //
 //	go test -bench Fig3 -workers 8
 //
-// The Benchmark{Dijkstra,Vicinity,...} group at the bottom are ordinary
-// performance microbenchmarks of the substrate.
+// The Benchmark{Route,Overlay,Address,...} group at the bottom are ordinary
+// performance microbenchmarks of the substrate; the SSSP kernels and the
+// forwarding planes are benchmarked in internal/graph and internal/forward.
 
 import (
 	"flag"
@@ -26,7 +27,6 @@ import (
 	"disco/internal/addr"
 	"disco/internal/core"
 	"disco/internal/eval"
-	"disco/internal/forward"
 	"disco/internal/graph"
 	"disco/internal/metrics"
 	"disco/internal/overlay"
@@ -390,25 +390,6 @@ func useSnapshot(b *testing.B, nd *core.NDDisco) {
 	nd.UseSnapshot(snap)
 }
 
-func BenchmarkDijkstraFull4096(b *testing.B) {
-	g := benchGraph(b, 4096)
-	s := graph.NewSSSP(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(graph.NodeID(i % 4096))
-	}
-}
-
-func BenchmarkVicinityBuild4096(b *testing.B) {
-	g := benchGraph(b, 4096)
-	s := graph.NewSSSP(g)
-	k := vicinity.DefaultK(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunK(graph.NodeID(i%4096), k)
-	}
-}
-
 func BenchmarkRouteFirst(b *testing.B) {
 	g := benchGraph(b, 2048)
 	env := static.NewEnv(g, benchSeed)
@@ -441,57 +422,6 @@ func BenchmarkRouteLater(b *testing.B) {
 		}
 		d.LaterRoute(s, t, core.ShortcutNoPathKnowledge)
 	}
-}
-
-// BenchmarkForwardThroughput is the root-harness routes/sec line: the two
-// query planes — protocol fork walking the snapshot versus the compiled
-// next-hop interval tables — over the same n=1024 snapshot, mirroring
-// internal/forward's benchmark so the headline number regenerates from
-// `go test -bench ForwardThroughput` at the repo root. The tables line
-// must stay 0 allocs/op (the fast path's zero-allocation contract).
-func BenchmarkForwardThroughput(b *testing.B) {
-	const n = 1024
-	g := benchGraph(b, n)
-	env := static.NewEnv(g, benchSeed)
-	base, err := snapshot.Build(g, vicinity.DefaultK(n), env.Landmarks)
-	if err != nil {
-		b.Fatalf("snapshot build: %v", err)
-	}
-	nd := core.NewDisco(env, core.WithSeed(benchSeed)).ND
-	ps := metrics.SamplePairs(rand.New(rand.NewSource(benchSeed)), n, 4096)
-
-	b.Run("fork-and-walk", func(b *testing.B) {
-		r := nd.ForkRepaired(base)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pr := ps[i%len(ps)]
-			s, t := graph.NodeID(pr.Src), graph.NodeID(pr.Dst)
-			if i%2 == 0 {
-				r.RepairedFirstRoute(s, t)
-			} else {
-				r.RepairedLaterRoute(s, t)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "routes/s")
-	})
-
-	b.Run("tables", func(b *testing.B) {
-		tbls := forward.Compile(base, env.Landmarks, env.LMOf)
-		tbls.Precompile()
-		r := tbls.NewRouter()
-		buf := make([]graph.NodeID, 0, 256)
-		for _, pr := range ps { // steady-state the scratch buffers
-			buf, _ = r.AppendRoute(buf[:0], graph.NodeID(pr.Src), graph.NodeID(pr.Dst), true)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			pr := ps[i%len(ps)]
-			buf, _ = r.AppendRoute(buf[:0], graph.NodeID(pr.Src), graph.NodeID(pr.Dst), i%2 == 1)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "routes/s")
-	})
 }
 
 func BenchmarkOverlayDisseminate(b *testing.B) {

@@ -12,9 +12,9 @@ import (
 // deterministic sequence of interleaved link failures and recoveries. Each
 // event advances the snapshot chain copy-on-write (snapshot.ApplyFailures
 // / ApplyRecoveries), so per-event cost is the event's blast radius, not a
-// rebuild; the chain's incremental overlays plus fold compaction keep a
-// long timeline's memory bounded by the base shard store plus a capped
-// overlay chain. The base snapshot and
+// rebuild; the chain's copy-on-write overlay tables plus fold compaction
+// keep a long timeline's memory bounded by the base shard store plus a
+// capped overlay. The base snapshot and
 // graph are never mutated — link weights for recoveries come from the
 // base topology, which is what defines "the link comes back".
 type Timeline struct {

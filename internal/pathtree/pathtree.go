@@ -1,10 +1,10 @@
 // Package pathtree provides shortest-path tree views in three flavours:
-// materialized full trees with a capped per-worker Cache (the historical
-// path), a zero-materialization Lazy view over reusable Dijkstra scratch
-// for roots that are queried once and never again (stretch denominators,
-// per-pair destination trees), and a concurrency-safe Shared bank for
-// rarely-needed roots that forks of one protocol instance want to compute
-// at most once across all workers (VRR dead-end recovery).
+// materialized full trees in a capped per-worker Cache (internal/tzk), a
+// concurrency-safe Shared bank for rarely-needed roots that forks of one
+// protocol instance compute at most once across all workers (internal/vrr's
+// dead-end recovery), and a zero-materialization Lazy view over reusable
+// Dijkstra scratch for roots queried in runs — stretch denominators,
+// per-pair destination trees — which is what everything else uses.
 package pathtree
 
 import (
@@ -25,6 +25,17 @@ func (t *Tree) Dist(v graph.NodeID) float64 { return t.dist[v] }
 
 // Parent returns v's predecessor on the path Root ⇝ v, or graph.None.
 func (t *Tree) Parent(v graph.NodeID) graph.NodeID { return t.parent[v] }
+
+// newTree materializes the tree of a finished full run of sp from root.
+func newTree(sp *graph.SSSP, root graph.NodeID) *Tree {
+	n := sp.Graph().N()
+	t := &Tree{Root: root, dist: make([]float64, n), parent: make([]graph.NodeID, n)}
+	for v := range t.dist {
+		t.dist[v] = sp.Dist(graph.NodeID(v))
+		t.parent[v] = sp.Parent(graph.NodeID(v))
+	}
+	return t
+}
 
 // PathTo returns Root ⇝ v (both endpoints included).
 func (t *Tree) PathTo(v graph.NodeID) []graph.NodeID {
@@ -51,7 +62,6 @@ func (t *Tree) PathFrom(v graph.NodeID) []graph.NodeID {
 
 // Cache memoizes trees by root with FIFO eviction.
 type Cache struct {
-	g     *graph.Graph
 	s     *graph.SSSP
 	cap   int
 	trees map[graph.NodeID]*Tree
@@ -64,7 +74,6 @@ func NewCache(g *graph.Graph, capacity int) *Cache {
 		capacity = 1
 	}
 	return &Cache{
-		g:     g,
 		s:     graph.NewSSSP(g),
 		cap:   capacity,
 		trees: make(map[graph.NodeID]*Tree),
@@ -78,12 +87,7 @@ func (c *Cache) Tree(root graph.NodeID) *Tree {
 		return t
 	}
 	c.s.Run(root)
-	n := c.g.N()
-	t := &Tree{Root: root, dist: make([]float64, n), parent: make([]graph.NodeID, n)}
-	for v := 0; v < n; v++ {
-		t.dist[v] = c.s.Dist(graph.NodeID(v))
-		t.parent[v] = c.s.Parent(graph.NodeID(v))
-	}
+	t := newTree(c.s, root)
 	if len(c.order) >= c.cap {
 		evict := c.order[0]
 		c.order = c.order[1:]
@@ -96,12 +100,6 @@ func (c *Cache) Tree(root graph.NodeID) *Tree {
 
 // Cap returns the cache capacity.
 func (c *Cache) Cap() int { return c.cap }
-
-// Reset drops all cached trees.
-func (c *Cache) Reset() {
-	c.trees = make(map[graph.NodeID]*Tree)
-	c.order = nil
-}
 
 // Lazy is a single-root shortest-path view backed by one reusable SSSP
 // scratch: Bind(root) runs Dijkstra only when the root changes, and queries
@@ -191,12 +189,7 @@ func (b *Shared) Tree(root graph.NodeID) *Tree {
 	// serialize every worker behind one Dijkstra.
 	s := graph.NewSSSP(b.g)
 	s.Run(root)
-	n := b.g.N()
-	t = &Tree{Root: root, dist: make([]float64, n), parent: make([]graph.NodeID, n)}
-	for v := 0; v < n; v++ {
-		t.dist[v] = s.Dist(graph.NodeID(v))
-		t.parent[v] = s.Parent(graph.NodeID(v))
-	}
+	t = newTree(s, root)
 	b.mu.Lock()
 	if prev, ok := b.m[root]; ok {
 		t = prev // lost the race; keep the first tree so pointers stay stable

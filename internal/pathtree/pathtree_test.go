@@ -70,16 +70,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestCacheReset(t *testing.T) {
-	g := topology.Ring(10)
-	c := NewCache(g, 4)
-	t0 := c.Tree(0)
-	c.Reset()
-	if c.Tree(0) == t0 {
-		t.Fatal("Reset must drop cached trees")
-	}
-}
-
 func TestCapClamp(t *testing.T) {
 	g := topology.Ring(10)
 	c := NewCache(g, 0)

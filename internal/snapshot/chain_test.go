@@ -226,6 +226,71 @@ func TestSnapshotChainBounded(t *testing.T) {
 	}
 }
 
+// TestRepairGenerationsAreCopyOnWrite is the overlay table's aliasing
+// contract: a repair copies its parent's slot arrays and never writes
+// them, so every older generation still held keeps reading exactly what
+// it read when it was made. The chain holds its last four generations —
+// runs of three and more consecutive repaired ones, where parent and child
+// each own a table, and the folds between them — and after every event
+// each held generation's CanonicalBytes and OverlayShards must be
+// unchanged. The parent is also read end to end (every window, every
+// parent row) on another goroutine while the child is repaired from it,
+// which is what lets -race see a child that writes a shared slot array.
+func TestRepairGenerationsAreCopyOnWrite(t *testing.T) {
+	type generation struct {
+		s      *Snapshot
+		bytes  []byte
+		shards int
+	}
+	for _, compact := range []bool{false, true} {
+		name := "exact"
+		if compact {
+			name = "compact"
+		}
+		t.Run(name, func(t *testing.T) {
+			env := buildEnv(t, 256, 17)
+			base := mustBuild(t, env, vicinity.DefaultK(env.N()), compact)
+			d := newChainDriver(base)
+			rng := rand.New(rand.NewSource(23))
+			held := []generation{{base, base.CanonicalBytes(), 0}}
+			folds, tabled, longest := 0, 0, 0
+			for step := 0; step < 60; step++ {
+				parent := held[len(held)-1]
+				read := make(chan []byte, 1)
+				go func() { read <- parent.s.CanonicalBytes() }()
+				if len(d.down) == 0 || (len(d.down) < 8 && rng.Intn(2) == 0) {
+					d.failOne(t, rng, false)
+				} else {
+					d.recoverOne(t, rng)
+				}
+				if !bytes.Equal(<-read, parent.bytes) {
+					t.Fatalf("step %d: the parent read differently while its child was being repaired", step)
+				}
+				for i, gen := range held {
+					if got := gen.s.OverlayShards(); got != gen.shards {
+						t.Fatalf("step %d: generation %d back went from %d to %d overlay shards", step, len(held)-i, gen.shards, got)
+					}
+					if !bytes.Equal(gen.s.CanonicalBytes(), gen.bytes) {
+						t.Fatalf("step %d: a later repair changed the route state of generation %d back", step, len(held)-i)
+					}
+				}
+				if d.cur.RepairStats().Folded {
+					folds++
+					tabled = 0
+				} else {
+					tabled++
+					longest = max(longest, tabled)
+				}
+				held = append(held, generation{d.cur, d.cur.CanonicalBytes(), d.cur.OverlayShards()})
+				held = held[max(0, len(held)-4):]
+			}
+			if folds == 0 || longest < 3 {
+				t.Fatalf("%d folds, longest run of table-owning generations %d: want a fold and a run of at least 3", folds, longest)
+			}
+		})
+	}
+}
+
 // TestShardsRebuiltZeroShards pins the zero-shard guard: a RepairStats
 // over an empty snapshot (no windows, no rows) must report 0, never NaN.
 func TestShardsRebuiltZeroShards(t *testing.T) {

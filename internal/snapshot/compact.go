@@ -369,7 +369,7 @@ func (s *Snapshot) foldCompactInto(f *Snapshot) {
 	}
 	vicOff := make([]int64, n+1)
 	sizes := parallel.Map(n, func(v int) int64 {
-		if set, ok := s.ov.findVic(graph.NodeID(v)); ok {
+		if set := s.ov.window(graph.NodeID(v)); set != nil {
 			cs.vicLen[v] = int32(set.Size())
 			cs.radii[v] = float32(set.Radius())
 			return encodedWindowBytes(cs.idWidth, cs.pWidth, set.Entries)
@@ -387,7 +387,7 @@ func (s *Snapshot) foldCompactInto(f *Snapshot) {
 		func() *encScratch { return &encScratch{} },
 		func(sc *encScratch, v int) {
 			dst := cs.vicBlob[vicOff[v]:vicOff[v+1]]
-			if set, ok := s.ov.findVic(graph.NodeID(v)); ok {
+			if set := s.ov.window(graph.NodeID(v)); set != nil {
 				sc.w.Reset()
 				encodeWindow(&sc.w, cs.idWidth, cs.pWidth, set.Entries)
 				copy(dst, sc.w.Bytes())
@@ -418,10 +418,7 @@ func (s *Snapshot) foldCompactInto(f *Snapshot) {
 	parallel.RunScratch(len(s.landmarks),
 		func() *encScratch { return &encScratch{} },
 		func(sc *encScratch, row int) {
-			prow, ok := s.ov.findRow(row)
-			if !ok {
-				prow = old.decodeRow(row)
-			}
+			prow := s.forestRow(row)
 			sc.w.Reset()
 			for v := 0; v < n; v++ {
 				deg := s.g.Degree(graph.NodeID(v))

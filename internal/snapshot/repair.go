@@ -39,13 +39,13 @@
 // Chains compose: a repaired snapshot can be repaired or recovered again.
 // Two mechanisms keep a long repair-of-repair chain from leaking history:
 //
-//   - Incremental overlays: a chained snapshot holds the chain base's
-//     shard store plus a linked overlay chain (store.go) whose newest link
-//     is this event's blast radius — never a full copy of the accumulated
-//     overlay, and never a pointer to the previous snapshot — so chaining
-//     an event costs O(blast radius) and dropping intermediate snapshots
-//     really frees their uniquely-held links.
-//   - Compaction: when the overlay's distinct-shard count exceeds
+//   - Copy-on-write overlay tables: a chained snapshot holds the chain
+//     base's shard store plus its own flat table of repaired shards
+//     (store.go): its parent's slots copied, this event's blast radius
+//     written over them, never a pointer to the previous snapshot. An
+//     event costs its blast radius plus an O(n + landmarks) pointer copy,
+//     and dropping intermediate snapshots frees the shards only they held.
+//   - Compaction: when the table's overlaid-shard count exceeds
 //     foldOverlayFraction of the snapshot's shards, the chain is folded
 //     into a fresh base-format store (both regimes), an O(state) re-encode
 //     with no Dijkstra. CanonicalBytes is invariant under folding, so
@@ -62,6 +62,7 @@ package snapshot
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"disco/internal/graph"
@@ -125,10 +126,6 @@ func (st *RepairStats) ShardsRebuilt() float64 {
 	return float64(st.VicRebuilt+st.RowsRebuilt) / float64(total)
 }
 
-// Repaired reports whether this snapshot was produced by ApplyFailures or
-// ApplyRecoveries (possibly folded).
-func (s *Snapshot) Repaired() bool { return s.repaired }
-
 // RepairStats returns the statistics of the repair that produced this
 // snapshot, or nil for snapshots built from scratch.
 func (s *Snapshot) RepairStats() *RepairStats {
@@ -138,23 +135,18 @@ func (s *Snapshot) RepairStats() *RepairStats {
 	return &s.stats
 }
 
-// OverlayShards returns the number of distinct shards (vicinity windows
-// plus forest rows) held by this snapshot's repair overlay chain — the
-// working-set cost of the chain beyond its shared base. 0 for snapshots
-// built from scratch and for freshly folded chains. The compaction
-// contract bounds it below foldOverlayFraction of the shard count plus one
-// event's blast radius, which the long-chain test asserts.
+// OverlayShards returns the number of shards (vicinity windows plus forest
+// rows) held by this snapshot's repair overlay table — the working-set
+// cost of the chain beyond its shared base. 0 for snapshots built from
+// scratch and for freshly folded chains. The compaction contract bounds it
+// below foldOverlayFraction of the shard count plus one event's blast
+// radius, which the long-chain test asserts.
 func (s *Snapshot) OverlayShards() int {
 	if s.ov == nil {
 		return 0
 	}
 	return s.ov.shards
 }
-
-// Shortfalls returns, ascending, the nodes whose vicinity windows hold
-// fewer than k entries (shared slice; do not modify). Non-empty only after
-// a disconnecting failure whose regions have not all recovered.
-func (s *Snapshot) Shortfalls() []graph.NodeID { return s.short }
 
 // ApplyFailures returns a snapshot of this snapshot's topology minus the
 // given links, recomputing only the vicinity windows and forest rows the
@@ -208,25 +200,8 @@ func (s *Snapshot) ApplyFailures(fails []graph.EdgeKey) (*Snapshot, error) {
 			affRows = append(affRows, row)
 		}
 	}
-	affLms := make([]graph.NodeID, len(affRows))
-	for i, row := range affRows {
-		affLms[i] = s.landmarks[row]
-	}
-	prows := make([][]graph.NodeID, len(affRows))
-	graph.ForEachSource(fg, affLms, func(sp *graph.SSSP, i int, lm graph.NodeID) {
-		sp.Run(lm)
-		prow := make([]graph.NodeID, n)
-		for v := 0; v < n; v++ {
-			prow[v] = sp.Parent(graph.NodeID(v))
-		}
-		prows[i] = prow
-	})
-	newRows := make(map[int][]graph.NodeID, len(affRows))
-	for i, row := range affRows {
-		newRows[row] = prows[i]
-	}
 
-	return s.finishRepair(fg, affVic, wins, newRows, RepairStats{
+	return s.finishRepair(fg, affVic, wins, affRows, s.recomputeRows(fg, affRows), RepairStats{
 		FailedLinks: len(uniq),
 		VicRebuilt:  len(affVic),
 		VicTotal:    n,
@@ -279,14 +254,14 @@ func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, er
 
 	affVic, scanned := s.recoveryVicinities(uniq, ng)
 	wins := recomputeWindows(ng, affVic, s.k, s.compact)
-	newRows, full, patched := s.recoveryRows(uniq, ng)
+	rowIdx, prows, full := s.recoveryRows(uniq, ng)
 
-	return s.finishRepair(ng, affVic, wins, newRows, RepairStats{
+	return s.finishRepair(ng, affVic, wins, rowIdx, prows, RepairStats{
 		RestoredLinks: len(uniq),
 		VicRebuilt:    len(affVic),
 		VicTotal:      n,
 		RowsRebuilt:   full,
-		RowsPatched:   patched,
+		RowsPatched:   len(rowIdx) - full,
 		RowsTotal:     len(s.landmarks),
 		Candidates:    scanned,
 	}), nil
@@ -349,14 +324,34 @@ func recomputeWindows(g *graph.Graph, affVic []graph.NodeID, k int, compact bool
 		})
 }
 
+// recomputeRows rebuilds the given forest rows on graph g — one full
+// Dijkstra per row's landmark into a fresh parent array, over the worker
+// pool — for both repair directions. The result is parallel to rows.
+func (s *Snapshot) recomputeRows(g *graph.Graph, rows []int) [][]graph.NodeID {
+	n := g.N()
+	lms := make([]graph.NodeID, len(rows))
+	for i, row := range rows {
+		lms[i] = s.landmarks[row]
+	}
+	prows := make([][]graph.NodeID, len(rows))
+	graph.ForEachSource(g, lms, func(sp *graph.SSSP, i int, lm graph.NodeID) {
+		sp.Run(lm)
+		prow := make([]graph.NodeID, n)
+		for v := 0; v < n; v++ {
+			prow[v] = sp.Parent(graph.NodeID(v))
+		}
+		prows[i] = prow
+	})
+	return prows
+}
+
 // finishRepair assembles the repaired snapshot: the base shard store
-// shared by reference, this event's recomputed shards pushed as a new
-// overlay link onto the (shared, untouched) previous chain, maxRadius and
-// the shortfall list updated, and the chain folded into a fresh store
-// when the overlay's distinct-shard count crosses the compaction
-// threshold. Per-event cost is O(blast radius), amortized, regardless of
-// how much overlay the chain has accumulated.
-func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []repairedWindow, newRows map[int][]graph.NodeID, stats RepairStats) *Snapshot {
+// shared by reference, the parent's overlay table copied with this event's
+// recomputed shards written over it, maxRadius and the shortfall list
+// updated, and the chain folded into a fresh store when the table's shard
+// count crosses the compaction threshold. The event's shards arrive as
+// ascending parallel slices: affVic with wins, rowIdx with prows.
+func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []repairedWindow, rowIdx []int, prows [][]graph.NodeID, stats RepairStats) *Snapshot {
 	// Changed-state accounting against the pre-event snapshot, fanned out
 	// over the worker pool (order-independent integer sums).
 	n := ng.N()
@@ -369,13 +364,8 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []r
 			stats.VicEntriesChanged += d
 		}
 	}
-	changedRowKeys := make([]int, 0, len(newRows))
-	for row := range newRows {
-		changedRowKeys = append(changedRowKeys, row)
-	}
-	sort.Ints(changedRowKeys)
-	rowDiffs := parallel.Map(len(changedRowKeys), func(i int) int {
-		row, prow := changedRowKeys[i], newRows[changedRowKeys[i]]
+	rowDiffs := parallel.Map(len(rowIdx), func(i int) int {
+		row, prow := rowIdx[i], prows[i]
 		d := 0
 		for v := 0; v < n; v++ {
 			if s.parentAt(row, graph.NodeID(v)) != prow[v] {
@@ -388,7 +378,7 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []r
 		stats.RowNodesChanged += d
 	}
 	stats.VicTouched = affVic
-	stats.RowsTouched = changedRowKeys
+	stats.RowsTouched = rowIdx
 
 	c := &Snapshot{
 		g: ng, k: s.k, compact: s.compact,
@@ -396,42 +386,29 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []r
 		landmarks: s.landmarks, lmRow: s.lmRow,
 		maxRadius: s.maxRadius,
 		repaired:  true, stats: stats,
-		short: s.short,
+		ov: deriveOverlay(s.ov, n, len(s.landmarks), affVic, wins, rowIdx, prows),
 	}
-	vic := make(map[graph.NodeID]*vicinity.Set, len(affVic))
+	// Shortfall bookkeeping: a recomputed window leaves or (re)enters the
+	// list according to its new size; every other entry carries over.
+	for _, v := range s.short {
+		if _, hit := slices.BinarySearch(affVic, v); !hit {
+			c.short = append(c.short, v)
+		}
+	}
 	for i, v := range affVic {
-		vic[v] = wins[i].set
 		if wins[i].bound > c.maxRadius {
 			c.maxRadius = wins[i].bound
 		}
-	}
-	c.ov = pushOverlay(s.ov, vic, newRows)
-
-	// Shortfall bookkeeping: a recomputed window leaves or (re)enters the
-	// list according to its new size.
-	if len(s.short) > 0 || len(affVic) > 0 {
-		shortSet := make(map[graph.NodeID]bool, len(s.short))
-		for _, v := range s.short {
-			shortSet[v] = true
-		}
-		for i, v := range affVic {
-			if wins[i].set.Size() < c.k {
-				shortSet[v] = true
-			} else {
-				delete(shortSet, v)
-			}
-		}
-		c.short = make([]graph.NodeID, 0, len(shortSet))
-		for v := range shortSet {
+		if wins[i].set.Size() < c.k {
 			c.short = append(c.short, v)
 		}
-		sort.Slice(c.short, func(i, j int) bool { return c.short[i] < c.short[j] })
 	}
+	slices.Sort(c.short)
 
 	// Compaction: only chains fold (s already repaired). A one-shot repair
 	// of a built snapshot keeps its overlay — it dies with the snapshot.
 	if s.repaired {
-		total := ng.N() + len(s.landmarks)
+		total := n + len(s.landmarks)
 		if float64(c.ov.shards) > foldOverlayFraction*float64(total) {
 			return c.fold()
 		}
@@ -638,11 +615,11 @@ type rowPatch struct {
 	d float64
 }
 
-// rowClass is one forest row's classification against a recovery's
-// restored links: full recompute, tie patches, or untouched.
+// rowClass is one forest row's verdict against a recovery's restored
+// links: full recompute, tie-patched (prow, the patched copy), or neither.
 type rowClass struct {
-	isFull  bool
-	patches []rowPatch
+	isFull bool
+	prow   []graph.NodeID
 }
 
 // recoveryRows computes the forest-row updates for a recovery: rows the
@@ -650,14 +627,13 @@ type rowClass struct {
 // rows where a restored link only ties an existing distance get the tie
 // node's parent patched to the first-settled candidate (the deterministic
 // Dijkstra's choice) without any recomputation. Per-row classification
-// fans out over the worker pool (each row's verdict is independent) and
-// merges in row order. Returns the new rows plus the full-recompute and
-// patched-row counts.
-func (s *Snapshot) recoveryRows(uniq []graph.WeightedLink, ng *graph.Graph) (rows map[int][]graph.NodeID, full, patched int) {
-	n := s.g.N()
+// and patching fan out over the worker pool (each row's verdict is
+// independent) and merge in row order. Returns the touched rows ascending,
+// their new parent arrays in parallel, and how many were full recomputes.
+func (s *Snapshot) recoveryRows(uniq []graph.WeightedLink, ng *graph.Graph) (rowIdx []int, prows [][]graph.NodeID, full int) {
 	classes := parallel.Map(len(s.landmarks), func(row int) rowClass {
 		lm := s.landmarks[row]
-		var cl rowClass
+		var patches []rowPatch
 		for _, r := range uniq {
 			u, v, w := r.U, r.V, r.W
 			ru := u == lm || s.parentAt(row, u) != graph.None
@@ -673,78 +649,58 @@ func (s *Snapshot) recoveryRows(uniq []graph.WeightedLink, ng *graph.Graph) (row
 				return rowClass{isFull: true} // strict improvement: distances shift
 			}
 			if du+w == dv && v != lm && settlesBefore(du, u, dv, v) {
-				cl.patches = append(cl.patches, rowPatch{v: v, p: u, d: du})
+				patches = append(patches, rowPatch{v: v, p: u, d: du})
 			} else if dv+w == du && u != lm && settlesBefore(dv, v, du, u) {
-				cl.patches = append(cl.patches, rowPatch{v: u, p: v, d: dv})
+				patches = append(patches, rowPatch{v: u, p: v, d: dv})
 			}
 		}
-		return cl
+		return rowClass{prow: s.patchRow(row, patches)}
 	})
-	var fullRows []int
-	patchesByRow := make(map[int][]rowPatch)
+	var fullRows, fullAt []int
 	for row, cl := range classes {
 		if cl.isFull {
 			fullRows = append(fullRows, row)
-		} else if len(cl.patches) > 0 {
-			patchesByRow[row] = cl.patches
+			fullAt = append(fullAt, len(rowIdx))
+		} else if cl.prow == nil {
+			continue
 		}
+		rowIdx = append(rowIdx, row)
+		prows = append(prows, cl.prow)
 	}
+	for i, prow := range s.recomputeRows(ng, fullRows) {
+		prows[fullAt[i]] = prow
+	}
+	return rowIdx, prows, len(fullRows)
+}
 
-	rows = make(map[int][]graph.NodeID, len(fullRows)+len(patchesByRow))
-	affLms := make([]graph.NodeID, len(fullRows))
-	for i, row := range fullRows {
-		affLms[i] = s.landmarks[row]
-	}
-	prows := make([][]graph.NodeID, len(fullRows))
-	graph.ForEachSource(ng, affLms, func(sp *graph.SSSP, i int, lm graph.NodeID) {
-		sp.Run(lm)
-		prow := make([]graph.NodeID, n)
-		for v := 0; v < n; v++ {
-			prow[v] = sp.Parent(graph.NodeID(v))
-		}
-		prows[i] = prow
-	})
-	for i, row := range fullRows {
-		rows[row] = prows[i]
-	}
-
-	//disco:orderinvariant rows are independent; each iteration writes only rows[row] and a count
-	for row, ps := range patchesByRow {
-		// Fold multiple candidates per node to the earliest-settling one,
-		// then let it contest the row's current parent.
-		best := make(map[graph.NodeID]rowPatch, len(ps))
-		for _, pc := range ps {
-			cur, ok := best[pc.v]
-			if !ok || settlesBefore(pc.d, pc.p, cur.d, cur.p) {
-				best[pc.v] = pc
-			}
-		}
-		var prow []graph.NodeID
-		//disco:orderinvariant patches write prow[v] only; the fold to best already picked the first-settler per node
-		for v, pc := range best {
-			p0 := s.parentAt(row, v)
-			if !settlesBefore(pc.d, pc.p, s.rowDist(row, p0), p0) {
-				continue // the incumbent parent settles first: no change
-			}
-			if prow == nil {
-				prow = make([]graph.NodeID, n)
-				for x := 0; x < n; x++ {
-					prow[x] = s.parentAt(row, graph.NodeID(x))
-				}
-			}
-			prow[v] = pc.p
-		}
+// patchRow applies one row's tie-patch candidates and returns the patched
+// copy of the row, or nil when every incumbent parent holds. A candidate
+// contests the node's parent so far — the row's own or an earlier
+// candidate's, whose d is its rowDist — so the first-settler wins in any order.
+func (s *Snapshot) patchRow(row int, ps []rowPatch) []graph.NodeID {
+	var prow []graph.NodeID
+	for _, pc := range ps {
+		p0 := s.parentAt(row, pc.v)
 		if prow != nil {
-			rows[row] = prow
-			patched++
+			p0 = prow[pc.v]
 		}
+		if !settlesBefore(pc.d, pc.p, s.rowDist(row, p0), p0) {
+			continue // the incumbent parent settles first: no change
+		}
+		if prow == nil {
+			prow = make([]graph.NodeID, s.g.N())
+			for x := range prow {
+				prow[x] = s.parentAt(row, graph.NodeID(x))
+			}
+		}
+		prow[pc.v] = pc.p
 	}
-	return rows, len(fullRows), patched
+	return prow
 }
 
 // fold materializes the chain's logical route state into a fresh
 // base-format shard store in the snapshot's own regime — an O(state)
-// re-encode with no shortest-path work — and drops the overlay chain. The
+// re-encode with no shortest-path work — and drops the overlay table. The
 // folded snapshot reads and serializes identically (CanonicalBytes is
 // computed from logical state), keeps the repair stats of the step that
 // triggered the fold, and its compact forest rows re-index the current
@@ -786,12 +742,7 @@ func (s *Snapshot) foldExactInto(f *Snapshot) {
 	})
 	parents := make([]graph.NodeID, len(s.landmarks)*n)
 	parallel.Run(len(s.landmarks), func(row int) {
-		prow := parents[row*n : (row+1)*n]
-		src, ok := s.ov.findRow(row)
-		if !ok {
-			src = s.store.decodeRow(row)
-		}
-		copy(prow, src)
+		copy(parents[row*n:(row+1)*n], s.forestRow(row))
 	})
 	st.entries, st.off, st.sets, st.parents = entries, off, sets, parents
 	f.store = st
@@ -802,7 +753,7 @@ func (s *Snapshot) foldExactInto(f *Snapshot) {
 // distance bits — in a storage-independent canonical form. Two snapshots
 // agree here iff they hold identical route state, regardless of how it is
 // laid out (exact flat arrays, compact bit-packing, a repair overlay
-// chain, or a folded one); this is the byte-identity the repair- and
+// table, or a folded one); this is the byte-identity the repair- and
 // chain-equivalence tests assert against a from-scratch build of the
 // current topology.
 func (s *Snapshot) CanonicalBytes() []byte {

@@ -139,14 +139,12 @@ func BenchmarkChainFold(b *testing.B) {
 	})
 }
 
-// BenchmarkRepairChainAge is the regression guard for the incremental
-// overlay refactor: per-event repair cost (time and allocations) must
-// track the event's blast radius, not how much overlay the chain has
-// accumulated. Before the refactor, finishRepair re-copied the whole
-// accumulated overlay map into every child, so an event on an aged chain
-// allocated O(chain age); now it pushes an O(blast radius) link. Compare
-// age=0 vs age=48 lines: allocs/op should be of the same order, not
-// monotonically growing with age.
+// BenchmarkRepairChainAge guards the overlay table's per-event cost: a
+// repair copies its parent's two slot arrays once (one pointer per node,
+// one slice header per landmark) and writes its own blast radius, whatever
+// the table already holds, so an event on an aged chain must cost what it
+// costs on a fresh one. Compare the age=0 and age=48 lines: ns/op and
+// allocs/op of the same order, neither growing with age.
 func BenchmarkRepairChainAge(b *testing.B) {
 	const n = 1024
 	env := buildEnv(b, n, 1)

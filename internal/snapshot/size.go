@@ -19,27 +19,31 @@ const (
 	offBytes   = int64(unsafe.Sizeof(int(0)))
 	off64Bytes = int64(unsafe.Sizeof(int64(0)))
 	f32Bytes   = int64(unsafe.Sizeof(float32(0)))
+	ptrBytes   = int64(unsafe.Sizeof((*vicinity.Set)(nil)))
+	sliceBytes = int64(unsafe.Sizeof([]graph.NodeID(nil)))
 )
 
 // Bytes returns the snapshot's backing-array footprint in bytes — the
 // shared cost that replaces every worker's private caches, in whichever
-// storage regime the snapshot was built, plus every overlay link this
-// chained snapshot reaches (recomputed windows as exact entry slices,
-// recomputed forest rows as plain parent arrays). Links are summed as
-// held, duplicates across links included — this is the retained-heap
-// measure the chain-bound test caps, and the geometric overlay merge is
-// what keeps it within a constant factor of the distinct-shard union.
+// storage regime the snapshot was built, plus this snapshot's overlay
+// table: its two slot arrays and every overlaid shard once (recomputed
+// windows as exact entry slices, recomputed forest rows as plain parent
+// arrays). This is the retained-heap measure the chain-bound test caps.
 // Used by the memory-regression benchmark, the chain-bound test and the
 // -memprofile report.
 func (s *Snapshot) Bytes() int64 {
 	total := int64(len(s.landmarks))*nodeBytes + int64(len(s.lmRow))*int32Bytes +
 		int64(len(s.short))*nodeBytes
-	rowBytes := int64(s.g.N()) * nodeBytes
-	for o := s.ov; o != nil; o = o.prev {
+	if o := s.ov; o != nil {
+		total += int64(len(o.vic))*ptrBytes + int64(len(o.rows))*sliceBytes
 		for _, set := range o.vic {
-			total += setBytes + int64(len(set.Entries))*entryBytes
+			if set != nil {
+				total += setBytes + int64(len(set.Entries))*entryBytes
+			}
 		}
-		total += int64(len(o.rows)) * rowBytes
+		for _, prow := range o.rows {
+			total += int64(len(prow)) * nodeBytes
+		}
 	}
 	return total + s.store.storeBytes()
 }

@@ -8,7 +8,7 @@
 //
 // Storage is organized as a shard store (store.go): every vicinity window
 // and forest row is a shard, a shardStore holds one base generation of
-// shards, and a Snapshot reads through an overlay chain of repaired
+// shards, and a Snapshot reads through its overlay table of repaired
 // shards (repair.go) down into that store. Two store implementations
 // exist behind one API:
 //
@@ -41,7 +41,7 @@ import (
 
 // Snapshot is the shared immutable route state of one converged
 // environment: the vicinity table of every node and the shortest-path
-// forest rooted at every landmark. Reads check the repair overlay chain
+// forest rooted at every landmark. Reads check the repair overlay table
 // (nil on snapshots built from scratch), then fall through to the shard
 // store — the base generation shared across a repair chain.
 type Snapshot struct {
@@ -51,10 +51,10 @@ type Snapshot struct {
 
 	store shardStore
 
-	// ov is the repair overlay chain: nil on snapshots built from scratch
-	// and on freshly folded chains, newest link first otherwise. All base
+	// ov is the repair overlay table: nil on snapshots built from scratch
+	// and on freshly folded chains, one slot per shard otherwise. All base
 	// storage of a repaired snapshot is shared with the chain's base;
-	// reads check the chain first.
+	// reads check the table first.
 	ov *overlay
 
 	// Landmark bookkeeping (both regimes): lmRow maps a node to its forest
@@ -233,7 +233,7 @@ func (s *Snapshot) Landmarks() []graph.NodeID { return s.landmarks }
 // Callers that only need membership should prefer VicinityContains, which
 // never materializes the window.
 func (s *Snapshot) Vicinity(v graph.NodeID) *vicinity.Set {
-	if set, ok := s.ov.findVic(v); ok {
+	if set := s.ov.window(v); set != nil {
 		return set
 	}
 	return s.store.windowSet(v)
@@ -243,7 +243,7 @@ func (s *Snapshot) Vicinity(v graph.NodeID) *vicinity.Set {
 // either regime — the cheap probe the per-hop forwarding checks use, where
 // the common answer is "no".
 func (s *Snapshot) VicinityContains(v, w graph.NodeID) bool {
-	if set, ok := s.ov.findVic(v); ok {
+	if set := s.ov.window(v); set != nil {
 		return set.Contains(w)
 	}
 	return s.store.windowContains(v, w)
@@ -253,7 +253,7 @@ func (s *Snapshot) VicinityContains(v, w graph.NodeID) bool {
 // the window in either regime — what the recovery pipeline's per-candidate
 // probes run on. The radius is exactly Vicinity(v).Radius().
 func (s *Snapshot) windowMeta(v graph.NodeID) (size int, radius float64) {
-	if set, ok := s.ov.findVic(v); ok {
+	if set := s.ov.window(v); set != nil {
 		return set.Size(), set.Radius()
 	}
 	return s.store.windowLen(v), s.store.windowRadius(v)
@@ -277,7 +277,7 @@ func (s *Snapshot) row(root graph.NodeID) int {
 // base store. graph.None means v is the root — or, on a repaired row,
 // that the failures cut v off from the root entirely (check Reaches).
 func (s *Snapshot) parentAt(row int, v graph.NodeID) graph.NodeID {
-	if prow, ok := s.ov.findRow(row); ok {
+	if prow := s.ov.row(row); prow != nil {
 		return prow[v]
 	}
 	return s.store.rowParent(row, v)
@@ -291,8 +291,12 @@ func (s *Snapshot) parentAt(row int, v graph.NodeID) graph.NodeID {
 // on to the row; single-field reads go through Parent). root must be a
 // landmark. Treat the result as shared immutable storage; do not modify.
 func (s *Snapshot) ForestParents(root graph.NodeID) []graph.NodeID {
-	row := s.row(root)
-	if prow, ok := s.ov.findRow(row); ok {
+	return s.forestRow(s.row(root))
+}
+
+// forestRow is ForestParents by row index — what the fold encoders read.
+func (s *Snapshot) forestRow(row int) []graph.NodeID {
+	if prow := s.ov.row(row); prow != nil {
 		return prow
 	}
 	return s.store.decodeRow(row)

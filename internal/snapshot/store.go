@@ -9,22 +9,17 @@
 //
 // A Snapshot is then always the same sandwich regardless of regime:
 //
-//	reads -> overlay chain (this chain segment's repaired shards)
+//	reads -> overlay table (the repaired shards this snapshot sees)
 //	      -> shardStore    (the shared base generation)
 //
-// The overlay is a linked chain of per-event deltas instead of one flat
-// map so that chaining an event costs O(its blast radius), not O(the
-// accumulated overlay): finishRepair pushes a new link holding only the
-// event's recomputed shards and never copies the older links (they are
-// shared, immutable, with the previous snapshots that still read them).
-// To keep reads O(log) and retained duplicates bounded, pushOverlay
-// greedily absorbs older links into the new one while they are no larger
-// than twice the growing new link — the classic LSM merge shape. The
-// invariant after every push is that adjacent links grow by more than 2x
-// going older, so the chain depth is logarithmic in the overlay size and
-// the total retained entries stay under twice the distinct-shard count.
-// When the distinct count crosses foldOverlayFraction of the store's
-// shards, the whole sandwich is folded into a fresh store (repair.go).
+// The overlay is one flat copy-on-write table per repaired snapshot: a slot
+// per shard, nil meaning "read the base store", so a read is an index and
+// a nil check. A repair copies its parent's two slot arrays (8 B per node
+// plus 24 B per landmark, noise next to the event's Dijkstra work) and
+// writes the slots its event recomputed; the parent's table is never
+// written and the shards stay shared with every snapshot that reads them.
+// When the overlaid slots exceed foldOverlayFraction of the store's
+// shards, the sandwich is folded into a fresh store (repair.go).
 package snapshot
 
 import (
@@ -90,86 +85,54 @@ func (st *exactStore) storeBytes() int64 {
 		int64(len(st.parents))*nodeBytes
 }
 
-// overlay is one link of a snapshot's repaired-shard chain: the vicinity
-// windows and forest rows some event (or a merge of adjacent events)
-// recomputed. Links are immutable once a snapshot holds them — a chained
-// child may absorb a link it is about to shadow only inside pushOverlay,
-// before the new link is published. Reads walk newest to oldest; first
-// hit wins.
+// overlay is a repaired snapshot's shard table: vic[v] is node v's
+// recomputed vicinity window, rows[row] forest row `row`'s recomputed
+// parent array, nil where the snapshot reads the base store. Immutable
+// once its snapshot is returned. Built and freshly folded snapshots hold a
+// nil *overlay, which both accessors accept.
 type overlay struct {
-	prev *overlay
-	vic  map[graph.NodeID]*vicinity.Set
-	rows map[int][]graph.NodeID
-	// shards counts the DISTINCT shards across this link and every older
-	// one — the union, i.e. the logical overlay size the fold threshold
-	// and OverlayShards speak. Retained entries may exceed it (a newer
-	// link shadowing an older one), bounded under 2x by the merge
-	// invariant.
-	shards int
+	vic    []*vicinity.Set
+	rows   [][]graph.NodeID
+	shards int // non-nil slots: what the fold threshold and OverlayShards count
 }
 
-// size returns the entries held by this single link.
-func (o *overlay) size() int { return len(o.vic) + len(o.rows) }
-
-// findVic returns the newest overlaid window for v, walking the chain.
-// Nil-receiver safe: a snapshot with no overlay just misses.
-func (o *overlay) findVic(v graph.NodeID) (*vicinity.Set, bool) {
-	for ; o != nil; o = o.prev {
-		if set, ok := o.vic[v]; ok {
-			return set, true
-		}
+// window returns v's overlaid vicinity window, or nil to read the base.
+func (o *overlay) window(v graph.NodeID) *vicinity.Set {
+	if o == nil {
+		return nil
 	}
-	return nil, false
+	return o.vic[v]
 }
 
-// findRow returns the newest overlaid parent row for `row`.
-func (o *overlay) findRow(row int) ([]graph.NodeID, bool) {
-	for ; o != nil; o = o.prev {
-		if prow, ok := o.rows[row]; ok {
-			return prow, true
-		}
+// row returns forest row `row`'s overlaid parents, or nil to read the base.
+func (o *overlay) row(row int) []graph.NodeID {
+	if o == nil {
+		return nil
 	}
-	return nil, false
+	return o.rows[row]
 }
 
-// pushOverlay chains one event's recomputed shards (vic, rows — ownership
-// transfers to the overlay) onto prev, which is left untouched and stays
-// valid for the snapshots already holding it. Older links no larger than
-// twice the growing new link are absorbed into it (newest entry wins), so
-// per-event work is O(blast radius) amortized, chain depth stays
-// logarithmic, and retained duplicates stay under one extra copy of the
-// distinct-shard union.
-func pushOverlay(prev *overlay, vic map[graph.NodeID]*vicinity.Set, rows map[int][]graph.NodeID) *overlay {
-	o := &overlay{prev: prev, vic: vic, rows: rows}
-	for o.prev != nil && o.prev.size() <= 2*o.size() {
-		p := o.prev
-		for v, set := range p.vic {
-			if _, ok := o.vic[v]; !ok {
-				o.vic[v] = set
-			}
-		}
-		for row, prow := range p.rows {
-			if _, ok := o.rows[row]; !ok {
-				o.rows[row] = prow
-			}
-		}
-		o.prev = p.prev
+// deriveOverlay returns the table one repair past prev (nil for a built or
+// freshly folded parent): prev's slots copied, prev itself left untouched
+// for the snapshots holding it, then this event's shards written over them.
+func deriveOverlay(prev *overlay, n, nrows int, affVic []graph.NodeID, wins []repairedWindow, rowIdx []int, prows [][]graph.NodeID) *overlay {
+	o := &overlay{vic: make([]*vicinity.Set, n), rows: make([][]graph.NodeID, nrows)}
+	if prev != nil {
+		copy(o.vic, prev.vic)
+		copy(o.rows, prev.rows)
+		o.shards = prev.shards
 	}
-	o.shards = o.size()
-	if o.prev != nil {
-		o.shards = o.prev.shards
-		//disco:orderinvariant findVic is a pure chain lookup; the loop only counts members
-		for v := range o.vic {
-			if _, ok := o.prev.findVic(v); !ok {
-				o.shards++
-			}
+	for i, v := range affVic {
+		if o.vic[v] == nil {
+			o.shards++
 		}
-		//disco:orderinvariant findRow is a pure chain lookup; the loop only counts members
-		for row := range o.rows {
-			if _, ok := o.prev.findRow(row); !ok {
-				o.shards++
-			}
+		o.vic[v] = wins[i].set
+	}
+	for i, row := range rowIdx {
+		if o.rows[row] == nil {
+			o.shards++
 		}
+		o.rows[row] = prows[i]
 	}
 	return o
 }
