@@ -9,6 +9,7 @@ import (
 	"disco/internal/dynamics"
 	"disco/internal/graph"
 	"disco/internal/metrics"
+	"disco/internal/pathtree"
 	"disco/internal/snapshot"
 	"disco/internal/static"
 	"disco/internal/topology"
@@ -515,4 +516,18 @@ func TestForkRepairedIsScratchFree(t *testing.T) {
 	if f.ShortestDist(3, 150) != d.ND.ShortestDist(3, 150) {
 		t.Fatal("fork and original disagree on d(3,150)")
 	}
+}
+
+// TestForkRejectsForeignScratch: a destination scratch over any graph but
+// the snapshot's would silently answer with that graph's distances.
+func TestForkRejectsForeignScratch(t *testing.T) {
+	env, d := testEnv(t, 34, 64, 256)
+	d.ND.ForkWith(pathtree.NewLazy(env.G)) // the snapshot's own graph is fine
+	other := topology.Gnm(rand.New(rand.NewSource(35)), 64, 256)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "different graph") {
+			t.Fatalf("want a panic naming the graph mismatch, got %q", msg)
+		}
+	}()
+	d.ForkWith(pathtree.NewLazy(other))
 }

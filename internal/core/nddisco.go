@@ -92,8 +92,13 @@ func (r *NDDisco) snapshot() *snapshot.Snapshot {
 // fork is the one fork constructor: a view of r over snap that shares all
 // converged read-only state and owns at most a destination-tree scratch.
 // Routes are pure functions of (Env, snapshot), so a fork returns exactly
-// the routes the original would on the same snapshot.
+// the routes the original would on the same snapshot. A dest built over
+// any graph but snap's would answer with that graph's distances, so it
+// panics (a harness invariant).
 func (r *NDDisco) fork(snap *snapshot.Snapshot, dest *pathtree.Lazy) *NDDisco {
+	if dest != nil && snap != nil && dest.Graph() != snap.Graph() {
+		panic("core: destination scratch was built over a different graph than the snapshot's")
+	}
 	return &NDDisco{Env: r.Env, K: r.K, snap: snap, dest: dest}
 }
 

@@ -169,6 +169,11 @@ func (g *Graph) Finalize() {
 // was added.
 func (g *Graph) Finalized() bool { return g.sorted }
 
+// Unit reports whether the graph is finalized and every weight is exactly
+// 1, which is what puts SSSP on its level kernel (and lets a search be
+// paused between levels, see SSSP.Begin).
+func (g *Graph) Unit() bool { return g.unit }
+
 // PortOf returns the index ("port number") of neighbor `to` within u's
 // sorted adjacency list, or -1 if the edge does not exist. Ports are the
 // per-hop labels of the paper's explicit-route address format (§4.2): a hop

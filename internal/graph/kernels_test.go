@@ -116,7 +116,8 @@ func genGeometric(rng *rand.Rand, n int, avgDeg float64) *Graph {
 }
 
 // kernelPair runs one query on both kernels over the same unit graph and
-// requires everything a caller can read off an SSSP to be identical.
+// requires everything a caller can read off an SSSP to be identical; a plain
+// Run is also replayed one Step at a time (checkStepped).
 type kernelPair struct {
 	t           testing.TB
 	heap, level *SSSP
@@ -149,9 +150,58 @@ func (p *kernelPair) check(what string, sources []NodeID, limit int, radius floa
 				l.Settled(v), l.Dist(v), l.Parent(v), l.Source(v))
 		}
 	}
+	if len(sources) == 1 && limit < 0 && radius < 0 {
+		p.checkStepped(what, sources[0])
+	}
 	for _, w := range l.bits {
 		if w != 0 {
 			p.t.Fatalf("%s: level bitset left dirty", what)
+		}
+	}
+}
+
+// checkStepped requires Begin + Step to exhaustion on the level scratch to
+// be the heap kernel's Run(src), which check has just left in p.heap — same
+// Order, distances and parents — with every settled node final from the
+// Step that settled it, and Level(i) the nodes at distance i, ascending.
+func (p *kernelPair) checkStepped(what string, src NodeID) {
+	p.t.Helper()
+	h, l := p.heap, p.level
+	l.Begin(src)
+	if l.Depth() != 1 || l.Pending() != 1 || !slices.Equal(l.Order(), []NodeID{src}) {
+		p.t.Fatalf("%s: after Begin: depth %d pending %d order %v", what, l.Depth(), l.Pending(), l.Order())
+	}
+	for d := 0; ; d++ {
+		level := l.Level(d)
+		if l.Depth() != d+1 || l.Pending() != len(level) || !slices.IsSorted(level) {
+			p.t.Fatalf("%s: level %d: depth %d pending %d, level %v", what, d, l.Depth(), l.Pending(), level)
+		}
+		for _, v := range level {
+			if !l.Settled(v) || l.Dist(v) != float64(d) || h.Dist(v) != float64(d) || l.Parent(v) != h.Parent(v) {
+				p.t.Fatalf("%s: level %d node %d: stepped (settled %v dist %v parent %d), Run (dist %v parent %d)",
+					what, d, v, l.Settled(v), l.Dist(v), l.Parent(v), h.Dist(v), h.Parent(v))
+			}
+		}
+		next := l.Step()
+		if next == nil {
+			break
+		}
+		if !slices.Equal(next, l.Level(d+1)) {
+			p.t.Fatalf("%s: Step returned %v, Level(%d) is %v", what, next, d+1, l.Level(d+1))
+		}
+	}
+	if l.Pending() != 0 {
+		p.t.Fatalf("%s: %d pending after the last Step", what, l.Pending())
+	}
+	if l.Step() != nil {
+		p.t.Fatalf("%s: Step on an exhausted search settled something", what)
+	}
+	if !slices.Equal(h.Order(), l.Order()) {
+		p.t.Fatalf("%s: stepped Order differs\n Run     %v\n stepped %v", what, h.Order(), l.Order())
+	}
+	for v := NodeID(0); int(v) < h.g.N(); v++ {
+		if h.Settled(v) != l.Settled(v) {
+			p.t.Fatalf("%s: node %d settled: Run %v, stepped %v", what, v, h.Settled(v), l.Settled(v))
 		}
 	}
 }
@@ -250,7 +300,8 @@ func TestSortLevel(t *testing.T) {
 // FuzzSSSPKernelsAgree builds a unit graph from the byte string (a link per
 // four bytes, two 16-bit endpoints; parallel links kept), optionally fails
 // every third link through WithoutEdges, and requires the level kernel to
-// agree with the heap kernel on one query. Up to 1024 nodes, so that levels
+// agree with the heap kernel on one query (mode 0, a plain Run, also checks
+// the search stepped level by level against it). Up to 1024 nodes, so that levels
 // can be sparse enough for either branch of sortLevel. Run with `go test
 // -fuzz FuzzSSSPKernelsAgree`; the checked-in corpus under testdata/fuzz/
 // runs on every plain `go test`.
@@ -289,6 +340,19 @@ func FuzzSSSPKernelsAgree(f *testing.F) {
 			p.check("RunMulti", []NodeID{s, NodeID(int(arg) % n), NodeID(int(arg) * 37 % n), s}, -1, -1)
 		}
 	})
+}
+
+// TestBeginRejectsWeighted: a weighted graph has no levels to pause between.
+func TestBeginRejectsWeighted(t *testing.T) {
+	g := genRing(5)
+	g.AddEdge(0, 2, 2.5)
+	s := NewSSSP(g)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Begin on a weighted graph did not panic")
+		}
+	}()
+	s.Begin(0)
 }
 
 // TestAddEdgeAfterFinalizeInvalidates: a link of weight 2 added to a

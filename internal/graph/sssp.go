@@ -81,10 +81,13 @@ type SSSP struct {
 	heap    minHeap
 	order   []NodeID // settle order of the last run
 	// Level kernel only: the nodes first touched from the level being
-	// settled, and the bitset sortLevel orders them through (all zero
-	// between calls).
-	next []NodeID
-	bits []uint64
+	// scanned, the bitset sortLevel orders them through (all zero between
+	// calls), where each settled level ends in order, and whether Step can
+	// carry the search on (see Begin).
+	next      []NodeID
+	bits      []uint64
+	levels    []int32
+	resumable bool
 }
 
 // NewSSSP returns a shortest-path scratch bound to g. The graph must be
@@ -120,6 +123,8 @@ func (s *SSSP) begin() {
 	s.heap = s.heap[:0]
 	s.order = s.order[:0]
 	s.next = s.next[:0]
+	s.levels = s.levels[:0]
+	s.resumable = false
 }
 
 func (s *SSSP) relax(v NodeID, d float64, via NodeID, src NodeID) {
@@ -205,15 +210,7 @@ func (s *SSSP) runHeap(sources []NodeID, limit int, radius float64) {
 // radius, is settled without scanning its rows: nothing those scans could
 // write would ever be settled, so none of it is observable.
 func (s *SSSP) runLevels(sources []NodeID, limit int, radius float64) {
-	epoch := s.epoch
-	edges, off := s.g.edges, s.g.off
-	stamp, dist, parent, nearest := s.stamp, s.dist, s.parent, s.nearest
-	for _, src := range sources {
-		if stamp[src] != epoch {
-			stamp[src], dist[src], parent[src], nearest[src] = epoch, 0, None, src
-			s.next = append(s.next, src)
-		}
-	}
+	s.seed(sources)
 	multi := len(s.next) > 1
 	for d := 0.0; len(s.next) > 0; d++ {
 		if radius >= 0 && d >= radius {
@@ -223,29 +220,119 @@ func (s *SSSP) runLevels(sources []NodeID, limit int, radius float64) {
 		if limit >= 0 {
 			take = min(take, limit-len(s.order))
 		}
-		start := len(s.order)
-		s.order = append(s.order, s.sortLevel(take)...)
-		level := s.order[start:]
-		s.next = s.next[:0]
-		last := limit >= 0 && len(s.order) >= limit || radius >= 0 && d+1 >= radius
-		for _, u := range level {
-			s.settled[u] = epoch
-			if last {
-				continue
-			}
-			src := nearest[u]
-			for _, e := range edges[off[u]:off[u+1]] {
-				v := e.To
-				if stamp[v] != epoch {
-					stamp[v], dist[v], parent[v], nearest[v] = epoch, d+1, u, src
-					s.next = append(s.next, v)
-				} else if multi && src < nearest[v] && dist[v] == d+1 {
-					// v is in the next level: lowest source wins.
-					nearest[v], parent[v] = src, u
-				}
+		level := s.settle(take)
+		if limit >= 0 && len(s.order) >= limit || radius >= 0 && d+1 >= radius {
+			return
+		}
+		s.scan(level, d, multi)
+	}
+}
+
+// seed makes the distinct sources the touched level 0.
+func (s *SSSP) seed(sources []NodeID) {
+	epoch := s.epoch
+	for _, src := range sources {
+		if s.stamp[src] != epoch {
+			s.stamp[src], s.dist[src], s.parent[src], s.nearest[src] = epoch, 0, None, src
+			s.next = append(s.next, src)
+		}
+	}
+}
+
+// settle and scan are the level kernel's two half-steps, shared by the
+// run-to-the-end loop above and the resumable search below. settle settles
+// the take lowest IDs of the touched level in ascending order and returns
+// them; scan walks the rows of a settled level at distance d and collects
+// level d+1 as it is first touched.
+func (s *SSSP) settle(take int) []NodeID {
+	start := len(s.order)
+	s.order = append(s.order, s.sortLevel(take)...)
+	s.levels = append(s.levels, int32(len(s.order)))
+	s.next = s.next[:0]
+	level := s.order[start:]
+	for _, u := range level {
+		s.settled[u] = s.epoch
+	}
+	return level
+}
+
+func (s *SSSP) scan(level []NodeID, d float64, multi bool) {
+	epoch := s.epoch
+	edges, off := s.g.edges, s.g.off
+	stamp, dist, parent, nearest := s.stamp, s.dist, s.parent, s.nearest
+	for _, u := range level {
+		src := nearest[u]
+		for _, e := range edges[off[u]:off[u+1]] {
+			v := e.To
+			if stamp[v] != epoch {
+				stamp[v], dist[v], parent[v], nearest[v] = epoch, d+1, u, src
+				s.next = append(s.next, v)
+			} else if multi && src < nearest[v] && dist[v] == d+1 {
+				// v is in the next level: lowest source wins.
+				nearest[v], parent[v] = src, u
 			}
 		}
 	}
+}
+
+// Begin starts a resumable single-source search from src on a unit-weight
+// graph, settling src alone (level 0). Each Step then does what one turn of
+// Run's loop does, with the same two half-steps — scan the rows of the last
+// settled level, settle what they newly reach — so a search stepped until
+// Step returns nil is Run(src): same Order, distances and parents. In
+// between, every settled node already carries its final distance and
+// parent, and the last settled level's rows have not been scanned yet: a
+// search that stops at some level never pays for the level after it. Begin
+// panics on a weighted graph, where there are no levels to pause between.
+func (s *SSSP) Begin(src NodeID) {
+	if !s.g.unit {
+		panic("graph: SSSP.Begin needs a unit-weight graph")
+	}
+	s.begin()
+	s.seed([]NodeID{src})
+	s.settle(1)
+	s.resumable = true
+}
+
+// Step settles exactly one more level of a search started with Begin — the
+// nodes at distance Depth() — and returns it (ascending ID; valid until the
+// next Begin or Run). It returns nil once the source's component is
+// exhausted.
+func (s *SSSP) Step() []NodeID {
+	if !s.resumable {
+		return nil
+	}
+	d := len(s.levels) - 1
+	s.scan(s.Level(d), float64(d), false)
+	if len(s.next) == 0 {
+		s.resumable = false
+		return nil
+	}
+	return s.settle(len(s.next))
+}
+
+// Depth returns how many levels the search has settled: every node at
+// distance < Depth() is settled and no other.
+func (s *SSSP) Depth() int { return len(s.levels) }
+
+// Pending returns the size of the last settled level, whose rows the next
+// Step has still to scan — what that Step costs — or 0 when there is nothing
+// to resume: the source's component is exhausted, or the last search was not
+// started with Begin.
+func (s *SSSP) Pending() int {
+	if !s.resumable {
+		return 0
+	}
+	return len(s.Level(len(s.levels) - 1))
+}
+
+// Level returns the settled nodes at distance i < Depth(), ascending ID.
+func (s *SSSP) Level(i int) []NodeID {
+	lo := int32(0)
+	if i > 0 {
+		lo = s.levels[i-1]
+	}
+	return s.order[lo:s.levels[i]]
 }
 
 // sortLevel returns the take lowest IDs of s.next in ascending order (in

@@ -70,8 +70,13 @@ func (s *S4) ForkWith(dest *pathtree.Lazy) *S4 { return s.ForkRepaired(s.snap, d
 
 // ForkRepaired returns an S4 routing view over the repaired snapshot rep.
 // A non-nil dest (shared with the other protocol forks of the same
-// worker) must have been created over rep.Graph(), the failed topology.
+// worker) must have been created over rep.Graph(), the failed topology;
+// one over any other graph would answer with that graph's distances, so it
+// panics (a harness invariant).
 func (s *S4) ForkRepaired(rep *snapshot.Snapshot, dest *pathtree.Lazy) *S4 {
+	if dest != nil && rep != nil && dest.Graph() != rep.Graph() {
+		panic("s4: destination scratch was built over a different graph than the snapshot's")
+	}
 	return &S4{Env: s.Env, DB: s.DB, snap: rep, dest: dest}
 }
 
@@ -179,20 +184,16 @@ func (s *S4) route(src, t graph.NodeID, first bool) ([]graph.NodeID, bool) {
 	return append(toLM[:i], d.PathFrom(toLM[i])...), true
 }
 
-// cluster binds the destination Dijkstra d to t and returns it with t's
+// cluster binds the destination tree d to t and returns it with t's
 // landmark on the snapshot's topology — the nearest one, ties to the lowest
 // ID (the deterministic re-registration rule); graph.None when t's
 // component lost every landmark — and the membership test u ↦ t ∈ C(u),
-// d(u,t) < d(t, l_t) under d's distances.
+// d(u,t) < d(t, l_t) under d's distances. Both are bounded queries: they
+// settle t's tree out to l_t's level and no further.
 func (s *S4) cluster(t graph.NodeID) (d *pathtree.Lazy, lm graph.NodeID, in func(graph.NodeID) bool) {
 	d = s.destTree(t)
-	lm, radius := graph.None, math.Inf(1)
-	for _, l := range s.Env.Landmarks {
-		if dl := d.Dist(l); dl < radius || (dl == radius && lm != graph.None && l < lm) {
-			lm, radius = l, dl
-		}
-	}
-	return d, lm, func(u graph.NodeID) bool { return u == t || d.Dist(u) < radius }
+	lm, radius := d.Nearest(s.Env.IsLM)
+	return d, lm, func(u graph.NodeID) bool { return u == t || d.Closer(u, radius) }
 }
 
 // ClusterSize returns |C(v)| exactly (one full Dijkstra from v): the count
@@ -203,6 +204,7 @@ func (s *S4) cluster(t graph.NodeID) (d *pathtree.Lazy, lm graph.NodeID, in func
 func (s *S4) ClusterSize(v graph.NodeID) int {
 	count := 0
 	d := s.destTree(v)
+	d.All()
 	for w := 0; w < s.Env.N(); w++ {
 		if graph.NodeID(w) == v {
 			continue

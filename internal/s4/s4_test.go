@@ -8,6 +8,7 @@ import (
 
 	"disco/internal/graph"
 	"disco/internal/metrics"
+	"disco/internal/pathtree"
 	"disco/internal/snapshot"
 	"disco/internal/static"
 	"disco/internal/topology"
@@ -230,4 +231,126 @@ func TestRouteBeforeUseSnapshotPanics(t *testing.T) {
 		}
 	}()
 	s.Fork().LaterRoute(1, 2)
+}
+
+// scanCluster is cluster's rule as S4 defines it, evaluated the slow way:
+// every landmark's distance read off a full Dijkstra from t, the minimum
+// winning, ties to the lowest ID, graph.None and +Inf when t reaches none.
+func scanCluster(env *static.Env, ref *graph.SSSP, t graph.NodeID) (lm graph.NodeID, radius float64) {
+	ref.Run(t)
+	lm, radius = graph.None, math.Inf(1)
+	for _, l := range env.Landmarks {
+		if dl := ref.Dist(l); dl < radius || (dl == radius && lm != graph.None && l < lm) {
+			lm, radius = l, dl
+		}
+	}
+	return lm, radius
+}
+
+// checkClusters compares cluster(t) — two bounded queries on the lazy
+// destination tree — with scanCluster for every t, and the membership test
+// for every (u, t).
+func checkClusters(t *testing.T, name string, s *S4) {
+	t.Helper()
+	g := s.snapshot().Graph()
+	ref := graph.NewSSSP(g)
+	for dst := graph.NodeID(0); int(dst) < g.N(); dst++ {
+		wantLM, radius := scanCluster(s.Env, ref, dst)
+		_, lm, in := s.cluster(dst)
+		if lm != wantLM {
+			t.Fatalf("%s: cluster(%d) landmark %d, the scan says %d (radius %v)", name, dst, lm, wantLM, radius)
+		}
+		for u := graph.NodeID(0); int(u) < g.N(); u++ {
+			if want := u == dst || ref.Dist(u) < radius; in(u) != want {
+				t.Fatalf("%s: %d in cluster(%d) = %v, want %v (d %v, radius %v)", name, u, dst, in(u), want, ref.Dist(u), radius)
+			}
+		}
+	}
+}
+
+// TestClusterMatchesLandmarkScan pins the bounded cluster rule against its
+// definition on the three unit-weight topologies, and on a repaired
+// snapshot where one component has lost every landmark.
+func TestClusterMatchesLandmarkScan(t *testing.T) {
+	const n = 512
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnm", topology.Gnm(rand.New(rand.NewSource(21)), n, 4*n)},
+		{"aslike", topology.ASLike(rand.New(rand.NewSource(22)), n)},
+		{"routerlike", topology.RouterLike(rand.New(rand.NewSource(23)), n)},
+	} {
+		s := newS4(t, static.NewEnv(tc.g, 21))
+		checkClusters(t, tc.name, s)
+		if tc.name != "gnm" {
+			continue
+		}
+		// Cut a landmark-free pair {a, b} out of the graph: every link of
+		// either except the one between them.
+		env, a, b := s.Env, graph.None, graph.None
+		for v := graph.NodeID(0); int(v) < n && a == graph.None; v++ {
+			for _, e := range tc.g.Neighbors(v) {
+				if !env.IsLM[v] && !env.IsLM[e.To] {
+					a, b = v, e.To
+					break
+				}
+			}
+		}
+		var fails []graph.EdgeKey
+		for _, v := range []graph.NodeID{a, b} {
+			for _, e := range tc.g.Neighbors(v) {
+				if e.To != a && e.To != b {
+					fails = append(fails, graph.EdgeKey{U: v, V: e.To})
+				}
+			}
+		}
+		rep, err := s.snapshot().ApplyFailures(fails)
+		if err != nil {
+			t.Fatalf("ApplyFailures: %v", err)
+		}
+		f := s.ForkRepaired(rep, nil)
+		if _, lm, in := f.cluster(a); lm != graph.None || !in(b) {
+			t.Fatalf("cluster(%d) in the landmark-free component {%d,%d}: landmark %d, in(%d) %v", a, a, b, lm, b, in(b))
+		}
+		checkClusters(t, "gnm repaired", f)
+	}
+}
+
+// TestInClusterAllPairs: InCluster(v, t) for every ordered pair at n=128,
+// each on a fork whose destination tree was last bound somewhere else.
+func TestInClusterAllPairs(t *testing.T) {
+	const n = 128
+	g := topology.RouterLike(rand.New(rand.NewSource(24)), n)
+	s := newS4(t, static.NewEnv(g, 24))
+	ref := graph.NewSSSP(g)
+	for dst := graph.NodeID(0); dst < n; dst++ {
+		for v := graph.NodeID(0); v < n; v++ {
+			_, radius := scanCluster(s.Env, ref, dst)
+			want := v == dst || ref.Dist(v) < radius
+			s.destTree(v) // rebind, so every call starts from a bare root
+			if got := s.InCluster(v, dst); got != want {
+				t.Fatalf("InCluster(%d,%d) = %v, want %v", v, dst, got, want)
+			}
+		}
+	}
+}
+
+// TestForkRepairedRejectsForeignScratch: a destination scratch over any
+// graph but the snapshot's would silently answer with that graph's
+// distances.
+func TestForkRepairedRejectsForeignScratch(t *testing.T) {
+	g := topology.Gnm(rand.New(rand.NewSource(25)), 64, 256)
+	s := newS4(t, static.NewEnv(g, 25))
+	s.ForkWith(pathtree.NewLazy(g)) // the snapshot's own graph is fine
+	rep, err := s.snapshot().ApplyFailures([]graph.EdgeKey{g.EdgeList()[0]})
+	if err != nil {
+		t.Fatalf("ApplyFailures: %v", err)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "different graph") {
+			t.Fatalf("want a panic naming the graph mismatch, got %q", msg)
+		}
+	}()
+	s.ForkRepaired(rep, pathtree.NewLazy(g)) // pristine scratch, failed topology
 }
