@@ -297,7 +297,7 @@ func BenchmarkAblationAddressing(b *testing.B) {
 				parent[v] = graph.None
 			}
 		}
-		it := addr.BuildIntervals(parent, env.LMOf)
+		it := addr.BuildIntervals(parent)
 		mean, p95, max := env.AddrSizeStats()
 		show(b, fmt.Sprintf(
 			"Addressing ablation, router-like n=%d, %d landmarks\n"+

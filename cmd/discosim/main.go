@@ -292,6 +292,24 @@ func validateFlags(n int, seed int64, pairs, events, queriers, workers int) erro
 	return nil
 }
 
+// checkSelection rejects an experiment selection main cannot honour, after
+// -serve has been folded into exp: no experiment at all (unless -list was
+// asked for, which runs none), and the serving-mode flags on a run that
+// would silently ignore them. main reports the error and exits 2, as for
+// validateFlags.
+func checkSelection(exp string, list, forward bool, events, queriers int) error {
+	if list {
+		return nil
+	}
+	if exp == "" {
+		return fmt.Errorf("no experiment selected: pass -exp <name> or -serve")
+	}
+	if exp != "serve-storm" && exp != "all" && (forward || events != 0 || queriers != 0) {
+		return fmt.Errorf("-forward, -events and -queriers apply only to -serve, -exp serve-storm and -exp all, not -exp %s", exp)
+	}
+	return nil
+}
+
 func main() {
 	exp := flag.String("exp", "", "experiment to run (see -list), or 'all'")
 	n := flag.Int("n", 0, "override network size (0 = experiment default)")
@@ -325,9 +343,12 @@ func main() {
 		for _, e := range experiments {
 			fmt.Printf("  %-14s %s\n", e.name, e.desc)
 		}
-		if *exp == "" {
-			os.Exit(2)
-		}
+	}
+	if err := checkSelection(*exp, *list, *forward, *events, *queriers); err != nil {
+		fmt.Fprintf(os.Stderr, "discosim: %v\n", err)
+		os.Exit(2)
+	}
+	if *list {
 		return
 	}
 	runExperiment := func(e experiment, o opts) (err error) {

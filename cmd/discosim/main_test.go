@@ -68,6 +68,38 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
+// TestCheckSelection pins which selections are usage errors (exit 2): -list
+// alone is not one, a missing -exp without -list is, and so are the
+// serving-mode flags on a run that would ignore them.
+func TestCheckSelection(t *testing.T) {
+	cases := []struct {
+		name             string
+		exp              string
+		list, forward    bool
+		events, queriers int
+		ok               bool
+	}{
+		{"list alone", "", true, false, 0, 0, true},
+		{"list with exp", "fig2", true, false, 0, 0, true},
+		{"nothing selected", "", false, false, 0, 0, false},
+		{"plain experiment", "fig4", false, false, 0, 0, true},
+		{"serve-storm with serving flags", "serve-storm", false, true, 8, 2, true},
+		{"all with serving flags", "all", false, true, 8, 2, true},
+		{"forward elsewhere", "fig4", false, true, 0, 0, false},
+		{"events elsewhere", "churn-timeline", false, false, 8, 0, false},
+		{"queriers elsewhere", "fig3", false, false, 0, 2, false},
+	}
+	for _, tc := range cases {
+		err := checkSelection(tc.exp, tc.list, tc.forward, tc.events, tc.queriers)
+		if tc.ok && err != nil {
+			t.Errorf("%s: unexpected error: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: selection accepted", tc.name)
+		}
+	}
+}
+
 // TestListColumnWidth guards the -list alignment: the name column is
 // printed %-14s wide, so every experiment name must fit (churn-timeline,
 // at 14 characters, used to overflow the old %-10s column).

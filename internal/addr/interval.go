@@ -30,13 +30,12 @@ type IntervalTree struct {
 	desc         []uint64       // subtree size (including self)
 	parent       []graph.NodeID // tree parent (None at landmarks)
 	children     [][]graph.NodeID
-	lmOf         []graph.NodeID
 }
 
 // BuildIntervals computes the interval labeling over a landmark
 // shortest-path forest: parent[v] is v's predecessor on the path l_v ⇝ v
-// (graph.None at landmarks), lmOf[v] the tree root.
-func BuildIntervals(parent, lmOf []graph.NodeID) *IntervalTree {
+// (graph.None at landmarks).
+func BuildIntervals(parent []graph.NodeID) *IntervalTree {
 	n := len(parent)
 	t := &IntervalTree{
 		bitsPerLabel: 1,
@@ -44,7 +43,6 @@ func BuildIntervals(parent, lmOf []graph.NodeID) *IntervalTree {
 		desc:         make([]uint64, n),
 		parent:       append([]graph.NodeID(nil), parent...),
 		children:     make([][]graph.NodeID, n),
-		lmOf:         append([]graph.NodeID(nil), lmOf...),
 	}
 	roots := make([]graph.NodeID, 0)
 	for v := 0; v < n; v++ {
@@ -118,9 +116,6 @@ func (t *IntervalTree) BitsPerLabel() int { return t.bitsPerLabel }
 
 // LabelOf returns v's fixed-size label within its landmark's tree.
 func (t *IntervalTree) LabelOf(v graph.NodeID) uint64 { return t.label[v] }
-
-// LandmarkOf returns the tree root owning v.
-func (t *IntervalTree) LandmarkOf(v graph.NodeID) graph.NodeID { return t.lmOf[v] }
 
 // ChildIntervals returns v's forwarding table in this scheme: each child
 // with the label interval it owns. This is the per-node state the variant

@@ -28,7 +28,7 @@ func TestIntervalRoutesEveryNode(t *testing.T) {
 	g := topology.Gnm(rng, 400, 1600)
 	lms := []graph.NodeID{3, 77, 200, 311}
 	parent, lmOf := buildForest(g, lms)
-	it := BuildIntervals(parent, lmOf)
+	it := BuildIntervals(parent)
 	for v := 0; v < g.N(); v++ {
 		path, err := it.Route(lmOf[v], it.LabelOf(graph.NodeID(v)))
 		if err != nil {
@@ -52,7 +52,7 @@ func TestIntervalRoutesEveryNode(t *testing.T) {
 func TestIntervalLabelsUniquePerTree(t *testing.T) {
 	g := topology.Ring(64)
 	parent, lmOf := buildForest(g, []graph.NodeID{0, 32})
-	it := BuildIntervals(parent, lmOf)
+	it := BuildIntervals(parent)
 	seen := map[[2]uint64]bool{}
 	for v := 0; v < g.N(); v++ {
 		key := [2]uint64{uint64(lmOf[v]), it.LabelOf(graph.NodeID(v))}
@@ -66,8 +66,8 @@ func TestIntervalLabelsUniquePerTree(t *testing.T) {
 func TestIntervalBitsAreLogOfTreeSize(t *testing.T) {
 	// One landmark on a 1024-node graph: tree size 1024 -> 10 bits.
 	g := topology.Gnm(rand.New(rand.NewSource(2)), 1024, 4096)
-	parent, lmOf := buildForest(g, []graph.NodeID{5})
-	it := BuildIntervals(parent, lmOf)
+	parent, _ := buildForest(g, []graph.NodeID{5})
+	it := BuildIntervals(parent)
 	if it.BitsPerLabel() != 10 {
 		t.Fatalf("bits %d want 10", it.BitsPerLabel())
 	}
@@ -76,8 +76,8 @@ func TestIntervalBitsAreLogOfTreeSize(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		lms = append(lms, graph.NodeID(i*16))
 	}
-	parent, lmOf = buildForest(g, lms)
-	it2 := BuildIntervals(parent, lmOf)
+	parent, _ = buildForest(g, lms)
+	it2 := BuildIntervals(parent)
 	if it2.BitsPerLabel() >= it.BitsPerLabel() {
 		t.Fatalf("more landmarks should shrink labels: %d vs %d", it2.BitsPerLabel(), it.BitsPerLabel())
 	}
@@ -87,8 +87,8 @@ func TestIntervalDeepTree(t *testing.T) {
 	// A ring with one landmark yields a path-shaped tree of depth n/2:
 	// exercises the iterative DFS.
 	g := topology.Ring(2000)
-	parent, lmOf := buildForest(g, []graph.NodeID{0})
-	it := BuildIntervals(parent, lmOf)
+	parent, _ := buildForest(g, []graph.NodeID{0})
+	it := BuildIntervals(parent)
 	for _, v := range []graph.NodeID{1, 999, 1000, 1999} {
 		path, err := it.Route(0, it.LabelOf(v))
 		if err != nil {
@@ -102,8 +102,8 @@ func TestIntervalDeepTree(t *testing.T) {
 
 func TestIntervalChildState(t *testing.T) {
 	g := topology.Star(10)
-	parent, lmOf := buildForest(g, []graph.NodeID{0})
-	it := BuildIntervals(parent, lmOf)
+	parent, _ := buildForest(g, []graph.NodeID{0})
+	it := BuildIntervals(parent)
 	ci := it.ChildIntervals(0)
 	if len(ci) != 9 {
 		t.Fatalf("root should have 9 child intervals, got %d", len(ci))
@@ -127,8 +127,8 @@ func TestIntervalChildState(t *testing.T) {
 
 func TestIntervalRouteErrors(t *testing.T) {
 	g := topology.Line(6)
-	parent, lmOf := buildForest(g, []graph.NodeID{0})
-	it := BuildIntervals(parent, lmOf)
+	parent, _ := buildForest(g, []graph.NodeID{0})
+	it := BuildIntervals(parent)
 	if _, err := it.Route(3, 0); err == nil {
 		t.Fatal("routing from a non-root must error")
 	}
@@ -148,8 +148,8 @@ func TestIntervalVsExplicitSizes(t *testing.T) {
 	for i := range lms {
 		lms[i] = graph.NodeID(perm[i])
 	}
-	parent, lmOf := buildForest(g, lms)
-	it := BuildIntervals(parent, lmOf)
+	parent, _ := buildForest(g, lms)
+	it := BuildIntervals(parent)
 
 	s := graph.NewSSSP(g)
 	s.RunMulti(lms)

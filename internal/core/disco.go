@@ -230,9 +230,6 @@ func (d *Disco) RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
 // the address). Used by the estimate-error experiment (§5).
 func (d *Disco) Fallbacks() (fallbacks, misses int) { return d.fallbacks, d.misses }
 
-// ResetCounters zeroes the fallback/miss counters.
-func (d *Disco) ResetCounters() { d.fallbacks, d.misses = 0, 0 }
-
 // GroupSize returns |G(v)| as v sees it (the number of addresses v stores).
 func (d *Disco) GroupSize(v graph.NodeID) int {
 	n := d.Env().N()

@@ -302,6 +302,3 @@ func (r *NDDisco) spliceUpDown(cur []graph.NodeID, i int, vu *vicinity.Set) []gr
 
 // Landmarks returns the number of landmark routes every node stores.
 func (r *NDDisco) Landmarks() int { return len(r.Env.Landmarks) }
-
-// VicinityRadius returns the distance to the farthest member of V(v).
-func (r *NDDisco) VicinityRadius(v graph.NodeID) float64 { return r.Vicinity(v).Radius() }

@@ -41,9 +41,7 @@ type TimelineEventRow struct {
 	ShardsPct       float64
 	MsgPerNode      float64 // modeled triggered messages per node
 
-	Pairs     int
-	Connected int
-	Legs      [numLegs]legAgg
+	legTally
 }
 
 // ChurnTimelineResult is the full timeline report.
@@ -69,20 +67,11 @@ func (r *ChurnTimelineResult) Format() string {
 		"conn%", "dlv:"+legNames[0], legNames[1], legNames[2], legNames[3], legNames[4])
 	total := 0.0
 	for _, ev := range r.Events {
-		conn := 0.0
-		if ev.Pairs > 0 {
-			conn = 100 * float64(ev.Connected) / float64(ev.Pairs)
-		}
-		dlv := func(leg int) float64 {
-			if ev.Connected == 0 {
-				return 0
-			}
-			return 100 * float64(ev.Legs[leg].Delivered) / float64(ev.Connected)
-		}
+		dlv := ev.dlvPct
 		fmt.Fprintf(&b, "  %3d %-7s %5d %4d |%6d %5d %7d %7d %7.2f %9.1f |%6.1f %7.1f %6.1f %6.1f %6.1f %6.1f\n",
 			ev.Step, ev.Kind, ev.Links, ev.DownAfter,
 			ev.VicRebuilt, ev.RowsRebuilt, ev.VicEntriesMoved, ev.RowParentsMoved, ev.ShardsPct, ev.MsgPerNode,
-			conn, dlv(0), dlv(1), dlv(2), dlv(3), dlv(4))
+			ev.connPct(), dlv(0), dlv(1), dlv(2), dlv(3), dlv(4))
 		total += ev.MsgPerNode
 	}
 	fmt.Fprintf(&b, "  total modeled re-convergence over %d events: %.1f messages/node (initial convergence at calibration scale: %.0f)\n",
@@ -182,18 +171,11 @@ const churnTimelineEvents = 16
 // bit-identical at any -workers value. Partitions are allowed (links are
 // drawn uniformly, bridges included): delivery ratio is the observable.
 func (c Config) ChurnTimeline(kind TopoKind, n int, seed int64, pairs, events int) (*ChurnTimelineResult, error) {
-	// The calibration topology is G(n,m) at average degree 8, which needs
-	// m = 4n <= n(n-1)/2, i.e. n >= 9 — below that topology.Gnm panics
-	// rather than returning the error this API promises.
-	if n < 9 {
-		return nil, fmt.Errorf("eval: churn timeline needs n >= 9 (G(n,m) at average degree 8), got %d", n)
+	storm, err := c.newStorm("churn timeline", kind, n, seed, pairs, events)
+	if err != nil {
+		return nil, err
 	}
-	if pairs < 1 {
-		return nil, fmt.Errorf("eval: churn timeline needs pairs >= 1, got %d", pairs)
-	}
-	if events <= 0 {
-		events = churnTimelineEvents
-	}
+	p, tl := storm.p, storm.tl
 
 	calN := n
 	if calN > 1024 {
@@ -204,20 +186,10 @@ func (c Config) ChurnTimeline(kind TopoKind, n int, seed int64, pairs, events in
 		return nil, err
 	}
 
-	p := c.BuildProtocols(kind, n, seed)
-	g := p.Env.G
-	k := p.Disco.ND.K
-	snap := c.buildSnapshot(g, k, p.Env.Landmarks)
-	tl := dynamics.NewTimeline(snap)
-
-	// Base edge list indexed by EID for uniform draws; the timeline itself
-	// is the single book of which links are down.
-	edges := g.EdgeList()
-
 	res := &ChurnTimelineResult{Kind: kind, N: n, PairsN: pairs, Model: model, CalInit: calInit}
-	for ev := 0; ev < events; ev++ {
+	for ev := 0; ev < storm.events; ev++ {
 		row := TimelineEventRow{Step: ev}
-		kindStr, nlinks, st, rng, err := stormStep(tl, edges, seed, ev)
+		kindStr, nlinks, st, rng, err := stormStep(tl, storm.edges, seed, ev)
 		if err != nil {
 			return nil, err
 		}
@@ -230,22 +202,43 @@ func (c Config) ChurnTimeline(kind TopoKind, n int, seed int64, pairs, events in
 		row.ShardsPct = 100 * st.ShardsRebuilt()
 		row.MsgPerNode = model.Messages(st) / float64(n)
 
-		for _, sm := range routeFailurePairs(p, tl.Snapshot(), metrics.SamplePairs(rng, n, pairs)) {
-			row.Pairs++
-			if !sm.connected {
-				continue
-			}
-			row.Connected++
-			for leg := range sm.ok {
-				if sm.ok[leg] {
-					row.Legs[leg].Delivered++
-					row.Legs[leg].StretchSum += sm.st[leg]
-				}
-			}
-		}
+		row.add(routeFailurePairs(p, tl.Snapshot(), metrics.SamplePairs(rng, n, pairs)))
 		res.Events = append(res.Events, row)
 	}
 	return res, nil
+}
+
+// stormSetup is the converged state a fail/recover storm replays on.
+type stormSetup struct {
+	p    *Protocols
+	snap *snapshot.Snapshot // the base the timeline starts from
+	tl   *dynamics.Timeline
+	// Base edge list indexed by EID for uniform draws; the timeline itself
+	// is the single book of which links are down.
+	edges  []graph.EdgeKey
+	events int
+}
+
+// newStorm is the prologue ChurnTimeline and ServeStorm share: check the
+// arguments (what names the experiment in errors; events <= 0 means the
+// default length), build the converged environment and its shared
+// snapshot once, and start a timeline on it.
+func (c Config) newStorm(what string, kind TopoKind, n int, seed int64, pairs, events int) (*stormSetup, error) {
+	// G(n,m) at average degree 8 needs m = 4n <= n(n-1)/2, i.e. n >= 9 —
+	// below that topology.Gnm panics rather than returning the error this
+	// API promises.
+	if n < 9 {
+		return nil, fmt.Errorf("eval: %s needs n >= 9 (G(n,m) at average degree 8), got %d", what, n)
+	}
+	if pairs < 1 {
+		return nil, fmt.Errorf("eval: %s needs pairs >= 1, got %d", what, pairs)
+	}
+	if events <= 0 {
+		events = churnTimelineEvents
+	}
+	p := c.BuildProtocols(kind, n, seed)
+	snap := c.buildSnapshot(p.Env.G, p.Disco.ND.K, p.Env.Landmarks)
+	return &stormSetup{p: p, snap: snap, tl: dynamics.NewTimeline(snap), edges: p.Env.G.EdgeList(), events: events}, nil
 }
 
 // stormStep draws and applies churn-timeline event `ev` on the timeline:

@@ -35,6 +35,54 @@ type legAgg struct {
 	StretchSum float64
 }
 
+// legTally is the routed-pairs side of one dynamics table row: what every
+// failures, churn-timeline and serve-storm row accumulates from its sampled
+// pairs and formats the same way.
+type legTally struct {
+	Pairs     int // sampled pairs
+	Connected int // pairs whose endpoints remain connected
+	Legs      [numLegs]legAgg
+}
+
+// add folds one batch of routed pairs into the tally.
+func (t *legTally) add(samples []failureSample) {
+	for _, sm := range samples {
+		t.Pairs++
+		if !sm.connected {
+			continue
+		}
+		t.Connected++
+		for leg := range sm.ok {
+			if sm.ok[leg] {
+				t.Legs[leg].Delivered++
+				t.Legs[leg].StretchSum += sm.st[leg]
+			}
+		}
+	}
+}
+
+// pct is a as a percentage of b, 0 of nothing.
+func pct[T int | uint64](a, b T) float64 {
+	if b == 0 {
+		return 0
+	}
+	return 100 * float64(a) / float64(b)
+}
+
+// connPct is the share of sampled pairs still connected.
+func (t *legTally) connPct() float64 { return pct(t.Connected, t.Pairs) }
+
+// dlvPct is leg's delivery ratio over connected pairs.
+func (t *legTally) dlvPct(leg int) float64 { return pct(t.Legs[leg].Delivered, t.Connected) }
+
+// meanStretch is leg's mean stretch over the pairs it delivered.
+func (t *legTally) meanStretch(leg int) float64 {
+	if t.Legs[leg].Delivered == 0 {
+		return 0
+	}
+	return t.Legs[leg].StretchSum / float64(t.Legs[leg].Delivered)
+}
+
 // FailureRow is one scenario × parameter row of the failures table,
 // aggregated over its trials.
 type FailureRow struct {
@@ -46,9 +94,7 @@ type FailureRow struct {
 	Repairs     int     // ApplyFailures calls performed (flap > trials)
 	ShardsPct   float64 // mean % of snapshot shards rebuilt per repair
 
-	Pairs     int // sampled pairs, summed over trials
-	Connected int // pairs whose endpoints remain connected
-	Legs      [numLegs]legAgg
+	legTally // sampled pairs, summed over trials
 }
 
 // FailureResult is the full table.
@@ -72,25 +118,10 @@ func (r *FailureResult) Format() string {
 		"dlv:"+legNames[0], legNames[1], legNames[2], legNames[3], legNames[4],
 		"st:"+legNames[0], legNames[1], legNames[2], legNames[3], legNames[4])
 	for _, row := range r.Rows {
-		conn := 0.0
-		if row.Pairs > 0 {
-			conn = 100 * float64(row.Connected) / float64(row.Pairs)
-		}
-		dlv := func(leg int) float64 {
-			if row.Connected == 0 {
-				return 0
-			}
-			return 100 * float64(row.Legs[leg].Delivered) / float64(row.Connected)
-		}
-		st := func(leg int) float64 {
-			if row.Legs[leg].Delivered == 0 {
-				return 0
-			}
-			return row.Legs[leg].StretchSum / float64(row.Legs[leg].Delivered)
-		}
+		dlv, st := row.dlvPct, row.meanStretch
 		fmt.Fprintf(&b, "  %-12s %-9s %6.1f %8.2f %7.1f |%8.1f %7.1f %7.1f %7.1f %7.1f |%8.3f %8.3f %8.3f %8.3f %8.3f\n",
 			row.Scenario, row.Param,
-			float64(row.LinksFailed)/float64(row.Trials), row.ShardsPct, conn,
+			float64(row.LinksFailed)/float64(row.Trials), row.ShardsPct, row.connPct(),
 			dlv(0), dlv(1), dlv(2), dlv(3), dlv(4),
 			st(0), st(1), st(2), st(3), st(4))
 	}
@@ -244,20 +275,7 @@ func (c Config) FailureScenarios(kind TopoKind, n int, seed int64, pairs int) *F
 			row.ShardsPct += float64(flaps) * 100 * st.ShardsRebuilt()
 			row.Repairs += flaps
 
-			samples := routeFailurePairs(p, rep, metrics.SamplePairs(rng, n, pairs))
-			for _, sm := range samples {
-				row.Pairs++
-				if !sm.connected {
-					continue
-				}
-				row.Connected++
-				for leg := range sm.ok {
-					if sm.ok[leg] {
-						row.Legs[leg].Delivered++
-						row.Legs[leg].StretchSum += sm.st[leg]
-					}
-				}
-			}
+			row.add(routeFailurePairs(p, rep, metrics.SamplePairs(rng, n, pairs)))
 		}
 		row.ShardsPct /= float64(row.Repairs)
 		res.Rows = append(res.Rows, row)

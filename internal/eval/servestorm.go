@@ -54,9 +54,7 @@ type ServeEventRow struct {
 
 	ShardsPct float64
 
-	Pairs     int
-	Connected int
-	Legs      [numLegs]legAgg
+	legTally
 }
 
 // ServeLoad is the measured (nondeterministic) side of the storm.
@@ -84,19 +82,10 @@ func (r *ServeStormResult) FormatEvents() string {
 		"conn%", "dlv:"+legNames[0], legNames[1], legNames[2], legNames[3], legNames[4])
 	down := 0
 	for _, ev := range r.Events {
-		conn := 0.0
-		if ev.Pairs > 0 {
-			conn = 100 * float64(ev.Connected) / float64(ev.Pairs)
-		}
-		dlv := func(leg int) float64 {
-			if ev.Connected == 0 {
-				return 0
-			}
-			return 100 * float64(ev.Legs[leg].Delivered) / float64(ev.Connected)
-		}
+		dlv := ev.dlvPct
 		fmt.Fprintf(&b, "  %3d %-7s %5d %4d %5d |%7.2f |%6.1f %7.1f %6.1f %6.1f %6.1f %6.1f\n",
 			ev.Step, ev.Kind, ev.Links, ev.DownAfter, ev.Epoch, ev.ShardsPct,
-			conn, dlv(0), dlv(1), dlv(2), dlv(3), dlv(4))
+			ev.connPct(), dlv(0), dlv(1), dlv(2), dlv(3), dlv(4))
 		down = ev.DownAfter
 	}
 	fmt.Fprintf(&b, "  storm: %d events published, %d links down at the end\n", len(r.Events), down)
@@ -106,13 +95,9 @@ func (r *ServeStormResult) FormatEvents() string {
 // Format renders the event log plus the measured serving metrics.
 func (r *ServeStormResult) Format() string {
 	l := r.Load
-	qps, dlvPct, stalePct := 0.0, 0.0, 0.0
+	qps := 0.0
 	if l.Secs > 0 {
 		qps = float64(l.Queries) / l.Secs
-	}
-	if l.Queries > 0 {
-		dlvPct = 100 * float64(l.Delivered) / float64(l.Queries)
-		stalePct = 100 * float64(l.Stale) / float64(l.Queries)
 	}
 	plane := l.Plane
 	if plane == "" {
@@ -120,7 +105,7 @@ func (r *ServeStormResult) Format() string {
 	}
 	return r.FormatEvents() + fmt.Sprintf(
 		"  measured: %d queriers on the %s plane, %d queries in %.2fs (%.0f qps), p50 %.1fµs p99 %.1fµs, %.2f%% delivered, %.2f%% stale, epochs %d published / %d reclaimed\n",
-		l.Queriers, plane, l.Queries, l.Secs, qps, l.P50us, l.P99us, dlvPct, stalePct, l.Published, l.Retired)
+		l.Queriers, plane, l.Queries, l.Secs, qps, l.P50us, l.P99us, pct(l.Delivered, l.Queries), pct(l.Stale, l.Queries), l.Published, l.Retired)
 }
 
 // latHist is a lock-free-enough (single-writer) log-scale latency
@@ -192,24 +177,14 @@ func (h *latHist) quantile(q float64) float64 {
 // resolution-inclusive first packets, so the two modes' measured
 // delivered fractions can differ while the event log stays identical.
 func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, queriers int, tables bool) (*ServeStormResult, error) {
-	if n < 9 {
-		return nil, fmt.Errorf("eval: serve storm needs n >= 9 (G(n,m) at average degree 8), got %d", n)
+	storm, err := c.newStorm("serve storm", kind, n, seed, pairs, events)
+	if err != nil {
+		return nil, err
 	}
-	if pairs < 1 {
-		return nil, fmt.Errorf("eval: serve storm needs pairs >= 1, got %d", pairs)
-	}
-	if events <= 0 {
-		events = churnTimelineEvents
-	}
+	p, snap, tl := storm.p, storm.snap, storm.tl
 	if queriers <= 0 {
 		queriers = runtime.GOMAXPROCS(0)
 	}
-
-	p := c.BuildProtocols(kind, n, seed)
-	g := p.Env.G
-	snap := c.buildSnapshot(g, p.Disco.ND.K, p.Env.Landmarks)
-	tl := dynamics.NewTimeline(snap)
-	edges := g.EdgeList()
 
 	var plane *serve.Plane
 	var tbls *forward.Tables
@@ -257,8 +232,8 @@ func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, quer
 	}
 
 	res := &ServeStormResult{Kind: kind, N: n, PairsN: pairs}
-	for ev := 0; ev < events; ev++ {
-		kindStr, nlinks, st, rng, err := stormStep(tl, edges, seed, ev)
+	for ev := 0; ev < storm.events; ev++ {
+		kindStr, nlinks, st, rng, err := stormStep(tl, storm.edges, seed, ev)
 		if err != nil {
 			done.Store(true)
 			wg.Wait()
@@ -288,19 +263,7 @@ func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, quer
 		}
 		// Deterministic probe on the just-published epoch, same sampling
 		// stream as churn-timeline.
-		for _, sm := range routeFailurePairs(p, tl.Snapshot(), metrics.SamplePairs(rng, n, pairs)) {
-			row.Pairs++
-			if !sm.connected {
-				continue
-			}
-			row.Connected++
-			for leg := range sm.ok {
-				if sm.ok[leg] {
-					row.Legs[leg].Delivered++
-					row.Legs[leg].StretchSum += sm.st[leg]
-				}
-			}
-		}
+		row.add(routeFailurePairs(p, tl.Snapshot(), metrics.SamplePairs(rng, n, pairs)))
 		res.Events = append(res.Events, row)
 	}
 	done.Store(true)

@@ -300,6 +300,8 @@ func TestRunMultiNearestSource(t *testing.T) {
 	}
 }
 
+// TestFirstHopTo pins the first hop toward a node as callers read it: the
+// second node of PathTo (the source itself has none).
 func TestFirstHopTo(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1)
@@ -308,14 +310,14 @@ func TestFirstHopTo(t *testing.T) {
 	g.Finalize()
 	s := NewSSSP(g)
 	s.Run(0)
-	if h := s.FirstHopTo(3); h != 1 {
-		t.Errorf("FirstHopTo(3)=%d want 1", h)
+	if p := s.PathTo(3); len(p) != 4 || p[1] != 1 {
+		t.Errorf("PathTo(3)=%v want first hop 1", p)
 	}
-	if h := s.FirstHopTo(1); h != 1 {
-		t.Errorf("FirstHopTo(1)=%d want 1", h)
+	if p := s.PathTo(1); len(p) != 2 || p[1] != 1 {
+		t.Errorf("PathTo(1)=%v want first hop 1", p)
 	}
-	if h := s.FirstHopTo(0); h != None {
-		t.Errorf("FirstHopTo(source)=%d want None", h)
+	if p := s.PathTo(0); len(p) != 1 {
+		t.Errorf("PathTo(source)=%v want the source alone", p)
 	}
 }
 

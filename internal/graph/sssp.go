@@ -467,19 +467,3 @@ func AllNodes(g *Graph) []NodeID {
 	}
 	return out
 }
-
-// FirstHopTo returns the first hop on the shortest path from the (single)
-// source of the last run toward v, or None if v is the source or unsettled.
-func (s *SSSP) FirstHopTo(v NodeID) NodeID {
-	if s.settled[v] != s.epoch || s.parent[v] == None {
-		return None
-	}
-	u := v
-	for s.parent[u] != None && s.parent[s.parent[u]] != None {
-		u = s.parent[u]
-	}
-	if s.parent[u] == None {
-		return None
-	}
-	return u
-}

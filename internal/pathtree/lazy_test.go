@@ -49,6 +49,12 @@ func (o *lazyOracle) refPathFrom(v graph.NodeID) []graph.NodeID {
 	return out
 }
 
+func reversed(p []graph.NodeID) []graph.NodeID {
+	r := slices.Clone(p)
+	slices.Reverse(r)
+	return r
+}
+
 // op runs one query chosen by code on node v (arg picks Closer's radius and
 // Nearest's marked set) and compares it with the full run.
 func (o *lazyOracle) op(code, arg uint8, v graph.NodeID) {
@@ -68,6 +74,9 @@ func (o *lazyOracle) op(code, arg uint8, v graph.NodeID) {
 		got, want := l.PathTo(v), ref.PathTo(v)
 		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 			o.t.Fatalf("%s: PathTo = %v, want %v", what, got, want)
+		}
+		if from := l.PathFrom(v); got != nil && !slices.Equal(reversed(got), from) {
+			o.t.Fatalf("%s: PathTo = %v and PathFrom = %v are not reverses", what, got, from)
 		}
 	case 3:
 		if got, want := l.Parent(v), ref.Parent(v); got != want {
@@ -117,6 +126,7 @@ func TestLazyMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []tc{
 		{"line", topology.Line(40)},
+		{"line-8", topology.Line(8)},
 		{"ring", topology.Ring(61)},
 		{"star", topology.Star(30)},
 		{"grid", topology.Grid(9, 13)},

@@ -69,9 +69,6 @@ type Epoch struct {
 	pool sync.Pool
 }
 
-// Seq returns the epoch's publication sequence number (0 = the base).
-func (e *Epoch) Seq() uint64 { return e.seq }
-
 // Plane is the serving query plane: an atomic published-epoch pointer
 // queries read lock-free while a background repair loop publishes
 // post-event snapshots. Create with NewPlane; Publish from ONE publisher

@@ -78,9 +78,10 @@ func (cs *compactStore) windowSet(v graph.NodeID) *vicinity.Set {
 
 // encScratch is one worker's private state for the compact encode sweeps.
 type encScratch struct {
-	sp  *graph.SSSP
-	win []vicinity.Entry
-	w   bits.Writer
+	sp   *graph.SSSP
+	win  []vicinity.Entry
+	prow []graph.NodeID
+	w    bits.Writer
 }
 
 // fillWindow materializes one vicinity window from a finished truncated
@@ -276,35 +277,54 @@ func (cs *compactStore) windowContains(v, w graph.NodeID) bool {
 	}
 }
 
+// layoutForest fixes the forest's bit layout over pg and allocates it: node
+// v's parent field sits at bit degOff[v] of a row and holds a port index
+// into v's adjacency list, deg(v) standing for graph.None. Rows are
+// byte-aligned so parallel row writers touch disjoint bytes.
+func (cs *compactStore) layoutForest(rows int) {
+	cs.degOff = make([]int64, cs.n+1)
+	var pos int64
+	for v := 0; v < cs.n; v++ {
+		cs.degOff[v] = pos
+		pos += int64(bits.Width(cs.pg.Degree(graph.NodeID(v)) + 1))
+	}
+	cs.degOff[cs.n] = pos
+	cs.rowBytes = int((pos + 7) / 8)
+	cs.forest = make([]byte, rows*cs.rowBytes)
+}
+
+// encodeForestRow bit-packs parent row prow into forest row `row`, through
+// the caller's writer.
+func (cs *compactStore) encodeForestRow(w *bits.Writer, row int, prow []graph.NodeID) {
+	w.Reset()
+	for v, p := range prow {
+		port := cs.pg.Degree(graph.NodeID(v)) // graph.None sentinel
+		if p != graph.None {
+			port = cs.pg.PortOf(graph.NodeID(v), p)
+		}
+		w.WriteBits(uint64(port), int(cs.degOff[v+1]-cs.degOff[v]))
+	}
+	copy(cs.forest[row*cs.rowBytes:(row+1)*cs.rowBytes], w.Bytes())
+}
+
 // buildCompactForest writes one bit-packed port-index parent row per
-// landmark. Rows are byte-aligned so parallel row writers touch disjoint
-// bytes.
+// landmark.
 func (s *Snapshot) buildCompactForest(cs *compactStore) error {
 	n := s.g.N()
-	cs.degOff = make([]int64, n+1)
-	var pos int64
-	for v := 0; v < n; v++ {
-		cs.degOff[v] = pos
-		pos += int64(bits.Width(s.g.Degree(graph.NodeID(v)) + 1))
-	}
-	cs.degOff[n] = pos
-	cs.rowBytes = int((pos + 7) / 8)
-	cs.forest = make([]byte, len(s.landmarks)*cs.rowBytes)
+	cs.layoutForest(len(s.landmarks))
 	settled := make([]int32, len(s.landmarks))
-	graph.ForEachSource(s.g, s.landmarks, func(sp *graph.SSSP, row int, lm graph.NodeID) {
-		sp.Run(lm)
-		settled[row] = int32(len(sp.Order()))
-		var w bits.Writer
-		for v := 0; v < n; v++ {
-			deg := s.g.Degree(graph.NodeID(v))
-			port := deg // graph.None sentinel
-			if p := sp.Parent(graph.NodeID(v)); p != graph.None {
-				port = s.g.PortOf(graph.NodeID(v), p)
+	parallel.RunScratch(len(s.landmarks),
+		func() *encScratch {
+			return &encScratch{sp: graph.NewSSSP(s.g), prow: make([]graph.NodeID, n)}
+		},
+		func(sc *encScratch, row int) {
+			sc.sp.Run(s.landmarks[row])
+			settled[row] = int32(len(sc.sp.Order()))
+			for v := range sc.prow {
+				sc.prow[v] = sc.sp.Parent(graph.NodeID(v))
 			}
-			w.WriteBits(uint64(port), int(cs.degOff[v+1]-cs.degOff[v]))
-		}
-		copy(cs.forest[row*cs.rowBytes:(row+1)*cs.rowBytes], w.Bytes())
-	})
+			cs.encodeForestRow(&sc.w, row, sc.prow)
+		})
 	return forestShortfall(settled, s.landmarks, n)
 }
 
@@ -406,30 +426,10 @@ func (s *Snapshot) foldCompactInto(f *Snapshot) {
 		cs.vicLen = nil
 	}
 
-	cs.degOff = make([]int64, n+1)
-	var pos int64
-	for v := 0; v < n; v++ {
-		cs.degOff[v] = pos
-		pos += int64(bits.Width(s.g.Degree(graph.NodeID(v)) + 1))
-	}
-	cs.degOff[n] = pos
-	cs.rowBytes = int((pos + 7) / 8)
-	cs.forest = make([]byte, len(s.landmarks)*cs.rowBytes)
+	cs.layoutForest(len(s.landmarks))
 	parallel.RunScratch(len(s.landmarks),
 		func() *encScratch { return &encScratch{} },
-		func(sc *encScratch, row int) {
-			prow := s.forestRow(row)
-			sc.w.Reset()
-			for v := 0; v < n; v++ {
-				deg := s.g.Degree(graph.NodeID(v))
-				port := deg // graph.None sentinel
-				if p := prow[v]; p != graph.None {
-					port = s.g.PortOf(graph.NodeID(v), p)
-				}
-				sc.w.WriteBits(uint64(port), int(cs.degOff[v+1]-cs.degOff[v]))
-			}
-			copy(cs.forest[row*cs.rowBytes:(row+1)*cs.rowBytes], sc.w.Bytes())
-		})
+		func(sc *encScratch, row int) { cs.encodeForestRow(&sc.w, row, s.forestRow(row)) })
 
 	f.store = cs
 }

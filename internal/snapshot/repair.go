@@ -422,8 +422,8 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []r
 // failed link has both endpoints inside it; candidates are enumerated by a
 // bounded Dijkstra ball around each distinct lower endpoint (a superset,
 // since u ∈ V(x) forces d(x,u) <= maxRadius), then probed exactly —
-// probes run inside the per-ball tasks, and the merge is task-ordered plus
-// a final sort, so the result is worker-count invariant.
+// probes run inside the per-ball tasks, and the merge is a sort and dedup
+// of the per-ball lists, so the result is worker-count invariant.
 func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey) ([]graph.NodeID, int) {
 	byU := make(map[graph.NodeID][]graph.NodeID)
 	var us []graph.NodeID
@@ -433,7 +433,7 @@ func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey) ([]graph.NodeID, int
 		}
 		byU[f.U] = append(byU[f.U], f.V)
 	}
-	sort.Slice(us, func(i, j int) bool { return us[i] < us[j] })
+	slices.Sort(us)
 	// RunRadius settles strictly below its bound, so nudge past maxRadius
 	// to include windows whose farthest member sits exactly on it.
 	bound := math.Nextafter(s.maxRadius, math.Inf(1))
@@ -460,20 +460,14 @@ func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey) ([]graph.NodeID, int
 			}
 			return res
 		})
-	seen := make(map[graph.NodeID]bool)
 	var aff []graph.NodeID
 	scanned := 0
 	for _, b := range balls {
 		scanned += b.scanned
-		for _, x := range b.aff {
-			if !seen[x] {
-				seen[x] = true
-				aff = append(aff, x)
-			}
-		}
+		aff = append(aff, b.aff...)
 	}
-	sort.Slice(aff, func(i, j int) bool { return aff[i] < aff[j] })
-	return aff, scanned
+	slices.Sort(aff)
+	return slices.Compact(aff), scanned
 }
 
 // recoveryVicinities returns, sorted, every node whose vicinity window can
@@ -487,79 +481,77 @@ func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey) ([]graph.NodeID, int
 // blast-radius-sized instead of ball-sized). Both the ball searches and
 // the per-link probe sweeps fan out over the worker pool; the probes read
 // per-window size and radius off the store (windowMeta) without decoding,
-// and the merge dedups in task order then sorts, so the result is
+// and the merge is a sort and dedup of the per-link lists, so the result is
 // worker-count invariant. Shortfall windows instead qualify whenever any
 // restored endpoint sits in their component: reconnection admits new
 // members at any distance.
 func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph) ([]graph.NodeID, int) {
-	epSet := make(map[graph.NodeID]bool, 2*len(uniq))
-	var eps []graph.NodeID
+	eps := make([]graph.NodeID, 0, 2*len(uniq))
 	for _, r := range uniq {
-		for _, x := range [2]graph.NodeID{r.U, r.V} {
-			if !epSet[x] {
-				epSet[x] = true
-				eps = append(eps, x)
-			}
-		}
+		eps = append(eps, r.U, r.V)
 	}
-	sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
+	slices.Sort(eps)
+	eps = slices.Compact(eps)
 	bound := math.Nextafter(s.maxRadius, math.Inf(1))
+	// An endpoint's ball: its nodes in settle order, and their distances.
+	type ball struct {
+		nodes []graph.NodeID
+		dist  []float64
+	}
 	balls := parallel.MapScratch(len(eps),
 		func() *graph.SSSP { return graph.NewSSSP(ng) },
-		func(sp *graph.SSSP, i int) map[graph.NodeID]float64 {
+		func(sp *graph.SSSP, i int) ball {
 			sp.RunRadius(eps[i], bound)
-			m := make(map[graph.NodeID]float64, len(sp.Order()))
-			for _, x := range sp.Order() {
-				m[x] = sp.Dist(x)
+			b := ball{nodes: slices.Clone(sp.Order()), dist: make([]float64, len(sp.Order()))}
+			for j, x := range b.nodes {
+				b.dist[j] = sp.Dist(x)
 			}
-			return m
+			return b
 		})
-	ballOf := make(map[graph.NodeID]map[graph.NodeID]float64, len(eps))
 	scanned := 0
-	for i, b := range balls {
-		ballOf[eps[i]] = b
-		scanned += len(b)
+	for _, b := range balls {
+		scanned += len(b.nodes)
 	}
-	k := s.k
-	cands := parallel.Map(len(uniq), func(i int) []graph.NodeID {
-		r := uniq[i]
-		bu, bv := ballOf[r.U], ballOf[r.V]
-		if len(bv) < len(bu) {
-			bu, bv = bv, bu
-		}
-		var out []graph.NodeID
-		//disco:orderinvariant per-candidate order is absorbed: the merged affected set is sorted before return
-		for x, du := range bu {
-			dv, ok := bv[x]
-			if !ok {
-				continue
-			}
-			size, rad := s.windowMeta(x)
-			if size < k {
-				continue // shortfall windows: component rule below
-			}
-			if s.compact {
-				rad = float64(math.Nextafter32(float32(rad), float32(math.Inf(1))))
-			}
-			if du <= rad && dv <= rad {
-				out = append(out, x)
-			}
-		}
-		return out
-	})
-	seen := make(map[graph.NodeID]bool)
-	var aff []graph.NodeID
-	add := func(x graph.NodeID) {
-		if !seen[x] {
-			seen[x] = true
-			aff = append(aff, x)
-		}
+	ballOf := func(x graph.NodeID) ball {
+		i, _ := slices.BinarySearch(eps, x)
+		return balls[i]
 	}
-	for _, c := range cands {
-		for _, x := range c {
-			add(x)
-		}
-	}
+	n, k := s.g.N(), s.k
+	// Each link intersects its two balls through a dense per-worker distance
+	// array: negative outside the first ball, and all negative between tasks.
+	cands := parallel.MapScratch(len(uniq),
+		func() []float64 { return slices.Repeat([]float64{-1}, n) },
+		func(in []float64, i int) []graph.NodeID {
+			bu, bv := ballOf(uniq[i].U), ballOf(uniq[i].V)
+			if len(bv.nodes) < len(bu.nodes) {
+				bu, bv = bv, bu
+			}
+			for j, x := range bu.nodes {
+				in[x] = bu.dist[j]
+			}
+			var out []graph.NodeID
+			for j, x := range bv.nodes {
+				du, dv := in[x], bv.dist[j]
+				if du < 0 {
+					continue
+				}
+				size, rad := s.windowMeta(x)
+				if size < k {
+					continue // shortfall windows: component rule below
+				}
+				if s.compact {
+					rad = float64(math.Nextafter32(float32(rad), float32(math.Inf(1))))
+				}
+				if du <= rad && dv <= rad {
+					out = append(out, x)
+				}
+			}
+			for _, x := range bu.nodes {
+				in[x] = -1
+			}
+			return out
+		})
+	aff := slices.Concat(cands...)
 	if len(s.short) > 0 {
 		labels, _ := s.g.Components()
 		epLabels := make(map[int32]bool, len(eps))
@@ -568,12 +560,12 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 		}
 		for _, v := range s.short {
 			if epLabels[labels[v]] {
-				add(v)
+				aff = append(aff, v)
 			}
 		}
 	}
-	sort.Slice(aff, func(i, j int) bool { return aff[i] < aff[j] })
-	return aff, scanned
+	slices.Sort(aff)
+	return slices.Compact(aff), scanned
 }
 
 // settlesBefore reports whether a node at Dijkstra distance d1 settles

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"disco/internal/graph"
-	"disco/internal/pathtree"
 	"disco/internal/static"
 	"disco/internal/topology"
 	"disco/internal/vicinity"
@@ -57,29 +57,21 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 		}
 	}
 
-	trees := pathtree.NewCache(env.G, len(env.Landmarks))
+	want := graph.NewSSSP(env.G)
 	for _, lm := range env.Landmarks {
 		if !s.HasTree(lm) {
 			t.Fatalf("missing tree for landmark %d", lm)
 		}
-		want := trees.Tree(lm)
+		want.Run(lm)
 		for v := 0; v < env.N(); v += 7 {
-			gotFrom := s.PathFrom(lm, graph.NodeID(v))
-			wantFrom := want.PathFrom(graph.NodeID(v))
-			if len(gotFrom) != len(wantFrom) {
-				t.Fatalf("PathFrom(%d,%d): len %d want %d", lm, v, len(gotFrom), len(wantFrom))
-			}
-			for i := range gotFrom {
-				if gotFrom[i] != wantFrom[i] {
-					t.Fatalf("PathFrom(%d,%d)[%d]: got %d want %d", lm, v, i, gotFrom[i], wantFrom[i])
-				}
-			}
-			gotTo := s.PathTo(lm, graph.NodeID(v))
 			wantTo := want.PathTo(graph.NodeID(v))
-			for i := range gotTo {
-				if gotTo[i] != wantTo[i] {
-					t.Fatalf("PathTo(%d,%d)[%d]: got %d want %d", lm, v, i, gotTo[i], wantTo[i])
-				}
+			wantFrom := slices.Clone(wantTo)
+			slices.Reverse(wantFrom)
+			if got := s.PathFrom(lm, graph.NodeID(v)); !slices.Equal(got, wantFrom) {
+				t.Fatalf("PathFrom(%d,%d): got %v want %v", lm, v, got, wantFrom)
+			}
+			if got := s.PathTo(lm, graph.NodeID(v)); !slices.Equal(got, wantTo) {
+				t.Fatalf("PathTo(%d,%d): got %v want %v", lm, v, got, wantTo)
 			}
 		}
 	}

@@ -35,7 +35,7 @@ type Scheme struct {
 	// bunch[v] holds d(v,w) for every w in v's bunch B(v).
 	bunch []map[graph.NodeID]float64
 
-	trees *pathtree.Cache
+	dest *pathtree.Lazy // per-fork scratch for route legs and true distances; allocated on first use
 }
 
 // New builds the scheme with k levels over g. Levels are sampled with the
@@ -47,7 +47,7 @@ func New(g *graph.Graph, k int, rng *rand.Rand) *Scheme {
 		panic("tzk: k must be >= 1")
 	}
 	n := g.N()
-	s := &Scheme{G: g, K: k, trees: pathtree.NewCache(g, 64)}
+	s := &Scheme{G: g, K: k}
 	p := math.Pow(float64(n), -1.0/float64(k))
 
 	// Sample the hierarchy A_0 ⊇ A_1 ⊇ ... ⊇ A_{k-1}; A_k = ∅.
@@ -119,20 +119,23 @@ func New(g *graph.Graph, k int, rng *rand.Rand) *Scheme {
 
 // Fork returns a concurrency view of s for one worker of a parallel
 // sweep: the converged hierarchy, witnesses and bunches are shared
-// read-only; only the lazy tree cache (used to materialize routes) is
+// read-only; only the shortest-path scratch (used to materialize routes) is
 // private. Forks route concurrently and return exactly the routes the
 // original would.
 func (s *Scheme) Fork() *Scheme {
-	return &Scheme{
-		G:       s.G,
-		K:       s.K,
-		levels:  s.levels,
-		inLevel: s.inLevel,
-		witness: s.witness,
-		distA:   s.distA,
-		bunch:   s.bunch,
-		trees:   pathtree.NewCache(s.G, s.trees.Cap()),
+	f := *s
+	f.dest = nil
+	return &f
+}
+
+// destTree returns the fork's shortest-path scratch bound to root,
+// allocating it on first use.
+func (s *Scheme) destTree(root graph.NodeID) *pathtree.Lazy {
+	if s.dest == nil {
+		s.dest = pathtree.NewLazy(s.G)
 	}
+	s.dest.Bind(root)
+	return s.dest
 }
 
 // clusterFrom runs the pruned Dijkstra of [44]: from w, settle exactly the
@@ -245,9 +248,9 @@ func (s *Scheme) bunchDist(u, w graph.NodeID) float64 {
 // shortest path, as the converged routing tables would forward).
 func (s *Scheme) Route(u, v graph.NodeID) []graph.NodeID {
 	_, w := s.Dist(u, v)
-	head := s.trees.Tree(w).PathFrom(u) // u ⇝ w
-	tail := s.trees.Tree(w).PathTo(v)   // w ⇝ v
-	out := append([]graph.NodeID(nil), head...)
+	d := s.destTree(w)
+	out := d.PathFrom(u) // u ⇝ w
+	tail := d.PathTo(v)  // w ⇝ v
 	for _, x := range tail[1:] {
 		if len(out) >= 2 && out[len(out)-2] == x {
 			out = out[:len(out)-1]
@@ -261,7 +264,7 @@ func (s *Scheme) Route(u, v graph.NodeID) []graph.NodeID {
 // TrueDist returns the exact shortest-path distance (for stretch
 // accounting).
 func (s *Scheme) TrueDist(u, v graph.NodeID) float64 {
-	return s.trees.Tree(v).Dist(u)
+	return s.destTree(v).Dist(u)
 }
 
 // StateEntries returns per-node entry counts: bunch entries plus one

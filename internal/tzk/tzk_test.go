@@ -3,6 +3,8 @@ package tzk
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"disco/internal/graph"
@@ -149,4 +151,51 @@ func TestRejectsBadK(t *testing.T) {
 		}
 	}()
 	New(topology.Ring(8), 0, rand.New(rand.NewSource(1)))
+}
+
+// TestForkRoutesMatchParent pins the struct-copy Fork: a fork shares the
+// converged hierarchy and owns only its shortest-path scratch, so it
+// returns the parent's routes and distances, and two forks driven from two
+// goroutines agree with a serial pass (run under -race in CI).
+func TestForkRoutesMatchParent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"unit", topology.Gnm(rand.New(rand.NewSource(11)), 300, 1200)},
+		{"geometric", topology.Geometric(rand.New(rand.NewSource(12)), 300, 8)},
+	} {
+		s := New(tc.g, 3, rand.New(rand.NewSource(13)))
+		pairs := metrics.SamplePairs(rand.New(rand.NewSource(14)), tc.g.N(), 200)
+		type answer struct {
+			route []graph.NodeID
+			dist  float64
+		}
+		ask := func(f *Scheme, p metrics.Pair) answer {
+			u, v := graph.NodeID(p.Src), graph.NodeID(p.Dst)
+			return answer{f.Route(u, v), f.TrueDist(u, v)}
+		}
+		want := make([]answer, len(pairs))
+		for i, p := range pairs {
+			want[i] = ask(s, p)
+		}
+		got := make([]answer, len(pairs))
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int, f *Scheme) {
+				defer wg.Done()
+				for i := w; i < len(pairs); i += 2 {
+					got[i] = ask(f, pairs[i])
+				}
+			}(w, s.Fork())
+		}
+		wg.Wait()
+		for i := range pairs {
+			if !slices.Equal(got[i].route, want[i].route) || got[i].dist != want[i].dist {
+				t.Fatalf("%s pair %v: fork answered (%v, %v), parent (%v, %v)",
+					tc.name, pairs[i], got[i].route, got[i].dist, want[i].route, want[i].dist)
+			}
+		}
+	}
 }

@@ -42,15 +42,15 @@ type VRR struct {
 	nextID int
 
 	// Sealed converged state: node u's forwarding entries are
-	// flat[off[u]:off[u+1]] and its vset peers vflat[voff[u]:voff[u+1]].
+	// flat[off[u]:off[u+1]] and its vset has voff[u+1]-voff[u] peers.
 	sealed bool
 	flat   []entry
 	off    []int32
-	vflat  []graph.NodeID
 	voff   []int32
 
-	// bank memoizes dead-end-recovery trees once across all forks.
-	bank *pathtree.Shared
+	// dest is the per-fork shortest-path scratch behind dead-end recovery
+	// and ShortestDist; allocated on first use.
+	dest *pathtree.Lazy
 
 	numPaths int // path count preserved across Compact
 
@@ -79,7 +79,6 @@ func New(env *static.Env, r int, seed graph.NodeID) *VRR {
 		tables: make([]map[int]entry, env.N()),
 		paths:  make(map[int]*vpath),
 		vsets:  make([]map[graph.NodeID]int, env.N()),
-		bank:   pathtree.NewShared(env.G),
 	}
 	for i := range v.tables {
 		v.tables[i] = make(map[int]entry)
@@ -111,7 +110,6 @@ func (v *VRR) seal() {
 	v.off[n] = int32(total)
 	v.voff[n] = int32(vtotal)
 	v.flat = make([]entry, 0, total)
-	v.vflat = make([]graph.NodeID, 0, vtotal)
 	for u := 0; u < n; u++ {
 		start := len(v.flat)
 		//disco:orderinvariant the per-node window of flat appended here is sorted immediately below
@@ -132,13 +130,6 @@ func (v *VRR) seal() {
 			}
 			return a.back < b.back
 		})
-		vstart := len(v.vflat)
-		//disco:orderinvariant the per-node window of vflat appended here is sorted immediately below
-		for peer := range v.vsets[u] {
-			v.vflat = append(v.vflat, peer)
-		}
-		vw := v.vflat[vstart:]
-		sort.Slice(vw, func(i, j int) bool { return vw[i] < vw[j] })
 	}
 	v.numPaths = len(v.paths)
 	v.sealed = true
@@ -383,7 +374,7 @@ func (v *VRR) greedyPath(x, y graph.NodeID) ([]graph.NodeID, bool) {
 		nh, ok := v.nextHop(cur, y)
 		if !ok || steps > limit {
 			v.Stuck++
-			rest := v.bank.Tree(y).PathFrom(cur) // cur ⇝ y
+			rest := v.destTree(y).PathFrom(cur) // cur ⇝ y
 			for _, u := range rest[1:] {
 				nodes = appendTrim(nodes, u)
 			}
@@ -407,27 +398,23 @@ func appendTrim(nodes []graph.NodeID, nh graph.NodeID) []graph.NodeID {
 }
 
 // Fork returns a concurrency view of v for one worker of a parallel
-// sweep: the converged ring, the sealed flat forwarding/vset arrays and
-// the shared recovery-tree bank are all shared read-only; only the Stuck
-// counter is private. Sum fork Stuck counters to recover the serial total.
+// sweep: the converged ring and the sealed flat forwarding/vset arrays are
+// shared read-only; only the Stuck counter and the shortest-path scratch are
+// private. Sum fork Stuck counters to recover the serial total.
 func (v *VRR) Fork() *VRR {
-	return &VRR{
-		Env:      v.Env,
-		R:        v.R,
-		order:    v.order,
-		ring:     v.ring,
-		tables:   v.tables,
-		paths:    v.paths,
-		vsets:    v.vsets,
-		nextID:   v.nextID,
-		sealed:   v.sealed,
-		flat:     v.flat,
-		off:      v.off,
-		vflat:    v.vflat,
-		voff:     v.voff,
-		bank:     v.bank,
-		numPaths: v.numPaths,
+	f := *v
+	f.Stuck, f.dest = 0, nil
+	return &f
+}
+
+// destTree returns the fork's shortest-path scratch bound to root,
+// allocating it on first use.
+func (v *VRR) destTree(root graph.NodeID) *pathtree.Lazy {
+	if v.dest == nil {
+		v.dest = pathtree.NewLazy(v.Env.G)
 	}
+	v.dest.Bind(root)
+	return v.dest
 }
 
 // Route returns the packet route from s to t (VRR has no first/later
@@ -441,7 +428,7 @@ func (v *VRR) Route(s, t graph.NodeID) []graph.NodeID {
 func (v *VRR) RouteLen(p []graph.NodeID) float64 { return v.Env.G.PathLength(p) }
 
 // ShortestDist returns d(s,t).
-func (v *VRR) ShortestDist(s, t graph.NodeID) float64 { return v.bank.Tree(t).Dist(s) }
+func (v *VRR) ShortestDist(s, t graph.NodeID) float64 { return v.destTree(t).Dist(s) }
 
 // StateEntries returns per-node entry counts: one per vpath through the
 // node plus physical adjacency.
@@ -471,13 +458,4 @@ func (v *VRR) VSetSize(u graph.NodeID) int {
 		return int(v.voff[u+1] - v.voff[u])
 	}
 	return len(v.vsets[u])
-}
-
-// VSetMembers returns u's sealed vset peers in ascending order (a shared
-// window of the flat array; do not modify).
-func (v *VRR) VSetMembers(u graph.NodeID) []graph.NodeID {
-	if !v.sealed {
-		return nil
-	}
-	return v.vflat[v.voff[u]:v.voff[u+1]]
 }

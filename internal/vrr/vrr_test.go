@@ -2,6 +2,8 @@ package vrr
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"disco/internal/graph"
@@ -165,6 +167,67 @@ func TestDeterministic(t *testing.T) {
 	for i := range e1 {
 		if e1[i] != e2[i] {
 			t.Fatal("VRR must be deterministic for a fixed seed")
+		}
+	}
+}
+
+// TestForkRoutesMatchParent pins the struct-copy Fork: a fork shares the
+// sealed arrays, starts its own Stuck count at zero and owns its
+// shortest-path scratch, so it returns the parent's routes and distances,
+// and two forks driven from two goroutines agree with a serial pass — their
+// Stuck counts summing to the serial one (run under -race in CI).
+func TestForkRoutesMatchParent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"unit", topology.Gnm(rand.New(rand.NewSource(21)), 300, 1200)},
+		{"geometric", topology.Geometric(rand.New(rand.NewSource(22)), 300, 8)},
+	} {
+		v := New(static.NewEnv(tc.g, 23), 4, 0)
+		pairs := metrics.SamplePairs(rand.New(rand.NewSource(24)), tc.g.N(), 200)
+		type answer struct {
+			route []graph.NodeID
+			dist  float64
+		}
+		ask := func(f *VRR, p metrics.Pair) answer {
+			s, dst := graph.NodeID(p.Src), graph.NodeID(p.Dst)
+			return answer{f.Route(s, dst), f.ShortestDist(s, dst)}
+		}
+		built := v.Stuck
+		want := make([]answer, len(pairs))
+		for i, p := range pairs {
+			want[i] = ask(v, p)
+		}
+		forks := [2]*VRR{v.Fork(), v.Fork()}
+		for _, f := range forks {
+			if f.Stuck != 0 || f.dest != nil {
+				t.Fatalf("%s: fork starts with Stuck %d, dest %p", tc.name, f.Stuck, f.dest)
+			}
+			if &f.flat[0] != &v.flat[0] || &f.off[0] != &v.off[0] || &f.voff[0] != &v.voff[0] {
+				t.Fatalf("%s: fork copied the sealed arrays", tc.name)
+			}
+		}
+		got := make([]answer, len(pairs))
+		var wg sync.WaitGroup
+		for w, f := range forks {
+			wg.Add(1)
+			go func(w int, f *VRR) {
+				defer wg.Done()
+				for i := w; i < len(pairs); i += 2 {
+					got[i] = ask(f, pairs[i])
+				}
+			}(w, f)
+		}
+		wg.Wait()
+		for i := range pairs {
+			if !slices.Equal(got[i].route, want[i].route) || got[i].dist != want[i].dist {
+				t.Fatalf("%s pair %v: fork answered (%v, %v), parent (%v, %v)",
+					tc.name, pairs[i], got[i].route, got[i].dist, want[i].route, want[i].dist)
+			}
+		}
+		if sum := forks[0].Stuck + forks[1].Stuck; sum != v.Stuck-built {
+			t.Fatalf("%s: forks were stuck %d times, the serial pass %d", tc.name, sum, v.Stuck-built)
 		}
 	}
 }
