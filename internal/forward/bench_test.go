@@ -54,3 +54,23 @@ func BenchmarkForwardThroughput(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "routes/s")
 	})
 }
+
+// BenchmarkPrecompile prices the eager compile of every shard — the
+// forward.precompile_s term of serve-tables' set-up — on that workload's
+// topology (G(n,m), average degree 8, n=4096) in both storage regimes: the
+// exact one compiles windows it reads in place, the compact one decodes
+// each window and row first.
+func BenchmarkPrecompile(b *testing.B) {
+	for _, regime := range []struct {
+		name    string
+		compact bool
+	}{{"exact", false}, {"compact", true}} {
+		env, base, _ := buildEnv(b, 4096, 1, regime.compact)
+		b.Run(regime.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				forward.Compile(base, env.Landmarks, env.LMOf).Precompile()
+			}
+		})
+	}
+}

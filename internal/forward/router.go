@@ -3,6 +3,7 @@ package forward
 import (
 	"disco/internal/dynamics"
 	"disco/internal/graph"
+	"disco/internal/vicinity"
 )
 
 // Router is one goroutine's forwarding view over a Tables: the compiled
@@ -17,6 +18,7 @@ import (
 // plane's generic path) keep their owned-route contract.
 type Router struct {
 	t     *Tables
+	ix    vicinity.Index // compile scratch for windows a repair left cold
 	stack []int32        // vicinity parent-chain scratch (entry indices)
 	chain []graph.NodeID // forest descent scratch (t ⇝ landmark)
 	route []graph.NodeID // landmark-leg route under construction
@@ -29,6 +31,19 @@ var _ dynamics.AppendRouter = (*Router)(nil)
 // NewRouter returns a forwarding view over t for exclusive use by one
 // goroutine at a time (the serve plane pools these per epoch).
 func (t *Tables) NewRouter() *Router { return &Router{t: t} }
+
+// node returns v's compiled table. A window an event dropped compiles here,
+// on the querying goroutine, through scratch the fork allocates the first
+// time it meets one; a Router over fully compiled tables never does.
+func (r *Router) node(v graph.NodeID) *nodeTable {
+	if nt := r.t.nodes[v].Load(); nt != nil {
+		return nt
+	}
+	if r.ix == nil {
+		r.ix = make(vicinity.Index, len(r.t.nodes))
+	}
+	return r.t.node(v, r.ix)
+}
 
 // AppendRoute appends the route s ⇝ t to dst and reports deliverability —
 // the zero-allocation fast path: with the touched shards compiled and
@@ -54,7 +69,7 @@ func (r *Router) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) 
 		}
 		return dst, true
 	}
-	ns := tb.node(s)
+	ns := r.node(s)
 	if i := ns.find(t); i >= 0 {
 		return r.appendVicPath(dst, ns, i), true
 	}
@@ -62,7 +77,7 @@ func (r *Router) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) 
 	// vicinity. The parent chain from s's entry up to owner t IS the
 	// reversed PathTo(s) in forward order.
 	if later {
-		nt := tb.node(t)
+		nt := r.node(t)
 		if j := nt.find(s); j >= 0 {
 			for ; j >= 0; j = nt.parent[j] {
 				dst = append(dst, nt.ids[j])
@@ -158,7 +173,7 @@ func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]g
 			route = route[:i+1]
 			break
 		}
-		nu := tb.node(u)
+		nu := r.node(u)
 		if j := nu.find(t); j >= 0 {
 			route = r.appendVicPath(route[:i], nu, j)
 			break

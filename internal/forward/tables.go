@@ -36,7 +36,6 @@
 package forward
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"disco/internal/graph"
@@ -98,8 +97,11 @@ func (nt *nodeTable) find(t graph.NodeID) int32 {
 
 // compileNode flattens one vicinity set into its interval table. The
 // result depends only on the set's contents, so concurrent compiles of the
-// same window are identical and any one may win the install race.
-func compileNode(set *vicinity.Set, n int) *nodeTable {
+// same window are identical and any one may win the install race. ix is the
+// compiling goroutine's member-position scratch over the n node IDs; a
+// parent outside the window panics there, as it does in the compact
+// encoder.
+func compileNode(set *vicinity.Set, n int, ix vicinity.Index) *nodeTable {
 	es := set.Entries
 	nt := &nodeTable{owner: set.Src}
 	bitsN := 64
@@ -114,17 +116,10 @@ func compileNode(set *vicinity.Set, n int) *nodeTable {
 	}
 	nt.ids = make([]graph.NodeID, len(es))
 	nt.parent = make([]int32, len(es))
+	ix.Bind(es)
 	for i := range es {
 		nt.ids[i] = es[i].Node
-	}
-	for i := range es {
-		p := es[i].Parent
-		if p == graph.None {
-			nt.parent[i] = -1
-			continue
-		}
-		j := sort.Search(len(nt.ids), func(k int) bool { return nt.ids[k] >= p })
-		nt.parent[i] = int32(j) // vicinity invariant: parents are members
+		nt.parent[i] = ix.Parent(es, i)
 	}
 	for i := 0; i < len(es); {
 		j := i
@@ -189,22 +184,23 @@ func (t *Tables) Snapshot() *snapshot.Snapshot { return t.snap }
 // serving mode's warm-up, and what the zero-allocation guarantee on the
 // query path assumes (a cold shard's first query pays its compile).
 func (t *Tables) Precompile() {
-	parallel.Run(len(t.nodes), func(v int) {
-		t.node(graph.NodeID(v))
-	})
+	parallel.RunScratch(len(t.nodes),
+		func() vicinity.Index { return make(vicinity.Index, len(t.nodes)) },
+		func(ix vicinity.Index, v int) { t.node(graph.NodeID(v), ix) })
 	parallel.Run(len(t.rows), func(i int) {
 		t.row(int32(i))
 	})
 }
 
-// node returns v's compiled table, compiling and installing it on first
-// use. The compare-and-swap keeps exactly one winner under concurrent
-// first use; both candidates are identical by determinism of the compile.
-func (t *Tables) node(v graph.NodeID) *nodeTable {
+// node returns v's compiled table, compiling (through the caller's scratch)
+// and installing it on first use. The compare-and-swap keeps exactly one
+// winner under concurrent first use; both candidates are identical by
+// determinism of the compile.
+func (t *Tables) node(v graph.NodeID, ix vicinity.Index) *nodeTable {
 	if nt := t.nodes[v].Load(); nt != nil {
 		return nt
 	}
-	nt := compileNode(t.snap.Vicinity(v), len(t.nodes))
+	nt := compileNode(t.snap.Vicinity(v), len(t.nodes), ix)
 	if !t.nodes[v].CompareAndSwap(nil, nt) {
 		return t.nodes[v].Load()
 	}

@@ -342,6 +342,173 @@ func FuzzSSSPKernelsAgree(f *testing.F) {
 	})
 }
 
+// checkBatchRows requires the batched kernel's rows and reached counts for
+// roots, at every batch width, to be what one SSSP.Run per root leaves:
+// the same parent at every node (None at the root and wherever the root
+// does not reach) and len(Order()) nodes reached.
+func checkBatchRows(t testing.TB, what string, g *Graph, roots []NodeID) {
+	t.Helper()
+	g.Finalize()
+	if !g.unit {
+		t.Fatalf("checkBatchRows needs a unit-weight graph")
+	}
+	n := g.N()
+	want := make([][]NodeID, len(roots))
+	for i := range want {
+		want[i] = make([]NodeID, n)
+	}
+	wantReached := parentRows(g, roots, want, 0) // one Run per root
+	rows := make([][]NodeID, len(roots))
+	for i := range rows {
+		rows[i] = make([]NodeID, n)
+	}
+	for _, width := range []int{1, 7, BatchRoots} {
+		for _, row := range rows {
+			for v := range row {
+				row[v] = NodeID(v) // stale contents the kernel must overwrite
+			}
+		}
+		reached := parentRows(g, roots, rows, width)
+		for i, root := range roots {
+			if reached[i] != wantReached[i] {
+				t.Fatalf("%s width %d: root %d (#%d) reaches %d nodes, Run settles %d", what, width, root, i, reached[i], wantReached[i])
+			}
+			if !slices.Equal(rows[i], want[i]) {
+				for v := range rows[i] {
+					if rows[i][v] != want[i][v] {
+						t.Fatalf("%s width %d: root %d (#%d) node %d: parent %d, Run gives %d", what, width, root, i, v, rows[i][v], want[i][v])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBatchRowsMatchRun is the batched forest kernel's differential test,
+// over TestSSSPKernelsAgree's topologies and their failed copies (several
+// components, isolated nodes — roots among them — and parallel links), with
+// root counts on both sides of a machine word and duplicate roots.
+func TestBatchRowsMatchRun(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 40 + rng.Intn(200)
+		doubled := genGnm(rng, n, 2*n)
+		for i := 0; i < n/4; i++ {
+			u := NodeID(rng.Intn(n))
+			doubled.AddEdge(u, doubled.Neighbors(u)[0].To, 1)
+		}
+		graphs := []struct {
+			name string
+			g    *Graph
+		}{
+			{"gnm", genGnm(rng, n, 4*n)},
+			{"gnm-sparse", genGnm(rng, n, n+n/8)},
+			{"routerlike", genRouterLike(rng, n)},
+			{"ring", genRing(300 + rng.Intn(300))},
+			{"grid", genGrid(10+rng.Intn(10), 15+rng.Intn(15))},
+			{"parallel", doubled},
+		}
+		for _, tc := range graphs {
+			dead := make([]bool, tc.g.M())
+			for i := range dead {
+				dead[i] = rng.Intn(3) == 0
+			}
+			failed := tc.g.WithoutEdges(dead)
+			// An isolated node of the failed copy, if it has one, is always a root.
+			isolated := None
+			for v := NodeID(0); int(v) < failed.N(); v++ {
+				if failed.Degree(v) == 0 {
+					isolated = v
+					break
+				}
+			}
+			for _, count := range []int{1, 63, 64, 65, 130} {
+				roots := make([]NodeID, count)
+				for i := range roots {
+					roots[i] = NodeID(rng.Intn(tc.g.N()))
+				}
+				if count > 2 {
+					roots[count-1] = roots[0] // a duplicate, in another batch at width 1 and 7
+					roots[count/2] = roots[count/2-1]
+				}
+				name := fmt.Sprintf("seed %d %s %d roots", seed, tc.name, count)
+				checkBatchRows(t, name, tc.g, roots)
+				if isolated != None {
+					roots[rng.Intn(count)] = isolated
+				}
+				checkBatchRows(t, name+" failed", failed, roots)
+			}
+		}
+	}
+	// A graph with no links at all: every root is isolated.
+	checkBatchRows(t, "edgeless", New(5), []NodeID{3, 0, 3})
+	checkBatchRows(t, "no roots", genRing(4), nil)
+}
+
+// TestParentRowsWeighted: on a weighted graph ParentRows is one Run per
+// root, and Graph.Unit is what decides.
+func TestParentRowsWeighted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := genGeometric(rng, 150, 8)
+	if g.Unit() {
+		t.Fatal("geometric graph reports unit weights")
+	}
+	roots := []NodeID{0, 17, 17, 149}
+	rows := make([][]NodeID, len(roots))
+	for i := range rows {
+		rows[i] = make([]NodeID, g.N())
+	}
+	reached := ParentRows(g, roots, rows)
+	ref := NewSSSP(g)
+	for i, root := range roots {
+		ref.Run(root)
+		if int(reached[i]) != len(ref.Order()) {
+			t.Fatalf("root %d reaches %d, Run settles %d", root, reached[i], len(ref.Order()))
+		}
+		for v := range rows[i] {
+			if rows[i][v] != ref.Parent(NodeID(v)) {
+				t.Fatalf("root %d node %d: parent %d, Run gives %d", root, v, rows[i][v], ref.Parent(NodeID(v)))
+			}
+		}
+	}
+}
+
+// FuzzBatchRowsMatchRun builds a unit graph from the byte string as
+// FuzzSSSPKernelsAgree does (a link per four bytes, parallel links kept,
+// optionally every third link failed) and draws up to 130 roots from a
+// second byte string, two bytes a root, so that roots repeat, sit on
+// isolated nodes and spill over a machine word; the batched rows must be
+// Run's at widths 1, 7 and 64. Run with `go test -fuzz
+// FuzzBatchRowsMatchRun`; the checked-in corpus under testdata/fuzz/ runs
+// on every plain `go test`.
+func FuzzBatchRowsMatchRun(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 0, 2, 0, 2, 0, 3, 0, 3, 0, 0}, uint16(4), false, []byte{0, 0, 0, 2})
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 2, 0, 5, 0, 6}, uint16(7), true, []byte{0, 3, 0, 3, 0, 5})
+	f.Fuzz(func(t *testing.T, links []byte, nodes uint16, fail bool, rootBytes []byte) {
+		n := 1 + int(nodes)%512
+		g := New(n)
+		for i := 0; i+3 < len(links); i += 4 {
+			u := NodeID((int(links[i])<<8 | int(links[i+1])) % n)
+			v := NodeID((int(links[i+2])<<8 | int(links[i+3])) % n)
+			if u != v {
+				g.AddEdge(u, v, 1)
+			}
+		}
+		if fail {
+			dead := make([]bool, g.M())
+			for i := range dead {
+				dead[i] = i%3 == 0
+			}
+			g = g.WithoutEdges(dead)
+		}
+		var roots []NodeID
+		for i := 0; i+1 < len(rootBytes) && len(roots) < 130; i += 2 {
+			roots = append(roots, NodeID((int(rootBytes[i])<<8|int(rootBytes[i+1]))%n))
+		}
+		checkBatchRows(t, "fuzz", g, roots)
+	})
+}
+
 // TestBeginRejectsWeighted: a weighted graph has no levels to pause between.
 func TestBeginRejectsWeighted(t *testing.T) {
 	g := genRing(5)
@@ -514,7 +681,9 @@ func TestWithEdgesRejectsBadLinks(t *testing.T) {
 // BenchmarkSSSP prices both kernels on the same scratch and sources:
 // level vs heap on the unit-weight graphs, and the heap alone on the
 // weighted one (geometric), which no BENCHMARK.json workload runs. RunK
-// uses the vicinity size ceil(sqrt(n log2 n)).
+// uses the vicinity size ceil(sqrt(n log2 n)). The rows cases price 64
+// shortest-path trees written out as parent rows: 64 Runs against one
+// batched sweep (ParentRows' two kernels).
 func BenchmarkSSSP(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	graphs := []struct {
@@ -555,6 +724,32 @@ func BenchmarkSSSP(b *testing.B) {
 				})
 			}
 		}
+		if !tc.g.unit {
+			continue
+		}
+		// 64 parent rows, the landmark forest's unit of work: one Run per
+		// root against one batched sweep, both on the calling goroutine.
+		roots, rows, reached := make([]NodeID, BatchRoots), make([][]NodeID, BatchRoots), make([]int32, BatchRoots)
+		for i := range rows {
+			roots[i], rows[i] = NodeID(i*7919%n), make([]NodeID, n)
+		}
+		b.Run("rows/64xRun/"+tc.name, func(b *testing.B) {
+			s := NewSSSP(tc.g)
+			for i := 0; i < b.N; i++ {
+				for j, root := range roots {
+					s.Run(root)
+					for v := range rows[j] {
+						rows[j][v] = s.Parent(NodeID(v))
+					}
+				}
+			}
+		})
+		b.Run("rows/batched/"+tc.name, func(b *testing.B) {
+			rb := newRowBatch(tc.g)
+			for i := 0; i < b.N; i++ {
+				rb.sweep(roots, rows, reached)
+			}
+		})
 	}
 }
 

@@ -312,7 +312,10 @@ func (s *SSSP) Step() []NodeID {
 }
 
 // Depth returns how many levels the search has settled: every node at
-// distance < Depth() is settled and no other.
+// distance < Depth() is settled and no other. It counts the levels of any
+// run on a unit-weight graph, not only of a stepped one; a run that stopped
+// at a RunK limit kept the lowest IDs of its last level. A weighted graph's
+// runs have no levels: Depth is 0.
 func (s *SSSP) Depth() int { return len(s.levels) }
 
 // Pending returns the size of the last settled level, whose rows the next

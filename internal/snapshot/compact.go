@@ -29,9 +29,7 @@
 package snapshot
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"disco/internal/bits"
 	"disco/internal/graph"
@@ -78,20 +76,10 @@ func (cs *compactStore) windowSet(v graph.NodeID) *vicinity.Set {
 
 // encScratch is one worker's private state for the compact encode sweeps.
 type encScratch struct {
-	sp   *graph.SSSP
-	win  []vicinity.Entry
-	prow []graph.NodeID
-	w    bits.Writer
-}
-
-// fillWindow materializes one vicinity window from a finished truncated
-// Dijkstra run and sorts it by member ID (the Set order). Shared by both
-// regimes.
-func fillWindow(win []vicinity.Entry, sp *graph.SSSP, order []graph.NodeID) {
-	for j, w := range order {
-		win[j] = vicinity.Entry{Node: w, Parent: sp.Parent(w), Dist: sp.Dist(w)}
-	}
-	sort.Slice(win, func(a, b int) bool { return win[a].Node < win[b].Node })
+	sp  *graph.SSSP
+	win []vicinity.Entry
+	ix  vicinity.Index // encodeWindow's member-position scratch
+	w   bits.Writer
 }
 
 // buildCompactVicinities runs the same per-node truncated Dijkstra sweep as
@@ -114,7 +102,7 @@ func (s *Snapshot) buildCompactVicinities(cs *compactStore) error {
 		}
 		parallel.RunScratch(m,
 			func() *encScratch {
-				return &encScratch{sp: graph.NewSSSP(s.g), win: make([]vicinity.Entry, k)}
+				return &encScratch{sp: graph.NewSSSP(s.g), win: make([]vicinity.Entry, k), ix: make(vicinity.Index, n)}
 			},
 			func(sc *encScratch, i int) {
 				src := graph.NodeID(base + i)
@@ -125,11 +113,11 @@ func (s *Snapshot) buildCompactVicinities(cs *compactStore) error {
 					bufs[i] = nil
 					return
 				}
-				fillWindow(sc.win, sc.sp, order)
+				vicinity.Fill(sc.win, sc.sp)
 				bounds[base+i] = windowBound(sc.win)
 				cs.radii[base+i] = quantizedRadius(sc.win)
 				sc.w.Reset()
-				encodeWindow(&sc.w, cs.idWidth, cs.pWidth, sc.win)
+				encodeWindow(&sc.w, cs.idWidth, cs.pWidth, sc.win, sc.ix)
 				bufs[i] = append([]byte(nil), sc.w.Bytes()...)
 			})
 		for i := 0; i < m; i++ {
@@ -180,9 +168,10 @@ func quantizedRadius(win []vicinity.Entry) float32 {
 
 // encodeWindow appends one window in the wire format above. The window must
 // be sorted by member ID; every parent must be a window member (guaranteed
-// by truncated Dijkstra: a parent settles before its child). An empty
+// by truncated Dijkstra: a parent settles before its child; ix.Parent
+// panics otherwise). ix is the worker's member-position scratch. An empty
 // window (k=0) encodes to zero bits.
-func encodeWindow(w *bits.Writer, idWidth, pWidth int, win []vicinity.Entry) {
+func encodeWindow(w *bits.Writer, idWidth, pWidth int, win []vicinity.Entry, ix vicinity.Index) {
 	if len(win) == 0 {
 		return
 	}
@@ -190,15 +179,11 @@ func encodeWindow(w *bits.Writer, idWidth, pWidth int, win []vicinity.Entry) {
 	for i := 1; i < len(win); i++ {
 		w.WriteGamma(uint64(win[i].Node - win[i-1].Node))
 	}
-	for _, e := range win {
-		idx := len(win) // graph.None sentinel
-		if e.Parent != graph.None {
-			idx = sort.Search(len(win), func(i int) bool { return win[i].Node >= e.Parent })
-			if idx == len(win) || win[idx].Node != e.Parent {
-				// Unreachable on any Dijkstra-built window; a hit means the
-				// window itself is corrupt, not that the input was bad.
-				panic(fmt.Sprintf("snapshot: parent %d of member %d is outside the vicinity window", e.Parent, e.Node))
-			}
+	ix.Bind(win)
+	for i := range win {
+		idx := ix.Parent(win, i)
+		if idx < 0 {
+			idx = int32(len(win)) // graph.None sentinel
 		}
 		w.WriteBits(uint64(idx), pWidth)
 	}
@@ -308,23 +293,25 @@ func (cs *compactStore) encodeForestRow(w *bits.Writer, row int, prow []graph.No
 }
 
 // buildCompactForest writes one bit-packed port-index parent row per
-// landmark.
+// landmark. The trees come out of graph.ParentRows as flat parent rows, a
+// batch per worker at a time, so the rows awaiting encoding never exceed
+// one batch each.
 func (s *Snapshot) buildCompactForest(cs *compactStore) error {
 	n := s.g.N()
 	cs.layoutForest(len(s.landmarks))
-	settled := make([]int32, len(s.landmarks))
-	parallel.RunScratch(len(s.landmarks),
-		func() *encScratch {
-			return &encScratch{sp: graph.NewSSSP(s.g), prow: make([]graph.NodeID, n)}
-		},
-		func(sc *encScratch, row int) {
-			sc.sp.Run(s.landmarks[row])
-			settled[row] = int32(len(sc.sp.Order()))
-			for v := range sc.prow {
-				sc.prow[v] = sc.sp.Parent(graph.NodeID(v))
-			}
-			cs.encodeForestRow(&sc.w, row, sc.prow)
-		})
+	settled := make([]int32, 0, len(s.landmarks))
+	chunk := min(len(s.landmarks), parallel.Workers()*graph.BatchRoots)
+	rows := make([][]graph.NodeID, chunk)
+	for i := range rows {
+		rows[i] = make([]graph.NodeID, n)
+	}
+	for base := 0; base < len(s.landmarks); base += chunk {
+		m := min(chunk, len(s.landmarks)-base)
+		settled = append(settled, graph.ParentRows(s.g, s.landmarks[base:base+m], rows[:m])...)
+		parallel.RunScratch(m,
+			func() *encScratch { return &encScratch{} },
+			func(sc *encScratch, i int) { cs.encodeForestRow(&sc.w, base+i, rows[i]) })
+	}
 	return forestShortfall(settled, s.landmarks, n)
 }
 
@@ -404,12 +391,12 @@ func (s *Snapshot) foldCompactInto(f *Snapshot) {
 	cs.vicOff = vicOff
 	cs.vicBlob = make([]byte, vicOff[n])
 	parallel.RunScratch(n,
-		func() *encScratch { return &encScratch{} },
+		func() *encScratch { return &encScratch{ix: make(vicinity.Index, n)} },
 		func(sc *encScratch, v int) {
 			dst := cs.vicBlob[vicOff[v]:vicOff[v+1]]
 			if set := s.ov.window(graph.NodeID(v)); set != nil {
 				sc.w.Reset()
-				encodeWindow(&sc.w, cs.idWidth, cs.pWidth, set.Entries)
+				encodeWindow(&sc.w, cs.idWidth, cs.pWidth, set.Entries, sc.ix)
 				copy(dst, sc.w.Bytes())
 				return
 			}

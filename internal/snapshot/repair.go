@@ -60,10 +60,10 @@
 package snapshot
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"disco/internal/graph"
 	"disco/internal/parallel"
@@ -244,11 +244,8 @@ func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, er
 	}
 	// Canonical restore order, so identical link sets produce identical
 	// graphs (and so identical snapshots) regardless of caller ordering.
-	sort.Slice(uniq, func(i, j int) bool {
-		if uniq[i].U != uniq[j].U {
-			return uniq[i].U < uniq[j].U
-		}
-		return uniq[i].V < uniq[j].V
+	slices.SortFunc(uniq, func(a, b graph.WeightedLink) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	ng := s.g.WithEdges(uniq)
 
@@ -310,9 +307,8 @@ func recomputeWindows(g *graph.Graph, affVic []graph.NodeID, k int, compact bool
 		func(sp *graph.SSSP, i int) repairedWindow {
 			src := affVic[i]
 			sp.RunK(src, k)
-			order := sp.Order()
-			win := make([]vicinity.Entry, len(order))
-			fillWindow(win, sp, order)
+			win := make([]vicinity.Entry, len(sp.Order()))
+			vicinity.Fill(win, sp)
 			bound := windowBound(win)
 			if compact {
 				for j := range win {
@@ -324,24 +320,17 @@ func recomputeWindows(g *graph.Graph, affVic []graph.NodeID, k int, compact bool
 		})
 }
 
-// recomputeRows rebuilds the given forest rows on graph g — one full
-// Dijkstra per row's landmark into a fresh parent array, over the worker
-// pool — for both repair directions. The result is parallel to rows.
+// recomputeRows rebuilds the given forest rows on graph g — each row's
+// landmark tree into a fresh parent array, graph.ParentRows as at build —
+// for both repair directions. The result is parallel to rows.
 func (s *Snapshot) recomputeRows(g *graph.Graph, rows []int) [][]graph.NodeID {
-	n := g.N()
 	lms := make([]graph.NodeID, len(rows))
+	prows := make([][]graph.NodeID, len(rows))
 	for i, row := range rows {
 		lms[i] = s.landmarks[row]
+		prows[i] = make([]graph.NodeID, g.N())
 	}
-	prows := make([][]graph.NodeID, len(rows))
-	graph.ForEachSource(g, lms, func(sp *graph.SSSP, i int, lm graph.NodeID) {
-		sp.Run(lm)
-		prow := make([]graph.NodeID, n)
-		for v := 0; v < n; v++ {
-			prow[v] = sp.Parent(graph.NodeID(v))
-		}
-		prows[i] = prow
-	})
+	graph.ParentRows(g, lms, prows)
 	return prows
 }
 

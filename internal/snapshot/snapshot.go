@@ -142,10 +142,10 @@ func build(g *graph.Graph, k int, landmarks []graph.NodeID, compact bool) (*Snap
 	return s, nil
 }
 
-// buildExactVicinities fills the flat entry table: one truncated Dijkstra
-// per node into its own window, then sort the window by member ID (the Set
-// order). Shortfalls (a vicinity that could not settle k nodes) are
-// collected per task and reported after the sweep.
+// buildExactVicinities fills the flat entry table: one truncated search per
+// node, its ball laid into the node's own window in member-ID order (the
+// Set order, vicinity.Fill). Shortfalls (a vicinity that could not settle k
+// nodes) are collected per task and reported after the sweep.
 func (s *Snapshot) buildExactVicinities(st *exactStore) error {
 	n, k := s.g.N(), s.k
 	st.entries = make([]vicinity.Entry, n*k)
@@ -163,7 +163,7 @@ func (s *Snapshot) buildExactVicinities(st *exactStore) error {
 			return
 		}
 		win := st.entries[st.off[i]:st.off[i+1]]
-		fillWindow(win, sp, order)
+		vicinity.Fill(win, sp)
 		st.sets[i] = vicinity.MakeSet(src, win)
 	})
 	for i := range st.sets {
@@ -174,21 +174,17 @@ func (s *Snapshot) buildExactVicinities(st *exactStore) error {
 	return firstShortfall(settled, k)
 }
 
-// buildExactForest computes one full Dijkstra per landmark into its parent
-// row.
+// buildExactForest computes every landmark's shortest-path tree straight
+// into its parent row (graph.ParentRows: 64 trees to a shared sweep on a
+// unit-weight graph, one full Dijkstra per landmark on a weighted one).
 func (s *Snapshot) buildExactForest(st *exactStore) error {
 	n := s.g.N()
 	st.parents = make([]graph.NodeID, len(s.landmarks)*n)
-	settled := make([]int32, len(s.landmarks))
-	graph.ForEachSource(s.g, s.landmarks, func(sp *graph.SSSP, row int, lm graph.NodeID) {
-		sp.Run(lm)
-		settled[row] = int32(len(sp.Order()))
-		prow := st.parents[row*n : (row+1)*n]
-		for v := 0; v < n; v++ {
-			prow[v] = sp.Parent(graph.NodeID(v))
-		}
-	})
-	return forestShortfall(settled, s.landmarks, n)
+	rows := make([][]graph.NodeID, len(s.landmarks))
+	for row := range rows {
+		rows[row] = st.parents[row*n : (row+1)*n]
+	}
+	return forestShortfall(graph.ParentRows(s.g, s.landmarks, rows), s.landmarks, n)
 }
 
 // firstShortfall reports the lowest-indexed vicinity that settled fewer

@@ -307,3 +307,33 @@ func BenchmarkSnapshotMemory(b *testing.B) {
 		}
 	}
 }
+
+// TestParentIndexMatchesSearch pins the O(k) parent-index pass the compact
+// encoder and the forwarding tables share (vicinity.Index) to the per-entry
+// binary search it replaced: on every window of a built n=1024 snapshot, in
+// both regimes, through one scratch that is never cleared between windows.
+func TestParentIndexMatchesSearch(t *testing.T) {
+	const n = 1024
+	env := buildEnv(t, n, 5)
+	for _, compact := range []bool{false, true} {
+		s := mustBuild(t, env, vicinity.DefaultK(n), compact)
+		ix := make(vicinity.Index, n)
+		for v := graph.NodeID(0); v < n; v++ {
+			win := s.Vicinity(v).Entries
+			ix.Bind(win)
+			for i, e := range win {
+				want := int32(-1)
+				if e.Parent != graph.None {
+					j, ok := slices.BinarySearchFunc(win, e.Parent, func(e vicinity.Entry, p graph.NodeID) int { return int(e.Node - p) })
+					if !ok {
+						t.Fatalf("compact=%v V(%d): parent %d of %d is not a member", compact, v, e.Parent, e.Node)
+					}
+					want = int32(j)
+				}
+				if got := ix.Parent(win, i); got != want {
+					t.Fatalf("compact=%v V(%d) entry %d: parent index %d, want %d", compact, v, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -7,7 +7,10 @@
 package vicinity
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"disco/internal/graph"
@@ -145,12 +148,115 @@ func Build(g *graph.Graph, k int, sources []graph.NodeID) *Table {
 
 func buildOne(s *graph.SSSP, src graph.NodeID, k int) *Set {
 	s.RunK(src, k)
-	order := s.Order()
-	entries := make([]Entry, len(order))
-	for i, w := range order {
-		entries[i] = Entry{Node: w, Parent: s.Parent(w), Dist: s.Dist(w)}
+	entries := make([]Entry, len(s.Order()))
+	Fill(entries, s)
+	set := MakeSet(src, entries)
+	return &set
+}
+
+// byNode is the Set order.
+func byNode(a, b Entry) int { return cmp.Compare(a.Node, b.Node) }
+
+// Fill materializes the ball sp's last single-source run settled as a
+// vicinity window: one Entry per settled node, sorted by member ID (the Set
+// order). win must hold exactly len(sp.Order()) entries — k after a RunK on
+// a connected graph, fewer when the source's component ran out first.
+//
+// On a unit-weight graph the level kernel has already done most of the
+// sorting: the ball is Depth() runs, one per distance, each ascending by ID
+// (a RunK limit keeps the lowest IDs of its last level). Fill merges those
+// runs through a heap of their heads, O(k log depth) whatever the shape —
+// four or five runs on a small-world map, k/2 on a ring — and a member's
+// distance is its run's level. The heap kernel (weighted graphs) leaves no
+// runs, so its settle order is sorted instead.
+func Fill(win []Entry, sp *graph.SSSP) {
+	if !sp.Graph().Unit() {
+		for j, w := range sp.Order() {
+			win[j] = Entry{Node: w, Parent: sp.Parent(w), Dist: sp.Dist(w)}
+		}
+		slices.SortFunc(win, byNode)
+		return
 	}
-	return FromEntries(src, entries)
+	var few [16]levelRun // the heap lives on the stack unless the ball is deep
+	h := few[:0]
+	for d := 0; d < sp.Depth(); d++ {
+		if ids := sp.Level(d); len(ids) > 0 {
+			h = append(h, levelRun{head: ids[0], rest: ids[1:], dist: float64(d)})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for j := range win {
+		top := &h[0]
+		win[j] = Entry{Node: top.head, Parent: sp.Parent(top.head), Dist: top.dist}
+		if len(top.rest) > 0 {
+			top.head, top.rest = top.rest[0], top.rest[1:]
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+}
+
+// levelRun is what Fill has still to take of one level of the ball: the
+// next ID, the ascending IDs behind it, and the level's distance.
+type levelRun struct {
+	head graph.NodeID
+	rest []graph.NodeID
+	dist float64
+}
+
+// siftDown restores the min-heap on the runs' first IDs below position i.
+func siftDown(h []levelRun, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].head < h[m].head {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].head < h[m].head {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// Index turns the member IDs of one sorted window into window indices: a
+// node-indexed scratch the caller owns and reuses window after window (one
+// per worker, as long as the graph has nodes). Bind records where each
+// member sits; Parent then reads a member's parent position in O(1), which
+// is how the compact encoder and the forwarding tables store parents. The
+// scratch is never cleared: Parent checks what it reads against the window,
+// so an entry left by an earlier window cannot pass for a member.
+type Index []int32
+
+// Bind records win's member positions.
+func (ix Index) Bind(win []Entry) {
+	for i, e := range win {
+		ix[e.Node] = int32(i)
+	}
+}
+
+// Parent returns the window index of entry i's parent in the window last
+// bound, or -1 for the owner (whose parent is None). Every other parent is
+// a member — a parent settles before its child — so a miss means the window
+// itself is corrupt, not that the input was bad, and panics.
+func (ix Index) Parent(win []Entry, i int) int32 {
+	p := win[i].Parent
+	if p == graph.None {
+		return -1
+	}
+	if p >= 0 && int(p) < len(ix) {
+		if j := ix[p]; j >= 0 && int(j) < len(win) && win[j].Node == p {
+			return j
+		}
+	}
+	panic(fmt.Sprintf("vicinity: parent %d of member %d is outside the vicinity window", p, win[i].Node))
 }
 
 // MakeSet assembles a Set view over entries that are already sorted by
@@ -171,7 +277,7 @@ func MakeSet(src graph.NodeID, entries []Entry) Set {
 // event-driven path-vector protocol), sorting them and computing the
 // radius. The entries slice is taken over by the Set.
 func FromEntries(src graph.NodeID, entries []Entry) *Set {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Node < entries[j].Node })
+	slices.SortFunc(entries, byNode)
 	set := MakeSet(src, entries)
 	return &set
 }
@@ -185,7 +291,7 @@ func (t *Table) Sources() []graph.NodeID {
 	for v := range t.sets {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

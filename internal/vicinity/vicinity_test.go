@@ -1,8 +1,11 @@
 package vicinity
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"disco/internal/graph"
@@ -212,5 +215,102 @@ func TestSelfAlwaysMember(t *testing.T) {
 		if set.Dist(graph.NodeID(v)) != 0 {
 			t.Fatalf("self distance nonzero")
 		}
+	}
+}
+
+// TestFillMatchesSort is Fill's property test: the window it merges out of
+// the level kernel's runs (or sorts, after the heap kernel) is the settle
+// order sorted by member ID, entry for entry — every source, on shapes that
+// make the ball deep (ring, line: a level holds two nodes, depth ≈ k/2),
+// wide (G(n,m), router-like), in between (grid), weighted (geometric: the
+// heap path), and cut short by disconnection (fewer than k settled, what a
+// repair recomputes after a partitioning failure), at k = 1, a mid value
+// and k = n.
+func TestFillMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	gnm := topology.GnmAvgDeg(rng, 300, 6)
+	dead := make([]bool, gnm.M())
+	for i := range dead {
+		dead[i] = rng.Intn(2) == 0
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"ring", topology.Ring(257)},
+		{"line", topology.Line(200)},
+		{"grid", topology.Grid(14, 19)},
+		{"gnm", gnm},
+		{"routerlike", topology.RouterLike(rng, 400)},
+		{"geometric", topology.Geometric(rng, 250, 8)},
+		{"partitioned", gnm.WithoutEdges(dead)},
+	} {
+		n := tc.g.N()
+		sp := graph.NewSSSP(tc.g)
+		for _, k := range []int{1, 2, DefaultK(n), n/2 + 1, n} {
+			for src := graph.NodeID(0); int(src) < n; src++ {
+				sp.RunK(src, k)
+				want := make([]Entry, len(sp.Order()))
+				for j, w := range sp.Order() {
+					want[j] = Entry{Node: w, Parent: sp.Parent(w), Dist: sp.Dist(w)}
+				}
+				slices.SortFunc(want, func(a, b Entry) int { return cmp.Compare(a.Node, b.Node) })
+				got := make([]Entry, len(want))
+				Fill(got, sp)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s k=%d src=%d (%d settled, depth %d):\n got  %v\n want %v",
+						tc.name, k, src, len(want), sp.Depth(), got, want)
+				}
+			}
+		}
+		if tc.name == "partitioned" {
+			if _, comps := tc.g.Components(); comps < 2 {
+				t.Fatalf("partitioned: the failed graph is still connected")
+			}
+		}
+	}
+}
+
+// TestIndexParent: Index.Parent is the binary search it replaces, on every
+// window of a table, through one never-cleared scratch; and a parent that
+// is not a member panics instead of passing for one.
+func TestIndexParent(t *testing.T) {
+	g := topology.GnmAvgDeg(rand.New(rand.NewSource(3)), 200, 5)
+	tab := Build(g, DefaultK(200), nil)
+	ix := make(Index, g.N())
+	for _, v := range tab.Sources() {
+		win := tab.Of(v).Entries
+		ix.Bind(win)
+		for i, e := range win {
+			want := int32(-1)
+			if e.Parent != graph.None {
+				j, ok := slices.BinarySearchFunc(win, e.Parent, func(e Entry, p graph.NodeID) int { return cmp.Compare(e.Node, p) })
+				if !ok {
+					t.Fatalf("V(%d): parent %d of %d is not a member", v, e.Parent, e.Node)
+				}
+				want = int32(j)
+			}
+			if got := ix.Parent(win, i); got != want {
+				t.Fatalf("V(%d) entry %d: parent index %d, want %d", v, i, got, want)
+			}
+		}
+	}
+	// The scratch still holds the last window's positions. A window whose
+	// parent is one of those nodes (a stale position that is in range),
+	// lies outside the ID space, or is negative is corrupt and must say so.
+	last := tab.Of(tab.Sources()[len(tab.Sources())-1]).Entries
+	stale := last[1].Node
+	x, y := (stale+1)%graph.NodeID(g.N()), (stale+2)%graph.NodeID(g.N())
+	for _, parent := range []graph.NodeID{stale, graph.NodeID(g.N()), -7} {
+		corrupt := []Entry{{Node: min(x, y), Parent: graph.None}, {Node: max(x, y), Parent: parent, Dist: 1}}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "outside the vicinity window") {
+					t.Fatalf("parent %d: recovered %q, want the outside-the-window panic", parent, msg)
+				}
+			}()
+			ix.Bind(corrupt)
+			ix.Parent(corrupt, 1)
+		}()
 	}
 }
