@@ -1,21 +1,22 @@
 package disco
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (§5). Each BenchmarkFig* runs the corresponding experiment
-// from internal/eval and prints the same rows/series the paper reports
-// (once, on the first iteration). Sizes default to laptop-scale — the
-// shapes (who wins, by what factor, where crossovers fall) are the
-// reproduction target; cmd/discosim -full runs paper-scale sizes.
+// evaluation (§5): BenchmarkExperiments runs each entry of eval.Experiments
+// and prints the same rows/series the paper reports (once, on the first
+// iteration). Sizes default to laptop-scale — the shapes (who wins, by
+// what factor, where crossovers fall) are the reproduction target;
+// cmd/discosim -full runs paper-scale sizes.
 //
 // The experiments fan out over the internal/parallel worker pool; bound
 // it with -workers (default GOMAXPROCS). Printed results are bit-identical
 // at any worker count, so -workers only moves the ns/op number:
 //
-//	go test -bench Fig3 -workers 8
+//	go test -bench 'Experiments/fig3' -benchtime 1x -workers 8
 //
-// The Benchmark{Route,Overlay,Address,...} group at the bottom are ordinary
-// performance microbenchmarks of the substrate; the SSSP kernels and the
-// forwarding planes are benchmarked in internal/graph and internal/forward.
+// The BenchmarkAblation* group are the design-choice ablations that have no
+// table entry, and the two at the bottom are ordinary microbenchmarks of the
+// substrate. Routing, the SSSP kernels and the forwarding planes are
+// benchmarked in bench/, internal/graph and internal/forward.
 
 import (
 	"flag"
@@ -61,149 +62,25 @@ func show(b *testing.B, out string) {
 	}
 }
 
-// --- Fig. 2: state CDFs ---------------------------------------------------
-
-func BenchmarkFig2StateGeometric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig2State(eval.TopoGeometric, 2048, benchSeed).Format())
-	}
-}
-
-func BenchmarkFig2StateASLike(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig2State(eval.TopoASLike, 2048, benchSeed).Format())
-	}
-}
-
-func BenchmarkFig2StateRouterLike(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig2State(eval.TopoRouterLike, 4096, benchSeed).Format())
-	}
-}
-
-// --- Fig. 3: stretch CDFs ---------------------------------------------------
-
-func BenchmarkFig3StretchGeometric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig3Stretch(eval.TopoGeometric, 2048, benchSeed, 300).Format())
-	}
-}
-
-func BenchmarkFig3StretchASLike(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig3Stretch(eval.TopoASLike, 2048, benchSeed, 300).Format())
-	}
-}
-
-func BenchmarkFig3StretchRouterLike(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig3Stretch(eval.TopoRouterLike, 4096, benchSeed, 300).Format())
-	}
-}
-
-// --- Figs. 4 & 5: 1,024-node three-panel comparisons incl. VRR -------------
-
-func BenchmarkFig4Gnm1024(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig45(eval.TopoGnm, 1024, benchSeed, 300).Format())
-	}
-}
-
-func BenchmarkFig5Geometric1024(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig45(eval.TopoGeometric, 1024, benchSeed, 300).Format())
-	}
-}
-
-// --- Fig. 6: shortcutting heuristics table ----------------------------------
-
-func BenchmarkFig6Shortcuts(b *testing.B) {
-	specs := []eval.Fig6Spec{
-		{Label: "AS-Level", Kind: eval.TopoASLike, N: 2048},
-		{Label: "Router-level", Kind: eval.TopoRouterLike, N: 2048},
-		{Label: "Geometric", Kind: eval.TopoGeometric, N: 2048},
-		{Label: "GNM", Kind: eval.TopoGnm, N: 2048},
-	}
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig6Shortcuts(specs, benchSeed, 200).Format())
-	}
-}
-
-// --- Fig. 7: state in entries and bytes -------------------------------------
-
-func BenchmarkFig7StateBytes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig7StateBytes(4096, benchSeed).Format())
-	}
-}
-
-// --- Fig. 8: control messaging until convergence ----------------------------
-
-func BenchmarkFig8Convergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Fig8Convergence([]int{128, 256, 512, 1024}, 512, benchSeed).Format())
-	}
-}
-
-// --- Fig. 9: scaling sweep ---------------------------------------------------
-
-func BenchmarkFig9Scaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig9Scaling([]int{1024, 2048, 4096}, benchSeed, 200).Format())
-	}
-}
-
-// --- Fig. 10: AS-level congestion tail ---------------------------------------
-
-func BenchmarkFig10ASCongestion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.Fig10ASCongestion(2048, benchSeed).Format())
-	}
-}
-
-// --- §4.2 address sizes ------------------------------------------------------
-
-func BenchmarkAddrSizes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.AddrSizes(8192, benchSeed).Format())
-	}
-}
-
-// --- §5 static-simulation accuracy -------------------------------------------
-
-func BenchmarkStaticAccuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.StaticAccuracy(512, benchSeed, 300).Format())
-	}
-}
-
-// --- §5 estimate-error robustness ---------------------------------------------
-
-func BenchmarkEstimateError(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := eval.Config{}.EstimateError(1024, benchSeed, 0.4, 300).Format() +
-			eval.Config{}.EstimateError(1024, benchSeed, 0.6, 300).Format()
-		show(b, out)
-	}
-}
-
-// --- §5 finger-count experiment -------------------------------------------------
-
-func BenchmarkFingerCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.FingerExperiment(1024, benchSeed).Format())
+// BenchmarkExperiments runs every entry of eval.Experiments — the table
+// cmd/discosim dispatches from — at its default (scaled) sizes, so a figure
+// is spelled once and `-bench 'Experiments/fig3'` is `discosim -exp fig3
+// -pairs 300` with a timer around it.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range eval.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := e.Run(eval.Options{Seed: benchSeed, Pairs: 300})
+				if err != nil {
+					b.Fatal(err)
+				}
+				show(b, out)
+			}
+		})
 	}
 }
 
 // --- Ablations (design choices called out in DESIGN.md) -----------------------
-
-// BenchmarkAblationResolveImbalance: single vs multiple hash functions in
-// the landmark resolution DB (§4.5).
-func BenchmarkAblationResolveImbalance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.ResolveImbalance(4096, benchSeed).Format())
-	}
-}
 
 // BenchmarkAblationVicinitySize sweeps |V(v)| around the default
 // sqrt(n log n): the state/stretch trade-off NDDisco's fixed-size
@@ -234,14 +111,6 @@ func BenchmarkAblationVicinitySize(b *testing.B) {
 			out += fmt.Sprintf("  %8d %14.3f %14.3f\n", k, f/float64(c), l/float64(c))
 		}
 		show(b, out)
-	}
-}
-
-// BenchmarkAblationLandmarkStrategy: §6 operator-chosen landmarks (random
-// vs high-degree vs adversarial low-degree) on the AS-like topology.
-func BenchmarkAblationLandmarkStrategy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.LandmarkStrategies(eval.TopoASLike, 2048, benchSeed, 200).Format())
 	}
 }
 
@@ -307,15 +176,6 @@ func BenchmarkAblationAddressing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTradeoff: the §6 open question — other points of the
-// state/stretch tradeoff space — via the TZ k-level family (k=2 is
-// Disco's point).
-func BenchmarkAblationTradeoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.TradeoffSweep(eval.TopoGnm, 2048, []int{1, 2, 3, 4}, benchSeed, 200).Format())
-	}
-}
-
 // BenchmarkAblationForgetfulRouting compares control-plane state with and
 // without forgetful routing [24] (§4.2: Θ(δ·sqrt(n log n)) vs
 // Θ(sqrt(n log n))).
@@ -350,28 +210,6 @@ func BenchmarkAblationForgetfulRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationChurnCost: messages to re-converge after a single link
-// failure vs initial convergence (§5 "future work" dynamics).
-func BenchmarkAblationChurnCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := eval.ChurnCost(256, benchSeed, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		show(b, r.Format())
-	}
-}
-
-// BenchmarkFailureScenarios: the failure-family wall time is dominated by
-// incremental snapshot repair plus per-pair routing over repaired state —
-// the cost that blast-radius repair (vs full rebuilds per trial) keeps
-// proportional to the failures, not to n.
-func BenchmarkFailureScenarios(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		show(b, eval.Config{}.FailureScenarios(eval.TopoGnm, 512, benchSeed, 100).Format())
-	}
-}
-
 // --- Substrate microbenchmarks -------------------------------------------------
 
 func benchGraph(b *testing.B, n int) *graph.Graph {
@@ -388,40 +226,6 @@ func useSnapshot(b *testing.B, nd *core.NDDisco) {
 		b.Fatalf("snapshot build: %v", err)
 	}
 	nd.UseSnapshot(snap)
-}
-
-func BenchmarkRouteFirst(b *testing.B) {
-	g := benchGraph(b, 2048)
-	env := static.NewEnv(g, benchSeed)
-	d := core.NewDisco(env)
-	useSnapshot(b, d.ND)
-	rng := rand.New(rand.NewSource(benchSeed))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := graph.NodeID(rng.Intn(2048))
-		t := graph.NodeID(rng.Intn(2048))
-		if s == t {
-			continue
-		}
-		d.FirstRoute(s, t, core.ShortcutNoPathKnowledge)
-	}
-}
-
-func BenchmarkRouteLater(b *testing.B) {
-	g := benchGraph(b, 2048)
-	env := static.NewEnv(g, benchSeed)
-	d := core.NewDisco(env)
-	useSnapshot(b, d.ND)
-	rng := rand.New(rand.NewSource(benchSeed))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := graph.NodeID(rng.Intn(2048))
-		t := graph.NodeID(rng.Intn(2048))
-		if s == t {
-			continue
-		}
-		d.LaterRoute(s, t, core.ShortcutNoPathKnowledge)
-	}
 }
 
 func BenchmarkOverlayDisseminate(b *testing.B) {

@@ -20,7 +20,8 @@
 //	                                   # repairs and republishes the snapshot
 //	                                   # chain (-events bounds the storm)
 //	discosim -serve -forward           # same, on the forwarding fast path:
-//	                                   # compiled next-hop interval tables,
+//	                                   # compiled next-hop tables (sorted
+//	                                   # member IDs + parent indices),
 //	                                   # re-derived per epoch by blast-radius
 //	                                   # invalidation
 //	discosim -list                     # list experiments
@@ -33,8 +34,8 @@
 // Experiments: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 addrsize
 // accuracy nerror fingers imbalance landmarks tradeoff churn failures
 // churn-timeline serve-storm.
-// (TestDocListsEveryExperiment keeps this list in sync with the
-// experiments table below; -list prints the authoritative table.)
+// (TestDocListsEveryExperiment keeps this list in sync with the table,
+// eval.Experiments; -list prints it.)
 package main
 
 import (
@@ -51,166 +52,6 @@ import (
 	"disco/internal/eval"
 	"disco/internal/parallel"
 )
-
-type experiment struct {
-	name string
-	desc string
-	run  func(o opts) error
-}
-
-type opts struct {
-	eval     eval.Config
-	n        int // 0 = per-experiment default
-	seed     int64
-	pairs    int
-	full     bool
-	events   int  // serve/serve-storm: storm length (0 = default)
-	queriers int  // serve/serve-storm: query goroutines (0 = GOMAXPROCS)
-	forward  bool // serve/serve-storm: compiled next-hop tables instead of fork-and-walk
-}
-
-func pick(n, scaled, paper int, full bool) int {
-	if n > 0 {
-		return n
-	}
-	if full {
-		return paper
-	}
-	return scaled
-}
-
-var experiments = []experiment{
-	{"fig2", "state CDFs: Disco/NDDisco/S4 on geometric, AS-level, router-level", func(o opts) error {
-		fmt.Print(o.eval.Fig2State(eval.TopoGeometric, pick(o.n, 4096, 16384, o.full), o.seed).Format())
-		fmt.Print(o.eval.Fig2State(eval.TopoASLike, pick(o.n, 4096, 30610, o.full), o.seed).Format())
-		fmt.Print(o.eval.Fig2State(eval.TopoRouterLike, pick(o.n, 8192, 192244, o.full), o.seed).Format())
-		return nil
-	}},
-	{"fig3", "stretch CDFs (first/later): Disco vs S4 on the three topologies", func(o opts) error {
-		fmt.Print(o.eval.Fig3Stretch(eval.TopoGeometric, pick(o.n, 4096, 16384, o.full), o.seed, o.pairs).Format())
-		fmt.Print(o.eval.Fig3Stretch(eval.TopoASLike, pick(o.n, 4096, 30610, o.full), o.seed, o.pairs).Format())
-		fmt.Print(o.eval.Fig3Stretch(eval.TopoRouterLike, pick(o.n, 8192, 192244, o.full), o.seed, o.pairs).Format())
-		return nil
-	}},
-	{"fig4", "state/stretch/congestion incl. VRR on 1,024-node G(n,m)", func(o opts) error {
-		fmt.Print(o.eval.Fig45(eval.TopoGnm, pick(o.n, 1024, 1024, o.full), o.seed, o.pairs).Format())
-		return nil
-	}},
-	{"fig5", "state/stretch/congestion incl. VRR on 1,024-node geometric", func(o opts) error {
-		fmt.Print(o.eval.Fig45(eval.TopoGeometric, pick(o.n, 1024, 1024, o.full), o.seed, o.pairs).Format())
-		return nil
-	}},
-	{"fig6", "mean stretch for the six shortcutting heuristics x four topologies", func(o opts) error {
-		n1 := pick(o.n, 2048, 30610, o.full)
-		n2 := pick(o.n, 2048, 192244, o.full)
-		n3 := pick(o.n, 2048, 16384, o.full)
-		fmt.Print(o.eval.Fig6Shortcuts([]eval.Fig6Spec{
-			{Label: "AS-Level", Kind: eval.TopoASLike, N: n1},
-			{Label: "Router-level", Kind: eval.TopoRouterLike, N: n2},
-			{Label: "Geometric", Kind: eval.TopoGeometric, N: n3},
-			{Label: "GNM", Kind: eval.TopoGnm, N: n3},
-		}, o.seed, o.pairs).Format())
-		return nil
-	}},
-	{"fig7", "state in entries and KB (IPv4/IPv6 names) on router-level", func(o opts) error {
-		fmt.Print(o.eval.Fig7StateBytes(pick(o.n, 8192, 192244, o.full), o.seed).Format())
-		return nil
-	}},
-	{"fig8", "messages/node until convergence vs n (event-driven simulation)", func(o opts) error {
-		sizes := []int{128, 256, 512, 1024}
-		pvCap := 512
-		if o.n > 0 {
-			sizes = append(sizes, o.n)
-		}
-		fmt.Print(eval.Fig8Convergence(sizes, pvCap, o.seed).Format())
-		return nil
-	}},
-	{"fig9", "scaling sweep: mean stretch and state vs n, geometric graphs", func(o opts) error {
-		sizes := []int{1024, 2048, 4096, 8192}
-		if o.full {
-			sizes = []int{2048, 4096, 8192, 16384}
-		}
-		fmt.Print(o.eval.Fig9Scaling(sizes, o.seed, o.pairs).Format())
-		return nil
-	}},
-	{"fig10", "congestion tail on the AS-level topology", func(o opts) error {
-		fmt.Print(o.eval.Fig10ASCongestion(pick(o.n, 4096, 30610, o.full), o.seed).Format())
-		return nil
-	}},
-	{"addrsize", "explicit-route address sizes on the router-level map (§4.2)", func(o opts) error {
-		fmt.Print(eval.AddrSizes(pick(o.n, 16384, 192244, o.full), o.seed).Format())
-		return nil
-	}},
-	{"accuracy", "static vs event-driven simulator agreement (§5)", func(o opts) error {
-		fmt.Print(o.eval.StaticAccuracy(pick(o.n, 512, 1024, o.full), o.seed, o.pairs).Format())
-		return nil
-	}},
-	{"nerror", "robustness to error in the estimate of n (§5)", func(o opts) error {
-		n := pick(o.n, 1024, 1024, o.full)
-		fmt.Print(o.eval.EstimateError(n, o.seed, 0.4, o.pairs).Format())
-		fmt.Print(o.eval.EstimateError(n, o.seed, 0.6, o.pairs).Format())
-		return nil
-	}},
-	{"fingers", "1 vs 3 overlay fingers: dissemination distance and messages (§5)", func(o opts) error {
-		fmt.Print(eval.FingerExperiment(pick(o.n, 1024, 1024, o.full), o.seed).Format())
-		return nil
-	}},
-	{"imbalance", "resolution-DB load imbalance: 1 vs 8 hash functions (§4.5)", func(o opts) error {
-		fmt.Print(eval.ResolveImbalance(pick(o.n, 4096, 16384, o.full), o.seed).Format())
-		return nil
-	}},
-	{"landmarks", "operator-chosen landmarks: random vs high/low degree (§6)", func(o opts) error {
-		fmt.Print(o.eval.LandmarkStrategies(eval.TopoASLike, pick(o.n, 2048, 30610, o.full), o.seed, o.pairs).Format())
-		return nil
-	}},
-	{"tradeoff", "TZ k-level state/stretch tradeoff sweep (§6 future work)", func(o opts) error {
-		fmt.Print(eval.TradeoffSweep(eval.TopoGnm, pick(o.n, 2048, 16384, o.full), []int{1, 2, 3, 4}, o.seed, o.pairs).Format())
-		return nil
-	}},
-	{"churn", "messages to re-converge after a link failure (§5 future work)", func(o opts) error {
-		r, err := eval.ChurnCost(pick(o.n, 256, 1024, o.full), o.seed, 5)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		return nil
-	}},
-	{"failures", "delivery and stretch after link/node/region failures on repaired snapshots", func(o opts) error {
-		kind := eval.TopoGnm
-		n := pick(o.n, 1024, 192244, o.full)
-		if o.full && o.n == 0 {
-			kind = eval.TopoRouterLike // paper-scale: the router-level map
-		}
-		fmt.Print(o.eval.FailureScenarios(kind, n, o.seed, o.pairs).Format())
-		return nil
-	}},
-	{"churn-timeline", "continuous churn: snapshot timeline with recovery + modeled message cost", func(o opts) error {
-		kind := eval.TopoGnm
-		n := pick(o.n, 1024, 192244, o.full)
-		if o.full && o.n == 0 {
-			kind = eval.TopoRouterLike // paper-scale: the router-level map
-		}
-		r, err := o.eval.ChurnTimeline(kind, n, o.seed, o.pairs, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		return nil
-	}},
-	{"serve-storm", "serving mode: lock-free queries during a fail/recover storm (epochs + staleness)", func(o opts) error {
-		kind := eval.TopoGnm
-		n := pick(o.n, 1024, 192244, o.full)
-		if o.full && o.n == 0 {
-			kind = eval.TopoRouterLike // paper-scale: the router-level map
-		}
-		r, err := o.eval.ServeStorm(kind, n, o.seed, o.pairs, o.events, o.queriers, o.forward)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Format())
-		return nil
-	}},
-}
 
 // peakRSSBytes returns the process's peak resident set size (VmHWM from
 // /proc/self/status) in bytes, or 0 when unavailable (non-Linux).
@@ -322,7 +163,7 @@ func main() {
 	serveMode := flag.Bool("serve", false, "serving mode: answer route queries from a concurrent closed-loop load while a fail/recover storm repairs and republishes the snapshot chain (shorthand for -exp serve-storm; combine with -n, -events, -queriers)")
 	events := flag.Int("events", 0, "serving mode: storm length in fail/recover events (0 = 16)")
 	queriers := flag.Int("queriers", 0, "serving mode: concurrent query goroutines (0 = GOMAXPROCS)")
-	forward := flag.Bool("forward", false, "serving mode: answer queries on compiled next-hop interval tables (the forwarding fast path, repair-aware invalidation) instead of protocol fork-and-walk")
+	forward := flag.Bool("forward", false, "serving mode: answer queries on compiled next-hop tables (the forwarding fast path: one sorted member-ID column a window, repair-aware invalidation) instead of protocol fork-and-walk")
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
 	if err := validateFlags(*n, *seed, *pairs, *events, *queriers, *workers); err != nil {
@@ -340,8 +181,8 @@ func main() {
 
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
-		for _, e := range experiments {
-			fmt.Printf("  %-14s %s\n", e.name, e.desc)
+		for _, e := range eval.Experiments {
+			fmt.Printf("  %-14s %s\n", e.Name, e.Desc)
 		}
 	}
 	if err := checkSelection(*exp, *list, *forward, *events, *queriers); err != nil {
@@ -351,31 +192,33 @@ func main() {
 	if *list {
 		return
 	}
-	runExperiment := func(e experiment, o opts) (err error) {
+	runExperiment := func(e eval.Experiment, o eval.Options) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("panic: %v", r)
 			}
 		}()
-		return e.run(o)
+		out, err := e.Run(o)
+		fmt.Print(out)
+		return err
 	}
 
-	o := opts{eval: eval.Config{Compact: *compact}, n: *n, seed: *seed, pairs: *pairs, full: *full, events: *events, queriers: *queriers, forward: *forward}
+	o := eval.Options{Config: eval.Config{Compact: *compact}, N: *n, Seed: *seed, Pairs: *pairs, Full: *full, Events: *events, Queriers: *queriers, Forward: *forward}
 	ran := false
 	var failed []string
-	for _, e := range experiments {
-		if *exp == "all" || *exp == e.name {
+	for _, e := range eval.Experiments {
+		if *exp == "all" || *exp == e.Name {
 			//disco:measured wall-clock experiment duration, printed as a progress aside, never in figure data
 			start := time.Now()
-			fmt.Printf("== %s: %s ==\n", e.name, e.desc)
+			fmt.Printf("== %s: %s ==\n", e.Name, e.Desc)
 			// A failing experiment must not abort the sweep: report it,
 			// keep going, and only exit nonzero after the remaining
 			// experiments and the memory report have run. Panics count as
 			// failures too — one experiment blowing up at an extreme -n
 			// must not cost the rest of an -exp all run.
 			if err := runExperiment(e, o); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
-				failed = append(failed, e.name)
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
+				failed = append(failed, e.Name)
 			}
 			//disco:measured wall-clock experiment duration, printed as a progress aside, never in figure data
 			fmt.Printf("   (%.1fs)\n\n", time.Since(start).Seconds())

@@ -5,10 +5,12 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"disco/internal/eval"
 )
 
 // TestDocListsEveryExperiment keeps the package doc comment's
-// "Experiments:" sentence in sync with the experiments table — the table
+// "Experiments:" sentence in sync with eval.Experiments — the table
 // is the single source of truth (it drives -list and dispatch), and the
 // doc comment has silently rotted before when experiments were added.
 func TestDocListsEveryExperiment(t *testing.T) {
@@ -25,11 +27,11 @@ func TestDocListsEveryExperiment(t *testing.T) {
 	for _, name := range listed {
 		inDoc[name] = true
 	}
-	for _, e := range experiments {
-		if !inDoc[e.name] {
-			t.Errorf("experiment %q is registered but missing from the doc comment's Experiments list", e.name)
+	for _, e := range eval.Experiments {
+		if !inDoc[e.Name] {
+			t.Errorf("experiment %q is registered but missing from the doc comment's Experiments list", e.Name)
 		}
-		delete(inDoc, e.name)
+		delete(inDoc, e.Name)
 	}
 	for name := range inDoc {
 		t.Errorf("doc comment lists %q, which is not in the experiments table", name)
@@ -105,9 +107,9 @@ func TestCheckSelection(t *testing.T) {
 // at 14 characters, used to overflow the old %-10s column).
 func TestListColumnWidth(t *testing.T) {
 	const listWidth = 14 // keep in sync with the Printf in main
-	for _, e := range experiments {
-		if len(e.name) > listWidth {
-			t.Errorf("experiment name %q is %d chars; widen the -list column (%%-%ds)", e.name, len(e.name), listWidth)
+	for _, e := range eval.Experiments {
+		if len(e.Name) > listWidth {
+			t.Errorf("experiment name %q is %d chars; widen the -list column (%%-%ds)", e.Name, len(e.Name), listWidth)
 		}
 	}
 }
@@ -116,13 +118,13 @@ func TestListColumnWidth(t *testing.T) {
 // unique names, nonempty descriptions, runnable entries.
 func TestExperimentTableSane(t *testing.T) {
 	seen := make(map[string]bool)
-	for _, e := range experiments {
-		if e.name == "" || e.desc == "" || e.run == nil {
-			t.Errorf("experiment %+v has an empty field", e.name)
+	for _, e := range eval.Experiments {
+		if e.Name == "" || e.Desc == "" || e.Run == nil {
+			t.Errorf("experiment %+v has an empty field", e.Name)
 		}
-		if seen[e.name] {
-			t.Errorf("duplicate experiment name %q", e.name)
+		if seen[e.Name] {
+			t.Errorf("duplicate experiment name %q", e.Name)
 		}
-		seen[e.name] = true
+		seen[e.Name] = true
 	}
 }

@@ -3,7 +3,7 @@ package addr
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"disco/internal/graph"
 )
@@ -54,7 +54,7 @@ func BuildIntervals(parent []graph.NodeID) *IntervalTree {
 	}
 	for v := range t.children {
 		c := t.children[v]
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+		slices.Sort(c)
 	}
 	maxTree := uint64(1)
 	for _, r := range roots {

@@ -49,6 +49,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{"LandmarkStrategies", false, func() string { return Config{}.LandmarkStrategies(TopoASLike, 192, 15, 40).Format() }},
 		{"EstimateError", false, func() string { return Config{}.EstimateError(192, 11, 0.4, 40).Format() }},
 		{"TradeoffSweep", false, func() string { return TradeoffSweep(TopoGnm, 192, []int{1, 2, 3}, 19, 40).Format() }},
+		{"StaticAccuracy", false, func() string { return Config{}.StaticAccuracy(128, 5, 40).Format() }},
 		{"ChurnCost", true, func() string {
 			r, err := ChurnCost(96, 17, 2)
 			if err != nil {

@@ -6,11 +6,9 @@ import (
 	"math/rand"
 	"strings"
 
-	"disco/internal/dynamics"
 	"disco/internal/graph"
 	"disco/internal/metrics"
 	"disco/internal/parallel"
-	"disco/internal/pathtree"
 	"disco/internal/snapshot"
 )
 
@@ -44,18 +42,20 @@ type legTally struct {
 	Legs      [numLegs]legAgg
 }
 
-// add folds one batch of routed pairs into the tally.
-func (t *legTally) add(samples []failureSample) {
-	for _, sm := range samples {
+// add folds one batch of routed pairs into the tally: a pair the sweep
+// skipped is disconnected, a leg that reads 0 did not deliver.
+func (t *legTally) add(sw *pairSweep[*planes]) {
+	for i := range sw.reached {
 		t.Pairs++
-		if !sm.connected {
+		st := sw.row(i)
+		if st == nil {
 			continue
 		}
 		t.Connected++
-		for leg := range sm.ok {
-			if sm.ok[leg] {
+		for leg, x := range st {
+			if x > 0 {
 				t.Legs[leg].Delivered++
-				t.Legs[leg].StretchSum += sm.st[leg]
+				t.Legs[leg].StretchSum += x
 			}
 		}
 	}
@@ -283,14 +283,6 @@ func (c Config) FailureScenarios(kind TopoKind, n int, seed int64, pairs int) *F
 	return res
 }
 
-// failureSample is one routed pair: ground-truth connectivity on the
-// failed topology, then per-leg deliverability and stretch.
-type failureSample struct {
-	connected bool
-	ok        [numLegs]bool
-	st        [numLegs]float64
-}
-
 // numLegs is the number of (protocol, packet-phase) columns every
 // dynamics table reports, and legNames their labels in column order —
 // the single source both repairedLegs and the failures/churn-timeline
@@ -300,56 +292,19 @@ const numLegs = 5
 
 var legNames = [numLegs]string{"D-f", "ND-f", "ND-l", "S4-f", "S4-l"}
 
-// repairedLegs builds one worker's routing legs over a repaired snapshot
-// through the protocol-agnostic dynamics.Router interface: Disco first
-// packets, NDDisco first/later, S4 first/later. The Disco fork embeds the
-// NDDisco fork the ND legs route on, and every leg shares the worker's
-// destination scratch where the protocol needs one.
-func repairedLegs(p *Protocols, rep *snapshot.Snapshot, dest *pathtree.Lazy) [numLegs]dynamics.Leg {
-	d := p.Disco.ForkRepaired(rep)
-	s4f := p.S4.ForkRepaired(rep, dest)
-	return [numLegs]dynamics.Leg{
-		{Name: legNames[0], R: d},
-		{Name: legNames[1], R: d.ND},
-		{Name: legNames[2], R: d.ND, Later: true},
-		{Name: legNames[3], R: s4f},
-		{Name: legNames[4], R: s4f, Later: true},
-	}
-}
-
-// failScratch is one worker's routing state over a repaired snapshot.
-type failScratch struct {
-	dest *pathtree.Lazy
-	legs [numLegs]dynamics.Leg
-}
-
 // routeFailurePairs routes every sampled pair over the repaired snapshot
-// on the worker pool, returning samples in pair order. The same machinery
-// serves the failures family and the churn timeline — protocols appear
-// only as dynamics.Leg entries.
-func routeFailurePairs(p *Protocols, rep *snapshot.Snapshot, ps []metrics.Pair) []failureSample {
+// on the worker pool: one column per dynamics leg, stretch against shortest
+// paths on the failed topology. The same sweep serves the failures family,
+// the churn timeline and the serve storm's probe — protocols appear only as
+// dynamics.Leg entries.
+func routeFailurePairs(p *Protocols, rep *snapshot.Snapshot, ps []metrics.Pair) *pairSweep[*planes] {
 	fg := rep.Graph()
-	return parallel.MapScratch(len(ps),
-		func() *failScratch {
-			dest := pathtree.NewLazy(fg)
-			return &failScratch{dest: dest, legs: repairedLegs(p, rep, dest)}
-		},
-		func(sc *failScratch, i int) failureSample {
-			s, t := graph.NodeID(ps[i].Src), graph.NodeID(ps[i].Dst)
-			sc.dest.Bind(t)
-			short := sc.dest.Dist(s)
-			if math.IsInf(short, 1) || short == 0 {
-				return failureSample{} // disconnected (or degenerate) pair
-			}
-			out := failureSample{connected: true}
-			for leg := range sc.legs {
-				route, ok := sc.legs[leg].Route(s, t)
-				if !ok {
-					continue
-				}
-				out.ok[leg] = true
-				out.st[leg] = metrics.Stretch(fg.PathLength(route), short)
-			}
-			return out
-		})
+	cols := make([]column[*planes], numLegs)
+	for leg := range cols {
+		cols[leg] = func(pl *planes, s, t graph.NodeID) (float64, bool) {
+			route, ok := pl.legs[leg].Route(s, t)
+			return fg.PathLength(route), ok
+		}
+	}
+	return sweepPairs(ps, p.forkRepaired(rep), planesDist, cols...)
 }

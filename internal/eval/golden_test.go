@@ -76,6 +76,26 @@ func TestGoldenFig9Scaling(t *testing.T) {
 	checkGolden(t, "fig9_scaling_256_512", Config{}.Fig9Scaling([]int{256, 512}, 8, 80).Format())
 }
 
+// The four goldens below were written by the per-experiment loops that
+// sweepPairs replaced and have not been regenerated since: they are what
+// says the one sweep computes what the eight did.
+
+func TestGoldenLandmarkStrategies(t *testing.T) {
+	checkGolden(t, "landmarks_aslike256", Config{}.LandmarkStrategies(TopoASLike, 256, 15, 80).Format())
+}
+
+func TestGoldenEstimateError(t *testing.T) {
+	checkGolden(t, "nerror_gnm256", Config{}.EstimateError(256, 11, 0.4, 80).Format())
+}
+
+func TestGoldenTradeoffSweep(t *testing.T) {
+	checkGolden(t, "tradeoff_gnm256", TradeoffSweep(TopoGnm, 256, []int{1, 2, 3}, 19, 80).Format())
+}
+
+func TestGoldenStaticAccuracy(t *testing.T) {
+	checkGolden(t, "accuracy_gnm192", Config{}.StaticAccuracy(192, 5, 80).Format())
+}
+
 // TestGoldenFailures pins the failure-scenario family. The parameters
 // match the CI smoke step (`discosim -exp failures -n 256 -seed 1`), which
 // diffs the harness's stdout against this same golden file.

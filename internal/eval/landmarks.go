@@ -1,9 +1,10 @@
 package eval
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"disco/internal/core"
 	"disco/internal/graph"
@@ -65,17 +66,13 @@ func (c Config) LandmarkStrategies(kind TopoKind, n int, seed int64, pairs int) 
 	for i := range byDegree {
 		byDegree[i] = graph.NodeID(i)
 	}
-	sort.Slice(byDegree, func(i, j int) bool {
-		di, dj := g.Degree(byDegree[i]), g.Degree(byDegree[j])
-		if di != dj {
-			return di > dj
-		}
-		return byDegree[i] < byDegree[j]
+	slices.SortFunc(byDegree, func(a, b graph.NodeID) int {
+		return cmp.Or(cmp.Compare(g.Degree(b), g.Degree(a)), cmp.Compare(a, b))
 	})
-	top := append([]graph.NodeID(nil), byDegree[:count]...)
-	bottom := append([]graph.NodeID(nil), byDegree[n-count:]...)
-	sort.Slice(top, func(i, j int) bool { return top[i] < top[j] })
-	sort.Slice(bottom, func(i, j int) bool { return bottom[i] < bottom[j] })
+	top := slices.Clone(byDegree[:count])
+	bottom := slices.Clone(byDegree[n-count:])
+	slices.Sort(top)
+	slices.Sort(bottom)
 
 	res := &LandmarkStrategyResult{N: n, Kind: kind}
 	ps := metrics.SamplePairs(rand.New(rand.NewSource(seed+7000)), n, pairs)
@@ -92,39 +89,9 @@ func (c Config) LandmarkStrategies(kind TopoKind, n int, seed int64, pairs int) 
 		// the build is parallel and every fork below shares it.
 		c.installSnapshot(d)
 		row := LandmarkStrategyRow{Name: name}
-		// Per-pair stretch on the worker pool (forked data planes), with
-		// the float sums reduced in pair order so results are identical
-		// at any worker count.
-		type pairSample struct {
-			ok           bool
-			first, later float64
-		}
-		samples := make([]pairSample, len(ps))
-		forks := parallel.RunGather(len(ps), d.Fork, func(f *core.Disco, i int) {
-			s, t := graph.NodeID(ps[i].Src), graph.NodeID(ps[i].Dst)
-			short := f.ND.ShortestDist(s, t)
-			if short == 0 {
-				return
-			}
-			samples[i] = pairSample{
-				ok:    true,
-				first: g.PathLength(f.FirstRoute(s, t, core.ShortcutNoPathKnowledge)) / short,
-				later: g.PathLength(f.LaterRoute(s, t, core.ShortcutNoPathKnowledge)) / short,
-			}
-		})
-		var fsum, lsum float64
-		cnt := 0
-		for _, sm := range samples {
-			if !sm.ok {
-				continue
-			}
-			fsum += sm.first
-			lsum += sm.later
-			cnt++
-		}
-		row.FirstStretch = fsum / float64(cnt)
-		row.LaterStretch = lsum / float64(cnt)
-		for _, f := range forks {
+		sw := sweepPairs(ps, d.Fork, discoDist, routed(g, discoFirst), routed(g, discoLater))
+		row.FirstStretch, row.LaterStretch = sw.mean(0), sw.mean(1)
+		for _, f := range sw.forks {
 			fb, _ := f.Fallbacks()
 			row.Fallbacks += fb
 		}
@@ -146,7 +113,7 @@ func (c Config) LandmarkStrategies(kind TopoKind, n int, seed int64, pairs int) 
 		tallies := parallel.RunGather(n,
 			func() *missTally { return &missTally{nd: d.ND.Fork()} },
 			func(t *missTally, v int) {
-				if !t.nd.Vicinity(graph.NodeID(v)).Contains(env.LMOf[v]) {
+				if !t.nd.VicinityContains(graph.NodeID(v), env.LMOf[v]) {
 					t.misses++
 				}
 			})

@@ -95,20 +95,10 @@ func (c Config) StaticAccuracy(n int, seed int64, pairs int) *AccuracyResult {
 	// from each plane's own tables; identical tables must induce
 	// identical stretch.
 	ps := metrics.SamplePairs(rand.New(rand.NewSource(seed+5000)), n, pairs)
-	sumStatic, sumEvent := 0.0, 0.0
-	count := 0
-	for _, pr := range ps {
-		s, t := graph.NodeID(pr.Src), graph.NodeID(pr.Dst)
-		short := nd.ShortestDist(s, t)
-		if short == 0 {
-			continue
-		}
-		sumStatic += g.PathLength(nd.LaterRoute(s, t, core.ShortcutNone)) / short
-		sumEvent += eventLaterLen(p, env, nd, s, t) / short
-		count++
-	}
-	meanStatic := sumStatic / float64(count)
-	meanEvent := sumEvent / float64(count)
+	sw := sweepPairs(ps, nd.Fork, (*core.NDDisco).ShortestDist,
+		routed(g, func(f *core.NDDisco, s, t graph.NodeID) []graph.NodeID { return f.LaterRoute(s, t, core.ShortcutNone) }),
+		func(_ *core.NDDisco, s, t graph.NodeID) (float64, bool) { return eventLaterLen(p, env, s, t), true })
+	meanStatic, meanEvent := sw.mean(0), sw.mean(1)
 	delta := 100 * abs(meanStatic-meanEvent) / meanStatic
 	return &AccuracyResult{
 		N:                 n,
@@ -121,7 +111,7 @@ func (c Config) StaticAccuracy(n int, seed int64, pairs int) *AccuracyResult {
 // eventLaterLen computes the later-packet route length using only the
 // event-driven protocol's converged tables (vicinity paths and landmark
 // paths), mirroring NDDisco's routing logic.
-func eventLaterLen(p *pathvector.Protocol, env *static.Env, nd *core.NDDisco, s, t graph.NodeID) float64 {
+func eventLaterLen(p *pathvector.Protocol, env *static.Env, s, t graph.NodeID) float64 {
 	g := env.G
 	if s == t {
 		return 0
@@ -258,33 +248,12 @@ func (c Config) EstimateError(n int, seed int64, errFrac float64, pairs int) *Er
 // reduces in pair order; fallback counters sum over forks
 // (order-independent integers).
 func meanFirstStretch(d *core.Disco, ps []metrics.Pair) (mean float64, fallbacks int) {
-	g := d.Env().G
-	type sample struct {
-		ok bool
-		st float64
-	}
-	samples := make([]sample, len(ps))
-	forks := parallel.RunGather(len(ps), d.Fork, func(f *core.Disco, i int) {
-		s, t := graph.NodeID(ps[i].Src), graph.NodeID(ps[i].Dst)
-		short := f.ND.ShortestDist(s, t)
-		if short == 0 {
-			return
-		}
-		samples[i] = sample{ok: true, st: g.PathLength(f.FirstRoute(s, t, core.ShortcutNoPathKnowledge)) / short}
-	})
-	total, count := 0.0, 0
-	for _, sm := range samples {
-		if !sm.ok {
-			continue
-		}
-		total += sm.st
-		count++
-	}
-	for _, f := range forks {
+	sw := sweepPairs(ps, d.Fork, discoDist, routed(d.Env().G, discoFirst))
+	for _, f := range sw.forks {
 		fb, _ := f.Fallbacks()
 		fallbacks += fb
 	}
-	return total / float64(count), fallbacks
+	return sw.mean(0), fallbacks
 }
 
 // ResolveImbalanceResult is the §4.5 consistent-hashing load-balance

@@ -5,11 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"disco/internal/core"
-	"disco/internal/graph"
 	"disco/internal/metrics"
-	"disco/internal/parallel"
-	"disco/internal/pathtree"
 )
 
 // Fig9Point is one network size's measurement in the scaling sweep.
@@ -55,46 +51,8 @@ func (c Config) Fig9Scaling(sizes []int, seed int64, pairs int) *Fig9Result {
 		pt := Fig9Point{N: n}
 
 		ps := metrics.SamplePairs(rand.New(rand.NewSource(seed+4000)), n, pairs)
-		g := p.Env.G
-		// Per-pair stretch fans out over the worker pool (forks sharing
-		// the snapshot plus one destination-tree scratch per worker); the
-		// float sums reduce in pair order below, so the means are
-		// identical at any worker count.
-		samples := parallel.MapScratch(len(ps),
-			func() *stretchScratch {
-				dest := pathtree.NewLazy(g)
-				return &stretchScratch{d: p.Disco.ForkWith(dest), s4: p.S4.ForkWith(dest)}
-			},
-			func(sc *stretchScratch, i int) stretchSample {
-				s, t := graph.NodeID(ps[i].Src), graph.NodeID(ps[i].Dst)
-				short := sc.d.ND.ShortestDist(s, t)
-				if short == 0 {
-					return stretchSample{}
-				}
-				return stretchSample{
-					ok:         true,
-					discoFirst: stretchOf(g, sc.d.FirstRoute(s, t, core.ShortcutNoPathKnowledge), short),
-					discoLater: stretchOf(g, sc.d.LaterRoute(s, t, core.ShortcutNoPathKnowledge), short),
-					s4First:    stretchOf(g, sc.s4.FirstRoute(s, t), short),
-					s4Later:    stretchOf(g, sc.s4.LaterRoute(s, t), short),
-				}
-			})
-		var df, dl, sf, sl float64
-		count := 0
-		for _, sm := range samples {
-			if !sm.ok {
-				continue
-			}
-			df += sm.discoFirst
-			dl += sm.discoLater
-			sf += sm.s4First
-			sl += sm.s4Later
-			count++
-		}
-		pt.DiscoFirst = df / float64(count)
-		pt.DiscoLater = dl / float64(count)
-		pt.S4First = sf / float64(count)
-		pt.S4Later = sl / float64(count)
+		sw := sweepPairs(ps, p.forkPlanes(nil), planesDist, discoS4Columns(p.Env.G)...)
+		pt.DiscoFirst, pt.DiscoLater, pt.S4First, pt.S4Later = sw.mean(0), sw.mean(1), sw.mean(2), sw.mean(3)
 
 		ndE, dE, _, _ := p.Disco.StateVectors()
 		s4E := p.S4.StateEntries(p.S4.ClusterSizesAll())

@@ -169,7 +169,7 @@ func (h *latHist) quantile(q float64) float64 {
 // protocol legs, not the plane; the measured load is wall-clock.
 //
 // tables selects the forwarding fast path: query forks are
-// forward.Router views over compiled next-hop interval tables, derived
+// forward.Router views over compiled next-hop tables, derived
 // per epoch by invalidating only the event's blast radius
 // (RepairStats.VicTouched/RowsTouched) — instead of protocol forks
 // walking the snapshot. The table plane serves NDDisco forwarding

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"disco/internal/graph"
 	"disco/internal/metrics"
 	"disco/internal/parallel"
 	"disco/internal/tzk"
@@ -69,30 +68,11 @@ func TradeoffSweep(kind TopoKind, n int, ks []int, seed int64, pairs int) *Trade
 			}
 		}
 		pt.MeanState = float64(tot) / float64(n)
-		type sample struct {
-			ok bool
-			st float64
+		sw := sweepPairs(ps, s.Fork, (*tzk.Scheme).TrueDist, routed(g, (*tzk.Scheme).Route))
+		pt.MeanStretch = sw.mean(0)
+		for _, st := range sw.column(0) {
+			pt.MaxStretch = max(pt.MaxStretch, st)
 		}
-		samples := parallel.MapScratch(len(ps), s.Fork, func(f *tzk.Scheme, i int) sample {
-			u, v := graph.NodeID(ps[i].Src), graph.NodeID(ps[i].Dst)
-			true_ := f.TrueDist(u, v)
-			if true_ == 0 {
-				return sample{}
-			}
-			return sample{ok: true, st: g.PathLength(f.Route(u, v)) / true_}
-		})
-		sum, cnt := 0.0, 0
-		for _, sm := range samples {
-			if !sm.ok {
-				continue
-			}
-			sum += sm.st
-			cnt++
-			if sm.st > pt.MaxStretch {
-				pt.MaxStretch = sm.st
-			}
-		}
-		pt.MeanStretch = sum / float64(cnt)
 		res.Points = append(res.Points, pt)
 	}
 	return res

@@ -11,7 +11,7 @@ import (
 // BenchmarkForwardThroughput measures single-core route queries per
 // second on the two query planes over the same n=1024 snapshot: the
 // protocol fork walking the snapshot (PR 6's serve plane) versus the
-// compiled interval tables. The routes/sec metric is what the README
+// compiled tables. The routes/sec metric is what the README
 // and ROADMAP quote; the tables sub-benchmark must also report 0
 // allocs/op (the fast path's zero-allocation contract).
 func BenchmarkForwardThroughput(b *testing.B) {

@@ -1,20 +1,23 @@
 package forward
 
 import (
-	"sort"
 	"testing"
 
 	"disco/internal/graph"
+	"disco/internal/vicinity"
 )
 
-// FuzzIntervalLookup drives findIntervals — the binary search at the
-// bottom of every table lookup — against a linear-scan oracle over the
-// raw member list. The fuzz input is decoded into an arbitrary sorted
-// set of member IDs (each byte advances the next ID by 1..16, so runs
-// of low bytes produce the consecutive-ID runs the intervals compress),
-// the interval arrays are built from it, and every member, every
-// just-outside neighbor, and the fuzzed probe itself must agree with
-// the oracle's index.
+// FuzzIntervalLookup drives nodeTable.find — the bitset test and binary
+// search at the bottom of every table lookup — against a linear-scan oracle
+// over the raw member list. (There is no interval in it: the name is kept
+// because the target's ten suite IDs — itself, five seeds, four corpus
+// files — are pinned by name; CHANGES.md, PR 24.) The fuzz input is
+// decoded into an arbitrary sorted set of member IDs (each byte advances
+// the next ID by 1..16, so low bytes give consecutive IDs and high bytes
+// gaps), compileNode builds the table twice — behind a one-word filter,
+// where most non-members pass the bitset and the search has to reject them,
+// and behind the 8192-bit one — and every member, every just-outside
+// neighbor, and the fuzzed probe itself must agree with the oracle's index.
 func FuzzIntervalLookup(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0, 0, 0, 0}, uint16(3))
@@ -26,57 +29,39 @@ func FuzzIntervalLookup(f *testing.F) {
 			data = data[:1024]
 		}
 		// Decode a strictly increasing member set.
-		ids := make([]graph.NodeID, 0, len(data))
+		const idSpace = 16*1024 + 1
+		es := make([]vicinity.Entry, 0, len(data))
 		next := graph.NodeID(0)
 		for _, b := range data {
 			next += graph.NodeID(b%16) + 1
-			ids = append(ids, next-1)
+			es = append(es, vicinity.Entry{Node: next - 1, Parent: graph.None})
 		}
-		// Build the interval arrays the way compileNode does: one entry
-		// per maximal run of consecutive IDs.
-		var lo, hi []graph.NodeID
-		var start []int32
-		for i := 0; i < len(ids); {
-			j := i
-			for j+1 < len(ids) && ids[j+1] == ids[j]+1 {
-				j++
-			}
-			lo, hi, start = append(lo, ids[i]), append(hi, ids[j]), append(start, int32(i))
-			i = j + 1
-		}
+		set := vicinity.MakeSet(graph.None, es)
 		// The oracle: a plain linear scan of the member list.
 		oracle := func(t graph.NodeID) int32 {
-			for i, id := range ids {
-				if id == t {
+			for i := range es {
+				if es[i].Node == t {
 					return int32(i)
 				}
 			}
 			return -1
 		}
-		check := func(q graph.NodeID) {
-			if got, want := findIntervals(lo, hi, start, q), oracle(q); got != want {
-				t.Fatalf("findIntervals(%v) = %d, oracle says %d (members %v)", q, got, want, ids)
+		ix := make(vicinity.Index, idSpace)
+		for _, n := range []int{64, idSpace} {
+			nt := compileNode(&set, n, ix)
+			check := func(q graph.NodeID) {
+				if got, want := nt.find(q), oracle(q); got != want {
+					t.Fatalf("find(%v) = %d behind a %d-bit filter, oracle says %d (members %v)", q, got, nt.fmask+1, want, nt.ids)
+				}
 			}
-		}
-		check(graph.NodeID(probe))
-		for _, id := range ids {
-			check(id)
-			if id > 0 {
-				check(id - 1)
+			check(graph.NodeID(probe))
+			for _, id := range nt.ids {
+				check(id)
+				if id > 0 {
+					check(id - 1)
+				}
+				check(id + 1)
 			}
-			check(id + 1)
-		}
-		// The intervals must be sorted, disjoint, and cover len(ids)
-		// entries exactly — the structural invariant compileNode promises.
-		if !sort.SliceIsSorted(lo, func(a, b int) bool { return lo[a] < lo[b] }) {
-			t.Fatalf("interval lows not sorted: %v", lo)
-		}
-		total := 0
-		for i := range lo {
-			total += int(hi[i]-lo[i]) + 1
-		}
-		if total != len(ids) {
-			t.Fatalf("intervals cover %d entries, member list has %d", total, len(ids))
 		}
 	})
 }

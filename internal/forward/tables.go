@@ -1,21 +1,20 @@
 // Package forward is the data plane's forwarding fast path: per-node
-// next-hop tables compiled from a snapshot.Snapshot, flattened into
-// sorted ID-interval arrays so answering a route query is a short walk of
+// next-hop tables compiled from a snapshot.Snapshot, flattened into sorted
+// member-ID columns so answering a route query is a short walk of
 // zero-allocation binary searches instead of the fork-and-walk the
 // experiments use (fork a protocol view, run the vicinity/landmark checks
 // through vicinity.Set and the snapshot's tree reads).
 //
-// The compiled state per node is its vicinity window as an interval
-// table: the window's member IDs — sorted, and on real topologies heavily
-// clustered — are grouped into maximal runs of consecutive IDs, stored as
-// parallel (lo, hi, start) arrays. Membership and entry lookup is one
-// binary search over the runs plus O(1) indexing within the hit run,
-// touching two small cache-resident arrays. Next hops are parent *indices*
-// into the same table, so path reconstruction is pointer-chasing within
-// one node's table, never a search. Landmark forests stay what they
-// already are in the snapshot — flat parent rows — shared by reference
-// where the snapshot stores them flat and decoded once where it does not
-// (compact regime).
+// The compiled state per node is its vicinity window as two parallel
+// columns — the member IDs ascending, and for each member the index of its
+// vicinity parent in the same table — behind a membership bitset.
+// Membership and entry lookup is the bitset test plus one binary search of
+// the ID column; next hops are parent *indices*, so path reconstruction is
+// pointer-chasing within one node's table, never a search. The names are
+// flat, so the IDs form no ranges worth indexing (nodeTable's comment has
+// the measurement). Landmark forests stay what they already are in the
+// snapshot — flat parent rows — shared by reference where the snapshot
+// stores them flat and decoded once where it does not (compact regime).
 //
 // Tables integrate with the repair chain by blast-radius invalidation:
 // Derive(rep, st) produces the tables of the repaired child snapshot by
@@ -44,92 +43,81 @@ import (
 	"disco/internal/vicinity"
 )
 
-// nodeTable is one node's compiled vicinity window: the members' sorted
-// IDs grouped into maximal consecutive runs (lo[j]..hi[j], with the run's
-// first entry at index start[j]), plus per-entry member IDs and parent
-// indices for in-table path reconstruction. parent[i] is the index of
-// entry i's vicinity parent, or -1 for the owner (whose parent is None).
+// nodeTable is one node's compiled vicinity window, column by column: ids
+// is the window's member IDs ascending, parent[i] the index of entry i's
+// vicinity parent in the same table (-1 for the owner, whose parent is
+// None), and filt/fmask the membership bitset find tests first.
+//
+// There is no index over ids beyond the array itself. Flat names do not
+// aggregate, and the member IDs say so: grouped into maximal runs of
+// consecutive IDs a window yields 0.90 runs per entry on G(n,m) n=4096
+// (k=222), 0.76 on AS-like n=4096, 0.74 on router-like n=8192 and 0.64 on
+// router-like n=2048 — a "run" is 1.1 to 1.6 IDs long, so an interval
+// table over them (a lo, hi and start index per run, the shape of a
+// longest-prefix-match table) would re-spell ids, and its binary search
+// would visit as many elements as a search of ids does.
+//
+// The bitset stays because it was measured, not assumed: with it removed
+// (bench/ serve-tables, seed 1, four alternating pairs) throughput read
+// 0.70–0.92M queries/s against 1.11–1.35M with it, behind in 4 of 4, for
+// 3.7 MB of 64.0 retained. On the To-Destination walk every hop's window is
+// probed for the target and most do not hold it; a clear bit answers that
+// in two loads. Bit (id & fmask) is set for every member; the set is sized
+// to the ID space (exact, no false positives) up to 8192 bits and is a
+// residue filter beyond.
 type nodeTable struct {
-	owner  graph.NodeID
-	lo, hi []graph.NodeID
-	start  []int32
 	ids    []graph.NodeID
 	parent []int32
-	// Membership pre-filter: bit (id & fmask) is set for every member, so
-	// a clear bit rejects a non-member in two loads before the binary
-	// search — the dominant case on the To-Destination walk, where every
-	// hop's window is probed for the target and most don't hold it. Sized
-	// to the ID space (exact, zero false positives) up to 8192 bits, a
-	// residue filter beyond.
-	filt  []uint64
-	fmask uint32
-}
-
-// findIntervals is the core lookup shared by nodeTable.find and the fuzz
-// oracle test: the entry index of t in the (lo, hi, start) interval table,
-// or -1 when t lies in no run. lo must be sorted ascending with disjoint
-// runs.
-func findIntervals(lo, hi []graph.NodeID, start []int32, t graph.NodeID) int32 {
-	i, j := 0, len(lo)
-	for i < j {
-		m := int(uint(i+j) >> 1)
-		if lo[m] <= t {
-			i = m + 1
-		} else {
-			j = m
-		}
-	}
-	if i == 0 || t > hi[i-1] {
-		return -1
-	}
-	return start[i-1] + int32(t-lo[i-1])
+	filt   []uint64
+	fmask  uint32
 }
 
 // find returns the entry index of member t, or -1 when t is not in the
-// window. Zero allocations.
+// window: the bitset test, then one binary search of ids. Zero allocations.
 func (nt *nodeTable) find(t graph.NodeID) int32 {
 	b := uint32(t) & nt.fmask
 	if nt.filt[b>>6]&(1<<(b&63)) == 0 {
 		return -1
 	}
-	return findIntervals(nt.lo, nt.hi, nt.start, t)
+	ids := nt.ids
+	i, j := 0, len(ids)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if ids[m] < t {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i == len(ids) || ids[i] != t {
+		return -1
+	}
+	return int32(i)
 }
 
-// compileNode flattens one vicinity set into its interval table. The
-// result depends only on the set's contents, so concurrent compiles of the
-// same window are identical and any one may win the install race. ix is the
-// compiling goroutine's member-position scratch over the n node IDs; a
-// parent outside the window panics there, as it does in the compact
-// encoder.
+// compileNode flattens one vicinity set into its table. The result depends
+// only on the set's contents, so concurrent compiles of the same window are
+// identical and any one may win the install race. ix is the compiling
+// goroutine's member-position scratch over the n node IDs; a parent outside
+// the window panics there, as it does in the compact encoder.
 func compileNode(set *vicinity.Set, n int, ix vicinity.Index) *nodeTable {
 	es := set.Entries
-	nt := &nodeTable{owner: set.Src}
 	bitsN := 64
 	for bitsN < n && bitsN < 8192 {
 		bitsN <<= 1
 	}
-	nt.fmask = uint32(bitsN - 1)
-	nt.filt = make([]uint64, bitsN/64)
+	nt := &nodeTable{
+		ids:    make([]graph.NodeID, len(es)),
+		parent: make([]int32, len(es)),
+		filt:   make([]uint64, bitsN/64),
+		fmask:  uint32(bitsN - 1),
+	}
+	ix.Bind(es)
 	for i := range es {
 		b := uint32(es[i].Node) & nt.fmask
 		nt.filt[b>>6] |= 1 << (b & 63)
-	}
-	nt.ids = make([]graph.NodeID, len(es))
-	nt.parent = make([]int32, len(es))
-	ix.Bind(es)
-	for i := range es {
 		nt.ids[i] = es[i].Node
 		nt.parent[i] = ix.Parent(es, i)
-	}
-	for i := 0; i < len(es); {
-		j := i
-		for j+1 < len(es) && es[j+1].Node == es[j].Node+1 {
-			j++
-		}
-		nt.lo = append(nt.lo, es[i].Node)
-		nt.hi = append(nt.hi, es[j].Node)
-		nt.start = append(nt.start, int32(i))
-		i = j + 1
 	}
 	return nt
 }

@@ -13,7 +13,7 @@ package landmark
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"disco/internal/graph"
 	"disco/internal/names"
@@ -66,7 +66,7 @@ func Select(nodeNames []names.Name, nEst float64) []graph.NodeID {
 		}
 		out = append(out, graph.NodeID(best))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -10,8 +10,10 @@
 package overlay
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"disco/internal/graph"
@@ -44,12 +46,8 @@ func Build(hashes []names.Hash, view *sloppy.View, fingers int, rng *rand.Rand) 
 	for i := range net.byHash {
 		net.byHash[i] = graph.NodeID(i)
 	}
-	sort.Slice(net.byHash, func(i, j int) bool {
-		a, b := net.byHash[i], net.byHash[j]
-		if hashes[a] != hashes[b] {
-			return hashes[a] < hashes[b]
-		}
-		return a < b
+	slices.SortFunc(net.byHash, func(a, b graph.NodeID) int {
+		return cmp.Or(cmp.Compare(hashes[a], hashes[b]), cmp.Compare(a, b))
 	})
 	net.rank = make([]int, n)
 	for i, v := range net.byHash {
@@ -78,7 +76,7 @@ func Build(hashes []names.Hash, view *sloppy.View, fingers int, rng *rand.Rand) 
 		for w := range set[v] {
 			net.nbrs[v] = append(net.nbrs[v], w)
 		}
-		sort.Slice(net.nbrs[v], func(i, j int) bool { return net.nbrs[v][i] < net.nbrs[v][j] })
+		slices.Sort(net.nbrs[v])
 	}
 	return net
 }

@@ -2,7 +2,7 @@ package pathvector
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"disco/internal/graph"
@@ -57,7 +57,7 @@ func TestDebugVicinityFailure(t *testing.T) {
 		for _, e := range ws.Entries {
 			wantIDs = append(wantIDs, e.Node)
 		}
-		sort.Slice(wantIDs, func(i, j int) bool { return wantIDs[i] < wantIDs[j] })
+		slices.Sort(wantIDs)
 		t.Logf("node %d PV vicinity:", a)
 		for _, m := range got {
 			t.Logf("  member %d pvDist=%v trueDist=%v inStatic=%v",

@@ -2,7 +2,7 @@ package pathvector
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"disco/internal/graph"
 )
@@ -65,7 +65,7 @@ func (p *Protocol) dropNeighbor(nd *node, via graph.NodeID) {
 			dsts = append(dsts, dst)
 		}
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
+	slices.Sort(dsts)
 	for _, dst := range dsts {
 		m := nd.cand[dst]
 		delete(m, via)
@@ -153,7 +153,7 @@ func (p *Protocol) PruneStale() {
 				stale = append(stale, dst)
 			}
 		}
-		sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
+		slices.Sort(stale)
 		for _, dst := range stale {
 			// Drop every candidate with a dead path, then reselect.
 			m := nd.cand[dst]

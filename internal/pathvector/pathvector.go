@@ -19,7 +19,7 @@ package pathvector
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"disco/internal/graph"
 	"disco/internal/sim"
@@ -263,7 +263,7 @@ func (p *Protocol) flush(nd *node) {
 	for d := range nd.dirty {
 		dsts = append(dsts, d)
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
+	slices.Sort(dsts)
 	nd.dirty = make(map[graph.NodeID]bool)
 	for _, e := range p.g.Neighbors(nd.id) {
 		if !p.LinkAlive(nd.id, e.To) {
@@ -443,7 +443,7 @@ func (p *Protocol) VicinityMembers(v graph.NodeID) []graph.NodeID {
 	for dst := range nd.vic {
 		out = append(out, dst)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -9,7 +9,9 @@
 package resolve
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"disco/internal/graph"
@@ -44,11 +46,8 @@ func New(landmarks []graph.NodeID, lmName func(graph.NodeID) names.Name, vnodes 
 			db.points = append(db.points, point{h: h, lm: lm})
 		}
 	}
-	sort.Slice(db.points, func(i, j int) bool {
-		if db.points[i].h != db.points[j].h {
-			return db.points[i].h < db.points[j].h
-		}
-		return db.points[i].lm < db.points[j].lm
+	slices.SortFunc(db.points, func(a, b point) int {
+		return cmp.Or(cmp.Compare(a.h, b.h), cmp.Compare(a.lm, b.lm))
 	})
 	return db
 }
@@ -88,7 +87,7 @@ func (db *DB) OwnersOf(groupID uint64, k int) []graph.NodeID {
 		add(db.points[i].lm)
 	}
 	add(db.OwnerOf(hi))
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -133,7 +132,7 @@ func (db *DB) Landmarks() []graph.NodeID {
 			out = append(out, p.lm)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -11,7 +11,7 @@ package sloppy
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"disco/internal/graph"
 	"disco/internal/names"
@@ -59,7 +59,7 @@ func BuildGrouping(hashes []names.Hash, kBits int) *Grouping {
 	}
 	//disco:orderinvariant each group's member slice is sorted in place, independently of the others
 	for _, m := range g.groups {
-		sort.Slice(m, func(i, j int) bool { return m[i] < m[j] })
+		slices.Sort(m)
 	}
 	return g
 }
@@ -82,7 +82,7 @@ func (g *Grouping) GroupIDs() []uint64 {
 	for id := range g.groups {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

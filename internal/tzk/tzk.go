@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"disco/internal/graph"
 	"disco/internal/pathtree"
@@ -76,7 +76,7 @@ func New(g *graph.Graph, k int, rng *rand.Rand) *Scheme {
 			// Keep the hierarchy non-empty (w.h.p. unnecessary).
 			next = []graph.NodeID{cur[rng.Intn(len(cur))]}
 		}
-		sort.Slice(next, func(a, b int) bool { return next[a] < next[b] })
+		slices.Sort(next)
 		cur = next
 	}
 

@@ -16,7 +16,9 @@
 package vrr
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"disco/internal/graph"
@@ -117,18 +119,9 @@ func (v *VRR) seal() {
 			v.flat = append(v.flat, e)
 		}
 		win := v.flat[start:]
-		sort.Slice(win, func(i, j int) bool {
-			a, b := win[i], win[j]
-			if a.a != b.a {
-				return a.a < b.a
-			}
-			if a.b != b.b {
-				return a.b < b.b
-			}
-			if a.toward != b.toward {
-				return a.toward < b.toward
-			}
-			return a.back < b.back
+		slices.SortFunc(win, func(a, b entry) int {
+			return cmp.Or(cmp.Compare(a.a, b.a), cmp.Compare(a.b, b.b),
+				cmp.Compare(a.toward, b.toward), cmp.Compare(a.back, b.back))
 		})
 	}
 	v.numPaths = len(v.paths)
