@@ -75,11 +75,19 @@ func (a Address) Encode(g *graph.Graph) ([]byte, int) {
 }
 
 // Decode reconstructs the node path from an encoded explicit route starting
-// at the given landmark.
+// at the given landmark. A malformed route — bit count outside buf, a
+// truncated or oversized hop count, a port past a node's degree, trailing
+// bits — is an error, never a panic.
 func Decode(g *graph.Graph, lm graph.NodeID, buf []byte, nbit int) ([]graph.NodeID, error) {
+	if nbit < 0 || nbit > 8*len(buf) {
+		return nil, fmt.Errorf("addr: %d bits claimed in a %d-byte route", nbit, len(buf))
+	}
 	r := bits.NewReader(buf, nbit)
-	pathLen := r.ReadGamma()
-	if pathLen == 0 || pathLen > uint64(g.N()) {
+	pathLen, err := r.TryGamma()
+	if err != nil {
+		return nil, fmt.Errorf("addr: bad hop count: %w", err)
+	}
+	if pathLen > uint64(g.N()) {
 		return nil, fmt.Errorf("addr: bad path length %d", pathLen)
 	}
 	path := make([]graph.NodeID, 1, pathLen)

@@ -1,6 +1,9 @@
 package addr
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -114,6 +117,32 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeMalformedIsError pins Decode's error contract on routes that
+// used to panic inside the bit reader: no bits, a hop count whose gamma
+// code never ends, and a bit count the buffer does not hold.
+func TestDecodeMalformedIsError(t *testing.T) {
+	g := topology.Star(5)
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		nbit int
+	}{
+		{"empty", nil, 0},
+		{"all zero", []byte{0, 0, 0}, 24},
+		{"truncated hop count", []byte{0}, 8},
+		{"hop count cut by nbit", []byte{0x01}, 7},
+		{"zero run past 64 bits", make([]byte, 10), 80},
+		{"nbit past buffer", []byte{0x80}, 9},
+		{"negative nbit", []byte{0x80}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Decode(g, 0, tc.buf, tc.nbit); err == nil {
+				t.Fatal("want an error")
+			}
+		})
+	}
+}
+
 func TestSizeModel(t *testing.T) {
 	g := topology.Line(5)
 	a := Make(g, []graph.NodeID{0, 1, 2})
@@ -127,6 +156,32 @@ func TestSizeModel(t *testing.T) {
 	}
 	if v4.PlainEntryBytes() != 6 || v6.PlainEntryBytes() != 18 {
 		t.Error("plain entry bytes wrong")
+	}
+}
+
+// TestEncodingPinned pins Encode's bits for every node of one router-like
+// map (nearest-of-64-landmarks routes): a SHA-256 over each address's bit
+// length and bytes, written before the codec's word-at-a-time rewrite.
+// Decode round-trips whatever Encode writes, so only a pin sees a codec
+// change that moves bits consistently on both sides.
+func TestEncodingPinned(t *testing.T) {
+	const want = "04a4d5e84c7afc6d8fd1bdfbe4eb93f9b6fcd14a845ace9f019fd050ca057a60"
+	rng := rand.New(rand.NewSource(1))
+	g := topology.RouterLike(rng, 2048)
+	lms := make([]graph.NodeID, 64)
+	for i, v := range rng.Perm(g.N())[:len(lms)] {
+		lms[i] = graph.NodeID(v)
+	}
+	s := graph.NewSSSP(g)
+	s.RunMulti(lms)
+	h := sha256.New()
+	for v := 0; v < g.N(); v++ {
+		buf, nbit := Make(g, s.PathTo(graph.NodeID(v))).Encode(g)
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(nbit)))
+		h.Write(buf)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("address encoding digest %s, want %s", got, want)
 	}
 }
 

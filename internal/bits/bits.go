@@ -5,75 +5,68 @@
 // and used via alias where needed.)
 //
 // The same codec carries the compact snapshot regime's bit-packed route
-// state, whose fold/decode sweeps touch every window of a paper-scale
-// snapshot — so WriteBits, At and ReadGamma work a byte or a word at a
-// time, never a bit at a time. The bit layout (MSB-first within each byte)
-// is pinned by the fuzz roundtrip suite and by the compact-snapshot
-// goldens; these are implementation fast paths, not format changes.
+// state, whose routing reads, fold and decode sweeps touch every window of
+// a paper-scale snapshot — so the kernels work a 64-bit word at a time.
+// The layout is a plain bit string, MSB-first within each byte: a read
+// takes one unaligned big-endian word load at the field's byte and shifts
+// the field out of it, and the Writer fills a word-sized accumulator and
+// appends it whole. A field of up to 57 bits fits one load whatever its
+// bit offset; wider fields take two. Within the last 8 bytes of a buffer
+// the same reads assemble the word a byte at a time. The layout is pinned
+// by the fuzz suite (differential against a bit-at-a-time reference), by
+// the compact-snapshot encoding digests and by the goldens.
 package bits
 
 import (
+	"encoding/binary"
 	"fmt"
 	mbits "math/bits"
 )
 
+// wordField is the widest field one word load holds at any bit offset: a
+// load at the field's byte carries 64 bits, of which up to 7 precede it.
+const wordField = 57
+
 // Writer accumulates a bit string most-significant-bit first.
 type Writer struct {
-	buf  []byte
-	nbit int
+	buf  []byte // whole words written so far
+	acc  uint64 // pending bits, left-aligned
+	nacc int    // number of pending bits, 0..63
 }
 
 // WriteBits appends the low `width` bits of v (0 <= width <= 64),
-// most-significant first. Byte-at-a-time: the first partial byte is
-// or-merged, whole bytes are appended directly.
+// most-significant first. The bits go into the accumulator; when it fills,
+// the whole word is appended to the buffer and the rest of the field
+// starts the next word.
 func (w *Writer) WriteBits(v uint64, width int) {
-	if width < 0 || width > 64 {
+	if uint(width) > 64 {
 		panic(fmt.Sprintf("bits: invalid width %d", width))
 	}
-	if width == 0 {
+	v <<= uint(64 - width) // left-align, dropping the bits above width
+	w.acc |= v >> uint(w.nacc)
+	free := 64 - w.nacc
+	if width < free {
+		w.nacc += width
 		return
 	}
-	if width < 64 {
-		v &= (1 << uint(width)) - 1
-	}
-	rem := width
-	// Fill the tail of the current partial byte, if any.
-	if used := w.nbit & 7; used != 0 {
-		free := 8 - used
-		take := free
-		if take > rem {
-			take = rem
-		}
-		chunk := byte(v>>uint(rem-take)) & (0xff >> uint(8-take))
-		w.buf[len(w.buf)-1] |= chunk << uint(free-take)
-		w.nbit += take
-		rem -= take
-	}
-	// Whole bytes.
-	for rem >= 8 {
-		rem -= 8
-		w.buf = append(w.buf, byte(v>>uint(rem)))
-		w.nbit += 8
-	}
-	// Leading bits of a fresh byte.
-	if rem > 0 {
-		chunk := byte(v) & (0xff >> uint(8-rem))
-		w.buf = append(w.buf, chunk<<uint(8-rem))
-		w.nbit += rem
-	}
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)
+	w.acc = v << uint(free)
+	w.nacc = width - free
 }
 
 // WriteGamma appends v >= 1 in Elias gamma coding: floor(log2 v) zero bits,
 // then the binary representation of v. Used for hop counts, which have no
 // a-priori width bound (O~(sqrt(n)) hops on a ring, §4.2), and for the
-// compact snapshot's member-ID deltas.
+// compact snapshot's member-ID deltas. A code of at most 64 bits (v < 2^32)
+// is a single field: its leading zeros are v's own high bits.
 func (w *Writer) WriteGamma(v uint64) {
-	if v == 0 {
-		panic("bits: gamma coding needs v >= 1")
+	n := GammaLen(v)
+	if n <= 64 {
+		w.WriteBits(v, n)
+		return
 	}
-	n := mbits.Len64(v) - 1
-	w.WriteBits(0, n)
-	w.WriteBits(v, n+1)
+	w.WriteBits(0, n/2)
+	w.WriteBits(v, n/2+1)
 }
 
 // GammaLen returns the encoded length of WriteGamma(v) in bits without
@@ -88,93 +81,161 @@ func GammaLen(v uint64) int {
 }
 
 // Len returns the number of bits written.
-func (w *Writer) Len() int { return w.nbit }
+func (w *Writer) Len() int { return 8*len(w.buf) + w.nacc }
 
 // Reset truncates the writer to zero bits, retaining the buffer for reuse.
 // The compact snapshot encoder resets one writer per window instead of
 // allocating a fresh one per node.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
-	w.nbit = 0
+	w.acc, w.nacc = 0, 0
 }
 
 // Bytes returns the accumulated bit string padded with zero bits to a byte
-// boundary. The slice is owned by the writer.
-func (w *Writer) Bytes() []byte { return w.buf }
+// boundary. The slice is owned by the writer: it aliases the buffer, which
+// later writes extend, so copy it out before writing on or Reset.
+func (w *Writer) Bytes() []byte {
+	n := len(w.buf)
+	// The pending word goes into the buffer's spare capacity, past its
+	// length, so the next full word still lands at n.
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)[:n]
+	return w.buf[:n+(w.nacc+7)/8]
+}
 
 // Reader consumes a bit string produced by Writer.
 type Reader struct {
-	buf  []byte
-	pos  int
-	nbit int
+	buf      []byte
+	pos, end int // next bit to read; one past the last valid bit
 }
 
-// NewReader returns a reader over buf limited to nbit valid bits.
-func NewReader(buf []byte, nbit int) *Reader {
-	return &Reader{buf: buf, nbit: nbit}
-}
+// NewReader returns a reader over the first nbit bits of buf.
+func NewReader(buf []byte, nbit int) *Reader { return NewReaderAt(buf, 0, nbit) }
 
-// ReadBits consumes `width` bits and returns them as the low bits of the
-// result. It panics past the end of the stream (always a codec bug here).
-func (r *Reader) ReadBits(width int) uint64 {
-	if r.pos+width > r.nbit {
-		panic(fmt.Sprintf("bits: read %d bits past end (%d/%d)", width, r.pos, r.nbit))
+// NewReaderAt returns a reader over bits [from, to) of buf — one window of
+// a shared blob, read in place. The bytes of buf past the window are still
+// loaded (never returned), so every window but the blob's last reads on the
+// word path.
+func NewReaderAt(buf []byte, from, to int) *Reader {
+	if from < 0 || from > to || to > 8*len(buf) {
+		panic("bits: reader bounds outside the buffer")
 	}
-	v := At(r.buf, r.pos, width)
+	return &Reader{buf: buf, pos: from, end: to}
+}
+
+// ReadBits consumes `width` bits (0 <= width <= 64) and returns them as the
+// low bits of the result. It panics on any other width and past the end of
+// the stream (always a codec bug here).
+func (r *Reader) ReadBits(width int) uint64 {
+	if i := r.pos >> 3; uint(width) <= wordField && r.pos+width <= r.end && i+8 <= len(r.buf) {
+		v := binary.BigEndian.Uint64(r.buf[i:]) << uint(r.pos&7) >> uint(64-width)
+		r.pos += width
+		return v
+	}
+	if uint(width) > 64 {
+		panic(fmt.Sprintf("bits: invalid width %d", width))
+	}
+	if r.pos+width > r.end {
+		panic(fmt.Sprintf("bits: read %d bits past end (%d/%d)", width, r.pos, r.end))
+	}
+	v := field(r.buf, r.pos, width)
 	r.pos += width
 	return v
 }
 
-// ReadGamma consumes one Elias-gamma-coded value. The unary zero run is
-// counted a chunk at a time with math/bits.Len, not bit by bit.
+// ReadGamma consumes one Elias-gamma-coded value. A code of up to 57 bits
+// (every value below 2^28) is decoded from one word: its zero run is that
+// word's leading-zero count and the value is the next run+1 bits. Longer
+// codes, and codes in the last 8 bytes of the buffer, go through TryGamma.
+// It panics where TryGamma returns an error.
 func (r *Reader) ReadGamma() uint64 {
-	n := 0 // leading zeros consumed
-	for {
-		peek := r.nbit - r.pos
-		if peek > 32 {
-			peek = 32
+	if i := r.pos >> 3; i+8 <= len(r.buf) {
+		word := binary.BigEndian.Uint64(r.buf[i:]) << uint(r.pos&7)
+		if ln := 2*mbits.LeadingZeros64(word) + 1; ln <= wordField && r.pos+ln <= r.end {
+			r.pos += ln
+			return word >> uint(64-ln)
 		}
-		if peek == 0 {
-			panic(fmt.Sprintf("bits: gamma read past end (%d/%d)", r.pos, r.nbit))
-		}
-		v := At(r.buf, r.pos, peek)
-		lz := peek - mbits.Len64(v)
-		if lz < peek {
-			n += lz
-			r.pos += lz
-			break
-		}
-		n += peek
-		r.pos += peek
 	}
-	// The next bit is the leading 1 of the value: read it plus n more.
-	return r.ReadBits(n + 1)
+	v, err := r.TryGamma()
+	if err != nil {
+		panic(err.Error())
+	}
+	return v
+}
+
+// TryGamma is ReadGamma for a stream from outside the program: a code that
+// does not end before the end of the stream, or a zero run of 64 or more
+// bits (which encodes no uint64), is an error, and the reader stays where
+// it was. The zero run is counted up to 57 bits a load and the value read
+// as one field.
+func (r *Reader) TryGamma() (uint64, error) {
+	for n := 0; ; {
+		lz := min(mbits.LeadingZeros64(load(r.buf, r.pos+n)), wordField)
+		n += lz
+		switch {
+		case r.pos+n >= r.end:
+			return 0, fmt.Errorf("bits: gamma read past end (%d/%d)", r.pos, r.end)
+		case n >= 64:
+			return 0, fmt.Errorf("bits: gamma zero run of %d bits at %d encodes no uint64", n, r.pos)
+		case lz < wordField:
+			if r.pos+2*n+1 > r.end {
+				return 0, fmt.Errorf("bits: gamma read past end (%d/%d)", r.pos, r.end)
+			}
+			v := field(r.buf, r.pos+n, n+1)
+			r.pos += 2*n + 1
+			return v, nil
+		}
+	}
 }
 
 // Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return r.nbit - r.pos }
+func (r *Reader) Remaining() int { return r.end - r.pos }
 
-// At returns the `width` bits starting at bit position pos of buf (MSB-first,
-// the Writer's layout) without constructing a Reader — random access into a
-// shared bit-packed array, e.g. one parent field of a compact snapshot row.
-// The caller guarantees pos+width bits exist; reads past len(buf)*8 panic via
-// the slice bound. Byte-at-a-time accumulation: at most 9 byte loads for a
-// 64-bit read, instead of one shift per bit.
+// At returns the `width` bits (0 <= width <= 64) starting at bit position
+// pos of buf (MSB-first, the Writer's layout) without constructing a
+// Reader — random access into a shared bit-packed array, e.g. one parent
+// field of a compact snapshot row. It panics on a width outside [0, 64]
+// and on a field that does not lie inside buf.
 func At(buf []byte, pos, width int) uint64 {
-	if width == 0 {
-		return 0
+	if i := pos >> 3; uint(width) <= wordField && pos >= 0 && i+8 <= len(buf) {
+		return binary.BigEndian.Uint64(buf[i:]) << uint(pos&7) >> uint(64-width)
 	}
-	first := pos >> 3
-	last := (pos + width - 1) >> 3
-	v := uint64(buf[first] & (0xff >> uint(pos&7)))
-	if last == first {
-		return v >> uint(7-(pos+width-1)&7)
+	if uint(width) > 64 || pos < 0 || pos+width > 8*len(buf) {
+		panic(fmt.Sprintf("bits: field of %d bits at %d outside a %d-bit buffer", width, pos, 8*len(buf)))
 	}
-	for i := first + 1; i < last; i++ {
-		v = v<<8 | uint64(buf[i])
+	return field(buf, pos, width)
+}
+
+// field returns the width bits at pos, 0 <= width <= 64; the caller has
+// checked the bounds. It is what ReadBits and At reduce to off their word
+// path: a field wider than one load is read as two.
+func field(buf []byte, pos, width int) uint64 {
+	if width > wordField {
+		hi := load(buf, pos) >> uint(96-width) // the first width-32 bits
+		return hi<<32 | load(buf, pos+width-32)>>32
 	}
-	lb := uint((pos+width-1)&7) + 1 // bits used in the last byte
-	return v<<lb | uint64(buf[last])>>(8-lb)
+	return load(buf, pos) >> uint(64-width)
+}
+
+// load returns the 64 bits of buf from bit pos on, left-aligned: at least
+// 57 of them are buf's (the rest zero) when 8 bytes remain from pos's byte,
+// in one unaligned big-endian load. Within the last 8 bytes of buf the word
+// is assembled a byte at a time, and bits past the end read as zero.
+// ReadBits, ReadGamma and At open-code the word load as their first
+// branch, which keeps the byte loop, the error formatting and the two-load
+// case out of their common case.
+func load(buf []byte, pos int) uint64 {
+	i := pos >> 3
+	if i+8 <= len(buf) {
+		return binary.BigEndian.Uint64(buf[i:]) << uint(pos&7)
+	}
+	var word uint64
+	for j := i; j < i+8; j++ {
+		word <<= 8
+		if j < len(buf) {
+			word |= uint64(buf[j])
+		}
+	}
+	return word << uint(pos&7)
 }
 
 // Width returns the number of bits needed to encode values in [0, n), i.e.

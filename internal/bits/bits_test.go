@@ -2,6 +2,7 @@ package bits
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +104,43 @@ func TestReadPastEndPanics(t *testing.T) {
 	w.WriteBits(1, 1)
 	r := NewReader(w.Bytes(), w.Len())
 	r.ReadBits(2)
+}
+
+// TestReaderRejectsBadInput pins the Reader's own panics on input it
+// cannot decode: an out-of-range width used to read silently as 0 (70) or
+// die with a runtime index error (-3), and a zero run longer than any
+// uint64's gamma code used to decode to a wrapped value.
+func TestReaderRejectsBadInput(t *testing.T) {
+	var w Writer
+	w.WriteBits(0, 64)
+	w.WriteBits(0, 6)
+	w.WriteBits(1, 1)
+	w.WriteBits(0, 64)
+	w.WriteBits(0, 6)
+	zeros70 := w.Bytes()
+	for _, tc := range []struct {
+		name string
+		read func(r *Reader)
+		want string
+	}{
+		{"width 70", func(r *Reader) { r.ReadBits(70) }, "invalid width 70"},
+		{"width -3", func(r *Reader) { r.ReadBits(-3) }, "invalid width -3"},
+		{"gamma zero run 70", func(r *Reader) { r.ReadGamma() }, "zero run"},
+		{"gamma past end", func(r *Reader) { r.ReadBits(64); r.ReadBits(8); r.ReadGamma() }, "past end"},
+		{"At width 65", func(r *Reader) { At(zeros70, 0, 65) }, "outside"},
+		{"At past end", func(r *Reader) { At(zeros70, 8*len(zeros70)-3, 4) }, "outside"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			msg := panics(t, func() { tc.read(NewReader(zeros70, 8*len(zeros70))) })
+			if !strings.Contains(msg, tc.want) {
+				t.Fatalf("panic %q, want one naming %q", msg, tc.want)
+			}
+		})
+	}
+	r := NewReader(zeros70, 8*len(zeros70))
+	if _, err := r.TryGamma(); err == nil || r.Remaining() != 8*len(zeros70) {
+		t.Fatalf("TryGamma over a 70-zero run: err %v, %d bits left; want an error and no bits consumed", err, r.Remaining())
+	}
 }
 
 func TestWidth(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"disco/internal/sloppy"
 	"disco/internal/snapshot"
 	"disco/internal/static"
+	"disco/internal/vicinity"
 )
 
 // Disco is the full name-independent protocol (§4.4): NDDisco plus the
@@ -118,8 +119,13 @@ func (d *Disco) HasAddress(holder, target graph.NodeID) bool {
 // match covers s's full group width ("long enough"), falling back to
 // longest-prefix when none qualifies.
 func (d *Disco) FindGroupMember(s, t graph.NodeID) (w graph.NodeID, ok bool) {
+	return d.findGroupMember(d.ND.Vicinity(s), s, t)
+}
+
+// findGroupMember is FindGroupMember over an already read V(s), which the
+// first packet goes on to route through.
+func (d *Disco) findGroupMember(vs *vicinity.Set, s, t graph.NodeID) (w graph.NodeID, ok bool) {
 	ht := d.Env().HashOf(t)
-	vs := d.ND.Vicinity(s)
 	if d.closestW {
 		need := d.View.KOf(s)
 		best := graph.None
@@ -190,10 +196,13 @@ func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool
 	if d.Env().IsLM[t] || snap.VicinityContains(s, t) || d.HasAddress(s, t) {
 		return nd.route(s, t, sc, false)
 	}
-	holder, ok := d.FindGroupMember(s, t)
+	// V(s) is read once, for the member search and the path to the member:
+	// a compact-regime read decodes the whole window.
+	vs := snap.Vicinity(s)
+	holder, ok := d.findGroupMember(vs, s, t)
 	var head []graph.NodeID
 	if ok {
-		head = snap.Vicinity(s).PathTo(holder)
+		head = vs.PathTo(holder)
 	} else {
 		// Resolution fallback: the owning landmark answers the query and
 		// forwards — both legs must survive any failures.

@@ -30,7 +30,9 @@ import (
 // All route state is read from one shared immutable snapshot (UseSnapshot):
 // allocation-free in its exact storage regime, one decoded window per
 // Vicinity call in the compact regime (membership probes stay
-// materialization-free via VicinityContains). Forks share the snapshot by
+// materialization-free via VicinityContains; Disco's first packet decodes
+// V(s) once for both its group-member search and the path to the member).
+// Forks share the snapshot by
 // pointer; the only per-fork state is a reusable Dijkstra scratch for
 // destination-rooted queries, allocated on first use. Every read that needs
 // the snapshot panics before UseSnapshot — a harness invariant: whoever

@@ -177,15 +177,24 @@ func (g *Graph) Unit() bool { return g.unit }
 // PortOf returns the index ("port number") of neighbor `to` within u's
 // sorted adjacency list, or -1 if the edge does not exist. Ports are the
 // per-hop labels of the paper's explicit-route address format (§4.2): a hop
-// at a node of degree d is encoded in ceil(log2 d) bits as this index.
+// at a node of degree d is encoded in ceil(log2 d) bits as this index. The
+// search is a plain binary search of the sorted row: the compact snapshot
+// encoder asks once per forest field.
 func (g *Graph) PortOf(u, to NodeID) int {
 	if !g.sorted {
 		panic("graph: PortOf before Finalize")
 	}
 	es := g.Neighbors(u)
-	i := sort.Search(len(es), func(i int) bool { return es[i].To >= to })
-	if i < len(es) && es[i].To == to {
-		return i
+	lo, hi := 0, len(es)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); es[mid].To < to {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(es) && es[lo].To == to {
+		return lo
 	}
 	return -1
 }

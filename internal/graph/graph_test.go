@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -66,6 +67,17 @@ func TestPortsRoundTrip(t *testing.T) {
 	}
 	if g.PortOf(0, 3) != -1 {
 		t.Error("PortOf for non-edge should be -1")
+	}
+	// Against a linear scan of the row, for every (u, to) of a random
+	// graph, non-neighbours and IDs just outside [0, n) included.
+	g = genGnm(rand.New(rand.NewSource(4)), 64, 400)
+	for u := NodeID(0); int(u) < g.N(); u++ {
+		for to := NodeID(-1); int(to) <= g.N(); to++ {
+			want := slices.IndexFunc(g.Neighbors(u), func(e Edge) bool { return e.To == to })
+			if got := g.PortOf(u, to); got != want {
+				t.Fatalf("PortOf(%d,%d) = %d, want %d", u, to, got, want)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,7 @@
 // bound into a runnable experiment.
 //
 // Wire format, vicinity window of node v (k entries sorted by member ID,
-// byte-aligned per node so windows are sliceable from one shared blob):
+// byte-aligned per node so each window is a byte range of one shared blob):
 //
 //	ids:     first member ID in Width(n) bits, then k-1 Elias-gamma deltas
 //	         (member IDs are strictly increasing, so every delta is >= 1)
@@ -26,6 +26,16 @@
 // radius, exactly the Radius() a decode would report. The recovery
 // pipeline's per-candidate radius probes read it directly, so the hot
 // classification loop never decodes a window.
+//
+// Reads go through internal/bits in place: a window is read as bits
+// [8·vicOff[v], 8·vicOff[v+1]) of the whole blob and a forest field at its
+// absolute bit in the forest, never through a re-slice, so the bytes that
+// follow keep the codec on its 64-bit word path everywhere but in the last
+// 8 bytes of each array.
+// On router-like n=2048 (k=151), on a 2.0 GHz Xeon, a window decode costs
+// 4–5 µs, a membership probe 1.1 µs and a parent field 20–40 ns, against
+// about 5 ns, 80–130 ns and 13–23 ns on the exact twin
+// (BenchmarkCompactReads).
 package snapshot
 
 import (
@@ -215,8 +225,7 @@ func (cs *compactStore) decodeWindow(v graph.NodeID) []vicinity.Entry {
 	if ln == 0 {
 		return nil
 	}
-	a, b := cs.vicOff[v], cs.vicOff[v+1]
-	r := bits.NewReader(cs.vicBlob[a:b], int(b-a)*8)
+	r := cs.windowReader(v)
 	entries := make([]vicinity.Entry, ln)
 	id := graph.NodeID(r.ReadBits(cs.idWidth))
 	entries[0].Node = id
@@ -238,6 +247,12 @@ func (cs *compactStore) decodeWindow(v graph.NodeID) []vicinity.Entry {
 	return entries
 }
 
+// windowReader reads node v's window in place, as its bit range of the
+// whole blob (see the file comment for why not a re-slice).
+func (cs *compactStore) windowReader(v graph.NodeID) *bits.Reader {
+	return bits.NewReaderAt(cs.vicBlob, 8*int(cs.vicOff[v]), 8*int(cs.vicOff[v+1]))
+}
+
 // windowContains answers w ∈ V(v) straight off the encoded ID stream:
 // member IDs are ascending, so the scan stops at the first ID >= w and
 // never touches the parent/distance sections or materializes the window.
@@ -248,8 +263,7 @@ func (cs *compactStore) windowContains(v, w graph.NodeID) bool {
 	if ln == 0 {
 		return false
 	}
-	a, b := cs.vicOff[v], cs.vicOff[v+1]
-	r := bits.NewReader(cs.vicBlob[a:b], int(b-a)*8)
+	r := cs.windowReader(v)
 	id := graph.NodeID(r.ReadBits(cs.idWidth))
 	for i := 1; ; i++ {
 		if id >= w {
@@ -322,8 +336,7 @@ func (s *Snapshot) buildCompactForest(cs *compactStore) error {
 // edge is nonetheless alive — a shared row's tree crosses no failed link.
 func (cs *compactStore) rowParent(row int, v graph.NodeID) graph.NodeID {
 	width := int(cs.degOff[v+1] - cs.degOff[v])
-	prow := cs.forest[row*cs.rowBytes : (row+1)*cs.rowBytes]
-	port := bits.At(prow, int(cs.degOff[v]), width)
+	port := bits.At(cs.forest, 8*row*cs.rowBytes+int(cs.degOff[v]), width)
 	if port == uint64(cs.pg.Degree(v)) {
 		return graph.None
 	}
@@ -335,7 +348,7 @@ func (cs *compactStore) rowParent(row int, v graph.NodeID) graph.NodeID {
 // read, instead of n random At probes.
 func (cs *compactStore) decodeRow(row int) []graph.NodeID {
 	prow := make([]graph.NodeID, cs.n)
-	r := bits.NewReader(cs.forest[row*cs.rowBytes:(row+1)*cs.rowBytes], cs.rowBytes*8)
+	r := bits.NewReaderAt(cs.forest, 8*row*cs.rowBytes, 8*(row+1)*cs.rowBytes)
 	for v := 0; v < cs.n; v++ {
 		port := r.ReadBits(int(cs.degOff[v+1] - cs.degOff[v]))
 		if port == uint64(cs.pg.Degree(graph.NodeID(v))) {

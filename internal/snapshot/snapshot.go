@@ -20,8 +20,10 @@
 //   - Compact (BuildCompact): the same state bit-packed (see compact.go) at
 //     a fraction of the bytes — member IDs delta-coded, parents as window
 //     indices, distances quantized to float32, forest parents as port
-//     indices. Vicinity reads decode the window into a fresh Set; tree
-//     reads decode single parent fields in place. Distances round-trip
+//     indices. Vicinity reads decode the window into a fresh Set; membership
+//     probes scan its ID stream and tree reads decode single parent fields,
+//     both in place — all through internal/bits, a word at a time.
+//     Distances round-trip
 //     through float32, so figure output is byte-identical on integer-weight
 //     topologies and shifts at most at float32 precision elsewhere; the
 //     exact regime remains the escape hatch (and the default) for any

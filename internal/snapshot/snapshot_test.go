@@ -85,7 +85,9 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 // TestCompactMatchesExact pins the compact encoding to the exact regime:
 // member IDs, parents and every landmark-tree path round-trip exactly;
 // distances round-trip through float32 (lossless here — the test topology
-// has unit weights, so distances are small integers).
+// has unit weights, so distances are small integers). It runs on a fresh
+// build and on the head of a folded chain, whose store has a short window
+// and raw-copied ranges.
 func TestCompactMatchesExact(t *testing.T) {
 	env := buildEnv(t, 192, 7)
 	k := vicinity.DefaultK(env.N())
@@ -94,8 +96,16 @@ func TestCompactMatchesExact(t *testing.T) {
 	if !compact.Compact() || exact.Compact() {
 		t.Fatal("Compact() regime flags wrong")
 	}
+	t.Run("built", func(t *testing.T) { compareRegimes(t, exact, compact) })
+	t.Run("folded-chain-head", func(t *testing.T) {
+		compareRegimes(t, foldedChainHead(t, false), foldedChainHead(t, true))
+	})
+}
 
-	for v := 0; v < env.N(); v++ {
+// compareRegimes checks every read of compact against its exact twin.
+func compareRegimes(t *testing.T, exact, compact *Snapshot) {
+	n := exact.Graph().N()
+	for v := 0; v < n; v++ {
 		want := exact.Vicinity(graph.NodeID(v))
 		got := compact.Vicinity(graph.NodeID(v))
 		if got.Src != want.Src || got.Size() != want.Size() {
@@ -117,10 +127,12 @@ func TestCompactMatchesExact(t *testing.T) {
 
 	// The materialization-free membership probe must agree with the full
 	// set in both regimes, including the just-outside-the-window IDs a
-	// sequential delta scan is most likely to misjudge.
-	for v := 0; v < env.N(); v += 3 {
+	// sequential delta scan is most likely to misjudge — at every v, so
+	// the blob's last window, read where fewer than 8 bytes remain, is
+	// probed too.
+	for v := 0; v < n; v++ {
 		set := exact.Vicinity(graph.NodeID(v))
-		for w := -1; w <= env.N(); w++ {
+		for w := -1; w <= n; w++ {
 			want := set.Contains(graph.NodeID(w))
 			if got := compact.VicinityContains(graph.NodeID(v), graph.NodeID(w)); got != want {
 				t.Fatalf("compact VicinityContains(%d,%d)=%v want %v", v, w, got, want)
@@ -131,22 +143,15 @@ func TestCompactMatchesExact(t *testing.T) {
 		}
 	}
 
-	for _, lm := range env.Landmarks {
-		for v := 0; v < env.N(); v++ {
+	for _, lm := range exact.Landmarks() {
+		for v := 0; v < n; v++ {
 			if gp, wp := compact.Parent(lm, graph.NodeID(v)), exact.Parent(lm, graph.NodeID(v)); gp != wp {
 				t.Fatalf("Parent(%d,%d): got %d want %d", lm, v, gp, wp)
 			}
 		}
-		for v := 0; v < env.N(); v += 5 {
-			got := compact.PathFrom(lm, graph.NodeID(v))
-			want := exact.PathFrom(lm, graph.NodeID(v))
-			if len(got) != len(want) {
-				t.Fatalf("PathFrom(%d,%d): len %d want %d", lm, v, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("PathFrom(%d,%d)[%d]: got %d want %d", lm, v, i, got[i], want[i])
-				}
+		for v := 0; v < n; v += 5 {
+			if got, want := compact.PathFrom(lm, graph.NodeID(v)), exact.PathFrom(lm, graph.NodeID(v)); !slices.Equal(got, want) {
+				t.Fatalf("PathFrom(%d,%d): got %v want %v", lm, v, got, want)
 			}
 		}
 	}
