@@ -1,5 +1,5 @@
 // Discolint is the repo's contract-enforcement static analyzer suite:
-// maporder, seedrand, snapmutate, handleref and mergeorder (see
+// maporder, seedrand, snapmutate and mergeorder (see
 // internal/lint for what each enforces and the //disco: waiver
 // directives).
 //

@@ -33,8 +33,8 @@ import (
 //   - Measured serving metrics (the "measured:" line): queries/sec, p50
 //     and p99 query latency, delivered fraction, and staleness — the
 //     fraction of queries answered on an epoch that had already been
-//     superseded by completion time. Wall-clock quantities, excluded from
-//     goldens.
+//     superseded by completion time — plus the published epoch count.
+//     Wall-clock quantities, excluded from goldens.
 type ServeStormResult struct {
 	Kind   TopoKind
 	N      int
@@ -68,7 +68,6 @@ type ServeLoad struct {
 	P50us     float64 // concurrent query latency percentiles, microseconds
 	P99us     float64
 	Published uint64
-	Retired   uint64
 }
 
 // FormatEvents renders the deterministic per-epoch event log — the part
@@ -104,8 +103,8 @@ func (r *ServeStormResult) Format() string {
 		plane = "fork-and-walk"
 	}
 	return r.FormatEvents() + fmt.Sprintf(
-		"  measured: %d queriers on the %s plane, %d queries in %.2fs (%.0f qps), p50 %.1fµs p99 %.1fµs, %.2f%% delivered, %.2f%% stale, epochs %d published / %d reclaimed\n",
-		l.Queriers, plane, l.Queries, l.Secs, qps, l.P50us, l.P99us, pct(l.Delivered, l.Queries), pct(l.Stale, l.Queries), l.Published, l.Retired)
+		"  measured: %d queriers on the %s plane, %d queries in %.2fs (%.0f qps), p50 %.1fµs p99 %.1fµs, %.2f%% delivered, %.2f%% stale, epochs %d published\n",
+		l.Queriers, plane, l.Queries, l.Secs, qps, l.P50us, l.P99us, pct(l.Delivered, l.Queries), pct(l.Stale, l.Queries), l.Published)
 }
 
 // latHist is a lock-free-enough (single-writer) log-scale latency
@@ -270,10 +269,6 @@ func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, quer
 	wg.Wait()
 	//disco:measured storm wall-clock for the throughput report
 	secs := time.Since(start).Seconds()
-	// The storm is over and the queriers have drained: close the plane so
-	// the final epoch's publisher handle is released too — Metrics then
-	// reports every published epoch reclaimed, not all-but-one.
-	plane.Close()
 
 	merged := &latHist{}
 	for _, h := range hists {
@@ -284,7 +279,7 @@ func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, quer
 		Queriers: queriers, Plane: planeKind, Queries: m.Queries, Delivered: m.Delivered,
 		Stale: m.Stale, Secs: secs,
 		P50us: merged.quantile(0.50) / 1e3, P99us: merged.quantile(0.99) / 1e3,
-		Published: m.Published, Retired: m.Retired,
+		Published: m.Published,
 	}
 	return res, nil
 }

@@ -17,13 +17,13 @@
 //	    excluded from deterministic output.
 //	//disco:mutates — snapmutate: a reviewed write to sealed state
 //	    (e.g. the defining package's own white-box test).
-//	//disco:retained — handleref: a successful TryRetain whose Release
-//	    happens beyond this function by documented ownership transfer.
 package analysis
 
 import (
 	"go/ast"
 	"go/token"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -108,7 +108,6 @@ var KnownDirectives = map[string]bool{
 	"orderinvariant": true,
 	"measured":       true,
 	"mutates":        true,
-	"retained":       true,
 }
 
 // Validate reports malformed directives: unknown names and missing
@@ -117,7 +116,7 @@ var KnownDirectives = map[string]bool{
 func (t *DirectiveTable) Validate(report func(pos token.Pos, format string, args ...any)) {
 	for _, d := range t.all {
 		if !KnownDirectives[d.Name] {
-			report(d.Pos, "unknown //disco: directive %q (known: orderinvariant, measured, mutates, retained)", d.Name)
+			report(d.Pos, "unknown //disco: directive %q (known: %s)", d.Name, strings.Join(slices.Sorted(maps.Keys(KnownDirectives)), ", "))
 			continue
 		}
 		if d.Reason == "" {

@@ -5,10 +5,15 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// directiveSrc ends with a waiver whose name was retired along with its
+// lint. It is spelled by concatenation so that no source line of the repo
+// carries the retired directive.
 const directiveSrc = `package p
 
 func f(m map[int]int) {
@@ -23,6 +28,10 @@ func f(m map[int]int) {
 	//disco:oderinvariant typo goes unnoticed without Validate
 	for range m {
 	}
+}
+
+func g() {
+	` + DirectivePrefix + `retained a refcount waiver whose lint is gone
 }
 `
 
@@ -62,13 +71,24 @@ func TestDirectiveValidate(t *testing.T) {
 	tab.Validate(func(pos token.Pos, format string, args ...any) {
 		msgs = append(msgs, fmt.Sprintf(format, args...))
 	})
-	if len(msgs) != 2 {
-		t.Fatalf("Validate produced %d diagnostics, want 2: %v", len(msgs), msgs)
+	if len(msgs) != 3 {
+		t.Fatalf("Validate produced %d diagnostics, want 3: %v", len(msgs), msgs)
 	}
 	if !strings.Contains(msgs[0], "needs a reason") {
 		t.Errorf("first diagnostic = %q, want missing-reason", msgs[0])
 	}
-	if !strings.Contains(msgs[1], `unknown //disco: directive "oderinvariant"`) {
-		t.Errorf("second diagnostic = %q, want unknown-name", msgs[1])
+	for i, name := range []string{"oderinvariant", "retained"} {
+		msg := msgs[1+i]
+		if !strings.Contains(msg, fmt.Sprintf("unknown //disco: directive %q", name)) {
+			t.Errorf("diagnostic %d = %q, want unknown-name %q", 1+i, msg, name)
+		}
+		// The known list must name exactly KnownDirectives' keys, so it
+		// cannot go stale when a directive is added or removed.
+		_, list, _ := strings.Cut(msg, "(known: ")
+		named := strings.Split(strings.TrimSuffix(list, ")"), ", ")
+		slices.Sort(named)
+		if want := slices.Sorted(maps.Keys(KnownDirectives)); !slices.Equal(named, want) {
+			t.Errorf("diagnostic %d names known directives %q, want %q", 1+i, named, want)
+		}
 	}
 }

@@ -8,8 +8,6 @@
 //	             seeds; wall clock only on //disco:measured paths
 //	snapmutate — snapshot immutability: what Fork() shares is never
 //	             written outside its defining package
-//	handleref  — exact-refcount reclamation: every successful
-//	             Handle.TryRetain has a Release on every path
 //	mergeorder — task-ordered merges: pool closures write only
 //	             task-indexed storage
 //
@@ -19,7 +17,6 @@ package lint
 
 import (
 	"disco/internal/lint/analysis"
-	"disco/internal/lint/handleref"
 	"disco/internal/lint/maporder"
 	"disco/internal/lint/mergeorder"
 	"disco/internal/lint/seedrand"
@@ -32,7 +29,6 @@ func Analyzers() []*analysis.Analyzer {
 		maporder.Analyzer,
 		seedrand.Analyzer,
 		snapmutate.Analyzer,
-		handleref.Analyzer,
 		mergeorder.Analyzer,
 	}
 }

@@ -4,20 +4,19 @@
 // instead of the batch build→route→print shape of every experiment before
 // it.
 //
-// The design is an atomically published epoch with reference-counted
-// reclamation:
+// The design is an atomically published immutable epoch, reclaimed by the
+// garbage collector:
 //
 //   - The publisher (the repair loop) owns the timeline exclusively. After
-//     each event it wraps the post-event snapshot in a snapshot.Handle and
-//     swaps it into the plane's atomic current-epoch pointer; the
-//     superseded epoch's publisher reference is released, so the old
-//     chain state is reclaimed the moment its last in-flight reader
-//     leaves — never under one.
-//   - Query goroutines never lock: they load the current epoch, pin it
-//     with Handle.TryRetain (re-loading on the rare retire race), route on
-//     a pooled per-epoch protocol fork, release, and report the epoch they
-//     answered on. The only mutable shared word on the query path is the
-//     epoch pointer itself.
+//     each event it builds an Epoch — a sequence number plus a pool of
+//     routing forks over the post-event snapshot — and swaps it into the
+//     plane's atomic current-epoch pointer. Nothing frees the superseded
+//     epoch: a query that loaded it keeps it reachable, so it and the
+//     chain state its forks read become collectable once its last
+//     in-flight reader returns, and never under one.
+//   - Query goroutines never lock: they load the current epoch, route on
+//     a pooled per-epoch protocol fork, and report the epoch they answered
+//     on. A query's only shared writes are the plane's query counters.
 //   - Each epoch keeps a sync.Pool of routing forks, so a query costs one
 //     pool Get/Put instead of a fork construction, and forks never migrate
 //     between epochs (a fork reads only its own epoch's snapshot).
@@ -62,10 +61,11 @@ type slot struct {
 	buf []graph.NodeID
 }
 
-// Epoch is one published (sequence, snapshot) pair plus its fork pool.
+// Epoch is one published epoch: its sequence number and the pool of
+// routing forks over its snapshot. Only the pool's contents change after
+// publication.
 type Epoch struct {
 	seq  uint64
-	h    *snapshot.Handle
 	pool sync.Pool
 }
 
@@ -79,7 +79,7 @@ type Plane struct {
 	closed atomic.Bool
 
 	published atomic.Uint64 // epochs ever published (incl. the base)
-	retired   atomic.Uint64 // superseded epochs whose last reader left
+	retired   atomic.Uint64 // epochs superseded by a later Publish or by Close
 	queries   atomic.Uint64
 	delivered atomic.Uint64
 	stale     atomic.Uint64
@@ -94,8 +94,8 @@ func NewPlane(base *snapshot.Snapshot, fork ForkFunc) *Plane {
 
 // Publish atomically installs snap as the new current epoch and returns
 // its sequence number, forking query views with the plane's ForkFunc. The
-// superseded epoch's publisher reference is released; its state is
-// reclaimed once the last in-flight query on it completes.
+// superseded epoch is collectable once the last in-flight query on it
+// completes.
 // Single-publisher: callers must serialize Publish (the repair loop owns
 // the timeline anyway). Returns ErrClosed after Close.
 func (p *Plane) Publish(snap *snapshot.Snapshot) (uint64, error) {
@@ -112,44 +112,25 @@ func (p *Plane) PublishWith(snap *snapshot.Snapshot, fork ForkFunc) (uint64, err
 	}
 	seq := p.published.Add(1) - 1
 	e := &Epoch{seq: seq}
-	e.h = snapshot.NewHandle(snap, seq, func() { p.retired.Add(1) })
 	e.pool.New = func() any { return &slot{r: fork(snap)} }
-	if old := p.cur.Swap(e); old != nil {
-		old.h.Release()
+	if p.cur.Swap(e) != nil {
+		p.retired.Add(1)
 	}
 	return seq, nil
 }
 
-// Close retires the plane: the current epoch's publisher reference is
-// released (so with no in-flight readers Retired reaches Published) and
-// subsequent Publish calls fail with ErrClosed; queries racing with Close
-// return the zero Result (OK=false) without touching the counters.
-// Idempotent. Call when the serving loop is done — without it, the final
-// epoch's reclamation hook never fires and a long-running plane pins the
-// tail of the snapshot chain forever.
+// Close retires the plane: the current epoch is unpublished (so Retired
+// reaches Published) and subsequent Publish calls fail with ErrClosed;
+// queries racing with Close return the zero Result (OK=false) without
+// touching the counters. Idempotent. Call when the serving loop is done —
+// without it, a plane that stays referenced keeps its final epoch, and
+// the snapshot chain state behind it, reachable.
 func (p *Plane) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if old := p.cur.Swap(nil); old != nil {
-		old.h.Release()
-	}
-}
-
-// acquire pins the current epoch for one read-side critical section. The
-// TryRetain re-load loop is the whole reclamation protocol: a failed
-// retain means the loaded epoch was retired in the load→retain window,
-// and the publication pointer has necessarily moved on — or, after Close,
-// gone entirely (nil: the caller answers OK=false).
-func (p *Plane) acquire() *Epoch {
-	for {
-		e := p.cur.Load()
-		if e == nil {
-			return nil
-		}
-		if e.h.TryRetain() {
-			return e
-		}
+	if p.cur.Swap(nil) != nil {
+		p.retired.Add(1)
 	}
 }
 
@@ -169,7 +150,7 @@ type Result struct {
 // carry the address from the handshake (later=true). Safe for any number
 // of concurrent callers.
 func (p *Plane) Route(s, t graph.NodeID, later bool) Result {
-	e := p.acquire()
+	e := p.cur.Load()
 	if e == nil {
 		return Result{}
 	}
@@ -192,7 +173,7 @@ func (p *Plane) Route(s, t graph.NodeID, later bool) Result {
 // allocates nothing; otherwise it falls back to the ordinary routing
 // call and discards the slice.
 func (p *Plane) Probe(s, t graph.NodeID, later bool) Result {
-	e := p.acquire()
+	e := p.cur.Load()
 	if e == nil {
 		return Result{}
 	}
@@ -209,12 +190,10 @@ func (p *Plane) Probe(s, t graph.NodeID, later bool) Result {
 	return p.finish(e, nil, ok)
 }
 
-// finish releases the pinned epoch, computes staleness and settles the
-// counters — the shared tail of Route and Probe.
+// finish computes staleness and settles the counters — the shared tail of
+// Route and Probe.
 func (p *Plane) finish(e *Epoch, route []graph.NodeID, ok bool) Result {
 	stale := p.cur.Load() != e
-	e.h.Release()
-
 	p.queries.Add(1)
 	if ok {
 		p.delivered.Add(1)
@@ -242,7 +221,7 @@ type Metrics struct {
 	Delivered uint64 // queries whose destination was reachable on their epoch
 	Stale     uint64 // queries whose epoch was superseded by completion time
 	Published uint64 // epochs ever published (incl. the base)
-	Retired   uint64 // superseded epochs fully reclaimed (last reader left)
+	Retired   uint64 // epochs superseded by a later Publish or by Close
 }
 
 // Metrics reads the plane's counters.

@@ -3,9 +3,11 @@ package serve_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"disco/internal/core"
 	"disco/internal/dynamics"
@@ -59,8 +61,8 @@ type obs struct {
 //     gives when re-routed deterministically after the storm — i.e. every
 //     concurrent answer is correct for SOME published epoch (linearizable
 //     staleness), never a blend of two;
-//   - reclamation accounting closes: once all readers leave, every
-//     superseded epoch has been retired and only the current one is live.
+//   - retirement accounting closes: every superseded epoch is counted
+//     retired and only the current one is still published.
 func TestServeConcurrentStorm(t *testing.T) {
 	const (
 		n        = 192
@@ -188,7 +190,7 @@ func TestServeConcurrentStorm(t *testing.T) {
 		}
 	}
 
-	// Reclamation accounting: every superseded epoch retired, current live.
+	// Retirement accounting: every superseded epoch retired, current published.
 	m := plane.Metrics()
 	if m.Published != events+1 {
 		t.Fatalf("published = %d, want %d", m.Published, events+1)
@@ -246,10 +248,9 @@ func TestPlaneSingleThreadContract(t *testing.T) {
 	}
 }
 
-// TestPlaneClose pins the lifecycle fix: before Close the final epoch's
-// publisher reference keeps it live (Retired == Published-1 forever, the
-// leak); after Close with no in-flight readers every epoch — the last one
-// included — is reclaimed, later Publish fails with ErrClosed, queries
+// TestPlaneClose pins the lifecycle: before Close the final epoch is still
+// published (Retired == Published-1); after Close every epoch — the last
+// one included — is retired, later Publish fails with ErrClosed, queries
 // answer OK=false without disturbing the counters, and closing again is a
 // no-op.
 func TestPlaneClose(t *testing.T) {
@@ -292,8 +293,127 @@ func TestPlaneClose(t *testing.T) {
 	if got := plane.Metrics(); got.Queries != m.Queries {
 		t.Fatalf("closed-plane queries must not count: %d -> %d", m.Queries, got.Queries)
 	}
-	plane.Close() // idempotent: must not double-release or panic
+	plane.Close() // idempotent: must not retire twice or panic
 	if got := plane.Metrics(); got.Retired != m.Retired {
 		t.Fatalf("second Close changed retired: %d -> %d", m.Retired, got.Retired)
 	}
+}
+
+// gateRouter is a query fork whose first-packet route announces itself on
+// entered and then blocks until gate closes, so a test can hold one query
+// in flight on one epoch.
+type gateRouter struct {
+	dynamics.Router
+	entered chan<- struct{}
+	gate    <-chan struct{}
+}
+
+func (g gateRouter) RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.Router.RepairedFirstRoute(s, t)
+}
+
+// TestPlaneDropsSupersededEpochs pins where reclamation happens: in the
+// garbage collector. A superseded epoch nobody is querying is collectable
+// at once; one a query is still routing on stays alive until that query
+// returns, and is collectable after. The weak pointers are to repaired
+// snapshots, which only their epoch's forks keep reachable — the timeline
+// pins its base and its current snapshot.
+func TestPlaneDropsSupersededEpochs(t *testing.T) {
+	const epochs, held = 5, 2
+	_, base, d := buildServeEnv(t, 96, 5)
+	plane := serve.NewPlane(base, func(rep *snapshot.Snapshot) dynamics.Router {
+		return d.ForkRepaired(rep)
+	})
+	defer plane.Close()
+	tl := dynamics.NewTimeline(base)
+	edges := base.Graph().EdgeList()
+
+	entered, gate := make(chan struct{}), make(chan struct{})
+	answer := make(chan serve.Result)
+	snaps := make([]weak.Pointer[snapshot.Snapshot], epochs)
+	var heldSeq uint64
+	for i := range snaps {
+		if _, err := tl.Fail(edges[i : i+1]); err != nil {
+			t.Fatalf("Fail: %v", err)
+		}
+		snaps[i] = weak.Make(tl.Snapshot())
+		if i != held {
+			if _, err := plane.Publish(tl.Snapshot()); err != nil {
+				t.Fatalf("Publish: %v", err)
+			}
+			continue
+		}
+		seq, err := plane.PublishWith(tl.Snapshot(), func(rep *snapshot.Snapshot) dynamics.Router {
+			return gateRouter{Router: d.ForkRepaired(rep), entered: entered, gate: gate}
+		})
+		if err != nil {
+			t.Fatalf("PublishWith: %v", err)
+		}
+		heldSeq = seq
+		go func() { answer <- plane.Route(1, 2, false) }()
+		<-entered
+	}
+
+	// Three cycles: a fork pool the plane has used stays reachable from
+	// the runtime's pool list for two.
+	collect := func() {
+		for range 3 {
+			runtime.GC()
+		}
+	}
+	collect()
+	for i, w := range snaps[:epochs-1] {
+		if alive := w.Value() != nil; alive != (i == held) {
+			t.Errorf("superseded epoch %d: alive = %v, want %v (only the one a query is in flight on)", i+1, alive, i == held)
+		}
+	}
+	if snaps[epochs-1].Value() == nil {
+		t.Error("the current epoch's snapshot was collected")
+	}
+
+	close(gate)
+	res := <-answer
+	if res.Epoch != heldSeq || !res.Stale {
+		t.Fatalf("in-flight query answered %+v, want epoch %d and stale", res, heldSeq)
+	}
+	collect()
+	if snaps[held].Value() != nil {
+		t.Fatalf("epoch %d still alive after its last query returned", heldSeq)
+	}
+}
+
+// nullRouter answers every query at once, so a plane over it costs only
+// the plane.
+type nullRouter struct{}
+
+func (nullRouter) RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool) { return nil, true }
+func (nullRouter) RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool) { return nil, true }
+func (nullRouter) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) ([]graph.NodeID, bool) {
+	return dst, true
+}
+
+// BenchmarkPlaneProbe times the plane's own per-query overhead — epoch
+// load, pool Get/Put, staleness check and counters — over a router that
+// does no work, on one goroutine and on GOMAXPROCS.
+func BenchmarkPlaneProbe(b *testing.B) {
+	plane := serve.NewPlane(nil, func(*snapshot.Snapshot) dynamics.Router { return nullRouter{} })
+	defer plane.Close()
+	b.Run("serial", func(b *testing.B) {
+		later := false
+		for b.Loop() {
+			plane.Probe(1, 2, later)
+			later = !later
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			later := false
+			for pb.Next() {
+				plane.Probe(1, 2, later)
+				later = !later
+			}
+		})
+	})
 }
