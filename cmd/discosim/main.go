@@ -19,11 +19,6 @@
 //	                                   # lock-free WHILE a fail/recover storm
 //	                                   # repairs and republishes the snapshot
 //	                                   # chain (-events bounds the storm)
-//	discosim -serve -forward           # same, on the forwarding fast path:
-//	                                   # compiled next-hop tables (sorted
-//	                                   # member IDs + parent indices),
-//	                                   # re-derived per epoch by blast-radius
-//	                                   # invalidation
 //	discosim -list                     # list experiments
 //
 // Experiment output is bit-identical at any -workers value: the harness
@@ -138,15 +133,15 @@ func validateFlags(n int, seed int64, pairs, events, queriers, workers int) erro
 // asked for, which runs none), and the serving-mode flags on a run that
 // would silently ignore them. main reports the error and exits 2, as for
 // validateFlags.
-func checkSelection(exp string, list, forward bool, events, queriers int) error {
+func checkSelection(exp string, list bool, events, queriers int) error {
 	if list {
 		return nil
 	}
 	if exp == "" {
 		return fmt.Errorf("no experiment selected: pass -exp <name> or -serve")
 	}
-	if exp != "serve-storm" && exp != "all" && (forward || events != 0 || queriers != 0) {
-		return fmt.Errorf("-forward, -events and -queriers apply only to -serve, -exp serve-storm and -exp all, not -exp %s", exp)
+	if exp != "serve-storm" && exp != "all" && (events != 0 || queriers != 0) {
+		return fmt.Errorf("-events and -queriers apply only to -serve, -exp serve-storm and -exp all, not -exp %s", exp)
 	}
 	return nil
 }
@@ -163,7 +158,6 @@ func main() {
 	serveMode := flag.Bool("serve", false, "serving mode: answer route queries from a concurrent closed-loop load while a fail/recover storm repairs and republishes the snapshot chain (shorthand for -exp serve-storm; combine with -n, -events, -queriers)")
 	events := flag.Int("events", 0, "serving mode: storm length in fail/recover events (0 = 16)")
 	queriers := flag.Int("queriers", 0, "serving mode: concurrent query goroutines (0 = GOMAXPROCS)")
-	forward := flag.Bool("forward", false, "serving mode: answer queries on compiled next-hop tables (the forwarding fast path: one sorted member-ID column a window, repair-aware invalidation) instead of protocol fork-and-walk")
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
 	if err := validateFlags(*n, *seed, *pairs, *events, *queriers, *workers); err != nil {
@@ -185,7 +179,7 @@ func main() {
 			fmt.Printf("  %-14s %s\n", e.Name, e.Desc)
 		}
 	}
-	if err := checkSelection(*exp, *list, *forward, *events, *queriers); err != nil {
+	if err := checkSelection(*exp, *list, *events, *queriers); err != nil {
 		fmt.Fprintf(os.Stderr, "discosim: %v\n", err)
 		os.Exit(2)
 	}
@@ -203,7 +197,7 @@ func main() {
 		return err
 	}
 
-	o := eval.Options{Config: eval.Config{Compact: *compact}, N: *n, Seed: *seed, Pairs: *pairs, Full: *full, Events: *events, Queriers: *queriers, Forward: *forward}
+	o := eval.Options{Config: eval.Config{Compact: *compact}, N: *n, Seed: *seed, Pairs: *pairs, Full: *full, Events: *events, Queriers: *queriers}
 	ran := false
 	var failed []string
 	for _, e := range eval.Experiments {

@@ -77,22 +77,21 @@ func TestCheckSelection(t *testing.T) {
 	cases := []struct {
 		name             string
 		exp              string
-		list, forward    bool
+		list             bool
 		events, queriers int
 		ok               bool
 	}{
-		{"list alone", "", true, false, 0, 0, true},
-		{"list with exp", "fig2", true, false, 0, 0, true},
-		{"nothing selected", "", false, false, 0, 0, false},
-		{"plain experiment", "fig4", false, false, 0, 0, true},
-		{"serve-storm with serving flags", "serve-storm", false, true, 8, 2, true},
-		{"all with serving flags", "all", false, true, 8, 2, true},
-		{"forward elsewhere", "fig4", false, true, 0, 0, false},
-		{"events elsewhere", "churn-timeline", false, false, 8, 0, false},
-		{"queriers elsewhere", "fig3", false, false, 0, 2, false},
+		{"list alone", "", true, 0, 0, true},
+		{"list with exp", "fig2", true, 0, 0, true},
+		{"nothing selected", "", false, 0, 0, false},
+		{"plain experiment", "fig4", false, 0, 0, true},
+		{"serve-storm with serving flags", "serve-storm", false, 8, 2, true},
+		{"all with serving flags", "all", false, 8, 2, true},
+		{"events elsewhere", "churn-timeline", false, 8, 0, false},
+		{"queriers elsewhere", "fig3", false, 0, 2, false},
 	}
 	for _, tc := range cases {
-		err := checkSelection(tc.exp, tc.list, tc.forward, tc.events, tc.queriers)
+		err := checkSelection(tc.exp, tc.list, tc.events, tc.queriers)
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error: %v", tc.name, err)
 		}

@@ -167,9 +167,9 @@ func TestDirectCases(t *testing.T) {
 	}
 	// Vicinity destination: stretch 1.
 	var vdst graph.NodeID = graph.None
-	for _, e := range nd.Vicinity(src).Entries {
-		if e.Node != src && !env.IsLM[e.Node] {
-			vdst = e.Node
+	for vs, i := nd.Vicinity(src), 0; i < vs.Size(); i++ {
+		if w := vs.ID(i); w != src && !env.IsLM[w] {
+			vdst = w
 			break
 		}
 	}
@@ -412,8 +412,8 @@ func TestClosestMemberSelection(t *testing.T) {
 		wc, okC := dClosest.FindGroupMember(s, t2)
 		if okL && okC {
 			vs := dLongest.ND.Vicinity(s)
-			if vs.Dist(wc) > vs.Dist(wl)+eps {
-				t.Fatalf("closest-member picked farther w: %v vs %v", vs.Dist(wc), vs.Dist(wl))
+			if dc, dl := vs.Dist(vs.Find(wc)), vs.Dist(vs.Find(wl)); dc > dl+eps {
+				t.Fatalf("closest-member picked farther w: %v vs %v", dc, dl)
 			}
 		}
 	}
@@ -472,7 +472,8 @@ func TestDiscoFirstRouteLetsHolderShortcut(t *testing.T) {
 			continue // resolution fallback
 		}
 		viaHolder++
-		toW := d.ND.Vicinity(s).Dist(w)
+		vs := d.ND.Vicinity(s)
+		toW := vs.Dist(vs.Find(w))
 		for _, sc := range AllShortcuts {
 			got := routeOK(t, g, d.FirstRoute(s, dst, sc), s, dst)
 			bound := toW + g.PathLength(d.ND.FirstRoute(w, dst, sc.withoutReverse()))

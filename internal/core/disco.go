@@ -119,49 +119,48 @@ func (d *Disco) HasAddress(holder, target graph.NodeID) bool {
 // match covers s's full group width ("long enough"), falling back to
 // longest-prefix when none qualifies.
 func (d *Disco) FindGroupMember(s, t graph.NodeID) (w graph.NodeID, ok bool) {
-	return d.findGroupMember(d.ND.Vicinity(s), s, t)
+	vs := d.ND.Vicinity(s)
+	if i, ok := d.findGroupMember(vs, s, t); i >= 0 {
+		return vs.ID(i), ok
+	}
+	return graph.None, false
 }
 
 // findGroupMember is FindGroupMember over an already read V(s), which the
-// first packet goes on to route through.
-func (d *Disco) findGroupMember(vs *vicinity.Set, s, t graph.NodeID) (w graph.NodeID, ok bool) {
+// first packet goes on to route through: it returns the member's index in
+// vs (-1 when s is alone in it). Members ascend by ID, so among members
+// that tie on prefix and distance the first one met is the lowest ID.
+func (d *Disco) findGroupMember(vs *vicinity.Window, s, t graph.NodeID) (i int, ok bool) {
 	ht := d.Env().HashOf(t)
 	if d.closestW {
 		need := d.View.KOf(s)
-		best := graph.None
-		bestDist := 0.0
-		for _, e := range vs.Entries {
-			if e.Node == s {
+		best, bestDist := -1, 0.0
+		for j := 0; j < vs.Size(); j++ {
+			w := vs.ID(j)
+			if w == s || names.CommonPrefixLen(d.Env().HashOf(w), ht) < need {
 				continue
 			}
-			if names.CommonPrefixLen(d.Env().HashOf(e.Node), ht) < need {
-				continue
-			}
-			if best == graph.None || e.Dist < bestDist || (e.Dist == bestDist && e.Node < best) {
-				best, bestDist = e.Node, e.Dist
+			if dist := vs.Dist(j); best < 0 || dist < bestDist {
+				best, bestDist = j, dist
 			}
 		}
-		if best != graph.None {
-			return best, d.HasAddress(best, t)
+		if best >= 0 {
+			return best, d.HasAddress(vs.ID(best), t)
 		}
 		// No full-prefix member: fall through to longest-prefix.
 	}
-	best := graph.None
-	bestPrefix := -1
-	bestDist := 0.0
-	for _, e := range vs.Entries {
-		if e.Node == s {
+	best, bestPrefix, bestDist := -1, -1, 0.0
+	for j := 0; j < vs.Size(); j++ {
+		w := vs.ID(j)
+		if w == s {
 			continue
 		}
-		p := names.CommonPrefixLen(d.Env().HashOf(e.Node), ht)
-		if p > bestPrefix || (p == bestPrefix && (e.Dist < bestDist || (e.Dist == bestDist && e.Node < best))) {
-			best, bestPrefix, bestDist = e.Node, p, e.Dist
+		p, dist := names.CommonPrefixLen(d.Env().HashOf(w), ht), vs.Dist(j)
+		if p > bestPrefix || (p == bestPrefix && dist < bestDist) {
+			best, bestPrefix, bestDist = j, p, dist
 		}
 	}
-	if best == graph.None {
-		return graph.None, false
-	}
-	return best, d.HasAddress(best, t)
+	return best, best >= 0 && d.HasAddress(vs.ID(best), t)
 }
 
 // FirstRoute returns the route of a flow's first packet from s to t given
@@ -199,10 +198,10 @@ func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool
 	// V(s) is read once, for the member search and the path to the member:
 	// a compact-regime read decodes the whole window.
 	vs := snap.Vicinity(s)
-	holder, ok := d.findGroupMember(vs, s, t)
+	var holder graph.NodeID
 	var head []graph.NodeID
-	if ok {
-		head = vs.PathTo(holder)
+	if i, ok := d.findGroupMember(vs, s, t); ok {
+		holder, head = vs.ID(i), vs.AppendPath(nil, i)
 	} else {
 		// Resolution fallback: the owning landmark answers the query and
 		// forwards — both legs must survive any failures.
@@ -218,7 +217,7 @@ func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool
 	if !ok {
 		return nil, false
 	}
-	return nd.walk(dynamics.JoinPaths(head, rest), t, sc), true
+	return nd.walk(dynamics.JoinPaths(head, rest), 0, t, sc), true
 }
 
 // LaterRoute returns the route after the first packet: s has learned t's

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"disco/internal/graph"
 )
@@ -41,10 +42,10 @@ func (r *NDDisco) ForwardFirst(s, t graph.NodeID) []graph.NodeID {
 			panic(fmt.Sprintf("core: forwarding loop %d->%d", s, t))
 		}
 		// Local check 1: destination in my vicinity -> direct first hop.
-		// (Probe membership first: it skips the compact-regime window
-		// decode on the per-hop misses.)
-		if r.VicinityContains(cur, t) {
-			nh := r.Vicinity(cur).FirstHopTo(t)
+		// (The lookup skips the compact-regime window decode on the
+		// per-hop misses.)
+		if win, i := r.snapshot().VicinityFind(cur, t); i >= 0 {
+			nh := win.AppendPath(nil, i)[1]
 			path = append(path, nh)
 			cur = nh
 			continue
@@ -97,13 +98,10 @@ func (r *NDDisco) ForwardLater(s, t graph.NodeID) []graph.NodeID {
 	if s == t {
 		return []graph.NodeID{s}
 	}
-	if vt := r.Vicinity(t); vt.Contains(s) {
-		p := vt.PathTo(s)
-		rev := make([]graph.NodeID, len(p))
-		for i := range p {
-			rev[len(p)-1-i] = p[i]
-		}
-		return rev
+	if vt, j := r.snapshot().VicinityFind(t, s); j >= 0 {
+		path := vt.AppendPath(nil, j)
+		slices.Reverse(path)
+		return path
 	}
 	return r.ForwardFirst(s, t)
 }
@@ -116,7 +114,7 @@ func (d *Disco) ForwardFirst(s, t graph.NodeID) []graph.NodeID {
 	if s == t {
 		return []graph.NodeID{s}
 	}
-	if d.ND.Vicinity(s).Contains(t) || d.Env().IsLM[t] || d.HasAddress(s, t) {
+	if d.ND.VicinityContains(s, t) || d.Env().IsLM[t] || d.HasAddress(s, t) {
 		return d.ND.ForwardFirst(s, t)
 	}
 	w, ok := d.FindGroupMember(s, t)
@@ -143,8 +141,8 @@ func (d *Disco) forwardVia(s, mid graph.NodeID) []graph.NodeID {
 			panic("core: forwarding loop toward intermediate")
 		}
 		var nh graph.NodeID
-		if d.ND.VicinityContains(cur, mid) {
-			nh = d.ND.Vicinity(cur).FirstHopTo(mid)
+		if win, i := d.ND.snapshot().VicinityFind(cur, mid); i >= 0 {
+			nh = win.AppendPath(nil, i)[1]
 		} else if d.Env().IsLM[mid] {
 			nh = d.ND.landmarkFirstHop(cur, mid)
 		} else {

@@ -84,13 +84,14 @@ func TestForwardSelfAndVicinity(t *testing.T) {
 	}
 	// Vicinity member: exactly shortest.
 	src := graph.NodeID(4)
-	for _, e := range nd.Vicinity(src).Entries {
-		if e.Node == src {
+	for vs, i := nd.Vicinity(src), 0; i < vs.Size(); i++ {
+		w := vs.ID(i)
+		if w == src {
 			continue
 		}
-		fwd := nd.ForwardFirst(src, e.Node)
-		if env.G.PathLength(fwd) != nd.ShortestDist(src, e.Node) {
-			t.Fatalf("vicinity forwarding not shortest to %d", e.Node)
+		fwd := nd.ForwardFirst(src, w)
+		if env.G.PathLength(fwd) != nd.ShortestDist(src, w) {
+			t.Fatalf("vicinity forwarding not shortest to %d", w)
 		}
 		break
 	}

@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"disco/internal/dynamics"
 	"disco/internal/graph"
@@ -28,16 +29,16 @@ import (
 // address for routing (Disco removes that assumption).
 //
 // All route state is read from one shared immutable snapshot (UseSnapshot):
-// allocation-free in its exact storage regime, one decoded window per
-// Vicinity call in the compact regime (membership probes stay
-// materialization-free via VicinityContains; Disco's first packet decodes
-// V(s) once for both its group-member search and the path to the member).
-// Forks share the snapshot by
-// pointer; the only per-fork state is a reusable Dijkstra scratch for
-// destination-rooted queries, allocated on first use. Every read that needs
-// the snapshot panics before UseSnapshot — a harness invariant: whoever
-// constructs an NDDisco (eval, bench/, the root library, the root
-// benchmarks) must build and install one; state-only accounting
+// allocation-free in its exact storage regime, one decoded window per hit
+// in the compact regime (a lookup scans the encoded IDs in place and
+// decodes only a window that holds its target; Disco's first packet
+// decodes V(s) once for both its group-member search and the path to the
+// member). Forks share the snapshot by pointer; what a fork owns is
+// scratch: the walk's route buffers, grown to steady state on use, and a
+// Dijkstra scratch for destination-rooted queries, allocated on first use.
+// Every read that needs the snapshot panics before UseSnapshot — a harness
+// invariant: whoever constructs an NDDisco (eval, bench/, the root library,
+// the root benchmarks) must build and install one; state-only accounting
 // (StateVectors) needs none.
 type NDDisco struct {
 	Env *static.Env
@@ -45,6 +46,10 @@ type NDDisco struct {
 
 	snap *snapshot.Snapshot
 	dest *pathtree.Lazy // per-fork scratch for destination-rooted queries
+
+	// The walk's scratch: the forest descent t ⇝ landmark, and the backing
+	// buffer the dynamics.Router methods copy their routes out of.
+	chain, out []graph.NodeID
 }
 
 // NDOption customizes NewNDDisco.
@@ -120,9 +125,9 @@ func (r *NDDisco) ForkWith(dest *pathtree.Lazy) *NDDisco { return r.fork(r.snap,
 func (r *NDDisco) ForkRepaired(rep *snapshot.Snapshot) *NDDisco { return r.fork(rep, nil) }
 
 // Vicinity returns V(v) from the shared snapshot.
-func (r *NDDisco) Vicinity(v graph.NodeID) *vicinity.Set { return r.snapshot().Vicinity(v) }
+func (r *NDDisco) Vicinity(v graph.NodeID) *vicinity.Window { return r.snapshot().Vicinity(v) }
 
-// VicinityContains reports w ∈ V(v) without materializing the set in the
+// VicinityContains reports w ∈ V(v) without materializing the window in the
 // compact snapshot regime — the guard the forwarding loops probe once per
 // hop, where the common answer is "no".
 func (r *NDDisco) VicinityContains(v, w graph.NodeID) bool {
@@ -176,12 +181,33 @@ func (r *NDDisco) RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
 	return r.route(s, t, ShortcutToDestination, true)
 }
 
+// AppendRoute appends the repaired route s ⇝ t under To-Destination
+// shortcutting to dst and reports deliverability — the allocation-free
+// form of RepairedFirstRoute (later=false) and RepairedLaterRoute: with
+// dst and the fork's scratch at steady-state capacity, a call on an exact
+// snapshot performs no heap allocation. On ok=false dst is returned
+// unextended.
+func (r *NDDisco) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) ([]graph.NodeID, bool) {
+	return r.appendRoute(dst, s, t, ShortcutToDestination, later)
+}
+
 var (
-	_ dynamics.Router = (*NDDisco)(nil)
-	_ dynamics.Router = (*Disco)(nil)
+	_ dynamics.AppendRouter = (*NDDisco)(nil)
+	_ dynamics.Router       = (*Disco)(nil)
 )
 
-// route is NDDisco's forwarding rule (§4.2), defined once over the
+// route is appendRoute into the fork's backing buffer, returned as a fresh
+// copy the caller owns.
+func (r *NDDisco) route(s, t graph.NodeID, sc Shortcut, later bool) ([]graph.NodeID, bool) {
+	out, ok := r.appendRoute(r.out[:0], s, t, sc, later)
+	r.out = out[:0]
+	if !ok {
+		return nil, false
+	}
+	return slices.Clone(out), true
+}
+
+// appendRoute is NDDisco's forwarding rule (§4.2), defined once over the
 // installed snapshot — built from scratch or repaired after link events;
 // the repaired snapshot IS the post-re-convergence data plane, so the same
 // walk serves both. Direct if s knows a shortest path outright (s == t, t
@@ -189,46 +215,70 @@ var (
 // installed the exact reverse path); else the landmark leg s ⇝ l_t ⇝ t
 // with the shortcut heuristics of sc applied en route. Only snapshot state
 // is consulted — never the explicit-route addresses in static.Env, which a
-// link event invalidates — and ok=false reports that no route exists.
-func (r *NDDisco) route(s, t graph.NodeID, sc Shortcut, later bool) ([]graph.NodeID, bool) {
+// link event invalidates — and ok=false reports that no route exists, with
+// dst unextended. Each window is searched once: a hit's path is read off
+// its parent column.
+func (r *NDDisco) appendRoute(dst []graph.NodeID, s, t graph.NodeID, sc Shortcut, later bool) ([]graph.NodeID, bool) {
 	snap := r.snapshot()
 	if s == t {
-		return []graph.NodeID{s}, true
+		return append(dst, s), true
 	}
 	if r.Env.IsLM[t] {
 		if !snap.Reaches(t, s) {
-			return nil, false
+			return dst, false
 		}
-		return snap.PathFrom(t, s), true
+		return snap.AppendPathFrom(dst, t, s), true
 	}
-	if snap.VicinityContains(s, t) {
-		return snap.Vicinity(s).PathTo(t), true
+	if win, i := snap.VicinityFind(s, t); i >= 0 {
+		return win.AppendPath(dst, i), true
 	}
-	if later && snap.VicinityContains(t, s) {
-		return dynamics.ReversePath(snap.Vicinity(t).PathTo(s)), true
+	base := len(dst)
+	if later {
+		if win, j := snap.VicinityFind(t, s); j >= 0 {
+			dst = win.AppendPath(dst, j)
+			slices.Reverse(dst[base:]) // t ⇝ s, traveled s → t
+			return dst, true
+		}
 	}
-	fwd := r.leg(r.rehomeLandmark(t), s, t, sc)
-	if fwd == nil || !sc.usesReverse() {
-		return fwd, fwd != nil
+	dst, ok := r.appendLeg(dst, r.rehomeLandmark(t), s, t, sc)
+	if !ok || !sc.usesReverse() {
+		return dst, ok
 	}
 	// The reversed t → s route as traveled s → t goes through s's landmark
 	// instead; valid because the graph is undirected (§6 reversibility
-	// assumption).
-	if rev := r.leg(r.rehomeLandmark(s), s, t, sc); rev != nil && r.RouteLen(rev) < r.RouteLen(fwd) {
-		return rev, true
+	// assumption). It is laid after the forward leg and kept if shorter.
+	mid := len(dst)
+	dst, ok = r.appendLeg(dst, r.rehomeLandmark(s), s, t, sc)
+	if ok && r.RouteLen(dst[mid:]) < r.RouteLen(dst[base:mid]) {
+		return append(dst[:base], dst[mid:]...), true
 	}
-	return fwd, true
+	return dst[:mid], true
 }
 
-// leg assembles the landmark leg s ⇝ lm ⇝ t over lm's shortest-path tree
-// and walks it under sc, or returns nil when lm (None for a component that
-// lost every landmark) does not reach both ends.
-func (r *NDDisco) leg(lm, s, t graph.NodeID, sc Shortcut) []graph.NodeID {
+// appendLeg appends the landmark leg s ⇝ lm ⇝ t over lm's shortest-path
+// tree, walked under sc, to dst — or reports false, dst unextended, when
+// lm (None for a component that lost every landmark) does not reach both
+// ends. The leg is dynamics.JoinPaths(s ⇝ lm, lm ⇝ t) on the tree: the
+// up-chain from s, then the up-chain from t reversed, with the joint node
+// deduplicated and immediate backtracks across it collapsed
+// (…x,lm,x… → …x…).
+func (r *NDDisco) appendLeg(dst []graph.NodeID, lm, s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool) {
 	snap := r.snap
 	if lm == graph.None || !snap.Reaches(lm, s) || !snap.Reaches(lm, t) {
-		return nil
+		return dst, false
 	}
-	return r.walk(dynamics.JoinPaths(snap.PathFrom(lm, s), snap.PathTo(lm, t)), t, sc)
+	base := len(dst)
+	dst = snap.AppendPathFrom(dst, lm, s)
+	r.chain = snap.AppendPathFrom(r.chain[:0], lm, t)
+	for k := len(r.chain) - 2; k >= 0; k-- {
+		v := r.chain[k]
+		if len(dst)-base >= 2 && dst[len(dst)-2] == v {
+			dst = dst[:len(dst)-1]
+			continue
+		}
+		dst = append(dst, v)
+	}
+	return r.walk(dst, base, t, sc), true
 }
 
 // rehomeLandmark returns the landmark the control plane homes t to: t's
@@ -249,34 +299,35 @@ func (r *NDDisco) rehomeLandmark(t graph.NodeID) graph.NodeID {
 	return best
 }
 
-// walk simulates the packet traveling along route toward t, applying the
-// configured shortcut heuristics at every node it passes (§4.2).
-func (r *NDDisco) walk(cur []graph.NodeID, t graph.NodeID, sc Shortcut) []graph.NodeID {
+// walk simulates the packet traveling along the route dst[base:] toward t,
+// applying the configured shortcut heuristics at every node it passes
+// (§4.2), and returns dst with the route rewritten.
+func (r *NDDisco) walk(dst []graph.NodeID, base int, t graph.NodeID, sc Shortcut) []graph.NodeID {
 	if !sc.usesToDest() && !sc.usesUpDown() {
-		return cur
+		return dst
 	}
-	for i := 0; i < len(cur)-1; i++ {
-		u := cur[i]
+	for i := base; i < len(dst)-1; i++ {
+		u := dst[i]
 		if sc.usesUpDown() {
-			cur = r.spliceUpDown(cur, i, r.snap.Vicinity(u))
+			dst = r.spliceUpDown(dst, i, r.snap.Vicinity(u))
 			continue
 		}
 		// To-Destination: follow the direct path as soon as any node knows
 		// one. Nodes on a shortest path to t also have t in their
 		// vicinities with consistent sub-paths, so no further improvement
-		// is possible after the splice. Membership is probed without
-		// materializing the window (the per-node common case is a miss).
-		if r.snap.VicinityContains(u, t) {
-			return append(cur[:i:i], r.snap.Vicinity(u).PathTo(t)...)
+		// is possible after the splice. The lookup materializes no window
+		// on a miss, the per-node common case.
+		if win, j := r.snap.VicinityFind(u, t); j >= 0 {
+			return win.AppendPath(dst[:i], j)
 		}
 	}
-	return cur
+	return dst
 }
 
 // spliceUpDown implements Up-Down Stream at position i: the node inspects
 // the listed route and splices in its vicinity path to the farthest
 // downstream route node it can reach more cheaply.
-func (r *NDDisco) spliceUpDown(cur []graph.NodeID, i int, vu *vicinity.Set) []graph.NodeID {
+func (r *NDDisco) spliceUpDown(cur []graph.NodeID, i int, vu *vicinity.Window) []graph.NodeID {
 	g := r.Env.G
 	// Prefix sums of the remaining route for O(1) segment lengths.
 	segLen := make([]float64, len(cur)-i)
@@ -285,15 +336,13 @@ func (r *NDDisco) spliceUpDown(cur []graph.NodeID, i int, vu *vicinity.Set) []gr
 	}
 	const eps = 1e-12
 	for j := len(cur) - 1; j > i; j-- {
-		e, ok := vu.Find(cur[j])
-		if !ok {
+		e := vu.Find(cur[j])
+		if e < 0 {
 			continue
 		}
-		if e.Dist < segLen[j-i]-eps {
-			short := vu.PathTo(cur[j])
-			out := append(cur[:i:i], short...)
-			out = append(out, cur[j+1:]...)
-			return out
+		if vu.Dist(e) < segLen[j-i]-eps {
+			out := vu.AppendPath(cur[:i:i], e)
+			return append(out, cur[j+1:]...)
 		}
 		// The farthest known node is already optimal; nearer known nodes
 		// lie on consistent shortest sub-paths and cannot improve more.

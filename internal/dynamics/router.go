@@ -35,8 +35,8 @@ type Router interface {
 // AppendRouter is the optional allocation-free extension of Router: a
 // view that can append the route into a caller-supplied buffer instead of
 // returning a fresh slice. The serve plane's probe path upgrades to it
-// when the installed fork provides it (forward.Router does); dst is only
-// appended to, and on ok=false it comes back unextended.
+// when the installed fork provides it (core.NDDisco and forward.Router
+// do); dst is only appended to, and on ok=false it comes back unextended.
 type AppendRouter interface {
 	Router
 	AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) ([]graph.NodeID, bool)

@@ -70,7 +70,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			// wall-clock by design. Queriers run concurrently with the
 			// pooled probe routing, so under -race this case doubles as a
 			// query-plane-vs-repair-loop race sweep.
-			r, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 4, false)
+			r, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 4)
 			if err != nil {
 				return "serve-storm error: " + err.Error()
 			}

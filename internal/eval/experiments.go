@@ -13,7 +13,6 @@ type Options struct {
 	Full     bool // paper-scale default sizes
 	Events   int  // serve-storm: storm length (0 = default)
 	Queriers int  // serve-storm: query goroutines (0 = GOMAXPROCS)
-	Forward  bool // serve-storm: compiled next-hop tables instead of fork-and-walk
 }
 
 // size is the network size an entry runs at: N when set, else the paper's
@@ -145,7 +144,7 @@ var Experiments = []Experiment{
 	}},
 	{"serve-storm", "serving mode: lock-free queries during a fail/recover storm (epochs + staleness)", func(o Options) (string, error) {
 		kind, n := o.dynamicsTopo()
-		r, err := o.ServeStorm(kind, n, o.Seed, o.Pairs, o.Events, o.Queriers, o.Forward)
+		r, err := o.ServeStorm(kind, n, o.Seed, o.Pairs, o.Events, o.Queriers)
 		if err != nil {
 			return "", err
 		}

@@ -109,7 +109,7 @@ func TestGoldenFailures(t *testing.T) {
 // "measured:" line and diffs the rest against this same golden file —
 // only FormatEvents output lands here, never wall-clock quantities.
 func TestGoldenServeStorm(t *testing.T) {
-	r, err := Config{}.ServeStorm(TopoGnm, 256, 1, 500, 0, 2, false)
+	r, err := Config{}.ServeStorm(TopoGnm, 256, 1, 500, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,14 +64,8 @@ func (c Config) StaticAccuracy(n int, seed int64, pairs int) *AccuracyResult {
 		want := nd.Vicinity(graph.NodeID(v))
 		got := p.VicinitySet(graph.NodeID(v))
 		same := got.Size() == want.Size()
-		if same {
-			for _, e := range want.Entries {
-				ge, ok := got.Find(e.Node)
-				if !ok || ge.Dist != e.Dist {
-					same = false
-					break
-				}
-			}
+		for i := 0; same && i < want.Size(); i++ {
+			same = got.ID(i) == want.ID(i) && got.Dist(i) == want.Dist(i)
 		}
 		if same {
 			vicAgree++
@@ -212,8 +206,8 @@ func (c Config) EstimateError(n int, seed int64, errFrac float64, pairs int) *Er
 		for gid := uint64(0); gid < 1<<uint(ks); gid++ {
 			mc.checked++
 			found := false
-			for _, e := range vs.Entries {
-				if sloppy.GroupID(env.Hashes[e.Node], ks) == gid {
+			for i := 0; i < vs.Size(); i++ {
+				if sloppy.GroupID(env.Hashes[vs.ID(i)], ks) == gid {
 					found = true
 					break
 				}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"disco/internal/dynamics"
-	"disco/internal/forward"
 	"disco/internal/graph"
 	"disco/internal/metrics"
 	"disco/internal/serve"
@@ -60,7 +59,6 @@ type ServeEventRow struct {
 // ServeLoad is the measured (nondeterministic) side of the storm.
 type ServeLoad struct {
 	Queriers  int
-	Plane     string // query-plane kind: "fork-and-walk" or "tables"
 	Queries   uint64
 	Delivered uint64
 	Stale     uint64
@@ -98,13 +96,9 @@ func (r *ServeStormResult) Format() string {
 	if l.Secs > 0 {
 		qps = float64(l.Queries) / l.Secs
 	}
-	plane := l.Plane
-	if plane == "" {
-		plane = "fork-and-walk"
-	}
 	return r.FormatEvents() + fmt.Sprintf(
-		"  measured: %d queriers on the %s plane, %d queries in %.2fs (%.0f qps), p50 %.1fµs p99 %.1fµs, %.2f%% delivered, %.2f%% stale, epochs %d published\n",
-		l.Queriers, plane, l.Queries, l.Secs, qps, l.P50us, l.P99us, pct(l.Delivered, l.Queries), pct(l.Stale, l.Queries), l.Published)
+		"  measured: %d queriers, %d queries in %.2fs (%.0f qps), p50 %.1fµs p99 %.1fµs, %.2f%% delivered, %.2f%% stale, epochs %d published\n",
+		l.Queriers, l.Queries, l.Secs, qps, l.P50us, l.P99us, pct(l.Delivered, l.Queries), pct(l.Stale, l.Queries), l.Published)
 }
 
 // latHist is a lock-free-enough (single-writer) log-scale latency
@@ -162,20 +156,12 @@ func (h *latHist) quantile(q float64) float64 {
 // serve.Plane, hammer it with `queriers` closed-loop query goroutines
 // (0 = GOMAXPROCS), and replay `events` churn-timeline events (0 = 16)
 // through the repair loop, publishing every post-event snapshot and
-// routing a deterministic probe of `pairs` sampled pairs on each. The
-// event log is bit-identical at any -workers and -queriers value — and
-// independent of the plane kind, since the probe routes through the
-// protocol legs, not the plane; the measured load is wall-clock.
-//
-// tables selects the forwarding fast path: query forks are
-// forward.Router views over compiled next-hop tables, derived
-// per epoch by invalidating only the event's blast radius
-// (RepairStats.VicTouched/RowsTouched) — instead of protocol forks
-// walking the snapshot. The table plane serves NDDisco forwarding
-// (address-carrying packets); the fork-and-walk plane serves Disco's
-// resolution-inclusive first packets, so the two modes' measured
-// delivered fractions can differ while the event log stays identical.
-func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, queriers int, tables bool) (*ServeStormResult, error) {
+// routing a deterministic probe of `pairs` sampled pairs on each. Query
+// forks are Disco forks over each epoch's snapshot, so first packets
+// include name resolution. The event log is bit-identical at any -workers
+// and -queriers value — the probe routes through the protocol legs, not
+// the plane; the measured load is wall-clock.
+func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, queriers int) (*ServeStormResult, error) {
 	storm, err := c.newStorm("serve storm", kind, n, seed, pairs, events)
 	if err != nil {
 		return nil, err
@@ -185,22 +171,9 @@ func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, quer
 		queriers = runtime.GOMAXPROCS(0)
 	}
 
-	var plane *serve.Plane
-	var tbls *forward.Tables
-	planeKind := "fork-and-walk"
-	if tables {
-		planeKind = "tables"
-		tbls = forward.Compile(snap, p.Env.Landmarks, p.Env.LMOf)
-		tbls.Precompile() // pay the compile before the clock starts
-		base := tbls
-		plane = serve.NewPlane(snap, func(*snapshot.Snapshot) dynamics.Router {
-			return base.NewRouter()
-		})
-	} else {
-		plane = serve.NewPlane(snap, func(rep *snapshot.Snapshot) dynamics.Router {
-			return p.Disco.ForkRepaired(rep)
-		})
-	}
+	plane := serve.NewPlane(snap, func(rep *snapshot.Snapshot) dynamics.Router {
+		return p.Disco.ForkRepaired(rep)
+	})
 	defer plane.Close()
 
 	// The query load: closed-loop goroutines, each with its own RNG and
@@ -238,19 +211,7 @@ func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, quer
 			wg.Wait()
 			return nil, err
 		}
-		var epoch uint64
-		if tables {
-			// Derive the epoch's tables from the previous epoch's by
-			// invalidating exactly this event's blast radius, and bind the
-			// epoch's forks to them.
-			tbls = tbls.Derive(tl.Snapshot(), st)
-			cur := tbls
-			epoch, err = plane.PublishWith(tl.Snapshot(), func(*snapshot.Snapshot) dynamics.Router {
-				return cur.NewRouter()
-			})
-		} else {
-			epoch, err = plane.Publish(tl.Snapshot())
-		}
+		epoch, err := plane.Publish(tl.Snapshot())
 		if err != nil {
 			done.Store(true)
 			wg.Wait()
@@ -276,7 +237,7 @@ func (c Config) ServeStorm(kind TopoKind, n int, seed int64, pairs, events, quer
 	}
 	m := plane.Metrics()
 	res.Load = ServeLoad{
-		Queriers: queriers, Plane: planeKind, Queries: m.Queries, Delivered: m.Delivered,
+		Queriers: queriers, Queries: m.Queries, Delivered: m.Delivered,
 		Stale: m.Stale, Secs: secs,
 		P50us: merged.quantile(0.50) / 1e3, P99us: merged.quantile(0.99) / 1e3,
 		Published: m.Published,

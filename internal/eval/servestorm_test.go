@@ -10,11 +10,11 @@ import (
 // invariance half of the epoch/staleness contract (concurrency picks
 // which epoch answers a live query, never what an epoch contains).
 func TestServeStormDeterministicEvents(t *testing.T) {
-	a, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 1, false)
+	a, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 4, false)
+	b, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestServeStormReplaysChurnTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 2, false)
+	ss, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestServeStormReplaysChurnTimeline(t *testing.T) {
 // every started query completes (zero failed reads), every epoch is
 // counted, and the latency percentiles are ordered.
 func TestServeStormLoadSanity(t *testing.T) {
-	r, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 4, false)
+	r, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,38 +77,12 @@ func TestServeStormLoadSanity(t *testing.T) {
 	}
 }
 
-// TestServeStormTablesEventLog: the forwarding-table plane must leave the
-// deterministic event log untouched — the probe routes through the
-// protocol legs, never the plane — and must report itself on the measured
-// line. This is the end-to-end half of the table/fork equivalence story
-// (internal/forward pins per-route byte identity).
-func TestServeStormTablesEventLog(t *testing.T) {
-	fw, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := Config{}.ServeStorm(TopoGnm, 128, 23, 40, 8, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fw.FormatEvents() != tb.FormatEvents() {
-		t.Errorf("event log differs between plane kinds:\n--- fork-and-walk ---\n%s--- tables ---\n%s",
-			fw.FormatEvents(), tb.FormatEvents())
-	}
-	if tb.Load.Plane != "tables" || fw.Load.Plane != "fork-and-walk" {
-		t.Errorf("plane kinds misreported: %q / %q", fw.Load.Plane, tb.Load.Plane)
-	}
-	if !strings.Contains(tb.Format(), "on the tables plane") {
-		t.Errorf("measured line must name the plane kind:\n%s", tb.Format())
-	}
-}
-
 // TestServeStormFormatZeroQueries: a storm no query completes in (tiny
 // machines, instant storms) must print 0%/0 qps, never NaN — the
 // divide-by-query-count guards in Format.
 func TestServeStormFormatZeroQueries(t *testing.T) {
 	r := &ServeStormResult{Kind: TopoGnm, N: 16, PairsN: 1,
-		Load: ServeLoad{Queriers: 4, Plane: "tables"}}
+		Load: ServeLoad{Queriers: 4}}
 	out := r.Format()
 	if strings.Contains(out, "NaN") || strings.Contains(out, "nan") {
 		t.Errorf("zero-query Format prints NaN:\n%s", out)
@@ -122,10 +96,10 @@ func TestServeStormFormatZeroQueries(t *testing.T) {
 }
 
 func TestServeStormValidatesInputs(t *testing.T) {
-	if _, err := (Config{}).ServeStorm(TopoGnm, 4, 1, 40, 4, 1, false); err == nil {
+	if _, err := (Config{}).ServeStorm(TopoGnm, 4, 1, 40, 4, 1); err == nil {
 		t.Error("n below the G(n,m) floor must error")
 	}
-	if _, err := (Config{}).ServeStorm(TopoGnm, 128, 1, 0, 4, 1, false); err == nil {
+	if _, err := (Config{}).ServeStorm(TopoGnm, 128, 1, 0, 4, 1); err == nil {
 		t.Error("pairs < 1 must error")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // BenchmarkForwardThroughput measures single-core route queries per
 // second on the two query planes over the same n=1024 snapshot: the
 // protocol fork walking the snapshot (PR 6's serve plane) versus the
-// compiled tables. The routes/sec metric is what the README
+// forwarding tables. The routes/sec metric is what the README
 // and ROADMAP quote; the tables sub-benchmark must also report 0
 // allocs/op (the fast path's zero-allocation contract).
 func BenchmarkForwardThroughput(b *testing.B) {
@@ -55,11 +55,11 @@ func BenchmarkForwardThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkPrecompile prices the eager compile of every shard — the
+// BenchmarkPrecompile prices the eager install of every shard — the
 // forward.precompile_s term of serve-tables' set-up — on that workload's
 // topology (G(n,m), average degree 8, n=4096) in both storage regimes: the
-// exact one compiles windows it reads in place, the compact one decodes
-// each window and row first.
+// exact one installs the windows it stores, the compact one decodes each
+// window and row first.
 func BenchmarkPrecompile(b *testing.B) {
 	for _, regime := range []struct {
 		name    string

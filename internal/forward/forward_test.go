@@ -133,7 +133,7 @@ func stormEvent(t *testing.T, tl *dynamics.Timeline, edges []graph.EdgeKey, erng
 }
 
 // TestForwardEquivalence is the tentpole's correctness pin: every route
-// the compiled tables answer must be byte-identical to core.NDDisco's
+// the tables answer must be byte-identical to core.NDDisco's
 // repaired fork-and-walk — on the base snapshot (all pairs), and on every
 // snapshot of a 24-event fail/recover storm with the tables Derive'd per
 // event through blast-radius invalidation (sampled pairs per epoch) — in
@@ -227,14 +227,14 @@ func TestForwardDeriveInvalidation(t *testing.T) {
 	if tbls.Snapshot() != base || der.Snapshot() != tl.Snapshot() {
 		t.Error("Derive must rebind the snapshot and leave the parent tables on theirs")
 	}
-	// The parent tables must stay fully compiled and valid.
+	// The parent tables must stay fully installed and valid.
 	if pn, pr := tbls.CompiledShards(); pn != n || pr != len(env.Landmarks) {
 		t.Errorf("Derive disturbed the parent tables: %d/%d shards", pn, pr)
 	}
 }
 
 // TestForwardZeroAlloc pins the acceptance criterion "zero allocations
-// per lookup": with every shard compiled, AppendRoute into a
+// per lookup": with every shard installed, AppendRoute into a
 // steady-state buffer allocates nothing on any pair/phase of the sample.
 func TestForwardZeroAlloc(t *testing.T) {
 	const (
@@ -261,6 +261,6 @@ func TestForwardZeroAlloc(t *testing.T) {
 		i++
 	})
 	if avg != 0 {
-		t.Errorf("AppendRoute allocates %.2f times per query on compiled tables, want 0", avg)
+		t.Errorf("AppendRoute allocates %.2f times per query on installed tables, want 0", avg)
 	}
 }

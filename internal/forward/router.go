@@ -1,25 +1,23 @@
 package forward
 
 import (
+	"slices"
+
 	"disco/internal/dynamics"
 	"disco/internal/graph"
-	"disco/internal/vicinity"
 )
 
-// Router is one goroutine's forwarding view over a Tables: the compiled
+// Router is one goroutine's forwarding view over a Tables: the installed
 // state is shared, the scratch buffers are private. It answers exactly
-// what core.NDDisco.route answers under To-Destination shortcutting —
+// what core.NDDisco's walk answers under To-Destination shortcutting —
 // same direct cases, same deterministic landmark rehoming, same
 // dynamics.JoinPaths backtrack collapse, same To-Destination splice —
-// byte for byte, because every decision reads the same shard contents
-// through the compiled tables. The
-// allocation-free entry point is AppendRoute; the dynamics.Router methods
-// wrap it with one fresh-slice copy so existing callers (legs, the serve
-// plane's generic path) keep their owned-route contract.
+// byte for byte, because every decision reads the same windows and rows.
+// The allocation-free entry point is AppendRoute; the dynamics.Router
+// methods wrap it with one fresh-slice copy so existing callers (legs, the
+// serve plane's generic path) keep their owned-route contract.
 type Router struct {
 	t     *Tables
-	ix    vicinity.Index // compile scratch for windows a repair left cold
-	stack []int32        // vicinity parent-chain scratch (entry indices)
 	chain []graph.NodeID // forest descent scratch (t ⇝ landmark)
 	route []graph.NodeID // landmark-leg route under construction
 	out   []graph.NodeID // backing buffer for the dynamics.Router methods
@@ -32,21 +30,8 @@ var _ dynamics.AppendRouter = (*Router)(nil)
 // goroutine at a time (the serve plane pools these per epoch).
 func (t *Tables) NewRouter() *Router { return &Router{t: t} }
 
-// node returns v's compiled table. A window an event dropped compiles here,
-// on the querying goroutine, through scratch the fork allocates the first
-// time it meets one; a Router over fully compiled tables never does.
-func (r *Router) node(v graph.NodeID) *nodeTable {
-	if nt := r.t.nodes[v].Load(); nt != nil {
-		return nt
-	}
-	if r.ix == nil {
-		r.ix = make(vicinity.Index, len(r.t.nodes))
-	}
-	return r.t.node(v, r.ix)
-}
-
 // AppendRoute appends the route s ⇝ t to dst and reports deliverability —
-// the zero-allocation fast path: with the touched shards compiled and
+// the zero-allocation fast path: with the touched shards installed and
 // dst, like the Router's scratch, at steady-state capacity, a call
 // performs no heap allocation. later selects the post-handshake phase
 // (the destination's reverse-path shortcut), mirroring
@@ -69,39 +54,22 @@ func (r *Router) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) 
 		}
 		return dst, true
 	}
-	ns := r.node(s)
-	if i := ns.find(t); i >= 0 {
-		return r.appendVicPath(dst, ns, i), true
+	ns := tb.node(s)
+	if i := ns.Find(t); i >= 0 {
+		return ns.AppendPath(dst, i), true
 	}
 	// Later packets: t installed the exact reverse path when s is in t's
-	// vicinity. The parent chain from s's entry up to owner t IS the
-	// reversed PathTo(s) in forward order.
+	// vicinity: its path t ⇝ s, traveled s → t.
 	if later {
-		nt := r.node(t)
-		if j := nt.find(s); j >= 0 {
-			for ; j >= 0; j = nt.parent[j] {
-				dst = append(dst, nt.ids[j])
-			}
+		nt := tb.node(t)
+		if j := nt.Find(s); j >= 0 {
+			base := len(dst)
+			dst = nt.AppendPath(dst, j)
+			slices.Reverse(dst[base:])
 			return dst, true
 		}
 	}
 	return r.appendLandmarkRoute(dst, s, t)
-}
-
-// appendVicPath appends the in-vicinity path owner ⇝ ids[i] (both ends
-// included) to dst: the parent chain from entry i collects into the index
-// stack, then unwinds owner-first — vicinity.Set.PathTo without the
-// searches or the allocation.
-func (r *Router) appendVicPath(dst []graph.NodeID, nt *nodeTable, i int32) []graph.NodeID {
-	st := r.stack[:0]
-	for j := i; j >= 0; j = nt.parent[j] {
-		st = append(st, j)
-	}
-	for k := len(st) - 1; k >= 0; k-- {
-		dst = append(dst, nt.ids[st[k]])
-	}
-	r.stack = st[:0]
-	return dst
 }
 
 // rehome returns the landmark the repaired control plane homes t to —
@@ -123,14 +91,14 @@ func (r *Router) rehome(t graph.NodeID) graph.NodeID {
 }
 
 // reaches reports whether lm's tree still reaches v (snapshot.Reaches on
-// the compiled row).
+// the installed row).
 func (r *Router) reaches(lm, v graph.NodeID) bool {
 	return v == lm || r.t.row(r.t.lmRowIdx[lm])[v] != graph.None
 }
 
 // appendLandmarkRoute is the landmark leg s ⇝ l_t ⇝ t with the
 // To-Destination splice at the first en-route node whose vicinity knows
-// t — core.NDDisco.leg under ShortcutToDestination over the compiled
+// t — core.NDDisco's leg under ShortcutToDestination over the installed
 // tables. The route is assembled in the private scratch (the splice
 // truncates and regrows it) and copied to dst once final.
 func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]graph.NodeID, bool) {
@@ -143,8 +111,8 @@ func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]g
 	if s != lm && row[s] == graph.None {
 		return dst, false
 	}
-	// dynamics.JoinPaths(PathFrom(lm, s), PathTo(lm, t)): the up-chain
-	// from s, then the reversed down-chain from t with the joint node
+	// dynamics.JoinPaths(s ⇝ lm, lm ⇝ t) on the tree: the up-chain
+	// from s, then the reversed up-chain from t with the joint node
 	// deduplicated and immediate backtracks across it collapsed
 	// (…x,lm,x… → …x…).
 	route := r.route[:0]
@@ -173,9 +141,9 @@ func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]g
 			route = route[:i+1]
 			break
 		}
-		nu := r.node(u)
-		if j := nu.find(t); j >= 0 {
-			route = r.appendVicPath(route[:i], nu, j)
+		nu := tb.node(u)
+		if j := nu.Find(t); j >= 0 {
+			route = nu.AppendPath(route[:i], j)
 			break
 		}
 	}

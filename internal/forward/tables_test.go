@@ -13,71 +13,101 @@ import (
 	"disco/internal/vicinity"
 )
 
-// TestCompileNodeParents: a compiled table's parent indices are the
-// positions a binary search of the window finds, -1 for the owner — and a
-// window whose parent is not a member panics with the compact encoder's
-// message instead of storing whatever index the search lands on.
+// TestCompileNodeParents: an installed table's parent indices are the
+// positions a binary search of the window's member IDs finds for each
+// member's shortest-path parent, -1 for the owner, in both storage regimes
+// — and a window whose parent is not a member panics with the outside-the-
+// window message instead of storing whatever index the search lands on.
 func TestCompileNodeParents(t *testing.T) {
 	const n = 300
 	g := topology.GnmAvgDeg(rand.New(rand.NewSource(2)), n, 6)
-	tab := vicinity.Build(g, vicinity.DefaultK(n), nil)
-	ix := make(vicinity.Index, n)
-	for v := graph.NodeID(0); v < n; v++ {
-		nt := compileNode(tab.Of(v), n, ix)
-		for i, e := range tab.Of(v).Entries {
-			want := int32(-1)
-			if e.Parent != graph.None {
-				j, _ := slices.BinarySearch(nt.ids, e.Parent)
-				want = int32(j)
+	env := static.NewEnv(g, 1)
+	k := vicinity.DefaultK(n)
+	sp := graph.NewSSSP(g)
+	for _, regime := range []struct {
+		name  string
+		build func(*graph.Graph, int, []graph.NodeID) (*snapshot.Snapshot, error)
+	}{{"exact", snapshot.Build}, {"compact", snapshot.BuildCompact}} {
+		snap, err := regime.build(g, k, env.Landmarks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := Compile(snap, env.Landmarks, env.LMOf)
+		for v := graph.NodeID(0); v < n; v++ {
+			w := tb.node(v)
+			ids := make([]graph.NodeID, w.Size())
+			for i := range ids {
+				ids[i] = w.ID(i)
 			}
-			if nt.ids[i] != e.Node || nt.parent[i] != want {
-				t.Fatalf("V(%d) entry %d: compiled (%d, parent index %d), want (%d, %d)", v, i, nt.ids[i], nt.parent[i], e.Node, want)
+			sp.RunK(v, k)
+			for i, id := range ids {
+				want := -1
+				if p := sp.Parent(id); p != graph.None {
+					j, ok := slices.BinarySearch(ids, p)
+					if !ok {
+						t.Fatalf("%s: V(%d): parent %d of %d is not a member", regime.name, v, p, id)
+					}
+					want = j
+				}
+				if got := w.Parent(i); got != want {
+					t.Fatalf("%s: V(%d) entry %d: parent index %d, want %d", regime.name, v, i, got, want)
+				}
 			}
 		}
 	}
-	corrupt := vicinity.MakeSet(4, []vicinity.Entry{
-		{Node: 4, Parent: graph.None},
-		{Node: 9, Parent: 7, Dist: 1}, // 7 is no member
-	})
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "parent 7 of member 9 is outside the vicinity window") {
 			t.Fatalf("recovered %q, want the outside-the-window panic", msg)
 		}
 	}()
-	compileNode(&corrupt, n, ix)
+	vicinity.FromEntries(n, []vicinity.Entry{
+		{Node: 4, Parent: graph.None},
+		{Node: 9, Parent: 7, Dist: 1}, // 7 is no member
+	})
 }
 
-// TestTablesMatchWindows: a compiled table is its window and nothing else.
-// For every node of a built n=1024 snapshot in both storage regimes, and of
-// one repaired child reached through Derive (a node cut off from the graph,
-// so its window falls short of k), ids is the window's member IDs and find
-// agrees with vicinity.Set.Find on every member, on both neighbours of
-// every member's ID and on the two ends of the ID space. An empty window
-// finds nothing.
+// TestTablesMatchWindows: an installed table is its snapshot's window and
+// nothing else. For every node of a built n=1024 snapshot in both storage
+// regimes, and of one repaired child reached through Derive (a node cut off
+// from the graph, so its window falls short of k), the installed window is
+// the snapshot's — the stored one itself in the exact regime, an equal
+// decode in the compact one — and Find agrees with a linear scan of its
+// members on every member, on both neighbours of every member's ID and on
+// the two ends of the ID space. An empty window finds nothing.
 func TestTablesMatchWindows(t *testing.T) {
 	const n = 1024
 	g := topology.GnmAvgDeg(rand.New(rand.NewSource(1)), n, 8)
 	env := static.NewEnv(g, 1)
-	ix := make(vicinity.Index, n)
 	check := func(label string, tb *Tables) {
 		t.Helper()
 		for v := graph.NodeID(0); v < n; v++ {
-			win, nt := tb.snap.Vicinity(v), tb.node(v, ix)
-			if !slices.Equal(nt.ids, win.Members()) {
-				t.Fatalf("%s: V(%d) compiled ids %v, window members %v", label, v, nt.ids, win.Members())
+			win, nt := tb.snap.Vicinity(v), tb.node(v)
+			if !tb.snap.Compact() && nt != win {
+				t.Fatalf("%s: V(%d) installed a copy of the stored window", label, v)
+			}
+			if nt.Size() != win.Size() {
+				t.Fatalf("%s: V(%d) installed %d members, the window has %d", label, v, nt.Size(), win.Size())
+			}
+			for i := 0; i < win.Size(); i++ {
+				if nt.ID(i) != win.ID(i) || nt.Parent(i) != win.Parent(i) || nt.Dist(i) != win.Dist(i) {
+					t.Fatalf("%s: V(%d) member %d differs from the window", label, v, i)
+				}
 			}
 			probe := func(q graph.NodeID) {
-				want := int32(-1)
-				if e, ok := win.Find(q); ok {
-					want = int32(slices.Index(nt.ids, e.Node))
+				want := -1
+				for i := 0; i < win.Size(); i++ {
+					if win.ID(i) == q {
+						want = i
+					}
 				}
-				if got := nt.find(q); got != want {
-					t.Fatalf("%s: V(%d).find(%d) = %d, the window says %d", label, v, q, got, want)
+				if got := nt.Find(q); got != want {
+					t.Fatalf("%s: V(%d).Find(%d) = %d, a scan of the window says %d", label, v, q, got, want)
 				}
 			}
 			probe(0)
 			probe(n - 1)
-			for _, id := range nt.ids {
+			for i := 0; i < nt.Size(); i++ {
+				id := nt.ID(i)
 				probe(id)
 				if id > 0 {
 					probe(id - 1)
@@ -110,16 +140,20 @@ func TestTablesMatchWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		child := tb.Derive(rep, rep.RepairStats())
-		if got := child.node(cut, ix).ids; !slices.Equal(got, []graph.NodeID{cut}) {
-			t.Fatalf("%s: cut-off node %d compiled ids %v, want itself alone", regime.name, cut, got)
+		if w := child.node(cut); w.Size() != 1 || w.ID(0) != cut {
+			t.Fatalf("%s: cut-off node %d installed %d members, want itself alone", regime.name, cut, w.Size())
 		}
 		check(regime.name+" repaired", child)
-	}
-	empty := vicinity.MakeSet(0, nil)
-	nt := compileNode(&empty, n, ix)
-	for q := graph.NodeID(0); q < n; q++ {
-		if i := nt.find(q); i != -1 {
-			t.Fatalf("empty window finds %d at %d", q, i)
+
+		empty, err := regime.build(g, 0, env.Landmarks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := Compile(empty, env.Landmarks, env.LMOf).node(3)
+		for q := graph.NodeID(0); q < n; q++ {
+			if i := w.Find(q); i != -1 {
+				t.Fatalf("%s: empty window finds %d at %d", regime.name, q, i)
+			}
 		}
 	}
 }

@@ -3,11 +3,12 @@
 //
 // snapshot.Snapshot exposes no fields, so the contract is about
 // provenance, not types: the slices and pointers its accessors return
-// (Vicinity, Landmarks, ForestParents, Graph; vicinity.Table.Of) alias
-// storage shared by every fork, repair child and serve epoch, and a
-// write through any of them corrupts all of those at once — the kind
-// of bug -race only catches if two goroutines happen to collide during
-// the test run.
+// (Landmarks, ForestParents, Graph) alias storage shared by every fork,
+// repair child and serve epoch, and a write through any of them corrupts
+// all of those at once — the kind of bug -race only catches if two
+// goroutines happen to collide during the test run. Vicinity windows need
+// no entry here: vicinity.Window exposes no slice and no mutator, so the
+// type itself carries the contract.
 //
 // The analyzer does an intra-function taint walk: results of the
 // sealed accessors are tainted, taint propagates through
@@ -15,7 +16,7 @@
 // copied out of a tainted slice is the caller's own), and it flags
 //
 //   - assignments or ++/-- through a tainted access chain
-//     (vs.Entries[i].Dist = x, parents[j] = p),
+//     (lms[i] = x, parents[j] = p),
 //   - append with a tainted first argument (may write the shared
 //     backing array in place),
 //   - sort-like calls on tainted values (sort.Slice(parents, ...)
@@ -39,18 +40,16 @@ import (
 // Analyzer is the snapmutate check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "snapmutate",
-	Doc:       "flags writes through sealed snapshot/vicinity/forest storage outside its defining package",
+	Doc:       "flags writes through sealed snapshot/forest storage outside its defining package",
 	Directive: "mutates",
 	Run:       run,
 }
 
 // sealedAccessors maps (package path suffix, receiver type name) to the
 // methods whose results alias shared sealed storage. Methods that
-// return fresh per-call allocations (PathFrom, Members) are deliberately
-// absent.
+// return fresh per-call allocations (PathFrom) are deliberately absent.
 var sealedAccessors = map[[2]string][]string{
-	{"snapshot", "Snapshot"}: {"Vicinity", "Landmarks", "ForestParents", "Graph"},
-	{"vicinity", "Table"}:    {"Of"},
+	{"snapshot", "Snapshot"}: {"Landmarks", "ForestParents", "Graph"},
 }
 
 // graphMutators are methods that structurally modify a graph; calling

@@ -8,15 +8,9 @@ import (
 
 	"graph"
 	"snapshot"
-	"vicinity"
 )
 
 // --- flagged: writes through sealed storage ---
-
-func writeVicinity(s *snapshot.Snapshot, v graph.NodeID) {
-	vs := s.Vicinity(v)
-	vs.Entries[0].Dist = 0 // want `write through sealed snapshot storage`
-}
 
 func writeLandmarks(s *snapshot.Snapshot) {
 	lms := s.Landmarks()
@@ -33,9 +27,9 @@ func writeThroughAlias(s *snapshot.Snapshot) {
 	q[1] = 0 // want `write through sealed snapshot storage`
 }
 
-func incThroughAlias(s *snapshot.Snapshot, v graph.NodeID) {
-	vs := s.Vicinity(v)
-	vs.Entries[2].Dist++ // want `write through sealed snapshot storage`
+func incThroughAlias(s *snapshot.Snapshot) {
+	p := s.ForestParents(0)
+	p[2]++ // want `write through sealed snapshot storage`
 }
 
 func appendShared(s *snapshot.Snapshot) []graph.NodeID {
@@ -57,16 +51,13 @@ func mutateTopologyAlias(s *snapshot.Snapshot) {
 	g.RemoveEdge(1, 2) // want `RemoveEdge on a graph obtained from a sealed snapshot`
 }
 
-func writeTableSet(t *vicinity.Table, v graph.NodeID) {
-	t.Of(v).Entries[0].Dist = 9 // want `write through sealed snapshot storage`
-}
-
 // --- allowed ---
 
-func valueCopyBreaksTaint(s *snapshot.Snapshot, v graph.NodeID) vicinity.Entry {
-	e := s.Vicinity(v).Entries[0]
-	e.Dist = 7 // a struct value copied out of the slice is the caller's own
-	return e
+func valueCopyBreaksTaint(s *snapshot.Snapshot) graph.NodeID {
+	p := s.ForestParents(0)[1] // a value copied out of the slice is the caller's own
+	q := &p
+	*q = 7
+	return p
 }
 
 func freshAllocation(s *snapshot.Snapshot, v graph.NodeID) {
@@ -82,10 +73,10 @@ func copyThenSort(s *snapshot.Snapshot) []graph.NodeID {
 	return own
 }
 
-func readOnly(s *snapshot.Snapshot, v graph.NodeID) float64 {
-	total := 0.0
-	for _, e := range s.Vicinity(v).Entries {
-		total += e.Dist
+func readOnly(s *snapshot.Snapshot) graph.NodeID {
+	var total graph.NodeID
+	for _, p := range s.ForestParents(0) {
+		total += p
 	}
 	return total
 }

@@ -4,19 +4,14 @@
 // exempt.
 package snapshot
 
-import (
-	"graph"
-	"vicinity"
-)
+import "graph"
 
 type Snapshot struct {
-	vic       map[graph.NodeID]*vicinity.Set
 	landmarks []graph.NodeID
 	parents   [][]graph.NodeID
 	g         *graph.Graph
 }
 
-func (s *Snapshot) Vicinity(v graph.NodeID) *vicinity.Set { return s.vic[v] }
 func (s *Snapshot) Landmarks() []graph.NodeID             { return s.landmarks }
 func (s *Snapshot) ForestParents(root int) []graph.NodeID { return s.parents[root] }
 func (s *Snapshot) Graph() *graph.Graph                   { return s.g }

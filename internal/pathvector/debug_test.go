@@ -54,8 +54,8 @@ func TestDebugVicinityFailure(t *testing.T) {
 		bad++
 		s.Run(graph.NodeID(a))
 		var wantIDs []graph.NodeID
-		for _, e := range ws.Entries {
-			wantIDs = append(wantIDs, e.Node)
+		for i := 0; i < ws.Size(); i++ {
+			wantIDs = append(wantIDs, ws.ID(i))
 		}
 		slices.Sort(wantIDs)
 		t.Logf("node %d PV vicinity:", a)

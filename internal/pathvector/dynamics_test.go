@@ -142,11 +142,11 @@ func TestFailLinkVicinityWithRefresh(t *testing.T) {
 			t.Fatalf("node %d vicinity size %d want %d after failure+refresh", a, len(got), ws.Size())
 		}
 		for _, m := range got {
-			e, ok := ws.Find(m)
-			if !ok {
+			e := ws.Find(m)
+			if e < 0 {
 				t.Fatalf("node %d: member %d not in post-failure vicinity", a, m)
 			}
-			if m != graph.NodeID(a) && p.BestDist(graph.NodeID(a), m) != e.Dist {
+			if m != graph.NodeID(a) && p.BestDist(graph.NodeID(a), m) != ws.Dist(e) {
 				t.Fatalf("node %d member %d dist mismatch", a, m)
 			}
 		}

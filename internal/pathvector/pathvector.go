@@ -418,12 +418,12 @@ func (p *Protocol) BestPath(v, dst graph.NodeID) []graph.NodeID {
 	return nil
 }
 
-// VicinitySet assembles v's converged vicinity as a vicinity.Set for
+// VicinitySet assembles v's converged vicinity as a vicinity.Window for
 // comparison against the static simulator.
-func (p *Protocol) VicinitySet(v graph.NodeID) *vicinity.Set {
+func (p *Protocol) VicinitySet(v graph.NodeID) *vicinity.Window {
 	nd := p.nodes[v]
 	entries := make([]vicinity.Entry, 0, len(nd.vic))
-	//disco:orderinvariant FromEntries sorts the entries by node before building the set
+	//disco:orderinvariant FromEntries sorts the entries by node before building the window
 	for dst := range nd.vic {
 		r := nd.best[dst]
 		parent := graph.None
@@ -433,7 +433,7 @@ func (p *Protocol) VicinitySet(v graph.NodeID) *vicinity.Set {
 		}
 		entries = append(entries, vicinity.Entry{Node: dst, Parent: parent, Dist: r.dist})
 	}
-	return vicinity.FromEntries(v, entries)
+	return vicinity.FromEntries(p.g.N(), entries)
 }
 
 // VicinityMembers returns the converged vicinity membership of v, sorted.

@@ -83,12 +83,12 @@ func TestVicinityModeMatchesStaticSimulator(t *testing.T) {
 			t.Fatalf("node %d vicinity size %d want %d (members %v)", v, len(got), wantSet.Size(), got)
 		}
 		for _, m := range got {
-			e, ok := wantSet.Find(m)
-			if !ok {
+			e := wantSet.Find(m)
+			if e < 0 {
 				t.Fatalf("node %d: member %d not in static vicinity", v, m)
 			}
-			if d := p.BestDist(graph.NodeID(v), m); m != graph.NodeID(v) && d != e.Dist {
-				t.Fatalf("node %d member %d dist %v want %v", v, m, d, e.Dist)
+			if d := p.BestDist(graph.NodeID(v), m); m != graph.NodeID(v) && d != wantSet.Dist(e) {
+				t.Fatalf("node %d member %d dist %v want %v", v, m, d, wantSet.Dist(e))
 			}
 		}
 	}
@@ -106,10 +106,10 @@ func TestVicinityModeWeighted(t *testing.T) {
 		if got.Size() != wantSet.Size() {
 			t.Fatalf("node %d vicinity size %d want %d", v, got.Size(), wantSet.Size())
 		}
-		for _, e := range wantSet.Entries {
-			ge, ok := got.Find(e.Node)
-			if !ok || ge.Dist != e.Dist {
-				t.Fatalf("node %d: member %d missing or wrong dist", v, e.Node)
+		for i := 0; i < wantSet.Size(); i++ {
+			j := got.Find(wantSet.ID(i))
+			if j < 0 || got.Dist(j) != wantSet.Dist(i) {
+				t.Fatalf("node %d: member %d missing or wrong dist", v, wantSet.ID(i))
 			}
 		}
 	}

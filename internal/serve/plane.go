@@ -8,18 +8,26 @@
 // garbage collector:
 //
 //   - The publisher (the repair loop) owns the timeline exclusively. After
-//     each event it builds an Epoch — a sequence number plus a pool of
-//     routing forks over the post-event snapshot — and swaps it into the
-//     plane's atomic current-epoch pointer. Nothing frees the superseded
-//     epoch: a query that loaded it keeps it reachable, so it and the
-//     chain state its forks read become collectable once its last
-//     in-flight reader returns, and never under one.
+//     each event it builds an Epoch — a sequence number, the post-event
+//     snapshot and the ForkFunc its routing forks are made with — and
+//     swaps it into the plane's atomic current-epoch pointer. Nothing
+//     frees the superseded epoch: a query that loaded it keeps it
+//     reachable, so it and the chain state its forks read become
+//     collectable once its last in-flight reader returns, and never under
+//     one.
 //   - Query goroutines never lock: they load the current epoch, route on
-//     a pooled per-epoch protocol fork, and report the epoch they answered
-//     on. A query's only shared writes are the plane's query counters.
-//   - Each epoch keeps a sync.Pool of routing forks, so a query costs one
-//     pool Get/Put instead of a fork construction, and forks never migrate
-//     between epochs (a fork reads only its own epoch's snapshot).
+//     a pooled protocol fork of it, and report the epoch they answered on.
+//     A query's only shared writes are the plane's query counters.
+//   - The plane keeps one sync.Pool of query contexts, each holding a fork
+//     and the epoch it was forked for. A query costs one pool Get/Put, and
+//     a fork construction only when its context last served another epoch:
+//     the context then drops that fork, so forks never migrate between
+//     epochs (a fork reads only its own epoch's snapshot) and the pool
+//     pins no superseded epoch past the next query. A pool per epoch
+//     would: the runtime keeps a used pool for two collections, and when
+//     queries allocate nothing the collections come only at the
+//     publisher's pace, so every epoch of the last two cycles would stay
+//     live and the heap would grow through a storm.
 //
 // Why results stay deterministic per epoch: a routing fork is a pure
 // function of (snapshot, s, t) — snapshots are immutable, forks own all
@@ -54,19 +62,21 @@ var ErrClosed = errors.New("serve: plane is closed")
 // serving.
 type ForkFunc func(snap *snapshot.Snapshot) dynamics.Router
 
-// slot is one pooled query context: the routing view plus the reusable
-// route buffer the allocation-free Probe path appends into.
+// slot is one pooled query context: the epoch its routing view was forked
+// for, the view, and the reusable route buffer the allocation-free Probe
+// path appends into.
 type slot struct {
+	e   *Epoch
 	r   dynamics.Router
 	buf []graph.NodeID
 }
 
-// Epoch is one published epoch: its sequence number and the pool of
-// routing forks over its snapshot. Only the pool's contents change after
-// publication.
+// Epoch is one published epoch: its sequence number, its snapshot and the
+// ForkFunc its routing views are forked with. Immutable.
 type Epoch struct {
 	seq  uint64
-	pool sync.Pool
+	snap *snapshot.Snapshot
+	fork ForkFunc
 }
 
 // Plane is the serving query plane: an atomic published-epoch pointer
@@ -76,6 +86,7 @@ type Epoch struct {
 type Plane struct {
 	fork   ForkFunc
 	cur    atomic.Pointer[Epoch]
+	slots  sync.Pool // of *slot
 	closed atomic.Bool
 
 	published atomic.Uint64 // epochs ever published (incl. the base)
@@ -102,18 +113,16 @@ func (p *Plane) Publish(snap *snapshot.Snapshot) (uint64, error) {
 	return p.PublishWith(snap, p.fork)
 }
 
-// PublishWith is Publish with a per-epoch ForkFunc — the hook the
-// table-backed serving mode uses to bind each epoch to the forwarding
-// tables derived for exactly that snapshot, instead of a plane-lifetime
-// closure over mutable state.
+// PublishWith is Publish with a per-epoch ForkFunc — the hook that binds
+// each epoch to the forwarding tables derived for exactly that snapshot,
+// instead of a plane-lifetime closure over mutable state. Apart from
+// Publish and this package's tests, only bench/ calls it (serve-tables).
 func (p *Plane) PublishWith(snap *snapshot.Snapshot, fork ForkFunc) (uint64, error) {
 	if p.closed.Load() {
 		return 0, ErrClosed
 	}
 	seq := p.published.Add(1) - 1
-	e := &Epoch{seq: seq}
-	e.pool.New = func() any { return &slot{r: fork(snap)} }
-	if p.cur.Swap(e) != nil {
+	if p.cur.Swap(&Epoch{seq: seq, snap: snap, fork: fork}) != nil {
 		p.retired.Add(1)
 	}
 	return seq, nil
@@ -154,7 +163,7 @@ func (p *Plane) Route(s, t graph.NodeID, later bool) Result {
 	if e == nil {
 		return Result{}
 	}
-	sl := e.pool.Get().(*slot)
+	sl := p.slot(e)
 	var route []graph.NodeID
 	var ok bool
 	if later {
@@ -162,7 +171,7 @@ func (p *Plane) Route(s, t graph.NodeID, later bool) Result {
 	} else {
 		route, ok = sl.r.RepairedFirstRoute(s, t)
 	}
-	e.pool.Put(sl)
+	p.slots.Put(sl)
 	return p.finish(e, route, ok)
 }
 
@@ -177,7 +186,7 @@ func (p *Plane) Probe(s, t graph.NodeID, later bool) Result {
 	if e == nil {
 		return Result{}
 	}
-	sl := e.pool.Get().(*slot)
+	sl := p.slot(e)
 	var ok bool
 	if ar, fast := sl.r.(dynamics.AppendRouter); fast {
 		sl.buf, ok = ar.AppendRoute(sl.buf[:0], s, t, later)
@@ -186,8 +195,22 @@ func (p *Plane) Probe(s, t graph.NodeID, later bool) Result {
 	} else {
 		_, ok = sl.r.RepairedFirstRoute(s, t)
 	}
-	e.pool.Put(sl)
+	p.slots.Put(sl)
 	return p.finish(e, nil, ok)
+}
+
+// slot takes a query context from the plane's pool with its routing view
+// forked for e. A context last used on another epoch drops that epoch's
+// view first.
+func (p *Plane) slot(e *Epoch) *slot {
+	sl, _ := p.slots.Get().(*slot)
+	if sl == nil {
+		sl = &slot{}
+	}
+	if sl.e != e {
+		sl.e, sl.r = e, e.fork(e.snap)
+	}
+	return sl
 }
 
 // finish computes staleness and settles the counters — the shared tail of

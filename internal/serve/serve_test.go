@@ -356,8 +356,8 @@ func TestPlaneDropsSupersededEpochs(t *testing.T) {
 		<-entered
 	}
 
-	// Three cycles: a fork pool the plane has used stays reachable from
-	// the runtime's pool list for two.
+	// Three cycles: a query context the plane pooled stays reachable from
+	// the runtime's pool list for two, and with it the fork it last held.
 	collect := func() {
 		for range 3 {
 			runtime.GC()
@@ -381,6 +381,43 @@ func TestPlaneDropsSupersededEpochs(t *testing.T) {
 	collect()
 	if snaps[held].Value() != nil {
 		t.Fatalf("epoch %d still alive after its last query returned", heldSeq)
+	}
+}
+
+// TestPlaneReleasesEpochAtNextQuery pins that the fork pool does not
+// outlive its epoch: once a query has run on the next epoch, one
+// collection frees the superseded one. A pool per epoch failed this — the
+// runtime keeps a used pool for two collections — and when queries
+// allocate nothing, so that collections come only at the publisher's pace,
+// the epochs of the last two cycles piled up.
+func TestPlaneReleasesEpochAtNextQuery(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: every query takes the same pooled context
+	_, base, d := buildServeEnv(t, 96, 5)
+	plane := serve.NewPlane(base, func(rep *snapshot.Snapshot) dynamics.Router {
+		return d.ND.ForkRepaired(rep)
+	})
+	defer plane.Close()
+	tl := dynamics.NewTimeline(base)
+	edges := base.Graph().EdgeList()
+
+	var first weak.Pointer[snapshot.Snapshot]
+	for i := range 2 {
+		if _, err := tl.Fail(edges[i : i+1]); err != nil {
+			t.Fatalf("Fail: %v", err)
+		}
+		if i == 0 {
+			first = weak.Make(tl.Snapshot())
+		}
+		if _, err := plane.Publish(tl.Snapshot()); err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+		if res := plane.Probe(1, 2, false); !res.OK {
+			t.Fatalf("probe on epoch %d undelivered", res.Epoch)
+		}
+	}
+	runtime.GC()
+	if first.Value() != nil {
+		t.Fatal("superseded epoch alive after a query on its successor and one collection")
 	}
 }
 

@@ -213,9 +213,10 @@ func TestSnapshotChainBounded(t *testing.T) {
 			// Folded storage re-encodes the same state (same order of
 			// magnitude as the base build), and the private overlay — which
 			// Bytes() counts at its exact in-memory representation — is
-			// bounded by `limit` shards of at worst one full window or one
-			// plain parent row each.
-			overlaySlack := int64(limit)*(setBytes+int64(k)*entryBytes) +
+			// bounded by `limit` shards of at worst one full window (an ID,
+			// a parent index and a float64 distance a member, and a bitset
+			// of at most 8192 bits) or one plain parent row each.
+			overlaySlack := int64(limit)*(windowBytes+int64(k)*16+1024) +
 				int64(len(env.Landmarks))*int64(n)*nodeBytes
 			if peakBytes > 2*baseBytes+overlaySlack {
 				t.Errorf("peak snapshot bytes %d exceed 2x the base build's %d plus the overlay bound %d", peakBytes, baseBytes, overlaySlack)

@@ -77,19 +77,16 @@ func (cs *compactStore) windowLen(v graph.NodeID) int {
 	return cs.k
 }
 
-func (cs *compactStore) windowRadius(v graph.NodeID) float64 { return float64(cs.radii[v]) }
-
-func (cs *compactStore) windowSet(v graph.NodeID) *vicinity.Set {
-	set := vicinity.MakeSet(v, cs.decodeWindow(v))
-	return &set
+func (cs *compactStore) windowMeta(v graph.NodeID) (int, float64) {
+	return cs.windowLen(v), float64(cs.radii[v])
 }
 
-// encScratch is one worker's private state for the compact encode sweeps.
+// encScratch is one worker's private state for the compact vicinity build:
+// its ball, the window it fills window after window, and its writer.
 type encScratch struct {
-	sp  *graph.SSSP
-	win []vicinity.Entry
-	ix  vicinity.Index // encodeWindow's member-position scratch
-	w   bits.Writer
+	ball *vicinity.Ball
+	win  vicinity.Window
+	w    bits.Writer
 }
 
 // buildCompactVicinities runs the same per-node truncated Dijkstra sweep as
@@ -112,22 +109,19 @@ func (s *Snapshot) buildCompactVicinities(cs *compactStore) error {
 		}
 		parallel.RunScratch(m,
 			func() *encScratch {
-				return &encScratch{sp: graph.NewSSSP(s.g), win: make([]vicinity.Entry, k), ix: make(vicinity.Index, n)}
+				return &encScratch{ball: vicinity.NewBall(s.g), win: vicinity.MakeWindows(s.g, 1, k)[0]}
 			},
 			func(sc *encScratch, i int) {
-				src := graph.NodeID(base + i)
-				sc.sp.RunK(src, k)
-				order := sc.sp.Order()
-				settled[base+i] = int32(len(order))
-				if len(order) != k {
+				sc.ball.Fill(&sc.win, graph.NodeID(base+i), k)
+				settled[base+i] = int32(sc.win.Size())
+				if sc.win.Size() != k {
 					bufs[i] = nil
 					return
 				}
-				vicinity.Fill(sc.win, sc.sp)
-				bounds[base+i] = windowBound(sc.win)
-				cs.radii[base+i] = quantizedRadius(sc.win)
+				bounds[base+i] = windowBound(&sc.win)
+				cs.radii[base+i] = float32(sc.win.Radius()) // what a decode reports: rounding is monotonic
 				sc.w.Reset()
-				encodeWindow(&sc.w, cs.idWidth, cs.pWidth, sc.win, sc.ix)
+				encodeWindow(&sc.w, cs.idWidth, cs.pWidth, &sc.win)
 				bufs[i] = append([]byte(nil), sc.w.Bytes()...)
 			})
 		for i := 0; i < m; i++ {
@@ -149,56 +143,34 @@ func (s *Snapshot) buildCompactVicinities(cs *compactStore) error {
 // windowBound returns an upper bound on the window's radius that covers
 // both the raw float64 distances and their float32-quantized decode (the
 // two can land on either side of each other), so maxRadius stays a valid
-// candidate-search bound in the compact regime.
-func windowBound(win []vicinity.Entry) float64 {
-	b := 0.0
-	for _, e := range win {
-		if e.Dist > b {
-			b = e.Dist
-		}
-		if q := float64(float32(e.Dist)); q > b {
-			b = q
-		}
-	}
-	return b
+// candidate-search bound in the compact regime. Rounding to float32 is
+// monotonic, so the largest rounded distance is the rounded radius.
+func windowBound(win *vicinity.Window) float64 {
+	r := win.Radius()
+	return max(r, float64(float32(r)))
 }
 
-// quantizedRadius returns the radius a decode of this window will report:
-// the maximum of the float32-quantized distances. Stored per window so
-// radius probes skip the decode.
-func quantizedRadius(win []vicinity.Entry) float32 {
-	var r float32
-	for _, e := range win {
-		if q := float32(e.Dist); q > r {
-			r = q
-		}
-	}
-	return r
-}
-
-// encodeWindow appends one window in the wire format above. The window must
-// be sorted by member ID; every parent must be a window member (guaranteed
-// by truncated Dijkstra: a parent settles before its child; ix.Parent
-// panics otherwise). ix is the worker's member-position scratch. An empty
-// window (k=0) encodes to zero bits.
-func encodeWindow(w *bits.Writer, idWidth, pWidth int, win []vicinity.Entry, ix vicinity.Index) {
-	if len(win) == 0 {
+// encodeWindow appends one window in the wire format above: the window's
+// own columns, the parent indices as they are. An empty window (k=0)
+// encodes to zero bits.
+func encodeWindow(w *bits.Writer, idWidth, pWidth int, win *vicinity.Window) {
+	m := win.Size()
+	if m == 0 {
 		return
 	}
-	w.WriteBits(uint64(win[0].Node), idWidth)
-	for i := 1; i < len(win); i++ {
-		w.WriteGamma(uint64(win[i].Node - win[i-1].Node))
+	w.WriteBits(uint64(win.ID(0)), idWidth)
+	for i := 1; i < m; i++ {
+		w.WriteGamma(uint64(win.ID(i) - win.ID(i-1)))
 	}
-	ix.Bind(win)
-	for i := range win {
-		idx := ix.Parent(win, i)
-		if idx < 0 {
-			idx = int32(len(win)) // graph.None sentinel
+	for i := 0; i < m; i++ {
+		p := win.Parent(i)
+		if p < 0 {
+			p = m // graph.None sentinel
 		}
-		w.WriteBits(uint64(idx), pWidth)
+		w.WriteBits(uint64(p), pWidth)
 	}
-	for _, e := range win {
-		w.WriteBits(uint64(math.Float32bits(float32(e.Dist))), 32)
+	for i := 0; i < m; i++ {
+		w.WriteBits(uint64(math.Float32bits(float32(win.Dist(i)))), 32)
 	}
 }
 
@@ -206,45 +178,44 @@ func encodeWindow(w *bits.Writer, idWidth, pWidth int, win []vicinity.Entry, ix 
 // for win without writing a bit — the analytic size pass of the two-pass
 // compact fold, so every shard's destination slice is known before any
 // shard encodes.
-func encodedWindowBytes(idWidth, pWidth int, win []vicinity.Entry) int64 {
-	if len(win) == 0 {
+func encodedWindowBytes(idWidth, pWidth int, win *vicinity.Window) int64 {
+	m := win.Size()
+	if m == 0 {
 		return 0
 	}
-	nbits := idWidth + len(win)*(pWidth+32)
-	for i := 1; i < len(win); i++ {
-		nbits += bits.GammaLen(uint64(win[i].Node - win[i-1].Node))
+	nbits := idWidth + m*(pWidth+32)
+	for i := 1; i < m; i++ {
+		nbits += bits.GammaLen(uint64(win.ID(i) - win.ID(i-1)))
 	}
 	return int64((nbits + 7) / 8)
 }
 
-// decodeWindow materializes node v's vicinity window from the shared blob.
-// The window holds windowLen(v) entries: k on from-scratch builds, possibly
-// fewer on a folded repair chain whose failures disconnected v's region.
-func (cs *compactStore) decodeWindow(v graph.NodeID) []vicinity.Entry {
+// window decodes node v's vicinity window from the shared blob into fresh
+// columns, keeping the parent indices it reads. The window holds
+// windowLen(v) members: k on from-scratch builds, possibly fewer on a
+// folded repair chain whose failures disconnected v's region.
+func (cs *compactStore) window(v graph.NodeID) *vicinity.Window {
 	ln := cs.windowLen(v)
-	if ln == 0 {
-		return nil
-	}
-	r := cs.windowReader(v)
-	entries := make([]vicinity.Entry, ln)
-	id := graph.NodeID(r.ReadBits(cs.idWidth))
-	entries[0].Node = id
-	for i := 1; i < ln; i++ {
-		id += graph.NodeID(r.ReadGamma())
-		entries[i].Node = id
-	}
-	for i := 0; i < ln; i++ {
-		idx := int(r.ReadBits(cs.pWidth))
-		if idx == ln {
-			entries[i].Parent = graph.None
-		} else {
-			entries[i].Parent = entries[idx].Node
+	ids, parent, dist := make([]graph.NodeID, ln), make([]int32, ln), make([]float64, ln)
+	if ln > 0 {
+		r := cs.windowReader(v)
+		id := graph.NodeID(r.ReadBits(cs.idWidth))
+		ids[0] = id
+		for i := 1; i < ln; i++ {
+			id += graph.NodeID(r.ReadGamma())
+			ids[i] = id
+		}
+		for i := range parent {
+			parent[i] = int32(r.ReadBits(cs.pWidth))
+			if int(parent[i]) == ln {
+				parent[i] = -1 // the owner
+			}
+		}
+		for i := range dist {
+			dist[i] = float64(math.Float32frombits(uint32(r.ReadBits(32))))
 		}
 	}
-	for i := 0; i < ln; i++ {
-		entries[i].Dist = float64(math.Float32frombits(uint32(r.ReadBits(32))))
-	}
-	return entries
+	return vicinity.FromColumns(cs.n, ids, parent, dist)
 }
 
 // windowReader reads node v's window in place, as its bit range of the
@@ -253,27 +224,25 @@ func (cs *compactStore) windowReader(v graph.NodeID) *bits.Reader {
 	return bits.NewReaderAt(cs.vicBlob, 8*int(cs.vicOff[v]), 8*int(cs.vicOff[v+1]))
 }
 
-// windowContains answers w ∈ V(v) straight off the encoded ID stream:
-// member IDs are ascending, so the scan stops at the first ID >= w and
-// never touches the parent/distance sections or materializes the window.
-// This keeps the per-hop membership probes of the forwarding loops cheap
-// in the compact regime.
-func (cs *compactStore) windowContains(v, w graph.NodeID) bool {
+// windowIndex finds w in V(v) straight off the encoded ID stream: member
+// IDs are ascending, so the scan stops at the first ID >= w and never
+// touches the parent/distance sections or materializes the window. This
+// keeps the per-hop membership probes of the forwarding loops cheap in the
+// compact regime.
+func (cs *compactStore) windowIndex(v, w graph.NodeID) int {
 	ln := cs.windowLen(v)
 	if ln == 0 {
-		return false
+		return -1
 	}
 	r := cs.windowReader(v)
-	id := graph.NodeID(r.ReadBits(cs.idWidth))
-	for i := 1; ; i++ {
-		if id >= w {
-			return id == w
-		}
-		if i == ln {
-			return false
-		}
+	id, i := graph.NodeID(r.ReadBits(cs.idWidth)), 0
+	for ; id < w && i+1 < ln; i++ {
 		id += graph.NodeID(r.ReadGamma())
 	}
+	if id != w {
+		return -1
+	}
+	return i
 }
 
 // layoutForest fixes the forest's bit layout over pg and allocates it: node
@@ -323,8 +292,8 @@ func (s *Snapshot) buildCompactForest(cs *compactStore) error {
 		m := min(chunk, len(s.landmarks)-base)
 		settled = append(settled, graph.ParentRows(s.g, s.landmarks[base:base+m], rows[:m])...)
 		parallel.RunScratch(m,
-			func() *encScratch { return &encScratch{} },
-			func(sc *encScratch, i int) { cs.encodeForestRow(&sc.w, base+i, rows[i]) })
+			func() *bits.Writer { return new(bits.Writer) },
+			func(w *bits.Writer, i int) { cs.encodeForestRow(w, base+i, rows[i]) })
 	}
 	return forestShortfall(settled, s.landmarks, n)
 }
@@ -344,7 +313,7 @@ func (cs *compactStore) rowParent(row int, v graph.NodeID) graph.NodeID {
 }
 
 // decodeRow materializes forest row `row` as a flat parent array in one
-// sequential pass over the bit stream — what table compiles and folds
+// sequential pass over the bit stream — what table installs and folds
 // read, instead of n random At probes.
 func (cs *compactStore) decodeRow(row int) []graph.NodeID {
 	prow := make([]graph.NodeID, cs.n)
@@ -389,10 +358,10 @@ func (s *Snapshot) foldCompactInto(f *Snapshot) {
 	}
 	vicOff := make([]int64, n+1)
 	sizes := parallel.Map(n, func(v int) int64 {
-		if set := s.ov.window(graph.NodeID(v)); set != nil {
-			cs.vicLen[v] = int32(set.Size())
-			cs.radii[v] = float32(set.Radius())
-			return encodedWindowBytes(cs.idWidth, cs.pWidth, set.Entries)
+		if win := s.ov.window(graph.NodeID(v)); win != nil {
+			cs.vicLen[v] = int32(win.Size())
+			cs.radii[v] = float32(win.Radius())
+			return encodedWindowBytes(cs.idWidth, cs.pWidth, win)
 		}
 		cs.vicLen[v] = int32(old.windowLen(graph.NodeID(v)))
 		cs.radii[v] = old.radii[v]
@@ -404,13 +373,13 @@ func (s *Snapshot) foldCompactInto(f *Snapshot) {
 	cs.vicOff = vicOff
 	cs.vicBlob = make([]byte, vicOff[n])
 	parallel.RunScratch(n,
-		func() *encScratch { return &encScratch{ix: make(vicinity.Index, n)} },
-		func(sc *encScratch, v int) {
+		func() *bits.Writer { return new(bits.Writer) },
+		func(w *bits.Writer, v int) {
 			dst := cs.vicBlob[vicOff[v]:vicOff[v+1]]
-			if set := s.ov.window(graph.NodeID(v)); set != nil {
-				sc.w.Reset()
-				encodeWindow(&sc.w, cs.idWidth, cs.pWidth, set.Entries, sc.ix)
-				copy(dst, sc.w.Bytes())
+			if win := s.ov.window(graph.NodeID(v)); win != nil {
+				w.Reset()
+				encodeWindow(w, cs.idWidth, cs.pWidth, win)
+				copy(dst, w.Bytes())
 				return
 			}
 			copy(dst, old.vicBlob[old.vicOff[v]:old.vicOff[v+1]])
@@ -428,8 +397,8 @@ func (s *Snapshot) foldCompactInto(f *Snapshot) {
 
 	cs.layoutForest(len(s.landmarks))
 	parallel.RunScratch(len(s.landmarks),
-		func() *encScratch { return &encScratch{} },
-		func(sc *encScratch, row int) { cs.encodeForestRow(&sc.w, row, s.forestRow(row)) })
+		func() *bits.Writer { return new(bits.Writer) },
+		func(w *bits.Writer, row int) { cs.encodeForestRow(w, row, s.forestRow(row)) })
 
 	f.store = cs
 }

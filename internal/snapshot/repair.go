@@ -103,8 +103,8 @@ type RepairStats struct {
 	RowNodesChanged   int
 
 	// The event's touched-shard lists — the exact invalidation set a
-	// derived structure compiled from the parent snapshot (forwarding
-	// tables, caches) must recompile; every shard not listed here is
+	// derived structure built from the parent snapshot (forwarding
+	// tables, caches) must rebuild; every shard not listed here is
 	// byte-identical between the parent and this snapshot, folds included.
 	// VicTouched lists, ascending, the nodes whose vicinity windows this
 	// event recomputed; RowsTouched the forest rows recomputed or
@@ -265,59 +265,76 @@ func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, er
 }
 
 // diffWindows returns the symmetric difference between two vicinity
-// windows (both sorted by member ID), counting removed members, added
-// members, and members whose parent or distance moved — the withdrawals
-// plus announcements a triggered protocol would send for this window.
-func diffWindows(old, new []vicinity.Entry) int {
+// windows, counting removed members, added members, and members whose
+// parent or distance moved — the withdrawals plus announcements a
+// triggered protocol would send for this window. Parents compare as node
+// IDs: a member keeps its route when its parent does, whatever position
+// the parent holds in either window.
+func diffWindows(old, new *vicinity.Window) int {
 	d, i, j := 0, 0, 0
-	for i < len(old) && j < len(new) {
+	for i < old.Size() && j < new.Size() {
 		switch {
-		case old[i].Node < new[j].Node:
+		case old.ID(i) < new.ID(j):
 			d++ // withdrawn
 			i++
-		case old[i].Node > new[j].Node:
+		case old.ID(i) > new.ID(j):
 			d++ // announced
 			j++
 		default:
-			if old[i].Parent != new[j].Parent || old[i].Dist != new[j].Dist {
+			if parentID(old, i) != parentID(new, j) || old.Dist(i) != new.Dist(j) {
 				d++
 			}
 			i++
 			j++
 		}
 	}
-	return d + (len(old) - i) + (len(new) - j)
+	return d + (old.Size() - i) + (new.Size() - j)
+}
+
+// parentID returns member i's parent as a node ID, graph.None for the
+// owner — the form the change accounting and CanonicalBytes compare.
+func parentID(w *vicinity.Window, i int) graph.NodeID {
+	if p := w.Parent(i); p >= 0 {
+		return w.ID(p)
+	}
+	return graph.None
 }
 
 // repairedWindow is one recomputed vicinity window plus its unquantized
 // radius bound (kept so maxRadius stays a valid candidate-search bound for
 // future repairs even in the compact regime).
 type repairedWindow struct {
-	set   *vicinity.Set
+	win   *vicinity.Window
 	bound float64
 }
 
 // recomputeWindows rebuilds the given vicinity windows on graph g with one
-// truncated Dijkstra each, over the worker pool. In the compact regime the
-// distances round through float32, mirroring what a fresh BuildCompact
-// would store.
+// truncated Dijkstra each, over the worker pool. In the compact regime
+// float64 distances round through float32, mirroring what a fresh
+// BuildCompact would store (BFS levels round-trip as they are).
 func recomputeWindows(g *graph.Graph, affVic []graph.NodeID, k int, compact bool) []repairedWindow {
 	return parallel.MapScratch(len(affVic),
-		func() *graph.SSSP { return graph.NewSSSP(g) },
-		func(sp *graph.SSSP, i int) repairedWindow {
-			src := affVic[i]
-			sp.RunK(src, k)
-			win := make([]vicinity.Entry, len(sp.Order()))
-			vicinity.Fill(win, sp)
+		func() *vicinity.Ball { return vicinity.NewBall(g) },
+		func(b *vicinity.Ball, i int) repairedWindow {
+			win := &vicinity.MakeWindows(g, 1, k)[0]
+			b.Fill(win, affVic[i], k)
 			bound := windowBound(win)
-			if compact {
-				for j := range win {
-					win[j].Dist = float64(float32(win[j].Dist))
-				}
+			if compact && !g.Unit() {
+				win = float32Dists(win, g.N())
 			}
-			set := vicinity.MakeSet(src, win)
-			return repairedWindow{set: &set, bound: bound}
+			return repairedWindow{win: win, bound: bound}
 		})
+}
+
+// float32Dists returns a copy of win with its distances rounded through
+// float32, as the compact encoding keeps them.
+func float32Dists(win *vicinity.Window, n int) *vicinity.Window {
+	m := win.Size()
+	ids, parent, dist := make([]graph.NodeID, m), make([]int32, m), make([]float64, m)
+	for i := range ids {
+		ids[i], parent[i], dist[i] = win.ID(i), int32(win.Parent(i)), float64(float32(win.Dist(i)))
+	}
+	return vicinity.FromColumns(n, ids, parent, dist)
 }
 
 // recomputeRows rebuilds the given forest rows on graph g — each row's
@@ -345,7 +362,7 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []r
 	// over the worker pool (order-independent integer sums).
 	n := ng.N()
 	vicDiffs := parallel.Map(len(affVic), func(i int) int {
-		return diffWindows(s.Vicinity(affVic[i]).Entries, wins[i].set.Entries)
+		return diffWindows(s.Vicinity(affVic[i]), wins[i].win)
 	})
 	for _, d := range vicDiffs {
 		if d > 0 {
@@ -388,7 +405,7 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []r
 		if wins[i].bound > c.maxRadius {
 			c.maxRadius = wins[i].bound
 		}
-		if wins[i].set.Size() < c.k {
+		if wins[i].win.Size() < c.k {
 			c.short = append(c.short, v)
 		}
 	}
@@ -702,31 +719,20 @@ func (s *Snapshot) fold() *Snapshot {
 	return f
 }
 
-// foldExactInto rebuilds the exact regime's flat arrays from the chain's
-// logical state. Offsets are variable-width: shortfall windows keep their
-// reduced size.
+// foldExactInto packs the chain's logical windows into fresh shared
+// columns (shortfall windows keep their reduced size) and copies its
+// forest rows into one flat array.
 func (s *Snapshot) foldExactInto(f *Snapshot) {
 	n := s.g.N()
-	st := &exactStore{n: n}
-	off := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		size, _ := s.windowMeta(graph.NodeID(v))
-		off[v+1] = off[v] + size
+	wins := make([]*vicinity.Window, n)
+	for v := range wins {
+		wins[v] = s.Vicinity(graph.NodeID(v))
 	}
-	entries := make([]vicinity.Entry, off[n])
-	sets := make([]vicinity.Set, n)
-	parallel.Run(n, func(v int) {
-		src := graph.NodeID(v)
-		win := entries[off[v]:off[v+1]]
-		copy(win, s.Vicinity(src).Entries)
-		sets[v] = vicinity.MakeSet(src, win)
-	})
 	parents := make([]graph.NodeID, len(s.landmarks)*n)
 	parallel.Run(len(s.landmarks), func(row int) {
 		copy(parents[row*n:(row+1)*n], s.forestRow(row))
 	})
-	st.entries, st.off, st.sets, st.parents = entries, off, sets, parents
-	f.store = st
+	f.store = &exactStore{n: n, wins: vicinity.Pack(wins), parents: parents}
 }
 
 // CanonicalBytes serializes the snapshot's logical route state — every
@@ -754,12 +760,12 @@ func (s *Snapshot) CanonicalBytes() []byte {
 		put32(uint32(lm))
 	}
 	for v := 0; v < n; v++ {
-		set := s.Vicinity(graph.NodeID(v))
-		put32(uint32(len(set.Entries)))
-		for _, e := range set.Entries {
-			put32(uint32(e.Node))
-			put32(uint32(e.Parent))
-			put64(math.Float64bits(e.Dist))
+		win := s.Vicinity(graph.NodeID(v))
+		put32(uint32(win.Size()))
+		for i := 0; i < win.Size(); i++ {
+			put32(uint32(win.ID(i)))
+			put32(uint32(parentID(win, i)))
+			put64(math.Float64bits(win.Dist(i)))
 		}
 	}
 	for row := range s.landmarks {

@@ -205,9 +205,9 @@ func TestSnapshotRepairDisconnection(t *testing.T) {
 		if set.Size() != 4 {
 			t.Errorf("node %d window has %d members, want its 4-node component", v, set.Size())
 		}
-		for _, e := range set.Entries {
-			if e.Node < 4 {
-				t.Errorf("node %d window contains cross-partition member %d", v, e.Node)
+		for i := 0; i < set.Size(); i++ {
+			if set.ID(i) < 4 {
+				t.Errorf("node %d window contains cross-partition member %d", v, set.ID(i))
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Package snapshot precomputes, once and in parallel, the immutable
 // read-only route state that every experiment used to re-derive per worker:
-// vicinity sets and landmark-rooted shortest-path trees (which also serve
+// vicinity windows and landmark-rooted shortest-path trees (which also serve
 // the resolution owners — owners are landmarks). A Snapshot is built after
 // the environment converges and never mutated; protocol Fork() views share
 // it by pointer, so worker-private state shrinks to counters and small
@@ -12,15 +12,17 @@
 // shards (repair.go) down into that store. Two store implementations
 // exist behind one API:
 //
-//   - Exact (Build): all vicinity entries live in one contiguous
-//     []vicinity.Entry with per-node offsets, and landmark trees are parent
-//     rows in one contiguous []graph.NodeID. Reads allocate nothing beyond
-//     the returned path slices; Vicinity returns pointers into shared
-//     storage.
+//   - Exact (Build): every node's window in vicinity.Window's one layout —
+//     member IDs, parent indices, BFS levels (or float64 distances on a
+//     weighted graph) and the membership bitset, carved from shared
+//     column arrays — and landmark trees as parent rows in one contiguous
+//     []graph.NodeID. Reads allocate nothing beyond the returned path
+//     slices; Vicinity returns the stored window, which the forwarding
+//     tables install as is.
 //   - Compact (BuildCompact): the same state bit-packed (see compact.go) at
 //     a fraction of the bytes — member IDs delta-coded, parents as window
 //     indices, distances quantized to float32, forest parents as port
-//     indices. Vicinity reads decode the window into a fresh Set; membership
+//     indices. Vicinity reads decode the window into a fresh one; membership
 //     probes scan its ID stream and tree reads decode single parent fields,
 //     both in place — all through internal/bits, a word at a time.
 //     Distances round-trip
@@ -30,14 +32,16 @@
 //     figure whose output would move.
 //
 // Immutability contract: everything reachable from a Snapshot is read-only
-// after Build returns. Callers must not modify returned sets, entries or
-// paths-backing arrays.
+// after Build returns. A window exposes no slice, so the type carries that
+// for vicinities; callers must not modify the slices Landmarks and
+// ForestParents share.
 package snapshot
 
 import (
 	"fmt"
 
 	"disco/internal/graph"
+	"disco/internal/parallel"
 	"disco/internal/vicinity"
 )
 
@@ -144,34 +148,22 @@ func build(g *graph.Graph, k int, landmarks []graph.NodeID, compact bool) (*Snap
 	return s, nil
 }
 
-// buildExactVicinities fills the flat entry table: one truncated search per
-// node, its ball laid into the node's own window in member-ID order (the
-// Set order, vicinity.Fill). Shortfalls (a vicinity that could not settle k
-// nodes) are collected per task and reported after the sweep.
+// buildExactVicinities computes every node's window into the store: one
+// truncated search per node, laid into its own window (vicinity.Ball.Fill).
+// Shortfalls (a vicinity that could not settle k nodes) are collected per
+// task and reported after the sweep.
 func (s *Snapshot) buildExactVicinities(st *exactStore) error {
 	n, k := s.g.N(), s.k
-	st.entries = make([]vicinity.Entry, n*k)
-	st.off = make([]int, n+1)
-	st.sets = make([]vicinity.Set, n)
-	for v := 0; v <= n; v++ {
-		st.off[v] = v * k
-	}
+	st.wins = vicinity.MakeWindows(s.g, n, k)
 	settled := make([]int32, n)
-	graph.ForEachSource(s.g, graph.AllNodes(s.g), func(sp *graph.SSSP, i int, src graph.NodeID) {
-		sp.RunK(src, k)
-		order := sp.Order()
-		settled[i] = int32(len(order))
-		if len(order) != k {
-			return
-		}
-		win := st.entries[st.off[i]:st.off[i+1]]
-		vicinity.Fill(win, sp)
-		st.sets[i] = vicinity.MakeSet(src, win)
-	})
-	for i := range st.sets {
-		if r := st.sets[i].Radius(); r > s.maxRadius {
-			s.maxRadius = r
-		}
+	parallel.RunScratch(n,
+		func() *vicinity.Ball { return vicinity.NewBall(s.g) },
+		func(b *vicinity.Ball, v int) {
+			b.Fill(&st.wins[v], graph.NodeID(v), k)
+			settled[v] = int32(st.wins[v].Size())
+		})
+	for v := range st.wins {
+		s.maxRadius = max(s.maxRadius, st.wins[v].Radius())
 	}
 	return firstShortfall(settled, k)
 }
@@ -224,37 +216,50 @@ func (s *Snapshot) Compact() bool { return s.compact }
 // Landmarks returns the landmark set (shared slice; do not modify).
 func (s *Snapshot) Landmarks() []graph.NodeID { return s.landmarks }
 
-// Vicinity returns V(v). In the exact regime the returned set is a view
-// into the shared flat table (allocation-free, safe for concurrent
-// readers); in the compact regime it is decoded into a fresh private Set,
-// so the call allocates one window but stays safe for concurrent readers.
-// Callers that only need membership should prefer VicinityContains, which
-// never materializes the window.
-func (s *Snapshot) Vicinity(v graph.NodeID) *vicinity.Set {
-	if set := s.ov.window(v); set != nil {
-		return set
+// Vicinity returns V(v). In the exact regime it is the stored window
+// (allocation-free, safe for concurrent readers); in the compact regime it
+// is decoded into a fresh private window, so the call allocates one window
+// but stays safe for concurrent readers. Callers that only need membership
+// should prefer VicinityContains, and callers after one member VicinityFind,
+// which never materialize the window on a miss.
+func (s *Snapshot) Vicinity(v graph.NodeID) *vicinity.Window {
+	if win := s.ov.window(v); win != nil {
+		return win
 	}
-	return s.store.windowSet(v)
+	return s.store.window(v)
 }
 
 // VicinityContains reports w ∈ V(v) without materializing the window in
-// either regime — the cheap probe the per-hop forwarding checks use, where
-// the common answer is "no".
+// either regime — the cheap probe where the common answer is "no".
 func (s *Snapshot) VicinityContains(v, w graph.NodeID) bool {
-	if set := s.ov.window(v); set != nil {
-		return set.Contains(w)
+	if win := s.ov.window(v); win != nil {
+		return win.Contains(w)
 	}
-	return s.store.windowContains(v, w)
+	return s.store.windowIndex(v, w) >= 0
+}
+
+// VicinityFind returns V(v) and w's index in it, or -1 when w is not a
+// member — one search, whose hit the caller reads on from (AppendPath,
+// Parent) without searching again. On a miss the window may be nil: the
+// compact regime scans the encoded IDs in place and decodes only a hit.
+func (s *Snapshot) VicinityFind(v, w graph.NodeID) (*vicinity.Window, int) {
+	if win := s.ov.window(v); win != nil {
+		return win, win.Find(w)
+	}
+	if i := s.store.windowIndex(v, w); i >= 0 {
+		return s.store.window(v), i
+	}
+	return nil, -1
 }
 
 // windowMeta returns V(v)'s member count and radius without materializing
 // the window in either regime — what the recovery pipeline's per-candidate
 // probes run on. The radius is exactly Vicinity(v).Radius().
 func (s *Snapshot) windowMeta(v graph.NodeID) (size int, radius float64) {
-	if set := s.ov.window(v); set != nil {
-		return set.Size(), set.Radius()
+	if win := s.ov.window(v); win != nil {
+		return win.Size(), win.Radius()
 	}
-	return s.store.windowLen(v), s.store.windowRadius(v)
+	return s.store.windowMeta(v)
 }
 
 // HasTree reports whether root is a landmark, i.e. whether the snapshot
@@ -323,20 +328,15 @@ func (s *Snapshot) Reaches(root, v graph.NodeID) bool {
 // check Reaches(root, v) first: an unreachable v yields a meaningless
 // single-node path.
 func (s *Snapshot) PathFrom(root, v graph.NodeID) []graph.NodeID {
-	row := s.row(root)
-	var out []graph.NodeID
-	for u := v; u != graph.None; u = s.parentAt(row, u) {
-		out = append(out, u)
-	}
-	return out
+	return s.AppendPathFrom(nil, root, v)
 }
 
-// PathTo returns root ⇝ v on root's shortest-path tree; root must be a
-// landmark.
-func (s *Snapshot) PathTo(root, v graph.NodeID) []graph.NodeID {
-	out := s.PathFrom(root, v)
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
+// AppendPathFrom is PathFrom appending to dst: no allocation beyond dst's
+// own growth.
+func (s *Snapshot) AppendPathFrom(dst []graph.NodeID, root, v graph.NodeID) []graph.NodeID {
+	row := s.row(root)
+	for u := v; u != graph.None; u = s.parentAt(row, u) {
+		dst = append(dst, u)
 	}
-	return out
+	return dst
 }

@@ -34,8 +34,8 @@ func mustBuild(t testing.TB, env *static.Env, k int, compact bool) *Snapshot {
 }
 
 // TestSnapshotMatchesLegacy pins the snapshot to the lazily computed
-// state it replaces: every vicinity set and every landmark-tree path must
-// be identical to what the per-instance caches produce.
+// state it replaces: every vicinity window and every landmark-tree path
+// must be identical to what the per-instance caches produce.
 func TestSnapshotMatchesLegacy(t *testing.T) {
 	env := buildEnv(t, 192, 7)
 	k := vicinity.DefaultK(env.N())
@@ -47,12 +47,13 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 	for v := 0; v < env.N(); v++ {
 		want := vicinity.BuildOne(env.G, graph.NodeID(v), k)
 		got := s.Vicinity(graph.NodeID(v))
-		if got.Src != want.Src || got.Size() != want.Size() || got.Radius() != want.Radius() {
+		if got.Size() != want.Size() || got.Radius() != want.Radius() {
 			t.Fatalf("vicinity %d: header mismatch", v)
 		}
-		for i, e := range want.Entries {
-			if got.Entries[i] != e {
-				t.Fatalf("vicinity %d entry %d: got %+v want %+v", v, i, got.Entries[i], e)
+		for i := 0; i < want.Size(); i++ {
+			if got.ID(i) != want.ID(i) || got.Parent(i) != want.Parent(i) || got.Dist(i) != want.Dist(i) {
+				t.Fatalf("vicinity %d entry %d: got (%d, %d, %v) want (%d, %d, %v)", v, i,
+					got.ID(i), got.Parent(i), got.Dist(i), want.ID(i), want.Parent(i), want.Dist(i))
 			}
 		}
 	}
@@ -64,14 +65,10 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 		}
 		want.Run(lm)
 		for v := 0; v < env.N(); v += 7 {
-			wantTo := want.PathTo(graph.NodeID(v))
-			wantFrom := slices.Clone(wantTo)
+			wantFrom := want.PathTo(graph.NodeID(v))
 			slices.Reverse(wantFrom)
 			if got := s.PathFrom(lm, graph.NodeID(v)); !slices.Equal(got, wantFrom) {
 				t.Fatalf("PathFrom(%d,%d): got %v want %v", lm, v, got, wantFrom)
-			}
-			if got := s.PathTo(lm, graph.NodeID(v)); !slices.Equal(got, wantTo) {
-				t.Fatalf("PathTo(%d,%d): got %v want %v", lm, v, got, wantTo)
 			}
 		}
 	}
@@ -108,16 +105,15 @@ func compareRegimes(t *testing.T, exact, compact *Snapshot) {
 	for v := 0; v < n; v++ {
 		want := exact.Vicinity(graph.NodeID(v))
 		got := compact.Vicinity(graph.NodeID(v))
-		if got.Src != want.Src || got.Size() != want.Size() {
+		if got.Size() != want.Size() {
 			t.Fatalf("vicinity %d: header mismatch", v)
 		}
-		for i, e := range want.Entries {
-			ge := got.Entries[i]
-			if ge.Node != e.Node || ge.Parent != e.Parent {
-				t.Fatalf("vicinity %d entry %d: got %+v want %+v", v, i, ge, e)
+		for i := 0; i < want.Size(); i++ {
+			if got.ID(i) != want.ID(i) || got.Parent(i) != want.Parent(i) {
+				t.Fatalf("vicinity %d entry %d: got (%d, %d) want (%d, %d)", v, i, got.ID(i), got.Parent(i), want.ID(i), want.Parent(i))
 			}
-			if ge.Dist != float64(float32(e.Dist)) {
-				t.Fatalf("vicinity %d entry %d: dist %v is not float32(%v)", v, i, ge.Dist, e.Dist)
+			if got.Dist(i) != float64(float32(want.Dist(i))) {
+				t.Fatalf("vicinity %d entry %d: dist %v is not float32(%v)", v, i, got.Dist(i), want.Dist(i))
 			}
 		}
 		if got.Radius() != float64(float32(want.Radius())) {
@@ -201,8 +197,8 @@ func TestBuildSingleNode(t *testing.T) {
 			t.Fatalf("compact=%v: %v", compact, err)
 		}
 		set := s.Vicinity(0)
-		if set.Size() != 1 || !set.Contains(0) || set.Dist(0) != 0 {
-			t.Fatalf("compact=%v: vicinity of the only node wrong: %+v", compact, set.Entries)
+		if set.Size() != 1 || set.ID(0) != 0 || set.Parent(0) != -1 || set.Dist(0) != 0 {
+			t.Fatalf("compact=%v: vicinity of the only node wrong", compact)
 		}
 		if p := s.Parent(0, 0); p != graph.None {
 			t.Fatalf("compact=%v: root parent = %d, want None", compact, p)
@@ -313,29 +309,35 @@ func BenchmarkSnapshotMemory(b *testing.B) {
 	}
 }
 
-// TestParentIndexMatchesSearch pins the O(k) parent-index pass the compact
-// encoder and the forwarding tables share (vicinity.Index) to the per-entry
-// binary search it replaced: on every window of a built n=1024 snapshot, in
-// both regimes, through one scratch that is never cleared between windows.
+// TestParentIndexMatchesSearch pins the parent column every window carries
+// — filled through the build's never-cleared position scratch, and read
+// back as is by the compact decoder — to a binary search for the parent
+// the shortest-path search reports: on every window of a built n=1024
+// snapshot, in both regimes.
 func TestParentIndexMatchesSearch(t *testing.T) {
 	const n = 1024
 	env := buildEnv(t, n, 5)
+	k := vicinity.DefaultK(n)
+	sp := graph.NewSSSP(env.G)
 	for _, compact := range []bool{false, true} {
-		s := mustBuild(t, env, vicinity.DefaultK(n), compact)
-		ix := make(vicinity.Index, n)
+		s := mustBuild(t, env, k, compact)
 		for v := graph.NodeID(0); v < n; v++ {
-			win := s.Vicinity(v).Entries
-			ix.Bind(win)
-			for i, e := range win {
-				want := int32(-1)
-				if e.Parent != graph.None {
-					j, ok := slices.BinarySearchFunc(win, e.Parent, func(e vicinity.Entry, p graph.NodeID) int { return int(e.Node - p) })
+			win := s.Vicinity(v)
+			ids := make([]graph.NodeID, win.Size())
+			for i := range ids {
+				ids[i] = win.ID(i)
+			}
+			sp.RunK(v, k)
+			for i, id := range ids {
+				want := -1
+				if p := sp.Parent(id); p != graph.None {
+					j, ok := slices.BinarySearch(ids, p)
 					if !ok {
-						t.Fatalf("compact=%v V(%d): parent %d of %d is not a member", compact, v, e.Parent, e.Node)
+						t.Fatalf("compact=%v V(%d): parent %d of %d is not a member", compact, v, p, id)
 					}
-					want = int32(j)
+					want = j
 				}
-				if got := ix.Parent(win, i); got != want {
+				if got := win.Parent(i); got != want {
 					t.Fatalf("compact=%v V(%d) entry %d: parent index %d, want %d", compact, v, i, got, want)
 				}
 			}

@@ -3,9 +3,9 @@
 // forwarding tables' invalidation already reason about — one vicinity
 // window per node, one forest parent row per landmark — is a *shard*, and
 // a shardStore is the thing that holds one full generation of shards in
-// some physical layout. Two implementations exist: exactStore (flat
-// slices, see snapshot.go) and compactStore (bit-packed blobs, see
-// compact.go).
+// some physical layout. Two implementations exist: exactStore (every
+// window in vicinity.Window's one layout) and compactStore (bit-packed
+// blobs, see compact.go).
 //
 // A Snapshot is then always the same sandwich regardless of regime:
 //
@@ -32,18 +32,16 @@ import (
 // Implementations are immutable after construction and safe for
 // concurrent readers; everything a store returns is shared and read-only.
 type shardStore interface {
-	// windowSet returns V(v) as a Set — a shared view where the layout
-	// allows (exact), a freshly decoded private copy where it does not
-	// (compact).
-	windowSet(v graph.NodeID) *vicinity.Set
-	// windowLen returns the member count of V(v) without materializing it.
-	windowLen(v graph.NodeID) int
-	// windowRadius returns V(v)'s stored radius — exactly the value
-	// windowSet(v).Radius() would report — without materializing the
-	// window. The recovery probe loop rides on this.
-	windowRadius(v graph.NodeID) float64
-	// windowContains reports w ∈ V(v) without materializing the window.
-	windowContains(v, w graph.NodeID) bool
+	// window returns V(v) — the stored window where the layout holds it
+	// (exact), a freshly decoded private one where it does not (compact).
+	window(v graph.NodeID) *vicinity.Window
+	// windowMeta returns V(v)'s member count and radius — exactly what
+	// window(v) would report — without materializing the window. The
+	// recovery probe loop rides on this.
+	windowMeta(v graph.NodeID) (size int, radius float64)
+	// windowIndex returns w's index in V(v), or -1 when w is no member,
+	// without materializing the window.
+	windowIndex(v, w graph.NodeID) int
 	// rowParent reads one parent field of forest row `row`.
 	rowParent(row int, v graph.NodeID) graph.NodeID
 	// decodeRow returns row `row` as a flat n-length parent array — shared
@@ -54,21 +52,22 @@ type shardStore interface {
 	storeBytes() int64
 }
 
-// exactStore is the exact regime's shard store: all vicinity entries in
-// one contiguous slice with per-node offsets, landmark trees as flat
-// parent rows. Reads allocate nothing.
+// exactStore is the exact regime's shard store: every node's window in the
+// one vicinity.Window layout, carved from shared column arrays, and the
+// landmark trees as flat parent rows. Reads allocate nothing.
 type exactStore struct {
 	n       int
-	entries []vicinity.Entry
-	off     []int
-	sets    []vicinity.Set
+	wins    []vicinity.Window
 	parents []graph.NodeID
 }
 
-func (st *exactStore) windowSet(v graph.NodeID) *vicinity.Set { return &st.sets[v] }
-func (st *exactStore) windowLen(v graph.NodeID) int           { return st.off[v+1] - st.off[v] }
-func (st *exactStore) windowRadius(v graph.NodeID) float64    { return st.sets[v].Radius() }
-func (st *exactStore) windowContains(v, w graph.NodeID) bool  { return st.sets[v].Contains(w) }
+func (st *exactStore) window(v graph.NodeID) *vicinity.Window { return &st.wins[v] }
+
+func (st *exactStore) windowMeta(v graph.NodeID) (int, float64) {
+	return st.wins[v].Size(), st.wins[v].Radius()
+}
+
+func (st *exactStore) windowIndex(v, w graph.NodeID) int { return st.wins[v].Find(w) }
 
 func (st *exactStore) rowParent(row int, v graph.NodeID) graph.NodeID {
 	return st.parents[row*st.n+int(v)]
@@ -79,10 +78,11 @@ func (st *exactStore) decodeRow(row int) []graph.NodeID {
 }
 
 func (st *exactStore) storeBytes() int64 {
-	return int64(len(st.entries))*entryBytes +
-		int64(len(st.off))*offBytes +
-		int64(len(st.sets))*setBytes +
-		int64(len(st.parents))*nodeBytes
+	total := int64(len(st.wins))*windowBytes + int64(len(st.parents))*nodeBytes
+	for v := range st.wins {
+		total += st.wins[v].Bytes()
+	}
+	return total
 }
 
 // overlay is a repaired snapshot's shard table: vic[v] is node v's
@@ -91,13 +91,13 @@ func (st *exactStore) storeBytes() int64 {
 // once its snapshot is returned. Built and freshly folded snapshots hold a
 // nil *overlay, which both accessors accept.
 type overlay struct {
-	vic    []*vicinity.Set
+	vic    []*vicinity.Window
 	rows   [][]graph.NodeID
 	shards int // non-nil slots: what the fold threshold and OverlayShards count
 }
 
 // window returns v's overlaid vicinity window, or nil to read the base.
-func (o *overlay) window(v graph.NodeID) *vicinity.Set {
+func (o *overlay) window(v graph.NodeID) *vicinity.Window {
 	if o == nil {
 		return nil
 	}
@@ -116,7 +116,7 @@ func (o *overlay) row(row int) []graph.NodeID {
 // freshly folded parent): prev's slots copied, prev itself left untouched
 // for the snapshots holding it, then this event's shards written over them.
 func deriveOverlay(prev *overlay, n, nrows int, affVic []graph.NodeID, wins []repairedWindow, rowIdx []int, prows [][]graph.NodeID) *overlay {
-	o := &overlay{vic: make([]*vicinity.Set, n), rows: make([][]graph.NodeID, nrows)}
+	o := &overlay{vic: make([]*vicinity.Window, n), rows: make([][]graph.NodeID, nrows)}
 	if prev != nil {
 		copy(o.vic, prev.vic)
 		copy(o.rows, prev.rows)
@@ -126,7 +126,7 @@ func deriveOverlay(prev *overlay, n, nrows int, affVic []graph.NodeID, wins []re
 		if o.vic[v] == nil {
 			o.shards++
 		}
-		o.vic[v] = wins[i].set
+		o.vic[v] = wins[i].win
 	}
 	for i, row := range rowIdx {
 		if o.rows[row] == nil {

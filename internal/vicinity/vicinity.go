@@ -4,6 +4,14 @@
 // nodes" rule, and computed here directly with truncated Dijkstra for the
 // static simulator. Unlike S4's clusters, vicinity size is fixed, which is
 // what enforces Disco's per-node state bound on every topology.
+//
+// A vicinity has one in-memory form, Window: the member IDs ascending, a
+// parent-index column, a distance column and a membership bitset — the
+// shape of a forwarding table, one sorted vector searched in place. The
+// snapshot stores windows as they are, the forwarding tables install the
+// snapshot's windows, and the compact encoding writes the parent column
+// as is. Parents are window positions, so a path is pointer-chasing within
+// one window, never a search.
 package vicinity
 
 import (
@@ -11,9 +19,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"unsafe"
 
 	"disco/internal/graph"
+	"disco/internal/parallel"
 )
 
 // DefaultK returns the vicinity size used throughout the evaluation:
@@ -29,167 +38,321 @@ func DefaultK(n int) int {
 	return k
 }
 
-// Entry is one vicinity member as seen from the vicinity's owner: the
-// member, its shortest-path distance from the owner, and its parent on the
-// owner-rooted shortest-path tree (None for the owner itself). Parents are
-// always vicinity members themselves, so paths can be reconstructed
-// entirely within the Set.
+// Window is the vicinity of one node, column by column: ids holds the
+// members ascending (the owner included, at distance 0), parent[i] the
+// index in ids of member i's parent on the owner-rooted shortest-path tree
+// (-1 for the owner; parents are always members), and one distance column.
+// On a unit-weight graph a member's distance is its BFS level, below k, so
+// the column is a uint16 level; on any other graph it is the float64
+// distance. The choice is made per window from the graph it was computed
+// on, as graph.SSSP picks its kernel, so a repair chain can hold both.
+//
+// filt is the membership bitset Find tests first: bit id&(len(filt)·64−1)
+// is set for every member. It is sized to the ID space (exact, no false
+// positives) up to 8192 bits and is a residue filter beyond. It was
+// measured, not assumed: with it removed (bench/ serve-tables, seed 1, four
+// alternating pairs) throughput read 0.70–0.92M queries/s against
+// 1.11–1.35M with it, for 3.7 MB of 64.0 retained. On the To-Destination
+// walk every hop's window is probed for the target and most do not hold
+// it; a clear bit answers that in two loads.
+//
+// There is no index over ids beyond the array itself. Flat names do not
+// aggregate: grouped into maximal runs of consecutive IDs a window yields
+// 0.90 runs per entry on G(n,m) n=4096 (k=222), 0.76 on AS-like n=4096,
+// 0.74 on router-like n=8192 and 0.64 on router-like n=2048, so an
+// interval table would re-spell ids and its search would visit as many
+// elements.
+//
+// A Window is immutable once built and exposes no slice, so it is safe to
+// share between any number of readers.
+type Window struct {
+	ids    []graph.NodeID
+	parent []int32
+	level  []uint16  // BFS levels (unit-weight graph), else nil
+	dist   []float64 // distances (any other graph), else nil
+	filt   []uint64
+	radius float64
+}
+
+// Size returns the number of members including the owner.
+func (w *Window) Size() int { return len(w.ids) }
+
+// ID returns member i's node ID.
+func (w *Window) ID(i int) graph.NodeID { return w.ids[i] }
+
+// Parent returns the index of member i's parent, or -1 for the owner.
+func (w *Window) Parent(i int) int { return int(w.parent[i]) }
+
+// Dist returns member i's shortest-path distance from the owner.
+func (w *Window) Dist(i int) float64 {
+	if w.level != nil {
+		return float64(w.level[i])
+	}
+	return w.dist[i]
+}
+
+// Radius returns the distance of the farthest member — the "radius" a node
+// can announce to neighbors to suppress useless advertisements (§4.2
+// control-state discussion).
+func (w *Window) Radius() float64 { return w.radius }
+
+// Find returns the index of member t, or -1 when t is not in the window:
+// the bitset test, then one binary search of the ID column. Zero
+// allocations.
+func (w *Window) Find(t graph.NodeID) int {
+	b := uint32(t) & uint32(len(w.filt)*64-1)
+	if w.filt[b>>6]&(1<<(b&63)) == 0 {
+		return -1
+	}
+	ids := w.ids
+	i, j := 0, len(ids)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if ids[m] < t {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i == len(ids) || ids[i] != t {
+		return -1
+	}
+	return i
+}
+
+// Contains reports whether t is a member.
+func (w *Window) Contains(t graph.NodeID) bool { return w.Find(t) >= 0 }
+
+// AppendPath appends the shortest path owner ⇝ ID(i), both ends included,
+// to dst: the parent chain from member i, written back to front into the
+// room it measured first, so the only allocation is dst's own growth.
+func (w *Window) AppendPath(dst []graph.NodeID, i int) []graph.NodeID {
+	n := 0
+	for j := i; j >= 0; j = int(w.parent[j]) {
+		n++
+	}
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	for j, k := i, len(dst)-1; j >= 0; j, k = int(w.parent[j]), k-1 {
+		dst[k] = w.ids[j]
+	}
+	return dst
+}
+
+// Bytes returns what the window's columns occupy; the Window header itself
+// is the caller's to count.
+func (w *Window) Bytes() int64 {
+	return int64(len(w.ids))*int64(unsafe.Sizeof(graph.NodeID(0))) +
+		int64(len(w.parent))*int64(unsafe.Sizeof(int32(0))) +
+		int64(len(w.level))*int64(unsafe.Sizeof(uint16(0))) +
+		int64(len(w.dist))*int64(unsafe.Sizeof(float64(0))) +
+		int64(len(w.filt))*int64(unsafe.Sizeof(uint64(0)))
+}
+
+// seal sets the membership bits of a cleared bitset from the ID column.
+func (w *Window) seal() {
+	mask := uint32(len(w.filt)*64 - 1)
+	for _, id := range w.ids {
+		b := uint32(id) & mask
+		w.filt[b>>6] |= 1 << (b & 63)
+	}
+}
+
+// filterWords is the bitset size over an ID space of n nodes, in words:
+// one bit a node, a power of two from 64 up to 8192 bits.
+func filterWords(n int) int {
+	bits := 64
+	for bits < n && bits < 8192 {
+		bits <<= 1
+	}
+	return bits / 64
+}
+
+// carve cuts the next n elements off the front of *pool, capacity clipped
+// so a window cannot grow into its neighbour.
+func carve[T any](pool *[]T, n int) []T {
+	s := (*pool)[:n:n]
+	*pool = (*pool)[n:]
+	return s
+}
+
+// clone carves a copy of src off the front of *pool.
+func clone[T any](pool *[]T, src []T) []T {
+	s := carve(pool, len(src))
+	copy(s, src)
+	return s
+}
+
+// MakeWindows returns count empty windows with room for k members each, in
+// the distance form a ball of g takes (levels when g is unit-weight and k
+// fits a uint16), carved from one array per column — so a whole store is a
+// handful of allocations, not five a window. Fill them with Ball.Fill.
+func MakeWindows(g *graph.Graph, count, k int) []Window {
+	words := filterWords(g.N())
+	ids, parent, filt := make([]graph.NodeID, count*k), make([]int32, count*k), make([]uint64, count*words)
+	var level []uint16
+	var dist []float64
+	if g.Unit() && k <= math.MaxUint16 {
+		level = make([]uint16, count*k)
+	} else {
+		dist = make([]float64, count*k)
+	}
+	wins := make([]Window, count)
+	for i := range wins {
+		wins[i] = Window{ids: carve(&ids, k), parent: carve(&parent, k), filt: carve(&filt, words)}
+		if level != nil {
+			wins[i].level = carve(&level, k)
+		} else {
+			wins[i].dist = carve(&dist, k)
+		}
+	}
+	return wins
+}
+
+// Pack copies windows into one fresh array per column — what folding a
+// repair chain into a new store does — each window keeping its form.
+func Pack(src []*Window) []Window {
+	var members, levels, words int
+	for _, w := range src {
+		members, levels, words = members+len(w.ids), levels+len(w.level), words+len(w.filt)
+	}
+	ids, parent, filt := make([]graph.NodeID, members), make([]int32, members), make([]uint64, words)
+	level, dist := make([]uint16, levels), make([]float64, members-levels)
+	out := make([]Window, len(src))
+	for i, w := range src {
+		out[i] = Window{ids: clone(&ids, w.ids), parent: clone(&parent, w.parent), filt: clone(&filt, w.filt), radius: w.radius}
+		if w.level != nil {
+			out[i].level = clone(&level, w.level)
+		} else {
+			out[i].dist = clone(&dist, w.dist)
+		}
+	}
+	return out
+}
+
+// FromColumns assembles a window from columns the caller hands over and no
+// longer touches: member IDs ascending, parent indices (-1 for the owner)
+// and float64 distances — what the compact decoder reads — over an ID space
+// of idSpace nodes.
+func FromColumns(idSpace int, ids []graph.NodeID, parent []int32, dist []float64) *Window {
+	w := &Window{ids: ids, parent: parent, dist: dist, filt: make([]uint64, filterWords(idSpace))}
+	for _, d := range dist {
+		if d > w.radius {
+			w.radius = d
+		}
+	}
+	w.seal()
+	return w
+}
+
+// Entry is one vicinity member as a protocol reports it: the member, its
+// parent's node ID (None for the owner) and its distance from the owner.
 type Entry struct {
 	Node   graph.NodeID
 	Parent graph.NodeID
 	Dist   float64
 }
 
-// Set is the vicinity of one node. Entries are sorted by member node ID for
-// binary search; the owner itself is included with distance 0.
-type Set struct {
-	Src     graph.NodeID
-	Entries []Entry
-	radius  float64
-}
-
-// Find returns the entry for w and whether w is in the vicinity.
-func (s *Set) Find(w graph.NodeID) (Entry, bool) {
-	i := sort.Search(len(s.Entries), func(i int) bool { return s.Entries[i].Node >= w })
-	if i < len(s.Entries) && s.Entries[i].Node == w {
-		return s.Entries[i], true
+// FromEntries assembles a window from raw entries in any order (e.g.
+// collected by the event-driven path-vector protocol), over an ID space of
+// idSpace nodes. The entries are sorted in place. A parent that is not a
+// member means the entries do not form a vicinity, and panics.
+func FromEntries(idSpace int, entries []Entry) *Window {
+	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Node, b.Node) })
+	ids, parent, dist := make([]graph.NodeID, len(entries)), make([]int32, len(entries)), make([]float64, len(entries))
+	for i, e := range entries {
+		ids[i], dist[i] = e.Node, e.Dist
 	}
-	return Entry{}, false
-}
-
-// Contains reports whether w ∈ V(src).
-func (s *Set) Contains(w graph.NodeID) bool {
-	_, ok := s.Find(w)
-	return ok
-}
-
-// Dist returns the shortest-path distance src⇝w if w is in the vicinity,
-// else +Inf.
-func (s *Set) Dist(w graph.NodeID) float64 {
-	if e, ok := s.Find(w); ok {
-		return e.Dist
-	}
-	return math.Inf(1)
-}
-
-// Radius returns the distance of the farthest vicinity member — the
-// "radius" a node can announce to neighbors to suppress useless
-// advertisements (§4.2 control-state discussion).
-func (s *Set) Radius() float64 { return s.radius }
-
-// Size returns the number of members including the owner.
-func (s *Set) Size() int { return len(s.Entries) }
-
-// PathTo returns the shortest path src⇝w (inclusive) reconstructed from
-// parent pointers, or nil if w is not in the vicinity.
-func (s *Set) PathTo(w graph.NodeID) []graph.NodeID {
-	if _, ok := s.Find(w); !ok {
-		return nil
-	}
-	var rev []graph.NodeID
-	for u := w; u != graph.None; {
-		rev = append(rev, u)
-		e, ok := s.Find(u)
-		if !ok {
-			panic("vicinity: parent chain leaves the set")
+	for i, e := range entries {
+		parent[i] = -1
+		if e.Parent != graph.None {
+			j, ok := slices.BinarySearch(ids, e.Parent)
+			if !ok {
+				panic(fmt.Sprintf("vicinity: parent %d of member %d is outside the vicinity window", e.Parent, e.Node))
+			}
+			parent[i] = int32(j)
 		}
-		u = e.Parent
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return FromColumns(idSpace, ids, parent, dist)
 }
 
-// FirstHopTo returns the first hop from src on the shortest path to w, or
-// None if w == src or w is not in the vicinity.
-func (s *Set) FirstHopTo(w graph.NodeID) graph.NodeID {
-	p := s.PathTo(w)
-	if len(p) < 2 {
-		return graph.None
-	}
-	return p[1]
+// Ball computes windows on one graph: a truncated shortest-path search and
+// a node-indexed scratch that turns the search's parent IDs into window
+// positions. It is never cleared: a position is only read for a parent of
+// the window being filled, which the fill has just written. One Ball per
+// worker; not safe for concurrent use.
+type Ball struct {
+	sp  *graph.SSSP
+	pos []int32
 }
 
-// Members returns the member IDs in ascending order (fresh slice).
-func (s *Set) Members() []graph.NodeID {
-	out := make([]graph.NodeID, len(s.Entries))
-	for i, e := range s.Entries {
-		out[i] = e.Node
-	}
-	return out
+// NewBall returns a window scratch over g.
+func NewBall(g *graph.Graph) *Ball {
+	return &Ball{sp: graph.NewSSSP(g), pos: make([]int32, g.N())}
 }
 
-// Table holds vicinities for a subset of (or all) nodes.
-type Table struct {
-	K    int
-	sets map[graph.NodeID]*Set
-}
-
-// Build computes the k-node vicinity of every node in sources (nil means
-// all nodes) by truncated Dijkstra, fanning the per-source runs out over
-// the parallel worker pool. Ties at the vicinity boundary are broken by
-// node ID, matching the deterministic path-vector acceptance order, so the
-// table is identical at any worker count.
-func Build(g *graph.Graph, k int, sources []graph.NodeID) *Table {
-	if sources == nil {
-		sources = graph.AllNodes(g)
-	}
-	sets := make([]*Set, len(sources))
-	graph.ForEachSource(g, sources, func(s *graph.SSSP, i int, src graph.NodeID) {
-		sets[i] = buildOne(s, src, k)
-	})
-	t := &Table{K: k, sets: make(map[graph.NodeID]*Set, len(sources))}
-	for i, src := range sources {
-		t.sets[src] = sets[i]
-	}
-	return t
-}
-
-func buildOne(s *graph.SSSP, src graph.NodeID, k int) *Set {
-	s.RunK(src, k)
-	entries := make([]Entry, len(s.Order()))
-	Fill(entries, s)
-	set := MakeSet(src, entries)
-	return &set
-}
-
-// byNode is the Set order.
-func byNode(a, b Entry) int { return cmp.Compare(a.Node, b.Node) }
-
-// Fill materializes the ball sp's last single-source run settled as a
-// vicinity window: one Entry per settled node, sorted by member ID (the Set
-// order). win must hold exactly len(sp.Order()) entries — k after a RunK on
-// a connected graph, fewer when the source's component ran out first.
+// Fill computes V(src) with k members into w, which must come from
+// MakeWindows over the ball's graph with room for k: a truncated search
+// from src, its settled nodes laid out in member-ID order. w holds fewer
+// than k members when src's component ran out first; its storage is
+// reused, so one w can take window after window.
 //
 // On a unit-weight graph the level kernel has already done most of the
 // sorting: the ball is Depth() runs, one per distance, each ascending by ID
 // (a RunK limit keeps the lowest IDs of its last level). Fill merges those
 // runs through a heap of their heads, O(k log depth) whatever the shape —
 // four or five runs on a small-world map, k/2 on a ring — and a member's
-// distance is its run's level. The heap kernel (weighted graphs) leaves no
-// runs, so its settle order is sorted instead.
-func Fill(win []Entry, sp *graph.SSSP) {
-	if !sp.Graph().Unit() {
-		for j, w := range sp.Order() {
-			win[j] = Entry{Node: w, Parent: sp.Parent(w), Dist: sp.Dist(w)}
-		}
-		slices.SortFunc(win, byNode)
-		return
+// level is its run's. The heap kernel (weighted graphs) leaves no runs, so
+// its settle order is sorted instead.
+func (b *Ball) Fill(w *Window, src graph.NodeID, k int) {
+	sp := b.sp
+	sp.RunK(src, k)
+	order := sp.Order()
+	m := len(order)
+	w.ids, w.parent, w.radius = w.ids[:m], w.parent[:m], 0
+	if m > 0 {
+		w.radius = sp.Dist(order[m-1]) // nodes settle in ascending distance
 	}
+	if w.level != nil {
+		w.level = w.level[:m]
+		mergeLevels(w.ids, w.level, sp)
+	} else {
+		w.dist = w.dist[:m]
+		copy(w.ids, order)
+		slices.Sort(w.ids)
+		for i, id := range w.ids {
+			w.dist[i] = sp.Dist(id)
+		}
+	}
+	for i, id := range w.ids {
+		b.pos[id] = int32(i)
+	}
+	for i, id := range w.ids {
+		w.parent[i] = -1
+		if p := sp.Parent(id); p != graph.None {
+			w.parent[i] = b.pos[p]
+		}
+	}
+	clear(w.filt)
+	w.seal()
+}
+
+// mergeLevels writes the unit-weight ball sp's last run settled into ids,
+// ascending, and each member's level into level: a heap merge of its
+// per-level runs.
+func mergeLevels(ids []graph.NodeID, level []uint16, sp *graph.SSSP) {
 	var few [16]levelRun // the heap lives on the stack unless the ball is deep
 	h := few[:0]
 	for d := 0; d < sp.Depth(); d++ {
-		if ids := sp.Level(d); len(ids) > 0 {
-			h = append(h, levelRun{head: ids[0], rest: ids[1:], dist: float64(d)})
+		if lv := sp.Level(d); len(lv) > 0 {
+			h = append(h, levelRun{head: lv[0], rest: lv[1:], level: uint16(d)})
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i)
 	}
-	for j := range win {
+	for j := range ids {
 		top := &h[0]
-		win[j] = Entry{Node: top.head, Parent: sp.Parent(top.head), Dist: top.dist}
+		ids[j], level[j] = top.head, top.level
 		if len(top.rest) > 0 {
 			top.head, top.rest = top.rest[0], top.rest[1:]
 		} else {
@@ -200,12 +363,12 @@ func Fill(win []Entry, sp *graph.SSSP) {
 	}
 }
 
-// levelRun is what Fill has still to take of one level of the ball: the
-// next ID, the ascending IDs behind it, and the level's distance.
+// levelRun is what mergeLevels has still to take of one level of the ball:
+// the next ID, the ascending IDs behind it, and the level.
 type levelRun struct {
-	head graph.NodeID
-	rest []graph.NodeID
-	dist float64
+	head  graph.NodeID
+	rest  []graph.NodeID
+	level uint16
 }
 
 // siftDown restores the min-heap on the runs' first IDs below position i.
@@ -226,69 +389,39 @@ func siftDown(h []levelRun, i int) {
 	}
 }
 
-// Index turns the member IDs of one sorted window into window indices: a
-// node-indexed scratch the caller owns and reuses window after window (one
-// per worker, as long as the graph has nodes). Bind records where each
-// member sits; Parent then reads a member's parent position in O(1), which
-// is how the compact encoder and the forwarding tables store parents. The
-// scratch is never cleared: Parent checks what it reads against the window,
-// so an entry left by an earlier window cannot pass for a member.
-type Index []int32
-
-// Bind records win's member positions.
-func (ix Index) Bind(win []Entry) {
-	for i, e := range win {
-		ix[e.Node] = int32(i)
-	}
+// Table holds vicinities for a subset of (or all) nodes.
+type Table struct {
+	K    int
+	wins map[graph.NodeID]*Window
 }
 
-// Parent returns the window index of entry i's parent in the window last
-// bound, or -1 for the owner (whose parent is None). Every other parent is
-// a member — a parent settles before its child — so a miss means the window
-// itself is corrupt, not that the input was bad, and panics.
-func (ix Index) Parent(win []Entry, i int) int32 {
-	p := win[i].Parent
-	if p == graph.None {
-		return -1
+// Build computes the k-node vicinity of every node in sources (nil means
+// all nodes) by truncated Dijkstra, fanning the per-source runs out over
+// the parallel worker pool. Ties at the vicinity boundary are broken by
+// node ID, matching the deterministic path-vector acceptance order, so the
+// table is identical at any worker count.
+func Build(g *graph.Graph, k int, sources []graph.NodeID) *Table {
+	if sources == nil {
+		sources = graph.AllNodes(g)
 	}
-	if p >= 0 && int(p) < len(ix) {
-		if j := ix[p]; j >= 0 && int(j) < len(win) && win[j].Node == p {
-			return j
-		}
+	wins := MakeWindows(g, len(sources), k)
+	parallel.RunScratch(len(sources),
+		func() *Ball { return NewBall(g) },
+		func(b *Ball, i int) { b.Fill(&wins[i], sources[i], k) })
+	t := &Table{K: k, wins: make(map[graph.NodeID]*Window, len(sources))}
+	for i, src := range sources {
+		t.wins[src] = &wins[i]
 	}
-	panic(fmt.Sprintf("vicinity: parent %d of member %d is outside the vicinity window", p, win[i].Node))
-}
-
-// MakeSet assembles a Set view over entries that are already sorted by
-// member node ID, without copying or re-sorting: the slice is referenced as
-// is, so callers can hand out windows of one contiguous backing array (the
-// snapshot layer's flat vicinity table). Only the radius is computed.
-func MakeSet(src graph.NodeID, entries []Entry) Set {
-	s := Set{Src: src, Entries: entries}
-	for _, e := range entries {
-		if e.Dist > s.radius {
-			s.radius = e.Dist
-		}
-	}
-	return s
-}
-
-// FromEntries assembles a Set from raw entries (e.g. collected by the
-// event-driven path-vector protocol), sorting them and computing the
-// radius. The entries slice is taken over by the Set.
-func FromEntries(src graph.NodeID, entries []Entry) *Set {
-	slices.SortFunc(entries, byNode)
-	set := MakeSet(src, entries)
-	return &set
+	return t
 }
 
 // Of returns the vicinity of v, or nil if it was not built.
-func (t *Table) Of(v graph.NodeID) *Set { return t.sets[v] }
+func (t *Table) Of(v graph.NodeID) *Window { return t.wins[v] }
 
 // Sources returns the nodes whose vicinities were built, ascending.
 func (t *Table) Sources() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(t.sets))
-	for v := range t.sets {
+	out := make([]graph.NodeID, 0, len(t.wins))
+	for v := range t.wins {
 		out = append(out, v)
 	}
 	slices.Sort(out)
@@ -297,6 +430,8 @@ func (t *Table) Sources() []graph.NodeID {
 
 // BuildOne computes a single vicinity without retaining a table — used for
 // on-demand computation on sampled nodes of very large topologies.
-func BuildOne(g *graph.Graph, src graph.NodeID, k int) *Set {
-	return buildOne(graph.NewSSSP(g), src, k)
+func BuildOne(g *graph.Graph, src graph.NodeID, k int) *Window {
+	w := &MakeWindows(g, 1, k)[0]
+	NewBall(g).Fill(w, src, k)
+	return w
 }

@@ -2,7 +2,6 @@ package vicinity
 
 import (
 	"cmp"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -11,6 +10,23 @@ import (
 	"disco/internal/graph"
 	"disco/internal/topology"
 )
+
+// members lists a window's member IDs, for failure messages.
+func members(w *Window) []graph.NodeID {
+	out := make([]graph.NodeID, w.Size())
+	for i := range out {
+		out[i] = w.ID(i)
+	}
+	return out
+}
+
+// parentID is member i's parent as a node ID, None for the owner.
+func parentID(w *Window, i int) graph.NodeID {
+	if p := w.Parent(i); p >= 0 {
+		return w.ID(p)
+	}
+	return graph.None
+}
 
 func TestDefaultK(t *testing.T) {
 	if DefaultK(1) != 1 || DefaultK(0) != 0 {
@@ -35,14 +51,14 @@ func TestBuildLineGraph(t *testing.T) {
 	// Closest 3 to node 5 on a line: {5, 4, 6} (ties by ID: 4 before 6).
 	for _, want := range []graph.NodeID{4, 5, 6} {
 		if !v.Contains(want) {
-			t.Errorf("vicinity of 5 should contain %d: %v", want, v.Members())
+			t.Errorf("vicinity of 5 should contain %d: %v", want, members(v))
 		}
 	}
-	if v.Dist(5) != 0 || v.Dist(4) != 1 {
-		t.Errorf("distances wrong: %v %v", v.Dist(5), v.Dist(4))
+	if v.Dist(v.Find(5)) != 0 || v.Dist(v.Find(4)) != 1 {
+		t.Errorf("distances wrong: %v %v", v.Dist(v.Find(5)), v.Dist(v.Find(4)))
 	}
-	if !math.IsInf(v.Dist(9), 1) {
-		t.Error("non-member distance must be Inf")
+	if v.Find(9) != -1 {
+		t.Error("a non-member must not be found")
 	}
 	if v.Radius() != 1 {
 		t.Errorf("radius %v want 1", v.Radius())
@@ -54,31 +70,33 @@ func TestPathReconstruction(t *testing.T) {
 	k := 12
 	tab := Build(g, k, nil)
 	for src := 0; src < g.N(); src++ {
-		set := tab.Of(graph.NodeID(src))
-		for _, e := range set.Entries {
-			p := set.PathTo(e.Node)
-			if p[0] != graph.NodeID(src) || p[len(p)-1] != e.Node {
+		w := tab.Of(graph.NodeID(src))
+		for i := 0; i < w.Size(); i++ {
+			p := w.AppendPath([]graph.NodeID{-5}, i)[1:]
+			if p[0] != graph.NodeID(src) || p[len(p)-1] != w.ID(i) {
 				t.Fatalf("path endpoints wrong: %v", p)
 			}
-			if got := g.PathLength(p); got != e.Dist {
-				t.Fatalf("path length %v want %v", got, e.Dist)
+			if got := g.PathLength(p); got != w.Dist(i) {
+				t.Fatalf("path length %v want %v", got, w.Dist(i))
 			}
 		}
 	}
 }
 
+// TestFirstHop: the first hop toward a member is the second node of its
+// path, and the owner's own path is the owner alone.
 func TestFirstHop(t *testing.T) {
 	g := topology.Line(6)
 	tab := Build(g, 4, nil)
 	v := tab.Of(0)
-	if h := v.FirstHopTo(3); h != 1 {
-		t.Errorf("first hop to 3 is %d want 1", h)
+	if p := v.AppendPath(nil, v.Find(3)); len(p) < 2 || p[1] != 1 {
+		t.Errorf("path to 3 is %v, want first hop 1", p)
 	}
-	if h := v.FirstHopTo(0); h != graph.None {
-		t.Errorf("first hop to self must be None, got %d", h)
+	if p := v.AppendPath(nil, v.Find(0)); len(p) != 1 {
+		t.Errorf("path to self must be the owner alone, got %v", p)
 	}
-	if h := v.FirstHopTo(5); h != graph.None {
-		t.Errorf("first hop to non-member must be None, got %d", h)
+	if v.Find(5) != -1 {
+		t.Error("a non-member must not be found")
 	}
 }
 
@@ -156,18 +174,25 @@ func TestBuildSampledSources(t *testing.T) {
 	}
 }
 
+// sameWindow reports whether a and b hold the same members, parents and
+// distances, whatever their storage.
+func sameWindow(a, b *Window) bool {
+	if a.Size() != b.Size() || a.Radius() != b.Radius() {
+		return false
+	}
+	for i := 0; i < a.Size(); i++ {
+		if a.ID(i) != b.ID(i) || a.Parent(i) != b.Parent(i) || a.Dist(i) != b.Dist(i) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestBuildOneMatchesTable(t *testing.T) {
 	g := topology.Grid(5, 5)
 	tab := Build(g, 7, nil)
-	one := BuildOne(g, 12, 7)
-	want := tab.Of(12)
-	if one.Size() != want.Size() {
-		t.Fatalf("sizes differ: %d vs %d", one.Size(), want.Size())
-	}
-	for i := range one.Entries {
-		if one.Entries[i] != want.Entries[i] {
-			t.Fatalf("entry %d differs", i)
-		}
+	if one := BuildOne(g, 12, 7); !sameWindow(one, tab.Of(12)) {
+		t.Fatalf("BuildOne %v differs from the table's %v", members(one), members(tab.Of(12)))
 	}
 }
 
@@ -187,17 +212,14 @@ func TestCoveringProperty(t *testing.T) {
 		tab := Build(g, 25, nil)
 		for v := 0; v < g.N(); v++ {
 			set := tab.Of(graph.NodeID(v))
-			for _, e := range set.Entries {
-				if e.Node == graph.NodeID(v) {
-					continue
+			for i := 0; i < set.Size(); i++ {
+				p := set.AppendPath(nil, i)
+				if len(p) <= 2 {
+					continue // the owner itself, or a direct neighbor: trivially in its own vicinity
 				}
-				u := set.FirstHopTo(e.Node)
-				if u == e.Node {
-					continue // direct neighbor: trivially in its own vicinity
-				}
-				if !tab.Of(u).Contains(e.Node) {
+				if u := p[1]; !tab.Of(u).Contains(set.ID(i)) {
 					t.Fatalf("seed %d: covering violated: %d ∈ V(%d) but not in V(%d) (first hop)",
-						seed, e.Node, v, u)
+						seed, set.ID(i), v, u)
 				}
 			}
 		}
@@ -209,11 +231,12 @@ func TestSelfAlwaysMember(t *testing.T) {
 	tab := Build(g, 8, nil)
 	for v := 0; v < g.N(); v++ {
 		set := tab.Of(graph.NodeID(v))
-		if !set.Contains(graph.NodeID(v)) {
+		i := set.Find(graph.NodeID(v))
+		if i < 0 {
 			t.Fatalf("node %d missing from own vicinity", v)
 		}
-		if set.Dist(graph.NodeID(v)) != 0 {
-			t.Fatalf("self distance nonzero")
+		if set.Dist(i) != 0 || set.Parent(i) != -1 {
+			t.Fatalf("self distance %v, parent %d", set.Dist(i), set.Parent(i))
 		}
 	}
 }
@@ -223,9 +246,10 @@ func TestSelfAlwaysMember(t *testing.T) {
 // order sorted by member ID, entry for entry — every source, on shapes that
 // make the ball deep (ring, line: a level holds two nodes, depth ≈ k/2),
 // wide (G(n,m), router-like), in between (grid), weighted (geometric: the
-// heap path), and cut short by disconnection (fewer than k settled, what a
-// repair recomputes after a partitioning failure), at k = 1, a mid value
-// and k = n.
+// heap path and a float64 column), and cut short by disconnection (fewer
+// than k settled, what a repair recomputes after a partitioning failure),
+// at k = 1, a mid value and k = n — through one window per graph and k,
+// reused from source to source.
 func TestFillMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	gnm := topology.GnmAvgDeg(rng, 300, 6)
@@ -247,7 +271,9 @@ func TestFillMatchesSort(t *testing.T) {
 	} {
 		n := tc.g.N()
 		sp := graph.NewSSSP(tc.g)
+		b := NewBall(tc.g)
 		for _, k := range []int{1, 2, DefaultK(n), n/2 + 1, n} {
+			win := MakeWindows(tc.g, 1, k)[0]
 			for src := graph.NodeID(0); int(src) < n; src++ {
 				sp.RunK(src, k)
 				want := make([]Entry, len(sp.Order()))
@@ -255,12 +281,23 @@ func TestFillMatchesSort(t *testing.T) {
 					want[j] = Entry{Node: w, Parent: sp.Parent(w), Dist: sp.Dist(w)}
 				}
 				slices.SortFunc(want, func(a, b Entry) int { return cmp.Compare(a.Node, b.Node) })
-				got := make([]Entry, len(want))
-				Fill(got, sp)
+				b.Fill(&win, src, k)
+				got := make([]Entry, win.Size())
+				for i := range got {
+					got[i] = Entry{Node: win.ID(i), Parent: parentID(&win, i), Dist: win.Dist(i)}
+				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s k=%d src=%d (%d settled, depth %d):\n got  %v\n want %v",
 						tc.name, k, src, len(want), sp.Depth(), got, want)
 				}
+				for i := range got {
+					if !win.Contains(got[i].Node) {
+						t.Fatalf("%s k=%d src=%d: member %d misses the bitset", tc.name, k, src, got[i].Node)
+					}
+				}
+			}
+			if (win.level != nil) != tc.g.Unit() {
+				t.Fatalf("%s: level column %v on a graph with Unit() %v", tc.name, win.level != nil, tc.g.Unit())
 			}
 		}
 		if tc.name == "partitioned" {
@@ -271,46 +308,70 @@ func TestFillMatchesSort(t *testing.T) {
 	}
 }
 
-// TestIndexParent: Index.Parent is the binary search it replaces, on every
-// window of a table, through one never-cleared scratch; and a parent that
-// is not a member panics instead of passing for one.
+// TestIndexParent: a window's parent column holds window positions — on
+// every window of a table, through one Ball whose position scratch is never
+// cleared, each is the index a binary search of the ID column finds for the
+// parent's node ID (-1 for the owner); and FromEntries, the one constructor
+// that takes parents as IDs, panics on a parent that is not a member —
+// a node inside the ID space, one past it, or a negative one — instead of
+// storing whatever index the search lands on.
 func TestIndexParent(t *testing.T) {
 	g := topology.GnmAvgDeg(rand.New(rand.NewSource(3)), 200, 5)
 	tab := Build(g, DefaultK(200), nil)
-	ix := make(Index, g.N())
+	sp := graph.NewSSSP(g)
 	for _, v := range tab.Sources() {
-		win := tab.Of(v).Entries
-		ix.Bind(win)
-		for i, e := range win {
-			want := int32(-1)
-			if e.Parent != graph.None {
-				j, ok := slices.BinarySearchFunc(win, e.Parent, func(e Entry, p graph.NodeID) int { return cmp.Compare(e.Node, p) })
+		win := tab.Of(v)
+		sp.RunK(v, tab.K)
+		for i := 0; i < win.Size(); i++ {
+			want := -1
+			if p := sp.Parent(win.ID(i)); p != graph.None {
+				j, ok := slices.BinarySearch(members(win), p)
 				if !ok {
-					t.Fatalf("V(%d): parent %d of %d is not a member", v, e.Parent, e.Node)
+					t.Fatalf("V(%d): parent %d of %d is not a member", v, p, win.ID(i))
 				}
-				want = int32(j)
+				want = j
 			}
-			if got := ix.Parent(win, i); got != want {
+			if got := win.Parent(i); got != want {
 				t.Fatalf("V(%d) entry %d: parent index %d, want %d", v, i, got, want)
 			}
 		}
 	}
-	// The scratch still holds the last window's positions. A window whose
-	// parent is one of those nodes (a stale position that is in range),
-	// lies outside the ID space, or is negative is corrupt and must say so.
-	last := tab.Of(tab.Sources()[len(tab.Sources())-1]).Entries
-	stale := last[1].Node
-	x, y := (stale+1)%graph.NodeID(g.N()), (stale+2)%graph.NodeID(g.N())
-	for _, parent := range []graph.NodeID{stale, graph.NodeID(g.N()), -7} {
-		corrupt := []Entry{{Node: min(x, y), Parent: graph.None}, {Node: max(x, y), Parent: parent, Dist: 1}}
+	n := graph.NodeID(g.N())
+	for _, parent := range []graph.NodeID{7, n, -7} {
 		func() {
 			defer func() {
 				if msg, _ := recover().(string); !strings.Contains(msg, "outside the vicinity window") {
 					t.Fatalf("parent %d: recovered %q, want the outside-the-window panic", parent, msg)
 				}
 			}()
-			ix.Bind(corrupt)
-			ix.Parent(corrupt, 1)
+			FromEntries(int(n), []Entry{{Node: 9, Parent: parent, Dist: 1}, {Node: 4, Parent: graph.None}})
 		}()
+	}
+	w := FromEntries(int(n), []Entry{{Node: 9, Parent: 4, Dist: 1}, {Node: 4, Parent: graph.None}})
+	if w.ID(0) != 4 || w.Parent(0) != -1 || w.Parent(1) != 0 || w.Radius() != 1 {
+		t.Fatalf("FromEntries: members %v, parents %d %d, radius %v", members(w), w.Parent(0), w.Parent(1), w.Radius())
+	}
+}
+
+// TestPackKeepsWindows: folding windows into fresh shared columns keeps
+// every window as it was — members, parents, distances in their form,
+// bitset and radius — and what it occupies.
+func TestPackKeepsWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	unit := Build(topology.GnmAvgDeg(rng, 120, 6), 15, nil)
+	weighted := Build(topology.Geometric(rng, 120, 8), 15, nil)
+	var src []*Window
+	for v := graph.NodeID(0); v < 120; v++ {
+		src = append(src, unit.Of(v), weighted.Of(v))
+	}
+	for i, w := range Pack(src) {
+		if !sameWindow(&w, src[i]) || w.Bytes() != src[i].Bytes() || (w.level != nil) != (src[i].level != nil) {
+			t.Fatalf("window %d changed in the pack: %v vs %v", i, members(&w), members(src[i]))
+		}
+		for j := 0; j < w.Size(); j++ {
+			if w.Find(w.ID(j)) != j {
+				t.Fatalf("window %d: member %d not found at %d", i, w.ID(j), j)
+			}
+		}
 	}
 }
