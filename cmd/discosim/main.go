@@ -12,8 +12,8 @@
 //	                                   # report peak RSS and write a heap profile
 //	                                   # (the -full feasibility workflow)
 //	discosim -exp fig3 -full -compact  # paper scale on the compact snapshot
-//	                                   # encoding (~3.2x less route-state memory;
-//	                                   # exact on unit-weight topologies)
+//	                                   # encoding (~6.4x less route-state memory;
+//	                                   # lossless: the same output on every topology)
 //	discosim -serve -n 1024 -queriers 8
 //	                                   # serving mode: answer route queries
 //	                                   # lock-free WHILE a fail/recover storm
@@ -152,7 +152,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	pairs := flag.Int("pairs", 500, "sampled source-destination pairs")
 	full := flag.Bool("full", false, "use paper-scale sizes (up to 192,244 nodes; slow)")
-	compact := flag.Bool("compact", false, "build route-state snapshots in the compact encoding (delta-coded members, float32 distances; ~3.2x less memory — the -full enabler). Exact on unit-weight topologies; geometric distances quantize to float32")
+	compact := flag.Bool("compact", false, "build route-state snapshots in the compact encoding (delta-coded members, distances as BFS levels or float64 bits; ~6.4x less memory — the -full enabler). Lossless: the output is the same on every topology")
 	workers := flag.Int("workers", 0, "worker pool size for parallel sweeps (0 = GOMAXPROCS); results are identical at any value")
 	memprofile := flag.String("memprofile", "", "write a heap profile here after the run and report peak RSS (the -full feasibility workflow)")
 	serveMode := flag.Bool("serve", false, "serving mode: answer route queries from a concurrent closed-loop load while a fail/recover storm repairs and republishes the snapshot chain (shorthand for -exp serve-storm; combine with -n, -events, -queriers)")

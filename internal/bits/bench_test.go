@@ -9,7 +9,7 @@ import (
 // stream of 16,384 fields: Elias-gamma codes of compact-window-like
 // member-ID deltas (exponential, mean 12, as at n=2048 with k=151), and
 // fixed-width fields of 8 bits (a parent window index) and 32 bits (a
-// float32 distance). read/at is the random-access read of a 9-bit forest
+// wide fixed field). read/at is the random-access read of a 9-bit forest
 // parent field at any bit offset.
 func BenchmarkCodec(b *testing.B) {
 	const fields = 1 << 14

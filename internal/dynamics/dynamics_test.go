@@ -147,17 +147,6 @@ func TestTimelineRejectsUnknownLink(t *testing.T) {
 	}
 }
 
-func TestReversePath(t *testing.T) {
-	p := []graph.NodeID{4, 7, 2}
-	r := ReversePath(p)
-	if r[0] != 2 || r[1] != 7 || r[2] != 4 {
-		t.Fatalf("ReversePath: %v", r)
-	}
-	if p[0] != 4 {
-		t.Fatal("ReversePath mutated its input")
-	}
-}
-
 func TestMessageModel(t *testing.T) {
 	m := MessageModel{PerVicEntry: 2, PerRowNode: 0.5, CalN: 256}
 	st := &snapshot.RepairStats{VicEntriesChanged: 30, RowNodesChanged: 200}

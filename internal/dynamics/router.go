@@ -59,17 +59,6 @@ func (l Leg) Route(s, t graph.NodeID) ([]graph.NodeID, bool) {
 	return l.R.RepairedFirstRoute(s, t)
 }
 
-// ReversePath returns p reversed into a fresh slice — the route s ⇝ t
-// recovered from the destination's stored path t ⇝ s (the handshake of
-// later packets; valid because links are undirected).
-func ReversePath(p []graph.NodeID) []graph.NodeID {
-	rev := make([]graph.NodeID, len(p))
-	for i := range p {
-		rev[len(p)-1-i] = p[i]
-	}
-	return rev
-}
-
 // JoinPaths concatenates a⇝b and b⇝c into a fresh slice, deduplicating
 // the joint node and trimming any immediate backtrack across the joint
 // (…x,b,x… → …x…), which arises when the second segment starts back along

@@ -61,12 +61,12 @@ func BuildTopo(kind TopoKind, n int, seed int64) *graph.Graph {
 // methods on it, so two regimes can run side by side in one process. The
 // zero Config is the default.
 type Config struct {
-	// Compact builds route-state snapshots in the compact (bit-packed,
-	// float32-distance) encoding — the regime that fits paper-scale -full
-	// runs in memory. Exact storage stays the default: compact output is
-	// byte-identical on the integer-weight topologies and may shift at
-	// float32 precision on metric (geometric) ones, so figures that claim
-	// exactness keep the exact regime unless -compact is asked for.
+	// Compact builds route-state snapshots in the compact (bit-packed)
+	// encoding — the regime that fits paper-scale -full runs in memory.
+	// The encoding is lossless, so every experiment's output is
+	// byte-identical in both regimes on every topology; only memory and
+	// read cost differ. Exact storage, whose reads are the cheaper, is the
+	// default.
 	Compact bool
 }
 

@@ -39,11 +39,12 @@ func TestGoldenFig2State(t *testing.T) {
 }
 
 // TestGoldenCompact pins the compact snapshot encoding to the same golden
-// files the exact regime produces for the exactness-claimed figures: on
-// the unit-weight G(n,m) topology, fig2 and fig4 must not move by a single
-// byte when the route state is bit-packed and distances round-trip through
-// float32. (Never run with -update: these goldens belong to the exact
-// regime; a compact run that needs its own golden is an equivalence bug.)
+// files the exact regime produces: fig2 and fig4 on the unit-weight G(n,m)
+// topology (levels) and fig5 and the fig6 geometric row on geometric maps
+// (float64 distances) must not move by a single byte when the route state
+// is bit-packed. (Never run with -update: these goldens belong to the
+// exact regime; a compact run that needs its own golden is an equivalence
+// bug.)
 func TestGoldenCompact(t *testing.T) {
 	if *updateGoldens {
 		t.Skip("goldens are written by the exact regime")
@@ -51,6 +52,8 @@ func TestGoldenCompact(t *testing.T) {
 	compact := Config{Compact: true}
 	checkGolden(t, "fig2_state_gnm256", compact.Fig2State(TopoGnm, 256, 1).Format())
 	checkGolden(t, "fig4_gnm256", compact.Fig45(TopoGnm, 256, 4, 80).Format())
+	checkGolden(t, "fig5_geo256", compact.Fig45(TopoGeometric, 256, 4, 80).Format())
+	checkGolden(t, "fig6_shortcuts_256", compact.Fig6Shortcuts(fig6Specs, 5, 80).Format())
 }
 
 func TestGoldenFig3Stretch(t *testing.T) {
@@ -65,11 +68,14 @@ func TestGoldenFig5Geometric(t *testing.T) {
 	checkGolden(t, "fig5_geo256", Config{}.Fig45(TopoGeometric, 256, 4, 80).Format())
 }
 
+// fig6Specs are the fig6 golden's rows: a geometric and a G(n,m) map.
+var fig6Specs = []Fig6Spec{
+	{Label: "Geometric", Kind: TopoGeometric, N: 256},
+	{Label: "GNM", Kind: TopoGnm, N: 256},
+}
+
 func TestGoldenFig6Shortcuts(t *testing.T) {
-	checkGolden(t, "fig6_shortcuts_256", Config{}.Fig6Shortcuts([]Fig6Spec{
-		{Label: "Geometric", Kind: TopoGeometric, N: 256},
-		{Label: "GNM", Kind: TopoGnm, N: 256},
-	}, 5, 80).Format())
+	checkGolden(t, "fig6_shortcuts_256", Config{}.Fig6Shortcuts(fig6Specs, 5, 80).Format())
 }
 
 func TestGoldenFig9Scaling(t *testing.T) {

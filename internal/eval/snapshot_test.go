@@ -6,50 +6,40 @@ import (
 )
 
 // TestSnapshotEquivalence pins the two snapshot encodings against each
-// other (the goldens are the oracle for the exact encoding itself). Cases
-// with compactExact must produce byte-identical output on the compact
-// (bit-packed, float32-distance) encoding — these are the
-// exactness-claimed figures: distance-independent state accounting, plus
-// every routing figure on an integer-weight topology, where float32
-// quantization is lossless. Geometric-topology routing figures are
-// deliberately NOT claimed (Euclidean distances quantize, which is why
-// exact mode stays the default): there only the compact leg runs, and it
-// must complete (no must-deliver panic on quantized distances). Sizes are
-// scaled down; the paths exercised are the same ones the full sizes use.
+// other (the goldens are the oracle for the exact encoding itself): the
+// compact encoding is lossless — BFS levels on unit-weight topologies,
+// float64 bits on geometric ones — so every figure must come out
+// byte-identical in both regimes, on every topology. Sizes are scaled
+// down; the paths exercised are the same ones the full sizes use.
 func TestSnapshotEquivalence(t *testing.T) {
 	cases := []struct {
-		name         string
-		short        bool // keep in -short runs
-		compactExact bool // output must also be byte-identical on the compact encoding
-		run          func(c Config) string
+		name  string
+		short bool // keep in -short runs
+		run   func(c Config) string
 	}{
-		{"Fig2State", true, true, func(c Config) string { return c.Fig2State(TopoGnm, 192, 1).Format() }},
-		{"Fig3Stretch", true, false, func(c Config) string { return c.Fig3Stretch(TopoGeometric, 192, 3, 60).Format() }},
-		{"Fig3StretchGnm", true, true, func(c Config) string { return c.Fig3Stretch(TopoGnm, 192, 3, 60).Format() }},
-		{"Fig45", true, true, func(c Config) string { return c.Fig45(TopoGnm, 128, 4, 40).Format() }},
-		{"Fig6Shortcuts", false, false, func(c Config) string {
+		{"Fig2State", true, func(c Config) string { return c.Fig2State(TopoGnm, 192, 1).Format() }},
+		{"Fig3Stretch", true, func(c Config) string { return c.Fig3Stretch(TopoGeometric, 192, 3, 60).Format() }},
+		{"Fig3StretchGnm", true, func(c Config) string { return c.Fig3Stretch(TopoGnm, 192, 3, 60).Format() }},
+		{"Fig45", true, func(c Config) string { return c.Fig45(TopoGnm, 128, 4, 40).Format() }},
+		{"Fig6Shortcuts", false, func(c Config) string {
 			return c.Fig6Shortcuts([]Fig6Spec{
 				{Label: "gnm-128", Kind: TopoGnm, N: 128},
 				{Label: "geo-128", Kind: TopoGeometric, N: 128},
 			}, 5, 40).Format()
 		}},
-		{"Fig7StateBytes", false, true, func(c Config) string { return c.Fig7StateBytes(256, 6).Format() }},
-		{"Fig9Scaling", false, false, func(c Config) string { return c.Fig9Scaling([]int{128, 192}, 8, 40).Format() }},
-		{"Fig10ASCongestion", false, true, func(c Config) string { return c.Fig10ASCongestion(192, 9).Format() }},
-		{"LandmarkStrategies", false, true, func(c Config) string { return c.LandmarkStrategies(TopoASLike, 192, 15, 40).Format() }},
-		{"EstimateError", true, true, func(c Config) string { return c.EstimateError(192, 11, 0.4, 40).Format() }},
+		{"Fig7StateBytes", false, func(c Config) string { return c.Fig7StateBytes(256, 6).Format() }},
+		{"Fig9Scaling", false, func(c Config) string { return c.Fig9Scaling([]int{128, 192}, 8, 40).Format() }},
+		{"Fig10ASCongestion", false, func(c Config) string { return c.Fig10ASCongestion(192, 9).Format() }},
+		{"LandmarkStrategies", false, func(c Config) string { return c.LandmarkStrategies(TopoASLike, 192, 15, 40).Format() }},
+		{"EstimateError", true, func(c Config) string { return c.EstimateError(192, 11, 0.4, 40).Format() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if testing.Short() && !tc.short {
 				t.Skip("short mode: covered by the full run")
 			}
-			compact := tc.run(Config{Compact: true})
-			if !tc.compactExact {
-				return
-			}
-			if exact := tc.run(Config{}); compact != exact {
-				t.Errorf("output differs between compact and exact snapshot encodings (exactness is claimed for this figure):\n--- compact ---\n%s--- exact ---\n%s", compact, exact)
+			if compact, exact := tc.run(Config{Compact: true}), tc.run(Config{}); compact != exact {
+				t.Errorf("output differs between compact and exact snapshot encodings:\n--- compact ---\n%s--- exact ---\n%s", compact, exact)
 			}
 		})
 	}

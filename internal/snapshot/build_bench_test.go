@@ -38,7 +38,7 @@ func BenchmarkBuild(b *testing.B) {
 					vicSweep := func() error { return s.buildExactVicinities(st) }
 					forestSweep := func() error { return s.buildExactForest(st) }
 					if compact {
-						cs := &compactStore{n: n, k: k, pg: tc.g}
+						cs := newCompactStore(tc.g, k)
 						vicSweep = func() error { return s.buildCompactVicinities(cs) }
 						forestSweep = func() error { return s.buildCompactForest(cs) }
 					}

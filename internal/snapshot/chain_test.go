@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"disco/internal/graph"
+	"disco/internal/static"
 	"disco/internal/vicinity"
 )
 
@@ -85,52 +87,139 @@ func (d *chainDriver) recoverOne(t *testing.T, rng *rand.Rand) {
 // ANY interleaved fail/recover sequence, the chained snapshot must hold
 // route state byte-identical (CanonicalBytes) to a from-scratch build of
 // the current topology, in both storage regimes — including across
-// automatic chain folds. Failures are drawn non-disconnecting so the
-// from-scratch comparison build stays possible at every step.
+// automatic chain folds — on G(n,m), whose windows hold levels, and on a
+// geometric map, whose windows hold float64 distances. The two regimes run
+// the same draws in lockstep (checkChainStep). Failures are drawn
+// non-disconnecting so the from-scratch comparison build stays possible at
+// every step.
 func TestSnapshotChainEquivalence(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		name := "exact"
-		if compact {
-			name = "compact"
-		}
-		t.Run(name, func(t *testing.T) {
-			env := buildEnv(t, 384, 11)
-			k := vicinity.DefaultK(env.N())
-			base := mustBuild(t, env, k, compact)
-			build := Build
-			if compact {
-				build = BuildCompact
-			}
-
-			d := newChainDriver(base)
-			rng := rand.New(rand.NewSource(31))
-			folded := false
+	for _, tc := range []struct {
+		name string
+		env  *static.Env
+	}{{"gnm", buildEnv(t, 384, 11)}, {"geometric", buildGeoEnv(t, 384, 11)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := vicinity.DefaultK(tc.env.N())
+			heads := twinDrivers(t, tc.env, k)
+			rngs := [2]*rand.Rand{rand.New(rand.NewSource(31)), rand.New(rand.NewSource(31))}
+			folds := 0
 			for step := 0; step < 28; step++ {
-				// Bias toward failures early so recoveries have stock, and
-				// interleave so repair-of-repair and recover-of-repair chains
-				// both occur.
-				if len(d.down) == 0 || (len(d.down) < 10 && rng.Intn(3) != 0) {
-					d.failOne(t, rng, true)
-				} else {
-					d.recoverOne(t, rng)
+				for i, d := range heads {
+					// Bias toward failures early so recoveries have stock, and
+					// interleave so repair-of-repair and recover-of-repair
+					// chains both occur.
+					if len(d.down) == 0 || (len(d.down) < 10 && rngs[i].Intn(3) != 0) {
+						d.failOne(t, rngs[i], true)
+					} else {
+						d.recoverOne(t, rngs[i])
+					}
 				}
-				if st := d.cur.RepairStats(); st != nil && st.Folded {
-					folded = true
-				}
-				fresh, err := build(d.cur.Graph(), k, env.Landmarks)
-				if err != nil {
-					t.Fatalf("step %d: from-scratch rebuild: %v", step, err)
-				}
-				if !bytes.Equal(d.cur.CanonicalBytes(), fresh.CanonicalBytes()) {
-					t.Fatalf("step %d (down=%d): chained snapshot differs from a from-scratch build", step, len(d.down))
+				checkChainStep(t, step, heads)
+				if heads[0].cur.RepairStats().Folded {
+					folds++
 				}
 			}
-			if len(d.down) == 0 {
-				t.Error("sequence never held a failed link — not an interleaved chain")
+			if len(heads[0].down) == 0 || folds == 0 {
+				t.Errorf("%d links down at the end, %d folds: want an interleaved chain that folds", len(heads[0].down), folds)
 			}
-			_ = folded // folding is asserted by TestSnapshotChainBounded
 		})
 	}
+}
+
+// twinDrivers returns chain drivers over an exact and a compact build of
+// env, in that order.
+func twinDrivers(t *testing.T, env *static.Env, k int) [2]*chainDriver {
+	return [2]*chainDriver{newChainDriver(mustBuild(t, env, k, false)), newChainDriver(mustBuild(t, env, k, true))}
+}
+
+// checkChainStep requires the exact and compact chain heads of one step to
+// hold the same route state and report the same RepairStats, and that state
+// to be a from-scratch build's of their topology, in both regimes.
+func checkChainStep(t *testing.T, step int, heads [2]*chainDriver) {
+	t.Helper()
+	exact, compact := heads[0].cur, heads[1].cur
+	want := exact.CanonicalBytes()
+	if !bytes.Equal(compact.CanonicalBytes(), want) {
+		t.Fatalf("step %d: the compact chain differs from its exact twin", step)
+	}
+	if !reflect.DeepEqual(compact.RepairStats(), exact.RepairStats()) {
+		t.Fatalf("step %d: compact repair stats %+v, exact %+v", step, compact.RepairStats(), exact.RepairStats())
+	}
+	for _, build := range []func(*graph.Graph, int, []graph.NodeID) (*Snapshot, error){Build, BuildCompact} {
+		fresh, err := build(exact.Graph(), exact.K(), exact.Landmarks())
+		if err != nil {
+			t.Fatalf("step %d: from-scratch rebuild: %v", step, err)
+		}
+		if !bytes.Equal(fresh.CanonicalBytes(), want) {
+			t.Fatalf("step %d: the chain differs from a from-scratch build (compact=%v)", step, fresh.Compact())
+		}
+	}
+}
+
+// TestSnapshotChainLeavesUnitWeights drives a G(n,m) chain across the
+// distance-form boundary. A link fails and comes back with weight 2, so
+// the graph stops being unit-weight: recomputed windows hold float64
+// distances beside the base's levels, and the fold that follows re-encodes
+// every window of a compact store as float64. One more failure adds float
+// windows to the overlay; then the weight-2 link fails again, and the next
+// fold turns the store back to levels, those float windows included. At
+// every step both regimes must match each other and a from-scratch build.
+func TestSnapshotChainLeavesUnitWeights(t *testing.T) {
+	env := buildEnv(t, 256, 17)
+	heads := twinDrivers(t, env, vicinity.DefaultK(env.N()))
+	rngs := [2]*rand.Rand{rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))}
+	bridges := env.G.Bridges()
+	var link graph.EdgeKey
+	for _, e := range env.G.Neighbors(0) {
+		if !bridges[e.EID] {
+			link = (graph.EdgeKey{U: 0, V: e.To}).Norm()
+			break
+		}
+	}
+	step := 0
+	apply := func(repair func(*Snapshot) (*Snapshot, error)) {
+		t.Helper()
+		for _, d := range heads {
+			next, err := repair(d.cur)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			d.cur = next
+		}
+		checkChainStep(t, step, heads)
+		step++
+	}
+	failLink := func(s *Snapshot) (*Snapshot, error) { return s.ApplyFailures([]graph.EdgeKey{link}) }
+	failAny := func() {
+		t.Helper()
+		for i, d := range heads {
+			d.failOne(t, rngs[i], true)
+		}
+		checkChainStep(t, step, heads)
+		step++
+	}
+	untilFold := func(levels bool) {
+		t.Helper()
+		for !heads[0].cur.RepairStats().Folded {
+			if step == 200 {
+				t.Fatal("chain never folded")
+			}
+			failAny()
+		}
+		if cs := heads[1].cur.store.(*compactStore); cs.levels != levels || heads[1].cur.Graph().Unit() != levels {
+			t.Fatalf("step %d: folded compact store has levels=%v over a graph with Unit()=%v, want %v", step, cs.levels, heads[1].cur.Graph().Unit(), levels)
+		}
+	}
+	apply(failLink)
+	apply(func(s *Snapshot) (*Snapshot, error) {
+		return s.ApplyRecoveries([]graph.WeightedLink{{U: link.U, V: link.V, W: 2}})
+	})
+	untilFold(false)
+	failAny()
+	if heads[0].cur.RepairStats().Folded {
+		t.Fatalf("step %d: folded the float windows before the weight-2 link failed", step)
+	}
+	apply(failLink)
+	untilFold(true)
 }
 
 // TestSnapshotChainRecoveryRestoresBase: failing links and recovering all

@@ -12,9 +12,12 @@
 //	parents: k window indices in Width(k+1) bits each — the position of the
 //	         entry's parent within this window (parents are always members),
 //	         with index k encoding graph.None (the owner)
-//	dists:   k IEEE-754 float32 values, 32 bits each (quantized from the
-//	         exact float64; lossless whenever distances are small integers,
-//	         i.e. on every unit-weight topology)
+//	dists:   the window's own distance column, lossless: on a unit-weight
+//	         graph (vicinity.Levels) k BFS levels in Width(radius+1) bits
+//	         each, otherwise k float64s in 64 bits each
+//
+// The form is the store's, fixed by the graph it is built or folded over,
+// so a decode is the exact store's window, column for column.
 //
 // Landmark forest rows: one row per landmark, byte-aligned, with node v's
 // parent stored as the port index of the parent within v's sorted adjacency
@@ -22,10 +25,9 @@
 // round-trip exactly, so compact tree reads are byte-identical to exact
 // ones.
 //
-// Beside the blobs the store keeps one float32 per window: its quantized
-// radius, exactly the Radius() a decode would report. The recovery
-// pipeline's per-candidate radius probes read it directly, so the hot
-// classification loop never decodes a window.
+// Beside the blobs the store keeps each window's radius: the level field
+// width, and what the recovery pipeline's per-candidate radius probes read,
+// so the hot classification loop never decodes a window.
 //
 // Reads go through internal/bits in place: a window is read as bits
 // [8·vicOff[v], 8·vicOff[v+1]) of the whole blob and a forest field at its
@@ -54,20 +56,29 @@ import (
 const vicinityShard = 8192
 
 // compactStore is the compact regime's shard store. pg is the graph whose
-// sorted adjacency lists the forest ports index — the graph the rows were
-// encoded over, which on a folded chain is that fold's graph.
+// sorted adjacency lists the forest ports index and whose weights decide
+// the distance form: the graph it was built over, or on a folded chain
+// that fold's graph.
 type compactStore struct {
 	n, k     int
 	pg       *graph.Graph
-	idWidth  int // bits of the first (absolute) member ID: Width(n)
-	pWidth   int // bits of one parent window index: Width(k+1)
+	levels   bool // distances as BFS levels: vicinity.Levels(pg, k)
+	idWidth  int  // bits of the first (absolute) member ID: Width(n)
+	pWidth   int  // bits of one parent window index: Width(k+1)
 	vicBlob  []byte
 	vicOff   []int64
 	vicLen   []int32   // per-node window member count; nil = every window has k
-	radii    []float32 // per-node quantized window radius
+	radii    []float64 // per-node window radius
 	forest   []byte
 	degOff   []int64
 	rowBytes int
+}
+
+// newCompactStore fixes a store's layout over g: the field widths and the
+// distance form.
+func newCompactStore(g *graph.Graph, k int) *compactStore {
+	n := g.N()
+	return &compactStore{n: n, k: k, pg: g, levels: vicinity.Levels(g, k), idWidth: bits.Width(n), pWidth: bits.Width(k + 1)}
 }
 
 func (cs *compactStore) windowLen(v graph.NodeID) int {
@@ -78,7 +89,15 @@ func (cs *compactStore) windowLen(v graph.NodeID) int {
 }
 
 func (cs *compactStore) windowMeta(v graph.NodeID) (int, float64) {
-	return cs.windowLen(v), float64(cs.radii[v])
+	return cs.windowLen(v), cs.radii[v]
+}
+
+// distWidth is the width of one distance field in a window of this radius.
+func (cs *compactStore) distWidth(radius float64) int {
+	if cs.levels {
+		return bits.Width(int(radius) + 1)
+	}
+	return 64
 }
 
 // encScratch is one worker's private state for the compact vicinity build:
@@ -94,12 +113,9 @@ type encScratch struct {
 // buffer, shard by shard.
 func (s *Snapshot) buildCompactVicinities(cs *compactStore) error {
 	n, k := s.g.N(), s.k
-	cs.idWidth = bits.Width(n)
-	cs.pWidth = bits.Width(k + 1)
 	cs.vicOff = make([]int64, n+1)
-	cs.radii = make([]float32, n)
+	cs.radii = make([]float64, n)
 	settled := make([]int32, n)
-	bounds := make([]float64, n)
 	var blob []byte
 	bufs := make([][]byte, min(vicinityShard, n))
 	for base := 0; base < n; base += vicinityShard {
@@ -118,10 +134,9 @@ func (s *Snapshot) buildCompactVicinities(cs *compactStore) error {
 					bufs[i] = nil
 					return
 				}
-				bounds[base+i] = windowBound(&sc.win)
-				cs.radii[base+i] = float32(sc.win.Radius()) // what a decode reports: rounding is monotonic
+				cs.radii[base+i] = sc.win.Radius()
 				sc.w.Reset()
-				encodeWindow(&sc.w, cs.idWidth, cs.pWidth, &sc.win)
+				cs.encodeWindow(&sc.w, &sc.win)
 				bufs[i] = append([]byte(nil), sc.w.Bytes()...)
 			})
 		for i := 0; i < m; i++ {
@@ -132,33 +147,22 @@ func (s *Snapshot) buildCompactVicinities(cs *compactStore) error {
 	}
 	cs.vicOff[n] = int64(len(blob))
 	cs.vicBlob = blob
-	for _, r := range bounds {
-		if r > s.maxRadius {
-			s.maxRadius = r
-		}
+	for _, r := range cs.radii {
+		s.maxRadius = max(s.maxRadius, r)
 	}
 	return firstShortfall(settled, k)
 }
 
-// windowBound returns an upper bound on the window's radius that covers
-// both the raw float64 distances and their float32-quantized decode (the
-// two can land on either side of each other), so maxRadius stays a valid
-// candidate-search bound in the compact regime. Rounding to float32 is
-// monotonic, so the largest rounded distance is the rounded radius.
-func windowBound(win *vicinity.Window) float64 {
-	r := win.Radius()
-	return max(r, float64(float32(r)))
-}
-
 // encodeWindow appends one window in the wire format above: the window's
-// own columns, the parent indices as they are. An empty window (k=0)
-// encodes to zero bits.
-func encodeWindow(w *bits.Writer, idWidth, pWidth int, win *vicinity.Window) {
+// own columns, the distances in the store's form — on a unit-weight graph
+// every distance is a level, whichever column holds it. An empty window
+// (k=0) encodes to zero bits.
+func (cs *compactStore) encodeWindow(w *bits.Writer, win *vicinity.Window) {
 	m := win.Size()
 	if m == 0 {
 		return
 	}
-	w.WriteBits(uint64(win.ID(0)), idWidth)
+	w.WriteBits(uint64(win.ID(0)), cs.idWidth)
 	for i := 1; i < m; i++ {
 		w.WriteGamma(uint64(win.ID(i) - win.ID(i-1)))
 	}
@@ -167,10 +171,15 @@ func encodeWindow(w *bits.Writer, idWidth, pWidth int, win *vicinity.Window) {
 		if p < 0 {
 			p = m // graph.None sentinel
 		}
-		w.WriteBits(uint64(p), pWidth)
+		w.WriteBits(uint64(p), cs.pWidth)
 	}
+	dw := cs.distWidth(win.Radius())
 	for i := 0; i < m; i++ {
-		w.WriteBits(uint64(math.Float32bits(float32(win.Dist(i)))), 32)
+		if cs.levels {
+			w.WriteBits(uint64(win.Dist(i)), dw)
+		} else {
+			w.WriteBits(math.Float64bits(win.Dist(i)), dw)
+		}
 	}
 }
 
@@ -178,12 +187,12 @@ func encodeWindow(w *bits.Writer, idWidth, pWidth int, win *vicinity.Window) {
 // for win without writing a bit — the analytic size pass of the two-pass
 // compact fold, so every shard's destination slice is known before any
 // shard encodes.
-func encodedWindowBytes(idWidth, pWidth int, win *vicinity.Window) int64 {
+func (cs *compactStore) encodedWindowBytes(win *vicinity.Window) int64 {
 	m := win.Size()
 	if m == 0 {
 		return 0
 	}
-	nbits := idWidth + m*(pWidth+32)
+	nbits := cs.idWidth + m*(cs.pWidth+cs.distWidth(win.Radius()))
 	for i := 1; i < m; i++ {
 		nbits += bits.GammaLen(uint64(win.ID(i) - win.ID(i-1)))
 	}
@@ -191,14 +200,14 @@ func encodedWindowBytes(idWidth, pWidth int, win *vicinity.Window) int64 {
 }
 
 // window decodes node v's vicinity window from the shared blob into fresh
-// columns, keeping the parent indices it reads. The window holds
-// windowLen(v) members: k on from-scratch builds, possibly fewer on a
-// folded repair chain whose failures disconnected v's region.
+// columns in the store's form, keeping the parent indices it reads. The
+// window holds windowLen(v) members: k on from-scratch builds, possibly
+// fewer on a folded repair chain whose failures disconnected v's region.
 func (cs *compactStore) window(v graph.NodeID) *vicinity.Window {
 	ln := cs.windowLen(v)
-	ids, parent, dist := make([]graph.NodeID, ln), make([]int32, ln), make([]float64, ln)
+	ids, parent := make([]graph.NodeID, ln), make([]int32, ln)
+	r := cs.windowReader(v)
 	if ln > 0 {
-		r := cs.windowReader(v)
 		id := graph.NodeID(r.ReadBits(cs.idWidth))
 		ids[0] = id
 		for i := 1; i < ln; i++ {
@@ -211,9 +220,18 @@ func (cs *compactStore) window(v graph.NodeID) *vicinity.Window {
 				parent[i] = -1 // the owner
 			}
 		}
-		for i := range dist {
-			dist[i] = float64(math.Float32frombits(uint32(r.ReadBits(32))))
+	}
+	dw := cs.distWidth(cs.radii[v])
+	if cs.levels {
+		level := make([]uint16, ln)
+		for i := range level {
+			level[i] = uint16(r.ReadBits(dw))
 		}
+		return vicinity.FromLevels(cs.n, ids, parent, level)
+	}
+	dist := make([]float64, ln)
+	for i := range dist {
+		dist[i] = math.Float64frombits(r.ReadBits(dw))
 	}
 	return vicinity.FromColumns(cs.n, ids, parent, dist)
 }
@@ -333,35 +351,40 @@ func (cs *compactStore) storeBytes() int64 {
 	return int64(len(cs.vicBlob)) +
 		int64(len(cs.vicOff))*off64Bytes +
 		int64(len(cs.vicLen))*int32Bytes +
-		int64(len(cs.radii))*f32Bytes +
+		int64(len(cs.radii))*f64Bytes +
 		int64(len(cs.forest)) +
 		int64(len(cs.degOff))*off64Bytes
 }
 
 // foldCompactInto re-encodes the chain's logical state in the compact wire
-// format as a fresh compactStore, in two passes so shards encode
-// independently over the worker pool: pass 1 computes every window's
-// encoded size — analytically for overlaid windows, and by carrying the
-// old byte range for untouched ones, which re-encode byte-identically
-// because the widths never change across folds — pass 2 writes each
-// window into its disjoint blob slice, raw-copying the untouched ranges.
-// Forest rows always re-encode: their port indices rebuild against the
-// current graph.
+// format as a fresh compactStore over the current graph, in two passes so
+// shards encode independently over the worker pool: pass 1 computes every
+// window's encoded size — analytically for overlaid windows, and by
+// carrying the old byte range for untouched ones, which re-encode
+// byte-identically while the distance form holds (the widths never change
+// across folds) — pass 2 writes each window into its disjoint blob slice,
+// raw-copying the untouched ranges. When the graph changed the form, every
+// window re-encodes. Forest rows always re-encode: their port indices
+// rebuild against the current graph.
 func (s *Snapshot) foldCompactInto(f *Snapshot) {
 	old := s.store.(*compactStore)
 	n := s.g.N()
-	cs := &compactStore{
-		n: n, k: s.k, pg: s.g,
-		idWidth: old.idWidth, pWidth: old.pWidth,
-		vicLen: make([]int32, n),
-		radii:  make([]float32, n),
+	cs := newCompactStore(s.g, s.k)
+	cs.vicLen, cs.radii = make([]int32, n), make([]float64, n)
+	// reencode returns V(v) when the fold must encode it, nil when it copies
+	// the old bytes.
+	reencode := func(v int) *vicinity.Window {
+		if win := s.ov.window(graph.NodeID(v)); win != nil || cs.levels == old.levels {
+			return win
+		}
+		return old.window(graph.NodeID(v))
 	}
 	vicOff := make([]int64, n+1)
 	sizes := parallel.Map(n, func(v int) int64 {
-		if win := s.ov.window(graph.NodeID(v)); win != nil {
+		if win := reencode(v); win != nil {
 			cs.vicLen[v] = int32(win.Size())
-			cs.radii[v] = float32(win.Radius())
-			return encodedWindowBytes(cs.idWidth, cs.pWidth, win)
+			cs.radii[v] = win.Radius()
+			return cs.encodedWindowBytes(win)
 		}
 		cs.vicLen[v] = int32(old.windowLen(graph.NodeID(v)))
 		cs.radii[v] = old.radii[v]
@@ -376,9 +399,9 @@ func (s *Snapshot) foldCompactInto(f *Snapshot) {
 		func() *bits.Writer { return new(bits.Writer) },
 		func(w *bits.Writer, v int) {
 			dst := cs.vicBlob[vicOff[v]:vicOff[v+1]]
-			if win := s.ov.window(graph.NodeID(v)); win != nil {
+			if win := reencode(v); win != nil {
 				w.Reset()
-				encodeWindow(w, cs.idWidth, cs.pWidth, win)
+				cs.encodeWindow(w, win)
 				copy(dst, w.Bytes())
 				return
 			}

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 
+	"disco/internal/bits"
 	"disco/internal/graph"
 	"disco/internal/static"
 	"disco/internal/topology"
@@ -15,7 +17,7 @@ import (
 
 // compactDigest hashes every encoded section of a compact store: the window
 // blob and its offsets, the per-window lengths (nil on a uniform store) and
-// quantized radii, and the forest rows.
+// radii, and the forest rows.
 func compactDigest(t *testing.T, s *Snapshot) string {
 	t.Helper()
 	cs, ok := s.store.(*compactStore)
@@ -75,9 +77,10 @@ func foldedChainHead(t *testing.T, compact bool) *Snapshot {
 // TestCompactEncodingPinned pins the compact wire format bit for bit.
 // CanonicalBytes compares decoded entries, so it cannot see an encoder
 // that round-trips but lays down different bits; these digests can. They
-// were written before the codec's word-at-a-time rewrite and must not
-// change with any codec or encoder optimisation — only with a deliberate
-// format change.
+// were written when the distance section became the window's own column
+// (levels on the unit-weight maps, float64 bits on the geometric one) and
+// must not change with any codec or encoder optimisation — only with a
+// deliberate format change.
 func TestCompactEncodingPinned(t *testing.T) {
 	router := topology.RouterLike(rand.New(rand.NewSource(1)), 2048)
 	routerEnv := static.NewEnv(router, 1)
@@ -88,12 +91,16 @@ func TestCompactEncodingPinned(t *testing.T) {
 	}{
 		{"routerlike-2048", func(t *testing.T) *Snapshot {
 			return mustBuild(t, routerEnv, vicinity.DefaultK(router.N()), true)
-		}, "88715ab07c4aaebef0feafcd968c096ce109915ae410734b801779f9618552d8"},
+		}, "eb1ad1bae8ba04b760d5eb447371dec6de75640c77f80371ab392c99ae9ab1d9"},
 		{"gnm-256", func(t *testing.T) *Snapshot {
 			env := buildEnv(t, 256, 1)
 			return mustBuild(t, env, vicinity.DefaultK(env.N()), true)
-		}, "2d04c0ec41074ce81a500ee7c9e65e6af6c638ca7b9ca0a4a666e6f52f0010eb"},
-		{"folded-chain-head", func(t *testing.T) *Snapshot { return foldedChainHead(t, true) }, "78f30e0dfd86ab2352f17abb59c76dab9fffa70f73594a496f544a08ce05a10d"},
+		}, "f4c121e55e564fde8ed9bc55ead5caa7c0835a2770d4a48a43443f80eaccd219"},
+		{"geometric-256", func(t *testing.T) *Snapshot {
+			env := buildGeoEnv(t, 256, 1)
+			return mustBuild(t, env, vicinity.DefaultK(env.N()), true)
+		}, "a10de90b1eb0c779690504857d04aedb4a46585cafbc3419e53698d428e63ef4"},
+		{"folded-chain-head", func(t *testing.T) *Snapshot { return foldedChainHead(t, true) }, "6580caefdc0c6e320034749985f6be9c8a39ee502513b6fd5006be82ca7a7d26"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,4 +109,73 @@ func TestCompactEncodingPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCompactWindow round-trips one random window through the wire format:
+// level or float form, 0..k members (fewer than k is a shortfall window, so
+// the store carries per-window lengths), IDs with gaps up to spread, any
+// parent index or the owner's -1, and levels or float64 distances anywhere
+// from subnormal to huge. encodedWindowBytes must be the byte count
+// encodeWindow writes, the decoded window must be the input column for
+// column and in the same form, and windowIndex must find every member. The
+// blob is read where it ends (the reader's byte path) or with padding past
+// it (the word path).
+func FuzzCompactWindow(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(0), true, uint8(0), false)
+	f.Add(int64(2), uint16(1), uint16(1), true, uint8(3), false)
+	f.Add(int64(3), uint16(40), uint16(40), true, uint8(5), true)
+	f.Add(int64(4), uint16(40), uint16(17), false, uint8(200), false)
+	f.Add(int64(5), uint16(300), uint16(299), false, uint8(1), true)
+	f.Fuzz(func(t *testing.T, seed int64, k, size uint16, levels bool, spread uint8, pad bool) {
+		rng := rand.New(rand.NewSource(seed))
+		kk := int(k % 512)
+		m := int(size) % (kk + 1)
+		ids, parent := make([]graph.NodeID, m), make([]int32, m)
+		next := graph.NodeID(rng.Intn(1 + int(spread)))
+		for i := range ids {
+			ids[i] = next
+			next += 1 + graph.NodeID(rng.Intn(1+int(spread)))
+		}
+		for i := range parent {
+			parent[i] = int32(rng.Intn(m+1)) - 1
+		}
+		n := int(next) + rng.Intn(1+int(spread))
+		var want *vicinity.Window
+		if levels {
+			level, top := make([]uint16, m), 1+rng.Intn(64)
+			for i := range level {
+				level[i] = uint16(rng.Intn(top))
+			}
+			want = vicinity.FromLevels(n, ids, parent, level)
+		} else {
+			dist := make([]float64, m)
+			for i := range dist {
+				dist[i] = math.Ldexp(rng.Float64(), rng.Intn(2100)-1075)
+			}
+			want = vicinity.FromColumns(n, ids, parent, dist)
+		}
+		cs := &compactStore{n: n, k: kk, levels: levels, idWidth: bits.Width(n), pWidth: bits.Width(kk + 1)}
+		var w bits.Writer
+		cs.encodeWindow(&w, want)
+		blob := w.Bytes()
+		if got := cs.encodedWindowBytes(want); got != int64(len(blob)) {
+			t.Fatalf("encodedWindowBytes %d, encodeWindow wrote %d", got, len(blob))
+		}
+		cs.vicOff = []int64{0, int64(len(blob))}
+		if pad {
+			blob = append(blob, make([]byte, 8)...)
+		}
+		cs.vicBlob, cs.radii = blob, []float64{want.Radius()}
+		if m != kk {
+			cs.vicLen = []int32{int32(m)}
+		}
+		if diff := sameWindow(cs.window(0), want); diff != "" {
+			t.Fatalf("decoded window: %s", diff)
+		}
+		for i, id := range ids {
+			if got := cs.windowIndex(0, id); got != i {
+				t.Fatalf("windowIndex(%d) = %d, want %d", id, got, i)
+			}
+		}
+	})
 }

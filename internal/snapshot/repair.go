@@ -182,7 +182,7 @@ func (s *Snapshot) ApplyFailures(fails []graph.EdgeKey) (*Snapshot, error) {
 	fg := s.g.WithoutEdges(dead)
 
 	affVic, scanned := s.affectedVicinities(uniq)
-	wins := recomputeWindows(fg, affVic, s.k, s.compact)
+	wins := recomputeWindows(fg, affVic, s.k)
 
 	// Row classification: a row is affected iff some failed link is one of
 	// its tree edges. Task-ordered merge keeps affRows ascending.
@@ -250,7 +250,7 @@ func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, er
 	ng := s.g.WithEdges(uniq)
 
 	affVic, scanned := s.recoveryVicinities(uniq, ng)
-	wins := recomputeWindows(ng, affVic, s.k, s.compact)
+	wins := recomputeWindows(ng, affVic, s.k)
 	rowIdx, prows, full := s.recoveryRows(uniq, ng)
 
 	return s.finishRepair(ng, affVic, wins, rowIdx, prows, RepairStats{
@@ -300,41 +300,17 @@ func parentID(w *vicinity.Window, i int) graph.NodeID {
 	return graph.None
 }
 
-// repairedWindow is one recomputed vicinity window plus its unquantized
-// radius bound (kept so maxRadius stays a valid candidate-search bound for
-// future repairs even in the compact regime).
-type repairedWindow struct {
-	win   *vicinity.Window
-	bound float64
-}
-
 // recomputeWindows rebuilds the given vicinity windows on graph g with one
-// truncated Dijkstra each, over the worker pool. In the compact regime
-// float64 distances round through float32, mirroring what a fresh
-// BuildCompact would store (BFS levels round-trip as they are).
-func recomputeWindows(g *graph.Graph, affVic []graph.NodeID, k int, compact bool) []repairedWindow {
+// truncated Dijkstra each, over the worker pool — the same windows in both
+// regimes, since the compact encoding is lossless.
+func recomputeWindows(g *graph.Graph, affVic []graph.NodeID, k int) []*vicinity.Window {
 	return parallel.MapScratch(len(affVic),
 		func() *vicinity.Ball { return vicinity.NewBall(g) },
-		func(b *vicinity.Ball, i int) repairedWindow {
+		func(b *vicinity.Ball, i int) *vicinity.Window {
 			win := &vicinity.MakeWindows(g, 1, k)[0]
 			b.Fill(win, affVic[i], k)
-			bound := windowBound(win)
-			if compact && !g.Unit() {
-				win = float32Dists(win, g.N())
-			}
-			return repairedWindow{win: win, bound: bound}
+			return win
 		})
-}
-
-// float32Dists returns a copy of win with its distances rounded through
-// float32, as the compact encoding keeps them.
-func float32Dists(win *vicinity.Window, n int) *vicinity.Window {
-	m := win.Size()
-	ids, parent, dist := make([]graph.NodeID, m), make([]int32, m), make([]float64, m)
-	for i := range ids {
-		ids[i], parent[i], dist[i] = win.ID(i), int32(win.Parent(i)), float64(float32(win.Dist(i)))
-	}
-	return vicinity.FromColumns(n, ids, parent, dist)
 }
 
 // recomputeRows rebuilds the given forest rows on graph g — each row's
@@ -357,12 +333,12 @@ func (s *Snapshot) recomputeRows(g *graph.Graph, rows []int) [][]graph.NodeID {
 // updated, and the chain folded into a fresh store when the table's shard
 // count crosses the compaction threshold. The event's shards arrive as
 // ascending parallel slices: affVic with wins, rowIdx with prows.
-func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []repairedWindow, rowIdx []int, prows [][]graph.NodeID, stats RepairStats) *Snapshot {
+func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*vicinity.Window, rowIdx []int, prows [][]graph.NodeID, stats RepairStats) *Snapshot {
 	// Changed-state accounting against the pre-event snapshot, fanned out
 	// over the worker pool (order-independent integer sums).
 	n := ng.N()
 	vicDiffs := parallel.Map(len(affVic), func(i int) int {
-		return diffWindows(s.Vicinity(affVic[i]), wins[i].win)
+		return diffWindows(s.Vicinity(affVic[i]), wins[i])
 	})
 	for _, d := range vicDiffs {
 		if d > 0 {
@@ -402,10 +378,8 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []r
 		}
 	}
 	for i, v := range affVic {
-		if wins[i].bound > c.maxRadius {
-			c.maxRadius = wins[i].bound
-		}
-		if wins[i].win.Size() < c.k {
+		c.maxRadius = max(c.maxRadius, wins[i].Radius())
+		if wins[i].Size() < c.k {
 			c.short = append(c.short, v)
 		}
 	}
@@ -544,9 +518,6 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 				size, rad := s.windowMeta(x)
 				if size < k {
 					continue // shortfall windows: component rule below
-				}
-				if s.compact {
-					rad = float64(math.Nextafter32(float32(rad), float32(math.Inf(1))))
 				}
 				if du <= rad && dv <= rad {
 					out = append(out, x)

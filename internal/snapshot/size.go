@@ -16,7 +16,7 @@ const (
 	nodeBytes   = int64(unsafe.Sizeof(graph.NodeID(0)))
 	int32Bytes  = int64(unsafe.Sizeof(int32(0)))
 	off64Bytes  = int64(unsafe.Sizeof(int64(0)))
-	f32Bytes    = int64(unsafe.Sizeof(float32(0)))
+	f64Bytes    = int64(unsafe.Sizeof(float64(0)))
 	ptrBytes    = int64(unsafe.Sizeof((*vicinity.Window)(nil)))
 	sliceBytes  = int64(unsafe.Sizeof([]graph.NodeID(nil)))
 )

@@ -21,15 +21,13 @@
 //     tables install as is.
 //   - Compact (BuildCompact): the same state bit-packed (see compact.go) at
 //     a fraction of the bytes — member IDs delta-coded, parents as window
-//     indices, distances quantized to float32, forest parents as port
-//     indices. Vicinity reads decode the window into a fresh one; membership
-//     probes scan its ID stream and tree reads decode single parent fields,
-//     both in place — all through internal/bits, a word at a time.
-//     Distances round-trip
-//     through float32, so figure output is byte-identical on integer-weight
-//     topologies and shifts at most at float32 precision elsewhere; the
-//     exact regime remains the escape hatch (and the default) for any
-//     figure whose output would move.
+//     indices, distances as BFS levels in a few bits each (float64 bits on
+//     a weighted graph), forest parents as port indices. Vicinity reads
+//     decode the window into a fresh one; membership probes scan its ID
+//     stream and tree reads decode single parent fields, both in place —
+//     all through internal/bits, a word at a time. The encoding is
+//     lossless, so the two regimes differ only in packing: every read, and
+//     every figure, is byte-identical on every topology.
 //
 // Immutability contract: everything reachable from a Snapshot is read-only
 // after Build returns. A window exposes no slice, so the type carries that
@@ -68,8 +66,7 @@ type Snapshot struct {
 	landmarks []graph.NodeID
 	lmRow     []int32
 
-	// maxRadius upper-bounds every vicinity window's true (unquantized)
-	// radius. ApplyFailures uses it to bound the blast-radius candidate
+	// maxRadius upper-bounds every vicinity window's radius. ApplyFailures uses it to bound the blast-radius candidate
 	// search: u ∈ V(x) implies d(x,u) <= maxRadius.
 	maxRadius float64
 
@@ -127,7 +124,7 @@ func build(g *graph.Graph, k int, landmarks []graph.NodeID, compact bool) (*Snap
 		s.lmRow[lm] = int32(row)
 	}
 	if compact {
-		cs := &compactStore{n: n, k: k, pg: g}
+		cs := newCompactStore(g, k)
 		if err := s.buildCompactVicinities(cs); err != nil {
 			return nil, err
 		}

@@ -20,6 +20,14 @@ func buildEnv(t testing.TB, n int, seed int64) *static.Env {
 	return static.NewEnv(g, seed)
 }
 
+// buildGeoEnv is buildEnv on a geometric map: Euclidean link weights, so
+// windows hold float64 distances, not levels.
+func buildGeoEnv(t testing.TB, n int, seed int64) *static.Env {
+	t.Helper()
+	g := topology.Geometric(rand.New(rand.NewSource(seed)), n, 8)
+	return static.NewEnv(g, seed)
+}
+
 func mustBuild(t testing.TB, env *static.Env, k int, compact bool) *Snapshot {
 	t.Helper()
 	build := Build
@@ -80,44 +88,55 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 }
 
 // TestCompactMatchesExact pins the compact encoding to the exact regime:
-// member IDs, parents and every landmark-tree path round-trip exactly;
-// distances round-trip through float32 (lossless here — the test topology
-// has unit weights, so distances are small integers). It runs on a fresh
-// build and on the head of a folded chain, whose store has a short window
-// and raw-copied ranges.
+// member IDs, parents, distances, radii, the distance form and every
+// landmark-tree path round-trip exactly — on G(n,m), whose windows hold
+// levels, and on a geometric map, whose windows hold float64 distances.
+// It runs on a fresh build and on the head of a folded G(n,m) chain, whose
+// store has a short window and raw-copied ranges.
 func TestCompactMatchesExact(t *testing.T) {
-	env := buildEnv(t, 192, 7)
-	k := vicinity.DefaultK(env.N())
-	exact := mustBuild(t, env, k, false)
-	compact := mustBuild(t, env, k, true)
-	if !compact.Compact() || exact.Compact() {
-		t.Fatal("Compact() regime flags wrong")
+	for _, tc := range []struct {
+		name string
+		env  *static.Env
+	}{{"built", buildEnv(t, 192, 7)}, {"built-geometric", buildGeoEnv(t, 192, 7)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := vicinity.DefaultK(tc.env.N())
+			exact := mustBuild(t, tc.env, k, false)
+			compact := mustBuild(t, tc.env, k, true)
+			if !compact.Compact() || exact.Compact() {
+				t.Fatal("Compact() regime flags wrong")
+			}
+			compareRegimes(t, exact, compact)
+		})
 	}
-	t.Run("built", func(t *testing.T) { compareRegimes(t, exact, compact) })
 	t.Run("folded-chain-head", func(t *testing.T) {
 		compareRegimes(t, foldedChainHead(t, false), foldedChainHead(t, true))
 	})
+}
+
+// sameWindow reports where got differs from want, column for column, or
+// "" when they are the same window. Bytes counts a level as 2 bytes and a
+// distance as 8, so equal sizes and equal Bytes mean the same form.
+func sameWindow(got, want *vicinity.Window) string {
+	if got.Size() != want.Size() || got.Radius() != want.Radius() || got.Bytes() != want.Bytes() {
+		return fmt.Sprintf("size/radius/bytes (%d, %v, %d), want (%d, %v, %d)", got.Size(), got.Radius(), got.Bytes(), want.Size(), want.Radius(), want.Bytes())
+	}
+	for i := 0; i < want.Size(); i++ {
+		if got.ID(i) != want.ID(i) || got.Parent(i) != want.Parent(i) || got.Dist(i) != want.Dist(i) {
+			return fmt.Sprintf("entry %d (%d, %d, %v), want (%d, %d, %v)", i, got.ID(i), got.Parent(i), got.Dist(i), want.ID(i), want.Parent(i), want.Dist(i))
+		}
+	}
+	return ""
 }
 
 // compareRegimes checks every read of compact against its exact twin.
 func compareRegimes(t *testing.T, exact, compact *Snapshot) {
 	n := exact.Graph().N()
 	for v := 0; v < n; v++ {
-		want := exact.Vicinity(graph.NodeID(v))
-		got := compact.Vicinity(graph.NodeID(v))
-		if got.Size() != want.Size() {
-			t.Fatalf("vicinity %d: header mismatch", v)
+		if diff := sameWindow(compact.Vicinity(graph.NodeID(v)), exact.Vicinity(graph.NodeID(v))); diff != "" {
+			t.Fatalf("vicinity %d: %s", v, diff)
 		}
-		for i := 0; i < want.Size(); i++ {
-			if got.ID(i) != want.ID(i) || got.Parent(i) != want.Parent(i) {
-				t.Fatalf("vicinity %d entry %d: got (%d, %d) want (%d, %d)", v, i, got.ID(i), got.Parent(i), want.ID(i), want.Parent(i))
-			}
-			if got.Dist(i) != float64(float32(want.Dist(i))) {
-				t.Fatalf("vicinity %d entry %d: dist %v is not float32(%v)", v, i, got.Dist(i), want.Dist(i))
-			}
-		}
-		if got.Radius() != float64(float32(want.Radius())) {
-			t.Fatalf("vicinity %d: radius %v want float32(%v)", v, got.Radius(), want.Radius())
+		if size, rad := compact.windowMeta(graph.NodeID(v)); size != exact.Vicinity(graph.NodeID(v)).Size() || rad != exact.Vicinity(graph.NodeID(v)).Radius() {
+			t.Fatalf("vicinity %d: windowMeta (%d, %v) disagrees with the exact window", v, size, rad)
 		}
 	}
 

@@ -115,7 +115,7 @@ func (o *overlay) row(row int) []graph.NodeID {
 // deriveOverlay returns the table one repair past prev (nil for a built or
 // freshly folded parent): prev's slots copied, prev itself left untouched
 // for the snapshots holding it, then this event's shards written over them.
-func deriveOverlay(prev *overlay, n, nrows int, affVic []graph.NodeID, wins []repairedWindow, rowIdx []int, prows [][]graph.NodeID) *overlay {
+func deriveOverlay(prev *overlay, n, nrows int, affVic []graph.NodeID, wins []*vicinity.Window, rowIdx []int, prows [][]graph.NodeID) *overlay {
 	o := &overlay{vic: make([]*vicinity.Window, n), rows: make([][]graph.NodeID, nrows)}
 	if prev != nil {
 		copy(o.vic, prev.vic)
@@ -126,7 +126,7 @@ func deriveOverlay(prev *overlay, n, nrows int, affVic []graph.NodeID, wins []re
 		if o.vic[v] == nil {
 			o.shards++
 		}
-		o.vic[v] = wins[i].win
+		o.vic[v] = wins[i]
 	}
 	for i, row := range rowIdx {
 		if o.rows[row] == nil {

@@ -182,16 +182,21 @@ func clone[T any](pool *[]T, src []T) []T {
 	return s
 }
 
+// Levels reports the distance form windows of k members take on g: BFS
+// levels when g is unit-weight and k fits a uint16, float64 distances
+// otherwise.
+func Levels(g *graph.Graph, k int) bool { return g.Unit() && k <= math.MaxUint16 }
+
 // MakeWindows returns count empty windows with room for k members each, in
-// the distance form a ball of g takes (levels when g is unit-weight and k
-// fits a uint16), carved from one array per column — so a whole store is a
-// handful of allocations, not five a window. Fill them with Ball.Fill.
+// the distance form a ball of g takes (Levels), carved from one array per
+// column — so a whole store is a handful of allocations, not five a window.
+// Fill them with Ball.Fill.
 func MakeWindows(g *graph.Graph, count, k int) []Window {
 	words := filterWords(g.N())
 	ids, parent, filt := make([]graph.NodeID, count*k), make([]int32, count*k), make([]uint64, count*words)
 	var level []uint16
 	var dist []float64
-	if g.Unit() && k <= math.MaxUint16 {
+	if Levels(g, k) {
 		level = make([]uint16, count*k)
 	} else {
 		dist = make([]float64, count*k)
@@ -240,6 +245,19 @@ func FromColumns(idSpace int, ids []graph.NodeID, parent []int32, dist []float64
 			w.radius = d
 		}
 	}
+	w.seal()
+	return w
+}
+
+// FromLevels is FromColumns for a window in level form: BFS levels in place
+// of float64 distances.
+func FromLevels(idSpace int, ids []graph.NodeID, parent []int32, level []uint16) *Window {
+	w := &Window{ids: ids, parent: parent, level: level, filt: make([]uint64, filterWords(idSpace))}
+	var top uint16
+	for _, l := range level {
+		top = max(top, l)
+	}
+	w.radius = float64(top)
 	w.seal()
 	return w
 }
