@@ -88,38 +88,61 @@ func (d *chainDriver) recoverOne(t *testing.T, rng *rand.Rand) {
 // route state byte-identical (CanonicalBytes) to a from-scratch build of
 // the current topology, in both storage regimes — including across
 // automatic chain folds — on G(n,m), whose windows hold levels, and on a
-// geometric map, whose windows hold float64 distances. The two regimes run
-// the same draws in lockstep (checkChainStep). Failures are drawn
-// non-disconnecting so the from-scratch comparison build stays possible at
-// every step.
+// geometric map, whose windows hold float64 distances. The compact chain
+// runs the same draws in lockstep with an exact twin (checkChainStep).
+// Failures are drawn non-disconnecting so the from-scratch comparison build
+// stays possible at every step.
 func TestSnapshotChainEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		env  *static.Env
-	}{{"gnm", buildEnv(t, 384, 11)}, {"geometric", buildGeoEnv(t, 384, 11)}} {
-		t.Run(tc.name, func(t *testing.T) {
-			k := vicinity.DefaultK(tc.env.N())
-			heads := twinDrivers(t, tc.env, k)
-			rngs := [2]*rand.Rand{rand.New(rand.NewSource(31)), rand.New(rand.NewSource(31))}
-			folds := 0
-			for step := 0; step < 28; step++ {
-				for i, d := range heads {
-					// Bias toward failures early so recoveries have stock, and
-					// interleave so repair-of-repair and recover-of-repair
-					// chains both occur.
-					if len(d.down) == 0 || (len(d.down) < 10 && rngs[i].Intn(3) != 0) {
-						d.failOne(t, rngs[i], true)
-					} else {
-						d.recoverOne(t, rngs[i])
+	for _, compact := range []bool{false, true} {
+		name := "exact"
+		if compact {
+			name = "compact"
+		}
+		t.Run(name, func(t *testing.T) {
+			for _, tc := range []struct {
+				name string
+				env  *static.Env
+			}{{"gnm", buildEnv(t, 384, 11)}, {"geometric", buildGeoEnv(t, 384, 11)}} {
+				t.Run(tc.name, func(t *testing.T) {
+					k := vicinity.DefaultK(tc.env.N())
+					heads := []*chainDriver{newChainDriver(mustBuild(t, tc.env, k, false))}
+					if compact {
+						twins := twinDrivers(t, tc.env, k)
+						heads = twins[:]
 					}
-				}
-				checkChainStep(t, step, heads)
-				if heads[0].cur.RepairStats().Folded {
-					folds++
-				}
-			}
-			if len(heads[0].down) == 0 || folds == 0 {
-				t.Errorf("%d links down at the end, %d folds: want an interleaved chain that folds", len(heads[0].down), folds)
+					rngs := []*rand.Rand{rand.New(rand.NewSource(31)), rand.New(rand.NewSource(31))}
+					folds := 0
+					for step := 0; step < 28; step++ {
+						for i, d := range heads {
+							// Bias toward failures early so recoveries have
+							// stock, and interleave so repair-of-repair and
+							// recover-of-repair chains both occur.
+							if len(d.down) == 0 || (len(d.down) < 10 && rngs[i].Intn(3) != 0) {
+								d.failOne(t, rngs[i], true)
+							} else {
+								d.recoverOne(t, rngs[i])
+							}
+						}
+						if compact {
+							checkChainStep(t, step, [2]*chainDriver(heads))
+						} else {
+							cur := heads[0].cur
+							fresh, err := Build(cur.Graph(), k, tc.env.Landmarks)
+							if err != nil {
+								t.Fatalf("step %d: from-scratch rebuild: %v", step, err)
+							}
+							if !bytes.Equal(cur.CanonicalBytes(), fresh.CanonicalBytes()) {
+								t.Fatalf("step %d: the chain differs from a from-scratch build", step)
+							}
+						}
+						if heads[0].cur.RepairStats().Folded {
+							folds++
+						}
+					}
+					if len(heads[0].down) == 0 || folds == 0 {
+						t.Errorf("%d links down at the end, %d folds: want an interleaved chain that folds", len(heads[0].down), folds)
+					}
+				})
 			}
 		})
 	}
