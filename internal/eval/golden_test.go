@@ -122,6 +122,31 @@ func TestGoldenServeStorm(t *testing.T) {
 	checkGolden(t, "serve_storm_gnm256", r.FormatEvents())
 }
 
+// TestGoldenFig8 pins the path-vector control plane: both simulated and
+// extrapolated full path-vector rows, the S4 and vicinity modes, and the
+// overlay dissemination behind the Disco columns.
+func TestGoldenFig8(t *testing.T) {
+	checkGolden(t, "fig8_gnm64_256", Fig8Convergence([]int{64, 128, 256}, 128, 1).Format())
+}
+
+// TestGoldenChurnCost pins the path-vector dynamics: Clone, FailLink,
+// PruneStale and the refresh rounds.
+func TestGoldenChurnCost(t *testing.T) {
+	r, err := ChurnCost(128, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "churn_gnm128", r.Format())
+}
+
+func TestGoldenFingers(t *testing.T) {
+	checkGolden(t, "fingers_gnm256", FingerExperiment(256, 1).Format())
+}
+
+func TestGoldenResolveImbalance(t *testing.T) {
+	checkGolden(t, "imbalance_512", ResolveImbalance(512, 1).Format())
+}
+
 // TestGoldenChurnTimeline pins the continuous-churn timeline — blast radii,
 // calibrated message model and per-event delivery. The parameters match
 // the CI smoke step (`discosim -exp churn-timeline -n 256 -seed 1`), which
