@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 
 	"disco/internal/eval"
 	"disco/internal/graph"
@@ -58,18 +57,15 @@ func main() {
 	fmt.Printf("address explicit-route sizes: mean=%.2fB p95=%.2fB max=%.3fB\n", mean, p95, max)
 
 	if *deg {
-		hist := map[int]int{}
+		hist := make([]int, g.MaxDegree()+1)
 		for v := 0; v < g.N(); v++ {
 			hist[g.Degree(graph.NodeID(v))]++
 		}
-		ds := make([]int, 0, len(hist))
-		for d := range hist {
-			ds = append(ds, d)
-		}
-		sort.Ints(ds)
 		fmt.Println("degree distribution:")
-		for _, d := range ds {
-			fmt.Printf("  %5d %6d\n", d, hist[d])
+		for d, c := range hist {
+			if c > 0 {
+				fmt.Printf("  %5d %6d\n", d, c)
+			}
 		}
 	}
 	os.Exit(0)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"disco/internal/addr"
 	"disco/internal/graph"
 	"disco/internal/names"
@@ -42,14 +44,7 @@ func (b StateBreakdown) Bytes(m addr.SizeModel, avgAddr float64) float64 {
 // stores (zero for non-landmarks): the consistent-hashing share of all n
 // name→address bindings (§4.3).
 func (d *Disco) resolutionLoad() []int {
-	n := d.Env().N()
-	load := make([]int, n)
-	keys := make([]names.Hash, n)
-	copy(keys, d.Env().Hashes)
-	for lm, c := range d.DB.Load(keys) {
-		load[lm] = c
-	}
-	return load
+	return d.DB.Load(d.Env().N(), d.Env().Hashes)
 }
 
 // NDStateBreakdown returns node v's NDDisco state given the precomputed
@@ -109,22 +104,20 @@ func (d *Disco) StateVectors() (ndEntries, discoEntries []int, ndBreak, discoBre
 func (d *Disco) groupSizes() []int {
 	n := d.Env().N()
 	out := make([]int, n)
-	// Count nodes per (k, prefix) bucket for the ks in use.
-	kset := map[int]bool{}
-	for v := 0; v < n; v++ {
-		kset[d.View.KOf(graph.NodeID(v))] = true
+	// Count nodes per (k, prefix) bucket for the ks in use, ascending.
+	ks := make([]int, n)
+	for v := range ks {
+		ks[v] = d.View.KOf(graph.NodeID(v))
 	}
 	counts := map[int]map[uint64]int{}
-	//disco:orderinvariant each k's histogram is built from the full hash set independently; writes are keyed by k
-	for k := range kset {
+	for _, k := range slices.Compact(slices.Sorted(slices.Values(ks))) {
 		c := make(map[uint64]int)
 		for w := 0; w < n; w++ {
 			c[names.PrefixBits(d.Env().Hashes[w], k)]++
 		}
 		counts[k] = c
 	}
-	for v := 0; v < n; v++ {
-		k := d.View.KOf(graph.NodeID(v))
+	for v, k := range ks {
 		out[v] = counts[k][names.PrefixBits(d.Env().Hashes[v], k)] - 1
 	}
 	return out

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -152,6 +153,20 @@ func TestFig8Small(t *testing.T) {
 	// Path vector must dominate the compact protocols at the largest size.
 	if last.PathVector <= last.NDDisco {
 		t.Errorf("full PV should cost more than NDDisco: %+v", last)
+	}
+}
+
+// TestFig8Unextrapolated: a size above the cap with fewer than two
+// simulated sizes below it has no path-vector figure, and prints "-", not 0.
+func TestFig8Unextrapolated(t *testing.T) {
+	r := Fig8Convergence([]int{64, 96}, 64, 7)
+	last := r.Points[1]
+	if !math.IsNaN(last.PathVector) || last.PVExtrapolated {
+		t.Fatalf("n=96 above a cap of 64 with one simulated size: path vector %v, extrapolated %v", last.PathVector, last.PVExtrapolated)
+	}
+	row := strings.Fields(strings.Split(r.Format(), "\n")[3])
+	if row[0] != "96" || row[1] != "-" {
+		t.Errorf("row %q: want n=96 with path-vector \"-\"", row)
 	}
 }
 

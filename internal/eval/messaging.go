@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -18,7 +19,7 @@ import (
 // Fig8Point is the per-size measurement of messages/node to convergence.
 type Fig8Point struct {
 	N              int
-	PathVector     float64 // full path vector (extrapolated above PVCap)
+	PathVector     float64 // full path vector (extrapolated above pvCap; NaN when neither)
 	PVExtrapolated bool
 	S4             float64 // landmark phase + cluster phase
 	NDDisco        float64 // single vicinity path-vector run
@@ -38,7 +39,10 @@ func (r *Fig8Result) Format() string {
 	fmt.Fprintf(&b, "  %6s %14s %10s %10s %10s %10s\n", "n", "path-vector", "S4", "ND-Disco", "Disco-1f", "Disco-3f")
 	for _, p := range r.Points {
 		pv := fmt.Sprintf("%.0f", p.PathVector)
-		if p.PVExtrapolated {
+		switch {
+		case math.IsNaN(p.PathVector):
+			pv = "-"
+		case p.PVExtrapolated:
 			pv += "*"
 		}
 		fmt.Fprintf(&b, "  %6d %14s %10.0f %10.0f %10.0f %10.0f\n",
@@ -76,7 +80,9 @@ func Fig8Convergence(sizes []int, pvCap int, seed int64) *Fig8Result {
 		k := vicinity.DefaultK(n)
 		pt := Fig8Point{N: n}
 
-		// Full path vector (small sizes only; extrapolated below).
+		// Full path vector (small sizes only; extrapolated below, when
+		// two simulated sizes allow it, else left NaN).
+		pt.PathVector = math.NaN()
 		if n <= pvCap {
 			msgs, _ := runPV(g, pathvector.Config{Mode: pathvector.ModeFull})
 			pt.PathVector = float64(msgs) / float64(n)

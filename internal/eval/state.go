@@ -130,11 +130,7 @@ func (c Config) Fig7StateBytes(n int, seed int64) *Fig7Result {
 	// S4 bytes: landmarks+cluster+labels are plain entries; resolution
 	// entries carry addresses.
 	nLM := len(p.Env.Landmarks)
-	keys := p.Env.Hashes
-	resLoad := make([]int, n)
-	for lm, c := range p.S4.DB.Load(keys) {
-		resLoad[lm] = c
-	}
+	resLoad := p.S4.DB.Load(n, p.Env.Hashes)
 	s4Bytes := func(m addr.SizeModel) (mean, max float64) {
 		return bytesStats(func(v int) float64 {
 			labels := p.Env.G.Degree(graph.NodeID(v))

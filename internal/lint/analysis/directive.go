@@ -5,13 +5,14 @@
 //	//disco:<name> <reason>
 //
 // placed on the flagged line or on the line directly above the flagged
-// statement. The reason is mandatory: a bare //disco:orderinvariant is
-// itself a diagnostic, so every waiver carries its justification in the
-// source next to the code it excuses. Directive names in use:
+// statement. The reason is mandatory: a bare //disco:measured is itself a
+// diagnostic, so every waiver carries its justification in the source
+// next to the code it excuses. So is a waiver that suppressed nothing in
+// its package (see Unused): once the code it excused changes, it goes.
+// Directive names in use:
 //
-//	//disco:orderinvariant — maporder, mergeorder: the iteration or
-//	    merge order provably cannot reach output (pure counting,
-//	    cache eviction, set union).
+//	//disco:orderinvariant — mergeorder: a parallel task's write whose
+//	    merge order provably cannot reach output (an integer tally).
 //	//disco:measured — seedrand: wall-clock or unseeded randomness on
 //	    a measurement-only path (qps/latency timing) whose values are
 //	    excluded from deterministic output.
@@ -40,11 +41,14 @@ type Directive struct {
 }
 
 // DirectiveTable indexes every //disco: directive of one package by
-// file and line for O(1) suppression checks.
+// file and line for O(1) suppression checks, and remembers which
+// directives suppressed a diagnostic.
 type DirectiveTable struct {
-	// byFileLine maps file name -> line -> directives on that line.
-	byFileLine map[string]map[int][]Directive
+	// byFileLine maps file name -> line -> indices into all of the
+	// directives on that line.
+	byFileLine map[string]map[int][]int
 	all        []Directive
+	used       []bool
 }
 
 // ParseDirectives scans the comments of files for //disco: directives.
@@ -52,7 +56,7 @@ type DirectiveTable struct {
 // kept too — validation (unknown name, missing reason) is the driver's
 // job, not the parser's.
 func ParseDirectives(fset *token.FileSet, files []*ast.File) *DirectiveTable {
-	t := &DirectiveTable{byFileLine: make(map[string]map[int][]Directive)}
+	t := &DirectiveTable{byFileLine: make(map[string]map[int][]int)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -72,11 +76,12 @@ func ParseDirectives(fset *token.FileSet, files []*ast.File) *DirectiveTable {
 				}
 				lines := t.byFileLine[d.File]
 				if lines == nil {
-					lines = make(map[int][]Directive)
+					lines = make(map[int][]int)
 					t.byFileLine[d.File] = lines
 				}
-				lines[d.Line] = append(lines[d.Line], d)
+				lines[d.Line] = append(lines[d.Line], len(t.all))
 				t.all = append(t.all, d)
+				t.used = append(t.used, false)
 			}
 		}
 	}
@@ -84,17 +89,19 @@ func ParseDirectives(fset *token.FileSet, files []*ast.File) *DirectiveTable {
 }
 
 // Covers reports whether a directive named name sits on line, or on the
-// line immediately above it, in file. A directive with an empty reason
-// does not suppress — the missing reason surfaces as its own
-// diagnostic (see Validate) and the underlying finding stays visible.
+// line immediately above it, in file, and marks that directive used. A
+// directive with an empty reason does not suppress — the missing reason
+// surfaces as its own diagnostic (see Validate) and the underlying
+// finding stays visible.
 func (t *DirectiveTable) Covers(name, file string, line int) bool {
 	lines := t.byFileLine[file]
 	if lines == nil {
 		return false
 	}
 	for _, cand := range [2]int{line, line - 1} {
-		for _, d := range lines[cand] {
-			if d.Name == name && d.Reason != "" {
+		for _, i := range lines[cand] {
+			if d := t.all[i]; d.Name == name && d.Reason != "" {
+				t.used[i] = true
 				return true
 			}
 		}
@@ -121,6 +128,19 @@ func (t *DirectiveTable) Validate(report func(pos token.Pos, format string, args
 		}
 		if d.Reason == "" {
 			report(d.Pos, "//disco:%s directive needs a reason: //disco:%s <why this site is exempt>", d.Name, d.Name)
+		}
+	}
+}
+
+// Unused reports every well-formed directive that no Covers call has
+// matched: a stale waiver whose code no longer raises the diagnostic it
+// excused. Only a driver that has run every analyzer over the package may
+// call it; a single-analyzer harness would see the other analyzers'
+// waivers as unused.
+func (t *DirectiveTable) Unused(report func(pos token.Pos, format string, args ...any)) {
+	for i, d := range t.all {
+		if !t.used[i] && KnownDirectives[d.Name] && d.Reason != "" {
+			report(d.Pos, "//disco:%s directive suppresses no diagnostic; delete it", d.Name)
 		}
 	}
 }

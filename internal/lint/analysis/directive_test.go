@@ -92,3 +92,20 @@ func TestDirectiveValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectiveUnused: a well-formed directive that no Covers call matched
+// is stale; malformed ones are Validate's to report, not Unused's.
+func TestDirectiveUnused(t *testing.T) {
+	fset, tab := parseDirectiveTable(t)
+	tab.Covers("orderinvariant", "p.go", 5)
+	var lines []int
+	tab.Unused(func(pos token.Pos, format string, args ...any) {
+		if msg := fmt.Sprintf(format, args...); !strings.Contains(msg, "suppresses no diagnostic") {
+			t.Errorf("unexpected diagnostic %q", msg)
+		}
+		lines = append(lines, fset.Position(pos).Line)
+	})
+	if !slices.Equal(lines, []int{7}) {
+		t.Errorf("Unused reported lines %v, want [7] (the measured waiver nothing matched)", lines)
+	}
+}

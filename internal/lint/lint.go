@@ -2,8 +2,9 @@
 // analyzer suite. Each analyzer turns one prose contract from the
 // ROADMAP into a static check:
 //
-//	maporder   — bit-identical output: no raw map iteration in
-//	             deterministic packages (internal/parallel contract)
+//	maporder   — bit-identical output: no range over a map (or a
+//	             maps.Keys/Values/All iterator) in deterministic
+//	             packages; no waiver
 //	seedrand   — bit-identical output: all entropy flows from explicit
 //	             seeds; wall clock only on //disco:measured paths
 //	snapmutate — snapshot immutability: what Fork() shares is never
@@ -11,8 +12,10 @@
 //	mergeorder — task-ordered merges: pool closures write only
 //	             task-indexed storage
 //
-// The driver half lives in internal/lint/vetdriver (the go vet
-// -vettool protocol) and cmd/discolint (the binary).
+// The other three accept a //disco: waiver directive
+// (internal/lint/analysis); the driver reports any waiver that
+// suppressed nothing. The driver half lives in internal/lint/vetdriver
+// (the go vet -vettool protocol) and cmd/discolint (the binary).
 package lint
 
 import (

@@ -1,42 +1,22 @@
-// Package maporder flags `range` over a map in the repo's
-// deterministic packages — the bug class behind PR 1's vrr.nextHop and
-// pathvector.PruneStale fixes, where Go's randomized map iteration
-// order leaked into figure output and corrupted goldens.
+// Package maporder enforces that the repo's deterministic packages
+// never range over a map. Go randomizes map iteration order, and a
+// figure must be byte-identical at any -workers count and across runs;
+// rather than prove each loop's order cannot reach output, the contract
+// is that deterministic code iterates no map at all.
 //
-// The contract: bit-identical output at any -workers count and across
-// runs. A map range breaks it unless the iteration provably cannot
-// reach output. The analyzer therefore allows, without annotation:
+// The check is purely syntactic: every `range` whose operand is
+// map-typed, or is a maps.Keys, maps.Values or maps.All iterator, is
+// reported. Maps kept for point lookups are walked in key order as
 //
-//   - the collect-then-sort idiom: the body only appends keys/values
-//     to storage that a later statement in the same block sorts
-//     (sort.Ints, sort.Slice, slices.Sort, a local sortByID — any
-//     callee whose qualified name mentions "sort", taking the same
-//     expression as argument or receiver);
-//   - distinct-slot stores `m[k] = v` indexed by the range key: each
-//     iteration writes its own slot, so the interleaving is
-//     invisible;
-//   - pure integer accumulation (+=, counters, |=, &=, ^=, *=) and
-//     delete() calls, order-independent by commutativity;
-//   - arbitrary work on body-local variables (declared inside the
-//     loop), which die before the next iteration can observe them;
+//	for _, k := range slices.Sorted(maps.Keys(m))
 //
-// composed under if/continue control flow and nested loops, provided
-// no expression reads state the loop itself mutates (other than a
-// slot indexed by the range key). Everything else — float
-// accumulation (non-associative), early break, first-match
-// selection, min/max folds, writes keyed by anything but the loop
-// variables — needs an explicit reviewed waiver:
-//
-//	//disco:orderinvariant <why the order cannot reach output>
-//
-// Ranging over maps.Keys/maps.Values/maps.All is flagged identically
-// (same randomized order, one call away). Test files are skipped: the
-// dynamic invariance suites own test determinism.
+// which ranges over a slice and passes. There is no waiver directive.
+// Test files are skipped: the dynamic invariance suites own test
+// determinism.
 package maporder
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -45,10 +25,9 @@ import (
 
 // Analyzer is the maporder check.
 var Analyzer = &analysis.Analyzer{
-	Name:      "maporder",
-	Doc:       "flags range over a map in deterministic packages unless collected-and-sorted, slot-indexed, or waived with //disco:orderinvariant",
-	Directive: "orderinvariant",
-	Run:       run,
+	Name: "maporder",
+	Doc:  "flags every range over a map, or over a maps.Keys/Values/All iterator, in deterministic packages",
+	Run:  run,
 }
 
 // deterministicPkgs lists, by final import-path segment, the packages
@@ -86,27 +65,11 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			var list []ast.Stmt
-			switch n := n.(type) {
-			case *ast.BlockStmt:
-				list = n.List
-			case *ast.CaseClause:
-				list = n.Body
-			case *ast.CommClause:
-				list = n.Body
-			default:
-				return true
-			}
-			for i, s := range list {
-				for {
-					if ls, ok := s.(*ast.LabeledStmt); ok {
-						s = ls.Stmt
-						continue
-					}
-					break
-				}
-				if rs, ok := s.(*ast.RangeStmt); ok {
-					checkRange(pass, rs, list[i+1:])
+			if rs, ok := n.(*ast.RangeStmt); ok {
+				if what := mapRangeKind(pass, rs.X); what != "" {
+					pass.Reportf(rs.For,
+						"range over %s in deterministic package %s: iteration order is random; range over a slice, or over slices.Sorted(maps.Keys(m))",
+						what, pass.Pkg.Path())
 				}
 			}
 			return true
@@ -115,542 +78,31 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkRange flags rs if it ranges over a map (or a maps.Keys-style
-// iterator) and its body is not provably order-independent.
-func checkRange(pass *analysis.Pass, rs *ast.RangeStmt, tail []ast.Stmt) {
-	what := mapRangeKind(pass, rs.X)
-	if what == "" {
-		return
-	}
-	c := newClassifier(pass, rs)
-	if c.listSafe(rs.Body.List) {
-		ok := true
-		for _, target := range c.appended {
-			if !sortedLater(pass, target, tail) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return
-		}
-	}
-	pass.Reportf(rs.For,
-		"range over %s has schedule-dependent iteration order in deterministic package %s; collect and sort the keys, or waive with //disco:orderinvariant <reason>",
-		what, pass.Pkg.Path())
-}
-
-// mapRangeKind reports what nondeterministically-ordered thing x is:
-// "" if none, else a description for the diagnostic.
+// mapRangeKind reports what randomly-ordered thing x is: "" if none,
+// else a description for the diagnostic.
 func mapRangeKind(pass *analysis.Pass, x ast.Expr) string {
-	t := pass.TypesInfo.TypeOf(x)
-	if t != nil {
+	if t := pass.TypesInfo.TypeOf(x); t != nil {
 		if _, ok := t.Underlying().(*types.Map); ok {
 			return "map"
 		}
 	}
-	if call, ok := ast.Unparen(x).(*ast.CallExpr); ok {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if isPkgFunc(pass, sel, "maps", "Keys", "Values", "All") {
-				return "maps." + sel.Sel.Name + " iterator"
-			}
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "maps" {
+		switch sel.Sel.Name {
+		case "Keys", "Values", "All":
+			return "maps." + sel.Sel.Name + " iterator"
 		}
 	}
 	return ""
-}
-
-// isPkgFunc reports whether sel selects one of names from the package
-// with import path pkgPath.
-func isPkgFunc(pass *analysis.Pass, sel *ast.SelectorExpr, pkgPath string, names ...string) bool {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
-	if !ok || pn.Imported().Path() != pkgPath {
-		return false
-	}
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			return true
-		}
-	}
-	return false
-}
-
-// classifier decides whether a loop body is order-independent. Two
-// facts drive the decision, gathered in a pre-pass over the body:
-//
-//   - locals: objects declared inside the body. They are reborn every
-//     iteration, so no interleaving can flow through them; arbitrary
-//     mutation of locals is fine as long as the values assigned are
-//     themselves order-clean.
-//   - written: outer objects the body mutates (accumulators, appended
-//     slices, stored-into maps). Any *read* of these — other than the
-//     slot indexed by the range key — would let one iteration observe
-//     another, so expressions mentioning them are impure.
-type classifier struct {
-	pass     *analysis.Pass
-	keyObj   types.Object // the range key variable, if an ident
-	locals   map[types.Object]bool
-	written  map[types.Object]bool
-	appended []string // canonical exprs that must be sorted in the tail
-}
-
-func newClassifier(pass *analysis.Pass, rs *ast.RangeStmt) *classifier {
-	c := &classifier{
-		pass:    pass,
-		locals:  make(map[types.Object]bool),
-		written: make(map[types.Object]bool),
-	}
-	if rs.Tok == token.DEFINE {
-		if id, ok := rs.Key.(*ast.Ident); ok {
-			c.keyObj = pass.TypesInfo.ObjectOf(id)
-			c.locals[c.keyObj] = true
-		}
-		if id, ok := rs.Value.(*ast.Ident); ok {
-			c.locals[pass.TypesInfo.ObjectOf(id)] = true
-		}
-	} else {
-		c.markWritten(rs.Key)
-		c.markWritten(rs.Value)
-	}
-	c.collect(rs.Body)
-	return c
-}
-
-// collect records every object the body declares and every target it
-// writes. Writes through calls cannot happen: calls are impure below.
-func (c *classifier) collect(body ast.Node) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if n.Tok == token.DEFINE {
-					if id, ok := lhs.(*ast.Ident); ok {
-						c.locals[c.pass.TypesInfo.ObjectOf(id)] = true
-					}
-				} else {
-					c.markWritten(lhs)
-				}
-			}
-		case *ast.IncDecStmt:
-			c.markWritten(n.X)
-		case *ast.RangeStmt:
-			if n.Tok == token.DEFINE {
-				for _, e := range []ast.Expr{n.Key, n.Value} {
-					if id, ok := e.(*ast.Ident); ok {
-						c.locals[c.pass.TypesInfo.ObjectOf(id)] = true
-					}
-				}
-			} else {
-				c.markWritten(n.Key)
-				c.markWritten(n.Value)
-			}
-		case *ast.DeclStmt:
-			if gd, ok := n.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
-				for _, sp := range gd.Specs {
-					if vs, ok := sp.(*ast.ValueSpec); ok {
-						for _, id := range vs.Names {
-							c.locals[c.pass.TypesInfo.ObjectOf(id)] = true
-						}
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" {
-				if b, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "delete" && len(n.Args) > 0 {
-					c.markWritten(n.Args[0])
-				}
-			}
-		}
-		return true
-	})
-}
-
-func (c *classifier) markWritten(e ast.Expr) {
-	if obj := rootObj(c.pass, e); obj != nil {
-		c.written[obj] = true
-	}
-}
-
-// rootObj walks an lvalue to the identifier at its base: o.vic[v] → o,
-// *p → p, m[k] → m.
-func rootObj(pass *analysis.Pass, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if x.Name == "_" {
-				return nil
-			}
-			return pass.TypesInfo.ObjectOf(x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// writtenOuter reports whether obj is mutated by the body yet survives
-// across iterations (declared outside it).
-func (c *classifier) writtenOuter(obj types.Object) bool {
-	return obj != nil && c.written[obj] && !c.locals[obj]
-}
-
-// isKey reports whether e is exactly the range key variable.
-func (c *classifier) isKey(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && c.keyObj != nil && c.pass.TypesInfo.ObjectOf(id) == c.keyObj
-}
-
-func (c *classifier) listSafe(list []ast.Stmt) bool {
-	for _, s := range list {
-		if !c.stmtSafe(s) {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *classifier) stmtSafe(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		return c.assignSafe(s)
-	case *ast.IncDecStmt:
-		return c.incDecSafe(s)
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			return false
-		}
-		for _, sp := range gd.Specs {
-			vs, ok := sp.(*ast.ValueSpec)
-			if !ok {
-				return false
-			}
-			for _, v := range vs.Values {
-				if !c.pure(v) {
-					return false
-				}
-			}
-		}
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" {
-				if b, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "delete" && len(call.Args) == 2 {
-					// The map being deleted from is a write target, not
-					// a read; only its path and the key must be clean.
-					return c.lvalueSafe(call.Args[0]) && c.pure(call.Args[1])
-				}
-			}
-		}
-		return false
-	case *ast.IfStmt:
-		if s.Init != nil && !c.stmtSafe(s.Init) {
-			return false
-		}
-		if !c.pure(s.Cond) {
-			return false
-		}
-		if !c.listSafe(s.Body.List) {
-			return false
-		}
-		if s.Else != nil {
-			return c.stmtSafe(s.Else)
-		}
-		return true
-	case *ast.ForStmt:
-		if s.Init != nil && !c.stmtSafe(s.Init) {
-			return false
-		}
-		if s.Cond != nil && !c.pure(s.Cond) {
-			return false
-		}
-		if s.Post != nil && !c.stmtSafe(s.Post) {
-			return false
-		}
-		return c.listSafe(s.Body.List)
-	case *ast.RangeStmt:
-		// The nested iteration's own order (if it is a map) is judged
-		// separately by the main walk; here only its mutations matter.
-		if !c.pure(s.X) {
-			return false
-		}
-		return c.listSafe(s.Body.List)
-	case *ast.BlockStmt:
-		return c.listSafe(s.List)
-	case *ast.BranchStmt:
-		// continue only decides per-key whether the (order-free) body
-		// runs; break/goto would make the result depend on which keys
-		// were seen first, so they stay unsafe.
-		return s.Tok == token.CONTINUE && s.Label == nil
-	case *ast.EmptyStmt:
-		return true
-	default:
-		return false
-	}
-}
-
-func (c *classifier) assignSafe(s *ast.AssignStmt) bool {
-	switch s.Tok {
-	case token.DEFINE:
-		for _, lhs := range s.Lhs {
-			if _, ok := ast.Unparen(lhs).(*ast.Ident); !ok {
-				return false
-			}
-		}
-		return c.argsPure(s.Rhs)
-
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
-		token.AND_ASSIGN, token.OR_ASSIGN, token.XOR_ASSIGN,
-		token.SHL_ASSIGN, token.SHR_ASSIGN, token.QUO_ASSIGN, token.REM_ASSIGN:
-		if len(s.Lhs) != 1 || len(s.Rhs) != 1 || !c.pure(s.Rhs[0]) {
-			return false
-		}
-		if c.locals[rootObj(c.pass, s.Lhs[0])] {
-			// Body-local: any op on any type, it dies with the iteration.
-			return c.lvalueSafe(s.Lhs[0])
-		}
-		// Outer accumulator: commutative-and-associative only over the
-		// integers (+=, *=, &=, |=, ^=); float accumulation and the
-		// non-commutative ops (-=, /=, %=, shifts) are order-dependent.
-		switch s.Tok {
-		case token.ADD_ASSIGN, token.MUL_ASSIGN, token.AND_ASSIGN, token.OR_ASSIGN, token.XOR_ASSIGN:
-			return isIntegral(c.pass.TypesInfo.TypeOf(s.Lhs[0])) && c.lvalueSafe(s.Lhs[0])
-		}
-		return false
-
-	case token.ASSIGN:
-		if len(s.Lhs) != len(s.Rhs) {
-			return false
-		}
-		if len(s.Lhs) > 1 {
-			// Parallel assignment (swaps etc.): locals only.
-			for _, lhs := range s.Lhs {
-				if !c.locals[rootObj(c.pass, lhs)] {
-					return false
-				}
-			}
-			return c.argsPure(s.Rhs)
-		}
-		lhs, rhs := s.Lhs[0], s.Rhs[0]
-		if target, call := appendTarget(c.pass, lhs, rhs); call != nil {
-			// x = append(x, ...): if x is body-local the result dies
-			// with the iteration; if it survives the loop it must be
-			// sorted in the tail.
-			if !c.argsPure(call.Args[1:]) {
-				return false
-			}
-			if !c.locals[rootObj(c.pass, lhs)] {
-				c.appended = append(c.appended, target)
-			}
-			return true
-		}
-		if c.locals[rootObj(c.pass, lhs)] {
-			return c.lvalueSafe(lhs) && c.pure(rhs)
-		}
-		// Distinct-slot store into outer storage: m[key] = v. Each
-		// iteration owns its slot, so interleaving cannot show.
-		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && c.isKey(ix.Index) {
-			return c.lvalueSafe(ix.X) && c.pure(rhs)
-		}
-		return false
-	}
-	return false
-}
-
-func (c *classifier) incDecSafe(s *ast.IncDecStmt) bool {
-	if !c.lvalueSafe(s.X) {
-		return false
-	}
-	if c.locals[rootObj(c.pass, s.X)] {
-		return true
-	}
-	// m[k]++ / counter++ on outer state: integer increments commute.
-	return isIntegral(c.pass.TypesInfo.TypeOf(s.X))
-}
-
-// lvalueSafe vets the *path* of a write target: every index or pointer
-// hop on the way to the slot must itself be order-clean (the root may
-// well be a written object — that is the point of writing to it).
-func (c *classifier) lvalueSafe(e ast.Expr) bool {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return true
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			if !c.isKey(x.Index) && !c.pure(x.Index) {
-				return false
-			}
-			e = x.X
-		default:
-			return false
-		}
-	}
-}
-
-func (c *classifier) argsPure(args []ast.Expr) bool {
-	for _, a := range args {
-		// make(map[K]V, n) and friends take a type as their first
-		// argument; types are not evaluated.
-		if tv, ok := c.pass.TypesInfo.Types[a]; ok && tv.IsType() {
-			continue
-		}
-		if !c.pure(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// pureBuiltins never observe mutable state beyond their arguments.
-var pureBuiltins = map[string]bool{
-	"len": true, "cap": true, "make": true, "new": true,
-	"min": true, "max": true, "abs": true, "append": false, // append handled explicitly
-}
-
-// pure reports whether evaluating e cannot observe state the loop body
-// mutates: no reads of written-outer objects (except the slot indexed
-// by the range key), and no calls other than conversions and
-// argument-only builtins (an arbitrary call may read anything).
-func (c *classifier) pure(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if e.Name == "_" {
-			return true
-		}
-		obj := c.pass.TypesInfo.ObjectOf(e)
-		if obj == nil {
-			// Unresolved: only safe if it is a predeclared value
-			// (true/false/nil/iota resolve, so this is defensive).
-			return false
-		}
-		return !c.writtenOuter(obj)
-	case *ast.BasicLit:
-		return true
-	case *ast.IndexExpr:
-		if c.isKey(e.Index) {
-			// Reading the iteration's own slot of a written map/slice:
-			// no other iteration touches it.
-			return c.lvalueSafe(e.X)
-		}
-		return c.pure(e.X) && c.pure(e.Index)
-	case *ast.SelectorExpr:
-		return c.pure(e.X)
-	case *ast.StarExpr:
-		return c.pure(e.X)
-	case *ast.UnaryExpr:
-		return c.pure(e.X)
-	case *ast.BinaryExpr:
-		return c.pure(e.X) && c.pure(e.Y)
-	case *ast.SliceExpr:
-		for _, x := range []ast.Expr{e.X, e.Low, e.High, e.Max} {
-			if x != nil && !c.pure(x) {
-				return false
-			}
-		}
-		return true
-	case *ast.TypeAssertExpr:
-		return c.pure(e.X)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				if !c.pure(kv.Value) {
-					return false
-				}
-				continue
-			}
-			if !c.pure(el) {
-				return false
-			}
-		}
-		return true
-	case *ast.CallExpr:
-		if tv, ok := c.pass.TypesInfo.Types[e.Fun]; ok && tv.IsType() {
-			return c.argsPure(e.Args) // conversion
-		}
-		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-			if b, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); ok && pureBuiltins[b.Name()] {
-				return c.argsPure(e.Args)
-			}
-		}
-		return false
-	default:
-		return false
-	}
-}
-
-func isIntegral(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
-}
-
-// appendTarget matches `lhs = append(lhs, ...)` and returns lhs's
-// canonical expression string plus the append call.
-func appendTarget(pass *analysis.Pass, lhs, rhs ast.Expr) (string, *ast.CallExpr) {
-	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return "", nil
-	}
-	fn, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || fn.Name != "append" {
-		return "", nil
-	}
-	if b, ok := pass.TypesInfo.Uses[fn].(*types.Builtin); !ok || b.Name() != "append" {
-		return "", nil
-	}
-	target := types.ExprString(ast.Unparen(lhs))
-	if target != types.ExprString(ast.Unparen(call.Args[0])) {
-		return "", nil
-	}
-	return target, call
-}
-
-// sortedLater reports whether some statement after the loop passes the
-// collected expression to a callee whose qualified name mentions "sort"
-// (sort.Ints, sort.Slice, slices.SortFunc, a local sortByID helper) or
-// calls a sort-named method on it.
-func sortedLater(pass *analysis.Pass, target string, tail []ast.Stmt) bool {
-	found := false
-	for _, s := range tail {
-		ast.Inspect(s, func(n ast.Node) bool {
-			if found {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			name := types.ExprString(call.Fun)
-			if !strings.Contains(strings.ToLower(name), "sort") {
-				return true
-			}
-			for _, a := range call.Args {
-				if types.ExprString(ast.Unparen(a)) == target {
-					found = true
-				}
-			}
-			// ds.Sort() — target as the method receiver.
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if types.ExprString(ast.Unparen(sel.X)) == target {
-					found = true
-				}
-			}
-			return !found
-		})
-		if found {
-			return true
-		}
-	}
-	return false
 }

@@ -1,196 +1,68 @@
 // Package eval exercises maporder: its final path segment puts it in
-// the deterministic set, so every map range here must prove
-// order-independence or carry a waiver.
+// the deterministic set, so no range here may be over a map.
 package eval
 
 import (
 	"maps"
-	"sort"
+	"slices"
 )
 
-// --- flagged: order reaches output ---
+type set map[int]bool
 
-func collectUnsorted(m map[int]int) []int {
-	var out []int
-	for k := range m { // want `range over map has schedule-dependent iteration order`
-		out = append(out, k)
-	}
-	return out
-}
-
-func floatAccumulate(m map[int]float64) float64 {
-	var sum float64
-	for _, v := range m { // want `range over map has schedule-dependent iteration order`
-		sum += v
-	}
-	return sum
-}
-
-func earlyBreak(m map[int]int) (int, bool) {
-	for k, v := range m { // want `range over map has schedule-dependent iteration order`
-		if v > 10 {
-			return k, true
-		}
-		break
-	}
-	return 0, false
-}
-
-func firstMatchFold(m map[int]int) int {
-	best := -1
-	for k, v := range m { // want `range over map has schedule-dependent iteration order`
-		if v > 0 && best < 0 {
-			best = k
-		}
-	}
-	return best
-}
-
-func mapsKeysIterator(m map[int]int) []int {
-	var out []int
-	for _, k := range maps.Keys(m) { // want `range over maps.Keys iterator has schedule-dependent iteration order`
-		out = append(out, k)
-	}
-	return out
-}
-
-func writeNonKeySlot(m map[int]int, out []int) {
-	i := 0
-	for _, v := range m { // want `range over map has schedule-dependent iteration order`
-		out[i] = v
-		i++
-	}
-}
-
-func condReadsAccumulator(m map[int]int) int {
+func rangeMap(m map[int]int) int {
 	n := 0
-	for _, v := range m { // want `range over map has schedule-dependent iteration order`
-		if n < 100 {
-			n += v
-		}
+	for range m { // want `range over map in deterministic package eval`
+		n++
 	}
 	return n
 }
 
-func callInBody(m map[int]int, sink func(int)) {
-	for k := range m { // want `range over map has schedule-dependent iteration order`
-		sink(k)
-	}
-}
-
-// --- allowed without annotation ---
-
-func collectThenSortInts(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
+func rangeNamedMap(s set) []int {
+	var out []int
+	for k := range s { // want `range over map in deterministic package eval`
 		out = append(out, k)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
-func collectThenSortSlice(m map[int]int) []int {
-	var out []int
-	for k, v := range m {
-		if v > 0 {
-			out = append(out, k)
-		}
+func rangeIterators(m map[int]int) int {
+	n := 0
+	for k := range maps.Keys(m) { // want `range over maps.Keys iterator`
+		n += k
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func collectThroughField(s *struct{ keys []int }, m map[int]bool) {
-	for k := range m {
-		s.keys = append(s.keys, k)
-	}
-	sort.Ints(s.keys)
-}
-
-func distinctSlot(m map[int]int, out []int) {
-	for k, v := range m {
-		out[k] = v
-	}
-}
-
-func distinctSlotCommaOk(src, dst map[int]int) {
-	for k, v := range src {
-		if _, ok := dst[k]; !ok {
-			dst[k] = v
-		}
-	}
-}
-
-func intAccumulate(m map[int]int) (int, int) {
-	n, bits := 0, 0
-	for _, v := range m {
+	for v := range maps.Values(m) { // want `range over maps.Values iterator`
 		n += v
-		bits |= v
 	}
-	return n, bits
-}
-
-func counter(m map[int]int) int {
-	n := 0
-	for _, v := range m {
-		if v > 0 {
-			n++
-		}
+	for k, v := range maps.All(m) { // want `range over maps.All iterator`
+		n += k * v
 	}
 	return n
 }
 
-func expire(m map[int]float64, now float64) int {
+func waiverIgnored(m map[int]int) int {
 	n := 0
-	for k, e := range m {
-		if e < now {
-			delete(m, k)
-			n++
-		}
+	//disco:orderinvariant maporder takes no waiver
+	for range m { // want `range over map in deterministic package eval`
+		n++
 	}
 	return n
 }
 
-func deepCopy(src map[int]map[int]float64) map[int]map[int]float64 {
-	dst := make(map[int]map[int]float64, len(src))
-	for k, inner := range src {
-		cp := make(map[int]float64, len(inner))
-		for ik, iv := range inner {
-			cp[ik] = iv
-		}
-		dst[k] = cp
+// --- allowed: sorted keys, slices, point lookups ---
+
+func sortedKeys(m map[int]int) []int {
+	var out []int
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		out = append(out, m[k])
 	}
-	return dst
+	return out
 }
 
-func bodyLocalWork(m map[int]uint64) uint64 {
-	var total uint64
-	for k, v := range m {
-		h := uint64(k)
-		for i := 0; i < 8; i++ {
-			h ^= v >> uint(i)
-			h *= 1099511628211
-		}
-		total += h
+func rangeSlice(xs []int, m map[int]int) int {
+	n := 0
+	for _, x := range xs {
+		n += m[x]
 	}
-	return total
-}
-
-// --- waived ---
-
-func waivedSameLine(m map[int]int) int {
-	best := -1
-	for _, v := range m { //disco:orderinvariant max-fold over ints; max is commutative
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-func waivedLineAbove(m map[int]int, sink func(int)) {
-	//disco:orderinvariant sink is a test double with no output
-	for k := range m {
-		sink(k)
-	}
+	return n
 }

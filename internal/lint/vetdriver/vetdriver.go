@@ -124,6 +124,8 @@ func Run(cfgPath string, analyzers []*analysis.Analyzer, w io.Writer) (int, erro
 
 // Analyze runs the suite plus directive validation over one
 // type-checked package and returns the diagnostics sorted by position.
+// Besides malformed directives it reports every directive that
+// suppressed no diagnostic of the suite.
 func Analyze(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer) []analysis.Diagnostic {
 	directives := analysis.ParseDirectives(fset, files)
 	var diags []analysis.Diagnostic
@@ -139,13 +141,15 @@ func Analyze(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 		}
 		diags = append(diags, pass.Diagnostics()...)
 	}
-	directives.Validate(func(pos token.Pos, format string, args ...any) {
+	report := func(pos token.Pos, format string, args ...any) {
 		diags = append(diags, analysis.Diagnostic{
 			Pos:      pos,
 			Message:  fmt.Sprintf(format, args...),
 			Analyzer: "directive",
 		})
-	})
+	}
+	directives.Validate(report)
+	directives.Unused(report)
 	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags
 }

@@ -60,23 +60,20 @@ func Build(hashes []names.Hash, view *sloppy.View, fingers int, rng *rand.Rand) 
 		net.addFingers(graph.NodeID(v), rng)
 	}
 
-	// Undirected union.
-	set := make([]map[graph.NodeID]bool, n)
-	for v := range set {
-		set[v] = make(map[graph.NodeID]bool)
-	}
-	for v := 0; v < n; v++ {
-		for _, w := range net.out[v] {
-			set[v][w] = true
-			set[int(w)][graph.NodeID(v)] = true
+	// Undirected union: each node's out- and in-links, sorted, duplicates
+	// dropped, stored at its exact size.
+	in := make([][]graph.NodeID, n)
+	for v, out := range net.out {
+		for _, w := range out {
+			in[w] = append(in[w], graph.NodeID(v))
 		}
 	}
 	net.nbrs = make([][]graph.NodeID, n)
-	for v := 0; v < n; v++ {
-		for w := range set[v] {
-			net.nbrs[v] = append(net.nbrs[v], w)
-		}
-		slices.Sort(net.nbrs[v])
+	var union []graph.NodeID
+	for v := range net.nbrs {
+		union = append(append(union[:0], net.out[v]...), in[v]...)
+		slices.Sort(union)
+		net.nbrs[v] = slices.Clone(slices.Compact(union))
 	}
 	return net
 }

@@ -9,7 +9,6 @@ import (
 	"disco/internal/sim"
 	"disco/internal/static"
 	"disco/internal/topology"
-	"disco/internal/vicinity"
 )
 
 // TestDebugVicinityFailure reproduces the failing scenario with full
@@ -34,12 +33,12 @@ func TestDebugVicinityFailure(t *testing.T) {
 	eng.Run(0)
 	p.RefreshUntilStable(20)
 
-	want := vicinity.Build(g2, K, nil)
+	want := vicinities(g2, K)
 	s := graph.NewSSSP(g2)
 	bad := 0
 	for a := 0; a < g.N() && bad < 3; a++ {
 		got := p.VicinityMembers(graph.NodeID(a))
-		ws := want.Of(graph.NodeID(a))
+		ws := &want[graph.NodeID(a)]
 		same := len(got) == ws.Size()
 		if same {
 			for _, m := range got {

@@ -2,6 +2,7 @@ package pathvector
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"disco/internal/graph"
@@ -54,24 +55,16 @@ func (p *Protocol) LinkAlive(u, v graph.NodeID) bool {
 }
 
 // dropNeighbor removes every candidate nd learned via the dead neighbor
-// and reselects the affected destinations. Destinations are processed in
-// sorted order: reselection can admit or evict vicinity members, so map
-// iteration order here would leak into the converged state and message
-// counts.
+// and reselects the affected destinations, in ID order: reselection can
+// admit or evict vicinity members, so the order reaches the converged
+// state and message counts. The affected set is fixed before the first
+// reselection, which may evict (and so forget) a later one.
 func (p *Protocol) dropNeighbor(nd *node, via graph.NodeID) {
-	dsts := make([]graph.NodeID, 0, len(nd.cand))
-	for dst, m := range nd.cand {
-		if _, ok := m[via]; ok {
-			dsts = append(dsts, dst)
-		}
-	}
-	slices.Sort(dsts)
+	dsts := slices.DeleteFunc(nd.candDsts(), func(dst graph.NodeID) bool {
+		return !slices.ContainsFunc(nd.cand[dst], func(c cand) bool { return c.via == via })
+	})
 	for _, dst := range dsts {
-		m := nd.cand[dst]
-		delete(m, via)
-		if len(m) == 0 {
-			delete(nd.cand, dst)
-		}
+		nd.dropCand(dst, via)
 		p.reselect(nd, dst)
 	}
 }
@@ -83,8 +76,7 @@ func (p *Protocol) dropNeighbor(nd *node, via graph.NodeID) {
 // grew get re-evaluated against them.
 func (p *Protocol) Refresh() {
 	for _, nd := range p.nodes {
-		//disco:orderinvariant markDirty only inserts into the dirty set; flush drains it in sorted order
-		for dst := range nd.best {
+		for _, dst := range slices.Sorted(maps.Keys(nd.best)) {
 			p.markDirty(nd, dst)
 		}
 	}
@@ -113,9 +105,8 @@ func (p *Protocol) RefreshUntilStable(maxRounds int) int {
 	panic(fmt.Sprintf("pathvector: no fixpoint after %d refresh rounds", maxRounds))
 }
 
-// tableFingerprint hashes all best tables. Each (node, dst, dist) entry is
-// hashed independently and the results are summed, so the fingerprint is
-// independent of map iteration order.
+// tableFingerprint hashes all best tables: each (node, dst, dist) entry is
+// hashed independently and the results are summed.
 func (p *Protocol) tableFingerprint() uint64 {
 	const (
 		offset = 14695981039346656037
@@ -123,9 +114,9 @@ func (p *Protocol) tableFingerprint() uint64 {
 	)
 	var total uint64
 	for v, nd := range p.nodes {
-		for dst, r := range nd.best {
+		for _, dst := range slices.Sorted(maps.Keys(nd.best)) {
 			h := uint64(offset)
-			for _, x := range [3]uint64{uint64(v), uint64(dst), uint64(int64(r.dist * (1 << 20)))} {
+			for _, x := range [3]uint64{uint64(v), uint64(dst), uint64(int64(nd.best[dst].dist * (1 << 20)))} {
 				for i := 0; i < 8; i++ {
 					h ^= (x >> (8 * uint(i))) & 0xff
 					h *= prime
@@ -144,28 +135,14 @@ func (p *Protocol) tableFingerprint() uint64 {
 // deterministic in tests.
 func (p *Protocol) PruneStale() {
 	for _, nd := range p.nodes {
-		// Sorted destination order: reselection has vicinity side effects,
-		// so map iteration order would make re-convergence nondeterministic.
-		stale := make([]graph.NodeID, 0)
-		//disco:orderinvariant pathAlive reads only link state; the stale set is sorted before reselection
-		for dst, r := range nd.best {
-			if !p.pathAlive(r.path) {
-				stale = append(stale, dst)
-			}
-		}
-		slices.Sort(stale)
+		// Destination order: reselection has vicinity side effects, so
+		// the order reaches re-convergence.
+		stale := slices.DeleteFunc(slices.Sorted(maps.Keys(nd.best)), func(dst graph.NodeID) bool {
+			return p.pathAlive(nd.best[dst].path)
+		})
 		for _, dst := range stale {
 			// Drop every candidate with a dead path, then reselect.
-			m := nd.cand[dst]
-			//disco:orderinvariant pathAlive is a pure predicate of the candidate; each delete removes its own key
-			for via, c := range m {
-				if !p.pathAlive(c.path) {
-					delete(m, via)
-				}
-			}
-			if len(m) == 0 {
-				delete(nd.cand, dst)
-			}
+			nd.setCands(dst, slices.DeleteFunc(nd.cand[dst], func(c cand) bool { return !p.pathAlive(c.path) }))
 			p.reselect(nd, dst)
 		}
 	}

@@ -2,6 +2,7 @@ package pathvector
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"disco/internal/graph"
@@ -134,10 +135,10 @@ func TestFailLinkVicinityWithRefresh(t *testing.T) {
 	rounds := p.RefreshUntilStable(10)
 	t.Logf("refresh reached a fixpoint in %d rounds", rounds)
 	// Converged vicinities must equal the static computation on g2.
-	want := vicinity.Build(g2, K, nil)
+	want := vicinities(g2, K)
 	for a := 0; a < g.N(); a++ {
 		got := p.VicinityMembers(graph.NodeID(a))
-		ws := want.Of(graph.NodeID(a))
+		ws := &want[graph.NodeID(a)]
 		if len(got) != ws.Size() {
 			t.Fatalf("node %d vicinity size %d want %d after failure+refresh", a, len(got), ws.Size())
 		}
@@ -212,5 +213,44 @@ func TestCloneNonQuiescedErrors(t *testing.T) {
 	}
 	if c.BestDist(0, 3) != p.BestDist(0, 3) {
 		t.Fatal("clone diverges from original")
+	}
+}
+
+// TestCloneIsolation: a clone that fails a link, re-converges and
+// refreshes leaves the original's tables and message count as they were.
+func TestCloneIsolation(t *testing.T) {
+	g := topology.Gnm(rand.New(rand.NewSource(11)), 128, 512)
+	env := static.NewEnv(g, 11)
+	p := runProtocol(t, g, Config{Mode: ModeVicinity, K: vicinity.DefaultK(128), IsLandmark: env.IsLM})
+	before := tablesOf(p)
+	var eng sim.Engine
+	c, err := p.Clone(&eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridges := g.Bridges()
+	e := g.Neighbors(0)[0]
+	for _, cand := range g.Neighbors(0) {
+		if !bridges[cand.EID] {
+			e = cand
+			break
+		}
+	}
+	if err := c.FailLink(0, e.To); err != nil {
+		t.Fatal(err)
+	}
+	c.PruneStale()
+	if _, q := eng.Run(0); !q {
+		t.Fatal("clone did not re-converge")
+	}
+	c.RefreshUntilStable(16)
+	if c.Messages == 0 || reflect.DeepEqual(tablesOf(c).paths, before.paths) {
+		t.Fatal("the failure changed nothing in the clone; the test proves nothing")
+	}
+	if after := tablesOf(p); after.messages != before.messages || !reflect.DeepEqual(after, before) {
+		t.Error("the original's tables changed under its clone")
+	}
+	if !p.LinkAlive(0, e.To) {
+		t.Error("the original sees the clone's failed link")
 	}
 }

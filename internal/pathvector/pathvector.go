@@ -18,7 +18,10 @@
 package pathvector
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 
 	"disco/internal/graph"
@@ -55,17 +58,82 @@ type Config struct {
 
 type route struct {
 	dist float64
-	path []graph.NodeID // from the holding node to the destination
+	path []graph.NodeID // from the holding node to the destination; never written once built
+}
+
+// cand is one neighbor's offer for a destination.
+type cand struct {
+	via graph.NodeID
+	route
+}
+
+// member is one vicinity slot: a destination and the distance of its
+// current best route, -Inf while it has none (a landmark whose routes were
+// all withdrawn keeps its slot).
+type member struct {
+	dist float64
+	id   graph.NodeID
+}
+
+func cmpMember(a, b member) int {
+	return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.id, b.id))
 }
 
 type node struct {
 	id            graph.NodeID
-	cand          map[graph.NodeID]map[graph.NodeID]route // dst -> via -> candidate
+	cand          map[graph.NodeID][]cand // dst -> one offer per neighbor
 	best          map[graph.NodeID]route
-	vic           map[graph.NodeID]bool // destinations occupying vicinity slots
-	dirty         map[graph.NodeID]bool
+	vic           []member       // destinations occupying vicinity slots, ascending (dist, id)
+	dirty         []graph.NodeID // destinations to export, drained in ID order
 	sendScheduled bool
 }
+
+// vicKey is dst's vicinity ordering key under nd's current best route.
+func (nd *node) vicKey(dst graph.NodeID) member {
+	if r, ok := nd.best[dst]; ok {
+		return member{dist: r.dist, id: dst}
+	}
+	return member{dist: math.Inf(-1), id: dst}
+}
+
+// vicFind returns dst's vicinity slot, if it has one.
+func (nd *node) vicFind(dst graph.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(nd.vic, nd.vicKey(dst), cmpMember)
+}
+
+// vicAdd gives dst a vicinity slot unless it has one.
+func (nd *node) vicAdd(dst graph.NodeID) {
+	if i, ok := nd.vicFind(dst); !ok {
+		nd.vic = slices.Insert(nd.vic, i, nd.vicKey(dst))
+	}
+}
+
+// vicDrop frees dst's vicinity slot, if it has one, and reports whether it
+// had.
+func (nd *node) vicDrop(dst graph.NodeID) bool {
+	i, ok := nd.vicFind(dst)
+	if ok {
+		nd.vic = slices.Delete(nd.vic, i, i+1)
+	}
+	return ok
+}
+
+// setBest stores nd's best route to dst, or drops it when ok is false,
+// moving dst's vicinity slot, if it has one, to its new place in the order.
+func (nd *node) setBest(dst graph.NodeID, r route, ok bool) {
+	in := nd.vicDrop(dst)
+	if ok {
+		nd.best[dst] = r
+	} else {
+		delete(nd.best, dst)
+	}
+	if in {
+		nd.vicAdd(dst)
+	}
+}
+
+// candDsts returns nd's candidate destinations in ID order.
+func (nd *node) candDsts() []graph.NodeID { return slices.Sorted(maps.Keys(nd.cand)) }
 
 // Protocol is one protocol instance over a graph.
 type Protocol struct {
@@ -93,11 +161,9 @@ func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Protocol {
 	p.nodes = make([]*node, g.N())
 	for i := range p.nodes {
 		p.nodes[i] = &node{
-			id:    graph.NodeID(i),
-			cand:  make(map[graph.NodeID]map[graph.NodeID]route),
-			best:  make(map[graph.NodeID]route),
-			vic:   make(map[graph.NodeID]bool),
-			dirty: make(map[graph.NodeID]bool),
+			id:   graph.NodeID(i),
+			cand: make(map[graph.NodeID][]cand),
+			best: make(map[graph.NodeID]route),
 		}
 	}
 	return p
@@ -114,39 +180,22 @@ func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Protocol {
 // is an error — they would be lost in the engine swap — returned rather
 // than panicked, matching the snapshot layer's Build convention.
 func (p *Protocol) Clone(eng *sim.Engine) (*Protocol, error) {
-	c := &Protocol{g: p.g, eng: eng, cfg: p.cfg}
+	c := &Protocol{g: p.g, eng: eng, cfg: p.cfg, dead: maps.Clone(p.dead)}
 	c.nodes = make([]*node, len(p.nodes))
 	for i, nd := range p.nodes {
 		if nd.sendScheduled || len(nd.dirty) > 0 {
 			return nil, fmt.Errorf("pathvector: Clone of a non-quiesced instance (node %d has pending sends)", nd.id)
 		}
 		cn := &node{
-			id:    nd.id,
-			cand:  make(map[graph.NodeID]map[graph.NodeID]route, len(nd.cand)),
-			best:  make(map[graph.NodeID]route, len(nd.best)),
-			vic:   make(map[graph.NodeID]bool, len(nd.vic)),
-			dirty: make(map[graph.NodeID]bool),
+			id:   nd.id,
+			cand: make(map[graph.NodeID][]cand, len(nd.cand)),
+			best: maps.Clone(nd.best),
+			vic:  slices.Clone(nd.vic),
 		}
-		for dst, m := range nd.cand {
-			mm := make(map[graph.NodeID]route, len(m))
-			for via, r := range m {
-				mm[via] = r
-			}
-			cn.cand[dst] = mm
-		}
-		for dst, r := range nd.best {
-			cn.best[dst] = r
-		}
-		for v := range nd.vic {
-			cn.vic[v] = true
+		for _, dst := range nd.candDsts() {
+			cn.cand[dst] = slices.Clone(nd.cand[dst])
 		}
 		c.nodes[i] = cn
-	}
-	if p.dead != nil {
-		c.dead = make(map[uint64]bool, len(p.dead))
-		for k, v := range p.dead {
-			c.dead[k] = v
-		}
 	}
 	return c, nil
 }
@@ -156,7 +205,7 @@ func (p *Protocol) Clone(eng *sim.Engine) (*Protocol, error) {
 func (p *Protocol) Start() {
 	for _, nd := range p.nodes {
 		nd.best[nd.id] = route{dist: 0, path: []graph.NodeID{nd.id}}
-		nd.vic[nd.id] = true
+		nd.vicAdd(nd.id)
 		p.markDirty(nd, nd.id)
 	}
 }
@@ -196,44 +245,29 @@ func (p *Protocol) accepts(nd *node, dst graph.NodeID, d float64) bool {
 }
 
 // vicAdmit applies the "K closest currently advertised" rule, evicting the
-// current worst member if the newcomer beats it.
+// current worst member if the newcomer beats it. The worst member is the
+// last slot, unless no member has a route at all.
 func (p *Protocol) vicAdmit(nd *node, dst graph.NodeID, d float64) bool {
 	if len(nd.vic) < p.cfg.K {
-		nd.vic[dst] = true
+		nd.vicAdd(dst)
 		return true
 	}
-	worst, worstD := p.worstVic(nd)
-	if worst == graph.None {
+	worst := nd.vic[len(nd.vic)-1]
+	if math.IsInf(worst.dist, -1) {
 		return false
 	}
-	if d < worstD || (d == worstD && dst < worst) {
-		p.evictVic(nd, worst)
-		nd.vic[dst] = true
+	if d < worst.dist || (d == worst.dist && dst < worst.id) {
+		p.evictVic(nd, worst.id)
+		nd.vicAdd(dst)
 		return true
 	}
 	return false
 }
 
-func (p *Protocol) worstVic(nd *node) (graph.NodeID, float64) {
-	worst := graph.None
-	worstD := -1.0
-	//disco:orderinvariant max-fold with a total-order tie-break on node ID
-	for v := range nd.vic {
-		d := nd.best[v].dist
-		if _, ok := nd.best[v]; !ok {
-			continue
-		}
-		if worst == graph.None || d > worstD || (d == worstD && v > worst) {
-			worst, worstD = v, d
-		}
-	}
-	return worst, worstD
-}
-
 // evictVic removes v from nd's vicinity; unless v is a landmark its routes
 // are dropped entirely and a withdrawal is scheduled.
 func (p *Protocol) evictVic(nd *node, v graph.NodeID) {
-	delete(nd.vic, v)
+	nd.vicDrop(v)
 	if p.isLandmark(v) {
 		return // still stored as a landmark route
 	}
@@ -245,7 +279,7 @@ func (p *Protocol) evictVic(nd *node, v graph.NodeID) {
 // markDirty schedules (once per instant) the export of dst's state to all
 // neighbors.
 func (p *Protocol) markDirty(nd *node, dst graph.NodeID) {
-	nd.dirty[dst] = true
+	nd.dirty = append(nd.dirty, dst)
 	if nd.sendScheduled {
 		return
 	}
@@ -253,18 +287,23 @@ func (p *Protocol) markDirty(nd *node, dst graph.NodeID) {
 	p.eng.Schedule(0, func() { p.flush(nd) })
 }
 
-// flush sends one coalesced update per dirty destination to every neighbor.
+// flush sends one coalesced update per dirty destination, in ID order, to
+// every neighbor. One event per neighbor delivers its updates back to back,
+// in the order one event per update would: those would fire at the same
+// time with consecutive sequence numbers.
 func (p *Protocol) flush(nd *node) {
 	nd.sendScheduled = false
 	if len(nd.dirty) == 0 {
 		return
 	}
-	dsts := make([]graph.NodeID, 0, len(nd.dirty))
-	for d := range nd.dirty {
-		dsts = append(dsts, d)
+	slices.Sort(nd.dirty)
+	dsts := slices.Compact(nd.dirty)
+	nd.dirty = nil
+	// Each destination's path, looked up once; nil announces a withdrawal.
+	paths := make([][]graph.NodeID, len(dsts))
+	for i, dst := range dsts {
+		paths[i] = nd.best[dst].path
 	}
-	slices.Sort(dsts)
-	nd.dirty = make(map[graph.NodeID]bool)
 	for _, e := range p.g.Neighbors(nd.id) {
 		if !p.LinkAlive(nd.id, e.To) {
 			continue
@@ -274,17 +313,16 @@ func (p *Protocol) flush(nd *node) {
 		if lat <= 0 {
 			lat = 1e-6 // zero-latency links still impose an ordering step
 		}
-		for _, dst := range dsts {
-			p.Messages++
-			if r, ok := nd.best[dst]; ok {
-				pathCopy := append([]graph.NodeID(nil), r.path...)
-				dst := dst
-				p.eng.Schedule(lat, func() { p.receive(to, nd.id, dst, pathCopy) })
-			} else {
-				dst := dst
-				p.eng.Schedule(lat, func() { p.withdraw(to, nd.id, dst) })
+		p.Messages += int64(len(dsts))
+		p.eng.Schedule(lat, func() {
+			for i, dst := range dsts {
+				if paths[i] != nil {
+					p.receive(to, nd.id, dst, paths[i])
+				} else {
+					p.withdraw(to, nd.id, dst)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -294,13 +332,19 @@ func (p *Protocol) receive(nd *node, via, dst graph.NodeID, path []graph.NodeID)
 		return
 	}
 	// Loop prevention: the path already contains us.
-	for _, x := range path {
-		if x == nd.id {
-			p.withdraw(nd, via, dst)
-			return
-		}
+	if slices.Contains(path, nd.id) {
+		p.withdraw(nd, via, dst)
+		return
 	}
-	full := append([]graph.NodeID{nd.id}, path...)
+	cs := nd.cand[dst]
+	i := slices.IndexFunc(cs, func(c cand) bool { return c.via == via })
+	if i >= 0 && slices.Equal(cs[i].path[1:], path) {
+		// via repeats its standing offer (a refresh): nothing to store,
+		// but dst may now earn a vicinity slot.
+		p.reselect(nd, dst)
+		return
+	}
+	full := append(append(make([]graph.NodeID, 0, len(path)+1), nd.id), path...)
 	// Distances are recomputed from the full path, summed source-outward,
 	// so converged values are bit-identical to the static simulator's
 	// Dijkstra (same association order on the same path).
@@ -308,70 +352,80 @@ func (p *Protocol) receive(nd *node, via, dst graph.NodeID, path []graph.NodeID)
 	if !p.accepts(nd, dst, offered) {
 		return
 	}
-	m := nd.cand[dst]
-	if m == nil {
-		m = make(map[graph.NodeID]route)
-		nd.cand[dst] = m
+	c := cand{via: via, route: route{dist: offered, path: full}}
+	if i >= 0 {
+		cs[i] = c
+	} else {
+		nd.cand[dst] = append(cs, c)
 	}
-	m[via] = route{dist: offered, path: full}
 	if p.cfg.Forgetful {
 		p.forget(nd, dst)
 	}
 	p.reselect(nd, dst)
 }
 
+// dropCand removes via's offer for dst, if any, and reports whether there
+// was one.
+func (nd *node) dropCand(dst, via graph.NodeID) bool {
+	cs := nd.cand[dst]
+	i := slices.IndexFunc(cs, func(c cand) bool { return c.via == via })
+	if i < 0 {
+		return false
+	}
+	nd.setCands(dst, slices.Delete(cs, i, i+1))
+	return true
+}
+
+// setCands stores dst's remaining offers, forgetting dst once none is left.
+func (nd *node) setCands(dst graph.NodeID, cs []cand) {
+	if len(cs) == 0 {
+		delete(nd.cand, dst)
+	} else {
+		nd.cand[dst] = cs
+	}
+}
+
 // withdraw processes a withdrawal of dst received from via.
 func (p *Protocol) withdraw(nd *node, via, dst graph.NodeID) {
-	m, ok := nd.cand[dst]
-	if !ok {
-		return
+	if nd.dropCand(dst, via) {
+		p.reselect(nd, dst)
 	}
-	if _, had := m[via]; !had {
-		return
+}
+
+// bestCand returns the shortest of cs, ties broken by the lower via; ok is
+// false when cs is empty.
+func bestCand(cs []cand) (best cand, ok bool) {
+	for i, c := range cs {
+		if i == 0 || c.dist < best.dist || (c.dist == best.dist && c.via < best.via) {
+			best = c
+		}
 	}
-	delete(m, via)
-	if len(m) == 0 {
-		delete(nd.cand, dst)
-	}
-	p.reselect(nd, dst)
+	return best, len(cs) > 0
 }
 
 // forget implements forgetful routing [24]: keep only the best candidate
 // per destination, discarding alternates (trades convergence speed for
 // control-plane state, §4.2).
 func (p *Protocol) forget(nd *node, dst graph.NodeID) {
-	m := nd.cand[dst]
-	if len(m) <= 1 {
+	cs := nd.cand[dst]
+	if len(cs) <= 1 {
 		return
 	}
-	bestVia, bestR, first := graph.None, route{}, true
-	//disco:orderinvariant min-fold with a total-order tie-break on via
-	for via, r := range m {
-		if first || r.dist < bestR.dist || (r.dist == bestR.dist && via < bestVia) {
-			bestVia, bestR, first = via, r, false
-		}
-	}
-	nd.cand[dst] = map[graph.NodeID]route{bestVia: bestR}
+	b, _ := bestCand(cs)
+	nd.cand[dst] = append(cs[:0], b)
 }
 
 // reselect recomputes nd's best route to dst and triggers announcements on
 // change.
 func (p *Protocol) reselect(nd *node, dst graph.NodeID) {
-	m := nd.cand[dst]
-	bestVia, bestR, found := graph.None, route{}, false
-	//disco:orderinvariant min-fold with a total-order tie-break on via
-	for via, r := range m {
-		if !found || r.dist < bestR.dist || (r.dist == bestR.dist && via < bestVia) {
-			bestVia, bestR, found = via, r, true
-		}
-	}
+	b, found := bestCand(nd.cand[dst])
 	old, had := nd.best[dst]
 	if !found {
 		if had {
-			delete(nd.best, dst)
-			if nd.vic[dst] && !p.isLandmark(dst) {
-				delete(nd.vic, dst)
+			if !p.isLandmark(dst) {
+				nd.vicDrop(dst) // a landmark keeps its slot
 			}
+			nd.setBest(dst, route{}, false)
 			p.markDirty(nd, dst)
 		}
 		return
@@ -380,26 +434,14 @@ func (p *Protocol) reselect(nd *node, dst graph.NodeID) {
 	// qualify for a slot — on route improvement, or when vicinity members
 	// worsened after a failure and a refresh re-offered this one. This
 	// must run even when the best route itself is unchanged.
-	if p.cfg.Mode == ModeVicinity && !nd.vic[dst] {
-		p.vicAdmit(nd, dst, bestR.dist)
+	if _, in := nd.vicFind(dst); p.cfg.Mode == ModeVicinity && !in {
+		p.vicAdmit(nd, dst, b.dist)
 	}
-	if had && old.dist == bestR.dist && equalPath(old.path, bestR.path) {
+	if had && old.dist == b.dist && slices.Equal(old.path, b.path) {
 		return
 	}
-	nd.best[dst] = bestR
+	nd.setBest(dst, b.route, true)
 	p.markDirty(nd, dst)
-}
-
-func equalPath(a, b []graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // BestDist returns v's converged distance to dst (+Inf if unknown).
@@ -423,15 +465,14 @@ func (p *Protocol) BestPath(v, dst graph.NodeID) []graph.NodeID {
 func (p *Protocol) VicinitySet(v graph.NodeID) *vicinity.Window {
 	nd := p.nodes[v]
 	entries := make([]vicinity.Entry, 0, len(nd.vic))
-	//disco:orderinvariant FromEntries sorts the entries by node before building the window
-	for dst := range nd.vic {
-		r := nd.best[dst]
+	for _, m := range nd.vic {
+		r := nd.best[m.id]
 		parent := graph.None
 		if len(r.path) >= 2 {
 			// Parent of dst on the path from v: the node before dst.
 			parent = r.path[len(r.path)-2]
 		}
-		entries = append(entries, vicinity.Entry{Node: dst, Parent: parent, Dist: r.dist})
+		entries = append(entries, vicinity.Entry{Node: m.id, Parent: parent, Dist: r.dist})
 	}
 	return vicinity.FromEntries(p.g.N(), entries)
 }
@@ -439,9 +480,9 @@ func (p *Protocol) VicinitySet(v graph.NodeID) *vicinity.Window {
 // VicinityMembers returns the converged vicinity membership of v, sorted.
 func (p *Protocol) VicinityMembers(v graph.NodeID) []graph.NodeID {
 	nd := p.nodes[v]
-	out := make([]graph.NodeID, 0, len(nd.vic))
-	for dst := range nd.vic {
-		out = append(out, dst)
+	out := make([]graph.NodeID, len(nd.vic))
+	for i, m := range nd.vic {
+		out[i] = m.id
 	}
 	slices.Sort(out)
 	return out
@@ -453,9 +494,10 @@ func (p *Protocol) DataEntries(v graph.NodeID) int { return len(p.nodes[v].best)
 // ControlEntries returns v's control-plane entry count: all per-neighbor
 // candidates (Θ(δ·sqrt(n log n)) without forgetful routing, §4.2).
 func (p *Protocol) ControlEntries(v graph.NodeID) int {
+	nd := p.nodes[v]
 	t := 0
-	for _, m := range p.nodes[v].cand {
-		t += len(m)
+	for _, dst := range nd.candDsts() {
+		t += len(nd.cand[dst])
 	}
 	return t
 }
@@ -464,12 +506,17 @@ func (p *Protocol) ControlEntries(v graph.NodeID) int {
 // converged ModeLandmarksOnly (or ModeVicinity) run — the input to S4's
 // cluster phase.
 func (p *Protocol) LMDistances() []float64 {
-	out := make([]float64, len(p.nodes))
+	var lms []graph.NodeID
 	for v := range p.nodes {
+		if p.isLandmark(graph.NodeID(v)) {
+			lms = append(lms, graph.NodeID(v))
+		}
+	}
+	out := make([]float64, len(p.nodes))
+	for v, nd := range p.nodes {
 		best := graph.Inf
-		//disco:orderinvariant min-fold over distances; float min is commutative
-		for dst, r := range p.nodes[v].best {
-			if p.isLandmark(dst) && r.dist < best {
+		for _, lm := range lms {
+			if r, ok := nd.best[lm]; ok && r.dist < best {
 				best = r.dist
 			}
 		}

@@ -2,6 +2,8 @@ package pathvector
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"disco/internal/graph"
@@ -21,6 +23,17 @@ func runProtocol(t *testing.T, g *graph.Graph, cfg Config) *Protocol {
 		t.Fatal("protocol did not converge")
 	}
 	return p
+}
+
+// vicinities computes the static k-member vicinity of every node of g,
+// indexed by node: what a converged vicinity-mode run must agree with.
+func vicinities(g *graph.Graph, k int) []vicinity.Window {
+	wins := vicinity.MakeWindows(g, g.N(), k)
+	b := vicinity.NewBall(g)
+	for v := range wins {
+		b.Fill(&wins[v], graph.NodeID(v), k)
+	}
+	return wins
 }
 
 func TestFullModeConvergesToShortestPaths(t *testing.T) {
@@ -75,10 +88,10 @@ func TestVicinityModeMatchesStaticSimulator(t *testing.T) {
 	isLM := env.IsLM
 	K := 20
 	p := runProtocol(t, g, Config{Mode: ModeVicinity, K: K, IsLandmark: isLM})
-	want := vicinity.Build(g, K, nil)
+	want := vicinities(g, K)
 	for v := 0; v < g.N(); v++ {
 		got := p.VicinityMembers(graph.NodeID(v))
-		wantSet := want.Of(graph.NodeID(v))
+		wantSet := &want[graph.NodeID(v)]
 		if len(got) != wantSet.Size() {
 			t.Fatalf("node %d vicinity size %d want %d (members %v)", v, len(got), wantSet.Size(), got)
 		}
@@ -99,10 +112,10 @@ func TestVicinityModeWeighted(t *testing.T) {
 	env := static.NewEnv(g, 4)
 	K := 15
 	p := runProtocol(t, g, Config{Mode: ModeVicinity, K: K, IsLandmark: env.IsLM})
-	want := vicinity.Build(g, K, nil)
+	want := vicinities(g, K)
 	for v := 0; v < g.N(); v++ {
 		got := p.VicinitySet(graph.NodeID(v))
-		wantSet := want.Of(graph.NodeID(v))
+		wantSet := &want[graph.NodeID(v)]
 		if got.Size() != wantSet.Size() {
 			t.Fatalf("node %d vicinity size %d want %d", v, got.Size(), wantSet.Size())
 		}
@@ -224,10 +237,10 @@ func TestLineTopologyVicinity(t *testing.T) {
 	isLM := make([]bool, 9)
 	isLM[4] = true
 	p := runProtocol(t, g, Config{Mode: ModeVicinity, K: 3, IsLandmark: isLM})
-	want := vicinity.Build(g, 3, nil)
+	want := vicinities(g, 3)
 	for v := 0; v < 9; v++ {
 		got := p.VicinityMembers(graph.NodeID(v))
-		ws := want.Of(graph.NodeID(v))
+		ws := &want[graph.NodeID(v)]
 		if len(got) != ws.Size() {
 			t.Fatalf("node %d vicinity %v want size %d", v, got, ws.Size())
 		}
@@ -235,6 +248,60 @@ func TestLineTopologyVicinity(t *testing.T) {
 			if !ws.Contains(m) {
 				t.Fatalf("node %d vicinity %v: %d unexpected", v, got, m)
 			}
+		}
+	}
+}
+
+// tables is everything a converged instance holds: its message count,
+// every pair's best path, every node's vicinity window, as (member, parent
+// position, distance) rows, and every node's candidates in destination
+// order.
+type tables struct {
+	messages int64
+	paths    [][]graph.NodeID
+	vic      [][]vicinity.Entry
+	cands    [][]cand
+}
+
+func tablesOf(p *Protocol) tables {
+	n := p.g.N()
+	t := tables{messages: p.Messages}
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		for dst := graph.NodeID(0); int(dst) < n; dst++ {
+			t.paths = append(t.paths, p.BestPath(v, dst))
+		}
+		w := p.VicinitySet(v)
+		rows := make([]vicinity.Entry, w.Size())
+		for i := range rows {
+			rows[i] = vicinity.Entry{Node: w.ID(i), Parent: graph.NodeID(w.Parent(i)), Dist: w.Dist(i)}
+		}
+		t.vic = append(t.vic, rows)
+		nd := p.nodes[v]
+		for _, dst := range nd.candDsts() {
+			t.cands = append(t.cands, slices.Clone(nd.cand[dst]))
+		}
+	}
+	return t
+}
+
+// TestConvergenceDeterministic: converging the same configuration twice
+// gives the same message count, best path for every pair and vicinity
+// for every node, in every mode.
+func TestConvergenceDeterministic(t *testing.T) {
+	g := topology.Gnm(rand.New(rand.NewSource(10)), 128, 512)
+	env := static.NewEnv(g, 10)
+	for _, cfg := range []Config{
+		{Mode: ModeFull},
+		{Mode: ModeVicinity, K: vicinity.DefaultK(128), IsLandmark: env.IsLM},
+		{Mode: ModeLandmarksOnly, IsLandmark: env.IsLM},
+		{Mode: ModeCluster, IsLandmark: env.IsLM, LMDist: env.LMDist},
+	} {
+		a, b := tablesOf(runProtocol(t, g, cfg)), tablesOf(runProtocol(t, g, cfg))
+		if a.messages != b.messages {
+			t.Errorf("%v: messages %d vs %d", cfg, a.messages, b.messages)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: tables differ between two runs", cfg)
 		}
 	}
 }

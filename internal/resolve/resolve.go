@@ -11,6 +11,7 @@ package resolve
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -91,9 +92,11 @@ func (db *DB) OwnersOf(groupID uint64, k int) []graph.NodeID {
 	return out
 }
 
-// Load returns how many of the given keys each landmark owns.
-func (db *DB) Load(keys []names.Hash) map[graph.NodeID]int {
-	load := map[graph.NodeID]int{}
+// Load returns, indexed by node, how many of the given keys each node
+// owns: zero for non-landmarks. n bounds the node IDs (every landmark is
+// below n).
+func (db *DB) Load(n int, keys []names.Hash) []int {
+	load := make([]int, n)
 	for _, k := range keys {
 		load[db.OwnerOf(k)]++
 	}
@@ -103,23 +106,13 @@ func (db *DB) Load(keys []names.Hash) map[graph.NodeID]int {
 // Imbalance returns max/mean owned keys across all landmarks on the ring
 // (landmarks owning zero keys included in the mean).
 func (db *DB) Imbalance(keys []names.Hash) float64 {
-	load := db.Load(keys)
-	lms := map[graph.NodeID]bool{}
-	for _, p := range db.points {
-		lms[p.lm] = true
-	}
-	max := 0
-	//disco:orderinvariant max-fold over ints; max is commutative
-	for _, c := range load {
-		if c > max {
-			max = c
-		}
-	}
-	if len(lms) == 0 || len(keys) == 0 {
+	lms := db.Landmarks()
+	if len(keys) == 0 {
 		return 0
 	}
+	load := db.Load(int(lms[len(lms)-1])+1, keys)
 	mean := float64(len(keys)) / float64(len(lms))
-	return float64(max) / mean
+	return float64(slices.Max(load)) / mean
 }
 
 // Landmarks returns the distinct landmarks on the ring, ascending.
@@ -178,8 +171,8 @@ func (t *SoftTable) Len() int { return len(t.entries) }
 // Expire removes all entries expired at time now and returns how many.
 func (t *SoftTable) Expire(now float64) int {
 	n := 0
-	for k, e := range t.entries {
-		if e.Expiry < now {
+	for _, k := range slices.Sorted(maps.Keys(t.entries)) {
+		if t.entries[k].Expiry < now {
 			delete(t.entries, k)
 			n++
 		}

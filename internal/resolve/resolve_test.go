@@ -91,7 +91,7 @@ func TestLoadSumsToKeys(t *testing.T) {
 	for i := range keys {
 		keys[i] = names.HashOf(gen.Name(i))
 	}
-	load := db.Load(keys)
+	load := db.Load(len(lms), keys)
 	total := 0
 	for _, c := range load {
 		total += c

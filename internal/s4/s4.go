@@ -255,11 +255,7 @@ func (s *S4) ClusterSizesAll() []int {
 func (s *S4) StateEntries(clusterSizes []int) []int {
 	n := s.Env.N()
 	nLM := len(s.Env.Landmarks)
-	keys := s.Env.Hashes
-	resLoad := make([]int, n)
-	for lm, c := range s.DB.Load(keys) {
-		resLoad[lm] = c
-	}
+	resLoad := s.DB.Load(n, s.Env.Hashes)
 	out := make([]int, n)
 	for v := 0; v < n; v++ {
 		labels := s.Env.G.Degree(graph.NodeID(v))

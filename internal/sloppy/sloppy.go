@@ -11,7 +11,6 @@ package sloppy
 
 import (
 	"math"
-	"slices"
 
 	"disco/internal/graph"
 	"disco/internal/names"
@@ -40,51 +39,6 @@ func GroupID(h names.Hash, k int) uint64 { return names.PrefixBits(h, k) }
 
 // SameGroup reports whether two hashes fall in the same k-bit group.
 func SameGroup(a, b names.Hash, k int) bool { return GroupID(a, k) == GroupID(b, k) }
-
-// Grouping is the global grouping under a single shared value of k, as used
-// by the static simulator when all nodes know n exactly.
-type Grouping struct {
-	KBits  int
-	hashes []names.Hash
-	groups map[uint64][]graph.NodeID
-}
-
-// BuildGrouping groups nodes 0..len(hashes)-1 by the top KBits of their
-// hashes. Member lists are sorted by node ID.
-func BuildGrouping(hashes []names.Hash, kBits int) *Grouping {
-	g := &Grouping{KBits: kBits, hashes: hashes, groups: make(map[uint64][]graph.NodeID)}
-	for i, h := range hashes {
-		id := GroupID(h, kBits)
-		g.groups[id] = append(g.groups[id], graph.NodeID(i))
-	}
-	//disco:orderinvariant each group's member slice is sorted in place, independently of the others
-	for _, m := range g.groups {
-		slices.Sort(m)
-	}
-	return g
-}
-
-// GroupOf returns the member list of v's group (including v). The slice is
-// owned by the Grouping.
-func (g *Grouping) GroupOf(v graph.NodeID) []graph.NodeID {
-	return g.groups[GroupID(g.hashes[v], g.KBits)]
-}
-
-// Members returns the member list for a group ID.
-func (g *Grouping) Members(id uint64) []graph.NodeID { return g.groups[id] }
-
-// NumGroups returns the number of non-empty groups.
-func (g *Grouping) NumGroups() int { return len(g.groups) }
-
-// GroupIDs returns all non-empty group IDs, ascending.
-func (g *Grouping) GroupIDs() []uint64 {
-	out := make([]uint64, 0, len(g.groups))
-	for id := range g.groups {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
 
 // View is one node's opinion of the grouping when nodes hold differing
 // estimates of n (§4.4: "nodes will differ by at most one bit in the number

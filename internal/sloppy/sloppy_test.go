@@ -65,14 +65,13 @@ func TestGroupSizes(t *testing.T) {
 		hashes[i] = names.HashOf(gen.Name(i))
 	}
 	k := K(float64(n))
-	g := BuildGrouping(hashes, k)
-	if g.NumGroups() != 1<<uint(k) {
-		t.Fatalf("groups %d want %d", g.NumGroups(), 1<<uint(k))
+	sizes := make([]int, 1<<uint(k))
+	for _, h := range hashes {
+		sizes[GroupID(h, k)]++
 	}
-	want := float64(n) / float64(int(1)<<uint(k))
-	for _, id := range g.GroupIDs() {
-		got := float64(len(g.Members(id)))
-		if got < want*0.7 || got > want*1.3 {
+	want := float64(n) / float64(len(sizes))
+	for id, size := range sizes {
+		if got := float64(size); got < want*0.7 || got > want*1.3 {
 			t.Errorf("group %d size %v far from expected %v", id, got, want)
 		}
 	}
@@ -84,16 +83,11 @@ func TestGroupOfContainsSelf(t *testing.T) {
 	for i := range hashes {
 		hashes[i] = names.HashOf(gen.Name(i))
 	}
-	g := BuildGrouping(hashes, 3)
-	for v := 0; v < 100; v++ {
-		found := false
-		for _, m := range g.GroupOf(graph.NodeID(v)) {
-			if m == graph.NodeID(v) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("node %d missing from own group", v)
+	est := estimate.InjectError(rand.New(rand.NewSource(3)), len(hashes), 0.4)
+	v := BuildView(hashes, est)
+	for x := range hashes {
+		if !v.InGroup(graph.NodeID(x), graph.NodeID(x)) {
+			t.Fatalf("node %d missing from own group", x)
 		}
 	}
 }
@@ -106,16 +100,10 @@ func TestSplitIsRefinement(t *testing.T) {
 	for i := range hashes {
 		hashes[i] = names.HashOf(gen.Name(i))
 	}
-	gk := BuildGrouping(hashes, 3)
-	gk1 := BuildGrouping(hashes, 4)
-	for v := 0; v < 1000; v++ {
+	for v, hv := range hashes {
 		// Every member of v's (k+1)-group must be in v's k-group.
-		coarse := map[graph.NodeID]bool{}
-		for _, m := range gk.GroupOf(graph.NodeID(v)) {
-			coarse[m] = true
-		}
-		for _, m := range gk1.GroupOf(graph.NodeID(v)) {
-			if !coarse[m] {
+		for _, hw := range hashes {
+			if SameGroup(hv, hw, 4) && !SameGroup(hv, hw, 3) {
 				t.Fatalf("refinement violated for node %d", v)
 			}
 		}

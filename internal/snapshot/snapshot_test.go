@@ -53,7 +53,8 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 		t.Fatalf("K: got %d want %d", s.K(), k)
 	}
 	for v := 0; v < env.N(); v++ {
-		want := vicinity.BuildOne(env.G, graph.NodeID(v), k)
+		want := &vicinity.MakeWindows(env.G, 1, k)[0]
+		vicinity.NewBall(env.G).Fill(want, graph.NodeID(v), k)
 		got := s.Vicinity(graph.NodeID(v))
 		if got.Size() != want.Size() || got.Radius() != want.Radius() {
 			t.Fatalf("vicinity %d: header mismatch", v)

@@ -22,7 +22,6 @@ import (
 	"unsafe"
 
 	"disco/internal/graph"
-	"disco/internal/parallel"
 )
 
 // DefaultK returns the vicinity size used throughout the evaluation:
@@ -405,51 +404,4 @@ func siftDown(h []levelRun, i int) {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-}
-
-// Table holds vicinities for a subset of (or all) nodes.
-type Table struct {
-	K    int
-	wins map[graph.NodeID]*Window
-}
-
-// Build computes the k-node vicinity of every node in sources (nil means
-// all nodes) by truncated Dijkstra, fanning the per-source runs out over
-// the parallel worker pool. Ties at the vicinity boundary are broken by
-// node ID, matching the deterministic path-vector acceptance order, so the
-// table is identical at any worker count.
-func Build(g *graph.Graph, k int, sources []graph.NodeID) *Table {
-	if sources == nil {
-		sources = graph.AllNodes(g)
-	}
-	wins := MakeWindows(g, len(sources), k)
-	parallel.RunScratch(len(sources),
-		func() *Ball { return NewBall(g) },
-		func(b *Ball, i int) { b.Fill(&wins[i], sources[i], k) })
-	t := &Table{K: k, wins: make(map[graph.NodeID]*Window, len(sources))}
-	for i, src := range sources {
-		t.wins[src] = &wins[i]
-	}
-	return t
-}
-
-// Of returns the vicinity of v, or nil if it was not built.
-func (t *Table) Of(v graph.NodeID) *Window { return t.wins[v] }
-
-// Sources returns the nodes whose vicinities were built, ascending.
-func (t *Table) Sources() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(t.wins))
-	for v := range t.wins {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// BuildOne computes a single vicinity without retaining a table — used for
-// on-demand computation on sampled nodes of very large topologies.
-func BuildOne(g *graph.Graph, src graph.NodeID, k int) *Window {
-	w := &MakeWindows(g, 1, k)[0]
-	NewBall(g).Fill(w, src, k)
-	return w
 }

@@ -28,6 +28,16 @@ func parentID(w *Window, i int) graph.NodeID {
 	return graph.None
 }
 
+// windows fills the k-member vicinity of every node of g, indexed by node.
+func windows(g *graph.Graph, k int) []Window {
+	wins := MakeWindows(g, g.N(), k)
+	b := NewBall(g)
+	for v := range wins {
+		b.Fill(&wins[v], graph.NodeID(v), k)
+	}
+	return wins
+}
+
 func TestDefaultK(t *testing.T) {
 	if DefaultK(1) != 1 || DefaultK(0) != 0 {
 		t.Error("degenerate sizes")
@@ -43,8 +53,8 @@ func TestDefaultK(t *testing.T) {
 
 func TestBuildLineGraph(t *testing.T) {
 	g := topology.Line(10)
-	tab := Build(g, 3, nil)
-	v := tab.Of(5)
+	tab := windows(g, 3)
+	v := &tab[5]
 	if v.Size() != 3 {
 		t.Fatalf("size %d want 3", v.Size())
 	}
@@ -68,9 +78,9 @@ func TestBuildLineGraph(t *testing.T) {
 func TestPathReconstruction(t *testing.T) {
 	g := topology.Grid(6, 6)
 	k := 12
-	tab := Build(g, k, nil)
+	tab := windows(g, k)
 	for src := 0; src < g.N(); src++ {
-		w := tab.Of(graph.NodeID(src))
+		w := &tab[graph.NodeID(src)]
 		for i := 0; i < w.Size(); i++ {
 			p := w.AppendPath([]graph.NodeID{-5}, i)[1:]
 			if p[0] != graph.NodeID(src) || p[len(p)-1] != w.ID(i) {
@@ -87,8 +97,8 @@ func TestPathReconstruction(t *testing.T) {
 // path, and the owner's own path is the owner alone.
 func TestFirstHop(t *testing.T) {
 	g := topology.Line(6)
-	tab := Build(g, 4, nil)
-	v := tab.Of(0)
+	tab := windows(g, 4)
+	v := &tab[0]
 	if p := v.AppendPath(nil, v.Find(3)); len(p) < 2 || p[1] != 1 {
 		t.Errorf("path to 3 is %v, want first hop 1", p)
 	}
@@ -106,7 +116,7 @@ func TestVicinityIsKClosest(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := topology.Geometric(rng, 150, 8)
 	k := 20
-	tab := Build(g, k, nil)
+	tab := windows(g, k)
 	s := graph.NewSSSP(g)
 	for src := 0; src < g.N(); src += 13 {
 		s.Run(graph.NodeID(src))
@@ -128,7 +138,7 @@ func TestVicinityIsKClosest(t *testing.T) {
 			}
 			all[i], all[m] = all[m], all[i]
 		}
-		set := tab.Of(graph.NodeID(src))
+		set := &tab[graph.NodeID(src)]
 		for i := 0; i < k; i++ {
 			if !set.Contains(all[i].v) {
 				t.Fatalf("src %d: %d-closest node %d (d=%v) missing from vicinity",
@@ -148,29 +158,14 @@ func TestAsymmetry(t *testing.T) {
 	}
 	g.AddEdge(10, 11, 10) // node 11 hangs far off leaf 10
 	g.Finalize()
-	tab := Build(g, 5, nil)
-	vFar := tab.Of(11)
-	vHub := tab.Of(0)
+	tab := windows(g, 5)
+	vFar := &tab[11]
+	vHub := &tab[0]
 	if !vFar.Contains(10) {
 		t.Fatal("far node's vicinity should reach its neighbor")
 	}
 	if vHub.Contains(11) {
 		t.Fatal("hub's small vicinity must not contain the far node")
-	}
-}
-
-func TestBuildSampledSources(t *testing.T) {
-	g := topology.Ring(30)
-	tab := Build(g, 5, []graph.NodeID{3, 7})
-	if tab.Of(3) == nil || tab.Of(7) == nil {
-		t.Fatal("requested vicinities missing")
-	}
-	if tab.Of(0) != nil {
-		t.Fatal("unrequested vicinity should be nil")
-	}
-	srcs := tab.Sources()
-	if len(srcs) != 2 || srcs[0] != 3 || srcs[1] != 7 {
-		t.Fatalf("sources %v", srcs)
 	}
 }
 
@@ -188,14 +183,6 @@ func sameWindow(a, b *Window) bool {
 	return true
 }
 
-func TestBuildOneMatchesTable(t *testing.T) {
-	g := topology.Grid(5, 5)
-	tab := Build(g, 7, nil)
-	if one := BuildOne(g, 12, 7); !sameWindow(one, tab.Of(12)) {
-		t.Fatalf("BuildOne %v differs from the table's %v", members(one), members(tab.Of(12)))
-	}
-}
-
 func TestCoveringProperty(t *testing.T) {
 	// The lemma that makes path-vector converge to exact vicinities (and
 	// To-Destination splices optimal): if w ∈ V(v), then w ∈ V(u) for u
@@ -209,15 +196,15 @@ func TestCoveringProperty(t *testing.T) {
 		} else {
 			g = topology.Gnm(rng, 250, 1000)
 		}
-		tab := Build(g, 25, nil)
+		tab := windows(g, 25)
 		for v := 0; v < g.N(); v++ {
-			set := tab.Of(graph.NodeID(v))
+			set := &tab[graph.NodeID(v)]
 			for i := 0; i < set.Size(); i++ {
 				p := set.AppendPath(nil, i)
 				if len(p) <= 2 {
 					continue // the owner itself, or a direct neighbor: trivially in its own vicinity
 				}
-				if u := p[1]; !tab.Of(u).Contains(set.ID(i)) {
+				if u := p[1]; !tab[u].Contains(set.ID(i)) {
 					t.Fatalf("seed %d: covering violated: %d ∈ V(%d) but not in V(%d) (first hop)",
 						seed, set.ID(i), v, u)
 				}
@@ -228,9 +215,9 @@ func TestCoveringProperty(t *testing.T) {
 
 func TestSelfAlwaysMember(t *testing.T) {
 	g := topology.Gnm(rand.New(rand.NewSource(5)), 64, 256)
-	tab := Build(g, 8, nil)
+	tab := windows(g, 8)
 	for v := 0; v < g.N(); v++ {
-		set := tab.Of(graph.NodeID(v))
+		set := &tab[graph.NodeID(v)]
 		i := set.Find(graph.NodeID(v))
 		if i < 0 {
 			t.Fatalf("node %d missing from own vicinity", v)
@@ -317,11 +304,11 @@ func TestFillMatchesSort(t *testing.T) {
 // storing whatever index the search lands on.
 func TestIndexParent(t *testing.T) {
 	g := topology.GnmAvgDeg(rand.New(rand.NewSource(3)), 200, 5)
-	tab := Build(g, DefaultK(200), nil)
+	tab := windows(g, DefaultK(200))
 	sp := graph.NewSSSP(g)
-	for _, v := range tab.Sources() {
-		win := tab.Of(v)
-		sp.RunK(v, tab.K)
+	for v := range tab {
+		win := &tab[v]
+		sp.RunK(graph.NodeID(v), DefaultK(200))
 		for i := 0; i < win.Size(); i++ {
 			want := -1
 			if p := sp.Parent(win.ID(i)); p != graph.None {
@@ -358,11 +345,11 @@ func TestIndexParent(t *testing.T) {
 // bitset and radius — and what it occupies.
 func TestPackKeepsWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	unit := Build(topology.GnmAvgDeg(rng, 120, 6), 15, nil)
-	weighted := Build(topology.Geometric(rng, 120, 8), 15, nil)
+	unit := windows(topology.GnmAvgDeg(rng, 120, 6), 15)
+	weighted := windows(topology.Geometric(rng, 120, 8), 15)
 	var src []*Window
 	for v := graph.NodeID(0); v < 120; v++ {
-		src = append(src, unit.Of(v), weighted.Of(v))
+		src = append(src, &unit[v], &weighted[v])
 	}
 	for i, w := range Pack(src) {
 		if !sameWindow(&w, src[i]) || w.Bytes() != src[i].Bytes() || (w.level != nil) != (src[i].level != nil) {

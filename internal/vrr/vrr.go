@@ -18,6 +18,7 @@ package vrr
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -114,9 +115,8 @@ func (v *VRR) seal() {
 	v.flat = make([]entry, 0, total)
 	for u := 0; u < n; u++ {
 		start := len(v.flat)
-		//disco:orderinvariant the per-node window of flat appended here is sorted immediately below
-		for _, e := range v.tables[u] {
-			v.flat = append(v.flat, e)
+		for _, id := range slices.Sorted(maps.Keys(v.tables[u])) {
+			v.flat = append(v.flat, v.tables[u][id])
 		}
 		win := v.flat[start:]
 		slices.SortFunc(win, func(a, b entry) int {
@@ -230,8 +230,7 @@ func (v *VRR) join(x graph.NodeID) {
 		for _, w := range v.wantVSet(z) {
 			want[w] = true
 		}
-		//disco:orderinvariant teardown removes only this iteration's (peer, pid) entry here; decisions read the ring, not vset state
-		for peer, pid := range v.vsets[z] {
+		for _, peer := range slices.Sorted(maps.Keys(v.vsets[z])) {
 			if want[peer] {
 				continue
 			}
@@ -244,7 +243,7 @@ func (v *VRR) join(x graph.NodeID) {
 				}
 			}
 			if !peerWants {
-				v.teardown(pid)
+				v.teardown(v.vsets[z][peer])
 			}
 		}
 	}
@@ -334,8 +333,8 @@ func (v *VRR) nextHop(u, t graph.NodeID) (graph.NodeID, bool) {
 			consider(e.To, e.To)
 		}
 	} else {
-		//disco:orderinvariant consider is a min-fold with a total-order tie-break on (ep, via)
-		for _, e := range v.tables[u] {
+		for _, id := range slices.Sorted(maps.Keys(v.tables[u])) {
+			e := v.tables[u][id]
 			if e.toward != graph.None {
 				consider(e.b, e.toward)
 			}
