@@ -10,9 +10,11 @@ import (
 // member-ID deltas (exponential, mean 12, as at n=2048 with k=151), and
 // fixed-width fields of 8 bits (a parent window index) and 32 bits (a
 // wide fixed field). read/at is the random-access read of a 9-bit forest
-// parent field at any bit offset.
+// parent field at any bit offset. run/gamma and run/fixed8 read the gamma
+// and 8-bit streams with the run kernels, a window's column of 128 fields
+// to a call — the gamma codes summed as member-ID deltas.
 func BenchmarkCodec(b *testing.B) {
-	const fields = 1 << 14
+	const fields, runFields = 1 << 14, 128
 	rng := rand.New(rand.NewSource(1))
 	gammas := make([]uint64, fields)
 	fixed := make([]uint64, fields)
@@ -61,6 +63,26 @@ func BenchmarkCodec(b *testing.B) {
 				}
 			}
 			sink = sum
+			perField(b)
+		})
+		if c.width == 32 {
+			continue
+		}
+		b.Run("run/"+c.name, func(b *testing.B) {
+			col := make([]uint32, runFields)
+			var sum uint32
+			for i := 0; i < b.N; i++ {
+				r := NewReader(stream, nbit)
+				for range fields / runFields {
+					if c.width == 0 {
+						ReadGammaRun(r, col, 0)
+					} else {
+						ReadRun(r, col, c.width)
+					}
+					sum += col[runFields-1]
+				}
+			}
+			sink = uint64(sum)
 			perField(b)
 		})
 	}

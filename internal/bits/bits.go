@@ -12,9 +12,11 @@
 // the field out of it, and the Writer fills a word-sized accumulator and
 // appends it whole. A field of up to 57 bits fits one load whatever its
 // bit offset; wider fields take two. Within the last 8 bytes of a buffer
-// the same reads assemble the word a byte at a time. The layout is pinned
-// by the fuzz suite (differential against a bit-at-a-time reference), by
-// the compact-snapshot encoding digests and by the goldens.
+// the same reads assemble the word a byte at a time. Two run kernels read
+// a whole column of fields — ReadRun a fixed-width run, ReadGammaRun a
+// gamma run summed as deltas — taking several fields from each load. The
+// layout is pinned by the fuzz suite (differential against a bit-at-a-time
+// reference), by the compact-snapshot encoding digests and by the goldens.
 package bits
 
 import (
@@ -183,6 +185,90 @@ func (r *Reader) TryGamma() (uint64, error) {
 			v := field(r.buf, r.pos+n, n+1)
 			r.pos += 2*n + 1
 			return v, nil
+		}
+	}
+}
+
+// Integer is the column types the run kernels fill.
+type Integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// ReadRun fills dst with the next len(dst) fields of `width` bits each —
+// len(dst) ReadBits(width) calls, converted to T, but each word load
+// yields as many fields as 57 bits hold (seven 8-bit fields, nineteen
+// 3-bit ones). It panics where those calls would, reading nothing: on a
+// width outside [0, 64] (even for an empty run), and on a run that does
+// not end before the end of the stream. Fields wider than 57 bits, and
+// fields in the last 8 bytes of the buffer, are read one at a time.
+func ReadRun[T Integer](r *Reader, dst []T, width int) {
+	if uint(width) > 64 {
+		panic(fmt.Sprintf("bits: invalid width %d", width))
+	}
+	if r.pos+len(dst)*width > r.end {
+		panic(fmt.Sprintf("bits: read %d bits past end (%d/%d)", len(dst)*width, r.pos, r.end))
+	}
+	if width == 0 || width > wordField {
+		for i := range dst {
+			dst[i] = T(r.ReadBits(width))
+		}
+		return
+	}
+	buf, pos, per := r.buf, r.pos, wordField/width // fields any load holds whole
+	for len(dst) > 0 {
+		j := pos >> 3
+		if j+8 > len(buf) {
+			dst[0] = T(field(buf, pos, width))
+			pos += width
+			dst = dst[1:]
+			continue
+		}
+		word := binary.BigEndian.Uint64(buf[j:]) << uint(pos&7)
+		run := dst[:min(len(dst), per)]
+		for f := range run { // the shifts are below 64: & 63 drops Go's check
+			run[f] = T(word >> (uint(64-width) & 63))
+			word <<= uint(width) & 63
+		}
+		dst = dst[len(run):]
+		pos += len(run) * width
+	}
+	r.pos = pos
+}
+
+// ReadGammaRun fills dst with the next len(dst) Elias-gamma codes summed
+// as deltas from prev: dst[i] = prev + the first i+1 codes, as
+// len(dst) ReadGamma calls would give — an ascending ID column from its
+// first ID. Each word load yields every code it holds whole; a code it
+// cuts, a code longer than a load and the codes in the last 8 bytes of the
+// buffer go through ReadGamma, which panics on a code that does not end
+// before the end of the stream.
+func ReadGammaRun[T Integer](r *Reader, dst []T, prev T) {
+	buf, end := r.buf, r.end
+	for i := 0; i < len(dst); {
+		pos, took := r.pos, false
+		if j := pos >> 3; j+8 <= len(buf) {
+			word := binary.BigEndian.Uint64(buf[j:]) << uint(pos&7)
+			left := min(64-(pos&7), end-pos) // bits of the load before the end
+			for ; i < len(dst); i++ {
+				// |1 spares the zero-word branch: it shortens only a zero
+				// run of 63 bits, which does not fit either way.
+				ln := 2*mbits.LeadingZeros64(word|1) + 1
+				if ln > left {
+					break
+				}
+				prev += T(word >> (uint(64-ln) & 63)) // ln <= left <= 64 is odd
+				dst[i] = prev
+				word <<= uint(ln) & 63
+				left -= ln
+				pos += ln
+				took = true
+			}
+			r.pos = pos
+		}
+		if !took && i < len(dst) {
+			prev += T(r.ReadGamma())
+			dst[i] = prev
+			i++
 		}
 	}
 }

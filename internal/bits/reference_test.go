@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -203,6 +204,135 @@ func FuzzWriterMatchesReference(f *testing.F) {
 		}
 		if !bytes.Equal(w.Bytes(), ref.buf) {
 			t.Fatalf("writer bytes %x, reference %x", w.Bytes(), ref.buf)
+		}
+	})
+}
+
+// runMatches reads count fields of width bits with ReadRun into a []T and
+// the same fields one at a time from the reference, and fails the test
+// unless both return the same values or both reject the run. It reports
+// whether the run was read.
+func runMatches[T Integer](t *testing.T, r *Reader, ref *refReader, width, count int) bool {
+	t.Helper()
+	at := ref.pos
+	want, ok := make([]T, count), uint(width) <= 64 // a bad width is rejected on any run
+	for i := 0; ok && i < count; i++ {
+		v, good := ref.readBits(width)
+		if !good {
+			ok = false
+			break
+		}
+		want[i] = T(v)
+	}
+	got := make([]T, count)
+	msg := panics(t, func() { ReadRun(r, got, width) })
+	if ok != (msg == "") || ok && !slices.Equal(got, want) {
+		t.Fatalf("ReadRun(%d × %d bits) into %T at %d/%d: got %v (panic %q), want %v (ok %v)", count, width, got, at, ref.end, got, msg, want, ok)
+	}
+	return ok
+}
+
+// gammaRunMatches is runMatches for ReadGammaRun: count gamma codes summed
+// from prev, against the reference's codes summed one at a time.
+func gammaRunMatches[T Integer](t *testing.T, r *Reader, ref *refReader, prev T, count int) bool {
+	t.Helper()
+	at := ref.pos
+	want, ok, sum := make([]T, count), true, prev
+	for i := range want {
+		v, good := ref.readGamma()
+		if !good {
+			ok = false
+			break
+		}
+		sum += T(v)
+		want[i] = sum
+	}
+	got := make([]T, count)
+	msg := panics(t, func() { ReadGammaRun(r, got, prev) })
+	if ok != (msg == "") || ok && !slices.Equal(got, want) {
+		t.Fatalf("ReadGammaRun(%d codes from %d) into %T at %d/%d: got %v (panic %q), want %v (ok %v)", count, prev, got, at, ref.end, got, msg, want, ok)
+	}
+	return ok
+}
+
+// FuzzReadRunMatchesReference runs a script of ReadRun calls — widths
+// 0–64 and a few outside, runs of 0–47 fields into a []uint64, an []int32
+// (widths up to 31) or a []uint16 (widths up to 16) — over a buffer of
+// 0–64 bytes read from a start offset of 0–7 bits to a chosen end, and
+// requires every field, and every rejection, to be the bit-at-a-time
+// reference's. Runs cross and end inside the buffer's last 8 bytes, and
+// runs longer than the stream, or of a bad width, must panic.
+func FuzzReadRunMatchesReference(f *testing.F) {
+	f.Add(bytes.Repeat([]byte{0x5a, 0x00, 0xff, 0x13}, 16), uint8(3), uint16(500), []byte{8, 20, 3, 40, 64, 3, 13, 9, 0, 5, 1, 47})
+	f.Add(make([]byte, 12), uint8(0), uint16(96), []byte{8, 12})
+	f.Add([]byte{0x80, 0x01, 0x02}, uint8(7), uint16(17), []byte{1, 17})
+	f.Add(append(make([]byte, 9), 0xff, 0xff, 0xff), uint8(5), uint16(96), []byte{57, 1, 58, 1, 200, 1})
+	f.Fuzz(func(t *testing.T, buf []byte, start uint8, end uint16, script []byte) {
+		if len(buf) > 64 {
+			buf = buf[:64]
+		}
+		from := min(int(start%8), 8*len(buf))
+		to := from + int(end)%(8*len(buf)-from+1)
+		r := NewReaderAt(buf, from, to)
+		ref := &refReader{buf: buf, pos: from, end: to}
+		for i := 0; i+1 < len(script); i += 2 {
+			width, count := int(script[i])%67, int(script[i+1])%48
+			if script[i] >= 128 {
+				width = int(int8(script[i]))
+			}
+			var ok bool
+			switch {
+			case width >= 0 && width <= 16 && count%3 == 0:
+				ok = runMatches[uint16](t, r, ref, width, count)
+			case width >= 0 && width <= 31 && count%3 == 1:
+				ok = runMatches[int32](t, r, ref, width, count)
+			default:
+				ok = runMatches[uint64](t, r, ref, width, count)
+			}
+			if !ok {
+				return
+			}
+			if r.Remaining() != ref.end-ref.pos {
+				t.Fatalf("Remaining %d, want %d", r.Remaining(), ref.end-ref.pos)
+			}
+		}
+	})
+}
+
+// FuzzReadGammaRunMatchesReference runs a script of ReadGammaRun calls —
+// runs of 0–47 codes summed from a seed value into a []uint64 or an
+// []int32 (whose sums wrap alike) — over a buffer of 0–64 bytes read from
+// a start offset of 0–7 bits to a chosen end, and requires every sum, and
+// every rejection, to be the reference's. Zero-filled stretches make codes
+// longer than one load and zero runs that encode no uint64; runs cross and
+// end inside the buffer's last 8 bytes, and runs past the end must panic.
+func FuzzReadGammaRunMatchesReference(f *testing.F) {
+	f.Add(bytes.Repeat([]byte{0x5a, 0x00, 0xff, 0x13}, 16), uint8(3), uint16(500), []byte{0, 20, 7, 40, 3, 47})
+	f.Add(bytes.Repeat([]byte{0xff}, 20), uint8(1), uint16(159), []byte{9, 47, 1, 47, 2, 47})
+	f.Add(append(make([]byte, 9), 0xff, 0xff, 0xff), uint8(5), uint16(96), []byte{1, 2, 0, 3})
+	f.Add([]byte{0x80}, uint8(7), uint16(8), []byte{0, 1, 0, 1})
+	f.Fuzz(func(t *testing.T, buf []byte, start uint8, end uint16, script []byte) {
+		if len(buf) > 64 {
+			buf = buf[:64]
+		}
+		from := min(int(start%8), 8*len(buf))
+		to := from + int(end)%(8*len(buf)-from+1)
+		r := NewReaderAt(buf, from, to)
+		ref := &refReader{buf: buf, pos: from, end: to}
+		for i := 0; i+1 < len(script); i += 2 {
+			prev, count := script[i], int(script[i+1])%48
+			var ok bool
+			if count%2 == 0 {
+				ok = gammaRunMatches(t, r, ref, uint64(prev)<<56, count)
+			} else {
+				ok = gammaRunMatches(t, r, ref, int32(prev)<<24, count)
+			}
+			if !ok {
+				return
+			}
+			if r.Remaining() != ref.end-ref.pos {
+				t.Fatalf("Remaining %d, want %d", r.Remaining(), ref.end-ref.pos)
+			}
 		}
 	})
 }

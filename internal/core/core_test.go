@@ -505,7 +505,8 @@ func TestRouteBeforeUseSnapshotPanics(t *testing.T) {
 
 // TestForkRepairedIsScratchFree: the serve plane forks once per pooled
 // slot per epoch, so a fork must not pay for a Dijkstra scratch it never
-// uses — routing allocates none, the first ShortestDist does.
+// uses — routing allocates none, the first ShortestDist does — nor, on an
+// exact snapshot, for a compact window cache.
 func TestForkRepairedIsScratchFree(t *testing.T) {
 	_, d := testEnv(t, 33, 200, 800)
 	f := d.ND.ForkRepaired(d.ND.Snapshot())
@@ -513,6 +514,9 @@ func TestForkRepairedIsScratchFree(t *testing.T) {
 	f.RepairedLaterRoute(3, 150)
 	if f.dest != nil {
 		t.Fatal("routing on a repaired fork allocated a destination scratch")
+	}
+	if n := f.rd.Cached(); n != 0 {
+		t.Fatalf("routing on an exact fork cached %d compact windows", n)
 	}
 	if f.ShortestDist(3, 150) != d.ND.ShortestDist(3, 150) {
 		t.Fatal("fork and original disagree on d(3,150)")

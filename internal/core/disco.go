@@ -192,12 +192,12 @@ func (d *Disco) RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
 func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool) {
 	nd := d.ND
 	snap := nd.snapshot()
-	if d.Env().IsLM[t] || snap.VicinityContains(s, t) || d.HasAddress(s, t) {
+	if d.Env().IsLM[t] || nd.rd.VicinityContains(s, t) || d.HasAddress(s, t) {
 		return nd.route(s, t, sc, false)
 	}
-	// V(s) is read once, for the member search and the path to the member:
-	// a compact-regime read decodes the whole window.
-	vs := snap.Vicinity(s)
+	// V(s) is read once, for the member search and the path to the member,
+	// both done before the next read.
+	vs := nd.rd.Vicinity(s)
 	var holder graph.NodeID
 	var head []graph.NodeID
 	if i, ok := d.findGroupMember(vs, s, t); ok {

@@ -28,14 +28,17 @@ import (
 // routes plus fixed-size vicinities. The source must know the destination's
 // address for routing (Disco removes that assumption).
 //
-// All route state is read from one shared immutable snapshot (UseSnapshot):
-// allocation-free in its exact storage regime, one decoded window per hit
-// in the compact regime (a lookup scans the encoded IDs in place and
-// decodes only a window that holds its target; Disco's first packet
-// decodes V(s) once for both its group-member search and the path to the
-// member). Forks share the snapshot by pointer; what a fork owns is
-// scratch: the walk's route buffers, grown to steady state on use, and a
-// Dijkstra scratch for destination-rooted queries, allocated on first use.
+// All route state is read from one shared immutable snapshot (UseSnapshot).
+// The walk reads vicinities through the fork's snapshot.Reader: in the
+// exact storage regime it hands out the stored windows, and in the
+// compact regime it keeps 32 decoded windows, member IDs first and the
+// parent and distance columns once a lookup hits, so a route decodes each
+// window it visits about once and, warm, allocates nothing in either
+// regime. Forks share the snapshot by pointer; what a fork owns is
+// scratch: that Reader, the walk's route buffers, grown to steady state on
+// use, and a Dijkstra scratch for destination-rooted queries, allocated on
+// first use. Vicinity and VicinityContains read the snapshot directly, so
+// they stay safe for concurrent use.
 // Every read that needs the snapshot panics before UseSnapshot — a harness
 // invariant: whoever constructs an NDDisco (eval, bench/, the root library,
 // the root benchmarks) must build and install one; state-only accounting
@@ -45,7 +48,8 @@ type NDDisco struct {
 	K   int // vicinity size |V(v)|, Θ(sqrt(n log n))
 
 	snap *snapshot.Snapshot
-	dest *pathtree.Lazy // per-fork scratch for destination-rooted queries
+	rd   snapshot.Reader // snap's read handle: the walk's decoded-window cache
+	dest *pathtree.Lazy  // per-fork scratch for destination-rooted queries
 
 	// The walk's scratch: the forest descent t ⇝ landmark, and the backing
 	// buffer the dynamics.Router methods copy their routes out of.
@@ -80,7 +84,7 @@ func (r *NDDisco) UseSnapshot(s *snapshot.Snapshot) {
 	if s.K() != want {
 		panic(fmt.Sprintf("core: snapshot K=%d does not match NDDisco K=%d", s.K(), want))
 	}
-	r.snap = s
+	r.snap, r.rd = s, s.Reader()
 	r.dest = nil
 }
 
@@ -106,7 +110,11 @@ func (r *NDDisco) fork(snap *snapshot.Snapshot, dest *pathtree.Lazy) *NDDisco {
 	if dest != nil && snap != nil && dest.Graph() != snap.Graph() {
 		panic("core: destination scratch was built over a different graph than the snapshot's")
 	}
-	return &NDDisco{Env: r.Env, K: r.K, snap: snap, dest: dest}
+	f := &NDDisco{Env: r.Env, K: r.K, snap: snap, dest: dest}
+	if snap != nil {
+		f.rd = snap.Reader()
+	}
+	return f
 }
 
 // Fork returns a concurrency view of r for one worker of a parallel sweep.
@@ -229,12 +237,12 @@ func (r *NDDisco) appendRoute(dst []graph.NodeID, s, t graph.NodeID, sc Shortcut
 		}
 		return snap.AppendPathFrom(dst, t, s), true
 	}
-	if win, i := snap.VicinityFind(s, t); i >= 0 {
+	if win, i := r.rd.VicinityFind(s, t); i >= 0 {
 		return win.AppendPath(dst, i), true
 	}
 	base := len(dst)
 	if later {
-		if win, j := snap.VicinityFind(t, s); j >= 0 {
+		if win, j := r.rd.VicinityFind(t, s); j >= 0 {
 			dst = win.AppendPath(dst, j)
 			slices.Reverse(dst[base:]) // t ⇝ s, traveled s → t
 			return dst, true
@@ -309,7 +317,7 @@ func (r *NDDisco) walk(dst []graph.NodeID, base int, t graph.NodeID, sc Shortcut
 	for i := base; i < len(dst)-1; i++ {
 		u := dst[i]
 		if sc.usesUpDown() {
-			dst = r.spliceUpDown(dst, i, r.snap.Vicinity(u))
+			dst = r.spliceUpDown(dst, i, r.rd.Vicinity(u))
 			continue
 		}
 		// To-Destination: follow the direct path as soon as any node knows
@@ -317,7 +325,7 @@ func (r *NDDisco) walk(dst []graph.NodeID, base int, t graph.NodeID, sc Shortcut
 		// vicinities with consistent sub-paths, so no further improvement
 		// is possible after the splice. The lookup materializes no window
 		// on a miss, the per-node common case.
-		if win, j := r.snap.VicinityFind(u, t); j >= 0 {
+		if win, j := r.rd.VicinityFind(u, t); j >= 0 {
 			return win.AppendPath(dst[:i], j)
 		}
 	}

@@ -8,7 +8,8 @@
 // all of those at once — the kind of bug -race only catches if two
 // goroutines happen to collide during the test run. Vicinity windows need
 // no entry here: vicinity.Window exposes no slice and no mutator, so the
-// type itself carries the contract.
+// type itself carries the contract (a vicinity.Scratch writes the columns
+// of the one window it created, a decode target no snapshot stores).
 //
 // The analyzer does an intra-function taint walk: results of the
 // sealed accessors are tainted, taint propagates through

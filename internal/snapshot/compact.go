@@ -33,11 +33,16 @@
 // [8·vicOff[v], 8·vicOff[v+1]) of the whole blob and a forest field at its
 // absolute bit in the forest, never through a re-slice, so the bytes that
 // follow keep the codec on its 64-bit word path everywhere but in the last
-// 8 bytes of each array.
-// On router-like n=2048 (k=151), on a 2.0 GHz Xeon, a window decode costs
-// 4–5 µs, a membership probe 1.1 µs and a parent field 20–40 ns, against
-// about 5 ns, 80–130 ns and 13–23 ns on the exact twin
-// (BenchmarkCompactReads).
+// 8 bytes of each array. A window decodes in two passes through the run
+// kernels: decodeIDs takes the member IDs (ReadGammaRun) and seals the
+// membership bitset, decodeColumns the parent and level columns
+// (ReadRun). A fresh decode runs both; a Reader's cache slot (reader.go)
+// runs the second only for a window a lookup finds its target in.
+// On router-like n=2048 (k=151), on a 2.0 GHz Xeon, a fresh window decode
+// costs 3.3 µs, an in-place membership probe 1.1–1.2 µs, a Reader's slot
+// fill 1.2 µs, a lookup in a slot it holds 12 ns (miss) to 27 ns (hit)
+// and a parent field 23–26 ns, against 5–7 ns, 14–17 ns, 18 ns, 11–25 ns
+// and 11–12 ns on the exact twin (BenchmarkCompactReads).
 package snapshot
 
 import (
@@ -199,41 +204,50 @@ func (cs *compactStore) encodedWindowBytes(win *vicinity.Window) int64 {
 	return int64((nbits + 7) / 8)
 }
 
-// window decodes node v's vicinity window from the shared blob into fresh
-// columns in the store's form, keeping the parent indices it reads. The
-// window holds windowLen(v) members: k on from-scratch builds, possibly
-// fewer on a folded repair chain whose failures disconnected v's region.
+// window decodes node v's vicinity window from the shared blob into a
+// fresh one in the store's form: the decode a Reader's cache slot runs,
+// into a scratch of its own. The window holds windowLen(v) members: k on
+// from-scratch builds, possibly fewer on a folded repair chain whose
+// failures disconnected v's region.
 func (cs *compactStore) window(v graph.NodeID) *vicinity.Window {
-	ln := cs.windowLen(v)
-	ids, parent := make([]graph.NodeID, ln), make([]int32, ln)
+	sc := vicinity.NewScratch(cs.n, cs.levels)
+	r := cs.decodeIDs(sc, v)
+	cs.decodeColumns(sc, &r, v)
+	return sc.Window()
+}
+
+// decodeIDs decodes V(v)'s member-ID column into sc and seals its
+// membership — enough for Find and Contains — and returns the reader where
+// the parent section starts, for decodeColumns.
+func (cs *compactStore) decodeIDs(sc *vicinity.Scratch, v graph.NodeID) bits.Reader {
+	ids := sc.Refill(cs.windowLen(v))
 	r := cs.windowReader(v)
-	if ln > 0 {
-		id := graph.NodeID(r.ReadBits(cs.idWidth))
-		ids[0] = id
-		for i := 1; i < ln; i++ {
-			id += graph.NodeID(r.ReadGamma())
-			ids[i] = id
-		}
-		for i := range parent {
-			parent[i] = int32(r.ReadBits(cs.pWidth))
-			if int(parent[i]) == ln {
-				parent[i] = -1 // the owner
-			}
+	if len(ids) > 0 {
+		ids[0] = graph.NodeID(r.ReadBits(cs.idWidth))
+		bits.ReadGammaRun(r, ids[1:], ids[0])
+	}
+	sc.Seal()
+	return *r
+}
+
+// decodeColumns decodes V(v)'s parent and distance columns from r, where
+// decodeIDs left it, and finishes sc's window.
+func (cs *compactStore) decodeColumns(sc *vicinity.Scratch, r *bits.Reader, v graph.NodeID) {
+	parent, level, dist := sc.Columns()
+	bits.ReadRun(r, parent, cs.pWidth)
+	for i, p := range parent {
+		if int(p) == len(parent) {
+			parent[i] = -1 // the owner
 		}
 	}
-	dw := cs.distWidth(cs.radii[v])
-	if cs.levels {
-		level := make([]uint16, ln)
-		for i := range level {
-			level[i] = uint16(r.ReadBits(dw))
+	if dw := cs.distWidth(cs.radii[v]); cs.levels {
+		bits.ReadRun(r, level, dw)
+	} else {
+		for i := range dist {
+			dist[i] = math.Float64frombits(r.ReadBits(dw))
 		}
-		return vicinity.FromLevels(cs.n, ids, parent, level)
 	}
-	dist := make([]float64, ln)
-	for i := range dist {
-		dist[i] = math.Float64frombits(r.ReadBits(dw))
-	}
-	return vicinity.FromColumns(cs.n, ids, parent, dist)
+	sc.Finish()
 }
 
 // windowReader reads node v's window in place, as its bit range of the

@@ -117,7 +117,11 @@ func TestCompactEncodingPinned(t *testing.T) {
 // parent index or the owner's -1, and levels or float64 distances anywhere
 // from subnormal to huge. encodedWindowBytes must be the byte count
 // encodeWindow writes, the decoded window must be the input column for
-// column and in the same form, and windowIndex must find every member. The
+// column and in the same form, and windowIndex must find every member.
+// The lazy decode a Reader runs — member IDs and membership, then the
+// parent and distance columns, into a scratch that held another window —
+// must answer Find after its first pass and be the fresh decode after its
+// second. The
 // blob is read where it ends (the reader's byte path) or with padding past
 // it (the word path).
 func FuzzCompactWindow(f *testing.F) {
@@ -140,20 +144,20 @@ func FuzzCompactWindow(f *testing.F) {
 			parent[i] = int32(rng.Intn(m+1)) - 1
 		}
 		n := int(next) + rng.Intn(1+int(spread))
-		var want *vicinity.Window
-		if levels {
-			level, top := make([]uint16, m), 1+rng.Intn(64)
-			for i := range level {
-				level[i] = uint16(rng.Intn(top))
-			}
-			want = vicinity.FromLevels(n, ids, parent, level)
-		} else {
-			dist := make([]float64, m)
-			for i := range dist {
-				dist[i] = math.Ldexp(rng.Float64(), rng.Intn(2100)-1075)
-			}
-			want = vicinity.FromColumns(n, ids, parent, dist)
+		sc := vicinity.NewScratch(n, levels)
+		copy(sc.Refill(m), ids)
+		sc.Seal()
+		wantParent, level, dist := sc.Columns()
+		copy(wantParent, parent)
+		top := 1 + rng.Intn(64)
+		for i := range level {
+			level[i] = uint16(rng.Intn(top))
 		}
+		for i := range dist {
+			dist[i] = math.Ldexp(rng.Float64(), rng.Intn(2100)-1075)
+		}
+		sc.Finish()
+		want := sc.Window()
 		cs := &compactStore{n: n, k: kk, levels: levels, idWidth: bits.Width(n), pWidth: bits.Width(kk + 1)}
 		var w bits.Writer
 		cs.encodeWindow(&w, want)
@@ -171,6 +175,29 @@ func FuzzCompactWindow(f *testing.F) {
 		}
 		if diff := sameWindow(cs.window(0), want); diff != "" {
 			t.Fatalf("decoded window: %s", diff)
+		}
+		// The lazy path a Reader's slot takes, into a scratch that held a
+		// bigger window: member IDs and membership first, then the rest.
+		lazy := vicinity.NewScratch(n, levels)
+		junk := lazy.Refill(kk + 3)
+		for i := range junk {
+			junk[i] = graph.NodeID(3 * i)
+		}
+		lazy.Seal()
+		lazy.Columns()
+		lazy.Finish()
+		r := cs.decodeIDs(lazy, 0)
+		for i, id := range ids {
+			if got := lazy.Window().Find(id); got != i {
+				t.Fatalf("after the ID pass, Find(%d) = %d, want %d", id, got, i)
+			}
+		}
+		if lazy.Window().Size() != m || m > 0 && lazy.Window().Contains(ids[m-1]+1) {
+			t.Fatalf("after the ID pass the window has %d members, want %d", lazy.Window().Size(), m)
+		}
+		cs.decodeColumns(lazy, &r, 0)
+		if diff := sameWindow(lazy.Window(), cs.window(0)); diff != "" {
+			t.Fatalf("lazily decoded window: %s", diff)
 		}
 		for i, id := range ids {
 			if got := cs.windowIndex(0, id); got != i {

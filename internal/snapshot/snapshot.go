@@ -25,9 +25,12 @@
 //     a weighted graph), forest parents as port indices. Vicinity reads
 //     decode the window into a fresh one; membership probes scan its ID
 //     stream and tree reads decode single parent fields, both in place —
-//     all through internal/bits, a word at a time. The encoding is
-//     lossless, so the two regimes differ only in packing: every read, and
-//     every figure, is byte-identical on every topology.
+//     all through internal/bits, several fields a word load. A routing
+//     fork reads through a Reader (reader.go) instead: 32 decoded windows
+//     kept per fork, member IDs first and the other columns on a hit, so a
+//     route pair decodes its 6–7 distinct windows about once each. The
+//     encoding is lossless, so the two regimes differ only in packing:
+//     every read, and every figure, is byte-identical on every topology.
 //
 // Immutability contract: everything reachable from a Snapshot is read-only
 // after Build returns. A window exposes no slice, so the type carries that

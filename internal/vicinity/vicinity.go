@@ -235,30 +235,92 @@ func Pack(src []*Window) []Window {
 
 // FromColumns assembles a window from columns the caller hands over and no
 // longer touches: member IDs ascending, parent indices (-1 for the owner)
-// and float64 distances — what the compact decoder reads — over an ID space
-// of idSpace nodes.
+// and float64 distances, over an ID space of idSpace nodes.
 func FromColumns(idSpace int, ids []graph.NodeID, parent []int32, dist []float64) *Window {
 	w := &Window{ids: ids, parent: parent, dist: dist, filt: make([]uint64, filterWords(idSpace))}
-	for _, d := range dist {
-		if d > w.radius {
-			w.radius = d
-		}
-	}
 	w.seal()
+	w.setRadius()
 	return w
 }
 
-// FromLevels is FromColumns for a window in level form: BFS levels in place
-// of float64 distances.
-func FromLevels(idSpace int, ids []graph.NodeID, parent []int32, level []uint16) *Window {
-	w := &Window{ids: ids, parent: parent, level: level, filt: make([]uint64, filterWords(idSpace))}
-	var top uint16
-	for _, l := range level {
-		top = max(top, l)
+// setRadius sets the radius from the distance column: its largest entry.
+func (w *Window) setRadius() {
+	w.radius = 0
+	if w.level != nil {
+		var top uint16
+		for _, l := range w.level {
+			top = max(top, l)
+		}
+		w.radius = float64(top)
+		return
 	}
-	w.radius = float64(top)
-	w.seal()
-	return w
+	for _, d := range w.dist {
+		w.radius = max(w.radius, d)
+	}
+}
+
+// Scratch is a window a decoder fills column by column, in place: the
+// compact snapshot store's decode target. Refill starts the next window,
+// reusing the columns' storage, so one Scratch decodes window after window
+// without allocating; the window it hands out is the same one each time,
+// valid until the next Refill. The columns are written through the Scratch
+// only, and a Scratch refills only the window it created: every other
+// Window stays immutable once built.
+type Scratch struct {
+	win    Window
+	levels bool
+}
+
+// NewScratch returns an empty scratch window over an ID space of idSpace
+// nodes, in level form (levels) or float64 form.
+func NewScratch(idSpace int, levels bool) *Scratch {
+	return &Scratch{win: Window{filt: make([]uint64, filterWords(idSpace))}, levels: levels}
+}
+
+// Window returns the scratch's window.
+func (s *Scratch) Window() *Window { return &s.win }
+
+// Refill starts a window of m members: it returns the member-ID column for
+// the caller to fill ascending before Seal. The other columns are empty
+// until Columns.
+func (s *Scratch) Refill(m int) []graph.NodeID {
+	w := &s.win
+	w.ids, w.parent, w.level, w.dist, w.radius = resize(w.ids, m), w.parent[:0], w.level[:0], w.dist[:0], 0
+	return w.ids
+}
+
+// Seal sets the membership bitset from the ID column: from here on the
+// window answers Find and Contains.
+func (s *Scratch) Seal() {
+	clear(s.win.filt)
+	s.win.seal()
+}
+
+// Columns returns the parent column and the distance column of the form
+// (levels, or dist in float64 form; the other is nil), one entry a member,
+// for the caller to fill before Finish.
+func (s *Scratch) Columns() (parent []int32, level []uint16, dist []float64) {
+	w := &s.win
+	m := len(w.ids)
+	w.parent = resize(w.parent, m)
+	if s.levels {
+		w.level = resize(w.level, m)
+	} else {
+		w.dist = resize(w.dist, m)
+	}
+	return w.parent, w.level, w.dist
+}
+
+// Finish sets the radius from the filled distance column: the window is
+// whole.
+func (s *Scratch) Finish() { s.win.setRadius() }
+
+// resize returns s with length m, reusing its storage when it has room.
+func resize[T any](s []T, m int) []T {
+	if cap(s) < m {
+		return make([]T, m)
+	}
+	return s[:m]
 }
 
 // Entry is one vicinity member as a protocol reports it: the member, its
