@@ -158,3 +158,15 @@ func TestGoldenChurnTimeline(t *testing.T) {
 	}
 	checkGolden(t, "churn_timeline_gnm256", r.Format())
 }
+
+func TestGoldenFig7StateBytes(t *testing.T) {
+	checkGolden(t, "fig7_routerlike1024", Config{}.Fig7StateBytes(1024, 1).Format())
+}
+
+func TestGoldenFig10ASCongestion(t *testing.T) {
+	checkGolden(t, "fig10_aslike1024", Config{}.Fig10ASCongestion(1024, 1).Format())
+}
+
+func TestGoldenAddrSizes(t *testing.T) {
+	checkGolden(t, "addrsize_routerlike2048", AddrSizes(2048, 1).Format())
+}
