@@ -1,18 +1,19 @@
 // Package analysis is a self-contained miniature of
 // golang.org/x/tools/go/analysis: just enough framework to write the
-// repo's contract lints (cmd/discolint) against the standard library
+// repo's contract lints (internal/lint) against the standard library
 // alone. The API deliberately mirrors x/tools — Analyzer, Pass,
 // Diagnostic, Reportf — so the analyzers can migrate to the real
-// framework wholesale if the dependency ever becomes available; the
-// driver half (vet.cfg protocol, testdata loader) lives in
-// internal/lint/vetdriver and internal/lint/analysistest.
+// framework wholesale if the dependency ever becomes available. The
+// package loader is internal/lint/load; lint.Analyze runs the suite
+// over one package, and internal/lint/analysistest one analyzer over
+// testdata.
 //
 // What this clone intentionally drops: facts (no cross-package
-// analysis), analyzer dependencies / ResultOf (each discolint analyzer
-// is independent), and suggested fixes. What it adds over the original:
-// first-class //disco: suppression directives (directive.go) — every
-// Pass filters its own reports through the directive table, so an
-// annotated line never reaches the driver.
+// analysis), analyzer dependencies / ResultOf (each analyzer of the
+// suite is independent), and suggested fixes. What it adds over the
+// original: first-class //disco: suppression directives (directive.go)
+// — every Pass filters its own reports through the directive table, so
+// an annotated line is never reported.
 package analysis
 
 import (

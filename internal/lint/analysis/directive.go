@@ -53,7 +53,7 @@ type DirectiveTable struct {
 
 // ParseDirectives scans the comments of files for //disco: directives.
 // Non-directive comments and //disco:generate-style unknown names are
-// kept too — validation (unknown name, missing reason) is the driver's
+// kept too — validation (unknown name, missing reason) is lint.Analyze's
 // job, not the parser's.
 func ParseDirectives(fset *token.FileSet, files []*ast.File) *DirectiveTable {
 	t := &DirectiveTable{byFileLine: make(map[string]map[int][]int)}
@@ -118,7 +118,7 @@ var KnownDirectives = map[string]bool{
 }
 
 // Validate reports malformed directives: unknown names and missing
-// reasons. The driver runs it once per package alongside the analyzers
+// reasons. lint.Analyze runs it once per package alongside the analyzers
 // so a misspelled waiver can't silently disable nothing.
 func (t *DirectiveTable) Validate(report func(pos token.Pos, format string, args ...any)) {
 	for _, d := range t.all {
@@ -134,7 +134,7 @@ func (t *DirectiveTable) Validate(report func(pos token.Pos, format string, args
 
 // Unused reports every well-formed directive that no Covers call has
 // matched: a stale waiver whose code no longer raises the diagnostic it
-// excused. Only a driver that has run every analyzer over the package may
+// excused. Only a caller that has run every analyzer over the package may
 // call it; a single-analyzer harness would see the other analyzers'
 // waivers as unused.
 func (t *DirectiveTable) Unused(report func(pos token.Pos, format string, args ...any)) {

@@ -1,4 +1,4 @@
-package vetdriver
+package lint
 
 import (
 	"go/ast"

@@ -1,11 +1,15 @@
 // Package load type-checks Go packages from source with no tooling
 // dependencies beyond the standard library — the loader behind
-// internal/lint/analysistest. It resolves imports GOPATH-style: a
-// package path is looked up under Root/src first (the testdata stub
-// tree), then in GOROOT via go/build (standard library, honoring build
-// tags), so analyzer testdata can shadow repo packages like "snapshot"
-// or "parallel" with small stubs while still importing real stdlib
-// packages such as sort or sync/atomic.
+// internal/lint's analyzer tests and its module-wide contract check.
+//
+// A Loader has one of two roots. A GOPATH-style root (NewLoader) looks
+// a package path up under Root/src first (the testdata stub tree), so
+// analyzer testdata can shadow repo packages like "snapshot" or
+// "parallel" with small stubs. A module root (NewModuleLoader) maps the
+// module path named in Root/go.mod, and every path below it, to the
+// directories under Root. Either way, any other path is a standard
+// library package, type-checked from $GOROOT/src; go/build picks every
+// package's files, honouring build constraints.
 package load
 
 import (
@@ -18,7 +22,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -34,18 +37,24 @@ type Package struct {
 
 // Loader loads and memoizes packages under one file set.
 type Loader struct {
-	// Root is the GOPATH-style source root: package path p resolves to
-	// Root/src/p if that directory exists.
+	// Root is the GOPATH-style source root (package path p resolves to
+	// Root/src/p if that directory exists), or the module root if
+	// Module is set.
 	Root string
+
+	// Module is the module path, empty for a GOPATH-style root.
+	Module string
 
 	Fset *token.FileSet
 
-	pkgs    map[string]*types.Package
+	pkgs    map[string]*Package
 	loading map[string]bool
 	// stdlib is the fallback importer for GOROOT packages. The "source"
 	// importer type-checks from $GOROOT/src, so the loader works with
-	// no compiled export data and no network at all.
+	// no compiled export data and no network at all. It re-reads a
+	// package's directory on every call, so std memoizes its results.
 	stdlib types.Importer
+	std    map[string]*types.Package
 }
 
 // NewLoader returns a Loader rooted at root (testdata directory with a
@@ -53,23 +62,97 @@ type Loader struct {
 func NewLoader(root string) *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
-		Root:   root,
-		Fset:   fset,
-		pkgs:   make(map[string]*types.Package),
-		stdlib: importer.ForCompiler(fset, "source", nil),
+		Root:    root,
+		Fset:    fset,
+		pkgs:    make(map[string]*Package),
+		loading: make(map[string]bool),
+		stdlib:  importer.ForCompiler(fset, "source", nil),
+		std:     make(map[string]*types.Package),
 	}
 }
 
-// Load parses and type-checks the package at import path path,
-// resolving its imports recursively.
-func (l *Loader) Load(path string) (*Package, error) {
-	dir := filepath.Join(l.Root, "src", filepath.FromSlash(path))
-	if _, err := os.Stat(dir); err != nil {
-		return nil, fmt.Errorf("load %s: no directory %s", path, dir)
-	}
-	files, err := l.parseDir(dir)
+// NewModuleLoader returns a Loader rooted at the module whose go.mod
+// sits in root.
+func NewModuleLoader(root string) (*Loader, error) {
+	gomod := filepath.Join(root, "go.mod")
+	data, err := os.ReadFile(gomod)
 	if err != nil {
 		return nil, err
+	}
+	for line := range strings.Lines(string(data)) {
+		if module, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			l := NewLoader(root)
+			l.Module = strings.Trim(strings.TrimSpace(module), `"`)
+			return l, nil
+		}
+	}
+	return nil, fmt.Errorf("%s: no module directive", gomod)
+}
+
+// dir returns the source directory of the package at import path path,
+// and false if path lies outside the loader's root (a standard library
+// path).
+func (l *Loader) dir(path string) (string, bool) {
+	if l.Module != "" {
+		if path == l.Module {
+			return l.Root, true
+		}
+		if rest, ok := strings.CutPrefix(path, l.Module+"/"); ok {
+			return filepath.Join(l.Root, filepath.FromSlash(rest)), true
+		}
+		return "", false
+	}
+	dir := filepath.Join(l.Root, "src", filepath.FromSlash(path))
+	if _, err := os.Stat(dir); err != nil {
+		return "", false
+	}
+	return dir, true
+}
+
+// Load parses and type-checks the package at import path path,
+// resolving its imports recursively. It checks each path once: a later
+// Load or Import of the same path returns the same package.
+func (l *Loader) Load(path string) (*Package, error) {
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
+	}
+	dir, ok := l.dir(path)
+	if !ok {
+		return nil, fmt.Errorf("load %s: not under %s", path, l.Root)
+	}
+	if l.loading[path] {
+		return nil, fmt.Errorf("import cycle through %s", path)
+	}
+	l.loading[path] = true
+	defer delete(l.loading, path)
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, fmt.Errorf("load %s: %v", path, err)
+	}
+	p, err := l.Check(path, dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	return p, nil
+}
+
+// Check parses the named files of dir and type-checks them as the
+// package at import path path, resolving imports through the loader. It
+// does not memoize the result, so it also checks a package's test
+// variants: its files plus its in-package tests, or its external test
+// package.
+func (l *Loader) Check(path, dir string, names []string) (*Package, error) {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("load %s: no .go files in %s", path, dir)
+	}
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -83,29 +166,19 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %v", path, err)
 	}
-	l.pkgs[path] = pkg
 	return &Package{Path: path, Files: files, Pkg: pkg, Info: info, Fset: l.Fset}, nil
 }
 
-// Import implements types.Importer: testdata stubs shadow everything,
-// then the standard library.
+// Import implements types.Importer: packages under the root shadow
+// everything, then the standard library.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	dir := filepath.Join(l.Root, "src", filepath.FromSlash(path))
-	if _, err := os.Stat(dir); err == nil {
-		if l.loading[path] {
-			return nil, fmt.Errorf("import cycle through %s", path)
-		}
-		if l.loading == nil {
-			l.loading = make(map[string]bool)
-		}
-		l.loading[path] = true
-		defer delete(l.loading, path)
+	if pkg, ok := l.std[path]; ok {
+		return pkg, nil
+	}
+	if _, ok := l.dir(path); ok {
 		p, err := l.Load(path)
 		if err != nil {
 			return nil, err
@@ -113,44 +186,14 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return p.Pkg, nil
 	}
 	// Standard library: verify it really is under GOROOT before
-	// delegating, so a typoed stub path fails with a clear message.
+	// delegating, so a typoed path fails with a clear message.
 	if bp, err := build.Default.Import(path, "", build.FindOnly); err != nil || !bp.Goroot {
-		return nil, fmt.Errorf("import %q: not in testdata src/ and not in GOROOT", path)
+		return nil, fmt.Errorf("import %q: not under %s and not in GOROOT", path, l.Root)
 	}
 	pkg, err := l.stdlib.Import(path)
 	if err != nil {
 		return nil, err
 	}
-	l.pkgs[path] = pkg
+	l.std[path] = pkg
 	return pkg, nil
-}
-
-// parseDir parses every non-test .go file in dir, sorted by name so
-// diagnostics come out in a stable order.
-func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	files := make([]*ast.File, 0, len(names))
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
 }

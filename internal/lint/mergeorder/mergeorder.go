@@ -5,7 +5,7 @@
 // position not derived from the task index produces schedule-dependent
 // results (and usually a data race) — exactly the class
 // TestWorkerCountInvariance exists to catch dynamically, caught here
-// at vet time instead.
+// statically instead.
 //
 // For every call to parallel.Run / RunScratch / RunGather / Map /
 // MapScratch, the analyzer takes the function-literal argument, treats
