@@ -173,7 +173,7 @@ func FuzzCompactWindow(f *testing.F) {
 		if m != kk {
 			cs.vicLen = []int32{int32(m)}
 		}
-		if diff := sameWindow(cs.window(0), want); diff != "" {
+		if diff := sameWindow(cs.window(0, nil), want); diff != "" {
 			t.Fatalf("decoded window: %s", diff)
 		}
 		// The lazy path a Reader's slot takes, into a scratch that held a
@@ -196,7 +196,7 @@ func FuzzCompactWindow(f *testing.F) {
 			t.Fatalf("after the ID pass the window has %d members, want %d", lazy.Window().Size(), m)
 		}
 		cs.decodeColumns(lazy, &r, 0)
-		if diff := sameWindow(lazy.Window(), cs.window(0)); diff != "" {
+		if diff := sameWindow(lazy.Window(), cs.window(0, nil)); diff != "" {
 			t.Fatalf("lazily decoded window: %s", diff)
 		}
 		for i, id := range ids {

@@ -62,7 +62,7 @@ func (h *Reader) lookup(v graph.NodeID) (*vicinity.Window, *slot) {
 	}
 	sl := &h.slots[v&(cacheSlots-1)]
 	if sl.sc == nil {
-		sl.sc = vicinity.NewScratch(h.cs.n, h.cs.levels)
+		sl.sc = h.cs.newScratch()
 	} else if sl.owner == v {
 		return sl.sc.Window(), sl
 	}

@@ -34,7 +34,10 @@
 // task-ordered merges — ball searches, window recomputes, per-row
 // classification, diff accounting, and both fold encoders all fan out, and
 // every merge happens in task index order — so the result is bit-identical
-// at any worker count.
+// at any worker count. Where it reads compact shards in bulk it reads each
+// once, in a sequential pass: the diff accounting decodes a pre-event
+// window or row into its worker's scratch, and a tie patch copies its row
+// the same way.
 //
 // Chains compose: a repaired snapshot can be repaired or recovered again.
 // Two mechanisms keep a long repair-of-repair chain from leaking history:
@@ -48,8 +51,13 @@
 //   - Compaction: when the table's overlaid-shard count exceeds
 //     foldOverlayFraction of the snapshot's shards, the chain is folded
 //     into a fresh base-format store (both regimes), an O(state) re-encode
-//     with no Dijkstra. CanonicalBytes is invariant under folding, so
-//     chained equivalence with a from-scratch build holds at every step.
+//     with no Dijkstra. A compact fold copies untouched windows as byte
+//     ranges and carries every forest port whose node kept its neighbour
+//     list and its parent (compact.go), so its cost is one pass over the
+//     old store plus the overlay's re-encode. A fold also sets maxRadius
+//     to the folded windows' largest radius. CanonicalBytes is invariant
+//     under folding, so chained equivalence with a from-scratch build holds
+//     at every step.
 //
 // Unlike Build/BuildCompact, ApplyFailures does NOT require the failed
 // topology to stay connected — that is the point of failure scenarios.
@@ -181,7 +189,7 @@ func (s *Snapshot) ApplyFailures(fails []graph.EdgeKey) (*Snapshot, error) {
 	}
 	fg := s.g.WithoutEdges(dead)
 
-	affVic, scanned := s.affectedVicinities(uniq)
+	affVic, scanned := s.affectedVicinities(uniq, s.g.Unit())
 	wins := recomputeWindows(fg, affVic, s.k)
 
 	// Row classification: a row is affected iff some failed link is one of
@@ -335,27 +343,32 @@ func (s *Snapshot) recomputeRows(g *graph.Graph, rows []int) [][]graph.NodeID {
 // ascending parallel slices: affVic with wins, rowIdx with prows.
 func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*vicinity.Window, rowIdx []int, prows [][]graph.NodeID, stats RepairStats) *Snapshot {
 	// Changed-state accounting against the pre-event snapshot, fanned out
-	// over the worker pool (order-independent integer sums).
+	// over the worker pool (order-independent integer sums). Each worker
+	// decodes a compact pre-event window or row into its own scratch, one
+	// sequential pass a shard.
 	n := ng.N()
-	vicDiffs := parallel.Map(len(affVic), func(i int) int {
-		return diffWindows(s.Vicinity(affVic[i]), wins[i])
-	})
+	vicDiffs := parallel.MapScratch(len(affVic), s.newScratch,
+		func(sc *vicinity.Scratch, i int) int {
+			return diffWindows(s.vicinityInto(affVic[i], sc), wins[i])
+		})
 	for _, d := range vicDiffs {
 		if d > 0 {
 			stats.VicChanged++
 			stats.VicEntriesChanged += d
 		}
 	}
-	rowDiffs := parallel.Map(len(rowIdx), func(i int) int {
-		row, prow := rowIdx[i], prows[i]
-		d := 0
-		for v := 0; v < n; v++ {
-			if s.parentAt(row, graph.NodeID(v)) != prow[v] {
-				d++
+	rowDiffs := parallel.MapScratch(len(rowIdx),
+		func() []graph.NodeID { return make([]graph.NodeID, n) },
+		func(buf []graph.NodeID, i int) int {
+			old, prow := s.forestRowInto(rowIdx[i], buf), prows[i]
+			d := 0
+			for v, p := range old {
+				if p != prow[v] {
+					d++
+				}
 			}
-		}
-		return d
-	})
+			return d
+		})
 	for _, d := range rowDiffs {
 		stats.RowNodesChanged += d
 	}
@@ -404,7 +417,13 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 // since u ∈ V(x) forces d(x,u) <= maxRadius), then probed exactly —
 // probes run inside the per-ball tasks, and the merge is a sort and dedup
 // of the per-ball lists, so the result is worker-count invariant.
-func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey) ([]graph.NodeID, int) {
+//
+// With radiusCut, a candidate x farther from u than V(x)'s own radius is
+// dropped before its membership probes: u ∈ V(x) forces d(x,u) <=
+// radius(x). ApplyFailures cuts on unit-weight graphs only, where the
+// ball's distance and the window's are the same integer; on a weighted
+// graph the two float sums can differ in the last bit.
+func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey, radiusCut bool) ([]graph.NodeID, int) {
 	byU := make(map[graph.NodeID][]graph.NodeID)
 	var us []graph.NodeID
 	for _, f := range uniq {
@@ -428,6 +447,11 @@ func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey) ([]graph.NodeID, int
 			sp.RunRadius(u, bound)
 			res := ballResult{scanned: len(sp.Order())}
 			for _, x := range sp.Order() {
+				if radiusCut {
+					if _, rad := s.windowMeta(x); sp.Dist(x) > rad {
+						continue
+					}
+				}
 				if !s.VicinityContains(x, u) {
 					continue
 				}
@@ -658,9 +682,7 @@ func (s *Snapshot) patchRow(row int, ps []rowPatch) []graph.NodeID {
 		}
 		if prow == nil {
 			prow = make([]graph.NodeID, s.g.N())
-			for x := range prow {
-				prow[x] = s.parentAt(row, graph.NodeID(x))
-			}
+			copy(prow, s.forestRowInto(row, prow))
 		}
 		prow[pc.v] = pc.p
 	}
@@ -673,37 +695,51 @@ func (s *Snapshot) patchRow(row int, ps []rowPatch) []graph.NodeID {
 // folded snapshot reads and serializes identically (CanonicalBytes is
 // computed from logical state), keeps the repair stats of the step that
 // triggered the fold, and its compact forest rows re-index the current
-// graph's adjacency.
+// graph's adjacency. maxRadius comes down to the folded windows' largest
+// radius: repairs only raise it, and a chain whose windows shrank back
+// would otherwise search balls sized for its worst past event.
 func (s *Snapshot) fold() *Snapshot {
 	f := &Snapshot{
 		g: s.g, k: s.k, compact: s.compact,
 		landmarks: s.landmarks, lmRow: s.lmRow,
-		maxRadius: s.maxRadius, short: s.short,
+		short:    s.short,
 		repaired: true, stats: s.stats,
 	}
 	f.stats.Folded = true
 	if s.compact {
-		s.foldCompactInto(f)
+		cs := s.foldCompactWindows()
+		s.foldCompactForest(cs)
+		f.store = cs
 	} else {
-		s.foldExactInto(f)
+		st := s.foldExactWindows()
+		s.foldExactForest(st)
+		f.store = st
+	}
+	for v := range graph.NodeID(s.g.N()) {
+		_, r := f.store.windowMeta(v)
+		f.maxRadius = max(f.maxRadius, r)
 	}
 	return f
 }
 
-// foldExactInto packs the chain's logical windows into fresh shared
-// columns (shortfall windows keep their reduced size) and copies its
-// forest rows into one flat array.
-func (s *Snapshot) foldExactInto(f *Snapshot) {
+// foldExactWindows packs the chain's logical windows into a fresh exact
+// store's shared columns (shortfall windows keep their reduced size).
+func (s *Snapshot) foldExactWindows() *exactStore {
 	n := s.g.N()
 	wins := make([]*vicinity.Window, n)
 	for v := range wins {
 		wins[v] = s.Vicinity(graph.NodeID(v))
 	}
-	parents := make([]graph.NodeID, len(s.landmarks)*n)
+	return &exactStore{n: n, wins: vicinity.Pack(wins)}
+}
+
+// foldExactForest copies the chain's forest rows into st's one flat array.
+func (s *Snapshot) foldExactForest(st *exactStore) {
+	n := s.g.N()
+	st.parents = make([]graph.NodeID, len(s.landmarks)*n)
 	parallel.Run(len(s.landmarks), func(row int) {
-		copy(parents[row*n:(row+1)*n], s.forestRow(row))
+		copy(st.parents[row*n:(row+1)*n], s.forestRow(row))
 	})
-	f.store = &exactStore{n: n, wins: vicinity.Pack(wins), parents: parents}
 }
 
 // CanonicalBytes serializes the snapshot's logical route state — every

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"disco/internal/graph"
 	"disco/internal/vicinity"
@@ -105,7 +106,8 @@ func BenchmarkApplyRecoveries(b *testing.B) {
 // into fresh base storage — the compaction cost a long timeline amortizes
 // over foldOverlayFraction×shards worth of events. The overlay being
 // folded is a real accumulated chain (driven until just under the
-// threshold), not a synthetic one.
+// threshold), not a synthetic one. vic-ms/op is the window half of the
+// fold, forest-ms/op the forest half, as BenchmarkBuild splits a build.
 func BenchmarkChainFold(b *testing.B) {
 	const n = 4096
 	env := buildEnv(b, n, 1)
@@ -132,10 +134,24 @@ func BenchmarkChainFold(b *testing.B) {
 			b.Fatal("chain accumulated no overlay to fold")
 		}
 		b.ReportMetric(float64(cur.OverlayShards()), "overlay-shards")
+		var vic, forest time.Duration
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cur.fold()
+			t0 := time.Now()
+			var forestSweep func()
+			if compact {
+				cs := cur.foldCompactWindows()
+				forestSweep = func() { cur.foldCompactForest(cs) }
+			} else {
+				st := cur.foldExactWindows()
+				forestSweep = func() { cur.foldExactForest(st) }
+			}
+			t1 := time.Now()
+			forestSweep()
+			vic, forest = vic+t1.Sub(t0), forest+time.Since(t1)
 		}
+		b.ReportMetric(float64(vic.Microseconds())/1e3/float64(b.N), "vic-ms/op")
+		b.ReportMetric(float64(forest.Microseconds())/1e3/float64(b.N), "forest-ms/op")
 	})
 }
 

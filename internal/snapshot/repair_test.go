@@ -2,10 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"disco/internal/graph"
+	"disco/internal/static"
 	"disco/internal/topology"
 	"disco/internal/vicinity"
 )
@@ -246,5 +249,122 @@ func TestApplyFailuresErrors(t *testing.T) {
 	}
 	if _, err := base.ApplyFailures([]graph.EdgeKey{{U: u, V: v}}); err == nil {
 		t.Error("nonexistent link should error")
+	}
+}
+
+// TestFailureRadiusCut: on a unit-weight graph, affectedVicinities drops a
+// candidate farther from the failed endpoint than its own window's radius
+// before probing it. The cut must change no candidate list and no scanned
+// count: with and without it the results agree on G(n,m), router-like, and
+// chain heads holding shortfall windows (a node cut off, folded, then one
+// more event overlaid), in both regimes. On a geometric map ApplyFailures must not cut:
+// it touches the windows of the uncut scan and counts its candidates.
+func TestFailureRadiusCut(t *testing.T) {
+	draw := func(s *Snapshot, rng *rand.Rand, trial int) []graph.EdgeKey {
+		edges := s.Graph().EdgeList()
+		links := make([]graph.EdgeKey, 0, 3)
+		for _, i := range rng.Perm(len(edges))[:1+trial%3] {
+			links = append(links, edges[i])
+		}
+		return links
+	}
+	check := func(t *testing.T, s *Snapshot) {
+		t.Helper()
+		if !s.Graph().Unit() {
+			t.Fatal("want a unit-weight graph")
+		}
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 24; trial++ {
+			links := draw(s, rng, trial)
+			cut, scannedCut := s.affectedVicinities(links, true)
+			full, scanned := s.affectedVicinities(links, false)
+			if !slices.Equal(cut, full) || scannedCut != scanned {
+				t.Fatalf("links %v: the radius cut gives %d windows of %d candidates, the full scan %d of %d",
+					links, len(cut), scannedCut, len(full), scanned)
+			}
+		}
+	}
+	router := topology.RouterLike(rand.New(rand.NewSource(1)), 1024)
+	routerEnv := static.NewEnv(router, 1)
+	gnm := buildEnv(t, 384, 3)
+	for _, compact := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compact=%v", compact), func(t *testing.T) {
+			t.Run("gnm", func(t *testing.T) { check(t, mustBuild(t, gnm, vicinity.DefaultK(gnm.N()), compact)) })
+			t.Run("routerlike", func(t *testing.T) {
+				check(t, mustBuild(t, routerEnv, vicinity.DefaultK(router.N()), compact))
+			})
+			t.Run("shortfall", func(t *testing.T) {
+				folded := foldedChainHead(t, compact)
+				if len(folded.short) == 0 {
+					t.Fatal("want a chain head with shortfall windows")
+				}
+				check(t, folded)
+				d := newChainDriver(folded)
+				d.failOne(t, rand.New(rand.NewSource(4)), true)
+				check(t, d.cur)
+			})
+		})
+	}
+	t.Run("geometric", func(t *testing.T) {
+		env := buildGeoEnv(t, 256, 3)
+		s := mustBuild(t, env, vicinity.DefaultK(env.N()), true)
+		if s.Graph().Unit() {
+			t.Fatal("want a weighted graph")
+		}
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 12; trial++ {
+			links := draw(s, rng, trial)
+			rep, err := s.ApplyFailures(links)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, scanned := s.affectedVicinities(links, false)
+			if st := rep.RepairStats(); !slices.Equal(st.VicTouched, full) || st.Candidates != scanned {
+				t.Fatalf("links %v: ApplyFailures touched %d windows of %d candidates, the uncut scan %d of %d",
+					links, len(st.VicTouched), st.Candidates, len(full), scanned)
+			}
+		}
+	})
+}
+
+// TestFoldResetsMaxRadius: repairs only raise maxRadius, the bound of the
+// candidate searches; a fold sets it to the folded windows' largest
+// radius. A link whose failure grows the largest radius is failed and
+// recovered on a geometric map — the recovered chain still searches the
+// grown radius — and the fold brings it back to the base's, in both
+// regimes.
+func TestFoldResetsMaxRadius(t *testing.T) {
+	env := buildGeoEnv(t, 256, 5)
+	bridges := env.G.Bridges()
+	for _, compact := range []bool{false, true} {
+		base := mustBuild(t, env, vicinity.DefaultK(env.N()), compact)
+		var grown *Snapshot
+		var link graph.EdgeKey
+		for _, l := range env.G.EdgeList() {
+			if bridges[env.G.EdgeID(l.U, l.V)] {
+				continue
+			}
+			rep, err := base.ApplyFailures([]graph.EdgeKey{l})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.maxRadius > base.maxRadius {
+				grown, link = rep, l
+				break
+			}
+		}
+		if grown == nil {
+			t.Fatal("no single link failure grows the largest window radius")
+		}
+		rec, err := grown.ApplyRecoveries([]graph.WeightedLink{{U: link.U, V: link.V, W: env.G.EdgeWeight(link.U, link.V)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.maxRadius != grown.maxRadius {
+			t.Fatalf("compact=%v: the recovery moved maxRadius %v → %v; repairs only raise it", compact, grown.maxRadius, rec.maxRadius)
+		}
+		if f := rec.fold(); f.maxRadius != base.maxRadius {
+			t.Fatalf("compact=%v: the fold left maxRadius %v, want the base's %v", compact, f.maxRadius, base.maxRadius)
+		}
 	}
 }

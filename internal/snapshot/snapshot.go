@@ -70,7 +70,8 @@ type Snapshot struct {
 	lmRow     []int32
 
 	// maxRadius upper-bounds every vicinity window's radius. ApplyFailures uses it to bound the blast-radius candidate
-	// search: u ∈ V(x) implies d(x,u) <= maxRadius.
+	// search: u ∈ V(x) implies d(x,u) <= maxRadius. A build and a fold
+	// set it to the largest radius; a repair only raises it.
 	maxRadius float64
 
 	// repaired marks snapshots produced by ApplyFailures/ApplyRecoveries
@@ -223,10 +224,26 @@ func (s *Snapshot) Landmarks() []graph.NodeID { return s.landmarks }
 // should prefer VicinityContains, and callers after one member VicinityFind,
 // which never materialize the window on a miss.
 func (s *Snapshot) Vicinity(v graph.NodeID) *vicinity.Window {
+	return s.vicinityInto(v, nil)
+}
+
+// vicinityInto is Vicinity decoding a compact base window into sc, the
+// caller's scratch from newScratch (nil for a fresh window): valid until
+// sc's next decode.
+func (s *Snapshot) vicinityInto(v graph.NodeID, sc *vicinity.Scratch) *vicinity.Window {
 	if win := s.ov.window(v); win != nil {
 		return win
 	}
-	return s.store.window(v)
+	return s.store.window(v, sc)
+}
+
+// newScratch returns a decode target for vicinityInto: one in the compact
+// store's form, nil over an exact store, which decodes nothing.
+func (s *Snapshot) newScratch() *vicinity.Scratch {
+	if cs, ok := s.store.(*compactStore); ok {
+		return cs.newScratch()
+	}
+	return nil
 }
 
 // VicinityContains reports w ∈ V(v) without materializing the window in
@@ -247,7 +264,7 @@ func (s *Snapshot) VicinityFind(v, w graph.NodeID) (*vicinity.Window, int) {
 		return win, win.Find(w)
 	}
 	if i := s.store.windowIndex(v, w); i >= 0 {
-		return s.store.window(v), i
+		return s.store.window(v, nil), i
 	}
 	return nil, -1
 }
@@ -297,12 +314,17 @@ func (s *Snapshot) ForestParents(root graph.NodeID) []graph.NodeID {
 	return s.forestRow(s.row(root))
 }
 
-// forestRow is ForestParents by row index — what the fold encoders read.
-func (s *Snapshot) forestRow(row int) []graph.NodeID {
+// forestRow is ForestParents by row index — what the exact fold copies.
+func (s *Snapshot) forestRow(row int) []graph.NodeID { return s.forestRowInto(row, nil) }
+
+// forestRowInto is forestRow decoding a compact base row into buf, the
+// caller's n-length row (nil for a fresh one). The result is shared
+// storage, or buf.
+func (s *Snapshot) forestRowInto(row int, buf []graph.NodeID) []graph.NodeID {
 	if prow := s.ov.row(row); prow != nil {
 		return prow
 	}
-	return s.store.decodeRow(row)
+	return s.store.decodeRow(row, buf)
 }
 
 // Parent returns v's predecessor on root's shortest-path tree

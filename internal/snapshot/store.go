@@ -33,8 +33,9 @@ import (
 // concurrent readers; everything a store returns is shared and read-only.
 type shardStore interface {
 	// window returns V(v) — the stored window where the layout holds it
-	// (exact), a freshly decoded private one where it does not (compact).
-	window(v graph.NodeID) *vicinity.Window
+	// (exact), decoded into sc where it does not (compact: sc is the
+	// caller's scratch in the store's form, or nil for a fresh window).
+	window(v graph.NodeID, sc *vicinity.Scratch) *vicinity.Window
 	// windowMeta returns V(v)'s member count and radius — exactly what
 	// window(v) would report — without materializing the window. The
 	// recovery probe loop rides on this.
@@ -46,8 +47,9 @@ type shardStore interface {
 	rowParent(row int, v graph.NodeID) graph.NodeID
 	// decodeRow returns row `row` as a flat n-length parent array — shared
 	// where the layout stores it that way (exact), decoded in one
-	// sequential pass otherwise (compact).
-	decodeRow(row int) []graph.NodeID
+	// sequential pass into buf otherwise (compact: buf is the caller's
+	// n-length row, or nil for a fresh one).
+	decodeRow(row int, buf []graph.NodeID) []graph.NodeID
 	// storeBytes is the store's backing footprint for Snapshot.Bytes.
 	storeBytes() int64
 }
@@ -61,7 +63,9 @@ type exactStore struct {
 	parents []graph.NodeID
 }
 
-func (st *exactStore) window(v graph.NodeID) *vicinity.Window { return &st.wins[v] }
+func (st *exactStore) window(v graph.NodeID, _ *vicinity.Scratch) *vicinity.Window {
+	return &st.wins[v]
+}
 
 func (st *exactStore) windowMeta(v graph.NodeID) (int, float64) {
 	return st.wins[v].Size(), st.wins[v].Radius()
@@ -73,7 +77,7 @@ func (st *exactStore) rowParent(row int, v graph.NodeID) graph.NodeID {
 	return st.parents[row*st.n+int(v)]
 }
 
-func (st *exactStore) decodeRow(row int) []graph.NodeID {
+func (st *exactStore) decodeRow(row int, _ []graph.NodeID) []graph.NodeID {
 	return st.parents[row*st.n : (row+1)*st.n : (row+1)*st.n]
 }
 
