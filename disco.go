@@ -135,7 +135,7 @@ type Network struct {
 	byName map[names.Name]graph.NodeID
 
 	stateOnce  bool
-	stateCache []core.StateBreakdown
+	stateCache []static.StateBreakdown
 }
 
 func newNetwork(g *graph.Graph, nodeNames []names.Name, cfg Config) (*Network, error) {
@@ -271,7 +271,7 @@ type StateInfo struct {
 
 // stateVectors computes and caches the per-node breakdowns (the converged
 // state never changes for a built Network).
-func (nw *Network) stateVectors() []core.StateBreakdown {
+func (nw *Network) stateVectors() []static.StateBreakdown {
 	if !nw.stateOnce {
 		_, _, _, db := nw.d.StateVectors()
 		nw.stateCache = db

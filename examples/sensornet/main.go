@@ -40,7 +40,8 @@ func main() {
 	sinkName := "02:ab:00:00:00:00" // node 0 acts as the data sink
 
 	meanStretch := func(nw *disco.Network, later bool) float64 {
-		rng := rand.New(rand.NewSource(base.Int63()))
+		seed := base.Int63()
+		rng := rand.New(rand.NewSource(seed))
 		total, count := 0.0, 0
 		for i := 0; i < 300; i++ {
 			src := rng.Intn(n)

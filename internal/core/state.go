@@ -3,42 +3,11 @@ package core
 import (
 	"slices"
 
-	"disco/internal/addr"
 	"disco/internal/graph"
 	"disco/internal/names"
 	"disco/internal/parallel"
+	"disco/internal/static"
 )
-
-// StateBreakdown itemizes one node's data-plane routing state in table
-// entries, following the §5.2 accounting: "forwarding entries for landmarks
-// and vicinities, name resolution entries on the landmark database,
-// forwarding label mappings for our compact source route format in
-// NDDisco, and the address mappings for Disco".
-type StateBreakdown struct {
-	LandmarkRoutes int // shortest-path entries to every landmark
-	VicinityRoutes int // entries for V(v)
-	LabelMappings  int // compact-source-route label → interface mappings
-	Resolution     int // name-resolution entries (landmarks only)
-	GroupAddrs     int // sloppy-group address entries (Disco only)
-	OverlayLinks   int // overlay neighbor state (Disco only)
-}
-
-// Total returns the entry count.
-func (b StateBreakdown) Total() int {
-	return b.LandmarkRoutes + b.VicinityRoutes + b.LabelMappings + b.Resolution + b.GroupAddrs + b.OverlayLinks
-}
-
-// Bytes converts the breakdown to bytes under a name-size model (Fig. 7):
-// landmark/vicinity/label entries are name+nexthop entries; resolution and
-// group entries each store a name plus a full address.
-func (b StateBreakdown) Bytes(m addr.SizeModel, avgAddr float64) float64 {
-	plain := m.PlainEntryBytes()
-	withAddr := float64(2*m.NameBytes) + avgAddr
-	return float64(b.LandmarkRoutes+b.VicinityRoutes)*plain +
-		float64(b.LabelMappings)*2 +
-		float64(b.Resolution+b.GroupAddrs)*withAddr +
-		float64(b.OverlayLinks)*plain
-}
 
 // resolutionLoad computes, for every node, how many resolution entries it
 // stores (zero for non-landmarks): the consistent-hashing share of all n
@@ -49,7 +18,7 @@ func (d *Disco) resolutionLoad() []int {
 
 // NDStateBreakdown returns node v's NDDisco state given the precomputed
 // resolution load vector (from Disco.resolutionLoad or equivalent).
-func ndStateBreakdown(r *NDDisco, v graph.NodeID, resLoad []int) StateBreakdown {
+func ndStateBreakdown(r *NDDisco, v graph.NodeID, resLoad []int) static.StateBreakdown {
 	nLM := len(r.Env.Landmarks)
 	// Forwarding labels are needed only for next hops actually used by
 	// landmark/vicinity routes: at most min(degree, routes).
@@ -57,7 +26,7 @@ func ndStateBreakdown(r *NDDisco, v graph.NodeID, resLoad []int) StateBreakdown 
 	if m := nLM + r.K; labels > m {
 		labels = m
 	}
-	b := StateBreakdown{
+	b := static.StateBreakdown{
 		LandmarkRoutes: nLM,
 		VicinityRoutes: r.K,
 		LabelMappings:  labels,
@@ -73,13 +42,13 @@ func ndStateBreakdown(r *NDDisco, v graph.NodeID, resLoad []int) StateBreakdown 
 // Index i holds node i's entry count. The per-node accounting fans out
 // over the worker pool — every task writes only its own index, so the
 // vectors are identical at any worker count.
-func (d *Disco) StateVectors() (ndEntries, discoEntries []int, ndBreak, discoBreak []StateBreakdown) {
+func (d *Disco) StateVectors() (ndEntries, discoEntries []int, ndBreak, discoBreak []static.StateBreakdown) {
 	n := d.Env().N()
 	resLoad := d.resolutionLoad()
 	ndEntries = make([]int, n)
 	discoEntries = make([]int, n)
-	ndBreak = make([]StateBreakdown, n)
-	discoBreak = make([]StateBreakdown, n)
+	ndBreak = make([]static.StateBreakdown, n)
+	discoBreak = make([]static.StateBreakdown, n)
 
 	// Group sizes per node: under a uniform view these are shared per
 	// group; compute by bucketing instead of O(n^2) scanning.

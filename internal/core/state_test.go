@@ -11,7 +11,7 @@ import (
 )
 
 func TestStateBytesAccounting(t *testing.T) {
-	b := StateBreakdown{
+	b := static.StateBreakdown{
 		LandmarkRoutes: 10,
 		VicinityRoutes: 20,
 		LabelMappings:  5,

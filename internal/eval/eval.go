@@ -171,12 +171,3 @@ func intsToCDF(xs []int) *metrics.CDF {
 	}
 	return metrics.NewCDF(fs)
 }
-
-// sampleCDF builds a CDF over the values of xs at the sampled indices.
-func sampleCDF(xs []int, idx []int) *metrics.CDF {
-	fs := make([]float64, len(idx))
-	for i, j := range idx {
-		fs[i] = float64(xs[j])
-	}
-	return metrics.NewCDF(fs)
-}

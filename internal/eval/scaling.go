@@ -55,7 +55,7 @@ func (c Config) Fig9Scaling(sizes []int, seed int64, pairs int) *Fig9Result {
 		pt.DiscoFirst, pt.DiscoLater, pt.S4First, pt.S4Later = sw.mean(0), sw.mean(1), sw.mean(2), sw.mean(3)
 
 		ndE, dE, _, _ := p.Disco.StateVectors()
-		s4E := p.S4.StateEntries(p.S4.ClusterSizesAll())
+		s4E, _ := p.S4.StateVectors(p.S4.ClusterSizesAll())
 		pt.DiscoState = intsToCDF(dE).Mean()
 		pt.NDDiscoState = intsToCDF(ndE).Mean()
 		pt.S4State = intsToCDF(s4E).Mean()

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"disco/internal/addr"
-	"disco/internal/graph"
 	"disco/internal/metrics"
 	"disco/internal/parallel"
 	"disco/internal/static"
@@ -44,7 +43,7 @@ func (r *StateResult) Get(label string) *metrics.CDF {
 func (c Config) Fig2State(kind TopoKind, n int, seed int64) *StateResult {
 	p := c.BuildProtocols(kind, n, seed)
 	ndE, dE, _, _ := p.Disco.StateVectors()
-	s4E := p.S4.StateEntries(p.S4.ClusterSizesAll())
+	s4E, _ := p.S4.StateVectors(p.S4.ClusterSizesAll())
 	return &StateResult{
 		Kind:   kind,
 		N:      n,
@@ -59,7 +58,7 @@ func (c Config) Fig2State(kind TopoKind, n int, seed int64) *StateResult {
 // arrays.
 func StateWithVRR(p *Protocols, kind TopoKind, seed int64) *StateResult {
 	ndE, dE, _, _ := p.Disco.StateVectors()
-	s4E := p.S4.StateEntries(p.S4.ClusterSizesAll())
+	s4E, _ := p.S4.StateVectors(p.S4.ClusterSizesAll())
 	v := p.VRR(seed)
 	return &StateResult{
 		Kind:   kind,
@@ -106,18 +105,15 @@ func (r *Fig7Result) Format() string {
 func (c Config) Fig7StateBytes(n int, seed int64) *Fig7Result {
 	p := c.BuildProtocols(TopoRouterLike, n, seed)
 	ndE, dE, ndB, dB := p.Disco.StateVectors()
-	clusters := p.S4.ClusterSizesAll()
-	s4E := p.S4.StateEntries(clusters)
+	s4E, s4B := p.S4.StateVectors(p.S4.ClusterSizesAll())
 	avgAddr, _, _ := p.Env.AddrSizeStats()
-	v4 := addr.SizeModel{NameBytes: 4}
-	v6 := addr.SizeModel{NameBytes: 16}
 
 	res := &Fig7Result{N: n}
 	// bytesStats computes per-node byte sizes on the worker pool and
 	// reduces them in node order, so the float mean never depends on the
 	// schedule.
-	bytesStats := func(at func(v int) float64) (mean, max float64) {
-		sizes := parallel.Map(n, at)
+	bytesStats := func(bs []static.StateBreakdown, m addr.SizeModel) (mean, max float64) {
+		sizes := parallel.Map(n, func(v int) float64 { return bs[v].Bytes(m, avgAddr) })
 		total := 0.0
 		for _, b := range sizes {
 			total += b
@@ -127,32 +123,10 @@ func (c Config) Fig7StateBytes(n int, seed int64) *Fig7Result {
 		}
 		return total / float64(n), max
 	}
-	// S4 bytes: landmarks+cluster+labels are plain entries; resolution
-	// entries carry addresses.
-	nLM := len(p.Env.Landmarks)
-	resLoad := p.S4.DB.Load(n, p.Env.Hashes)
-	s4Bytes := func(m addr.SizeModel) (mean, max float64) {
-		return bytesStats(func(v int) float64 {
-			labels := p.Env.G.Degree(graph.NodeID(v))
-			if lim := nLM + clusters[v]; labels > lim {
-				labels = lim
-			}
-			return float64(nLM+clusters[v])*m.PlainEntryBytes() +
-				float64(labels)*2 +
-				float64(resLoad[v])*(float64(2*m.NameBytes)+avgAddr)
-		})
-	}
-	ndBytes := func(m addr.SizeModel) (mean, max float64) {
-		return bytesStats(func(v int) float64 { return ndB[v].Bytes(m, avgAddr) })
-	}
-	dBytes := func(m addr.SizeModel) (mean, max float64) {
-		return bytesStats(func(v int) float64 { return dB[v].Bytes(m, avgAddr) })
-	}
-
-	push := func(name string, entries []int, bytesFn func(addr.SizeModel) (float64, float64)) {
+	push := func(name string, entries []int, bs []static.StateBreakdown) {
 		c := intsToCDF(entries)
-		m4, x4 := bytesFn(v4)
-		m6, x6 := bytesFn(v6)
+		m4, x4 := bytesStats(bs, addr.SizeModel{NameBytes: 4})
+		m6, x6 := bytesStats(bs, addr.SizeModel{NameBytes: 16})
 		res.Rows = append(res.Rows, Fig7Row{
 			Name:        name,
 			MeanEntries: c.Mean(), MaxEntries: c.Max(),
@@ -160,9 +134,9 @@ func (c Config) Fig7StateBytes(n int, seed int64) *Fig7Result {
 			MeanKBv6: m6 / 1024, MaxKBv6: x6 / 1024,
 		})
 	}
-	push("S4", s4E, s4Bytes)
-	push("ND-Disco", ndE, ndBytes)
-	push("Disco", dE, dBytes)
+	push("S4", s4E, s4B)
+	push("ND-Disco", ndE, ndB)
+	push("Disco", dE, dB)
 	return res
 }
 

@@ -461,12 +461,3 @@ func ForEachSource(g *Graph, sources []NodeID, visit func(s *SSSP, i int, src No
 		func() *SSSP { return NewSSSP(g) },
 		func(s *SSSP, i int) { visit(s, i, sources[i]) })
 }
-
-// AllNodes returns the slice [0..g.N()) for full-graph sweeps.
-func AllNodes(g *Graph) []NodeID {
-	out := make([]NodeID, g.N())
-	for i := range out {
-		out[i] = NodeID(i)
-	}
-	return out
-}

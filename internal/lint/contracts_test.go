@@ -7,14 +7,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
-
-	"disco/internal/lint/load"
 )
 
-// TestContracts holds the whole module to the contracts: the suite and
+// TestContracts holds the whole module to the contracts: the checks and
 // the directive checks run over every package, and fail on any
 // diagnostic.
 func TestContracts(t *testing.T) {
@@ -28,58 +27,130 @@ func TestContracts(t *testing.T) {
 	}
 }
 
-// TestContractsNegativeControl: a module with one planted violation of
-// each kind reports exactly those, so TestContracts sees real code.
+// TestContractsNegativeControl runs the check TestContracts runs over
+// the module under testdata/contracts, whose packages sit at the real
+// module's paths. Every diagnostic it must report is spelled in the
+// source as a want comment on the line it is reported at:
+//
+//	for k := range m { // want `range over map`
+//
+// one quoted regexp ("..." or `...`) per diagnostic, matched against
+// "message (check)". "// want " may appear anywhere in a comment, so a
+// diagnostic at a //disco: directive carries its want in the directive's
+// text. Every want must match a diagnostic, and every diagnostic a want.
 func TestContractsNegativeControl(t *testing.T) {
-	got, _, err := contractViolations(filepath.Join("testdata", "contracts"))
+	checkWants(t)
+}
+
+// checkWants runs TestContractsNegativeControl's match over the
+// testdata/contracts files named (slash-separated, relative to the
+// module root), or over every file when none is named.
+func checkWants(t *testing.T, files ...string) {
+	t.Helper()
+	root := filepath.Join("testdata", "contracts")
+	for _, f := range files {
+		if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(f))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := func(file string) bool { return len(files) == 0 || slices.Contains(files, file) }
+	diags, _, err := contractViolations(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"internal/eval/eval.go:14:2: range over map in deterministic package disco/internal/eval: iteration order is random; range over a slice, or over slices.Sorted(maps.Keys(m)) (maporder)",
-		"internal/eval/eval.go:22:9: time.Now in deterministic package disco/internal/eval; wall clock is only legal on measurement paths annotated //disco:measured <reason> (seedrand)",
-		"internal/eval/eval.go:29:7: write to captured variable from a parallel task closure is ordered by the worker schedule; write task-indexed storage (out[task] = ...) and merge in task order, or waive with //disco:orderinvariant <reason> (mergeorder)",
-		"internal/eval/eval.go:36:2: //disco:measured directive suppresses no diagnostic; delete it (directive)",
-		"internal/eval/eval.go:42:2: unknown //disco: directive \"sorted\" (known: measured, mutates, orderinvariant) (directive)",
-		"internal/serve/serve_test.go:7:19: write through sealed snapshot storage shared by every fork; copy before mutating, or waive with //disco:mutates <reason> (snapmutate)",
+	diags = slices.DeleteFunc(diags, func(d violation) bool { return !in(d.file) })
+	wants, err := collectWants(root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !slices.Equal(got, want) {
-		t.Errorf("got diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	wants = slices.DeleteFunc(wants, func(w want) bool { return !in(w.file) })
+	t.Logf("%d expected diagnostics", len(wants))
+	matched := make([]bool, len(diags))
+	for _, w := range wants {
+		found := false
+		for i, d := range diags {
+			if !matched[i] && d.file == w.file && d.line == w.line && w.re.MatchString(d.msg) {
+				matched[i], found = true, true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("%s:%d: no diagnostic matching %q", w.file, w.line, w.re)
+		}
+	}
+	for i, d := range diags {
+		if !matched[i] {
+			t.Errorf("unexpected diagnostic: %s", d)
+		}
 	}
 }
 
-// contractViolations runs Analyze with the full suite over the module
-// rooted at root, the way `go vet` sees it: every package, its
-// in-package test variant (package files plus _test.go files in the
-// same package) and its external _test package. Directories named
-// testdata or starting with "." or "_", and nested modules, are not
-// part of the module. It returns the diagnostics as
-// "file:line:col: message (analyzer)", file relative to root, each
-// once (a package and its test variant share files), and the number of
-// variants checked.
-func contractViolations(root string) ([]string, int, error) {
-	l, err := load.NewModuleLoader(root)
+// TestLoadMemoizes: loading a path that an earlier package already
+// imported returns the package that import registered, so packages
+// checked later see one identity for each of its types.
+func TestLoadMemoizes(t *testing.T) {
+	l, err := NewModuleLoader(filepath.Join("testdata", "contracts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph, err := l.Load("disco/internal/graph")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Load("disco/internal/snapshot"); err != nil {
+		t.Fatal(err)
+	}
+	again, err := l.Load("disco/internal/graph")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Pkg != graph.Pkg {
+		t.Errorf("second Load of graph type-checked it again")
+	}
+	if _, err := l.Load("disco/internal/serve"); err != nil {
+		t.Errorf("serve, importing graph directly and through snapshot: %v", err)
+	}
+}
+
+// A violation is one diagnostic, at a file relative to the module root.
+type violation struct {
+	file      string
+	line, col int
+	msg       string // "message (check)"
+}
+
+func (v violation) String() string { return fmt.Sprintf("%s:%d:%d: %s", v.file, v.line, v.col, v.msg) }
+
+// contractViolations runs Analyze over the module rooted at root, the
+// way `go vet` sees it: every package, its in-package test variant
+// (package files plus _test.go files in the same package) and its
+// external _test package. Directories named testdata or starting with
+// "." or "_", and nested modules, are not part of the module. It returns
+// the diagnostics in walk order, each once (a package and its test
+// variant share files), and the number of variants checked.
+func contractViolations(root string) ([]violation, int, error) {
+	l, err := NewModuleLoader(root)
 	if err != nil {
 		return nil, 0, err
 	}
-	var diags []string
-	seen := make(map[string]bool)
+	var diags []violation
+	seen := make(map[violation]bool)
 	variants := 0
-	check := func(p *load.Package, err error) error {
+	check := func(p *Package, err error) error {
 		if err != nil {
 			return err
 		}
 		variants++
-		for _, d := range Analyze(p.Fset, p.Files, p.Pkg, p.Info, Analyzers()) {
+		for _, d := range Analyze(l.Module, p) {
 			pos := p.Fset.Position(d.Pos)
 			file, err := filepath.Rel(root, pos.Filename)
 			if err != nil {
 				return err
 			}
-			s := fmt.Sprintf("%s:%d:%d: %s (%s)", filepath.ToSlash(file), pos.Line, pos.Column, d.Message, d.Analyzer)
-			if !seen[s] {
-				seen[s] = true
-				diags = append(diags, s)
+			v := violation{filepath.ToSlash(file), pos.Line, pos.Column, fmt.Sprintf("%s (%s)", d.Message, d.Check)}
+			if !seen[v] {
+				seen[v] = true
+				diags = append(diags, v)
 			}
 		}
 		return nil
@@ -131,4 +202,71 @@ func contractViolations(root string) ([]string, int, error) {
 		return nil
 	})
 	return diags, variants, err
+}
+
+// A want is one expected diagnostic.
+type want struct {
+	file string
+	line int
+	re   *regexp.Regexp
+}
+
+// collectWants reads the want comments of every .go file under root, in
+// walk order.
+func collectWants(root string) ([]want, error) {
+	var wants []want
+	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() || filepath.Ext(path) != ".go" {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		file, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		for i, text := range strings.Split(string(data), "\n") {
+			_, payload, ok := strings.Cut(text, "// want ")
+			if !ok {
+				continue
+			}
+			res, err := parseWant(payload)
+			if err != nil {
+				return fmt.Errorf("%s:%d: %v", path, i+1, err)
+			}
+			for _, re := range res {
+				wants = append(wants, want{filepath.ToSlash(file), i + 1, re})
+			}
+		}
+		return nil
+	})
+	return wants, err
+}
+
+// parseWant returns the quoted regexps at the start of a want payload;
+// the first unquoted text (the end of a block comment) ends the list.
+func parseWant(s string) ([]*regexp.Regexp, error) {
+	var res []*regexp.Regexp
+	for {
+		s = strings.TrimSpace(s)
+		if s == "" || (s[0] != '"' && s[0] != '`') {
+			break
+		}
+		end := strings.IndexByte(s[1:], s[0])
+		if end < 0 {
+			return nil, fmt.Errorf("unterminated regexp in %q", s)
+		}
+		re, err := regexp.Compile(s[1 : 1+end])
+		if err != nil {
+			return nil, err
+		}
+		res = append(res, re)
+		s = s[2+end:]
+	}
+	if len(res) == 0 {
+		return nil, errors.New("want comment holds no quoted regexp")
+	}
+	return res, nil
 }

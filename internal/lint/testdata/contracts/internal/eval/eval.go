@@ -1,5 +1,5 @@
-// Package eval plants one violation of each contract in a deterministic
-// package.
+// Package eval is a deterministic package: eval.go plants one violation
+// of each contract, and each other file exercises one check in depth.
 package eval
 
 import (
@@ -11,7 +11,7 @@ import (
 // Sum ranges over a map.
 func Sum(m map[int]int) int {
 	s := 0
-	for _, v := range m {
+	for _, v := range m { // want `^range over map in deterministic package disco/internal/eval: iteration order is random; range over a slice, or over slices.Sorted\(maps.Keys\(m\)\) \(maporder\)$`
 		s += v
 	}
 	return s
@@ -19,26 +19,26 @@ func Sum(m map[int]int) int {
 
 // Stamp reads the wall clock with no //disco:measured waiver.
 func Stamp() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want `^time.Now in deterministic package disco/internal/eval; wall clock is only legal on measurement paths annotated //disco:measured <reason> \(seedrand\)$`
 }
 
 // Gather appends to shared storage from a pool closure.
 func Gather(n int) []int {
 	var out []int
 	parallel.Run(n, func(task int) {
-		out = append(out, task)
+		out = append(out, task) // want `^write to captured variable from a parallel task closure is ordered by the worker schedule; write task-indexed storage \(out\[task\] = ...\) and merge in task order, or waive with //disco:orderinvariant <reason> \(mergeorder\)$`
 	})
 	return out
 }
 
 // Count once read the clock; its waiver stayed behind.
 func Count(xs []int) int {
-	//disco:measured the timing this excused is gone
+	//disco:measured the timing this excused is gone // want `^//disco:measured directive suppresses no diagnostic; delete it \(directive\)$`
 	return len(xs)
 }
 
 // Sorted carries a directive no analyzer knows.
 func Sorted(xs []int) []int {
-	//disco:sorted callers pass sorted input
+	//disco:sorted callers pass sorted input // want `^unknown //disco: directive "sorted" \(known: measured, mutates, orderinvariant\) \(directive\)$`
 	return xs
 }

@@ -28,7 +28,7 @@ import (
 // repaired after link events, with a per-fork Dijkstra scratch for
 // destination-rooted queries. Routing before UseSnapshot panics (a harness
 // invariant: whoever constructs an S4 must install one); the state
-// accounting (ClusterSizesAll, StateEntries) needs none.
+// accounting (ClusterSizesAll, StateVectors) needs none.
 type S4 struct {
 	Env *static.Env
 	DB  *resolve.DB
@@ -248,21 +248,28 @@ func (s *S4) ClusterSizesAll() []int {
 	return out
 }
 
-// StateEntries returns per-node S4 state entry counts, mirroring the §5.2
-// accounting used for Disco: landmark routes + cluster routes + forwarding
-// labels + resolution share. clusterSizes comes from ClusterSizesAll (or a
-// sampled equivalent).
-func (s *S4) StateEntries(clusterSizes []int) []int {
+// StateVectors returns per-node S4 state entry counts and their
+// breakdowns, mirroring the §5.2 accounting used for Disco: landmark
+// routes + cluster routes + forwarding labels + resolution share.
+// clusterSizes comes from ClusterSizesAll (or a sampled equivalent).
+func (s *S4) StateVectors(clusterSizes []int) (entries []int, breakdowns []static.StateBreakdown) {
 	n := s.Env.N()
 	nLM := len(s.Env.Landmarks)
 	resLoad := s.DB.Load(n, s.Env.Hashes)
-	out := make([]int, n)
+	entries = make([]int, n)
+	breakdowns = make([]static.StateBreakdown, n)
 	for v := 0; v < n; v++ {
 		labels := s.Env.G.Degree(graph.NodeID(v))
 		if m := nLM + clusterSizes[v]; labels > m {
 			labels = m
 		}
-		out[v] = nLM + clusterSizes[v] + labels + resLoad[v]
+		b := static.StateBreakdown{
+			LandmarkRoutes: nLM,
+			VicinityRoutes: clusterSizes[v],
+			LabelMappings:  labels,
+			Resolution:     resLoad[v],
+		}
+		entries[v], breakdowns[v] = b.Total(), b
 	}
-	return out
+	return entries, breakdowns
 }

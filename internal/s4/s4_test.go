@@ -166,7 +166,7 @@ func TestS4StateEntries(t *testing.T) {
 	env := static.NewEnv(g, 10)
 	s := New(env, 1)
 	sizes := s.ClusterSizesAll()
-	entries := s.StateEntries(sizes)
+	entries, _ := s.StateVectors(sizes)
 	nLM := len(env.Landmarks)
 	totalRes := 0
 	for v := 0; v < 256; v++ {
@@ -224,7 +224,7 @@ func TestS4MeanStateBelowDiscoOnRandomGraph(t *testing.T) {
 func TestRouteBeforeUseSnapshotPanics(t *testing.T) {
 	g := topology.Gnm(rand.New(rand.NewSource(12)), 64, 256)
 	s := New(static.NewEnv(g, 12), 1)
-	s.StateEntries(s.ClusterSizesAll())
+	s.StateVectors(s.ClusterSizesAll())
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "UseSnapshot") {
 			t.Fatalf("want a panic naming UseSnapshot, got %q", msg)
