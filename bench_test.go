@@ -14,9 +14,11 @@ package disco
 //	go test -bench 'Experiments/fig3' -benchtime 1x -workers 8
 //
 // The BenchmarkAblation* group are the design-choice ablations that have no
-// table entry, and the two at the bottom are ordinary microbenchmarks of the
-// substrate. Routing, the SSSP kernels and the forwarding planes are
-// benchmarked in bench/, internal/graph and internal/forward.
+// table entry: vicinity size, group-member selection and forgetful
+// routing. The two at the bottom are microbenchmarks of the substrate:
+// overlay dissemination and addr.Make, the address encoder behind the
+// addrsize experiment. Routing, the SSSP kernels and the forwarding planes
+// are benchmarked in bench/, internal/graph and internal/forward.
 
 import (
 	"flag"
@@ -150,32 +152,6 @@ func BenchmarkAblationGroupMemberSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAddressing compares the paper's explicit-route
-// addresses with the §4.2 fixed-width interval-label alternative.
-func BenchmarkAblationAddressing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		n := 4096
-		g := topology.RouterLike(rand.New(rand.NewSource(benchSeed)), n)
-		env := static.NewEnv(g, benchSeed)
-		parent := make([]graph.NodeID, n)
-		for v := 0; v < n; v++ {
-			path := env.LandmarkPath(graph.NodeID(v))
-			if len(path) >= 2 {
-				parent[v] = path[len(path)-2]
-			} else {
-				parent[v] = graph.None
-			}
-		}
-		it := addr.BuildIntervals(parent)
-		mean, p95, max := env.AddrSizeStats()
-		show(b, fmt.Sprintf(
-			"Addressing ablation, router-like n=%d, %d landmarks\n"+
-				"  explicit routes: mean %.1f bits, p95 %.1f, max %.1f (variable)\n"+
-				"  interval labels: %d bits fixed + per-node child-interval state\n",
-			n, len(env.Landmarks), mean*8, p95*8, max*8, it.BitsPerLabel()))
-	}
-}
-
 // BenchmarkAblationForgetfulRouting compares control-plane state with and
 // without forgetful routing [24] (§4.2: Θ(δ·sqrt(n log n)) vs
 // Θ(sqrt(n log n))).
@@ -238,12 +214,15 @@ func BenchmarkOverlayDisseminate(b *testing.B) {
 	}
 }
 
-func BenchmarkAddressEncode(b *testing.B) {
+func BenchmarkAddressMake(b *testing.B) {
 	g := benchGraph(b, 4096)
 	env := static.NewEnv(g, benchSeed)
+	paths := make([][]graph.NodeID, g.N())
+	for v := range paths {
+		paths[v] = env.LandmarkPath(graph.NodeID(v))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := env.AddrOf(graph.NodeID(i % 4096))
-		a.Encode(g)
+		addr.Make(g, paths[i%len(paths)])
 	}
 }

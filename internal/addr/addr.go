@@ -56,71 +56,8 @@ func Make(g *graph.Graph, path []graph.NodeID) Address {
 // bytes", §4.2).
 func (a Address) Bits() int { return a.bitLen }
 
-// Bytes returns the explicit-route size rounded up to whole bytes.
-func (a Address) Bytes() float64 { return float64((a.bitLen + 7) / 8) }
-
 // Hops returns the number of hops on the explicit route.
 func (a Address) Hops() int { return len(a.Ports) }
-
-// Encode serializes the explicit route to a bit string; Decode re-walks it
-// over the graph from the landmark. Encode/Decode exist to prove the wire
-// format is self-contained — the simulator uses the cached Path.
-func (a Address) Encode(g *graph.Graph) ([]byte, int) {
-	var w bits.Writer
-	w.WriteGamma(uint64(len(a.Path)))
-	for i, p := range a.Ports {
-		w.WriteBits(uint64(p), bits.Width(g.Degree(a.Path[i])))
-	}
-	return w.Bytes(), w.Len()
-}
-
-// Decode reconstructs the node path from an encoded explicit route starting
-// at the given landmark. A malformed route — bit count outside buf, a
-// truncated or oversized hop count, a port past a node's degree, trailing
-// bits — is an error, never a panic.
-func Decode(g *graph.Graph, lm graph.NodeID, buf []byte, nbit int) ([]graph.NodeID, error) {
-	if nbit < 0 || nbit > 8*len(buf) {
-		return nil, fmt.Errorf("addr: %d bits claimed in a %d-byte route", nbit, len(buf))
-	}
-	r := bits.NewReader(buf, nbit)
-	pathLen, err := r.TryGamma()
-	if err != nil {
-		return nil, fmt.Errorf("addr: bad hop count: %w", err)
-	}
-	if pathLen > uint64(g.N()) {
-		return nil, fmt.Errorf("addr: bad path length %d", pathLen)
-	}
-	path := make([]graph.NodeID, 1, pathLen)
-	path[0] = lm
-	cur := lm
-	for i := uint64(1); i < pathLen; i++ {
-		w := bits.Width(g.Degree(cur))
-		if r.Remaining() < w {
-			return nil, fmt.Errorf("addr: truncated route (%d bits left, need %d)", r.Remaining(), w)
-		}
-		port := r.ReadBits(w)
-		if int(port) >= g.Degree(cur) {
-			return nil, fmt.Errorf("addr: port %d out of range at node %d (degree %d)", port, cur, g.Degree(cur))
-		}
-		cur = g.NeighborAt(cur, int(port)).To
-		path = append(path, cur)
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("addr: %d trailing bits after route", r.Remaining())
-	}
-	return path, nil
-}
-
-// Reverse returns the reversed node path v⇝l_v. The paper's protocol
-// assumes routes are usable in both directions (§6 policy discussion);
-// the simulator uses this for the "reverse route" shortcutting heuristics.
-func (a Address) Reverse() []graph.NodeID {
-	out := make([]graph.NodeID, len(a.Path))
-	for i, v := range a.Path {
-		out[len(out)-1-i] = v
-	}
-	return out
-}
 
 // SizeModel converts routing-table entries to bytes for the Fig. 7 style
 // accounting: every stored entry carries a destination name and an address
@@ -128,11 +65,6 @@ func (a Address) Reverse() []graph.NodeID {
 // names and 16 for IPv6-sized names.
 type SizeModel struct {
 	NameBytes int
-}
-
-// EntryBytes returns the size of a full name→address table entry.
-func (m SizeModel) EntryBytes(a Address) float64 {
-	return float64(2*m.NameBytes) + a.Bytes()
 }
 
 // PlainEntryBytes returns the size of a table entry that stores only a

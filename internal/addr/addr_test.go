@@ -37,7 +37,9 @@ func TestSelfAddress(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+// TestMakePortsRetracePath: an address's ports, read as indices into each
+// hop's sorted neighbour list, re-walk its path from the landmark.
+func TestMakePortsRetracePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := topology.Gnm(rng, 200, 800)
 	s := graph.NewSSSP(g)
@@ -50,20 +52,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			continue
 		}
 		a := Make(g, path)
-		buf, nbit := a.Encode(g)
-		if nbit != a.Bits() {
-			t.Fatalf("Encode bits %d != Make bits %d", nbit, a.Bits())
+		if len(a.Ports) != len(path)-1 {
+			t.Fatalf("%d ports for a %d-node path", len(a.Ports), len(path))
 		}
-		got, err := Decode(g, src, buf, nbit)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if len(got) != len(path) {
-			t.Fatalf("decoded path len %d want %d", len(got), len(path))
-		}
-		for i := range got {
-			if got[i] != path[i] {
-				t.Fatalf("decoded path differs at %d: %v vs %v", i, got, path)
+		for i, p := range a.Ports {
+			if next := g.Neighbors(path[i])[p].To; next != path[i+1] {
+				t.Fatalf("port %d at hop %d leads to %d, want %d", p, i, next, path[i+1])
 			}
 		}
 	}
@@ -96,76 +90,19 @@ func TestRingAddressGrowth(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := topology.Line(4)
-	a := Make(g, []graph.NodeID{0, 1, 2, 3})
-	r := a.Reverse()
-	want := []graph.NodeID{3, 2, 1, 0}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("reverse %v want %v", r, want)
-		}
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	g := topology.Star(5)
-	// Claim a 10-node path on a 5-node star with a port stream of ones.
-	buf := []byte{0xFF, 0xFF}
-	if _, err := Decode(g, 0, buf, 16); err == nil {
-		t.Error("expected error decoding garbage")
-	}
-}
-
-// TestDecodeMalformedIsError pins Decode's error contract on routes that
-// used to panic inside the bit reader: no bits, a hop count whose gamma
-// code never ends, and a bit count the buffer does not hold.
-func TestDecodeMalformedIsError(t *testing.T) {
-	g := topology.Star(5)
-	for _, tc := range []struct {
-		name string
-		buf  []byte
-		nbit int
-	}{
-		{"empty", nil, 0},
-		{"all zero", []byte{0, 0, 0}, 24},
-		{"truncated hop count", []byte{0}, 8},
-		{"hop count cut by nbit", []byte{0x01}, 7},
-		{"zero run past 64 bits", make([]byte, 10), 80},
-		{"nbit past buffer", []byte{0x80}, 9},
-		{"negative nbit", []byte{0x80}, -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Decode(g, 0, tc.buf, tc.nbit); err == nil {
-				t.Fatal("want an error")
-			}
-		})
-	}
-}
-
 func TestSizeModel(t *testing.T) {
-	g := topology.Line(5)
-	a := Make(g, []graph.NodeID{0, 1, 2})
 	v4 := SizeModel{NameBytes: 4}
 	v6 := SizeModel{NameBytes: 16}
-	if v4.EntryBytes(a) != 8+a.Bytes() {
-		t.Errorf("v4 entry bytes %v", v4.EntryBytes(a))
-	}
-	if v6.EntryBytes(a) != 32+a.Bytes() {
-		t.Errorf("v6 entry bytes %v", v6.EntryBytes(a))
-	}
 	if v4.PlainEntryBytes() != 6 || v6.PlainEntryBytes() != 18 {
 		t.Error("plain entry bytes wrong")
 	}
 }
 
-// TestEncodingPinned pins Encode's bits for every node of one router-like
-// map (nearest-of-64-landmarks routes): a SHA-256 over each address's bit
-// length and bytes, written before the codec's word-at-a-time rewrite.
-// Decode round-trips whatever Encode writes, so only a pin sees a codec
-// change that moves bits consistently on both sides.
+// TestEncodingPinned pins Make's encoding for every node of one
+// router-like map (nearest-of-64-landmarks routes): a SHA-256 over each
+// address's bit length and ports.
 func TestEncodingPinned(t *testing.T) {
-	const want = "04a4d5e84c7afc6d8fd1bdfbe4eb93f9b6fcd14a845ace9f019fd050ca057a60"
+	const want = "8b820ddf5200b45a5516ead22c46a598ac9ed6eb4e2142e46941e9592b92feb7"
 	rng := rand.New(rand.NewSource(1))
 	g := topology.RouterLike(rng, 2048)
 	lms := make([]graph.NodeID, 64)
@@ -176,9 +113,11 @@ func TestEncodingPinned(t *testing.T) {
 	s.RunMulti(lms)
 	h := sha256.New()
 	for v := 0; v < g.N(); v++ {
-		buf, nbit := Make(g, s.PathTo(graph.NodeID(v))).Encode(g)
-		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(nbit)))
-		h.Write(buf)
+		a := Make(g, s.PathTo(graph.NodeID(v)))
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(a.Bits())))
+		for _, p := range a.Ports {
+			h.Write(binary.LittleEndian.AppendUint16(nil, p))
+		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("address encoding digest %s, want %s", got, want)

@@ -110,9 +110,6 @@ type Reader struct {
 	pos, end int // next bit to read; one past the last valid bit
 }
 
-// NewReader returns a reader over the first nbit bits of buf.
-func NewReader(buf []byte, nbit int) *Reader { return NewReaderAt(buf, 0, nbit) }
-
 // NewReaderAt returns a reader over bits [from, to) of buf — one window of
 // a shared blob, read in place. The bytes of buf past the window are still
 // loaded (never returned), so every window but the blob's last reads on the
@@ -272,9 +269,6 @@ func ReadGammaRun[T Integer](r *Reader, dst []T, prev T) {
 		}
 	}
 }
-
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return r.end - r.pos }
 
 // At returns the `width` bits (0 <= width <= 64) starting at bit position
 // pos of buf (MSB-first, the Writer's layout) without constructing a

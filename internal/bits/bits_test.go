@@ -221,3 +221,9 @@ func TestAtMatchesReader(t *testing.T) {
 		t.Errorf("zero-width At = %d want 0", got)
 	}
 }
+
+// NewReader returns a reader over the first nbit bits of buf.
+func NewReader(buf []byte, nbit int) *Reader { return NewReaderAt(buf, 0, nbit) }
+
+// Remaining returns the number of unread bits.
+func (r *Reader) Remaining() int { return r.end - r.pos }

@@ -509,7 +509,7 @@ func TestRouteBeforeUseSnapshotPanics(t *testing.T) {
 // exact snapshot, for a compact window cache.
 func TestForkRepairedIsScratchFree(t *testing.T) {
 	_, d := testEnv(t, 33, 200, 800)
-	f := d.ND.ForkRepaired(d.ND.Snapshot())
+	f := d.ND.ForkRepaired(d.ND.snap)
 	f.RepairedFirstRoute(3, 150)
 	f.RepairedLaterRoute(3, 150)
 	if f.dest != nil {
@@ -535,4 +535,14 @@ func TestForkRejectsForeignScratch(t *testing.T) {
 		}
 	}()
 	d.ForkWith(pathtree.NewLazy(other))
+}
+
+// FindGroupMember returns the vicinity node w that should hold t's
+// address, plus whether it actually does (findGroupMember over V(s)).
+func (d *Disco) FindGroupMember(s, t graph.NodeID) (w graph.NodeID, ok bool) {
+	vs := d.ND.Vicinity(s)
+	if i, ok := d.findGroupMember(vs, s, t); i >= 0 {
+		return vs.ID(i), ok
+	}
+	return graph.None, false
 }

@@ -63,6 +63,8 @@ func WithSeed(s int64) DiscoOption { return func(o *discoOptions) { o.seed = s }
 // node w with a 'long enough' prefix match" — pick the nearest vicinity
 // member matching the destination's full group prefix instead of the
 // longest-prefix one. Shortens the s ⇝ w leg at equal hit probability.
+//
+//disco:fixture the root package's group-member ablation benchmark selects it
 func WithClosestMember() DiscoOption { return func(o *discoOptions) { o.closest = true } }
 
 // NewDisco assembles the converged Disco protocol over env.
@@ -112,24 +114,15 @@ func (d *Disco) HasAddress(holder, target graph.NodeID) bool {
 	return d.View.Mutual(target, holder)
 }
 
-// FindGroupMember returns the vicinity node w that should hold t's
-// address, plus whether it actually does. Default selection: the node with
-// the longest prefix match between h(w) and h(t), ties broken by distance
-// then ID (§4.4). With WithClosestMember, the closest node whose prefix
-// match covers s's full group width ("long enough"), falling back to
-// longest-prefix when none qualifies.
-func (d *Disco) FindGroupMember(s, t graph.NodeID) (w graph.NodeID, ok bool) {
-	vs := d.ND.Vicinity(s)
-	if i, ok := d.findGroupMember(vs, s, t); i >= 0 {
-		return vs.ID(i), ok
-	}
-	return graph.None, false
-}
-
-// findGroupMember is FindGroupMember over an already read V(s), which the
-// first packet goes on to route through: it returns the member's index in
-// vs (-1 when s is alone in it). Members ascend by ID, so among members
-// that tie on prefix and distance the first one met is the lowest ID.
+// findGroupMember returns the index in vs = V(s), which the first packet
+// goes on to route through, of the member w that should hold t's address
+// (-1 when s is alone in V(s)), plus whether it actually does. Default
+// selection: the member with the longest prefix match between h(w) and
+// h(t), ties broken by distance then ID (§4.4). With WithClosestMember,
+// the closest member whose prefix match covers s's full group width ("long
+// enough"), falling back to longest-prefix when none qualifies. Members
+// ascend by ID, so among members that tie on prefix and distance the first
+// one met is the lowest ID.
 func (d *Disco) findGroupMember(vs *vicinity.Window, s, t graph.NodeID) (i int, ok bool) {
 	ht := d.Env().HashOf(t)
 	if d.closestW {
@@ -237,18 +230,6 @@ func (d *Disco) RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
 // fallback, and how many of those were true misses (no vicinity member had
 // the address). Used by the estimate-error experiment (§5).
 func (d *Disco) Fallbacks() (fallbacks, misses int) { return d.fallbacks, d.misses }
-
-// GroupSize returns |G(v)| as v sees it (the number of addresses v stores).
-func (d *Disco) GroupSize(v graph.NodeID) int {
-	n := d.Env().N()
-	count := 0
-	for w := 0; w < n; w++ {
-		if graph.NodeID(w) != v && d.View.InGroup(v, graph.NodeID(w)) {
-			count++
-		}
-	}
-	return count
-}
 
 // String summarizes the instance.
 func (d *Disco) String() string {

@@ -129,7 +129,7 @@ func TestForwardSnapshotRegime(t *testing.T) {
 		name string
 		snap *snapshot.Snapshot
 	}{
-		{"exact", exact.ND.Snapshot()},
+		{"exact", exact.ND.snap},
 		{"compact", compact},
 	} {
 		t.Run(regime.name, func(t *testing.T) {

@@ -88,9 +88,6 @@ func (r *NDDisco) UseSnapshot(s *snapshot.Snapshot) {
 	r.dest = nil
 }
 
-// Snapshot returns the installed shared snapshot, or nil.
-func (r *NDDisco) Snapshot() *snapshot.Snapshot { return r.snap }
-
 // snapshot returns the installed snapshot, panicking when there is none:
 // routing before UseSnapshot is a harness bug, not an input error.
 func (r *NDDisco) snapshot() *snapshot.Snapshot {
@@ -358,6 +355,3 @@ func (r *NDDisco) spliceUpDown(cur []graph.NodeID, i int, vu *vicinity.Window) [
 	}
 	return cur
 }
-
-// Landmarks returns the number of landmark routes every node stores.
-func (r *NDDisco) Landmarks() int { return len(r.Env.Landmarks) }

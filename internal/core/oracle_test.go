@@ -71,7 +71,7 @@ func (r *NDDisco) ForwardFirst(s, t graph.NodeID) []graph.NodeID {
 			if srIdx >= len(a.Path)-1 {
 				panic(fmt.Sprintf("core: source route exhausted at %d (dest %d)", cur, t))
 			}
-			nh := r.Env.G.NeighborAt(cur, int(a.Ports[srIdx])).To
+			nh := r.Env.G.Neighbors(cur)[a.Ports[srIdx]].To
 			path = append(path, nh)
 			cur = nh
 		}

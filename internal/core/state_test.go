@@ -68,3 +68,15 @@ func TestStateVectorsUnderEstimateError(t *testing.T) {
 		}
 	}
 }
+
+// GroupSize returns |G(v)| as v sees it (the number of addresses v stores).
+func (d *Disco) GroupSize(v graph.NodeID) int {
+	n := d.Env().N()
+	count := 0
+	for w := 0; w < n; w++ {
+		if graph.NodeID(w) != v && d.View.InGroup(v, graph.NodeID(w)) {
+			count++
+		}
+	}
+	return count
+}

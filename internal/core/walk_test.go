@@ -20,7 +20,7 @@ import (
 // exactly the route RepairedFirstRoute and RepairedLaterRoute return.
 func TestWalkZeroAlloc(t *testing.T) {
 	env, d := testEnv(t, 41, 1024, 4096)
-	exact := d.ND.Snapshot()
+	exact := d.ND.snap
 	compact, err := snapshot.BuildCompact(env.G, d.ND.K, env.Landmarks)
 	if err != nil {
 		t.Fatal(err)

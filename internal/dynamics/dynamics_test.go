@@ -94,9 +94,6 @@ func TestTimelineDownDefensiveCopy(t *testing.T) {
 	if _, err := tl.Fail(links); err != nil {
 		t.Fatalf("Fail: %v", err)
 	}
-	if tl.Version() != 1 {
-		t.Fatalf("Version = %d after one event, want 1", tl.Version())
-	}
 
 	// Mutating the returned slice must not touch the timeline's view.
 	d := tl.Down()
@@ -122,9 +119,6 @@ func TestTimelineDownDefensiveCopy(t *testing.T) {
 	all[0] = graph.EdgeKey{U: 1, V: 1} // scribble over the consumed slice
 	if tl.DownCount() != 0 {
 		t.Fatalf("DownCount = %d after recovering everything, want 0", tl.DownCount())
-	}
-	if tl.Version() != 2 {
-		t.Fatalf("Version = %d after two events, want 2", tl.Version())
 	}
 	if !bytes.Equal(tl.Snapshot().CanonicalBytes(), baseBytes) {
 		t.Fatal("recover-all after caller-side mutation did not restore the base route state")

@@ -18,11 +18,10 @@ import (
 // graph are never mutated — link weights for recoveries come from the
 // base topology, which is what defines "the link comes back".
 type Timeline struct {
-	base    *snapshot.Snapshot
-	baseG   *graph.Graph
-	cur     *snapshot.Snapshot
-	down    []graph.EdgeKey // currently failed base links, sorted
-	version uint64          // events successfully applied so far
+	base  *snapshot.Snapshot
+	baseG *graph.Graph
+	cur   *snapshot.Snapshot
+	down  []graph.EdgeKey // currently failed base links, sorted
 }
 
 // NewTimeline starts a timeline at a converged snapshot (built from
@@ -34,11 +33,6 @@ func NewTimeline(base *snapshot.Snapshot) *Timeline {
 // Snapshot returns the current chained snapshot — the post-event data
 // plane experiments route on.
 func (tl *Timeline) Snapshot() *snapshot.Snapshot { return tl.cur }
-
-// Version returns the number of events (Fail/Recover calls) successfully
-// applied so far — the epoch sequence number a serving plane publishes the
-// post-event snapshot under. 0 at the base snapshot.
-func (tl *Timeline) Version() uint64 { return tl.version }
 
 // Down returns the currently failed links, ascending. The slice is a
 // defensive copy: callers may sort, append to or otherwise mutate it (the
@@ -94,7 +88,6 @@ func (tl *Timeline) Fail(links []graph.EdgeKey) (*snapshot.RepairStats, error) {
 		return nil, err
 	}
 	tl.cur = next
-	tl.version++
 	for _, key := range keys {
 		if i, ok := tl.downIndex(key); !ok {
 			tl.down = append(tl.down, graph.EdgeKey{})
@@ -124,7 +117,6 @@ func (tl *Timeline) Recover(links []graph.EdgeKey) (*snapshot.RepairStats, error
 		return nil, err
 	}
 	tl.cur = next
-	tl.version++
 	for _, key := range keys {
 		if i, ok := tl.downIndex(key); ok {
 			tl.down = append(tl.down[:i], tl.down[i+1:]...)

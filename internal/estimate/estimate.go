@@ -1,150 +1,11 @@
-// Package estimate implements the synopsis-diffusion estimate of the
-// network size n (§4.1 [36]): every node seeds Flajolet–Martin sketches
-// from its own name, then gossips them to neighbors with bitwise-OR merges.
-// Because OR is order- and duplicate-insensitive, the sketches converge to
-// the global union in diameter-many rounds, giving every node the same
-// robust estimate (within the sketch's ~1/sqrt(m) relative error).
-//
-// The package also provides controlled error injection used by the §5
-// "Error in Estimating Number of Nodes" experiment (uniform random error of
-// up to ±40% / ±60% per node).
+// Package estimate supplies every node's estimate of the network size n.
+// The paper's nodes learn n by synopsis diffusion (§4.1); the experiments
+// here inject the estimates instead: the exact n, or the exact n with the
+// controlled error of the §5 "Error in Estimating Number of Nodes"
+// experiment (uniform random error of up to ±40% / ±60% per node).
 package estimate
 
-import (
-	"math"
-	"math/rand"
-
-	"disco/internal/graph"
-	"disco/internal/names"
-)
-
-// phi is the Flajolet–Martin correction constant.
-const phi = 0.77351
-
-// Sketch is a set of m FM bitmaps.
-type Sketch struct {
-	bitmaps []uint64
-}
-
-// NewSketch seeds a sketch for one node: for each of m bitmaps, set bit
-// rho(h(name, i)) where rho is the number of trailing zeros.
-func NewSketch(name names.Name, m int) Sketch {
-	s := Sketch{bitmaps: make([]uint64, m)}
-	for i := range s.bitmaps {
-		h := names.HashOf(names.Name(string(name) + "|fm|" + string(rune('0'+i%10)) + itoa(i)))
-		r := trailingZeros(uint64(h))
-		s.bitmaps[i] = 1 << uint(r)
-	}
-	return s
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
-}
-
-func trailingZeros(v uint64) int {
-	if v == 0 {
-		return 63
-	}
-	n := 0
-	for v&1 == 0 {
-		n++
-		v >>= 1
-	}
-	if n > 63 {
-		n = 63
-	}
-	return n
-}
-
-// Merge ORs other into s (synopsis fusion — duplicate-insensitive).
-func (s *Sketch) Merge(other Sketch) bool {
-	changed := false
-	for i := range s.bitmaps {
-		nv := s.bitmaps[i] | other.bitmaps[i]
-		if nv != s.bitmaps[i] {
-			s.bitmaps[i] = nv
-			changed = true
-		}
-	}
-	return changed
-}
-
-// Clone returns an independent copy.
-func (s Sketch) Clone() Sketch {
-	return Sketch{bitmaps: append([]uint64(nil), s.bitmaps...)}
-}
-
-// Estimate returns the FM cardinality estimate: 2^(mean lowest-zero index)
-// / phi.
-func (s Sketch) Estimate() float64 {
-	if len(s.bitmaps) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, b := range s.bitmaps {
-		r := 0
-		for b&(1<<uint(r)) != 0 {
-			r++
-		}
-		sum += float64(r)
-	}
-	return math.Exp2(sum/float64(len(s.bitmaps))) / phi
-}
-
-// Result reports the outcome of a gossip run.
-type Result struct {
-	Estimates []float64 // per-node estimate of n (all equal after convergence)
-	Rounds    int       // synchronous gossip rounds until quiescence
-	Messages  int       // total sketch transmissions (one per directed edge per active round)
-}
-
-// Run executes synchronous gossip rounds (each node ORs all neighbors'
-// sketches from the previous round) until no sketch changes, then returns
-// every node's estimate. m is the number of FM bitmaps per sketch (the
-// paper's 256-byte synopses correspond to m = 32 64-bit bitmaps).
-func Run(g *graph.Graph, nodeNames []names.Name, m int) Result {
-	n := g.N()
-	cur := make([]Sketch, n)
-	for i := range cur {
-		cur[i] = NewSketch(nodeNames[i], m)
-	}
-	res := Result{}
-	for {
-		changedAny := false
-		prev := make([]Sketch, n)
-		for i := range cur {
-			prev[i] = cur[i].Clone()
-		}
-		for v := 0; v < n; v++ {
-			for _, e := range g.Neighbors(graph.NodeID(v)) {
-				res.Messages++
-				if cur[v].Merge(prev[e.To]) {
-					changedAny = true
-				}
-			}
-		}
-		res.Rounds++
-		if !changedAny {
-			break
-		}
-	}
-	res.Estimates = make([]float64, n)
-	for i := range cur {
-		res.Estimates[i] = cur[i].Estimate()
-	}
-	return res
-}
+import "math/rand"
 
 // InjectError returns per-node estimates n*(1+u) with u uniform in
 // [-frac, +frac] — the paper's robustness experiment ("we inject random

@@ -1,78 +1,9 @@
 package estimate
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-
-	"disco/internal/names"
-	"disco/internal/topology"
 )
-
-func TestSketchEstimateAccuracy(t *testing.T) {
-	// Union of n distinct node sketches should estimate n within ~35%
-	// with m=64 bitmaps.
-	gen := names.NewGenerator(20)
-	for _, n := range []int{100, 1000, 5000} {
-		s := NewSketch(gen.Name(0), 64)
-		for i := 1; i < n; i++ {
-			s.Merge(NewSketch(gen.Name(i), 64))
-		}
-		est := s.Estimate()
-		if est < float64(n)*0.65 || est > float64(n)*1.55 {
-			t.Errorf("n=%d estimated as %.0f", n, est)
-		}
-	}
-}
-
-func TestMergeIdempotentCommutative(t *testing.T) {
-	gen := names.NewGenerator(21)
-	a := NewSketch(gen.Name(1), 16)
-	b := NewSketch(gen.Name(2), 16)
-	ab := a.Clone()
-	ab.Merge(b)
-	ba := b.Clone()
-	ba.Merge(a)
-	for i := range ab.bitmaps {
-		if ab.bitmaps[i] != ba.bitmaps[i] {
-			t.Fatal("merge must be commutative")
-		}
-	}
-	again := ab.Clone()
-	if again.Merge(b) {
-		t.Fatal("re-merging must report no change (idempotent)")
-	}
-}
-
-func TestRunConvergesToCommonEstimate(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := topology.Gnm(rng, 300, 1200)
-	gen := names.NewGenerator(22)
-	res := Run(g, gen.Names(300), 32)
-	if res.Rounds <= 0 || res.Messages <= 0 {
-		t.Fatal("should take at least a round")
-	}
-	first := res.Estimates[0]
-	for v, e := range res.Estimates {
-		if e != first {
-			t.Fatalf("node %d estimate %v differs from %v (gossip must converge)", v, e, first)
-		}
-	}
-	if first < 300*0.5 || first > 300*2 {
-		t.Errorf("converged estimate %v too far from 300", first)
-	}
-}
-
-func TestRunRoundsBoundedByDiameterish(t *testing.T) {
-	// On a line of 50 nodes, convergence needs ~diameter rounds and at
-	// most diameter+1.
-	g := topology.Line(50)
-	gen := names.NewGenerator(23)
-	res := Run(g, gen.Names(50), 8)
-	if res.Rounds < 25 || res.Rounds > 52 {
-		t.Errorf("rounds %d implausible for a 50-line", res.Rounds)
-	}
-}
 
 func TestInjectErrorBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -99,30 +30,5 @@ func TestExact(t *testing.T) {
 		if e != 7 {
 			t.Fatal("Exact must return the true n everywhere")
 		}
-	}
-}
-
-func TestTrailingZeros(t *testing.T) {
-	if trailingZeros(0) != 63 {
-		t.Error("tz(0)")
-	}
-	if trailingZeros(1) != 0 {
-		t.Error("tz(1)")
-	}
-	if trailingZeros(8) != 3 {
-		t.Error("tz(8)")
-	}
-}
-
-func TestEstimateGeometricMeanBehaviour(t *testing.T) {
-	// A sketch over a single element should estimate ~1/phi ≈ 1.3.
-	gen := names.NewGenerator(24)
-	s := NewSketch(gen.Name(0), 256)
-	est := s.Estimate()
-	if est < 0.8 || est > 3 {
-		t.Errorf("singleton estimate %v", est)
-	}
-	if math.IsNaN(est) {
-		t.Fatal("NaN")
 	}
 }

@@ -34,16 +34,6 @@ func (r *CongestionResult) Format() string {
 	return s
 }
 
-// Get returns the CDF for a labeled series, or nil.
-func (r *CongestionResult) Get(label string) *metrics.CDF {
-	for i, l := range r.Labels {
-		if l == label {
-			return r.CDFs[i]
-		}
-	}
-	return nil
-}
-
 // congestionOf routes one flow per node to a uniform random destination
 // and counts per-edge usage (§5.2 Congestion). Destinations are drawn
 // serially up front — preserving the historical draw sequence — then the

@@ -1,19 +1,32 @@
 package eval
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"disco/internal/metrics"
 )
+
+// get returns the CDF of a result's labeled series, or nil.
+func get(labels []string, cdfs []*metrics.CDF, label string) *metrics.CDF {
+	if i := slices.Index(labels, label); i >= 0 {
+		return cdfs[i]
+	}
+	return nil
+}
 
 func TestFig2StateSmall(t *testing.T) {
 	r := Config{}.Fig2State(TopoGnm, 256, 1)
 	if len(r.CDFs) != 3 {
 		t.Fatal("want 3 series")
 	}
-	disco := r.Get("Disco")
-	nd := r.Get("ND-Disco")
-	if disco == nil || nd == nil || r.Get("S4") == nil {
+	disco := get(r.Labels, r.CDFs, "Disco")
+	nd := get(r.Labels, r.CDFs, "ND-Disco")
+	if disco == nil || nd == nil || get(r.Labels, r.CDFs, "S4") == nil {
 		t.Fatal("missing series")
 	}
 	if disco.Mean() <= nd.Mean() {
@@ -31,8 +44,8 @@ func TestFig2S4TailOnHeavyTopo(t *testing.T) {
 	// scale it reaches ~13x — while Disco's stays near 1 on any topology.
 	// At this test size assert the ordering, not the asymptotic magnitude.
 	r := Config{}.Fig2State(TopoASLike, 2048, 2)
-	s4 := r.Get("S4")
-	disco := r.Get("Disco")
+	s4 := get(r.Labels, r.CDFs, "S4")
+	disco := get(r.Labels, r.CDFs, "Disco")
 	s4Ratio := s4.Max() / s4.Quantile(0.5)
 	discoRatio := disco.Max() / disco.Quantile(0.5)
 	if s4Ratio < 1.8*discoRatio {
@@ -46,38 +59,38 @@ func TestFig2S4TailOnHeavyTopo(t *testing.T) {
 func TestFig3StretchSmall(t *testing.T) {
 	r := Config{}.Fig3Stretch(TopoGeometric, 512, 3, 150)
 	for _, label := range []string{"Disco-First", "Disco-Later", "S4-First", "S4-Later"} {
-		c := r.Get(label)
+		c := get(r.Labels, r.CDFs, label)
 		if c == nil || c.N() == 0 {
 			t.Fatalf("series %s missing", label)
 		}
-		if c.Min() < 1-1e-9 {
+		if c.Quantile(0) < 1-1e-9 {
 			t.Errorf("%s has stretch < 1", label)
 		}
 	}
-	if r.Get("Disco-Later").Max() > 3+1e-6 {
-		t.Errorf("Disco later stretch exceeded 3: %v", r.Get("Disco-Later").Max())
+	if get(r.Labels, r.CDFs, "Disco-Later").Max() > 3+1e-6 {
+		t.Errorf("Disco later stretch exceeded 3: %v", get(r.Labels, r.CDFs, "Disco-Later").Max())
 	}
 	// First-packet S4 should have the worst tail on a weighted graph.
-	if r.Get("S4-First").Max() <= r.Get("S4-Later").Max() {
+	if get(r.Labels, r.CDFs, "S4-First").Max() <= get(r.Labels, r.CDFs, "S4-Later").Max() {
 		t.Errorf("S4 first tail should exceed later tail")
 	}
 }
 
 func TestFig45Small(t *testing.T) {
 	r := Config{}.Fig45(TopoGnm, 256, 4, 100)
-	if r.State.Get("VRR") == nil || r.State.Get("Path-vector") == nil {
+	if get(r.State.Labels, r.State.CDFs, "VRR") == nil || get(r.State.Labels, r.State.CDFs, "Path-vector") == nil {
 		t.Fatal("VRR/PV series missing")
 	}
-	if r.Stretch.Get("VRR") == nil {
+	if get(r.Stretch.Labels, r.Stretch.CDFs, "VRR") == nil {
 		t.Fatal("VRR stretch missing")
 	}
-	if r.Congestion.Get("Disco") == nil {
+	if get(r.Congestion.Labels, r.Congestion.CDFs, "Disco") == nil {
 		t.Fatal("congestion missing")
 	}
 	// Path-vector state is n-1 + degree at every node.
-	pv := r.State.Get("Path-vector")
-	if pv.Min() < 255 {
-		t.Errorf("PV state min %v below n-1", pv.Min())
+	pv := get(r.State.Labels, r.State.CDFs, "Path-vector")
+	if pv.Quantile(0) < 255 {
+		t.Errorf("PV state min %v below n-1", pv.Quantile(0))
 	}
 	out := r.Format()
 	if !strings.Contains(out, "Congestion") {
@@ -194,11 +207,11 @@ func TestFig9Small(t *testing.T) {
 
 func TestFig10Small(t *testing.T) {
 	r := Config{}.Fig10ASCongestion(1024, 9)
-	if r.Get("Disco") == nil || r.Get("Path-vector") == nil || r.Get("S4") == nil {
+	if get(r.Labels, r.CDFs, "Disco") == nil || get(r.Labels, r.CDFs, "Path-vector") == nil || get(r.Labels, r.CDFs, "S4") == nil {
 		t.Fatal("series missing")
 	}
 	// Total edge usage must be positive and the tails ordered sanely.
-	if r.Get("Disco").Max() <= 0 {
+	if get(r.Labels, r.CDFs, "Disco").Max() <= 0 {
 		t.Error("no congestion recorded")
 	}
 }
@@ -353,4 +366,27 @@ func TestBuildTopoUnknownPanics(t *testing.T) {
 		}
 	}()
 	BuildTopo("nope", 10, 1)
+}
+
+// TestExperimentOnOneNodeFails: fig3 on a one-node map has no pair to
+// sample. Its entry must panic, which discosim reports as a failed
+// experiment, and not loop looking for two distinct endpoints.
+func TestExperimentOnOneNodeFails(t *testing.T) {
+	i := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.Name == "fig3" })
+	if i < 0 {
+		t.Fatal("no fig3 entry")
+	}
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		Experiments[i].Run(Options{N: 1, Pairs: 1})
+	}()
+	select {
+	case r := <-panicked:
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "distinct endpoints") {
+			t.Fatalf("fig3 at n=1: panic %q, want SamplePairs' refusal", msg)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("fig3 at n=1 still running after 30 s")
+	}
 }

@@ -26,16 +26,6 @@ func (r *StateResult) Format() string {
 		r.Labels, r.CDFs)
 }
 
-// Get returns the CDF for a labeled series, or nil.
-func (r *StateResult) Get(label string) *metrics.CDF {
-	for i, l := range r.Labels {
-		if l == label {
-			return r.CDFs[i]
-		}
-	}
-	return nil
-}
-
 // Fig2State reproduces Fig. 2: the CDF over nodes of data-plane state for
 // Disco, NDDisco and S4 on one topology. The paper runs it on the
 // 16,384-node geometric graph and the AS-level and router-level Internet

@@ -33,16 +33,6 @@ func (r *StretchResult) Format() string {
 	return s
 }
 
-// Get returns the CDF for a labeled series, or nil.
-func (r *StretchResult) Get(label string) *metrics.CDF {
-	for i, l := range r.Labels {
-		if l == label {
-			return r.CDFs[i]
-		}
-	}
-	return nil
-}
-
 // Fig3Stretch reproduces Fig. 3: CDFs over sampled source-destination
 // pairs of first- and later-packet stretch for Disco and S4, using the
 // paper's default "No Path Knowledge" shortcutting for Disco.

@@ -200,7 +200,7 @@ func TestForwardDeriveInvalidation(t *testing.T) {
 		n    = 256
 		seed = 3
 	)
-	env, base, _ := buildEnv(t, n, seed, false)
+	env, base, nd := buildEnv(t, n, seed, false)
 	tbls := forward.Compile(base, env.Landmarks, env.LMOf)
 	tbls.Precompile()
 	nodes, rows := tbls.CompiledShards()
@@ -224,13 +224,14 @@ func TestForwardDeriveInvalidation(t *testing.T) {
 	if want := len(env.Landmarks) - len(st.RowsTouched); dr != want {
 		t.Errorf("derived tables hold %d rows, want %d (%d invalidated)", dr, want, len(st.RowsTouched))
 	}
-	if tbls.Snapshot() != base || der.Snapshot() != tl.Snapshot() {
-		t.Error("Derive must rebind the snapshot and leave the parent tables on theirs")
-	}
 	// The parent tables must stay fully installed and valid.
 	if pn, pr := tbls.CompiledShards(); pn != n || pr != len(env.Landmarks) {
 		t.Errorf("Derive disturbed the parent tables: %d/%d shards", pn, pr)
 	}
+	// Derive rebinds: the derived tables route on the failed snapshot, and
+	// the parent tables still on the base.
+	checkPairs(t, "derived", sha256.New(), nd.ForkRepaired(tl.Snapshot()), der.NewRouter(), allPairs(n))
+	checkPairs(t, "parent", sha256.New(), nd.ForkRepaired(base), tbls.NewRouter(), allPairs(n))
 }
 
 // TestForwardZeroAlloc pins the acceptance criterion "zero allocations

@@ -85,9 +85,6 @@ func Compile(snap *snapshot.Snapshot, landmarks, lmOf []graph.NodeID) *Tables {
 	return t
 }
 
-// Snapshot returns the snapshot the tables read.
-func (t *Tables) Snapshot() *snapshot.Snapshot { return t.snap }
-
 // Precompile installs every shard eagerly over the worker pool — the
 // serving mode's warm-up, and what the zero-allocation guarantee on the
 // query path assumes (a cold shard's first query pays its install, a

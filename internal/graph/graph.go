@@ -145,8 +145,8 @@ func allUnit(edges []Edge) bool {
 // Finalize sorts every adjacency list by neighbor ID (parallel edges by
 // edge ID), lays the rows out flat, and records whether the graph is
 // unit-weight. It must be called after construction and before
-// PortOf/NeighborAt or any shortest-path computation; the topology
-// generators call it for you.
+// PortOf, reading a port out of Neighbors, or any shortest-path
+// computation; the topology generators call it for you.
 func (g *Graph) Finalize() {
 	if g.sorted {
 		return
@@ -197,11 +197,6 @@ func (g *Graph) PortOf(u, to NodeID) int {
 		return lo
 	}
 	return -1
-}
-
-// NeighborAt returns the edge behind port p of node u.
-func (g *Graph) NeighborAt(u NodeID, p int) Edge {
-	return g.Neighbors(u)[p]
 }
 
 // EdgeWeight returns the weight of the edge between u and v, or -1 if the
@@ -475,19 +470,6 @@ func (g *Graph) WithEdges(adds []WeightedLink) *Graph {
 		g2.off[v] = g.off[v] + int32(before)
 	}
 	return g2
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	t := 0.0
-	for u := NodeID(0); int(u) < g.n; u++ {
-		for _, e := range g.Neighbors(u) {
-			if e.To > u {
-				t += e.Weight
-			}
-		}
-	}
-	return t
 }
 
 // AvgDegree returns the average node degree 2M/N.

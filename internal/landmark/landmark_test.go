@@ -2,8 +2,10 @@ package landmark
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"disco/internal/estimate"
 	"disco/internal/names"
 )
 
@@ -27,7 +29,7 @@ func TestSelectExpectedCount(t *testing.T) {
 	// landmarks; allow a wide band (binomial, sd ≈ 15).
 	gen := names.NewGenerator(1)
 	n := 4096
-	lms := Select(gen.Names(n), float64(n))
+	lms := SelectPerNode(gen.Names(n), estimate.Exact(n))
 	want := math.Sqrt(float64(n) * math.Log2(float64(n)))
 	if float64(len(lms)) < want*0.6 || float64(len(lms)) > want*1.4 {
 		t.Errorf("got %d landmarks, want around %.0f", len(lms), want)
@@ -43,8 +45,8 @@ func TestSelectExpectedCount(t *testing.T) {
 func TestSelectDeterministic(t *testing.T) {
 	gen := names.NewGenerator(2)
 	ns := gen.Names(500)
-	a := Select(ns, 500)
-	b := Select(ns, 500)
+	a := SelectPerNode(ns, estimate.Exact(500))
+	b := SelectPerNode(ns, estimate.Exact(500))
 	if len(a) != len(b) {
 		t.Fatal("same input must give same landmarks")
 	}
@@ -58,7 +60,7 @@ func TestSelectDeterministic(t *testing.T) {
 func TestSelectNeverEmpty(t *testing.T) {
 	gen := names.NewGenerator(3)
 	for n := 1; n <= 8; n++ {
-		lms := Select(gen.Names(n), 1e12) // absurd estimate -> tiny p
+		lms := SelectPerNode(gen.Names(n), slices.Repeat([]float64{1e12}, n)) // absurd estimate -> tiny p
 		if len(lms) == 0 {
 			t.Fatalf("n=%d: landmark set must never be empty", n)
 		}
@@ -71,8 +73,8 @@ func TestLandmarkSetsNestAsNGrows(t *testing.T) {
 	// property the coin construction provides.
 	gen := names.NewGenerator(4)
 	ns := gen.Names(2000)
-	small := Select(ns, 1000)
-	big := Select(ns, 64000)
+	small := SelectPerNode(ns, slices.Repeat([]float64{1000}, len(ns)))
+	big := SelectPerNode(ns, slices.Repeat([]float64{64000}, len(ns)))
 	inSmall := map[int32]bool{}
 	for _, v := range small {
 		inSmall[int32(v)] = true
@@ -84,74 +86,5 @@ func TestLandmarkSetsNestAsNGrows(t *testing.T) {
 	}
 	if len(big) >= len(small) {
 		t.Errorf("landmark count should shrink with n estimate: %d vs %d", len(big), len(small))
-	}
-}
-
-func TestSelectPerNodeMatchesSelectWhenUniform(t *testing.T) {
-	gen := names.NewGenerator(5)
-	ns := gen.Names(300)
-	est := make([]float64, 300)
-	for i := range est {
-		est[i] = 300
-	}
-	a := Select(ns, 300)
-	b := SelectPerNode(ns, est)
-	if len(a) != len(b) {
-		t.Fatalf("got %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("mismatch")
-		}
-	}
-}
-
-func TestTrackerAmortization(t *testing.T) {
-	gen := names.NewGenerator(6)
-	// Find a name that is a landmark at n=100 but not at n=10^8.
-	var nm names.Name
-	for i := 0; i < 10000; i++ {
-		c := gen.Name(i)
-		if IsLandmark(c, 100) && !IsLandmark(c, 1e8) {
-			nm = c
-			break
-		}
-	}
-	if nm == "" {
-		t.Skip("no suitable name found")
-	}
-	tr := NewTracker(nm, 100)
-	if !tr.IsLandmark() {
-		t.Fatal("should start as landmark")
-	}
-	// Small changes never flip.
-	if tr.Update(150) || tr.Update(120) || tr.Update(199) {
-		t.Fatal("sub-2x change must not flip status")
-	}
-	if !tr.IsLandmark() {
-		t.Fatal("status should be unchanged")
-	}
-	// A 2x change re-evaluates; a massive one demotes.
-	tr.Update(1e8)
-	if tr.IsLandmark() {
-		t.Fatal("should demote at huge n")
-	}
-}
-
-func TestTrackerStableWhenStatusUnchanged(t *testing.T) {
-	gen := names.NewGenerator(7)
-	nm := gen.Name(0)
-	tr := NewTracker(nm, 1000)
-	before := tr.IsLandmark()
-	// Doubling n repeatedly but status may or may not change; flips must
-	// only be reported when status actually changes.
-	for n := 2000.0; n < 1e6; n *= 2 {
-		flipped := tr.Update(n)
-		if flipped == (tr.IsLandmark() == before) {
-			t.Fatal("Update must report true iff status changed")
-		}
-		if flipped {
-			break
-		}
 	}
 }

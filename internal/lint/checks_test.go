@@ -23,6 +23,13 @@ func TestSnapMutate(t *testing.T) {
 	checkWants(t, "internal/eval/snapmutate.go", "internal/snapshot/snapshot.go")
 }
 
+// TestNoTestOnlySurfaceNegativeControl: of surface.go's plants, a
+// test-only export, a stale fixture waiver and a reasonless one are
+// reported, and a fixture waiver with a reason suppresses its export.
+func TestNoTestOnlySurfaceNegativeControl(t *testing.T) {
+	checkWants(t, "internal/eval/surface.go")
+}
+
 // TestDeterministic: every package of the module is held to maporder
 // and seedrand except those under internal/lint. The root package's map
 // loop is flagged; internal/lint/other's loop, global rand draw and

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"go/build"
+	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,11 +19,33 @@ import (
 // the directive checks run over every package, and fail on any
 // diagnostic.
 func TestContracts(t *testing.T) {
-	diags, variants, err := contractViolations(filepath.Join("..", ".."))
+	m, err := loadModule(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("checked %d package variants", variants)
+	diags, err := contractViolations(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("checked %d package variants", len(m.variants))
+	for _, d := range diags {
+		t.Error(d)
+	}
+}
+
+// TestNoTestOnlySurface holds the module's library packages to the
+// surface contract (surface.go): every export under internal/ has a
+// non-test referrer in the module or in the benchmark, disco/bench, a
+// nested module the walk skips and this test loads as a caller.
+func TestNoTestOnlySurface(t *testing.T) {
+	m, err := loadModule(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := surfaceViolations(m, m.loader.Module+"/bench")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range diags {
 		t.Error(d)
 	}
@@ -38,6 +62,7 @@ func TestContracts(t *testing.T) {
 // "message (check)". "// want " may appear anywhere in a comment, so a
 // diagnostic at a //disco: directive carries its want in the directive's
 // text. Every want must match a diagnostic, and every diagnostic a want.
+// The surface check runs with them, over the module's own packages.
 func TestContractsNegativeControl(t *testing.T) {
 	checkWants(t)
 }
@@ -54,10 +79,19 @@ func checkWants(t *testing.T, files ...string) {
 		}
 	}
 	in := func(file string) bool { return len(files) == 0 || slices.Contains(files, file) }
-	diags, _, err := contractViolations(root)
+	m, err := loadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	diags, err := contractViolations(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surface, err := surfaceViolations(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags = append(diags, surface...)
 	diags = slices.DeleteFunc(diags, func(d violation) bool { return !in(d.file) })
 	wants, err := collectWants(root)
 	if err != nil {
@@ -121,39 +155,39 @@ type violation struct {
 
 func (v violation) String() string { return fmt.Sprintf("%s:%d:%d: %s", v.file, v.line, v.col, v.msg) }
 
-// contractViolations runs Analyze over the module rooted at root, the
-// way `go vet` sees it: every package, its in-package test variant
-// (package files plus _test.go files in the same package) and its
-// external _test package. Directories named testdata or starting with
-// "." or "_", and nested modules, are not part of the module. It returns
-// the diagnostics in walk order, each once (a package and its test
-// variant share files), and the number of variants checked.
-func contractViolations(root string) ([]violation, int, error) {
+// A module is every package variant of one module, type-checked once
+// and shared by the tests that check it.
+type module struct {
+	root   string
+	loader *Loader
+	// variants are every package, its in-package test variant (package
+	// files plus _test.go files in the same package) and its external
+	// _test package, in walk order, the way go vet sees the module.
+	variants []*Package
+	// libs are the non-test packages, in walk order.
+	libs []*Package
+}
+
+// modules memoizes loadModule by root.
+var modules = make(map[string]*module)
+
+// loadModule loads the module rooted at root, or returns the one loaded
+// before. Directories named testdata or starting with "." or "_", and
+// nested modules, are not part of the module.
+func loadModule(root string) (*module, error) {
+	if m, ok := modules[root]; ok {
+		return m, nil
+	}
 	l, err := NewModuleLoader(root)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	var diags []violation
-	seen := make(map[violation]bool)
-	variants := 0
-	check := func(p *Package, err error) error {
-		if err != nil {
-			return err
+	m := &module{root: root, loader: l}
+	add := func(p *Package, err error) error {
+		if err == nil {
+			m.variants = append(m.variants, p)
 		}
-		variants++
-		for _, d := range Analyze(l.Module, p) {
-			pos := p.Fset.Position(d.Pos)
-			file, err := filepath.Rel(root, pos.Filename)
-			if err != nil {
-				return err
-			}
-			v := violation{filepath.ToSlash(file), pos.Line, pos.Column, fmt.Sprintf("%s (%s)", d.Message, d.Check)}
-			if !seen[v] {
-				seen[v] = true
-				diags = append(diags, v)
-			}
-		}
-		return nil
+		return err
 	}
 	err = filepath.WalkDir(root, func(dir string, e fs.DirEntry, err error) error {
 		if err != nil || !e.IsDir() {
@@ -185,23 +219,92 @@ func contractViolations(root string) ([]violation, int, error) {
 			path += "/" + filepath.ToSlash(rel)
 		}
 		if len(bp.GoFiles) > 0 {
-			if err := check(l.Load(path)); err != nil {
+			p, err := l.Load(path)
+			if err != nil {
 				return err
 			}
+			m.libs = append(m.libs, p)
+			m.variants = append(m.variants, p)
 		}
 		if len(bp.TestGoFiles) > 0 {
-			if err := check(l.Check(path, dir, slices.Concat(bp.GoFiles, bp.TestGoFiles))); err != nil {
+			if err := add(l.Check(path, dir, slices.Concat(bp.GoFiles, bp.TestGoFiles))); err != nil {
 				return err
 			}
 		}
 		if len(bp.XTestGoFiles) > 0 {
-			if err := check(l.Check(path+"_test", dir, bp.XTestGoFiles)); err != nil {
+			if err := add(l.Check(path+"_test", dir, bp.XTestGoFiles)); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	return diags, variants, err
+	if err != nil {
+		return nil, err
+	}
+	modules[root] = m
+	return m, nil
+}
+
+// contractViolations runs Analyze over every variant of m. It returns
+// the diagnostics in walk order, each once (a package and its test
+// variant share files).
+func contractViolations(m *module) ([]violation, error) {
+	var diags []violation
+	seen := make(map[violation]bool)
+	for _, p := range m.variants {
+		vs, err := m.violations(p.Fset, Analyze(m.loader.Module, p))
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range vs {
+			if !seen[v] {
+				seen[v] = true
+				diags = append(diags, v)
+			}
+		}
+	}
+	return diags, nil
+}
+
+// surfaceViolations runs testOnlySurface over m's packages under
+// internal/, internal/lint aside, with every non-test package of m and
+// the packages at the import paths in callers as referrers.
+func surfaceViolations(m *module, callers ...string) ([]violation, error) {
+	internal := m.loader.Module + "/internal/"
+	var libs []*Package
+	for _, p := range m.libs {
+		if strings.HasPrefix(p.Path+"/", internal) && !strings.HasPrefix(p.Path+"/", internal+"lint/") {
+			libs = append(libs, p)
+		}
+	}
+	refs := slices.Clone(m.libs)
+	for _, path := range callers {
+		p, err := m.loader.Load(path)
+		if err != nil {
+			return nil, err
+		}
+		refs = append(refs, p)
+	}
+	imported := slices.Collect(maps.Values(m.loader.std))
+	for _, p := range refs {
+		imported = append(imported, p.Pkg)
+	}
+	return m.violations(m.loader.Fset, testOnlySurface(libs, refs, imported))
+}
+
+// violations converts diagnostics to violations at paths relative to
+// m's root.
+func (m *module) violations(fset *token.FileSet, diags []Diagnostic) ([]violation, error) {
+	out := make([]violation, 0, len(diags))
+	for _, d := range diags {
+		pos := fset.Position(d.Pos)
+		file, err := filepath.Rel(m.root, pos.Filename)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, violation{filepath.ToSlash(file), pos.Line, pos.Column, fmt.Sprintf("%s (%s)", d.Message, d.Check)})
+	}
+	return out, nil
 }
 
 // A want is one expected diagnostic.

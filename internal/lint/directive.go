@@ -18,6 +18,9 @@
 //	    excluded from deterministic output.
 //	//disco:mutates — snapmutate: a reviewed write to sealed state
 //	    (e.g. the defining package's own white-box test).
+//	//disco:fixture — surface: an export that only other packages'
+//	    tests reference, such as a topology several packages' tests
+//	    build on (surface.go).
 
 package lint
 
@@ -36,6 +39,7 @@ var waivers = map[string]string{
 	"seedrand":   "measured",
 	"snapmutate": "mutates",
 	"mergeorder": "orderinvariant",
+	"surface":    "fixture",
 }
 
 // directive is one parsed //disco: comment.
@@ -101,7 +105,8 @@ func (t *directiveTable) covers(name, file string, line int) bool {
 // checkDirectives reports malformed directives — unknown names and
 // missing reasons — and every well-formed one that no covers call
 // matched: a stale waiver whose code no longer raises the diagnostic it
-// excused. It runs after all four checks, so it sees every use.
+// excused. It runs after all four checks, so it sees every use. A
+// fixture's staleness is module-wide, so testOnlySurface judges it.
 func (p *pass) checkDirectives() {
 	known := slices.Sorted(maps.Values(waivers))
 	for _, d := range p.directives.all {
@@ -110,7 +115,7 @@ func (p *pass) checkDirectives() {
 			p.report("directive", d.pos, "unknown //disco: directive %q (known: %s)", d.name, strings.Join(known, ", "))
 		case d.reason == "":
 			p.report("directive", d.pos, "//disco:%s directive needs a reason: //disco:%s <why this site is exempt>", d.name, d.name)
-		case !d.used:
+		case !d.used && d.name != waivers["surface"]:
 			p.report("directive", d.pos, "//disco:%s directive suppresses no diagnostic; delete it", d.name)
 		}
 	}

@@ -3,7 +3,7 @@
 //
 // snapshot.Snapshot exposes no fields, so the contract is about
 // provenance, not types: the slices and pointers its accessors return
-// (Landmarks, ForestParents, Graph) alias storage shared by every fork,
+// (ForestParents, Graph) alias storage shared by every fork,
 // repair child and serve epoch, and a write through any of them corrupts
 // all of those at once — the kind of bug -race only catches if two
 // goroutines happen to collide during the test run. Vicinity windows need
@@ -43,7 +43,7 @@ import (
 // methods whose results alias shared sealed storage. Methods that
 // return fresh per-call allocations (PathFrom) are deliberately absent.
 var sealedAccessors = map[[2]string][]string{
-	{"snapshot", "Snapshot"}: {"Landmarks", "ForestParents", "Graph"},
+	{"snapshot", "Snapshot"}: {"ForestParents", "Graph"},
 }
 
 // graphMutators are the methods that structurally modify a graph;

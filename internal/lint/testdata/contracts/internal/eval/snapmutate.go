@@ -13,9 +13,9 @@ import (
 
 // --- flagged: writes through sealed storage ---
 
-func writeLandmarks(s *snapshot.Snapshot) {
-	lms := s.Landmarks()
-	lms[0] = 3 // want `write through sealed snapshot storage`
+func writeRow(s *snapshot.Snapshot) {
+	row := s.ForestParents(0)
+	row[0] = 3 // want `write through sealed snapshot storage`
 }
 
 func writeDirect(s *snapshot.Snapshot) {
@@ -34,8 +34,8 @@ func incThroughAlias(s *snapshot.Snapshot) {
 }
 
 func appendSealed(s *snapshot.Snapshot) []graph.NodeID {
-	lms := s.Landmarks()
-	return append(lms, 1) // want `append to a slice aliasing sealed snapshot storage`
+	row := s.ForestParents(0)
+	return append(row, 1) // want `append to a slice aliasing sealed snapshot storage`
 }
 
 func sortShared(s *snapshot.Snapshot) {
@@ -67,7 +67,7 @@ func freshAllocation(s *snapshot.Snapshot, v graph.NodeID) {
 }
 
 func copyThenSort(s *snapshot.Snapshot) []graph.NodeID {
-	shared := s.Landmarks()
+	shared := s.ForestParents(0)
 	own := make([]graph.NodeID, len(shared))
 	copy(own, shared)
 	sort.Slice(own, func(i, j int) bool { return own[i] < own[j] })

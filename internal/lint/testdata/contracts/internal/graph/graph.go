@@ -6,12 +6,7 @@ package graph
 type NodeID int32
 
 // Graph is an adjacency structure.
-type Graph struct {
-	n int
-}
-
-// N returns the node count.
-func (g *Graph) N() int { return g.n }
+type Graph struct{}
 
 // AddEdge adds an edge.
 func (g *Graph) AddEdge(a, b NodeID, w float64) {}

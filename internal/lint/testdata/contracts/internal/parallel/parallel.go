@@ -35,13 +35,3 @@ func Map[T any](n int, fn func(task int) T) []T {
 	}
 	return out
 }
-
-// MapScratch is Map with one scratch value.
-func MapScratch[S, T any](n int, newScratch func() S, fn func(scratch S, task int) T) []T {
-	s := newScratch()
-	out := make([]T, n)
-	for i := 0; i < n; i++ {
-		out[i] = fn(s, i)
-	}
-	return out
-}

@@ -6,5 +6,5 @@ import (
 	"disco/internal/snapshot"
 )
 
-// First returns a snapshot's first landmark.
-func First(s *snapshot.Snapshot) graph.NodeID { return s.Landmarks()[0] }
+// first returns node 0's parent in the first landmark's tree.
+func first(s *snapshot.Snapshot) graph.NodeID { return s.ForestParents(0)[0] }

@@ -4,5 +4,5 @@ import "disco/internal/snapshot"
 
 // poke writes through sealed storage from an external test package.
 func poke(s *snapshot.Snapshot) {
-	s.Landmarks()[0] = 1 // want `^write through sealed snapshot storage shared by every fork; copy before mutating, or waive with //disco:mutates <reason> \(snapmutate\)$`
+	s.ForestParents(0)[0] = 1 // want `^write through sealed snapshot storage shared by every fork; copy before mutating, or waive with //disco:mutates <reason> \(snapmutate\)$`
 }

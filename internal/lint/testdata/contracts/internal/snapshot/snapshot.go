@@ -6,13 +6,9 @@ import "disco/internal/graph"
 
 // Snapshot is shared, read-only route state.
 type Snapshot struct {
-	landmarks []graph.NodeID
-	parents   [][]graph.NodeID
-	g         *graph.Graph
+	parents [][]graph.NodeID
+	g       *graph.Graph
 }
-
-// Landmarks returns the sealed landmark slice itself, not a copy.
-func (s *Snapshot) Landmarks() []graph.NodeID { return s.landmarks }
 
 // ForestParents returns the sealed parent row of a landmark tree.
 func (s *Snapshot) ForestParents(root int) []graph.NodeID { return s.parents[root] }

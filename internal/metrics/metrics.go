@@ -41,14 +41,6 @@ func (c *CDF) Mean() float64 {
 	return t / float64(len(c.sorted))
 }
 
-// Min returns the smallest sample (0 for an empty CDF).
-func (c *CDF) Min() float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	return c.sorted[0]
-}
-
 // Max returns the largest sample (0 for an empty CDF).
 func (c *CDF) Max() float64 {
 	if len(c.sorted) == 0 {
@@ -76,42 +68,6 @@ func (c *CDF) Quantile(p float64) float64 {
 	return c.sorted[i]
 }
 
-// FracAtOrBelow returns the fraction of samples <= x (the CDF value at x).
-func (c *CDF) FracAtOrBelow(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Points returns up to k (value, cumulative-fraction) pairs suitable for
-// plotting or printing the CDF curve as in the paper's figures. For k >= 2
-// the first point is always the minimum sample at fraction 1/n and the
-// last is the maximum at fraction 1, with the remaining ranks spread
-// evenly between them — the old scheme started at rank n/k and silently
-// dropped the curve's left tail from every plot. k == 1 keeps the single
-// most informative point, the maximum at fraction 1.
-func (c *CDF) Points(k int) [](struct{ X, F float64 }) {
-	n := len(c.sorted)
-	if n == 0 || k <= 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	out := make([]struct{ X, F float64 }, 0, k)
-	if k == 1 {
-		return append(out, struct{ X, F float64 }{X: c.sorted[n-1], F: 1})
-	}
-	out = append(out, struct{ X, F float64 }{X: c.sorted[0], F: 1 / float64(n)})
-	for i := 1; i < k; i++ {
-		idx := 1 + i*(n-1)/(k-1) // rank in [2, n], hitting n at i = k-1
-		out = append(out, struct{ X, F float64 }{X: c.sorted[idx-1], F: float64(idx) / float64(n)})
-	}
-	return out
-}
-
 // String summarizes the distribution (mean / median / p95 / max), the four
 // numbers the paper's tables report.
 func (c *CDF) String() string {
@@ -133,36 +89,16 @@ func FormatSeries(title string, labels []string, cdfs []*CDF) string {
 	return b.String()
 }
 
-// SampleInts returns k distinct integers drawn uniformly from [0, n) in
-// random order (all of [0,n) shuffled if k >= n), deterministically from rng.
-func SampleInts(rng *rand.Rand, n, k int) []int {
-	if k >= n {
-		out := rng.Perm(n)
-		return out
-	}
-	// Partial Fisher-Yates over a sparse permutation.
-	swap := make(map[int]int, 2*k)
-	get := func(i int) int {
-		if v, ok := swap[i]; ok {
-			return v
-		}
-		return i
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(n-i)
-		out[i] = get(j)
-		swap[j] = get(i)
-	}
-	return out
-}
-
 // Pair is a sampled source-destination pair.
 type Pair struct{ Src, Dst int }
 
 // SamplePairs returns k source-destination pairs with distinct endpoints,
-// uniformly at random.
+// uniformly at random. A graph of fewer than two nodes has no such pair:
+// asking for one panics.
 func SamplePairs(rng *rand.Rand, n, k int) []Pair {
+	if k > 0 && n < 2 {
+		panic(fmt.Sprintf("metrics: %d pairs with distinct endpoints requested from n=%d nodes", k, n))
+	}
 	out := make([]Pair, 0, k)
 	for len(out) < k {
 		s := rng.Intn(n)
@@ -217,9 +153,6 @@ func (c *Congestion) CDF() *CDF {
 	}
 	return NewCDF(s)
 }
-
-// Counts returns the raw per-edge counters (owned by the Congestion).
-func (c *Congestion) Counts() []int { return c.counts }
 
 // Merge adds other's per-edge counts into c — the reduction step for
 // per-worker counters of a parallel congestion sweep. Integer sums are

@@ -1,9 +1,10 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -16,8 +17,8 @@ func TestCDFBasics(t *testing.T) {
 	if c.Mean() != 3 {
 		t.Errorf("mean %v want 3", c.Mean())
 	}
-	if c.Min() != 1 || c.Max() != 5 {
-		t.Errorf("min/max %v/%v", c.Min(), c.Max())
+	if c.Quantile(0) != 1 || c.Max() != 5 {
+		t.Errorf("min/max %v/%v", c.Quantile(0), c.Max())
 	}
 	if q := c.Quantile(0.5); q != 3 {
 		t.Errorf("median %v want 3", q)
@@ -35,9 +36,6 @@ func TestCDFEmpty(t *testing.T) {
 	if c.Mean() != 0 || c.Max() != 0 || c.Quantile(0.5) != 0 || c.N() != 0 {
 		t.Error("empty CDF should report zeros")
 	}
-	if c.Points(5) != nil {
-		t.Error("empty Points should be nil")
-	}
 }
 
 func TestCDFDoesNotAliasInput(t *testing.T) {
@@ -46,21 +44,6 @@ func TestCDFDoesNotAliasInput(t *testing.T) {
 	in[0] = 99
 	if c.Max() != 2 {
 		t.Error("CDF must copy its input")
-	}
-}
-
-func TestFracAtOrBelow(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, cs := range cases {
-		if got := c.FracAtOrBelow(cs.x); got != cs.want {
-			t.Errorf("FracAtOrBelow(%v)=%v want %v", cs.x, got, cs.want)
-		}
 	}
 }
 
@@ -88,75 +71,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	pts := c.Points(2)
-	if len(pts) != 2 {
-		t.Fatalf("points %d want 2", len(pts))
-	}
-	// The curve must keep its left tail: first point is the minimum at
-	// fraction 1/n, last is the maximum at fraction 1.
-	if pts[0].X != 1 || pts[0].F != 0.25 {
-		t.Errorf("pts[0]=%+v want {1 0.25}", pts[0])
-	}
-	if pts[1].X != 4 || pts[1].F != 1 {
-		t.Errorf("pts[1]=%+v want {4 1}", pts[1])
-	}
-}
-
-func TestPointsFullResolution(t *testing.T) {
-	// k = n must emit every sample: ranks 1..n in order.
-	c := NewCDF([]float64{3, 1, 2, 5, 4})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("points %d want 5", len(pts))
-	}
-	for i, want := range []float64{1, 2, 3, 4, 5} {
-		if pts[i].X != want || pts[i].F != float64(i+1)/5 {
-			t.Errorf("pts[%d]=%+v want {%v %v}", i, pts[i], want, float64(i+1)/5)
-		}
-	}
-	// k > n clamps to n.
-	if got := c.Points(99); len(got) != 5 {
-		t.Errorf("Points(99) emitted %d points, want 5", len(got))
-	}
-}
-
-func TestPointsEdgeCases(t *testing.T) {
-	// k = 1 keeps the distribution's endpoint (the max at fraction 1).
-	c := NewCDF([]float64{1, 2, 3, 4})
-	pts := c.Points(1)
-	if len(pts) != 1 || pts[0].X != 4 || pts[0].F != 1 {
-		t.Errorf("Points(1)=%+v want [{4 1}]", pts)
-	}
-	// Single sample: the one point is both min and max.
-	one := NewCDF([]float64{7})
-	pts = one.Points(3)
-	if len(pts) != 1 || pts[0].X != 7 || pts[0].F != 1 {
-		t.Errorf("single-sample Points(3)=%+v want [{7 1}]", pts)
-	}
-	// Fractions and values must be nondecreasing at any k.
-	big := make([]float64, 100)
-	for i := range big {
-		big[i] = float64(i * i % 37)
-	}
-	cc := NewCDF(big)
-	for _, k := range []int{2, 3, 7, 50, 100} {
-		pts := cc.Points(k)
-		if pts[0].X != cc.Min() || pts[0].F != 1.0/100 {
-			t.Errorf("k=%d: first point %+v is not the minimum at 1/n", k, pts[0])
-		}
-		if last := pts[len(pts)-1]; last.X != cc.Max() || last.F != 1 {
-			t.Errorf("k=%d: last point %+v is not the maximum at 1", k, last)
-		}
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X < pts[i-1].X || pts[i].F <= pts[i-1].F {
-				t.Errorf("k=%d: points not monotone at %d: %+v -> %+v", k, i, pts[i-1], pts[i])
-			}
-		}
-	}
-}
-
 func TestQuantileEdgeCases(t *testing.T) {
 	// Single sample: every quantile is that sample.
 	one := NewCDF([]float64{42})
@@ -179,57 +93,6 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 	if q := c.Quantile(0.500001); q != 3 {
 		t.Errorf("Quantile(0.500001)=%v want 3", q)
-	}
-}
-
-func TestSampleIntsDistinctInRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := SampleInts(rng, 1000, 100)
-	if len(s) != 100 {
-		t.Fatalf("len %d", len(s))
-	}
-	seen := map[int]bool{}
-	for _, v := range s {
-		if v < 0 || v >= 1000 {
-			t.Fatalf("out of range %d", v)
-		}
-		if seen[v] {
-			t.Fatalf("duplicate %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSampleIntsAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := SampleInts(rng, 10, 15)
-	if len(s) != 10 {
-		t.Fatalf("len %d want 10 when k>=n", len(s))
-	}
-	sort.Ints(s)
-	for i, v := range s {
-		if v != i {
-			t.Fatalf("expected permutation of 0..9, got %v", s)
-		}
-	}
-}
-
-func TestSampleIntsUniformish(t *testing.T) {
-	// Each element of [0,20) should appear roughly 1/2 the time when
-	// sampling 10 of 20 many times.
-	rng := rand.New(rand.NewSource(2))
-	counts := make([]int, 20)
-	const trials = 2000
-	for i := 0; i < trials; i++ {
-		for _, v := range SampleInts(rng, 20, 10) {
-			counts[v]++
-		}
-	}
-	for v, c := range counts {
-		frac := float64(c) / trials
-		if frac < 0.35 || frac > 0.65 {
-			t.Errorf("element %d sampled with frequency %v (want ~0.5)", v, frac)
-		}
 	}
 }
 
@@ -268,6 +131,17 @@ func TestStretch(t *testing.T) {
 	}
 }
 
+// TestSamplePairsPanicsBelowTwoNodes: a one-node graph has no pair with
+// distinct endpoints, so asking for one must panic naming n, not loop.
+func TestSamplePairsPanicsBelowTwoNodes(t *testing.T) {
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "n=1") {
+			t.Fatalf("panic %q, want one naming n=1", msg)
+		}
+	}()
+	SamplePairs(rand.New(rand.NewSource(1)), 1, 1)
+}
+
 func TestStretchPanicsOnShorterThanShortest(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -289,7 +163,7 @@ func TestCongestion(t *testing.T) {
 	if cdf.Max() != 2 {
 		t.Errorf("max %v want 2", cdf.Max())
 	}
-	if got := c.Counts()[0]; got != 2 {
+	if got := c.counts[0]; got != 2 {
 		t.Errorf("counts[0]=%d", got)
 	}
 }

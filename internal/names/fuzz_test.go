@@ -61,7 +61,7 @@ func FuzzRingDist(f *testing.F) {
 		if d > 1<<63 {
 			t.Fatalf("RingDist %d exceeds half the ring", d)
 		}
-		cw, ccw := Clockwise(a, b), Clockwise(b, a)
+		cw, ccw := uint64(b-a), uint64(a-b) // clockwise from a, and from b
 		if d != cw && d != ccw {
 			t.Fatalf("RingDist %d is neither clockwise %d nor counter-clockwise %d", d, cw, ccw)
 		}

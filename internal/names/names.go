@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"math/rand"
 )
 
 // Name is a flat, location-independent node name: an arbitrary string
@@ -48,10 +47,6 @@ func PrefixBits(h Hash, k int) uint64 {
 	}
 	return uint64(h) >> (HashBits - uint(k))
 }
-
-// Clockwise returns the clockwise (increasing, wrapping) distance from a to
-// b in the hash space.
-func Clockwise(a, b Hash) uint64 { return uint64(b - a) }
 
 // RingDist returns the circular distance between a and b: the minimum of
 // the clockwise and counter-clockwise distances.
@@ -100,11 +95,4 @@ func SelfCertifying(pubKey []byte) Name {
 // Verify reports whether pubKey hashes to the self-certifying name n.
 func Verify(n Name, pubKey []byte) bool {
 	return SelfCertifying(pubKey) == n
-}
-
-// RandomKey returns a synthetic "public key" for examples and tests.
-func RandomKey(rng *rand.Rand) []byte {
-	k := make([]byte, 32)
-	rng.Read(k)
-	return k
 }

@@ -179,9 +179,6 @@ func (n *Net) nearestInRange(a names.Hash, lo, hi int) graph.NodeID {
 	return best
 }
 
-// Neighbors returns N(v): the undirected overlay adjacency of v.
-func (n *Net) Neighbors(v graph.NodeID) []graph.NodeID { return n.nbrs[v] }
-
 // Degree returns |N(v)| — the per-node overlay state (the paper expects an
 // average of ~4 with 1 finger and ~8 with 3, counting both directions).
 func (n *Net) Degree(v graph.NodeID) int { return len(n.nbrs[v]) }

@@ -24,8 +24,8 @@ type lazyOracle struct {
 
 func newLazyOracle(t testing.TB, g *graph.Graph) *lazyOracle {
 	o := &lazyOracle{t: t, g: g, lazy: NewLazy(g), ref: graph.NewSSSP(g)}
-	if o.lazy.Graph() != g || o.lazy.Root() != graph.None {
-		t.Fatalf("fresh Lazy: Graph()==g %v, Root() %d", o.lazy.Graph() == g, o.lazy.Root())
+	if o.lazy.Graph() != g || o.lazy.bound {
+		t.Fatalf("fresh Lazy: Graph()==g %v, bound %v", o.lazy.Graph() == g, o.lazy.bound)
 	}
 	return o
 }
@@ -34,8 +34,8 @@ func (o *lazyOracle) bind(root graph.NodeID) {
 	o.root = root
 	o.lazy.Bind(root)
 	o.ref.Run(root)
-	if o.lazy.Root() != root {
-		o.t.Fatalf("Root() = %d after Bind(%d)", o.lazy.Root(), root)
+	if !o.lazy.bound || o.lazy.root != root {
+		o.t.Fatalf("root %d (bound %v) after Bind(%d)", o.lazy.root, o.lazy.bound, root)
 	}
 }
 
@@ -328,3 +328,22 @@ func BenchmarkLazyPair(b *testing.B) {
 }
 
 var benchSink float64
+
+// Parent returns v's predecessor toward the bound root, or graph.None.
+func (l *Lazy) Parent(v graph.NodeID) graph.NodeID {
+	if l.known(v) {
+		return l.s.Parent(v)
+	}
+	if p := l.PathFrom(v); len(p) > 1 {
+		return p[1]
+	}
+	return graph.None
+}
+
+// All settles the whole tree, making every later query on this root O(1)
+// (O(path) for the paths): for callers about to ask about every node.
+func (l *Lazy) All() {
+	for l.s.Pending() > 0 {
+		l.s.Step()
+	}
+}

@@ -93,14 +93,6 @@ func (l *Lazy) Bind(root graph.NodeID) {
 	l.root, l.bound, l.met = root, true, graph.None
 }
 
-// Root returns the currently bound root (graph.None before the first Bind).
-func (l *Lazy) Root() graph.NodeID {
-	if !l.bound {
-		return graph.None
-	}
-	return l.root
-}
-
 // known reports whether the root side alone answers for v: it has settled
 // v, or it has settled everything it ever will (always, on a weighted
 // graph), so an unsettled v is unreachable.
@@ -139,17 +131,6 @@ func (l *Lazy) meet(v graph.NodeID) float64 {
 	}
 	l.met, l.metDist = v, d
 	return d
-}
-
-// Parent returns v's predecessor toward the bound root, or graph.None.
-func (l *Lazy) Parent(v graph.NodeID) graph.NodeID {
-	if l.known(v) {
-		return l.s.Parent(v)
-	}
-	if p := l.PathFrom(v); len(p) > 1 {
-		return p[1]
-	}
-	return graph.None
 }
 
 // PathFrom returns v ⇝ root for the bound root — the tree path root ⇝ v
@@ -258,12 +239,4 @@ func (l *Lazy) Closer(v graph.NodeID, r float64) bool {
 		l.s.Step()
 	}
 	return l.s.Dist(v) < r
-}
-
-// All settles the whole tree, making every later query on this root O(1)
-// (O(path) for the paths): for callers about to ask about every node.
-func (l *Lazy) All() {
-	for l.s.Pending() > 0 {
-		l.s.Step()
-	}
 }

@@ -477,22 +477,15 @@ func (p *Protocol) VicinitySet(v graph.NodeID) *vicinity.Window {
 	return vicinity.FromEntries(p.g.N(), entries)
 }
 
-// VicinityMembers returns the converged vicinity membership of v, sorted.
-func (p *Protocol) VicinityMembers(v graph.NodeID) []graph.NodeID {
-	nd := p.nodes[v]
-	out := make([]graph.NodeID, len(nd.vic))
-	for i, m := range nd.vic {
-		out[i] = m.id
-	}
-	slices.Sort(out)
-	return out
-}
-
 // DataEntries returns v's data-plane entry count (stored destinations).
+//
+//disco:fixture the root package's forgetful-routing ablation benchmark counts entries
 func (p *Protocol) DataEntries(v graph.NodeID) int { return len(p.nodes[v].best) }
 
 // ControlEntries returns v's control-plane entry count: all per-neighbor
 // candidates (Θ(δ·sqrt(n log n)) without forgetful routing, §4.2).
+//
+//disco:fixture the root package's forgetful-routing ablation benchmark counts entries
 func (p *Protocol) ControlEntries(v graph.NodeID) int {
 	nd := p.nodes[v]
 	t := 0
@@ -500,32 +493,6 @@ func (p *Protocol) ControlEntries(v graph.NodeID) int {
 		t += len(nd.cand[dst])
 	}
 	return t
-}
-
-// LMDistances extracts every node's distance to its nearest landmark from a
-// converged ModeLandmarksOnly (or ModeVicinity) run — the input to S4's
-// cluster phase.
-func (p *Protocol) LMDistances() []float64 {
-	var lms []graph.NodeID
-	for v := range p.nodes {
-		if p.isLandmark(graph.NodeID(v)) {
-			lms = append(lms, graph.NodeID(v))
-		}
-	}
-	out := make([]float64, len(p.nodes))
-	for v, nd := range p.nodes {
-		best := graph.Inf
-		for _, lm := range lms {
-			if r, ok := nd.best[lm]; ok && r.dist < best {
-				best = r.dist
-			}
-		}
-		if p.isLandmark(graph.NodeID(v)) {
-			best = 0
-		}
-		out[v] = best
-	}
-	return out
 }
 
 // String describes the configuration.

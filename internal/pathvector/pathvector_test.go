@@ -305,3 +305,40 @@ func TestConvergenceDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// VicinityMembers returns the converged vicinity membership of v, sorted.
+func (p *Protocol) VicinityMembers(v graph.NodeID) []graph.NodeID {
+	nd := p.nodes[v]
+	out := make([]graph.NodeID, len(nd.vic))
+	for i, m := range nd.vic {
+		out[i] = m.id
+	}
+	slices.Sort(out)
+	return out
+}
+
+// LMDistances extracts every node's distance to its nearest landmark from a
+// converged ModeLandmarksOnly (or ModeVicinity) run — the input to S4's
+// cluster phase.
+func (p *Protocol) LMDistances() []float64 {
+	var lms []graph.NodeID
+	for v := range p.nodes {
+		if p.isLandmark(graph.NodeID(v)) {
+			lms = append(lms, graph.NodeID(v))
+		}
+	}
+	out := make([]float64, len(p.nodes))
+	for v, nd := range p.nodes {
+		best := graph.Inf
+		for _, lm := range lms {
+			if r, ok := nd.best[lm]; ok && r.dist < best {
+				best = r.dist
+			}
+		}
+		if p.isLandmark(graph.NodeID(v)) {
+			best = 0
+		}
+		out[v] = best
+	}
+	return out
+}

@@ -11,7 +11,6 @@ package resolve
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -63,35 +62,6 @@ func (db *DB) OwnerOf(key names.Hash) graph.NodeID {
 	return db.points[i].lm
 }
 
-// OwnersOf returns the distinct landmarks owning any of an entire k-bit
-// sloppy group's keyspace — the "predictable set of O(log n) landmarks"
-// from which a node could download its group membership (§4.4 naive
-// solution). groupID is the k-bit prefix.
-func (db *DB) OwnersOf(groupID uint64, k int) []graph.NodeID {
-	if k <= 0 || k > 64 {
-		panic(fmt.Sprintf("resolve: bad group prefix width %d", k))
-	}
-	lo := names.Hash(groupID << (64 - uint(k)))
-	hi := names.Hash((groupID + 1) << (64 - uint(k))) // 0 on wrap of the last group
-	seen := map[graph.NodeID]bool{}
-	var out []graph.NodeID
-	add := func(lm graph.NodeID) {
-		if !seen[lm] {
-			seen[lm] = true
-			out = append(out, lm)
-		}
-	}
-	// All virtual points inside [lo, hi) own part of the range, plus the
-	// successor of hi-boundary which owns the tail.
-	i := sort.Search(len(db.points), func(i int) bool { return db.points[i].h >= lo })
-	for ; i < len(db.points) && (hi == 0 || db.points[i].h < hi); i++ {
-		add(db.points[i].lm)
-	}
-	add(db.OwnerOf(hi))
-	slices.Sort(out)
-	return out
-}
-
 // Load returns, indexed by node, how many of the given keys each node
 // owns: zero for non-landmarks. n bounds the node IDs (every landmark is
 // below n).
@@ -127,55 +97,4 @@ func (db *DB) Landmarks() []graph.NodeID {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// SoftEntry is one soft-state binding in a landmark's table.
-type SoftEntry struct {
-	Value  interface{}
-	Expiry float64
-}
-
-// SoftTable models the paper's soft state (§4.3): bindings refreshed every
-// t minutes and timed out after 2t+1 minutes, under simulated time.
-type SoftTable struct {
-	TTL     float64 // expiry horizon (the paper's 2t+1 minutes)
-	entries map[names.Name]SoftEntry
-}
-
-// NewSoftTable returns a table whose entries live for ttl time units after
-// each Put.
-func NewSoftTable(ttl float64) *SoftTable {
-	return &SoftTable{TTL: ttl, entries: make(map[names.Name]SoftEntry)}
-}
-
-// Put inserts or refreshes a binding at simulated time now.
-func (t *SoftTable) Put(now float64, name names.Name, value interface{}) {
-	t.entries[name] = SoftEntry{Value: value, Expiry: now + t.TTL}
-}
-
-// Get returns the binding if present and unexpired at time now.
-func (t *SoftTable) Get(now float64, name names.Name) (interface{}, bool) {
-	e, ok := t.entries[name]
-	if !ok || e.Expiry < now {
-		if ok {
-			delete(t.entries, name)
-		}
-		return nil, false
-	}
-	return e.Value, true
-}
-
-// Len returns the number of stored (possibly expired) entries.
-func (t *SoftTable) Len() int { return len(t.entries) }
-
-// Expire removes all entries expired at time now and returns how many.
-func (t *SoftTable) Expire(now float64) int {
-	n := 0
-	for _, k := range slices.Sorted(maps.Keys(t.entries)) {
-		if t.entries[k].Expiry < now {
-			delete(t.entries, k)
-			n++
-		}
-	}
-	return n
 }

@@ -101,37 +101,6 @@ func TestLoadSumsToKeys(t *testing.T) {
 	}
 }
 
-func TestOwnersOfGroupRange(t *testing.T) {
-	lms := make([]graph.NodeID, 20)
-	for i := range lms {
-		lms[i] = graph.NodeID(i)
-	}
-	db := New(lms, testName, 4)
-	// Every key with prefix groupID must be owned by one of OwnersOf.
-	k := 4
-	gen := names.NewGenerator(5)
-	for g := uint64(0); g < 1<<uint(k); g++ {
-		owners := db.OwnersOf(g, k)
-		if len(owners) == 0 {
-			t.Fatalf("group %d has no owners", g)
-		}
-		inOwners := map[graph.NodeID]bool{}
-		for _, o := range owners {
-			inOwners[o] = true
-		}
-		for i := 0; i < 200; i++ {
-			h := names.HashOf(gen.Name(int(g)*1000 + i))
-			if names.PrefixBits(h, k) != g {
-				continue
-			}
-			if !inOwners[db.OwnerOf(h)] {
-				t.Fatalf("key %x of group %d owned by %d, not in OwnersOf %v",
-					h, g, db.OwnerOf(h), owners)
-			}
-		}
-	}
-}
-
 func TestLandmarks(t *testing.T) {
 	lms := []graph.NodeID{9, 4, 7}
 	db := New(lms, testName, 3)
@@ -154,28 +123,4 @@ func TestNewPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	New(nil, testName, 1)
-}
-
-func TestSoftTable(t *testing.T) {
-	st := NewSoftTable(21) // the paper's 2t+1 with t=10 minutes
-	st.Put(0, "a", 1)
-	if v, ok := st.Get(10, "a"); !ok || v.(int) != 1 {
-		t.Fatal("entry should be alive at t=10")
-	}
-	// Refresh extends life.
-	st.Put(10, "a", 2)
-	if v, ok := st.Get(30, "a"); !ok || v.(int) != 2 {
-		t.Fatal("refreshed entry should be alive at t=30")
-	}
-	if _, ok := st.Get(32, "a"); ok {
-		t.Fatal("entry should expire at t=32")
-	}
-	if st.Len() != 0 {
-		t.Error("expired entry should be evicted on Get")
-	}
-	st.Put(0, "x", 1)
-	st.Put(0, "y", 2)
-	if n := st.Expire(100); n != 2 {
-		t.Errorf("Expire removed %d want 2", n)
-	}
 }

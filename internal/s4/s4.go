@@ -90,19 +90,8 @@ func (s *S4) destTree(root graph.NodeID) *pathtree.Lazy {
 	return s.dest
 }
 
-// InCluster reports whether t is in v's cluster, d(v,t) < d(t, l_t): the
-// strict Thorup–Zwick definition on the snapshot's topology, the same test
-// route diverts on.
-func (s *S4) InCluster(v, t graph.NodeID) bool {
-	_, _, in := s.cluster(t)
-	return in(v)
-}
-
 // ShortestDist returns d(a,b) for stretch computation.
 func (s *S4) ShortestDist(a, b graph.NodeID) float64 { return s.destTree(b).Dist(a) }
-
-// RouteLen returns the weighted length of a node path.
-func (s *S4) RouteLen(p []graph.NodeID) float64 { return s.Env.G.PathLength(p) }
 
 // LaterRoute returns the packet route once the source knows t's label
 // (l_t plus the first hop out of l_t): direct if t ∈ C(s) or either end is
@@ -194,26 +183,6 @@ func (s *S4) cluster(t graph.NodeID) (d *pathtree.Lazy, lm graph.NodeID, in func
 	d = s.destTree(t)
 	lm, radius := d.Nearest(s.Env.IsLM)
 	return d, lm, func(u graph.NodeID) bool { return u == t || d.Closer(u, radius) }
-}
-
-// ClusterSize returns |C(v)| exactly (one full Dijkstra from v): the count
-// of nodes strictly closer to v than to their own landmark, under the
-// environment's landmark distances like ClusterSizesAll (state accounting
-// describes the converged pristine topology). Used for sampled state on
-// large topologies.
-func (s *S4) ClusterSize(v graph.NodeID) int {
-	count := 0
-	d := s.destTree(v)
-	d.All()
-	for w := 0; w < s.Env.N(); w++ {
-		if graph.NodeID(w) == v {
-			continue
-		}
-		if d.Dist(graph.NodeID(w)) < s.Env.LMDist[w] {
-			count++
-		}
-	}
-	return count
 }
 
 // ClusterSizesAll returns |C(v)| for every node using the dual formulation:

@@ -134,8 +134,8 @@ func TestClusterDefinition(t *testing.T) {
 				continue
 			}
 			want := ss.Dist(graph.NodeID(v)) < radius
-			if got := s.InCluster(graph.NodeID(v), graph.NodeID(w)); got != want {
-				t.Fatalf("InCluster(%d,%d)=%v want %v", v, w, got, want)
+			if _, _, in := s.cluster(graph.NodeID(w)); in(graph.NodeID(v)) != want {
+				t.Fatalf("in cluster(%d, %d) = %v, want %v", v, w, !want, want)
 			}
 		}
 	}
@@ -317,7 +317,7 @@ func TestClusterMatchesLandmarkScan(t *testing.T) {
 	}
 }
 
-// TestInClusterAllPairs: InCluster(v, t) for every ordered pair at n=128,
+// TestInClusterAllPairs: the cluster test t ∈ C(v) for every ordered pair at n=128,
 // each on a fork whose destination tree was last bound somewhere else.
 func TestInClusterAllPairs(t *testing.T) {
 	const n = 128
@@ -329,8 +329,8 @@ func TestInClusterAllPairs(t *testing.T) {
 			_, radius := scanCluster(s.Env, ref, dst)
 			want := v == dst || ref.Dist(v) < radius
 			s.destTree(v) // rebind, so every call starts from a bare root
-			if got := s.InCluster(v, dst); got != want {
-				t.Fatalf("InCluster(%d,%d) = %v, want %v", v, dst, got, want)
+			if _, _, in := s.cluster(dst); in(v) != want {
+				t.Fatalf("in cluster(%d, %d) = %v, want %v", v, dst, !want, want)
 			}
 		}
 	}
@@ -353,4 +353,23 @@ func TestForkRepairedRejectsForeignScratch(t *testing.T) {
 		}
 	}()
 	s.ForkRepaired(rep, pathtree.NewLazy(g)) // pristine scratch, failed topology
+}
+
+// ClusterSize returns |C(v)| exactly (one full Dijkstra from v): the count
+// of nodes strictly closer to v than to their own landmark, under the
+// environment's landmark distances like ClusterSizesAll (state accounting
+// describes the converged pristine topology): the reference
+// ClusterSizesAll is checked against.
+func (s *S4) ClusterSize(v graph.NodeID) int {
+	count := 0
+	d := s.destTree(v)
+	for w := 0; w < s.Env.N(); w++ {
+		if graph.NodeID(w) == v {
+			continue
+		}
+		if d.Dist(graph.NodeID(w)) < s.Env.LMDist[w] {
+			count++
+		}
+	}
+	return count
 }

@@ -227,15 +227,6 @@ func (p *Plane) finish(e *Epoch, route []graph.NodeID, ok bool) Result {
 	return Result{Route: route, OK: ok, Epoch: e.seq, Stale: stale}
 }
 
-// Current returns the sequence number of the currently published epoch
-// (0 after Close: the plane no longer has one).
-func (p *Plane) Current() uint64 {
-	if e := p.cur.Load(); e != nil {
-		return e.seq
-	}
-	return 0
-}
-
 // Metrics is a consistent-enough point-in-time counter snapshot (each
 // counter is individually atomic; the set is not read under one lock —
 // fine for reporting, not for invariant proofs mid-storm).

@@ -80,15 +80,6 @@ type Engine struct {
 	steps  uint64
 }
 
-// Now returns the current simulated time.
-func (e *Engine) Now() Time { return e.now }
-
-// Steps returns the number of events processed so far.
-func (e *Engine) Steps() uint64 { return e.steps }
-
-// Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Schedule enqueues fn to run delay time units from now (delay >= 0).
 func (e *Engine) Schedule(delay Time, fn func()) {
 	if delay < 0 {

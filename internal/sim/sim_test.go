@@ -17,8 +17,8 @@ func TestEventOrdering(t *testing.T) {
 			t.Fatalf("order %v", got)
 		}
 	}
-	if e.Now() != 3 {
-		t.Errorf("Now=%v want 3", e.Now())
+	if e.now != 3 {
+		t.Errorf("Now=%v want 3", e.now)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestHeapOrderRandomized(t *testing.T) {
 	schedule = func(depth int) {
 		d := Time(next(1000)) / 10
 		e.Schedule(d, func() {
-			fired = append(fired, e.Now())
+			fired = append(fired, e.now)
 			if depth > 0 {
 				schedule(depth - 1)
 				schedule(depth - 2)
@@ -160,11 +160,11 @@ func TestPendingAndSteps(t *testing.T) {
 	var e Engine
 	e.Schedule(1, func() {})
 	e.Schedule(2, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("pending %d", e.Pending())
+	if len(e.events) != 2 {
+		t.Fatalf("pending %d", len(e.events))
 	}
 	e.Run(0)
-	if e.Pending() != 0 || e.Steps() != 2 {
-		t.Fatalf("pending %d steps %d", e.Pending(), e.Steps())
+	if len(e.events) != 0 || e.steps != 2 {
+		t.Fatalf("pending %d steps %d", len(e.events), e.steps)
 	}
 }

@@ -72,36 +72,3 @@ func (v *View) InGroup(n, w graph.NodeID) bool {
 func (v *View) Mutual(n, w graph.NodeID) bool {
 	return v.InGroup(n, w) && v.InGroup(w, n)
 }
-
-// CoreGroup returns the core group G'(x): the set of nodes w such that x
-// and w mutually agree they share a group. Since estimates within 2x yield
-// k values differing by at most 1 bit, the core group is those nodes
-// agreeing with x on max(k_x, k_w) bits.
-func (v *View) CoreGroup(x graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
-	for w := range v.hashes {
-		if v.Mutual(x, graph.NodeID(w)) {
-			out = append(out, graph.NodeID(w))
-		}
-	}
-	return out
-}
-
-// MaxKSpread returns the difference between the largest and smallest k in
-// the view; the protocol's correctness argument requires spread <= 1 when
-// estimates are within a factor 2 of truth.
-func (v *View) MaxKSpread() int {
-	if len(v.kOf) == 0 {
-		return 0
-	}
-	mn, mx := v.kOf[0], v.kOf[0]
-	for _, k := range v.kOf {
-		if k < mn {
-			mn = k
-		}
-		if k > mx {
-			mx = k
-		}
-	}
-	return mx - mn
-}

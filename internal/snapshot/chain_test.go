@@ -168,7 +168,7 @@ func checkChainStep(t *testing.T, step int, heads [2]*chainDriver) {
 		t.Fatalf("step %d: compact repair stats %+v, exact %+v", step, compact.RepairStats(), exact.RepairStats())
 	}
 	for _, build := range []func(*graph.Graph, int, []graph.NodeID) (*Snapshot, error){Build, BuildCompact} {
-		fresh, err := build(exact.Graph(), exact.K(), exact.Landmarks())
+		fresh, err := build(exact.Graph(), exact.K(), exact.landmarks)
 		if err != nil {
 			t.Fatalf("step %d: from-scratch rebuild: %v", step, err)
 		}

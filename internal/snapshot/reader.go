@@ -117,6 +117,8 @@ func (h *Reader) VicinityContains(v, w graph.NodeID) bool {
 
 // Cached returns how many windows h holds decoded, whole or in part: 0 on
 // an exact snapshot, whatever was read.
+//
+//disco:fixture core's tests check that an exact fork decodes no window
 func (h *Reader) Cached() int {
 	if h.slots == nil {
 		return 0

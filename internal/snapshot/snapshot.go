@@ -214,9 +214,6 @@ func (s *Snapshot) Graph() *graph.Graph { return s.g }
 // Compact reports whether the snapshot uses the compact storage regime.
 func (s *Snapshot) Compact() bool { return s.compact }
 
-// Landmarks returns the landmark set (shared slice; do not modify).
-func (s *Snapshot) Landmarks() []graph.NodeID { return s.landmarks }
-
 // Vicinity returns V(v). In the exact regime it is the stored window
 // (allocation-free, safe for concurrent readers); in the compact regime it
 // is decoded into a fresh private window, so the call allocates one window
@@ -279,11 +276,7 @@ func (s *Snapshot) windowMeta(v graph.NodeID) (size int, radius float64) {
 	return s.store.windowMeta(v)
 }
 
-// HasTree reports whether root is a landmark, i.e. whether the snapshot
-// holds its shortest-path tree.
-func (s *Snapshot) HasTree(root graph.NodeID) bool { return s.lmRow[root] >= 0 }
-
-// row returns root's forest row; root must be a landmark (check HasTree).
+// row returns root's forest row; root must be a landmark.
 func (s *Snapshot) row(root graph.NodeID) int {
 	row := s.lmRow[root]
 	if row < 0 {
@@ -332,6 +325,8 @@ func (s *Snapshot) forestRowInto(row int, buf []graph.NodeID) []graph.NodeID {
 // toward root; root must be a landmark. On a repaired snapshot, None is
 // also returned when the failures disconnected v from root (Reaches
 // distinguishes the two).
+//
+//disco:fixture core's hop-by-hop oracle reads each node's landmark first hop
 func (s *Snapshot) Parent(root, v graph.NodeID) graph.NodeID {
 	return s.parentAt(s.row(root), v)
 }

@@ -69,7 +69,7 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 
 	want := graph.NewSSSP(env.G)
 	for _, lm := range env.Landmarks {
-		if !s.HasTree(lm) {
+		if s.lmRow[lm] < 0 {
 			t.Fatalf("missing tree for landmark %d", lm)
 		}
 		want.Run(lm)
@@ -82,8 +82,8 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 		}
 	}
 	for v := 0; v < env.N(); v++ {
-		if s.HasTree(graph.NodeID(v)) != env.IsLM[v] {
-			t.Fatalf("HasTree(%d) = %v, IsLM = %v", v, s.HasTree(graph.NodeID(v)), env.IsLM[v])
+		if hasTree := s.lmRow[v] >= 0; hasTree != env.IsLM[v] {
+			t.Fatalf("tree for %d: %v, IsLM = %v", v, hasTree, env.IsLM[v])
 		}
 	}
 }
@@ -159,7 +159,7 @@ func compareRegimes(t *testing.T, exact, compact *Snapshot) {
 		}
 	}
 
-	for _, lm := range exact.Landmarks() {
+	for _, lm := range exact.landmarks {
 		for v := 0; v < n; v++ {
 			if gp, wp := compact.Parent(lm, graph.NodeID(v)), exact.Parent(lm, graph.NodeID(v)); gp != wp {
 				t.Fatalf("Parent(%d,%d): got %d want %d", lm, v, gp, wp)

@@ -36,12 +36,6 @@ func (p *SPR) Route(s, t graph.NodeID) []graph.NodeID {
 	return p.dest.PathFrom(s)
 }
 
-// Dist returns d(s,t).
-func (p *SPR) Dist(s, t graph.NodeID) float64 {
-	p.dest.Bind(t)
-	return p.dest.Dist(s)
-}
-
 // StateEntries returns the per-node entry count: one route per destination
 // (n-1) plus per-neighbor adjacency.
 func (p *SPR) StateEntries() []int {

@@ -44,7 +44,7 @@ type options struct {
 	landmarks []graph.NodeID
 }
 
-// WithNEst supplies per-node estimates of n (e.g. from estimate.Run or
+// WithNEst supplies per-node estimates of n (e.g. from
 // estimate.InjectError). Defaults to the exact n at every node.
 func WithNEst(nEst []float64) Option {
 	return func(o *options) { o.nEst = nEst }

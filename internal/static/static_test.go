@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"disco/internal/addr"
 	"disco/internal/estimate"
 	"disco/internal/graph"
 	"disco/internal/topology"
@@ -54,14 +53,11 @@ func TestEnvAddresses(t *testing.T) {
 		if got := g.PathLength(a.Path); got != e.LMDist[v] {
 			t.Fatalf("address path length %v want %v", got, e.LMDist[v])
 		}
-		// Wire format round-trips.
-		buf, nbit := a.Encode(g)
-		dec, err := addr.Decode(g, a.Landmark, buf, nbit)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if len(dec) != len(a.Path) || dec[len(dec)-1] != graph.NodeID(v) {
-			t.Fatalf("decoded path wrong at %d", v)
+		// The ports re-walk the path from the landmark.
+		for i, p := range a.Ports {
+			if g.Neighbors(a.Path[i])[p].To != a.Path[i+1] {
+				t.Fatalf("port %d at hop %d of %d's address leaves the path", p, i, v)
+			}
 		}
 	}
 }

@@ -259,6 +259,8 @@ func RouterLike(rng *rand.Rand, n int) *graph.Graph {
 
 // Ring returns an n-cycle with unit weights: the worst case for explicit
 // route length (§4.2: "as much as O~(sqrt(n)) bits in a ring network").
+//
+//disco:fixture small exact shapes the addr, pathtree, static, tzk, vicinity and vrr tests build on
 func Ring(n int) *graph.Graph {
 	if n < 3 {
 		panic("topology: Ring needs n >= 3")
@@ -272,6 +274,8 @@ func Ring(n int) *graph.Graph {
 }
 
 // Line returns an n-node path graph with unit weights.
+//
+//disco:fixture small exact shapes the addr, pathtree, pathvector and vicinity tests build on
 func Line(n int) *graph.Graph {
 	if n < 2 {
 		panic("topology: Line needs n >= 2")
@@ -285,6 +289,8 @@ func Line(n int) *graph.Graph {
 }
 
 // Star returns a star with n-1 leaves attached to node 0, unit weights.
+//
+//disco:fixture a hub shape the pathtree tests build on
 func Star(n int) *graph.Graph {
 	if n < 2 {
 		panic("topology: Star needs n >= 2")
@@ -298,6 +304,8 @@ func Star(n int) *graph.Graph {
 }
 
 // Grid returns a rows x cols grid with unit weights.
+//
+//disco:fixture a many-ties shape the pathtree and vicinity tests build on
 func Grid(rows, cols int) *graph.Graph {
 	g := graph.New(rows * cols)
 	id := func(r, c int) graph.NodeID { return graph.NodeID(r*cols + c) }
@@ -321,6 +329,8 @@ func Grid(rows, cols int) *graph.Graph {
 // grandchildren end up in the root's S4 cluster, forcing Θ(n) state at the
 // root, while Disco's fixed-size vicinities stay bounded. Node 0 is the
 // root; nodes 1..k are children; the rest are grandchildren.
+//
+//disco:fixture the s4 tests reproduce footnote 6 on it
 func S4WorstTree(k int) *graph.Graph {
 	if k < 1 {
 		panic("topology: S4WorstTree needs k >= 1")

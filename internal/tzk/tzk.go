@@ -276,12 +276,3 @@ func (s *Scheme) StateEntries() []int {
 	}
 	return out
 }
-
-// LevelSizes returns |A_i| for each level.
-func (s *Scheme) LevelSizes() []int {
-	out := make([]int, s.K)
-	for i, l := range s.levels {
-		out[i] = len(l)
-	}
-	return out
-}

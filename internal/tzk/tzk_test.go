@@ -119,7 +119,10 @@ func TestStateShrinksWithK(t *testing.T) {
 func TestLevelSizesDecrease(t *testing.T) {
 	g := topology.Gnm(rand.New(rand.NewSource(13)), 512, 2048)
 	s := New(g, 4, rand.New(rand.NewSource(14)))
-	sizes := s.LevelSizes()
+	sizes := make([]int, len(s.levels)) // |A_i|
+	for i, l := range s.levels {
+		sizes[i] = len(l)
+	}
 	if sizes[0] != 512 {
 		t.Fatalf("A_0 must be all nodes")
 	}

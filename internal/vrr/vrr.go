@@ -416,12 +416,6 @@ func (v *VRR) Route(s, t graph.NodeID) []graph.NodeID {
 	return p
 }
 
-// RouteLen returns the weighted length of a node path.
-func (v *VRR) RouteLen(p []graph.NodeID) float64 { return v.Env.G.PathLength(p) }
-
-// ShortestDist returns d(s,t).
-func (v *VRR) ShortestDist(s, t graph.NodeID) float64 { return v.destTree(t).Dist(s) }
-
 // StateEntries returns per-node entry counts: one per vpath through the
 // node plus physical adjacency.
 func (v *VRR) StateEntries() []int {
@@ -434,20 +428,4 @@ func (v *VRR) StateEntries() []int {
 		}
 	}
 	return out
-}
-
-// NumPaths returns the number of live vset paths.
-func (v *VRR) NumPaths() int {
-	if v.sealed {
-		return v.numPaths
-	}
-	return len(v.paths)
-}
-
-// VSetSize returns |vset(u)|.
-func (v *VRR) VSetSize(u graph.NodeID) int {
-	if v.sealed {
-		return int(v.voff[u+1] - v.voff[u])
-	}
-	return len(v.vsets[u])
 }

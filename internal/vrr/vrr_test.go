@@ -52,11 +52,11 @@ func TestStretchAboveOne(t *testing.T) {
 	total, count, maxSt := 0.0, 0, 0.0
 	for _, p := range pairs {
 		s, dst := graph.NodeID(p.Src), graph.NodeID(p.Dst)
-		short := v.ShortestDist(s, dst)
+		short := v.destTree(dst).Dist(s)
 		if short == 0 {
 			continue
 		}
-		l := v.RouteLen(v.Route(s, dst))
+		l := env.G.PathLength(v.Route(s, dst))
 		st := l / short
 		if st < 1-1e-9 {
 			t.Fatalf("VRR stretch < 1")
@@ -192,7 +192,7 @@ func TestForkRoutesMatchParent(t *testing.T) {
 		}
 		ask := func(f *VRR, p metrics.Pair) answer {
 			s, dst := graph.NodeID(p.Src), graph.NodeID(p.Dst)
-			return answer{f.Route(s, dst), f.ShortestDist(s, dst)}
+			return answer{f.Route(s, dst), f.destTree(dst).Dist(s)}
 		}
 		built := v.Stuck
 		want := make([]answer, len(pairs))
@@ -230,4 +230,20 @@ func TestForkRoutesMatchParent(t *testing.T) {
 			t.Fatalf("%s: forks were stuck %d times, the serial pass %d", tc.name, sum, v.Stuck-built)
 		}
 	}
+}
+
+// NumPaths returns the number of live vset paths.
+func (v *VRR) NumPaths() int {
+	if v.sealed {
+		return v.numPaths
+	}
+	return len(v.paths)
+}
+
+// VSetSize returns |vset(u)|.
+func (v *VRR) VSetSize(u graph.NodeID) int {
+	if v.sealed {
+		return int(v.voff[u+1] - v.voff[u])
+	}
+	return len(v.vsets[u])
 }
