@@ -33,9 +33,10 @@
 // reads the old one once. Untouched windows copy as raw byte ranges and
 // overlaid ones re-encode. Forest rows re-encode with a carry from the old
 // store: a port indexes its node's neighbour list only, so a node whose
-// list the fold's graph keeps keeps its port wherever the port still names
-// its parent. Only nodes next to a changed link, and parents an overlay
-// moved, search their adjacency again (Graph.PortOf). On G(n,m) n=4096
+// list the fold's graph keeps keeps its port wherever the overlay's sparse
+// row does not patch it. Only nodes next to a changed link, and the nodes
+// an overlay patched, search their adjacency again (Graph.PortOf). The bits
+// between them copy whole. On G(n,m) n=4096
 // with a real pre-fold chain, on 2 cores of a 2.0 GHz Xeon, the forest half
 // of a fold costs 7–10 ms against 17–23 ms re-encoding every field
 // (BenchmarkChainFold forest-ms/op).
@@ -310,18 +311,20 @@ func (cs *compactStore) layoutForest(rows int) {
 }
 
 // portCarry is what a fold carries into its row encodes: the store the
-// rows were last encoded in, and the nodes whose adjacency lists the new
-// store's graph changed.
+// rows were last encoded in, the nodes whose adjacency lists the new
+// store's graph changed, and the overlay whose sparse rows patch the old
+// store's rows (nil on a snapshot with none).
 type portCarry struct {
 	old     *compactStore
 	changed []graph.NodeID // ascending
+	ov      *overlay
 }
 
 // newPortCarry compares every node's neighbour list in old.pg and cs.pg.
 // A port indexes that list only, so where it is unchanged a port naming the
 // same parent keeps its value and its field width.
-func (cs *compactStore) newPortCarry(old *compactStore) *portCarry {
-	carry := &portCarry{old: old}
+func (cs *compactStore) newPortCarry(old *compactStore, ov *overlay) *portCarry {
+	carry := &portCarry{old: old, ov: ov}
 	for v := range graph.NodeID(cs.n) {
 		a, b := old.pg.Neighbors(v), cs.pg.Neighbors(v)
 		same := len(a) == len(b)
@@ -337,14 +340,12 @@ func (cs *compactStore) newPortCarry(old *compactStore) *portCarry {
 
 // encodeForestRow bit-packs forest row `row` through the caller's writer.
 // A build passes the row's parents and no carry, and every field resolves
-// its port (Graph.PortOf). A fold passes a carry and reads the previous
-// encoding of the row in one sequential pass beside the write. Between two
-// changed nodes every field keeps its width, and keeps its port where the
-// port still names the parent: everywhere, when prow is nil, which says
-// the row's parents are the ones the previous encoding holds, so the run's
-// bits copy whole; on an overlaid row, where the overlay's parent is the
-// old one. Only the changed nodes and the parents an overlay moved resolve
-// a port.
+// its port (Graph.PortOf). A fold passes no parents but a carry, and reads
+// the previous encoding of the row in one sequential pass beside the write.
+// Only the nodes the carry names resolve a port: the changed nodes, and
+// the nodes the row's sparse overlay patches, which take their patched
+// parent. Between two of them every field keeps its width and its port, so
+// the run's bits copy whole.
 func (cs *compactStore) encodeForestRow(w *bits.Writer, row int, prow []graph.NodeID, carry *portCarry) {
 	w.Reset()
 	if carry == nil {
@@ -353,34 +354,33 @@ func (cs *compactStore) encodeForestRow(w *bits.Writer, row int, prow []graph.No
 		}
 	} else {
 		old := carry.old
+		var patched, parents []graph.NodeID
+		if sr := carry.ov.row(row); sr != nil {
+			patched, parents = sr.nodes, sr.parents
+		}
 		r := bits.NewReaderAt(old.forest, 8*row*old.rowBytes, 8*(row+1)*old.rowBytes)
 		at := graph.NodeID(0) // the first field not yet written
-		for i := 0; i <= len(carry.changed); i++ {
-			c := graph.NodeID(cs.n)
-			if i < len(carry.changed) {
-				c = carry.changed[i]
+		for ci, pi := 0, 0; ; {
+			c := graph.NodeID(cs.n) // the next node to resolve
+			if ci < len(carry.changed) {
+				c = carry.changed[ci]
 			}
-			if prow == nil {
-				copyBits(w, r, int(cs.degOff[c]-cs.degOff[at]))
-			} else {
-				for v := at; v < c; v++ {
-					width := int(cs.degOff[v+1] - cs.degOff[v])
-					if port := r.ReadBits(width); old.portParent(v, port) == prow[v] {
-						w.WriteBits(port, width)
-					} else {
-						cs.writePort(w, v, prow[v])
-					}
-				}
+			if pi < len(patched) && patched[pi] < c {
+				c = patched[pi]
 			}
+			copyBits(w, r, int(cs.degOff[c]-cs.degOff[at]))
 			if int(c) == cs.n {
 				break
 			}
-			port := r.ReadBits(int(old.degOff[c+1] - old.degOff[c]))
-			if prow == nil {
-				cs.writePort(w, c, old.portParent(c, port))
-			} else {
-				cs.writePort(w, c, prow[c])
+			p := old.portParent(c, r.ReadBits(int(old.degOff[c+1]-old.degOff[c])))
+			if ci < len(carry.changed) && carry.changed[ci] == c {
+				ci++
 			}
+			if pi < len(patched) && patched[pi] == c {
+				p = parents[pi]
+				pi++
+			}
+			cs.writePort(w, c, p)
 			at = c + 1
 		}
 	}
@@ -538,13 +538,13 @@ func (s *Snapshot) foldCompactWindows() *compactStore {
 
 // foldCompactForest encodes the chain's forest rows into cs, laid out over
 // its graph. Rows encode with a carry from the old store: a node whose
-// neighbour list cs's graph keeps, and whose parent is the one its old
-// port names, keeps that port, so only the nodes next to a changed link
-// and the parents an overlay moved resolve a port again.
+// neighbour list cs's graph keeps, and whose row no overlay patches there,
+// keeps its port, so only the nodes next to a changed link and the patched
+// nodes resolve a port again.
 func (s *Snapshot) foldCompactForest(cs *compactStore) {
 	cs.layoutForest(len(s.landmarks))
-	carry := cs.newPortCarry(s.store.(*compactStore))
+	carry := cs.newPortCarry(s.store.(*compactStore), s.ov)
 	parallel.RunScratch(len(s.landmarks),
 		func() *bits.Writer { return new(bits.Writer) },
-		func(w *bits.Writer, row int) { cs.encodeForestRow(w, row, s.ov.row(row), carry) })
+		func(w *bits.Writer, row int) { cs.encodeForestRow(w, row, nil, carry) })
 }

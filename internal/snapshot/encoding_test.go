@@ -35,13 +35,12 @@ func compactDigest(t *testing.T, s *Snapshot) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// foldedChainHead drives an n=256 chain until it folds with a variable
-// window length: one node is cut off in the first event (its window
-// shrinks to itself), then single non-bridge links fail until the overlay
-// crosses the fold threshold. A compact fold re-encodes the overlaid
-// windows and copies every other window's encoded bytes as a raw range.
-// The draws depend only on the topology, so both regimes reach the same
-// head.
+// foldedChainHead drives an n=256 chain to a fold with a variable window
+// length: one node is cut off in the first event (its window shrinks to
+// itself), then two single non-bridge links fail and the head is folded.
+// A compact fold re-encodes the overlaid windows and copies every other
+// window's encoded bytes as a raw range. The draws depend only on the
+// topology, so both regimes reach the same head.
 func foldedChainHead(t *testing.T, compact bool) *Snapshot {
 	t.Helper()
 	env := buildEnv(t, 256, 17)
@@ -62,16 +61,14 @@ func foldedChainHead(t *testing.T, compact bool) *Snapshot {
 	}
 	d := newChainDriver(head)
 	rng := rand.New(rand.NewSource(3))
-	for step := 0; !d.cur.RepairStats().Folded; step++ {
-		if step == 200 {
-			t.Fatal("chain never folded")
-		}
+	for range 2 {
 		d.failOne(t, rng, true)
 	}
-	if cs, ok := d.cur.store.(*compactStore); ok && cs.vicLen == nil {
+	folded := d.cur.fold()
+	if cs, ok := folded.store.(*compactStore); ok && cs.vicLen == nil {
 		t.Fatal("folded head has uniform windows; want a cut-off node's short window")
 	}
-	return d.cur
+	return folded
 }
 
 // TestCompactEncodingPinned pins the compact wire format bit for bit.

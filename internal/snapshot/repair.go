@@ -6,38 +6,73 @@
 // event's blast radius instead of n — the property that makes continuous
 // churn affordable at the paper-scale sizes the compact encoding unlocked.
 //
-// What "affected" means is exact, not heuristic, and rests on facts about
-// the deterministic Dijkstra in internal/graph (strict-improvement parent
-// updates, ties broken by node ID):
+// What "affected" means is exact, not heuristic: on a graph whose links
+// all weigh more than 0, a window or row is recomputed only when the event
+// changes it. It rests on facts about the deterministic Dijkstra in
+// internal/graph: nodes settle in (distance, node ID) order, and a node's
+// parent is the earliest-settled neighbour that reaches its final distance
+// (strict-improvement updates). A full window V(x) is the first k nodes to
+// settle from x, so its last-settled member — the highest ID at its radius
+// — is the boundary a non-member must beat to enter.
 //
-//   - Failures: a vicinity window V(x) changes only if some failed link has
-//     BOTH endpoints inside the window (a link with one endpoint settled was
-//     only ever relaxed toward an unsettled node; with both outside it was
-//     never relaxed). A forest row changes only if some failed link is a
-//     TREE edge of that row — a removed non-tree link never supplied a final
-//     parent, and removing relaxations cannot steal a tie.
-//   - Recoveries: a full window V(x) changes only if the new state routes
-//     through the restored link, which puts BOTH endpoints within the
-//     window's radius of x on the recovered topology — so a maxRadius
-//     Dijkstra ball around each endpoint, intersected per link, encloses
-//     every candidate. A shortfall window (fewer than k members, i.e. a
-//     disconnected region) can regain members at any distance, so every
-//     shortfall window in a component containing a restored endpoint is a
-//     candidate too. A forest row needs a full recompute only if the link
-//     reconnects the tree (one endpoint reachable, one not) or strictly
+//   - Failed links: V(x) changes iff some failed link is a TREE edge of the
+//     window — both endpoints members, one the other's parent. Removing a
+//     non-tree link removes no member's path to x, so every member keeps its
+//     distance, every non-member's can only grow, and every member keeps its
+//     earliest-settled parent. A removed tree link takes its child's parent
+//     away, so the window does change. Several failed links compose: a
+//     window none of them is a tree edge of keeps every tree edge. A forest
+//     row follows the same rule (a removed non-tree link never supplied a
+//     final parent, and removing relaxations cannot steal a tie).
+//   - Restored links, full windows: a window changes only if some new route
+//     runs over a restored link, which puts BOTH endpoints within the
+//     window's radius of x on the recovered topology — a maxRadius Dijkstra
+//     ball around each endpoint, intersected per link, encloses every
+//     candidate. (A ball sums a path's weights from the far end, so on
+//     float weights its distances are compared with a slack: sumSlack.) Each candidate's pre-event window then decides. With u a
+//     member at distance du, the link u–v of weight w changes V(x) iff
+//     (a) v is a member and du+w < dist(v): a strict improvement; (b) v is a
+//     member, du+w == dist(v), and u settles before v's parent: a tie that
+//     steals the parent; or (c) v is no member and (du+w, v) settles before
+//     the last-settled member: v enters. No other node can move first: the
+//     first node a new route improves is reached over a restored link from
+//     a node that kept its distance, so with positive weights it is (a) or
+//     (c) for that link, and a parent changes only through (b). The per-link
+//     tests therefore compose over a multi-link event by OR, each against
+//     the pre-event window. A window with neither endpoint a member cannot
+//     change: every route over the link is longer than its radius.
+//   - Restored links of weight 0, or any link of weight 0 in the graph,
+//     break that argument (a zero-weight path can carry a node in at
+//     exactly the radius). A zero-weight restored link flags every full
+//     window its two balls enclose, and a graph with a zero-weight link
+//     flags every candidate of every link: a superset, as before the exact
+//     tests.
+//   - Restored links, shortfall windows (fewer than k members, i.e. a
+//     disconnected region): they can regain members at any distance, so
+//     every shortfall window in a component containing a restored endpoint
+//     is recomputed.
+//   - Restored links, forest rows: a row needs a full recompute only if the
+//     link reconnects the tree (one endpoint reachable, one not) or strictly
 //     shortens one endpoint's distance; the remaining case — an exact
 //     distance tie, ubiquitous on unit-weight topologies — can steal at
-//     most the tie node's parent, which is patched in place using the
-//     settle-order rule (first-settled candidate wins).
+//     most the tie node's parent, which is patched using the settle-order
+//     rule (first-settled candidate wins).
+//
+// Every touched forest row lands in the overlay as a sparse row, its
+// difference from the base store's row (store.go), built in the same pass
+// that counts the parents the event moved, so a touched row is decoded
+// once. Over a compact store no n-length row outlives its event; over an
+// exact one the overlay keeps the patched row flat beside its patches.
 //
 // The pipeline is shard-parallel end to end over internal/parallel with
 // task-ordered merges — ball searches, window recomputes, per-row
 // classification, diff accounting, and both fold encoders all fan out, and
 // every merge happens in task index order — so the result is bit-identical
 // at any worker count. Where it reads compact shards in bulk it reads each
-// once, in a sequential pass: the diff accounting decodes a pre-event
-// window or row into its worker's scratch, and a tie patch copies its row
-// the same way.
+// once, in a sequential pass: the diff accounting and the exact window
+// tests decode a pre-event window into their worker's scratch, and a
+// recomputed row's patches are taken against its base row decoded the
+// same way. A tie patch reads single fields.
 //
 // Chains compose: a repaired snapshot can be repaired or recovered again.
 // Two mechanisms keep a long repair-of-repair chain from leaking history:
@@ -72,6 +107,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"disco/internal/graph"
 	"disco/internal/parallel"
@@ -116,7 +152,10 @@ type RepairStats struct {
 	// byte-identical between the parent and this snapshot, folds included.
 	// VicTouched lists, ascending, the nodes whose vicinity windows this
 	// event recomputed; RowsTouched the forest rows recomputed or
-	// tie-patched. Shared slices; do not modify.
+	// tie-patched. Since repair recomputes only the windows an event
+	// changes, VicTouched is also exactly the changed windows on a graph of
+	// positive link weights (VicRebuilt == VicChanged). Shared slices; do
+	// not modify.
 	VicTouched  []graph.NodeID
 	RowsTouched []int
 }
@@ -158,7 +197,7 @@ func (s *Snapshot) OverlayShards() int {
 
 // ApplyFailures returns a snapshot of this snapshot's topology minus the
 // given links, recomputing only the vicinity windows and forest rows the
-// failures can affect and sharing every untouched shard with s (which
+// failures change and sharing every untouched shard with s (which
 // stays valid and immutable — restoring a flapped link is free: route on
 // the parent again). Links are deduplicated; a link that does not exist is
 // an error. The result may describe a disconnected topology: windows
@@ -259,9 +298,9 @@ func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, er
 
 	affVic, scanned := s.recoveryVicinities(uniq, ng)
 	wins := recomputeWindows(ng, affVic, s.k)
-	rowIdx, prows, full := s.recoveryRows(uniq, ng)
+	rowIdx, edits, full := s.recoveryRows(uniq, ng)
 
-	return s.finishRepair(ng, affVic, wins, rowIdx, prows, RepairStats{
+	return s.finishRepair(ng, affVic, wins, rowIdx, edits, RepairStats{
 		RestoredLinks: len(uniq),
 		VicRebuilt:    len(affVic),
 		VicTotal:      n,
@@ -321,18 +360,113 @@ func recomputeWindows(g *graph.Graph, affVic []graph.NodeID, k int) []*vicinity.
 		})
 }
 
+// rowEdit is one touched forest row's new state: its patches against the
+// base store's row (nil when it is the base row again) and how many of its
+// parents moved against the pre-event row.
+type rowEdit struct {
+	sr    *sparseRow
+	moved int
+}
+
+// rowSlabs recycles the rows recomputeRows rebuilds. A rebuilt row lives
+// for one repair only, and a chain repairs event after event, so the slab
+// of one event's rows serves the next event's. ParentRows writes every
+// entry of a row, so a recycled slab needs no clearing.
+var rowSlabs sync.Pool
+
 // recomputeRows rebuilds the given forest rows on graph g — each row's
-// landmark tree into a fresh parent array, graph.ParentRows as at build —
-// for both repair directions. The result is parallel to rows.
-func (s *Snapshot) recomputeRows(g *graph.Graph, rows []int) [][]graph.NodeID {
+// landmark tree, graph.ParentRows as at build — for both repair
+// directions, and returns each row's edit, parallel to rows. The rebuilt
+// parent rows live for the call only, in a recycled slab: each is
+// compared, over the worker pool, against its base row and the row this
+// snapshot reads.
+func (s *Snapshot) recomputeRows(g *graph.Graph, rows []int) []rowEdit {
+	n := g.N()
+	slab, _ := rowSlabs.Get().(*[]graph.NodeID)
+	if slab == nil || cap(*slab) < len(rows)*n {
+		slab = new([]graph.NodeID)
+		*slab = make([]graph.NodeID, len(rows)*n)
+	}
+	defer rowSlabs.Put(slab)
 	lms := make([]graph.NodeID, len(rows))
 	prows := make([][]graph.NodeID, len(rows))
 	for i, row := range rows {
 		lms[i] = s.landmarks[row]
-		prows[i] = make([]graph.NodeID, g.N())
+		prows[i] = (*slab)[i*n : (i+1)*n : (i+1)*n]
 	}
 	graph.ParentRows(g, lms, prows)
-	return prows
+	return parallel.MapScratch(len(rows), s.newRowScratch,
+		func(buf []graph.NodeID, i int) rowEdit { return s.diffRow(rows[i], prows[i], buf) })
+}
+
+// newRowScratch returns a decode target for the base store's rows: an
+// n-length row over a compact store, nil over an exact one, whose rows are
+// read in place.
+func (s *Snapshot) newRowScratch() []graph.NodeID {
+	if s.compact {
+		return make([]graph.NodeID, s.g.N())
+	}
+	return nil
+}
+
+// diffRow returns the edit that takes forest row `row` to prow, a whole
+// parent row, in one pass: the nodes where prow differs from the base
+// store's row, decoded into buf, become the row's patches, and the nodes
+// where it differs from the row this snapshot reads (base row and
+// overlay patches) count as moved. Over an exact store the patched row is
+// also kept flat.
+func (s *Snapshot) diffRow(row int, prow, buf []graph.NodeID) rowEdit {
+	base := s.store.decodeRow(row, buf)
+	wasNodes, wasParents := s.ov.row(row).patches()
+	var e rowEdit
+	var nodes, parents []graph.NodeID
+	j := 0
+	for v, p := range prow {
+		b, old := base[v], base[v]
+		if j < len(wasNodes) && wasNodes[j] == graph.NodeID(v) {
+			old = wasParents[j]
+			j++
+		}
+		if p != old {
+			e.moved++
+		}
+		if p != b {
+			nodes = append(nodes, graph.NodeID(v))
+			parents = append(parents, p)
+		}
+	}
+	if e.sr = newSparseRow(len(prow), nodes, parents); e.sr != nil && !s.compact {
+		e.sr.flatten(base)
+	}
+	return e
+}
+
+// patchEdit returns the edit of tie patches, ascending by node and each a
+// parent that moves: the row's patches so far with these written over
+// them, and a patch back to the base row's parent dropped. Over an exact
+// store the patched row is also kept flat.
+func (s *Snapshot) patchEdit(row int, patches []rowPatch) rowEdit {
+	wasNodes, wasParents := s.ov.row(row).patches()
+	nodes := make([]graph.NodeID, 0, len(wasNodes)+len(patches))
+	parents := make([]graph.NodeID, 0, cap(nodes))
+	i := 0
+	for _, pc := range patches {
+		for ; i < len(wasNodes) && wasNodes[i] < pc.v; i++ {
+			nodes, parents = append(nodes, wasNodes[i]), append(parents, wasParents[i])
+		}
+		if i < len(wasNodes) && wasNodes[i] == pc.v {
+			i++
+		}
+		if pc.p != s.store.rowParent(row, pc.v) {
+			nodes, parents = append(nodes, pc.v), append(parents, pc.p)
+		}
+	}
+	nodes, parents = append(nodes, wasNodes[i:]...), append(parents, wasParents[i:]...)
+	e := rowEdit{sr: newSparseRow(s.g.N(), nodes, parents), moved: len(patches)}
+	if e.sr != nil && !s.compact {
+		e.sr.flatten(s.store.decodeRow(row, nil))
+	}
+	return e
 }
 
 // finishRepair assembles the repaired snapshot: the base shard store
@@ -340,12 +474,12 @@ func (s *Snapshot) recomputeRows(g *graph.Graph, rows []int) [][]graph.NodeID {
 // recomputed shards written over it, maxRadius and the shortfall list
 // updated, and the chain folded into a fresh store when the table's shard
 // count crosses the compaction threshold. The event's shards arrive as
-// ascending parallel slices: affVic with wins, rowIdx with prows.
-func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*vicinity.Window, rowIdx []int, prows [][]graph.NodeID, stats RepairStats) *Snapshot {
+// ascending parallel slices: affVic with wins, rowIdx with edits.
+func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*vicinity.Window, rowIdx []int, edits []rowEdit, stats RepairStats) *Snapshot {
 	// Changed-state accounting against the pre-event snapshot, fanned out
 	// over the worker pool (order-independent integer sums). Each worker
-	// decodes a compact pre-event window or row into its own scratch, one
-	// sequential pass a shard.
+	// decodes a compact pre-event window into its own scratch, one
+	// sequential pass a shard; the rows counted theirs as they were edited.
 	n := ng.N()
 	vicDiffs := parallel.MapScratch(len(affVic), s.newScratch,
 		func(sc *vicinity.Scratch, i int) int {
@@ -357,20 +491,8 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 			stats.VicEntriesChanged += d
 		}
 	}
-	rowDiffs := parallel.MapScratch(len(rowIdx),
-		func() []graph.NodeID { return make([]graph.NodeID, n) },
-		func(buf []graph.NodeID, i int) int {
-			old, prow := s.forestRowInto(rowIdx[i], buf), prows[i]
-			d := 0
-			for v, p := range old {
-				if p != prow[v] {
-					d++
-				}
-			}
-			return d
-		})
-	for _, d := range rowDiffs {
-		stats.RowNodesChanged += d
+	for _, e := range edits {
+		stats.RowNodesChanged += e.moved
 	}
 	stats.VicTouched = affVic
 	stats.RowsTouched = rowIdx
@@ -381,7 +503,7 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 		landmarks: s.landmarks, lmRow: s.lmRow,
 		maxRadius: s.maxRadius,
 		repaired:  true, stats: stats,
-		ov: deriveOverlay(s.ov, n, len(s.landmarks), affVic, wins, rowIdx, prows),
+		ov: deriveOverlay(s.ov, n, len(s.landmarks), affVic, wins, rowIdx, edits),
 	}
 	// Shortfall bookkeeping: a recomputed window leaves or (re)enters the
 	// list according to its new size; every other entry carries over.
@@ -409,20 +531,23 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 	return c
 }
 
-// affectedVicinities returns, sorted, every node whose vicinity window can
-// change when the given (deduplicated, existing) links fail, plus how many
+// affectedVicinities returns, sorted, every node whose vicinity window
+// changes when the given (deduplicated, existing) links fail, plus how many
 // candidate nodes the ball search scanned. A window qualifies iff some
-// failed link has both endpoints inside it; candidates are enumerated by a
+// failed link is one of its tree edges; candidates are enumerated by a
 // bounded Dijkstra ball around each distinct lower endpoint (a superset,
-// since u ∈ V(x) forces d(x,u) <= maxRadius), then probed exactly —
-// probes run inside the per-ball tasks, and the merge is a sort and dedup
-// of the per-ball lists, so the result is worker-count invariant.
+// since u ∈ V(x) forces d(x,u) <= maxRadius, which ballBound allows for as
+// the ball sums it), then read: a compact window's
+// member IDs first, its parent column only when both endpoints are
+// members. The reads run inside the per-ball tasks, and the merge is a
+// sort and dedup of the per-ball lists, so the result is worker-count
+// invariant.
 //
 // With radiusCut, a candidate x farther from u than V(x)'s own radius is
-// dropped before its membership probes: u ∈ V(x) forces d(x,u) <=
-// radius(x). ApplyFailures cuts on unit-weight graphs only, where the
-// ball's distance and the window's are the same integer; on a weighted
-// graph the two float sums can differ in the last bit.
+// dropped before it is read: u ∈ V(x) forces d(x,u) <= radius(x).
+// ApplyFailures cuts on unit-weight graphs only, where the ball's distance
+// and the window's are the same integer; on a weighted graph the two float
+// sums can differ in the last bit.
 func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey, radiusCut bool) ([]graph.NodeID, int) {
 	byU := make(map[graph.NodeID][]graph.NodeID)
 	var us []graph.NodeID
@@ -433,33 +558,29 @@ func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey, radiusCut bool) ([]g
 		byU[f.U] = append(byU[f.U], f.V)
 	}
 	slices.Sort(us)
-	// RunRadius settles strictly below its bound, so nudge past maxRadius
-	// to include windows whose farthest member sits exactly on it.
-	bound := math.Nextafter(s.maxRadius, math.Inf(1))
+	bound := ballBound(s.maxRadius)
+	type ballScratch struct {
+		sp *graph.SSSP
+		sc *vicinity.Scratch
+	}
 	type ballResult struct {
 		aff     []graph.NodeID
 		scanned int
 	}
 	balls := parallel.MapScratch(len(us),
-		func() *graph.SSSP { return graph.NewSSSP(s.g) },
-		func(sp *graph.SSSP, i int) ballResult {
-			u := us[i]
-			sp.RunRadius(u, bound)
-			res := ballResult{scanned: len(sp.Order())}
-			for _, x := range sp.Order() {
+		func() ballScratch { return ballScratch{graph.NewSSSP(s.g), s.newScratch()} },
+		func(b ballScratch, i int) ballResult {
+			u, vs := us[i], byU[us[i]]
+			b.sp.RunRadius(u, bound)
+			res := ballResult{scanned: len(b.sp.Order())}
+			for _, x := range b.sp.Order() {
 				if radiusCut {
-					if _, rad := s.windowMeta(x); sp.Dist(x) > rad {
+					if _, rad := s.windowMeta(x); b.sp.Dist(x) > rad {
 						continue
 					}
 				}
-				if !s.VicinityContains(x, u) {
-					continue
-				}
-				for _, v := range byU[u] {
-					if s.VicinityContains(x, v) {
-						res.aff = append(res.aff, x)
-						break
-					}
+				if s.carriesTreeLink(x, u, vs, b.sc) {
+					res.aff = append(res.aff, x)
 				}
 			}
 			return res
@@ -474,21 +595,63 @@ func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey, radiusCut bool) ([]g
 	return slices.Compact(aff), scanned
 }
 
+// carriesTreeLink reports whether some link u–v, v in vs, is a tree edge
+// of V(x): both endpoints members, one the other's parent. A compact
+// window is read through sc.
+func (s *Snapshot) carriesTreeLink(x, u graph.NodeID, vs []graph.NodeID, sc *vicinity.Scratch) bool {
+	win := s.probeWindow(x, sc, func(w *vicinity.Window) bool {
+		return w.Contains(u) && slices.ContainsFunc(vs, w.Contains)
+	})
+	if win == nil {
+		return false
+	}
+	iu := win.Find(u)
+	for _, v := range vs {
+		if iv := win.Find(v); iv >= 0 && (win.Parent(iv) == iu || win.Parent(iu) == iv) {
+			return true
+		}
+	}
+	return false
+}
+
+// probeWindow reads V(x) for a repair probe: whole where the overlay or an
+// exact store holds it, and otherwise decoded into sc, a scratch from
+// newScratch — the member IDs first, then the parent and distance columns
+// only when keep accepts the window on its IDs. It returns nil where keep
+// rejects the window; keep may read membership only.
+func (s *Snapshot) probeWindow(x graph.NodeID, sc *vicinity.Scratch, keep func(*vicinity.Window) bool) *vicinity.Window {
+	win := s.ov.window(x)
+	if cs, ok := s.store.(*compactStore); ok && win == nil {
+		r := cs.decodeIDs(sc, x)
+		if !keep(sc.Window()) {
+			return nil
+		}
+		cs.decodeColumns(sc, &r, x)
+		return sc.Window()
+	}
+	if win == nil {
+		win = s.store.window(x, nil)
+	}
+	if !keep(win) {
+		return nil
+	}
+	return win
+}
+
 // recoveryVicinities returns, sorted, every node whose vicinity window can
 // change when the given (deduplicated, sorted, nonexistent) links are
-// restored, plus the candidate count scanned. A full window V(x) changes
-// only if the new state routes through a restored link, which places BOTH
-// endpoints within V(x)'s own radius of x on the recovered graph ng — so
-// a maxRadius Dijkstra ball around each endpoint encloses all candidates,
-// and the per-window radius probe prunes the enclosure down to windows the
-// link can actually reach (the probe that keeps a recovery's recompute set
-// blast-radius-sized instead of ball-sized). Both the ball searches and
-// the per-link probe sweeps fan out over the worker pool; the probes read
-// per-window size and radius off the store (windowMeta) without decoding,
-// and the merge is a sort and dedup of the per-link lists, so the result is
-// worker-count invariant. Shortfall windows instead qualify whenever any
-// restored endpoint sits in their component: reconnection admits new
-// members at any distance.
+// restored, plus the candidate count scanned. A maxRadius Dijkstra ball
+// around each endpoint on the recovered graph ng encloses every full
+// window the link can change, and the per-window radius probe prunes the
+// enclosure to windows that hold both endpoints within their own radius,
+// reading per-window size and radius off the store (windowMeta) without
+// decoding. On a graph of positive weights each survivor's pre-event
+// window then decides exactly (restoreChanges); a zero-weight link keeps
+// the survivors, a superset. The ball searches and the per-link sweeps fan
+// out over the worker pool, and the merge is a sort and dedup of the
+// per-link lists, so the result is worker-count invariant. Shortfall
+// windows instead qualify whenever any restored endpoint sits in their
+// component: reconnection admits new members at any distance.
 func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph) ([]graph.NodeID, int) {
 	eps := make([]graph.NodeID, 0, 2*len(uniq))
 	for _, r := range uniq {
@@ -496,7 +659,7 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 	}
 	slices.Sort(eps)
 	eps = slices.Compact(eps)
-	bound := math.Nextafter(s.maxRadius, math.Inf(1))
+	bound := ballBound(s.maxRadius)
 	// An endpoint's ball: its nodes in settle order, and their distances.
 	type ball struct {
 		nodes []graph.NodeID
@@ -521,21 +684,27 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 		return balls[i]
 	}
 	n, k := s.g.N(), s.k
+	exact := positiveWeights(s.g)
 	// Each link intersects its two balls through a dense per-worker distance
 	// array: negative outside the first ball, and all negative between tasks.
+	type linkScratch struct {
+		in []float64
+		sc *vicinity.Scratch
+	}
 	cands := parallel.MapScratch(len(uniq),
-		func() []float64 { return slices.Repeat([]float64{-1}, n) },
-		func(in []float64, i int) []graph.NodeID {
-			bu, bv := ballOf(uniq[i].U), ballOf(uniq[i].V)
+		func() linkScratch { return linkScratch{slices.Repeat([]float64{-1}, n), s.newScratch()} },
+		func(ls linkScratch, i int) []graph.NodeID {
+			r := uniq[i]
+			bu, bv := ballOf(r.U), ballOf(r.V)
 			if len(bv.nodes) < len(bu.nodes) {
 				bu, bv = bv, bu
 			}
 			for j, x := range bu.nodes {
-				in[x] = bu.dist[j]
+				ls.in[x] = bu.dist[j]
 			}
 			var out []graph.NodeID
 			for j, x := range bv.nodes {
-				du, dv := in[x], bv.dist[j]
+				du, dv := ls.in[x], bv.dist[j]
 				if du < 0 {
 					continue
 				}
@@ -543,12 +712,12 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 				if size < k {
 					continue // shortfall windows: component rule below
 				}
-				if du <= rad && dv <= rad {
+				if within(du, rad) && within(dv, rad) && (!exact || r.W <= 0 || s.restoreChanges(x, r, ls.sc)) {
 					out = append(out, x)
 				}
 			}
 			for _, x := range bu.nodes {
-				in[x] = -1
+				ls.in[x] = -1
 			}
 			return out
 		})
@@ -567,6 +736,78 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 	}
 	slices.Sort(aff)
 	return slices.Compact(aff), scanned
+}
+
+// sumSlack is how far, relative to its size, a ball's distance may sit
+// above the window distance of the same pair. A ball searched from a link
+// endpoint and a window searched from its owner add a path's weights from
+// opposite ends, and two float sums of m positive terms in different
+// orders differ by at most about 2m·2^-53 of their size: 1e-9 covers paths
+// of millions of links. Integer weights sum exactly, and on them the slack
+// admits no other distance.
+const sumSlack = 1e-9
+
+// ballBound returns the search bound of a ball that must reach every node
+// whose window distance to its source is at most r: r with the slack,
+// nudged past it because RunRadius settles strictly below its bound.
+func ballBound(r float64) float64 { return math.Nextafter(r+r*sumSlack, math.Inf(1)) }
+
+// within reports whether a ball distance d may be a window distance of at
+// most r.
+func within(d, r float64) bool { return d <= r+r*sumSlack }
+
+// positiveWeights reports whether every link of g weighs more than 0: the
+// condition of the exact recovery test.
+func positiveWeights(g *graph.Graph) bool {
+	if g.Unit() {
+		return true
+	}
+	for v := range graph.NodeID(g.N()) {
+		for _, e := range g.Neighbors(v) {
+			if !(e.Weight > 0) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// restoreChanges reports whether restoring r, of weight above 0, changes
+// the full window V(x) of a graph of positive weights: the three cases of
+// "What affected means", read off the pre-event window (through sc when
+// compact) in both directions of the link.
+func (s *Snapshot) restoreChanges(x graph.NodeID, r graph.WeightedLink, sc *vicinity.Scratch) bool {
+	win := s.probeWindow(x, sc, func(w *vicinity.Window) bool { return w.Contains(r.U) || w.Contains(r.V) })
+	if win == nil {
+		return false // no route over the link stays within the radius
+	}
+	iu, iv := win.Find(r.U), win.Find(r.V)
+	return iu >= 0 && changesThrough(win, iu, r.V, iv, r.W) || iv >= 0 && changesThrough(win, iv, r.U, iu, r.W)
+}
+
+// changesThrough reports whether a link of weight w from member iu to v
+// (member iv, or -1) changes the window: v improves strictly, v's parent
+// is stolen by a tie, or v enters ahead of the last-settled member.
+func changesThrough(win *vicinity.Window, iu int, v graph.NodeID, iv int, w float64) bool {
+	du, d := win.Dist(iu), win.Dist(iu)+w
+	if iv < 0 {
+		return settlesBefore(d, v, win.Radius(), lastSettled(win))
+	}
+	if dv := win.Dist(iv); d != dv {
+		return d < dv
+	}
+	p := win.Parent(iv) // not the owner: its distance 0 is below du+w
+	return settlesBefore(du, win.ID(iu), win.Dist(p), win.ID(p))
+}
+
+// lastSettled returns the member a truncated search settles last: the
+// highest ID at the window's radius.
+func lastSettled(win *vicinity.Window) graph.NodeID {
+	i := win.Size() - 1
+	for win.Dist(i) != win.Radius() {
+		i--
+	}
+	return win.ID(i)
 }
 
 // settlesBefore reports whether a node at Dijkstra distance d1 settles
@@ -609,10 +850,10 @@ type rowPatch struct {
 }
 
 // rowClass is one forest row's verdict against a recovery's restored
-// links: full recompute, tie-patched (prow, the patched copy), or neither.
+// links: full recompute, tie-patched (edit), or neither.
 type rowClass struct {
-	isFull bool
-	prow   []graph.NodeID
+	isFull, patched bool
+	edit            rowEdit
 }
 
 // recoveryRows computes the forest-row updates for a recovery: rows the
@@ -622,8 +863,8 @@ type rowClass struct {
 // Dijkstra's choice) without any recomputation. Per-row classification
 // and patching fan out over the worker pool (each row's verdict is
 // independent) and merge in row order. Returns the touched rows ascending,
-// their new parent arrays in parallel, and how many were full recomputes.
-func (s *Snapshot) recoveryRows(uniq []graph.WeightedLink, ng *graph.Graph) (rowIdx []int, prows [][]graph.NodeID, full int) {
+// their edits in parallel, and how many were full recomputes.
+func (s *Snapshot) recoveryRows(uniq []graph.WeightedLink, ng *graph.Graph) (rowIdx []int, edits []rowEdit, full int) {
 	classes := parallel.Map(len(s.landmarks), func(row int) rowClass {
 		lm := s.landmarks[row]
 		var patches []rowPatch
@@ -647,46 +888,55 @@ func (s *Snapshot) recoveryRows(uniq []graph.WeightedLink, ng *graph.Graph) (row
 				patches = append(patches, rowPatch{v: u, p: v, d: dv})
 			}
 		}
-		return rowClass{prow: s.patchRow(row, patches)}
+		if patches = s.patchRow(row, patches); len(patches) == 0 {
+			return rowClass{}
+		}
+		return rowClass{patched: true, edit: s.patchEdit(row, patches)}
 	})
-	var fullRows, fullAt []int
+	var fullRows []int
 	for row, cl := range classes {
 		if cl.isFull {
 			fullRows = append(fullRows, row)
-			fullAt = append(fullAt, len(rowIdx))
-		} else if cl.prow == nil {
+		}
+	}
+	fullEdits := s.recomputeRows(ng, fullRows)
+	for row, cl := range classes {
+		switch {
+		case cl.isFull:
+			cl.edit, fullEdits = fullEdits[0], fullEdits[1:]
+		case !cl.patched:
 			continue
 		}
 		rowIdx = append(rowIdx, row)
-		prows = append(prows, cl.prow)
+		edits = append(edits, cl.edit)
 	}
-	for i, prow := range s.recomputeRows(ng, fullRows) {
-		prows[fullAt[i]] = prow
-	}
-	return rowIdx, prows, len(fullRows)
+	return rowIdx, edits, len(fullRows)
 }
 
-// patchRow applies one row's tie-patch candidates and returns the patched
-// copy of the row, or nil when every incumbent parent holds. A candidate
-// contests the node's parent so far — the row's own or an earlier
-// candidate's, whose d is its rowDist — so the first-settler wins in any order.
-func (s *Snapshot) patchRow(row int, ps []rowPatch) []graph.NodeID {
-	var prow []graph.NodeID
+// patchRow resolves one row's tie-patch candidates into the parents that
+// move, ascending by node. A candidate contests the node's parent so far —
+// the row's own or an earlier candidate's, whose d is its rowDist — so the
+// first-settler wins in any order.
+func (s *Snapshot) patchRow(row int, ps []rowPatch) []rowPatch {
+	var moved []rowPatch
 	for _, pc := range ps {
-		p0 := s.parentAt(row, pc.v)
-		if prow != nil {
-			p0 = prow[pc.v]
+		p0, at := s.parentAt(row, pc.v), -1
+		for i, m := range moved {
+			if m.v == pc.v {
+				p0, at = m.p, i
+			}
 		}
 		if !settlesBefore(pc.d, pc.p, s.rowDist(row, p0), p0) {
 			continue // the incumbent parent settles first: no change
 		}
-		if prow == nil {
-			prow = make([]graph.NodeID, s.g.N())
-			copy(prow, s.forestRowInto(row, prow))
+		if at >= 0 {
+			moved[at] = pc
+		} else {
+			moved = append(moved, pc)
 		}
-		prow[pc.v] = pc.p
 	}
-	return prow
+	slices.SortFunc(moved, func(a, b rowPatch) int { return cmp.Compare(a.v, b.v) })
+	return moved
 }
 
 // fold materializes the chain's logical route state into a fresh
@@ -738,7 +988,8 @@ func (s *Snapshot) foldExactForest(st *exactStore) {
 	n := s.g.N()
 	st.parents = make([]graph.NodeID, len(s.landmarks)*n)
 	parallel.Run(len(s.landmarks), func(row int) {
-		copy(st.parents[row*n:(row+1)*n], s.forestRow(row))
+		dst := st.parents[row*n : (row+1)*n]
+		copy(dst, s.forestRowInto(row, dst))
 	})
 }
 

@@ -34,8 +34,7 @@
 //
 // Immutability contract: everything reachable from a Snapshot is read-only
 // after Build returns. A window exposes no slice, so the type carries that
-// for vicinities; callers must not modify the slices Landmarks and
-// ForestParents share.
+// for vicinities; callers must not modify the rows ForestParents shares.
 package snapshot
 
 import (
@@ -286,38 +285,52 @@ func (s *Snapshot) row(root graph.NodeID) int {
 }
 
 // parentAt reads one field of forest row `row`, dispatching between the
-// repair overlay (recomputed rows own plain parent arrays) and the shared
-// base store. graph.None means v is the root — or, on a repaired row,
-// that the failures cut v off from the root entirely (check Reaches).
+// repair overlay (a sparse row: its flat row over an exact store, else its
+// bitset, then its patches) and the shared base store. graph.None means v is the root — or, on a repaired
+// row, that the failures cut v off from the root entirely (check Reaches).
 func (s *Snapshot) parentAt(row int, v graph.NodeID) graph.NodeID {
-	if prow := s.ov.row(row); prow != nil {
-		return prow[v]
+	if sr := s.ov.row(row); sr != nil {
+		if p, ok := sr.parent(v); ok {
+			return p
+		}
 	}
 	return s.store.rowParent(row, v)
 }
 
 // ForestParents returns the parent array of root's shortest-path tree as
-// one flat n-length row indexed by node: shared by reference where the
-// snapshot stores it flat (exact-regime base rows and every
-// repaired-overlay row), decoded in one sequential pass over the bit
-// stream otherwise (compact base rows — callers reading many fields hold
-// on to the row; single-field reads go through Parent). root must be a
+// one flat n-length row indexed by node: shared by reference in the exact
+// regime, where the store holds base rows flat and the overlay keeps its
+// rows flat too, and materialized into a fresh row in the compact regime —
+// a base row decoded in one sequential pass over the bit stream, an
+// overlaid row as its base row with the overlay's patches written over it,
+// so an overlaid compact row is not shared. Callers reading many fields
+// hold on to the row; single-field reads go through Parent. root must be a
 // landmark. Treat the result as shared immutable storage; do not modify.
 func (s *Snapshot) ForestParents(root graph.NodeID) []graph.NodeID {
 	return s.forestRow(s.row(root))
 }
 
-// forestRow is ForestParents by row index — what the exact fold copies.
+// forestRow is ForestParents by row index.
 func (s *Snapshot) forestRow(row int) []graph.NodeID { return s.forestRowInto(row, nil) }
 
-// forestRowInto is forestRow decoding a compact base row into buf, the
-// caller's n-length row (nil for a fresh one). The result is shared
-// storage, or buf.
+// forestRowInto is forestRow materializing into buf, the caller's n-length
+// row (nil for a fresh one): a compact base row decodes into it, and an
+// overlaid compact row is its base row, copied in, with the patches
+// applied. The result is buf, or an exact row shared by reference.
 func (s *Snapshot) forestRowInto(row int, buf []graph.NodeID) []graph.NodeID {
-	if prow := s.ov.row(row); prow != nil {
-		return prow
+	sr := s.ov.row(row)
+	if sr == nil {
+		return s.store.decodeRow(row, buf)
 	}
-	return s.store.decodeRow(row, buf)
+	if sr.flat != nil {
+		return sr.flat
+	}
+	if buf == nil {
+		buf = make([]graph.NodeID, s.g.N())
+	}
+	copy(buf, s.store.decodeRow(row, buf))
+	sr.apply(buf)
+	return buf
 }
 
 // Parent returns v's predecessor on root's shortest-path tree
