@@ -35,7 +35,7 @@ type TimelineEventRow struct {
 	DownAfter int    // links down once the event is applied
 
 	VicRebuilt      int // vicinity windows recomputed
-	RowsRebuilt     int // forest rows fully recomputed
+	RowsRebuilt     int // forest rows re-settled
 	VicEntriesMoved int // vicinity entries that actually changed
 	RowParentsMoved int // forest parent fields that actually changed
 	ShardsPct       float64

@@ -21,9 +21,12 @@
 //     distance, every non-member's can only grow, and every member keeps its
 //     earliest-settled parent. A removed tree link takes its child's parent
 //     away, so the window does change. Several failed links compose: a
-//     window none of them is a tree edge of keeps every tree edge. A forest
-//     row follows the same rule (a removed non-tree link never supplied a
-//     final parent, and removing relaxations cannot steal a tie).
+//     window none of them is a tree edge of keeps every tree edge.
+//   - Failed links, forest rows: a row changes iff some failed link is one
+//     of its tree edges, by the same argument. Only the subtree below such
+//     an edge — the nodes it orphans — can move: it is re-settled from its
+//     neighbours outside it, and a node it cannot reach again is cut off
+//     (rows.go).
 //   - Restored links, full windows: a window changes only if some new route
 //     runs over a restored link, which puts BOTH endpoints within the
 //     window's radius of x on the recovered topology — a maxRadius Dijkstra
@@ -51,28 +54,33 @@
 //     disconnected region): they can regain members at any distance, so
 //     every shortfall window in a component containing a restored endpoint
 //     is recomputed.
-//   - Restored links, forest rows: a row needs a full recompute only if the
-//     link reconnects the tree (one endpoint reachable, one not) or strictly
-//     shortens one endpoint's distance; the remaining case — an exact
-//     distance tie, ubiquitous on unit-weight topologies — can steal at
-//     most the tie node's parent, which is patched using the settle-order
-//     rule (first-settled candidate wins).
+//   - Restored links, forest rows: a row moves a distance only where a
+//     restored link strictly improves an endpoint's (a reconnection counts:
+//     the old distance is +Inf). The strict improvements propagate from
+//     there into one region, which is re-settled, and parents are
+//     re-derived over the region, its neighbours and the restored
+//     endpoints. With no improvement that leaves an exact distance tie,
+//     ubiquitous on unit-weight topologies, which can steal at most the
+//     tie node's parent (rows.go).
+//   - Forest rows on a graph with a link of weight 0: the settle order the
+//     row rules read breaks, and every row the event touches — a failed
+//     tree edge, or a restored link that meets or beats an endpoint's
+//     distance — runs one full search and is compared field by field.
 //
 // Every touched forest row lands in the overlay as a sparse row, its
-// difference from the base store's row (store.go), built in the same pass
-// that counts the parents the event moved, so a touched row is decoded
-// once. Over a compact store no n-length row outlives its event; over an
-// exact one the overlay keeps the patched row flat beside its patches.
+// difference from the base store's row (store.go): the parents the event
+// moved, written over the row's earlier patches. A repair reads single
+// fields of a row, never the whole row, and over a compact store no
+// n-length row outlives its event; over an exact one the overlay keeps the
+// patched row flat beside its patches.
 //
 // The pipeline is shard-parallel end to end over internal/parallel with
-// task-ordered merges — ball searches, window recomputes, per-row
-// classification, diff accounting, and both fold encoders all fan out, and
-// every merge happens in task index order — so the result is bit-identical
-// at any worker count. Where it reads compact shards in bulk it reads each
-// once, in a sequential pass: the diff accounting and the exact window
-// tests decode a pre-event window into their worker's scratch, and a
-// recomputed row's patches are taken against its base row decoded the
-// same way. A tie patch reads single fields.
+// task-ordered merges — ball searches, window recomputes, per-row repair,
+// diff accounting, and both fold encoders all fan out, and every merge
+// happens in task index order — so the result is bit-identical at any
+// worker count. Where it reads compact windows in bulk it reads
+// each once, in a sequential pass: the diff accounting and the exact window
+// tests decode a pre-event window into their worker's scratch.
 //
 // Chains compose: a repaired snapshot can be repaired or recovered again.
 // Two mechanisms keep a long repair-of-repair chain from leaking history:
@@ -107,7 +115,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"disco/internal/graph"
 	"disco/internal/parallel"
@@ -129,8 +136,8 @@ type RepairStats struct {
 	RestoredLinks int  // deduplicated links restored by this recovery
 	VicRebuilt    int  // vicinity windows recomputed
 	VicTotal      int  // = n
-	RowsRebuilt   int  // landmark forest rows fully recomputed
-	RowsPatched   int  // forest rows fixed by a single-parent tie patch
+	RowsRebuilt   int  // forest rows re-settled: a failure's, or a recovery's that moves a distance
+	RowsPatched   int  // forest rows where only parents moved (a recovery's exact ties)
 	RowsTotal     int  // = number of landmarks
 	Candidates    int  // nodes scanned by the blast-radius candidate search
 	Folded        bool // the chain overlay hit the compaction threshold
@@ -151,8 +158,9 @@ type RepairStats struct {
 	// tables, caches) must rebuild; every shard not listed here is
 	// byte-identical between the parent and this snapshot, folds included.
 	// VicTouched lists, ascending, the nodes whose vicinity windows this
-	// event recomputed; RowsTouched the forest rows recomputed or
-	// tie-patched. Since repair recomputes only the windows an event
+	// event recomputed; RowsTouched the forest rows re-settled or patched,
+	// each of which differs from the parent's row on a graph without
+	// parallel links. Since repair recomputes only the windows an event
 	// changes, VicTouched is also exactly the changed windows on a graph of
 	// positive link weights (VicRebuilt == VicChanged). Shared slices; do
 	// not modify.
@@ -160,11 +168,11 @@ type RepairStats struct {
 	RowsTouched []int
 }
 
-// ShardsRebuilt returns the fraction of shards this repair fully
-// recomputed — the blast-radius cost measure the repair-equivalence test
-// bounds. A zero-shard snapshot (no nodes, no landmarks) reports 0, not
-// NaN. Tie-patched rows are not counted: a patch rewrites one parent
-// field, not a shard.
+// ShardsRebuilt returns the fraction of shards this repair recomputed or
+// re-settled (VicRebuilt plus RowsRebuilt) — the blast-radius cost measure
+// the repair-equivalence test bounds. A zero-shard snapshot (no nodes, no
+// landmarks) reports 0, not NaN. Patched rows are not counted: a patch
+// rewrites a parent field, not a shard.
 func (st *RepairStats) ShardsRebuilt() float64 {
 	total := st.VicTotal + st.RowsTotal
 	if total == 0 {
@@ -231,28 +239,12 @@ func (s *Snapshot) ApplyFailures(fails []graph.EdgeKey) (*Snapshot, error) {
 	affVic, scanned := s.affectedVicinities(uniq, s.g.Unit())
 	wins := recomputeWindows(fg, affVic, s.k)
 
-	// Row classification: a row is affected iff some failed link is one of
-	// its tree edges. Task-ordered merge keeps affRows ascending.
-	rowHit := parallel.Map(len(s.landmarks), func(row int) bool {
-		for _, f := range uniq {
-			if s.parentAt(row, f.U) == f.V || s.parentAt(row, f.V) == f.U {
-				return true
-			}
-		}
-		return false
-	})
-	var affRows []int
-	for row, hit := range rowHit {
-		if hit {
-			affRows = append(affRows, row)
-		}
-	}
-
-	return s.finishRepair(fg, affVic, wins, affRows, s.recomputeRows(fg, affRows), RepairStats{
+	rowIdx, edits, _ := s.repairRows(fg, func(rs *rowSettler, row int) rowRepair { return rs.fail(row, uniq) })
+	return s.finishRepair(fg, affVic, wins, rowIdx, edits, RepairStats{
 		FailedLinks: len(uniq),
 		VicRebuilt:  len(affVic),
 		VicTotal:    n,
-		RowsRebuilt: len(affRows),
+		RowsRebuilt: len(rowIdx),
 		RowsTotal:   len(s.landmarks),
 		Candidates:  scanned,
 	}), nil
@@ -298,14 +290,14 @@ func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, er
 
 	affVic, scanned := s.recoveryVicinities(uniq, ng)
 	wins := recomputeWindows(ng, affVic, s.k)
-	rowIdx, edits, full := s.recoveryRows(uniq, ng)
+	rowIdx, edits, resettled := s.repairRows(ng, func(rs *rowSettler, row int) rowRepair { return rs.recover(row, uniq) })
 
 	return s.finishRepair(ng, affVic, wins, rowIdx, edits, RepairStats{
 		RestoredLinks: len(uniq),
 		VicRebuilt:    len(affVic),
 		VicTotal:      n,
-		RowsRebuilt:   full,
-		RowsPatched:   len(rowIdx) - full,
+		RowsRebuilt:   resettled,
+		RowsPatched:   len(rowIdx) - resettled,
 		RowsTotal:     len(s.landmarks),
 		Candidates:    scanned,
 	}), nil
@@ -368,81 +360,8 @@ type rowEdit struct {
 	moved int
 }
 
-// rowSlabs recycles the rows recomputeRows rebuilds. A rebuilt row lives
-// for one repair only, and a chain repairs event after event, so the slab
-// of one event's rows serves the next event's. ParentRows writes every
-// entry of a row, so a recycled slab needs no clearing.
-var rowSlabs sync.Pool
-
-// recomputeRows rebuilds the given forest rows on graph g — each row's
-// landmark tree, graph.ParentRows as at build — for both repair
-// directions, and returns each row's edit, parallel to rows. The rebuilt
-// parent rows live for the call only, in a recycled slab: each is
-// compared, over the worker pool, against its base row and the row this
-// snapshot reads.
-func (s *Snapshot) recomputeRows(g *graph.Graph, rows []int) []rowEdit {
-	n := g.N()
-	slab, _ := rowSlabs.Get().(*[]graph.NodeID)
-	if slab == nil || cap(*slab) < len(rows)*n {
-		slab = new([]graph.NodeID)
-		*slab = make([]graph.NodeID, len(rows)*n)
-	}
-	defer rowSlabs.Put(slab)
-	lms := make([]graph.NodeID, len(rows))
-	prows := make([][]graph.NodeID, len(rows))
-	for i, row := range rows {
-		lms[i] = s.landmarks[row]
-		prows[i] = (*slab)[i*n : (i+1)*n : (i+1)*n]
-	}
-	graph.ParentRows(g, lms, prows)
-	return parallel.MapScratch(len(rows), s.newRowScratch,
-		func(buf []graph.NodeID, i int) rowEdit { return s.diffRow(rows[i], prows[i], buf) })
-}
-
-// newRowScratch returns a decode target for the base store's rows: an
-// n-length row over a compact store, nil over an exact one, whose rows are
-// read in place.
-func (s *Snapshot) newRowScratch() []graph.NodeID {
-	if s.compact {
-		return make([]graph.NodeID, s.g.N())
-	}
-	return nil
-}
-
-// diffRow returns the edit that takes forest row `row` to prow, a whole
-// parent row, in one pass: the nodes where prow differs from the base
-// store's row, decoded into buf, become the row's patches, and the nodes
-// where it differs from the row this snapshot reads (base row and
-// overlay patches) count as moved. Over an exact store the patched row is
-// also kept flat.
-func (s *Snapshot) diffRow(row int, prow, buf []graph.NodeID) rowEdit {
-	base := s.store.decodeRow(row, buf)
-	wasNodes, wasParents := s.ov.row(row).patches()
-	var e rowEdit
-	var nodes, parents []graph.NodeID
-	j := 0
-	for v, p := range prow {
-		b, old := base[v], base[v]
-		if j < len(wasNodes) && wasNodes[j] == graph.NodeID(v) {
-			old = wasParents[j]
-			j++
-		}
-		if p != old {
-			e.moved++
-		}
-		if p != b {
-			nodes = append(nodes, graph.NodeID(v))
-			parents = append(parents, p)
-		}
-	}
-	if e.sr = newSparseRow(len(prow), nodes, parents); e.sr != nil && !s.compact {
-		e.sr.flatten(base)
-	}
-	return e
-}
-
-// patchEdit returns the edit of tie patches, ascending by node and each a
-// parent that moves: the row's patches so far with these written over
+// patchEdit returns the edit of a row's patches, ascending by node and each
+// a parent that moves: the row's patches so far with these written over
 // them, and a patch back to the base row's parent dropped. Over an exact
 // store the patched row is also kept flat.
 func (s *Snapshot) patchEdit(row int, patches []rowPatch) rowEdit {
@@ -820,123 +739,10 @@ func settlesBefore(d1 float64, n1 graph.NodeID, d2 float64, n2 graph.NodeID) boo
 	return n1 < n2
 }
 
-// rowDist returns v's Dijkstra distance from forest row `row`'s landmark,
-// re-accumulated root→leaf along the tree path in exactly the addition
-// order the Dijkstra used (d[child] = d[parent] + w), so comparisons
-// against it reproduce the original float results bit for bit. v must be
-// reachable on the row.
-func (s *Snapshot) rowDist(row int, v graph.NodeID) float64 {
-	var chain []graph.NodeID
-	for u := v; u != graph.None; u = s.parentAt(row, u) {
-		chain = append(chain, u)
-	}
-	d := 0.0
-	for i := len(chain) - 1; i > 0; i-- {
-		w := s.g.EdgeWeight(chain[i], chain[i-1])
-		if w < 0 {
-			panic(fmt.Sprintf("snapshot: forest row %d holds dead tree edge %d-%d", row, chain[i], chain[i-1]))
-		}
-		d += w
-	}
-	return d
-}
-
-// rowPatch is one tie-patch candidate: v's parent may change to p, whose
-// Dijkstra distance from the row's landmark is d.
+// rowPatch is one parent that moves in a forest row: v's parent becomes p.
 type rowPatch struct {
 	v graph.NodeID
 	p graph.NodeID
-	d float64
-}
-
-// rowClass is one forest row's verdict against a recovery's restored
-// links: full recompute, tie-patched (edit), or neither.
-type rowClass struct {
-	isFull, patched bool
-	edit            rowEdit
-}
-
-// recoveryRows computes the forest-row updates for a recovery: rows the
-// restored links reconnect or strictly shorten are fully recomputed on ng;
-// rows where a restored link only ties an existing distance get the tie
-// node's parent patched to the first-settled candidate (the deterministic
-// Dijkstra's choice) without any recomputation. Per-row classification
-// and patching fan out over the worker pool (each row's verdict is
-// independent) and merge in row order. Returns the touched rows ascending,
-// their edits in parallel, and how many were full recomputes.
-func (s *Snapshot) recoveryRows(uniq []graph.WeightedLink, ng *graph.Graph) (rowIdx []int, edits []rowEdit, full int) {
-	classes := parallel.Map(len(s.landmarks), func(row int) rowClass {
-		lm := s.landmarks[row]
-		var patches []rowPatch
-		for _, r := range uniq {
-			u, v, w := r.U, r.V, r.W
-			ru := u == lm || s.parentAt(row, u) != graph.None
-			rv := v == lm || s.parentAt(row, v) != graph.None
-			if ru != rv {
-				return rowClass{isFull: true} // the link reconnects part of the tree
-			}
-			if !ru {
-				continue // both endpoints cut off: the link can't reach lm
-			}
-			du, dv := s.rowDist(row, u), s.rowDist(row, v)
-			if du+w < dv || dv+w < du {
-				return rowClass{isFull: true} // strict improvement: distances shift
-			}
-			if du+w == dv && v != lm && settlesBefore(du, u, dv, v) {
-				patches = append(patches, rowPatch{v: v, p: u, d: du})
-			} else if dv+w == du && u != lm && settlesBefore(dv, v, du, u) {
-				patches = append(patches, rowPatch{v: u, p: v, d: dv})
-			}
-		}
-		if patches = s.patchRow(row, patches); len(patches) == 0 {
-			return rowClass{}
-		}
-		return rowClass{patched: true, edit: s.patchEdit(row, patches)}
-	})
-	var fullRows []int
-	for row, cl := range classes {
-		if cl.isFull {
-			fullRows = append(fullRows, row)
-		}
-	}
-	fullEdits := s.recomputeRows(ng, fullRows)
-	for row, cl := range classes {
-		switch {
-		case cl.isFull:
-			cl.edit, fullEdits = fullEdits[0], fullEdits[1:]
-		case !cl.patched:
-			continue
-		}
-		rowIdx = append(rowIdx, row)
-		edits = append(edits, cl.edit)
-	}
-	return rowIdx, edits, len(fullRows)
-}
-
-// patchRow resolves one row's tie-patch candidates into the parents that
-// move, ascending by node. A candidate contests the node's parent so far —
-// the row's own or an earlier candidate's, whose d is its rowDist — so the
-// first-settler wins in any order.
-func (s *Snapshot) patchRow(row int, ps []rowPatch) []rowPatch {
-	var moved []rowPatch
-	for _, pc := range ps {
-		p0, at := s.parentAt(row, pc.v), -1
-		for i, m := range moved {
-			if m.v == pc.v {
-				p0, at = m.p, i
-			}
-		}
-		if !settlesBefore(pc.d, pc.p, s.rowDist(row, p0), p0) {
-			continue // the incumbent parent settles first: no change
-		}
-		if at >= 0 {
-			moved[at] = pc
-		} else {
-			moved = append(moved, pc)
-		}
-	}
-	slices.SortFunc(moved, func(a, b rowPatch) int { return cmp.Compare(a.v, b.v) })
-	return moved
 }
 
 // fold materializes the chain's logical route state into a fresh
