@@ -27,6 +27,8 @@ package disco
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"disco/internal/core"
 	"disco/internal/estimate"
@@ -73,18 +75,24 @@ type Config struct {
 	Shortcut Shortcut
 }
 
-// Builder assembles a network topology with flat node names.
+// Builder assembles a network topology with flat node names. A bad link,
+// or a link added after a successful Build, is not added: the Builder
+// keeps the first such mistake and Build returns it. Build makes a new
+// graph each time, so a network already built never sees a later AddLink.
 type Builder struct {
 	n        int
 	names    []names.Name
-	g        *graph.Graph
+	base     *graph.Graph         // a generator's topology, or n nodes and no links
+	links    []graph.WeightedLink // added by AddLink, in order
 	haveName []bool
+	built    bool  // a Build succeeded
+	err      error // the first link refused
 }
 
 // NewBuilder starts a topology with n nodes (IDs 0..n-1) and default
 // names "node<i>".
 func NewBuilder(n int) *Builder {
-	b := &Builder{n: n, g: graph.New(n), names: make([]names.Name, n), haveName: make([]bool, n)}
+	b := &Builder{n: n, base: graph.New(n), names: make([]names.Name, n), haveName: make([]bool, n)}
 	for i := range b.names {
 		b.names[i] = names.Name(fmt.Sprintf("node%d", i))
 	}
@@ -101,19 +109,46 @@ func (b *Builder) SetName(v int, name string) *Builder {
 }
 
 // AddLink adds an undirected link between u and v with the given latency
-// (or cost; must be positive).
+// (or cost; finite and non-negative). A self-loop, an endpoint out of
+// range, a bad latency or a call after Build adds nothing and makes Build
+// return an error.
 func (b *Builder) AddLink(u, v int, latency float64) *Builder {
-	b.g.AddEdge(graph.NodeID(u), graph.NodeID(v), latency)
+	if b.err == nil {
+		if b.err = b.checkLink(u, v, latency); b.err == nil {
+			b.links = append(b.links, graph.WeightedLink{U: graph.NodeID(u), V: graph.NodeID(v), W: latency})
+		}
+	}
 	return b
 }
 
+// checkLink returns why AddLink must refuse a link, or nil.
+func (b *Builder) checkLink(u, v int, latency float64) error {
+	switch {
+	case b.built:
+		return fmt.Errorf("disco: AddLink(%d, %d) after Build; the built network is sealed, start a new Builder", u, v)
+	case u == v:
+		return fmt.Errorf("disco: self-loop at node %d", u)
+	case u < 0 || u >= b.n || v < 0 || v >= b.n:
+		return fmt.Errorf("disco: link (%d, %d) out of range for %d nodes", u, v, b.n)
+	case !(latency >= 0) || math.IsInf(latency, 1):
+		return fmt.Errorf("disco: latency %v on link (%d, %d) is negative or not finite", latency, u, v)
+	}
+	return nil
+}
+
 // Build validates the topology and constructs the converged Disco network.
+// It returns the first link AddLink refused, if any. After a Build that
+// succeeds, links added are refused; after one that fails, the caller may
+// add the missing links and Build again.
 func (b *Builder) Build(cfg Config) (*Network, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
 	if b.n == 0 {
 		return nil, fmt.Errorf("disco: empty network")
 	}
-	b.g.Finalize()
-	if !b.g.Connected() {
+	g := b.base.WithEdges(b.links)
+	if !g.Connected() {
 		return nil, fmt.Errorf("disco: network is not connected (the paper assumes a connected graph)")
 	}
 	seen := map[names.Name]int{}
@@ -123,7 +158,9 @@ func (b *Builder) Build(cfg Config) (*Network, error) {
 		}
 		seen[nm] = i
 	}
-	return newNetwork(b.g, b.names, cfg)
+	nw, err := newNetwork(g, slices.Clone(b.names), cfg)
+	b.built = err == nil
+	return nw, err
 }
 
 // Network is a converged Disco network: route packets by flat name,

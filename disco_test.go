@@ -97,6 +97,89 @@ func TestDisconnectedRejected(t *testing.T) {
 	}
 }
 
+// TestBuilderRefusesBadLinks: a bad link is an error from Build, never a
+// panic, and a link added after Build leaves the built network routing.
+func TestBuilderRefusesBadLinks(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		u, v    int
+		latency float64
+	}{
+		{"self-loop", 1, 1, 1},
+		{"out of range", 0, 4, 1},
+		{"negative node", -1, 2, 1},
+		{"negative latency", 0, 2, -1},
+		{"NaN latency", 0, 2, math.NaN()},
+		{"+Inf latency", 0, 2, math.Inf(1)},
+		{"-Inf latency", 0, 2, math.Inf(-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder(4)
+			b.AddLink(0, 1, 1).AddLink(1, 2, 1).AddLink(2, 3, 1)
+			b.AddLink(tc.u, tc.v, tc.latency)
+			if _, err := b.Build(Config{}); err == nil {
+				t.Fatalf("AddLink(%d, %d, %v): Build returned no error", tc.u, tc.v, tc.latency)
+			}
+			// The refused link stays refused: the graph did not take it.
+			b.AddLink(0, 3, 1)
+			if _, err := b.Build(Config{}); err == nil {
+				t.Fatal("a second Build forgot the refused link")
+			}
+		})
+	}
+	t.Run("after Build", func(t *testing.T) {
+		b := NewBuilder(4)
+		b.AddLink(0, 1, 1).AddLink(1, 2, 1).AddLink(2, 3, 1)
+		nw, err := b.Build(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.AddLink(0, 3, 0.5).SetName(3, "late")
+		if _, err := b.Build(Config{}); err == nil {
+			t.Fatal("Build after a late AddLink returned no error")
+		}
+		r, err := nw.RouteFirst("node0", "node3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Length != 3 || len(r.Nodes) != 4 {
+			t.Fatalf("route after a late AddLink = %+v, want the 3-hop path of the built network", r)
+		}
+	})
+	t.Run("generator then AddLink", func(t *testing.T) {
+		b := RandomGraph(100, 4, 1)
+		b.AddLink(0, 50, 1)
+		nw, err := b.Build(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nw.RouteFirst("node0", "node50"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("AddLink after a failed Build", func(t *testing.T) {
+		b := NewBuilder(4)
+		b.AddLink(0, 1, 1).AddLink(2, 3, 1)
+		if _, err := b.Build(Config{}); err == nil {
+			t.Fatal("a disconnected topology built")
+		}
+		b.AddLink(1, 2, 1)
+		nw, err := b.Build(Config{})
+		if err != nil {
+			t.Fatalf("Build after adding the bridge: %v", err)
+		}
+		if r, err := nw.RouteFirst("node0", "node3"); err != nil || r.Length != 3 {
+			t.Fatalf("route = %+v, %v; want the 3-hop path", r, err)
+		}
+	})
+	t.Run("zero latency", func(t *testing.T) {
+		b := NewBuilder(2)
+		if _, err := b.AddLink(0, 1, 0).Build(Config{}); err != nil {
+			t.Fatalf("a zero latency is allowed: %v", err)
+		}
+	})
+}
+
 func TestStateBound(t *testing.T) {
 	nw := buildSmall(t)
 	n := float64(nw.N())

@@ -46,10 +46,10 @@ func (r *Router) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) 
 	}
 	if tb.isLM[t] {
 		row := tb.row(tb.lmRowIdx[t])
-		if row[s] == graph.None {
+		if row.Parent(s) == graph.None {
 			return dst, false // cut off from the landmark (s != t here)
 		}
-		for u := s; u != graph.None; u = row[u] {
+		for u := s; u != graph.None; u = row.Parent(u) {
 			dst = append(dst, u)
 		}
 		return dst, true
@@ -93,7 +93,7 @@ func (r *Router) rehome(t graph.NodeID) graph.NodeID {
 // reaches reports whether lm's tree still reaches v (snapshot.Reaches on
 // the installed row).
 func (r *Router) reaches(lm, v graph.NodeID) bool {
-	return v == lm || r.t.row(r.t.lmRowIdx[lm])[v] != graph.None
+	return v == lm || r.t.row(r.t.lmRowIdx[lm]).Parent(v) != graph.None
 }
 
 // appendLandmarkRoute is the landmark leg s ⇝ l_t ⇝ t with the
@@ -108,7 +108,7 @@ func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]g
 		return dst, false
 	}
 	row := tb.row(tb.lmRowIdx[lm])
-	if s != lm && row[s] == graph.None {
+	if s != lm && row.Parent(s) == graph.None {
 		return dst, false
 	}
 	// dynamics.JoinPaths(s ⇝ lm, lm ⇝ t) on the tree: the up-chain
@@ -116,11 +116,11 @@ func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]g
 	// deduplicated and immediate backtracks across it collapsed
 	// (…x,lm,x… → …x…).
 	route := r.route[:0]
-	for u := s; u != graph.None; u = row[u] {
+	for u := s; u != graph.None; u = row.Parent(u) {
 		route = append(route, u)
 	}
 	ch := r.chain[:0]
-	for u := t; u != graph.None; u = row[u] {
+	for u := t; u != graph.None; u = row.Parent(u) {
 		ch = append(ch, u)
 	}
 	r.chain = ch

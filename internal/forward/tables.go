@@ -8,9 +8,9 @@
 // window, the compact regime decodes one once. Membership and entry lookup
 // is Window.Find; next hops are parent indices, so path reconstruction is
 // pointer-chasing within one window, never a search. Landmark forests stay
-// what they already are in the snapshot — flat parent rows — shared by
-// reference where the snapshot stores them flat and decoded once where it
-// does not (compact regime).
+// what they already are in the snapshot — flat parent rows, installed as
+// snapshot.Row views — shared by reference where the snapshot stores them
+// flat and decoded once where it does not (compact regime).
 //
 // Tables integrate with the repair chain by blast-radius invalidation:
 // Derive(rep, st) produces the tables of the repaired child snapshot by
@@ -55,7 +55,7 @@ type Tables struct {
 	isLM      []bool
 	lmRowIdx  []int32 // node -> index into rows, or -1
 	nodes     []atomic.Pointer[vicinity.Window]
-	rows      []atomic.Pointer[[]graph.NodeID]
+	rows      []atomic.Pointer[snapshot.Row]
 }
 
 // Compile prepares (empty) tables over snap. landmarks and lmOf are the
@@ -73,7 +73,7 @@ func Compile(snap *snapshot.Snapshot, landmarks, lmOf []graph.NodeID) *Tables {
 		isLM:      make([]bool, n),
 		lmRowIdx:  make([]int32, n),
 		nodes:     make([]atomic.Pointer[vicinity.Window], n),
-		rows:      make([]atomic.Pointer[[]graph.NodeID], len(landmarks)),
+		rows:      make([]atomic.Pointer[snapshot.Row], len(landmarks)),
 	}
 	for v := range t.lmRowIdx {
 		t.lmRowIdx[v] = -1
@@ -108,15 +108,15 @@ func (t *Tables) node(v graph.NodeID) *vicinity.Window {
 	return w
 }
 
-// row returns landmark row i's flat parent array, installing it on first use.
-// Where the snapshot already stores the row flat (exact regime, repair
-// overlays) the array is shared by reference; the compact regime decodes
-// it once here and every later read is a plain index.
-func (t *Tables) row(i int32) []graph.NodeID {
+// row returns landmark row i, installing it on first use. Where the
+// snapshot already stores the row flat (exact regime, repair overlays) it
+// is shared by reference; the compact regime decodes it once here and
+// every later read is a plain index.
+func (t *Tables) row(i int32) snapshot.Row {
 	if pr := t.rows[i].Load(); pr != nil {
 		return *pr
 	}
-	prow := t.snap.ForestParents(t.landmarks[i])
+	prow := t.snap.ForestRow(t.landmarks[i])
 	if !t.rows[i].CompareAndSwap(nil, &prow) {
 		return *t.rows[i].Load()
 	}
@@ -143,7 +143,7 @@ func (t *Tables) Derive(rep *snapshot.Snapshot, st *snapshot.RepairStats) *Table
 		isLM:      t.isLM,
 		lmRowIdx:  t.lmRowIdx,
 		nodes:     make([]atomic.Pointer[vicinity.Window], len(t.nodes)),
-		rows:      make([]atomic.Pointer[[]graph.NodeID], len(t.rows)),
+		rows:      make([]atomic.Pointer[snapshot.Row], len(t.rows)),
 	}
 	for v := range d.nodes {
 		w := t.nodes[v].Load()

@@ -41,11 +41,15 @@ type Edge struct {
 // Graph is a weighted undirected graph. The zero value is an empty graph;
 // use New to create one with a fixed node count.
 //
-// A graph has two layouts. While it is being built, adj holds one separately
-// grown row per node. Finalize replaces those with the flat layout every
-// reader runs on: all rows sorted by (To, EID) and laid back to back in
-// edges, row v being edges[off[v]:off[v+1]]. adj is nil from then on;
-// AddEdge on a finalized graph goes back to rows (thaw).
+// A graph is built, then sealed. While it is being built, adj holds one
+// separately grown row per node. Finalize replaces those with the flat
+// layout every reader runs on: all rows sorted by (To, EID) and laid back
+// to back in edges, row v being edges[off[v]:off[v+1]]. From then on the
+// graph never changes — AddEdge panics — so a finalized graph can be
+// shared by every snapshot, fork and serve epoch that routes on it; a
+// changed topology is a new graph (WithEdges, WithoutEdges). One
+// convention is left to callers: Neighbors returns a sub-slice of the flat
+// edge array, which must not be written.
 type Graph struct {
 	n, m   int
 	adj    [][]Edge // construction layout; nil once finalized
@@ -70,14 +74,15 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // AddEdge adds an undirected edge between u and v with weight w and returns
-// its edge index. It panics on self-loops, out-of-range endpoints, or
-// negative weights. Duplicate edges are the caller's responsibility (the
-// topology generators deduplicate); adding one creates a parallel edge.
+// its edge index. It panics on a finalized graph, self-loops, out-of-range
+// endpoints, or weights that are negative or not finite. Duplicate edges
+// are the caller's responsibility (the topology generators deduplicate);
+// adding one creates a parallel edge.
 func (g *Graph) AddEdge(u, v NodeID, w float64) int32 {
-	g.checkEdge(u, v, w)
 	if g.sorted {
-		g.thaw()
+		panic("graph: AddEdge on a finalized graph")
 	}
+	g.checkEdge(u, v, w)
 	id := int32(g.m)
 	g.adj[u] = append(g.adj[u], Edge{To: v, EID: id, Weight: w})
 	g.adj[v] = append(g.adj[v], Edge{To: u, EID: id, Weight: w})
@@ -85,7 +90,10 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) int32 {
 	return id
 }
 
-// checkEdge panics on the links AddEdge and WithEdges refuse.
+// checkEdge panics on the links AddEdge and WithEdges refuse: a harness
+// invariant, since disco.Builder and ApplyRecoveries return caller input
+// they refuse as errors. A weight must be finite: SSSP never relaxes a NaN
+// link, so its far end would read unreachable on a connected graph.
 func (g *Graph) checkEdge(u, v NodeID, w float64) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at node %d", u))
@@ -93,27 +101,14 @@ func (g *Graph) checkEdge(u, v NodeID, w float64) {
 	if int(u) < 0 || int(u) >= g.n || int(v) < 0 || int(v) >= g.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range n=%d", u, v, g.n))
 	}
-	if w < 0 {
-		panic(fmt.Sprintf("graph: negative weight %v on edge (%d,%d)", w, u, v))
+	if !(w >= 0) || math.IsInf(w, 1) {
+		panic(fmt.Sprintf("graph: weight %v on edge (%d,%d) is negative or not finite", w, u, v))
 	}
-}
-
-// thaw takes a finalized graph back to the construction layout, dropping
-// the flat rows, sorted and the unit flag together: whatever AddEdge adds
-// next may be out of order or weigh something other than 1, and no reader
-// may see the old answer. The rows alias the old flat array with their
-// capacity capped, so the first append to a row copies it out.
-func (g *Graph) thaw() {
-	g.adj = make([][]Edge, g.n)
-	for v := range g.adj {
-		lo, hi := g.off[v], g.off[v+1]
-		g.adj[v] = g.edges[lo:hi:hi]
-	}
-	g.edges, g.off, g.sorted, g.unit = nil, nil, false, false
 }
 
 // Neighbors returns the adjacency list of v. The returned slice is owned by
-// the graph and must not be modified.
+// the graph — on a finalized graph, a sub-slice of its flat edge array,
+// shared with every reader — and must not be modified.
 func (g *Graph) Neighbors(v NodeID) []Edge {
 	if !g.sorted {
 		return g.adj[v]
@@ -165,8 +160,8 @@ func (g *Graph) Finalize() {
 	g.sorted, g.unit = true, allUnit(edges)
 }
 
-// Finalized reports whether Finalize has been called since the last edge
-// was added.
+// Finalized reports whether Finalize has been called: whether the graph
+// is sealed.
 func (g *Graph) Finalized() bool { return g.sorted }
 
 // Unit reports whether the graph is finalized and every weight is exactly

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -43,13 +44,17 @@ func TestSelfLoopPanics(t *testing.T) {
 }
 
 func TestNegativeWeightPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative weight")
-		}
-	}()
-	g := New(2)
-	g.AddEdge(0, 1, -0.5)
+	for _, w := range []float64{-0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AddEdge with weight %v did not panic", w)
+				}
+			}()
+			g := New(2)
+			g.AddEdge(0, 1, w)
+		}()
+	}
 }
 
 func TestPortsRoundTrip(t *testing.T) {

@@ -32,6 +32,18 @@ func genGnm(rng *rand.Rand, n, m int) *Graph {
 	return g
 }
 
+// genDoubled is genGnm(rng, n, 2n) plus n/4 links that double an existing
+// one: each drawn node's lowest-ID neighbour gets a parallel link.
+func genDoubled(rng *rand.Rand, n int) *Graph {
+	g := genGnm(rng, n, 2*n)
+	var doubles []WeightedLink
+	for i := 0; i < n/4; i++ {
+		u := NodeID(rng.Intn(n))
+		doubles = append(doubles, WeightedLink{U: u, V: g.Neighbors(u)[0].To, W: 1})
+	}
+	return g.WithEdges(doubles)
+}
+
 // genRouterLike is preferential attachment (3 links per new node) plus a
 // 10% fringe of degree-1 stubs: hubs, a shallow core, and leaves.
 func genRouterLike(rng *rand.Rand, n int) *Graph {
@@ -235,11 +247,7 @@ func TestSSSPKernelsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 40 + rng.Intn(200)
-		doubled := genGnm(rng, n, 2*n)
-		for i := 0; i < n/4; i++ { // parallel edges
-			u := NodeID(rng.Intn(n))
-			doubled.AddEdge(u, doubled.Neighbors(u)[0].To, 1)
-		}
+		doubled := genDoubled(rng, n)
 		// The ring and the grid are big enough that their few-node levels
 		// span many bitset words, which is what sends sortLevel down its
 		// sorting branch; the dense graphs stay on the bitset branch.
@@ -392,11 +400,7 @@ func TestBatchRowsMatchRun(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 40 + rng.Intn(200)
-		doubled := genGnm(rng, n, 2*n)
-		for i := 0; i < n/4; i++ {
-			u := NodeID(rng.Intn(n))
-			doubled.AddEdge(u, doubled.Neighbors(u)[0].To, 1)
-		}
+		doubled := genDoubled(rng, n)
 		graphs := []struct {
 			name string
 			g    *Graph
@@ -511,8 +515,7 @@ func FuzzBatchRowsMatchRun(f *testing.F) {
 
 // TestBeginRejectsWeighted: a weighted graph has no levels to pause between.
 func TestBeginRejectsWeighted(t *testing.T) {
-	g := genRing(5)
-	g.AddEdge(0, 2, 2.5)
+	g := genRing(5).WithEdges([]WeightedLink{{U: 0, V: 2, W: 2.5}})
 	s := NewSSSP(g)
 	defer func() {
 		if recover() == nil {
@@ -522,32 +525,19 @@ func TestBeginRejectsWeighted(t *testing.T) {
 	s.Begin(0)
 }
 
-// TestAddEdgeAfterFinalizeInvalidates: a link of weight 2 added to a
-// finalized unit-weight graph must take the unit flag and the flat rows
-// down with sorted, or the level kernel would route it as one hop.
-func TestAddEdgeAfterFinalizeInvalidates(t *testing.T) {
+// TestAddEdgeAfterFinalizePanics: a finalized graph is sealed. AddEdge
+// panics and leaves it as it was, flat rows and unit flag included.
+func TestAddEdgeAfterFinalizePanics(t *testing.T) {
 	g := genRing(6)
-	if !g.unit || g.edges == nil {
-		t.Fatalf("finalized ring: unit=%v edges=%v", g.unit, g.edges)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddEdge on a finalized graph did not panic")
+		}
+		if !g.Finalized() || !g.unit || g.M() != 6 || g.Degree(0) != 2 {
+			t.Fatalf("after the refused AddEdge: finalized=%v unit=%v m=%d deg(0)=%d", g.Finalized(), g.unit, g.M(), g.Degree(0))
+		}
+	}()
 	g.AddEdge(0, 3, 2)
-	if g.Finalized() || g.unit || g.edges != nil || g.off != nil {
-		t.Fatalf("after AddEdge: sorted=%v unit=%v edges=%v off=%v", g.Finalized(), g.unit, g.edges, g.off)
-	}
-	if got := g.Degree(0); got != 3 {
-		t.Fatalf("Degree(0) = %d before re-Finalize, want 3", got)
-	}
-	s := NewSSSP(g) // re-finalizes
-	if !g.Finalized() || g.unit {
-		t.Fatalf("after NewSSSP: sorted=%v unit=%v", g.Finalized(), g.unit)
-	}
-	s.Run(0)
-	if got := s.Dist(3); got != 2 {
-		t.Fatalf("Dist(3) = %v, want 2 (the weight-2 chord, not one hop)", got)
-	}
-	if got := g.PortOf(0, 3); got != 1 {
-		t.Fatalf("PortOf(0,3) = %d, want 1", got)
-	}
 }
 
 // TestLevelKernelEpochWrap walks the epoch counter over its uint32 wrap
@@ -634,13 +624,14 @@ func TestGraphCopiesMatchRebuild(t *testing.T) {
 		if seed%2 == 0 {
 			g = genGeometric(rng, n, 8)
 		}
-		for i := 0; i < 5; i++ { // parallel links
+		var parallels []WeightedLink
+		for i := 0; i < 5; i++ {
 			u := NodeID(rng.Intn(n))
 			if row := g.Neighbors(u); len(row) > 0 {
-				g.AddEdge(u, row[rng.Intn(len(row))].To, 1)
+				parallels = append(parallels, WeightedLink{U: u, V: row[rng.Intn(len(row))].To, W: 1})
 			}
 		}
-		g.Finalize()
+		g = rebuilt(g, nil, parallels)
 		dead := make([]bool, g.M())
 		var adds []WeightedLink
 		for id, k := range g.EdgeList() {
@@ -666,7 +657,8 @@ func TestGraphCopiesMatchRebuild(t *testing.T) {
 
 func TestWithEdgesRejectsBadLinks(t *testing.T) {
 	g := genRing(5)
-	for _, bad := range []WeightedLink{{U: 1, V: 1, W: 1}, {U: 0, V: 5, W: 1}, {U: 0, V: 2, W: -1}} {
+	for _, bad := range []WeightedLink{{U: 1, V: 1, W: 1}, {U: 0, V: 5, W: 1}, {U: 0, V: 2, W: -1},
+		{U: 0, V: 2, W: math.NaN()}, {U: 0, V: 2, W: math.Inf(1)}} {
 		func() {
 			defer func() {
 				if recover() == nil {

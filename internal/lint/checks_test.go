@@ -17,12 +17,6 @@ func TestMergeOrder(t *testing.T) {
 	checkWants(t, "internal/eval/mergeorder.go")
 }
 
-// TestSnapMutate: writes to sealed state are flagged outside snapshot,
-// and the defining package's own writes are not.
-func TestSnapMutate(t *testing.T) {
-	checkWants(t, "internal/eval/snapmutate.go", "internal/snapshot/snapshot.go")
-}
-
 // TestNoTestOnlySurfaceNegativeControl: of surface.go's plants, a
 // test-only export, a stale fixture waiver and a reasonless one are
 // reported, and a fixture waiver with a reason suppresses its export.

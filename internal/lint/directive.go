@@ -16,8 +16,6 @@
 //	//disco:measured — seedrand: wall-clock or unseeded randomness on
 //	    a measurement-only path (qps/latency timing) whose values are
 //	    excluded from deterministic output.
-//	//disco:mutates — snapmutate: a reviewed write to sealed state
-//	    (e.g. the defining package's own white-box test).
 //	//disco:fixture — surface: an export that only other packages'
 //	    tests reference, such as a topology several packages' tests
 //	    build on (surface.go).
@@ -37,7 +35,6 @@ import (
 // worth flagging.
 var waivers = map[string]string{
 	"seedrand":   "measured",
-	"snapmutate": "mutates",
 	"mergeorder": "orderinvariant",
 	"surface":    "fixture",
 }
@@ -105,7 +102,7 @@ func (t *directiveTable) covers(name, file string, line int) bool {
 // checkDirectives reports malformed directives — unknown names and
 // missing reasons — and every well-formed one that no covers call
 // matched: a stale waiver whose code no longer raises the diagnostic it
-// excused. It runs after all four checks, so it sees every use. A
+// excused. It runs after all three checks, so it sees every use. A
 // fixture's staleness is module-wide, so testOnlySurface judges it.
 func (p *pass) checkDirectives() {
 	known := slices.Sorted(maps.Values(waivers))

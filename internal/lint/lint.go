@@ -6,12 +6,10 @@
 //	             packages; no waiver
 //	seedrand   — bit-identical output: all entropy flows from explicit
 //	             seeds; wall clock only on //disco:measured paths
-//	snapmutate — snapshot immutability: what Fork() shares is never
-//	             written outside its defining package
 //	mergeorder — task-ordered merges: pool closures write only
 //	             task-indexed storage
 //
-// The other three accept a //disco: waiver directive (directive.go);
+// The other two accept a //disco: waiver directive (directive.go);
 // Analyze reports any waiver that suppressed nothing. The loader
 // (load.go) type-checks packages from source with the standard library
 // alone. TestContracts runs Analyze over every package of the module and
@@ -47,7 +45,7 @@ type pass struct {
 	diags      []Diagnostic
 }
 
-// Analyze runs the four checks over one type-checked package of the
+// Analyze runs the three checks over one type-checked package of the
 // module whose path is module, then reports malformed directives and
 // every directive that suppressed no diagnostic. The diagnostics come
 // back sorted by position.
@@ -57,7 +55,6 @@ func Analyze(module string, p *Package) []Diagnostic {
 		mapOrder(ps)
 		seedRand(ps)
 	}
-	snapMutate(ps)
 	mergeOrder(ps)
 	ps.checkDirectives()
 	slices.SortStableFunc(ps.diags, func(a, b Diagnostic) int { return cmp.Compare(a.Pos, b.Pos) })

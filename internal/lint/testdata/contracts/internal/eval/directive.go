@@ -12,7 +12,7 @@ func bareWaiver() time.Time {
 }
 
 func wrongWaiver() time.Time {
-	//disco:mutates the snapmutate waiver does not excuse the clock // want `^//disco:mutates directive suppresses no diagnostic`
+	//disco:orderinvariant the mergeorder waiver does not excuse the clock // want `^//disco:orderinvariant directive suppresses no diagnostic`
 	return time.Now() // want `time.Now in deterministic package disco/internal/eval`
 }
 

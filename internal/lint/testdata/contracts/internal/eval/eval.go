@@ -39,6 +39,6 @@ func count(xs []int) int {
 
 // sorted carries a directive no analyzer knows.
 func sorted(xs []int) []int {
-	//disco:sorted callers pass sorted input // want `^unknown //disco: directive "sorted" \(known: fixture, measured, mutates, orderinvariant\) \(directive\)$`
+	//disco:sorted callers pass sorted input // want `^unknown //disco: directive "sorted" \(known: fixture, measured, orderinvariant\) \(directive\)$`
 	return xs
 }

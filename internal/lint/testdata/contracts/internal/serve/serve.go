@@ -7,4 +7,4 @@ import (
 )
 
 // first returns node 0's parent in the first landmark's tree.
-func first(s *snapshot.Snapshot) graph.NodeID { return s.ForestParents(0)[0] }
+func first(s *snapshot.Snapshot) graph.NodeID { return s.Parent(0, 0) }

@@ -418,7 +418,8 @@ func TestShardsRebuiltZeroShards(t *testing.T) {
 }
 
 // TestApplyRecoveriesErrors pins the error cases: already-alive links,
-// negative weights, self-loops and empty sets are caller mistakes.
+// weights that are negative or not finite, self-loops and empty sets are
+// caller mistakes.
 func TestApplyRecoveriesErrors(t *testing.T) {
 	env := buildEnv(t, 96, 2)
 	base := mustBuild(t, env, vicinity.DefaultK(env.N()), false)
@@ -434,14 +435,17 @@ func TestApplyRecoveriesErrors(t *testing.T) {
 	if _, err := base.ApplyRecoveries([]graph.WeightedLink{{U: u, V: e.To, W: e.Weight}}); err == nil {
 		t.Error("already-alive link should error")
 	}
-	// Fail a link, then try restoring it with a negative weight.
+	// Fail a link, then try restoring it with a negative or non-finite
+	// weight.
 	key := (graph.EdgeKey{U: u, V: e.To}).Norm()
 	rep, err := base.ApplyFailures([]graph.EdgeKey{key})
 	if err != nil {
 		t.Fatalf("ApplyFailures: %v", err)
 	}
-	if _, err := rep.ApplyRecoveries([]graph.WeightedLink{{U: key.U, V: key.V, W: -1}}); err == nil {
-		t.Error("negative weight should error")
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := rep.ApplyRecoveries([]graph.WeightedLink{{U: key.U, V: key.V, W: w}}); err == nil {
+			t.Errorf("weight %v should error", w)
+		}
 	}
 	// And the round trip works with the true weight.
 	back, err := rep.ApplyRecoveries([]graph.WeightedLink{{U: key.U, V: key.V, W: e.Weight}})

@@ -162,8 +162,10 @@ type RepairStats struct {
 	// each of which differs from the parent's row on a graph without
 	// parallel links. Since repair recomputes only the windows an event
 	// changes, VicTouched is also exactly the changed windows on a graph of
-	// positive link weights (VicRebuilt == VicChanged). Shared slices; do
-	// not modify.
+	// positive link weights (VicRebuilt == VicChanged). Both are shared
+	// slices: every copy RepairStats returns aliases the snapshot's own
+	// lists, so they are read, never written — the one convention of the
+	// sealed surface that no type carries.
 	VicTouched  []graph.NodeID
 	RowsTouched []int
 }
@@ -181,13 +183,15 @@ func (st *RepairStats) ShardsRebuilt() float64 {
 	return float64(st.VicRebuilt+st.RowsRebuilt) / float64(total)
 }
 
-// RepairStats returns the statistics of the repair that produced this
-// snapshot, or nil for snapshots built from scratch.
+// RepairStats returns a copy of the statistics of the repair that
+// produced this snapshot, or nil for snapshots built from scratch. Writing
+// through the result changes no snapshot; its touched lists are shared.
 func (s *Snapshot) RepairStats() *RepairStats {
 	if !s.repaired {
 		return nil
 	}
-	return &s.stats
+	st := s.stats
+	return &st
 }
 
 // OverlayShards returns the number of shards (vicinity windows plus forest
@@ -254,9 +258,10 @@ func (s *Snapshot) ApplyFailures(fails []graph.EdgeKey) (*Snapshot, error) {
 // given restored links — the dual of ApplyFailures, repairing the same
 // blast radius in reverse. Each restored link must not currently exist
 // (restore what failed, with the weight the failed graph no longer
-// records); links are deduplicated and a negative weight is an error. On a
-// connected result the recovered snapshot is byte-identical (in
-// CanonicalBytes form) to a from-scratch build of the recovered topology.
+// records); links are deduplicated and a weight that is negative or not
+// finite is an error. On a connected result the recovered snapshot is
+// byte-identical (in CanonicalBytes form) to a from-scratch build of the
+// recovered topology.
 func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, error) {
 	n := s.g.N()
 	seen := make(map[graph.EdgeKey]bool, len(restores))
@@ -266,8 +271,8 @@ func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, er
 		if key.U == key.V || key.U < 0 || int(key.V) >= n {
 			return nil, fmt.Errorf("snapshot: invalid link %d-%d", r.U, r.V)
 		}
-		if r.W < 0 {
-			return nil, fmt.Errorf("snapshot: negative weight %v on restored link %d-%d", r.W, r.U, r.V)
+		if !(r.W >= 0) || math.IsInf(r.W, 1) {
+			return nil, fmt.Errorf("snapshot: weight %v on restored link %d-%d is negative or not finite", r.W, r.U, r.V)
 		}
 		if s.g.EdgeID(key.U, key.V) >= 0 {
 			return nil, fmt.Errorf("snapshot: link %d-%d is already alive", key.U, key.V)

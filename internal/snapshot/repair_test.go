@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -171,6 +172,23 @@ func TestSnapshotRepairBlastRadius(t *testing.T) {
 	}
 	t.Logf("blast radius: %d/%d windows, %d/%d rows (%.1f%% of shards), %d candidates scanned",
 		st.VicRebuilt, st.VicTotal, st.RowsRebuilt, st.RowsTotal, 100*st.ShardsRebuilt(), st.Candidates)
+}
+
+// TestRepairStatsIsACopy: writing through what RepairStats returns
+// changes neither the snapshot's statistics nor the next call's result.
+func TestRepairStatsIsACopy(t *testing.T) {
+	env := buildEnv(t, 96, 2)
+	base := mustBuild(t, env, vicinity.DefaultK(env.N()), false)
+	rep, err := base.ApplyFailures(drawNonBridgeLinks(t, env.G, 3, 2))
+	if err != nil {
+		t.Fatalf("ApplyFailures: %v", err)
+	}
+	want := *rep.RepairStats()
+	st := rep.RepairStats()
+	st.Folded, st.FailedLinks, st.VicRebuilt, st.VicTouched = !st.Folded, 0, -1, nil
+	if got := rep.RepairStats(); !reflect.DeepEqual(*got, want) {
+		t.Errorf("RepairStats after a write through an earlier result = %+v, want %+v", *got, want)
+	}
 }
 
 // TestSnapshotRepairDisconnection: failing a bridge must not error — the

@@ -33,8 +33,12 @@
 //     every read, and every figure, is byte-identical on every topology.
 //
 // Immutability contract: everything reachable from a Snapshot is read-only
-// after Build returns. A window exposes no slice, so the type carries that
-// for vicinities; callers must not modify the rows ForestParents shares.
+// after Build returns, and the types carry it. A vicinity.Window and a
+// forest Row expose no slice, the graph is sealed at Finalize, and what a
+// method hands out is a sealed type, a value, or memory of the caller's
+// own (PathFrom's fresh path, a copy of RepairStats); TestSealedSurface
+// holds every exported method to that. The touched lists inside
+// RepairStats are the one shared slice, documented there.
 package snapshot
 
 import (
@@ -297,20 +301,28 @@ func (s *Snapshot) parentAt(row int, v graph.NodeID) graph.NodeID {
 	return s.store.rowParent(row, v)
 }
 
-// ForestParents returns the parent array of root's shortest-path tree as
-// one flat n-length row indexed by node: shared by reference in the exact
-// regime, where the store holds base rows flat and the overlay keeps its
-// rows flat too, and materialized into a fresh row in the compact regime —
-// a base row decoded in one sequential pass over the bit stream, an
-// overlaid row as its base row with the overlay's patches written over it,
-// so an overlaid compact row is not shared. Callers reading many fields
-// hold on to the row; single-field reads go through Parent. root must be a
-// landmark. Treat the result as shared immutable storage; do not modify.
-func (s *Snapshot) ForestParents(root graph.NodeID) []graph.NodeID {
-	return s.forestRow(s.row(root))
+// Row is one landmark's shortest-path tree as a read-only view of its
+// flat parent row. It exposes no slice, so no holder can write a row
+// ForestRow shares with the snapshot.
+type Row struct{ parents []graph.NodeID }
+
+// Parent returns v's predecessor on the row's tree: graph.None for the
+// root, and on a repaired snapshot for a node the failures cut off from
+// it (as Snapshot.Parent).
+func (r Row) Parent(v graph.NodeID) graph.NodeID { return r.parents[v] }
+
+// ForestRow returns root's shortest-path tree as a Row: the stored row
+// shared by reference in the exact regime, where the store and the overlay
+// keep rows flat, and in the compact regime a fresh row decoded in one
+// sequential pass over the bit stream — an overlaid row as its base row
+// with the overlay's patches written over it. Callers reading many fields
+// hold on to the Row, each read one index; single-field reads go through
+// Parent. root must be a landmark.
+func (s *Snapshot) ForestRow(root graph.NodeID) Row {
+	return Row{s.forestRow(s.row(root))}
 }
 
-// forestRow is ForestParents by row index.
+// forestRow is ForestRow by row index, as the flat row itself.
 func (s *Snapshot) forestRow(row int) []graph.NodeID { return s.forestRowInto(row, nil) }
 
 // forestRowInto is forestRow materializing into buf, the caller's n-length

@@ -10,10 +10,11 @@ import (
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// builderFromGraph starts a Builder on a generator's topology, which is
+// sealed; AddLink adds links on top of it.
 func builderFromGraph(g *graph.Graph) *Builder {
-	n := g.N()
-	b := NewBuilder(n)
-	b.g = g
+	b := NewBuilder(g.N())
+	b.base = g
 	return b
 }
 
