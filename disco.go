@@ -75,24 +75,31 @@ type Config struct {
 	Shortcut Shortcut
 }
 
-// Builder assembles a network topology with flat node names. A bad link,
-// or a link added after a successful Build, is not added: the Builder
-// keeps the first such mistake and Build returns it. Build makes a new
-// graph each time, so a network already built never sees a later AddLink.
+// Builder assembles a network topology with flat node names. A negative
+// node count, a name for a node that does not exist, a bad link, or a link
+// added after a successful Build is not taken: the Builder keeps the first
+// such mistake and Build returns it. Build makes a new graph each time, so
+// a network already built never sees a later AddLink.
 type Builder struct {
-	n        int
-	names    []names.Name
-	base     *graph.Graph         // a generator's topology, or n nodes and no links
-	links    []graph.WeightedLink // added by AddLink, in order
-	haveName []bool
-	built    bool  // a Build succeeded
-	err      error // the first link refused
+	n      int
+	names  []names.Name
+	base   *graph.Graph           // a generator's topology, or n nodes and no links
+	links  []graph.WeightedLink   // added by AddLink, in order
+	linked map[graph.EdgeKey]bool // the pairs links joins
+	built  bool                   // a Build succeeded
+	err    error                  // the first mistake
 }
 
 // NewBuilder starts a topology with n nodes (IDs 0..n-1) and default
 // names "node<i>".
 func NewBuilder(n int) *Builder {
-	b := &Builder{n: n, base: graph.New(n), names: make([]names.Name, n), haveName: make([]bool, n)}
+	b := &Builder{linked: map[graph.EdgeKey]bool{}}
+	if n < 0 {
+		b.err = fmt.Errorf("disco: negative node count %d", n)
+		n = 0
+	}
+	b.n, b.base, b.names = n, graph.New(n), make([]names.Name, n)
+	b.base.Finalize()
 	for i := range b.names {
 		b.names[i] = names.Name(fmt.Sprintf("node%d", i))
 	}
@@ -101,21 +108,27 @@ func NewBuilder(n int) *Builder {
 
 // SetName assigns a flat, location-independent name to node v. Names are
 // arbitrary strings (DNS names, MAC addresses, self-certifying hashes —
-// the protocol never interprets them).
+// the protocol never interprets them). A node out of range makes Build
+// return an error.
 func (b *Builder) SetName(v int, name string) *Builder {
-	b.names[v] = names.Name(name)
-	b.haveName[v] = true
+	switch {
+	case v >= 0 && v < b.n:
+		b.names[v] = names.Name(name)
+	case b.err == nil:
+		b.err = fmt.Errorf("disco: SetName(%d) out of range for %d nodes", v, b.n)
+	}
 	return b
 }
 
 // AddLink adds an undirected link between u and v with the given latency
-// (or cost; finite and non-negative). A self-loop, an endpoint out of
-// range, a bad latency or a call after Build adds nothing and makes Build
-// return an error.
+// (or cost; finite and positive). A self-loop, an endpoint out of range,
+// a bad latency, a pair already linked (by AddLink or by a generator) or a
+// call after Build adds nothing and makes Build return an error.
 func (b *Builder) AddLink(u, v int, latency float64) *Builder {
 	if b.err == nil {
 		if b.err = b.checkLink(u, v, latency); b.err == nil {
 			b.links = append(b.links, graph.WeightedLink{U: graph.NodeID(u), V: graph.NodeID(v), W: latency})
+			b.linked[pair(u, v)] = true
 		}
 	}
 	return b
@@ -130,14 +143,21 @@ func (b *Builder) checkLink(u, v int, latency float64) error {
 		return fmt.Errorf("disco: self-loop at node %d", u)
 	case u < 0 || u >= b.n || v < 0 || v >= b.n:
 		return fmt.Errorf("disco: link (%d, %d) out of range for %d nodes", u, v, b.n)
-	case !(latency >= 0) || math.IsInf(latency, 1):
-		return fmt.Errorf("disco: latency %v on link (%d, %d) is negative or not finite", latency, u, v)
+	case !(latency > 0) || math.IsInf(latency, 1):
+		return fmt.Errorf("disco: latency %v on link (%d, %d) is not positive and finite", latency, u, v)
+	case b.linked[pair(u, v)] || b.base.EdgeID(graph.NodeID(u), graph.NodeID(v)) >= 0:
+		return fmt.Errorf("disco: nodes %d and %d are already linked", u, v)
 	}
 	return nil
 }
 
+// pair names the link between u and v in either spelling.
+func pair(u, v int) graph.EdgeKey {
+	return graph.EdgeKey{U: graph.NodeID(u), V: graph.NodeID(v)}.Norm()
+}
+
 // Build validates the topology and constructs the converged Disco network.
-// It returns the first link AddLink refused, if any. After a Build that
+// It returns the Builder's first mistake, if any. After a Build that
 // succeeds, links added are refused; after one that fails, the caller may
 // add the missing links and Build again.
 func (b *Builder) Build(cfg Config) (*Network, error) {

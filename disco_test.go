@@ -97,8 +97,9 @@ func TestDisconnectedRejected(t *testing.T) {
 	}
 }
 
-// TestBuilderRefusesBadLinks: a bad link is an error from Build, never a
-// panic, and a link added after Build leaves the built network routing.
+// TestBuilderRefusesBadLinks: a bad link, a bad node count or a name for a
+// node that does not exist is an error from Build, never a panic, and a
+// link added after Build leaves the built network routing.
 func TestBuilderRefusesBadLinks(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -112,6 +113,8 @@ func TestBuilderRefusesBadLinks(t *testing.T) {
 		{"NaN latency", 0, 2, math.NaN()},
 		{"+Inf latency", 0, 2, math.Inf(1)},
 		{"-Inf latency", 0, 2, math.Inf(-1)},
+		{"zero latency", 0, 2, 0},
+		{"duplicate link", 1, 0, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := NewBuilder(4)
@@ -172,10 +175,23 @@ func TestBuilderRefusesBadLinks(t *testing.T) {
 			t.Fatalf("route = %+v, %v; want the 3-hop path", r, err)
 		}
 	})
-	t.Run("zero latency", func(t *testing.T) {
-		b := NewBuilder(2)
-		if _, err := b.AddLink(0, 1, 0).Build(Config{}); err != nil {
-			t.Fatalf("a zero latency is allowed: %v", err)
+	t.Run("generator duplicate link", func(t *testing.T) {
+		b := RandomGraph(100, 4, 1)
+		if _, err := b.AddLink(int(b.base.Neighbors(7)[0].To), 7, 1).Build(Config{}); err == nil {
+			t.Fatal("a link the generator already made was added")
+		}
+	})
+	t.Run("SetName out of range", func(t *testing.T) {
+		for _, v := range []int{3, -1} {
+			b := NewBuilder(3).AddLink(0, 1, 1).AddLink(1, 2, 1).SetName(v, "x")
+			if _, err := b.Build(Config{}); err == nil {
+				t.Fatalf("SetName(%d) on 3 nodes: Build returned no error", v)
+			}
+		}
+	})
+	t.Run("negative node count", func(t *testing.T) {
+		if _, err := NewBuilder(-1).Build(Config{}); err == nil {
+			t.Fatal("NewBuilder(-1): Build returned no error")
 		}
 	})
 }

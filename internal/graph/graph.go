@@ -3,11 +3,15 @@
 // machinery (full, truncated, radius-bounded and multi-source Dijkstra) that
 // the static simulator is built on.
 //
-// Graphs are node-indexed (NodeID 0..n-1) with arbitrary non-negative link
-// distances ("link latencies or costs" in the paper's terms, §4.1). All
-// iteration orders are deterministic: adjacency lists are sorted by neighbor
-// ID and ties in Dijkstra are broken by node ID, so every simulation result
-// in this repository is exactly reproducible.
+// Graphs are node-indexed (NodeID 0..n-1) and simple: no self-loops, at
+// most one link per pair, and every link distance ("link latencies or
+// costs" in the paper's terms, §4.1) positive and finite. A graph that
+// breaks this is refused where it is built — AddEdge, Finalize and
+// WithEdges panic — which is a harness invariant: disco.Builder and
+// snapshot.ApplyRecoveries return the caller input they refuse as errors.
+// All iteration orders are deterministic: adjacency lists are sorted by
+// neighbor ID and ties in Dijkstra are broken by node ID, so every
+// simulation result in this repository is exactly reproducible.
 //
 // Three of the paper's four topologies are unweighted, so SSSP has two
 // kernels behind one API: a binary-heap Dijkstra, and a level-synchronous
@@ -35,7 +39,7 @@ const None NodeID = -1
 type Edge struct {
 	To     NodeID  // neighbor
 	EID    int32   // undirected edge index, 0..M()-1, shared by both halves
-	Weight float64 // link distance (>= 0)
+	Weight float64 // link distance (> 0, finite)
 }
 
 // Graph is a weighted undirected graph. The zero value is an empty graph;
@@ -43,7 +47,7 @@ type Edge struct {
 //
 // A graph is built, then sealed. While it is being built, adj holds one
 // separately grown row per node. Finalize replaces those with the flat
-// layout every reader runs on: all rows sorted by (To, EID) and laid back
+// layout every reader runs on: all rows sorted by neighbor and laid back
 // to back in edges, row v being edges[off[v]:off[v+1]]. From then on the
 // graph never changes — AddEdge panics — so a finalized graph can be
 // shared by every snapshot, fork and serve epoch that routes on it; a
@@ -75,9 +79,8 @@ func (g *Graph) M() int { return g.m }
 
 // AddEdge adds an undirected edge between u and v with weight w and returns
 // its edge index. It panics on a finalized graph, self-loops, out-of-range
-// endpoints, or weights that are negative or not finite. Duplicate edges
-// are the caller's responsibility (the topology generators deduplicate);
-// adding one creates a parallel edge.
+// endpoints, or weights that are not positive and finite; a second link
+// between the same pair panics when Finalize lays the rows out.
 func (g *Graph) AddEdge(u, v NodeID, w float64) int32 {
 	if g.sorted {
 		panic("graph: AddEdge on a finalized graph")
@@ -90,10 +93,11 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) int32 {
 	return id
 }
 
-// checkEdge panics on the links AddEdge and WithEdges refuse: a harness
-// invariant, since disco.Builder and ApplyRecoveries return caller input
-// they refuse as errors. A weight must be finite: SSSP never relaxes a NaN
-// link, so its far end would read unreachable on a connected graph.
+// checkEdge panics on the links AddEdge and WithEdges refuse (a harness
+// invariant, see the package comment). A weight must be finite, since SSSP
+// never relaxes a NaN link and its far end would read unreachable on a
+// connected graph, and positive, since shortest-path trees settle in
+// (distance, node ID) order and a zero-weight link breaks that.
 func (g *Graph) checkEdge(u, v NodeID, w float64) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at node %d", u))
@@ -101,8 +105,8 @@ func (g *Graph) checkEdge(u, v NodeID, w float64) {
 	if int(u) < 0 || int(u) >= g.n || int(v) < 0 || int(v) >= g.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range n=%d", u, v, g.n))
 	}
-	if !(w >= 0) || math.IsInf(w, 1) {
-		panic(fmt.Sprintf("graph: weight %v on edge (%d,%d) is negative or not finite", w, u, v))
+	if !(w > 0) || math.IsInf(w, 1) {
+		panic(fmt.Sprintf("graph: weight %v on edge (%d,%d) is not positive and finite", w, u, v))
 	}
 }
 
@@ -119,13 +123,8 @@ func (g *Graph) Neighbors(v NodeID) []Edge {
 // Degree returns the number of incident edges of v.
 func (g *Graph) Degree(v NodeID) int { return len(g.Neighbors(v)) }
 
-// byNeighbor is the row order: neighbor ID, parallel edges by edge ID.
-func byNeighbor(a, b Edge) int {
-	if c := cmp.Compare(a.To, b.To); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.EID, b.EID)
-}
+// byNeighbor is the row order: neighbor ID.
+func byNeighbor(a, b Edge) int { return cmp.Compare(a.To, b.To) }
 
 // allUnit reports whether every weight is exactly 1.
 func allUnit(edges []Edge) bool {
@@ -137,11 +136,12 @@ func allUnit(edges []Edge) bool {
 	return true
 }
 
-// Finalize sorts every adjacency list by neighbor ID (parallel edges by
-// edge ID), lays the rows out flat, and records whether the graph is
-// unit-weight. It must be called after construction and before
-// PortOf, reading a port out of Neighbors, or any shortest-path
-// computation; the topology generators call it for you.
+// Finalize sorts every adjacency list by neighbor ID, lays the rows out
+// flat, and records whether the graph is unit-weight. It panics where a
+// row names a neighbor twice: two links join the same pair (a harness
+// invariant, see the package comment). It must be called after
+// construction and before PortOf, reading a port out of Neighbors, or any
+// shortest-path computation; the topology generators call it for you.
 func (g *Graph) Finalize() {
 	if g.sorted {
 		return
@@ -153,7 +153,13 @@ func (g *Graph) Finalize() {
 	off := make([]int32, g.n+1)
 	for v, es := range g.adj {
 		edges = append(edges, es...)
-		slices.SortFunc(edges[off[v]:], byNeighbor)
+		row := edges[off[v]:]
+		slices.SortFunc(row, byNeighbor)
+		for i := 1; i < len(row); i++ {
+			if row[i].To == row[i-1].To {
+				panic(fmt.Sprintf("graph: two links join nodes %d and %d", v, row[i].To))
+			}
+		}
 		off[v+1] = int32(len(edges))
 	}
 	g.adj, g.edges, g.off = nil, edges, off
@@ -285,9 +291,7 @@ func (e EdgeKey) Norm() EdgeKey {
 // Bridges reports, indexed by edge ID, whether each undirected edge is a
 // bridge — an edge whose removal disconnects its component. Computed with
 // one iterative lowpoint DFS (O(n+m), no recursion, so router-level graphs
-// don't blow the goroutine stack). Parallel edges are handled: only the
-// exact edge used to enter a node is excluded from its lowpoint, so a
-// doubled link is correctly never a bridge. The dynamics experiments use
+// don't blow the goroutine stack). The dynamics experiments use
 // this to fail "random non-bridge links" without silently partitioning the
 // network.
 func (g *Graph) Bridges() []bool {
@@ -419,7 +423,8 @@ type WeightedLink struct {
 // The copy is g's flat rows (finalizing g first if need be) with the new
 // halves spliced in at their sorted positions, so its cost is one pass over
 // the edge array however few links are added. It panics on the links
-// AddEdge refuses.
+// AddEdge refuses, on a link g already has, and on a pair given twice (a
+// harness invariant, see the package comment).
 func (g *Graph) WithEdges(adds []WeightedLink) *Graph {
 	g.Finalize()
 	type half struct {
@@ -437,20 +442,24 @@ func (g *Graph) WithEdges(adds []WeightedLink) *Graph {
 		unit = unit && a.W == 1
 	}
 	slices.SortFunc(halves, func(a, b half) int {
-		if c := cmp.Compare(a.from, b.from); c != 0 {
-			return c
-		}
-		return byNeighbor(a.e, b.e)
+		return cmp.Or(cmp.Compare(a.from, b.from), byNeighbor(a.e, b.e))
 	})
 	g2 := &Graph{n: g.n, m: g.m + len(adds), sorted: true, unit: unit,
 		edges: make([]Edge, 0, len(g.edges)+len(halves)), off: make([]int32, g.n+1)}
-	// A new half goes behind every existing edge of its row to the same or a
-	// lower neighbor (its EID is higher than theirs); halves are in row order,
-	// so the splice points only move forward through g.edges.
+	// A new half goes behind every existing edge of its row to a lower
+	// neighbor; halves are in row order, so the splice points only move
+	// forward through g.edges.
 	copied := 0
-	for _, h := range halves {
+	for i, h := range halves {
+		if i > 0 && halves[i-1].from == h.from && halves[i-1].e.To == h.e.To {
+			panic(fmt.Sprintf("graph: WithEdges given link (%d,%d) twice", h.from, h.e.To))
+		}
 		row := g.edges[g.off[h.from]:g.off[h.from+1]]
-		at := int(g.off[h.from]) + sort.Search(len(row), func(i int) bool { return row[i].To > h.e.To })
+		j := sort.Search(len(row), func(i int) bool { return row[i].To >= h.e.To })
+		if j < len(row) && row[j].To == h.e.To {
+			panic(fmt.Sprintf("graph: WithEdges adds link (%d,%d), which exists", h.from, h.e.To))
+		}
+		at := int(g.off[h.from]) + j
 		g2.edges = append(g2.edges, g.edges[copied:at]...)
 		g2.edges = append(g2.edges, h.e)
 		copied = at

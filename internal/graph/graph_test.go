@@ -33,18 +33,31 @@ func TestAddEdgeAndDegrees(t *testing.T) {
 	}
 }
 
+// TestSelfLoopPanics: a graph is simple. A self-loop panics at AddEdge,
+// and a second link between a pair, in either spelling, at Finalize.
 func TestSelfLoopPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on self-loop")
-		}
-	}()
-	g := New(2)
-	g.AddEdge(1, 1, 1)
+	for _, tc := range []struct {
+		name  string
+		build func(g *Graph)
+	}{
+		{"self-loop", func(g *Graph) { g.AddEdge(1, 1, 1) }},
+		{"doubled", func(g *Graph) { g.AddEdge(0, 1, 1); g.AddEdge(0, 1, 1); g.Finalize() }},
+		{"doubled 1-0", func(g *Graph) { g.AddEdge(0, 1, 1); g.AddEdge(1, 2, 1); g.AddEdge(1, 0, 2); g.Finalize() }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected a panic", tc.name)
+				}
+			}()
+			tc.build(New(3))
+		}()
+	}
 }
 
+// TestNegativeWeightPanics: a link weighs more than 0 and is finite.
 func TestNegativeWeightPanics(t *testing.T) {
-	for _, w := range []float64{-0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, w := range []float64{-0.5, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -429,18 +442,6 @@ func TestRunKMoreThanN(t *testing.T) {
 	}
 }
 
-func TestZeroWeightEdges(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(1, 2, 1)
-	g.Finalize()
-	s := NewSSSP(g)
-	s.Run(0)
-	if s.Dist(1) != 0 || s.Dist(2) != 1 {
-		t.Fatalf("zero-weight handling: %v %v", s.Dist(1), s.Dist(2))
-	}
-}
-
 func TestAvgMaxDegree(t *testing.T) {
 	g := buildDiamond(t)
 	if ad := g.AvgDegree(); ad != 2 {
@@ -483,22 +484,6 @@ func TestBridgesKnownTopology(t *testing.T) {
 		want := id == b1 || id == b2
 		if got[id] != want {
 			t.Errorf("edge %d: bridge=%v want %v", id, got[id], want)
-		}
-	}
-}
-
-func TestBridgesParallelEdgeIsNotABridge(t *testing.T) {
-	// A doubled link between 0 and 1 plus a pendant at 2: only the pendant
-	// is a bridge, even though each parallel half looks like a tree edge.
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 1, 1)
-	pendant := g.AddEdge(1, 2, 1)
-	g.Finalize()
-	got := g.Bridges()
-	for id := int32(0); int(id) < g.M(); id++ {
-		if got[id] != (id == pendant) {
-			t.Errorf("edge %d: bridge=%v want %v", id, got[id], id == pendant)
 		}
 	}
 }

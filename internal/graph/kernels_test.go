@@ -32,16 +32,21 @@ func genGnm(rng *rand.Rand, n, m int) *Graph {
 	return g
 }
 
-// genDoubled is genGnm(rng, n, 2n) plus n/4 links that double an existing
-// one: each drawn node's lowest-ID neighbour gets a parallel link.
-func genDoubled(rng *rand.Rand, n int) *Graph {
-	g := genGnm(rng, n, 2*n)
-	var doubles []WeightedLink
-	for i := 0; i < n/4; i++ {
-		u := NodeID(rng.Intn(n))
-		doubles = append(doubles, WeightedLink{U: u, V: g.Neighbors(u)[0].To, W: 1})
+// genFuzz decodes a unit graph on n nodes from a fuzz input, a link per
+// four bytes, two 16-bit endpoints taken mod n; self-loops and repeated
+// pairs are skipped.
+func genFuzz(links []byte, n int) *Graph {
+	g := New(n)
+	seen := map[EdgeKey]bool{}
+	for i := 0; i+3 < len(links); i += 4 {
+		u := NodeID((int(links[i])<<8 | int(links[i+1])) % n)
+		v := NodeID((int(links[i+2])<<8 | int(links[i+3])) % n)
+		if k := (EdgeKey{u, v}).Norm(); u != v && !seen[k] {
+			seen[k] = true
+			g.AddEdge(u, v, 1)
+		}
 	}
-	return g.WithEdges(doubles)
+	return g
 }
 
 // genRouterLike is preferential attachment (3 links per new node) plus a
@@ -247,7 +252,6 @@ func TestSSSPKernelsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 40 + rng.Intn(200)
-		doubled := genDoubled(rng, n)
 		// The ring and the grid are big enough that their few-node levels
 		// span many bitset words, which is what sends sortLevel down its
 		// sorting branch; the dense graphs stay on the bitset branch.
@@ -260,7 +264,6 @@ func TestSSSPKernelsAgree(t *testing.T) {
 			{"routerlike", genRouterLike(rng, n)},
 			{"ring", genRing(1500 + rng.Intn(1000))},
 			{"grid", genGrid(20+rng.Intn(20), 30+rng.Intn(30))},
-			{"parallel", doubled},
 		}
 		for _, tc := range graphs {
 			name := fmt.Sprintf("seed %d %s", seed, tc.name)
@@ -305,8 +308,8 @@ func TestSortLevel(t *testing.T) {
 	}
 }
 
-// FuzzSSSPKernelsAgree builds a unit graph from the byte string (a link per
-// four bytes, two 16-bit endpoints; parallel links kept), optionally fails
+// FuzzSSSPKernelsAgree builds a unit graph from the byte string (genFuzz: a
+// link per four bytes, repeated pairs skipped), optionally fails
 // every third link through WithoutEdges, and requires the level kernel to
 // agree with the heap kernel on one query (mode 0, a plain Run, also checks
 // the search stepped level by level against it). Up to 1024 nodes, so that levels
@@ -320,14 +323,7 @@ func FuzzSSSPKernelsAgree(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 1, 0, 3, 0, 2, 0, 4, 0, 3}, uint16(5), uint8(7), uint16(0), uint8(3))
 	f.Fuzz(func(t *testing.T, links []byte, nodes uint16, mode uint8, src uint16, arg uint8) {
 		n := 1 + int(nodes)%1024
-		g := New(n)
-		for i := 0; i+3 < len(links); i += 4 {
-			u := NodeID((int(links[i])<<8 | int(links[i+1])) % n)
-			v := NodeID((int(links[i+2])<<8 | int(links[i+3])) % n)
-			if u != v {
-				g.AddEdge(u, v, 1)
-			}
-		}
+		g := genFuzz(links, n)
 		if mode&4 != 0 {
 			dead := make([]bool, g.M())
 			for i := range dead {
@@ -394,13 +390,12 @@ func checkBatchRows(t testing.TB, what string, g *Graph, roots []NodeID) {
 
 // TestBatchRowsMatchRun is the batched forest kernel's differential test,
 // over TestSSSPKernelsAgree's topologies and their failed copies (several
-// components, isolated nodes — roots among them — and parallel links), with
+// components, isolated nodes, roots among them), with
 // root counts on both sides of a machine word and duplicate roots.
 func TestBatchRowsMatchRun(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 40 + rng.Intn(200)
-		doubled := genDoubled(rng, n)
 		graphs := []struct {
 			name string
 			g    *Graph
@@ -410,7 +405,6 @@ func TestBatchRowsMatchRun(t *testing.T) {
 			{"routerlike", genRouterLike(rng, n)},
 			{"ring", genRing(300 + rng.Intn(300))},
 			{"grid", genGrid(10+rng.Intn(10), 15+rng.Intn(15))},
-			{"parallel", doubled},
 		}
 		for _, tc := range graphs {
 			dead := make([]bool, tc.g.M())
@@ -478,8 +472,7 @@ func TestParentRowsWeighted(t *testing.T) {
 }
 
 // FuzzBatchRowsMatchRun builds a unit graph from the byte string as
-// FuzzSSSPKernelsAgree does (a link per four bytes, parallel links kept,
-// optionally every third link failed) and draws up to 130 roots from a
+// FuzzSSSPKernelsAgree does (genFuzz, optionally every third link failed) and draws up to 130 roots from a
 // second byte string, two bytes a root, so that roots repeat, sit on
 // isolated nodes and spill over a machine word; the batched rows must be
 // Run's at widths 1, 7 and 64. Run with `go test -fuzz
@@ -490,14 +483,7 @@ func FuzzBatchRowsMatchRun(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 2, 0, 5, 0, 6}, uint16(7), true, []byte{0, 3, 0, 3, 0, 5})
 	f.Fuzz(func(t *testing.T, links []byte, nodes uint16, fail bool, rootBytes []byte) {
 		n := 1 + int(nodes)%512
-		g := New(n)
-		for i := 0; i+3 < len(links); i += 4 {
-			u := NodeID((int(links[i])<<8 | int(links[i+1])) % n)
-			v := NodeID((int(links[i+2])<<8 | int(links[i+3])) % n)
-			if u != v {
-				g.AddEdge(u, v, 1)
-			}
-		}
+		g := genFuzz(links, n)
 		if fail {
 			dead := make([]bool, g.M())
 			for i := range dead {
@@ -624,14 +610,6 @@ func TestGraphCopiesMatchRebuild(t *testing.T) {
 		if seed%2 == 0 {
 			g = genGeometric(rng, n, 8)
 		}
-		var parallels []WeightedLink
-		for i := 0; i < 5; i++ {
-			u := NodeID(rng.Intn(n))
-			if row := g.Neighbors(u); len(row) > 0 {
-				parallels = append(parallels, WeightedLink{U: u, V: row[rng.Intn(len(row))].To, W: 1})
-			}
-		}
-		g = rebuilt(g, nil, parallels)
 		dead := make([]bool, g.M())
 		var adds []WeightedLink
 		for id, k := range g.EdgeList() {
@@ -646,7 +624,11 @@ func TestGraphCopiesMatchRebuild(t *testing.T) {
 		sameGraph(t, "WithEdges", failed.WithEdges(adds), rebuilt(failed, nil, adds))
 		sameGraph(t, "WithEdges(nil)", failed.WithEdges(nil), failed)
 		// A non-unit link into a unit graph, and its removal again.
-		heavy := []WeightedLink{{U: 0, V: NodeID(n - 1), W: 2.5}}
+		far := NodeID(n - 1)
+		for g.EdgeID(0, far) >= 0 {
+			far--
+		}
+		heavy := []WeightedLink{{U: 0, V: far, W: 2.5}}
 		plus := g.WithEdges(heavy)
 		sameGraph(t, "WithEdges heavy", plus, rebuilt(g, nil, heavy))
 		mask := make([]bool, plus.M())
@@ -655,17 +637,22 @@ func TestGraphCopiesMatchRebuild(t *testing.T) {
 	}
 }
 
+// TestWithEdgesRejectsBadLinks: WithEdges panics on the links AddEdge
+// refuses, on a link the ring already has (in either spelling), and on a
+// pair given twice.
 func TestWithEdgesRejectsBadLinks(t *testing.T) {
 	g := genRing(5)
-	for _, bad := range []WeightedLink{{U: 1, V: 1, W: 1}, {U: 0, V: 5, W: 1}, {U: 0, V: 2, W: -1},
-		{U: 0, V: 2, W: math.NaN()}, {U: 0, V: 2, W: math.Inf(1)}} {
+	for _, bad := range [][]WeightedLink{{{U: 1, V: 1, W: 1}}, {{U: 0, V: 5, W: 1}}, {{U: 0, V: 2, W: -1}},
+		{{U: 0, V: 2, W: 0}}, {{U: 0, V: 2, W: math.NaN()}}, {{U: 0, V: 2, W: math.Inf(1)}},
+		{{U: 0, V: 1, W: 1}}, {{U: 0, V: 3, W: 1}, {U: 4, V: 0, W: 2}},
+		{{U: 0, V: 2, W: 1}, {U: 1, V: 3, W: 1}, {U: 2, V: 0, W: 1}}} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("WithEdges(%+v) did not panic", bad)
 				}
 			}()
-			g.WithEdges([]WeightedLink{bad})
+			g.WithEdges(bad)
 		}()
 	}
 }

@@ -136,14 +136,12 @@ func TestLazyMatchesRun(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		n := 1 + rng.Intn(150)
 		g := graph.New(n)
+		seen := map[graph.EdgeKey]bool{}
 		for m := rng.Intn(3*n + 1); m > 0 && n > 1; m-- {
 			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-			if u == v {
-				continue
-			}
-			g.AddEdge(u, v, 1)
-			if rng.Intn(6) == 0 {
-				g.AddEdge(v, u, 1) // parallel link
+			if k := (graph.EdgeKey{U: u, V: v}).Norm(); u != v && !seen[k] {
+				seen[k] = true
+				g.AddEdge(u, v, 1)
 			}
 		}
 		g.Finalize()
@@ -232,8 +230,8 @@ func TestLazyWeightedFallback(t *testing.T) {
 	}
 }
 
-// FuzzLazyMatchesRun builds a unit multigraph from links (a link per four
-// bytes, two 16-bit endpoints taken mod n; parallel links kept, self-loops
+// FuzzLazyMatchesRun builds a unit graph from links (a link per four
+// bytes, two 16-bit endpoints taken mod n; self-loops and repeated pairs
 // dropped), binds root, and replays ops — four bytes each: query (7 binds a
 // new root), argument, 16-bit node — against a full run. Run with `go test
 // -fuzz FuzzLazyMatchesRun`; the checked-in corpus under testdata/fuzz/ runs
@@ -243,10 +241,12 @@ func FuzzLazyMatchesRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, links []byte, nodes, root uint16, ops []byte) {
 		n := 1 + int(nodes)%512
 		g := graph.New(n)
+		seen := map[graph.EdgeKey]bool{}
 		for i := 0; i+3 < len(links); i += 4 {
 			u := graph.NodeID((int(links[i])<<8 | int(links[i+1])) % n)
 			v := graph.NodeID((int(links[i+2])<<8 | int(links[i+3])) % n)
-			if u != v {
+			if k := (graph.EdgeKey{U: u, V: v}).Norm(); u != v && !seen[k] {
+				seen[k] = true
 				g.AddEdge(u, v, 1)
 			}
 		}

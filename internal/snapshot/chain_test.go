@@ -435,20 +435,23 @@ func TestApplyRecoveriesErrors(t *testing.T) {
 	if _, err := base.ApplyRecoveries([]graph.WeightedLink{{U: u, V: e.To, W: e.Weight}}); err == nil {
 		t.Error("already-alive link should error")
 	}
-	// Fail a link, then try restoring it with a negative or non-finite
-	// weight.
+	// Fail a link, then try restoring it with a weight that is not
+	// positive and finite, or at two weights in one event.
 	key := (graph.EdgeKey{U: u, V: e.To}).Norm()
 	rep, err := base.ApplyFailures([]graph.EdgeKey{key})
 	if err != nil {
 		t.Fatalf("ApplyFailures: %v", err)
 	}
-	for _, w := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, w := range []float64{-1, 0, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := rep.ApplyRecoveries([]graph.WeightedLink{{U: key.U, V: key.V, W: w}}); err == nil {
 			t.Errorf("weight %v should error", w)
 		}
 	}
-	// And the round trip works with the true weight.
-	back, err := rep.ApplyRecoveries([]graph.WeightedLink{{U: key.U, V: key.V, W: e.Weight}})
+	if _, err := rep.ApplyRecoveries([]graph.WeightedLink{{U: key.U, V: key.V, W: e.Weight}, {U: key.V, V: key.U, W: e.Weight + 1}}); err == nil {
+		t.Error("one link at two weights should error")
+	}
+	// And the round trip works with the true weight, given twice.
+	back, err := rep.ApplyRecoveries([]graph.WeightedLink{{U: key.U, V: key.V, W: e.Weight}, {U: key.V, V: key.U, W: e.Weight}})
 	if err != nil {
 		t.Fatalf("ApplyRecoveries: %v", err)
 	}

@@ -6,11 +6,12 @@
 // event's blast radius instead of n — the property that makes continuous
 // churn affordable at the paper-scale sizes the compact encoding unlocked.
 //
-// What "affected" means is exact, not heuristic: on a graph whose links
-// all weigh more than 0, a window or row is recomputed only when the event
-// changes it. It rests on facts about the deterministic Dijkstra in
-// internal/graph: nodes settle in (distance, node ID) order, and a node's
-// parent is the earliest-settled neighbour that reaches its final distance
+// What "affected" means is exact, not heuristic: a window or row is
+// recomputed only when the event changes it. It rests on facts about the
+// deterministic Dijkstra in internal/graph, on a graph whose links all
+// weigh more than 0 and never two join one pair (graph refuses any other):
+// nodes settle in (distance, node ID) order, and a node's parent is the
+// earliest-settled neighbour that reaches its final distance
 // (strict-improvement updates). A full window V(x) is the first k nodes to
 // settle from x, so its last-settled member — the highest ID at its radius
 // — is the boundary a non-member must beat to enter.
@@ -32,24 +33,19 @@
 //     window's radius of x on the recovered topology — a maxRadius Dijkstra
 //     ball around each endpoint, intersected per link, encloses every
 //     candidate. (A ball sums a path's weights from the far end, so on
-//     float weights its distances are compared with a slack: sumSlack.) Each candidate's pre-event window then decides. With u a
-//     member at distance du, the link u–v of weight w changes V(x) iff
-//     (a) v is a member and du+w < dist(v): a strict improvement; (b) v is a
-//     member, du+w == dist(v), and u settles before v's parent: a tie that
-//     steals the parent; or (c) v is no member and (du+w, v) settles before
-//     the last-settled member: v enters. No other node can move first: the
+//     float weights its distances are compared with a slack: sumSlack.)
+//     Each candidate's pre-event window then decides. With u a member at
+//     distance du, the link u–v of weight w changes V(x) iff (a) v is a
+//     member and du+w < dist(v): a strict improvement; (b) v is a member,
+//     du+w == dist(v), and u settles before v's parent: a tie that steals
+//     the parent; or (c) v is no member and (du+w, v) settles before the
+//     last-settled member: v enters. No other node can move first: the
 //     first node a new route improves is reached over a restored link from
-//     a node that kept its distance, so with positive weights it is (a) or
-//     (c) for that link, and a parent changes only through (b). The per-link
-//     tests therefore compose over a multi-link event by OR, each against
-//     the pre-event window. A window with neither endpoint a member cannot
-//     change: every route over the link is longer than its radius.
-//   - Restored links of weight 0, or any link of weight 0 in the graph,
-//     break that argument (a zero-weight path can carry a node in at
-//     exactly the radius). A zero-weight restored link flags every full
-//     window its two balls enclose, and a graph with a zero-weight link
-//     flags every candidate of every link: a superset, as before the exact
-//     tests.
+//     a node that kept its distance, so it is (a) or (c) for that link, and
+//     a parent changes only through (b). The per-link tests therefore
+//     compose over a multi-link event by OR, each against the pre-event
+//     window. A window with neither endpoint a member cannot change: every
+//     route over the link is longer than its radius.
 //   - Restored links, shortfall windows (fewer than k members, i.e. a
 //     disconnected region): they can regain members at any distance, so
 //     every shortfall window in a component containing a restored endpoint
@@ -62,10 +58,6 @@
 //     endpoints. With no improvement that leaves an exact distance tie,
 //     ubiquitous on unit-weight topologies, which can steal at most the
 //     tie node's parent (rows.go).
-//   - Forest rows on a graph with a link of weight 0: the settle order the
-//     row rules read breaks, and every row the event touches — a failed
-//     tree edge, or a restored link that meets or beats an endpoint's
-//     distance — runs one full search and is compared field by field.
 //
 // Every touched forest row lands in the overlay as a sparse row, its
 // difference from the base store's row (store.go): the parents the event
@@ -159,13 +151,13 @@ type RepairStats struct {
 	// byte-identical between the parent and this snapshot, folds included.
 	// VicTouched lists, ascending, the nodes whose vicinity windows this
 	// event recomputed; RowsTouched the forest rows re-settled or patched,
-	// each of which differs from the parent's row on a graph without
-	// parallel links. Since repair recomputes only the windows an event
-	// changes, VicTouched is also exactly the changed windows on a graph of
-	// positive link weights (VicRebuilt == VicChanged). Both are shared
-	// slices: every copy RepairStats returns aliases the snapshot's own
-	// lists, so they are read, never written — the one convention of the
-	// sealed surface that no type carries.
+	// each of which differs from the parent's row. Since repair recomputes
+	// only the windows an event changes, VicTouched is also exactly the
+	// changed windows (VicRebuilt == VicChanged) wherever the event leaves
+	// no window short. Both are shared slices: every copy RepairStats
+	// returns aliases the snapshot's own lists, so they are read, never
+	// written — the one convention of the sealed surface that no type
+	// carries.
 	VicTouched  []graph.NodeID
 	RowsTouched []int
 }
@@ -258,29 +250,32 @@ func (s *Snapshot) ApplyFailures(fails []graph.EdgeKey) (*Snapshot, error) {
 // given restored links — the dual of ApplyFailures, repairing the same
 // blast radius in reverse. Each restored link must not currently exist
 // (restore what failed, with the weight the failed graph no longer
-// records); links are deduplicated and a weight that is negative or not
-// finite is an error. On a connected result the recovered snapshot is
-// byte-identical (in CanonicalBytes form) to a from-scratch build of the
-// recovered topology.
+// records). A link given twice at one weight counts once; at two weights,
+// or at a weight that is not positive and finite, it is an error. On a
+// connected result the recovered snapshot is byte-identical (in
+// CanonicalBytes form) to a from-scratch build of the recovered topology.
 func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, error) {
 	n := s.g.N()
-	seen := make(map[graph.EdgeKey]bool, len(restores))
+	seen := make(map[graph.EdgeKey]float64, len(restores))
 	uniq := make([]graph.WeightedLink, 0, len(restores))
 	for _, r := range restores {
 		key := (graph.EdgeKey{U: r.U, V: r.V}).Norm()
 		if key.U == key.V || key.U < 0 || int(key.V) >= n {
 			return nil, fmt.Errorf("snapshot: invalid link %d-%d", r.U, r.V)
 		}
-		if !(r.W >= 0) || math.IsInf(r.W, 1) {
-			return nil, fmt.Errorf("snapshot: weight %v on restored link %d-%d is negative or not finite", r.W, r.U, r.V)
+		if !(r.W > 0) || math.IsInf(r.W, 1) {
+			return nil, fmt.Errorf("snapshot: weight %v on restored link %d-%d is not positive and finite", r.W, r.U, r.V)
 		}
 		if s.g.EdgeID(key.U, key.V) >= 0 {
 			return nil, fmt.Errorf("snapshot: link %d-%d is already alive", key.U, key.V)
 		}
-		if seen[key] {
+		if w, dup := seen[key]; dup {
+			if w != r.W {
+				return nil, fmt.Errorf("snapshot: link %d-%d restored at weights %v and %v", key.U, key.V, w, r.W)
+			}
 			continue
 		}
-		seen[key] = true
+		seen[key] = r.W
 		uniq = append(uniq, graph.WeightedLink{U: key.U, V: key.V, W: r.W})
 	}
 	if len(uniq) == 0 {
@@ -569,13 +564,12 @@ func (s *Snapshot) probeWindow(x graph.NodeID, sc *vicinity.Scratch, keep func(*
 // window the link can change, and the per-window radius probe prunes the
 // enclosure to windows that hold both endpoints within their own radius,
 // reading per-window size and radius off the store (windowMeta) without
-// decoding. On a graph of positive weights each survivor's pre-event
-// window then decides exactly (restoreChanges); a zero-weight link keeps
-// the survivors, a superset. The ball searches and the per-link sweeps fan
-// out over the worker pool, and the merge is a sort and dedup of the
-// per-link lists, so the result is worker-count invariant. Shortfall
-// windows instead qualify whenever any restored endpoint sits in their
-// component: reconnection admits new members at any distance.
+// decoding. Each survivor's pre-event window then decides exactly
+// (restoreChanges). The ball searches and the per-link sweeps fan out over
+// the worker pool, and the merge is a sort and dedup of the per-link
+// lists, so the result is worker-count invariant. Shortfall windows
+// instead qualify whenever any restored endpoint sits in their component:
+// reconnection admits new members at any distance.
 func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph) ([]graph.NodeID, int) {
 	eps := make([]graph.NodeID, 0, 2*len(uniq))
 	for _, r := range uniq {
@@ -608,7 +602,6 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 		return balls[i]
 	}
 	n, k := s.g.N(), s.k
-	exact := positiveWeights(s.g)
 	// Each link intersects its two balls through a dense per-worker distance
 	// array: negative outside the first ball, and all negative between tasks.
 	type linkScratch struct {
@@ -636,7 +629,7 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 				if size < k {
 					continue // shortfall windows: component rule below
 				}
-				if within(du, rad) && within(dv, rad) && (!exact || r.W <= 0 || s.restoreChanges(x, r, ls.sc)) {
+				if within(du, rad) && within(dv, rad) && s.restoreChanges(x, r, ls.sc) {
 					out = append(out, x)
 				}
 			}
@@ -680,26 +673,9 @@ func ballBound(r float64) float64 { return math.Nextafter(r+r*sumSlack, math.Inf
 // most r.
 func within(d, r float64) bool { return d <= r+r*sumSlack }
 
-// positiveWeights reports whether every link of g weighs more than 0: the
-// condition of the exact recovery test.
-func positiveWeights(g *graph.Graph) bool {
-	if g.Unit() {
-		return true
-	}
-	for v := range graph.NodeID(g.N()) {
-		for _, e := range g.Neighbors(v) {
-			if !(e.Weight > 0) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// restoreChanges reports whether restoring r, of weight above 0, changes
-// the full window V(x) of a graph of positive weights: the three cases of
-// "What affected means", read off the pre-event window (through sc when
-// compact) in both directions of the link.
+// restoreChanges reports whether restoring r changes the full window V(x):
+// the three cases of "What affected means", read off the pre-event window
+// (through sc when compact) in both directions of the link.
 func (s *Snapshot) restoreChanges(x graph.NodeID, r graph.WeightedLink, sc *vicinity.Scratch) bool {
 	win := s.probeWindow(x, sc, func(w *vicinity.Window) bool { return w.Contains(r.U) || w.Contains(r.V) })
 	if win == nil {

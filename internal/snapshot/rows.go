@@ -3,14 +3,15 @@
 // into the overlay through patchEdit, as sparse patches against the base
 // store's row.
 //
-// It rests on one fact about the Dijkstra in internal/graph. On a graph
-// whose links all weigh more than 0, nodes settle in (distance, node ID)
-// order, and relaxations keep only strict improvements, so a node's parent
-// is a local rule: the parent of x is the neighbour y with the smallest
-// (d(y), y) among those where d(y)+w == d(x), the sum taken as the kernel
-// takes it (w > 0 puts every such y before x). A node's parent can therefore
-// move only when its own distance moves, a neighbour's distance moves, or
-// one of its links comes or goes.
+// It rests on one fact about the Dijkstra in internal/graph. Every link
+// weighs more than 0 and no two join the same pair (graph refuses both),
+// so nodes settle in (distance, node ID) order, and relaxations keep only
+// strict improvements, so a node's parent is a local rule: the parent of x
+// is the neighbour y with the smallest (d(y), y) among those where
+// d(y)+w == d(x), the sum taken as the kernel takes it (w > 0 puts every
+// such y before x). A node's parent can therefore move only when its own
+// distance moves, a neighbour's distance moves, or one of its links comes
+// or goes.
 //
 //   - Failures. A row changes iff some failed link is one of its tree
 //     edges. Let O be the subtrees below those edges. Every node outside O
@@ -33,11 +34,6 @@
 // float results bit for bit. They are memoized per row in the worker's
 // stamped scratch, so a row costs its region and the tree paths above the
 // region's neighbours, not n.
-//
-// A link of weight 0 anywhere in the post-event graph breaks the (distance,
-// node ID) settle order the rule needs. A touched row then runs one full
-// SSSP on the new graph and is diffed against the pre-event row field by
-// field, as windows fall back to their superset rule.
 package snapshot
 
 import (
@@ -63,9 +59,8 @@ type rowRepair struct {
 // re-settled. Rows are independent and merge in row order, so the result
 // is worker-count invariant.
 func (s *Snapshot) repairRows(g *graph.Graph, repair func(*rowSettler, int) rowRepair) (rowIdx []int, edits []rowEdit, resettled int) {
-	positive := positiveWeights(g)
 	res := parallel.MapScratch(len(s.landmarks),
-		func() *rowSettler { return newRowSettler(s, g, positive) },
+		func() *rowSettler { return newRowSettler(s, g) },
 		repair)
 	for row, r := range res {
 		if !r.touched {
@@ -100,22 +95,20 @@ type distItem struct {
 // into the post-event graph g. begin starts a row by bumping the epoch, so
 // nothing is cleared between rows.
 type rowSettler struct {
-	s        *Snapshot
-	g        *graph.Graph
-	positive bool // every link of g weighs more than 0
-	nodes    []settleNode
-	epoch    uint32
-	row      int
-	lm       graph.NodeID
-	region   []graph.NodeID
-	heap     []distItem
-	chain    []graph.NodeID
-	patches  []rowPatch
-	sp       *graph.SSSP // the zero-weight fallback's search, made on first use
+	s       *Snapshot
+	g       *graph.Graph
+	nodes   []settleNode
+	epoch   uint32
+	row     int
+	lm      graph.NodeID
+	region  []graph.NodeID
+	heap    []distItem
+	chain   []graph.NodeID
+	patches []rowPatch
 }
 
-func newRowSettler(s *Snapshot, g *graph.Graph, positive bool) *rowSettler {
-	return &rowSettler{s: s, g: g, positive: positive, nodes: make([]settleNode, g.N())}
+func newRowSettler(s *Snapshot, g *graph.Graph) *rowSettler {
+	return &rowSettler{s: s, g: g, nodes: make([]settleNode, g.N())}
 }
 
 // begin starts forest row `row`.
@@ -141,9 +134,6 @@ func (rs *rowSettler) fail(row int, links []graph.EdgeKey) rowRepair {
 	if len(rs.region) == 0 {
 		return rowRepair{}
 	}
-	if !rs.positive {
-		return rs.finish(true, rs.rerun())
-	}
 	// The orphaned subtrees: children are found on the pre-event graph,
 	// where every tree edge of the pre-event row still exists.
 	for i := 0; i < len(rs.region); i++ {
@@ -167,7 +157,7 @@ func (rs *rowSettler) fail(row int, links []graph.EdgeKey) rowRepair {
 	for _, x := range rs.region {
 		rs.rederive(x)
 	}
-	return rs.finish(true, rs.patches)
+	return rs.finish(true)
 }
 
 // recover repairs row `row` for the restored links: the region of strict
@@ -175,20 +165,12 @@ func (rs *rowSettler) fail(row int, links []graph.EdgeKey) rowRepair {
 // and the restored endpoints.
 func (rs *rowSettler) recover(row int, links []graph.WeightedLink) rowRepair {
 	rs.begin(row)
-	reach := false // some link meets or beats an endpoint's distance
 	for _, r := range links {
 		du, dv := rs.oldDist(r.U), rs.oldDist(r.V)
 		rs.offer(r.V, du+r.W)
 		rs.offer(r.U, dv+r.W)
-		reach = reach || min(du, dv) < math.Inf(1) && (du+r.W <= dv || dv+r.W <= du)
 	}
 	resettled := len(rs.region) > 0
-	if !rs.positive {
-		if !reach {
-			return rowRepair{}
-		}
-		return rs.finish(resettled, rs.rerun())
-	}
 	rs.settle()
 	for _, r := range links {
 		rs.rederive(r.U)
@@ -200,17 +182,17 @@ func (rs *rowSettler) recover(row int, links []graph.WeightedLink) rowRepair {
 			rs.rederive(e.To)
 		}
 	}
-	return rs.finish(resettled, rs.patches)
+	return rs.finish(resettled)
 }
 
 // finish seals the row's parents that move, ascending by node, into its
 // edit; a row nothing moved in is untouched unless re-settled.
-func (rs *rowSettler) finish(resettled bool, patches []rowPatch) rowRepair {
-	if !resettled && len(patches) == 0 {
+func (rs *rowSettler) finish(resettled bool) rowRepair {
+	if !resettled && len(rs.patches) == 0 {
 		return rowRepair{}
 	}
-	slices.SortFunc(patches, func(a, b rowPatch) int { return cmp.Compare(a.v, b.v) })
-	return rowRepair{touched: true, resettled: resettled, edit: rs.s.patchEdit(rs.row, patches)}
+	slices.SortFunc(rs.patches, func(a, b rowPatch) int { return cmp.Compare(a.v, b.v) })
+	return rowRepair{touched: true, resettled: resettled, edit: rs.s.patchEdit(rs.row, rs.patches)}
 }
 
 // enter puts a failure-orphaned node into the region, unreached so far.
@@ -308,20 +290,13 @@ func (rs *rowSettler) oldDist(v graph.NodeID) float64 {
 	return d
 }
 
-// treeWeight returns the weight the kernel adds along tree edge p→x: the
-// lightest of the parallel links between them, since a relaxation keeps
-// the smallest sum.
+// treeWeight returns the weight the kernel adds along tree edge p→x; a
+// unit-weight graph skips the port search.
 func treeWeight(g *graph.Graph, p, x graph.NodeID) float64 {
 	if g.Unit() {
 		return 1
 	}
-	es := g.Neighbors(p)
-	i := g.PortOf(p, x)
-	w := es[i].Weight
-	for i++; i < len(es) && es[i].To == x; i++ {
-		w = min(w, es[i].Weight)
-	}
-	return w
+	return g.EdgeWeight(p, x)
 }
 
 // rederive applies the parent rule to x once per row and records a patch
@@ -361,21 +336,6 @@ func (rs *rowSettler) parentOf(x graph.NodeID, dx float64) graph.NodeID {
 		}
 	}
 	return best
-}
-
-// rerun is the zero-weight fallback: the row's tree searched afresh on g
-// and compared with the pre-event row field by field.
-func (rs *rowSettler) rerun() []rowPatch {
-	if rs.sp == nil {
-		rs.sp = graph.NewSSSP(rs.g)
-	}
-	rs.sp.Run(rs.lm)
-	for v := range graph.NodeID(rs.g.N()) {
-		if p := rs.sp.Parent(v); p != rs.s.parentAt(rs.row, v) {
-			rs.patches = append(rs.patches, rowPatch{v: v, p: p})
-		}
-	}
-	return rs.patches
 }
 
 func (rs *rowSettler) push(it distItem) {
