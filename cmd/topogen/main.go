@@ -20,12 +20,32 @@ import (
 	"disco/internal/vicinity"
 )
 
+// validateFlags rejects the flags the generators would panic on: an
+// unknown topology, and a size below 9, the smallest at which every
+// generator and the summary below run. main reports the error and exits 2
+// (usage error).
+func validateFlags(topo string, n int) error {
+	switch eval.TopoKind(topo) {
+	case eval.TopoGnm, eval.TopoGeometric, eval.TopoASLike, eval.TopoRouterLike:
+	default:
+		return fmt.Errorf("-topo must be gnm, geometric, aslike or routerlike, got %q", topo)
+	}
+	if n < 9 {
+		return fmt.Errorf("-n must be >= 9, got %d", n)
+	}
+	return nil
+}
+
 func main() {
 	topo := flag.String("topo", "gnm", "topology: gnm | geometric | aslike | routerlike")
 	n := flag.Int("n", 1024, "node count")
 	seed := flag.Int64("seed", 1, "random seed")
 	deg := flag.Bool("deg", false, "print the degree distribution")
 	flag.Parse()
+	if err := validateFlags(*topo, *n); err != nil {
+		fmt.Fprintf(os.Stderr, "topogen: %v\n", err)
+		os.Exit(2)
+	}
 
 	g := eval.BuildTopo(eval.TopoKind(*topo), *n, *seed)
 	fmt.Printf("topology %s: n=%d m=%d avg-degree=%.2f max-degree=%d connected=%v\n",

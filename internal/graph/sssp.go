@@ -11,25 +11,32 @@ import (
 // Inf is the distance reported for unreached nodes.
 var Inf = math.Inf(1)
 
-// heapItem is a lazy-deletion priority queue entry: stale entries (node
-// already settled) are skipped on pop. Ties are broken by node ID so every
-// run is deterministic regardless of insertion order.
+// heapItem is one Heap entry.
 type heapItem struct {
 	dist float64
 	node NodeID
 }
 
-type minHeap []heapItem
+// Heap is the kernel's lazy-deletion min-heap of (distance, node ID)
+// entries: a caller skips stale entries (a node settled, or lowered since)
+// on Pop. Ties pop in node ID order, so every search over it settles in
+// the (distance, node ID) order regardless of insertion order. The zero
+// value is an empty heap, and reslicing to [:0] empties it.
+type Heap []heapItem
 
-func (h minHeap) less(i, j int) bool {
+func (h Heap) less(i, j int) bool {
 	if h[i].dist != h[j].dist {
 		return h[i].dist < h[j].dist
 	}
 	return h[i].node < h[j].node
 }
 
-func (h *minHeap) push(it heapItem) {
-	*h = append(*h, it)
+// Len returns the number of entries, stale ones included.
+func (h Heap) Len() int { return len(h) }
+
+// Push adds node v at distance d.
+func (h *Heap) Push(d float64, v NodeID) {
+	*h = append(*h, heapItem{dist: d, node: v})
 	i := len(*h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -41,7 +48,8 @@ func (h *minHeap) push(it heapItem) {
 	}
 }
 
-func (h *minHeap) pop() heapItem {
+// Pop removes and returns the least entry; the heap must not be empty.
+func (h *Heap) Pop() (float64, NodeID) {
 	old := *h
 	top := old[0]
 	n := len(old) - 1
@@ -63,7 +71,7 @@ func (h *minHeap) pop() heapItem {
 		(*h)[i], (*h)[s] = (*h)[s], (*h)[i]
 		i = s
 	}
-	return top
+	return top.dist, top.node
 }
 
 // SSSP is a reusable single-source shortest-path scratch space over a fixed
@@ -78,7 +86,7 @@ type SSSP struct {
 	stamp   []uint32
 	settled []uint32 // stamp marking fully settled nodes
 	epoch   uint32
-	heap    minHeap
+	heap    Heap
 	order   []NodeID // settle order of the last run
 	// Level kernel only: the nodes first touched from the level being
 	// scanned, the bitset sortLevel orders them through (all zero between
@@ -142,7 +150,7 @@ func (s *SSSP) relax(v NodeID, d float64, via NodeID, src NodeID) {
 	s.dist[v] = d
 	s.parent[v] = via
 	s.nearest[v] = src
-	s.heap.push(heapItem{dist: d, node: v})
+	s.heap.Push(d, v)
 }
 
 // run executes Dijkstra from the given sources, stopping when `limit` nodes
@@ -178,22 +186,21 @@ func (s *SSSP) runHeap(sources []NodeID, limit int, radius float64) {
 	for _, src := range sources {
 		s.relax(src, 0, None, src)
 	}
-	for len(s.heap) > 0 {
+	for s.heap.Len() > 0 {
 		if limit >= 0 && len(s.order) >= limit {
 			return
 		}
-		it := s.heap.pop()
-		v := it.node
-		if s.settled[v] == s.epoch || it.dist != s.dist[v] {
+		d, v := s.heap.Pop()
+		if s.settled[v] == s.epoch || d != s.dist[v] {
 			continue // stale entry
 		}
-		if radius >= 0 && it.dist >= radius {
+		if radius >= 0 && d >= radius {
 			return
 		}
 		s.settled[v] = s.epoch
 		s.order = append(s.order, v)
 		for _, e := range edges[off[v]:off[v+1]] {
-			s.relax(e.To, it.dist+e.Weight, v, s.nearest[v])
+			s.relax(e.To, d+e.Weight, v, s.nearest[v])
 		}
 	}
 }

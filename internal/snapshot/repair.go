@@ -22,7 +22,10 @@
 //     distance, every non-member's can only grow, and every member keeps its
 //     earliest-settled parent. A removed tree link takes its child's parent
 //     away, so the window does change. Several failed links compose: a
-//     window none of them is a tree edge of keeps every tree edge.
+//     window none of them is a tree edge of keeps every tree edge. A tree
+//     edge's endpoints are members, so the candidates are the windows
+//     holding both within their radius on the pre-event graph, found by
+//     the search restored links use (windowCandidates).
 //   - Failed links, forest rows: a row changes iff some failed link is one
 //     of its tree edges, by the same argument. Only the subtree below such
 //     an edge — the nodes it orphans — can move: it is re-settled from its
@@ -30,10 +33,11 @@
 //     (rows.go).
 //   - Restored links, full windows: a window changes only if some new route
 //     runs over a restored link, which puts BOTH endpoints within the
-//     window's radius of x on the recovered topology — a maxRadius Dijkstra
-//     ball around each endpoint, intersected per link, encloses every
-//     candidate. (A ball sums a path's weights from the far end, so on
-//     float weights its distances are compared with a slack: sumSlack.)
+//     window's radius of x on the recovered topology — the search failed
+//     links use, run there: a maxRadius Dijkstra ball around each endpoint,
+//     intersected per link, encloses every candidate. (A ball sums a path's
+//     weights from the far end, so on float weights its distances are
+//     compared with a slack: sumSlack.)
 //     Each candidate's pre-event window then decides. With u a member at
 //     distance du, the link u–v of weight w changes V(x) iff (a) v is a
 //     member and du+w < dist(v): a strict improvement; (b) v is a member,
@@ -131,7 +135,7 @@ type RepairStats struct {
 	RowsRebuilt   int  // forest rows re-settled: a failure's, or a recovery's that moves a distance
 	RowsPatched   int  // forest rows where only parents moved (a recovery's exact ties)
 	RowsTotal     int  // = number of landmarks
-	Candidates    int  // nodes scanned by the blast-radius candidate search
+	Candidates    int  // nodes the endpoint balls settled, summed over distinct endpoints
 	Folded        bool // the chain overlay hit the compaction threshold
 
 	// The changed-state measure the message model prices: recomputing a
@@ -232,7 +236,9 @@ func (s *Snapshot) ApplyFailures(fails []graph.EdgeKey) (*Snapshot, error) {
 	}
 	fg := s.g.WithoutEdges(dead)
 
-	affVic, scanned := s.affectedVicinities(uniq, s.g.Unit())
+	affVic, scanned := s.windowCandidates(s.g, uniq, func(x graph.NodeID, i int, sc *vicinity.Scratch) bool {
+		return s.carriesTreeLink(x, uniq[i], sc)
+	})
 	wins := recomputeWindows(fg, affVic, s.k)
 
 	rowIdx, edits, _ := s.repairRows(fg, func(rs *rowSettler, row int) rowRepair { return rs.fail(row, uniq) })
@@ -450,87 +456,16 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 	return c
 }
 
-// affectedVicinities returns, sorted, every node whose vicinity window
-// changes when the given (deduplicated, existing) links fail, plus how many
-// candidate nodes the ball search scanned. A window qualifies iff some
-// failed link is one of its tree edges; candidates are enumerated by a
-// bounded Dijkstra ball around each distinct lower endpoint (a superset,
-// since u ∈ V(x) forces d(x,u) <= maxRadius, which ballBound allows for as
-// the ball sums it), then read: a compact window's
-// member IDs first, its parent column only when both endpoints are
-// members. The reads run inside the per-ball tasks, and the merge is a
-// sort and dedup of the per-ball lists, so the result is worker-count
-// invariant.
-//
-// With radiusCut, a candidate x farther from u than V(x)'s own radius is
-// dropped before it is read: u ∈ V(x) forces d(x,u) <= radius(x).
-// ApplyFailures cuts on unit-weight graphs only, where the ball's distance
-// and the window's are the same integer; on a weighted graph the two float
-// sums can differ in the last bit.
-func (s *Snapshot) affectedVicinities(uniq []graph.EdgeKey, radiusCut bool) ([]graph.NodeID, int) {
-	byU := make(map[graph.NodeID][]graph.NodeID)
-	var us []graph.NodeID
-	for _, f := range uniq {
-		if byU[f.U] == nil {
-			us = append(us, f.U)
-		}
-		byU[f.U] = append(byU[f.U], f.V)
-	}
-	slices.Sort(us)
-	bound := ballBound(s.maxRadius)
-	type ballScratch struct {
-		sp *graph.SSSP
-		sc *vicinity.Scratch
-	}
-	type ballResult struct {
-		aff     []graph.NodeID
-		scanned int
-	}
-	balls := parallel.MapScratch(len(us),
-		func() ballScratch { return ballScratch{graph.NewSSSP(s.g), s.newScratch()} },
-		func(b ballScratch, i int) ballResult {
-			u, vs := us[i], byU[us[i]]
-			b.sp.RunRadius(u, bound)
-			res := ballResult{scanned: len(b.sp.Order())}
-			for _, x := range b.sp.Order() {
-				if radiusCut {
-					if _, rad := s.windowMeta(x); b.sp.Dist(x) > rad {
-						continue
-					}
-				}
-				if s.carriesTreeLink(x, u, vs, b.sc) {
-					res.aff = append(res.aff, x)
-				}
-			}
-			return res
-		})
-	var aff []graph.NodeID
-	scanned := 0
-	for _, b := range balls {
-		scanned += b.scanned
-		aff = append(aff, b.aff...)
-	}
-	slices.Sort(aff)
-	return slices.Compact(aff), scanned
-}
-
-// carriesTreeLink reports whether some link u–v, v in vs, is a tree edge
-// of V(x): both endpoints members, one the other's parent. A compact
-// window is read through sc.
-func (s *Snapshot) carriesTreeLink(x, u graph.NodeID, vs []graph.NodeID, sc *vicinity.Scratch) bool {
-	win := s.probeWindow(x, sc, func(w *vicinity.Window) bool {
-		return w.Contains(u) && slices.ContainsFunc(vs, w.Contains)
-	})
+// carriesTreeLink reports whether link f is a tree edge of V(x): both
+// endpoints members, one the other's parent. A compact window is read
+// through sc.
+func (s *Snapshot) carriesTreeLink(x graph.NodeID, f graph.EdgeKey, sc *vicinity.Scratch) bool {
+	win := s.probeWindow(x, sc, func(w *vicinity.Window) bool { return w.Contains(f.U) && w.Contains(f.V) })
 	if win == nil {
 		return false
 	}
-	iu := win.Find(u)
-	for _, v := range vs {
-		if iv := win.Find(v); iv >= 0 && (win.Parent(iv) == iu || win.Parent(iu) == iv) {
-			return true
-		}
-	}
-	return false
+	iu, iv := win.Find(f.U), win.Find(f.V)
+	return win.Parent(iv) == iu || win.Parent(iu) == iv
 }
 
 // probeWindow reads V(x) for a repair probe: whole where the overlay or an
@@ -557,23 +492,23 @@ func (s *Snapshot) probeWindow(x graph.NodeID, sc *vicinity.Scratch, keep func(*
 	return win
 }
 
-// recoveryVicinities returns, sorted, every node whose vicinity window can
-// change when the given (deduplicated, sorted, nonexistent) links are
-// restored, plus the candidate count scanned. A maxRadius Dijkstra ball
-// around each endpoint on the recovered graph ng encloses every full
-// window the link can change, and the per-window radius probe prunes the
-// enclosure to windows that hold both endpoints within their own radius,
-// reading per-window size and radius off the store (windowMeta) without
-// decoding. Each survivor's pre-event window then decides exactly
-// (restoreChanges). The ball searches and the per-link sweeps fan out over
-// the worker pool, and the merge is a sort and dedup of the per-link
-// lists, so the result is worker-count invariant. Shortfall windows
-// instead qualify whenever any restored endpoint sits in their component:
-// reconnection admits new members at any distance.
-func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph) ([]graph.NodeID, int) {
-	eps := make([]graph.NodeID, 0, 2*len(uniq))
-	for _, r := range uniq {
-		eps = append(eps, r.U, r.V)
+// windowCandidates returns, sorted, every node x for which test accepts
+// some link of links, plus how many nodes the endpoint balls settled. Both
+// repair directions find their windows here, on the graph g where the
+// windows' distances hold (the pre-event graph for failures, the recovered
+// one for restores): a link can change V(x) only if both its endpoints lie
+// within V(x)'s radius there. A maxRadius Dijkstra ball around each
+// distinct endpoint encloses every such x, the two balls of a link are
+// intersected, and x is kept for test(x, i, sc) only where both of link i's
+// ball distances are within V(x)'s radius, read off the store (windowMeta)
+// without decoding. test decides exactly, reading a compact window through
+// sc. The ball searches and the per-link sweeps fan out over the worker
+// pool, and the merge is a sort and dedup of the per-link lists, so the
+// result is worker-count invariant.
+func (s *Snapshot) windowCandidates(g *graph.Graph, links []graph.EdgeKey, test func(x graph.NodeID, i int, sc *vicinity.Scratch) bool) ([]graph.NodeID, int) {
+	eps := make([]graph.NodeID, 0, 2*len(links))
+	for _, l := range links {
+		eps = append(eps, l.U, l.V)
 	}
 	slices.Sort(eps)
 	eps = slices.Compact(eps)
@@ -584,7 +519,7 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 		dist  []float64
 	}
 	balls := parallel.MapScratch(len(eps),
-		func() *graph.SSSP { return graph.NewSSSP(ng) },
+		func() *graph.SSSP { return graph.NewSSSP(g) },
 		func(sp *graph.SSSP, i int) ball {
 			sp.RunRadius(eps[i], bound)
 			b := ball{nodes: slices.Clone(sp.Order()), dist: make([]float64, len(sp.Order()))}
@@ -601,18 +536,16 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 		i, _ := slices.BinarySearch(eps, x)
 		return balls[i]
 	}
-	n, k := s.g.N(), s.k
 	// Each link intersects its two balls through a dense per-worker distance
 	// array: negative outside the first ball, and all negative between tasks.
 	type linkScratch struct {
 		in []float64
 		sc *vicinity.Scratch
 	}
-	cands := parallel.MapScratch(len(uniq),
-		func() linkScratch { return linkScratch{slices.Repeat([]float64{-1}, n), s.newScratch()} },
+	cands := parallel.MapScratch(len(links),
+		func() linkScratch { return linkScratch{slices.Repeat([]float64{-1}, g.N()), s.newScratch()} },
 		func(ls linkScratch, i int) []graph.NodeID {
-			r := uniq[i]
-			bu, bv := ballOf(r.U), ballOf(r.V)
+			bu, bv := ballOf(links[i].U), ballOf(links[i].V)
 			if len(bv.nodes) < len(bu.nodes) {
 				bu, bv = bv, bu
 			}
@@ -625,11 +558,7 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 				if du < 0 {
 					continue
 				}
-				size, rad := s.windowMeta(x)
-				if size < k {
-					continue // shortfall windows: component rule below
-				}
-				if within(du, rad) && within(dv, rad) && s.restoreChanges(x, r, ls.sc) {
+				if _, rad := s.windowMeta(x); within(du, rad) && within(dv, rad) && test(x, i, ls.sc) {
 					out = append(out, x)
 				}
 			}
@@ -639,16 +568,37 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 			return out
 		})
 	aff := slices.Concat(cands...)
-	if len(s.short) > 0 {
-		labels, _ := s.g.Components()
-		epLabels := make(map[int32]bool, len(eps))
-		for _, x := range eps {
-			epLabels[labels[x]] = true
-		}
-		for _, v := range s.short {
-			if epLabels[labels[v]] {
-				aff = append(aff, v)
-			}
+	slices.Sort(aff)
+	return slices.Compact(aff), scanned
+}
+
+// recoveryVicinities returns, sorted, every node whose vicinity window
+// changes when the given (deduplicated, sorted, nonexistent) links are
+// restored, plus the candidate count scanned. Full windows come from
+// windowCandidates on the recovered graph ng, each survivor's pre-event
+// window deciding exactly (restoreChanges). Shortfall windows instead
+// qualify whenever any restored endpoint sits in their component:
+// reconnection admits new members at any distance.
+func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph) ([]graph.NodeID, int) {
+	links := make([]graph.EdgeKey, len(uniq))
+	for i, r := range uniq {
+		links[i] = graph.EdgeKey{U: r.U, V: r.V}
+	}
+	aff, scanned := s.windowCandidates(ng, links, func(x graph.NodeID, i int, sc *vicinity.Scratch) bool {
+		size, _ := s.windowMeta(x)
+		return size >= s.k && s.restoreChanges(x, uniq[i], sc)
+	})
+	if len(s.short) == 0 {
+		return aff, scanned
+	}
+	labels, _ := s.g.Components()
+	epLabels := make(map[int32]bool, 2*len(links))
+	for _, l := range links {
+		epLabels[labels[l.U]], epLabels[labels[l.V]] = true, true
+	}
+	for _, v := range s.short {
+		if epLabels[labels[v]] {
+			aff = append(aff, v)
 		}
 	}
 	slices.Sort(aff)

@@ -270,17 +270,30 @@ func TestApplyFailuresErrors(t *testing.T) {
 	}
 }
 
-// TestFailureRadiusCut: on a unit-weight graph, affectedVicinities drops a
-// candidate farther from the failed endpoint than its own window's radius
-// before probing it. The cut must change no candidate list and no scanned
-// count: with and without it the results agree on G(n,m), router-like, and
-// chain heads holding shortfall windows (a node cut off, folded, then one
-// more event overlaid), in both regimes. On a geometric map ApplyFailures must not cut:
-// it touches the windows of the uncut scan and counts its candidates.
+// TestFailureRadiusCut: the failure search keeps only the windows that
+// hold both ends of a failed link within their radius, on every graph, and
+// must still find every window a failure changes. ApplyFailures must touch
+// exactly the windows some failed link is a tree edge of, found here by
+// reading all n windows of the pre-event snapshot instead of searching
+// balls. It runs on G(n,m), router-like and chain heads holding shortfall
+// windows (a node cut off, folded, then one more event overlaid), and on a
+// geometric map, whose float distances the search compares with a slack,
+// all in both regimes. Every fourth event fails links that share an
+// endpoint.
 func TestFailureRadiusCut(t *testing.T) {
-	draw := func(s *Snapshot, rng *rand.Rand, trial int) []graph.EdgeKey {
-		edges := s.Graph().EdgeList()
-		links := make([]graph.EdgeKey, 0, 3)
+	draw := func(g *graph.Graph, rng *rand.Rand, trial int) []graph.EdgeKey {
+		var links []graph.EdgeKey
+		if trial%4 == 3 {
+			u := graph.NodeID(rng.Intn(g.N()))
+			for g.Degree(u) == 0 {
+				u = graph.NodeID(rng.Intn(g.N()))
+			}
+			for _, e := range g.Neighbors(u)[:min(3, g.Degree(u))] {
+				links = append(links, (graph.EdgeKey{U: u, V: e.To}).Norm())
+			}
+			return links
+		}
+		edges := g.EdgeList()
 		for _, i := range rng.Perm(len(edges))[:1+trial%3] {
 			links = append(links, edges[i])
 		}
@@ -288,23 +301,32 @@ func TestFailureRadiusCut(t *testing.T) {
 	}
 	check := func(t *testing.T, s *Snapshot) {
 		t.Helper()
-		if !s.Graph().Unit() {
-			t.Fatal("want a unit-weight graph")
-		}
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 24; trial++ {
-			links := draw(s, rng, trial)
-			cut, scannedCut := s.affectedVicinities(links, true)
-			full, scanned := s.affectedVicinities(links, false)
-			if !slices.Equal(cut, full) || scannedCut != scanned {
-				t.Fatalf("links %v: the radius cut gives %d windows of %d candidates, the full scan %d of %d",
-					links, len(cut), scannedCut, len(full), scanned)
+			links := draw(s.Graph(), rng, trial)
+			var want []graph.NodeID
+			for x := range graph.NodeID(s.Graph().N()) {
+				win := s.Vicinity(x)
+				if slices.ContainsFunc(links, func(f graph.EdgeKey) bool {
+					iu, iv := win.Find(f.U), win.Find(f.V)
+					return iu >= 0 && iv >= 0 && (win.Parent(iu) == iv || win.Parent(iv) == iu)
+				}) {
+					want = append(want, x)
+				}
+			}
+			rep, err := s.ApplyFailures(links)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.RepairStats().VicTouched; !slices.Equal(got, want) {
+				t.Fatalf("links %v: ApplyFailures touched %v, the full scan finds %v", links, got, want)
 			}
 		}
 	}
 	router := topology.RouterLike(rand.New(rand.NewSource(1)), 1024)
 	routerEnv := static.NewEnv(router, 1)
 	gnm := buildEnv(t, 384, 3)
+	geo := buildGeoEnv(t, 256, 3)
 	for _, compact := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compact=%v", compact), func(t *testing.T) {
 			t.Run("gnm", func(t *testing.T) { check(t, mustBuild(t, gnm, vicinity.DefaultK(gnm.N()), compact)) })
@@ -324,23 +346,14 @@ func TestFailureRadiusCut(t *testing.T) {
 		})
 	}
 	t.Run("geometric", func(t *testing.T) {
-		env := buildGeoEnv(t, 256, 3)
-		s := mustBuild(t, env, vicinity.DefaultK(env.N()), true)
-		if s.Graph().Unit() {
-			t.Fatal("want a weighted graph")
-		}
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 12; trial++ {
-			links := draw(s, rng, trial)
-			rep, err := s.ApplyFailures(links)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, scanned := s.affectedVicinities(links, false)
-			if st := rep.RepairStats(); !slices.Equal(st.VicTouched, full) || st.Candidates != scanned {
-				t.Fatalf("links %v: ApplyFailures touched %d windows of %d candidates, the uncut scan %d of %d",
-					links, len(st.VicTouched), st.Candidates, len(full), scanned)
-			}
+		for _, compact := range []bool{false, true} {
+			t.Run(fmt.Sprintf("compact=%v", compact), func(t *testing.T) {
+				s := mustBuild(t, geo, vicinity.DefaultK(geo.N()), compact)
+				if s.Graph().Unit() {
+					t.Fatal("want a weighted graph")
+				}
+				check(t, s)
+			})
 		}
 	})
 }

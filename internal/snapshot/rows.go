@@ -84,13 +84,6 @@ type settleNode struct {
 	oldAt, ndAt, doneAt, seenAt uint32
 }
 
-// distItem is a heap entry of the region search; stale entries (a node
-// settled, or lowered since) are skipped on pop.
-type distItem struct {
-	d float64
-	v graph.NodeID
-}
-
 // rowSettler is one worker's state for repairing forest rows of snapshot s
 // into the post-event graph g. begin starts a row by bumping the epoch, so
 // nothing is cleared between rows.
@@ -102,7 +95,7 @@ type rowSettler struct {
 	row     int
 	lm      graph.NodeID
 	region  []graph.NodeID
-	heap    []distItem
+	heap    graph.Heap
 	chain   []graph.NodeID
 	patches []rowPatch
 }
@@ -209,7 +202,7 @@ func (rs *rowSettler) enter(v graph.NodeID) {
 func (rs *rowSettler) lower(v graph.NodeID, d float64) {
 	if n := &rs.nodes[v]; d < n.nd {
 		n.nd = d
-		rs.push(distItem{d, v})
+		rs.heap.Push(d, v)
 	}
 }
 
@@ -235,15 +228,15 @@ func (rs *rowSettler) offer(v graph.NodeID, d float64) {
 // outside the region is ever improved (its distance is its old one, which
 // no route through the region beats), so the search stays within it.
 func (rs *rowSettler) settle() {
-	for len(rs.heap) > 0 {
-		it := rs.pop()
-		n := &rs.nodes[it.v]
-		if n.doneAt == rs.epoch || it.d != n.nd {
-			continue
+	for rs.heap.Len() > 0 {
+		d, v := rs.heap.Pop()
+		n := &rs.nodes[v]
+		if n.doneAt == rs.epoch || d != n.nd {
+			continue // stale entry
 		}
 		n.doneAt = rs.epoch
-		for _, e := range rs.g.Neighbors(it.v) {
-			rs.offer(e.To, it.d+e.Weight)
+		for _, e := range rs.g.Neighbors(v) {
+			rs.offer(e.To, d+e.Weight)
 		}
 	}
 }
@@ -336,40 +329,4 @@ func (rs *rowSettler) parentOf(x graph.NodeID, dx float64) graph.NodeID {
 		}
 	}
 	return best
-}
-
-func (rs *rowSettler) push(it distItem) {
-	h := append(rs.heap, it)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p].d <= h[i].d {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	rs.heap = h
-}
-
-func (rs *rowSettler) pop() distItem {
-	h := rs.heap
-	top, last := h[0], len(h)-1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= last {
-			break
-		}
-		if c+1 < last && h[c+1].d < h[c].d {
-			c++
-		}
-		if h[i].d <= h[c].d {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	rs.heap = h
-	return top
 }

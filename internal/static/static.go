@@ -11,12 +11,11 @@
 package static
 
 import (
-	"sort"
-
 	"disco/internal/addr"
 	"disco/internal/estimate"
 	"disco/internal/graph"
 	"disco/internal/landmark"
+	"disco/internal/metrics"
 	"disco/internal/names"
 )
 
@@ -151,16 +150,7 @@ func (e *Env) AddrSizeStats() (mean, p95, max float64) {
 		sizes[i] = float64(a.Bits()) / 8
 		total += sizes[i]
 	}
-	mean = total / float64(len(sizes))
-	// Nearest-rank p95 and max without pulling in metrics (avoids a cycle).
-	cp := append([]float64(nil), sizes...)
-	sort.Float64s(cp)
-	idx := int(float64(len(cp))*0.95+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(cp) {
-		idx = len(cp) - 1
-	}
-	return mean, cp[idx], cp[len(cp)-1]
+	// The mean sums in node order; p95 is nearest-rank.
+	cdf := metrics.NewCDF(sizes)
+	return total / float64(len(sizes)), cdf.Quantile(0.95), cdf.Max()
 }

@@ -114,6 +114,18 @@ func TestAddrSizeStats(t *testing.T) {
 	if mean > 8 {
 		t.Errorf("mean address size %v bytes implausible for router-like map", mean)
 	}
+	// On a line with landmark 0, node v's route is v hops long, so the
+	// sizes are distinct and p95 must be the ceil(0.95·n)-th smallest
+	// (nearest rank), not the int(0.95·n+0.5)-th.
+	for _, tc := range []struct {
+		n   int
+		p95 float64
+	}{{11, 2}, {13, 2.25}, {31, 4.625}} {
+		e := NewEnv(topology.Line(tc.n), 1, WithLandmarks([]graph.NodeID{0}))
+		if _, p95, _ := e.AddrSizeStats(); p95 != tc.p95 {
+			t.Errorf("Line(%d): p95 %v B, want nearest-rank %v B", tc.n, p95, tc.p95)
+		}
+	}
 }
 
 func TestEnvDeterministic(t *testing.T) {
