@@ -31,10 +31,10 @@ import (
 // All route state is read from one shared immutable snapshot (UseSnapshot).
 // The walk reads vicinities through the fork's snapshot.Reader: in the
 // exact storage regime it hands out the stored windows, and in the
-// compact regime it keeps 32 decoded windows, member IDs first and the
-// parent and distance columns once a lookup hits, so a route decodes each
-// window it visits about once and, warm, allocates nothing in either
-// regime. Forks share the snapshot by pointer; what a fork owns is
+// compact regime it answers a lookup that misses in place and keeps up to
+// 32 windows a lookup hit or the walk read whole decoded, so a route
+// decodes only the windows it reads on from and, warm, allocates nothing
+// in either regime. Forks share the snapshot by pointer; what a fork owns is
 // scratch: that Reader, the walk's route buffers, grown to steady state on
 // use, and a Dijkstra scratch for destination-rooted queries, allocated on
 // first use. Vicinity and VicinityContains read the snapshot directly, so

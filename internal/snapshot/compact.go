@@ -4,17 +4,30 @@
 // gigabytes, and shrinking the encoding is what turns the Θ(√(n log n))
 // bound into a runnable experiment.
 //
-// Wire format, vicinity window of node v (k entries sorted by member ID,
-// byte-aligned per node so each window is a byte range of one shared blob):
+// Wire format, vicinity window of node v (m entries sorted by member ID,
+// byte-aligned per node so each window is a byte range of one shared blob).
+// The member IDs are cut into blocks of blockLen (S = 32) members, and a
+// fixed-width head points into them:
 //
-//	ids:     first member ID in Width(n) bits, then k-1 Elias-gamma deltas
+//	head:    each block's first member ID in Width(n) bits, then each
+//	         block's end in offWidth bits: the bit where its gamma run
+//	         stops, counted from the end of the head (the last block's end
+//	         is where the parent section starts)
+//	ids:     per block, its members after the first as Elias-gamma deltas
 //	         (member IDs are strictly increasing, so every delta is >= 1)
-//	parents: k window indices in Width(k+1) bits each — the position of the
+//	parents: m window indices in Width(k+1) bits each — the position of the
 //	         entry's parent within this window (parents are always members),
-//	         with index k encoding graph.None (the owner)
+//	         with index m encoding graph.None (the owner)
 //	dists:   the window's own distance column, lossless: on a unit-weight
-//	         graph (vicinity.Levels) k BFS levels in Width(radius+1) bits
-//	         each, otherwise k float64s in 64 bits each
+//	         graph (vicinity.Levels) m BFS levels in Width(radius+1) bits
+//	         each, otherwise m float64s in 64 bits each
+//
+// Every offset is relative to the window, so a window's bytes mean the
+// same wherever the blob puts them, and every field but a gamma delta
+// sits at a bit the head computes: member i is block i/S's head plus at
+// most S-1 deltas, and its parent and distance are one fixed-width field
+// each. A lookup (pointed.Find) binary-searches the block heads and scans
+// one block; it decodes no column and touches no other block.
 //
 // The form is the store's, fixed by the graph it is built or folded over,
 // so a decode is the exact store's window, column for column.
@@ -45,16 +58,23 @@
 // [8·vicOff[v], 8·vicOff[v+1]) of the whole blob and a forest field at its
 // absolute bit in the forest, never through a re-slice, so the bytes that
 // follow keep the codec on its 64-bit word path everywhere but in the last
-// 8 bytes of each array. A window decodes in two passes through the run
-// kernels: decodeIDs takes the member IDs (ReadGammaRun) and seals the
-// membership bitset, decodeColumns the parent and level columns
-// (ReadRun). A fresh decode runs both; a Reader's cache slot (reader.go)
-// runs the second only for a window a lookup finds its target in.
-// On router-like n=2048 (k=151), on a 2.0 GHz Xeon, a fresh window decode
-// costs 3.3 µs, an in-place membership probe 1.1–1.2 µs, a Reader's slot
-// fill 1.2 µs, a lookup in a slot it holds 12 ns (miss) to 27 ns (hit)
-// and a parent field 23–26 ns, against 5–7 ns, 14–17 ns, 18 ns, 11–25 ns
-// and 11–12 ns on the exact twin (BenchmarkCompactReads).
+// 8 bytes of each array. A whole-window decode runs the kernels once per
+// column: the member IDs block by block (ReadGammaRun from each head),
+// then the parent and level columns (ReadRun). Everything else reads in
+// place through the head (pointed): a membership probe, and the member,
+// parent and distance fields repair's window tests compare. A Reader
+// (reader.go) decodes a window only for a lookup that finds its target in
+// it, or for a whole-window read.
+// On router-like n=2048 (k=151, 5 blocks a window), on 2 cores of a
+// 2.0 GHz Xeon, a fresh window decode costs 3.5–3.9 µs, a pointed
+// membership probe 250–280 ns, a Reader's lookup of an owner it does not hold 250–265 ns on a miss and
+// 2.3–2.5 µs on a hit (which decodes the window into its slot), a lookup
+// in a slot it holds 7–9 ns (miss) to 19–25 ns (hit) and a parent field
+// 19–23 ns, against 5–8 ns, 16 ns, 12–14 ns, 72–91 ns, 11–12 ns, 27–30 ns
+// and 9–12 ns on the exact twin (BenchmarkCompactReads). Blocks of 16
+// members probe in 200–210 ns and cost 2% more state (552 → 563 B a node
+// on churn-compact's map); in 3 runs on seed 2 they moved churn-compact's
+// op_p50_us by 2–10%, inside its run-to-run spread, so S is 32.
 package snapshot
 
 import (
@@ -80,7 +100,8 @@ type compactStore struct {
 	n, k     int
 	pg       *graph.Graph
 	levels   bool // distances as BFS levels: vicinity.Levels(pg, k)
-	idWidth  int  // bits of the first (absolute) member ID: Width(n)
+	idWidth  int  // bits of a block's first (absolute) member ID: Width(n)
+	offWidth int  // bits of a block's end in the head
 	pWidth   int  // bits of one parent window index: Width(k+1)
 	vicBlob  []byte
 	vicOff   []int64
@@ -91,11 +112,29 @@ type compactStore struct {
 	rowBytes int
 }
 
+// blockLen is S, the members one block of a window's ID stream holds: a
+// lookup scans at most S-1 gamma deltas past the head it lands on.
+const blockLen = 32
+
+// blocks returns how many blocks the ID stream of an m-member window has.
+func blocks(m int) int { return (m + blockLen - 1) / blockLen }
+
 // newCompactStore fixes a store's layout over g: the field widths and the
 // distance form.
 func newCompactStore(g *graph.Graph, k int) *compactStore {
-	n := g.N()
-	return &compactStore{n: n, k: k, pg: g, levels: vicinity.Levels(g, k), idWidth: bits.Width(n), pWidth: bits.Width(k + 1)}
+	cs := newCompactLayout(g.N(), k, vicinity.Levels(g, k))
+	cs.pg = g
+	return cs
+}
+
+// newCompactLayout fixes the window field widths of an n-node store of
+// k-member windows in the given distance form. A block end counts the bits
+// of at most k-blocks(k) gamma deltas, each of a delta below n and so at
+// most 2·Width(n)-1 bits long.
+func newCompactLayout(n, k int, levels bool) *compactStore {
+	idWidth := bits.Width(n)
+	maxStream := max(k-blocks(k), 0) * max(2*idWidth-1, 1)
+	return &compactStore{n: n, k: k, levels: levels, idWidth: idWidth, offWidth: bits.Width(maxStream + 1), pWidth: bits.Width(k + 1)}
 }
 
 func (cs *compactStore) windowLen(v graph.NodeID) int {
@@ -176,12 +215,20 @@ func (s *Snapshot) buildCompactVicinities(cs *compactStore) error {
 // (k=0) encodes to zero bits.
 func (cs *compactStore) encodeWindow(w *bits.Writer, win *vicinity.Window) {
 	m := win.Size()
-	if m == 0 {
-		return
+	for i := 0; i < m; i += blockLen {
+		w.WriteBits(uint64(win.ID(i)), cs.idWidth)
 	}
-	w.WriteBits(uint64(win.ID(0)), cs.idWidth)
-	for i := 1; i < m; i++ {
-		w.WriteGamma(uint64(win.ID(i) - win.ID(i-1)))
+	end := 0
+	for i := 0; i < m; i++ {
+		end += deltaBits(win, i)
+		if i+1 == m || (i+1)%blockLen == 0 {
+			w.WriteBits(uint64(end), cs.offWidth)
+		}
+	}
+	for i := 0; i < m; i++ {
+		if i%blockLen != 0 {
+			w.WriteGamma(uint64(win.ID(i) - win.ID(i-1)))
+		}
 	}
 	for i := 0; i < m; i++ {
 		p := win.Parent(i)
@@ -206,54 +253,45 @@ func (cs *compactStore) encodeWindow(w *bits.Writer, win *vicinity.Window) {
 // shard encodes.
 func (cs *compactStore) encodedWindowBytes(win *vicinity.Window) int64 {
 	m := win.Size()
-	if m == 0 {
-		return 0
-	}
-	nbits := cs.idWidth + m*(cs.pWidth+cs.distWidth(win.Radius()))
-	for i := 1; i < m; i++ {
-		nbits += bits.GammaLen(uint64(win.ID(i) - win.ID(i-1)))
+	nbits := blocks(m)*(cs.idWidth+cs.offWidth) + m*(cs.pWidth+cs.distWidth(win.Radius()))
+	for i := 0; i < m; i++ {
+		nbits += deltaBits(win, i)
 	}
 	return int64((nbits + 7) / 8)
 }
 
+// deltaBits returns the bits member i takes in the ID stream: its gamma
+// delta, or none for a block's first member, which the head holds.
+func deltaBits(win *vicinity.Window, i int) int {
+	if i%blockLen == 0 {
+		return 0
+	}
+	return bits.GammaLen(uint64(win.ID(i) - win.ID(i-1)))
+}
+
 // window decodes node v's vicinity window from the shared blob into sc, a
 // scratch in the store's form (newScratch), or into a fresh window when sc
-// is nil: the decode a Reader's cache slot runs in two halves. The window
-// holds windowLen(v) members: k on from-scratch builds, possibly fewer on a
+// is nil: the member IDs block by block (ReadGammaRun from each block's
+// head), then the parent and distance columns (ReadRun). The window holds
+// windowLen(v) members: k on from-scratch builds, possibly fewer on a
 // folded repair chain whose failures disconnected v's region.
 func (cs *compactStore) window(v graph.NodeID, sc *vicinity.Scratch) *vicinity.Window {
 	if sc == nil {
 		sc = cs.newScratch()
 	}
-	r := cs.decodeIDs(sc, v)
-	cs.decodeColumns(sc, &r, v)
-	return sc.Window()
-}
-
-// newScratch returns an empty decode target in the store's form.
-func (cs *compactStore) newScratch() *vicinity.Scratch { return vicinity.NewScratch(cs.n, cs.levels) }
-
-// decodeIDs decodes V(v)'s member-ID column into sc and seals its
-// membership — enough for Find and Contains — and returns the reader where
-// the parent section starts, for decodeColumns.
-func (cs *compactStore) decodeIDs(sc *vicinity.Scratch, v graph.NodeID) bits.Reader {
-	ids := sc.Refill(cs.windowLen(v))
-	r := cs.windowReader(v)
-	if len(ids) > 0 {
-		ids[0] = graph.NodeID(r.ReadBits(cs.idWidth))
-		bits.ReadGammaRun(r, ids[1:], ids[0])
+	p := cs.pointed(v)
+	ids := sc.Refill(p.size)
+	r := p.reader(p.stream)
+	for b := range blocks(p.size) {
+		i := b * blockLen
+		ids[i] = p.head(b)
+		bits.ReadGammaRun(r, ids[i+1:min(i+blockLen, p.size)], ids[i])
 	}
 	sc.Seal()
-	return *r
-}
-
-// decodeColumns decodes V(v)'s parent and distance columns from r, where
-// decodeIDs left it, and finishes sc's window.
-func (cs *compactStore) decodeColumns(sc *vicinity.Scratch, r *bits.Reader, v graph.NodeID) {
 	parent, level, dist := sc.Columns()
 	bits.ReadRun(r, parent, cs.pWidth)
-	for i, p := range parent {
-		if int(p) == len(parent) {
+	for i, q := range parent {
+		if int(q) == len(parent) {
 			parent[i] = -1 // the owner
 		}
 	}
@@ -265,33 +303,117 @@ func (cs *compactStore) decodeColumns(sc *vicinity.Scratch, r *bits.Reader, v gr
 		}
 	}
 	sc.Finish()
+	return sc.Window()
 }
 
-// windowReader reads node v's window in place, as its bit range of the
-// whole blob (see the file comment for why not a re-slice).
-func (cs *compactStore) windowReader(v graph.NodeID) *bits.Reader {
-	return bits.NewReaderAt(cs.vicBlob, 8*int(cs.vicOff[v]), 8*int(cs.vicOff[v+1]))
+// newScratch returns an empty decode target in the store's form.
+func (cs *compactStore) newScratch() *vicinity.Scratch { return vicinity.NewScratch(cs.n, cs.levels) }
+
+// windowIndex finds w in V(v) through the block head, decoding no column
+// (pointed.Find): the one membership probe of the store, behind
+// Snapshot.VicinityContains and VicinityFind, a Reader's lookup of an
+// owner it does not hold, and repair's window tests.
+func (cs *compactStore) windowIndex(v, w graph.NodeID) int { return cs.pointed(v).Find(w) }
+
+// pointed is V(v) read in place, a field at a time at the bits the head
+// points to: nothing is decoded but the gamma deltas of the one block a
+// member read lands in. Reads go through internal/bits against the whole
+// blob (see the file comment for why not a re-slice).
+type pointed struct {
+	cs     *compactStore
+	v      graph.NodeID
+	size   int
+	at     int // the window's first bit in the blob
+	stream int // the first bit of its ID stream, past the head
 }
 
-// windowIndex finds w in V(v) straight off the encoded ID stream: member
-// IDs are ascending, so the scan stops at the first ID >= w and never
-// touches the parent/distance sections or materializes the window. This
-// keeps the per-hop membership probes of the forwarding loops cheap in the
-// compact regime.
-func (cs *compactStore) windowIndex(v, w graph.NodeID) int {
-	ln := cs.windowLen(v)
-	if ln == 0 {
-		return -1
+// pointed returns V(v) to read in place.
+func (cs *compactStore) pointed(v graph.NodeID) pointed {
+	m, at := cs.windowLen(v), 8*int(cs.vicOff[v])
+	return pointed{cs: cs, v: v, size: m, at: at, stream: at + blocks(m)*(cs.idWidth+cs.offWidth)}
+}
+
+// Size returns the window's member count.
+func (p pointed) Size() int { return p.size }
+
+// Radius returns the window's radius, kept beside the blob.
+func (p pointed) Radius() float64 { return p.cs.radii[p.v] }
+
+// head returns the first member ID of block b.
+func (p pointed) head(b int) graph.NodeID {
+	return graph.NodeID(bits.At(p.cs.vicBlob, p.at+b*p.cs.idWidth, p.cs.idWidth))
+}
+
+// blockStart returns the bit where block b's gamma run starts: the stream
+// start, or where block b-1's run ends.
+func (p pointed) blockStart(b int) int {
+	if b == 0 {
+		return p.stream
 	}
-	r := cs.windowReader(v)
-	id, i := graph.NodeID(r.ReadBits(cs.idWidth)), 0
-	for ; id < w && i+1 < ln; i++ {
+	ends := p.stream - blocks(p.size)*p.cs.offWidth
+	return p.stream + int(bits.At(p.cs.vicBlob, ends+(b-1)*p.cs.offWidth, p.cs.offWidth))
+}
+
+// reader returns a reader from bit `from` to the end of the window.
+func (p pointed) reader(from int) *bits.Reader {
+	return bits.NewReaderAt(p.cs.vicBlob, from, 8*int(p.cs.vicOff[p.v+1]))
+}
+
+// Find returns w's index in the window, or -1 when w is no member: a
+// binary search of the block heads for the last block that starts at or
+// below w, then a scan of its deltas that stops at the first ID >= w.
+func (p pointed) Find(w graph.NodeID) int {
+	lo, hi := 0, blocks(p.size)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.head(mid) <= w {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return -1 // below the first member, or an empty window
+	}
+	i, id := (lo-1)*blockLen, p.head(lo-1)
+	r, last := p.reader(p.blockStart(lo-1)), min(i+blockLen, p.size)-1
+	for ; id < w && i < last; i++ {
 		id += graph.NodeID(r.ReadGamma())
 	}
 	if id != w {
 		return -1
 	}
 	return i
+}
+
+// ID returns member i's node ID: its block's head plus the deltas before
+// it in the block.
+func (p pointed) ID(i int) graph.NodeID {
+	b := i / blockLen
+	id, r := p.head(b), p.reader(p.blockStart(b))
+	for range i % blockLen {
+		id += graph.NodeID(r.ReadGamma())
+	}
+	return id
+}
+
+// Parent returns the index of member i's parent, or -1 for the owner.
+func (p pointed) Parent(i int) int {
+	q := int(bits.At(p.cs.vicBlob, p.blockStart(blocks(p.size))+i*p.cs.pWidth, p.cs.pWidth))
+	if q == p.size {
+		return -1
+	}
+	return q
+}
+
+// Dist returns member i's distance from the owner.
+func (p pointed) Dist(i int) float64 {
+	at := p.blockStart(blocks(p.size)) + p.size*p.cs.pWidth
+	if p.cs.levels {
+		dw := p.cs.distWidth(p.Radius())
+		return float64(bits.At(p.cs.vicBlob, at+i*dw, dw))
+	}
+	return math.Float64frombits(bits.At(p.cs.vicBlob, at+i*64, 64))
 }
 
 // layoutForest fixes the forest's bit layout over pg and allocates it: node

@@ -74,8 +74,9 @@ func foldedChainHead(t *testing.T, compact bool) *Snapshot {
 // TestCompactEncodingPinned pins the compact wire format bit for bit.
 // CanonicalBytes compares decoded entries, so it cannot see an encoder
 // that round-trips but lays down different bits; these digests can. They
-// were written when the distance section became the window's own column
-// (levels on the unit-weight maps, float64 bits on the geometric one) and
+// were written when each window's ID stream was cut into blocks under a
+// fixed-width head (the distance section is the window's own column:
+// levels on the unit-weight maps, float64 bits on the geometric one) and
 // must not change with any codec or encoder optimisation — only with a
 // deliberate format change.
 func TestCompactEncodingPinned(t *testing.T) {
@@ -88,16 +89,16 @@ func TestCompactEncodingPinned(t *testing.T) {
 	}{
 		{"routerlike-2048", func(t *testing.T) *Snapshot {
 			return mustBuild(t, routerEnv, vicinity.DefaultK(router.N()), true)
-		}, "eb1ad1bae8ba04b760d5eb447371dec6de75640c77f80371ab392c99ae9ab1d9"},
+		}, "5bf3ba4374c8c0e02222f0c525dd9206765b72d4d7e76ced95d76373a62473ff"},
 		{"gnm-256", func(t *testing.T) *Snapshot {
 			env := buildEnv(t, 256, 1)
 			return mustBuild(t, env, vicinity.DefaultK(env.N()), true)
-		}, "f4c121e55e564fde8ed9bc55ead5caa7c0835a2770d4a48a43443f80eaccd219"},
+		}, "7b02c59e1d470f6f42d9219a93119c232f61a839e13c9009e57419f29469469c"},
 		{"geometric-256", func(t *testing.T) *Snapshot {
 			env := buildGeoEnv(t, 256, 1)
 			return mustBuild(t, env, vicinity.DefaultK(env.N()), true)
-		}, "a10de90b1eb0c779690504857d04aedb4a46585cafbc3419e53698d428e63ef4"},
-		{"folded-chain-head", func(t *testing.T) *Snapshot { return foldedChainHead(t, true) }, "6580caefdc0c6e320034749985f6be9c8a39ee502513b6fd5006be82ca7a7d26"},
+		}, "b82ac9d0c94bb4d62c75973a054ab3c49590cc6a83ddfad4ac5f552cb85652c7"},
+		{"folded-chain-head", func(t *testing.T) *Snapshot { return foldedChainHead(t, true) }, "ff1593418c149655127a9ecbfafdf06c0504a2461c429837328657ccf775bc62"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,20 +114,26 @@ func TestCompactEncodingPinned(t *testing.T) {
 // the store carries per-window lengths), IDs with gaps up to spread, any
 // parent index or the owner's -1, and levels or float64 distances anywhere
 // from subnormal to huge. encodedWindowBytes must be the byte count
-// encodeWindow writes, the decoded window must be the input column for
-// column and in the same form, and windowIndex must find every member.
-// The lazy decode a Reader runs — member IDs and membership, then the
-// parent and distance columns, into a scratch that held another window —
-// must answer Find after its first pass and be the fresh decode after its
-// second. The
-// blob is read where it ends (the reader's byte path) or with padding past
-// it (the word path).
+// encodeWindow writes, and the decoded window must be the input column for
+// column and in the same form, also when decoded into a scratch that held a
+// bigger window. The pointed reads must agree with the decode without
+// decoding: windowIndex with Window.Find on every member, on each
+// member's neighbouring IDs and on random IDs, and the pointed ID, Parent
+// and Dist of every member with its columns. The seeds hold windows of 1,
+// S-1, S, S+1 and 2S+1 members (S = blockLen) in both forms. The blob is
+// read where it ends (the reader's byte path) or with padding past it (the
+// word path).
 func FuzzCompactWindow(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint16(0), true, uint8(0), false)
 	f.Add(int64(2), uint16(1), uint16(1), true, uint8(3), false)
 	f.Add(int64(3), uint16(40), uint16(40), true, uint8(5), true)
 	f.Add(int64(4), uint16(40), uint16(17), false, uint8(200), false)
 	f.Add(int64(5), uint16(300), uint16(299), false, uint8(1), true)
+	for i, m := range []uint16{1, blockLen - 1, blockLen, blockLen + 1, 2*blockLen + 1} {
+		for _, levels := range []bool{true, false} {
+			f.Add(int64(6+i), m+3, m, levels, uint8(9*i), i%2 == 0)
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, k, size uint16, levels bool, spread uint8, pad bool) {
 		rng := rand.New(rand.NewSource(seed))
 		kk := int(k % 512)
@@ -155,7 +162,7 @@ func FuzzCompactWindow(f *testing.F) {
 		}
 		sc.Finish()
 		want := sc.Window()
-		cs := &compactStore{n: n, k: kk, levels: levels, idWidth: bits.Width(n), pWidth: bits.Width(kk + 1)}
+		cs := newCompactLayout(n, kk, levels)
 		var w bits.Writer
 		cs.encodeWindow(&w, want)
 		blob := w.Bytes()
@@ -173,33 +180,46 @@ func FuzzCompactWindow(f *testing.F) {
 		if diff := sameWindow(cs.window(0, nil), want); diff != "" {
 			t.Fatalf("decoded window: %s", diff)
 		}
-		// The lazy path a Reader's slot takes, into a scratch that held a
-		// bigger window: member IDs and membership first, then the rest.
-		lazy := vicinity.NewScratch(n, levels)
-		junk := lazy.Refill(kk + 3)
+		// A decode into a scratch that held a bigger window.
+		reused := vicinity.NewScratch(n, levels)
+		junk := reused.Refill(kk + 3)
 		for i := range junk {
 			junk[i] = graph.NodeID(3 * i)
 		}
-		lazy.Seal()
-		lazy.Columns()
-		lazy.Finish()
-		r := cs.decodeIDs(lazy, 0)
-		for i, id := range ids {
-			if got := lazy.Window().Find(id); got != i {
-				t.Fatalf("after the ID pass, Find(%d) = %d, want %d", id, got, i)
+		reused.Seal()
+		reused.Columns()
+		reused.Finish()
+		if diff := sameWindow(cs.window(0, reused), want); diff != "" {
+			t.Fatalf("window decoded into a reused scratch: %s", diff)
+		}
+		// The pointed reads, against the decoded columns.
+		p := cs.pointed(0)
+		if p.Size() != m || p.Radius() != want.Radius() {
+			t.Fatalf("pointed size/radius (%d, %v), want (%d, %v)", p.Size(), p.Radius(), m, want.Radius())
+		}
+		probe := func(id graph.NodeID) {
+			if got, wantI := cs.windowIndex(0, id), want.Find(id); got != wantI {
+				t.Fatalf("windowIndex(%d) = %d, want %d", id, got, wantI)
 			}
 		}
-		if lazy.Window().Size() != m || m > 0 && lazy.Window().Contains(ids[m-1]+1) {
-			t.Fatalf("after the ID pass the window has %d members, want %d", lazy.Window().Size(), m)
-		}
-		cs.decodeColumns(lazy, &r, 0)
-		if diff := sameWindow(lazy.Window(), cs.window(0, nil)); diff != "" {
-			t.Fatalf("lazily decoded window: %s", diff)
-		}
 		for i, id := range ids {
-			if got := cs.windowIndex(0, id); got != i {
-				t.Fatalf("windowIndex(%d) = %d, want %d", id, got, i)
+			probe(id)
+			probe(id + 1)
+			if id > 0 {
+				probe(id - 1)
 			}
+			if got := p.ID(i); got != id {
+				t.Fatalf("pointed ID(%d) = %d, want %d", i, got, id)
+			}
+			if got := p.Parent(i); got != want.Parent(i) {
+				t.Fatalf("pointed Parent(%d) = %d, want %d", i, got, want.Parent(i))
+			}
+			if got := p.Dist(i); got != want.Dist(i) {
+				t.Fatalf("pointed Dist(%d) = %v, want %v", i, got, want.Dist(i))
+			}
+		}
+		for range 16 {
+			probe(graph.NodeID(rng.Intn(n + 1)))
 		}
 	})
 }

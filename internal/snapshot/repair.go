@@ -74,9 +74,10 @@
 // task-ordered merges — ball searches, window recomputes, per-row repair,
 // diff accounting, and both fold encoders all fan out, and every merge
 // happens in task index order — so the result is bit-identical at any
-// worker count. Where it reads compact windows in bulk it reads
-// each once, in a sequential pass: the diff accounting and the exact window
-// tests decode a pre-event window into their worker's scratch.
+// worker count. The exact window tests read a compact pre-event window in
+// place, field by field through its block head, and decode none; the diff
+// accounting decodes each recomputed window's pre-event state once, in a
+// sequential pass, into its worker's scratch.
 //
 // Chains compose: a repaired snapshot can be repaired or recovered again.
 // Two mechanisms keep a long repair-of-repair chain from leaking history:
@@ -236,8 +237,8 @@ func (s *Snapshot) ApplyFailures(fails []graph.EdgeKey) (*Snapshot, error) {
 	}
 	fg := s.g.WithoutEdges(dead)
 
-	affVic, scanned := s.windowCandidates(s.g, uniq, func(x graph.NodeID, i int, sc *vicinity.Scratch) bool {
-		return s.carriesTreeLink(x, uniq[i], sc)
+	affVic, scanned := s.windowCandidates(s.g, uniq, func(x graph.NodeID, i int) bool {
+		return s.carriesTreeLink(x, uniq[i])
 	})
 	wins := recomputeWindows(fg, affVic, s.k)
 
@@ -456,40 +457,36 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 	return c
 }
 
-// carriesTreeLink reports whether link f is a tree edge of V(x): both
-// endpoints members, one the other's parent. A compact window is read
-// through sc.
-func (s *Snapshot) carriesTreeLink(x graph.NodeID, f graph.EdgeKey, sc *vicinity.Scratch) bool {
-	win := s.probeWindow(x, sc, func(w *vicinity.Window) bool { return w.Contains(f.U) && w.Contains(f.V) })
-	if win == nil {
-		return false
-	}
-	iu, iv := win.Find(f.U), win.Find(f.V)
-	return win.Parent(iv) == iu || win.Parent(iu) == iv
+// windowFields is a window as repair's exact tests read it, a field at a
+// time: a *vicinity.Window (overlaid, or in an exact store), or a compact
+// base window read in place (pointed), which decodes no column.
+type windowFields interface {
+	Size() int
+	Radius() float64
+	ID(i int) graph.NodeID
+	Parent(i int) int
+	Dist(i int) float64
+	Find(w graph.NodeID) int
 }
 
-// probeWindow reads V(x) for a repair probe: whole where the overlay or an
-// exact store holds it, and otherwise decoded into sc, a scratch from
-// newScratch — the member IDs first, then the parent and distance columns
-// only when keep accepts the window on its IDs. It returns nil where keep
-// rejects the window; keep may read membership only.
-func (s *Snapshot) probeWindow(x graph.NodeID, sc *vicinity.Scratch, keep func(*vicinity.Window) bool) *vicinity.Window {
-	win := s.ov.window(x)
-	if cs, ok := s.store.(*compactStore); ok && win == nil {
-		r := cs.decodeIDs(sc, x)
-		if !keep(sc.Window()) {
-			return nil
-		}
-		cs.decodeColumns(sc, &r, x)
-		return sc.Window()
+// carriesTreeLink reports whether link f is a tree edge of V(x): both
+// endpoints members, one the other's parent. A compact base window is read
+// in place: two pointed probes, and two parent fields when both hit.
+func (s *Snapshot) carriesTreeLink(x graph.NodeID, f graph.EdgeKey) bool {
+	if cs, ok := s.store.(*compactStore); ok && s.ov.window(x) == nil {
+		return treeLink(cs.pointed(x), f)
 	}
-	if win == nil {
-		win = s.store.window(x, nil)
+	return treeLink(s.vicinityInto(x, nil), f)
+}
+
+// treeLink is carriesTreeLink's test on the window.
+func treeLink[W windowFields](win W, f graph.EdgeKey) bool {
+	iu := win.Find(f.U)
+	if iu < 0 {
+		return false
 	}
-	if !keep(win) {
-		return nil
-	}
-	return win
+	iv := win.Find(f.V)
+	return iv >= 0 && (win.Parent(iv) == iu || win.Parent(iu) == iv)
 }
 
 // windowCandidates returns, sorted, every node x for which test accepts
@@ -499,13 +496,13 @@ func (s *Snapshot) probeWindow(x graph.NodeID, sc *vicinity.Scratch, keep func(*
 // one for restores): a link can change V(x) only if both its endpoints lie
 // within V(x)'s radius there. A maxRadius Dijkstra ball around each
 // distinct endpoint encloses every such x, the two balls of a link are
-// intersected, and x is kept for test(x, i, sc) only where both of link i's
+// intersected, and x is kept for test(x, i) only where both of link i's
 // ball distances are within V(x)'s radius, read off the store (windowMeta)
-// without decoding. test decides exactly, reading a compact window through
-// sc. The ball searches and the per-link sweeps fan out over the worker
+// without decoding. test decides exactly, reading a compact window in
+// place. The ball searches and the per-link sweeps fan out over the worker
 // pool, and the merge is a sort and dedup of the per-link lists, so the
 // result is worker-count invariant.
-func (s *Snapshot) windowCandidates(g *graph.Graph, links []graph.EdgeKey, test func(x graph.NodeID, i int, sc *vicinity.Scratch) bool) ([]graph.NodeID, int) {
+func (s *Snapshot) windowCandidates(g *graph.Graph, links []graph.EdgeKey, test func(x graph.NodeID, i int) bool) ([]graph.NodeID, int) {
 	eps := make([]graph.NodeID, 0, 2*len(links))
 	for _, l := range links {
 		eps = append(eps, l.U, l.V)
@@ -538,32 +535,28 @@ func (s *Snapshot) windowCandidates(g *graph.Graph, links []graph.EdgeKey, test 
 	}
 	// Each link intersects its two balls through a dense per-worker distance
 	// array: negative outside the first ball, and all negative between tasks.
-	type linkScratch struct {
-		in []float64
-		sc *vicinity.Scratch
-	}
 	cands := parallel.MapScratch(len(links),
-		func() linkScratch { return linkScratch{slices.Repeat([]float64{-1}, g.N()), s.newScratch()} },
-		func(ls linkScratch, i int) []graph.NodeID {
+		func() []float64 { return slices.Repeat([]float64{-1}, g.N()) },
+		func(in []float64, i int) []graph.NodeID {
 			bu, bv := ballOf(links[i].U), ballOf(links[i].V)
 			if len(bv.nodes) < len(bu.nodes) {
 				bu, bv = bv, bu
 			}
 			for j, x := range bu.nodes {
-				ls.in[x] = bu.dist[j]
+				in[x] = bu.dist[j]
 			}
 			var out []graph.NodeID
 			for j, x := range bv.nodes {
-				du, dv := ls.in[x], bv.dist[j]
+				du, dv := in[x], bv.dist[j]
 				if du < 0 {
 					continue
 				}
-				if _, rad := s.windowMeta(x); within(du, rad) && within(dv, rad) && test(x, i, ls.sc) {
+				if _, rad := s.windowMeta(x); within(du, rad) && within(dv, rad) && test(x, i) {
 					out = append(out, x)
 				}
 			}
 			for _, x := range bu.nodes {
-				ls.in[x] = -1
+				in[x] = -1
 			}
 			return out
 		})
@@ -584,9 +577,9 @@ func (s *Snapshot) recoveryVicinities(uniq []graph.WeightedLink, ng *graph.Graph
 	for i, r := range uniq {
 		links[i] = graph.EdgeKey{U: r.U, V: r.V}
 	}
-	aff, scanned := s.windowCandidates(ng, links, func(x graph.NodeID, i int, sc *vicinity.Scratch) bool {
+	aff, scanned := s.windowCandidates(ng, links, func(x graph.NodeID, i int) bool {
 		size, _ := s.windowMeta(x)
-		return size >= s.k && s.restoreChanges(x, uniq[i], sc)
+		return size >= s.k && s.restoreChanges(x, uniq[i])
 	})
 	if len(s.short) == 0 {
 		return aff, scanned
@@ -625,12 +618,19 @@ func within(d, r float64) bool { return d <= r+r*sumSlack }
 
 // restoreChanges reports whether restoring r changes the full window V(x):
 // the three cases of "What affected means", read off the pre-event window
-// (through sc when compact) in both directions of the link.
-func (s *Snapshot) restoreChanges(x graph.NodeID, r graph.WeightedLink, sc *vicinity.Scratch) bool {
-	win := s.probeWindow(x, sc, func(w *vicinity.Window) bool { return w.Contains(r.U) || w.Contains(r.V) })
-	if win == nil {
-		return false // no route over the link stays within the radius
+// in both directions of the link. A compact base window is read in place:
+// two pointed probes, and when one hits, the few fields its cases compare.
+// With neither endpoint a member, no route over the link stays within the
+// radius.
+func (s *Snapshot) restoreChanges(x graph.NodeID, r graph.WeightedLink) bool {
+	if cs, ok := s.store.(*compactStore); ok && s.ov.window(x) == nil {
+		return restoreChanges(cs.pointed(x), r)
 	}
+	return restoreChanges(s.vicinityInto(x, nil), r)
+}
+
+// restoreChanges is Snapshot.restoreChanges' test on the window.
+func restoreChanges[W windowFields](win W, r graph.WeightedLink) bool {
 	iu, iv := win.Find(r.U), win.Find(r.V)
 	return iu >= 0 && changesThrough(win, iu, r.V, iv, r.W) || iv >= 0 && changesThrough(win, iv, r.U, iu, r.W)
 }
@@ -638,7 +638,7 @@ func (s *Snapshot) restoreChanges(x graph.NodeID, r graph.WeightedLink, sc *vici
 // changesThrough reports whether a link of weight w from member iu to v
 // (member iv, or -1) changes the window: v improves strictly, v's parent
 // is stolen by a tie, or v enters ahead of the last-settled member.
-func changesThrough(win *vicinity.Window, iu int, v graph.NodeID, iv int, w float64) bool {
+func changesThrough[W windowFields](win W, iu int, v graph.NodeID, iv int, w float64) bool {
 	du, d := win.Dist(iu), win.Dist(iu)+w
 	if iv < 0 {
 		return settlesBefore(d, v, win.Radius(), lastSettled(win))
@@ -652,7 +652,7 @@ func changesThrough(win *vicinity.Window, iu int, v graph.NodeID, iv int, w floa
 
 // lastSettled returns the member a truncated search settles last: the
 // highest ID at the window's radius.
-func lastSettled(win *vicinity.Window) graph.NodeID {
+func lastSettled[W windowFields](win W) graph.NodeID {
 	i := win.Size() - 1
 	for win.Dist(i) != win.Radius() {
 		i--

@@ -23,12 +23,13 @@
 //     a fraction of the bytes — member IDs delta-coded, parents as window
 //     indices, distances as BFS levels in a few bits each (float64 bits on
 //     a weighted graph), forest parents as port indices. Vicinity reads
-//     decode the window into a fresh one; membership probes scan its ID
-//     stream and tree reads decode single parent fields, both in place —
-//     all through internal/bits, several fields a word load. A routing
-//     fork reads through a Reader (reader.go) instead: 32 decoded windows
-//     kept per fork, member IDs first and the other columns on a hit, so a
-//     route pair decodes its 6–7 distinct windows about once each. The
+//     decode the window into a fresh one; a membership probe searches the
+//     window's block heads and scans one block of its ID stream, and tree
+//     reads decode single parent fields, both in place — all through
+//     internal/bits, several fields a word load. A routing fork reads
+//     through a Reader (reader.go) instead: a lookup that misses probes in
+//     place, and up to 32 windows a route hit or read whole are kept
+//     decoded per fork, so a route pair decodes about two windows. The
 //     encoding is lossless, so the two regimes differ only in packing:
 //     every read, and every figure, is byte-identical on every topology.
 //
@@ -258,7 +259,8 @@ func (s *Snapshot) VicinityContains(v, w graph.NodeID) bool {
 // VicinityFind returns V(v) and w's index in it, or -1 when w is not a
 // member — one search, whose hit the caller reads on from (AppendPath,
 // Parent) without searching again. On a miss the window may be nil: the
-// compact regime scans the encoded IDs in place and decodes only a hit.
+// compact regime probes the encoded window in place through its block
+// head and decodes only a hit.
 func (s *Snapshot) VicinityFind(v, w graph.NodeID) (*vicinity.Window, int) {
 	if win := s.ov.window(v); win != nil {
 		return win, win.Find(w)
