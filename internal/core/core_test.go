@@ -505,21 +505,27 @@ func TestRouteBeforeUseSnapshotPanics(t *testing.T) {
 
 // TestForkRepairedIsScratchFree: the serve plane forks once per pooled
 // slot per epoch, so a fork must not pay for a Dijkstra scratch it never
-// uses — routing allocates none, the first ShortestDist does — nor, on an
-// exact snapshot, for a compact window cache.
+// uses — routing allocates none, the first ShortestDist does — nor decode
+// a window for a route that reads none whole.
 func TestForkRepairedIsScratchFree(t *testing.T) {
-	_, d := testEnv(t, 33, 200, 800)
-	f := d.ND.ForkRepaired(d.ND.snap)
-	f.RepairedFirstRoute(3, 150)
-	f.RepairedLaterRoute(3, 150)
-	if f.dest != nil {
-		t.Fatal("routing on a repaired fork allocated a destination scratch")
+	env, d := testEnv(t, 33, 200, 800)
+	compact, err := snapshot.BuildCompact(env.G, d.ND.K, env.Landmarks)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := f.rd.Cached(); n != 0 {
-		t.Fatalf("routing on an exact fork cached %d compact windows", n)
-	}
-	if f.ShortestDist(3, 150) != d.ND.ShortestDist(3, 150) {
-		t.Fatal("fork and original disagree on d(3,150)")
+	for _, snap := range []*snapshot.Snapshot{d.ND.snap, compact} {
+		f := d.ND.ForkRepaired(snap)
+		f.RepairedFirstRoute(3, 150)
+		f.RepairedLaterRoute(3, 150)
+		if f.dest != nil {
+			t.Fatalf("compact=%v: routing on a repaired fork allocated a destination scratch", snap.Compact())
+		}
+		if n := f.rd.Fills(); n != 0 {
+			t.Fatalf("compact=%v: routing on a repaired fork decoded %d windows", snap.Compact(), n)
+		}
+		if f.ShortestDist(3, 150) != d.ND.ShortestDist(3, 150) {
+			t.Fatalf("compact=%v: fork and original disagree on d(3,150)", snap.Compact())
+		}
 	}
 }
 

@@ -185,7 +185,7 @@ func (d *Disco) RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
 func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool) {
 	nd := d.ND
 	snap := nd.snapshot()
-	if d.Env().IsLM[t] || nd.rd.VicinityContains(s, t) || d.HasAddress(s, t) {
+	if d.Env().IsLM[t] || snap.VicinityContains(s, t) || d.HasAddress(s, t) {
 		return nd.route(s, t, sc, false)
 	}
 	// V(s) is read once, for the member search and the path to the member,

@@ -29,16 +29,16 @@ import (
 // address for routing (Disco removes that assumption).
 //
 // All route state is read from one shared immutable snapshot (UseSnapshot).
-// The walk reads vicinities through the fork's snapshot.Reader: in the
-// exact storage regime it hands out the stored windows, and in the
-// compact regime it answers a lookup that misses in place and keeps up to
-// 32 windows a lookup hit or the walk read whole decoded, so a route
-// decodes only the windows it reads on from and, warm, allocates nothing
-// in either regime. Forks share the snapshot by pointer; what a fork owns is
-// scratch: that Reader, the walk's route buffers, grown to steady state on
-// use, and a Dijkstra scratch for destination-rooted queries, allocated on
-// first use. Vicinity and VicinityContains read the snapshot directly, so
-// they stay safe for concurrent use.
+// The walk's lookups read it directly (Snapshot.AppendVicinityPath): the
+// stored window in the exact storage regime, and in the compact regime the
+// encoded window in place, so a lookup, hit or miss, decodes nothing. Only
+// a whole-window read (Up-Down Stream, and Disco's V(s)) decodes, into the
+// one scratch of the fork's snapshot.Reader, so a route allocates nothing
+// warm in either regime. Forks share the snapshot by pointer; what a fork
+// owns is scratch: that Reader, the walk's route buffers, grown to steady
+// state on use, and a Dijkstra scratch for destination-rooted queries,
+// allocated on first use. Vicinity and VicinityContains read the snapshot
+// directly, so they stay safe for concurrent use.
 // Every read that needs the snapshot panics before UseSnapshot — a harness
 // invariant: whoever constructs an NDDisco (eval, bench/, the root library,
 // the root benchmarks) must build and install one; state-only accounting
@@ -48,7 +48,7 @@ type NDDisco struct {
 	K   int // vicinity size |V(v)|, Θ(sqrt(n log n))
 
 	snap *snapshot.Snapshot
-	rd   snapshot.Reader // snap's read handle: the walk's decoded-window cache
+	rd   snapshot.Reader // snap's read handle: the decode target of whole-window reads
 	dest *pathtree.Lazy  // per-fork scratch for destination-rooted queries
 
 	// The walk's scratch: the forest descent t ⇝ landmark, and the backing
@@ -222,7 +222,7 @@ func (r *NDDisco) route(s, t graph.NodeID, sc Shortcut, later bool) ([]graph.Nod
 // is consulted — never the explicit-route addresses in static.Env, which a
 // link event invalidates — and ok=false reports that no route exists, with
 // dst unextended. Each window is searched once: a hit's path is read off
-// its parent column.
+// its parent column, in place on a compact snapshot.
 func (r *NDDisco) appendRoute(dst []graph.NodeID, s, t graph.NodeID, sc Shortcut, later bool) ([]graph.NodeID, bool) {
 	snap := r.snapshot()
 	if s == t {
@@ -234,15 +234,14 @@ func (r *NDDisco) appendRoute(dst []graph.NodeID, s, t graph.NodeID, sc Shortcut
 		}
 		return snap.AppendPathFrom(dst, t, s), true
 	}
-	if win, i := r.rd.VicinityFind(s, t); i >= 0 {
-		return win.AppendPath(dst, i), true
+	if out, ok := snap.AppendVicinityPath(dst, s, t); ok {
+		return out, true
 	}
 	base := len(dst)
 	if later {
-		if win, j := r.rd.VicinityFind(t, s); j >= 0 {
-			dst = win.AppendPath(dst, j)
-			slices.Reverse(dst[base:]) // t ⇝ s, traveled s → t
-			return dst, true
+		if out, ok := snap.AppendVicinityPath(dst, t, s); ok {
+			slices.Reverse(out[base:]) // t ⇝ s, traveled s → t
+			return out, true
 		}
 	}
 	dst, ok := r.appendLeg(dst, r.rehomeLandmark(t), s, t, sc)
@@ -320,10 +319,10 @@ func (r *NDDisco) walk(dst []graph.NodeID, base int, t graph.NodeID, sc Shortcut
 		// To-Destination: follow the direct path as soon as any node knows
 		// one. Nodes on a shortest path to t also have t in their
 		// vicinities with consistent sub-paths, so no further improvement
-		// is possible after the splice. The lookup materializes no window
-		// on a miss, the per-node common case.
-		if win, j := r.rd.VicinityFind(u, t); j >= 0 {
-			return win.AppendPath(dst[:i], j)
+		// is possible after the splice. The lookup materializes no window,
+		// and a miss, the per-node common case, appends nothing.
+		if out, ok := r.snap.AppendVicinityPath(dst[:i], u, t); ok {
+			return out
 		}
 	}
 	return dst

@@ -42,9 +42,10 @@ func (r *NDDisco) ForwardFirst(s, t graph.NodeID) []graph.NodeID {
 			panic(fmt.Sprintf("core: forwarding loop %d->%d", s, t))
 		}
 		// Local check 1: destination in my vicinity -> direct first hop.
-		// (The lookup skips the compact-regime window decode on the
-		// per-hop misses.)
-		if win, i := r.snapshot().VicinityFind(cur, t); i >= 0 {
+		// The window is read whole, through the full decoder on a compact
+		// snapshot, so the walk's in-place reads are checked against it.
+		win := r.snapshot().Vicinity(cur)
+		if i := win.Find(t); i >= 0 {
 			nh := win.AppendPath(nil, i)[1]
 			path = append(path, nh)
 			cur = nh
@@ -98,7 +99,8 @@ func (r *NDDisco) ForwardLater(s, t graph.NodeID) []graph.NodeID {
 	if s == t {
 		return []graph.NodeID{s}
 	}
-	if vt, j := r.snapshot().VicinityFind(t, s); j >= 0 {
+	vt := r.snapshot().Vicinity(t)
+	if j := vt.Find(s); j >= 0 {
 		path := vt.AppendPath(nil, j)
 		slices.Reverse(path)
 		return path
@@ -141,7 +143,8 @@ func (d *Disco) forwardVia(s, mid graph.NodeID) []graph.NodeID {
 			panic("core: forwarding loop toward intermediate")
 		}
 		var nh graph.NodeID
-		if win, i := d.ND.snapshot().VicinityFind(cur, mid); i >= 0 {
+		win := d.ND.snapshot().Vicinity(cur)
+		if i := win.Find(mid); i >= 0 {
 			nh = win.AppendPath(nil, i)[1]
 		} else if d.Env().IsLM[mid] {
 			nh = d.ND.landmarkFirstHop(cur, mid)

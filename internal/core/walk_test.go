@@ -15,9 +15,10 @@ import (
 // caller's buffer at steady-state capacity, NDDisco.AppendRoute allocates
 // nothing in either packet phase — on a base snapshot, and on the head of a
 // repaired chain, whose windows and rows it reads through the repair
-// overlay, in both storage regimes: a compact read decodes into the fork's
-// window cache, whose slots are allocated by the warm-up — and appends
-// exactly the route RepairedFirstRoute and RepairedLaterRoute return.
+// overlay, in both storage regimes: a compact lookup reads the encoded
+// window in place, so no route decodes a window (the fork's Reader makes no
+// fill, To-Destination reading no window whole) — and appends exactly the
+// route RepairedFirstRoute and RepairedLaterRoute return.
 func TestWalkZeroAlloc(t *testing.T) {
 	env, d := testEnv(t, 41, 1024, 4096)
 	exact := d.ND.snap
@@ -74,8 +75,8 @@ func TestWalkZeroAlloc(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%s: AppendRoute allocates %.2f times per query, want 0", tc.name, avg)
 		}
-		if cached := nd.rd.Cached(); (cached > 0) != tc.snap.Compact() {
-			t.Errorf("%s: the fork caches %d decoded windows", tc.name, cached)
+		if fills := nd.rd.Fills(); fills != 0 {
+			t.Errorf("%s: routing decoded %d windows", tc.name, fills)
 		}
 	}
 }

@@ -61,24 +61,25 @@
 // 8 bytes of each array. A whole-window decode runs the kernels once per
 // column: the member IDs block by block (ReadGammaRun from each head),
 // then the parent and level columns (ReadRun). Everything else reads in
-// place through the head (pointed): a membership probe, and the member,
-// parent and distance fields repair's window tests compare. A Reader
-// (reader.go) decodes a window only for a lookup that finds its target in
-// it, or for a whole-window read.
+// place through the head (pointed): a membership probe, the path to a
+// member (Snapshot.AppendVicinityPath: the probe, then one parent and one
+// ID field a hop), and the member, parent and distance fields repair's
+// window tests compare. Only a whole-window read decodes; a routing fork
+// decodes into the one scratch of its Reader (reader.go).
 // On router-like n=2048 (k=151, 5 blocks a window), on 2 cores of a
-// 2.0 GHz Xeon, a fresh window decode costs 3.5–3.9 µs, a pointed
-// membership probe 250–280 ns, a Reader's lookup of an owner it does not hold 250–265 ns on a miss and
-// 2.3–2.5 µs on a hit (which decodes the window into its slot), a lookup
-// in a slot it holds 7–9 ns (miss) to 19–25 ns (hit) and a parent field
-// 19–23 ns, against 5–8 ns, 16 ns, 12–14 ns, 72–91 ns, 11–12 ns, 27–30 ns
-// and 9–12 ns on the exact twin (BenchmarkCompactReads). Blocks of 16
-// members probe in 200–210 ns and cost 2% more state (552 → 563 B a node
-// on churn-compact's map); in 3 runs on seed 2 they moved churn-compact's
-// op_p50_us by 2–10%, inside its run-to-run spread, so S is 32.
+// 2.0 GHz Xeon, a fresh window decode costs 3.5–4.6 µs, a pointed
+// membership probe 250–310 ns, the path to a member (3.6 nodes on
+// average) 0.9–1.1 µs and a forest parent field 19–29 ns, against 5–10 ns,
+// 16–32 ns, 170–250 ns and 9–22 ns on the exact twin
+// (BenchmarkCompactReads). Blocks of 16 members probe in 200–210 ns and
+// cost 2% more state (552 → 563 B a node on churn-compact's map); in 3
+// runs on seed 2 they moved churn-compact's op_p50_us by 2–10%, inside its
+// run-to-run spread, so S is 32.
 package snapshot
 
 import (
 	"math"
+	"slices"
 
 	"disco/internal/bits"
 	"disco/internal/graph"
@@ -310,9 +311,7 @@ func (cs *compactStore) window(v graph.NodeID, sc *vicinity.Scratch) *vicinity.W
 func (cs *compactStore) newScratch() *vicinity.Scratch { return vicinity.NewScratch(cs.n, cs.levels) }
 
 // windowIndex finds w in V(v) through the block head, decoding no column
-// (pointed.Find): the one membership probe of the store, behind
-// Snapshot.VicinityContains and VicinityFind, a Reader's lookup of an
-// owner it does not hold, and repair's window tests.
+// (pointed.Find): the membership probe behind Snapshot.VicinityContains.
 func (cs *compactStore) windowIndex(v, w graph.NodeID) int { return cs.pointed(v).Find(w) }
 
 // pointed is V(v) read in place, a field at a time at the bits the head
@@ -404,6 +403,18 @@ func (p pointed) Parent(i int) int {
 		return -1
 	}
 	return q
+}
+
+// AppendPath appends the window's tree path owner ⇝ member i to dst, as
+// vicinity.Window.AppendPath does, reading each hop's parent and ID field
+// in place: one walk up the tree, then the appended hops reversed.
+func (p pointed) AppendPath(dst []graph.NodeID, i int) []graph.NodeID {
+	base := len(dst)
+	for j := i; j >= 0; j = p.Parent(j) {
+		dst = append(dst, p.ID(j))
+	}
+	slices.Reverse(dst[base:])
+	return dst
 }
 
 // Dist returns member i's distance from the owner.

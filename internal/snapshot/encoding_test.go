@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"disco/internal/bits"
@@ -118,11 +119,13 @@ func TestCompactEncodingPinned(t *testing.T) {
 // column and in the same form, also when decoded into a scratch that held a
 // bigger window. The pointed reads must agree with the decode without
 // decoding: windowIndex with Window.Find on every member, on each
-// member's neighbouring IDs and on random IDs, and the pointed ID, Parent
-// and Dist of every member with its columns. The seeds hold windows of 1,
-// S-1, S, S+1 and 2S+1 members (S = blockLen) in both forms. The blob is
-// read where it ends (the reader's byte path) or with padding past it (the
-// word path).
+// member's neighbouring IDs and on random IDs, the pointed ID, Parent and
+// Dist of every member with its columns, and the pointed AppendPath of
+// every member whose parent chain reaches the owner with
+// Window.AppendPath, owner included. The seeds hold windows of 1, S-1, S,
+// S+1 and 2S+1 members (S = blockLen) in both forms. The blob is read where
+// it ends (the reader's byte path) or with padding past it (the word
+// path).
 func FuzzCompactWindow(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint16(0), true, uint8(0), false)
 	f.Add(int64(2), uint16(1), uint16(1), true, uint8(3), false)
@@ -220,6 +223,20 @@ func FuzzCompactWindow(f *testing.F) {
 		}
 		for range 16 {
 			probe(graph.NodeID(rng.Intn(n + 1)))
+		}
+		// The pointed path of every member whose parent chain reaches the
+		// owner: random parents may also close a cycle, where no path is.
+		for i := range ids {
+			j, hops := i, 0
+			for ; j >= 0 && hops <= m; hops++ {
+				j = want.Parent(j)
+			}
+			if j >= 0 {
+				continue
+			}
+			if got, wantPath := p.AppendPath(nil, i), want.AppendPath(nil, i); !slices.Equal(got, wantPath) {
+				t.Fatalf("pointed AppendPath(%d) = %v, want %v", i, got, wantPath)
+			}
 		}
 	})
 }

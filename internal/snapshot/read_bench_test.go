@@ -14,12 +14,10 @@ import (
 // compact against exact, on churn-compact's topology (router-like n=2048,
 // seed 1): Vicinity(v) (a window decode in the compact regime),
 // VicinityContains(v, w) (the pointed probe: a search of the block heads
-// and a scan of one block) and Parent(lm, v) (one forest field), and the
-// Reader's reads: a cold miss and a cold hit on an owner it does not hold,
-// and a warm hit and a warm miss on one it does. Each op is one read;
-// ns/op is the like-for-like per-read cost of the two regimes (an exact
-// Reader passes every read through to the stored window), and fills/op
-// counts the windows a Reader decoded.
+// and a scan of one block), AppendVicinityPath(dst, v, w) at a member (the
+// probe, then one parent and ID field a hop, in place) and Parent(lm, v)
+// (one forest field). Each op is one read; ns/op is the like-for-like
+// per-read cost of the two regimes.
 func BenchmarkCompactReads(b *testing.B) {
 	g := topology.RouterLike(rand.New(rand.NewSource(1)), 2048)
 	env := static.NewEnv(g, 1)
@@ -57,73 +55,25 @@ func BenchmarkCompactReads(b *testing.B) {
 			}
 			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
 		})
-		// Reads through a Reader. The cold reads visit owners in ID order,
-		// so each owner's slot last held another owner: cold-miss asks
-		// VicinityContains at a non-member, which the pointed probe answers
-		// without a fill, and cold-hit VicinityFind at a member, which fills
-		// the slot. hit and miss read 32 owners the Reader already holds,
-		// at a member (VicinityFind) and at a non-member (VicinityContains).
-		members, strangers := make([]graph.NodeID, g.N()), make([]graph.NodeID, g.N())
+		// The path read of a lookup that hits: a member of V(v) drawn per
+		// owner, read in place on the compact store.
+		members := make([]graph.NodeID, g.N())
 		for v := range members {
 			win := s.Vicinity(graph.NodeID(v))
 			members[v] = win.ID(rng.Intn(win.Size()))
-			for strangers[v] = ws[v%probes]; win.Contains(strangers[v]); strangers[v] = (strangers[v] + 1) % graph.NodeID(g.N()) {
-			}
 		}
-		b.Run("Reader/cold-miss", func(b *testing.B) {
+		b.Run("AppendVicinityPath", func(b *testing.B) {
 			b.ReportAllocs()
-			h, hits := s.Reader(), 0
+			buf, nodes := make([]graph.NodeID, 0, g.N()), 0
 			for i := 0; i < b.N; i++ {
-				v := i % g.N()
-				if h.VicinityContains(graph.NodeID(v), strangers[v]) {
-					hits++
+				v := vs[i%probes]
+				path, ok := s.AppendVicinityPath(buf, v, members[v])
+				if !ok {
+					b.Fatalf("member %d missed in V(%d)", members[v], v)
 				}
+				nodes += len(path)
 			}
-			if hits > 0 {
-				b.Fatal("a stranger is a member")
-			}
-			b.ReportMetric(float64(h.Fills())/float64(b.N), "fills/op")
-		})
-		b.Run("Reader/cold-hit", func(b *testing.B) {
-			b.ReportAllocs()
-			h, sum := s.Reader(), 0
-			for i := 0; i < b.N; i++ {
-				v := i % g.N()
-				_, j := h.VicinityFind(graph.NodeID(v), members[v])
-				sum += j
-			}
-			sinkInt = sum
-			b.ReportMetric(float64(h.Fills())/float64(b.N), "fills/op")
-		})
-		warm := func() Reader {
-			h := s.Reader()
-			for v, w := range members[:cacheSlots] {
-				h.VicinityFind(graph.NodeID(v), w)
-			}
-			return h
-		}
-		b.Run("Reader/hit", func(b *testing.B) {
-			b.ReportAllocs()
-			h, sum := warm(), 0
-			for i := 0; i < b.N; i++ {
-				v := i % cacheSlots
-				_, j := h.VicinityFind(graph.NodeID(v), members[v])
-				sum += j
-			}
-			sinkInt = sum
-		})
-		b.Run("Reader/miss", func(b *testing.B) {
-			b.ReportAllocs()
-			h, hits := warm(), 0
-			for i := 0; i < b.N; i++ {
-				v := i % cacheSlots
-				if h.VicinityContains(graph.NodeID(v), strangers[v]) {
-					hits++
-				}
-			}
-			if hits > 0 {
-				b.Fatal("a stranger is a member")
-			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 		})
 		b.Run("Parent", func(b *testing.B) {
 			b.ReportAllocs()
@@ -137,6 +87,3 @@ func BenchmarkCompactReads(b *testing.B) {
 		})
 	})
 }
-
-// sinkInt keeps benchmarked reads live.
-var sinkInt int

@@ -23,11 +23,12 @@ func TestSealedSurface(t *testing.T) {
 		reflect.TypeFor[graph.Graph]():     true, // AddEdge panics once finalized
 	}
 	exempt := map[string]string{
-		"Snapshot.PathFrom":       "a fresh path per call",
-		"Snapshot.AppendPathFrom": "appends to the caller's dst",
-		"Snapshot.CanonicalBytes": "a fresh encoding per call",
-		"Snapshot.RepairStats":    "a copy of the repair's statistics",
-		"Window.AppendPath":       "appends to the caller's dst",
+		"Snapshot.PathFrom":           "a fresh path per call",
+		"Snapshot.AppendPathFrom":     "appends to the caller's dst",
+		"Snapshot.AppendVicinityPath": "appends to the caller's dst",
+		"Snapshot.CanonicalBytes":     "a fresh encoding per call",
+		"Snapshot.RepairStats":        "a copy of the repair's statistics",
+		"Window.AppendPath":           "appends to the caller's dst",
 	}
 	used := make(map[string]bool)
 	for _, typ := range []reflect.Type{

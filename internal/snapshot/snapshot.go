@@ -24,14 +24,14 @@
 //     indices, distances as BFS levels in a few bits each (float64 bits on
 //     a weighted graph), forest parents as port indices. Vicinity reads
 //     decode the window into a fresh one; a membership probe searches the
-//     window's block heads and scans one block of its ID stream, and tree
-//     reads decode single parent fields, both in place — all through
-//     internal/bits, several fields a word load. A routing fork reads
-//     through a Reader (reader.go) instead: a lookup that misses probes in
-//     place, and up to 32 windows a route hit or read whole are kept
-//     decoded per fork, so a route pair decodes about two windows. The
-//     encoding is lossless, so the two regimes differ only in packing:
-//     every read, and every figure, is byte-identical on every topology.
+//     window's block heads and scans one block of its ID stream, the path
+//     to a member reads one parent and ID field a hop, and tree reads
+//     decode single parent fields, all in place — through internal/bits,
+//     several fields a word load. A routing fork's whole-window reads go
+//     through a Reader (reader.go), which decodes into one scratch the fork
+//     owns. The encoding is lossless, so the two regimes differ only in
+//     packing: every read, and every figure, is byte-identical on every
+//     topology.
 //
 // Immutability contract: everything reachable from a Snapshot is read-only
 // after Build returns, and the types carry it. A vicinity.Window and a
@@ -222,8 +222,8 @@ func (s *Snapshot) Compact() bool { return s.compact }
 // (allocation-free, safe for concurrent readers); in the compact regime it
 // is decoded into a fresh private window, so the call allocates one window
 // but stays safe for concurrent readers. Callers that only need membership
-// should prefer VicinityContains, and callers after one member VicinityFind,
-// which never materialize the window on a miss.
+// should prefer VicinityContains, and callers after the path to one member
+// AppendVicinityPath, which never materialize the window.
 func (s *Snapshot) Vicinity(v graph.NodeID) *vicinity.Window {
 	return s.vicinityInto(v, nil)
 }
@@ -256,19 +256,25 @@ func (s *Snapshot) VicinityContains(v, w graph.NodeID) bool {
 	return s.store.windowIndex(v, w) >= 0
 }
 
-// VicinityFind returns V(v) and w's index in it, or -1 when w is not a
-// member — one search, whose hit the caller reads on from (AppendPath,
-// Parent) without searching again. On a miss the window may be nil: the
-// compact regime probes the encoded window in place through its block
-// head and decodes only a hit.
-func (s *Snapshot) VicinityFind(v, w graph.NodeID) (*vicinity.Window, int) {
-	if win := s.ov.window(v); win != nil {
-		return win, win.Find(w)
+// AppendVicinityPath appends V(v)'s tree path v ⇝ w to dst when w is a
+// member, and otherwise reports false with dst unextended: one search,
+// whose hit is read on from without searching again. A compact base
+// window is read in place (pointed), a search of its block heads and one
+// parent and ID field a hop, so the call decodes no window in either
+// regime and allocates nothing beyond dst's growth.
+func (s *Snapshot) AppendVicinityPath(dst []graph.NodeID, v, w graph.NodeID) ([]graph.NodeID, bool) {
+	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
+		p := cs.pointed(v)
+		if i := p.Find(w); i >= 0 {
+			return p.AppendPath(dst, i), true
+		}
+		return dst, false
 	}
-	if i := s.store.windowIndex(v, w); i >= 0 {
-		return s.store.window(v, nil), i
+	win := s.Vicinity(v)
+	if i := win.Find(w); i >= 0 {
+		return win.AppendPath(dst, i), true
 	}
-	return nil, -1
+	return dst, false
 }
 
 // windowMeta returns V(v)'s member count and radius without materializing
