@@ -13,10 +13,13 @@
 // appends it whole. A field of up to 57 bits fits one load whatever its
 // bit offset; wider fields take two. Within the last 8 bytes of a buffer
 // the same reads assemble the word a byte at a time. Two run kernels read
-// a whole column of fields — ReadRun a fixed-width run, ReadGammaRun a
-// gamma run summed as deltas — taking several fields from each load. The
-// layout is pinned by the fuzz suite (differential against a bit-at-a-time
-// reference), by the compact-snapshot encoding digests and by the goldens.
+// a whole column — ReadRun a run of fixed-width fields, ReadUnaryRun a run
+// of unary codes summed into it — taking several fields from each load, and
+// SelectOne/SelectZero find the r-th one or zero of a bit range by a
+// popcount walk over its words and one select inside the word that holds
+// it: the reads of an Elias–Fano high-bits array. The layout is pinned by
+// the fuzz suite (differential against a bit-at-a-time reference), by the
+// compact-snapshot encoding digests and by the goldens.
 package bits
 
 import (
@@ -58,28 +61,20 @@ func (w *Writer) WriteBits(v uint64, width int) {
 
 // WriteGamma appends v >= 1 in Elias gamma coding: floor(log2 v) zero bits,
 // then the binary representation of v. Used for hop counts, which have no
-// a-priori width bound (O~(sqrt(n)) hops on a ring, §4.2), and for the
-// compact snapshot's member-ID deltas. A code of at most 64 bits (v < 2^32)
-// is a single field: its leading zeros are v's own high bits.
+// a-priori width bound (O~(sqrt(n)) hops on a ring, §4.2). The code is
+// 2*floor(log2 v) + 1 bits long; one of at most 64 bits (v < 2^32) is a
+// single field: its leading zeros are v's own high bits.
 func (w *Writer) WriteGamma(v uint64) {
-	n := GammaLen(v)
+	if v == 0 {
+		panic("bits: gamma coding needs v >= 1")
+	}
+	n := 2*mbits.Len64(v) - 1
 	if n <= 64 {
 		w.WriteBits(v, n)
 		return
 	}
 	w.WriteBits(0, n/2)
 	w.WriteBits(v, n/2+1)
-}
-
-// GammaLen returns the encoded length of WriteGamma(v) in bits without
-// writing: 2*floor(log2 v) + 1. The compact fold's size pass uses it to
-// compute every shard's encoded size analytically before any shard is
-// written.
-func GammaLen(v uint64) int {
-	if v == 0 {
-		panic("bits: gamma coding needs v >= 1")
-	}
-	return 2*mbits.Len64(v) - 1
 }
 
 // Len returns the number of bits written.
@@ -141,51 +136,6 @@ func (r *Reader) ReadBits(width int) uint64 {
 	return v
 }
 
-// ReadGamma consumes one Elias-gamma-coded value. A code of up to 57 bits
-// (every value below 2^28) is decoded from one word: its zero run is that
-// word's leading-zero count and the value is the next run+1 bits. Longer
-// codes, and codes in the last 8 bytes of the buffer, go through TryGamma.
-// It panics where TryGamma returns an error.
-func (r *Reader) ReadGamma() uint64 {
-	if i := r.pos >> 3; i+8 <= len(r.buf) {
-		word := binary.BigEndian.Uint64(r.buf[i:]) << uint(r.pos&7)
-		if ln := 2*mbits.LeadingZeros64(word) + 1; ln <= wordField && r.pos+ln <= r.end {
-			r.pos += ln
-			return word >> uint(64-ln)
-		}
-	}
-	v, err := r.TryGamma()
-	if err != nil {
-		panic(err.Error())
-	}
-	return v
-}
-
-// TryGamma is ReadGamma for a stream from outside the program: a code that
-// does not end before the end of the stream, or a zero run of 64 or more
-// bits (which encodes no uint64), is an error, and the reader stays where
-// it was. The zero run is counted up to 57 bits a load and the value read
-// as one field.
-func (r *Reader) TryGamma() (uint64, error) {
-	for n := 0; ; {
-		lz := min(mbits.LeadingZeros64(load(r.buf, r.pos+n)), wordField)
-		n += lz
-		switch {
-		case r.pos+n >= r.end:
-			return 0, fmt.Errorf("bits: gamma read past end (%d/%d)", r.pos, r.end)
-		case n >= 64:
-			return 0, fmt.Errorf("bits: gamma zero run of %d bits at %d encodes no uint64", n, r.pos)
-		case lz < wordField:
-			if r.pos+2*n+1 > r.end {
-				return 0, fmt.Errorf("bits: gamma read past end (%d/%d)", r.pos, r.end)
-			}
-			v := field(r.buf, r.pos+n, n+1)
-			r.pos += 2*n + 1
-			return v, nil
-		}
-	}
-}
-
 // Integer is the column types the run kernels fill.
 type Integer interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
@@ -212,6 +162,7 @@ func ReadRun[T Integer](r *Reader, dst []T, width int) {
 		return
 	}
 	buf, pos, per := r.buf, r.pos, wordField/width // fields any load holds whole
+	mask := uint64(1)<<width - 1
 	for len(dst) > 0 {
 		j := pos >> 3
 		if j+8 > len(buf) {
@@ -222,9 +173,9 @@ func ReadRun[T Integer](r *Reader, dst []T, width int) {
 		}
 		word := binary.BigEndian.Uint64(buf[j:]) << uint(pos&7)
 		run := dst[:min(len(dst), per)]
-		for f := range run { // the shifts are below 64: & 63 drops Go's check
-			run[f] = T(word >> (uint(64-width) & 63))
-			word <<= uint(width) & 63
+		for f := range run { // one rotate a field keeps one shift count in play
+			word = mbits.RotateLeft64(word, width)
+			run[f] = T(word & mask)
 		}
 		dst = dst[len(run):]
 		pos += len(run) * width
@@ -232,43 +183,118 @@ func ReadRun[T Integer](r *Reader, dst []T, width int) {
 	r.pos = pos
 }
 
-// ReadGammaRun fills dst with the next len(dst) Elias-gamma codes summed
-// as deltas from prev: dst[i] = prev + the first i+1 codes, as
-// len(dst) ReadGamma calls would give — an ascending ID column from its
-// first ID. Each word load yields every code it holds whole; a code it
-// cuts, a code longer than a load and the codes in the last 8 bytes of the
-// buffer go through ReadGamma, which panics on a code that does not end
-// before the end of the stream.
-func ReadGammaRun[T Integer](r *Reader, dst []T, prev T) {
-	buf, end := r.buf, r.end
+// ReadUnaryRun reads the next len(dst) unary codes, each a run of zeros
+// ended by a one, and ORs their running sums into dst shifted left by
+// shift: dst[i] |= (the zeros read before the (i+1)-th one) << shift —
+// member i's bucket in an Elias–Fano high-bits array, set above the low
+// bits dst already holds. It consumes through the last one. A word load
+// yields every one it holds, taken from the low end (a one's count of
+// zeros before it is its position less the ones ahead of it), so no step
+// waits on the one before. It panics, leaving the reader where it was, on
+// a run whose last one is not before the end of the stream, and on a
+// shift outside [0, 63].
+func ReadUnaryRun[T Integer](r *Reader, dst []T, shift int) {
+	if uint(shift) > 63 {
+		panic(fmt.Sprintf("bits: invalid shift %d", shift))
+	}
+	buf, end, sh := r.buf, r.end, uint(shift)&63 // & 63 drops Go's shift check
+	pos, zeros := r.pos, 0
 	for i := 0; i < len(dst); {
-		pos, took := r.pos, false
-		if j := pos >> 3; j+8 <= len(buf) {
-			word := binary.BigEndian.Uint64(buf[j:]) << uint(pos&7)
-			left := min(64-(pos&7), end-pos) // bits of the load before the end
-			for ; i < len(dst); i++ {
-				// |1 spares the zero-word branch: it shortens only a zero
-				// run of 63 bits, which does not fit either way.
-				ln := 2*mbits.LeadingZeros64(word|1) + 1
-				if ln > left {
-					break
-				}
-				prev += T(word >> (uint(64-ln) & 63)) // ln <= left <= 64 is odd
-				dst[i] = prev
-				word <<= uint(ln) & 63
-				left -= ln
-				pos += ln
-				took = true
-			}
-			r.pos = pos
+		if pos >= end {
+			panic(fmt.Sprintf("bits: unary run of %d codes past end (%d/%d)", len(dst), r.pos, end))
 		}
-		if !took && i < len(dst) {
-			prev += T(r.ReadGamma())
-			dst[i] = prev
-			i++
+		var word uint64
+		if j := pos >> 3; j+8 <= len(buf) {
+			word = binary.BigEndian.Uint64(buf[j:]) << uint(pos&7)
+		} else {
+			word = load(buf, pos)
+		}
+		n := min(64-pos&7, end-pos) // the load's bits before the end
+		word &^= ^uint64(0) >> uint(n)
+		c := mbits.OnesCount64(word)
+		if c >= len(dst)-i { // the run ends in this load, at its c-th one
+			c = len(dst) - i
+			n = select64(word, c-1) + 1
+			word &^= ^uint64(0) >> uint(n)
+		}
+		run, top := dst[i:i+c], zeros+63
+		for k := len(run) - 1; k >= 0; k-- {
+			run[k] |= T((top - k - mbits.TrailingZeros64(word)) << sh)
+			word &= word - 1
+		}
+		i += c
+		zeros += n - c
+		pos += n
+	}
+	r.pos = pos
+}
+
+// SelectOne returns the position in buf of the r-th one (counting from 0)
+// of bits [from, to), or to when the range holds r or fewer: a popcount
+// walk over the range's words, then one in-word select. Like At it loads
+// a word where 8 bytes remain and assembles one in buf's last 8 bytes. It
+// panics on a range outside buf.
+func SelectOne(buf []byte, from, to, r int) int { return selectBit(buf, from, to, r, 0) }
+
+// SelectZero is SelectOne for the r-th zero: the end of bucket r in an
+// Elias–Fano high-bits array.
+func SelectZero(buf []byte, from, to, r int) int { return selectBit(buf, from, to, r, ^uint64(0)) }
+
+// selectBit is SelectOne over buf's bits xor flip.
+func selectBit(buf []byte, from, to, r int, flip uint64) int {
+	if from < 0 || from > to || to > 8*len(buf) {
+		panic(fmt.Sprintf("bits: select in [%d, %d) outside a %d-bit buffer", from, to, 8*len(buf)))
+	}
+	for pos := from; pos < to; {
+		var word uint64
+		if i := pos >> 3; i+8 <= len(buf) {
+			word = binary.BigEndian.Uint64(buf[i:]) << uint(pos&7)
+		} else {
+			word = load(buf, pos)
+		}
+		n := min(64-pos&7, to-pos) // the load's bits before the end
+		word = (word ^ flip) &^ (^uint64(0) >> uint(n))
+		c := mbits.OnesCount64(word)
+		if r < c {
+			return pos + select64(word, r)
+		}
+		r -= c
+		pos += n
+	}
+	return to
+}
+
+// select64 returns the position, counted from the MSB, of x's r-th set
+// bit (counting from 0); x holds more than r. It is branch-free: the bytes
+// in MSB-first order get running set-bit counts (one multiply), the count
+// of bytes whose running count is at most r names the byte that holds the
+// bit, and a table selects within that byte.
+func select64(x uint64, r int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	x = mbits.ReverseBytes64(x) // byte j from the low end is the j-th from the MSB
+	c := x - x>>1&0x5555555555555555
+	c = c&0x3333333333333333 + c>>2&0x3333333333333333
+	c = (c + c>>4) & 0x0f0f0f0f0f0f0f0f
+	sums := c * ones // byte j: the set bits of bytes 0..j
+	j := (((uint64(r)*ones | highs) - sums) & highs >> 7 * ones >> 56) * 8
+	rank := r - int(sums<<8>>j&0xff) // r less the set bits of the bytes before
+	return int(j) + int(selectInByte[x>>j&0xff][rank])
+}
+
+// selectInByte[b][k] is the position, counted from the MSB, of byte b's
+// k-th set bit.
+var selectInByte = func() (t [256][8]uint8) {
+	for b := range 256 {
+		k := 0
+		for pos := range 8 {
+			if b<<pos&0x80 != 0 {
+				t[b][k] = uint8(pos)
+				k++
+			}
 		}
 	}
-}
+	return t
+}()
 
 // At returns the `width` bits (0 <= width <= 64) starting at bit position
 // pos of buf (MSB-first, the Writer's layout) without constructing a
@@ -300,9 +326,9 @@ func field(buf []byte, pos, width int) uint64 {
 // 57 of them are buf's (the rest zero) when 8 bytes remain from pos's byte,
 // in one unaligned big-endian load. Within the last 8 bytes of buf the word
 // is assembled a byte at a time, and bits past the end read as zero.
-// ReadBits, ReadGamma and At open-code the word load as their first
+// ReadBits and At open-code the word load as their first
 // branch, which keeps the byte loop, the error formatting and the two-load
-// case out of their common case.
+// case out of their common case, and so do the walks.
 func load(buf []byte, pos int) uint64 {
 	i := pos >> 3
 	if i+8 <= len(buf) {

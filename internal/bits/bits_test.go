@@ -109,7 +109,9 @@ func TestReadPastEndPanics(t *testing.T) {
 // TestReaderRejectsBadInput pins the Reader's own panics on input it
 // cannot decode: an out-of-range width used to read silently as 0 (70) or
 // die with a runtime index error (-3), and a zero run longer than any
-// uint64's gamma code used to decode to a wrapped value.
+// uint64's gamma code used to decode to a wrapped value. The select walks
+// reject a range outside the buffer, and a unary run a bad shift or a
+// second one the stream does not hold.
 func TestReaderRejectsBadInput(t *testing.T) {
 	var w Writer
 	w.WriteBits(0, 64)
@@ -129,6 +131,10 @@ func TestReaderRejectsBadInput(t *testing.T) {
 		{"gamma past end", func(r *Reader) { r.ReadBits(64); r.ReadBits(8); r.ReadGamma() }, "past end"},
 		{"At width 65", func(r *Reader) { At(zeros70, 0, 65) }, "outside"},
 		{"At past end", func(r *Reader) { At(zeros70, 8*len(zeros70)-3, 4) }, "outside"},
+		{"select past end", func(r *Reader) { SelectOne(zeros70, 0, 8*len(zeros70)+1, 0) }, "outside"},
+		{"select backwards", func(r *Reader) { SelectZero(zeros70, 9, 8, 0) }, "outside"},
+		{"unary shift 64", func(r *Reader) { ReadUnaryRun(r, make([]uint64, 1), 64) }, "invalid shift 64"},
+		{"unary past end", func(r *Reader) { ReadUnaryRun(r, make([]uint64, 2), 0) }, "past end"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			msg := panics(t, func() { tc.read(NewReader(zeros70, 8*len(zeros70))) })

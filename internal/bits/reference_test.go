@@ -232,29 +232,6 @@ func runMatches[T Integer](t *testing.T, r *Reader, ref *refReader, width, count
 	return ok
 }
 
-// gammaRunMatches is runMatches for ReadGammaRun: count gamma codes summed
-// from prev, against the reference's codes summed one at a time.
-func gammaRunMatches[T Integer](t *testing.T, r *Reader, ref *refReader, prev T, count int) bool {
-	t.Helper()
-	at := ref.pos
-	want, ok, sum := make([]T, count), true, prev
-	for i := range want {
-		v, good := ref.readGamma()
-		if !good {
-			ok = false
-			break
-		}
-		sum += T(v)
-		want[i] = sum
-	}
-	got := make([]T, count)
-	msg := panics(t, func() { ReadGammaRun(r, got, prev) })
-	if ok != (msg == "") || ok && !slices.Equal(got, want) {
-		t.Fatalf("ReadGammaRun(%d codes from %d) into %T at %d/%d: got %v (panic %q), want %v (ok %v)", count, prev, got, at, ref.end, got, msg, want, ok)
-	}
-	return ok
-}
-
 // FuzzReadRunMatchesReference runs a script of ReadRun calls — widths
 // 0–64 and a few outside, runs of 0–47 fields into a []uint64, an []int32
 // (widths up to 31) or a []uint16 (widths up to 16) — over a buffer of
@@ -299,40 +276,88 @@ func FuzzReadRunMatchesReference(f *testing.F) {
 	})
 }
 
-// FuzzReadGammaRunMatchesReference runs a script of ReadGammaRun calls —
-// runs of 0–47 codes summed from a seed value into a []uint64 or an
-// []int32 (whose sums wrap alike) — over a buffer of 0–64 bytes read from
-// a start offset of 0–7 bits to a chosen end, and requires every sum, and
-// every rejection, to be the reference's. Zero-filled stretches make codes
-// longer than one load and zero runs that encode no uint64; runs cross and
-// end inside the buffer's last 8 bytes, and runs past the end must panic.
-func FuzzReadGammaRunMatchesReference(f *testing.F) {
-	f.Add(bytes.Repeat([]byte{0x5a, 0x00, 0xff, 0x13}, 16), uint8(3), uint16(500), []byte{0, 20, 7, 40, 3, 47})
-	f.Add(bytes.Repeat([]byte{0xff}, 20), uint8(1), uint16(159), []byte{9, 47, 1, 47, 2, 47})
-	f.Add(append(make([]byte, 9), 0xff, 0xff, 0xff), uint8(5), uint16(96), []byte{1, 2, 0, 3})
-	f.Add([]byte{0x80}, uint8(7), uint16(8), []byte{0, 1, 0, 1})
-	f.Fuzz(func(t *testing.T, buf []byte, start uint8, end uint16, script []byte) {
+// refSelect is SelectOne (one true) or SelectZero one bit at a time.
+func refSelect(buf []byte, from, to, r int, one bool) int {
+	for pos := from; pos < to; pos++ {
+		if (refBit(buf, pos) == 1) == one {
+			if r == 0 {
+				return pos
+			}
+			r--
+		}
+	}
+	return to
+}
+
+// FuzzSelectMatchesReference checks the select kernels against bit-at-a-time
+// loops over a buffer of 0–64 bytes. The in-word select must find every
+// set bit of every 8-byte word of the buffer by rank; SelectOne and
+// SelectZero, on ranges from any bit to any later one, must give the
+// reference's position for every rank up to one past the bits the range
+// holds; and ReadUnaryRun, from any start to any end, must OR the codes'
+// running sums, shifted by 0–7 bits, above the low bits a column holds,
+// as the reference reads them, or reject a run that passes the end with
+// the reader where it was. Ranges cross and end in the buffer's last 8
+// bytes, where the walks assemble their words a byte at a time.
+func FuzzSelectMatchesReference(f *testing.F) {
+	f.Add(bytes.Repeat([]byte{0x5a, 0x00, 0xff, 0x13}, 16), uint16(3), uint16(500), uint8(9))
+	f.Add(make([]byte, 12), uint16(0), uint16(96), uint8(1))
+	f.Add(bytes.Repeat([]byte{0xff}, 20), uint16(7), uint16(150), uint8(40))
+	f.Add([]byte{0x80}, uint16(7), uint16(8), uint8(1))
+	f.Add(append(make([]byte, 9), 0x01, 0x80, 0xff), uint16(5), uint16(96), uint8(3))
+	f.Fuzz(func(t *testing.T, buf []byte, start, end uint16, count uint8) {
 		if len(buf) > 64 {
 			buf = buf[:64]
 		}
-		from := min(int(start%8), 8*len(buf))
+		for i := 0; i+8 <= len(buf); i++ {
+			x := binary.BigEndian.Uint64(buf[i:])
+			for r := range bits.OnesCount64(x) {
+				if got, want := select64(x, r), refSelect(buf[i:i+8], 0, 64, r, true); got != want {
+					t.Fatalf("select64(%#x, %d) = %d, want %d", x, r, got, want)
+				}
+			}
+		}
+		from := int(start) % (8*len(buf) + 1)
 		to := from + int(end)%(8*len(buf)-from+1)
-		r := NewReaderAt(buf, from, to)
+		for r := 0; r <= to-from+1; r++ {
+			if got, want := SelectOne(buf, from, to, r), refSelect(buf, from, to, r, true); got != want {
+				t.Fatalf("SelectOne(%d, %d, %d) = %d, want %d", from, to, r, got, want)
+			}
+			if got, want := SelectZero(buf, from, to, r), refSelect(buf, from, to, r, false); got != want {
+				t.Fatalf("SelectZero(%d, %d, %d) = %d, want %d", from, to, r, got, want)
+			}
+		}
+		// Sums ORed above low bits already in the column, shifted by 0–7.
+		shift := int(count) / 32
+		low := func(i int) uint64 { return uint64(i*7+int(start)) & (1<<shift - 1) }
+		want, ok, zeros := make([]uint64, int(count)%48), true, uint64(0)
 		ref := &refReader{buf: buf, pos: from, end: to}
-		for i := 0; i+1 < len(script); i += 2 {
-			prev, count := script[i], int(script[i+1])%48
-			var ok bool
-			if count%2 == 0 {
-				ok = gammaRunMatches(t, r, ref, uint64(prev)<<56, count)
-			} else {
-				ok = gammaRunMatches(t, r, ref, int32(prev)<<24, count)
+		for i := range want {
+			for ; ref.pos < to && refBit(buf, ref.pos) == 0; ref.pos++ {
+				zeros++
 			}
-			if !ok {
-				return
+			if ref.pos == to {
+				ok = false
+				break
 			}
-			if r.Remaining() != ref.end-ref.pos {
-				t.Fatalf("Remaining %d, want %d", r.Remaining(), ref.end-ref.pos)
-			}
+			ref.pos++
+			want[i] = zeros<<shift | low(i)
+		}
+		r := NewReaderAt(buf, from, to)
+		got := make([]uint64, len(want))
+		for i := range got {
+			got[i] = low(i)
+		}
+		msg := panics(t, func() { ReadUnaryRun(r, got, shift) })
+		if ok != (msg == "") || ok && !slices.Equal(got, want) {
+			t.Fatalf("ReadUnaryRun(%d codes, shift %d) in [%d, %d): got %v (panic %q), want %v (ok %v)", len(want), shift, from, to, got, msg, want, ok)
+		}
+		left := to - from // a rejected run leaves the reader where it was
+		if ok {
+			left = to - ref.pos
+		}
+		if r.Remaining() != left {
+			t.Fatalf("ReadUnaryRun left %d bits, want %d (ok %v)", r.Remaining(), left, ok)
 		}
 	})
 }

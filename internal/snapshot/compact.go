@@ -6,15 +6,15 @@
 //
 // Wire format, vicinity window of node v (m entries sorted by member ID,
 // byte-aligned per node so each window is a byte range of one shared blob).
-// The member IDs are cut into blocks of blockLen (S = 32) members, and a
-// fixed-width head points into them:
+// The member IDs are an Elias–Fano code: each ID in [0, n) splits into its
+// low L bits and its bucket, the bits above them, where L = floor(log2(n/m))
+// (0 when m = 0 or m >= n). L follows from n and the member count, which
+// the store holds, so the window stores no parameter:
 //
-//	head:    each block's first member ID in Width(n) bits, then each
-//	         block's end in offWidth bits: the bit where its gamma run
-//	         stops, counted from the end of the head (the last block's end
-//	         is where the parent section starts)
-//	ids:     per block, its members after the first as Elias-gamma deltas
-//	         (member IDs are strictly increasing, so every delta is >= 1)
+//	high:    the buckets in unary — member i is a one at bit i+bucket(i),
+//	         and bucket b ends with a zero, for every bucket up to
+//	         (n-1)>>L: m ones and ((n-1)>>L)+1 zeros (none at m = 0)
+//	lows:    m fields of L bits, member i's low bits
 //	parents: m window indices in Width(k+1) bits each — the position of the
 //	         entry's parent within this window (parents are always members),
 //	         with index m encoding graph.None (the owner)
@@ -23,11 +23,12 @@
 //	         each, otherwise m float64s in 64 bits each
 //
 // Every offset is relative to the window, so a window's bytes mean the
-// same wherever the blob puts them, and every field but a gamma delta
-// sits at a bit the head computes: member i is block i/S's head plus at
-// most S-1 deltas, and its parent and distance are one fixed-width field
-// each. A lookup (pointed.Find) binary-searches the block heads and scans
-// one block; it decodes no column and touches no other block.
+// same wherever the blob puts them, and every section starts at a bit the
+// member count computes. Member i's ID is a select: the position of the
+// i-th one, less i, is its bucket, above its low field. Its parent and
+// distance are one fixed-width field each. A lookup (pointed.Find) selects
+// the zero that ends the bucket before w's and compares the low fields of
+// w's bucket, about one member: it decodes no column.
 //
 // The form is the store's, fixed by the graph it is built or folded over,
 // so a decode is the exact store's window, column for column.
@@ -59,26 +60,30 @@
 // absolute bit in the forest, never through a re-slice, so the bytes that
 // follow keep the codec on its 64-bit word path everywhere but in the last
 // 8 bytes of each array. A whole-window decode runs the kernels once per
-// column: the member IDs block by block (ReadGammaRun from each head),
-// then the parent and level columns (ReadRun). Everything else reads in
-// place through the head (pointed): a membership probe, the path to a
-// member (Snapshot.AppendVicinityPath: the probe, then one parent and one
-// ID field a hop), and the member, parent and distance fields repair's
-// window tests compare. Only a whole-window read decodes; a routing fork
-// decodes into the one scratch of its Reader (reader.go).
-// On router-like n=2048 (k=151, 5 blocks a window), on 2 cores of a
-// 2.0 GHz Xeon, a fresh window decode costs 3.5–4.6 µs, a pointed
-// membership probe 250–310 ns, the path to a member (3.6 nodes on
-// average) 0.9–1.1 µs and a forest parent field 19–29 ns, against 5–10 ns,
-// 16–32 ns, 170–250 ns and 9–22 ns on the exact twin
-// (BenchmarkCompactReads). Blocks of 16 members probe in 200–210 ns and
-// cost 2% more state (552 → 563 B a node on churn-compact's map); in 3
-// runs on seed 2 they moved churn-compact's op_p50_us by 2–10%, inside its
-// run-to-run spread, so S is 32.
+// column: the low column (ReadRun), the buckets above it from the high
+// array's ones (ReadUnaryRun), then the parent and level columns
+// (ReadRun). Everything else reads in place (pointed): a membership
+// probe, the path to a member (Snapshot.AppendVicinityPath: the probe,
+// then one parent field and one select a hop), and the member, parent and
+// distance fields repair's window tests compare. A select is a popcount walk over the high array's
+// words and one branch-free select inside the word that holds the bit
+// (bits.SelectOne, bits.SelectZero). Only a whole-window read decodes; a
+// routing fork decodes into the one scratch of its Reader (reader.go).
+// On router-like n=2048 (k=151, L=3: a 407-bit high array and 453 bits of
+// lows a window), on 2 cores of a 2.0 GHz Xeon, a fresh window decode
+// costs 3.6–4.4 µs (1.6–2.1 µs into a warm scratch), a pointed membership
+// probe 108–120 ns, the path to a member (3.6 nodes on average)
+// 335–415 ns and a forest parent field 21–26 ns, against 5–8 ns,
+// 15–20 ns, 147–190 ns and 10–15 ns on the exact twin
+// (BenchmarkCompactReads). Why Elias–Fano: its ID section takes 107.5 B
+// a window there, 13% more than gamma deltas in blocks of 32 under a
+// fixed-width head (94.9 B), whose probe scans up to 31 codes and costs
+// 264–304 ns, and whose path read costs 0.9–1.1 µs.
 package snapshot
 
 import (
 	"math"
+	mbits "math/bits"
 	"slices"
 
 	"disco/internal/bits"
@@ -101,8 +106,6 @@ type compactStore struct {
 	n, k     int
 	pg       *graph.Graph
 	levels   bool // distances as BFS levels: vicinity.Levels(pg, k)
-	idWidth  int  // bits of a block's first (absolute) member ID: Width(n)
-	offWidth int  // bits of a block's end in the head
 	pWidth   int  // bits of one parent window index: Width(k+1)
 	vicBlob  []byte
 	vicOff   []int64
@@ -113,13 +116,6 @@ type compactStore struct {
 	rowBytes int
 }
 
-// blockLen is S, the members one block of a window's ID stream holds: a
-// lookup scans at most S-1 gamma deltas past the head it lands on.
-const blockLen = 32
-
-// blocks returns how many blocks the ID stream of an m-member window has.
-func blocks(m int) int { return (m + blockLen - 1) / blockLen }
-
 // newCompactStore fixes a store's layout over g: the field widths and the
 // distance form.
 func newCompactStore(g *graph.Graph, k int) *compactStore {
@@ -129,13 +125,33 @@ func newCompactStore(g *graph.Graph, k int) *compactStore {
 }
 
 // newCompactLayout fixes the window field widths of an n-node store of
-// k-member windows in the given distance form. A block end counts the bits
-// of at most k-blocks(k) gamma deltas, each of a delta below n and so at
-// most 2·Width(n)-1 bits long.
+// k-member windows in the given distance form.
 func newCompactLayout(n, k int, levels bool) *compactStore {
-	idWidth := bits.Width(n)
-	maxStream := max(k-blocks(k), 0) * max(2*idWidth-1, 1)
-	return &compactStore{n: n, k: k, levels: levels, idWidth: idWidth, offWidth: bits.Width(maxStream + 1), pWidth: bits.Width(k + 1)}
+	return &compactStore{n: n, k: k, levels: levels, pWidth: bits.Width(k + 1)}
+}
+
+// lowBits returns L, the low bits an m-member window keeps of each member
+// ID: floor(log2(n/m)), or 0 when m = 0 or m >= n. It is the largest L
+// with m·2^L <= n, found without a division.
+func lowBits(n, m int) int {
+	if m == 0 || m >= n {
+		return 0
+	}
+	l := mbits.Len(uint(n)) - mbits.Len(uint(m))
+	if m<<l > n {
+		l--
+	}
+	return l
+}
+
+// highBits returns the length of an m-member window's high-bits array: a
+// one per member and a zero ending each of the ((n-1)>>L)+1 buckets. An
+// empty window has none.
+func highBits(n, m, l int) int {
+	if m == 0 {
+		return 0
+	}
+	return m + (n-1)>>l + 1
 }
 
 func (cs *compactStore) windowLen(v graph.NodeID) int {
@@ -216,20 +232,25 @@ func (s *Snapshot) buildCompactVicinities(cs *compactStore) error {
 // (k=0) encodes to zero bits.
 func (cs *compactStore) encodeWindow(w *bits.Writer, win *vicinity.Window) {
 	m := win.Size()
-	for i := 0; i < m; i += blockLen {
-		w.WriteBits(uint64(win.ID(i)), cs.idWidth)
-	}
-	end := 0
+	l := lowBits(cs.n, m)
+	// The high array a word at a time: member i's one is bit i+bucket(i).
+	var word uint64
+	done, high := 0, highBits(cs.n, m, l) // bits written; the array's length
 	for i := 0; i < m; i++ {
-		end += deltaBits(win, i)
-		if i+1 == m || (i+1)%blockLen == 0 {
-			w.WriteBits(uint64(end), cs.offWidth)
+		q := i + int(win.ID(i))>>l
+		for ; q-done >= 64; done += 64 {
+			w.WriteBits(word, 64)
+			word = 0
 		}
+		word |= 1 << uint(63-(q-done))
 	}
+	for ; high-done >= 64; done += 64 {
+		w.WriteBits(word, 64)
+		word = 0
+	}
+	w.WriteBits(word>>uint(64-(high-done)), high-done)
 	for i := 0; i < m; i++ {
-		if i%blockLen != 0 {
-			w.WriteGamma(uint64(win.ID(i) - win.ID(i-1)))
-		}
+		w.WriteBits(uint64(win.ID(i)), l)
 	}
 	for i := 0; i < m; i++ {
 		p := win.Parent(i)
@@ -251,43 +272,31 @@ func (cs *compactStore) encodeWindow(w *bits.Writer, win *vicinity.Window) {
 // encodedWindowBytes returns the byte length encodeWindow would produce
 // for win without writing a bit — the analytic size pass of the two-pass
 // compact fold, so every shard's destination slice is known before any
-// shard encodes.
+// shard encodes. Every section's length follows from the member count and
+// the radius.
 func (cs *compactStore) encodedWindowBytes(win *vicinity.Window) int64 {
 	m := win.Size()
-	nbits := blocks(m)*(cs.idWidth+cs.offWidth) + m*(cs.pWidth+cs.distWidth(win.Radius()))
-	for i := 0; i < m; i++ {
-		nbits += deltaBits(win, i)
-	}
+	l := lowBits(cs.n, m)
+	nbits := highBits(cs.n, m, l) + m*(l+cs.pWidth+cs.distWidth(win.Radius()))
 	return int64((nbits + 7) / 8)
-}
-
-// deltaBits returns the bits member i takes in the ID stream: its gamma
-// delta, or none for a block's first member, which the head holds.
-func deltaBits(win *vicinity.Window, i int) int {
-	if i%blockLen == 0 {
-		return 0
-	}
-	return bits.GammaLen(uint64(win.ID(i) - win.ID(i-1)))
 }
 
 // window decodes node v's vicinity window from the shared blob into sc, a
 // scratch in the store's form (newScratch), or into a fresh window when sc
-// is nil: the member IDs block by block (ReadGammaRun from each block's
-// head), then the parent and distance columns (ReadRun). The window holds
-// windowLen(v) members: k on from-scratch builds, possibly fewer on a
-// folded repair chain whose failures disconnected v's region.
+// is nil: the member IDs' low bits (ReadRun), their buckets above them
+// from the ones of the high-bits array (ReadUnaryRun), then the parent and
+// distance columns (ReadRun). The window holds windowLen(v) members: k on
+// from-scratch builds, possibly fewer on a folded repair chain whose
+// failures disconnected v's region.
 func (cs *compactStore) window(v graph.NodeID, sc *vicinity.Scratch) *vicinity.Window {
 	if sc == nil {
 		sc = cs.newScratch()
 	}
 	p := cs.pointed(v)
 	ids := sc.Refill(p.size)
-	r := p.reader(p.stream)
-	for b := range blocks(p.size) {
-		i := b * blockLen
-		ids[i] = p.head(b)
-		bits.ReadGammaRun(r, ids[i+1:min(i+blockLen, p.size)], ids[i])
-	}
+	r := p.reader(p.lows)
+	bits.ReadRun(r, ids, p.l)
+	bits.ReadUnaryRun(p.reader(p.at), ids, p.l)
 	sc.Seal()
 	parent, level, dist := sc.Columns()
 	bits.ReadRun(r, parent, cs.pWidth)
@@ -310,26 +319,30 @@ func (cs *compactStore) window(v graph.NodeID, sc *vicinity.Scratch) *vicinity.W
 // newScratch returns an empty decode target in the store's form.
 func (cs *compactStore) newScratch() *vicinity.Scratch { return vicinity.NewScratch(cs.n, cs.levels) }
 
-// windowIndex finds w in V(v) through the block head, decoding no column
-// (pointed.Find): the membership probe behind Snapshot.VicinityContains.
+// windowIndex finds w in V(v) in place, decoding no column (pointed.Find):
+// the membership probe behind Snapshot.VicinityContains.
 func (cs *compactStore) windowIndex(v, w graph.NodeID) int { return cs.pointed(v).Find(w) }
 
-// pointed is V(v) read in place, a field at a time at the bits the head
-// points to: nothing is decoded but the gamma deltas of the one block a
-// member read lands in. Reads go through internal/bits against the whole
-// blob (see the file comment for why not a re-slice).
+// pointed is V(v) read in place, a field at a time at the bits the layout
+// computes: nothing is decoded but the words of the high-bits array a
+// select walks. Reads go through internal/bits against the whole blob
+// (see the file comment for why not a re-slice).
 type pointed struct {
-	cs     *compactStore
-	v      graph.NodeID
-	size   int
-	at     int // the window's first bit in the blob
-	stream int // the first bit of its ID stream, past the head
+	cs      *compactStore
+	v       graph.NodeID
+	size    int
+	l       int // low bits of a member ID: lowBits(n, size)
+	at      int // the window's first bit in the blob: its high-bits array
+	lows    int // the first bit of its low-bits array
+	parents int // the first bit of its parent column
 }
 
 // pointed returns V(v) to read in place.
 func (cs *compactStore) pointed(v graph.NodeID) pointed {
 	m, at := cs.windowLen(v), 8*int(cs.vicOff[v])
-	return pointed{cs: cs, v: v, size: m, at: at, stream: at + blocks(m)*(cs.idWidth+cs.offWidth)}
+	l := lowBits(cs.n, m)
+	lows := at + highBits(cs.n, m, l)
+	return pointed{cs: cs, v: v, size: m, l: l, at: at, lows: lows, parents: lows + m*l}
 }
 
 // Size returns the window's member count.
@@ -338,67 +351,52 @@ func (p pointed) Size() int { return p.size }
 // Radius returns the window's radius, kept beside the blob.
 func (p pointed) Radius() float64 { return p.cs.radii[p.v] }
 
-// head returns the first member ID of block b.
-func (p pointed) head(b int) graph.NodeID {
-	return graph.NodeID(bits.At(p.cs.vicBlob, p.at+b*p.cs.idWidth, p.cs.idWidth))
-}
-
-// blockStart returns the bit where block b's gamma run starts: the stream
-// start, or where block b-1's run ends.
-func (p pointed) blockStart(b int) int {
-	if b == 0 {
-		return p.stream
-	}
-	ends := p.stream - blocks(p.size)*p.cs.offWidth
-	return p.stream + int(bits.At(p.cs.vicBlob, ends+(b-1)*p.cs.offWidth, p.cs.offWidth))
-}
+// low returns member i's low bits.
+func (p pointed) low(i int) int { return int(bits.At(p.cs.vicBlob, p.lows+i*p.l, p.l)) }
 
 // reader returns a reader from bit `from` to the end of the window.
 func (p pointed) reader(from int) *bits.Reader {
 	return bits.NewReaderAt(p.cs.vicBlob, from, 8*int(p.cs.vicOff[p.v+1]))
 }
 
-// Find returns w's index in the window, or -1 when w is no member: a
-// binary search of the block heads for the last block that starts at or
-// below w, then a scan of its deltas that stops at the first ID >= w.
+// Find returns w's index in the window, or -1 when w is no member. It
+// reads only w's bucket b = w>>L: the zero ending bucket b-1 is where the
+// bucket starts (bits.SelectZero), and the ones before it count the
+// members below it. The bucket's ones are read a bit at a time, each
+// member's low field compared until one reaches w's; a zero ends the
+// bucket, so an empty bucket answers at once. Every bucket w can name ends
+// inside the array, and an ID outside [0, n) names none.
 func (p pointed) Find(w graph.NodeID) int {
-	lo, hi := 0, blocks(p.size)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if p.head(mid) <= w {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return -1 // below the first member, or an empty window
-	}
-	i, id := (lo-1)*blockLen, p.head(lo-1)
-	r, last := p.reader(p.blockStart(lo-1)), min(i+blockLen, p.size)-1
-	for ; id < w && i < last; i++ {
-		id += graph.NodeID(r.ReadGamma())
-	}
-	if id != w {
+	if p.size == 0 || uint(w) >= uint(p.cs.n) {
 		return -1
 	}
-	return i
+	blob, b := p.cs.vicBlob, int(w)>>p.l
+	at := p.at
+	if b > 0 {
+		at = bits.SelectZero(blob, p.at, p.lows, b-1) + 1
+	}
+	lo := int(w) & (1<<p.l - 1)
+	for i := at - p.at - b; bits.At(blob, at, 1) == 1; i, at = i+1, at+1 {
+		if f := p.low(i); f >= lo {
+			if f == lo {
+				return i
+			}
+			break
+		}
+	}
+	return -1
 }
 
-// ID returns member i's node ID: its block's head plus the deltas before
-// it in the block.
+// ID returns member i's node ID: its bucket, the zeros before its one
+// (bits.SelectOne), above its low bits.
 func (p pointed) ID(i int) graph.NodeID {
-	b := i / blockLen
-	id, r := p.head(b), p.reader(p.blockStart(b))
-	for range i % blockLen {
-		id += graph.NodeID(r.ReadGamma())
-	}
-	return id
+	b := bits.SelectOne(p.cs.vicBlob, p.at, p.lows, i) - p.at - i
+	return graph.NodeID(b<<p.l | p.low(i))
 }
 
 // Parent returns the index of member i's parent, or -1 for the owner.
 func (p pointed) Parent(i int) int {
-	q := int(bits.At(p.cs.vicBlob, p.blockStart(blocks(p.size))+i*p.cs.pWidth, p.cs.pWidth))
+	q := int(bits.At(p.cs.vicBlob, p.parents+i*p.cs.pWidth, p.cs.pWidth))
 	if q == p.size {
 		return -1
 	}
@@ -419,7 +417,7 @@ func (p pointed) AppendPath(dst []graph.NodeID, i int) []graph.NodeID {
 
 // Dist returns member i's distance from the owner.
 func (p pointed) Dist(i int) float64 {
-	at := p.blockStart(blocks(p.size)) + p.size*p.cs.pWidth
+	at := p.parents + p.size*p.cs.pWidth
 	if p.cs.levels {
 		dw := p.cs.distWidth(p.Radius())
 		return float64(bits.At(p.cs.vicBlob, at+i*dw, dw))

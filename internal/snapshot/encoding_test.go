@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	mbits "math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -75,11 +76,11 @@ func foldedChainHead(t *testing.T, compact bool) *Snapshot {
 // TestCompactEncodingPinned pins the compact wire format bit for bit.
 // CanonicalBytes compares decoded entries, so it cannot see an encoder
 // that round-trips but lays down different bits; these digests can. They
-// were written when each window's ID stream was cut into blocks under a
-// fixed-width head (the distance section is the window's own column:
-// levels on the unit-weight maps, float64 bits on the geometric one) and
-// must not change with any codec or encoder optimisation — only with a
-// deliberate format change.
+// were written when each window's member IDs became an Elias–Fano code
+// (the distance section is the window's own column: levels on the
+// unit-weight maps, float64 bits on the geometric one) and must not change
+// with any codec or encoder optimisation — only with a deliberate format
+// change.
 func TestCompactEncodingPinned(t *testing.T) {
 	router := topology.RouterLike(rand.New(rand.NewSource(1)), 2048)
 	routerEnv := static.NewEnv(router, 1)
@@ -90,16 +91,16 @@ func TestCompactEncodingPinned(t *testing.T) {
 	}{
 		{"routerlike-2048", func(t *testing.T) *Snapshot {
 			return mustBuild(t, routerEnv, vicinity.DefaultK(router.N()), true)
-		}, "5bf3ba4374c8c0e02222f0c525dd9206765b72d4d7e76ced95d76373a62473ff"},
+		}, "42f56ba703b7af93be4956cd885a5be65f2423ec325d4561d1f65cc850983702"},
 		{"gnm-256", func(t *testing.T) *Snapshot {
 			env := buildEnv(t, 256, 1)
 			return mustBuild(t, env, vicinity.DefaultK(env.N()), true)
-		}, "7b02c59e1d470f6f42d9219a93119c232f61a839e13c9009e57419f29469469c"},
+		}, "a1fd6d936c0a09e50cb8e0814d3dd1d0a05b9c19f6bb476e56d6635876b210d6"},
 		{"geometric-256", func(t *testing.T) *Snapshot {
 			env := buildGeoEnv(t, 256, 1)
 			return mustBuild(t, env, vicinity.DefaultK(env.N()), true)
-		}, "b82ac9d0c94bb4d62c75973a054ab3c49590cc6a83ddfad4ac5f552cb85652c7"},
-		{"folded-chain-head", func(t *testing.T) *Snapshot { return foldedChainHead(t, true) }, "ff1593418c149655127a9ecbfafdf06c0504a2461c429837328657ccf775bc62"},
+		}, "c020af4791ad988b86aa3f1b8a348fde13816aad206237486ab5cdfe7d07c5a9"},
+		{"folded-chain-head", func(t *testing.T) *Snapshot { return foldedChainHead(t, true) }, "032e9e148f4362ac107437e72435be607d45204f348e36f7e70520173e4361b6"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,34 +111,71 @@ func TestCompactEncodingPinned(t *testing.T) {
 	}
 }
 
-// FuzzCompactWindow round-trips one random window through the wire format:
-// level or float form, 0..k members (fewer than k is a shortfall window, so
-// the store carries per-window lengths), IDs with gaps up to spread, any
-// parent index or the owner's -1, and levels or float64 distances anywhere
-// from subnormal to huge. encodedWindowBytes must be the byte count
-// encodeWindow writes, and the decoded window must be the input column for
-// column and in the same form, also when decoded into a scratch that held a
-// bigger window. The pointed reads must agree with the decode without
-// decoding: windowIndex with Window.Find on every member, on each
-// member's neighbouring IDs and on random IDs, the pointed ID, Parent and
-// Dist of every member with its columns, and the pointed AppendPath of
-// every member whose parent chain reaches the owner with
-// Window.AppendPath, owner included. The seeds hold windows of 1, S-1, S,
-// S+1 and 2S+1 members (S = blockLen) in both forms. The blob is read where
-// it ends (the reader's byte path) or with padding past it (the word
-// path).
-func FuzzCompactWindow(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint16(0), true, uint8(0), false)
-	f.Add(int64(2), uint16(1), uint16(1), true, uint8(3), false)
-	f.Add(int64(3), uint16(40), uint16(40), true, uint8(5), true)
-	f.Add(int64(4), uint16(40), uint16(17), false, uint8(200), false)
-	f.Add(int64(5), uint16(300), uint16(299), false, uint8(1), true)
-	for i, m := range []uint16{1, blockLen - 1, blockLen, blockLen + 1, 2*blockLen + 1} {
-		for _, levels := range []bool{true, false} {
-			f.Add(int64(6+i), m+3, m, levels, uint8(9*i), i%2 == 0)
+// TestLowBits pins the Elias–Fano split every window's ID code is laid out
+// by: L = floor(log2(n/m)) by integer division, and 0 for no members or
+// for m >= n, for every n up to 600 and every m up to n+1.
+func TestLowBits(t *testing.T) {
+	for n := 1; n <= 600; n++ {
+		for m := 0; m <= n+1; m++ {
+			want := 0
+			if m > 0 && m < n {
+				want = mbits.Len(uint(n/m)) - 1
+			}
+			if got := lowBits(n, m); got != want {
+				t.Fatalf("lowBits(%d, %d) = %d, want %d", n, m, got, want)
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, k, size uint16, levels bool, spread uint8, pad bool) {
+}
+
+// FuzzCompactWindow round-trips one random window through the wire format:
+// level or float form, 0..k members (fewer than k is a shortfall window, so
+// the store carries per-window lengths), IDs with gaps up to spread in an
+// ID space of n, any parent index or the owner's -1, and levels or float64
+// distances anywhere from subnormal to huge. shape bends the IDs to the
+// Elias–Fano code's edges: its low bits pull the first ID to 0 and push
+// the last to n−1, bits 2–3 round n up to a power of two or one past it,
+// and bit 4 packs every member into one high bucket where one holds them. encodedWindowBytes
+// must be the byte count encodeWindow writes, and the decoded window must
+// be the input column for column and in the same form, also when decoded
+// into a scratch that held a bigger window. The pointed reads must agree
+// with the decode without decoding: windowIndex with Window.Find on every
+// member, on each member's neighbouring IDs, on random IDs and on the IDs
+// outside [0, n) (graph.None, n and n+1), the pointed ID, Parent and Dist
+// of every member with its columns, and the pointed AppendPath of every
+// member whose parent chain reaches the owner with Window.AppendPath,
+// owner included. The seeds hold windows of 0, 1 and n members (n members
+// keep no low bits), every member in one bucket, IDs 0 and n−1, and n a
+// power of two and one past it, in both forms. The blob is read where it
+// ends (the reader's byte path) or with padding past it (the word path).
+func FuzzCompactWindow(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(0), true, uint8(0), false, uint8(0))
+	f.Add(int64(2), uint16(1), uint16(1), true, uint8(3), false, uint8(0))
+	f.Add(int64(3), uint16(40), uint16(40), true, uint8(5), true, uint8(0))
+	f.Add(int64(4), uint16(40), uint16(17), false, uint8(200), false, uint8(0))
+	f.Add(int64(5), uint16(300), uint16(299), false, uint8(1), true, uint8(0))
+	for i, c := range []struct {
+		k, m   uint16
+		spread uint8
+		shape  uint8
+	}{
+		{3, 0, 9, 0},        // no members
+		{3, 1, 200, 0},      // one member
+		{40, 40, 0, 0},      // n members: IDs 0..n-1, L = 0
+		{128, 128, 0, 4},    // n members, n a power of two
+		{20, 20, 250, 16},   // one high bucket
+		{4, 4, 255, 17},     // one high bucket from ID 0
+		{151, 151, 12, 3},   // IDs 0 and n-1
+		{151, 150, 12, 7},   // IDs 0 and n-1, n a power of two
+		{151, 151, 12, 11},  // IDs 0 and n-1, n one past a power of two
+		{64, 33, 60, 8},     // n one past a power of two
+		{100, 100, 255, 16}, // one bucket of a window whose high array spans 4 words
+	} {
+		for _, levels := range []bool{true, false} {
+			f.Add(int64(6+i), c.k, c.m, levels, c.spread, i%2 == 0, c.shape)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, k, size uint16, levels bool, spread uint8, pad bool, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		kk := int(k % 512)
 		m := int(size) % (kk + 1)
@@ -151,6 +189,25 @@ func FuzzCompactWindow(f *testing.F) {
 			parent[i] = int32(rng.Intn(m+1)) - 1
 		}
 		n := int(next) + rng.Intn(1+int(spread))
+		if pow := 1 << mbits.Len(uint(max(n, 1)-1)); shape>>2&3 == 1 {
+			n = pow
+		} else if shape>>2&3 == 2 {
+			n = pow + 1
+		}
+		if l := lowBits(n, m); shape&16 != 0 && m > 0 && m <= 1<<l { // one full-width bucket
+			b, step := graph.NodeID(rng.Intn(n>>l)<<l), (1<<l)/m
+			for i := range ids {
+				ids[i] = b + graph.NodeID(i*step+rng.Intn(step))
+			}
+		}
+		if shape&1 != 0 && m > 0 {
+			for i := m - 1; i >= 0; i-- {
+				ids[i] -= ids[0]
+			}
+		}
+		if shape&2 != 0 && m > 0 {
+			ids[m-1] = graph.NodeID(n - 1)
+		}
 		sc := vicinity.NewScratch(n, levels)
 		copy(sc.Refill(m), ids)
 		sc.Seal()
@@ -223,6 +280,9 @@ func FuzzCompactWindow(f *testing.F) {
 		}
 		for range 16 {
 			probe(graph.NodeID(rng.Intn(n + 1)))
+		}
+		for _, id := range []graph.NodeID{graph.None, graph.NodeID(n), graph.NodeID(n + 1)} {
+			probe(id)
 		}
 		// The pointed path of every member whose parent chain reaches the
 		// owner: random parents may also close a cycle, where no path is.

@@ -13,9 +13,10 @@ import (
 // BenchmarkCompactReads prices the reads a route makes of the store,
 // compact against exact, on churn-compact's topology (router-like n=2048,
 // seed 1): Vicinity(v) (a window decode in the compact regime),
-// VicinityContains(v, w) (the pointed probe: a search of the block heads
-// and a scan of one block), AppendVicinityPath(dst, v, w) at a member (the
-// probe, then one parent and ID field a hop, in place) and Parent(lm, v)
+// VicinityContains(v, w) (the pointed probe: a select of w's bucket and a
+// compare of its low fields), AppendVicinityPath(dst, v, w) at a member
+// (the probe, then one parent field and one ID select a hop, in place)
+// and Parent(lm, v)
 // (one forest field). Each op is one read; ns/op is the like-for-like
 // per-read cost of the two regimes.
 func BenchmarkCompactReads(b *testing.B) {

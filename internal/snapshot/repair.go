@@ -75,7 +75,7 @@
 // diff accounting, and both fold encoders all fan out, and every merge
 // happens in task index order — so the result is bit-identical at any
 // worker count. The exact window tests read a compact pre-event window in
-// place, field by field through its block head, and decode none; the diff
+// place, field by field through its ID code, and decode none; the diff
 // accounting decodes each recomputed window's pre-event state once, in a
 // sequential pass, into its worker's scratch.
 //

@@ -20,14 +20,14 @@
 //     slices; Vicinity returns the stored window, which the forwarding
 //     tables install as is.
 //   - Compact (BuildCompact): the same state bit-packed (see compact.go) at
-//     a fraction of the bytes — member IDs delta-coded, parents as window
-//     indices, distances as BFS levels in a few bits each (float64 bits on
-//     a weighted graph), forest parents as port indices. Vicinity reads
-//     decode the window into a fresh one; a membership probe searches the
-//     window's block heads and scans one block of its ID stream, the path
-//     to a member reads one parent and ID field a hop, and tree reads
-//     decode single parent fields, all in place — through internal/bits,
-//     several fields a word load. A routing fork's whole-window reads go
+//     a fraction of the bytes — member IDs Elias–Fano-coded, parents as
+//     window indices, distances as BFS levels in a few bits each (float64
+//     bits on a weighted graph), forest parents as port indices. Vicinity
+//     reads decode the window into a fresh one; a membership probe selects
+//     the start of the target's bucket and compares that bucket's low
+//     fields, the path to a member reads one parent field and one select a
+//     hop, and tree reads decode single parent fields, all in place —
+//     through internal/bits, several fields a word load. A routing fork's whole-window reads go
 //     through a Reader (reader.go), which decodes into one scratch the fork
 //     owns. The encoding is lossless, so the two regimes differ only in
 //     packing: every read, and every figure, is byte-identical on every
@@ -259,8 +259,8 @@ func (s *Snapshot) VicinityContains(v, w graph.NodeID) bool {
 // AppendVicinityPath appends V(v)'s tree path v ⇝ w to dst when w is a
 // member, and otherwise reports false with dst unextended: one search,
 // whose hit is read on from without searching again. A compact base
-// window is read in place (pointed), a search of its block heads and one
-// parent and ID field a hop, so the call decodes no window in either
+// window is read in place (pointed), a bucket probe and then one parent
+// field and one ID select a hop, so the call decodes no window in either
 // regime and allocates nothing beyond dst's growth.
 func (s *Snapshot) AppendVicinityPath(dst []graph.NodeID, v, w graph.NodeID) ([]graph.NodeID, bool) {
 	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
