@@ -17,9 +17,7 @@ import (
 // over a compact snapshot and over its exact twin. The compact/exact ratio
 // is what a compact read costs a route. exact and compact keep one fork
 // over all 4,096 pairs; compact-cold re-forks every 150 pairs, as the
-// churn-compact probe forks each event's chain head, so its Reader starts
-// cold as often as there. fills/op is the windows the forks' Readers
-// decoded per pair.
+// churn-compact probe forks each event's chain head.
 func BenchmarkRepairedRoutes(b *testing.B) {
 	g := topology.RouterLike(rand.New(rand.NewSource(1)), 2048)
 	env := static.NewEnv(g, 1)
@@ -35,11 +33,10 @@ func BenchmarkRepairedRoutes(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(regime.name, func(b *testing.B) {
-			fork, fills := d.ForkRepaired(snap), 0
+			fork := d.ForkRepaired(snap)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if regime.every > 0 && i > 0 && i%regime.every == 0 {
-					fills += fork.ND.rd.Fills()
 					fork = d.ForkRepaired(snap)
 				}
 				p := pairs[i%len(pairs)]
@@ -50,7 +47,6 @@ func BenchmarkRepairedRoutes(b *testing.B) {
 					b.Fatalf("pair %d->%d undelivered", s, t)
 				}
 			}
-			b.ReportMetric(float64(fills+fork.ND.rd.Fills())/float64(b.N), "fills/op")
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"disco/internal/graph"
+	"disco/internal/metrics"
 	"disco/internal/snapshot"
 	"disco/internal/static"
 	"disco/internal/topology"
@@ -208,6 +209,62 @@ func compareTwinRoutes(t *testing.T, env *static.Env, d *Disco, twin twinSnapsho
 					t.Fatalf("%s(%d, %d): materialized route %v is longer than the forwarded %v", o.name, s, dst, got[o.route], path)
 				}
 			}
+		}
+	}
+}
+
+// TestGroupMemberMatchesScan pins the one-pass cursor search to the rule it
+// implements: for every (s, t) of a 256-node map, findGroupMember over
+// Members(s) picks the member FindGroupMember's own two-pass scan of the
+// decoded V(s) picks, under both group selections, on the exact and the
+// compact snapshot of a base and of a repaired chain head (where one node
+// is alone in its window).
+func TestGroupMemberMatchesScan(t *testing.T) {
+	const n = 256
+	env := static.NewEnv(topology.Gnm(rand.New(rand.NewSource(65)), n, 4*n), 65)
+	protos := []*Disco{NewDisco(env, WithSeed(65)), NewDisco(env, WithSeed(65), WithClosestMember())}
+	for _, twin := range twinChain(t, env, protos[0].ND.K, 66)[:2] {
+		for _, snap := range []*snapshot.Snapshot{twin.exact, twin.compact} {
+			for _, d := range protos {
+				f := d.ForkRepaired(snap)
+				for s := range graph.NodeID(n) {
+					for dst := range graph.NodeID(n) {
+						want, _ := f.FindGroupMember(s, dst)
+						if got := f.findGroupMember(snap.Members(s), s, dst); got != want {
+							t.Fatalf("%s compact=%v closest=%v: findGroupMember(%d, %d) = %d, the scan picks %d", twin.name, snap.Compact(), d.closestW, s, dst, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNoRouteDecodes holds routing to the read rule: no route reads a
+// window whole. Over a base and a repaired chain head, Disco's
+// RepairedFirstRoute and RepairedLaterRoute and NDDisco's Up-Down Stream
+// first route allocate no more on a compact snapshot than on its exact
+// twin, whose windows are stored whole: a decode into a fresh window would
+// add about five allocations a route.
+func TestNoRouteDecodes(t *testing.T) {
+	const n = 256
+	env := static.NewEnv(topology.Gnm(rand.New(rand.NewSource(67)), n, 4*n), 67)
+	d := NewDisco(env, WithSeed(67))
+	pairs := metrics.SamplePairs(rand.New(rand.NewSource(68)), n, 512)
+	allocs := func(snap *snapshot.Snapshot) float64 {
+		f := d.ForkRepaired(snap)
+		return testing.AllocsPerRun(1, func() {
+			for _, p := range pairs {
+				s, dst := graph.NodeID(p.Src), graph.NodeID(p.Dst)
+				f.RepairedFirstRoute(s, dst)
+				f.RepairedLaterRoute(s, dst)
+				f.ND.route(s, dst, ShortcutUpDownStream, false)
+			}
+		})
+	}
+	for _, twin := range twinChain(t, env, d.ND.K, 69)[:2] {
+		if exact, compact := allocs(twin.exact), allocs(twin.compact); compact > exact {
+			t.Errorf("%s: %d route triples allocate %.0f times on the compact snapshot, %.0f on its exact twin", twin.name, len(pairs), compact, exact)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"disco/internal/dynamics"
 	"disco/internal/graph"
 	"disco/internal/metrics"
+	"disco/internal/names"
 	"disco/internal/pathtree"
 	"disco/internal/snapshot"
 	"disco/internal/static"
@@ -505,8 +506,7 @@ func TestRouteBeforeUseSnapshotPanics(t *testing.T) {
 
 // TestForkRepairedIsScratchFree: the serve plane forks once per pooled
 // slot per epoch, so a fork must not pay for a Dijkstra scratch it never
-// uses — routing allocates none, the first ShortestDist does — nor decode
-// a window for a route that reads none whole.
+// uses — routing allocates none, the first ShortestDist does.
 func TestForkRepairedIsScratchFree(t *testing.T) {
 	env, d := testEnv(t, 33, 200, 800)
 	compact, err := snapshot.BuildCompact(env.G, d.ND.K, env.Landmarks)
@@ -519,9 +519,6 @@ func TestForkRepairedIsScratchFree(t *testing.T) {
 		f.RepairedLaterRoute(3, 150)
 		if f.dest != nil {
 			t.Fatalf("compact=%v: routing on a repaired fork allocated a destination scratch", snap.Compact())
-		}
-		if n := f.rd.Fills(); n != 0 {
-			t.Fatalf("compact=%v: routing on a repaired fork decoded %d windows", snap.Compact(), n)
 		}
 		if f.ShortestDist(3, 150) != d.ND.ShortestDist(3, 150) {
 			t.Fatalf("compact=%v: fork and original disagree on d(3,150)", snap.Compact())
@@ -544,11 +541,30 @@ func TestForkRejectsForeignScratch(t *testing.T) {
 }
 
 // FindGroupMember returns the vicinity node w that should hold t's
-// address, plus whether it actually does (findGroupMember over V(s)).
+// address (graph.None when s is alone in V(s)), plus whether it actually
+// does. It is the §4.4 selection as a scan of its own over the decoded
+// V(s), in two passes as the rule reads (closest full-prefix member, else
+// longest prefix, then distance), so the hop-by-hop oracle that calls it
+// shares no code with the member-cursor search findGroupMember makes.
 func (d *Disco) FindGroupMember(s, t graph.NodeID) (w graph.NodeID, ok bool) {
-	vs := d.ND.Vicinity(s)
-	if i, ok := d.findGroupMember(vs, s, t); i >= 0 {
-		return vs.ID(i), ok
+	vs, ht := d.ND.Vicinity(s), d.Env().HashOf(t)
+	prefix := func(j int) int { return names.CommonPrefixLen(d.Env().HashOf(vs.ID(j)), ht) }
+	best := -1
+	for j := 0; d.closestW && j < vs.Size(); j++ {
+		if vs.ID(j) != s && prefix(j) >= d.View.KOf(s) && (best < 0 || vs.Dist(j) < vs.Dist(best)) {
+			best = j
+		}
 	}
-	return graph.None, false
+	if best < 0 { // no full-prefix member: the longest prefix, then the distance
+		bestPrefix := -1
+		for j := range vs.Size() {
+			if p := prefix(j); vs.ID(j) != s && (p > bestPrefix || p == bestPrefix && vs.Dist(j) < vs.Dist(best)) {
+				best, bestPrefix = j, p
+			}
+		}
+	}
+	if best < 0 {
+		return graph.None, false
+	}
+	return vs.ID(best), d.HasAddress(vs.ID(best), t)
 }

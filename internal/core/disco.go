@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"disco/internal/dynamics"
@@ -13,7 +14,6 @@ import (
 	"disco/internal/sloppy"
 	"disco/internal/snapshot"
 	"disco/internal/static"
-	"disco/internal/vicinity"
 )
 
 // Disco is the full name-independent protocol (§4.4): NDDisco plus the
@@ -114,46 +114,39 @@ func (d *Disco) HasAddress(holder, target graph.NodeID) bool {
 	return d.View.Mutual(target, holder)
 }
 
-// findGroupMember returns the index in vs = V(s), which the first packet
-// goes on to route through, of the member w that should hold t's address
-// (-1 when s is alone in V(s)), plus whether it actually does. Default
-// selection: the member with the longest prefix match between h(w) and
-// h(t), ties broken by distance then ID (§4.4). With WithClosestMember,
-// the closest member whose prefix match covers s's full group width ("long
-// enough"), falling back to longest-prefix when none qualifies. Members
-// ascend by ID, so among members that tie on prefix and distance the first
-// one met is the lowest ID.
-func (d *Disco) findGroupMember(vs *vicinity.Window, s, t graph.NodeID) (i int, ok bool) {
-	ht := d.Env().HashOf(t)
+// findGroupMember returns the member w of V(s), walked by ms, that should
+// hold t's address, or graph.None when s is alone in V(s): the longest
+// prefix match between h(w) and h(t), ties broken by distance then ID
+// (§4.4), or with WithClosestMember the closest member whose match covers
+// s's full group width ("long enough"), else the longest. One pass tracks
+// both, reading a distance only where the prefix could win; of members
+// tied on prefix and distance the first met, the lowest ID, wins.
+func (d *Disco) findGroupMember(ms snapshot.MemberCursor, s, t graph.NodeID) graph.NodeID {
+	hashes := d.Env().Hashes
+	ht := hashes[t]
+	need := math.MaxInt // the prefix a member needs to qualify as closest
 	if d.closestW {
-		need := d.View.KOf(s)
-		best, bestDist := -1, 0.0
-		for j := 0; j < vs.Size(); j++ {
-			w := vs.ID(j)
-			if w == s || names.CommonPrefixLen(d.Env().HashOf(w), ht) < need {
-				continue
-			}
-			if dist := vs.Dist(j); best < 0 || dist < bestDist {
-				best, bestDist = j, dist
-			}
-		}
-		if best >= 0 {
-			return best, d.HasAddress(vs.ID(best), t)
-		}
-		// No full-prefix member: fall through to longest-prefix.
+		need = d.View.KOf(s)
 	}
-	best, bestPrefix, bestDist := -1, -1, 0.0
-	for j := 0; j < vs.Size(); j++ {
-		w := vs.ID(j)
-		if w == s {
+	best, bestPrefix, bestDist := graph.None, -1, 0.0 // longest prefix
+	near, nearDist := graph.None, 0.0                 // closest qualifying
+	for w, ok := ms.Next(); ok; w, ok = ms.Next() {
+		p := names.CommonPrefixLen(hashes[w], ht)
+		if w == s || p < bestPrefix && p < need {
 			continue
 		}
-		p, dist := names.CommonPrefixLen(d.Env().HashOf(w), ht), vs.Dist(j)
-		if p > bestPrefix || (p == bestPrefix && dist < bestDist) {
-			best, bestPrefix, bestDist = j, p, dist
+		dist := ms.Dist()
+		if p >= need && (near == graph.None || dist < nearDist) {
+			near, nearDist = w, dist
+		}
+		if p > bestPrefix || p == bestPrefix && dist < bestDist {
+			best, bestPrefix, bestDist = w, p, dist
 		}
 	}
-	return best, best >= 0 && d.HasAddress(vs.ID(best), t)
+	if near != graph.None {
+		return near
+	}
+	return best
 }
 
 // FirstRoute returns the route of a flow's first packet from s to t given
@@ -188,13 +181,11 @@ func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool
 	if d.Env().IsLM[t] || snap.VicinityContains(s, t) || d.HasAddress(s, t) {
 		return nd.route(s, t, sc, false)
 	}
-	// V(s) is read once, for the member search and the path to the member,
-	// both done before the next read.
-	vs := nd.rd.Vicinity(s)
-	var holder graph.NodeID
+	var buf [16]graph.NodeID // the head s ⇝ holder, which JoinPaths copies out
 	var head []graph.NodeID
-	if i, ok := d.findGroupMember(vs, s, t); ok {
-		holder, head = vs.ID(i), vs.AppendPath(nil, i)
+	holder := d.findGroupMember(snap.Members(s), s, t)
+	if holder != graph.None && d.HasAddress(holder, t) {
+		head, _ = snap.AppendVicinityPath(buf[:0], s, holder)
 	} else {
 		// Resolution fallback: the owning landmark answers the query and
 		// forwards — both legs must survive any failures.
@@ -204,7 +195,7 @@ func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool
 		if !snap.Reaches(holder, s) {
 			return nil, false
 		}
-		head = snap.PathFrom(holder, s)
+		head = snap.AppendPathFrom(buf[:0], holder, s)
 	}
 	rest, ok := nd.route(holder, t, sc.withoutReverse(), false)
 	if !ok {

@@ -28,17 +28,13 @@ import (
 // routes plus fixed-size vicinities. The source must know the destination's
 // address for routing (Disco removes that assumption).
 //
-// All route state is read from one shared immutable snapshot (UseSnapshot).
-// The walk's lookups read it directly (Snapshot.AppendVicinityPath): the
-// stored window in the exact storage regime, and in the compact regime the
-// encoded window in place, so a lookup, hit or miss, decodes nothing. Only
-// a whole-window read (Up-Down Stream, and Disco's V(s)) decodes, into the
-// one scratch of the fork's snapshot.Reader, so a route allocates nothing
-// warm in either regime. Forks share the snapshot by pointer; what a fork
-// owns is scratch: that Reader, the walk's route buffers, grown to steady
-// state on use, and a Dijkstra scratch for destination-rooted queries,
-// allocated on first use. Vicinity and VicinityContains read the snapshot
-// directly, so they stay safe for concurrent use.
+// All route state is read from one shared immutable snapshot (UseSnapshot)
+// where it lies: the stored window in the exact regime, the encoded window
+// in place in the compact one. No route decodes a window, and a warm route
+// allocates nothing in either. Forks share the snapshot by pointer and own
+// scratch only: the walk's route buffers and, from first use, a Dijkstra
+// scratch for destination-rooted queries. Vicinity and VicinityContains
+// read the snapshot directly, so they stay safe for concurrent use.
 // Every read that needs the snapshot panics before UseSnapshot — a harness
 // invariant: whoever constructs an NDDisco (eval, bench/, the root library,
 // the root benchmarks) must build and install one; state-only accounting
@@ -48,8 +44,7 @@ type NDDisco struct {
 	K   int // vicinity size |V(v)|, Θ(sqrt(n log n))
 
 	snap *snapshot.Snapshot
-	rd   snapshot.Reader // snap's read handle: the decode target of whole-window reads
-	dest *pathtree.Lazy  // per-fork scratch for destination-rooted queries
+	dest *pathtree.Lazy // per-fork scratch for destination-rooted queries
 
 	// The walk's scratch: the forest descent t ⇝ landmark, and the backing
 	// buffer the dynamics.Router methods copy their routes out of.
@@ -84,8 +79,7 @@ func (r *NDDisco) UseSnapshot(s *snapshot.Snapshot) {
 	if s.K() != want {
 		panic(fmt.Sprintf("core: snapshot K=%d does not match NDDisco K=%d", s.K(), want))
 	}
-	r.snap, r.rd = s, s.Reader()
-	r.dest = nil
+	r.snap, r.dest = s, nil
 }
 
 // snapshot returns the installed snapshot, panicking when there is none:
@@ -107,11 +101,7 @@ func (r *NDDisco) fork(snap *snapshot.Snapshot, dest *pathtree.Lazy) *NDDisco {
 	if dest != nil && snap != nil && dest.Graph() != snap.Graph() {
 		panic("core: destination scratch was built over a different graph than the snapshot's")
 	}
-	f := &NDDisco{Env: r.Env, K: r.K, snap: snap, dest: dest}
-	if snap != nil {
-		f.rd = snap.Reader()
-	}
-	return f
+	return &NDDisco{Env: r.Env, K: r.K, snap: snap, dest: dest}
 }
 
 // Fork returns a concurrency view of r for one worker of a parallel sweep.
@@ -313,7 +303,7 @@ func (r *NDDisco) walk(dst []graph.NodeID, base int, t graph.NodeID, sc Shortcut
 	for i := base; i < len(dst)-1; i++ {
 		u := dst[i]
 		if sc.usesUpDown() {
-			dst = r.spliceUpDown(dst, i, r.rd.Vicinity(u))
+			dst = r.spliceUpDown(dst, i)
 			continue
 		}
 		// To-Destination: follow the direct path as soon as any node knows
@@ -331,8 +321,8 @@ func (r *NDDisco) walk(dst []graph.NodeID, base int, t graph.NodeID, sc Shortcut
 // spliceUpDown implements Up-Down Stream at position i: the node inspects
 // the listed route and splices in its vicinity path to the farthest
 // downstream route node it can reach more cheaply.
-func (r *NDDisco) spliceUpDown(cur []graph.NodeID, i int, vu *vicinity.Window) []graph.NodeID {
-	g := r.Env.G
+func (r *NDDisco) spliceUpDown(cur []graph.NodeID, i int) []graph.NodeID {
+	g, u := r.Env.G, cur[i]
 	// Prefix sums of the remaining route for O(1) segment lengths.
 	segLen := make([]float64, len(cur)-i)
 	for j := i + 1; j < len(cur); j++ {
@@ -340,12 +330,12 @@ func (r *NDDisco) spliceUpDown(cur []graph.NodeID, i int, vu *vicinity.Window) [
 	}
 	const eps = 1e-12
 	for j := len(cur) - 1; j > i; j-- {
-		e := vu.Find(cur[j])
-		if e < 0 {
+		d, ok := r.snap.VicinityDist(u, cur[j])
+		if !ok {
 			continue
 		}
-		if vu.Dist(e) < segLen[j-i]-eps {
-			out := vu.AppendPath(cur[:i:i], e)
+		if d < segLen[j-i]-eps { // the splice is laid in a copy of cur's room
+			out, _ := r.snap.AppendVicinityPath(slices.Grow(cur[:i:i], len(cur)), u, cur[j])
 			return append(out, cur[j+1:]...)
 		}
 		// The farthest known node is already optimal; nearer known nodes

@@ -59,26 +59,21 @@
 // [8·vicOff[v], 8·vicOff[v+1]) of the whole blob and a forest field at its
 // absolute bit in the forest, never through a re-slice, so the bytes that
 // follow keep the codec on its 64-bit word path everywhere but in the last
-// 8 bytes of each array. A whole-window decode runs the kernels once per
-// column: the low column (ReadRun), the buckets above it from the high
-// array's ones (ReadUnaryRun), then the parent and level columns
-// (ReadRun). Everything else reads in place (pointed): a membership
-// probe, the path to a member (Snapshot.AppendVicinityPath: the probe,
-// then one parent field and one select a hop), and the member, parent and
-// distance fields repair's window tests compare. A select is a popcount walk over the high array's
-// words and one branch-free select inside the word that holds the bit
-// (bits.SelectOne, bits.SelectZero). Only a whole-window read decodes; a
-// routing fork decodes into the one scratch of its Reader (reader.go).
-// On router-like n=2048 (k=151, L=3: a 407-bit high array and 453 bits of
-// lows a window), on 2 cores of a 2.0 GHz Xeon, a fresh window decode
-// costs 3.6–4.4 µs (1.6–2.1 µs into a warm scratch), a pointed membership
-// probe 108–120 ns, the path to a member (3.6 nodes on average)
-// 335–415 ns and a forest parent field 21–26 ns, against 5–8 ns,
-// 15–20 ns, 147–190 ns and 10–15 ns on the exact twin
-// (BenchmarkCompactReads). Why Elias–Fano: its ID section takes 107.5 B
-// a window there, 13% more than gamma deltas in blocks of 32 under a
-// fixed-width head (94.9 B), whose probe scans up to 31 codes and costs
-// 264–304 ns, and whose path read costs 0.9–1.1 µs.
+// 8 bytes of each array. A whole-window decode (repair, the fold and the
+// hop-by-hop oracle make them) runs the kernels once per column: the low
+// column (ReadRun), the buckets above it from the high array's ones
+// (ReadUnaryRun), then the parent and level columns. A route reads in
+// place (pointed): a membership probe, the path to a member (the probe,
+// then one parent field and one select a hop), a member's distance (the
+// probe and one field), and the members in ID order (MemberCursor: the
+// two ID kernels, a run at a time). On router-like n=2048 (k=151, L=3: a
+// 407-bit high array and 453 bits of lows a window), on 2 cores of a
+// 2.0 GHz Xeon, a pointed membership probe costs 108–120 ns, the path to a
+// member (3.6 nodes on average) 335–415 ns and a forest parent field
+// 21–26 ns, against 15–20 ns, 147–190 ns and 10–15 ns on the exact twin
+// (BenchmarkCompactReads). Why Elias–Fano: its ID section takes 107.5 B a
+// window there, 13% more than gamma deltas in blocks of 32 under a
+// fixed-width head (94.9 B), whose probe scans up to 31 codes (264–304 ns).
 package snapshot
 
 import (
@@ -312,16 +307,12 @@ func (cs *compactStore) window(v graph.NodeID, sc *vicinity.Scratch) *vicinity.W
 			dist[i] = math.Float64frombits(r.ReadBits(dw))
 		}
 	}
-	sc.Finish()
+	sc.Finish(cs.radii[v])
 	return sc.Window()
 }
 
 // newScratch returns an empty decode target in the store's form.
 func (cs *compactStore) newScratch() *vicinity.Scratch { return vicinity.NewScratch(cs.n, cs.levels) }
-
-// windowIndex finds w in V(v) in place, decoding no column (pointed.Find):
-// the membership probe behind Snapshot.VicinityContains.
-func (cs *compactStore) windowIndex(v, w graph.NodeID) int { return cs.pointed(v).Find(w) }
 
 // pointed is V(v) read in place, a field at a time at the bits the layout
 // computes: nothing is decoded but the words of the high-bits array a
@@ -392,6 +383,19 @@ func (p pointed) Find(w graph.NodeID) int {
 func (p pointed) ID(i int) graph.NodeID {
 	b := bits.SelectOne(p.cs.vicBlob, p.at, p.lows, i) - p.at - i
 	return graph.NodeID(b<<p.l | p.low(i))
+}
+
+// fillPointed reads run's members from c.base on: their low fields, then
+// their buckets, counted from the last run's end and raised by the zeros before.
+func (c *MemberCursor) fillPointed(run []graph.NodeID) {
+	p, i := &c.p, c.base // not copied: a copied pointed stalls on its stores
+	bits.ReadRun(p.reader(p.lows+i*p.l), run, p.l)
+	bits.ReadUnaryRun(p.reader(c.hiAt), run, p.l)
+	below := graph.NodeID(c.hiAt-p.at-i) << p.l
+	for k := range run {
+		run[k] += below
+	}
+	c.hiAt = p.at + i + len(run) + int(run[len(run)-1]>>p.l) // after the run's last one
 }
 
 // Parent returns the index of member i's parent, or -1 for the owner.

@@ -45,8 +45,26 @@ func compactDigest(t *testing.T, s *Snapshot) string {
 // topology, so both regimes reach the same head.
 func foldedChainHead(t *testing.T, compact bool) *Snapshot {
 	t.Helper()
+	d := newChainDriver(cutChainHead(t, compact, vicinity.DefaultK(256)))
+	rng := rand.New(rand.NewSource(3))
+	for range 2 {
+		d.failOne(t, rng, true)
+	}
+	folded := d.cur.fold()
+	if cs, ok := folded.store.(*compactStore); ok && cs.vicLen == nil {
+		t.Fatal("folded head has uniform windows; want a cut-off node's short window")
+	}
+	return folded
+}
+
+// cutChainHead is foldedChainHead's first event: the n=256 base with
+// vicinity size k and every link of its lowest-degree non-landmark node
+// failed, read through an overlay table that holds that node's one-member
+// window.
+func cutChainHead(t *testing.T, compact bool, k int) *Snapshot {
+	t.Helper()
 	env := buildEnv(t, 256, 17)
-	base := mustBuild(t, env, vicinity.DefaultK(env.N()), compact)
+	base := mustBuild(t, env, k, compact)
 	cut := graph.None
 	for v := graph.NodeID(0); int(v) < env.N(); v++ {
 		if !env.IsLM[v] && (cut == graph.None || env.G.Degree(v) < env.G.Degree(cut)) {
@@ -61,16 +79,10 @@ func foldedChainHead(t *testing.T, compact bool) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newChainDriver(head)
-	rng := rand.New(rand.NewSource(3))
-	for range 2 {
-		d.failOne(t, rng, true)
+	if head.OverlayShards() == 0 {
+		t.Fatal("the cut chain head reads no overlay")
 	}
-	folded := d.cur.fold()
-	if cs, ok := folded.store.(*compactStore); ok && cs.vicLen == nil {
-		t.Fatal("folded head has uniform windows; want a cut-off node's short window")
-	}
-	return folded
+	return head
 }
 
 // TestCompactEncodingPinned pins the compact wire format bit for bit.
@@ -139,12 +151,13 @@ func TestLowBits(t *testing.T) {
 // must be the byte count encodeWindow writes, and the decoded window must
 // be the input column for column and in the same form, also when decoded
 // into a scratch that held a bigger window. The pointed reads must agree
-// with the decode without decoding: windowIndex with Window.Find on every
+// with the decode without decoding: pointed Find with Window.Find on every
 // member, on each member's neighbouring IDs, on random IDs and on the IDs
 // outside [0, n) (graph.None, n and n+1), the pointed ID, Parent and Dist
 // of every member with its columns, and the pointed AppendPath of every
 // member whose parent chain reaches the owner with Window.AppendPath,
-// owner included. The seeds hold windows of 0, 1 and n members (n members
+// owner included, and the member cursor's walk with the ID and distance
+// columns, stopping after the last member. The seeds hold windows of 0, 1 and n members (n members
 // keep no low bits), every member in one bucket, IDs 0 and n−1, and n a
 // power of two and one past it, in both forms. The blob is read where it
 // ends (the reader's byte path) or with padding past it (the word path).
@@ -213,14 +226,16 @@ func FuzzCompactWindow(f *testing.F) {
 		sc.Seal()
 		wantParent, level, dist := sc.Columns()
 		copy(wantParent, parent)
-		top := 1 + rng.Intn(64)
+		top, radius := 1+rng.Intn(64), 0.0
 		for i := range level {
 			level[i] = uint16(rng.Intn(top))
+			radius = max(radius, float64(level[i]))
 		}
 		for i := range dist {
 			dist[i] = math.Ldexp(rng.Float64(), rng.Intn(2100)-1075)
+			radius = max(radius, dist[i])
 		}
-		sc.Finish()
+		sc.Finish(radius)
 		want := sc.Window()
 		cs := newCompactLayout(n, kk, levels)
 		var w bits.Writer
@@ -248,7 +263,7 @@ func FuzzCompactWindow(f *testing.F) {
 		}
 		reused.Seal()
 		reused.Columns()
-		reused.Finish()
+		reused.Finish(0)
 		if diff := sameWindow(cs.window(0, reused), want); diff != "" {
 			t.Fatalf("window decoded into a reused scratch: %s", diff)
 		}
@@ -258,8 +273,8 @@ func FuzzCompactWindow(f *testing.F) {
 			t.Fatalf("pointed size/radius (%d, %v), want (%d, %v)", p.Size(), p.Radius(), m, want.Radius())
 		}
 		probe := func(id graph.NodeID) {
-			if got, wantI := cs.windowIndex(0, id), want.Find(id); got != wantI {
-				t.Fatalf("windowIndex(%d) = %d, want %d", id, got, wantI)
+			if got, wantI := p.Find(id), want.Find(id); got != wantI {
+				t.Fatalf("pointed Find(%d) = %d, want %d", id, got, wantI)
 			}
 		}
 		for i, id := range ids {
@@ -276,6 +291,19 @@ func FuzzCompactWindow(f *testing.F) {
 			}
 			if got := p.Dist(i); got != want.Dist(i) {
 				t.Fatalf("pointed Dist(%d) = %v, want %v", i, got, want.Dist(i))
+			}
+		}
+		c := (&Snapshot{store: cs}).Members(0)
+		for i := 0; ; i++ {
+			id, ok := c.Next()
+			if ok != (i < m) {
+				t.Fatalf("cursor step %d: ok=%v over %d members", i, ok, m)
+			}
+			if !ok {
+				break
+			}
+			if id != ids[i] || c.Dist() != want.Dist(i) {
+				t.Fatalf("cursor step %d: (%d, %v), want (%d, %v)", i, id, c.Dist(), ids[i], want.Dist(i))
 			}
 		}
 		for range 16 {

@@ -10,9 +10,11 @@ import (
 	"disco/internal/vicinity"
 )
 
-// BenchmarkCompactReads prices the reads a route makes of the store,
-// compact against exact, on churn-compact's topology (router-like n=2048,
-// seed 1): Vicinity(v) (a window decode in the compact regime),
+// BenchmarkCompactReads prices the reads of the store, compact against
+// exact, on churn-compact's topology (router-like n=2048, seed 1): Decode
+// (V(v) whole, as repair, the fold and the oracle read it: in the compact
+// regime a decode into one warm scratch), Members (a walk of V(v)'s member
+// cursor, IDs only, as Disco's group-member search makes),
 // VicinityContains(v, w) (the pointed probe: a select of w's bucket and a
 // compare of its low fields), AppendVicinityPath(dst, v, w) at a member
 // (the probe, then one parent field and one ID select a hop, in place)
@@ -36,15 +38,26 @@ func BenchmarkCompactReads(b *testing.B) {
 	benchRegimes(b, func(b *testing.B, compact bool) {
 		rng := rand.New(rand.NewSource(3))
 		s := mustBuild(b, env, k, compact)
-		b.Run("Vicinity", func(b *testing.B) {
+		b.Run("Decode", func(b *testing.B) {
 			b.ReportAllocs()
-			size := 0
+			sc, size := s.newScratch(), 0
 			for i := 0; i < b.N; i++ {
-				size += s.Vicinity(vs[i%probes]).Size()
+				size += s.vicinityInto(vs[i%probes], sc).Size()
 			}
 			if size == 0 {
 				b.Fatal("empty windows")
 			}
+		})
+		b.Run("Members", func(b *testing.B) {
+			b.ReportAllocs()
+			size := 0
+			for i := 0; i < b.N; i++ {
+				c := s.Members(vs[i%probes])
+				for _, ok := c.Next(); ok; _, ok = c.Next() {
+					size++
+				}
+			}
+			b.ReportMetric(float64(size)/float64(b.N), "members/op")
 		})
 		b.Run("VicinityContains", func(b *testing.B) {
 			b.ReportAllocs()

@@ -11,9 +11,10 @@ import (
 )
 
 // TestSealedSurface holds the immutability contract to the types that hand
-// out route state: no exported method of Snapshot, Reader, Row or
+// out route state: no exported method of Snapshot, MemberCursor, Row or
 // vicinity.Window returns a slice, map, chan or func, and a pointer only to
-// a sealed type, whose own surface exposes nothing writable. exempt names
+// a sealed type, whose own surface exposes nothing writable; the cursor,
+// handed out by value, holds no slice, map, chan or func. exempt names
 // the methods whose result is not shared storage, each with the reason; an
 // exemption no method needs is stale.
 func TestSealedSurface(t *testing.T) {
@@ -32,7 +33,7 @@ func TestSealedSurface(t *testing.T) {
 	}
 	used := make(map[string]bool)
 	for _, typ := range []reflect.Type{
-		reflect.TypeFor[*Snapshot](), reflect.TypeFor[*Reader](), reflect.TypeFor[Row](), reflect.TypeFor[*vicinity.Window](),
+		reflect.TypeFor[*Snapshot](), reflect.TypeFor[*MemberCursor](), reflect.TypeFor[Row](), reflect.TypeFor[*vicinity.Window](),
 	} {
 		named := typ
 		if named.Kind() == reflect.Pointer {
@@ -53,6 +54,13 @@ func TestSealedSurface(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	cursor := reflect.TypeFor[MemberCursor]()
+	for i := range cursor.NumField() {
+		switch f := cursor.Field(i); f.Type.Kind() {
+		case reflect.Slice, reflect.Map, reflect.Chan, reflect.Func:
+			t.Errorf("MemberCursor.%s is a %v: a copy of the cursor would share it", f.Name, f.Type)
 		}
 	}
 	for _, name := range slices.Sorted(maps.Keys(exempt)) {

@@ -26,12 +26,12 @@
 //     reads decode the window into a fresh one; a membership probe selects
 //     the start of the target's bucket and compares that bucket's low
 //     fields, the path to a member reads one parent field and one select a
-//     hop, and tree reads decode single parent fields, all in place —
-//     through internal/bits, several fields a word load. A routing fork's whole-window reads go
-//     through a Reader (reader.go), which decodes into one scratch the fork
-//     owns. The encoding is lossless, so the two regimes differ only in
-//     packing: every read, and every figure, is byte-identical on every
-//     topology.
+//     hop, a member's distance one field, a walk over the members
+//     (MemberCursor) the ID sections a run at a time, and tree reads decode
+//     single parent fields, all in place — through internal/bits, several
+//     fields a word load. No route decodes a window. The encoding is
+//     lossless, so the two regimes differ only in packing: every read, and
+//     every figure, is byte-identical on every topology.
 //
 // Immutability contract: everything reachable from a Snapshot is read-only
 // after Build returns, and the types carry it. A vicinity.Window and a
@@ -250,10 +250,10 @@ func (s *Snapshot) newScratch() *vicinity.Scratch {
 // VicinityContains reports w ∈ V(v) without materializing the window in
 // either regime — the cheap probe where the common answer is "no".
 func (s *Snapshot) VicinityContains(v, w graph.NodeID) bool {
-	if win := s.ov.window(v); win != nil {
-		return win.Contains(w)
+	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
+		return cs.pointed(v).Find(w) >= 0
 	}
-	return s.store.windowIndex(v, w) >= 0
+	return s.Vicinity(v).Contains(w)
 }
 
 // AppendVicinityPath appends V(v)'s tree path v ⇝ w to dst when w is a
@@ -275,6 +275,79 @@ func (s *Snapshot) AppendVicinityPath(dst []graph.NodeID, v, w graph.NodeID) ([]
 		return win.AppendPath(dst, i), true
 	}
 	return dst, false
+}
+
+// VicinityDist returns w's distance from v when w is a member of V(v): the
+// probe AppendVicinityPath makes, then one distance field, decoding nothing.
+func (s *Snapshot) VicinityDist(v, w graph.NodeID) (float64, bool) {
+	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
+		p := cs.pointed(v)
+		if i := p.Find(w); i >= 0 {
+			return p.Dist(i), true
+		}
+		return 0, false
+	}
+	win := s.Vicinity(v)
+	if i := win.Find(w); i >= 0 {
+		return win.Dist(i), true
+	}
+	return 0, false
+}
+
+// Members returns a cursor over V(v)'s members in ID order, which a search
+// over a whole window reads instead of the window: it decodes nothing.
+func (s *Snapshot) Members(v graph.NodeID) MemberCursor {
+	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
+		p := cs.pointed(v)
+		return MemberCursor{p: p, n: p.size, base: -memberRun, k: memberRun - 1, hiAt: p.at}
+	}
+	win := s.Vicinity(v)
+	return MemberCursor{win: win, n: win.Size(), base: -memberRun, k: memberRun - 1}
+}
+
+// MemberCursor steps through a window's members in ID order, reading a
+// member's distance only when asked. It reads the IDs memberRun at a time
+// into an array it holds, in place from a compact base window (the ID
+// sections only: no parent field, no bitset), so a step is an index.
+type MemberCursor struct {
+	win  *vicinity.Window // the window stored whole; nil over a compact base window
+	p    pointed          // the compact base window
+	n    int              // the window's member count
+	base int              // the index of the member ids[0] holds
+	k, m int              // the current member's place in ids; how many members ids holds
+	hiAt int              // compact: the high-bits array's first bit after the run's last one
+	ids  [memberRun]graph.NodeID
+}
+
+const memberRun = 64 // members a MemberCursor reads at once
+
+// Next steps to the next member and returns its ID, or false past the last.
+func (c *MemberCursor) Next() (graph.NodeID, bool) {
+	if c.k++; c.k == memberRun { // small enough to inline: a step is an index
+		c.fill()
+	}
+	return c.ids[c.k], c.k < c.m
+}
+
+// fill reads the run after the one ids holds, empty past the last member.
+func (c *MemberCursor) fill() {
+	c.base, c.k, c.m = c.base+memberRun, 0, max(0, min(memberRun, c.n-c.base-memberRun))
+	switch run, win, base := c.ids[:c.m], c.win, c.base; {
+	case win != nil:
+		for k := range run {
+			run[k] = win.ID(base + k)
+		}
+	case c.m > 0:
+		c.fillPointed(run)
+	}
+}
+
+// Dist returns the current member's distance from the window's owner.
+func (c *MemberCursor) Dist() float64 {
+	if c.win != nil {
+		return c.win.Dist(c.base + c.k)
+	}
+	return c.p.Dist(c.base + c.k)
 }
 
 // windowMeta returns V(v)'s member count and radius without materializing

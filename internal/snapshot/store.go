@@ -51,9 +51,6 @@ type shardStore interface {
 	// window(v) would report — without materializing the window. The
 	// recovery probe loop rides on this.
 	windowMeta(v graph.NodeID) (size int, radius float64)
-	// windowIndex returns w's index in V(v), or -1 when w is no member,
-	// without materializing the window.
-	windowIndex(v, w graph.NodeID) int
 	// rowParent reads one parent field of forest row `row`.
 	rowParent(row int, v graph.NodeID) graph.NodeID
 	// decodeRow returns row `row` as a flat n-length parent array — shared
@@ -81,8 +78,6 @@ func (st *exactStore) window(v graph.NodeID, _ *vicinity.Scratch) *vicinity.Wind
 func (st *exactStore) windowMeta(v graph.NodeID) (int, float64) {
 	return st.wins[v].Size(), st.wins[v].Radius()
 }
-
-func (st *exactStore) windowIndex(v, w graph.NodeID) int { return st.wins[v].Find(w) }
 
 func (st *exactStore) rowParent(row int, v graph.NodeID) graph.NodeID {
 	return st.parents[row*st.n+int(v)]

@@ -235,28 +235,15 @@ func Pack(src []*Window) []Window {
 
 // FromColumns assembles a window from columns the caller hands over and no
 // longer touches: member IDs ascending, parent indices (-1 for the owner)
-// and float64 distances, over an ID space of idSpace nodes.
+// and float64 distances, over an ID space of idSpace nodes. The radius is
+// the largest distance.
 func FromColumns(idSpace int, ids []graph.NodeID, parent []int32, dist []float64) *Window {
 	w := &Window{ids: ids, parent: parent, dist: dist, filt: make([]uint64, filterWords(idSpace))}
 	w.seal()
-	w.setRadius()
-	return w
-}
-
-// setRadius sets the radius from the distance column: its largest entry.
-func (w *Window) setRadius() {
-	w.radius = 0
-	if w.level != nil {
-		var top uint16
-		for _, l := range w.level {
-			top = max(top, l)
-		}
-		w.radius = float64(top)
-		return
-	}
-	for _, d := range w.dist {
+	for _, d := range dist {
 		w.radius = max(w.radius, d)
 	}
+	return w
 }
 
 // Scratch is a window a decoder fills column by column, in place: the
@@ -311,9 +298,10 @@ func (s *Scratch) Columns() (parent []int32, level []uint16, dist []float64) {
 	return w.parent, w.level, w.dist
 }
 
-// Finish sets the radius from the filled distance column: the window is
-// whole.
-func (s *Scratch) Finish() { s.win.setRadius() }
+// Finish sets the radius, which must be the filled distance column's
+// largest entry (a decoder keeps it beside the columns, so it need not
+// scan them): the window is whole.
+func (s *Scratch) Finish(radius float64) { s.win.radius = radius }
 
 // resize returns s with length m, reusing its storage when it has room.
 func resize[T any](s []T, m int) []T {
