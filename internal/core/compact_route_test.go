@@ -268,3 +268,29 @@ func TestNoRouteDecodes(t *testing.T) {
 		}
 	}
 }
+
+// TestUpDownAllocatesOncePerRoute: Up-Down Stream keeps its segment
+// lengths and a splice's tail in fork-owned scratch, so a first route under
+// it allocates no more than the same route under To-Destination — the one
+// copy FirstRoute hands its caller. On router-like n=2048 (exact snapshot),
+// an Up-Down walk inspects several hops per route and splices some.
+func TestUpDownAllocatesOncePerRoute(t *testing.T) {
+	g := topology.RouterLike(rand.New(rand.NewSource(1)), 2048)
+	env := static.NewEnv(g, 1)
+	d := withSnapshot(t, NewDisco(env, WithSeed(1)))
+	pairs := metrics.SamplePairs(rand.New(rand.NewSource(2)), g.N(), 500)
+	allocs := func(sc Shortcut) float64 {
+		f := d.ND.Fork()
+		for _, p := range pairs { // warm the scratch to steady-state capacity
+			f.FirstRoute(graph.NodeID(p.Src), graph.NodeID(p.Dst), sc)
+		}
+		return testing.AllocsPerRun(1, func() {
+			for _, p := range pairs {
+				f.FirstRoute(graph.NodeID(p.Src), graph.NodeID(p.Dst), sc)
+			}
+		})
+	}
+	if upDown, toDest := allocs(ShortcutUpDownStream), allocs(ShortcutToDestination); upDown > toDest {
+		t.Errorf("%d first routes allocate %.0f times under Up-Down Stream, %.0f under To-Destination", len(pairs), upDown, toDest)
+	}
+}

@@ -46,9 +46,11 @@ type NDDisco struct {
 	snap *snapshot.Snapshot
 	dest *pathtree.Lazy // per-fork scratch for destination-rooted queries
 
-	// The walk's scratch: the forest descent t ⇝ landmark, and the backing
-	// buffer the dynamics.Router methods copy their routes out of.
-	chain, out []graph.NodeID
+	// The walk's scratch: the forest descent t ⇝ landmark, the backing
+	// buffer the dynamics.Router methods copy their routes out of, and Up-Down
+	// Stream's segment lengths and the route tail a splice sets aside.
+	chain, out, tail []graph.NodeID
+	segLen           []float64
 }
 
 // NDOption customizes NewNDDisco.
@@ -324,19 +326,23 @@ func (r *NDDisco) walk(dst []graph.NodeID, base int, t graph.NodeID, sc Shortcut
 func (r *NDDisco) spliceUpDown(cur []graph.NodeID, i int) []graph.NodeID {
 	g, u := r.Env.G, cur[i]
 	// Prefix sums of the remaining route for O(1) segment lengths.
-	segLen := make([]float64, len(cur)-i)
+	segLen := append(r.segLen[:0], 0)
 	for j := i + 1; j < len(cur); j++ {
-		segLen[j-i] = segLen[j-i-1] + g.EdgeWeight(cur[j-1], cur[j])
+		segLen = append(segLen, segLen[j-i-1]+g.EdgeWeight(cur[j-1], cur[j]))
 	}
+	r.segLen = segLen
 	const eps = 1e-12
 	for j := len(cur) - 1; j > i; j-- {
 		d, ok := r.snap.VicinityDist(u, cur[j])
 		if !ok {
 			continue
 		}
-		if d < segLen[j-i]-eps { // the splice is laid in a copy of cur's room
-			out, _ := r.snap.AppendVicinityPath(slices.Grow(cur[:i:i], len(cur)), u, cur[j])
-			return append(out, cur[j+1:]...)
+		if d < segLen[j-i]-eps {
+			// The splice is laid over cur from i on, so the tail after
+			// cur[j] is set aside first.
+			r.tail = append(r.tail[:0], cur[j+1:]...)
+			out, _ := r.snap.AppendVicinityPath(cur[:i], u, cur[j])
+			return append(out, r.tail...)
 		}
 		// The farthest known node is already optimal; nearer known nodes
 		// lie on consistent shortest sub-paths and cannot improve more.

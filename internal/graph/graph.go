@@ -203,21 +203,34 @@ func (g *Graph) PortOf(u, to NodeID) int {
 // EdgeWeight returns the weight of the edge between u and v, or -1 if the
 // nodes are not adjacent.
 func (g *Graph) EdgeWeight(u, v NodeID) float64 {
-	p := g.PortOf(u, v)
-	if p < 0 {
-		return -1
+	if e, ok := g.edge(u, v); ok {
+		return e.Weight
 	}
-	return g.Neighbors(u)[p].Weight
+	return -1
 }
 
 // EdgeID returns the undirected edge index between u and v, or -1 if the
 // nodes are not adjacent.
 func (g *Graph) EdgeID(u, v NodeID) int32 {
-	p := g.PortOf(u, v)
-	if p < 0 {
-		return -1
+	if e, ok := g.edge(u, v); ok {
+		return e.EID
 	}
-	return g.Neighbors(u)[p].EID
+	return -1
+}
+
+// edge returns the link between u and v as listed in the shorter of the two
+// rows. Both halves of a link carry its weight and EID, so either row
+// answers, and the shorter keeps a hub's row out of PathLength's searches.
+// Ports are u's labels: PortOf searches u's row whatever its length. A v
+// outside the graph is adjacent to nothing, as PortOf answers.
+func (g *Graph) edge(u, v NodeID) (Edge, bool) {
+	if uint(v) < uint(g.n) && g.Degree(v) < g.Degree(u) {
+		u, v = v, u
+	}
+	if p := g.PortOf(u, v); p >= 0 {
+		return g.Neighbors(u)[p], true
+	}
+	return Edge{}, false
 }
 
 // PathLength returns the total weight of the node path (consecutive nodes

@@ -169,6 +169,7 @@ func (p *kernelPair) check(what string, sources []NodeID, limit int, radius floa
 	}
 	if len(sources) == 1 && limit < 0 && radius < 0 {
 		p.checkStepped(what, sources[0])
+		p.checkUnsorted(what, sources[0])
 	}
 	for _, w := range l.bits {
 		if w != 0 {
@@ -219,6 +220,91 @@ func (p *kernelPair) checkStepped(what string, src NodeID) {
 	for v := NodeID(0); int(v) < h.g.N(); v++ {
 		if h.Settled(v) != l.Settled(v) {
 			p.t.Fatalf("%s: node %d settled: Run %v, stepped %v", what, v, h.Settled(v), l.Settled(v))
+		}
+	}
+}
+
+// checkUnsorted requires BeginUnsorted + Step to exhaustion to settle what
+// the heap kernel's Run(src) in p.heap settles, level by level as sets and
+// at the same distances, each node's parent to be a neighbour one level
+// closer to src and its source src.
+func (p *kernelPair) checkUnsorted(what string, src NodeID) {
+	p.t.Helper()
+	h, l := p.heap, p.level
+	var want [][]NodeID // Run's levels; its Order is ascending (distance, ID)
+	for _, v := range h.Order() {
+		if d := int(h.Dist(v)); d == len(want) {
+			want = append(want, nil)
+		}
+		want[len(want)-1] = append(want[len(want)-1], v)
+	}
+	l.BeginUnsorted(src)
+	for d := 0; ; d++ {
+		if l.Depth() != d+1 || l.Pending() != len(l.Level(d)) {
+			p.t.Fatalf("%s: unsorted level %d: depth %d pending %d", what, d, l.Depth(), l.Pending())
+		}
+		if got := slices.Sorted(slices.Values(l.Level(d))); !slices.Equal(got, want[d]) {
+			p.t.Fatalf("%s: unsorted level %d holds %v, Run's is %v", what, d, got, want[d])
+		}
+		for _, v := range l.Level(d) {
+			u := l.Parent(v)
+			parentOK := u == None && d == 0 || u != None && l.Dist(u) == float64(d-1) && l.g.PortOf(v, u) >= 0
+			if !l.Settled(v) || l.Dist(v) != float64(d) || !parentOK || l.Source(v) != src || len(l.PathTo(v)) != d+1 {
+				p.t.Fatalf("%s: unsorted level %d node %d: settled %v dist %v parent %d source %d path %v",
+					what, d, v, l.Settled(v), l.Dist(v), u, l.Source(v), l.PathTo(v))
+			}
+		}
+		if l.Step() == nil {
+			break
+		}
+	}
+	if l.Depth() != len(want) || len(l.Order()) != len(h.Order()) {
+		p.t.Fatalf("%s: unsorted search settled %d levels, %d nodes; Run %d, %d", what, l.Depth(), len(l.Order()), len(want), len(h.Order()))
+	}
+}
+
+// TestTouches steps two searches toward each other — one begun sorted, one
+// unsorted — and after every step requires each side's Touches to be a
+// brute-force look at its frontier rows.
+func TestTouches(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for gi, g := range []*Graph{genGnm(rng, 300, 600), genGrid(9, 11), genRouterLike(rng, 500), genFuzz([]byte{0, 0, 0, 1, 0, 2, 0, 3}, 6)} {
+		g.Finalize()
+		a, b := NewSSSP(g), NewSSSP(g)
+		brute := func(s, other *SSSP) bool {
+			if s.Pending() == 0 {
+				return false
+			}
+			for _, u := range s.Level(s.Depth() - 1) {
+				for _, e := range g.Neighbors(u) {
+					if other.Settled(e.To) {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		touched := 0
+		for q := 0; q < 20; q++ {
+			a.Begin(NodeID(rng.Intn(g.N())))
+			b.BeginUnsorted(NodeID(rng.Intn(g.N())))
+			for i := 0; a.Pending() > 0 || b.Pending() > 0; i++ {
+				for _, c := range [][2]*SSSP{{a, b}, {b, a}} {
+					if got, want := c[0].Touches(c[1]), brute(c[0], c[1]); got != want {
+						t.Fatalf("graph %d query %d step %d: Touches = %v, frontier rows say %v", gi, q, i, got, want)
+					} else if got {
+						touched++
+					}
+				}
+				if i%2 == 0 {
+					a.Step()
+				} else {
+					b.Step()
+				}
+			}
+		}
+		if touched == 0 {
+			t.Fatalf("graph %d: no search ever touched the other", gi)
 		}
 	}
 }

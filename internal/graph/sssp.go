@@ -90,12 +90,14 @@ type SSSP struct {
 	order   []NodeID // settle order of the last run
 	// Level kernel only: the nodes first touched from the level being
 	// scanned, the bitset sortLevel orders them through (all zero between
-	// calls), where each settled level ends in order, and whether Step can
-	// carry the search on (see Begin).
+	// calls), where each settled level ends in order, whether Step can
+	// carry the search on (see Begin), and whether its levels stay in
+	// touch order (see BeginUnsorted).
 	next      []NodeID
 	bits      []uint64
 	levels    []int32
 	resumable bool
+	unsorted  bool
 }
 
 // NewSSSP returns a shortest-path scratch bound to g. The graph must be
@@ -132,7 +134,7 @@ func (s *SSSP) begin() {
 	s.order = s.order[:0]
 	s.next = s.next[:0]
 	s.levels = s.levels[:0]
-	s.resumable = false
+	s.resumable, s.unsorted = false, false
 }
 
 func (s *SSSP) relax(v NodeID, d float64, via NodeID, src NodeID) {
@@ -248,12 +250,17 @@ func (s *SSSP) seed(sources []NodeID) {
 
 // settle and scan are the level kernel's two half-steps, shared by the
 // run-to-the-end loop above and the resumable search below. settle settles
-// the take lowest IDs of the touched level in ascending order and returns
-// them; scan walks the rows of a settled level at distance d and collects
-// level d+1 as it is first touched.
+// the take lowest IDs of the touched level in ascending order (after
+// BeginUnsorted: the whole level, in touch order) and returns them; scan
+// walks the rows of a settled level at distance d and collects level d+1
+// as it is first touched.
 func (s *SSSP) settle(take int) []NodeID {
 	start := len(s.order)
-	s.order = append(s.order, s.sortLevel(take)...)
+	if s.unsorted {
+		s.order = append(s.order, s.next...)
+	} else {
+		s.order = append(s.order, s.sortLevel(take)...)
+	}
 	s.levels = append(s.levels, int32(len(s.order)))
 	s.next = s.next[:0]
 	level := s.order[start:]
@@ -301,10 +308,21 @@ func (s *SSSP) Begin(src NodeID) {
 	s.resumable = true
 }
 
-// Step settles exactly one more level of a search started with Begin — the
-// nodes at distance Depth() — and returns it (ascending ID; valid until the
-// next Begin or Run). It returns nil once the source's component is
-// exhausted.
+// BeginUnsorted is Begin for a search that is asked only which nodes it
+// settled and at what distance: each level is settled in the order its
+// nodes were first touched, never sorted. Settled sets, distances, Depth
+// and Pending are Begin's; Order and Level list the same nodes per level,
+// in touch order. A node's parent is still one level closer to src, but it
+// is the node whose row touched it first, not Run's lowest-ID one.
+func (s *SSSP) BeginUnsorted(src NodeID) {
+	s.Begin(src)
+	s.unsorted = true
+}
+
+// Step settles exactly one more level of a search started with Begin or
+// BeginUnsorted — the nodes at distance Depth() — and returns it (valid
+// until the next Begin or Run). It returns nil once the source's component
+// is exhausted.
 func (s *SSSP) Step() []NodeID {
 	if !s.resumable {
 		return nil
@@ -316,6 +334,28 @@ func (s *SSSP) Step() []NodeID {
 		return nil
 	}
 	return s.settle(len(s.next))
+}
+
+// Touches reports whether a row of the last settled level — the rows the
+// next Step would scan — holds a node other, a search of the same graph,
+// has settled. It reads both searches and writes neither, and answers
+// false once Step has nothing left to scan. When the two settled sets are
+// disjoint, a node it finds lies on other's last level, and the two
+// sources are Depth() + other.Depth() - 1 apart: both radii plus the link.
+func (s *SSSP) Touches(other *SSSP) bool {
+	if !s.resumable {
+		return false
+	}
+	edges, off := s.g.edges, s.g.off
+	settled, epoch := other.settled, other.epoch
+	for _, u := range s.Level(len(s.levels) - 1) {
+		for _, e := range edges[off[u]:off[u+1]] {
+			if settled[e.To] == epoch {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Depth returns how many levels the search has settled: every node at
@@ -336,7 +376,8 @@ func (s *SSSP) Pending() int {
 	return len(s.Level(len(s.levels) - 1))
 }
 
-// Level returns the settled nodes at distance i < Depth(), ascending ID.
+// Level returns the settled nodes at distance i < Depth(): ascending ID,
+// except after BeginUnsorted, where they stay in the order first touched.
 func (s *SSSP) Level(i int) []NodeID {
 	lo := int32(0)
 	if i > 0 {

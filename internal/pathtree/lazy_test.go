@@ -114,6 +114,23 @@ func (o *lazyOracle) op(code, arg uint8, v graph.NodeID) {
 	}
 }
 
+// randomUnitGraph returns a random unit-weight graph of up to 150 nodes,
+// from shattered (isolated nodes, several components) to dense.
+func randomUnitGraph(rng *rand.Rand) *graph.Graph {
+	n := 1 + rng.Intn(150)
+	g := graph.New(n)
+	seen := map[graph.EdgeKey]bool{}
+	for m := rng.Intn(3*n + 1); m > 0 && n > 1; m-- {
+		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		if k := (graph.EdgeKey{U: u, V: v}).Norm(); u != v && !seen[k] {
+			seen[k] = true
+			g.AddEdge(u, v, 1)
+		}
+	}
+	g.Finalize()
+	return g
+}
+
 // TestLazyMatchesRun drives random interleavings of every Lazy query over
 // random unit-weight multigraphs — connected, shattered, with parallel
 // links and isolated nodes — and the fixed shapes, re-binding several times
@@ -134,18 +151,7 @@ func TestLazyMatchesRun(t *testing.T) {
 		{"aslike", topology.ASLike(rng, 400)},
 	}
 	for i := 0; i < 40; i++ {
-		n := 1 + rng.Intn(150)
-		g := graph.New(n)
-		seen := map[graph.EdgeKey]bool{}
-		for m := rng.Intn(3*n + 1); m > 0 && n > 1; m-- {
-			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-			if k := (graph.EdgeKey{U: u, V: v}).Norm(); u != v && !seen[k] {
-				seen[k] = true
-				g.AddEdge(u, v, 1)
-			}
-		}
-		g.Finalize()
-		cases = append(cases, tc{fmt.Sprintf("random-%d", i), g})
+		cases = append(cases, tc{fmt.Sprintf("random-%d", i), randomUnitGraph(rng)})
 	}
 	for _, c := range cases {
 		if !c.g.Unit() {
@@ -207,6 +213,56 @@ func TestLazyPathAfterRootGrowth(t *testing.T) {
 	}
 }
 
+// TestLazyMeetStopsAtTouch pins the meet rule: Dist(v) steps a side only
+// while its frontier rows touch nothing the other side has settled, so when
+// it answers no node is settled on both sides, and d is the two radii plus
+// the touching link — far depth + root depth - 1. Some queries grow the root
+// side first (Closer), so meets also start from a root side that Nearest or
+// Closer left deep.
+func TestLazyMeetStopsAtTouch(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	graphs := []*graph.Graph{topology.RouterLike(rand.New(rand.NewSource(3)), 2000), topology.Grid(12, 12)}
+	for i := 0; i < 30; i++ {
+		graphs = append(graphs, randomUnitGraph(rng))
+	}
+	meets := 0
+	for gi, g := range graphs {
+		o := newLazyOracle(t, g)
+		l := o.lazy
+		for b := 0; b < 8; b++ {
+			o.bind(graph.NodeID(rng.Intn(g.N())))
+			for q := 0; q < 40; q++ {
+				v := graph.NodeID(rng.Intn(g.N()))
+				if rng.Intn(4) == 0 {
+					l.Closer(v, float64(l.s.Depth()+rng.Intn(3)))
+				}
+				if l.known(v) || l.met == v {
+					continue // no fresh meet to look at
+				}
+				d := l.Dist(v)
+				if want := o.ref.Dist(v); d != want {
+					t.Fatalf("graph %d root %d: Dist(%d) = %v, want %v", gi, o.root, v, d, want)
+				}
+				if math.IsInf(d, 1) {
+					continue
+				}
+				meets++
+				for _, x := range l.far.Order() {
+					if l.s.Settled(x) {
+						t.Fatalf("graph %d root %d v %d: node %d settled on both sides", gi, o.root, v, x)
+					}
+				}
+				if want := float64(l.far.Depth() + l.s.Depth() - 1); d != want {
+					t.Fatalf("graph %d root %d v %d: d = %v, far depth %d + root depth %d - 1 = %v", gi, o.root, v, d, l.far.Depth(), l.s.Depth(), want)
+				}
+			}
+		}
+	}
+	if meets < 1000 {
+		t.Fatalf("only %d meets checked", meets)
+	}
+}
+
 // TestLazyWeightedFallback pins the weighted path: a full Dijkstra at Bind
 // behind the same methods, answers read straight off it.
 func TestLazyWeightedFallback(t *testing.T) {
@@ -259,38 +315,84 @@ func FuzzLazyMatchesRun(f *testing.F) {
 	})
 }
 
-// BenchmarkLazyPair prices one sampled pair's destination-tree work on the
-// fig-stretch topology (router-like n=8192): the stretch denominator alone
-// (Bind(t) + Dist(s)), and with the path from a far node on top (S4's first
-// packet asks for the path from the resolution owner), against the same
-// answers read off one full Run per pair. settled/pair is how many nodes the
-// searches settled, both sides together.
-func BenchmarkLazyPair(b *testing.B) {
+// lazyPair is one sampled pair of the fig-stretch sweep: the stretch
+// denominator binds t and asks Dist(s); S4's first packet asks for the path
+// from far, the resolution owner.
+type lazyPair struct{ s, t, far graph.NodeID }
+
+// lazyPairs returns BenchmarkLazyPair's workload: the fig-stretch topology
+// (router-like n=8192, seed 1) and 4,096 seeded pairs.
+func lazyPairs() (*graph.Graph, []lazyPair) {
 	const n = 8192
 	g := topology.RouterLike(rand.New(rand.NewSource(1)), n)
 	rng := rand.New(rand.NewSource(2))
-	type pair struct{ s, t, far graph.NodeID }
-	pairs := make([]pair, 4096)
+	pairs := make([]lazyPair, 4096)
 	for i := range pairs {
-		pairs[i] = pair{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
+		pairs[i] = lazyPair{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
 	}
-	// farSettled is the size of the ball a query on v just grew, 0 when the
-	// root side already had v.
-	farSettled := func(l *Lazy, v graph.NodeID) int {
-		if l.met != v {
-			return 0
-		}
-		return len(l.far.Order())
+	return g, pairs
+}
+
+// warmLazy returns a Lazy over g with its far side allocated, as
+// BenchmarkLazyPair starts it.
+func warmLazy(g *graph.Graph) *Lazy {
+	l := NewLazy(g)
+	l.Bind(0)
+	l.Dist(graph.NodeID(g.N() - 1))
+	return l
+}
+
+// farSettled is the size of the ball a query on v just grew, 0 when the
+// root side already had v.
+func farSettled(l *Lazy, v graph.NodeID) int {
+	if l.met != v {
+		return 0
 	}
+	return len(l.far.Order())
+}
+
+// distSettledCeiling is how many nodes Dist settles, both sides together,
+// over lazyPairs' 4,096 pairs in order (92.07 a pair). A meet that settled
+// the level across the meeting link, or a ball stepped past the touch,
+// settles more: the sweep measured 1,255,564 (306.53 a pair) when a meet
+// stopped only once a freshly settled level overlapped the other side.
+const distSettledCeiling = 377_101
+
+// TestLazyDistSettledCeiling holds the meet's work where it landed: the
+// stretch denominators of BenchmarkLazyPair's pairs settle no more nodes
+// than distSettledCeiling. The count is a property of the searches, not of
+// the machine.
+func TestLazyDistSettledCeiling(t *testing.T) {
+	g, pairs := lazyPairs()
+	l := warmLazy(g)
+	settled := 0
+	for _, p := range pairs {
+		l.Bind(p.t)
+		l.Dist(p.s)
+		settled += farSettled(l, p.s) + len(l.s.Order())
+	}
+	if settled > distSettledCeiling {
+		t.Fatalf("Dist over %d pairs settled %d nodes (%.2f a pair), ceiling %d", len(pairs), settled, float64(settled)/float64(len(pairs)), distSettledCeiling)
+	}
+	t.Logf("Dist over %d pairs settled %d nodes (%.2f a pair)", len(pairs), settled, float64(settled)/float64(len(pairs)))
+}
+
+// BenchmarkLazyPair prices one sampled pair's destination-tree work on the
+// fig-stretch topology (lazyPairs): the stretch denominator alone (Bind(t)
+// + Dist(s)), and with the path from a far node on top (S4's first packet
+// asks for the path from the resolution owner), against the same answers
+// read off one full Run per pair. settled/pair is how many nodes the
+// searches settled, both sides together; at -benchtime 4096x lazy/Dist
+// walks the pairs once and reports TestLazyDistSettledCeiling's count.
+func BenchmarkLazyPair(b *testing.B) {
+	g, pairs := lazyPairs()
 	for _, withPath := range []bool{false, true} {
 		name := "Dist"
 		if withPath {
 			name = "Dist+PathFrom"
 		}
 		b.Run("lazy/"+name, func(b *testing.B) {
-			l := NewLazy(g)
-			l.Bind(0)
-			l.Dist(n - 1) // allocate the far side
+			l := warmLazy(g)
 			settled := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -322,7 +424,7 @@ func BenchmarkLazyPair(b *testing.B) {
 					benchSink += float64(len(path))
 				}
 			}
-			b.ReportMetric(n, "settled/pair")
+			b.ReportMetric(float64(g.N()), "settled/pair")
 		})
 	}
 }

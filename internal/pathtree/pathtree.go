@@ -6,9 +6,10 @@
 // unit-weight graphs (three of the paper's four topologies) it is
 // demand-driven: a bound root's tree is settled one distance level at a time
 // and only as far as the queries reach, and a point-to-point query meets in
-// the middle. On the shallow, wide router- and AS-like maps a pair's distance
-// and path then cost two balls of a few hundred nodes instead of all n
-// (BenchmarkLazyPair).
+// the middle, stopping at the link where the two balls touch. On the
+// shallow, wide router- and AS-like maps a pair's distance then settles
+// about 90 nodes, both sides together, and its path about 140, instead of
+// all n (BenchmarkLazyPair).
 package pathtree
 
 import (
@@ -36,21 +37,31 @@ import (
 //   - Nearest and Closer grow the root side just far enough: to the first
 //     level holding a marked node, to the levels below r.
 //   - Dist, Parent, PathFrom and PathTo of a node v the root side has not
-//     reached search from both ends: a second scratch grows a ball around v,
-//     and whichever side has the smaller outermost level steps, until a
-//     freshly settled level holds a node the other side has settled. The two
-//     sides were disjoint until then, so every common node lies on a
-//     shortest path and d(root,v) is the sum of the two radii; a side that
-//     runs out first means v is unreachable. That is two half-depth balls,
-//     O(ball), instead of the whole graph. The last meet — v, the distance,
-//     v's ball — is kept, so Dist(v) followed by PathFrom(v) searches once.
+//     reached search from both ends: a second scratch grows a ball around v
+//     (graph.SSSP.BeginUnsorted: its levels are never sorted, and its
+//     parents are never read), and the side with the smaller outermost level
+//     is the one to step. Before it steps, its frontier rows are tested
+//     against the other side's settled set (graph.SSSP.Touches); on a hit
+//     neither side settles the level across that link, and d(root,v) =
+//     step.Depth() + other.Depth() - 1: the two radii plus the link. The
+//     sides are disjoint until then — a meet starts only from a v the root
+//     side has not settled, however far Closer or Nearest grew it — so a
+//     touched node lies on the other side's frontier and the sum is a
+//     shortest distance. A side that runs out first means v is unreachable.
+//     That is two half-depth balls, O(ball), instead of the whole graph. The
+//     last meet — v, the distance, v's ball — is kept, so Dist(v) followed
+//     by PathFrom(v) searches once.
 //   - All settles the whole tree, for callers about to ask about every node.
 //
 // The path is the full run's because on unit weights the run's tree has a
 // closed form, the canonical parent rule: a node's parent is its lowest-ID
 // neighbour one level closer to the root (the level kernel scans a level in
 // ascending ID and a node keeps its first toucher). PathFrom(v) applies that
-// rule inside v's ball, then follows the root side's own parents (descend).
+// rule inside v's ball from v out to the ball's frontier, crosses the link
+// where the two sides touched to the lowest-ID root-side node it reaches,
+// and follows the root side's own parents from there (descend). The root
+// side keeps its levels sorted, because Nearest's answer and its parents
+// depend on the order.
 //
 // On a weighted graph there are no levels to pause between: Bind runs the
 // full Dijkstra and every query reads it, as before. Which of the two
@@ -108,7 +119,7 @@ func (l *Lazy) Dist(v graph.NodeID) float64 {
 }
 
 // meet returns d(root, v) for a v the root side has not settled, growing
-// the root side and a ball around v until they touch (see Lazy).
+// the root side and a ball around v until their frontiers touch (see Lazy).
 func (l *Lazy) meet(v graph.NodeID) float64 {
 	if l.met == v {
 		return l.metDist
@@ -116,18 +127,20 @@ func (l *Lazy) meet(v graph.NodeID) float64 {
 	if l.far == nil {
 		l.far = graph.NewSSSP(l.s.Graph())
 	}
-	l.far.Begin(v)
+	l.far.BeginUnsorted(v)
 	d := graph.Inf
 	for l.s.Pending() > 0 && l.far.Pending() > 0 {
 		step, other := l.s, l.far
 		if l.far.Pending() < l.s.Pending() {
 			step, other = l.far, l.s
 		}
-		if slices.ContainsFunc(step.Step(), other.Settled) {
-			// Depth counts levels, so each side's radius is one less.
-			d = float64(l.s.Depth() - 1 + l.far.Depth() - 1)
+		if step.Touches(other) {
+			// Depth counts levels, so each radius is one less; the
+			// touching link adds one.
+			d = float64(step.Depth() + other.Depth() - 1)
 			break
 		}
+		step.Step()
 	}
 	l.met, l.metDist = v, d
 	return d
@@ -153,26 +166,30 @@ func (l *Lazy) PathFrom(v graph.NodeID) []graph.NodeID {
 }
 
 // descend walks the tree path from v = met, at distance d from the root,
-// through met's ball down to the first node the root side has settled: it
-// returns the nodes before that one, and that one.
+// through met's ball and across the link where the two sides touched: it
+// returns the ball nodes on the way, and the first node past them, one the
+// root side has settled.
 //
-// Let F be the ball's radius. A ball node at distance j from v is on a
-// shortest v–root path iff its root distance is d-j; call those M_j. M_F is
-// read off the root side (every ball node the root side had reached when
-// the two met is at level F), and M_j is the level-j neighbours of M_{j+1}.
-// The tree parent of a node in M_j is its lowest-ID neighbour at root
-// distance d-j-1, and every such neighbour is in M_{j+1}, so the walk takes
-// the first one in the ID-sorted row.
+// Let f be the ball's last level and r = d-f-1 the root side's last level
+// when the two met. A ball node at distance j from v is on a shortest
+// v–root path iff its root distance is d-j; call those M_j. M_f is read off
+// the root side: the level-f nodes with a neighbour at root distance r
+// (every such neighbour is settled, however far the root side has grown
+// since). M_j is the level-j neighbours of M_{j+1}. The tree parent of a
+// node in M_j is its lowest-ID neighbour at root distance d-j-1, and every
+// such neighbour is in M_{j+1} (for j = f: at root distance r), so the walk
+// takes the first one in the ID-sorted row. The ball's levels need no
+// order for this, which is why it is grown unsorted.
 func (l *Lazy) descend(v graph.NodeID, d float64) ([]graph.NodeID, graph.NodeID) {
 	g, far := l.s.Graph(), l.far
 	f := far.Depth() - 1
+	r := d - float64(f) - 1
 	if l.onPath == nil {
 		l.onPath = make([]bool, g.N())
 	}
 	marked := l.marked[:0]
 	for _, x := range far.Level(f) {
-		// The root side may since have grown past the meeting level.
-		if l.s.Dist(x) == d-float64(f) {
+		if l.rootNeighbour(x, r) != graph.None {
 			l.onPath[x] = true
 			marked = append(marked, x)
 		}
@@ -203,7 +220,18 @@ func (l *Lazy) descend(v graph.NodeID, d float64) ([]graph.NodeID, graph.NodeID)
 		l.onPath[x] = false
 	}
 	l.marked = marked
-	return out, v
+	return append(out, v), l.rootNeighbour(v, r)
+}
+
+// rootNeighbour returns x's lowest-ID neighbour at root distance r, or
+// graph.None.
+func (l *Lazy) rootNeighbour(x graph.NodeID, r float64) graph.NodeID {
+	for _, e := range l.s.Graph().Neighbors(x) {
+		if l.s.Dist(e.To) == r {
+			return e.To
+		}
+	}
+	return graph.None
 }
 
 // PathTo returns root ⇝ v for the bound root, nil when v is unreachable.
