@@ -152,7 +152,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	pairs := flag.Int("pairs", 500, "sampled source-destination pairs")
 	full := flag.Bool("full", false, "use paper-scale sizes (up to 192,244 nodes; slow)")
-	compact := flag.Bool("compact", false, "build route-state snapshots in the compact encoding (delta-coded members, distances as BFS levels or float64 bits; ~6.4x less memory — the -full enabler). Lossless: the output is the same on every topology")
+	compact := flag.Bool("compact", false, "build route-state snapshots in the compact encoding (Elias–Fano-coded member IDs, distances as BFS levels or float64 bits; ~6.4x less memory — the -full enabler). Lossless: the output is the same on every topology")
 	workers := flag.Int("workers", 0, "worker pool size for parallel sweeps (0 = GOMAXPROCS); results are identical at any value")
 	memprofile := flag.String("memprofile", "", "write a heap profile here after the run and report peak RSS (the -full feasibility workflow)")
 	serveMode := flag.Bool("serve", false, "serving mode: answer route queries from a concurrent closed-loop load while a fail/recover storm repairs and republishes the snapshot chain (shorthand for -exp serve-storm; combine with -n, -events, -queriers)")

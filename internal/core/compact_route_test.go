@@ -213,9 +213,9 @@ func compareTwinRoutes(t *testing.T, env *static.Env, d *Disco, twin twinSnapsho
 	}
 }
 
-// TestGroupMemberMatchesScan pins the one-pass cursor search to the rule it
+// TestGroupMemberMatchesScan pins the one-pass search to the rule it
 // implements: for every (s, t) of a 256-node map, findGroupMember over
-// Members(s) picks the member FindGroupMember's own two-pass scan of the
+// V(s)'s IDs picks the member FindGroupMember's own two-pass scan of the
 // decoded V(s) picks, under both group selections, on the exact and the
 // compact snapshot of a base and of a repaired chain head (where one node
 // is alone in its window).
@@ -230,7 +230,7 @@ func TestGroupMemberMatchesScan(t *testing.T) {
 				for s := range graph.NodeID(n) {
 					for dst := range graph.NodeID(n) {
 						want, _ := f.FindGroupMember(s, dst)
-						if got := f.findGroupMember(snap.Members(s), s, dst); got != want {
+						if got := f.findGroupMember(s, dst); got != want {
 							t.Fatalf("%s compact=%v closest=%v: findGroupMember(%d, %d) = %d, the scan picks %d", twin.name, snap.Compact(), d.closestW, s, dst, got, want)
 						}
 					}

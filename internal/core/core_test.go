@@ -545,7 +545,7 @@ func TestForkRejectsForeignScratch(t *testing.T) {
 // does. It is the §4.4 selection as a scan of its own over the decoded
 // V(s), in two passes as the rule reads (closest full-prefix member, else
 // longest prefix, then distance), so the hop-by-hop oracle that calls it
-// shares no code with the member-cursor search findGroupMember makes.
+// shares no code with the one-pass search findGroupMember makes.
 func (d *Disco) FindGroupMember(s, t graph.NodeID) (w graph.NodeID, ok bool) {
 	vs, ht := d.ND.Vicinity(s), d.Env().HashOf(t)
 	prefix := func(j int) int { return names.CommonPrefixLen(d.Env().HashOf(vs.ID(j)), ht) }

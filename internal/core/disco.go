@@ -29,6 +29,11 @@ type Disco struct {
 	closestW  bool         // §4.4 variant: closest w with a long-enough prefix
 	fallbacks int          // count of lookups that needed the landmark DB
 	misses    int          // count of lookups where even the group had no address
+
+	// members is the group-member search's scratch, V(s)'s IDs: each fork
+	// owns its own, grown to steady state on use, as NDDisco's route
+	// buffers are.
+	members []graph.NodeID
 }
 
 // DiscoOption customizes NewDisco.
@@ -114,14 +119,16 @@ func (d *Disco) HasAddress(holder, target graph.NodeID) bool {
 	return d.View.Mutual(target, holder)
 }
 
-// findGroupMember returns the member w of V(s), walked by ms, that should
-// hold t's address, or graph.None when s is alone in V(s): the longest
-// prefix match between h(w) and h(t), ties broken by distance then ID
-// (§4.4), or with WithClosestMember the closest member whose match covers
-// s's full group width ("long enough"), else the longest. One pass tracks
+// findGroupMember returns the member w of V(s) that should hold t's
+// address, or graph.None when s is alone in V(s): the longest prefix match
+// between h(w) and h(t), ties broken by distance then ID (§4.4), or with
+// WithClosestMember the closest member whose match covers s's full group
+// width ("long enough"), else the longest. One pass over V(s)'s IDs tracks
 // both, reading a distance only where the prefix could win; of members
 // tied on prefix and distance the first met, the lowest ID, wins.
-func (d *Disco) findGroupMember(ms snapshot.MemberCursor, s, t graph.NodeID) graph.NodeID {
+func (d *Disco) findGroupMember(s, t graph.NodeID) graph.NodeID {
+	snap := d.ND.snapshot()
+	d.members = snap.AppendMembers(d.members[:0], s)
 	hashes := d.Env().Hashes
 	ht := hashes[t]
 	need := math.MaxInt // the prefix a member needs to qualify as closest
@@ -130,12 +137,12 @@ func (d *Disco) findGroupMember(ms snapshot.MemberCursor, s, t graph.NodeID) gra
 	}
 	best, bestPrefix, bestDist := graph.None, -1, 0.0 // longest prefix
 	near, nearDist := graph.None, 0.0                 // closest qualifying
-	for w, ok := ms.Next(); ok; w, ok = ms.Next() {
+	for i, w := range d.members {
 		p := names.CommonPrefixLen(hashes[w], ht)
 		if w == s || p < bestPrefix && p < need {
 			continue
 		}
-		dist := ms.Dist()
+		dist := snap.MemberDist(s, i)
 		if p >= need && (near == graph.None || dist < nearDist) {
 			near, nearDist = w, dist
 		}
@@ -183,7 +190,7 @@ func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool
 	}
 	var buf [16]graph.NodeID // the head s ⇝ holder, which JoinPaths copies out
 	var head []graph.NodeID
-	holder := d.findGroupMember(snap.Members(s), s, t)
+	holder := d.findGroupMember(s, t)
 	if holder != graph.None && d.HasAddress(holder, t) {
 		head, _ = snap.AppendVicinityPath(buf[:0], s, holder)
 	} else {

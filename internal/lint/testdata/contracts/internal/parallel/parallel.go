@@ -10,18 +10,18 @@ func Run(n int, fn func(task int)) {
 }
 
 // RunScratch calls fn once per task with one scratch value.
-func RunScratch[S any](n int, newScratch func() S, fn func(scratch S, task int)) {
-	s := newScratch()
+func RunScratch[S any](n int, makeScratch func() S, fn func(scratch S, task int)) {
+	s := makeScratch()
 	for i := 0; i < n; i++ {
 		fn(s, i)
 	}
 }
 
 // RunGather calls fn once per task and returns the scratch values.
-func RunGather[S any](n int, newScratch func() S, fn func(scratch S, task int)) []S {
+func RunGather[S any](n int, makeScratch func() S, fn func(scratch S, task int)) []S {
 	out := make([]S, n)
 	for i := 0; i < n; i++ {
-		out[i] = newScratch()
+		out[i] = makeScratch()
 		fn(out[i], i)
 	}
 	return out

@@ -64,13 +64,13 @@ func Run(n int, fn func(task int)) {
 	RunScratch(n, func() struct{} { return struct{}{} }, func(_ struct{}, task int) { fn(task) })
 }
 
-// RunScratch is Run with per-worker scratch: newScratch is called once per
+// RunScratch is Run with per-worker scratch: makeScratch is called once per
 // worker and the value is passed to every task that worker claims. Use it
 // to reuse O(n) allocations (SSSP scratch, protocol forks, count arrays)
 // across the tasks of one worker. Scratch must never change what a task
 // computes — only how fast.
-func RunScratch[S any](n int, newScratch func() S, fn func(scratch S, task int)) {
-	RunGather(n, newScratch, fn)
+func RunScratch[S any](n int, makeScratch func() S, fn func(scratch S, task int)) {
+	RunGather(n, makeScratch, fn)
 }
 
 // RunGather is RunScratch that additionally returns every worker's scratch
@@ -78,7 +78,7 @@ func RunScratch[S any](n int, newScratch func() S, fn func(scratch S, task int))
 // accumulators (edge-use counters, cluster tallies) whose reduction is
 // order-independent; schedule-sensitive reductions (float sums) must use
 // Map/MapScratch and reduce in task order instead.
-func RunGather[S any](n int, newScratch func() S, fn func(scratch S, task int)) []S {
+func RunGather[S any](n int, makeScratch func() S, fn func(scratch S, task int)) []S {
 	if n <= 0 {
 		return nil
 	}
@@ -87,7 +87,7 @@ func RunGather[S any](n int, newScratch func() S, fn func(scratch S, task int)) 
 		workers = n
 	}
 	if workers <= 1 {
-		s := newScratch()
+		s := makeScratch()
 		for i := 0; i < n; i++ {
 			fn(s, i)
 		}
@@ -100,7 +100,7 @@ func RunGather[S any](n int, newScratch func() S, fn func(scratch S, task int)) 
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			s := newScratch()
+			s := makeScratch()
 			scratches[w] = s
 			for {
 				i := int(next.Add(1)) - 1
@@ -123,9 +123,9 @@ func Map[T any](n int, fn func(task int) T) []T {
 }
 
 // MapScratch is Map with per-worker scratch (see RunScratch).
-func MapScratch[S, T any](n int, newScratch func() S, fn func(scratch S, task int) T) []T {
+func MapScratch[S, T any](n int, makeScratch func() S, fn func(scratch S, task int) T) []T {
 	out := make([]T, n)
-	RunScratch(n, newScratch, func(s S, i int) { out[i] = fn(s, i) })
+	RunScratch(n, makeScratch, func(s S, i int) { out[i] = fn(s, i) })
 	return out
 }
 

@@ -65,15 +65,16 @@
 // (ReadUnaryRun), then the parent and level columns. A route reads in
 // place (pointed): a membership probe, the path to a member (the probe,
 // then one parent field and one select a hop), a member's distance (the
-// probe and one field), and the members in ID order (MemberCursor: the
-// two ID kernels, a run at a time). On router-like n=2048 (k=151, L=3: a
-// 407-bit high array and 453 bits of lows a window), on 2 cores of a
-// 2.0 GHz Xeon, a pointed membership probe costs 108–120 ns, the path to a
-// member (3.6 nodes on average) 335–415 ns and a forest parent field
-// 21–26 ns, against 15–20 ns, 147–190 ns and 10–15 ns on the exact twin
-// (BenchmarkCompactReads). Why Elias–Fano: its ID section takes 107.5 B a
-// window there, 13% more than gamma deltas in blocks of 32 under a
-// fixed-width head (94.9 B), whose probe scans up to 31 codes (264–304 ns).
+// probe and one field), and the member IDs in order (appendIDs: the two
+// ID kernels the decode runs, nothing else). On router-like n=2048
+// (k=151, L=3: a 407-bit high array and 453 bits of lows a window), on
+// 2 cores of a 2.0 GHz Xeon, a pointed membership probe costs 108–120 ns,
+// the path to a member (3.6 nodes on average) 335–415 ns and a forest
+// parent field 21–26 ns, against 15–20 ns, 147–190 ns and 10–15 ns on
+// the exact twin (BenchmarkCompactReads). Why Elias–Fano: its ID section
+// takes 107.5 B a window there, 13% more than gamma deltas in blocks of 32
+// under a fixed-width head (94.9 B), whose probe scans up to 31 codes
+// (264–304 ns).
 package snapshot
 
 import (
@@ -276,43 +277,35 @@ func (cs *compactStore) encodedWindowBytes(win *vicinity.Window) int64 {
 	return int64((nbits + 7) / 8)
 }
 
-// window decodes node v's vicinity window from the shared blob into sc, a
-// scratch in the store's form (newScratch), or into a fresh window when sc
-// is nil: the member IDs' low bits (ReadRun), their buckets above them
-// from the ones of the high-bits array (ReadUnaryRun), then the parent and
-// distance columns (ReadRun). The window holds windowLen(v) members: k on
-// from-scratch builds, possibly fewer on a folded repair chain whose
-// failures disconnected v's region.
-func (cs *compactStore) window(v graph.NodeID, sc *vicinity.Scratch) *vicinity.Window {
-	if sc == nil {
-		sc = cs.newScratch()
-	}
+// window decodes node v's vicinity window from the shared blob into a
+// fresh window: the member IDs (pointed.appendIDs), then the parent and
+// distance columns (ReadRun), with the radius kept beside the blob. The
+// window holds windowLen(v) members: k on from-scratch builds, possibly
+// fewer on a folded repair chain whose failures disconnected v's region.
+func (cs *compactStore) window(v graph.NodeID) *vicinity.Window {
 	p := cs.pointed(v)
-	ids := sc.Refill(p.size)
-	r := p.reader(p.lows)
-	bits.ReadRun(r, ids, p.l)
-	bits.ReadUnaryRun(p.reader(p.at), ids, p.l)
-	sc.Seal()
-	parent, level, dist := sc.Columns()
+	m := p.size
+	ids, parent := p.appendIDs(make([]graph.NodeID, 0, m)), make([]int32, m)
+	r := p.reader(p.parents)
 	bits.ReadRun(r, parent, cs.pWidth)
 	for i, q := range parent {
-		if int(q) == len(parent) {
+		if int(q) == m {
 			parent[i] = -1 // the owner
 		}
 	}
+	var level []uint16
+	var dist []float64
 	if dw := cs.distWidth(cs.radii[v]); cs.levels {
+		level = make([]uint16, m)
 		bits.ReadRun(r, level, dw)
 	} else {
+		dist = make([]float64, m)
 		for i := range dist {
 			dist[i] = math.Float64frombits(r.ReadBits(dw))
 		}
 	}
-	sc.Finish(cs.radii[v])
-	return sc.Window()
+	return vicinity.FromColumns(cs.n, ids, parent, level, dist, cs.radii[v])
 }
-
-// newScratch returns an empty decode target in the store's form.
-func (cs *compactStore) newScratch() *vicinity.Scratch { return vicinity.NewScratch(cs.n, cs.levels) }
 
 // pointed is V(v) read in place, a field at a time at the bits the layout
 // computes: nothing is decoded but the words of the high-bits array a
@@ -385,17 +378,15 @@ func (p pointed) ID(i int) graph.NodeID {
 	return graph.NodeID(b<<p.l | p.low(i))
 }
 
-// fillPointed reads run's members from c.base on: their low fields, then
-// their buckets, counted from the last run's end and raised by the zeros before.
-func (c *MemberCursor) fillPointed(run []graph.NodeID) {
-	p, i := &c.p, c.base // not copied: a copied pointed stalls on its stores
-	bits.ReadRun(p.reader(p.lows+i*p.l), run, p.l)
-	bits.ReadUnaryRun(p.reader(c.hiAt), run, p.l)
-	below := graph.NodeID(c.hiAt-p.at-i) << p.l
-	for k := range run {
-		run[k] += below
-	}
-	c.hiAt = p.at + i + len(run) + int(run[len(run)-1]>>p.l) // after the run's last one
+// appendIDs appends the window's member IDs, ascending, to dst: the low
+// column (ReadRun), then each member's bucket above its low bits from the
+// high-bits array's ones (ReadUnaryRun).
+func (p *pointed) appendIDs(dst []graph.NodeID) []graph.NodeID {
+	at := len(dst)
+	dst = slices.Grow(dst, p.size)[:at+p.size]
+	bits.ReadRun(p.reader(p.lows), dst[at:], p.l)
+	bits.ReadUnaryRun(p.reader(p.at), dst[at:], p.l)
+	return dst
 }
 
 // Parent returns the index of member i's parent, or -1 for the owner.
@@ -628,7 +619,7 @@ func (s *Snapshot) foldCompactWindows() *compactStore {
 		if win := s.ov.window(graph.NodeID(v)); win != nil || cs.levels == old.levels {
 			return win
 		}
-		return old.window(graph.NodeID(v), nil)
+		return old.window(graph.NodeID(v))
 	}
 	vicOff := make([]int64, n+1)
 	sizes := parallel.Map(n, func(v int) int64 {

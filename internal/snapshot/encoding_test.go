@@ -145,22 +145,22 @@ func TestLowBits(t *testing.T) {
 // the store carries per-window lengths), IDs with gaps up to spread in an
 // ID space of n, any parent index or the owner's -1, and levels or float64
 // distances anywhere from subnormal to huge. shape bends the IDs to the
-// Elias–Fano code's edges: its low bits pull the first ID to 0 and push
-// the last to n−1, bits 2–3 round n up to a power of two or one past it,
-// and bit 4 packs every member into one high bucket where one holds them. encodedWindowBytes
-// must be the byte count encodeWindow writes, and the decoded window must
-// be the input column for column and in the same form, also when decoded
-// into a scratch that held a bigger window. The pointed reads must agree
-// with the decode without decoding: pointed Find with Window.Find on every
-// member, on each member's neighbouring IDs, on random IDs and on the IDs
-// outside [0, n) (graph.None, n and n+1), the pointed ID, Parent and Dist
-// of every member with its columns, and the pointed AppendPath of every
-// member whose parent chain reaches the owner with Window.AppendPath,
-// owner included, and the member cursor's walk with the ID and distance
-// columns, stopping after the last member. The seeds hold windows of 0, 1 and n members (n members
-// keep no low bits), every member in one bucket, IDs 0 and n−1, and n a
-// power of two and one past it, in both forms. The blob is read where it
-// ends (the reader's byte path) or with padding past it (the word path).
+// Elias–Fano code's edges: its low bits pull the first ID to 0 and push the
+// last to n−1, bits 2–3 round n up to a power of two or one past it, and
+// bit 4 packs every member into one high bucket where one holds them.
+// encodedWindowBytes must be the byte count encodeWindow writes, and the
+// decoded window must be the input column for column and in the same form.
+// The pointed reads must agree with the decode without decoding: pointed
+// Find with Window.Find on every member, on each member's neighbouring IDs,
+// on random IDs and on the IDs outside [0, n) (graph.None, n and n+1), the
+// pointed ID, Parent and Dist of every member with its columns, and the
+// pointed AppendPath of every member whose parent chain reaches the owner
+// with Window.AppendPath, owner included, and AppendMembers and MemberDist
+// with the ID and distance columns, AppendMembers behind an entry of dst.
+// The seeds hold windows of 0, 1 and n members (n members keep no low
+// bits), every member in one bucket, IDs 0 and n−1, and n a power of two
+// and one past it, in both forms. The blob is read where it ends (the
+// reader's byte path) or with padding past it (the word path).
 func FuzzCompactWindow(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint16(0), true, uint8(0), false, uint8(0))
 	f.Add(int64(2), uint16(1), uint16(1), true, uint8(3), false, uint8(0))
@@ -221,22 +221,23 @@ func FuzzCompactWindow(f *testing.F) {
 		if shape&2 != 0 && m > 0 {
 			ids[m-1] = graph.NodeID(n - 1)
 		}
-		sc := vicinity.NewScratch(n, levels)
-		copy(sc.Refill(m), ids)
-		sc.Seal()
-		wantParent, level, dist := sc.Columns()
-		copy(wantParent, parent)
+		var level []uint16
+		var dist []float64
 		top, radius := 1+rng.Intn(64), 0.0
-		for i := range level {
-			level[i] = uint16(rng.Intn(top))
-			radius = max(radius, float64(level[i]))
+		if levels {
+			level = make([]uint16, m)
+			for i := range level {
+				level[i] = uint16(rng.Intn(top))
+				radius = max(radius, float64(level[i]))
+			}
+		} else {
+			dist = make([]float64, m)
+			for i := range dist {
+				dist[i] = math.Ldexp(rng.Float64(), rng.Intn(2100)-1075)
+				radius = max(radius, dist[i])
+			}
 		}
-		for i := range dist {
-			dist[i] = math.Ldexp(rng.Float64(), rng.Intn(2100)-1075)
-			radius = max(radius, dist[i])
-		}
-		sc.Finish(radius)
-		want := sc.Window()
+		want := vicinity.FromColumns(n, ids, parent, level, dist, radius)
 		cs := newCompactLayout(n, kk, levels)
 		var w bits.Writer
 		cs.encodeWindow(&w, want)
@@ -252,20 +253,8 @@ func FuzzCompactWindow(f *testing.F) {
 		if m != kk {
 			cs.vicLen = []int32{int32(m)}
 		}
-		if diff := sameWindow(cs.window(0, nil), want); diff != "" {
+		if diff := sameWindow(cs.window(0), want); diff != "" {
 			t.Fatalf("decoded window: %s", diff)
-		}
-		// A decode into a scratch that held a bigger window.
-		reused := vicinity.NewScratch(n, levels)
-		junk := reused.Refill(kk + 3)
-		for i := range junk {
-			junk[i] = graph.NodeID(3 * i)
-		}
-		reused.Seal()
-		reused.Columns()
-		reused.Finish(0)
-		if diff := sameWindow(cs.window(0, reused), want); diff != "" {
-			t.Fatalf("window decoded into a reused scratch: %s", diff)
 		}
 		// The pointed reads, against the decoded columns.
 		p := cs.pointed(0)
@@ -293,17 +282,18 @@ func FuzzCompactWindow(f *testing.F) {
 				t.Fatalf("pointed Dist(%d) = %v, want %v", i, got, want.Dist(i))
 			}
 		}
-		c := (&Snapshot{store: cs}).Members(0)
-		for i := 0; ; i++ {
-			id, ok := c.Next()
-			if ok != (i < m) {
-				t.Fatalf("cursor step %d: ok=%v over %d members", i, ok, m)
-			}
-			if !ok {
-				break
-			}
-			if id != ids[i] || c.Dist() != want.Dist(i) {
-				t.Fatalf("cursor step %d: (%d, %v), want (%d, %v)", i, id, c.Dist(), ids[i], want.Dist(i))
+		// AppendMembers behind a dst entry, into room that holds junk.
+		dst := make([]graph.NodeID, m+9)
+		for i := range dst {
+			dst[i] = graph.NodeID(3 * i)
+		}
+		snap := &Snapshot{store: cs}
+		if got := snap.AppendMembers(dst[:1], 0); got[0] != 0 || !slices.Equal(got[1:], ids) {
+			t.Fatalf("AppendMembers = %v, want [0] then %v", got, ids)
+		}
+		for i := range ids {
+			if got := snap.MemberDist(0, i); got != want.Dist(i) {
+				t.Fatalf("MemberDist(0, %d) = %v, want %v", i, got, want.Dist(i))
 			}
 		}
 		for range 16 {

@@ -13,8 +13,8 @@ import (
 // BenchmarkCompactReads prices the reads of the store, compact against
 // exact, on churn-compact's topology (router-like n=2048, seed 1): Decode
 // (V(v) whole, as repair, the fold and the oracle read it: in the compact
-// regime a decode into one warm scratch), Members (a walk of V(v)'s member
-// cursor, IDs only, as Disco's group-member search makes),
+// regime a decode into a fresh window), Members (V(v)'s IDs appended to
+// one warm buffer, as Disco's group-member search reads them),
 // VicinityContains(v, w) (the pointed probe: a select of w's bucket and a
 // compare of its low fields), AppendVicinityPath(dst, v, w) at a member
 // (the probe, then one parent field and one ID select a hop, in place)
@@ -40,9 +40,9 @@ func BenchmarkCompactReads(b *testing.B) {
 		s := mustBuild(b, env, k, compact)
 		b.Run("Decode", func(b *testing.B) {
 			b.ReportAllocs()
-			sc, size := s.newScratch(), 0
+			size := 0
 			for i := 0; i < b.N; i++ {
-				size += s.vicinityInto(vs[i%probes], sc).Size()
+				size += s.Vicinity(vs[i%probes]).Size()
 			}
 			if size == 0 {
 				b.Fatal("empty windows")
@@ -50,12 +50,11 @@ func BenchmarkCompactReads(b *testing.B) {
 		})
 		b.Run("Members", func(b *testing.B) {
 			b.ReportAllocs()
+			var ids []graph.NodeID
 			size := 0
 			for i := 0; i < b.N; i++ {
-				c := s.Members(vs[i%probes])
-				for _, ok := c.Next(); ok; _, ok = c.Next() {
-					size++
-				}
+				ids = s.AppendMembers(ids[:0], vs[i%probes])
+				size += len(ids)
 			}
 			b.ReportMetric(float64(size)/float64(b.N), "members/op")
 		})

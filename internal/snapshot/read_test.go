@@ -3,6 +3,7 @@ package snapshot
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"disco/internal/graph"
@@ -12,8 +13,8 @@ import (
 // TestNoLookupDecodes holds the store to its read rule: no read short of
 // Vicinity decodes a window. AppendVicinityPath, VicinityContains and
 // VicinityDist, at members and at strangers, answer as the decoded window
-// does, and they and a walk of the member cursor allocate nothing beyond
-// the caller's dst, which a compact decode into a fresh window would. An
+// does, and they, AppendMembers and MemberDist allocate nothing beyond the
+// caller's dst, which a compact decode into a fresh window would. An
 // overlaid (repaired) window is searched where the overlay stores it.
 func TestNoLookupDecodes(t *testing.T) {
 	env := buildEnv(t, 256, 1)
@@ -53,9 +54,8 @@ func TestNoLookupDecodes(t *testing.T) {
 				if _, ok := s.AppendVicinityPath(buf, v, members[v]); !ok || !okDist || !s.VicinityContains(v, members[v]) {
 					t.Fatalf("compact=%v: member %d missed in V(%d)", compact, members[v], v)
 				}
-				c := s.Members(v)
-				for _, ok := c.Next(); ok; _, ok = c.Next() {
-					c.Dist()
+				for i := range s.AppendMembers(buf[:0], v) {
+					s.MemberDist(v, i)
 				}
 			}
 		})
@@ -80,14 +80,14 @@ func TestNoLookupDecodes(t *testing.T) {
 	}
 }
 
-// TestMembersMatchWindow holds the member cursor and VicinityDist to the
-// window they read in place of: at every node, Members(v) steps through
-// exactly Vicinity(v)'s (ID, Dist) sequence and then stops, and
-// VicinityDist answers as Find and Dist do at every member and at the IDs
-// either side of it. It runs on a base, an unfolded chain head (whose
-// overlay holds a cut-off node's one-member window) and a folded head, in
-// both regimes; the base and the unfolded head also with windows of 150
-// members, which a cursor reads in more than one run.
+// TestMembersMatchWindow holds AppendMembers, MemberDist and VicinityDist
+// to the window they read in place of: at every node, AppendMembers(v)
+// appends exactly Vicinity(v)'s IDs after what dst held, MemberDist(v, i)
+// is member i's distance, and VicinityDist answers as Find and Dist do at
+// every member and at the IDs either side of it. It runs on a base, an
+// unfolded chain head (whose overlay holds a cut-off node's one-member
+// window) and a folded head, in both regimes; the base and the unfolded
+// head also with windows of 150 members.
 func TestMembersMatchWindow(t *testing.T) {
 	for _, compact := range []bool{false, true} {
 		k := vicinity.DefaultK(256)
@@ -102,19 +102,19 @@ func TestMembersMatchWindow(t *testing.T) {
 			{"chain head k=150", cutChainHead(t, compact, 150)},
 		} {
 			s := tc.s
+			ones := 0 // one-member windows met: the chain heads' cut-off node
 			for v := range graph.NodeID(s.Graph().N()) {
 				win := s.Vicinity(v)
-				c := s.Members(v)
-				for i := 0; ; i++ {
-					id, ok := c.Next()
-					if ok != (i < win.Size()) {
-						t.Fatalf("compact=%v %s: Members(%d) step %d: ok=%v over %d members", compact, tc.name, v, i, ok, win.Size())
-					}
-					if !ok {
-						break
-					}
-					if id != win.ID(i) || c.Dist() != win.Dist(i) {
-						t.Fatalf("compact=%v %s: Members(%d) step %d: (%d, %v), want (%d, %v)", compact, tc.name, v, i, id, c.Dist(), win.ID(i), win.Dist(i))
+				if win.Size() == 1 {
+					ones++
+				}
+				ids := s.AppendMembers([]graph.NodeID{graph.None}, v)
+				if len(ids) != 1+win.Size() || ids[0] != graph.None {
+					t.Fatalf("compact=%v %s: AppendMembers(%d) = %v over %d members", compact, tc.name, v, ids, win.Size())
+				}
+				for i, id := range ids[1:] {
+					if id != win.ID(i) || s.MemberDist(v, i) != win.Dist(i) {
+						t.Fatalf("compact=%v %s: member %d of V(%d): (%d, %v), want (%d, %v)", compact, tc.name, i, v, id, s.MemberDist(v, i), win.ID(i), win.Dist(i))
 					}
 				}
 				for i := range win.Size() {
@@ -125,6 +125,9 @@ func TestMembersMatchWindow(t *testing.T) {
 						}
 					}
 				}
+			}
+			if strings.Contains(tc.name, "chain head") && ones == 0 {
+				t.Fatalf("compact=%v %s: no one-member window", compact, tc.name)
 			}
 		}
 	}

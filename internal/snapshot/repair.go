@@ -77,7 +77,7 @@
 // worker count. The exact window tests read a compact pre-event window in
 // place, field by field through its ID code, and decode none; the diff
 // accounting decodes each recomputed window's pre-event state once, in a
-// sequential pass, into its worker's scratch.
+// sequential pass, into a fresh window.
 //
 // Chains compose: a repaired snapshot can be repaired or recovered again.
 // Two mechanisms keep a long repair-of-repair chain from leaking history:
@@ -403,14 +403,13 @@ func (s *Snapshot) patchEdit(row int, patches []rowPatch) rowEdit {
 // ascending parallel slices: affVic with wins, rowIdx with edits.
 func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*vicinity.Window, rowIdx []int, edits []rowEdit, stats RepairStats) *Snapshot {
 	// Changed-state accounting against the pre-event snapshot, fanned out
-	// over the worker pool (order-independent integer sums). Each worker
-	// decodes a compact pre-event window into its own scratch, one
-	// sequential pass a shard; the rows counted theirs as they were edited.
+	// over the worker pool (order-independent integer sums): a compact
+	// pre-event window decodes into a fresh one, one sequential pass a
+	// shard; the rows counted theirs as they were edited.
 	n := ng.N()
-	vicDiffs := parallel.MapScratch(len(affVic), s.newScratch,
-		func(sc *vicinity.Scratch, i int) int {
-			return diffWindows(s.vicinityInto(affVic[i], sc), wins[i])
-		})
+	vicDiffs := parallel.Map(len(affVic), func(i int) int {
+		return diffWindows(s.Vicinity(affVic[i]), wins[i])
+	})
 	for _, d := range vicDiffs {
 		if d > 0 {
 			stats.VicChanged++
@@ -476,7 +475,7 @@ func (s *Snapshot) carriesTreeLink(x graph.NodeID, f graph.EdgeKey) bool {
 	if cs, ok := s.store.(*compactStore); ok && s.ov.window(x) == nil {
 		return treeLink(cs.pointed(x), f)
 	}
-	return treeLink(s.vicinityInto(x, nil), f)
+	return treeLink(s.Vicinity(x), f)
 }
 
 // treeLink is carriesTreeLink's test on the window.
@@ -626,7 +625,7 @@ func (s *Snapshot) restoreChanges(x graph.NodeID, r graph.WeightedLink) bool {
 	if cs, ok := s.store.(*compactStore); ok && s.ov.window(x) == nil {
 		return restoreChanges(cs.pointed(x), r)
 	}
-	return restoreChanges(s.vicinityInto(x, nil), r)
+	return restoreChanges(s.Vicinity(x), r)
 }
 
 // restoreChanges is Snapshot.restoreChanges' test on the window.

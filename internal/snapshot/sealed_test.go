@@ -11,12 +11,11 @@ import (
 )
 
 // TestSealedSurface holds the immutability contract to the types that hand
-// out route state: no exported method of Snapshot, MemberCursor, Row or
-// vicinity.Window returns a slice, map, chan or func, and a pointer only to
-// a sealed type, whose own surface exposes nothing writable; the cursor,
-// handed out by value, holds no slice, map, chan or func. exempt names
-// the methods whose result is not shared storage, each with the reason; an
-// exemption no method needs is stale.
+// out route state: no exported method of Snapshot, Row or vicinity.Window
+// returns a slice, map, chan or func, and a pointer only to a sealed type,
+// whose own surface exposes nothing writable. exempt names the methods
+// whose result is not shared storage, each with the reason; an exemption
+// no method needs is stale.
 func TestSealedSurface(t *testing.T) {
 	sealed := map[reflect.Type]bool{
 		reflect.TypeFor[Snapshot]():        true,
@@ -27,13 +26,14 @@ func TestSealedSurface(t *testing.T) {
 		"Snapshot.PathFrom":           "a fresh path per call",
 		"Snapshot.AppendPathFrom":     "appends to the caller's dst",
 		"Snapshot.AppendVicinityPath": "appends to the caller's dst",
+		"Snapshot.AppendMembers":      "appends to the caller's dst",
 		"Snapshot.CanonicalBytes":     "a fresh encoding per call",
 		"Snapshot.RepairStats":        "a copy of the repair's statistics",
 		"Window.AppendPath":           "appends to the caller's dst",
 	}
 	used := make(map[string]bool)
 	for _, typ := range []reflect.Type{
-		reflect.TypeFor[*Snapshot](), reflect.TypeFor[*MemberCursor](), reflect.TypeFor[Row](), reflect.TypeFor[*vicinity.Window](),
+		reflect.TypeFor[*Snapshot](), reflect.TypeFor[Row](), reflect.TypeFor[*vicinity.Window](),
 	} {
 		named := typ
 		if named.Kind() == reflect.Pointer {
@@ -54,13 +54,6 @@ func TestSealedSurface(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-	cursor := reflect.TypeFor[MemberCursor]()
-	for i := range cursor.NumField() {
-		switch f := cursor.Field(i); f.Type.Kind() {
-		case reflect.Slice, reflect.Map, reflect.Chan, reflect.Func:
-			t.Errorf("MemberCursor.%s is a %v: a copy of the cursor would share it", f.Name, f.Type)
 		}
 	}
 	for _, name := range slices.Sorted(maps.Keys(exempt)) {

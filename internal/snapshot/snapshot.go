@@ -26,9 +26,9 @@
 //     reads decode the window into a fresh one; a membership probe selects
 //     the start of the target's bucket and compares that bucket's low
 //     fields, the path to a member reads one parent field and one select a
-//     hop, a member's distance one field, a walk over the members
-//     (MemberCursor) the ID sections a run at a time, and tree reads decode
-//     single parent fields, all in place — through internal/bits, several
+//     hop, a member's distance one field, the member IDs (AppendMembers)
+//     the two ID sections in one pass each, and tree reads decode single
+//     parent fields, all in place — through internal/bits, several
 //     fields a word load. No route decodes a window. The encoding is
 //     lossless, so the two regimes differ only in packing: every read, and
 //     every figure, is byte-identical on every topology.
@@ -225,26 +225,10 @@ func (s *Snapshot) Compact() bool { return s.compact }
 // should prefer VicinityContains, and callers after the path to one member
 // AppendVicinityPath, which never materialize the window.
 func (s *Snapshot) Vicinity(v graph.NodeID) *vicinity.Window {
-	return s.vicinityInto(v, nil)
-}
-
-// vicinityInto is Vicinity decoding a compact base window into sc, the
-// caller's scratch from newScratch (nil for a fresh window): valid until
-// sc's next decode.
-func (s *Snapshot) vicinityInto(v graph.NodeID, sc *vicinity.Scratch) *vicinity.Window {
 	if win := s.ov.window(v); win != nil {
 		return win
 	}
-	return s.store.window(v, sc)
-}
-
-// newScratch returns a decode target for vicinityInto: one in the compact
-// store's form, nil over an exact store, which decodes nothing.
-func (s *Snapshot) newScratch() *vicinity.Scratch {
-	if cs, ok := s.store.(*compactStore); ok {
-		return cs.newScratch()
-	}
-	return nil
+	return s.store.window(v)
 }
 
 // VicinityContains reports w ∈ V(v) without materializing the window in
@@ -294,60 +278,31 @@ func (s *Snapshot) VicinityDist(v, w graph.NodeID) (float64, bool) {
 	return 0, false
 }
 
-// Members returns a cursor over V(v)'s members in ID order, which a search
-// over a whole window reads instead of the window: it decodes nothing.
-func (s *Snapshot) Members(v graph.NodeID) MemberCursor {
+// AppendMembers appends V(v)'s member IDs, ascending, to dst: what a
+// search over a whole window reads, with MemberDist(v, i) for the distance
+// of the i-th ID appended. A compact base window's ID sections are read in
+// place (the low column, then the buckets from the high array), so the
+// call decodes no window in either regime and allocates nothing beyond
+// dst's growth.
+func (s *Snapshot) AppendMembers(dst []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
 		p := cs.pointed(v)
-		return MemberCursor{p: p, n: p.size, base: -memberRun, k: memberRun - 1, hiAt: p.at}
+		return p.appendIDs(dst)
 	}
 	win := s.Vicinity(v)
-	return MemberCursor{win: win, n: win.Size(), base: -memberRun, k: memberRun - 1}
-}
-
-// MemberCursor steps through a window's members in ID order, reading a
-// member's distance only when asked. It reads the IDs memberRun at a time
-// into an array it holds, in place from a compact base window (the ID
-// sections only: no parent field, no bitset), so a step is an index.
-type MemberCursor struct {
-	win  *vicinity.Window // the window stored whole; nil over a compact base window
-	p    pointed          // the compact base window
-	n    int              // the window's member count
-	base int              // the index of the member ids[0] holds
-	k, m int              // the current member's place in ids; how many members ids holds
-	hiAt int              // compact: the high-bits array's first bit after the run's last one
-	ids  [memberRun]graph.NodeID
-}
-
-const memberRun = 64 // members a MemberCursor reads at once
-
-// Next steps to the next member and returns its ID, or false past the last.
-func (c *MemberCursor) Next() (graph.NodeID, bool) {
-	if c.k++; c.k == memberRun { // small enough to inline: a step is an index
-		c.fill()
+	for i := range win.Size() {
+		dst = append(dst, win.ID(i))
 	}
-	return c.ids[c.k], c.k < c.m
+	return dst
 }
 
-// fill reads the run after the one ids holds, empty past the last member.
-func (c *MemberCursor) fill() {
-	c.base, c.k, c.m = c.base+memberRun, 0, max(0, min(memberRun, c.n-c.base-memberRun))
-	switch run, win, base := c.ids[:c.m], c.win, c.base; {
-	case win != nil:
-		for k := range run {
-			run[k] = win.ID(base + k)
-		}
-	case c.m > 0:
-		c.fillPointed(run)
+// MemberDist returns the distance from v of V(v)'s member i, in the order
+// AppendMembers appends them: one field, decoding nothing.
+func (s *Snapshot) MemberDist(v graph.NodeID, i int) float64 {
+	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
+		return cs.pointed(v).Dist(i)
 	}
-}
-
-// Dist returns the current member's distance from the window's owner.
-func (c *MemberCursor) Dist() float64 {
-	if c.win != nil {
-		return c.win.Dist(c.base + c.k)
-	}
-	return c.p.Dist(c.base + c.k)
+	return s.Vicinity(v).Dist(i)
 }
 
 // windowMeta returns V(v)'s member count and radius without materializing

@@ -44,9 +44,8 @@ import (
 // concurrent readers; everything a store returns is shared and read-only.
 type shardStore interface {
 	// window returns V(v) — the stored window where the layout holds it
-	// (exact), decoded into sc where it does not (compact: sc is the
-	// caller's scratch in the store's form, or nil for a fresh window).
-	window(v graph.NodeID, sc *vicinity.Scratch) *vicinity.Window
+	// (exact), decoded into a fresh window where it does not (compact).
+	window(v graph.NodeID) *vicinity.Window
 	// windowMeta returns V(v)'s member count and radius — exactly what
 	// window(v) would report — without materializing the window. The
 	// recovery probe loop rides on this.
@@ -71,7 +70,7 @@ type exactStore struct {
 	parents []graph.NodeID
 }
 
-func (st *exactStore) window(v graph.NodeID, _ *vicinity.Scratch) *vicinity.Window {
+func (st *exactStore) window(v graph.NodeID) *vicinity.Window {
 	return &st.wins[v]
 }
 

@@ -3,8 +3,9 @@
 // event-driven simulation, it "calculates the post-convergence state of the
 // network" directly. Env holds everything all protocols agree on — the
 // graph, flat names and their hashes, per-node estimates of n, the landmark
-// set, the landmark shortest-path forest (every node's nearest landmark and
-// distance), and every node's address (nearest landmark + explicit route).
+// set and the landmark shortest-path forest (every node's nearest landmark
+// and distance), from which a node's address (nearest landmark + explicit
+// route) is built on demand.
 // The protocol packages (core, s4, vrr, spr) build their routing state on
 // top of an Env, which also makes cross-protocol comparisons use identical
 // landmarks and names.
@@ -31,8 +32,6 @@ type Env struct {
 	LMOf      []graph.NodeID // nearest landmark l_v (ties to lowest landmark ID)
 	LMDist    []float64      // d(v, l_v)
 	lmParent  []graph.NodeID // predecessor on the path l_v ⇝ v
-
-	Addrs []addr.Address // per-node address (l_v, explicit route l_v⇝v)
 }
 
 // Option customizes NewEnv.
@@ -57,8 +56,9 @@ func WithLandmarks(lms []graph.NodeID) Option {
 }
 
 // NewEnv builds the environment: names from nameSeed, landmark
-// self-selection under each node's estimate of n, the landmark forest, and
-// all addresses. The graph must be connected and Finalized.
+// self-selection under each node's estimate of n, and the landmark forest,
+// from which AddrOf builds any node's address. The graph must be connected
+// and Finalized.
 func NewEnv(g *graph.Graph, nameSeed int64, opts ...Option) *Env {
 	gen := names.NewGenerator(nameSeed)
 	return NewEnvWithNames(g, gen.Names(g.N()), opts...)
@@ -104,12 +104,6 @@ func NewEnvWithNames(g *graph.Graph, nodeNames []names.Name, opts ...Option) *En
 		e.LMDist[v] = s.Dist(graph.NodeID(v))
 		e.lmParent[v] = s.Parent(graph.NodeID(v))
 	}
-
-	// Addresses: explicit route l_v ⇝ v from the forest.
-	e.Addrs = make([]addr.Address, n)
-	for v := 0; v < n; v++ {
-		e.Addrs[v] = addr.Make(g, e.LandmarkPath(graph.NodeID(v)))
-	}
 	return e
 }
 
@@ -125,8 +119,9 @@ func (e *Env) LandmarkPath(v graph.NodeID) []graph.NodeID {
 	return rev
 }
 
-// AddrOf returns v's address.
-func (e *Env) AddrOf(v graph.NodeID) addr.Address { return e.Addrs[v] }
+// AddrOf returns v's address, l_v and the explicit route l_v ⇝ v, built
+// from the landmark forest on each call.
+func (e *Env) AddrOf(v graph.NodeID) addr.Address { return addr.Make(e.G, e.LandmarkPath(v)) }
 
 // N returns the network size.
 func (e *Env) N() int { return e.G.N() }
@@ -141,14 +136,14 @@ func (e *Env) HashOf(v graph.NodeID) names.Hash { return e.Hashes[v] }
 // over all node addresses — the §4.2 measurement (on the paper's
 // router-level map: mean 2.93 B, 95th percentile 5 B, max 10.625 B).
 func (e *Env) AddrSizeStats() (mean, p95, max float64) {
-	if len(e.Addrs) == 0 {
+	if e.N() == 0 {
 		return 0, 0, 0
 	}
-	sizes := make([]float64, len(e.Addrs))
+	sizes := make([]float64, e.N())
 	total := 0.0
-	for i, a := range e.Addrs {
-		sizes[i] = float64(a.Bits()) / 8
-		total += sizes[i]
+	for v := range sizes {
+		sizes[v] = float64(e.AddrOf(graph.NodeID(v)).Bits()) / 8
+		total += sizes[v]
 	}
 	// The mean sums in node order; p95 is nearest-rank.
 	cdf := metrics.NewCDF(sizes)

@@ -234,81 +234,13 @@ func Pack(src []*Window) []Window {
 }
 
 // FromColumns assembles a window from columns the caller hands over and no
-// longer touches: member IDs ascending, parent indices (-1 for the owner)
-// and float64 distances, over an ID space of idSpace nodes. The radius is
-// the largest distance.
-func FromColumns(idSpace int, ids []graph.NodeID, parent []int32, dist []float64) *Window {
-	w := &Window{ids: ids, parent: parent, dist: dist, filt: make([]uint64, filterWords(idSpace))}
+// longer touches: member IDs ascending, parent indices (-1 for the owner),
+// one distance column — BFS levels or float64 distances, the other nil —
+// and the radius, its largest entry, over an ID space of idSpace nodes.
+func FromColumns(idSpace int, ids []graph.NodeID, parent []int32, level []uint16, dist []float64, radius float64) *Window {
+	w := &Window{ids: ids, parent: parent, level: level, dist: dist, filt: make([]uint64, filterWords(idSpace)), radius: radius}
 	w.seal()
-	for _, d := range dist {
-		w.radius = max(w.radius, d)
-	}
 	return w
-}
-
-// Scratch is a window a decoder fills column by column, in place: the
-// compact snapshot store's decode target. Refill starts the next window,
-// reusing the columns' storage, so one Scratch decodes window after window
-// without allocating; the window it hands out is the same one each time,
-// valid until the next Refill. The columns are written through the Scratch
-// only, and a Scratch refills only the window it created: every other
-// Window stays immutable once built.
-type Scratch struct {
-	win    Window
-	levels bool
-}
-
-// NewScratch returns an empty scratch window over an ID space of idSpace
-// nodes, in level form (levels) or float64 form.
-func NewScratch(idSpace int, levels bool) *Scratch {
-	return &Scratch{win: Window{filt: make([]uint64, filterWords(idSpace))}, levels: levels}
-}
-
-// Window returns the scratch's window.
-func (s *Scratch) Window() *Window { return &s.win }
-
-// Refill starts a window of m members: it returns the member-ID column for
-// the caller to fill ascending before Seal. The other columns are empty
-// until Columns.
-func (s *Scratch) Refill(m int) []graph.NodeID {
-	w := &s.win
-	w.ids, w.parent, w.level, w.dist, w.radius = resize(w.ids, m), w.parent[:0], w.level[:0], w.dist[:0], 0
-	return w.ids
-}
-
-// Seal sets the membership bitset from the ID column: from here on the
-// window answers Find and Contains.
-func (s *Scratch) Seal() {
-	clear(s.win.filt)
-	s.win.seal()
-}
-
-// Columns returns the parent column and the distance column of the form
-// (levels, or dist in float64 form; the other is nil), one entry a member,
-// for the caller to fill before Finish.
-func (s *Scratch) Columns() (parent []int32, level []uint16, dist []float64) {
-	w := &s.win
-	m := len(w.ids)
-	w.parent = resize(w.parent, m)
-	if s.levels {
-		w.level = resize(w.level, m)
-	} else {
-		w.dist = resize(w.dist, m)
-	}
-	return w.parent, w.level, w.dist
-}
-
-// Finish sets the radius, which must be the filled distance column's
-// largest entry (a decoder keeps it beside the columns, so it need not
-// scan them): the window is whole.
-func (s *Scratch) Finish(radius float64) { s.win.radius = radius }
-
-// resize returns s with length m, reusing its storage when it has room.
-func resize[T any](s []T, m int) []T {
-	if cap(s) < m {
-		return make([]T, m)
-	}
-	return s[:m]
 }
 
 // Entry is one vicinity member as a protocol reports it: the member, its
@@ -326,8 +258,10 @@ type Entry struct {
 func FromEntries(idSpace int, entries []Entry) *Window {
 	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Node, b.Node) })
 	ids, parent, dist := make([]graph.NodeID, len(entries)), make([]int32, len(entries)), make([]float64, len(entries))
+	radius := 0.0
 	for i, e := range entries {
 		ids[i], dist[i] = e.Node, e.Dist
+		radius = max(radius, e.Dist)
 	}
 	for i, e := range entries {
 		parent[i] = -1
@@ -339,7 +273,7 @@ func FromEntries(idSpace int, entries []Entry) *Window {
 			parent[i] = int32(j)
 		}
 	}
-	return FromColumns(idSpace, ids, parent, dist)
+	return FromColumns(idSpace, ids, parent, nil, dist, radius)
 }
 
 // Ball computes windows on one graph: a truncated shortest-path search and
