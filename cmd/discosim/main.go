@@ -14,7 +14,7 @@
 //	discosim -exp fig3 -full -compact  # paper scale on the compact snapshot
 //	                                   # encoding (~6.4x less route-state memory;
 //	                                   # lossless: the same output on every topology)
-//	discosim -serve -n 1024 -queriers 8
+//	discosim -exp serve-storm -n 1024 -queriers 8
 //	                                   # serving mode: answer route queries
 //	                                   # lock-free WHILE a fail/recover storm
 //	                                   # repairs and republishes the snapshot
@@ -128,20 +128,19 @@ func validateFlags(n int, seed int64, pairs, events, queriers, workers int) erro
 	return nil
 }
 
-// checkSelection rejects an experiment selection main cannot honour, after
-// -serve has been folded into exp: no experiment at all (unless -list was
-// asked for, which runs none), and the serving-mode flags on a run that
-// would silently ignore them. main reports the error and exits 2, as for
-// validateFlags.
+// checkSelection rejects an experiment selection main cannot honour: no
+// experiment at all (unless -list was asked for, which runs none), and the
+// serving-mode flags on a run that would silently ignore them. main
+// reports the error and exits 2, as for validateFlags.
 func checkSelection(exp string, list bool, events, queriers int) error {
 	if list {
 		return nil
 	}
 	if exp == "" {
-		return fmt.Errorf("no experiment selected: pass -exp <name> or -serve")
+		return fmt.Errorf("no experiment selected: pass -exp <name>")
 	}
 	if exp != "serve-storm" && exp != "all" && (events != 0 || queriers != 0) {
-		return fmt.Errorf("-events and -queriers apply only to -serve, -exp serve-storm and -exp all, not -exp %s", exp)
+		return fmt.Errorf("-events and -queriers apply only to -exp serve-storm and -exp all, not -exp %s", exp)
 	}
 	return nil
 }
@@ -155,9 +154,8 @@ func main() {
 	compact := flag.Bool("compact", false, "build route-state snapshots in the compact encoding (Elias–Fano-coded member IDs, distances as BFS levels or float64 bits; ~6.4x less memory — the -full enabler). Lossless: the output is the same on every topology")
 	workers := flag.Int("workers", 0, "worker pool size for parallel sweeps (0 = GOMAXPROCS); results are identical at any value")
 	memprofile := flag.String("memprofile", "", "write a heap profile here after the run and report peak RSS (the -full feasibility workflow)")
-	serveMode := flag.Bool("serve", false, "serving mode: answer route queries from a concurrent closed-loop load while a fail/recover storm repairs and republishes the snapshot chain (shorthand for -exp serve-storm; combine with -n, -events, -queriers)")
-	events := flag.Int("events", 0, "serving mode: storm length in fail/recover events (0 = 16)")
-	queriers := flag.Int("queriers", 0, "serving mode: concurrent query goroutines (0 = GOMAXPROCS)")
+	events := flag.Int("events", 0, "serve-storm: storm length in fail/recover events (0 = 16)")
+	queriers := flag.Int("queriers", 0, "serve-storm: concurrent query goroutines (0 = GOMAXPROCS)")
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
 	if err := validateFlags(*n, *seed, *pairs, *events, *queriers, *workers); err != nil {
@@ -165,13 +163,6 @@ func main() {
 		os.Exit(2)
 	}
 	parallel.SetWorkers(*workers)
-	if *serveMode {
-		if *exp != "" && *exp != "serve-storm" {
-			fmt.Fprintf(os.Stderr, "discosim: -serve and -exp %s conflict (use one)\n", *exp)
-			os.Exit(2)
-		}
-		*exp = "serve-storm"
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("experiments:")

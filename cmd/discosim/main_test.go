@@ -72,7 +72,8 @@ func TestValidateFlags(t *testing.T) {
 
 // TestCheckSelection pins which selections are usage errors (exit 2): -list
 // alone is not one, a missing -exp without -list is, and so are the
-// serving-mode flags on a run that would ignore them.
+// serving-mode flags on a run that would ignore them. No error names a
+// -serve flag: the serving mode is -exp serve-storm only.
 func TestCheckSelection(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -97,6 +98,9 @@ func TestCheckSelection(t *testing.T) {
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("%s: selection accepted", tc.name)
+		}
+		if err != nil && strings.Contains(err.Error(), "-serve") {
+			t.Errorf("%s: error %q names a -serve flag", tc.name, err)
 		}
 	}
 }

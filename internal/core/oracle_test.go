@@ -85,11 +85,11 @@ func (r *NDDisco) ForwardFirst(s, t graph.NodeID) []graph.NodeID {
 // parent of cur in lm's shortest-path tree (the reverse of the tree path),
 // exactly what path vector installs.
 func (r *NDDisco) landmarkFirstHop(cur, lm graph.NodeID) graph.NodeID {
-	p := r.snapshot().Parent(lm, cur)
-	if p == graph.None {
+	path := r.snapshot().PathFrom(lm, cur)
+	if len(path) < 2 {
 		panic(fmt.Sprintf("core: node %d has no route toward landmark %d", cur, lm))
 	}
-	return p
+	return path[1]
 }
 
 // ForwardLater forwards a non-first packet: if s ∈ V(t) the handshake has

@@ -33,10 +33,8 @@ func BenchmarkBuild(b *testing.B) {
 			benchRegimes(b, func(b *testing.B, compact bool) {
 				var vic, forest time.Duration
 				for i := 0; i < b.N; i++ {
-					s := &Snapshot{g: tc.g, k: k, compact: compact, landmarks: env.Landmarks}
-					st := &exactStore{n: n}
-					vicSweep := func() error { return s.buildExactVicinities(st) }
-					forestSweep := func() error { return s.buildExactForest(st) }
+					s := &Snapshot{g: tc.g, k: k, landmarks: env.Landmarks}
+					vicSweep, forestSweep := s.buildExactVicinities, s.buildExactForest
 					if compact {
 						cs := newCompactStore(tc.g, k)
 						vicSweep = func() error { return s.buildCompactVicinities(cs) }

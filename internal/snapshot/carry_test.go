@@ -18,7 +18,7 @@ import (
 // from the row's parents alone, as a build does.
 func checkCarriedFold(t testing.TB, s *Snapshot) {
 	t.Helper()
-	cs := s.fold().store.(*compactStore)
+	cs := s.fold().cs
 	ref := *cs
 	ref.forest = make([]byte, len(cs.forest))
 	var w bits.Writer
@@ -164,7 +164,7 @@ func swappedHead(t *testing.T, base *Snapshot) *Snapshot {
 		if back.RepairStats().Folded || head.RepairStats().Folded {
 			continue
 		}
-		if pg := head.store.(*compactStore).pg; pg.Degree(v) != head.Graph().Degree(v) {
+		if pg := head.cs.pg; pg.Degree(v) != head.Graph().Degree(v) {
 			t.Fatalf("node %d: degree %d in the store's graph, %d in the head's", v, pg.Degree(v), head.Graph().Degree(v))
 		}
 		return head

@@ -228,7 +228,7 @@ func TestSnapshotChainLeavesUnitWeights(t *testing.T) {
 			}
 			failAny()
 		}
-		if cs := heads[1].cur.store.(*compactStore); cs.levels != levels || heads[1].cur.Graph().Unit() != levels {
+		if cs := heads[1].cur.cs; cs.levels != levels || heads[1].cur.Graph().Unit() != levels {
 			t.Fatalf("step %d: folded compact store has levels=%v over a graph with Unit()=%v, want %v", step, cs.levels, heads[1].cur.Graph().Unit(), levels)
 		}
 	}

@@ -59,14 +59,17 @@
 // [8·vicOff[v], 8·vicOff[v+1]) of the whole blob and a forest field at its
 // absolute bit in the forest, never through a re-slice, so the bytes that
 // follow keep the codec on its 64-bit word path everywhere but in the last
-// 8 bytes of each array. A whole-window decode (repair, the fold and the
-// hop-by-hop oracle make them) runs the kernels once per column: the low
-// column (ReadRun), the buckets above it from the high array's ones
-// (ReadUnaryRun), then the parent and level columns. A route reads in
-// place (pointed): a membership probe, the path to a member (the probe,
-// then one parent field and one select a hop), a member's distance (the
-// probe and one field), and the member IDs in order (appendIDs: the two
-// ID kernels the decode runs, nothing else). On router-like n=2048
+// 8 bytes of each array. A whole-window decode (a fold that changes the
+// distance form, CanonicalBytes and the hop-by-hop oracle make them) runs
+// the kernels once per column: the low column (ReadRun), the buckets above
+// it from the high array's ones (ReadUnaryRun), then the parent and level
+// columns. A route reads in place (pointed): a membership probe, the path
+// to a member (the probe, then one parent field and one select a hop), a
+// member's distance (the probe and one field), and the member IDs in order
+// (appendIDs: the two ID kernels the decode runs, nothing else). Repair
+// reads a pre-event window in place too: its tests probe and read fields,
+// and its change count reads the IDs through appendIDs and each member's
+// parent and distance as one field. On router-like n=2048
 // (k=151, L=3: a 407-bit high array and 453 bits of lows a window), on
 // 2 cores of a 2.0 GHz Xeon, a pointed membership probe costs 108–120 ns,
 // the path to a member (3.6 nodes on average) 335–415 ns and a forest
@@ -94,7 +97,7 @@ import (
 // tracks the encoded size, not the 16-byte-per-entry exact table.
 const vicinityShard = 8192
 
-// compactStore is the compact regime's shard store. pg is the graph whose
+// compactStore is the compact regime's base store. pg is the graph whose
 // sorted adjacency lists the forest ports index and whose weights decide
 // the distance form: the graph it was built over, or on a folded chain
 // that fold's graph.
@@ -155,10 +158,6 @@ func (cs *compactStore) windowLen(v graph.NodeID) int {
 		return int(cs.vicLen[v])
 	}
 	return cs.k
-}
-
-func (cs *compactStore) windowMeta(v graph.NodeID) (int, float64) {
-	return cs.windowLen(v), cs.radii[v]
 }
 
 // distWidth is the width of one distance field in a window of this radius.
@@ -330,16 +329,16 @@ func (cs *compactStore) pointed(v graph.NodeID) pointed {
 }
 
 // Size returns the window's member count.
-func (p pointed) Size() int { return p.size }
+func (p *pointed) Size() int { return p.size }
 
 // Radius returns the window's radius, kept beside the blob.
-func (p pointed) Radius() float64 { return p.cs.radii[p.v] }
+func (p *pointed) Radius() float64 { return p.cs.radii[p.v] }
 
 // low returns member i's low bits.
-func (p pointed) low(i int) int { return int(bits.At(p.cs.vicBlob, p.lows+i*p.l, p.l)) }
+func (p *pointed) low(i int) int { return int(bits.At(p.cs.vicBlob, p.lows+i*p.l, p.l)) }
 
 // reader returns a reader from bit `from` to the end of the window.
-func (p pointed) reader(from int) *bits.Reader {
+func (p *pointed) reader(from int) *bits.Reader {
 	return bits.NewReaderAt(p.cs.vicBlob, from, 8*int(p.cs.vicOff[p.v+1]))
 }
 
@@ -350,7 +349,7 @@ func (p pointed) reader(from int) *bits.Reader {
 // member's low field compared until one reaches w's; a zero ends the
 // bucket, so an empty bucket answers at once. Every bucket w can name ends
 // inside the array, and an ID outside [0, n) names none.
-func (p pointed) Find(w graph.NodeID) int {
+func (p *pointed) Find(w graph.NodeID) int {
 	if p.size == 0 || uint(w) >= uint(p.cs.n) {
 		return -1
 	}
@@ -373,7 +372,7 @@ func (p pointed) Find(w graph.NodeID) int {
 
 // ID returns member i's node ID: its bucket, the zeros before its one
 // (bits.SelectOne), above its low bits.
-func (p pointed) ID(i int) graph.NodeID {
+func (p *pointed) ID(i int) graph.NodeID {
 	b := bits.SelectOne(p.cs.vicBlob, p.at, p.lows, i) - p.at - i
 	return graph.NodeID(b<<p.l | p.low(i))
 }
@@ -390,7 +389,7 @@ func (p *pointed) appendIDs(dst []graph.NodeID) []graph.NodeID {
 }
 
 // Parent returns the index of member i's parent, or -1 for the owner.
-func (p pointed) Parent(i int) int {
+func (p *pointed) Parent(i int) int {
 	q := int(bits.At(p.cs.vicBlob, p.parents+i*p.cs.pWidth, p.cs.pWidth))
 	if q == p.size {
 		return -1
@@ -401,7 +400,7 @@ func (p pointed) Parent(i int) int {
 // AppendPath appends the window's tree path owner ⇝ member i to dst, as
 // vicinity.Window.AppendPath does, reading each hop's parent and ID field
 // in place: one walk up the tree, then the appended hops reversed.
-func (p pointed) AppendPath(dst []graph.NodeID, i int) []graph.NodeID {
+func (p *pointed) AppendPath(dst []graph.NodeID, i int) []graph.NodeID {
 	base := len(dst)
 	for j := i; j >= 0; j = p.Parent(j) {
 		dst = append(dst, p.ID(j))
@@ -411,7 +410,7 @@ func (p pointed) AppendPath(dst []graph.NodeID, i int) []graph.NodeID {
 }
 
 // Dist returns member i's distance from the owner.
-func (p pointed) Dist(i int) float64 {
+func (p *pointed) Dist(i int) float64 {
 	at := p.parents + p.size*p.cs.pWidth
 	if p.cs.levels {
 		dw := p.cs.distWidth(p.Radius())
@@ -575,14 +574,11 @@ func (cs *compactStore) portParent(v graph.NodeID, port uint64) graph.NodeID {
 	return es[port].To
 }
 
-// decodeRow materializes forest row `row` as a flat parent array in one
-// sequential pass over the bit stream — what table installs, folds and the
-// repair's change accounting read, instead of n random At probes — into
-// prow, or into a fresh row when prow is nil.
-func (cs *compactStore) decodeRow(row int, prow []graph.NodeID) []graph.NodeID {
-	if prow == nil {
-		prow = make([]graph.NodeID, cs.n)
-	}
+// decodeRow materializes forest row `row` as a fresh flat parent array in
+// one sequential pass over the bit stream — what table installs read,
+// instead of n random At probes.
+func (cs *compactStore) decodeRow(row int) []graph.NodeID {
+	prow := make([]graph.NodeID, cs.n)
 	r := bits.NewReaderAt(cs.forest, 8*row*cs.rowBytes, 8*(row+1)*cs.rowBytes)
 	for v := range prow {
 		prow[v] = cs.portParent(graph.NodeID(v), r.ReadBits(int(cs.degOff[v+1]-cs.degOff[v])))
@@ -609,7 +605,7 @@ func (cs *compactStore) storeBytes() int64 {
 // blob slice, raw-copying the untouched ranges. When the graph changed the
 // form, every window re-encodes.
 func (s *Snapshot) foldCompactWindows() *compactStore {
-	old := s.store.(*compactStore)
+	old := s.cs
 	n := s.g.N()
 	cs := newCompactStore(s.g, s.k)
 	cs.vicLen, cs.radii = make([]int32, n), make([]float64, n)
@@ -669,7 +665,7 @@ func (s *Snapshot) foldCompactWindows() *compactStore {
 // nodes resolve a port again.
 func (s *Snapshot) foldCompactForest(cs *compactStore) {
 	cs.layoutForest(len(s.landmarks))
-	carry := cs.newPortCarry(s.store.(*compactStore), s.ov)
+	carry := cs.newPortCarry(s.cs, s.ov)
 	parallel.RunScratch(len(s.landmarks),
 		func() *bits.Writer { return new(bits.Writer) },
 		func(w *bits.Writer, row int) { cs.encodeForestRow(w, row, nil, carry) })

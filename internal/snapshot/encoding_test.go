@@ -22,8 +22,8 @@ import (
 // radii, and the forest rows.
 func compactDigest(t *testing.T, s *Snapshot) string {
 	t.Helper()
-	cs, ok := s.store.(*compactStore)
-	if !ok || s.ov != nil {
+	cs := s.cs
+	if cs == nil || s.ov != nil {
 		t.Fatal("want a compact snapshot with no overlay table")
 	}
 	h := sha256.New()
@@ -51,7 +51,7 @@ func foldedChainHead(t *testing.T, compact bool) *Snapshot {
 		d.failOne(t, rng, true)
 	}
 	folded := d.cur.fold()
-	if cs, ok := folded.store.(*compactStore); ok && cs.vicLen == nil {
+	if cs := folded.cs; cs != nil && cs.vicLen == nil {
 		t.Fatal("folded head has uniform windows; want a cut-off node's short window")
 	}
 	return folded
@@ -287,7 +287,7 @@ func FuzzCompactWindow(f *testing.F) {
 		for i := range dst {
 			dst[i] = graph.NodeID(3 * i)
 		}
-		snap := &Snapshot{store: cs}
+		snap := &Snapshot{cs: cs}
 		if got := snap.AppendMembers(dst[:1], 0); got[0] != 0 || !slices.Equal(got[1:], ids) {
 			t.Fatalf("AppendMembers = %v, want [0] then %v", got, ids)
 		}

@@ -12,15 +12,14 @@ import (
 
 // BenchmarkCompactReads prices the reads of the store, compact against
 // exact, on churn-compact's topology (router-like n=2048, seed 1): Decode
-// (V(v) whole, as repair, the fold and the oracle read it: in the compact
-// regime a decode into a fresh window), Members (V(v)'s IDs appended to
-// one warm buffer, as Disco's group-member search reads them),
-// VicinityContains(v, w) (the pointed probe: a select of w's bucket and a
-// compare of its low fields), AppendVicinityPath(dst, v, w) at a member
-// (the probe, then one parent field and one ID select a hop, in place)
-// and Parent(lm, v)
-// (one forest field). Each op is one read; ns/op is the like-for-like
-// per-read cost of the two regimes.
+// (V(v) whole, as a fold that changes the distance form and the oracle
+// read it: in the compact regime a decode into a fresh window), Members
+// (V(v)'s IDs appended to one warm buffer, as Disco's group-member search
+// reads them), VicinityContains(v, w) (the pointed probe: a select of w's
+// bucket and a compare of its low fields), AppendVicinityPath(dst, v, w)
+// at a member (the probe, then one parent field and one ID select a hop,
+// in place) and Parent (parentAt: one forest field). Each op is one read;
+// ns/op is the like-for-like per-read cost of the two regimes.
 func BenchmarkCompactReads(b *testing.B) {
 	g := topology.RouterLike(rand.New(rand.NewSource(1)), 2048)
 	env := static.NewEnv(g, 1)
@@ -92,7 +91,7 @@ func BenchmarkCompactReads(b *testing.B) {
 			b.ReportAllocs()
 			roots := 0
 			for i := 0; i < b.N; i++ {
-				if s.Parent(lms[i%probes], vs[i%probes]) == graph.None {
+				if s.parentAt(s.row(lms[i%probes]), vs[i%probes]) == graph.None {
 					roots++
 				}
 			}

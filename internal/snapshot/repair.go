@@ -74,10 +74,9 @@
 // task-ordered merges — ball searches, window recomputes, per-row repair,
 // diff accounting, and both fold encoders all fan out, and every merge
 // happens in task index order — so the result is bit-identical at any
-// worker count. The exact window tests read a compact pre-event window in
-// place, field by field through its ID code, and decode none; the diff
-// accounting decodes each recomputed window's pre-event state once, in a
-// sequential pass, into a fresh window.
+// worker count. The exact window tests and the diff accounting read a
+// compact pre-event window in place, field by field through its ID code,
+// and decode none.
 //
 // Chains compose: a repaired snapshot can be repaired or recovered again.
 // Two mechanisms keep a long repair-of-repair chain from leaking history:
@@ -310,31 +309,36 @@ func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, er
 	}), nil
 }
 
-// diffWindows returns the symmetric difference between two vicinity
-// windows, counting removed members, added members, and members whose
-// parent or distance moved — the withdrawals plus announcements a
-// triggered protocol would send for this window. Parents compare as node
-// IDs: a member keeps its route when its parent does, whatever position
-// the parent holds in either window.
-func diffWindows(old, new *vicinity.Window) int {
+// diffWindows returns the symmetric difference between a window's
+// pre-event state old, its member IDs in ids, and its recomputed state new:
+// removed members, added members, and members whose parent or distance
+// moved — the withdrawals plus announcements a triggered protocol would
+// send for this window. Parents compare as node IDs, so a member keeps its
+// route when its parent does, wherever the parent sits. The IDs come as a
+// column (Snapshot.AppendMembers): a compact ID field is a select.
+func diffWindows[W windowFields](old W, ids []graph.NodeID, new *vicinity.Window) int {
 	d, i, j := 0, 0, 0
-	for i < old.Size() && j < new.Size() {
-		switch {
-		case old.ID(i) < new.ID(j):
+	for i < len(ids) && j < new.Size() {
+		switch a, b := ids[i], new.ID(j); {
+		case a < b:
 			d++ // withdrawn
 			i++
-		case old.ID(i) > new.ID(j):
+		case a > b:
 			d++ // announced
 			j++
 		default:
-			if parentID(old, i) != parentID(new, j) || old.Dist(i) != new.Dist(j) {
+			p := graph.None
+			if q := old.Parent(i); q >= 0 {
+				p = ids[q]
+			}
+			if p != parentID(new, j) || old.Dist(i) != new.Dist(j) {
 				d++
 			}
 			i++
 			j++
 		}
 	}
-	return d + (old.Size() - i) + (new.Size() - j)
+	return d + (len(ids) - i) + (new.Size() - j)
 }
 
 // parentID returns member i's parent as a node ID, graph.None for the
@@ -383,14 +387,14 @@ func (s *Snapshot) patchEdit(row int, patches []rowPatch) rowEdit {
 		if i < len(wasNodes) && wasNodes[i] == pc.v {
 			i++
 		}
-		if pc.p != s.store.rowParent(row, pc.v) {
+		if pc.p != s.baseParent(row, pc.v) {
 			nodes, parents = append(nodes, pc.v), append(parents, pc.p)
 		}
 	}
 	nodes, parents = append(nodes, wasNodes[i:]...), append(parents, wasParents[i:]...)
 	e := rowEdit{sr: newSparseRow(s.g.N(), nodes, parents), moved: len(patches)}
-	if e.sr != nil && !s.compact {
-		e.sr.flatten(s.store.decodeRow(row, nil))
+	if e.sr != nil && s.cs == nil {
+		e.sr.flatten(s.exactRow(row))
 	}
 	return e
 }
@@ -404,12 +408,19 @@ func (s *Snapshot) patchEdit(row int, patches []rowPatch) rowEdit {
 func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*vicinity.Window, rowIdx []int, edits []rowEdit, stats RepairStats) *Snapshot {
 	// Changed-state accounting against the pre-event snapshot, fanned out
 	// over the worker pool (order-independent integer sums): a compact
-	// pre-event window decodes into a fresh one, one sequential pass a
-	// shard; the rows counted theirs as they were edited.
+	// pre-event window is read in place, its IDs into the worker's buffer;
+	// the rows counted theirs as they were edited.
 	n := ng.N()
-	vicDiffs := parallel.Map(len(affVic), func(i int) int {
-		return diffWindows(s.Vicinity(affVic[i]), wins[i])
-	})
+	vicDiffs := parallel.MapScratch(len(affVic),
+		func() *[]graph.NodeID { return new([]graph.NodeID) },
+		func(ids *[]graph.NodeID, i int) int {
+			x := affVic[i]
+			*ids = s.AppendMembers((*ids)[:0], x)
+			if old := s.stored(x); old != nil {
+				return diffWindows(old, *ids, wins[i])
+			}
+			return diffWindows(inPlace{s.cs.pointed(x)}, *ids, wins[i])
+		})
 	for _, d := range vicDiffs {
 		if d > 0 {
 			stats.VicChanged++
@@ -423,8 +434,8 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 	stats.RowsTouched = rowIdx
 
 	c := &Snapshot{
-		g: ng, k: s.k, compact: s.compact,
-		store:     s.store,
+		g: ng, k: s.k,
+		wins: s.wins, parents: s.parents, cs: s.cs,
 		landmarks: s.landmarks, lmRow: s.lmRow,
 		maxRadius: s.maxRadius,
 		repaired:  true, stats: stats,
@@ -458,7 +469,7 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 
 // windowFields is a window as repair's exact tests read it, a field at a
 // time: a *vicinity.Window (overlaid, or in an exact store), or a compact
-// base window read in place (pointed), which decodes no column.
+// base window read in place (inPlace), which decodes no column.
 type windowFields interface {
 	Size() int
 	Radius() float64
@@ -468,14 +479,27 @@ type windowFields interface {
 	Find(w graph.NodeID) int
 }
 
+// inPlace is a compact base window as repair's tests take it: pointed, by
+// value. A type parameter's method call is opaque to escape analysis, so
+// a *pointed handed to a test would move to the heap, an allocation a
+// tested window; a copy per call stays on the stack.
+type inPlace struct{ p pointed }
+
+func (w inPlace) Size() int               { return w.p.Size() }
+func (w inPlace) Radius() float64         { return w.p.Radius() }
+func (w inPlace) ID(i int) graph.NodeID   { return w.p.ID(i) }
+func (w inPlace) Parent(i int) int        { return w.p.Parent(i) }
+func (w inPlace) Dist(i int) float64      { return w.p.Dist(i) }
+func (w inPlace) Find(v graph.NodeID) int { return w.p.Find(v) }
+
 // carriesTreeLink reports whether link f is a tree edge of V(x): both
 // endpoints members, one the other's parent. A compact base window is read
 // in place: two pointed probes, and two parent fields when both hit.
 func (s *Snapshot) carriesTreeLink(x graph.NodeID, f graph.EdgeKey) bool {
-	if cs, ok := s.store.(*compactStore); ok && s.ov.window(x) == nil {
-		return treeLink(cs.pointed(x), f)
+	if win := s.stored(x); win != nil {
+		return treeLink(win, f)
 	}
-	return treeLink(s.Vicinity(x), f)
+	return treeLink(inPlace{s.cs.pointed(x)}, f)
 }
 
 // treeLink is carriesTreeLink's test on the window.
@@ -622,10 +646,10 @@ func within(d, r float64) bool { return d <= r+r*sumSlack }
 // With neither endpoint a member, no route over the link stays within the
 // radius.
 func (s *Snapshot) restoreChanges(x graph.NodeID, r graph.WeightedLink) bool {
-	if cs, ok := s.store.(*compactStore); ok && s.ov.window(x) == nil {
-		return restoreChanges(cs.pointed(x), r)
+	if win := s.stored(x); win != nil {
+		return restoreChanges(win, r)
 	}
-	return restoreChanges(s.Vicinity(x), r)
+	return restoreChanges(inPlace{s.cs.pointed(x)}, r)
 }
 
 // restoreChanges is Snapshot.restoreChanges' test on the window.
@@ -686,47 +710,43 @@ type rowPatch struct {
 // would otherwise search balls sized for its worst past event.
 func (s *Snapshot) fold() *Snapshot {
 	f := &Snapshot{
-		g: s.g, k: s.k, compact: s.compact,
+		g: s.g, k: s.k,
 		landmarks: s.landmarks, lmRow: s.lmRow,
 		short:    s.short,
 		repaired: true, stats: s.stats,
 	}
 	f.stats.Folded = true
-	if s.compact {
-		cs := s.foldCompactWindows()
-		s.foldCompactForest(cs)
-		f.store = cs
+	if s.cs != nil {
+		f.cs = s.foldCompactWindows()
+		s.foldCompactForest(f.cs)
 	} else {
-		st := s.foldExactWindows()
-		s.foldExactForest(st)
-		f.store = st
+		f.wins, f.parents = s.foldExactWindows(), s.foldExactForest()
 	}
 	for v := range graph.NodeID(s.g.N()) {
-		_, r := f.store.windowMeta(v)
+		_, r := f.windowMeta(v)
 		f.maxRadius = max(f.maxRadius, r)
 	}
 	return f
 }
 
-// foldExactWindows packs the chain's logical windows into a fresh exact
-// store's shared columns (shortfall windows keep their reduced size).
-func (s *Snapshot) foldExactWindows() *exactStore {
-	n := s.g.N()
-	wins := make([]*vicinity.Window, n)
+// foldExactWindows packs the chain's logical windows into fresh shared
+// columns (shortfall windows keep their reduced size).
+func (s *Snapshot) foldExactWindows() []vicinity.Window {
+	wins := make([]*vicinity.Window, s.g.N())
 	for v := range wins {
 		wins[v] = s.Vicinity(graph.NodeID(v))
 	}
-	return &exactStore{n: n, wins: vicinity.Pack(wins)}
+	return vicinity.Pack(wins)
 }
 
-// foldExactForest copies the chain's forest rows into st's one flat array.
-func (s *Snapshot) foldExactForest(st *exactStore) {
+// foldExactForest copies the chain's forest rows into one flat array.
+func (s *Snapshot) foldExactForest() []graph.NodeID {
 	n := s.g.N()
-	st.parents = make([]graph.NodeID, len(s.landmarks)*n)
+	parents := make([]graph.NodeID, len(s.landmarks)*n)
 	parallel.Run(len(s.landmarks), func(row int) {
-		dst := st.parents[row*n : (row+1)*n]
-		copy(dst, s.forestRowInto(row, dst))
+		copy(parents[row*n:(row+1)*n], s.forestRow(row))
 	})
+	return parents
 }
 
 // CanonicalBytes serializes the snapshot's logical route state — every

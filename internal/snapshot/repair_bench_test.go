@@ -143,8 +143,8 @@ func BenchmarkChainFold(b *testing.B) {
 				cs := cur.foldCompactWindows()
 				forestSweep = func() { cur.foldCompactForest(cs) }
 			} else {
-				st := cur.foldExactWindows()
-				forestSweep = func() { cur.foldExactForest(st) }
+				_ = cur.foldExactWindows()
+				forestSweep = func() { _ = cur.foldExactForest() }
 			}
 			t1 := time.Now()
 			forestSweep()

@@ -47,5 +47,12 @@ func (s *Snapshot) Bytes() int64 {
 			}
 		}
 	}
-	return total + s.store.storeBytes()
+	if s.cs != nil {
+		return total + s.cs.storeBytes()
+	}
+	total += int64(len(s.wins))*windowBytes + int64(len(s.parents))*nodeBytes
+	for v := range s.wins {
+		total += s.wins[v].Bytes()
+	}
+	return total
 }

@@ -7,10 +7,10 @@
 // scratch buffers instead of private vicinity maps and tree caches.
 //
 // Storage is organized as a shard store (store.go): every vicinity window
-// and forest row is a shard, a shardStore holds one base generation of
+// and forest row is a shard, the base store holds one generation of
 // shards, and a Snapshot reads through its overlay table of repaired
-// shards (repair.go) down into that store. Two store implementations
-// exist behind one API:
+// shards (repair.go) down into that store. The base store is one of two
+// regimes, and every read tests which it holds:
 //
 //   - Exact (Build): every node's window in vicinity.Window's one layout —
 //     member IDs, parent indices, BFS levels (or float64 distances on a
@@ -44,6 +44,7 @@ package snapshot
 
 import (
 	"fmt"
+	"slices"
 
 	"disco/internal/graph"
 	"disco/internal/parallel"
@@ -56,11 +57,16 @@ import (
 // (nil on snapshots built from scratch), then fall through to the shard
 // store — the base generation shared across a repair chain.
 type Snapshot struct {
-	g       *graph.Graph
-	k       int  // vicinity size actually built (clamped to n)
-	compact bool // which store regime the snapshot was built in
+	g *graph.Graph
+	k int // vicinity size actually built (clamped to n)
 
-	store shardStore
+	// The base store, shared across a repair chain: the exact regime's
+	// columns (wins, every node's window carved from shared column
+	// arrays; parents, the landmark rows back to back, n each), or the
+	// compact regime's cs. Exactly one regime is set.
+	wins    []vicinity.Window
+	parents []graph.NodeID
+	cs      *compactStore
 
 	// ov is the repair overlay table: nil on snapshots built from scratch
 	// and on freshly folded chains, one slot per shard otherwise. All base
@@ -124,7 +130,7 @@ func build(g *graph.Graph, k int, landmarks []graph.NodeID, compact bool) (*Snap
 			return nil, fmt.Errorf("snapshot: graph has %d connected components; vicinities and landmark trees need a connected graph", comps)
 		}
 	}
-	s := &Snapshot{g: g, k: k, compact: compact, landmarks: landmarks, lmRow: make([]int32, n)}
+	s := &Snapshot{g: g, k: k, landmarks: landmarks, lmRow: make([]int32, n)}
 	for v := range s.lmRow {
 		s.lmRow[v] = -1
 	}
@@ -139,36 +145,34 @@ func build(g *graph.Graph, k int, landmarks []graph.NodeID, compact bool) (*Snap
 		if err := s.buildCompactForest(cs); err != nil {
 			return nil, err
 		}
-		s.store = cs
-	} else {
-		st := &exactStore{n: n}
-		if err := s.buildExactVicinities(st); err != nil {
-			return nil, err
-		}
-		if err := s.buildExactForest(st); err != nil {
-			return nil, err
-		}
-		s.store = st
+		s.cs = cs
+		return s, nil
+	}
+	if err := s.buildExactVicinities(); err != nil {
+		return nil, err
+	}
+	if err := s.buildExactForest(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// buildExactVicinities computes every node's window into the store: one
+// buildExactVicinities computes every node's window into s.wins: one
 // truncated search per node, laid into its own window (vicinity.Ball.Fill).
 // Shortfalls (a vicinity that could not settle k nodes) are collected per
 // task and reported after the sweep.
-func (s *Snapshot) buildExactVicinities(st *exactStore) error {
+func (s *Snapshot) buildExactVicinities() error {
 	n, k := s.g.N(), s.k
-	st.wins = vicinity.MakeWindows(s.g, n, k)
+	s.wins = vicinity.MakeWindows(s.g, n, k)
 	settled := make([]int32, n)
 	parallel.RunScratch(n,
 		func() *vicinity.Ball { return vicinity.NewBall(s.g) },
 		func(b *vicinity.Ball, v int) {
-			b.Fill(&st.wins[v], graph.NodeID(v), k)
-			settled[v] = int32(st.wins[v].Size())
+			b.Fill(&s.wins[v], graph.NodeID(v), k)
+			settled[v] = int32(s.wins[v].Size())
 		})
-	for v := range st.wins {
-		s.maxRadius = max(s.maxRadius, st.wins[v].Radius())
+	for v := range s.wins {
+		s.maxRadius = max(s.maxRadius, s.wins[v].Radius())
 	}
 	return firstShortfall(settled, k)
 }
@@ -176,12 +180,12 @@ func (s *Snapshot) buildExactVicinities(st *exactStore) error {
 // buildExactForest computes every landmark's shortest-path tree straight
 // into its parent row (graph.ParentRows: 64 trees to a shared sweep on a
 // unit-weight graph, one full Dijkstra per landmark on a weighted one).
-func (s *Snapshot) buildExactForest(st *exactStore) error {
+func (s *Snapshot) buildExactForest() error {
 	n := s.g.N()
-	st.parents = make([]graph.NodeID, len(s.landmarks)*n)
+	s.parents = make([]graph.NodeID, len(s.landmarks)*n)
 	rows := make([][]graph.NodeID, len(s.landmarks))
 	for row := range rows {
-		rows[row] = st.parents[row*n : (row+1)*n]
+		rows[row] = s.parents[row*n : (row+1)*n]
 	}
 	return forestShortfall(graph.ParentRows(s.g, s.landmarks, rows), s.landmarks, n)
 }
@@ -216,7 +220,7 @@ func (s *Snapshot) K() int { return s.k }
 func (s *Snapshot) Graph() *graph.Graph { return s.g }
 
 // Compact reports whether the snapshot uses the compact storage regime.
-func (s *Snapshot) Compact() bool { return s.compact }
+func (s *Snapshot) Compact() bool { return s.cs != nil }
 
 // Vicinity returns V(v). In the exact regime it is the stored window
 // (allocation-free, safe for concurrent readers); in the compact regime it
@@ -225,19 +229,30 @@ func (s *Snapshot) Compact() bool { return s.compact }
 // should prefer VicinityContains, and callers after the path to one member
 // AppendVicinityPath, which never materialize the window.
 func (s *Snapshot) Vicinity(v graph.NodeID) *vicinity.Window {
-	if win := s.ov.window(v); win != nil {
+	if win := s.stored(v); win != nil {
 		return win
 	}
-	return s.store.window(v)
+	return s.cs.window(v)
+}
+
+// stored returns V(v) where the snapshot holds it as a window — overlaid,
+// or in an exact base store — and nil where it is a compact base window,
+// which reads in place (compactStore.pointed).
+func (s *Snapshot) stored(v graph.NodeID) *vicinity.Window {
+	if win := s.ov.window(v); win != nil || s.cs != nil {
+		return win
+	}
+	return &s.wins[v]
 }
 
 // VicinityContains reports w ∈ V(v) without materializing the window in
 // either regime — the cheap probe where the common answer is "no".
 func (s *Snapshot) VicinityContains(v, w graph.NodeID) bool {
-	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
-		return cs.pointed(v).Find(w) >= 0
+	if win := s.stored(v); win != nil {
+		return win.Contains(w)
 	}
-	return s.Vicinity(v).Contains(w)
+	p := s.cs.pointed(v)
+	return p.Find(w) >= 0
 }
 
 // AppendVicinityPath appends V(v)'s tree path v ⇝ w to dst when w is a
@@ -247,16 +262,15 @@ func (s *Snapshot) VicinityContains(v, w graph.NodeID) bool {
 // field and one ID select a hop, so the call decodes no window in either
 // regime and allocates nothing beyond dst's growth.
 func (s *Snapshot) AppendVicinityPath(dst []graph.NodeID, v, w graph.NodeID) ([]graph.NodeID, bool) {
-	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
-		p := cs.pointed(v)
-		if i := p.Find(w); i >= 0 {
-			return p.AppendPath(dst, i), true
+	if win := s.stored(v); win != nil {
+		if i := win.Find(w); i >= 0 {
+			return win.AppendPath(dst, i), true
 		}
 		return dst, false
 	}
-	win := s.Vicinity(v)
-	if i := win.Find(w); i >= 0 {
-		return win.AppendPath(dst, i), true
+	p := s.cs.pointed(v)
+	if i := p.Find(w); i >= 0 {
+		return p.AppendPath(dst, i), true
 	}
 	return dst, false
 }
@@ -264,16 +278,15 @@ func (s *Snapshot) AppendVicinityPath(dst []graph.NodeID, v, w graph.NodeID) ([]
 // VicinityDist returns w's distance from v when w is a member of V(v): the
 // probe AppendVicinityPath makes, then one distance field, decoding nothing.
 func (s *Snapshot) VicinityDist(v, w graph.NodeID) (float64, bool) {
-	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
-		p := cs.pointed(v)
-		if i := p.Find(w); i >= 0 {
-			return p.Dist(i), true
+	if win := s.stored(v); win != nil {
+		if i := win.Find(w); i >= 0 {
+			return win.Dist(i), true
 		}
 		return 0, false
 	}
-	win := s.Vicinity(v)
-	if i := win.Find(w); i >= 0 {
-		return win.Dist(i), true
+	p := s.cs.pointed(v)
+	if i := p.Find(w); i >= 0 {
+		return p.Dist(i), true
 	}
 	return 0, false
 }
@@ -285,34 +298,35 @@ func (s *Snapshot) VicinityDist(v, w graph.NodeID) (float64, bool) {
 // call decodes no window in either regime and allocates nothing beyond
 // dst's growth.
 func (s *Snapshot) AppendMembers(dst []graph.NodeID, v graph.NodeID) []graph.NodeID {
-	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
-		p := cs.pointed(v)
-		return p.appendIDs(dst)
+	if win := s.stored(v); win != nil {
+		dst = slices.Grow(dst, win.Size())
+		for i := range win.Size() {
+			dst = append(dst, win.ID(i))
+		}
+		return dst
 	}
-	win := s.Vicinity(v)
-	for i := range win.Size() {
-		dst = append(dst, win.ID(i))
-	}
-	return dst
+	p := s.cs.pointed(v)
+	return p.appendIDs(dst)
 }
 
 // MemberDist returns the distance from v of V(v)'s member i, in the order
 // AppendMembers appends them: one field, decoding nothing.
 func (s *Snapshot) MemberDist(v graph.NodeID, i int) float64 {
-	if cs, ok := s.store.(*compactStore); ok && s.ov.window(v) == nil {
-		return cs.pointed(v).Dist(i)
+	if win := s.stored(v); win != nil {
+		return win.Dist(i)
 	}
-	return s.Vicinity(v).Dist(i)
+	p := s.cs.pointed(v)
+	return p.Dist(i)
 }
 
 // windowMeta returns V(v)'s member count and radius without materializing
 // the window in either regime — what the recovery pipeline's per-candidate
 // probes run on. The radius is exactly Vicinity(v).Radius().
 func (s *Snapshot) windowMeta(v graph.NodeID) (size int, radius float64) {
-	if win := s.ov.window(v); win != nil {
+	if win := s.stored(v); win != nil {
 		return win.Size(), win.Radius()
 	}
-	return s.store.windowMeta(v)
+	return s.cs.windowLen(v), s.cs.radii[v]
 }
 
 // row returns root's forest row; root must be a landmark.
@@ -334,7 +348,7 @@ func (s *Snapshot) parentAt(row int, v graph.NodeID) graph.NodeID {
 			return p
 		}
 	}
-	return s.store.rowParent(row, v)
+	return s.baseParent(row, v)
 }
 
 // Row is one landmark's shortest-path tree as a read-only view of its
@@ -344,7 +358,7 @@ type Row struct{ parents []graph.NodeID }
 
 // Parent returns v's predecessor on the row's tree: graph.None for the
 // root, and on a repaired snapshot for a node the failures cut off from
-// it (as Snapshot.Parent).
+// it (Reaches tells the two apart).
 func (r Row) Parent(v graph.NodeID) graph.NodeID { return r.parents[v] }
 
 // ForestRow returns root's shortest-path tree as a Row: the stored row
@@ -352,44 +366,28 @@ func (r Row) Parent(v graph.NodeID) graph.NodeID { return r.parents[v] }
 // keep rows flat, and in the compact regime a fresh row decoded in one
 // sequential pass over the bit stream — an overlaid row as its base row
 // with the overlay's patches written over it. Callers reading many fields
-// hold on to the Row, each read one index; single-field reads go through
-// Parent. root must be a landmark.
+// hold on to the Row, each read one index; a walk to the root goes
+// through AppendPathFrom. root must be a landmark.
 func (s *Snapshot) ForestRow(root graph.NodeID) Row {
 	return Row{s.forestRow(s.row(root))}
 }
 
-// forestRow is ForestRow by row index, as the flat row itself.
-func (s *Snapshot) forestRow(row int) []graph.NodeID { return s.forestRowInto(row, nil) }
-
-// forestRowInto is forestRow materializing into buf, the caller's n-length
-// row (nil for a fresh one): a compact base row decodes into it, and an
-// overlaid compact row is its base row, copied in, with the patches
-// applied. The result is buf, or an exact row shared by reference.
-func (s *Snapshot) forestRowInto(row int, buf []graph.NodeID) []graph.NodeID {
+// forestRow is ForestRow by row index, as the flat row itself: an exact
+// row shared by reference, or a compact base row decoded into a fresh row,
+// an overlaid compact row with the patches applied there.
+func (s *Snapshot) forestRow(row int) []graph.NodeID {
 	sr := s.ov.row(row)
-	if sr == nil {
-		return s.store.decodeRow(row, buf)
-	}
-	if sr.flat != nil {
+	if sr != nil && sr.flat != nil {
 		return sr.flat
 	}
-	if buf == nil {
-		buf = make([]graph.NodeID, s.g.N())
+	if s.cs == nil {
+		return s.exactRow(row)
 	}
-	copy(buf, s.store.decodeRow(row, buf))
-	sr.apply(buf)
-	return buf
-}
-
-// Parent returns v's predecessor on root's shortest-path tree
-// (graph.None for the root itself) — the data plane's first hop from v
-// toward root; root must be a landmark. On a repaired snapshot, None is
-// also returned when the failures disconnected v from root (Reaches
-// distinguishes the two).
-//
-//disco:fixture core's hop-by-hop oracle reads each node's landmark first hop
-func (s *Snapshot) Parent(root, v graph.NodeID) graph.NodeID {
-	return s.parentAt(s.row(root), v)
+	prow := s.cs.decodeRow(row)
+	if sr != nil {
+		sr.apply(prow)
+	}
+	return prow
 }
 
 // Reaches reports whether root's shortest-path tree still reaches v. On a

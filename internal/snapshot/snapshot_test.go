@@ -161,7 +161,7 @@ func compareRegimes(t *testing.T, exact, compact *Snapshot) {
 
 	for _, lm := range exact.landmarks {
 		for v := 0; v < n; v++ {
-			if gp, wp := compact.Parent(lm, graph.NodeID(v)), exact.Parent(lm, graph.NodeID(v)); gp != wp {
+			if gp, wp := compact.parentAt(compact.row(lm), graph.NodeID(v)), exact.parentAt(exact.row(lm), graph.NodeID(v)); gp != wp {
 				t.Fatalf("Parent(%d,%d): got %d want %d", lm, v, gp, wp)
 			}
 		}
@@ -220,7 +220,7 @@ func TestBuildSingleNode(t *testing.T) {
 		if set.Size() != 1 || set.ID(0) != 0 || set.Parent(0) != -1 || set.Dist(0) != 0 {
 			t.Fatalf("compact=%v: vicinity of the only node wrong", compact)
 		}
-		if p := s.Parent(0, 0); p != graph.None {
+		if p := s.parentAt(s.row(0), 0); p != graph.None {
 			t.Fatalf("compact=%v: root parent = %d, want None", compact, p)
 		}
 	}

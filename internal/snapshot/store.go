@@ -2,15 +2,17 @@
 // unit of route state the repair pipeline, the fold threshold, and the
 // forwarding tables' invalidation already reason about — one vicinity
 // window per node, one forest parent row per landmark — is a *shard*, and
-// a shardStore is the thing that holds one full generation of shards in
-// some physical layout. Two implementations exist: exactStore (every
-// window in vicinity.Window's one layout) and compactStore (bit-packed
-// blobs, see compact.go).
+// a Snapshot's base store holds one full generation of shards in its
+// regime's layout: the exact columns (Snapshot.wins and Snapshot.parents,
+// every window in vicinity.Window's one layout and the forest as flat
+// parent rows) or a compactStore (bit-packed blobs, see compact.go).
+// Exactly one is set, and a read tests which; nothing stands between the
+// two but that test.
 //
 // A Snapshot is then always the same sandwich regardless of regime:
 //
 //	reads -> overlay table (the repaired shards this snapshot sees)
-//	      -> shardStore    (the shared base generation)
+//	      -> base store    (the shared base generation)
 //
 // The overlay is one flat copy-on-write table per repaired snapshot: a slot
 // per shard, nil meaning "read the base store", so a read is an index and
@@ -38,60 +40,18 @@ import (
 	"disco/internal/vicinity"
 )
 
-// shardStore is one generation of base route state addressed by shard:
-// vicinity windows keyed by owner node, forest rows keyed by row index.
-// Implementations are immutable after construction and safe for
-// concurrent readers; everything a store returns is shared and read-only.
-type shardStore interface {
-	// window returns V(v) — the stored window where the layout holds it
-	// (exact), decoded into a fresh window where it does not (compact).
-	window(v graph.NodeID) *vicinity.Window
-	// windowMeta returns V(v)'s member count and radius — exactly what
-	// window(v) would report — without materializing the window. The
-	// recovery probe loop rides on this.
-	windowMeta(v graph.NodeID) (size int, radius float64)
-	// rowParent reads one parent field of forest row `row`.
-	rowParent(row int, v graph.NodeID) graph.NodeID
-	// decodeRow returns row `row` as a flat n-length parent array — shared
-	// where the layout stores it that way (exact), decoded in one
-	// sequential pass into buf otherwise (compact: buf is the caller's
-	// n-length row, or nil for a fresh one).
-	decodeRow(row int, buf []graph.NodeID) []graph.NodeID
-	// storeBytes is the store's backing footprint for Snapshot.Bytes.
-	storeBytes() int64
+// exactRow returns forest row `row` of an exact base store, shared.
+func (s *Snapshot) exactRow(row int) []graph.NodeID {
+	n := s.g.N()
+	return s.parents[row*n : (row+1)*n : (row+1)*n]
 }
 
-// exactStore is the exact regime's shard store: every node's window in the
-// one vicinity.Window layout, carved from shared column arrays, and the
-// landmark trees as flat parent rows. Reads allocate nothing.
-type exactStore struct {
-	n       int
-	wins    []vicinity.Window
-	parents []graph.NodeID
-}
-
-func (st *exactStore) window(v graph.NodeID) *vicinity.Window {
-	return &st.wins[v]
-}
-
-func (st *exactStore) windowMeta(v graph.NodeID) (int, float64) {
-	return st.wins[v].Size(), st.wins[v].Radius()
-}
-
-func (st *exactStore) rowParent(row int, v graph.NodeID) graph.NodeID {
-	return st.parents[row*st.n+int(v)]
-}
-
-func (st *exactStore) decodeRow(row int, _ []graph.NodeID) []graph.NodeID {
-	return st.parents[row*st.n : (row+1)*st.n : (row+1)*st.n]
-}
-
-func (st *exactStore) storeBytes() int64 {
-	total := int64(len(st.wins))*windowBytes + int64(len(st.parents))*nodeBytes
-	for v := range st.wins {
-		total += st.wins[v].Bytes()
+// baseParent reads v's parent in forest row `row` of the base store.
+func (s *Snapshot) baseParent(row int, v graph.NodeID) graph.NodeID {
+	if s.cs != nil {
+		return s.cs.rowParent(row, v)
 	}
-	return total
+	return s.parents[row*s.g.N()+int(v)]
 }
 
 // overlay is a repaired snapshot's shard table: vic[v] is node v's
