@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"disco/internal/dynamics"
 	"disco/internal/graph"
 	"disco/internal/metrics"
 	"disco/internal/names"
@@ -238,39 +237,6 @@ func TestWalkToDestinationOptimal(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestJoinPaths(t *testing.T) {
-	p := dynamics.JoinPaths([]graph.NodeID{1, 2, 3}, []graph.NodeID{3, 4})
-	want := []graph.NodeID{1, 2, 3, 4}
-	if len(p) != len(want) {
-		t.Fatalf("join %v", p)
-	}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("join %v want %v", p, want)
-		}
-	}
-	// Backtrack collapse: 1,2,3 + 3,2,5 -> 1,2,5
-	p = dynamics.JoinPaths([]graph.NodeID{1, 2, 3}, []graph.NodeID{3, 2, 5})
-	want = []graph.NodeID{1, 2, 5}
-	if len(p) != len(want) {
-		t.Fatalf("backtrack join %v", p)
-	}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("backtrack join %v want %v", p, want)
-		}
-	}
-}
-
-func TestJoinPathsPanicsOnGap(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	dynamics.JoinPaths([]graph.NodeID{1, 2}, []graph.NodeID{3, 4})
 }
 
 func TestDiscoFindGroupMember(t *testing.T) {

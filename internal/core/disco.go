@@ -30,10 +30,10 @@ type Disco struct {
 	fallbacks int          // count of lookups that needed the landmark DB
 	misses    int          // count of lookups where even the group had no address
 
-	// members is the group-member search's scratch, V(s)'s IDs: each fork
-	// owns its own, grown to steady state on use, as NDDisco's route
-	// buffers are.
-	members []graph.NodeID
+	// The first packet's scratch, grown to steady state on use as
+	// NDDisco's route buffers are: the group-member search's V(s) IDs, and
+	// the holder's route a first packet joins behind s ⇝ holder.
+	members, rest []graph.NodeID
 }
 
 // DiscoOption customizes NewDisco.
@@ -165,34 +165,46 @@ func (d *Disco) findGroupMember(s, t graph.NodeID) graph.NodeID {
 // (the topology must be connected); on failed topologies use
 // RepairedFirstRoute.
 func (d *Disco) FirstRoute(s, t graph.NodeID, sc Shortcut) []graph.NodeID {
-	return dynamics.MustDeliver(d.firstRoute(s, t, sc))
+	return dynamics.MustDeliver(d.ND.owned(d.appendFirst(d.ND.out[:0], s, t, sc)))
 }
 
 // RepairedFirstRoute is FirstRoute under To-Destination shortcutting with
 // ok=false when neither the group member path nor the resolution owner
-// can reach t on the (repaired) snapshot.
+// can reach t on the (repaired) snapshot: AppendRoute's first packet as a
+// fresh copy the caller owns.
 func (d *Disco) RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
-	return d.firstRoute(s, t, ShortcutToDestination)
+	return d.ND.owned(d.AppendRoute(d.ND.out[:0], s, t, false))
 }
 
-// firstRoute is the name-independent first packet (§4.4), composed on
+// AppendRoute is the dynamics.Router call: it appends the repaired route
+// s ⇝ t under To-Destination shortcutting to dst. A later packet is
+// NDDisco's; a first packet resolves t's name on the way. With dst and the
+// fork's scratch at steady-state capacity, a call performs no heap
+// allocation. On ok=false dst is returned unextended.
+func (d *Disco) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) ([]graph.NodeID, bool) {
+	if later {
+		return d.ND.AppendRoute(dst, s, t, true)
+	}
+	return d.appendFirst(dst, s, t, ShortcutToDestination)
+}
+
+// appendFirst is the name-independent first packet (§4.4), composed on
 // NDDisco's route: when s cannot address t itself, the packet travels to
 // the node that can — the group member w in s's vicinity, else the
 // resolution owner — which forwards it as an NDDisco source (its own
 // direct cases and shortcut walk), and then s's walk runs over the joined
 // route. The holder forwards along t's address only, so the reverse-route
 // heuristic (which needs s's address at t) does not apply on its leg.
-func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool) {
+func (d *Disco) appendFirst(dst []graph.NodeID, s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool) {
 	nd := d.ND
 	snap := nd.snapshot()
 	if d.Env().IsLM[t] || snap.VicinityContains(s, t) || d.HasAddress(s, t) {
-		return nd.route(s, t, sc, false)
+		return nd.appendRoute(dst, s, t, sc, false)
 	}
-	var buf [16]graph.NodeID // the head s ⇝ holder, which JoinPaths copies out
-	var head []graph.NodeID
+	base := len(dst)
 	holder := d.findGroupMember(s, t)
 	if holder != graph.None && d.HasAddress(holder, t) {
-		head, _ = snap.AppendVicinityPath(buf[:0], s, holder)
+		dst, _ = snap.AppendVicinityPath(dst, s, holder)
 	} else {
 		// Resolution fallback: the owning landmark answers the query and
 		// forwards — both legs must survive any failures.
@@ -200,15 +212,16 @@ func (d *Disco) firstRoute(s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool
 		d.misses++
 		holder = d.DB.OwnerOf(d.Env().HashOf(t))
 		if !snap.Reaches(holder, s) {
-			return nil, false
+			return dst, false
 		}
-		head = snap.AppendPathFrom(buf[:0], holder, s)
+		dst = snap.AppendPathFrom(dst, holder, s)
 	}
-	rest, ok := nd.route(holder, t, sc.withoutReverse(), false)
+	rest, ok := nd.appendRoute(d.rest[:0], holder, t, sc.withoutReverse(), false)
+	d.rest = rest[:0]
 	if !ok {
-		return nil, false
+		return dst[:base], false
 	}
-	return nd.walk(dynamics.JoinPaths(head, rest), 0, t, sc), true
+	return nd.walk(dynamics.AppendJoin(dst, base, rest), base, t, sc), true
 }
 
 // LaterRoute returns the route after the first packet: s has learned t's
@@ -218,8 +231,8 @@ func (d *Disco) LaterRoute(s, t graph.NodeID, sc Shortcut) []graph.NodeID {
 	return d.ND.LaterRoute(s, t, sc)
 }
 
-// RepairedLaterRoute is the ok-returning LaterRoute — which is what
-// completes dynamics.Router for the Disco view.
+// RepairedLaterRoute is the ok-returning LaterRoute: NDDisco's, as a fresh
+// copy the caller owns.
 func (d *Disco) RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
 	return d.ND.RepairedLaterRoute(s, t)
 }

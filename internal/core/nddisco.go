@@ -47,7 +47,7 @@ type NDDisco struct {
 	dest *pathtree.Lazy // per-fork scratch for destination-rooted queries
 
 	// The walk's scratch: the forest descent t ⇝ landmark, the backing
-	// buffer the dynamics.Router methods copy their routes out of, and Up-Down
+	// buffer the owned-route methods copy their routes out of, and Up-Down
 	// Stream's segment lengths and the route tail a splice sets aside.
 	chain, out, tail []graph.NodeID
 	segLen           []float64
@@ -178,30 +178,34 @@ func (r *NDDisco) RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
 	return r.route(s, t, ShortcutToDestination, true)
 }
 
-// AppendRoute appends the repaired route s ⇝ t under To-Destination
-// shortcutting to dst and reports deliverability — the allocation-free
-// form of RepairedFirstRoute (later=false) and RepairedLaterRoute: with
-// dst and the fork's scratch at steady-state capacity, a call on an exact
-// snapshot performs no heap allocation. On ok=false dst is returned
-// unextended.
+// AppendRoute is the dynamics.Router call: it appends the repaired route
+// s ⇝ t under To-Destination shortcutting to dst and reports
+// deliverability, the allocation-free form of RepairedFirstRoute
+// (later=false) and RepairedLaterRoute. With dst and the fork's scratch at
+// steady-state capacity, a call performs no heap allocation. On ok=false
+// dst is returned unextended.
 func (r *NDDisco) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) ([]graph.NodeID, bool) {
 	return r.appendRoute(dst, s, t, ShortcutToDestination, later)
 }
 
 var (
-	_ dynamics.AppendRouter = (*NDDisco)(nil)
-	_ dynamics.Router       = (*Disco)(nil)
+	_ dynamics.Router = (*NDDisco)(nil)
+	_ dynamics.Router = (*Disco)(nil)
 )
 
-// route is appendRoute into the fork's backing buffer, returned as a fresh
-// copy the caller owns.
+// route is appendRoute as a fresh copy the caller owns.
 func (r *NDDisco) route(s, t graph.NodeID, sc Shortcut, later bool) ([]graph.NodeID, bool) {
-	out, ok := r.appendRoute(r.out[:0], s, t, sc, later)
-	r.out = out[:0]
+	return r.owned(r.appendRoute(r.out[:0], s, t, sc, later))
+}
+
+// owned returns a route appended behind r.out[:0] as a fresh copy the
+// caller owns, and keeps its storage as the fork's backing buffer.
+func (r *NDDisco) owned(route []graph.NodeID, ok bool) ([]graph.NodeID, bool) {
+	r.out = route[:0]
 	if !ok {
 		return nil, false
 	}
-	return slices.Clone(out), true
+	return slices.Clone(route), true
 }
 
 // appendRoute is NDDisco's forwarding rule (§4.2), defined once over the
@@ -254,10 +258,8 @@ func (r *NDDisco) appendRoute(dst []graph.NodeID, s, t graph.NodeID, sc Shortcut
 // appendLeg appends the landmark leg s ⇝ lm ⇝ t over lm's shortest-path
 // tree, walked under sc, to dst — or reports false, dst unextended, when
 // lm (None for a component that lost every landmark) does not reach both
-// ends. The leg is dynamics.JoinPaths(s ⇝ lm, lm ⇝ t) on the tree: the
-// up-chain from s, then the up-chain from t reversed, with the joint node
-// deduplicated and immediate backtracks across it collapsed
-// (…x,lm,x… → …x…).
+// ends. The leg joins two paths on the tree: the up-chain from s, then the
+// up-chain from t reversed (dynamics.AppendJoin).
 func (r *NDDisco) appendLeg(dst []graph.NodeID, lm, s, t graph.NodeID, sc Shortcut) ([]graph.NodeID, bool) {
 	snap := r.snap
 	if lm == graph.None || !snap.Reaches(lm, s) || !snap.Reaches(lm, t) {
@@ -266,15 +268,8 @@ func (r *NDDisco) appendLeg(dst []graph.NodeID, lm, s, t graph.NodeID, sc Shortc
 	base := len(dst)
 	dst = snap.AppendPathFrom(dst, lm, s)
 	r.chain = snap.AppendPathFrom(r.chain[:0], lm, t)
-	for k := len(r.chain) - 2; k >= 0; k-- {
-		v := r.chain[k]
-		if len(dst)-base >= 2 && dst[len(dst)-2] == v {
-			dst = dst[:len(dst)-1]
-			continue
-		}
-		dst = append(dst, v)
-	}
-	return r.walk(dst, base, t, sc), true
+	slices.Reverse(r.chain)
+	return r.walk(dynamics.AppendJoin(dst, base, r.chain), base, t, sc), true
 }
 
 // rehomeLandmark returns the landmark the control plane homes t to: t's

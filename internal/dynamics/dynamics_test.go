@@ -3,6 +3,7 @@ package dynamics
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"disco/internal/graph"
@@ -129,15 +130,35 @@ func TestTimelineDownDefensiveCopy(t *testing.T) {
 	}
 }
 
+// TestTimelineRejectsUnknownLink: Fail answers a link the base topology
+// does not hold, an endpoint outside [0, n) included, with an error, and
+// never panics; the timeline is left as it was.
 func TestTimelineRejectsUnknownLink(t *testing.T) {
-	_, base := buildBase(t, 96, 5)
+	const n = 16
+	g := topology.Ring(n)
+	env := static.NewEnv(g, 1)
+	base, err := snapshot.Build(g, vicinity.DefaultK(n), env.Landmarks)
+	if err != nil {
+		t.Fatalf("snapshot build: %v", err)
+	}
 	tl := NewTimeline(base)
-	if _, err := tl.Fail([]graph.EdgeKey{{U: 0, V: graph.NodeID(95)}}); err == nil {
-		// (node 0 adjacent to 95 is possible but vanishingly unlikely at
-		// avg degree 8; tolerate by checking a guaranteed-missing self pair)
-		if _, err := tl.Fail([]graph.EdgeKey{{U: 1, V: 1}}); err == nil {
-			t.Fatal("failing an invalid link must error")
-		}
+	for _, link := range []graph.EdgeKey{
+		{U: 0, V: 8}, {U: 1, V: 1}, {U: -1, V: 3}, {U: 3, V: -1},
+		{U: 16, V: 17}, {U: 3, V: 40}, {U: 40, V: 3}, {U: 15, V: 16},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Fail(%v) panicked: %v", link, r)
+				}
+			}()
+			if _, err := tl.Fail([]graph.EdgeKey{link}); err == nil {
+				t.Errorf("Fail(%v) on a 16-node ring: no error", link)
+			}
+		}()
+	}
+	if tl.DownCount() != 0 || tl.Snapshot() != base {
+		t.Fatalf("rejected links changed the timeline: %d down", tl.DownCount())
 	}
 }
 
@@ -151,5 +172,45 @@ func TestMessageModel(t *testing.T) {
 	}
 	if m.Messages(nil) != 0 {
 		t.Fatal("nil stats must price to 0")
+	}
+}
+
+// TestAppendJoin pins the one join rule every composed route is laid by:
+// the joint node is dropped, an immediate backtrack across it collapses,
+// and nothing below base is read or trimmed.
+func TestAppendJoin(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		dst     []graph.NodeID
+		base    int
+		p, want []graph.NodeID
+	}{
+		{"joint dropped", []graph.NodeID{1, 2, 3}, 0, []graph.NodeID{3, 4}, []graph.NodeID{1, 2, 3, 4}},
+		{"backtrack collapses", []graph.NodeID{1, 2, 3}, 0, []graph.NodeID{3, 2, 5}, []graph.NodeID{1, 2, 5}},
+		{"one-node segments", []graph.NodeID{7}, 0, []graph.NodeID{7}, []graph.NodeID{7}},
+		{"behind a prefix", []graph.NodeID{9, 2, 1, 2}, 2, []graph.NodeID{2, 1, 6}, []graph.NodeID{9, 2, 1, 6}},
+		{"no trim below base", []graph.NodeID{9, 2, 3}, 2, []graph.NodeID{3, 2, 5}, []graph.NodeID{9, 2, 3, 2, 5}},
+	} {
+		if got := AppendJoin(slices.Clone(tc.dst), tc.base, tc.p); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: AppendJoin(%v, %d, %v) = %v, want %v", tc.name, tc.dst, tc.base, tc.p, got, tc.want)
+		}
+	}
+}
+
+// TestAppendJoinPanicsOnGap: segments that do not meet, or an empty first
+// segment, are a caller bug.
+func TestAppendJoinPanicsOnGap(t *testing.T) {
+	for _, tc := range []struct {
+		dst  []graph.NodeID
+		base int
+	}{{[]graph.NodeID{1, 2}, 0}, {[]graph.NodeID{3}, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AppendJoin(%v, %d, [3 4]) did not panic", tc.dst, tc.base)
+				}
+			}()
+			AppendJoin(tc.dst, tc.base, []graph.NodeID{3, 4})
+		}()
 	}
 }

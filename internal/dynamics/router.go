@@ -8,9 +8,9 @@
 // The package deliberately knows nothing about individual protocols:
 // core.NDDisco, core.Disco and s4.S4 satisfy Router structurally (any
 // fork over any snapshot), and the experiment harness (internal/eval)
-// assembles the legs. That is what lets the timeline engine, the failures
-// experiment and the churn experiments share one routing path instead of
-// special-casing three protocols each.
+// pairs each with a packet phase. That is what lets the timeline engine,
+// the failures experiment, the churn experiments and the serve plane share
+// one routing call instead of special-casing three protocols each.
 package dynamics
 
 import (
@@ -22,60 +22,34 @@ import (
 // Router is the protocol-agnostic repaired-routing interface: a routing
 // view over a (possibly repaired) snapshot that forwards on post-event
 // state only and reports undeliverable destinations as ok=false instead of
-// panicking. core.NDDisco, core.Disco and s4.S4 all implement it; their
-// must-deliver FirstRoute/LaterRoute wrap the same routes with MustDeliver.
+// panicking. core.NDDisco, core.Disco, s4.S4 and forward.Router all
+// implement it; their must-deliver FirstRoute/LaterRoute wrap the same
+// routes with MustDeliver.
 type Router interface {
-	// RepairedFirstRoute routes a flow's first packet s ⇝ t (resolution
-	// detours included) on the repaired data plane.
-	RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool)
-	// RepairedLaterRoute routes packets after the handshake.
-	RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool)
-}
-
-// AppendRouter is the optional allocation-free extension of Router: a
-// view that can append the route into a caller-supplied buffer instead of
-// returning a fresh slice. The serve plane's probe path upgrades to it
-// when the installed fork provides it (core.NDDisco and forward.Router
-// do); dst is only appended to, and on ok=false it comes back unextended.
-type AppendRouter interface {
-	Router
+	// AppendRoute appends the route s ⇝ t to dst and reports
+	// deliverability: a first packet (later=false) resolves t's name on
+	// the way, a later one carries t's address from the handshake. dst is
+	// only appended to, and on ok=false it comes back unextended.
 	AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) ([]graph.NodeID, bool)
 }
 
-// Leg is one (router, packet phase) column of a dynamics table — the unit
-// the failures and churn-timeline experiments iterate over instead of
-// hard-coding protocols.
-type Leg struct {
-	Name  string
-	R     Router
-	Later bool
-}
-
-// Route routes one pair over the leg.
-func (l Leg) Route(s, t graph.NodeID) ([]graph.NodeID, bool) {
-	if l.Later {
-		return l.R.RepairedLaterRoute(s, t)
+// AppendJoin lays a composed route: dst[base:] is a ⇝ b, and p is b ⇝ c.
+// It appends p behind dst without the joint node, trimming any immediate
+// backtrack across the joint (…x,b,x… → …x…), which arises when p starts
+// back along dst[base:]; no trim reaches below base. Segments that do not
+// meet are a caller bug and panic.
+func AppendJoin(dst []graph.NodeID, base int, p []graph.NodeID) []graph.NodeID {
+	if len(dst) == base || dst[len(dst)-1] != p[0] {
+		panic(fmt.Sprintf("dynamics: AppendJoin segments do not meet: %v vs %d", dst[base:], p[0]))
 	}
-	return l.R.RepairedFirstRoute(s, t)
-}
-
-// JoinPaths concatenates a⇝b and b⇝c into a fresh slice, deduplicating
-// the joint node and trimming any immediate backtrack across the joint
-// (…x,b,x… → …x…), which arises when the second segment starts back along
-// the first. Segments that do not meet are a caller bug and panic.
-func JoinPaths(p1, p2 []graph.NodeID) []graph.NodeID {
-	if p1[len(p1)-1] != p2[0] {
-		panic(fmt.Sprintf("dynamics: JoinPaths segments do not meet: %d vs %d", p1[len(p1)-1], p2[0]))
-	}
-	out := append(make([]graph.NodeID, 0, len(p1)+len(p2)-1), p1...)
-	for _, v := range p2[1:] {
-		if len(out) >= 2 && out[len(out)-2] == v {
-			out = out[:len(out)-1] // backtrack x,b,x collapses to x
+	for _, v := range p[1:] {
+		if len(dst)-base >= 2 && dst[len(dst)-2] == v {
+			dst = dst[:len(dst)-1] // backtrack x,b,x collapses to x
 			continue
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	return out
+	return dst
 }
 
 // MustDeliver unwraps a route computed on a topology known to be
@@ -83,7 +57,7 @@ func JoinPaths(p1, p2 []graph.NodeID) []graph.NodeID {
 // entry point called on a partitioned snapshot) and therefore panics.
 func MustDeliver(p []graph.NodeID, ok bool) []graph.NodeID {
 	if !ok {
-		panic("dynamics: no route on a must-deliver call: use RepairedFirstRoute/RepairedLaterRoute on failed topologies")
+		panic("dynamics: no route on a must-deliver call: route failed topologies through AppendRoute")
 	}
 	return p
 }

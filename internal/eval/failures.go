@@ -296,14 +296,15 @@ var legNames = [numLegs]string{"D-f", "ND-f", "ND-l", "S4-f", "S4-l"}
 // on the worker pool: one column per dynamics leg, stretch against shortest
 // paths on the failed topology. The same sweep serves the failures family,
 // the churn timeline and the serve storm's probe — protocols appear only as
-// dynamics.Leg entries.
+// the planes' (dynamics.Router, packet phase) legs.
 func routeFailurePairs(p *Protocols, rep *snapshot.Snapshot, ps []metrics.Pair) *pairSweep[*planes] {
 	fg := rep.Graph()
 	cols := make([]column[*planes], numLegs)
 	for leg := range cols {
 		cols[leg] = func(pl *planes, s, t graph.NodeID) (float64, bool) {
-			route, ok := pl.legs[leg].Route(s, t)
-			return fg.PathLength(route), ok
+			var ok bool
+			pl.buf, ok = pl.legs[leg].r.AppendRoute(pl.buf[:0], s, t, pl.legs[leg].later)
+			return fg.PathLength(pl.buf), ok
 		}
 	}
 	return sweepPairs(ps, p.forkRepaired(rep), planesDist, cols...)

@@ -84,9 +84,9 @@ func TestRepairedRoutingValidity(t *testing.T) {
 		check("ND-later", s, tt, r, ok)
 		r, ok = d.RepairedFirstRoute(s, tt)
 		check("Disco-first", s, tt, r, ok)
-		r, ok = s4f.RepairedFirstRoute(s, tt)
+		r, ok = s4f.AppendRoute(nil, s, tt, false)
 		check("S4-first", s, tt, r, ok)
-		r, ok = s4f.RepairedLaterRoute(s, tt)
+		r, ok = s4f.AppendRoute(nil, s, tt, true)
 		check("S4-later", s, tt, r, ok)
 		if ok != connected {
 			t.Fatalf("S4-later: delivery=%v connected=%v for %d->%d (cluster flooding must fill the component)", ok, connected, s, tt)
@@ -109,10 +109,10 @@ func TestFailureScenariosFormat(t *testing.T) {
 	}
 }
 
-// TestRepairedRoutesReportPartition pins the ok-returning wrappers of the
-// one routing core: on a snapshot that isolates a node, every protocol's
-// RepairedFirstRoute/RepairedLaterRoute reports ok=false in both
-// directions — never the must-deliver panic of FirstRoute/LaterRoute.
+// TestRepairedRoutesReportPartition pins the ok-returning route call of
+// the one routing core: on a snapshot that isolates a node, every
+// protocol's AppendRoute reports ok=false in both directions and appends
+// nothing — never the must-deliver panic of FirstRoute/LaterRoute.
 func TestRepairedRoutesReportPartition(t *testing.T) {
 	p := Config{}.BuildProtocols(TopoGnm, 128, 5)
 	g := p.Env.G
@@ -130,17 +130,21 @@ func TestRepairedRoutesReportPartition(t *testing.T) {
 	}
 	d, s4f := p.Disco.ForkRepaired(rep), p.S4.ForkRepaired(rep, nil)
 	other := (victim + 1) % graph.NodeID(g.N())
-	for _, leg := range []dynamics.Leg{
-		{Name: "NDDisco-first", R: d.ND},
-		{Name: "NDDisco-later", R: d.ND, Later: true},
-		{Name: "Disco-first", R: d},
-		{Name: "Disco-later", R: d, Later: true},
-		{Name: "S4-first", R: s4f},
-		{Name: "S4-later", R: s4f, Later: true},
+	for _, leg := range []struct {
+		name  string
+		r     dynamics.Router
+		later bool
+	}{
+		{"NDDisco-first", d.ND, false},
+		{"NDDisco-later", d.ND, true},
+		{"Disco-first", d, false},
+		{"Disco-later", d, true},
+		{"S4-first", s4f, false},
+		{"S4-later", s4f, true},
 	} {
 		for _, pr := range [][2]graph.NodeID{{other, victim}, {victim, other}} {
-			if route, ok := leg.Route(pr[0], pr[1]); ok {
-				t.Errorf("%s: delivered %d->%d across the partition: %v", leg.Name, pr[0], pr[1], route)
+			if route, ok := leg.r.AppendRoute(nil, pr[0], pr[1], leg.later); ok || len(route) != 0 {
+				t.Errorf("%s: delivered %d->%d across the partition: %v, %v", leg.name, pr[0], pr[1], route, ok)
 			}
 		}
 	}

@@ -97,22 +97,24 @@ func (sw *pairSweep[F]) mean(c int) float64 {
 // where a sweep has that column). They share one destination tree, so the
 // search behind a pair's d(s,t) is reused by every protocol that routes the
 // pair. legs is the same forks as the dynamics tables' columns, in legNames
-// order: Disco first packets, NDDisco first/later, S4 first/later.
+// order: Disco first packets, NDDisco first/later, S4 first/later; they
+// route into buf.
 type planes struct {
 	d    *core.Disco
 	s4   *s4.S4
 	vr   *vrr.VRR
-	legs [numLegs]dynamics.Leg
+	legs [numLegs]leg
+	buf  []graph.NodeID
+}
+
+// leg is one (router, packet phase) column of a dynamics table.
+type leg struct {
+	r     dynamics.Router
+	later bool
 }
 
 func newPlanes(d *core.Disco, s4f *s4.S4) *planes {
-	return &planes{d: d, s4: s4f, legs: [numLegs]dynamics.Leg{
-		{Name: legNames[0], R: d},
-		{Name: legNames[1], R: d.ND},
-		{Name: legNames[2], R: d.ND, Later: true},
-		{Name: legNames[3], R: s4f},
-		{Name: legNames[4], R: s4f, Later: true},
-	}}
+	return &planes{d: d, s4: s4f, legs: [numLegs]leg{{d, false}, {d.ND, false}, {d.ND, true}, {s4f, false}, {s4f, true}}}
 }
 
 // forkPlanes returns the per-worker fork of the bundle's installed

@@ -11,20 +11,19 @@ import (
 // state is shared, the scratch buffers are private. It answers exactly
 // what core.NDDisco's walk answers under To-Destination shortcutting —
 // same direct cases, same deterministic landmark rehoming, same
-// dynamics.JoinPaths backtrack collapse, same To-Destination splice —
+// dynamics.AppendJoin backtrack collapse, same To-Destination splice —
 // byte for byte, because every decision reads the same windows and rows.
-// The allocation-free entry point is AppendRoute; the dynamics.Router
-// methods wrap it with one fresh-slice copy so existing callers (legs, the
-// serve plane's generic path) keep their owned-route contract.
+// Its dynamics.Router call, AppendRoute, allocates nothing warm;
+// RepairedFirstRoute and RepairedLaterRoute wrap it with one fresh-slice
+// copy the caller owns.
 type Router struct {
 	t     *Tables
 	chain []graph.NodeID // forest descent scratch (t ⇝ landmark)
 	route []graph.NodeID // landmark-leg route under construction
-	out   []graph.NodeID // backing buffer for the dynamics.Router methods
+	out   []graph.NodeID // backing buffer for the owned-route methods
 }
 
 var _ dynamics.Router = (*Router)(nil)
-var _ dynamics.AppendRouter = (*Router)(nil)
 
 // NewRouter returns a forwarding view over t for exclusive use by one
 // goroutine at a time (the serve plane pools these per epoch).
@@ -111,7 +110,7 @@ func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]g
 	if s != lm && row.Parent(s) == graph.None {
 		return dst, false
 	}
-	// dynamics.JoinPaths(s ⇝ lm, lm ⇝ t) on the tree: the up-chain
+	// dynamics.AppendJoin(s ⇝ lm, lm ⇝ t) on the tree: the up-chain
 	// from s, then the reversed up-chain from t with the joint node
 	// deduplicated and immediate backtracks across it collapsed
 	// (…x,lm,x… → …x…).
@@ -151,14 +150,13 @@ func (r *Router) appendLandmarkRoute(dst []graph.NodeID, s, t graph.NodeID) ([]g
 	return append(dst, route...), true
 }
 
-// RepairedFirstRoute implements dynamics.Router: AppendRoute into the
-// reusable backing buffer, returned as a fresh copy the caller owns.
+// RepairedFirstRoute is AppendRoute's first packet into the reusable
+// backing buffer, returned as a fresh copy the caller owns.
 func (r *Router) RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
 	return r.routeCopy(s, t, false)
 }
 
-// RepairedLaterRoute implements dynamics.Router for post-handshake
-// packets.
+// RepairedLaterRoute is RepairedFirstRoute for post-handshake packets.
 func (r *Router) RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
 	return r.routeCopy(s, t, true)
 }

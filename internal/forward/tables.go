@@ -24,7 +24,8 @@
 // Routes are byte-identical to core.NDDisco's walk under To-Destination
 // shortcutting (RepairedFirstRoute/RepairedLaterRoute) by construction:
 // Router mirrors that control flow exactly — direct cases, rehoming,
-// JoinPaths backtrack collapse, To-Destination splice — reading the same
+// the dynamics.AppendJoin backtrack collapse, To-Destination splice —
+// reading the same
 // windows and rows. The equivalence suite pins this on base and repaired
 // snapshots in both storage regimes.
 //

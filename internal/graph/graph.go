@@ -221,10 +221,13 @@ func (g *Graph) EdgeID(u, v NodeID) int32 {
 // edge returns the link between u and v as listed in the shorter of the two
 // rows. Both halves of a link carry its weight and EID, so either row
 // answers, and the shorter keeps a hub's row out of PathLength's searches.
-// Ports are u's labels: PortOf searches u's row whatever its length. A v
-// outside the graph is adjacent to nothing, as PortOf answers.
+// Ports are u's labels: PortOf searches u's row whatever its length. A
+// node outside the graph, at either end, is adjacent to nothing.
 func (g *Graph) edge(u, v NodeID) (Edge, bool) {
-	if uint(v) < uint(g.n) && g.Degree(v) < g.Degree(u) {
+	if uint(u) >= uint(g.n) || uint(v) >= uint(g.n) {
+		return Edge{}, false
+	}
+	if g.Degree(v) < g.Degree(u) {
 		u, v = v, u
 	}
 	if p := g.PortOf(u, v); p >= 0 {

@@ -97,7 +97,7 @@ func (s *S4) ShortestDist(a, b graph.NodeID) float64 { return s.destTree(b).Dist
 // (l_t plus the first hop out of l_t): direct if t ∈ C(s) or either end is
 // a landmark, else toward l_t with To-Destination shortcutting. Worst-case
 // stretch 3. Must-deliver (the topology must be connected); on failed
-// topologies use RepairedLaterRoute.
+// topologies use AppendRoute.
 func (s *S4) LaterRoute(src, t graph.NodeID) []graph.NodeID {
 	return dynamics.MustDeliver(s.route(src, t, false))
 }
@@ -111,18 +111,16 @@ func (s *S4) FirstRoute(src, t graph.NodeID) []graph.NodeID {
 	return dynamics.MustDeliver(s.route(src, t, true))
 }
 
-// RepairedLaterRoute is LaterRoute with ok=false when src and t are
-// separated on the (repaired) snapshot's topology.
-func (s *S4) RepairedLaterRoute(src, t graph.NodeID) ([]graph.NodeID, bool) {
-	return s.route(src, t, false)
-}
-
-// RepairedFirstRoute is FirstRoute with ok=false when either leg is cut:
-// a resolution owner stranded in another component means the name cannot
-// be resolved and the packet is undeliverable — the partition cost Fig.
-// 3's unbounded-first-stretch discussion prices in.
-func (s *S4) RepairedFirstRoute(src, t graph.NodeID) ([]graph.NodeID, bool) {
-	return s.route(src, t, true)
+// AppendRoute is the dynamics.Router call: it appends the first
+// (later=false) or later packet's route to dst. ok=false reports src and t
+// separated on the (repaired) snapshot's topology, or a first packet whose
+// resolution owner src cannot reach: a name that cannot be resolved makes
+// the packet undeliverable — the partition cost Fig. 3's
+// unbounded-first-stretch discussion prices in. On ok=false dst is
+// returned unextended.
+func (s *S4) AppendRoute(dst []graph.NodeID, src, t graph.NodeID, later bool) ([]graph.NodeID, bool) {
+	p, ok := s.route(src, t, !later)
+	return append(dst, p...), ok
 }
 
 // route is S4's forwarding rule, defined once over the installed
@@ -164,7 +162,7 @@ func (s *S4) route(src, t graph.NodeID, first bool) ([]graph.NodeID, bool) {
 		// The figures count a query that bounces straight back off the
 		// owner (…x,owner,x…) as turning at x; a later packet's bounce
 		// off an en-route landmark is walked in full.
-		return dynamics.JoinPaths(toLM, d.PathFrom(lm)), true
+		return dynamics.AppendJoin(toLM, 0, d.PathFrom(lm)), true
 	}
 	i := 0
 	for !knows(toLM[i]) {

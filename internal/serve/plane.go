@@ -42,6 +42,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -57,14 +58,13 @@ var ErrClosed = errors.New("serve: plane is closed")
 // ForkFunc builds a fresh query-side routing view over one published
 // snapshot. It must return a view that is safe for exclusive use by one
 // goroutine at a time (the plane pools and reuses views, never shares one
-// concurrently). A view that additionally implements
-// dynamics.AppendRouter upgrades the Probe path to allocation-free
-// serving.
+// concurrently). Every query appends its route into its pooled context's
+// buffer, so a view that allocates nothing warm serves Probe
+// allocation-free.
 type ForkFunc func(snap *snapshot.Snapshot) dynamics.Router
 
 // slot is one pooled query context: the epoch its routing view was forked
-// for, the view, and the reusable route buffer the allocation-free Probe
-// path appends into.
+// for, the view, and the reusable route buffer every query appends into.
 type slot struct {
 	e   *Epoch
 	r   dynamics.Router
@@ -156,47 +156,45 @@ type Result struct {
 
 // Route answers one route query lock-free on the current epoch: first
 // packets resolve the destination's name (later=false), later packets
-// carry the address from the handshake (later=true). Safe for any number
-// of concurrent callers.
+// carry the address from the handshake (later=true). The route is a fresh
+// copy the caller owns. Safe for any number of concurrent callers.
 func (p *Plane) Route(s, t graph.NodeID, later bool) Result {
-	e := p.cur.Load()
-	if e == nil {
-		return Result{}
-	}
-	sl := p.slot(e)
-	var route []graph.NodeID
-	var ok bool
-	if later {
-		route, ok = sl.r.RepairedLaterRoute(s, t)
-	} else {
-		route, ok = sl.r.RepairedFirstRoute(s, t)
-	}
-	p.slots.Put(sl)
-	return p.finish(e, route, ok)
+	return p.query(s, t, later, true)
 }
 
 // Probe is Route without the route: it answers deliverability on the
 // current epoch and drops the path — the closed-loop load generator's
-// entry point. When the epoch's fork implements dynamics.AppendRouter the
-// route is materialized into the slot's pooled buffer and the whole query
-// allocates nothing; otherwise it falls back to the ordinary routing
-// call and discards the slice.
+// entry point. Over a view that allocates nothing warm, the whole query
+// allocates nothing.
 func (p *Plane) Probe(s, t graph.NodeID, later bool) Result {
+	return p.query(s, t, later, false)
+}
+
+// query is the plane's one query path: it routes on a pooled context
+// forked for the current epoch, appending into the context's buffer, and
+// settles staleness and the counters. keep copies the route out.
+func (p *Plane) query(s, t graph.NodeID, later, keep bool) Result {
 	e := p.cur.Load()
 	if e == nil {
 		return Result{}
 	}
 	sl := p.slot(e)
 	var ok bool
-	if ar, fast := sl.r.(dynamics.AppendRouter); fast {
-		sl.buf, ok = ar.AppendRoute(sl.buf[:0], s, t, later)
-	} else if later {
-		_, ok = sl.r.RepairedLaterRoute(s, t)
-	} else {
-		_, ok = sl.r.RepairedFirstRoute(s, t)
+	sl.buf, ok = sl.r.AppendRoute(sl.buf[:0], s, t, later)
+	var route []graph.NodeID
+	if keep && ok {
+		route = slices.Clone(sl.buf)
 	}
 	p.slots.Put(sl)
-	return p.finish(e, nil, ok)
+	stale := p.cur.Load() != e
+	p.queries.Add(1)
+	if ok {
+		p.delivered.Add(1)
+	}
+	if stale {
+		p.stale.Add(1)
+	}
+	return Result{Route: route, OK: ok, Epoch: e.seq, Stale: stale}
 }
 
 // slot takes a query context from the plane's pool with its routing view
@@ -211,20 +209,6 @@ func (p *Plane) slot(e *Epoch) *slot {
 		sl.e, sl.r = e, e.fork(e.snap)
 	}
 	return sl
-}
-
-// finish computes staleness and settles the counters — the shared tail of
-// Route and Probe.
-func (p *Plane) finish(e *Epoch, route []graph.NodeID, ok bool) Result {
-	stale := p.cur.Load() != e
-	p.queries.Add(1)
-	if ok {
-		p.delivered.Add(1)
-	}
-	if stale {
-		p.stale.Add(1)
-	}
-	return Result{Route: route, OK: ok, Epoch: e.seq, Stale: stale}
 }
 
 // Metrics is a consistent-enough point-in-time counter snapshot (each

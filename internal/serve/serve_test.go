@@ -305,10 +305,12 @@ type gateRouter struct {
 	gate    <-chan struct{}
 }
 
-func (g gateRouter) RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool) {
-	g.entered <- struct{}{}
-	<-g.gate
-	return g.Router.RepairedFirstRoute(s, t)
+func (g gateRouter) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) ([]graph.NodeID, bool) {
+	if !later {
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+	return g.Router.AppendRoute(dst, s, t, later)
 }
 
 // TestPlaneDropsSupersededEpochs pins where reclamation happens: in the
@@ -422,8 +424,6 @@ func TestPlaneReleasesEpochAtNextQuery(t *testing.T) {
 // the plane.
 type nullRouter struct{}
 
-func (nullRouter) RepairedFirstRoute(s, t graph.NodeID) ([]graph.NodeID, bool) { return nil, true }
-func (nullRouter) RepairedLaterRoute(s, t graph.NodeID) ([]graph.NodeID, bool) { return nil, true }
 func (nullRouter) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool) ([]graph.NodeID, bool) {
 	return dst, true
 }

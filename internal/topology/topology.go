@@ -260,7 +260,7 @@ func RouterLike(rng *rand.Rand, n int) *graph.Graph {
 // Ring returns an n-cycle with unit weights: the worst case for explicit
 // route length (§4.2: "as much as O~(sqrt(n)) bits in a ring network").
 //
-//disco:fixture small exact shapes the addr, pathtree, static, tzk, vicinity and vrr tests build on
+//disco:fixture small exact shapes the addr, dynamics, pathtree, static, tzk, vicinity and vrr tests build on
 func Ring(n int) *graph.Graph {
 	if n < 3 {
 		panic("topology: Ring needs n >= 3")

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"disco/internal/dynamics"
 	"disco/internal/graph"
 	"disco/internal/pathtree"
 )
@@ -142,62 +143,25 @@ func (s *Scheme) destTree(root graph.NodeID) *pathtree.Lazy {
 // nodes v with d(w,v) < bound[v] (bound nil = no bound, top level) and add
 // w to their bunches.
 func (s *Scheme) clusterFrom(w graph.NodeID, bound []float64) {
-	type item struct {
-		d float64
-		v graph.NodeID
-	}
 	dist := map[graph.NodeID]float64{w: 0}
 	settled := map[graph.NodeID]bool{}
-	heap := []item{{0, w}}
-	push := func(it item) {
-		heap = append(heap, it)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if heap[p].d < heap[i].d || (heap[p].d == heap[i].d && heap[p].v <= heap[i].v) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	pop := func() item {
-		top := heap[0]
-		n := len(heap) - 1
-		heap[0] = heap[n]
-		heap = heap[:n]
-		i := 0
-		for {
-			l, r, m := 2*i+1, 2*i+2, i
-			if l < n && (heap[l].d < heap[m].d || (heap[l].d == heap[m].d && heap[l].v < heap[m].v)) {
-				m = l
-			}
-			if r < n && (heap[r].d < heap[m].d || (heap[r].d == heap[m].d && heap[r].v < heap[m].v)) {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-		return top
-	}
-	for len(heap) > 0 {
-		it := pop()
-		if settled[it.v] || it.d != dist[it.v] {
+	var heap graph.Heap
+	heap.Push(0, w)
+	for heap.Len() > 0 {
+		d, v := heap.Pop()
+		if settled[v] || d != dist[v] {
 			continue
 		}
-		settled[it.v] = true
-		s.bunch[it.v][w] = it.d
-		for _, e := range s.G.Neighbors(it.v) {
-			nd := it.d + e.Weight
+		settled[v] = true
+		s.bunch[v][w] = d
+		for _, e := range s.G.Neighbors(v) {
+			nd := d + e.Weight
 			if bound != nil && nd >= bound[e.To] {
 				continue // prune: w won't be in e.To's bunch via this path
 			}
 			if old, ok := dist[e.To]; !ok || nd < old {
 				dist[e.To] = nd
-				push(item{nd, e.To})
+				heap.Push(nd, e.To)
 			}
 		}
 	}
@@ -249,16 +213,7 @@ func (s *Scheme) bunchDist(u, w graph.NodeID) float64 {
 func (s *Scheme) Route(u, v graph.NodeID) []graph.NodeID {
 	_, w := s.Dist(u, v)
 	d := s.destTree(w)
-	out := d.PathFrom(u) // u ⇝ w
-	tail := d.PathTo(v)  // w ⇝ v
-	for _, x := range tail[1:] {
-		if len(out) >= 2 && out[len(out)-2] == x {
-			out = out[:len(out)-1]
-			continue
-		}
-		out = append(out, x)
-	}
-	return out
+	return dynamics.AppendJoin(d.PathFrom(u), 0, d.PathTo(v)) // u ⇝ w, then w ⇝ v
 }
 
 // TrueDist returns the exact shortest-path distance (for stretch
