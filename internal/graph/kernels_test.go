@@ -310,14 +310,14 @@ func TestTouches(t *testing.T) {
 }
 
 // sweep drives every Run variant from a few sources, with limits and radii
-// on both sides of every boundary.
+// on both sides of every boundary, and RunK at the vicinity size.
 func (p *kernelPair) sweep(rng *rand.Rand, name string) {
 	p.t.Helper()
 	n := p.heap.g.N()
 	for q := 0; q < 6; q++ {
 		src := NodeID(rng.Intn(n))
 		p.check(fmt.Sprintf("%s Run(%d)", name, src), []NodeID{src}, -1, -1)
-		for _, k := range []int{0, 1, 2, 3, rng.Intn(n + 1), n / 2, n - 1, n, n + 7} {
+		for _, k := range []int{0, 1, 2, 3, rng.Intn(n + 1), n / 2, n - 1, n, n + 7, vicinityK(n)} {
 			p.check(fmt.Sprintf("%s RunK(%d,%d)", name, src, k), []NodeID{src}, k, -1)
 		}
 		for _, r := range []float64{0, 0.5, 1, 1.5, 2, 3, float64(rng.Intn(12)), 1e9} {
@@ -362,7 +362,29 @@ func TestSSSPKernelsAgree(t *testing.T) {
 			}
 			newKernelPair(t, tc.g.WithoutEdges(dead)).sweep(rng, name+" failed")
 		}
+		// Hubs at a few hundred nodes: a level's rows hold far more entries
+		// than a limit leaves room for, so RunK reads them up to a bound,
+		// some rows straddle it, and the bound is raised more than once. A
+		// generator of its own keeps the cases above as they were drawn.
+		hubs := rand.New(rand.NewSource(100 + seed))
+		g := genRouterLike(hubs, 300+hubs.Intn(300))
+		name := fmt.Sprintf("seed %d routerlike-hubs", seed)
+		newKernelPair(t, g).sweep(hubs, name)
+		dead := make([]bool, g.M())
+		for i := range dead {
+			dead[i] = hubs.Intn(3) == 0
+		}
+		newKernelPair(t, g.WithoutEdges(dead)).sweep(hubs, name+" failed")
 	}
+}
+
+// vicinityK is the vicinity size ceil(sqrt(n log2 n)) that snapshot builds
+// pass to RunK (vicinity.DefaultK, which imports this package).
+func vicinityK(n int) int {
+	if n <= 1 {
+		return n
+	}
+	return min(n, int(math.Ceil(math.Sqrt(float64(n)*math.Log2(float64(n))))))
 }
 
 // TestSortLevel checks the level ordering on its own, against slices.Sort:
@@ -394,11 +416,22 @@ func TestSortLevel(t *testing.T) {
 	}
 }
 
+// fuzzLinks encodes links for genFuzz: four bytes each, two 16-bit
+// endpoints.
+func fuzzLinks(links [][2]int) []byte {
+	var b []byte
+	for _, l := range links {
+		b = append(b, byte(l[0]>>8), byte(l[0]), byte(l[1]>>8), byte(l[1]))
+	}
+	return b
+}
+
 // FuzzSSSPKernelsAgree builds a unit graph from the byte string (genFuzz: a
 // link per four bytes, repeated pairs skipped), optionally fails
 // every third link through WithoutEdges, and requires the level kernel to
 // agree with the heap kernel on one query (mode 0, a plain Run, also checks
-// the search stepped level by level against it). Up to 1024 nodes, so that levels
+// the search stepped level by level against it; mode 3 with bit 8 set gives
+// the multi-source run a limit). Up to 1024 nodes, so that levels
 // can be sparse enough for either branch of sortLevel. Run with `go test
 // -fuzz FuzzSSSPKernelsAgree`; the checked-in corpus under testdata/fuzz/
 // runs on every plain `go test`.
@@ -407,6 +440,39 @@ func FuzzSSSPKernelsAgree(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 2, 0, 5, 0, 6}, uint16(7), uint8(1), uint16(0), uint8(3))
 	f.Add([]byte{0, 0, 3, 9, 3, 9, 1, 4, 1, 4, 2, 2, 2, 2, 0, 7, 0, 7, 0, 0}, uint16(1000), uint8(2), uint16(4), uint8(5))
 	f.Add([]byte{0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 1, 0, 3, 0, 2, 0, 4, 0, 3}, uint16(5), uint8(7), uint16(0), uint8(3))
+	// A star searched from its hub: the hub's row holds the whole next
+	// level, and the limit cuts it in the middle.
+	var star [][2]int
+	for leaf := 1; leaf < 300; leaf++ {
+		star = append(star, [2]int{0, leaf})
+	}
+	f.Add(fuzzLinks(star), uint16(299), uint8(1), uint16(0), uint8(100))
+	// Levels of 1, 15 and 45 nodes from node 0, the third level's IDs
+	// interleaved across the second level's rows. Limits 15, 16 and 17 sit
+	// on both sides of the boundary after the second level, 60, 61 and 62
+	// on both sides of the last (61 nodes in all, 64 the largest limit).
+	tree := make([][2]int, 0, 60)
+	for c := 1; c <= 15; c++ {
+		tree = append(tree, [2]int{0, c})
+	}
+	for i := 0; i < 45; i++ {
+		tree = append(tree, [2]int{1 + i%15, 16 + i})
+	}
+	for _, limit := range []uint8{15, 16, 17, 60, 61, 62} {
+		f.Add(fuzzLinks(tree), uint16(60), uint8(1), uint16(0), limit)
+	}
+	// Three sources (node 0, then 40 and 40·37 mod 61 = 16) with a limit
+	// of 40 cutting their shared second level.
+	f.Add(fuzzLinks(tree), uint16(60), uint8(3|8), uint16(0), uint8(40))
+	// Node 0 linked to 1 and 2, and both to 3..202: the rows of level 1
+	// hold 402 entries, more than the 201 left under limit 204, but level 2
+	// is 200 nodes, so the bound is raised until the rows run out and the
+	// level is not cut.
+	fan := [][2]int{{0, 1}, {0, 2}}
+	for v := 3; v < 203; v++ {
+		fan = append(fan, [2]int{1, v}, [2]int{2, v})
+	}
+	f.Add(fuzzLinks(fan), uint16(202), uint8(1), uint16(0), uint8(204))
 	f.Fuzz(func(t *testing.T, links []byte, nodes uint16, mode uint8, src uint16, arg uint8) {
 		n := 1 + int(nodes)%1024
 		g := genFuzz(links, n)
@@ -427,7 +493,11 @@ func FuzzSSSPKernelsAgree(f *testing.F) {
 		case 2:
 			p.check("RunRadius", []NodeID{s}, -1, float64(arg%16)/2)
 		case 3:
-			p.check("RunMulti", []NodeID{s, NodeID(int(arg) % n), NodeID(int(arg) * 37 % n), s}, -1, -1)
+			limit := -1
+			if mode&8 != 0 {
+				limit = int(arg) % (n + 3)
+			}
+			p.check("RunMulti", []NodeID{s, NodeID(int(arg) % n), NodeID(int(arg) * 37 % n), s}, limit, -1)
 		}
 	})
 }
@@ -645,6 +715,45 @@ func TestLevelKernelEpochWrap(t *testing.T) {
 	}
 }
 
+// Row-read ceilings: the row entries every node's RunK(vicinityK(n))
+// reads, summed over the nodes of a map of each of bench/'s three kinds
+// and sizes (this file's generators, seed 1). A level
+// kernel that read every scanned row whole read 1,511,603, 13,099,669 and
+// 2,841,922 (738.1, 1,599.1 and 693.8 a window), most of it only to touch
+// a last level the limit then cut.
+const (
+	rowReadsCeilingRouterLike2048 = 613_451   // 299.5 a window
+	rowReadsCeilingRouterLike8192 = 5_124_602 // 625.6 a window
+	rowReadsCeilingGnm4096        = 1_085_178 // 264.9 a window
+)
+
+// TestRunKRowReadsCeiling holds the truncated search's work where it
+// landed: every node's vicinity search reads no more row entries than its
+// map's ceiling. The counts are properties of the searches, not of the
+// machine.
+func TestRunKRowReadsCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		g       *Graph
+		ceiling int
+	}{
+		{"routerlike-2048", genRouterLike(rand.New(rand.NewSource(1)), 2048), rowReadsCeilingRouterLike2048},
+		{"routerlike-8192", genRouterLike(rand.New(rand.NewSource(1)), 8192), rowReadsCeilingRouterLike8192},
+		{"gnm-4096", genGnm(rand.New(rand.NewSource(1)), 4096, 4*4096), rowReadsCeilingGnm4096},
+	} {
+		n := tc.g.N()
+		s := NewSSSP(tc.g)
+		for v := NodeID(0); int(v) < n; v++ {
+			s.RunK(v, vicinityK(n))
+		}
+		perWindow := float64(s.reads) / float64(n)
+		if s.reads > tc.ceiling {
+			t.Errorf("%s: RunK read %d row entries (%.1f a window), ceiling %d", tc.name, s.reads, perWindow, tc.ceiling)
+		}
+		t.Logf("%s: RunK read %d row entries (%.1f a window)", tc.name, s.reads, perWindow)
+	}
+}
+
 // rebuilt is the reference for the flat graph copies: the same links added
 // one by one in EID order (skipping dead ones, then the additions) and
 // finalized.
@@ -745,8 +854,10 @@ func TestWithEdgesRejectsBadLinks(t *testing.T) {
 
 // BenchmarkSSSP prices both kernels on the same scratch and sources:
 // level vs heap on the unit-weight graphs, and the heap alone on the
-// weighted one (geometric), which no BENCHMARK.json workload runs. RunK
-// uses the vicinity size ceil(sqrt(n log2 n)). The rows cases price 64
+// weighted one (geometric), which no BENCHMARK.json workload runs. The
+// router-like maps are at fig-stretch's (8192) and churn-compact's (2048)
+// sizes, G(n,m) at the serve workloads'. RunK uses the vicinity size
+// ceil(sqrt(n log2 n)). The rows cases price 64
 // shortest-path trees written out as parent rows: 64 Runs against one
 // batched sweep (ParentRows' two kernels).
 func BenchmarkSSSP(b *testing.B) {
@@ -756,6 +867,7 @@ func BenchmarkSSSP(b *testing.B) {
 		g    *Graph
 	}{
 		{"routerlike-8192", genRouterLike(rng, 8192)},
+		{"routerlike-2048", genRouterLike(rand.New(rand.NewSource(1)), 2048)},
 		{"gnm-4096", genGnm(rng, 4096, 4*4096)},
 		{"geometric-4096", genGeometric(rng, 4096, 8)},
 		{"ring-65536", genRing(65536)},
@@ -769,7 +881,7 @@ func BenchmarkSSSP(b *testing.B) {
 	}
 	for _, tc := range graphs {
 		n := tc.g.N()
-		k := int(math.Ceil(math.Sqrt(float64(n) * math.Log2(float64(n)))))
+		k := vicinityK(n)
 		for _, kern := range kernels {
 			if kern.name == "level" && !tc.g.unit {
 				continue // the level kernel is only correct on unit weights

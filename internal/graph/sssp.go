@@ -90,14 +90,19 @@ type SSSP struct {
 	order   []NodeID // settle order of the last run
 	// Level kernel only: the nodes first touched from the level being
 	// scanned, the bitset sortLevel orders them through (all zero between
-	// calls), where each settled level ends in order, whether Step can
-	// carry the search on (see Begin), and whether its levels stay in
-	// touch order (see BeginUnsorted).
+	// calls), where each settled level ends in order, how far scanCut has
+	// read each row of the level it scans, whether Step can carry the
+	// search on (see Begin), whether its levels stay in touch order (see
+	// BeginUnsorted), and how many row entries the scratch's runs under a
+	// limit have read (TestRunKRowReadsCeiling counts them; other runs
+	// read every row they scan whole).
 	next      []NodeID
 	bits      []uint64
 	levels    []int32
+	cursor    []int32
 	resumable bool
 	unsorted  bool
+	reads     int
 }
 
 // NewSSSP returns a shortest-path scratch bound to g. The graph must be
@@ -173,7 +178,9 @@ func (s *SSSP) relax(v NodeID, d float64, via NodeID, src NodeID) {
 //     and its parent is the earliest-settled predecessor that carries that
 //     source, both final once the node settles;
 //   - whatever a run left on unsettled nodes is not observable: every
-//     accessor answers Inf/None for them.
+//     accessor answers Inf/None for them. A kernel need not touch a node
+//     it will not settle: the level kernel reads the rows that reach a
+//     level a limit cuts only up to the cut.
 func (s *SSSP) run(sources []NodeID, limit int, radius float64) {
 	s.begin()
 	if s.g.unit {
@@ -217,7 +224,10 @@ func (s *SSSP) runHeap(sources []NodeID, limit int, radius float64) {
 //
 // A level that reaches limit, or whose successors would sit at or beyond
 // radius, is settled without scanning its rows: nothing those scans could
-// write would ever be settled, so none of it is observable.
+// write would ever be settled, so none of it is observable. For the same
+// reason, under a limit the rows of the level before are read only up to
+// a node-ID bound at or past the highest ID the limit keeps of the level
+// they reach (scanCut), and whole only when the limit does not cut it.
 func (s *SSSP) runLevels(sources []NodeID, limit int, radius float64) {
 	s.seed(sources)
 	multi := len(s.next) > 1
@@ -233,7 +243,11 @@ func (s *SSSP) runLevels(sources []NodeID, limit int, radius float64) {
 		if limit >= 0 && len(s.order) >= limit || radius >= 0 && d+1 >= radius {
 			return
 		}
-		s.scan(level, d, multi)
+		if limit >= 0 {
+			s.scanCut(level, d, multi, limit-len(s.order))
+		} else {
+			s.scan(level, d, multi, math.MaxInt32, nil)
+		}
 	}
 }
 
@@ -270,22 +284,96 @@ func (s *SSSP) settle(take int) []NodeID {
 	return level
 }
 
-func (s *SSSP) scan(level []NodeID, d float64, multi bool) {
-	epoch := s.epoch
+// scan reads the rows of level, settled at distance d, and collects level
+// d+1 as it is first touched. With cursors, row i is read from entry
+// from[i] up to its first entry above bound, and from[i] is left there;
+// with from nil every row is read whole. Rows are ID-sorted, so a node at
+// or below bound is touched by the same rows, in the same order, as a
+// scan of whole rows touches it, and gets the same distance, parent and
+// source.
+func (s *SSSP) scan(level []NodeID, d float64, multi bool, bound NodeID, from []int32) {
+	epoch, next := s.epoch, d+1
 	edges, off := s.g.edges, s.g.off
-	stamp, dist, parent, nearest := s.stamp, s.dist, s.parent, s.nearest
-	for _, u := range level {
+	// One length for the four node arrays: a node's index is checked once.
+	stamp := s.stamp
+	dist, parent, nearest := s.dist[:len(stamp)], s.parent[:len(stamp)], s.nearest[:len(stamp)]
+	for i, u := range level {
+		row := edges[off[u]:off[u+1]]
+		if from != nil {
+			row = row[from[i]:]
+			end := 0
+			for end < len(row) && row[end].To <= bound {
+				end++
+			}
+			row = row[:end]
+			from[i] += int32(end)
+			s.reads += end
+		}
 		src := nearest[u]
-		for _, e := range edges[off[u]:off[u+1]] {
+		for _, e := range row {
 			v := e.To
 			if stamp[v] != epoch {
-				stamp[v], dist[v], parent[v], nearest[v] = epoch, d+1, u, src
+				stamp[v], dist[v], parent[v], nearest[v] = epoch, next, u, src
 				s.next = append(s.next, v)
-			} else if multi && src < nearest[v] && dist[v] == d+1 {
+			} else if multi && src < nearest[v] && dist[v] == next {
 				// v is in the next level: lowest source wins.
 				nearest[v], parent[v] = src, u
 			}
 		}
+	}
+}
+
+// scanCut is scan for a level after which only room more nodes settle:
+// those are the room lowest IDs of level d+1, and reading a row past the
+// room-th of them touches nothing that settles. So it reads every row up
+// to a bound and raises the bound until the touched level holds room
+// nodes; a level whose rows run out first is not cut, and neither is one
+// whose rows hold no more than room entries, which is read whole at once.
+// Every node at or below the last bound has been touched as a full scan
+// touches it (see scan), so the room lowest are the full scan's.
+func (s *SSSP) scanCut(level []NodeID, d float64, multi bool, room int) {
+	off, edges := s.g.off, s.g.edges
+	entries := 0
+	for _, u := range level {
+		entries += int(off[u+1] - off[u])
+	}
+	if entries <= room {
+		s.reads += entries
+		s.scan(level, d, multi, math.MaxInt32, nil)
+		return
+	}
+	cur := slices.Grow(s.cursor[:0], len(level))[:len(level)]
+	clear(cur)
+	s.cursor = cur
+	// The first bound is where the rows would hold room entries if their
+	// entries were spread evenly over the IDs.
+	n, start := s.g.N(), s.reads
+	bound := n * room / entries
+	for {
+		s.scan(level, d, multi, NodeID(bound), cur)
+		found, read := len(s.next), s.reads-start
+		switch {
+		case found >= room || bound >= n-1:
+			return
+		case found == 0:
+			// Nothing new yet: widen the range past the lowest entry
+			// no row has read.
+			low := NodeID(math.MaxInt32)
+			for i, u := range level {
+				if j := off[u] + cur[i]; j < off[u+1] {
+					low = min(low, edges[j].To)
+				}
+			}
+			bound += int(low) + 1
+		case found*entries < room*read:
+			// At the rate the rows have yielded new nodes so far, they
+			// cannot fill the room: read them out.
+			bound = n - 1
+		default:
+			// Extrapolate the new nodes found so far over the IDs.
+			bound = (bound + 1) * room / found
+		}
+		bound = min(bound, n-1)
 	}
 }
 
@@ -328,7 +416,7 @@ func (s *SSSP) Step() []NodeID {
 		return nil
 	}
 	d := len(s.levels) - 1
-	s.scan(s.Level(d), float64(d), false)
+	s.scan(s.Level(d), float64(d), false, math.MaxInt32, nil)
 	if len(s.next) == 0 {
 		s.resumable = false
 		return nil
@@ -432,7 +520,9 @@ func (s *SSSP) Run(src NodeID) { s.run([]NodeID{src}, -1, -1) }
 // RunK computes shortest paths from src until k nodes (including src) are
 // settled. The settle order (Order) then lists the k nodes closest to src in
 // (distance, node ID) order — the paper's vicinity V(src) for k =
-// Θ(sqrt(n log n)) (§4.2).
+// Θ(sqrt(n log n)) (§4.2). On a unit-weight graph the rows that reach the
+// last, cut level are read only up to an ID bound at or a little past the
+// highest ID it keeps (see scanCut).
 func (s *SSSP) RunK(src NodeID, k int) { s.run([]NodeID{src}, k, -1) }
 
 // RunRadius computes shortest paths from src settling exactly the nodes at

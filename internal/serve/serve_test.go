@@ -428,17 +428,20 @@ func (nullRouter) AppendRoute(dst []graph.NodeID, s, t graph.NodeID, later bool)
 	return dst, true
 }
 
+// probeSink keeps BenchmarkPlaneProbe's results live.
+var probeSink serve.Result
+
 // BenchmarkPlaneProbe times the plane's own per-query overhead — epoch
 // load, pool Get/Put, staleness check and counters — over a router that
-// does no work, on one goroutine and on GOMAXPROCS.
+// does no work, on one goroutine and on GOMAXPROCS. Both cases call Probe
+// from a plain loop, as bench/ and eval do, where it inlines; Go 1.24 does
+// not inline calls in a b.Loop body.
 func BenchmarkPlaneProbe(b *testing.B) {
 	plane := serve.NewPlane(nil, func(*snapshot.Snapshot) dynamics.Router { return nullRouter{} })
 	defer plane.Close()
 	b.Run("serial", func(b *testing.B) {
-		later := false
-		for b.Loop() {
-			plane.Probe(1, 2, later)
-			later = !later
+		for i := 0; i < b.N; i++ {
+			probeSink = plane.Probe(1, 2, i&1 == 1)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {

@@ -16,14 +16,16 @@ import (
 // vicinity sweep (n truncated searches, each ball filled into its window
 // and, in the compact regime, encoded), forest-ms/op the landmark-forest
 // sweep (graph.ParentRows, plus the row encoder in the compact regime).
-// The two topologies are bench/'s: router-like n=8192 (fig-stretch; churn-compact
-// runs it at 2048) and G(n,m) of average degree 8 at n=4096 (serve-*).
+// The three topologies are bench/'s: router-like at n=8192 (fig-stretch)
+// and n=2048 (churn-compact), and G(n,m) of average degree 8 at n=4096
+// (serve-*).
 func BenchmarkBuild(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
 	}{
 		{"routerlike-8192", topology.RouterLike(rand.New(rand.NewSource(1)), 8192)},
+		{"routerlike-2048", topology.RouterLike(rand.New(rand.NewSource(1)), 2048)},
 		{"gnm-4096", topology.GnmAvgDeg(rand.New(rand.NewSource(1)), 4096, 8)},
 	} {
 		env := static.NewEnv(tc.g, 1)

@@ -299,7 +299,9 @@ func NewBall(g *graph.Graph) *Ball {
 //
 // On a unit-weight graph the level kernel has already done most of the
 // sorting: the ball is Depth() runs, one per distance, each ascending by ID
-// (a RunK limit keeps the lowest IDs of its last level). Fill merges those
+// (a RunK limit keeps the lowest IDs of its last level, and the rows that
+// reach that level are read only up to an ID bound at or a little past the
+// highest ID it keeps, not whole). Fill merges those
 // runs through a heap of their heads, O(k log depth) whatever the shape —
 // four or five runs on a small-world map, k/2 on a ring — and a member's
 // level is its run's. The heap kernel (weighted graphs) leaves no runs, so
