@@ -85,7 +85,7 @@ func (r *NDDisco) ForwardFirst(s, t graph.NodeID) []graph.NodeID {
 // parent of cur in lm's shortest-path tree (the reverse of the tree path),
 // exactly what path vector installs.
 func (r *NDDisco) landmarkFirstHop(cur, lm graph.NodeID) graph.NodeID {
-	path := r.snapshot().PathFrom(lm, cur)
+	path := r.snapshot().AppendPathFrom(nil, lm, cur)
 	if len(path) < 2 {
 		panic(fmt.Sprintf("core: node %d has no route toward landmark %d", cur, lm))
 	}

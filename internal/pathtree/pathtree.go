@@ -150,25 +150,29 @@ func (l *Lazy) meet(v graph.NodeID) float64 {
 // walked the other way, valid because graphs here are undirected (the
 // paper's §6 route reversibility assumption) — [v] alone when v is
 // unreachable.
-func (l *Lazy) PathFrom(v graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
+func (l *Lazy) PathFrom(v graph.NodeID) []graph.NodeID { return l.AppendPathFrom(nil, v) }
+
+// AppendPathFrom is PathFrom appending to dst: no allocation beyond dst's
+// own growth once the view's scratch is warm.
+func (l *Lazy) AppendPathFrom(dst []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	if !l.known(v) {
 		d := l.meet(v)
 		if math.IsInf(d, 1) {
-			return []graph.NodeID{v}
+			return append(dst, v)
 		}
-		out, v = l.descend(v, d)
+		dst, v = l.descend(dst, v, d)
 	}
 	for u := v; u != graph.None; u = l.s.Parent(u) {
-		out = append(out, u)
+		dst = append(dst, u)
 	}
-	return out
+	return dst
 }
 
 // descend walks the tree path from v = met, at distance d from the root,
 // through met's ball and across the link where the two sides touched: it
-// returns the ball nodes on the way, and the first node past them, one the
-// root side has settled.
+// appends the ball nodes on the way to dst, with room grown for the whole
+// path, and returns the first node past them, one the root side has
+// settled.
 //
 // Let f be the ball's last level and r = d-f-1 the root side's last level
 // when the two met. A ball node at distance j from v is on a shortest
@@ -180,7 +184,7 @@ func (l *Lazy) PathFrom(v graph.NodeID) []graph.NodeID {
 // such neighbour is in M_{j+1} (for j = f: at root distance r), so the walk
 // takes the first one in the ID-sorted row. The ball's levels need no
 // order for this, which is why it is grown unsorted.
-func (l *Lazy) descend(v graph.NodeID, d float64) ([]graph.NodeID, graph.NodeID) {
+func (l *Lazy) descend(dst []graph.NodeID, v graph.NodeID, d float64) ([]graph.NodeID, graph.NodeID) {
 	g, far := l.s.Graph(), l.far
 	f := far.Depth() - 1
 	r := d - float64(f) - 1
@@ -206,9 +210,9 @@ func (l *Lazy) descend(v graph.NodeID, d float64) ([]graph.NodeID, graph.NodeID)
 		}
 		lo = hi
 	}
-	out := make([]graph.NodeID, 0, int(d)+1)
+	dst = slices.Grow(dst, int(d)+1)
 	for j := 1; j <= f; j++ {
-		out = append(out, v)
+		dst = append(dst, v)
 		for _, e := range g.Neighbors(v) {
 			if l.onPath[e.To] && far.Dist(e.To) == float64(j) {
 				v = e.To
@@ -220,7 +224,7 @@ func (l *Lazy) descend(v graph.NodeID, d float64) ([]graph.NodeID, graph.NodeID)
 		l.onPath[x] = false
 	}
 	l.marked = marked
-	return append(out, v), l.rootNeighbour(v, r)
+	return append(dst, v), l.rootNeighbour(v, r)
 }
 
 // rootNeighbour returns x's lowest-ID neighbour at root distance r, or

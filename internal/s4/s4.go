@@ -11,6 +11,7 @@ package s4
 
 import (
 	"math"
+	"slices"
 
 	"disco/internal/dynamics"
 	"disco/internal/graph"
@@ -26,15 +27,18 @@ import (
 // core.NDDisco it reads landmark trees — the same trees Disco shares —
 // from one shared immutable snapshot (UseSnapshot), built from scratch or
 // repaired after link events, with a per-fork Dijkstra scratch for
-// destination-rooted queries. Routing before UseSnapshot panics (a harness
-// invariant: whoever constructs an S4 must install one); the state
-// accounting (ClusterSizesAll, StateVectors) needs none.
+// destination-rooted queries and per-fork route buffers. Routing before
+// UseSnapshot panics (a harness invariant: whoever constructs an S4 must
+// install one); the state accounting (ClusterSizesAll, StateVectors)
+// needs none.
 type S4 struct {
 	Env *static.Env
 	DB  *resolve.DB
 
 	snap *snapshot.Snapshot
 	dest *pathtree.Lazy // allocated on first use
+	out  []graph.NodeID // the owned routes' scratch, copied out
+	leg  []graph.NodeID // a first packet's owner ⇝ t leg
 }
 
 var _ dynamics.Router = (*S4)(nil)
@@ -60,8 +64,9 @@ func (s *S4) snapshot() *snapshot.Snapshot {
 
 // Fork returns a concurrency view of s for one worker of a parallel
 // sweep: the environment, resolution DB and snapshot are shared read-only;
-// only the destination-tree scratch is private. Forked instances route
-// concurrently and return exactly the routes the original would.
+// only the destination-tree scratch and the route buffers are private.
+// Forked instances route concurrently and return exactly the routes the
+// original would.
 func (s *S4) Fork() *S4 { return s.ForkRepaired(s.snap, nil) }
 
 // ForkWith is Fork with a caller-supplied destination-tree scratch shared
@@ -99,7 +104,7 @@ func (s *S4) ShortestDist(a, b graph.NodeID) float64 { return s.destTree(b).Dist
 // stretch 3. Must-deliver (the topology must be connected); on failed
 // topologies use AppendRoute.
 func (s *S4) LaterRoute(src, t graph.NodeID) []graph.NodeID {
-	return dynamics.MustDeliver(s.route(src, t, false))
+	return dynamics.MustDeliver(s.owned(s.route(s.out[:0], src, t, false)))
 }
 
 // FirstRoute returns the first packet's route: S4 must first resolve t's
@@ -108,7 +113,18 @@ func (s *S4) LaterRoute(src, t graph.NodeID) []graph.NodeID {
 // first-packet stretch is unbounded (Fig. 3). Must-deliver, like
 // LaterRoute.
 func (s *S4) FirstRoute(src, t graph.NodeID) []graph.NodeID {
-	return dynamics.MustDeliver(s.route(src, t, true))
+	return dynamics.MustDeliver(s.owned(s.route(s.out[:0], src, t, true)))
+}
+
+// owned keeps a route laid into the fork's scratch as the scratch's next
+// room and returns a fresh copy of it the caller owns: one allocation a
+// delivered route.
+func (s *S4) owned(route []graph.NodeID, ok bool) ([]graph.NodeID, bool) {
+	s.out = route[:0]
+	if !ok {
+		return nil, false
+	}
+	return slices.Clone(route), true
 }
 
 // AppendRoute is the dynamics.Router call: it appends the first
@@ -117,14 +133,15 @@ func (s *S4) FirstRoute(src, t graph.NodeID) []graph.NodeID {
 // resolution owner src cannot reach: a name that cannot be resolved makes
 // the packet undeliverable — the partition cost Fig. 3's
 // unbounded-first-stretch discussion prices in. On ok=false dst is
-// returned unextended.
+// returned unextended. With dst and the fork's scratch at steady-state
+// capacity, a call performs no heap allocation.
 func (s *S4) AppendRoute(dst []graph.NodeID, src, t graph.NodeID, later bool) ([]graph.NodeID, bool) {
-	p, ok := s.route(src, t, !later)
-	return append(dst, p...), ok
+	return s.route(dst, src, t, !later)
 }
 
 // route is S4's forwarding rule, defined once over the installed
-// snapshot. The tables are the Thorup–Zwick definitions evaluated on the
+// snapshot; it appends the route to dst, which comes back unextended on
+// ok=false. The tables are the Thorup–Zwick definitions evaluated on the
 // snapshot's topology — landmark trees from the snapshot, clusters
 // C(v) = {w : d(w,v) < d(w, l_w)} under its distances and the re-homed
 // landmark assignment; the per-pair destination Dijkstra that already
@@ -136,18 +153,17 @@ func (s *S4) AppendRoute(dst []graph.NodeID, src, t graph.NodeID, later bool) ([
 // label; l_t afterwards, peeling off to the exact path at the first node
 // whose cluster contains t (To-Destination, S4's built-in shortcut; a
 // landmark always diverts, so the walk ends at l_t at the latest).
-func (s *S4) route(src, t graph.NodeID, first bool) ([]graph.NodeID, bool) {
+func (s *S4) route(dst []graph.NodeID, src, t graph.NodeID, first bool) ([]graph.NodeID, bool) {
 	if src == t {
-		return []graph.NodeID{src}, true
+		return append(dst, src), true
 	}
 	snap := s.snapshot()
-	d, lm, in := s.cluster(t)
+	d, lm, radius := s.cluster(t)
 	if math.IsInf(d.Dist(src), 1) {
-		return nil, false
+		return dst, false
 	}
-	knows := func(u graph.NodeID) bool { return s.Env.IsLM[u] || in(u) }
-	if s.Env.IsLM[t] || knows(src) {
-		return d.PathFrom(src), true
+	if s.Env.IsLM[t] || s.knows(src, t, radius) {
+		return d.AppendPathFrom(dst, src), true
 	}
 	// src is outside t's cluster radius, so the radius is finite and lm is
 	// a real landmark.
@@ -155,32 +171,46 @@ func (s *S4) route(src, t graph.NodeID, first bool) ([]graph.NodeID, bool) {
 		lm = s.DB.OwnerOf(s.Env.HashOf(t))
 	}
 	if !snap.Reaches(lm, src) {
-		return nil, false
+		return dst, false
 	}
-	toLM := snap.PathFrom(lm, src)
+	base := len(dst)
+	dst = snap.AppendPathFrom(dst, lm, src)
 	if first {
 		// The figures count a query that bounces straight back off the
 		// owner (…x,owner,x…) as turning at x; a later packet's bounce
 		// off an en-route landmark is walked in full.
-		return dynamics.AppendJoin(toLM, 0, d.PathFrom(lm)), true
+		s.leg = d.AppendPathFrom(s.leg[:0], lm)
+		return dynamics.AppendJoin(dst, base, s.leg), true
 	}
-	i := 0
-	for !knows(toLM[i]) {
+	i := base
+	for !s.knows(dst[i], t, radius) {
 		i++
 	}
-	return append(toLM[:i], d.PathFrom(toLM[i])...), true
+	return d.AppendPathFrom(dst[:i], dst[i]), true
 }
 
 // cluster binds the destination tree d to t and returns it with t's
 // landmark on the snapshot's topology — the nearest one, ties to the lowest
 // ID (the deterministic re-registration rule); graph.None when t's
-// component lost every landmark — and the membership test u ↦ t ∈ C(u),
-// d(u,t) < d(t, l_t) under d's distances. Both are bounded queries: they
-// settle t's tree out to l_t's level and no further.
-func (s *S4) cluster(t graph.NodeID) (d *pathtree.Lazy, lm graph.NodeID, in func(graph.NodeID) bool) {
+// component lost every landmark — and the cluster radius d(t, l_t), which
+// inCluster tests against. Both are bounded queries: they settle t's tree
+// out to l_t's level and no further.
+func (s *S4) cluster(t graph.NodeID) (d *pathtree.Lazy, lm graph.NodeID, radius float64) {
 	d = s.destTree(t)
-	lm, radius := d.Nearest(s.Env.IsLM)
-	return d, lm, func(u graph.NodeID) bool { return u == t || d.Closer(u, radius) }
+	lm, radius = d.Nearest(s.Env.IsLM)
+	return d, lm, radius
+}
+
+// inCluster reports t ∈ C(u), d(u,t) < radius, under the destination tree
+// cluster(t) bound, radius being the one it returned.
+func (s *S4) inCluster(u, t graph.NodeID, radius float64) bool {
+	return u == t || s.dest.Closer(u, radius)
+}
+
+// knows reports whether u routes to t directly: u is a landmark, or t is
+// in u's cluster.
+func (s *S4) knows(u, t graph.NodeID, radius float64) bool {
+	return s.Env.IsLM[u] || s.inCluster(u, t, radius)
 }
 
 // ClusterSizesAll returns |C(v)| for every node using the dual formulation:

@@ -3,6 +3,7 @@ package s4
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestClusterDefinition(t *testing.T) {
 				continue
 			}
 			want := ss.Dist(graph.NodeID(v)) < radius
-			if _, _, in := s.cluster(graph.NodeID(w)); in(graph.NodeID(v)) != want {
+			if _, _, r := s.cluster(graph.NodeID(w)); s.inCluster(graph.NodeID(v), graph.NodeID(w), r) != want {
 				t.Fatalf("in cluster(%d, %d) = %v, want %v", v, w, !want, want)
 			}
 		}
@@ -256,13 +257,13 @@ func checkClusters(t *testing.T, name string, s *S4) {
 	ref := graph.NewSSSP(g)
 	for dst := graph.NodeID(0); int(dst) < g.N(); dst++ {
 		wantLM, radius := scanCluster(s.Env, ref, dst)
-		_, lm, in := s.cluster(dst)
+		_, lm, r := s.cluster(dst)
 		if lm != wantLM {
 			t.Fatalf("%s: cluster(%d) landmark %d, the scan says %d (radius %v)", name, dst, lm, wantLM, radius)
 		}
 		for u := graph.NodeID(0); int(u) < g.N(); u++ {
-			if want := u == dst || ref.Dist(u) < radius; in(u) != want {
-				t.Fatalf("%s: %d in cluster(%d) = %v, want %v (d %v, radius %v)", name, u, dst, in(u), want, ref.Dist(u), radius)
+			if want, in := u == dst || ref.Dist(u) < radius, s.inCluster(u, dst, r); in != want {
+				t.Fatalf("%s: %d in cluster(%d) = %v, want %v (d %v, radius %v)", name, u, dst, in, want, ref.Dist(u), radius)
 			}
 		}
 	}
@@ -310,8 +311,8 @@ func TestClusterMatchesLandmarkScan(t *testing.T) {
 			t.Fatalf("ApplyFailures: %v", err)
 		}
 		f := s.ForkRepaired(rep, nil)
-		if _, lm, in := f.cluster(a); lm != graph.None || !in(b) {
-			t.Fatalf("cluster(%d) in the landmark-free component {%d,%d}: landmark %d, in(%d) %v", a, a, b, lm, b, in(b))
+		if _, lm, r := f.cluster(a); lm != graph.None || !f.inCluster(b, a, r) {
+			t.Fatalf("cluster(%d) in the landmark-free component {%d,%d}: landmark %d, in(%d) %v", a, a, b, lm, b, f.inCluster(b, a, r))
 		}
 		checkClusters(t, "gnm repaired", f)
 	}
@@ -329,7 +330,7 @@ func TestInClusterAllPairs(t *testing.T) {
 			_, radius := scanCluster(s.Env, ref, dst)
 			want := v == dst || ref.Dist(v) < radius
 			s.destTree(v) // rebind, so every call starts from a bare root
-			if _, _, in := s.cluster(dst); in(v) != want {
+			if _, _, r := s.cluster(dst); s.inCluster(v, dst, r) != want {
 				t.Fatalf("in cluster(%d, %d) = %v, want %v", v, dst, !want, want)
 			}
 		}
@@ -353,6 +354,83 @@ func TestForkRepairedRejectsForeignScratch(t *testing.T) {
 		}
 	}()
 	s.ForkRepaired(rep, pathtree.NewLazy(g)) // pristine scratch, failed topology
+}
+
+// TestS4ZeroAlloc is core's TestWalkZeroAlloc for S4: with the fork's
+// scratch and the caller's buffer at steady-state capacity, AppendRoute
+// allocates nothing in either packet phase — on a base snapshot and on
+// the head of a repaired chain, in both storage regimes — and appends
+// exactly the route FirstRoute or LaterRoute returns. Each of those
+// allocates once a route: the copy it hands its caller.
+func TestS4ZeroAlloc(t *testing.T) {
+	g := topology.Gnm(rand.New(rand.NewSource(41)), 1024, 4096)
+	env := static.NewEnv(g, 41)
+	k := vicinity.DefaultK(env.N())
+	exact := newS4(t, env)
+	compact, err := snapshot.BuildCompact(g, k, env.Landmarks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := g.EdgeList()
+	chainHead := func(base *snapshot.Snapshot) *snapshot.Snapshot {
+		t.Helper()
+		rep, err := base.ApplyFailures(edges[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, err := rep.ApplyFailures(edges[1:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if head.OverlayShards() == 0 || !head.Graph().Connected() {
+			t.Fatalf("the chain head reads %d repaired shards, connected %v", head.OverlayShards(), head.Graph().Connected())
+		}
+		return head
+	}
+	pairs := metrics.SamplePairs(rand.New(rand.NewSource(41)), env.N(), 512)
+	for _, tc := range []struct {
+		name string
+		snap *snapshot.Snapshot
+	}{
+		{"exact base", exact.snapshot()}, {"exact repaired chain head", chainHead(exact.snapshot())},
+		{"compact base", compact}, {"compact repaired chain head", chainHead(compact)},
+	} {
+		fork := exact.ForkRepaired(tc.snap, nil)
+		owned := func(src, dst graph.NodeID, later bool) []graph.NodeID {
+			if later {
+				return fork.LaterRoute(src, dst)
+			}
+			return fork.FirstRoute(src, dst)
+		}
+		buf := make([]graph.NodeID, 0, 256)
+		// Warm the scratch past its steady-state capacity first, checking
+		// each route against the owned one on the way.
+		for i, p := range pairs {
+			src, dst, later := graph.NodeID(p.Src), graph.NodeID(p.Dst), i%2 == 1
+			want := owned(src, dst, later)
+			var ok bool
+			if buf, ok = fork.AppendRoute(buf[:0], src, dst, later); !ok || !slices.Equal(buf, want) {
+				t.Fatalf("%s: %d->%d later=%v: AppendRoute (%v, %v), owned route %v", tc.name, src, dst, later, buf, ok, want)
+			}
+		}
+		i := 0
+		avg := testing.AllocsPerRun(2*len(pairs), func() {
+			p := pairs[i%len(pairs)]
+			buf, _ = fork.AppendRoute(buf[:0], graph.NodeID(p.Src), graph.NodeID(p.Dst), i%2 == 1)
+			i++
+		})
+		if avg != 0 {
+			t.Errorf("%s: AppendRoute allocates %.2f times per query, want 0", tc.name, avg)
+		}
+		total := testing.AllocsPerRun(1, func() {
+			for i, p := range pairs {
+				owned(graph.NodeID(p.Src), graph.NodeID(p.Dst), i%2 == 1)
+			}
+		})
+		if int(total) != len(pairs) {
+			t.Errorf("%s: %d owned routes allocate %.0f times, want one copy each", tc.name, len(pairs), total)
+		}
+	}
 }
 
 // ClusterSize returns |C(v)| exactly (one full Dijkstra from v): the count

@@ -19,7 +19,7 @@
 //	         entry's parent within this window (parents are always members),
 //	         with index m encoding graph.None (the owner)
 //	dists:   the window's own distance column, lossless: on a unit-weight
-//	         graph (vicinity.Levels) m BFS levels in Width(radius+1) bits
+//	         graph (graph.Unit) m BFS levels in Width(radius+1) bits
 //	         each, otherwise m float64s in 64 bits each
 //
 // Every offset is relative to the window, so a window's bytes mean the
@@ -94,7 +94,7 @@ import (
 // vicinityShard bounds how many per-node encoded buffers exist at once
 // during BuildCompact: windows are computed and encoded in parallel within
 // a shard, then appended to the blob and released, so peak transient memory
-// tracks the encoded size, not the 16-byte-per-entry exact table.
+// tracks the encoded size, not the exact table's 8 to 14 bytes an entry.
 const vicinityShard = 8192
 
 // compactStore is the compact regime's base store. pg is the graph whose
@@ -104,7 +104,7 @@ const vicinityShard = 8192
 type compactStore struct {
 	n, k     int
 	pg       *graph.Graph
-	levels   bool // distances as BFS levels: vicinity.Levels(pg, k)
+	levels   bool // distances as BFS levels: pg.Unit()
 	pWidth   int  // bits of one parent window index: Width(k+1)
 	vicBlob  []byte
 	vicOff   []int64
@@ -118,7 +118,7 @@ type compactStore struct {
 // newCompactStore fixes a store's layout over g: the field widths and the
 // distance form.
 func newCompactStore(g *graph.Graph, k int) *compactStore {
-	cs := newCompactLayout(g.N(), k, vicinity.Levels(g, k))
+	cs := newCompactLayout(g.N(), k, g.Unit())
 	cs.pg = g
 	return cs
 }
@@ -284,12 +284,12 @@ func (cs *compactStore) encodedWindowBytes(win *vicinity.Window) int64 {
 func (cs *compactStore) window(v graph.NodeID) *vicinity.Window {
 	p := cs.pointed(v)
 	m := p.size
-	ids, parent := p.appendIDs(make([]graph.NodeID, 0, m)), make([]int32, m)
+	ids, parent := p.appendIDs(make([]graph.NodeID, 0, m)), make([]uint16, m)
 	r := p.reader(p.parents)
 	bits.ReadRun(r, parent, cs.pWidth)
 	for i, q := range parent {
 		if int(q) == m {
-			parent[i] = -1 // the owner
+			parent[i] = math.MaxUint16 // the owner
 		}
 	}
 	var level []uint16

@@ -192,14 +192,14 @@ func FuzzCompactWindow(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		kk := int(k % 512)
 		m := int(size) % (kk + 1)
-		ids, parent := make([]graph.NodeID, m), make([]int32, m)
+		ids, parent := make([]graph.NodeID, m), make([]uint16, m)
 		next := graph.NodeID(rng.Intn(1 + int(spread)))
 		for i := range ids {
 			ids[i] = next
 			next += 1 + graph.NodeID(rng.Intn(1+int(spread)))
 		}
 		for i := range parent {
-			parent[i] = int32(rng.Intn(m+1)) - 1
+			parent[i] = uint16(rng.Intn(m+1) - 1) // -1 wraps to the owner's entry
 		}
 		n := int(next) + rng.Intn(1+int(spread))
 		if pow := 1 << mbits.Len(uint(max(n, 1)-1)); shape>>2&3 == 1 {

@@ -521,10 +521,11 @@ func treeLink[W windowFields](win W, f graph.EdgeKey) bool {
 // distinct endpoint encloses every such x, the two balls of a link are
 // intersected, and x is kept for test(x, i) only where both of link i's
 // ball distances are within V(x)'s radius, read off the store (windowMeta)
-// without decoding. test decides exactly, reading a compact window in
-// place. The ball searches and the per-link sweeps fan out over the worker
-// pool, and the merge is a sort and dedup of the per-link lists, so the
-// result is worker-count invariant.
+// without decoding, and differ by the link's weight (mayCarry). test
+// decides exactly, reading a compact window in place. The ball searches
+// and the per-link sweeps fan out over the worker pool, and the merge is a
+// sort and dedup of the per-link lists, so the result is worker-count
+// invariant.
 func (s *Snapshot) windowCandidates(g *graph.Graph, links []graph.EdgeKey, test func(x graph.NodeID, i int) bool) ([]graph.NodeID, int) {
 	eps := make([]graph.NodeID, 0, 2*len(links))
 	for _, l := range links {
@@ -561,6 +562,7 @@ func (s *Snapshot) windowCandidates(g *graph.Graph, links []graph.EdgeKey, test 
 	cands := parallel.MapScratch(len(links),
 		func() []float64 { return slices.Repeat([]float64{-1}, g.N()) },
 		func(in []float64, i int) []graph.NodeID {
+			w := g.EdgeWeight(links[i].U, links[i].V)
 			bu, bv := ballOf(links[i].U), ballOf(links[i].V)
 			if len(bv.nodes) < len(bu.nodes) {
 				bu, bv = bv, bu
@@ -571,7 +573,7 @@ func (s *Snapshot) windowCandidates(g *graph.Graph, links []graph.EdgeKey, test 
 			var out []graph.NodeID
 			for j, x := range bv.nodes {
 				du, dv := in[x], bv.dist[j]
-				if du < 0 {
+				if du < 0 || !mayCarry(du, dv, w) {
 					continue
 				}
 				if _, rad := s.windowMeta(x); within(du, rad) && within(dv, rad) && test(x, i) {
@@ -638,6 +640,14 @@ func ballBound(r float64) float64 { return math.Nextafter(r+r*sumSlack, math.Inf
 // within reports whether a ball distance d may be a window distance of at
 // most r.
 func within(d, r float64) bool { return d <= r+r*sumSlack }
+
+// mayCarry reports whether a link of weight w, its endpoints at ball
+// distances du and dv from x, may lie on a shortest path from x: only then
+// can it change V(x). A failed link must be a tree edge of the window, and
+// a restored one must carry a new shortest route, so its endpoints'
+// distances from x differ by exactly w; each ball distance may sit off the
+// window's by the sums' slack. On unit weights it rejects du == dv.
+func mayCarry(du, dv, w float64) bool { return math.Abs(du-dv)+(du+dv)*sumSlack >= w }
 
 // restoreChanges reports whether restoring r changes the full window V(x):
 // the three cases of "What affected means", read off the pre-event window

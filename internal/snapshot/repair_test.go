@@ -399,3 +399,67 @@ func TestFoldResetsMaxRadius(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowCandidatesPrune drives the candidate search's weight prune on
+// a geometric map, whose float link weights make |du − dv| = w a test of
+// sums, not of integers. For single failed links on the pre-event graph,
+// and for the same links restored on the recovered one, windowCandidates
+// must return exactly the windows the exact test accepts among every node
+// whose two endpoint distances lie within its radius, found without the
+// prune by full searches from both endpoints; and the test must accept
+// some of those nodes and the prune skip some, or neither is exercised.
+func TestWindowCandidatesPrune(t *testing.T) {
+	env := buildGeoEnv(t, 384, 11)
+	g, k := env.G, vicinity.DefaultK(env.N())
+	links := drawNonBridgeLinks(t, g, 7, 8)
+	su, sv := graph.NewSSSP(g), graph.NewSSSP(g)
+	for _, compact := range []bool{false, true} {
+		base := mustBuild(t, env, k, compact)
+		accepted, pruned := 0, 0
+		for _, l := range links {
+			rep, err := base.ApplyFailures([]graph.EdgeKey{l})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := g.EdgeWeight(l.U, l.V)
+			restored := graph.WeightedLink{U: l.U, V: l.V, W: w}
+			// Both searches run on g: the pre-event graph of the failure,
+			// and the recovered graph of the restore.
+			for _, tc := range []struct {
+				name string
+				s    *Snapshot
+				test func(x graph.NodeID) bool
+			}{
+				{"fail", base, func(x graph.NodeID) bool { return base.carriesTreeLink(x, l) }},
+				{"restore", rep, func(x graph.NodeID) bool {
+					size, _ := rep.windowMeta(x)
+					return size >= rep.k && rep.restoreChanges(x, restored)
+				}},
+			} {
+				got, _ := tc.s.windowCandidates(g, []graph.EdgeKey{l}, func(x graph.NodeID, _ int) bool { return tc.test(x) })
+				su.Run(l.U)
+				sv.Run(l.V)
+				var want []graph.NodeID
+				for x := range graph.NodeID(g.N()) {
+					du, dv := su.Dist(x), sv.Dist(x)
+					if _, rad := tc.s.windowMeta(x); !within(du, rad) || !within(dv, rad) {
+						continue
+					}
+					if !mayCarry(du, dv, w) {
+						pruned++
+					}
+					if tc.test(x) {
+						want = append(want, x)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("compact=%v %s %v: candidates %v, want %v", compact, tc.name, l, got, want)
+				}
+				accepted += len(want)
+			}
+		}
+		if accepted == 0 || pruned == 0 {
+			t.Fatalf("compact=%v: on %d links the test accepted %d nodes and the prune skipped %d", compact, len(links), accepted, pruned)
+		}
+	}
+}

@@ -23,7 +23,6 @@ func TestSealedSurface(t *testing.T) {
 		reflect.TypeFor[graph.Graph]():     true, // AddEdge panics once finalized
 	}
 	exempt := map[string]string{
-		"Snapshot.PathFrom":           "a fresh path per call",
 		"Snapshot.AppendPathFrom":     "appends to the caller's dst",
 		"Snapshot.AppendVicinityPath": "appends to the caller's dst",
 		"Snapshot.AppendMembers":      "appends to the caller's dst",

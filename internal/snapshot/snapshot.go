@@ -37,9 +37,9 @@
 // after Build returns, and the types carry it. A vicinity.Window and a
 // forest Row expose no slice, the graph is sealed at Finalize, and what a
 // method hands out is a sealed type, a value, or memory of the caller's
-// own (PathFrom's fresh path, a copy of RepairStats); TestSealedSurface
-// holds every exported method to that. The touched lists inside
-// RepairStats are the one shared slice, documented there.
+// own (a path appended to the caller's dst, a copy of RepairStats);
+// TestSealedSurface holds every exported method to that. The touched lists
+// inside RepairStats are the one shared slice, documented there.
 package snapshot
 
 import (
@@ -102,7 +102,8 @@ type Snapshot struct {
 // and the given landmark set, fanning both sweeps out over the parallel
 // worker pool. Each task writes only its own entry window / tree row, so
 // the result is identical at any worker count. The graph must be connected;
-// a disconnected graph returns an error (no worker ever panics mid-pool).
+// a disconnected graph returns an error (no worker ever panics mid-pool),
+// and so does a k that, clamped to n, exceeds vicinity.MaxMembers.
 func Build(g *graph.Graph, k int, landmarks []graph.NodeID) (*Snapshot, error) {
 	return build(g, k, landmarks, false)
 }
@@ -111,7 +112,7 @@ func Build(g *graph.Graph, k int, landmarks []graph.NodeID) (*Snapshot, error) {
 // state bit-packed to a fraction of the exact footprint (the regime that
 // makes paper-scale -full runs fit in memory). Vicinity windows are built
 // and encoded shard by shard, so peak transient memory tracks the encoded
-// size instead of the 16-byte-per-entry exact table.
+// size instead of the exact table's 8 to 14 bytes an entry.
 func BuildCompact(g *graph.Graph, k int, landmarks []graph.NodeID) (*Snapshot, error) {
 	return build(g, k, landmarks, true)
 }
@@ -121,6 +122,9 @@ func build(g *graph.Graph, k int, landmarks []graph.NodeID, compact bool) (*Snap
 	n := g.N()
 	if k > n {
 		k = n
+	}
+	if k > vicinity.MaxMembers {
+		return nil, fmt.Errorf("snapshot: vicinity size %d exceeds the %d members a window holds", k, vicinity.MaxMembers)
 	}
 	// Validate connectivity before the fan-out: a disconnected graph must
 	// surface as a caller-visible error, never as a panic inside a worker
@@ -399,16 +403,11 @@ func (s *Snapshot) Reaches(root, v graph.NodeID) bool {
 	return v == root || s.parentAt(row, v) != graph.None
 }
 
-// PathFrom returns v ⇝ root on root's shortest-path tree (both endpoints
-// included); root must be a landmark. On a repaired snapshot callers must
-// check Reaches(root, v) first: an unreachable v yields a meaningless
+// AppendPathFrom appends v ⇝ root on root's shortest-path tree (both
+// endpoints included) to dst, with no allocation beyond dst's own growth;
+// root must be a landmark. On a repaired snapshot callers must check
+// Reaches(root, v) first: an unreachable v yields a meaningless
 // single-node path.
-func (s *Snapshot) PathFrom(root, v graph.NodeID) []graph.NodeID {
-	return s.AppendPathFrom(nil, root, v)
-}
-
-// AppendPathFrom is PathFrom appending to dst: no allocation beyond dst's
-// own growth.
 func (s *Snapshot) AppendPathFrom(dst []graph.NodeID, root, v graph.NodeID) []graph.NodeID {
 	row := s.row(root)
 	for u := v; u != graph.None; u = s.parentAt(row, u) {

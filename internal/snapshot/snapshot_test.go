@@ -76,7 +76,7 @@ func TestSnapshotMatchesLegacy(t *testing.T) {
 		for v := 0; v < env.N(); v += 7 {
 			wantFrom := want.PathTo(graph.NodeID(v))
 			slices.Reverse(wantFrom)
-			if got := s.PathFrom(lm, graph.NodeID(v)); !slices.Equal(got, wantFrom) {
+			if got := s.AppendPathFrom(nil, lm, graph.NodeID(v)); !slices.Equal(got, wantFrom) {
 				t.Fatalf("PathFrom(%d,%d): got %v want %v", lm, v, got, wantFrom)
 			}
 		}
@@ -166,7 +166,7 @@ func compareRegimes(t *testing.T, exact, compact *Snapshot) {
 			}
 		}
 		for v := 0; v < n; v += 5 {
-			if got, want := compact.PathFrom(lm, graph.NodeID(v)), exact.PathFrom(lm, graph.NodeID(v)); !slices.Equal(got, want) {
+			if got, want := compact.AppendPathFrom(nil, lm, graph.NodeID(v)), exact.AppendPathFrom(nil, lm, graph.NodeID(v)); !slices.Equal(got, want) {
 				t.Fatalf("PathFrom(%d,%d): got %v want %v", lm, v, got, want)
 			}
 		}
@@ -361,6 +361,19 @@ func TestParentIndexMatchesSearch(t *testing.T) {
 					t.Fatalf("compact=%v V(%d) entry %d: parent index %d, want %d", compact, v, i, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestBuildRefusesWindowsPastTheCap: a vicinity size past
+// vicinity.MaxMembers, after the clamp to n, is a caller error in both
+// regimes, returned before any search runs.
+func TestBuildRefusesWindowsPastTheCap(t *testing.T) {
+	g := topology.Line(vicinity.MaxMembers + 2)
+	for _, build := range []func(*graph.Graph, int, []graph.NodeID) (*Snapshot, error){Build, BuildCompact} {
+		s, err := build(g, vicinity.MaxMembers+1, []graph.NodeID{0})
+		if err == nil || !strings.Contains(err.Error(), "65535") {
+			t.Fatalf("k = %d on %d nodes: snapshot %v, error %v; want an error naming the limit", vicinity.MaxMembers+1, g.N(), s != nil, err)
 		}
 	}
 }

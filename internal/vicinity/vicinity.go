@@ -11,7 +11,10 @@
 // snapshot stores windows as they are, the forwarding tables install the
 // snapshot's windows, and the compact encoding writes the parent column
 // as is. Parents are window positions, so a path is pointer-chasing within
-// one window, never a search.
+// one window, never a search, and a position takes two bytes: a window
+// holds at most MaxMembers members, which also bounds a unit-weight
+// window's BFS levels, so on a unit-weight graph (graph.Unit) every window
+// keeps its distances as uint16 levels.
 package vicinity
 
 import (
@@ -23,6 +26,16 @@ import (
 
 	"disco/internal/graph"
 )
+
+// MaxMembers is the most members a window holds: a parent position is a
+// uint16 with math.MaxUint16 marking the owner, so positions run to
+// MaxMembers-1. The paper's largest map (192,244 nodes) needs k = 1,837.
+// snapshot.Build refuses a larger k with an error; the window
+// constructors panic on one, a harness invariant.
+const MaxMembers = math.MaxUint16
+
+// owner is the parent column's entry for the owner, which has no parent.
+const owner = math.MaxUint16
 
 // DefaultK returns the vicinity size used throughout the evaluation:
 // ceil(sqrt(n*log2(n))), the paper's Θ(sqrt(n log n)) with constant 1.
@@ -40,11 +53,13 @@ func DefaultK(n int) int {
 // Window is the vicinity of one node, column by column: ids holds the
 // members ascending (the owner included, at distance 0), parent[i] the
 // index in ids of member i's parent on the owner-rooted shortest-path tree
-// (-1 for the owner; parents are always members), and one distance column.
-// On a unit-weight graph a member's distance is its BFS level, below k, so
-// the column is a uint16 level; on any other graph it is the float64
-// distance. The choice is made per window from the graph it was computed
-// on, as graph.SSSP picks its kernel, so a repair chain can hold both.
+// (math.MaxUint16 for the owner; parents are always members), and one
+// distance column. A member costs 4 bytes of ID and 2 of parent, plus 2 of
+// level or 8 of distance. On a unit-weight graph a member's distance is
+// its BFS level, below k <= MaxMembers, so the column is a uint16 level;
+// on any other graph it is the float64 distance. The choice is made per
+// window from the graph it was computed on, as graph.SSSP picks its
+// kernel, so a repair chain can hold both.
 //
 // filt is the membership bitset Find tests first: bit id&(len(filt)·64−1)
 // is set for every member. It is sized to the ID space (exact, no false
@@ -66,7 +81,7 @@ func DefaultK(n int) int {
 // share between any number of readers.
 type Window struct {
 	ids    []graph.NodeID
-	parent []int32
+	parent []uint16
 	level  []uint16  // BFS levels (unit-weight graph), else nil
 	dist   []float64 // distances (any other graph), else nil
 	filt   []uint64
@@ -80,7 +95,12 @@ func (w *Window) Size() int { return len(w.ids) }
 func (w *Window) ID(i int) graph.NodeID { return w.ids[i] }
 
 // Parent returns the index of member i's parent, or -1 for the owner.
-func (w *Window) Parent(i int) int { return int(w.parent[i]) }
+func (w *Window) Parent(i int) int {
+	if p := w.parent[i]; p != owner {
+		return int(p)
+	}
+	return -1
+}
 
 // Dist returns member i's shortest-path distance from the owner.
 func (w *Window) Dist(i int) float64 {
@@ -127,11 +147,11 @@ func (w *Window) Contains(t graph.NodeID) bool { return w.Find(t) >= 0 }
 // room it measured first, so the only allocation is dst's own growth.
 func (w *Window) AppendPath(dst []graph.NodeID, i int) []graph.NodeID {
 	n := 0
-	for j := i; j >= 0; j = int(w.parent[j]) {
+	for j := uint16(i); j != owner; j = w.parent[j] {
 		n++
 	}
 	dst = slices.Grow(dst, n)[:len(dst)+n]
-	for j, k := i, len(dst)-1; j >= 0; j, k = int(w.parent[j]), k-1 {
+	for j, k := uint16(i), len(dst)-1; j != owner; j, k = w.parent[j], k-1 {
 		dst[k] = w.ids[j]
 	}
 	return dst
@@ -141,7 +161,7 @@ func (w *Window) AppendPath(dst []graph.NodeID, i int) []graph.NodeID {
 // is the caller's to count.
 func (w *Window) Bytes() int64 {
 	return int64(len(w.ids))*int64(unsafe.Sizeof(graph.NodeID(0))) +
-		int64(len(w.parent))*int64(unsafe.Sizeof(int32(0))) +
+		int64(len(w.parent))*int64(unsafe.Sizeof(uint16(0))) +
 		int64(len(w.level))*int64(unsafe.Sizeof(uint16(0))) +
 		int64(len(w.dist))*int64(unsafe.Sizeof(float64(0))) +
 		int64(len(w.filt))*int64(unsafe.Sizeof(uint64(0)))
@@ -181,21 +201,27 @@ func clone[T any](pool *[]T, src []T) []T {
 	return s
 }
 
-// Levels reports the distance form windows of k members take on g: BFS
-// levels when g is unit-weight and k fits a uint16, float64 distances
-// otherwise.
-func Levels(g *graph.Graph, k int) bool { return g.Unit() && k <= math.MaxUint16 }
+// checkMembers panics when a window would hold more than MaxMembers
+// members: a harness invariant, since snapshot.Build refuses such a k with
+// an error before any window is made.
+func checkMembers(m int) {
+	if m > MaxMembers {
+		panic(fmt.Sprintf("vicinity: a window of %d members exceeds the limit of %d (MaxMembers)", m, MaxMembers))
+	}
+}
 
 // MakeWindows returns count empty windows with room for k members each, in
-// the distance form a ball of g takes (Levels), carved from one array per
-// column — so a whole store is a handful of allocations, not five a window.
-// Fill them with Ball.Fill.
+// the distance form a ball of g takes (BFS levels when g is unit-weight,
+// float64 distances otherwise), carved from one array per column — so a
+// whole store is a handful of allocations, not five a window. Fill them
+// with Ball.Fill.
 func MakeWindows(g *graph.Graph, count, k int) []Window {
+	checkMembers(k)
 	words := filterWords(g.N())
-	ids, parent, filt := make([]graph.NodeID, count*k), make([]int32, count*k), make([]uint64, count*words)
+	ids, parent, filt := make([]graph.NodeID, count*k), make([]uint16, count*k), make([]uint64, count*words)
 	var level []uint16
 	var dist []float64
-	if Levels(g, k) {
+	if g.Unit() {
 		level = make([]uint16, count*k)
 	} else {
 		dist = make([]float64, count*k)
@@ -219,7 +245,7 @@ func Pack(src []*Window) []Window {
 	for _, w := range src {
 		members, levels, words = members+len(w.ids), levels+len(w.level), words+len(w.filt)
 	}
-	ids, parent, filt := make([]graph.NodeID, members), make([]int32, members), make([]uint64, words)
+	ids, parent, filt := make([]graph.NodeID, members), make([]uint16, members), make([]uint64, words)
 	level, dist := make([]uint16, levels), make([]float64, members-levels)
 	out := make([]Window, len(src))
 	for i, w := range src {
@@ -234,10 +260,12 @@ func Pack(src []*Window) []Window {
 }
 
 // FromColumns assembles a window from columns the caller hands over and no
-// longer touches: member IDs ascending, parent indices (-1 for the owner),
-// one distance column — BFS levels or float64 distances, the other nil —
-// and the radius, its largest entry, over an ID space of idSpace nodes.
-func FromColumns(idSpace int, ids []graph.NodeID, parent []int32, level []uint16, dist []float64, radius float64) *Window {
+// longer touches: member IDs ascending, parent indices (math.MaxUint16 for
+// the owner), one distance column — BFS levels or float64 distances, the
+// other nil — and the radius, its largest entry, over an ID space of
+// idSpace nodes.
+func FromColumns(idSpace int, ids []graph.NodeID, parent []uint16, level []uint16, dist []float64, radius float64) *Window {
+	checkMembers(len(ids))
 	w := &Window{ids: ids, parent: parent, level: level, dist: dist, filt: make([]uint64, filterWords(idSpace)), radius: radius}
 	w.seal()
 	return w
@@ -254,23 +282,24 @@ type Entry struct {
 // FromEntries assembles a window from raw entries in any order (e.g.
 // collected by the event-driven path-vector protocol), over an ID space of
 // idSpace nodes. The entries are sorted in place. A parent that is not a
-// member means the entries do not form a vicinity, and panics.
+// member means the entries do not form a vicinity, and panics; so do more
+// than MaxMembers entries.
 func FromEntries(idSpace int, entries []Entry) *Window {
 	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Node, b.Node) })
-	ids, parent, dist := make([]graph.NodeID, len(entries)), make([]int32, len(entries)), make([]float64, len(entries))
+	ids, parent, dist := make([]graph.NodeID, len(entries)), make([]uint16, len(entries)), make([]float64, len(entries))
 	radius := 0.0
 	for i, e := range entries {
 		ids[i], dist[i] = e.Node, e.Dist
 		radius = max(radius, e.Dist)
 	}
 	for i, e := range entries {
-		parent[i] = -1
+		parent[i] = owner
 		if e.Parent != graph.None {
 			j, ok := slices.BinarySearch(ids, e.Parent)
 			if !ok {
 				panic(fmt.Sprintf("vicinity: parent %d of member %d is outside the vicinity window", e.Parent, e.Node))
 			}
-			parent[i] = int32(j)
+			parent[i] = uint16(j)
 		}
 	}
 	return FromColumns(idSpace, ids, parent, nil, dist, radius)
@@ -283,12 +312,12 @@ func FromEntries(idSpace int, entries []Entry) *Window {
 // worker; not safe for concurrent use.
 type Ball struct {
 	sp  *graph.SSSP
-	pos []int32
+	pos []uint16
 }
 
 // NewBall returns a window scratch over g.
 func NewBall(g *graph.Graph) *Ball {
-	return &Ball{sp: graph.NewSSSP(g), pos: make([]int32, g.N())}
+	return &Ball{sp: graph.NewSSSP(g), pos: make([]uint16, g.N())}
 }
 
 // Fill computes V(src) with k members into w, which must come from
@@ -327,10 +356,10 @@ func (b *Ball) Fill(w *Window, src graph.NodeID, k int) {
 		}
 	}
 	for i, id := range w.ids {
-		b.pos[id] = int32(i)
+		b.pos[id] = uint16(i)
 	}
 	for i, id := range w.ids {
-		w.parent[i] = -1
+		w.parent[i] = owner
 		if p := sp.Parent(id); p != graph.None {
 			w.parent[i] = b.pos[p]
 		}

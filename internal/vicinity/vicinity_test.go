@@ -362,3 +362,64 @@ func TestPackKeepsWindows(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowBytesPerMember pins what a window's columns cost a member: a
+// 4-byte ID and a 2-byte parent position, plus a 2-byte BFS level on a
+// unit-weight graph or an 8-byte distance on a weighted one — 8 and 14
+// bytes — and on top of them the membership bitset's words.
+func TestWindowBytesPerMember(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Graph
+		perMember int64
+	}{
+		{"unit", topology.GnmAvgDeg(rng, 300, 6), 8},
+		{"weighted", topology.Geometric(rng, 300, 8), 14},
+	} {
+		k := DefaultK(tc.g.N())
+		for v, w := range windows(tc.g, k) {
+			if want := int64(w.Size())*tc.perMember + int64(len(w.filt))*8; w.Bytes() != want {
+				t.Fatalf("%s V(%d): %d members and %d filter words take %d bytes, want %d", tc.name, v, w.Size(), len(w.filt), w.Bytes(), want)
+			}
+		}
+	}
+}
+
+// TestMemberCap: a window's parent positions are uint16s, so every
+// constructor refuses more than MaxMembers members with a panic naming the
+// limit, and a window of exactly MaxMembers still walks its deepest member
+// back to the owner.
+func TestMemberCap(t *testing.T) {
+	const n = MaxMembers + 1
+	g := topology.Line(n)
+	chain := func(m int) []Entry {
+		es := make([]Entry, m)
+		for i := range es {
+			es[i] = Entry{Node: graph.NodeID(i), Parent: graph.NodeID(i - 1), Dist: float64(i)}
+		}
+		es[0].Parent = graph.None
+		return es
+	}
+	for _, tc := range []struct {
+		name string
+		make func()
+	}{
+		{"FromEntries", func() { FromEntries(n, chain(n)) }},
+		{"MakeWindows", func() { MakeWindows(g, 1, n) }},
+		{"FromColumns", func() { FromColumns(n, make([]graph.NodeID, n), make([]uint16, n), nil, make([]float64, n), 0) }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "65535") {
+					t.Fatalf("%s with %d members: recovered %q, want a panic naming the limit", tc.name, n, msg)
+				}
+			}()
+			tc.make()
+		}()
+	}
+	w := FromEntries(n, chain(MaxMembers))
+	if p := w.AppendPath(nil, MaxMembers-1); len(p) != MaxMembers || p[0] != 0 || p[len(p)-1] != MaxMembers-1 || w.Parent(0) != -1 {
+		t.Fatalf("a full window's deepest path has %d nodes, %d..%d; owner's parent %d", len(p), p[0], p[len(p)-1], w.Parent(0))
+	}
+}
