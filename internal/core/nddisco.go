@@ -292,23 +292,27 @@ func (r *NDDisco) rehomeLandmark(t graph.NodeID) graph.NodeID {
 
 // walk simulates the packet traveling along the route dst[base:] toward t,
 // applying the configured shortcut heuristics at every node it passes
-// (§4.2), and returns dst with the route rewritten.
+// (§4.2), and returns dst with the route rewritten. The caller has probed
+// dst[base]'s window for t and missed — every route walked starts at a
+// node whose direct case failed — so To-Destination starts one node on;
+// Up-Down Stream splices at dst[base] too.
 func (r *NDDisco) walk(dst []graph.NodeID, base int, t graph.NodeID, sc Shortcut) []graph.NodeID {
-	if !sc.usesToDest() && !sc.usesUpDown() {
+	if sc.usesUpDown() {
+		for i := base; i < len(dst)-1; i++ {
+			dst = r.spliceUpDown(dst, i)
+		}
 		return dst
 	}
-	for i := base; i < len(dst)-1; i++ {
-		u := dst[i]
-		if sc.usesUpDown() {
-			dst = r.spliceUpDown(dst, i)
-			continue
-		}
-		// To-Destination: follow the direct path as soon as any node knows
-		// one. Nodes on a shortest path to t also have t in their
-		// vicinities with consistent sub-paths, so no further improvement
-		// is possible after the splice. The lookup materializes no window,
-		// and a miss, the per-node common case, appends nothing.
-		if out, ok := r.snap.AppendVicinityPath(dst[:i], u, t); ok {
+	if !sc.usesToDest() {
+		return dst
+	}
+	// To-Destination: follow the direct path as soon as any node knows one.
+	// Nodes on a shortest path to t also have t in their vicinities with
+	// consistent sub-paths, so no further improvement is possible after the
+	// splice. The lookup materializes no window, and a miss, the per-node
+	// common case, appends nothing.
+	for i := base + 1; i < len(dst)-1; i++ {
+		if out, ok := r.snap.AppendVicinityPath(dst[:i], dst[i], t); ok {
 			return out
 		}
 	}

@@ -8,8 +8,10 @@ import (
 	"sort"
 	"testing"
 
+	"disco/internal/bits"
 	"disco/internal/graph"
 	"disco/internal/static"
+	"disco/internal/topology"
 	"disco/internal/vicinity"
 )
 
@@ -185,7 +187,9 @@ func checkChainStep(t *testing.T, step int, heads [2]*chainDriver) {
 // every window of a compact store as float64. One more failure adds float
 // windows to the overlay; then the weight-2 link fails again, and the next
 // fold turns the store back to levels, those float windows included. At
-// every step both regimes must match each other and a from-scratch build.
+// every step both regimes must match each other and a from-scratch build,
+// and the compact head's Bytes must count each overlaid window in its own
+// form (checkSlotBytes).
 func TestSnapshotChainLeavesUnitWeights(t *testing.T) {
 	env := buildEnv(t, 256, 17)
 	heads := twinDrivers(t, env, vicinity.DefaultK(env.N()))
@@ -209,6 +213,7 @@ func TestSnapshotChainLeavesUnitWeights(t *testing.T) {
 			d.cur = next
 		}
 		checkChainStep(t, step, heads)
+		checkSlotBytes(t, heads[1].cur)
 		step++
 	}
 	failLink := func(s *Snapshot) (*Snapshot, error) { return s.ApplyFailures([]graph.EdgeKey{link}) }
@@ -218,6 +223,7 @@ func TestSnapshotChainLeavesUnitWeights(t *testing.T) {
 			d.failOne(t, rngs[i], true)
 		}
 		checkChainStep(t, step, heads)
+		checkSlotBytes(t, heads[1].cur)
 		step++
 	}
 	untilFold := func(levels bool) {
@@ -324,18 +330,91 @@ func TestSnapshotChainBounded(t *testing.T) {
 			}
 			// Folded storage re-encodes the same state (same order of
 			// magnitude as the base build), and the private overlay — which
-			// Bytes() counts at its exact in-memory representation — is
-			// bounded by `limit` shards of at worst one full window (an ID,
-			// a parent index and a float64 distance a member, and a bitset
-			// of at most 8192 bits) or one plain parent row each.
-			overlaySlack := int64(limit)*(windowBytes+int64(k)*16+1024) +
-				int64(len(env.Landmarks))*int64(n)*nodeBytes
+			// Bytes() counts as it is held — is bounded by `limit` shards of
+			// at worst one full window or one plain parent row each. An
+			// exact chain holds a window whole (an ID, a parent index and a
+			// float64 distance a member, and a bitset of at most 8192 bits);
+			// a compact one holds its encoding, at most 64-bit distances,
+			// and its slot.
+			win := windowBytes + int64(k)*16 + 1024
+			if compact {
+				win = slotBytes + newCompactLayout(n, k, false).encodedWindowBytes(k, 0)
+			}
+			overlaySlack := int64(limit)*win + int64(len(env.Landmarks))*int64(n)*nodeBytes
 			if peakBytes > 2*baseBytes+overlaySlack {
 				t.Errorf("peak snapshot bytes %d exceed 2x the base build's %d plus the overlay bound %d", peakBytes, baseBytes, overlaySlack)
 			}
 			t.Logf("100 steps: %d folds, peak overlay %d/%d shards, peak bytes %d (base %d)",
 				folds, peakOverlay, totalShards, peakBytes, baseBytes)
 		})
+	}
+}
+
+// TestCompactChainStateCeiling pins the state a compact chain carries per
+// node: on router-like n=2048 (seed 1, k=DefaultK), a deterministic chain
+// of 120 single-link fail/recover events that crosses folds, the mean of
+// Bytes()/n over the post-event heads. An overlaid window is kept in the
+// wire format, so its count is its encoded length plus its slot; every
+// 20th head checks that part of Bytes against an encoding of the head's
+// decoded windows made here (checkSlotBytes).
+// compactStateCeiling is the final code's mean, rounded up to the byte.
+func TestCompactChainStateCeiling(t *testing.T) {
+	const compactStateCeiling = 441
+	g := topology.RouterLike(rand.New(rand.NewSource(1)), 2048)
+	env := static.NewEnv(g, 1)
+	n := g.N()
+	d := newChainDriver(mustBuild(t, env, vicinity.DefaultK(n), true))
+	rng := rand.New(rand.NewSource(1))
+	const events = 120
+	var sum float64
+	folds := 0
+	for step := range events {
+		if len(d.down) == 0 || (len(d.down) < 8 && rng.Intn(2) == 0) {
+			d.failOne(t, rng, false)
+		} else {
+			d.recoverOne(t, rng)
+		}
+		head := d.cur
+		if head.RepairStats().Folded {
+			folds++
+		}
+		sum += float64(head.Bytes()) / float64(n)
+		if step%20 == 19 {
+			checkSlotBytes(t, head)
+		}
+	}
+	if folds == 0 {
+		t.Fatal("the chain never folded")
+	}
+	mean := sum / events
+	t.Logf("%d events, %d folds: mean state %.1f B/node", events, folds, mean)
+	if mean > compactStateCeiling {
+		t.Errorf("mean compact chain state %.1f B/node exceeds the ceiling %d", mean, compactStateCeiling)
+	}
+}
+
+// checkSlotBytes holds the overlaid windows' part of a compact head's
+// Bytes — what it counts beyond the same head with its window slots empty —
+// to each window encoded anew, in the distance form its slot records, plus
+// its slot.
+func checkSlotBytes(t *testing.T, head *Snapshot) {
+	t.Helper()
+	if head.ov == nil {
+		return
+	}
+	bare := *head
+	bare.ov = &overlay{enc: make([]*encodedWindow, len(head.ov.enc)), rows: head.ov.rows}
+	var w bits.Writer
+	var want int64
+	for v, ew := range head.ov.enc {
+		if ew != nil {
+			w.Reset()
+			newCompactLayout(head.cs.n, head.k, ew.levels).encodeWindow(&w, head.Vicinity(graph.NodeID(v)))
+			want += slotBytes + int64(len(w.Bytes()))
+		}
+	}
+	if got := head.Bytes() - bare.Bytes(); got != want {
+		t.Fatalf("overlaid windows count %d B, want %d (encoded length plus slot)", got, want)
 	}
 }
 

@@ -31,7 +31,10 @@
 // w's bucket, about one member: it decodes no column.
 //
 // The form is the store's, fixed by the graph it is built or folded over,
-// so a decode is the exact store's window, column for column.
+// so a decode is the exact store's window, column for column. A repair
+// chain's overlaid window (store.go) is encoded in the same layout by the
+// event that recomputed it, in the form of that event's graph, and keeps
+// its form, member count and radius in its slot (encodedWindow).
 //
 // Landmark forest rows: one row per landmark, byte-aligned, with node v's
 // parent stored as the port index of the parent within v's sorted adjacency
@@ -44,8 +47,10 @@
 // so the hot classification loop never decodes a window.
 //
 // A chain fold (repair.go) writes a fresh store over the current graph and
-// reads the old one once. Untouched windows copy as raw byte ranges and
-// overlaid ones re-encode. Forest rows re-encode with a carry from the old
+// reads the old one once. Every window, base or overlaid, copies as a raw
+// byte range; only a window whose distance form is not the new store's is
+// decoded and re-encoded, which a fold that changes the graph's form does
+// to every window. Forest rows re-encode with a carry from the old
 // store: a port indexes its node's neighbour list only, so a node whose
 // list the fold's graph keeps keeps its port wherever the overlay's sparse
 // row does not patch it. Only nodes next to a changed link, and the nodes
@@ -55,11 +60,13 @@
 // of a fold costs 7–10 ms against 17–23 ms re-encoding every field
 // (BenchmarkChainFold forest-ms/op).
 //
-// Reads go through internal/bits in place: a window is read as bits
-// [8·vicOff[v], 8·vicOff[v+1]) of the whole blob and a forest field at its
-// absolute bit in the forest, never through a re-slice, so the bytes that
-// follow keep the codec on its 64-bit word path everywhere but in the last
-// 8 bytes of each array. A whole-window decode (a fold that changes the
+// Reads go through internal/bits in place: a base window is read as bits
+// [8·vicOff[v], 8·vicOff[v+1]) of the whole blob, an overlaid one from the
+// start of its slot's bytes, which run on to the end of its event's blob
+// and a word of slack past it, and a forest field at its absolute bit in
+// the forest, never through a re-slice, so the bytes that follow keep the
+// codec on its 64-bit word path everywhere but in the last 8 bytes of the
+// base blob and the forest. A whole-window decode (a fold that changes the
 // distance form, CanonicalBytes and the hop-by-hop oracle make them) runs
 // the kernels once per column: the low column (ReadRun), the buckets above
 // it from the high array's ones (ReadUnaryRun), then the parent and level
@@ -160,9 +167,10 @@ func (cs *compactStore) windowLen(v graph.NodeID) int {
 	return cs.k
 }
 
-// distWidth is the width of one distance field in a window of this radius.
-func (cs *compactStore) distWidth(radius float64) int {
-	if cs.levels {
+// distWidth is the width of one distance field in a window of this radius,
+// in the given distance form.
+func distWidth(levels bool, radius float64) int {
+	if levels {
 		return bits.Width(int(radius) + 1)
 	}
 	return 64
@@ -254,7 +262,7 @@ func (cs *compactStore) encodeWindow(w *bits.Writer, win *vicinity.Window) {
 		}
 		w.WriteBits(uint64(p), cs.pWidth)
 	}
-	dw := cs.distWidth(win.Radius())
+	dw := distWidth(cs.levels, win.Radius())
 	for i := 0; i < m; i++ {
 		if cs.levels {
 			w.WriteBits(uint64(win.Dist(i)), dw)
@@ -264,29 +272,25 @@ func (cs *compactStore) encodeWindow(w *bits.Writer, win *vicinity.Window) {
 	}
 }
 
-// encodedWindowBytes returns the byte length encodeWindow would produce
-// for win without writing a bit — the analytic size pass of the two-pass
-// compact fold, so every shard's destination slice is known before any
-// shard encodes. Every section's length follows from the member count and
-// the radius.
-func (cs *compactStore) encodedWindowBytes(win *vicinity.Window) int64 {
-	m := win.Size()
+// encodedWindowBytes returns the byte length encodeWindow produces for a
+// window of m members and this radius, without writing a bit — the
+// analytic size pass of the two-pass compact fold, so every shard's
+// destination slice is known before any shard encodes. Every section's
+// length follows from the member count and the radius.
+func (cs *compactStore) encodedWindowBytes(m int, radius float64) int64 {
 	l := lowBits(cs.n, m)
-	nbits := highBits(cs.n, m, l) + m*(l+cs.pWidth+cs.distWidth(win.Radius()))
+	nbits := highBits(cs.n, m, l) + m*(l+cs.pWidth+distWidth(cs.levels, radius))
 	return int64((nbits + 7) / 8)
 }
 
-// window decodes node v's vicinity window from the shared blob into a
-// fresh window: the member IDs (pointed.appendIDs), then the parent and
-// distance columns (ReadRun), with the radius kept beside the blob. The
-// window holds windowLen(v) members: k on from-scratch builds, possibly
-// fewer on a folded repair chain whose failures disconnected v's region.
-func (cs *compactStore) window(v graph.NodeID) *vicinity.Window {
-	p := cs.pointed(v)
+// window decodes the window into a fresh one: the member IDs (appendIDs),
+// then the parent and distance columns (ReadRun), with the radius the
+// window is read with. The decode is in the window's own distance form.
+func (p *pointed) window() *vicinity.Window {
 	m := p.size
 	ids, parent := p.appendIDs(make([]graph.NodeID, 0, m)), make([]uint16, m)
 	r := p.reader(p.parents)
-	bits.ReadRun(r, parent, cs.pWidth)
+	bits.ReadRun(r, parent, p.cs.pWidth)
 	for i, q := range parent {
 		if int(q) == m {
 			parent[i] = math.MaxUint16 // the owner
@@ -294,7 +298,7 @@ func (cs *compactStore) window(v graph.NodeID) *vicinity.Window {
 	}
 	var level []uint16
 	var dist []float64
-	if dw := cs.distWidth(cs.radii[v]); cs.levels {
+	if dw := distWidth(p.levels, p.radius); p.levels {
 		level = make([]uint16, m)
 		bits.ReadRun(r, level, dw)
 	} else {
@@ -303,43 +307,49 @@ func (cs *compactStore) window(v graph.NodeID) *vicinity.Window {
 			dist[i] = math.Float64frombits(r.ReadBits(dw))
 		}
 	}
-	return vicinity.FromColumns(cs.n, ids, parent, level, dist, cs.radii[v])
+	return vicinity.FromColumns(p.cs.n, ids, parent, level, dist, p.radius)
 }
 
-// pointed is V(v) read in place, a field at a time at the bits the layout
-// computes: nothing is decoded but the words of the high-bits array a
-// select walks. Reads go through internal/bits against the whole blob
-// (see the file comment for why not a re-slice).
+// pointed is one window read in place, a field at a time at the bits the
+// layout computes: nothing is decoded but the words of the high-bits array
+// a select walks. Its bytes are a range of the base blob or an overlay
+// slot's own (encodedWindow); either way reads go through internal/bits
+// against the whole array the range sits in (see the file comment for why
+// not a re-slice). The member count, the radius and the distance form come
+// with the window: kept beside the base blob, or in the slot.
+// Snapshot.pointed makes one.
 type pointed struct {
-	cs      *compactStore
-	v       graph.NodeID
+	cs      *compactStore // the layout: n and the parent field width
+	blob    []byte
+	radius  float64
+	levels  bool // distances as BFS levels
 	size    int
 	l       int // low bits of a member ID: lowBits(n, size)
-	at      int // the window's first bit in the blob: its high-bits array
+	at      int // the window's first bit in blob: its high-bits array
 	lows    int // the first bit of its low-bits array
 	parents int // the first bit of its parent column
-}
-
-// pointed returns V(v) to read in place.
-func (cs *compactStore) pointed(v graph.NodeID) pointed {
-	m, at := cs.windowLen(v), 8*int(cs.vicOff[v])
-	l := lowBits(cs.n, m)
-	lows := at + highBits(cs.n, m, l)
-	return pointed{cs: cs, v: v, size: m, l: l, at: at, lows: lows, parents: lows + m*l}
 }
 
 // Size returns the window's member count.
 func (p *pointed) Size() int { return p.size }
 
-// Radius returns the window's radius, kept beside the blob.
-func (p *pointed) Radius() float64 { return p.cs.radii[p.v] }
+// Radius returns the window's radius.
+func (p *pointed) Radius() float64 { return p.radius }
 
 // low returns member i's low bits.
-func (p *pointed) low(i int) int { return int(bits.At(p.cs.vicBlob, p.lows+i*p.l, p.l)) }
+func (p *pointed) low(i int) int { return int(bits.At(p.blob, p.lows+i*p.l, p.l)) }
+
+// end returns the bit that follows the window: its distance column's end.
+func (p *pointed) end() int {
+	return p.parents + p.size*(p.cs.pWidth+distWidth(p.levels, p.radius))
+}
+
+// bytes returns the window's byte range, the bytes a fold copies.
+func (p *pointed) bytes() []byte { return p.blob[p.at>>3 : (p.end()+7)>>3] }
 
 // reader returns a reader from bit `from` to the end of the window.
 func (p *pointed) reader(from int) *bits.Reader {
-	return bits.NewReaderAt(p.cs.vicBlob, from, 8*int(p.cs.vicOff[p.v+1]))
+	return bits.NewReaderAt(p.blob, from, p.end())
 }
 
 // Find returns w's index in the window, or -1 when w is no member. It
@@ -353,7 +363,7 @@ func (p *pointed) Find(w graph.NodeID) int {
 	if p.size == 0 || uint(w) >= uint(p.cs.n) {
 		return -1
 	}
-	blob, b := p.cs.vicBlob, int(w)>>p.l
+	blob, b := p.blob, int(w)>>p.l
 	at := p.at
 	if b > 0 {
 		at = bits.SelectZero(blob, p.at, p.lows, b-1) + 1
@@ -373,7 +383,7 @@ func (p *pointed) Find(w graph.NodeID) int {
 // ID returns member i's node ID: its bucket, the zeros before its one
 // (bits.SelectOne), above its low bits.
 func (p *pointed) ID(i int) graph.NodeID {
-	b := bits.SelectOne(p.cs.vicBlob, p.at, p.lows, i) - p.at - i
+	b := bits.SelectOne(p.blob, p.at, p.lows, i) - p.at - i
 	return graph.NodeID(b<<p.l | p.low(i))
 }
 
@@ -390,7 +400,7 @@ func (p *pointed) appendIDs(dst []graph.NodeID) []graph.NodeID {
 
 // Parent returns the index of member i's parent, or -1 for the owner.
 func (p *pointed) Parent(i int) int {
-	q := int(bits.At(p.cs.vicBlob, p.parents+i*p.cs.pWidth, p.cs.pWidth))
+	q := int(bits.At(p.blob, p.parents+i*p.cs.pWidth, p.cs.pWidth))
 	if q == p.size {
 		return -1
 	}
@@ -412,11 +422,11 @@ func (p *pointed) AppendPath(dst []graph.NodeID, i int) []graph.NodeID {
 // Dist returns member i's distance from the owner.
 func (p *pointed) Dist(i int) float64 {
 	at := p.parents + p.size*p.cs.pWidth
-	if p.cs.levels {
-		dw := p.cs.distWidth(p.Radius())
-		return float64(bits.At(p.cs.vicBlob, at+i*dw, dw))
+	if p.levels {
+		dw := distWidth(true, p.radius)
+		return float64(bits.At(p.blob, at+i*dw, dw))
 	}
-	return math.Float64frombits(bits.At(p.cs.vicBlob, at+i*64, 64))
+	return math.Float64frombits(bits.At(p.blob, at+i*64, 64))
 }
 
 // layoutForest fixes the forest's bit layout over pg and allocates it: node
@@ -595,38 +605,24 @@ func (cs *compactStore) storeBytes() int64 {
 		int64(len(cs.degOff))*off64Bytes
 }
 
-// foldCompactWindows re-encodes the chain's logical windows in the compact
-// wire format into a fresh compactStore over the current graph, in two
-// passes so shards encode independently over the worker pool: pass 1
-// computes every window's encoded size — analytically for overlaid
-// windows, and by carrying the old byte range for untouched ones, which
-// re-encode byte-identically while the distance form holds (the widths
-// never change across folds) — pass 2 writes each window into its disjoint
-// blob slice, raw-copying the untouched ranges. When the graph changed the
-// form, every window re-encodes.
+// foldCompactWindows writes the chain's logical windows into a fresh
+// compactStore over the current graph, in two passes so shards write
+// independently over the worker pool: pass 1 computes every window's
+// encoded size from its member count and radius, pass 2 copies each
+// window's bytes — a range of the old base blob, or an overlay slot's —
+// into its disjoint slice of the new blob. Every window keeps its bytes
+// while its distance form is the new store's (the field widths never
+// change across folds); one in the other form, which a fold that changes
+// the graph's form makes of every window, is decoded and re-encoded.
 func (s *Snapshot) foldCompactWindows() *compactStore {
-	old := s.cs
 	n := s.g.N()
 	cs := newCompactStore(s.g, s.k)
 	cs.vicLen, cs.radii = make([]int32, n), make([]float64, n)
-	// reencode returns V(v) when the fold must encode it, nil when it copies
-	// the old bytes.
-	reencode := func(v int) *vicinity.Window {
-		if win := s.ov.window(graph.NodeID(v)); win != nil || cs.levels == old.levels {
-			return win
-		}
-		return old.window(graph.NodeID(v))
-	}
 	vicOff := make([]int64, n+1)
 	sizes := parallel.Map(n, func(v int) int64 {
-		if win := reencode(v); win != nil {
-			cs.vicLen[v] = int32(win.Size())
-			cs.radii[v] = win.Radius()
-			return cs.encodedWindowBytes(win)
-		}
-		cs.vicLen[v] = int32(old.windowLen(graph.NodeID(v)))
-		cs.radii[v] = old.radii[v]
-		return old.vicOff[v+1] - old.vicOff[v]
+		p := s.pointed(graph.NodeID(v))
+		cs.vicLen[v], cs.radii[v] = int32(p.size), p.radius
+		return cs.encodedWindowBytes(p.size, p.radius)
 	})
 	for v := 0; v < n; v++ {
 		vicOff[v+1] = vicOff[v] + sizes[v]
@@ -637,13 +633,14 @@ func (s *Snapshot) foldCompactWindows() *compactStore {
 		func() *bits.Writer { return new(bits.Writer) },
 		func(w *bits.Writer, v int) {
 			dst := cs.vicBlob[vicOff[v]:vicOff[v+1]]
-			if win := reencode(v); win != nil {
-				w.Reset()
-				cs.encodeWindow(w, win)
-				copy(dst, w.Bytes())
+			p := s.pointed(graph.NodeID(v))
+			if p.levels == cs.levels {
+				copy(dst, p.bytes())
 				return
 			}
-			copy(dst, old.vicBlob[old.vicOff[v]:old.vicOff[v+1]])
+			w.Reset()
+			cs.encodeWindow(w, p.window())
+			copy(dst, w.Bytes())
 		})
 	uniform := true
 	for _, ln := range cs.vicLen {

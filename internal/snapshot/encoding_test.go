@@ -148,19 +148,23 @@ func TestLowBits(t *testing.T) {
 // Elias–Fano code's edges: its low bits pull the first ID to 0 and push the
 // last to n−1, bits 2–3 round n up to a power of two or one past it, and
 // bit 4 packs every member into one high bucket where one holds them.
-// encodedWindowBytes must be the byte count encodeWindow writes, and the
-// decoded window must be the input column for column and in the same form.
-// The pointed reads must agree with the decode without decoding: pointed
-// Find with Window.Find on every member, on each member's neighbouring IDs,
-// on random IDs and on the IDs outside [0, n) (graph.None, n and n+1), the
-// pointed ID, Parent and Dist of every member with its columns, and the
-// pointed AppendPath of every member whose parent chain reaches the owner
-// with Window.AppendPath, owner included, and AppendMembers and MemberDist
-// with the ID and distance columns, AppendMembers behind an entry of dst.
-// The seeds hold windows of 0, 1 and n members (n members keep no low
-// bits), every member in one bucket, IDs 0 and n−1, and n a power of two
-// and one past it, in both forms. The blob is read where it ends (the
-// reader's byte path) or with padding past it (the word path).
+// encodedWindowBytes must be the byte count encodeWindow writes. The
+// window is read twice: from a base blob, behind another window's bytes,
+// and from an overlay slot, encoded on its own into an event blob as a
+// repair lays it (packSlots) over a store of the other distance form. In
+// both the decoded window must be the input column for column and in the
+// same form, and the pointed reads must agree with it without decoding:
+// pointed Find with Window.Find on every member, on each member's
+// neighbouring IDs, on random IDs and on the IDs outside [0, n)
+// (graph.None, n and n+1), the pointed ID, Parent and Dist of every member
+// with its columns, and the pointed AppendPath of every member whose
+// parent chain reaches the owner with Window.AppendPath, owner included,
+// and AppendMembers (the pointed ID run) and MemberDist with the ID and
+// distance columns, AppendMembers behind an entry of dst. The seeds hold
+// windows of 0, 1 and n members (n members keep no low bits), every member
+// in one bucket, IDs 0 and n−1, and n a power of two and one past it, in
+// both forms. The base blob is read where it ends (the reader's byte path)
+// or with padding past it (the word path).
 func FuzzCompactWindow(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint16(0), true, uint8(0), false, uint8(0))
 	f.Add(int64(2), uint16(1), uint16(1), true, uint8(3), false, uint8(0))
@@ -241,80 +245,106 @@ func FuzzCompactWindow(f *testing.F) {
 		cs := newCompactLayout(n, kk, levels)
 		var w bits.Writer
 		cs.encodeWindow(&w, want)
-		blob := w.Bytes()
-		if got := cs.encodedWindowBytes(want); got != int64(len(blob)) {
-			t.Fatalf("encodedWindowBytes %d, encodeWindow wrote %d", got, len(blob))
+		enc := slices.Clone(w.Bytes())
+		if got := cs.encodedWindowBytes(m, want.Radius()); got != int64(len(enc)) {
+			t.Fatalf("encodedWindowBytes %d, encodeWindow wrote %d", got, len(enc))
 		}
-		cs.vicOff = []int64{0, int64(len(blob))}
+		// The base store: node 1's window behind a filler that node 0 owns,
+		// so that the window sits at a byte offset of the blob.
+		filler := make([]byte, 1+rng.Intn(9))
+		rng.Read(filler)
+		blob := append(filler, enc...)
+		cs.vicOff = []int64{0, int64(len(filler)), int64(len(blob))}
 		if pad {
 			blob = append(blob, make([]byte, 8)...)
 		}
-		cs.vicBlob, cs.radii = blob, []float64{want.Radius()}
+		cs.vicBlob, cs.radii = blob, []float64{0, want.Radius()}
 		if m != kk {
-			cs.vicLen = []int32{int32(m)}
+			cs.vicLen = []int32{0, int32(m)}
 		}
-		if diff := sameWindow(cs.window(0), want); diff != "" {
-			t.Fatalf("decoded window: %s", diff)
+		// The overlay slot: the window encoded on its own, laid behind a
+		// filler in one event blob (packSlots), over a store of the other
+		// distance form, so the slot's own form must decide its reads.
+		slots := []encodedWindow{{}, {radius: want.Radius(), size: int32(m), levels: levels}}
+		packSlots(slots, [][]byte{filler, enc})
+		overlaid := &Snapshot{
+			cs: newCompactLayout(n, kk, !levels),
+			ov: &overlay{enc: []*encodedWindow{nil, &slots[1]}},
 		}
-		// The pointed reads, against the decoded columns.
-		p := cs.pointed(0)
-		if p.Size() != m || p.Radius() != want.Radius() {
-			t.Fatalf("pointed size/radius (%d, %v), want (%d, %v)", p.Size(), p.Radius(), m, want.Radius())
-		}
-		probe := func(id graph.NodeID) {
-			if got, wantI := p.Find(id), want.Find(id); got != wantI {
-				t.Fatalf("pointed Find(%d) = %d, want %d", id, got, wantI)
-			}
-		}
-		for i, id := range ids {
-			probe(id)
-			probe(id + 1)
-			if id > 0 {
-				probe(id - 1)
-			}
-			if got := p.ID(i); got != id {
-				t.Fatalf("pointed ID(%d) = %d, want %d", i, got, id)
-			}
-			if got := p.Parent(i); got != want.Parent(i) {
-				t.Fatalf("pointed Parent(%d) = %d, want %d", i, got, want.Parent(i))
-			}
-			if got := p.Dist(i); got != want.Dist(i) {
-				t.Fatalf("pointed Dist(%d) = %v, want %v", i, got, want.Dist(i))
-			}
-		}
-		// AppendMembers behind a dst entry, into room that holds junk.
-		dst := make([]graph.NodeID, m+9)
-		for i := range dst {
-			dst[i] = graph.NodeID(3 * i)
-		}
-		snap := &Snapshot{cs: cs}
-		if got := snap.AppendMembers(dst[:1], 0); got[0] != 0 || !slices.Equal(got[1:], ids) {
-			t.Fatalf("AppendMembers = %v, want [0] then %v", got, ids)
-		}
-		for i := range ids {
-			if got := snap.MemberDist(0, i); got != want.Dist(i) {
-				t.Fatalf("MemberDist(0, %d) = %v, want %v", i, got, want.Dist(i))
-			}
-		}
-		for range 16 {
-			probe(graph.NodeID(rng.Intn(n + 1)))
-		}
-		for _, id := range []graph.NodeID{graph.None, graph.NodeID(n), graph.NodeID(n + 1)} {
-			probe(id)
-		}
-		// The pointed path of every member whose parent chain reaches the
-		// owner: random parents may also close a cycle, where no path is.
-		for i := range ids {
-			j, hops := i, 0
-			for ; j >= 0 && hops <= m; hops++ {
-				j = want.Parent(j)
-			}
-			if j >= 0 {
-				continue
-			}
-			if got, wantPath := p.AppendPath(nil, i), want.AppendPath(nil, i); !slices.Equal(got, wantPath) {
-				t.Fatalf("pointed AppendPath(%d) = %v, want %v", i, got, wantPath)
-			}
+		for _, snap := range []*Snapshot{{cs: cs}, overlaid} {
+			checkPointed(t, snap, want, ids, rng)
 		}
 	})
+}
+
+// checkPointed holds FuzzCompactWindow's reads of node 1's window in snap,
+// in place, to want, the window it encodes with member IDs ids: the decode,
+// pointed Find on every member, on each member's neighbouring IDs, on
+// random IDs and on the IDs outside [0, n), pointed ID, Parent and Dist of
+// every member, pointed AppendPath of every member whose parent chain
+// reaches the owner, and AppendMembers and MemberDist.
+func checkPointed(t *testing.T, snap *Snapshot, want *vicinity.Window, ids []graph.NodeID, rng *rand.Rand) {
+	t.Helper()
+	m, n := len(ids), snap.cs.n
+	if diff := sameWindow(snap.Vicinity(1), want); diff != "" {
+		t.Fatalf("decoded window: %s", diff)
+	}
+	p := snap.pointed(1)
+	if p.Size() != m || p.Radius() != want.Radius() {
+		t.Fatalf("pointed size/radius (%d, %v), want (%d, %v)", p.Size(), p.Radius(), m, want.Radius())
+	}
+	probe := func(id graph.NodeID) {
+		if got, wantI := p.Find(id), want.Find(id); got != wantI {
+			t.Fatalf("pointed Find(%d) = %d, want %d", id, got, wantI)
+		}
+	}
+	for i, id := range ids {
+		probe(id)
+		probe(id + 1)
+		if id > 0 {
+			probe(id - 1)
+		}
+		if got := p.ID(i); got != id {
+			t.Fatalf("pointed ID(%d) = %d, want %d", i, got, id)
+		}
+		if got := p.Parent(i); got != want.Parent(i) {
+			t.Fatalf("pointed Parent(%d) = %d, want %d", i, got, want.Parent(i))
+		}
+		if got := p.Dist(i); got != want.Dist(i) {
+			t.Fatalf("pointed Dist(%d) = %v, want %v", i, got, want.Dist(i))
+		}
+	}
+	// AppendMembers behind a dst entry, into room that holds junk.
+	dst := make([]graph.NodeID, m+9)
+	for i := range dst {
+		dst[i] = graph.NodeID(3 * i)
+	}
+	if got := snap.AppendMembers(dst[:1], 1); got[0] != 0 || !slices.Equal(got[1:], ids) {
+		t.Fatalf("AppendMembers = %v, want [0] then %v", got, ids)
+	}
+	for i := range ids {
+		if got := snap.MemberDist(1, i); got != want.Dist(i) {
+			t.Fatalf("MemberDist(1, %d) = %v, want %v", i, got, want.Dist(i))
+		}
+	}
+	for range 16 {
+		probe(graph.NodeID(rng.Intn(n + 1)))
+	}
+	for _, id := range []graph.NodeID{graph.None, graph.NodeID(n), graph.NodeID(n + 1)} {
+		probe(id)
+	}
+	// The pointed path of every member whose parent chain reaches the
+	// owner: random parents may also close a cycle, where no path is.
+	for i := range ids {
+		j, hops := i, 0
+		for ; j >= 0 && hops <= m; hops++ {
+			j = want.Parent(j)
+		}
+		if j >= 0 {
+			continue
+		}
+		if got, wantPath := p.AppendPath(nil, i), want.AppendPath(nil, i); !slices.Equal(got, wantPath) {
+			t.Fatalf("pointed AppendPath(%d) = %v, want %v", i, got, wantPath)
+		}
+	}
 }

@@ -75,8 +75,8 @@
 // diff accounting, and both fold encoders all fan out, and every merge
 // happens in task index order — so the result is bit-identical at any
 // worker count. The exact window tests and the diff accounting read a
-// compact pre-event window in place, field by field through its ID code,
-// and decode none.
+// compact pre-event window in place, base or overlaid, field by field
+// through its ID code, and decode none.
 //
 // Chains compose: a repaired snapshot can be repaired or recovered again.
 // Two mechanisms keep a long repair-of-repair chain from leaking history:
@@ -90,10 +90,12 @@
 //   - Compaction: when the table's overlaid-shard count exceeds
 //     foldOverlayFraction of the snapshot's shards, the chain is folded
 //     into a fresh base-format store (both regimes), an O(state) re-encode
-//     with no Dijkstra. A compact fold copies untouched windows as byte
-//     ranges and carries every forest port whose node kept its neighbour
-//     list and its parent (compact.go), so its cost is one pass over the
-//     old store plus the overlay's re-encode. A fold also sets maxRadius
+//     with no Dijkstra. A compact fold copies every window, base or
+//     overlaid, as a byte range and carries every forest port whose node
+//     kept its neighbour list and its parent (compact.go), so its cost is
+//     one pass over the old store plus the overlaid rows' ports: a compact
+//     chain's windows were encoded by the events that recomputed them
+//     (recomputeWindows). A fold also sets maxRadius
 //     to the folded windows' largest radius. CanonicalBytes is invariant
 //     under folding, so chained equivalence with a from-scratch build holds
 //     at every step.
@@ -112,6 +114,7 @@ import (
 	"math"
 	"slices"
 
+	"disco/internal/bits"
 	"disco/internal/graph"
 	"disco/internal/parallel"
 	"disco/internal/vicinity"
@@ -239,10 +242,10 @@ func (s *Snapshot) ApplyFailures(fails []graph.EdgeKey) (*Snapshot, error) {
 	affVic, scanned := s.windowCandidates(s.g, uniq, func(x graph.NodeID, i int) bool {
 		return s.carriesTreeLink(x, uniq[i])
 	})
-	wins := recomputeWindows(fg, affVic, s.k)
+	ev := s.recomputeWindows(fg, affVic)
 
 	rowIdx, edits, _ := s.repairRows(fg, func(rs *rowSettler, row int) rowRepair { return rs.fail(row, uniq) })
-	return s.finishRepair(fg, affVic, wins, rowIdx, edits, RepairStats{
+	return s.finishRepair(fg, affVic, ev, rowIdx, edits, RepairStats{
 		FailedLinks: len(uniq),
 		VicRebuilt:  len(affVic),
 		VicTotal:    n,
@@ -295,10 +298,10 @@ func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, er
 	ng := s.g.WithEdges(uniq)
 
 	affVic, scanned := s.recoveryVicinities(uniq, ng)
-	wins := recomputeWindows(ng, affVic, s.k)
+	ev := s.recomputeWindows(ng, affVic)
 	rowIdx, edits, resettled := s.repairRows(ng, func(rs *rowSettler, row int) rowRepair { return rs.recover(row, uniq) })
 
-	return s.finishRepair(ng, affVic, wins, rowIdx, edits, RepairStats{
+	return s.finishRepair(ng, affVic, ev, rowIdx, edits, RepairStats{
 		RestoredLinks: len(uniq),
 		VicRebuilt:    len(affVic),
 		VicTotal:      n,
@@ -350,17 +353,83 @@ func parentID(w *vicinity.Window, i int) graph.NodeID {
 	return graph.None
 }
 
+// eventWindows is one event's recomputed vicinity windows, in the order of
+// its affVic: whole windows on an exact chain (wins), encoded slots on a
+// compact one (enc), and each window's change count against its pre-event
+// state (diffWindows).
+type eventWindows struct {
+	wins  []*vicinity.Window
+	enc   []encodedWindow
+	diffs []int
+}
+
+// meta returns window i's member count and radius.
+func (ev *eventWindows) meta(i int) (size int, radius float64) {
+	if ev.enc != nil {
+		return int(ev.enc[i].size), ev.enc[i].radius
+	}
+	return ev.wins[i].Size(), ev.wins[i].Radius()
+}
+
+// recomputeScratch is one worker's state for recomputeWindows: its ball,
+// the pre-event window's member IDs, and on a compact chain the window it
+// fills window after window and its writer.
+type recomputeScratch struct {
+	ball *vicinity.Ball
+	ids  []graph.NodeID
+	win  vicinity.Window
+	w    bits.Writer
+}
+
 // recomputeWindows rebuilds the given vicinity windows on graph g with one
-// truncated Dijkstra each, over the worker pool — the same windows in both
-// regimes, since the compact encoding is lossless.
-func recomputeWindows(g *graph.Graph, affVic []graph.NodeID, k int) []*vicinity.Window {
-	return parallel.MapScratch(len(affVic),
-		func() *vicinity.Ball { return vicinity.NewBall(g) },
-		func(b *vicinity.Ball, i int) *vicinity.Window {
-			win := &vicinity.MakeWindows(g, 1, k)[0]
-			b.Fill(win, affVic[i], k)
-			return win
+// truncated Dijkstra each, over the worker pool, and counts each one's
+// changes against its pre-event window in the same task. An exact chain
+// keeps every window whole. A compact chain fills each worker's one
+// scratch window and keeps only its encoding, in the form of g's
+// distances, and the encodings are laid into one blob (packSlots).
+func (s *Snapshot) recomputeWindows(g *graph.Graph, affVic []graph.NodeID) *eventWindows {
+	ev := &eventWindows{}
+	lay := s.cs
+	var encs [][]byte
+	if lay != nil {
+		if g.Unit() != lay.levels {
+			lay = newCompactLayout(lay.n, lay.k, g.Unit())
+		}
+		ev.enc, encs = make([]encodedWindow, len(affVic)), make([][]byte, len(affVic))
+	} else {
+		ev.wins = make([]*vicinity.Window, len(affVic))
+	}
+	ev.diffs = parallel.MapScratch(len(affVic),
+		func() *recomputeScratch {
+			sc := &recomputeScratch{ball: vicinity.NewBall(g)}
+			if lay != nil {
+				sc.win = vicinity.MakeWindows(g, 1, s.k)[0]
+			}
+			return sc
+		},
+		func(sc *recomputeScratch, i int) int {
+			x := affVic[i]
+			if lay == nil {
+				win := &vicinity.MakeWindows(g, 1, s.k)[0]
+				sc.ball.Fill(win, x, s.k)
+				ev.wins[i] = win
+				sc.ids = s.AppendMembers(sc.ids[:0], x)
+				return diffWindows(s.stored(x), sc.ids, win)
+			}
+			win := &sc.win
+			sc.ball.Fill(win, x, s.k)
+			p := s.pointed(x)
+			sc.ids = p.appendIDs(sc.ids[:0])
+			sc.w.Reset()
+			lay.encodeWindow(&sc.w, win)
+			encs[i] = slices.Clone(sc.w.Bytes())
+			ev.enc[i] = encodedWindow{radius: win.Radius(), size: int32(win.Size()), levels: lay.levels}
+			return diffWindows(inPlace{p}, sc.ids, win)
 		})
+	if lay != nil {
+		packSlots(ev.enc, encs)
+	}
+	return ev
 }
 
 // rowEdit is one touched forest row's new state: its patches against the
@@ -404,24 +473,12 @@ func (s *Snapshot) patchEdit(row int, patches []rowPatch) rowEdit {
 // recomputed shards written over it, maxRadius and the shortfall list
 // updated, and the chain folded into a fresh store when the table's shard
 // count crosses the compaction threshold. The event's shards arrive as
-// ascending parallel slices: affVic with wins, rowIdx with edits.
-func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*vicinity.Window, rowIdx []int, edits []rowEdit, stats RepairStats) *Snapshot {
-	// Changed-state accounting against the pre-event snapshot, fanned out
-	// over the worker pool (order-independent integer sums): a compact
-	// pre-event window is read in place, its IDs into the worker's buffer;
-	// the rows counted theirs as they were edited.
+// ascending parallel slices: affVic with ev, rowIdx with edits.
+func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, ev *eventWindows, rowIdx []int, edits []rowEdit, stats RepairStats) *Snapshot {
+	// Changed-state accounting against the pre-event snapshot: the windows
+	// counted theirs as they were recomputed, the rows as they were edited.
 	n := ng.N()
-	vicDiffs := parallel.MapScratch(len(affVic),
-		func() *[]graph.NodeID { return new([]graph.NodeID) },
-		func(ids *[]graph.NodeID, i int) int {
-			x := affVic[i]
-			*ids = s.AppendMembers((*ids)[:0], x)
-			if old := s.stored(x); old != nil {
-				return diffWindows(old, *ids, wins[i])
-			}
-			return diffWindows(inPlace{s.cs.pointed(x)}, *ids, wins[i])
-		})
-	for _, d := range vicDiffs {
+	for _, d := range ev.diffs {
 		if d > 0 {
 			stats.VicChanged++
 			stats.VicEntriesChanged += d
@@ -439,7 +496,7 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 		landmarks: s.landmarks, lmRow: s.lmRow,
 		maxRadius: s.maxRadius,
 		repaired:  true, stats: stats,
-		ov: deriveOverlay(s.ov, n, len(s.landmarks), affVic, wins, rowIdx, edits),
+		ov: s.deriveOverlay(affVic, ev, rowIdx, edits),
 	}
 	// Shortfall bookkeeping: a recomputed window leaves or (re)enters the
 	// list according to its new size; every other entry carries over.
@@ -449,8 +506,9 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 		}
 	}
 	for i, v := range affVic {
-		c.maxRadius = max(c.maxRadius, wins[i].Radius())
-		if wins[i].Size() < c.k {
+		size, radius := ev.meta(i)
+		c.maxRadius = max(c.maxRadius, radius)
+		if size < c.k {
 			c.short = append(c.short, v)
 		}
 	}
@@ -468,8 +526,8 @@ func (s *Snapshot) finishRepair(ng *graph.Graph, affVic []graph.NodeID, wins []*
 }
 
 // windowFields is a window as repair's exact tests read it, a field at a
-// time: a *vicinity.Window (overlaid, or in an exact store), or a compact
-// base window read in place (inPlace), which decodes no column.
+// time: an exact chain's *vicinity.Window, or a compact chain's window read
+// in place (inPlace), base or overlaid, which decodes no column.
 type windowFields interface {
 	Size() int
 	Radius() float64
@@ -479,7 +537,7 @@ type windowFields interface {
 	Find(w graph.NodeID) int
 }
 
-// inPlace is a compact base window as repair's tests take it: pointed, by
+// inPlace is a compact window as repair's tests take it: pointed, by
 // value. A type parameter's method call is opaque to escape analysis, so
 // a *pointed handed to a test would move to the heap, an allocation a
 // tested window; a copy per call stays on the stack.
@@ -493,13 +551,13 @@ func (w inPlace) Dist(i int) float64      { return w.p.Dist(i) }
 func (w inPlace) Find(v graph.NodeID) int { return w.p.Find(v) }
 
 // carriesTreeLink reports whether link f is a tree edge of V(x): both
-// endpoints members, one the other's parent. A compact base window is read
-// in place: two pointed probes, and two parent fields when both hit.
+// endpoints members, one the other's parent. A compact window is read in
+// place: two pointed probes, and two parent fields when both hit.
 func (s *Snapshot) carriesTreeLink(x graph.NodeID, f graph.EdgeKey) bool {
-	if win := s.stored(x); win != nil {
-		return treeLink(win, f)
+	if s.cs == nil {
+		return treeLink(s.stored(x), f)
 	}
-	return treeLink(inPlace{s.cs.pointed(x)}, f)
+	return treeLink(inPlace{s.pointed(x)}, f)
 }
 
 // treeLink is carriesTreeLink's test on the window.
@@ -651,15 +709,15 @@ func mayCarry(du, dv, w float64) bool { return math.Abs(du-dv)+(du+dv)*sumSlack 
 
 // restoreChanges reports whether restoring r changes the full window V(x):
 // the three cases of "What affected means", read off the pre-event window
-// in both directions of the link. A compact base window is read in place:
-// two pointed probes, and when one hits, the few fields its cases compare.
+// in both directions of the link. A compact window is read in place: two
+// pointed probes, and when one hits, the few fields its cases compare.
 // With neither endpoint a member, no route over the link stays within the
 // radius.
 func (s *Snapshot) restoreChanges(x graph.NodeID, r graph.WeightedLink) bool {
-	if win := s.stored(x); win != nil {
-		return restoreChanges(win, r)
+	if s.cs == nil {
+		return restoreChanges(s.stored(x), r)
 	}
-	return restoreChanges(inPlace{s.cs.pointed(x)}, r)
+	return restoreChanges(inPlace{s.pointed(x)}, r)
 }
 
 // restoreChanges is Snapshot.restoreChanges' test on the window.

@@ -21,24 +21,35 @@ const (
 	ptrBytes    = int64(unsafe.Sizeof((*vicinity.Window)(nil)))
 
 	sparseRowBytes = int64(unsafe.Sizeof(sparseRow{}))
+	slotBytes      = int64(unsafe.Sizeof(encodedWindow{}))
 )
 
 // Bytes returns the snapshot's backing-array footprint in bytes — the
 // shared cost that replaces every worker's private caches, in whichever
 // storage regime the snapshot was built, plus this snapshot's overlay
-// table: its two slot arrays and every overlaid shard once (recomputed
-// windows in their column layout, overlaid forest rows as their patches
-// and bitset, plus the flat row over an exact store). This is the retained-heap measure the chain-bound test caps.
+// table: its two slot arrays and every overlaid shard once (an exact
+// chain's recomputed windows in their column layout, a compact chain's at
+// their encoded length plus their slot, overlaid forest rows as their
+// patches and bitset, plus the flat row over an exact store). This is the
+// retained-heap measure the chain-bound test caps. It leaves out what an
+// event's blob holds past its windows that the snapshot still reads: the
+// word of slack, and windows a later event overlaid again.
 // Used by the memory-regression benchmark, the chain-bound test and the
 // -memprofile report.
 func (s *Snapshot) Bytes() int64 {
 	total := int64(len(s.landmarks))*nodeBytes + int64(len(s.lmRow))*int32Bytes +
 		int64(len(s.short))*nodeBytes
 	if o := s.ov; o != nil {
-		total += int64(len(o.vic)+len(o.rows)) * ptrBytes
+		total += int64(len(o.vic)+len(o.enc)+len(o.rows)) * ptrBytes
 		for _, win := range o.vic {
 			if win != nil {
 				total += windowBytes + win.Bytes()
+			}
+		}
+		for v, ew := range o.enc {
+			if ew != nil {
+				p := s.pointed(graph.NodeID(v))
+				total += slotBytes + int64(len(p.bytes()))
 			}
 		}
 		for _, sr := range o.rows {

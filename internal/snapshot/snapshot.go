@@ -18,7 +18,7 @@
 //     column arrays — and landmark trees as parent rows in one contiguous
 //     []graph.NodeID. Reads allocate nothing beyond the returned path
 //     slices; Vicinity returns the stored window, which the forwarding
-//     tables install as is.
+//     tables install as is. A repair overlays a recomputed window whole.
 //   - Compact (BuildCompact): the same state bit-packed (see compact.go) at
 //     a fraction of the bytes — member IDs Elias–Fano-coded, parents as
 //     window indices, distances as BFS levels in a few bits each (float64
@@ -29,9 +29,12 @@
 //     hop, a member's distance one field, the member IDs (AppendMembers)
 //     the two ID sections in one pass each, and tree reads decode single
 //     parent fields, all in place — through internal/bits, several
-//     fields a word load. No route decodes a window. The encoding is
-//     lossless, so the two regimes differ only in packing: every read, and
-//     every figure, is byte-identical on every topology.
+//     fields a word load. No route decodes a window. A repair overlays a
+//     recomputed window in the same encoding, a byte range of its own that
+//     the same in-place reader reads (pointed), so a compact chain stays
+//     compact between folds. The encoding is lossless, so the two regimes
+//     differ only in packing: every read, and every figure, is
+//     byte-identical on every topology.
 //
 // Immutability contract: everything reachable from a Snapshot is read-only
 // after Build returns, and the types carry it. A vicinity.Window and a
@@ -227,52 +230,73 @@ func (s *Snapshot) Graph() *graph.Graph { return s.g }
 func (s *Snapshot) Compact() bool { return s.cs != nil }
 
 // Vicinity returns V(v). In the exact regime it is the stored window
-// (allocation-free, safe for concurrent readers); in the compact regime it
-// is decoded into a fresh private window, so the call allocates one window
-// but stays safe for concurrent readers. Callers that only need membership
-// should prefer VicinityContains, and callers after the path to one member
-// AppendVicinityPath, which never materialize the window.
+// (allocation-free, safe for concurrent readers); in the compact regime,
+// base or overlaid, it is decoded into a fresh private window, so the call
+// allocates one window but stays safe for concurrent readers. Callers that
+// only need membership should prefer VicinityContains, and callers after
+// the path to one member AppendVicinityPath, which never materialize the
+// window.
 func (s *Snapshot) Vicinity(v graph.NodeID) *vicinity.Window {
-	if win := s.stored(v); win != nil {
-		return win
+	if s.cs == nil {
+		return s.stored(v)
 	}
-	return s.cs.window(v)
+	p := s.pointed(v)
+	return p.window()
 }
 
-// stored returns V(v) where the snapshot holds it as a window — overlaid,
-// or in an exact base store — and nil where it is a compact base window,
-// which reads in place (compactStore.pointed).
+// stored returns V(v) of an exact snapshot: overlaid, or in the base store.
 func (s *Snapshot) stored(v graph.NodeID) *vicinity.Window {
-	if win := s.ov.window(v); win != nil || s.cs != nil {
+	if win := s.ov.window(v); win != nil {
 		return win
 	}
 	return &s.wins[v]
 }
 
+// pointed returns V(v) of a compact snapshot to read in place: the bytes of
+// its overlay slot, or else its range of the base blob. It lays the reader
+// out itself: a constructor behind it, which the compiler does not inline,
+// copied the returned struct once more a read, and a base window's probe
+// read 112–154 ns against 99–110 built here (BenchmarkCompactReads, 2
+// cores of a 2.0 GHz Xeon).
+func (s *Snapshot) pointed(v graph.NodeID) (p pointed) {
+	cs := s.cs
+	if ew := s.ov.encoded(v); ew != nil {
+		p.blob, p.at, p.size, p.radius, p.levels = ew.bytes, 0, int(ew.size), ew.radius, ew.levels
+	} else {
+		p.blob, p.at, p.size, p.radius, p.levels = cs.vicBlob, 8*int(cs.vicOff[v]), cs.windowLen(v), cs.radii[v], cs.levels
+	}
+	p.cs = cs
+	p.l = lowBits(cs.n, p.size)
+	p.lows = p.at + highBits(cs.n, p.size, p.l)
+	p.parents = p.lows + p.size*p.l
+	return p
+}
+
 // VicinityContains reports w ∈ V(v) without materializing the window in
 // either regime — the cheap probe where the common answer is "no".
 func (s *Snapshot) VicinityContains(v, w graph.NodeID) bool {
-	if win := s.stored(v); win != nil {
-		return win.Contains(w)
+	if s.cs == nil {
+		return s.stored(v).Contains(w)
 	}
-	p := s.cs.pointed(v)
+	p := s.pointed(v)
 	return p.Find(w) >= 0
 }
 
 // AppendVicinityPath appends V(v)'s tree path v ⇝ w to dst when w is a
 // member, and otherwise reports false with dst unextended: one search,
-// whose hit is read on from without searching again. A compact base
-// window is read in place (pointed), a bucket probe and then one parent
-// field and one ID select a hop, so the call decodes no window in either
-// regime and allocates nothing beyond dst's growth.
+// whose hit is read on from without searching again. A compact window is
+// read in place (pointed), a bucket probe and then one parent field and
+// one ID select a hop, so the call decodes no window in either regime and
+// allocates nothing beyond dst's growth.
 func (s *Snapshot) AppendVicinityPath(dst []graph.NodeID, v, w graph.NodeID) ([]graph.NodeID, bool) {
-	if win := s.stored(v); win != nil {
+	if s.cs == nil {
+		win := s.stored(v)
 		if i := win.Find(w); i >= 0 {
 			return win.AppendPath(dst, i), true
 		}
 		return dst, false
 	}
-	p := s.cs.pointed(v)
+	p := s.pointed(v)
 	if i := p.Find(w); i >= 0 {
 		return p.AppendPath(dst, i), true
 	}
@@ -282,13 +306,14 @@ func (s *Snapshot) AppendVicinityPath(dst []graph.NodeID, v, w graph.NodeID) ([]
 // VicinityDist returns w's distance from v when w is a member of V(v): the
 // probe AppendVicinityPath makes, then one distance field, decoding nothing.
 func (s *Snapshot) VicinityDist(v, w graph.NodeID) (float64, bool) {
-	if win := s.stored(v); win != nil {
+	if s.cs == nil {
+		win := s.stored(v)
 		if i := win.Find(w); i >= 0 {
 			return win.Dist(i), true
 		}
 		return 0, false
 	}
-	p := s.cs.pointed(v)
+	p := s.pointed(v)
 	if i := p.Find(w); i >= 0 {
 		return p.Dist(i), true
 	}
@@ -297,29 +322,30 @@ func (s *Snapshot) VicinityDist(v, w graph.NodeID) (float64, bool) {
 
 // AppendMembers appends V(v)'s member IDs, ascending, to dst: what a
 // search over a whole window reads, with MemberDist(v, i) for the distance
-// of the i-th ID appended. A compact base window's ID sections are read in
+// of the i-th ID appended. A compact window's ID sections are read in
 // place (the low column, then the buckets from the high array), so the
 // call decodes no window in either regime and allocates nothing beyond
 // dst's growth.
 func (s *Snapshot) AppendMembers(dst []graph.NodeID, v graph.NodeID) []graph.NodeID {
-	if win := s.stored(v); win != nil {
+	if s.cs == nil {
+		win := s.stored(v)
 		dst = slices.Grow(dst, win.Size())
 		for i := range win.Size() {
 			dst = append(dst, win.ID(i))
 		}
 		return dst
 	}
-	p := s.cs.pointed(v)
+	p := s.pointed(v)
 	return p.appendIDs(dst)
 }
 
 // MemberDist returns the distance from v of V(v)'s member i, in the order
 // AppendMembers appends them: one field, decoding nothing.
 func (s *Snapshot) MemberDist(v graph.NodeID, i int) float64 {
-	if win := s.stored(v); win != nil {
-		return win.Dist(i)
+	if s.cs == nil {
+		return s.stored(v).Dist(i)
 	}
-	p := s.cs.pointed(v)
+	p := s.pointed(v)
 	return p.Dist(i)
 }
 
@@ -327,8 +353,12 @@ func (s *Snapshot) MemberDist(v graph.NodeID, i int) float64 {
 // the window in either regime — what the recovery pipeline's per-candidate
 // probes run on. The radius is exactly Vicinity(v).Radius().
 func (s *Snapshot) windowMeta(v graph.NodeID) (size int, radius float64) {
-	if win := s.stored(v); win != nil {
+	if s.cs == nil {
+		win := s.stored(v)
 		return win.Size(), win.Radius()
+	}
+	if ew := s.ov.encoded(v); ew != nil {
+		return int(ew.size), ew.radius
 	}
 	return s.cs.windowLen(v), s.cs.radii[v]
 }

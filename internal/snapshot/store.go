@@ -23,7 +23,11 @@
 // overlaid slots exceed foldOverlayFraction of the store's shards, the
 // sandwich is folded into a fresh store (repair.go).
 //
-// An overlaid window is the recomputed window whole. An overlaid forest row
+// On an exact chain an overlaid window is the recomputed window whole. On a
+// compact chain it is the recomputed window's encoding, a byte range of its
+// own in the base blob's wire format (encodedWindow): an overlaid window
+// costs what a base one does plus its slot, and one reader (pointed) reads
+// every compact window in place, base or overlaid. An overlaid forest row
 // is a sparse row: only the nodes whose parent differs from the base
 // store's row, so a compact row a repair touched costs its difference from
 // the chain base, not n parents. A repair moves about two parents of a row
@@ -54,15 +58,32 @@ func (s *Snapshot) baseParent(row int, v graph.NodeID) graph.NodeID {
 	return s.parents[row*s.g.N()+int(v)]
 }
 
-// overlay is a repaired snapshot's shard table: vic[v] is node v's
-// recomputed vicinity window, rows[row] forest row `row`'s difference from
-// the base store's row, nil where the snapshot reads the base store.
-// Immutable once its snapshot is returned. Built and freshly folded
-// snapshots hold a nil *overlay, which both accessors accept.
+// overlay is a repaired snapshot's shard table: vic[v] (exact chains) or
+// enc[v] (compact chains) is node v's recomputed vicinity window, rows[row]
+// forest row `row`'s difference from the base store's row, nil where the
+// snapshot reads the base store. Only the snapshot's regime's window table
+// is set. Immutable once its snapshot is returned. Built and freshly folded
+// snapshots hold a nil *overlay, which every accessor accepts.
 type overlay struct {
 	vic    []*vicinity.Window
+	enc    []*encodedWindow
 	rows   []*sparseRow
 	shards int // non-nil slots: what the fold threshold and OverlayShards count
+}
+
+// encodedWindow is a compact chain's overlaid window in the wire format
+// (compact.go), as its event encoded it. bytes runs from the window's first
+// byte to the end of the event's blob, which holds every window the event
+// recomputed back to back and a word of slack after the last, so a read
+// near the window's end stays on internal/bits' word path. The member
+// count and radius, which the base store keeps beside its blob, travel with
+// it, and so does the distance form: that of the graph the window was
+// computed on, which need not be the base store's.
+type encodedWindow struct {
+	bytes  []byte
+	radius float64
+	size   int32
+	levels bool
 }
 
 // sparseRow is an overlaid forest row as its difference from the base
@@ -139,12 +160,37 @@ func (sr *sparseRow) bytes() int64 {
 	return sparseRowBytes + int64(len(sr.nodes)+len(sr.parents)+len(sr.flat))*nodeBytes + int64(len(sr.has))*u64Bytes
 }
 
-// window returns v's overlaid vicinity window, or nil to read the base.
+// packSlots lays an event's window encodings, encs[i] slot i's, back to
+// back in one blob in slot order, with a word of slack after the last, and
+// points each slot's bytes at its own.
+func packSlots(slots []encodedWindow, encs [][]byte) {
+	total := 0
+	for _, enc := range encs {
+		total += len(enc)
+	}
+	blob, at := make([]byte, total+8), 0
+	for i, enc := range encs {
+		slots[i].bytes = blob[at:]
+		at += copy(blob[at:], enc)
+	}
+}
+
+// window returns v's overlaid vicinity window on an exact chain, or nil to
+// read the base.
 func (o *overlay) window(v graph.NodeID) *vicinity.Window {
 	if o == nil {
 		return nil
 	}
 	return o.vic[v]
+}
+
+// encoded returns v's overlaid window on a compact chain, or nil to read
+// the base.
+func (o *overlay) encoded(v graph.NodeID) *encodedWindow {
+	if o == nil {
+		return nil
+	}
+	return o.enc[v]
 }
 
 // row returns forest row `row`'s patches, or nil to read the base.
@@ -155,22 +201,36 @@ func (o *overlay) row(row int) *sparseRow {
 	return o.rows[row]
 }
 
-// deriveOverlay returns the table one repair past prev (nil for a built or
-// freshly folded parent): prev's slots copied, prev itself left untouched
-// for the snapshots holding it, then this event's shards written over them.
-// A touched row whose patches came to nothing reads the base again.
-func deriveOverlay(prev *overlay, n, nrows int, affVic []graph.NodeID, wins []*vicinity.Window, rowIdx []int, edits []rowEdit) *overlay {
-	o := &overlay{vic: make([]*vicinity.Window, n), rows: make([]*sparseRow, nrows)}
-	if prev != nil {
+// deriveOverlay returns the table one repair past s: s's slots copied, s's
+// own table left untouched for the snapshots holding it, then this event's
+// shards written over them. A touched row whose patches came to nothing
+// reads the base again.
+func (s *Snapshot) deriveOverlay(affVic []graph.NodeID, ev *eventWindows, rowIdx []int, edits []rowEdit) *overlay {
+	n := s.g.N()
+	o := &overlay{rows: make([]*sparseRow, len(s.landmarks))}
+	if s.cs != nil {
+		o.enc = make([]*encodedWindow, n)
+	} else {
+		o.vic = make([]*vicinity.Window, n)
+	}
+	if prev := s.ov; prev != nil {
 		copy(o.vic, prev.vic)
+		copy(o.enc, prev.enc)
 		copy(o.rows, prev.rows)
 		o.shards = prev.shards
 	}
 	for i, v := range affVic {
+		if o.enc != nil {
+			if o.enc[v] == nil {
+				o.shards++
+			}
+			o.enc[v] = &ev.enc[i]
+			continue
+		}
 		if o.vic[v] == nil {
 			o.shards++
 		}
-		o.vic[v] = wins[i]
+		o.vic[v] = ev.wins[i]
 	}
 	for i, row := range rowIdx {
 		sr := edits[i].sr
