@@ -5,6 +5,8 @@ import (
 	"slices"
 
 	"disco/internal/graph"
+	"disco/internal/snapshot"
+	"disco/internal/vicinity"
 )
 
 // Hop-by-hop forwarding: FirstRoute/LaterRoute materialize routes from the
@@ -44,7 +46,7 @@ func (r *NDDisco) ForwardFirst(s, t graph.NodeID) []graph.NodeID {
 		// Local check 1: destination in my vicinity -> direct first hop.
 		// The window is read whole, through the full decoder on a compact
 		// snapshot, so the walk's in-place reads are checked against it.
-		win := r.snapshot().Vicinity(cur)
+		win := oracleVicinity(r.snapshot(), cur)
 		if i := win.Find(t); i >= 0 {
 			nh := win.AppendPath(nil, i)[1]
 			path = append(path, nh)
@@ -80,6 +82,31 @@ func (r *NDDisco) ForwardFirst(s, t graph.NodeID) []graph.NodeID {
 	return path
 }
 
+// oracleMemo holds the windows the oracle has decoded from one compact
+// snapshot, the last it read, indexed by owner; nil until first read.
+var oracleMemo struct {
+	snap *snapshot.Snapshot
+	wins []*vicinity.Window
+}
+
+// oracleVicinity returns V(v) of s as the oracle reads it: whole, through
+// Snapshot.Vicinity. A compact snapshot decodes each window once, not at
+// every hop: snapshots are immutable, and a differential test forwards
+// pair after pair over one compact snapshot (alternating with its exact
+// twin, whose windows are stored whole and never decoded).
+func oracleVicinity(s *snapshot.Snapshot, v graph.NodeID) *vicinity.Window {
+	if !s.Compact() {
+		return s.Vicinity(v)
+	}
+	if oracleMemo.snap != s {
+		oracleMemo.snap, oracleMemo.wins = s, make([]*vicinity.Window, s.Graph().N())
+	}
+	if oracleMemo.wins[v] == nil {
+		oracleMemo.wins[v] = s.Vicinity(v)
+	}
+	return oracleMemo.wins[v]
+}
+
 // landmarkFirstHop returns cur's first hop toward landmark lm — the data
 // plane's landmark routing entry. In the converged protocol this is the
 // parent of cur in lm's shortest-path tree (the reverse of the tree path),
@@ -99,7 +126,7 @@ func (r *NDDisco) ForwardLater(s, t graph.NodeID) []graph.NodeID {
 	if s == t {
 		return []graph.NodeID{s}
 	}
-	vt := r.snapshot().Vicinity(t)
+	vt := oracleVicinity(r.snapshot(), t)
 	if j := vt.Find(s); j >= 0 {
 		path := vt.AppendPath(nil, j)
 		slices.Reverse(path)
@@ -143,7 +170,7 @@ func (d *Disco) forwardVia(s, mid graph.NodeID) []graph.NodeID {
 			panic("core: forwarding loop toward intermediate")
 		}
 		var nh graph.NodeID
-		win := d.ND.snapshot().Vicinity(cur)
+		win := oracleVicinity(d.ND.snapshot(), cur)
 		if i := win.Find(mid); i >= 0 {
 			nh = win.AppendPath(nil, i)[1]
 		} else if d.Env().IsLM[mid] {

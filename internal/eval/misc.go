@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"disco/internal/core"
@@ -93,7 +94,7 @@ func (c Config) StaticAccuracy(n int, seed int64, pairs int) *AccuracyResult {
 		routed(g, func(f *core.NDDisco, s, t graph.NodeID) []graph.NodeID { return f.LaterRoute(s, t, core.ShortcutNone) }),
 		func(_ *core.NDDisco, s, t graph.NodeID) (float64, bool) { return eventLaterLen(p, env, s, t), true })
 	meanStatic, meanEvent := sw.mean(0), sw.mean(1)
-	delta := 100 * abs(meanStatic-meanEvent) / meanStatic
+	delta := 100 * math.Abs(meanStatic-meanEvent) / meanStatic
 	return &AccuracyResult{
 		N:                 n,
 		VicinityAgreement: float64(vicAgree) / float64(n),
@@ -134,13 +135,6 @@ func eventLaterLen(p *pathvector.Protocol, env *static.Env, s, t graph.NodeID) f
 		down = down[1:]
 	}
 	return total
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // ErrorResult is the §5 "Error in Estimating Number of Nodes" experiment.

@@ -167,6 +167,7 @@ func (p *kernelPair) check(what string, sources []NodeID, limit int, radius floa
 				l.Settled(v), l.Dist(v), l.Parent(v), l.Source(v))
 		}
 	}
+	p.checkSorted(what)
 	if len(sources) == 1 && limit < 0 && radius < 0 {
 		p.checkStepped(what, sources[0])
 		p.checkUnsorted(what, sources[0])
@@ -174,6 +175,25 @@ func (p *kernelPair) check(what string, sources []NodeID, limit int, radius floa
 	for _, w := range l.bits {
 		if w != 0 {
 			p.t.Fatalf("%s: level bitset left dirty", what)
+		}
+	}
+}
+
+// checkSorted requires AppendSorted on both scratches to be Order sorted,
+// appended after what dst held, and to leave the bitset all zero, as the
+// level kernel's next level and the next AppendSorted expect it.
+func (p *kernelPair) checkSorted(what string) {
+	p.t.Helper()
+	for _, s := range []*SSSP{p.heap, p.level} {
+		want := append([]NodeID{None}, s.Order()...)
+		slices.Sort(want[1:])
+		if got := s.AppendSorted([]NodeID{None}); !slices.Equal(got, want) {
+			p.t.Fatalf("%s: AppendSorted\n got  %v\n want %v", what, got, want)
+		}
+		for _, w := range s.bits {
+			if w != 0 {
+				p.t.Fatalf("%s: bitset left dirty", what)
+			}
 		}
 	}
 }
@@ -332,6 +352,10 @@ func (p *kernelPair) sweep(rng *rand.Rand, name string) {
 		p.check(fmt.Sprintf("%s multi limit", name), sources, rng.Intn(n+1), -1)
 		p.check(fmt.Sprintf("%s multi radius", name), sources, -1, float64(1+rng.Intn(4)))
 	}
+	// Node 0's ball of 5: on a ring it wraps round the ID space, settling
+	// 0, 1, n-1, 2, n-2, which AppendSorted orders by sorting the short
+	// list rather than through the bitset.
+	p.check(name+" RunK(0,5)", []NodeID{0}, 5, -1)
 }
 
 func TestSSSPKernelsAgree(t *testing.T) {
@@ -339,7 +363,7 @@ func TestSSSPKernelsAgree(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 40 + rng.Intn(200)
 		// The ring and the grid are big enough that their few-node levels
-		// span many bitset words, which is what sends sortLevel down its
+		// span many bitset words, which is what sends sortIDs down its
 		// sorting branch; the dense graphs stay on the bitset branch.
 		graphs := []struct {
 			name string
@@ -387,9 +411,10 @@ func vicinityK(n int) int {
 	return min(n, int(math.Ceil(math.Sqrt(float64(n)*math.Log2(float64(n))))))
 }
 
-// TestSortLevel checks the level ordering on its own, against slices.Sort:
-// distinct IDs at every density from one per word to one per 40 words, every
-// prefix length, and a clean bitset afterwards.
+// TestSortLevel checks sortIDs, which orders each level and AppendSorted's
+// copy of Order, on its own against slices.Sort: distinct IDs at every
+// density from one per word to one per 40 words, every prefix length, and
+// a clean bitset afterwards.
 func TestSortLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 5000
@@ -405,7 +430,7 @@ func TestSortLevel(t *testing.T) {
 		want := slices.Clone(s.next)
 		slices.Sort(want)
 		take := rng.Intn(len(want) + 1)
-		if got := s.sortLevel(take); !slices.Equal(got, want[:take]) {
+		if got := s.sortIDs(s.next, take); !slices.Equal(got, want[:take]) {
 			t.Fatalf("trial %d: %d IDs over %d, take %d:\n got  %v\n want %v", trial, len(want), span, take, got, want[:take])
 		}
 		for i, w := range s.bits {
@@ -432,7 +457,7 @@ func fuzzLinks(links [][2]int) []byte {
 // agree with the heap kernel on one query (mode 0, a plain Run, also checks
 // the search stepped level by level against it; mode 3 with bit 8 set gives
 // the multi-source run a limit). Up to 1024 nodes, so that levels
-// can be sparse enough for either branch of sortLevel. Run with `go test
+// can be sparse enough for either branch of sortIDs. Run with `go test
 // -fuzz FuzzSSSPKernelsAgree`; the checked-in corpus under testdata/fuzz/
 // runs on every plain `go test`.
 func FuzzSSSPKernelsAgree(f *testing.F) {
@@ -473,6 +498,14 @@ func FuzzSSSPKernelsAgree(f *testing.F) {
 		fan = append(fan, [2]int{1, v}, [2]int{2, v})
 	}
 	f.Add(fuzzLinks(fan), uint16(202), uint8(1), uint16(0), uint8(204))
+	// A ring of 1000 nodes searched from node 0 with a limit of 5: the
+	// ball settles 0, 1, 999, 2, 998, far apart in the ID space, so
+	// AppendSorted sorts it as a short list.
+	ring := make([][2]int, 1000)
+	for v := range ring {
+		ring[v] = [2]int{v, (v + 1) % len(ring)}
+	}
+	f.Add(fuzzLinks(ring), uint16(999), uint8(1), uint16(0), uint8(5))
 	f.Fuzz(func(t *testing.T, links []byte, nodes uint16, mode uint8, src uint16, arg uint8) {
 		n := 1 + int(nodes)%1024
 		g := genFuzz(links, n)

@@ -88,16 +88,17 @@ type SSSP struct {
 	epoch   uint32
 	heap    Heap
 	order   []NodeID // settle order of the last run
+	// The bitset sortIDs orders a set of node IDs through, for the level
+	// kernel's levels and for AppendSorted: all zero between calls.
+	bits []uint64
 	// Level kernel only: the nodes first touched from the level being
-	// scanned, the bitset sortLevel orders them through (all zero between
-	// calls), where each settled level ends in order, how far scanCut has
+	// scanned, where each settled level ends in order, how far scanCut has
 	// read each row of the level it scans, whether Step can carry the
 	// search on (see Begin), whether its levels stay in touch order (see
 	// BeginUnsorted), and how many row entries the scratch's runs under a
 	// limit have read (TestRunKRowReadsCeiling counts them; other runs
 	// read every row they scan whole).
 	next      []NodeID
-	bits      []uint64
 	levels    []int32
 	cursor    []int32
 	resumable bool
@@ -218,7 +219,7 @@ func (s *SSSP) runHeap(sources []NodeID, limit int, radius float64) {
 // at a time. With every weight 1 the heap would hold a whole level of
 // equal-distance entries and order them by node ID one sift at a time;
 // here the level is collected as it is first touched and ordered once
-// (sortLevel), which gives the same (distance, ID) settle order. A node's
+// (sortIDs), which gives the same (distance, ID) settle order. A node's
 // distance is fixed at first touch (level+1); later touches from the same
 // level can only lower its source, exactly the equal-distance case of relax.
 //
@@ -273,7 +274,7 @@ func (s *SSSP) settle(take int) []NodeID {
 	if s.unsorted {
 		s.order = append(s.order, s.next...)
 	} else {
-		s.order = append(s.order, s.sortLevel(take)...)
+		s.order = append(s.order, s.sortIDs(s.next, take)...)
 	}
 	s.levels = append(s.levels, int32(len(s.order)))
 	s.next = s.next[:0]
@@ -474,34 +475,34 @@ func (s *SSSP) Level(i int) []NodeID {
 	return s.order[lo:s.levels[i]]
 }
 
-// sortLevel returns the take lowest IDs of s.next in ascending order (in
-// s.next's own storage). The IDs are distinct, so a dense level is ordered
-// by setting one bit per node and reading the words back, stopping after
-// take; a sparse one (ring, line, grid: a few nodes per level, far apart in
-// ID space) by sorting the short list instead of scanning the empty words
-// between them. Either way a level costs O(min(L log L, L + span/64)).
-func (s *SSSP) sortLevel(take int) []NodeID {
-	next := s.next
-	if len(next) <= 2 { // a path's or a ring's whole level
-		if len(next) == 2 && next[0] > next[1] {
-			next[0], next[1] = next[1], next[0]
+// sortIDs orders the distinct node IDs ids ascending in ids' own storage
+// and returns the take lowest. A dense set is ordered by setting one bit
+// per node and reading the words back, stopping after take; a sparse one
+// (a ring's, a line's or a grid's level: a few nodes far apart in ID space)
+// by sorting the short list instead of scanning the empty words between
+// them. Either way a set of L costs O(min(L log L, L + span/64)). The
+// bitset is all zero before and after.
+func (s *SSSP) sortIDs(ids []NodeID, take int) []NodeID {
+	if len(ids) <= 2 { // a path's or a ring's whole level
+		if len(ids) == 2 && ids[0] > ids[1] {
+			ids[0], ids[1] = ids[1], ids[0]
 		}
-		return next[:take]
+		return ids[:take]
 	}
-	lo, hi := next[0], next[0]
-	for _, v := range next[1:] {
+	lo, hi := ids[0], ids[0]
+	for _, v := range ids[1:] {
 		lo, hi = min(lo, v), max(hi, v)
 	}
 	base := lo &^ 63 // ID of bit 0 of words[0]
 	words := s.bits[lo>>6 : hi>>6+1]
-	if len(next)*bits.Len(uint(len(next))) < len(words) {
-		slices.Sort(next)
-		return next[:take]
+	if len(ids)*bits.Len(uint(len(ids))) < len(words) {
+		slices.Sort(ids)
+		return ids[:take]
 	}
-	for _, v := range next {
+	for _, v := range ids {
 		words[(v-base)>>6] |= 1 << (v & 63)
 	}
-	out := next[:0]
+	out := ids[:0]
 	for i, w := range words {
 		if len(out) == take {
 			break
@@ -512,6 +513,16 @@ func (s *SSSP) sortLevel(take int) []NodeID {
 	}
 	clear(words)
 	return out
+}
+
+// AppendSorted appends the nodes the last run settled to dst in ascending
+// ID order and returns the extended slice: Order sorted, through the same
+// bitset the level kernel orders its levels with.
+func (s *SSSP) AppendSorted(dst []NodeID) []NodeID {
+	n := len(dst)
+	dst = append(dst, s.order...)
+	s.sortIDs(dst[n:], len(s.order))
+	return dst
 }
 
 // Run computes shortest paths from src to every reachable node.

@@ -51,8 +51,8 @@ func BenchmarkBuild(b *testing.B) {
 						b.Fatal(errVic, errForest)
 					}
 				}
-				b.ReportMetric(float64(vic.Milliseconds())/float64(b.N), "vic-ms/op")
-				b.ReportMetric(float64(forest.Milliseconds())/float64(b.N), "forest-ms/op")
+				b.ReportMetric(float64(vic.Microseconds())/1e3/float64(b.N), "vic-ms/op")
+				b.ReportMetric(float64(forest.Microseconds())/1e3/float64(b.N), "forest-ms/op")
 			})
 		})
 	}

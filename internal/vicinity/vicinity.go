@@ -322,40 +322,32 @@ func NewBall(g *graph.Graph) *Ball {
 
 // Fill computes V(src) with k members into w, which must come from
 // MakeWindows over the ball's graph with room for k: a truncated search
-// from src, its settled nodes laid out in member-ID order. w holds fewer
-// than k members when src's component ran out first; its storage is
-// reused, so one w can take window after window.
-//
-// On a unit-weight graph the level kernel has already done most of the
-// sorting: the ball is Depth() runs, one per distance, each ascending by ID
-// (a RunK limit keeps the lowest IDs of its last level, and the rows that
-// reach that level are read only up to an ID bound at or a little past the
-// highest ID it keeps, not whole). Fill merges those
-// runs through a heap of their heads, O(k log depth) whatever the shape —
-// four or five runs on a small-world map, k/2 on a ring — and a member's
-// level is its run's. The heap kernel (weighted graphs) leaves no runs, so
-// its settle order is sorted instead.
+// from src, its settled nodes laid out in member-ID order by one sort of
+// the settle order (graph.SSSP.AppendSorted), each member's distance or
+// BFS level read off the search. w holds fewer than k members when src's
+// component ran out first; its storage is reused, so one w can take
+// window after window.
 func (b *Ball) Fill(w *Window, src graph.NodeID, k int) {
 	sp := b.sp
 	sp.RunK(src, k)
-	order := sp.Order()
-	m := len(order)
-	w.ids, w.parent, w.radius = w.ids[:m], w.parent[:m], 0
+	w.ids = sp.AppendSorted(w.ids[:0])
+	m := len(w.ids)
+	w.parent, w.radius = w.parent[:m], 0
 	if m > 0 {
-		w.radius = sp.Dist(order[m-1]) // nodes settle in ascending distance
+		w.radius = sp.Dist(sp.Order()[m-1]) // nodes settle in ascending distance
 	}
 	if w.level != nil {
 		w.level = w.level[:m]
-		mergeLevels(w.ids, w.level, sp)
 	} else {
 		w.dist = w.dist[:m]
-		copy(w.ids, order)
-		slices.Sort(w.ids)
-		for i, id := range w.ids {
-			w.dist[i] = sp.Dist(id)
-		}
 	}
 	for i, id := range w.ids {
+		d := sp.Dist(id)
+		if w.level != nil {
+			w.level[i] = uint16(d)
+		} else {
+			w.dist[i] = d
+		}
 		b.pos[id] = uint16(i)
 	}
 	for i, id := range w.ids {
@@ -366,57 +358,4 @@ func (b *Ball) Fill(w *Window, src graph.NodeID, k int) {
 	}
 	clear(w.filt)
 	w.seal()
-}
-
-// mergeLevels writes the unit-weight ball sp's last run settled into ids,
-// ascending, and each member's level into level: a heap merge of its
-// per-level runs.
-func mergeLevels(ids []graph.NodeID, level []uint16, sp *graph.SSSP) {
-	var few [16]levelRun // the heap lives on the stack unless the ball is deep
-	h := few[:0]
-	for d := 0; d < sp.Depth(); d++ {
-		if lv := sp.Level(d); len(lv) > 0 {
-			h = append(h, levelRun{head: lv[0], rest: lv[1:], level: uint16(d)})
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for j := range ids {
-		top := &h[0]
-		ids[j], level[j] = top.head, top.level
-		if len(top.rest) > 0 {
-			top.head, top.rest = top.rest[0], top.rest[1:]
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(h, 0)
-	}
-}
-
-// levelRun is what mergeLevels has still to take of one level of the ball:
-// the next ID, the ascending IDs behind it, and the level.
-type levelRun struct {
-	head  graph.NodeID
-	rest  []graph.NodeID
-	level uint16
-}
-
-// siftDown restores the min-heap on the runs' first IDs below position i.
-func siftDown(h []levelRun, i int) {
-	for {
-		m := i
-		if l := 2*i + 1; l < len(h) && h[l].head < h[m].head {
-			m = l
-		}
-		if r := 2*i + 2; r < len(h) && h[r].head < h[m].head {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }

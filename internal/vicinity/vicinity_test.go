@@ -228,15 +228,15 @@ func TestSelfAlwaysMember(t *testing.T) {
 	}
 }
 
-// TestFillMatchesSort is Fill's property test: the window it merges out of
-// the level kernel's runs (or sorts, after the heap kernel) is the settle
-// order sorted by member ID, entry for entry — every source, on shapes that
-// make the ball deep (ring, line: a level holds two nodes, depth ≈ k/2),
-// wide (G(n,m), router-like), in between (grid), weighted (geometric: the
-// heap path and a float64 column), and cut short by disconnection (fewer
-// than k settled, what a repair recomputes after a partitioning failure),
-// at k = 1, a mid value and k = n — through one window per graph and k,
-// reused from source to source.
+// TestFillMatchesSort is Fill's property test: the window it lays out
+// after either kernel is the settle order sorted by member ID, entry for
+// entry — every source, on shapes that make the ball deep (ring, line: a
+// level holds two nodes, depth ≈ k/2), wide (G(n,m), router-like), in
+// between (grid), weighted (geometric: the heap kernel and a float64
+// column), and cut short by disconnection (fewer than k settled, what a
+// repair recomputes after a partitioning failure), at k = 1, a mid value
+// and k = n — through one window per graph and k, reused from source to
+// source.
 func TestFillMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	gnm := topology.GnmAvgDeg(rng, 300, 6)
